@@ -15,9 +15,9 @@ const DefaultZ = 1.96
 // ApproxCount estimates COUNT(*) WHERE pred over the set union from n
 // uniform samples — the approximate-query-answering use case of the
 // paper's introduction. One warm-up serves both the |U| estimate and
-// the sampling run, and the sample set is drawn in one batch-engine
-// call; to serve many aggregates from the same warm-up, Prepare a
-// Session and use its Approx* methods.
+// the sampling run, and the sample set is drawn in one Sample call; to
+// serve many aggregates from the same warm-up, Prepare a Session and
+// use its Approx* methods.
 func (u *Union) ApproxCount(pred Predicate, n int, o Options) (AggResult, error) {
 	s, err := u.prepare(o, false)
 	if err != nil {

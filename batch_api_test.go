@@ -5,6 +5,43 @@ import (
 	"testing"
 )
 
+// TestForwardersMatchEngine: the deprecated *Batch* names are one-line
+// forwarders, so for every golden mode SampleBatchSeeded returns
+// SampleSeeded's tuples and SampleWhereBatchSeeded returns
+// SampleWhereSeeded's, tuple for tuple — the two cannot drift apart
+// into a second engine again.
+func TestForwardersMatchEngine(t *testing.T) {
+	for _, m := range goldenModes(t) {
+		t.Run(m.name, func(t *testing.T) {
+			s := prepareGolden(t, m.u, m.o)
+			want, _, err := s.SampleSeeded(64, goldenStream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := s.SampleBatchSeeded(64, goldenStream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tuplesEqual(want, got) {
+				t.Error("SampleBatchSeeded diverged from SampleSeeded")
+			}
+			// Selects about half of either golden union.
+			pred := Cmp{Attr: m.u.OutputSchema().Attr(0), Op: GE, Val: 3}
+			want, _, err = s.SampleWhereSeeded(32, pred, goldenStream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err = s.SampleWhereBatchSeeded(32, pred, goldenStream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tuplesEqual(want, got) {
+				t.Error("SampleWhereBatchSeeded diverged from SampleWhereSeeded")
+			}
+		})
+	}
+}
+
 // TestSampleBatchMembership: every batch-drawn tuple is a union result,
 // across subroutines and the disjoint/where variants.
 func TestSampleBatchMembership(t *testing.T) {
@@ -40,12 +77,12 @@ func TestSampleBatchMembership(t *testing.T) {
 	if s.UnionSize() <= 0 {
 		t.Fatalf("UnionSize = %f", s.UnionSize())
 	}
-	if out, _, err := s.SampleDisjointBatch(200); err != nil || len(out) != 200 {
-		t.Fatalf("disjoint batch: %v, %d", err, len(out))
+	if out, _, err := s.SampleDisjoint(200); err != nil || len(out) != 200 {
+		t.Fatalf("disjoint: %v, %d", err, len(out))
 	}
 	pred := Cmp{Attr: "nationkey", Op: GE, Val: 0}
-	if out, _, err := s.SampleWhereBatch(200, pred); err != nil || len(out) != 200 {
-		t.Fatalf("where batch: %v, %d", err, len(out))
+	if out, _, err := s.SampleWhere(200, pred); err != nil || len(out) != 200 {
+		t.Fatalf("where: %v, %d", err, len(out))
 	}
 }
 

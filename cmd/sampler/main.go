@@ -129,7 +129,7 @@ func run(u *sampleunion.Union, n, workers int, o sampleunion.Options, showStats 
 	if workers > 1 {
 		tuples, err = s.SampleParallel(n, workers)
 	} else {
-		tuples, stats, err = s.SampleBatch(n)
+		tuples, stats, err = s.Sample(n)
 	}
 	if err != nil {
 		return err

@@ -1,9 +1,14 @@
-// Online demonstrates Algorithm 2: online union sampling with sample
-// reuse and backtracking. Parameters start from cheap histogram
-// estimates, wander-join draws refine them on the fly, warm-up samples
-// are recycled into the result (with the acceptance correction that
-// keeps uniformity), and previously returned tuples are backtracked
-// when the estimates shift.
+// Online demonstrates Algorithm 2: online union sampling with
+// backtracking. Parameters start from warm-up walks (or, without them,
+// from cheap histogram estimates), wander-join draws refine them on the
+// fly, and buffered tuples are backtracked when the estimates shift.
+//
+// The public API draws through prepared sessions, whose streams are
+// independent: every run starts from the shared warm-up estimates but
+// drops the warm-up sample pool, so §7's sample reuse never shows here
+// (Stats.ReuseAccepted stays 0). Reuse belongs to a single-stream run
+// that owns the pool — core.OnlineShared.NewReuseRun, measured by
+// `go run ./cmd/unionbench -exp fig6a` and `-exp fig6b`.
 //
 //	go run ./examples/online
 package main
@@ -18,7 +23,7 @@ import (
 func main() {
 	u := buildUnion()
 
-	fmt.Println("== online sampling with reuse (WarmupWalks = 800) ==")
+	fmt.Println("== online sampling after warm-up walks (WarmupWalks = 800) ==")
 	run(u, sampleunion.Options{Online: true, WarmupWalks: 800, Seed: 5})
 
 	fmt.Println()
@@ -31,15 +36,9 @@ func run(u *sampleunion.Union, o sampleunion.Options) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reuse := stats.ReuseAccepted
-	regular := stats.Accepted - reuse
-	fmt.Printf("samples: %d (reuse phase %d, regular phase %d)\n", len(tuples), reuse, regular)
+	fmt.Printf("samples: %d from %d walks\n", len(tuples), stats.TotalDraws)
 	fmt.Printf("parameter updates (backtracks): %d, tuples dropped by backtracking: %d\n",
 		stats.Backtracks, stats.BacktrackDropped)
-	if reuse > 0 {
-		fmt.Printf("time per accepted sample: reuse %v, regular %v\n",
-			stats.PerAcceptedReuse(), stats.PerAcceptedRegular())
-	}
 	fmt.Printf("warm-up %v, accepted %v, rejected %v\n",
 		stats.WarmupTime, stats.AcceptTime, stats.RejectTime)
 }

@@ -1,11 +1,9 @@
 package sampleunion
 
 // Seeded-output pinning: every scenario below draws from a fixed seed
-// and hashes the resulting tuple stream. The expected hashes were
-// recorded before the allocation-free draw-path refactor (64-bit tuple
-// keys, CSR indexes, scratch buffers), so a passing run proves the
-// refactor changed no sampling decision: the output is byte-identical
-// to the string-key/map-index implementation for every mode.
+// and hashes the resulting tuple stream, so a passing run proves a
+// change altered no sampling decision in any mode (goldenDigests
+// records which digests predate which engine change).
 //
 // To regenerate after an intentional semantic change, run
 //
@@ -104,177 +102,143 @@ func digest(ts []Tuple) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// goldenDigests holds the pre-refactor reference digests (see the file
-// comment for how they were produced).
+// goldenDigests holds the reference digests (see the file comment for
+// how they are produced). There is one draw engine, so each mode pins
+// one stream: Session.SampleSeeded, which the deprecated *Batch*
+// forwarders return verbatim (TestForwardersMatchEngine).
+//
+// History: the digests of EO, WJ and online-walk modes date from before
+// the allocation-free draw-path refactor and have never changed. The EW
+// rows (cover-ew, oracle, disjoint, where, cyclic-ew, mutate-cover-ew,
+// shard-cover-ew) carry what used to be their batch-* twins' digests:
+// EW row selection is the alias-table / exact Uint64n draw, and the
+// float prefix-sum selection those names once pinned is gone.
+// shard-cyclic-eo and auto-shard were re-pinned when the sharded
+// sampler's per-tuple loop was deleted: a sharded draw assigns shards
+// first and runs one sub-batch per shard on its own derived stream.
 var goldenDigests = map[string]string{
-	"cover-ew":  "e3827872bcf363b8",
+	"cover-ew":  "8f0009ed7a3f4d9b",
 	"cover-eo":  "465158fbac4cc0de",
 	"cover-wj":  "1425eeeb866a50fe",
-	"oracle":    "1435aa24c251838a",
+	"oracle":    "684db964bc538315",
 	"online":    "ab6005ab45eb3fcf",
-	"disjoint":  "98788396a91e4f61",
-	"where":     "d8047d7dee5c08fb",
-	"cyclic-ew": "31b3d2c892e82e3c",
+	"cyclic-ew": "ab392a7ebf43258d",
 	"cyclic-eo": "ba2a8487a19207c5",
-	// Post-mutation refreshed draws (live-relation PR): a fixed mutation
-	// script plus Session.Refresh, then the same seeded stream.
-	"mutate-cover-ew":  "974049a344db657c",
-	"mutate-cover-eo":  "9304ff62e2042f23",
-	"mutate-online":    "00f85e71861c6ea6",
-	"mutate-cyclic-eo": "3787d5c08d55a697",
-	// Batch-engine streams (batched-draws PR). EO, WJ, and online batch
-	// digests coincide with their sequential counterparts because those
-	// subroutines' draw logic consumes the stream identically either
-	// way; only EW's weighted-row selection switches to alias tables
-	// and integer bounded draws on the batch path.
-	"batch-cover-ew":        "8f0009ed7a3f4d9b",
-	"batch-cover-eo":        "465158fbac4cc0de",
-	"batch-cover-wj":        "1425eeeb866a50fe",
-	"batch-oracle":          "684db964bc538315",
-	"batch-online":          "ab6005ab45eb3fcf",
-	"batch-disjoint":        "f4702720567b5022",
-	"batch-where":           "98a41e44ec206f8e",
-	"batch-cyclic-ew":       "ab392a7ebf43258d",
-	"batch-mutate-cover-ew": "8e2bd4648738082a",
-	// Sharded-engine streams (shard-parallel PR): the union is hash-
-	// partitioned into shards and draws alias-select a shard per tuple,
-	// so these streams differ from the single-shard recordings above —
-	// which stay byte-identical because Shards <= 1 keeps the old path.
-	// Sharded streams depend only on (seed, shard count), never on
-	// worker scheduling.
-	"shard-cover-ew":        "01db176335818609",
-	"shard-batch-cover-ew":  "1c5d9b4797fefdf6",
-	"shard-online":          "7b614228268e8c32",
-	"shard-cyclic-eo":       "c39c26648a5a66a4",
+	// Sharded streams: the union is hash-partitioned into shards and
+	// draws alias-select a shard per tuple, so these differ from the
+	// single-shard recordings above. They depend only on (seed, shard
+	// count), never on worker scheduling.
+	"shard-cover-ew":  "1c5d9b4797fefdf6",
+	"shard-online":    "7b614228268e8c32",
+	"shard-cyclic-eo": "7b377edfb466f4dd",
+	// Adaptive-mode streams: the plan derives from the seeded warm-up,
+	// so auto streams are deterministic but differ from every
+	// explicit-mode stream under the same seed. auto-cyclic equals
+	// cyclic-eo because the one-join cyclic union's stream depends only
+	// on the chosen subroutine, and the plan picked EO there.
+	"auto-cover":  "f39a581be21b967d",
+	"auto-online": "a07add1e7f90d7bb",
+	"auto-cyclic": "ba2a8487a19207c5",
+	"auto-shard":  "7bd2f93cc63071a5",
+
+	"disjoint": "f4702720567b5022",
+	"where":    "98a41e44ec206f8e",
+	// Post-mutation refreshed draws: a fixed mutation script plus
+	// Session.Refresh, then the same seeded stream — this repo's form of
+	// "maintained answer ≡ recomputed answer after every update".
+	"mutate-cover-ew":       "8e2bd4648738082a",
+	"mutate-cover-eo":       "9304ff62e2042f23",
+	"mutate-online":         "00f85e71861c6ea6",
+	"mutate-cyclic-eo":      "3787d5c08d55a697",
 	"shard-mutate-cover-ew": "fa1bbeda2cc39cca",
-	// Adaptive-mode streams (adaptive-tuning PR). auto-cover equals
-	// auto-batch-cover because the plan settled on EO for every join of
-	// the golden union (the subroutine consumes the stream identically
-	// sequential or batched); auto-cyclic equals cyclic-eo because the
-	// one-join cyclic union's stream depends only on the chosen
-	// subroutine, and the plan picked EO there too.
-	"auto-cover":       "f39a581be21b967d",
-	"auto-batch-cover": "f39a581be21b967d",
-	"auto-online":      "a07add1e7f90d7bb",
-	"auto-cyclic":      "ba2a8487a19207c5",
-	"auto-shard":       "dbf3367ec3e8a33d",
-	"auto-mutate":      "9eab3b2948c277eb",
+	"auto-mutate":           "9eab3b2948c277eb",
 }
 
-func goldenScenarios(t testing.TB) []struct {
+// goldenSeed is the session seed of every golden scenario; goldenStream
+// the explicit draw stream.
+const (
+	goldenSeed   = 424242
+	goldenStream = 99
+)
+
+// goldenMode is one prepared configuration whose plain seeded stream is
+// pinned: a union and the options it is prepared under.
+type goldenMode struct {
 	name string
-	draw func() ([]Tuple, error)
-} {
+	u    *Union
+	o    Options
+}
+
+// goldenModes lists the session configurations under test. The modes
+// table also drives TestForwardersMatchEngine.
+func goldenModes(t testing.TB) []goldenMode {
 	u := goldenUnion(t)
 	cu := goldenCyclicUnion(t)
-	prep := func(u *Union, o Options) *Session {
-		o.Seed = 424242
-		s, err := u.Prepare(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	sample := func(s *Session) func() ([]Tuple, error) {
-		return func() ([]Tuple, error) {
-			out, _, err := s.SampleSeeded(64, 99)
-			return out, err
-		}
-	}
-	batch := func(s *Session) func() ([]Tuple, error) {
-		return func() ([]Tuple, error) {
-			out, _, err := s.SampleBatchSeeded(64, 99)
-			return out, err
-		}
-	}
-	return []struct {
-		name string
-		draw func() ([]Tuple, error)
-	}{
-		{"cover-ew", sample(prep(u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEW}))},
-		{"cover-eo", sample(prep(u, Options{Warmup: WarmupHistogram, Method: MethodEO}))},
-		{"cover-wj", sample(prep(u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodWJ}))},
-		{"oracle", sample(prep(u, Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true}))},
-		{"online", sample(prep(u, Options{Online: true, WarmupWalks: 150}))},
-		{"disjoint", func() ([]Tuple, error) {
-			out, _, err := prep(u, Options{Method: MethodEW, Warmup: WarmupExact}).SampleDisjointSeeded(64, 99)
-			return out, err
-		}},
-		{"where", func() ([]Tuple, error) {
-			s := prep(u, Options{Warmup: WarmupExact, Method: MethodEW})
-			out, _, err := s.SampleWhereSeeded(32, Cmp{Attr: "nationkey", Op: LT, Val: 4}, 99)
-			return out, err
-		}},
-		{"cyclic-ew", sample(prep(cu, Options{Warmup: WarmupHistogram, Method: MethodEW}))},
-		{"cyclic-eo", sample(prep(cu, Options{Warmup: WarmupHistogram, Method: MethodEO}))},
-		{"mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact, Method: MethodEW})},
-		{"mutate-cover-eo", mutateDraw(t, Options{Warmup: WarmupHistogram, Method: MethodEO})},
-		{"mutate-online", mutateDraw(t, Options{Online: true, WarmupWalks: 150})},
-		{"mutate-cyclic-eo", mutateCyclicDraw(t)},
-		// Batch-engine streams (alias tables + integer bounded draws):
-		// pinned separately from the sequential streams above, which
-		// stay byte-identical to their pre-batch recordings.
-		{"batch-cover-ew", batch(prep(u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEW}))},
-		{"batch-cover-eo", batch(prep(u, Options{Warmup: WarmupHistogram, Method: MethodEO}))},
-		{"batch-cover-wj", batch(prep(u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodWJ}))},
-		{"batch-oracle", batch(prep(u, Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true}))},
-		{"batch-online", batch(prep(u, Options{Online: true, WarmupWalks: 150}))},
-		{"batch-disjoint", func() ([]Tuple, error) {
-			out, _, err := prep(u, Options{Method: MethodEW, Warmup: WarmupExact}).SampleDisjointBatchSeeded(64, 99)
-			return out, err
-		}},
-		{"batch-where", func() ([]Tuple, error) {
-			s := prep(u, Options{Warmup: WarmupExact, Method: MethodEW})
-			out, _, err := s.SampleWhereBatchSeeded(32, Cmp{Attr: "nationkey", Op: LT, Val: 4}, 99)
-			return out, err
-		}},
-		{"batch-cyclic-ew", batch(prep(cu, Options{Warmup: WarmupHistogram, Method: MethodEW}))},
-		{"batch-mutate-cover-ew", mutateBatchDraw(t, Options{Warmup: WarmupExact, Method: MethodEW})},
-		// Sharded-engine streams: sequential, batch, online, cyclic
-		// (residual rebound per shard), and mutation + refresh (dirty
-		// shards rebuilt via the delta path).
-		{"shard-cover-ew", sample(prep(u, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3}))},
-		{"shard-batch-cover-ew", batch(prep(u, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3}))},
-		{"shard-online", batch(prep(u, Options{Online: true, WarmupWalks: 150, Shards: 2}))},
-		{"shard-cyclic-eo", sample(prep(cu, Options{Warmup: WarmupHistogram, Method: MethodEO, Shards: 2}))},
-		{"shard-mutate-cover-ew", mutateBatchDraw(t, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3})},
-		// Adaptive-mode streams (adaptive-tuning PR): the plan derives
-		// from the seeded warm-up, so auto streams are deterministic but
-		// differ from every explicit-mode stream under the same seed.
-		// Explicit-mode digests above stay byte-identical — Auto off
-		// keeps the pre-tuning code path exactly.
-		{"auto-cover", sample(prep(u, Options{Auto: true}))},
-		{"auto-batch-cover", batch(prep(u, Options{Auto: true}))},
-		{"auto-online", sample(prep(u, Options{Auto: true, Online: true}))},
-		{"auto-cyclic", sample(prep(cu, Options{Auto: true}))},
-		{"auto-shard", sample(prep(u, Options{Auto: true, Shards: 2}))},
-		{"auto-mutate", mutateDraw(t, Options{Auto: true})},
+	return []goldenMode{
+		{"cover-ew", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEW}},
+		{"cover-eo", u, Options{Warmup: WarmupHistogram, Method: MethodEO}},
+		{"cover-wj", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodWJ}},
+		{"oracle", u, Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true}},
+		{"online", u, Options{Online: true, WarmupWalks: 150}},
+		{"cyclic-ew", cu, Options{Warmup: WarmupHistogram, Method: MethodEW}},
+		{"cyclic-eo", cu, Options{Warmup: WarmupHistogram, Method: MethodEO}},
+		// Sharded: cover, online, and cyclic (residual rebound per shard).
+		{"shard-cover-ew", u, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3}},
+		{"shard-online", u, Options{Online: true, WarmupWalks: 150, Shards: 2}},
+		{"shard-cyclic-eo", cu, Options{Warmup: WarmupHistogram, Method: MethodEO, Shards: 2}},
+		{"auto-cover", u, Options{Auto: true}},
+		{"auto-online", u, Options{Auto: true, Online: true}},
+		{"auto-cyclic", cu, Options{Auto: true}},
+		{"auto-shard", u, Options{Auto: true, Shards: 2}},
 	}
 }
 
-// mutateBatchDraw is mutateDraw on the batch engine: the refreshed
-// session's batch stream is pinned too, covering alias-table
-// invalidation through Refresh.
-func mutateBatchDraw(t testing.TB, o Options) func() ([]Tuple, error) {
-	u := goldenUnion(t)
-	o.Seed = 424242
+// prepareGolden prepares a mode's session under the golden seed.
+func prepareGolden(t testing.TB, u *Union, o Options) *Session {
+	t.Helper()
+	o.Seed = goldenSeed
 	s, err := u.Prepare(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func() ([]Tuple, error) {
-		cust := u.Joins()[0].Nodes()[0].Rel
-		ord := u.Joins()[0].Nodes()[1].Rel
-		cust.AppendRows([]Tuple{{500, 1}, {501, 2}})
-		ord.AppendRows([]Tuple{{5000, 500}, {5001, 500}, {5002, 501}})
-		cust.Delete(3)
-		ord.Delete(10)
-		if err := s.Refresh(); err != nil {
-			return nil, err
-		}
-		out, _, err := s.SampleBatchSeeded(64, 99)
-		return out, err
+	return s
+}
+
+// scenario is one pinned stream: a name and the seeded draw behind it.
+type scenario struct {
+	name string
+	draw func() ([]Tuple, error)
+}
+
+func goldenScenarios(t testing.TB) []scenario {
+	var scs []scenario
+	for _, m := range goldenModes(t) {
+		s := prepareGolden(t, m.u, m.o)
+		scs = append(scs, scenario{m.name, func() ([]Tuple, error) {
+			out, _, err := s.SampleSeeded(64, goldenStream)
+			return out, err
+		}})
 	}
+	u := goldenUnion(t)
+	return append(scs,
+		scenario{"disjoint", func() ([]Tuple, error) {
+			s := prepareGolden(t, u, Options{Method: MethodEW, Warmup: WarmupExact})
+			out, _, err := s.SampleDisjointSeeded(64, goldenStream)
+			return out, err
+		}},
+		scenario{"where", func() ([]Tuple, error) {
+			s := prepareGolden(t, u, Options{Warmup: WarmupExact, Method: MethodEW})
+			out, _, err := s.SampleWhereSeeded(32, Cmp{Attr: "nationkey", Op: LT, Val: 4}, goldenStream)
+			return out, err
+		}},
+		scenario{"mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact, Method: MethodEW})},
+		scenario{"mutate-cover-eo", mutateDraw(t, Options{Warmup: WarmupHistogram, Method: MethodEO})},
+		scenario{"mutate-online", mutateDraw(t, Options{Online: true, WarmupWalks: 150})},
+		scenario{"mutate-cyclic-eo", mutateCyclicDraw(t)},
+		// Dirty shards rebuilt via the delta path.
+		scenario{"shard-mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3})},
+		scenario{"auto-mutate", mutateDraw(t, Options{Auto: true})},
+	)
 }
 
 // mutateDraw pins the refreshed-draw path: prepare a session over a
@@ -284,11 +248,7 @@ func mutateBatchDraw(t testing.TB, o Options) func() ([]Tuple, error) {
 // count, so the digest is stable.
 func mutateDraw(t testing.TB, o Options) func() ([]Tuple, error) {
 	u := goldenUnion(t)
-	o.Seed = 424242
-	s, err := u.Prepare(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := prepareGolden(t, u, o)
 	return func() ([]Tuple, error) {
 		cust := u.Joins()[0].Nodes()[0].Rel
 		ord := u.Joins()[0].Nodes()[1].Rel
@@ -299,7 +259,7 @@ func mutateDraw(t testing.TB, o Options) func() ([]Tuple, error) {
 		if err := s.Refresh(); err != nil {
 			return nil, err
 		}
-		out, _, err := s.SampleSeeded(64, 99)
+		out, _, err := s.SampleSeeded(64, goldenStream)
 		return out, err
 	}
 }
@@ -326,10 +286,7 @@ func mutateCyclicDraw(t testing.TB) func() ([]Tuple, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := cu.Prepare(Options{Warmup: WarmupHistogram, Method: MethodEO, Seed: 424242})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := prepareGolden(t, cu, Options{Warmup: WarmupHistogram, Method: MethodEO})
 	return func() ([]Tuple, error) {
 		// Append-only burst across all three relations, then refresh.
 		r.AppendRows([]Tuple{{1, 2}, {3, 7}})
@@ -344,7 +301,7 @@ func mutateCyclicDraw(t testing.TB) func() ([]Tuple, error) {
 		if err := sess.Refresh(); err != nil {
 			return nil, err
 		}
-		out, _, err := sess.SampleSeeded(64, 99)
+		out, _, err := sess.SampleSeeded(64, goldenStream)
 		return out, err
 	}
 }

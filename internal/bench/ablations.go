@@ -131,15 +131,17 @@ func AblationOracle(o Options) (*Result, error) {
 	}
 	n := o.Samples * 20
 	for _, oracle := range []bool{false, true} {
-		s, err := core.NewCoverSampler(w.Joins, core.CoverConfig{
+		g := rng.New(o.Seed)
+		p, err := core.PrepareCover(w.Joins, core.CoverConfig{
 			Method:    core.MethodEW,
 			Estimator: &core.ExactEstimator{Joins: w.Joins},
 			Oracle:    oracle,
-		})
+		}, g)
 		if err != nil {
 			return nil, err
 		}
-		out, err := s.Sample(n, rng.New(o.Seed))
+		s := p.NewRun()
+		out, err := s.Sample(n, g)
 		if err != nil {
 			return nil, err
 		}
@@ -212,24 +214,27 @@ func AblationBernoulli(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		bg := rng.New(o.Seed)
 		bs, err := core.NewBernoulliSampler(w.Joins, core.BernoulliConfig{
 			Method:    core.MethodEW,
 			Estimator: &core.ExactEstimator{Joins: w.Joins},
-		})
+		}, bg)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := bs.Sample(o.Samples, rng.New(o.Seed)); err != nil {
+		if _, err := bs.Sample(o.Samples, bg); err != nil {
 			return nil, err
 		}
-		cs, err := core.NewCoverSampler(w.Joins, core.CoverConfig{
+		cg := rng.New(o.Seed)
+		cp, err := core.PrepareCover(w.Joins, core.CoverConfig{
 			Method:    core.MethodEW,
 			Estimator: &core.ExactEstimator{Joins: w.Joins},
-		})
+		}, cg)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cs.Sample(o.Samples, rng.New(o.Seed)); err != nil {
+		cs := cp.NewRun()
+		if _, err := cs.Sample(o.Samples, cg); err != nil {
 			return nil, err
 		}
 		bd := float64(bs.Stats().TotalDraws) / float64(bs.Stats().Accepted)

@@ -97,7 +97,7 @@ func runAdaptiveCase(sc adaptiveCase, opts su.Options, n int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if _, _, err := sess.SampleBatch(n); err != nil {
+		if _, _, err := sess.Sample(n); err != nil {
 			return 0, err
 		}
 		if mutate != nil {
@@ -105,7 +105,7 @@ func runAdaptiveCase(sc adaptiveCase, opts su.Options, n int) (float64, error) {
 			if err := sess.Refresh(); err != nil {
 				return 0, err
 			}
-			if _, _, err := sess.SampleBatch(n); err != nil {
+			if _, _, err := sess.Sample(n); err != nil {
 				return 0, err
 			}
 		}

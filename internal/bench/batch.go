@@ -19,16 +19,16 @@ func batchSweep(o Options) []int {
 	return []int{1, 4, 16, 64, 256, 1024}
 }
 
-// Batch measures the batch draw engine against the per-draw baseline
-// (BENCH_PR5.json): for each batch size n, the per-tuple cost of
+// Batch measures what one n-tuple call amortizes against n one-tuple
+// calls (BENCH_PR5.json): for each batch size n, the per-tuple cost of
 //
 //   - seq1: n independent Sample(1) calls on fresh runs of one
 //     prepared sampler — the shape of n one-tuple requests;
-//   - batch_nealias: one SampleBatch(n) call with alias tables
-//     disabled (threshold above every fan-out), isolating the
-//     engine-loop amortization;
-//   - batch_alias: one SampleBatch(n) call with alias tables at the
-//     default threshold — the full batch path.
+//   - batch_nealias: one Sample(n) call with alias tables disabled
+//     (threshold above every fan-out), isolating the engine-loop
+//     amortization;
+//   - batch_alias: one Sample(n) call with alias tables at the default
+//     threshold.
 //
 // The speedup column is seq1/batch_alias: the acceptance bar is ≥ 2x
 // at n = 1024.
@@ -66,7 +66,7 @@ func Batch(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "batch draw engine vs per-draw baseline (per-tuple cost)",
 		Figure: "batch",
-		Note:   "seq1 = n Sample(1) calls on fresh runs; batch = one SampleBatch(n) call",
+		Note:   "seq1 = n Sample(1) calls on fresh runs; batch = one Sample(n) call",
 		Header: []string{"batch_n", "seq1_us_tuple", "batch_noalias_us_tuple", "batch_alias_us_tuple", "speedup"},
 	}
 	const rounds = 24
@@ -83,11 +83,11 @@ func Batch(o Options) (*Result, error) {
 			return nil
 		})
 		noal := perTuple(rounds, n, func(g *rng.RNG) error {
-			_, err := noAlias.NewRun().SampleBatch(n, g)
+			_, err := noAlias.NewRun().Sample(n, g)
 			return err
 		})
 		al := perTuple(rounds, n, func(g *rng.RNG) error {
-			_, err := withAlias.NewRun().SampleBatch(n, g)
+			_, err := withAlias.NewRun().Sample(n, g)
 			return err
 		})
 		if seq.err != nil {

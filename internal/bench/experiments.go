@@ -211,24 +211,26 @@ func fig5Configs(walks int) []samplerConfig {
 }
 
 // runCover samples n tuples with Algorithm 1 under the given config and
-// returns the sampler for stats inspection.
-func runCover(w *tpch.Workload, sc samplerConfig, n int, seed int64) (*core.CoverSampler, time.Duration, error) {
-	s, err := core.NewCoverSampler(w.Joins, core.CoverConfig{
+// returns the run's stats (warm-up time included) and the sampling
+// time.
+func runCover(w *tpch.Workload, sc samplerConfig, n int, seed int64) (*core.Stats, time.Duration, error) {
+	g := rng.New(seed)
+	p, err := core.PrepareCover(w.Joins, core.CoverConfig{
 		Method:    sc.method,
 		Estimator: sc.est(w),
-	})
+	}, g)
 	if err != nil {
 		return nil, 0, err
 	}
-	g := rng.New(seed)
-	if err := s.Warmup(g); err != nil {
-		return nil, 0, err
-	}
+	run := p.NewRun()
 	start := time.Now()
-	if _, err := s.Sample(n, g); err != nil {
+	if _, err := run.Sample(n, g); err != nil {
 		return nil, 0, err
 	}
-	return s, time.Since(start), nil
+	d := time.Since(start)
+	st := run.Stats()
+	st.WarmupTime += p.WarmupTime()
+	return st, d, nil
 }
 
 // Fig5bTimeVsScale regenerates Fig 5b: SetUnion sampling time vs data
@@ -335,11 +337,10 @@ func breakdown(o Options, fig string, build func(tpch.Config) (*tpch.Workload, e
 		Header: []string{"config", "estimation_ms", "accepted_ms", "rejected_ms", "dup_rejects", "join_rejects"},
 	}
 	for _, sc := range fig5Configs(1000) {
-		s, _, err := runCover(w, sc, o.Samples, o.Seed)
+		st, _, err := runCover(w, sc, o.Samples, o.Seed)
 		if err != nil {
 			return nil, err
 		}
-		st := s.Stats()
 		res.Add(sc.name, ms(st.WarmupTime), ms(st.AcceptTime), ms(st.RejectTime),
 			fmt.Sprintf("%d", st.RejectedDup), fmt.Sprintf("%d", st.JoinRejects))
 	}
@@ -384,23 +385,31 @@ func Fig6aReuse(o Options) (*Result, error) {
 	return res, nil
 }
 
-func runOnline(w *tpch.Workload, n, warmupWalks int, seed int64) (time.Duration, *core.OnlineSampler, error) {
-	s, err := core.NewOnlineSampler(w.Joins, core.OnlineConfig{
+// onlineCallSize is the Sample call size of the Fig 6 runs. Stats split
+// each call's clock over that call's own reuse/fresh attempt mix, so
+// drawing in small calls is what lets Fig 6b tell the reuse phase (the
+// first calls, while the pool lasts) from the regular phase.
+const onlineCallSize = 64
+
+// runOnline samples n tuples with Algorithm 2 on the single-stream run
+// that owns the warm-up pool (§7 reuse), in onlineCallSize-tuple calls.
+func runOnline(w *tpch.Workload, n, warmupWalks int, seed int64) (time.Duration, *core.Stats, error) {
+	g := rng.New(seed)
+	p, err := core.PrepareOnline(w.Joins, core.OnlineConfig{
 		WarmupWalks: warmupWalks,
 		Phi:         256,
-	})
+	}, g)
 	if err != nil {
 		return 0, nil, err
 	}
-	g := rng.New(seed)
-	if err := s.Warmup(g); err != nil {
-		return 0, nil, err
-	}
+	run := p.NewReuseRun()
 	start := time.Now()
-	if _, err := s.Sample(n, g); err != nil {
-		return 0, nil, err
+	for left := n; left > 0; left -= onlineCallSize {
+		if _, err := run.Sample(min(left, onlineCallSize), g); err != nil {
+			return 0, nil, err
+		}
 	}
-	return time.Since(start), s, nil
+	return time.Since(start), run.Stats(), nil
 }
 
 // Fig6bPhaseCost regenerates Fig 6b: time per accepted sample in the
@@ -427,11 +436,10 @@ func Fig6bPhaseCost(o Options) (*Result, error) {
 			return nil, err
 		}
 		n := o.Samples * 2 // enough to drain the pool and enter the regular phase
-		_, s, err := runOnline(w, n, warmup, o.Seed)
+		_, st, err := runOnline(w, n, warmup, o.Seed)
 		if err != nil {
 			return nil, err
 		}
-		st := s.Stats()
 		regular := st.Accepted - st.ReuseAccepted
 		reuseUS := 0.0
 		if st.ReuseAccepted > 0 {
@@ -461,12 +469,12 @@ func Thm2CostBound(o Options) (*Result, error) {
 		Header: []string{"samples", "total_draws", "bound", "draws/bound"},
 	}
 	for _, n := range sampleSweep(o) {
-		s, _, err := runCover(w, fig5Configs(1000)[0], n, o.Seed)
+		st, _, err := runCover(w, fig5Configs(1000)[0], n, o.Seed)
 		if err != nil {
 			return nil, err
 		}
 		bound := float64(n) + float64(n)*math.Log(float64(n))
-		draws := float64(s.Stats().TotalDraws)
+		draws := float64(st.TotalDraws)
 		res.Add(fmt.Sprintf("%d", n), fmt.Sprintf("%.0f", draws),
 			fmt.Sprintf("%.0f", bound), f(draws/bound))
 	}

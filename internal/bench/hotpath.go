@@ -114,7 +114,7 @@ func Hotpath(o Options) (*Result, error) {
 		}
 	}))
 
-	disjoint, err := core.PrepareDisjointFrom(cover, false)
+	disjoint, err := core.PrepareDisjointFrom(cover)
 	if err != nil {
 		return nil, err
 	}

@@ -30,31 +30,28 @@ func ScaleJoins(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := core.NewCoverSampler(w.Joins, core.CoverConfig{
+		g := rng.New(o.Seed)
+		p, err := core.PrepareCover(w.Joins, core.CoverConfig{
 			Method: core.MethodEW,
 			Estimator: &core.RandomWalkEstimator{
 				Joins: w.Joins,
 				Opts:  walkest.Options{MaxWalks: 500},
 			},
-		})
+		}, g)
 		if err != nil {
 			return nil, err
 		}
-		g := rng.New(o.Seed)
-		if err := s.Warmup(g); err != nil {
-			return nil, err
-		}
 		start := time.Now()
-		if _, err := s.Sample(o.Samples, g); err != nil {
+		if _, err := p.NewRun().Sample(o.Samples, g); err != nil {
 			return nil, err
 		}
 		sampling := time.Since(start)
 		res.Add(
 			fmt.Sprintf("%d", n),
-			ms(s.Stats().WarmupTime),
+			ms(p.WarmupTime()),
 			ms(sampling),
 			fmt.Sprintf("%.2f", float64(sampling.Microseconds())/float64(o.Samples)),
-			fmt.Sprintf("%.0f", s.Params().UnionSize),
+			fmt.Sprintf("%.0f", p.Params().UnionSize),
 		)
 	}
 	return res, nil

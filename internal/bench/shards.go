@@ -38,7 +38,7 @@ func shardSweep(o Options) []int {
 // core count on TPC-H UQ1: for each swept count c, GOMAXPROCS is set
 // to c, the union is partitioned into c shards (c = 1 keeps the
 // single-shard engine — the baseline and the regression guard), and
-// one warm prepared sampler serves repeated SampleBatch(n) calls whose
+// one warm prepared sampler serves repeated Sample(n) calls whose
 // best per-tuple cost is reported. The speedup column is against the
 // single-shard row on the same machine.
 func Shards(o Options) (*Result, error) {
@@ -93,7 +93,7 @@ func Shards(o Options) (*Result, error) {
 		}
 		core.Prewarm(prepared)
 		cost := perTuple(rounds, n, func(g *rng.RNG) error {
-			_, err := prepared.NewRun().SampleBatch(n, g)
+			_, err := prepared.NewRun().Sample(n, g)
 			return err
 		})
 		if cost.err != nil {

@@ -12,8 +12,6 @@ import (
 // DisjointConfig configures Definition 1's disjoint-union sampler.
 type DisjointConfig struct {
 	Method JoinMethod
-	// DetailedTiming wall-clocks every draw; see Stats.TimingSampled.
-	DetailedTiming bool
 }
 
 // DisjointShared is the prepared state of Definition 1's disjoint-union
@@ -21,9 +19,8 @@ type DisjointConfig struct {
 // selection table. It is immutable and safe to share between any number
 // of concurrent runs created with NewRun.
 type DisjointShared struct {
-	base     *unionBase
-	alias    *rng.Alias
-	detailed bool
+	base  *unionBase
+	alias *rng.Alias
 }
 
 // PrepareDisjoint builds the shared state of a disjoint-union sampler.
@@ -34,7 +31,7 @@ func PrepareDisjoint(joins []*join.Join, cfg DisjointConfig) (*DisjointShared, e
 	if err != nil {
 		return nil, err
 	}
-	return newDisjointShared(base, cfg.DetailedTiming)
+	return newDisjointShared(base)
 }
 
 // PrepareDisjointFrom builds a disjoint-union sampler over the joins
@@ -42,14 +39,14 @@ func PrepareDisjoint(joins []*join.Join, cfg DisjointConfig) (*DisjointShared, e
 // avoiding a second subroutine setup (EW weight tables, indexes). A
 // sharded sampler has no single shared base; callers holding one should
 // use PrepareDisjoint over the original joins instead.
-func PrepareDisjointFrom(p PreparedSampler, detailedTiming bool) (*DisjointShared, error) {
+func PrepareDisjointFrom(p PreparedSampler) (*DisjointShared, error) {
 	if _, ok := p.(*ShardedShared); ok {
 		return nil, fmt.Errorf("core: PrepareDisjointFrom does not support sharded samplers; use PrepareDisjoint")
 	}
-	return newDisjointShared(p.unionBase(), detailedTiming)
+	return newDisjointShared(p.unionBase())
 }
 
-func newDisjointShared(base *unionBase, detailed bool) (*DisjointShared, error) {
+func newDisjointShared(base *unionBase) (*DisjointShared, error) {
 	weights := make([]float64, len(base.joins))
 	for i, s := range base.samplers {
 		weights[i] = s.SizeEstimate()
@@ -58,14 +55,13 @@ func newDisjointShared(base *unionBase, detailed bool) (*DisjointShared, error) 
 	if alias == nil {
 		return nil, fmt.Errorf("core: all joins are empty")
 	}
-	return &DisjointShared{base: base, alias: alias, detailed: detailed}, nil
+	return &DisjointShared{base: base, alias: alias}, nil
 }
 
 // NewRun returns a fresh sampling run (its own Stats and scratch) over
 // the shared prepared state.
 func (p *DisjointShared) NewRun() *DisjointSampler {
 	s := &DisjointSampler{shared: p, scratch: p.base.newScratch()}
-	s.stats.TimingSampled = !p.detailed
 	s.stats.initJoins(len(p.base.joins))
 	return s
 }
@@ -82,34 +78,25 @@ type DisjointSampler struct {
 	stats   Stats
 }
 
-// NewDisjointSampler builds a disjoint-union sampler.
-func NewDisjointSampler(joins []*join.Join, method JoinMethod) (*DisjointSampler, error) {
-	shared, err := PrepareDisjoint(joins, DisjointConfig{Method: method})
-	if err != nil {
-		return nil, err
-	}
-	return shared.NewRun(), nil
-}
-
 // Stats returns the run's instrumentation.
 func (s *DisjointSampler) Stats() *Stats { return &s.stats }
 
 // Sample returns n independent tuples, each with probability
 // 1/(|J_1| + ... + |J_n|), in the first join's output schema order.
+// Every iteration selects a join and attempts exactly one subroutine
+// draw: under EO the bound weights renormalize through full
+// reselection, so retrying within a join would bias the distribution.
 func (s *DisjointSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	k := s.shared.base.ref.Len()
 	flat := make([]relation.Value, 0, n*k)
 	out := make([]relation.Tuple, 0, n)
+	before := s.stats
+	start := time.Now()
 	for len(out) < n {
-		start, w := s.stats.startDraw()
-		s.stats.TotalDraws++
 		j := s.shared.alias.Draw(g)
-		s.stats.Joins[j].Draws++
-		ok := s.shared.base.samplers[j].SampleInto(s.scratch.out, s.scratch.rowOf, g)
-		if !ok {
-			s.stats.JoinRejects++
-			s.stats.Joins[j].Rejected++
-			s.stats.RejectTime += sinceDraw(start, w)
+		got, tries := s.shared.base.samplers[j].SampleManyInto(s.scratch.many, s.scratch.rowOf, 1, g)
+		s.stats.bookDraws(j, tries, got)
+		if got == 0 {
 			continue
 		}
 		off := len(flat)
@@ -117,10 +104,8 @@ func (s *DisjointSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 		out = append(out, relation.Tuple(flat[off:len(flat):len(flat)]))
 		s.stats.Accepted++
 		s.stats.Joins[j].Accepted++
-		d := sinceDraw(start, w)
-		s.stats.AcceptTime += d
-		s.stats.RegularTime += d
 	}
+	s.stats.bookBatchTime(&before, time.Since(start))
 	return out, nil
 }
 
@@ -131,8 +116,6 @@ type BernoulliConfig struct {
 	// Oracle: as in CoverConfig, exact membership instead of the
 	// dynamic first-observed-join record.
 	Oracle bool
-	// DetailedTiming wall-clocks every draw; see Stats.TimingSampled.
-	DetailedTiming bool
 }
 
 // BernoulliSampler implements the straightforward set-union sampler of
@@ -154,11 +137,12 @@ type BernoulliSampler struct {
 	record  *relation.KeyCounter // value (ref order) -> first-observed join
 	scratch drawScratch
 	stats   Stats
-	warmed  bool
 }
 
-// NewBernoulliSampler builds a union-trick sampler.
-func NewBernoulliSampler(joins []*join.Join, cfg BernoulliConfig) (*BernoulliSampler, error) {
+// NewBernoulliSampler builds a union-trick sampler and runs its
+// estimator, drawing warm-up randomness from g; the cost is booked into
+// the run's Stats.WarmupTime.
+func NewBernoulliSampler(joins []*join.Join, cfg BernoulliConfig, g *rng.RNG) (*BernoulliSampler, error) {
 	if cfg.Estimator == nil {
 		return nil, fmt.Errorf("core: BernoulliConfig.Estimator is required")
 	}
@@ -166,32 +150,21 @@ func NewBernoulliSampler(joins []*join.Join, cfg BernoulliConfig) (*BernoulliSam
 	if err != nil {
 		return nil, err
 	}
-	s := &BernoulliSampler{base: base, cfg: cfg, record: base.recordKeys(), scratch: base.newScratch()}
-	s.stats.TimingSampled = !cfg.DetailedTiming
+	start := time.Now()
+	p, err := cfg.Estimator.Params(g)
+	if err != nil {
+		return nil, err
+	}
+	if p.UnionSize <= 0 {
+		return nil, fmt.Errorf("core: estimated union size is zero")
+	}
+	s := &BernoulliSampler{base: base, cfg: cfg, params: p, record: base.recordKeys(), scratch: base.newScratch()}
+	s.stats.WarmupTime = time.Since(start)
 	s.stats.initJoins(len(joins))
 	return s, nil
 }
 
-// Warmup runs the estimator; idempotent.
-func (s *BernoulliSampler) Warmup(g *rng.RNG) error {
-	if s.warmed {
-		return nil
-	}
-	start := time.Now()
-	p, err := s.cfg.Estimator.Params(g)
-	if err != nil {
-		return err
-	}
-	s.params = p
-	s.stats.WarmupTime += time.Since(start)
-	if p.UnionSize <= 0 {
-		return fmt.Errorf("core: estimated union size is zero")
-	}
-	s.warmed = true
-	return nil
-}
-
-// Params returns the warm-up parameters (nil before Warmup).
+// Params returns the warm-up parameters.
 func (s *BernoulliSampler) Params() *Params { return s.params }
 
 // Stats returns the run's instrumentation.
@@ -200,12 +173,11 @@ func (s *BernoulliSampler) Stats() *Stats { return &s.stats }
 // Sample returns n tuples, each value with probability 1/|U| per
 // iteration, in the first join's output schema order.
 func (s *BernoulliSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	if err := s.Warmup(g); err != nil {
-		return nil, err
-	}
 	k := s.base.ref.Len()
 	flat := make([]relation.Value, 0, n*k)
 	out := make([]relation.Tuple, 0, n)
+	before := s.stats
+	start := time.Now()
 	for len(out) < n {
 		for j := range s.base.joins {
 			if len(out) >= n {
@@ -215,31 +187,23 @@ func (s *BernoulliSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 			if !g.Bernoulli(p) {
 				continue
 			}
-			start, w := s.stats.startDraw()
-			s.stats.TotalDraws++
-			s.stats.Joins[j].Draws++
-			ok := s.base.samplers[j].SampleInto(s.scratch.out, s.scratch.rowOf, g)
-			if !ok {
-				s.stats.JoinRejects++
-				s.stats.Joins[j].Rejected++
-				s.stats.RejectTime += sinceDraw(start, w)
+			got, tries := s.base.samplers[j].SampleManyInto(s.scratch.many, s.scratch.rowOf, 1, g)
+			s.stats.bookDraws(j, tries, got)
+			if got == 0 {
 				continue
 			}
-			if s.accept(j, s.scratch.out) {
-				off := len(flat)
-				flat = s.base.alignedAppend(j, s.scratch.out, flat)
-				out = append(out, relation.Tuple(flat[off:len(flat):len(flat)]))
-				s.stats.Accepted++
-				s.stats.Joins[j].Accepted++
-				d := sinceDraw(start, w)
-				s.stats.AcceptTime += d
-				s.stats.RegularTime += d
-			} else {
+			if !s.accept(j, s.scratch.out) {
 				s.stats.RejectedDup++
-				s.stats.RejectTime += sinceDraw(start, w)
+				continue
 			}
+			off := len(flat)
+			flat = s.base.alignedAppend(j, s.scratch.out, flat)
+			out = append(out, relation.Tuple(flat[off:len(flat):len(flat)]))
+			s.stats.Accepted++
+			s.stats.Joins[j].Accepted++
 		}
 	}
+	s.stats.bookBatchTime(&before, time.Since(start))
 	return out, nil
 }
 

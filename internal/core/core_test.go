@@ -102,56 +102,75 @@ func checkUniformUnion(t *testing.T, joins []*join.Join, n int, slack float64, s
 	}
 }
 
-func TestCoverSamplerUniformExactOracle(t *testing.T) {
-	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
-		Method:    MethodEW,
-		Estimator: &ExactEstimator{Joins: joins},
-		Oracle:    true,
-	})
+// coverRun prepares Algorithm 1 over the joins (warm-up on a fixed
+// seed) and mints one run — the only lifecycle there is.
+func coverRun(t testing.TB, joins []*join.Join, cfg CoverConfig) Run {
+	t.Helper()
+	p, err := PrepareCover(joins, cfg, rng.New(1009))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkUniformUnion(t, joins, 60000, 1, s.Sample, rng.New(1))
+	return p.NewRun()
 }
 
-func TestCoverSamplerUniformExactRecord(t *testing.T) {
-	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
-		Method:    MethodEW,
-		Estimator: &ExactEstimator{Joins: joins},
-	})
+// onlineReuseRun prepares Algorithm 2 over the joins (warm-up on a
+// fixed seed) and mints the single-stream run that owns the warm-up
+// pool.
+func onlineReuseRun(t testing.TB, joins []*join.Join, cfg OnlineConfig) *OnlineSampler {
+	t.Helper()
+	p, err := PrepareOnline(joins, cfg, rng.New(1013))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dynamic record mis-assigns values until they are re-drawn from
-	// an earlier join; allow extra slack for those transients.
-	checkUniformUnion(t, joins, 60000, 3, s.Sample, rng.New(2))
+	return p.NewReuseRun()
 }
 
-func TestCoverSamplerUniformEO(t *testing.T) {
-	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
-		Method:    MethodEO,
-		Estimator: &ExactEstimator{Joins: joins},
-		Oracle:    true,
-	})
+// disjointRun prepares Definition 1's sampler and mints one run.
+func disjointRun(t testing.TB, joins []*join.Join, method JoinMethod) *DisjointSampler {
+	t.Helper()
+	p, err := PrepareDisjoint(joins, DisjointConfig{Method: method})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkUniformUnion(t, joins, 60000, 1, s.Sample, rng.New(3))
+	return p.NewRun()
+}
+
+// TestCoverSamplerUniform drives Algorithm 1 through the uniformity
+// check across subroutines and record modes.
+func TestCoverSamplerUniform(t *testing.T) {
+	cases := []struct {
+		name   string
+		method JoinMethod
+		oracle bool
+		slack  float64
+	}{
+		{"ew-oracle", MethodEW, true, 1},
+		// The dynamic record mis-assigns values until they are re-drawn
+		// from an earlier join; allow extra slack for those transients.
+		{"ew-record", MethodEW, false, 3},
+		{"eo-oracle", MethodEO, true, 1},
+		{"wj-oracle", MethodWJ, true, 1},
+	}
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			joins := fixtureJoins(t)
+			s := coverRun(t, joins, CoverConfig{
+				Method:    c.method,
+				Estimator: &ExactEstimator{Joins: joins},
+				Oracle:    c.oracle,
+			})
+			checkUniformUnion(t, joins, 60000, c.slack, s.Sample, rng.New(int64(200+i)))
+		})
+	}
 }
 
 func TestCoverSamplerRandomWalkParams(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
+	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &RandomWalkEstimator{Joins: joins},
 		Oracle:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Estimated covers deviate from truth, so the output deviates from
 	// uniform proportionally (this is exactly the ratio error the
 	// paper's Fig 4/5a measures); allow generous slack.
@@ -163,13 +182,10 @@ func TestCoverSamplerRandomWalkParams(t *testing.T) {
 
 func TestCoverSamplerHistogramParamsProducesValidSamples(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
+	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEO,
 		Estimator: &HistogramEstimator{Joins: joins},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	idx := unionIndex(t, joins)
 	out, err := s.Sample(5000, rng.New(5))
 	if err != nil {
@@ -193,14 +209,11 @@ func TestCoverSamplerCostBound(t *testing.T) {
 	// V2 (Theorem 2): total subroutine draws stay within a constant
 	// factor of N + N log N for exact parameters.
 	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
+	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
 		Oracle:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 20000
 	if _, err := s.Sample(n, rng.New(6)); err != nil {
 		t.Fatal(err)
@@ -213,13 +226,10 @@ func TestCoverSamplerCostBound(t *testing.T) {
 
 func TestCoverSamplerRevisionsHappen(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
+	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Sample(30000, rng.New(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +240,7 @@ func TestCoverSamplerRevisionsHappen(t *testing.T) {
 	if st.RejectedDup == 0 {
 		t.Error("no duplicate rejections on overlapping joins")
 	}
-	if st.WarmupTime <= 0 || st.AcceptTime <= 0 {
+	if st.AcceptTime <= 0 || st.RejectTime <= 0 {
 		t.Errorf("time breakdown not recorded: %+v", st)
 	}
 }
@@ -241,7 +251,7 @@ func TestBernoulliSamplerUniform(t *testing.T) {
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
 		Oracle:    true,
-	})
+	}, rng.New(1009))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +284,7 @@ func TestDisjointSamplerUniform(t *testing.T) {
 		})
 	}
 	for _, method := range []JoinMethod{MethodEW, MethodEO} {
-		s, err := NewDisjointSampler(joins, method)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := disjointRun(t, joins, method)
 		const n = 60000
 		out, err := s.Sample(n, rng.New(9))
 		if err != nil {
@@ -319,10 +326,10 @@ func TestValidateUnionErrors(t *testing.T) {
 	if err := validateUnion([]*join.Join{joins[0], jb}); err == nil {
 		t.Error("mismatched output schemas accepted")
 	}
-	if _, err := NewCoverSampler(joins, CoverConfig{}); err == nil {
+	if _, err := PrepareCover(joins, CoverConfig{}, rng.New(1)); err == nil {
 		t.Error("missing estimator accepted")
 	}
-	if _, err := NewBernoulliSampler(joins, BernoulliConfig{}); err == nil {
+	if _, err := NewBernoulliSampler(joins, BernoulliConfig{}, rng.New(1)); err == nil {
 		t.Error("missing estimator accepted")
 	}
 }
@@ -333,7 +340,7 @@ func TestDisjointSamplerEmptyUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDisjointSampler([]*join.Join{je}, MethodEW); err == nil {
+	if _, err := PrepareDisjoint([]*join.Join{je}, DisjointConfig{Method: MethodEW}); err == nil {
 		t.Error("empty union accepted by disjoint sampler")
 	}
 }

@@ -32,14 +32,11 @@ type CoverConfig struct {
 	// Values <= 0 default to 256 — or, with a Tuner, to the plan's cap.
 	MaxDrawsPerSelection int
 	// AliasThreshold is the minimum weighted-row fan-out at which EW
-	// batch draws build O(1) alias tables (joinsample.NewEWAlias).
+	// draws build O(1) alias tables (joinsample.NewEWAlias).
 	// <= 0 selects joinsample.DefaultAliasThreshold;
 	// joinsample.NeverAlias disables alias tables. With a Tuner the
 	// plan sets thresholds per join and this field is ignored.
 	AliasThreshold int
-	// DetailedTiming wall-clocks every draw instead of sampling every
-	// TimingStride-th one; see Stats.TimingSampled.
-	DetailedTiming bool
 	// Tuner, when non-nil, re-plans per-join decisions at every warm-up
 	// (Prepare and Refresh): the subroutine per join, alias thresholds,
 	// exact-count escalation for wide tree-join estimates, extra walks
@@ -73,7 +70,6 @@ type CoverShared struct {
 	maxDraw    int
 	walkVar    []float64 // per-join relative half-widths after warm-up
 	warmupTime time.Duration
-	warmed     bool
 }
 
 // PrepareCover builds the shared state for Algorithm 1 and runs the
@@ -81,17 +77,6 @@ type CoverShared struct {
 // The result is read-only: hand each sampling run its own RNG via
 // NewRun.
 func PrepareCover(joins []*join.Join, cfg CoverConfig, g *rng.RNG) (*CoverShared, error) {
-	p, err := newCoverShared(joins, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.warm(g); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func newCoverShared(joins []*join.Join, cfg CoverConfig) (*CoverShared, error) {
 	if cfg.Estimator == nil {
 		return nil, fmt.Errorf("core: CoverConfig.Estimator is required")
 	}
@@ -106,16 +91,17 @@ func newCoverShared(joins []*join.Join, cfg CoverConfig) (*CoverShared, error) {
 	if maxDraw <= 0 {
 		maxDraw = 256
 	}
-	return &CoverShared{base: base, cfg: cfg, maxDraw: maxDraw}, nil
+	p := &CoverShared{base: base, cfg: cfg, maxDraw: maxDraw}
+	if err := p.warm(g); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // warm runs the estimator and prepares the join-selection distribution
-// (lines 1-2 of Algorithm 1). Idempotent; not safe for concurrent use —
-// it runs before the shared state is published to runs.
+// (lines 1-2 of Algorithm 1). It runs exactly once per prepared state
+// (PrepareCover or Refresh), before the state is published to runs.
 func (p *CoverShared) warm(g *rng.RNG) error {
-	if p.warmed {
-		return nil
-	}
 	start := time.Now()
 	params, err := p.cfg.Estimator.Params(g)
 	if err != nil {
@@ -138,7 +124,6 @@ func (p *CoverShared) warm(g *rng.RNG) error {
 	if p.alias == nil {
 		return ErrEmptyUnion
 	}
-	p.warmed = true
 	return nil
 }
 
@@ -207,7 +192,7 @@ func (p *CoverShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 	return np, true, nil
 }
 
-// Params returns the warm-up parameters (nil before warm-up).
+// Params returns the warm-up parameters.
 func (p *CoverShared) Params() *Params { return p.params }
 
 // WarmupTime reports how long the one-time warm-up took.
@@ -218,16 +203,11 @@ func (p *CoverShared) WarmupTime() time.Duration { return p.warmupTime }
 // independent; any number may sample concurrently as long as each uses
 // its own RNG.
 func (p *CoverShared) NewRun() Run {
-	return newCoverRun(p)
-}
-
-func newCoverRun(p *CoverShared) *CoverSampler {
 	s := &CoverSampler{
 		shared:  p,
 		record:  p.base.recordKeys(),
 		scratch: p.base.newScratch(),
 	}
-	s.stats.TimingSampled = !p.cfg.DetailedTiming
 	s.stats.initJoins(len(p.base.joins))
 	for i := range p.walkVar {
 		s.stats.Joins[i].WalkVariance = p.walkVar[i]
@@ -258,33 +238,7 @@ type CoverSampler struct {
 	stats   Stats
 }
 
-// NewCoverSampler builds an Algorithm 1 sampler over the joins with its
-// own private prepared state, warmed lazily on first Sample. For the
-// one-warm-up/many-runs shape use PrepareCover + NewRun instead.
-func NewCoverSampler(joins []*join.Join, cfg CoverConfig) (*CoverSampler, error) {
-	shared, err := newCoverShared(joins, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newCoverRun(shared), nil
-}
-
-// Warmup runs the estimator and prepares the join-selection
-// distribution (line 1-2 of Algorithm 1). It is idempotent; when this
-// run triggered the warm-up (rather than inheriting a prepared one) the
-// cost is booked into its Stats.
-func (s *CoverSampler) Warmup(g *rng.RNG) error {
-	if s.shared.warmed {
-		return nil
-	}
-	if err := s.shared.warm(g); err != nil {
-		return err
-	}
-	s.stats.WarmupTime += s.shared.warmupTime
-	return nil
-}
-
-// Params returns the warm-up parameters (nil before Warmup).
+// Params returns the shared warm-up parameters.
 func (s *CoverSampler) Params() *Params { return s.shared.params }
 
 // Stats returns the run's instrumentation.
@@ -293,18 +247,32 @@ func (s *CoverSampler) Stats() *Stats { return &s.stats }
 // Sample returns n tuples drawn with replacement from the set union,
 // each with probability 1/|U| (Theorem 1). Tuples are in the first
 // join's output schema order. Consecutive calls continue the stream:
-// returned tuples are final (a later revision only affects tuples not
-// yet returned), so Sample can be called repeatedly for more data.
+// buffered tuples left by earlier calls are served first, and returned
+// tuples are final (a later revision only affects tuples not yet
+// returned), so Sample can be called repeatedly for more data. Join
+// selection stays per-tuple — batching it across tuples would correlate
+// samples that must be independent — while the result buffer grows once
+// per call and the wall clock is read once per call (bookBatchTime).
 func (s *CoverSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	if err := s.Warmup(g); err != nil {
-		return nil, err
-	}
+	s.result = growEntries(s.result, n)
+	s.arena = growArena(s.arena, (n-len(s.result))*s.shared.base.ref.Len())
+	before := s.stats
+	start := time.Now()
 	for len(s.result) < n {
 		if err := s.drawOne(g); err != nil {
 			return nil, err
 		}
 	}
+	s.stats.bookBatchTime(&before, time.Since(start))
 	return s.serveResult(n), nil
+}
+
+// SampleBatch forwards to Sample.
+//
+// Deprecated: Sample is the batch engine; the name stays for callers
+// compiled against it.
+func (s *CoverSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.Sample(n, g)
 }
 
 // serveResult copies the first n buffered samples out over one flat
@@ -331,34 +299,32 @@ func (s *CoverSampler) serveResult(n int) []relation.Tuple {
 }
 
 // drawOne runs join selection and the accept/reject/revise logic until
-// one tuple is appended to the result. The subroutine draw lands in the
-// run's scratch buffers; only an accepted tuple is cloned.
+// one tuple is appended to the result. The join-level acceptance loop
+// runs devirtualized inside the subroutine (SampleManyInto, one call
+// per union-level candidate) and lands in the run's scratch buffers;
+// only an accepted tuple is copied into the arena.
 func (s *CoverSampler) drawOne(g *rng.RNG) error {
 	for selections := 0; ; selections++ {
 		if selections > 64 {
 			return fmt.Errorf("core: cover sampler made no progress after %d join selections", selections)
 		}
 		j := s.shared.alias.Draw(g)
-		for attempt := 0; attempt < s.shared.maxDraw; attempt++ {
-			start, w := s.stats.startDraw()
-			s.stats.TotalDraws++
-			s.stats.Joins[j].Draws++
-			ok := s.shared.base.samplers[j].SampleInto(s.scratch.out, s.scratch.rowOf, g)
-			if !ok {
-				s.stats.JoinRejects++
-				s.stats.Joins[j].Rejected++
-				s.stats.RejectTime += sinceDraw(start, w)
-				continue
+		sampler := s.shared.base.samplers[j]
+		budget := s.shared.maxDraw
+		for budget > 0 {
+			got, tries := sampler.SampleManyInto(s.scratch.many, s.scratch.rowOf, budget, g)
+			budget -= tries
+			s.stats.bookDraws(j, tries, got)
+			if got == 0 {
+				break // budget exhausted or dead join: reselect
 			}
 			if s.acceptDraw(j, s.scratch.out) {
 				s.stats.Accepted++
 				s.stats.Joins[j].Accepted++
-				d := sinceDraw(start, w)
-				s.stats.AcceptTime += d
-				s.stats.RegularTime += d
 				return nil
 			}
-			s.stats.RejectTime += sinceDraw(start, w)
+			// Union-level duplicate: redraw within the same join
+			// (Theorem 1's conditional).
 		}
 	}
 }

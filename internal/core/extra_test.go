@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestBernoulliRecordMode(t *testing.T) {
 	s, err := NewBernoulliSampler(joins, BernoulliConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
-	})
+	}, rng.New(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +48,8 @@ func TestBernoulliEOSampler(t *testing.T) {
 	s, err := NewBernoulliSampler(joins, BernoulliConfig{
 		Method:    MethodEO,
 		Estimator: &HistogramEstimator{Joins: joins, Opts: histest.Options{Sizes: histest.SizeEO}},
-	})
+	}, rng.New(32))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Warmup(rng.New(32)); err != nil {
 		t.Fatal(err)
 	}
 	p := s.Params()
@@ -81,14 +79,11 @@ func TestCoverSamplerNoProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewCoverSampler([]*join.Join{je}, CoverConfig{
+	s := coverRun(t, []*join.Join{je}, CoverConfig{
 		Method:               MethodEW,
 		Estimator:            &fakeEstimator{sizes: []float64{100}},
 		MaxDrawsPerSelection: 4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, err = s.Sample(1, rng.New(34))
 	if err == nil {
 		t.Fatal("no-progress sampling succeeded")
@@ -118,15 +113,12 @@ func (f *fakeEstimator) Params(*rng.RNG) (*Params, error) {
 // warm-up.
 func TestCoverSamplerZeroCoverFails(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
+	_, err := PrepareCover(joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &fakeEstimator{sizes: []float64{0, 0, 0}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Warmup(rng.New(35)); err == nil {
-		t.Fatal("zero cover accepted")
+	}, rng.New(35))
+	if !errors.Is(err, ErrEmptyUnion) {
+		t.Fatalf("zero cover: err = %v, want ErrEmptyUnion", err)
 	}
 }
 
@@ -135,10 +127,7 @@ func TestCoverSamplerZeroCoverFails(t *testing.T) {
 // set-union frequency (two-join fixture regions).
 func TestDisjointSamplerStats(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewDisjointSampler(joins, MethodEW)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := disjointRun(t, joins, MethodEW)
 	if _, err := s.Sample(500, rng.New(36)); err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +147,11 @@ func TestDisjointSamplerStats(t *testing.T) {
 // further parameter updates run.
 func TestOnlineGammaStopsBacktracking(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewOnlineSampler(joins, OnlineConfig{
+	s := onlineReuseRun(t, joins, OnlineConfig{
 		WarmupWalks: 0,
 		Phi:         10,
 		Gamma:       0.01, // trivially reached after the first update
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Sample(2000, rng.New(37)); err != nil {
 		t.Fatal(err)
 	}
@@ -192,21 +178,6 @@ func TestRandomWalkEstimatorRetainsWalker(t *testing.T) {
 	if pools == 0 {
 		t.Error("no reuse pool retained after warm-up")
 	}
-}
-
-// TestCoverSamplerWJMethod: the Wander Join subroutine produces uniform
-// union samples like EW/EO.
-func TestCoverSamplerWJMethod(t *testing.T) {
-	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
-		Method:    MethodWJ,
-		Estimator: &ExactEstimator{Joins: joins},
-		Oracle:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkUniformUnion(t, joins, 40000, 1.5, s.Sample, rng.New(63))
 }
 
 func TestJoinMethodNames(t *testing.T) {

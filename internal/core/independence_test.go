@@ -15,14 +15,11 @@ import (
 // sample i+1): under independence it is the product of the marginals.
 func TestSampleIndependence(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
+	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
 		Oracle:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 60000
 	out, err := s.Sample(n, rng.New(61))
 	if err != nil {
@@ -69,11 +66,13 @@ func TestEOAcceptanceRate(t *testing.T) {
 	s := newJoinSampler(j, joinConfig{method: MethodEO})
 	g := rng.New(62)
 	const tries = 200000
+	out := []relation.Tuple{make(relation.Tuple, j.OutputSchema().Len())}
+	rowOf := make([]int, len(j.Nodes()))
 	accepted := 0
-	for i := 0; i < tries; i++ {
-		if _, ok := s.Sample(g); ok {
-			accepted++
-		}
+	for done := 0; done < tries; {
+		got, tr := s.SampleManyInto(out, rowOf, tries-done, g)
+		accepted += got
+		done += tr
 	}
 	got := float64(accepted) / tries
 	want := float64(j.Count()) / j.OlkenBound()

@@ -38,9 +38,6 @@ type OnlineConfig struct {
 	// MaxDrawsPerSelection caps attempts per join selection; <= 0
 	// defaults to 256 — or, with a Tuner, to the plan's cap.
 	MaxDrawsPerSelection int
-	// DetailedTiming wall-clocks every draw instead of sampling every
-	// TimingStride-th one; see Stats.TimingSampled.
-	DetailedTiming bool
 	// Tuner, when non-nil, re-plans at every warm-up (Prepare and
 	// Refresh): per-join walk budgets (wide cyclic estimates get more
 	// walks), exact-count escalation for wide tree-join estimates
@@ -64,8 +61,8 @@ type onlineEntry struct {
 // but not the warm-up sample pool: handing the same tuples to several
 // runs would correlate streams that must be independent, so prepared
 // runs start from the shared estimates and draw fresh walks. The §7
-// sample-reuse optimization remains available on the single-stream
-// path (NewOnlineSampler), where one run owns the pool.
+// sample-reuse optimization belongs to a single stream: NewReuseRun
+// hands the pool to the one run that owns it.
 type OnlineShared struct {
 	base    *unionBase
 	cfg     OnlineConfig
@@ -78,24 +75,12 @@ type OnlineShared struct {
 	// overlap table through them so refinement never un-escalates.
 	exactSizes []float64
 	warmupTime time.Duration
-	warmed     bool
 }
 
 // PrepareOnline builds the shared state for Algorithm 2 and runs the
 // warm-up (histogram initialization + warm-up walks) exactly once,
 // drawing warm-up randomness from g.
 func PrepareOnline(joins []*join.Join, cfg OnlineConfig, g *rng.RNG) (*OnlineShared, error) {
-	p, err := newOnlineShared(joins, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.warm(g); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func newOnlineShared(joins []*join.Join, cfg OnlineConfig) (*OnlineShared, error) {
 	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), MethodEO, 0), false)
 	if err != nil {
 		return nil, err
@@ -114,16 +99,22 @@ func newOnlineShared(joins []*join.Join, cfg OnlineConfig) (*OnlineShared, error
 	if err != nil {
 		return nil, err
 	}
-	return &OnlineShared{base: base, cfg: cfg, walks: walks, maxDraw: maxDraw}, nil
+	p := &OnlineShared{base: base, cfg: cfg, walks: walks, maxDraw: maxDraw}
+	if err := p.warm(g); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// warm initializes parameters: histogram first (cheap), then the
-// configured number of warm-up walks whose samples seed the reuse pool.
-// Idempotent; runs before the shared state is published to runs.
+// warm initializes parameters: histogram first (cheap), then walks
+// until every join has the configured number of warm-up walks, whose
+// samples seed the reuse pool. It runs exactly once per prepared state
+// (PrepareOnline or Refresh), before the state is published to runs. On
+// a refresh the histogram re-reads the (incrementally maintained)
+// indexes, and only the dirty joins walk: Refresh reset their
+// estimates, while a clean join's cloned estimate already counts the
+// WarmupWalks walks of its own warm-up, so its loop below is a no-op.
 func (p *OnlineShared) warm(g *rng.RNG) error {
-	if p.warmed {
-		return nil
-	}
 	start := time.Now()
 	hist := &HistogramEstimator{Joins: p.base.joins, Opts: p.cfg.HistOpts}
 	params, err := hist.Params(g)
@@ -153,7 +144,6 @@ func (p *OnlineShared) warm(g *rng.RNG) error {
 	if p.alias == nil {
 		return ErrEmptyUnion
 	}
-	p.warmed = true
 	return nil
 }
 
@@ -214,7 +204,6 @@ func (p *OnlineShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 		// Rejection feedback requested a re-plan on clean data: rebuild
 		// against a clone so in-flight runs keep their snapshot.
 		nb = p.base.clone()
-		dirty = make([]bool, len(p.base.joins))
 	}
 	np := &OnlineShared{base: nb, cfg: p.cfg, walks: p.walks.Clone(), maxDraw: p.maxDraw}
 	for j, d := range dirty {
@@ -228,53 +217,13 @@ func (p *OnlineShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 			}
 		}
 	}
-	if err := np.warmRefresh(g, dirty); err != nil {
+	if err := np.warm(g); err != nil {
 		return nil, false, err
 	}
 	return np, true, nil
 }
 
-// warmRefresh is warm for a refresh: the histogram re-reads the
-// (incrementally maintained) indexes, but warm-up walks re-run only for
-// the dirty joins.
-func (p *OnlineShared) warmRefresh(g *rng.RNG, dirty []bool) error {
-	start := time.Now()
-	hist := &HistogramEstimator{Joins: p.base.joins, Opts: p.cfg.HistOpts}
-	params, err := hist.Params(g)
-	if err != nil {
-		return err
-	}
-	p.params = params
-	if p.cfg.WarmupWalks > 0 {
-		for j, je := range p.walks.JoinEstimates() {
-			if !dirty[j] {
-				continue
-			}
-			for je.Walks() < p.cfg.WarmupWalks {
-				p.walks.StepJoin(j, g)
-			}
-		}
-		if params, ok, err := paramsFromWalks(p.walks, nil); err != nil {
-			return err
-		} else if ok {
-			p.params = params
-		}
-	}
-	if p.cfg.Tuner != nil {
-		if err := p.retune(g); err != nil {
-			return err
-		}
-	}
-	p.alias = rng.NewAlias(p.params.Cover)
-	p.warmupTime = time.Since(start)
-	if p.alias == nil {
-		return ErrEmptyUnion
-	}
-	p.warmed = true
-	return nil
-}
-
-// Params returns the warm-up parameters (nil before warm-up).
+// Params returns the warm-up parameters.
 func (p *OnlineShared) Params() *Params { return p.params }
 
 // WarmupTime reports how long the one-time warm-up took.
@@ -285,17 +234,30 @@ func (p *OnlineShared) WarmupTime() time.Duration { return p.warmupTime }
 // the type comment), record, result buffer, and Stats. Runs are
 // independent and reproducible from their RNG; any number may sample
 // concurrently as long as each uses its own RNG.
-func (p *OnlineShared) NewRun() Run {
-	s := newOnlineRun(p)
-	if p.warmed {
-		s.initFromShared(false)
-	}
-	return s
-}
+func (p *OnlineShared) NewRun() Run { return p.newRun(false) }
 
-func newOnlineRun(p *OnlineShared) *OnlineSampler {
-	s := &OnlineSampler{shared: p, record: p.base.recordKeys()}
-	s.stats.TimingSampled = !p.cfg.DetailedTiming
+// NewReuseRun returns the single-stream run of §7: like NewRun, but the
+// run keeps the warm-up sample pool and draws from it (with the
+// 1/(p(t)·|J_j|) acceptance correction) before walking afresh. The pool
+// is the prepared state's one set of warm-up tuples, so at most one
+// reuse run per prepared state yields an independent stream.
+func (p *OnlineShared) NewReuseRun() *OnlineSampler { return p.newRun(true) }
+
+// newRun adopts the shared warm-up into a run: parameters and alias by
+// reference (replaced, never mutated, on refinement) and the walk
+// estimator by clone (its pool and running estimates mutate with every
+// draw).
+func (p *OnlineShared) newRun(keepPool bool) *OnlineSampler {
+	s := &OnlineSampler{
+		shared: p,
+		walks:  p.walks.Clone(),
+		params: p.params,
+		alias:  p.alias,
+		record: p.base.recordKeys(),
+	}
+	if !keepPool {
+		s.walks.DropSamples()
+	}
 	s.stats.initJoins(len(p.base.joins))
 	return s
 }
@@ -323,52 +285,6 @@ type OnlineSampler struct {
 	conf     float64
 }
 
-// NewOnlineSampler builds an Algorithm 2 sampler over the joins with
-// its own private warm-up state, warmed lazily on first Sample. For the
-// one-warm-up/many-runs shape use PrepareOnline + NewRun instead.
-func NewOnlineSampler(joins []*join.Join, cfg OnlineConfig) (*OnlineSampler, error) {
-	shared, err := newOnlineShared(joins, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newOnlineRun(shared), nil
-}
-
-// initFromShared adopts the shared warm-up into this run: parameters
-// and alias by reference (replaced, never mutated, on refinement) and
-// the walk estimator by clone (its pool and running estimates mutate
-// with every draw). keepPool retains the warm-up sample pool — only
-// the single-stream path may do that; prepared runs drop it so streams
-// stay uncorrelated.
-func (s *OnlineSampler) initFromShared(keepPool bool) {
-	s.walks = s.shared.walks.Clone()
-	if !keepPool {
-		s.walks.DropSamples()
-	}
-	s.params = s.shared.params
-	s.alias = s.shared.alias
-}
-
-// Warmup ensures the shared warm-up ran and adopts it. Idempotent; when
-// this run triggered the warm-up (the single-stream path: it owns the
-// shared state, so it also keeps the reuse pool) the cost is booked
-// into its Stats.
-func (s *OnlineSampler) Warmup(g *rng.RNG) error {
-	if s.walks != nil {
-		return nil
-	}
-	if !s.shared.warmed {
-		if err := s.shared.warm(g); err != nil {
-			return err
-		}
-		s.stats.WarmupTime += s.shared.warmupTime
-		s.initFromShared(true)
-		return nil
-	}
-	s.initFromShared(false)
-	return nil
-}
-
 // refreshParams rebuilds Params from the run's walk estimator when it
 // has observations, keeping the current values otherwise.
 func (s *OnlineSampler) refreshParams() error {
@@ -387,21 +303,19 @@ func (s *OnlineSampler) refreshParams() error {
 	return nil
 }
 
-// Params returns the run's current parameters (nil before Warmup).
+// Params returns the run's current parameters.
 func (s *OnlineSampler) Params() *Params { return s.params }
 
 // Stats returns the run's instrumentation. Per-join WalkVariance
 // reflects the run's current walk state at the time of the call (zero
 // for joins whose size is pinned exact by the tuner).
 func (s *OnlineSampler) Stats() *Stats {
-	if s.walks != nil {
-		for j, je := range s.walks.JoinEstimates() {
-			if es := s.shared.exactSizes; es != nil && j < len(es) && es[j] >= 0 {
-				s.stats.Joins[j].WalkVariance = 0
-				continue
-			}
-			s.stats.Joins[j].WalkVariance = je.RelHalfWidth(s.walks.Z())
+	for j, je := range s.walks.JoinEstimates() {
+		if es := s.shared.exactSizes; es != nil && j < len(es) && es[j] >= 0 {
+			s.stats.Joins[j].WalkVariance = 0
+			continue
 		}
+		s.stats.Joins[j].WalkVariance = je.RelHalfWidth(s.walks.Z())
 	}
 	return &s.stats
 }
@@ -412,11 +326,16 @@ func (s *OnlineSampler) Confidence() float64 { return s.conf }
 // Sample returns n tuples from the set union in the first join's
 // output schema order. Consecutive calls continue the stream: returned
 // tuples are final (later revisions and backtracking only affect
-// buffered, not-yet-returned tuples).
+// buffered, not-yet-returned tuples). Walks feed the run's estimates
+// one at a time — each walk updates the parameters the next draw
+// samples under — while the result buffer grows once per call and the
+// wall clock is read once per call, split across Accept/Reject and
+// Reuse/Regular by the call's attempt counts (bookBatchTime).
 func (s *OnlineSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	if err := s.Warmup(g); err != nil {
-		return nil, err
-	}
+	s.result = growEntries(s.result, n)
+	s.arena = growArena(s.arena, (n-len(s.result))*s.shared.base.ref.Len())
+	before := s.stats
+	start := time.Now()
 	for len(s.result) < n {
 		if err := s.drawOne(g); err != nil {
 			return nil, err
@@ -425,7 +344,16 @@ func (s *OnlineSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 			return nil, err
 		}
 	}
+	s.stats.bookBatchTime(&before, time.Since(start))
 	return s.serveResult(n), nil
+}
+
+// SampleBatch forwards to Sample.
+//
+// Deprecated: Sample is the batch engine; the name stays for callers
+// compiled against it.
+func (s *OnlineSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.Sample(n, g)
 }
 
 // serveResult copies the first n buffered samples out over one flat
@@ -467,40 +395,19 @@ func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 		}
 		j := s.alias.Draw(g)
 		for attempt := 0; attempt < s.shared.maxDraw; attempt++ {
-			start, w := s.stats.startDraw()
 			t, mult, reuse, ok := s.candidate(j, g)
 			if !ok {
-				s.phaseReject(sinceDraw(start, w), reuse)
 				continue
 			}
 			if k, ok := s.acceptValue(j, t); ok {
 				s.commit(k, j, t, mult)
-				d := sinceDraw(start, w)
-				s.stats.AcceptTime += d
 				if reuse {
 					s.stats.ReuseAccepted++
-					s.stats.ReuseTime += d
-				} else {
-					s.stats.RegularTime += d
 				}
 				return nil
 			}
 			s.stats.RejectedDup++
-			s.phaseReject(sinceDraw(start, w), reuse)
 		}
-	}
-}
-
-// phaseReject books a rejected attempt's time both globally and into
-// its phase, so per-phase totals divided by per-phase accepted counts
-// reproduce the paper's Fig 6b metric ("ratio of total time spent on
-// sampling and the number of successfully sampled tuples per phase").
-func (s *OnlineSampler) phaseReject(d time.Duration, reuse bool) {
-	s.stats.RejectTime += d
-	if reuse {
-		s.stats.ReuseTime += d
-	} else {
-		s.stats.RegularTime += d
 	}
 }
 

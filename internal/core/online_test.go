@@ -9,10 +9,7 @@ import (
 
 func TestOnlineSamplerProducesUnionSamples(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewOnlineSampler(joins, OnlineConfig{WarmupWalks: 400, Phi: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := onlineReuseRun(t, joins, OnlineConfig{WarmupWalks: 400, Phi: 100})
 	idx := unionIndex(t, joins)
 	out, err := s.Sample(4000, rng.New(11))
 	if err != nil {
@@ -30,10 +27,7 @@ func TestOnlineSamplerProducesUnionSamples(t *testing.T) {
 
 func TestOnlineSamplerReusesWarmupSamples(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewOnlineSampler(joins, OnlineConfig{WarmupWalks: 500, Phi: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := onlineReuseRun(t, joins, OnlineConfig{WarmupWalks: 500, Phi: 200})
 	if _, err := s.Sample(2000, rng.New(12)); err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +42,7 @@ func TestOnlineSamplerReusesWarmupSamples(t *testing.T) {
 
 func TestOnlineSamplerNoWarmup(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewOnlineSampler(joins, OnlineConfig{WarmupWalks: 0, Phi: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := onlineReuseRun(t, joins, OnlineConfig{WarmupWalks: 0, Phi: 50})
 	idx := unionIndex(t, joins)
 	out, err := s.Sample(2000, rng.New(13))
 	if err != nil {
@@ -74,14 +65,11 @@ func TestOnlineSamplerNoWarmup(t *testing.T) {
 
 func TestOnlineSamplerBacktracking(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewOnlineSampler(joins, OnlineConfig{
+	s := onlineReuseRun(t, joins, OnlineConfig{
 		WarmupWalks: 0,
 		Phi:         25,
 		Gamma:       0.999, // keep updating so backtracks keep firing
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Sample(3000, rng.New(14)); err != nil {
 		t.Fatal(err)
 	}
@@ -96,28 +84,37 @@ func TestOnlineSamplerBacktracking(t *testing.T) {
 
 func TestOnlineSamplerApproxUniform(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewOnlineSampler(joins, OnlineConfig{
+	s := onlineReuseRun(t, joins, OnlineConfig{
 		WarmupWalks: 2000,
 		Phi:         500,
 		Oracle:      true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Online estimates converge but are never exact: wide slack, the
 	// bias being exactly what the paper's ratio-error experiments
 	// quantify.
 	checkUniformUnion(t, joins, 30000, 8, s.Sample, rng.New(15))
 }
 
+// TestOnlineRunApproxUniform: a prepared run (NewRun drops the warm-up
+// pool and draws fresh walks) passes the same uniformity check.
+func TestOnlineRunApproxUniform(t *testing.T) {
+	joins := fixtureJoins(t)
+	shared, err := PrepareOnline(joins, OnlineConfig{WarmupWalks: 400}, rng.New(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := shared.NewRun()
+	checkUniformUnion(t, joins, 40000, 8, run.Sample, rng.New(32))
+	if st := run.Stats(); st.ReuseAccepted != 0 || st.ReuseRejected != 0 {
+		t.Errorf("prepared run drew from the warm-up pool: %+v", st)
+	}
+}
+
 func TestOnlineSamplerPhaseCosts(t *testing.T) {
 	joins := fixtureJoins(t)
 	// 800 warm-up walks per join: the reuse pool serves the early draws
 	// and drains well before 6000 samples, so both phases run.
-	s, err := NewOnlineSampler(joins, OnlineConfig{WarmupWalks: 800, Phi: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := onlineReuseRun(t, joins, OnlineConfig{WarmupWalks: 800, Phi: 1000})
 	if _, err := s.Sample(6000, rng.New(16)); err != nil {
 		t.Fatal(err)
 	}

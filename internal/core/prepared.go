@@ -15,14 +15,10 @@ import (
 // sampler may execute concurrently as long as each uses its own RNG.
 type Run interface {
 	UnionSampler
-	// SampleBatch draws n tuples through the batch engine: the same
-	// per-tuple distribution as Sample, but with per-draw overheads
-	// (subroutine dispatch per attempt, per-attempt wall-clocking,
-	// result-buffer growth) amortized across the batch, and weighted
-	// row selection running through O(1) alias tables. Batch draws
-	// consume the RNG stream differently from Sample, so the two paths
-	// are pinned by separate golden digests; see the README's
-	// "Batched draws" section for the determinism contract.
+	// SampleBatch forwards to Sample.
+	//
+	// Deprecated: Sample is the batch engine; the name stays for
+	// callers compiled against it.
 	SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error)
 	// Params returns the parameters the run currently samples under:
 	// the shared warm-up estimates, refined per-run in online mode.

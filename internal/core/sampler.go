@@ -36,8 +36,8 @@ func (m JoinMethod) String() string {
 }
 
 // joinConfig is one join's subroutine configuration inside a union
-// base: the sampling method plus the alias-table threshold EW batch
-// draws build weighted-row alias tables at. Explicitly configured
+// base: the sampling method plus the alias-table threshold EW draws
+// build weighted-row alias tables at. Explicitly configured
 // unions use one uniform config per join (uniformJoinConfigs), which
 // reproduces the pre-tuning behavior exactly; an adaptive plan sets
 // them per join.
@@ -305,6 +305,17 @@ func growArena(arena []relation.Value, need int) []relation.Value {
 	na := make([]relation.Value, len(arena), len(arena)+need)
 	copy(na, arena)
 	return na
+}
+
+// growEntries grows a result buffer's capacity to n entries without
+// changing its contents, so one Sample call allocates it at most once.
+func growEntries[E any](r []E, n int) []E {
+	if cap(r) >= n {
+		return r
+	}
+	nr := make([]E, len(r), n)
+	copy(nr, r)
+	return nr
 }
 
 // serveFlat copies n buffered spans of arena out as tuples over one

@@ -45,7 +45,7 @@ type ShardFactory func(joins []*join.Join, g *rng.RNG) (PreparedSampler, error)
 type ShardedConfig struct {
 	// Shards is the partition fan-out (>= 1).
 	Shards int
-	// Workers bounds the goroutines a warm-up, refresh, or batch draw
+	// Workers bounds the goroutines a warm-up, refresh, or draw
 	// fans out to; <= 0 defaults to min(Shards, GOMAXPROCS).
 	Workers int
 	// Factory prepares one shard's sampler; required.
@@ -450,35 +450,14 @@ type ShardedSampler struct {
 	stats  Stats
 }
 
-// Sample draws n tuples sequentially on a single stream: alias-select a
-// shard, then one draw within it, per tuple. Deterministic for a fixed
-// g; the batch path below consumes randomness differently (its streams
-// are pinned by their own golden digests).
+// Sample draws n tuples: shard assignments are drawn first (recording
+// order and counts), each busy shard executes one per-shard sub-batch
+// on its own stream derived from a single base draw, sub-batches run on
+// a worker pool bounded by the configured workers, and results merge
+// back in assignment order with no cross-shard locks. The merged stream
+// is bit-identical however many workers actually run — scheduling
+// affects only wall clock.
 func (s *ShardedSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		sh := s.shared.alias.Draw(g)
-		run := s.runs[sh]
-		if run == nil {
-			return nil, fmt.Errorf("core: sharded sampler drew empty shard %d", sh)
-		}
-		t, err := run.Sample(1, g)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t[0])
-	}
-	return out, nil
-}
-
-// SampleBatch draws n tuples through the batch engine: shard
-// assignments are drawn first (recording order and counts), each busy
-// shard executes one per-shard sub-batch on its own stream derived from
-// a single base draw, sub-batches run on a worker pool bounded by the
-// configured workers, and results merge back in assignment order with
-// no cross-shard locks. The merged stream is bit-identical however many
-// workers actually run — scheduling affects only wall clock.
-func (s *ShardedSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	if n <= 0 {
 		return []relation.Tuple{}, nil
 	}
@@ -504,7 +483,7 @@ func (s *ShardedSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error
 		busy = append(busy, sh)
 	}
 	drawShard := func(sh int) {
-		parts[sh], errs[sh] = s.runs[sh].SampleBatch(counts[sh], rng.New(DeriveSeed(base, int64(sh))))
+		parts[sh], errs[sh] = s.runs[sh].Sample(counts[sh], rng.New(DeriveSeed(base, int64(sh))))
 	}
 	if len(busy) == 1 || s.shared.workers <= 1 {
 		for _, sh := range busy {
@@ -538,15 +517,24 @@ func (s *ShardedSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error
 	return out, nil
 }
 
+// SampleBatch forwards to Sample.
+//
+// Deprecated: Sample is the batch engine; the name stays for callers
+// compiled against it.
+func (s *ShardedSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.Sample(n, g)
+}
+
 // Stats merges the per-shard runs' instrumentation by summation (the
-// counters are counts of disjoint work; the sampled durations add the
-// same way). Per-join breakdowns sum element-wise — shard join i is a
+// counters are counts of disjoint work; the durations add the same
+// way, so they total the shards' concurrent work and may exceed the
+// wall time around the calls). Per-join breakdowns sum element-wise — shard join i is a
 // fragment of union join i — except WalkVariance, where the merge
 // keeps the worst (largest) shard's half-width: a join is only as
 // converged as its least-converged fragment. The merge is recomputed
 // on every call, so it reflects all draws so far.
 func (s *ShardedSampler) Stats() *Stats {
-	m := Stats{TimingSampled: true}
+	var m Stats
 	m.initJoins(len(s.shared.origJoins))
 	for _, r := range s.runs {
 		if r == nil {
@@ -579,7 +567,6 @@ func (s *ShardedSampler) Stats() *Stats {
 		m.RejectTime += st.RejectTime
 		m.ReuseTime += st.ReuseTime
 		m.RegularTime += st.RegularTime
-		m.TimingSampled = m.TimingSampled && st.TimingSampled
 	}
 	s.stats = m
 	return &s.stats

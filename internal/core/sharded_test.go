@@ -76,33 +76,24 @@ func TestShardedAggregatesMatchUnsharded(t *testing.T) {
 func TestShardedDrawsAreMembersAndDeterministic(t *testing.T) {
 	p, joins := prepareShardedFixture(t, 3)
 	idx := unionIndex(t, joins)
-	draw := func(batch bool) []relation.Tuple {
-		run := p.NewRun()
-		var out []relation.Tuple
-		var err error
-		if batch {
-			out, err = run.SampleBatch(400, rng.New(5))
-		} else {
-			out, err = run.Sample(400, rng.New(5))
-		}
+	draw := func() []relation.Tuple {
+		out, err := p.NewRun().Sample(400, rng.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	for _, batch := range []bool{false, true} {
-		a, b := draw(batch), draw(batch)
-		for i := range a {
-			if _, ok := idx[relation.TupleKey(a[i])]; !ok {
-				t.Fatalf("draw %v not in the union", a[i])
-			}
-			if !a[i].Equal(b[i]) {
-				t.Fatalf("draw %d nondeterministic: %v vs %v", i, a[i], b[i])
-			}
+	a, b := draw(), draw()
+	for i := range a {
+		if _, ok := idx[relation.TupleKey(a[i])]; !ok {
+			t.Fatalf("draw %v not in the union", a[i])
+		}
+		if !a[i].Equal(b[i]) {
+			t.Fatalf("draw %d nondeterministic: %v vs %v", i, a[i], b[i])
 		}
 	}
 	run := p.NewRun()
-	if _, err := run.SampleBatch(100, rng.New(9)); err != nil {
+	if _, err := run.Sample(100, rng.New(9)); err != nil {
 		t.Fatal(err)
 	}
 	st := run.Stats()
@@ -140,7 +131,7 @@ func TestShardedToleratesEmptyShards(t *testing.T) {
 	if busy != 1 {
 		t.Fatalf("%d busy shards, want 1", busy)
 	}
-	out, err := p.NewRun().SampleBatch(50, rng.New(1))
+	out, err := p.NewRun().Sample(50, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +166,7 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := PrepareSharded(joins, ShardedConfig{Shards: 2, Factory: exactFactory, Attr: "nope"}, rng.New(1)); err == nil {
 		t.Fatal("unknown partition attribute accepted")
 	}
-	if _, err := PrepareDisjointFrom(mustSharded(t, joins), false); err == nil {
+	if _, err := PrepareDisjointFrom(mustSharded(t, joins)); err == nil {
 		t.Fatal("PrepareDisjointFrom accepted a sharded sampler")
 	}
 }
@@ -217,7 +208,7 @@ func TestShardedRefresh(t *testing.T) {
 		t.Fatal("refreshed sampler still stale")
 	}
 	idx := unionIndex(t, joins)
-	out, err := np2.NewRun().SampleBatch(300, rng.New(7))
+	out, err := np2.NewRun().Sample(300, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +218,7 @@ func TestShardedRefresh(t *testing.T) {
 		}
 	}
 	// Old generation still serves its snapshot (live-relation contract).
-	if _, err := p.NewRun().SampleBatch(50, rng.New(8)); err != nil {
+	if _, err := p.NewRun().Sample(50, rng.New(8)); err != nil {
 		t.Fatalf("old generation draw: %v", err)
 	}
 }

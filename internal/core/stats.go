@@ -49,26 +49,14 @@ type Stats struct {
 	// rejected. ReuseTime/RegularTime hold the total time (accepted and
 	// rejected attempts) of the reuse and regular phases of the online
 	// sampler, so PerAcceptedReuse/PerAcceptedRegular reproduce the
-	// paper's Fig 6b per-phase cost metric.
+	// paper's Fig 6b per-phase cost metric. The clock is read once per
+	// Sample call and split by attempt counts (bookBatchTime): a phase
+	// comparison is as fine-grained as the calls it is drawn in.
 	WarmupTime  time.Duration
 	AcceptTime  time.Duration
 	RejectTime  time.Duration
 	ReuseTime   time.Duration
 	RegularTime time.Duration
-
-	// TimingSampled, when true (the default for prepared runs), reports
-	// that the time fields were collected by wall-clocking the first
-	// TimingStride draw attempts exactly and afterwards only every
-	// TimingStride-th one, scaled by the stride — keeping time.Now out
-	// of the steady-state inner loop while short runs stay exact.
-	// Counters are always exact; only the Duration fields are sampled
-	// estimates. Opt into timing every draw with DetailedTiming on the
-	// sampler config (Options.DetailedTiming in the public API).
-	TimingSampled bool
-
-	// ticks counts timing decisions (one per attempted draw, reuse
-	// included), driving the sampling stride.
-	ticks int
 }
 
 // JoinBreakdown is one join's slice of a run's draw-loop counters.
@@ -99,50 +87,24 @@ func (s *Stats) initJoins(n int) {
 	}
 }
 
-// TimingStride is the wall-clock sampling period of coarse-grained
-// timing: one timed draw per stride, scaled by the stride. A power of
-// two keeps the modulo a mask.
-const TimingStride = 64
-
-// startDraw begins timing one draw attempt. Under detailed timing it
-// always reads the clock with weight 1. Under sampled timing the first
-// TimingStride attempts are each timed exactly (so short runs report
-// real durations, not one cold attempt scaled by the stride); after
-// the ramp only every TimingStride-th attempt reads the clock, with
-// weight TimingStride, and the rest return weight 0 (caller skips both
-// time.Now calls).
-func (s *Stats) startDraw() (time.Time, time.Duration) {
-	if !s.TimingSampled {
-		return time.Now(), 1
-	}
-	s.ticks++
-	if s.ticks <= TimingStride {
-		return time.Now(), 1
-	}
-	if s.ticks&(TimingStride-1) == 1 {
-		return time.Now(), TimingStride
-	}
-	return time.Time{}, 0
+// bookDraws counts tries subroutine attempts routed at join j, got of
+// which the subroutine accepted.
+func (s *Stats) bookDraws(j, tries, got int) {
+	s.TotalDraws += tries
+	s.JoinRejects += tries - got
+	s.Joins[j].Draws += tries
+	s.Joins[j].Rejected += tries - got
 }
 
-// sinceDraw converts a startDraw mark into the duration to book: zero
-// for untimed attempts, scaled by the sampling weight otherwise.
-func sinceDraw(start time.Time, weight time.Duration) time.Duration {
-	if weight == 0 {
-		return 0
-	}
-	return time.Since(start) * weight
-}
-
-// bookBatchTime attributes one batch call's elapsed wall time to the
-// duration fields. The batch engines read the clock once per batch, so
-// per-attempt attribution is unavailable; the elapsed time splits
-// proportionally to the batch's attempt counts (before is the Stats
-// snapshot taken when the batch started): AcceptTime vs RejectTime by
+// bookBatchTime attributes one Sample call's elapsed wall time to the
+// duration fields. The engines read the clock once per call — time.Now
+// stays out of the draw loop — so the elapsed time splits
+// proportionally to the call's attempt counts (before is the Stats
+// snapshot taken when the call started): AcceptTime vs RejectTime by
 // accepted vs rejected attempts, ReuseTime vs RegularTime by reuse vs
-// fresh attempts. Coarser than the sequential per-draw attribution but
-// consistent with the documented field semantics; counters are always
-// exact.
+// fresh attempts. Each pair sums to exactly d, so over any number of
+// calls AcceptTime+RejectTime == ReuseTime+RegularTime == the total
+// time booked; counters are always exact.
 func (s *Stats) bookBatchTime(before *Stats, d time.Duration) {
 	acc := s.Accepted - before.Accepted
 	rej := (s.JoinRejects - before.JoinRejects) +
@@ -159,13 +121,15 @@ func (s *Stats) bookBatchTime(before *Stats, d time.Duration) {
 	share := func(part int) time.Duration {
 		return time.Duration(float64(d) * float64(part) / float64(total))
 	}
-	s.AcceptTime += share(acc)
-	s.RejectTime += share(rej)
+	accept := share(acc)
+	s.AcceptTime += accept
+	s.RejectTime += d - accept
 	if reuse > total {
 		reuse = total
 	}
-	s.ReuseTime += share(reuse)
-	s.RegularTime += share(total - reuse)
+	reused := share(reuse)
+	s.ReuseTime += reused
+	s.RegularTime += d - reused
 }
 
 // PerAcceptedReuse returns the average time to produce one accepted

@@ -45,7 +45,7 @@ func tunedJoins(t testing.TB) []*join.Join {
 func checkMembers(t *testing.T, joins []*join.Join, run Run, n int, g *rng.RNG) {
 	t.Helper()
 	idx := unionIndex(t, joins)
-	out, err := run.SampleBatch(n, g)
+	out, err := run.Sample(n, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,25 +23,12 @@ type UnionSampler interface {
 // predicates that are not very selective (push selective ones down to
 // the relations instead, join.PushDown).
 //
-// maxDraws caps the total draws (0 means 1000·n) so that a predicate
-// with empty support fails cleanly instead of looping forever.
+// Candidates are drawn in need-sized chunks (at least whereChunk at a
+// time), so the rejection loop pays the engine's amortized per-draw
+// price. maxDraws caps the total draws (0 means 1000·n) so that a
+// predicate with empty support fails cleanly instead of looping
+// forever.
 func SampleWhere(s UnionSampler, schema *relation.Schema, pred relation.Predicate, n int, g *rng.RNG, maxDraws int) ([]relation.Tuple, error) {
-	return sampleWhereLoop(s.Sample, schema, pred, n, g, maxDraws, func(int) int { return whereChunk })
-}
-
-// whereChunk is the draw-request granularity of the predicate
-// rejection loops: the sequential path always asks for whereChunk
-// candidates at a time (pinned — seeded `where` streams depend on it),
-// the batch path for at least that many.
-const whereChunk = 64
-
-// sampleWhereLoop is the shared predicate rejection loop behind
-// SampleWhere and SampleWhereBatch: draw candidates through draw in
-// chunk-sized requests, keep the ones satisfying the predicate, fail
-// cleanly once maxDraws candidates were spent. chunk picks the request
-// size from the number of tuples still needed; the result is capped to
-// the remaining draw budget either way.
-func sampleWhereLoop(draw func(n int, g *rng.RNG) ([]relation.Tuple, error), schema *relation.Schema, pred relation.Predicate, n int, g *rng.RNG, maxDraws int, chunk func(need int) int) ([]relation.Tuple, error) {
 	if maxDraws <= 0 {
 		maxDraws = 1000 * n
 	}
@@ -52,11 +39,11 @@ func sampleWhereLoop(draw func(n int, g *rng.RNG) ([]relation.Tuple, error), sch
 			return nil, fmt.Errorf("core: predicate %s matched %d of %d samples; selectivity too low for sampling-time enforcement (push the predicate down instead)",
 				pred, len(out), drawn)
 		}
-		want := chunk(n - len(out))
+		want := max(n-len(out), whereChunk)
 		if remaining := maxDraws - drawn; want > remaining {
 			want = remaining
 		}
-		tuples, err := draw(want, g)
+		tuples, err := s.Sample(want, g)
 		if err != nil {
 			return nil, err
 		}
@@ -72,3 +59,7 @@ func sampleWhereLoop(draw func(n int, g *rng.RNG) ([]relation.Tuple, error), sch
 	}
 	return out, nil
 }
+
+// whereChunk is the smallest candidate request of the predicate
+// rejection loop (pinned — seeded SampleWhere streams depend on it).
+const whereChunk = 64

@@ -10,14 +10,11 @@ import (
 
 func TestSampleWhereUniformOverSubset(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
+	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
 		Oracle:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	schema := joins[0].OutputSchema()
 	pred := relation.Cmp{Attr: "K", Op: relation.LT, Val: 40}
 	g := rng.New(21)
@@ -61,15 +58,12 @@ func TestSampleWhereUniformOverSubset(t *testing.T) {
 
 func TestSampleWhereEmptySupport(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
+	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pred := relation.Cmp{Attr: "K", Op: relation.GT, Val: 10000}
-	_, err = SampleWhere(s, joins[0].OutputSchema(), pred, 10, rng.New(22), 500)
+	_, err := SampleWhere(s, joins[0].OutputSchema(), pred, 10, rng.New(22), 500)
 	if err == nil {
 		t.Fatal("empty-support predicate did not fail")
 	}
@@ -81,14 +75,11 @@ func TestSampleStreaming(t *testing.T) {
 	// call only in distribution, so check non-replay directly via the
 	// accepted counter.
 	joins := fixtureJoins(t)
-	s, err := NewCoverSampler(joins, CoverConfig{
+	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
 		Oracle:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := rng.New(23)
 	a, err := s.Sample(100, g)
 	if err != nil {
@@ -112,10 +103,7 @@ func TestSampleStreaming(t *testing.T) {
 
 func TestOnlineSampleStreaming(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewOnlineSampler(joins, OnlineConfig{WarmupWalks: 200, Phi: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := onlineReuseRun(t, joins, OnlineConfig{WarmupWalks: 200, Phi: 100})
 	g := rng.New(24)
 	if _, err := s.Sample(150, g); err != nil {
 		t.Fatal(err)

@@ -244,8 +244,8 @@ func equalVersions(a, b []uint64) bool {
 }
 
 // TestWalkManyInto checks the Walker batch variant: probabilities in
-// range, tuples in the join, and exact fill/try accounting against the
-// sequential walker on the same stream.
+// range, tuples in the join, exact fill/try accounting, and an unbiased
+// Horvitz–Thompson estimate.
 func TestWalkManyInto(t *testing.T) {
 	j := chainJoin(t)
 	w := NewWalker(j)

@@ -19,7 +19,6 @@
 package joinsample
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -30,29 +29,18 @@ import (
 
 // Sampler draws uniform, independent samples from one join.
 type Sampler interface {
-	// Sample attempts one draw into a fresh tuple. ok is false when the
-	// attempt was rejected (the caller retries) — EW never rejects on
-	// non-empty joins.
-	Sample(g *rng.RNG) (relation.Tuple, bool)
-	// SampleInto is Sample into caller-owned scratch: out must have the
-	// join's output schema length and rowOf at least NumNodes entries.
-	// A rejected attempt may leave both partially written. Samplers are
-	// shared between concurrent runs; handing each run its own scratch
-	// is what keeps the per-draw path allocation-free and race-free.
-	SampleInto(out relation.Tuple, rowOf []int, g *rng.RNG) bool
-	// SampleManyInto is the batch draw: it fills out[0], out[1], ...
-	// with up to len(out) independent accepted draws, attempting at
-	// most maxTries subroutine draws in total, and returns how many
-	// tuples were accepted and how many attempts were consumed. Each
-	// out[i] must be a distinct caller-owned tuple of the join's output
-	// schema length; rowOf is shared scratch as in SampleInto. The
+	// SampleManyInto is the draw: it fills out[0], out[1], ... with up
+	// to len(out) independent accepted draws, attempting at most
+	// maxTries subroutine draws in total, and returns how many tuples
+	// were accepted and how many attempts were consumed (EW never
+	// rejects on non-empty tree joins). Each out[i] must be a distinct
+	// caller-owned tuple of the join's output schema length and rowOf
+	// caller-owned scratch of at least NumNodes entries; a rejected
+	// attempt may leave both partially written. Samplers are shared
+	// between concurrent runs; handing each run its own scratch is what
+	// keeps the per-draw path allocation-free and race-free. The
 	// acceptance loop runs tight inside the concrete sampler — no
-	// interface dispatch per attempt — and (for EW) selects rows
-	// through O(1) alias tables instead of the per-step binary search.
-	// Batch draws consume randomness differently from SampleInto (they
-	// use the exact integer bounded draw and alias tables), so batch
-	// streams are pinned separately from the sequential ones; the
-	// per-draw distribution is identical.
+	// interface dispatch per attempt.
 	SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int)
 	// Method names the weight instantiation ("EW", "EO", "WJ").
 	Method() string
@@ -61,29 +49,6 @@ type Sampler interface {
 	SizeEstimate() float64
 	// Join returns the underlying join.
 	Join() *join.Join
-}
-
-// sampleAlloc adapts a SampleInto implementation to the allocating
-// Sample signature.
-func sampleAlloc(j *join.Join, into func(out relation.Tuple, rowOf []int, g *rng.RNG) bool, g *rng.RNG) (relation.Tuple, bool) {
-	out := make(relation.Tuple, j.OutputSchema().Len())
-	rowOf := make([]int, len(j.Nodes()))
-	if !into(out, rowOf, g) {
-		return nil, false
-	}
-	return out, true
-}
-
-// MustSample retries s.Sample until a draw is accepted, up to maxTries;
-// it reports failure only for empty joins or pathological rejection.
-func MustSample(s Sampler, g *rng.RNG, maxTries int) (relation.Tuple, int, error) {
-	for i := 1; i <= maxTries; i++ {
-		if t, ok := s.Sample(g); ok {
-			return t, i, nil
-		}
-	}
-	return nil, maxTries, fmt.Errorf("joinsample: %s sampler on %s: no accepted sample in %d tries",
-		s.Method(), s.Join().Name(), maxTries)
 }
 
 // liveRoot draws a uniform live row of r. When the relation has no
@@ -111,14 +76,14 @@ func liveRoot(r *relation.Relation, g *rng.RNG) (int, bool) {
 	return 0, false
 }
 
-// DefaultAliasThreshold is the fan-out above which the batch draw path
-// selects weighted rows through a lazily built Walker alias table (O(1)
-// per draw) instead of the prefix-sum binary search (O(log fan-out)).
-// Below it the table's two RNG draws and cache footprint cost more than
-// the search saves. The threshold is per-sampler configuration
+// DefaultAliasThreshold is the fan-out above which EW selects weighted
+// rows through a lazily built Walker alias table (O(1) per draw)
+// instead of the prefix-sum binary search (O(log fan-out)). Below it
+// the table's two RNG draws and cache footprint cost more than the
+// search saves. The threshold is per-sampler configuration
 // (NewEWAlias), never mutable package state: each EW captures its value
-// at construction, so a prepared session's pinned batch streams cannot
-// be perturbed after the fact. An adaptive plan supplies per-join
+// at construction, so a prepared session's pinned streams cannot be
+// perturbed after the fact. An adaptive plan supplies per-join
 // thresholds; everything else uses this default.
 const DefaultAliasThreshold = 32
 
@@ -126,16 +91,15 @@ const DefaultAliasThreshold = 32
 // draws only.
 const NeverAlias = 1 << 30
 
-// weightedRows supports weighted row selection: O(log n) via prefix
-// sums on the sequential path, O(1) via a lazily built alias table on
-// the batch path for fan-outs at or above the sampler's alias
-// threshold.
+// weightedRows supports weighted row selection: O(1) via a lazily built
+// alias table for fan-outs at or above the sampler's alias threshold,
+// O(log n) via the exact integer prefix-sum draw below it.
 type weightedRows struct {
 	rows []int   // row ids
 	cum  []int64 // cumulative weights, cum[i] = sum of w(rows[0..i])
 
 	// alias is the lazily built O(1) draw table, published atomically
-	// so concurrent batch runs build it at most once each and share one
+	// so concurrent runs build it at most once each and share one
 	// winner. It is derived purely from rows/cum, which are immutable
 	// after buildWeighted: a live mutation invalidates the whole
 	// sampler generation (unionBase.refreshed rebuilds the dirty
@@ -151,21 +115,6 @@ func (wr *weightedRows) total() int64 {
 	return wr.cum[len(wr.cum)-1]
 }
 
-// draw picks a row id proportional to weight — the sequential path.
-// The float index derivation (with its clamp) is pinned: Sample and
-// SampleSeeded streams recorded before the batch engine must replay
-// byte-identically, so this mapping must never change. It loses
-// precision for totals near 2^53; the batch path's drawBounded is the
-// exact integer replacement (see TestUint64nBoundary in internal/rng).
-func (wr *weightedRows) draw(g *rng.RNG) int {
-	x := int64(g.Float64() * float64(wr.total()))
-	if x >= wr.total() {
-		x = wr.total() - 1
-	}
-	i := sort.Search(len(wr.cum), func(i int) bool { return wr.cum[i] > x })
-	return wr.rows[i]
-}
-
 // drawBounded picks a row id proportional to weight using the exact
 // integer bounded draw: correct for every representable total, with no
 // round-up past the table and no 53-bit precision loss.
@@ -175,11 +124,11 @@ func (wr *weightedRows) drawBounded(g *rng.RNG) int {
 	return wr.rows[i]
 }
 
-// drawBatch is the batch-path row selection: alias table at or above
-// the threshold (built lazily on the first batch draw of this distinct
+// drawBatch is the row selection of every EW draw: alias table at or
+// above the threshold (built lazily on the first draw of this distinct
 // value), exact prefix-sum draw below it. The choice depends only on
-// the fan-out and the sampler's captured threshold, so batch streams
-// stay deterministic regardless of which run triggered the build.
+// the fan-out and the sampler's captured threshold, so streams stay
+// deterministic regardless of which run triggered the build.
 // Exactness caveat: the alias table normalizes its per-row
 // probabilities in float64, so above the threshold individual rows
 // carry a relative error up to ~2^-53 — the sub-threshold drawBounded
@@ -238,10 +187,10 @@ type EW struct {
 	exact   int64 // skeleton result count (== |J| for tree joins)
 
 	// aliasMin is the alias threshold captured at construction: the
-	// fan-out at which batch draws switch from prefix sums to alias
-	// tables. Capturing it keeps a prepared session's batch streams
-	// stable across re-plans: a new threshold only applies to samplers
-	// built after it was decided.
+	// fan-out at which draws switch from prefix sums to alias tables.
+	// Capturing it keeps a prepared session's streams stable across
+	// re-plans: a new threshold only applies to samplers built after it
+	// was decided.
 	aliasMin int
 	// vers snapshots join.StateVersions() at construction. The
 	// weighted-row tables (and any alias tables lazily built over
@@ -258,7 +207,7 @@ type EW struct {
 func NewEW(j *join.Join) *EW { return NewEWAlias(j, DefaultAliasThreshold) }
 
 // NewEWAlias precomputes exact weights for j with an explicit alias
-// threshold: the fan-out at which batch draws build alias tables
+// threshold: the fan-out at which draws build alias tables
 // (0 = always, NeverAlias = never).
 func NewEWAlias(j *join.Join, aliasMin int) *EW {
 	nodes := j.Nodes()
@@ -314,37 +263,6 @@ func (e *EW) SizeEstimate() float64 {
 	return float64(e.exact)
 }
 
-// Sample implements Sampler. On tree joins it always succeeds when the
-// join is non-empty.
-func (e *EW) Sample(g *rng.RNG) (relation.Tuple, bool) {
-	return sampleAlloc(e.j, e.SampleInto, g)
-}
-
-// SampleInto implements Sampler without allocating.
-func (e *EW) SampleInto(out relation.Tuple, rowOf []int, g *rng.RNG) bool {
-	if e.exact == 0 {
-		return false
-	}
-	nodes := e.j.Nodes()
-	rowOf[0] = e.root.draw(g)
-	e.j.FillOutput(0, rowOf[0], out)
-	for k := 1; k < len(nodes); k++ {
-		n := &nodes[k]
-		v := e.j.ParentValue(k, rowOf[n.Parent])
-		var wr *weightedRows
-		if ent, ok := e.nodeIdx[k].EntryOf(v); ok {
-			wr = e.byValue[k][ent]
-		}
-		if wr == nil || wr.total() == 0 {
-			// Impossible after a positive-weight parent draw; defensive.
-			return false
-		}
-		rowOf[k] = wr.draw(g)
-		e.j.FillOutput(k, rowOf[k], out)
-	}
-	return finishResidual(e.j, out, g)
-}
-
 // StateVersions returns the per-relation version snapshot the sampler's
 // weight tables (and their lazily built alias tables) were built over;
 // a mismatch with the join's current StateVersions means the tables
@@ -352,10 +270,10 @@ func (e *EW) SampleInto(out relation.Tuple, rowOf []int, g *rng.RNG) bool {
 // does for dirty joins).
 func (e *EW) StateVersions() []uint64 { return e.vers }
 
-// SampleManyInto implements Sampler's batch draw: a tight walk loop
-// over the caller's scratch where every weighted row selection is O(1)
-// through the lazily built alias tables (above the threshold). On tree
-// joins it never rejects, so filled == min(len(out), maxTries).
+// SampleManyInto implements Sampler: a tight walk loop over the
+// caller's scratch where every weighted row selection is O(1) through
+// the lazily built alias tables (above the threshold). On tree joins it
+// never rejects, so filled == min(len(out), maxTries).
 func (e *EW) SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int) {
 	if e.exact == 0 || len(out) == 0 {
 		return 0, 0

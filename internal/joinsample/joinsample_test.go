@@ -47,6 +47,15 @@ func triangleJoin(t *testing.T) *join.Join {
 	return j
 }
 
+// sampleOne attempts a single draw into fresh scratch: SampleManyInto
+// with one slot and a budget of one try, the shape the union engines'
+// per-candidate calls take.
+func sampleOne(s Sampler, g *rng.RNG) (relation.Tuple, bool) {
+	out, rowOf := mkBatch(s.Join(), 1)
+	filled, _ := s.SampleManyInto(out, rowOf, 1, g)
+	return out[0], filled == 1
+}
+
 // checkUniform draws until `draws` accepted samples and verifies the
 // empirical distribution over the join's exact result set is uniform
 // within a chi-square-style tolerance.
@@ -69,7 +78,7 @@ func checkUniform(t *testing.T, s Sampler, seed int64, draws int) {
 		if attempts > draws*1000 {
 			t.Fatalf("%s: rejection rate too high (%d accepted of %d)", s.Method(), accepted, attempts)
 		}
-		tu, ok := s.Sample(g)
+		tu, ok := sampleOne(s, g)
 		if !ok {
 			continue
 		}
@@ -114,7 +123,7 @@ func TestEWNeverRejectsOnTreeJoin(t *testing.T) {
 	e := NewEW(chainJoin(t))
 	g := rng.New(5)
 	for i := 0; i < 5000; i++ {
-		if _, ok := e.Sample(g); !ok {
+		if _, ok := sampleOne(e, g); !ok {
 			t.Fatal("EW rejected on a non-empty tree join")
 		}
 	}
@@ -146,35 +155,14 @@ func TestEmptyJoinSamplers(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := rng.New(6)
-	if _, ok := NewEW(j).Sample(g); ok {
+	if _, ok := sampleOne(NewEW(j), g); ok {
 		t.Error("EW sampled from empty join")
 	}
-	if _, ok := NewEO(j).Sample(g); ok {
+	if _, ok := sampleOne(NewEO(j), g); ok {
 		t.Error("EO sampled from empty join")
 	}
 	if _, _, ok := NewWalker(j).Walk(g); ok {
 		t.Error("WJ walked an empty join")
-	}
-}
-
-func TestMustSample(t *testing.T) {
-	e := NewEO(chainJoin(t))
-	g := rng.New(7)
-	tu, tries, err := MustSample(e, g, 10000)
-	if err != nil {
-		t.Fatalf("MustSample: %v", err)
-	}
-	if tries < 1 {
-		t.Errorf("tries = %d", tries)
-	}
-	if !e.Join().Contains(tu) {
-		t.Errorf("MustSample returned non-result %v", tu)
-	}
-	// Empty join must error.
-	r1 := relation.New("R1", relation.NewSchema("A"))
-	je, _ := join.NewChain("empty", []*relation.Relation{r1}, nil)
-	if _, _, err := MustSample(NewEW(je), g, 5); err == nil {
-		t.Error("MustSample on empty join succeeded")
 	}
 }
 
@@ -268,7 +256,7 @@ func TestWJAcceptanceMatchesEO(t *testing.T) {
 	countAccepted := func(s Sampler) int {
 		n := 0
 		for i := 0; i < tries; i++ {
-			if _, ok := s.Sample(g); ok {
+			if _, ok := sampleOne(s, g); ok {
 				n++
 			}
 		}

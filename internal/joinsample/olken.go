@@ -40,15 +40,11 @@ func (e *EO) Join() *join.Join { return e.j }
 // into the framework.
 func (e *EO) SizeEstimate() float64 { return e.bound }
 
-// Sample implements Sampler. Every accepted walk is a uniform draw from
-// the join result: the probability of a particular result is
-// 1/(|R_root| · Π M) regardless of the path taken.
-func (e *EO) Sample(g *rng.RNG) (relation.Tuple, bool) {
-	return sampleAlloc(e.j, e.SampleInto, g)
-}
-
-// SampleInto implements Sampler without allocating.
-func (e *EO) SampleInto(out relation.Tuple, rowOf []int, g *rng.RNG) bool {
+// attempt is one accept/reject walk into caller-owned scratch. Every
+// accepted walk is a uniform draw from the join result: the probability
+// of a particular result is 1/(|R_root| · Π M) regardless of the path
+// taken.
+func (e *EO) attempt(out relation.Tuple, rowOf []int, g *rng.RNG) bool {
 	nodes := e.j.Nodes()
 	root := nodes[0].Rel
 	r0, ok := liveRoot(root, g)
@@ -74,13 +70,13 @@ func (e *EO) SampleInto(out relation.Tuple, rowOf []int, g *rng.RNG) bool {
 	return finishResidual(e.j, out, g)
 }
 
-// SampleManyInto implements Sampler's batch draw: the accept/reject
-// walk loop runs inside one call — EO's rejection rate grows with
-// skew, so amortizing the per-attempt call overhead matters most here.
+// SampleManyInto implements Sampler: the accept/reject walk loop runs
+// inside one call — EO's rejection rate grows with skew, so amortizing
+// the per-attempt call overhead matters most here.
 func (e *EO) SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int) {
 	for filled < len(out) && tries < maxTries {
 		tries++
-		if e.SampleInto(out[filled], rowOf, g) {
+		if e.attempt(out[filled], rowOf, g) {
 			filled++
 		}
 	}
@@ -117,22 +113,8 @@ func (w *WJ) Join() *join.Join { return w.j }
 // normalization constant.
 func (w *WJ) SizeEstimate() float64 { return w.bound }
 
-// Sample implements Sampler.
-func (w *WJ) Sample(g *rng.RNG) (relation.Tuple, bool) {
-	return sampleAlloc(w.j, w.SampleInto, g)
-}
-
-// SampleInto implements Sampler without allocating.
-func (w *WJ) SampleInto(out relation.Tuple, rowOf []int, g *rng.RNG) bool {
-	p, ok := w.walker.WalkInto(out, rowOf, g)
-	if !ok {
-		return false
-	}
-	return g.Bernoulli(1 / (p * w.bound))
-}
-
-// SampleManyInto implements Sampler's batch draw: wander-join walks
-// with the analytic 1/(p(t)·B) thinning in one tight loop.
+// SampleManyInto implements Sampler: wander-join walks with the
+// analytic 1/(p(t)·B) thinning in one tight loop.
 func (w *WJ) SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int) {
 	for filled < len(out) && tries < maxTries {
 		tries++
@@ -179,9 +161,9 @@ func (w *Walker) Walk(g *rng.RNG) (relation.Tuple, float64, bool) {
 // total, and returns the number of successful walks and the attempts
 // consumed. Dead walks (dangling tuples) cost an attempt and fill
 // nothing. It serves single-join batch consumers (bulk
-// Horvitz–Thompson estimation, the batch-vs-sequential property
-// tests); the union engines deliberately keep per-walk stepping, since
-// each walk's estimate update must feed the next draw's parameters.
+// Horvitz–Thompson estimation); the union engines deliberately keep
+// per-walk stepping, since each walk's estimate update must feed the
+// next draw's parameters.
 func (w *Walker) WalkManyInto(out []relation.Tuple, probs []float64, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int) {
 	for filled < len(out) && tries < maxTries {
 		tries++

@@ -12,9 +12,9 @@ import (
 
 // TestShardedMatchesReference is the sharded engine's distribution
 // property test: over randomized scenarios, a session prepared with
-// Options.Shards >= 2 must produce draws — sequential and batch — that
-// are membership-exact and chi-square-uniform against the brute-force
-// reference, and a two-sample chi-square against an unsharded session
+// Options.Shards >= 2 must produce draws that are membership-exact and
+// chi-square-uniform against the brute-force reference, and a
+// two-sample chi-square against an unsharded session
 // of the same union must not distinguish them. Both checks run
 // statically and again after a random mutation burst plus Refresh
 // (which drives the per-shard delta path, and the full re-partition
@@ -60,22 +60,17 @@ func TestShardedMatchesReference(t *testing.T) {
 			}
 			label := fmt.Sprintf("seed %d (%s, %d shards) phase %d", seed, sc.name, shards, phase)
 			n := drawCount(len(union))
-			batchDraws, _, err := sharded.SampleBatchSeeded(n, seed*11+1)
+			draws, _, err := sharded.SampleSeeded(n, seed*11+1)
 			if err != nil {
-				t.Fatalf("%s: sharded batch: %v", label, err)
+				t.Fatalf("%s: sharded: %v", label, err)
 			}
-			seqDraws, _, err := sharded.SampleSeeded(n, seed*13+2)
+			checkDraws(t, label, draws, UniformWeights(union), true)
+			// Directly against the unsharded session.
+			flatDraws, _, err := flat.SampleSeeded(n, seed*17+3)
 			if err != nil {
-				t.Fatalf("%s: sharded sequential: %v", label, err)
+				t.Fatalf("%s: flat: %v", label, err)
 			}
-			checkDraws(t, label+" batch", batchDraws, UniformWeights(union), true)
-			checkDraws(t, label+" sequential", seqDraws, UniformWeights(union), true)
-			// Directly against the unsharded engine.
-			flatDraws, _, err := flat.SampleBatchSeeded(n, seed*17+3)
-			if err != nil {
-				t.Fatalf("%s: flat batch: %v", label, err)
-			}
-			stat, df := twoSampleChi(countDraws(batchDraws), countDraws(flatDraws))
+			stat, df := twoSampleChi(countDraws(draws), countDraws(flatDraws))
 			if crit := ChiSquareCritical(df, chiZ); stat > crit {
 				t.Fatalf("%s: two-sample chi-square %0.1f > %0.1f (df %d): sharded and unsharded draws differ in distribution",
 					label, stat, crit, df)
@@ -137,52 +132,37 @@ func TestShardedRefreshAfterLostLogTail(t *testing.T) {
 		t.Fatal("mutated union empty; scenario drifted")
 	}
 	n := drawCount(len(union))
-	batch, _, err := sess.SampleBatchSeeded(n, 71)
+	draws, _, err := sess.SampleSeeded(n, 71)
 	if err != nil {
-		t.Fatalf("post-rebuild batch: %v", err)
+		t.Fatalf("post-rebuild draw: %v", err)
 	}
-	seq, _, err := sess.SampleSeeded(n, 73)
-	if err != nil {
-		t.Fatalf("post-rebuild sequential: %v", err)
-	}
-	checkDraws(t, "lost-tail rebuild batch", batch, UniformWeights(union), true)
-	checkDraws(t, "lost-tail rebuild sequential", seq, UniformWeights(union), true)
+	checkDraws(t, "lost-tail rebuild", draws, UniformWeights(union), true)
 }
 
 // TestShardedDeterministicAcrossWorkers pins the sharded determinism
-// contract: the merged batch stream must be bit-identical no matter how
-// the per-shard sub-batches are scheduled, so two sessions prepared
-// with the same seed and shard count agree draw for draw.
+// contract: the merged stream must be bit-identical no matter how the
+// per-shard sub-batches are scheduled, so two sessions prepared with
+// the same seed and shard count agree draw for draw.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	sc := buildScenario(t, 0) // chain2x2
 	sc.ensureNonEmpty()
-	mk := func() ([]relation.Tuple, []relation.Tuple) {
+	mk := func() []relation.Tuple {
 		sess, err := sc.union.Prepare(su.Options{
 			Seed: 7, Warmup: su.WarmupExact, Method: su.MethodEW, Shards: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := sess.SampleBatchSeeded(500, 99)
+		out, _, err := sess.SampleSeeded(500, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, _, err := sess.SampleSeeded(100, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, q
+		return out
 	}
-	b1, q1 := mk()
-	b2, q2 := mk()
-	for i := range b1 {
-		if !b1[i].Equal(b2[i]) {
-			t.Fatalf("batch draw %d differs across identically-prepared sessions: %v vs %v", i, b1[i], b2[i])
-		}
-	}
-	for i := range q1 {
-		if !q1[i].Equal(q2[i]) {
-			t.Fatalf("sequential draw %d differs across identically-prepared sessions: %v vs %v", i, q1[i], q2[i])
+	d1, d2 := mk(), mk()
+	for i := range d1 {
+		if !d1[i].Equal(d2[i]) {
+			t.Fatalf("draw %d differs across identically-prepared sessions: %v vs %v", i, d1[i], d2[i])
 		}
 	}
 }
@@ -240,11 +220,11 @@ func TestShardedConcurrentDrawsMutationsRefresh(t *testing.T) {
 	}()
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
-		go func(w int) { // drawers: batch (shard fan-out) and sequential
+		go func(w int) { // drawers: seeded and auto-seeded streams
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if _, _, err := sess.SampleBatchSeeded(16, int64(w*1000+i)); err != nil {
-					t.Errorf("batch draw: %v", err)
+				if _, _, err := sess.SampleSeeded(16, int64(w*1000+i)); err != nil {
+					t.Errorf("seeded draw: %v", err)
 					return
 				}
 				if _, _, err := sess.Sample(4); err != nil {
@@ -259,7 +239,7 @@ func TestShardedConcurrentDrawsMutationsRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	union, _ := sc.reference()
-	out, _, err := sess.SampleBatchSeeded(400, 5)
+	out, _, err := sess.SampleSeeded(400, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,10 +65,19 @@ type AckRequest struct {
 // durable in the follower's own WAL before they are acked; Checkpoint,
 // when set, anchors a snapshot restored by resync so the follower's
 // WAL chain stays contiguous across its own restarts.
+//
+// Mu is the lock the sibling targets of one session share. A Refresh
+// re-reads every relation of the session, so it must never run while a
+// sibling's replicator is mid-append: the replicator holds Mu while it
+// applies a record, across a flush (Commit + Refresh), and across a
+// resync's restore + Checkpoint + Refresh — the same append → Refresh
+// order the primary's wire append path keeps. The callbacks run with Mu
+// held. A nil Mu gets a private lock (a target with no siblings).
 type Target struct {
 	Session    string
 	Relation   string
 	Rel        *relation.Relation
+	Mu         sync.Locker
 	Refresh    func() error
 	Commit     func() error
 	Checkpoint func() error
@@ -143,6 +152,9 @@ func (f *Follower) Add(t Target) {
 	defer f.mu.Unlock()
 	if f.closed || f.reps[key] != nil {
 		return
+	}
+	if t.Mu == nil {
+		t.Mu = new(sync.Mutex)
 	}
 	r := &replicator{f: f, t: t, rng: rand.New(rand.NewSource(int64(f.opt.Seed) ^ int64(len(f.reps)+1)))}
 	f.reps[key] = r
@@ -326,11 +338,17 @@ func (r *replicator) streamOnce() error {
 	if err != nil {
 		return err
 	}
+	// Dead-peer watchdog: the response header and then any frame
+	// (heartbeats included) reset it; 4 silent heartbeat periods cancel
+	// the request.
+	watchdog := time.AfterFunc(4*opt.Heartbeat, cancel)
+	defer watchdog.Stop()
 	resp, err := opt.Client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	watchdog.Reset(4 * opt.Heartbeat)
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusConflict:
@@ -343,13 +361,9 @@ func (r *replicator) streamOnce() error {
 	r.setConnected(true)
 	defer r.setConnected(false)
 
-	// Dead-peer watchdog: any frame (heartbeats included) resets it; 4
-	// silent heartbeat periods cancels the request.
-	watchdog := time.AfterFunc(4*opt.Heartbeat, cancel)
-	defer watchdog.Stop()
-
 	fr := NewFrameReader(resp.Body)
 	pending := 0
+	stale := 0 // consecutive heartbeats ahead of us with no record between
 	for {
 		seq, payload, err := fr.Next()
 		if err != nil {
@@ -378,9 +392,23 @@ func (r *replicator) streamOnce() error {
 				return err
 			}
 			r.maybeAck()
+			// The primary's cursor only moves forward: records it shipped
+			// that never reached us (a transport that loses bytes at frame
+			// granularity raises no error, and nothing follows the last
+			// record to expose the gap) are not sent again on this stream.
+			// A head that stays ahead for as long as a dead peer would be
+			// silent means just that; resume from the applied position.
+			if applied := r.t.Rel.Version(); seq <= applied {
+				stale = 0
+			} else if stale++; stale >= 4 {
+				return fmt.Errorf("repl: head %d ahead of applied %d and no records arriving", seq, applied)
+			}
 			continue
 		}
+		stale = 0
+		r.t.Mu.Lock()
 		out, aerr := wal.ApplyRecord(r.t.Rel, seq, payload)
+		r.t.Mu.Unlock()
 		if aerr != nil {
 			// A seq gap, or a record that contradicts local state:
 			// either way the WAL stream cannot reconcile us.
@@ -413,6 +441,8 @@ func (r *replicator) flush(pending *int) error {
 		return nil
 	}
 	*pending = 0
+	r.t.Mu.Lock()
+	defer r.t.Mu.Unlock()
 	if r.t.Commit != nil {
 		if err := r.t.Commit(); err != nil {
 			return fmt.Errorf("repl: follower commit: %w", err)
@@ -445,20 +475,21 @@ func (r *replicator) resync() error {
 	if err != nil {
 		return err
 	}
+	// Same dead-peer watchdog as the stream: a snapshot whose header or
+	// body stops making progress for ~4 heartbeat periods is a dead
+	// transfer — abandon it and retry with backoff rather than hold the
+	// 2-minute outer deadline.
+	watchdog := time.AfterFunc(4*opt.Heartbeat, cancel)
+	defer watchdog.Stop()
 	resp, err := opt.Client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	watchdog.Reset(4 * opt.Heartbeat)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("repl: snapshot: %s", resp.Status)
 	}
-	// Same dead-peer watchdog as the stream: a snapshot body that stops
-	// making progress for ~4 heartbeat periods is a dead transfer —
-	// abandon it and retry with backoff rather than hold the 2-minute
-	// outer deadline.
-	watchdog := time.AfterFunc(4*opt.Heartbeat, cancel)
-	defer watchdog.Stop()
 	var raw []byte
 	chunk := make([]byte, 64<<10)
 	for {
@@ -488,6 +519,8 @@ func (r *replicator) resync() error {
 		r.mu.Unlock()
 		return fmt.Errorf("repl: snapshot version %d behind local %d: diverged", sd.Version, r.t.Rel.Version())
 	}
+	r.t.Mu.Lock()
+	defer r.t.Mu.Unlock()
 	if err := r.t.Rel.RestoreSnapshot(sd); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -368,6 +369,62 @@ func TestReplicationReconnectsAndResumes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(frel.Tuples(), n.rel.Tuples()) {
 		t.Fatal("follower diverged across reconnect")
+	}
+}
+
+// TestReplicationResumesFromSilentLoss: the first stream fails without
+// any transport error — either its response header never arrives, or it
+// delivers only heartbeats because every record the primary shipped on
+// it was lost in transit, with nothing following to expose a sequence
+// gap. The follower must give up on that stream within a few heartbeat
+// periods, reconnect, and resume from its applied position; the WAL
+// still holds the records, so no resync.
+func TestReplicationResumesFromSilentLoss(t *testing.T) {
+	const hb = 5 * time.Millisecond
+	firstStream := map[string]func(n *primaryNode, w http.ResponseWriter, r *http.Request){
+		"no response header": func(_ *primaryNode, _ http.ResponseWriter, r *http.Request) {
+			<-r.Context().Done()
+		},
+		"heartbeats only": func(n *primaryNode, w http.ResponseWriter, r *http.Request) {
+			for r.Context().Err() == nil {
+				w.Write(AppendHeartbeat(nil, n.rel.Version()))
+				w.(http.Flusher).Flush()
+				time.Sleep(hb)
+			}
+		},
+	}
+	for name, first := range firstStream {
+		t.Run(name, func(t *testing.T) {
+			n := newPrimaryNode(t, hb)
+			n.appendRows(t, 10)
+			var streams atomic.Int32
+			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.URL.Path != "/repl/stream":
+				case streams.Add(1) == 1:
+					first(n, w, r)
+				default:
+					n.hub.ServeStream(w, r)
+				}
+			}))
+			defer front.Close()
+
+			frel := relation.New("t", relation.NewSchema("a", "b"))
+			f := NewFollower(Options{
+				Primary: front.URL, Client: front.Client(), FollowerID: "f1",
+				Heartbeat: hb, BackoffMin: hb, BackoffMax: 10 * hb, Logf: t.Logf,
+			})
+			f.Add(Target{Session: "sess", Relation: "t", Rel: frel})
+			defer f.Close()
+
+			waitUntil(t, "catch-up on the second stream", func() bool { return frel.Version() == n.rel.Version() })
+			if !reflect.DeepEqual(frel.Tuples(), n.rel.Tuples()) {
+				t.Fatal("follower tuples differ from primary")
+			}
+			if ts := f.Snapshot().Targets[0]; ts.Resyncs != 0 {
+				t.Fatalf("resyncs = %d; a resumable loss must not resync", ts.Resyncs)
+			}
+		})
 	}
 }
 

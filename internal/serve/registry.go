@@ -35,9 +35,10 @@ type Entry struct {
 	mutated atomic.Bool
 
 	// appendMu orders append→refresh pairs so two concurrent ingest
-	// calls cannot interleave their refreshes with each other's
-	// appends (draws never take it; they read the session's current
-	// generation lock-free).
+	// calls — wire appends on a primary, sibling replicators' frame
+	// applies on a follower, an explicit /refresh — cannot interleave a
+	// Refresh with another's append (draws never take it; they read the
+	// session's current generation lock-free).
 	appendMu sync.Mutex
 
 	// durable is the entry's WAL + checkpoint state (nil when the

@@ -198,7 +198,9 @@ func (s *Server) syncFollowTargets() {
 
 // followEntry pins an entry (replicators hold its relations; eviction
 // would orphan them) and registers one replication target per
-// relation.
+// relation. The targets share the entry's appendMu, so a sibling's
+// frame apply never interleaves with a Refresh of the shared session —
+// the order the wire append path keeps on the primary.
 func (s *Server) followEntry(e *Entry) {
 	e.pinned.Store(true)
 	for name, rel := range e.Rels {
@@ -206,11 +208,8 @@ func (s *Server) followEntry(e *Entry) {
 			Session:  e.Key,
 			Relation: name,
 			Rel:      rel,
+			Mu:       &e.appendMu,
 			Refresh: func() error {
-				// Replicators of sibling relations refresh the shared
-				// session; appendMu orders them like wire appends.
-				e.appendMu.Lock()
-				defer e.appendMu.Unlock()
 				e.mutated.Store(true)
 				return e.Sess.Refresh()
 			},

@@ -253,11 +253,20 @@ func TestReplicationChaosConvergence(t *testing.T) {
 	if err := sF.StartFollower(25 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	// Let the follower discover and prepare the session over a clean
-	// link, then unleash the storm on the stream itself.
+	// Let the follower discover and prepare the session and open its
+	// streams over a clean link, then unleash the storm on the streams
+	// themselves.
+	nationTarget := func() (ts repl.TargetSnapshot) {
+		for _, ts = range sF.follower.Snapshot().Targets {
+			if ts.Relation == "nation" {
+				return ts
+			}
+		}
+		return repl.TargetSnapshot{}
+	}
 	waitFor(t, "follower session prepare", func() bool {
 		e, ok := sF.Registry().Lookup(key)
-		return ok && e.Rels["nation"].Version() >= baseVersion
+		return ok && e.Rels["nation"].Version() >= baseVersion && nationTarget().Connected
 	})
 	eF, _ := sF.Registry().Lookup(key)
 	fi.Enable()
@@ -308,6 +317,11 @@ func TestReplicationChaosConvergence(t *testing.T) {
 	if got := eP.Rels["nation"].Version(); got != wantVersion {
 		t.Fatalf("primary version %d, want %d (idempotent resends must not double)", got, wantVersion)
 	}
+	defer func() {
+		if t.Failed() {
+			t.Logf("primary at version %d; follower's nation stream: %+v", wantVersion, nationTarget())
+		}
+	}()
 	waitFor(t, "follower convergence", func() bool {
 		return eF.Rels["nation"].Version() == wantVersion
 	})
@@ -361,13 +375,88 @@ func TestReplicationChaosConvergence(t *testing.T) {
 	if fm.Replication == nil || fm.Replication.Role != "follower" || len(fm.Replication.Follower.Targets) == 0 {
 		t.Fatalf("follower metrics replication block: %+v", fm.Replication)
 	}
-	ts := fm.Replication.Follower.Targets[0]
+	// The appended relation's stream was up before the storm and caught
+	// up after the restart, so it connected at least twice. (Its idle
+	// siblings may still be backing off.)
+	ts := nationTarget()
 	if ts.Reconnects < 2 {
-		t.Fatalf("reconnects = %d, want >= 2 (storm + primary restart)", ts.Reconnects)
+		t.Fatalf("reconnects = %d, want >= 2 (initial + primary restart)", ts.Reconnects)
 	}
 	if ts.LagRecords != 0 {
 		t.Fatalf("lag_records = %d after convergence", ts.LagRecords)
 	}
 	t.Logf("chaos: faults=%+v reconnects=%d resyncs=%d duplicates=%d",
 		st, ts.Reconnects, ts.Resyncs, ts.Duplicates)
+}
+
+// TestFollowerCatchUpAcrossSiblingRelations is the regression test for
+// the follower crash on multi-relation catch-up: the primary takes
+// interleaved appends on several relations of one session, then a fresh
+// follower replays all of their logs at once — one replicator per
+// relation, each flushing (Commit + Session.Refresh) at its own
+// wire-idle boundaries. A Refresh re-reads every relation of the
+// session; before sibling targets shared the entry's lock, one
+// replicator's Refresh ran while its siblings were mid-append and
+// Join.ExactWeights indexed past a weight slice sized from an earlier
+// Rel.Len(). The follower must converge without a panic and answer
+// seeded draws byte-identically to the primary.
+func TestFollowerCatchUpAcrossSiblingRelations(t *testing.T) {
+	decl := quickDecl()
+	key, _ := decl.Key()
+
+	sP, tsP := startServerAt(t, "", replCfg(t.TempDir()))
+	defer func() {
+		sP.Close()
+		tsP.Close()
+	}()
+	seededDraw(t, tsP.URL, decl, 2, 1)
+	eP, _ := sP.Registry().Lookup(key)
+	rels := []string{"nation", "supplier_v0", "customer_v0", "orders_v0"}
+	for _, name := range rels {
+		if eP.Rels[name] == nil {
+			t.Fatalf("UQ1 has no relation %q", name)
+		}
+	}
+	// Many small frames per relation, interleaved, so every replicator
+	// is still applying while its siblings flush.
+	const rounds = 150
+	for i := 0; i < rounds; i++ {
+		for _, name := range rels {
+			row := make([]int64, eP.Rels[name].Arity())
+			for c := range row {
+				row[c] = int64(500000 + i)
+			}
+			var ap appendResponse
+			if code := post(t, tsP.URL+"/relation/"+name+"/append", appendRequest{Union: decl, Rows: [][]int64{row}}, &ap); code != http.StatusOK {
+				t.Fatalf("append %d to %s: status %d", i, name, code)
+			}
+		}
+	}
+
+	fcfg := replCfg(t.TempDir())
+	fcfg.FollowPrimary = tsP.URL
+	sF, tsF := startServerAt(t, "", fcfg)
+	defer func() {
+		sF.Close()
+		tsF.Close()
+	}()
+	if err := sF.StartFollower(25 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "follower catch-up on every relation", func() bool {
+		eF, ok := sF.Registry().Lookup(key)
+		if !ok {
+			return false
+		}
+		for name, rel := range eP.Rels {
+			if eF.Rels[name].Version() != rel.Version() {
+				return false
+			}
+		}
+		return true
+	})
+	wantDraw := seededDraw(t, tsP.URL, decl, 32, 4242)
+	waitFor(t, "seeded draw convergence", func() bool {
+		return reflect.DeepEqual(seededDraw(t, tsF.URL, decl, 32, 4242), wantDraw)
+	})
 }

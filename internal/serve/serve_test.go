@@ -108,6 +108,30 @@ func TestRegistrySingleWarmup(t *testing.T) {
 	}
 }
 
+// TestDeclKeyAllocationBounded: every request keys its declaration
+// (Registry.Get), so Key must not pay the spec scanner's 1 MiB line
+// limit up front — for workload declarations (empty spec) or short
+// inline specs alike.
+func TestDeclKeyAllocationBounded(t *testing.T) {
+	decls := map[string]UnionDecl{
+		"workload": quickDecl(),
+		"spec":     {Spec: "rel x x.csv\nchain J x k x", Options: OptionsDecl{Seed: 1}},
+	}
+	for name, d := range decls {
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Key(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got > 64<<10 {
+			t.Errorf("%s: Key() allocates %d B/op, want <= 64 KiB", name, got)
+		}
+	}
+}
+
 // TestDeclKeyCanonicalization pins that formatting and default-filling
 // do not split keys, while real differences do.
 func TestDeclKeyCanonicalization(t *testing.T) {

@@ -447,17 +447,17 @@ func (s *Server) handleSample(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A request for n tuples is one batch call into the engine, not n
+	// A request for n tuples is one call into the engine, not n
 	// per-draw calls; SampleParallel shards into batches per worker.
 	start := time.Now()
 	var tuples []sampleunion.Tuple
 	switch {
 	case req.Seed != nil:
-		tuples, _, err = e.Sess.SampleBatchSeeded(req.N, *req.Seed)
+		tuples, _, err = e.Sess.SampleSeeded(req.N, *req.Seed)
 	case req.Workers > 1:
 		tuples, err = e.Sess.SampleParallel(req.N, req.Workers)
 	default:
-		tuples, _, err = e.Sess.SampleBatch(req.N)
+		tuples, _, err = e.Sess.Sample(req.N)
 	}
 	if err != nil {
 		return nil, err
@@ -489,9 +489,9 @@ func (s *Server) handleSampleWhere(r *http.Request) (any, error) {
 	start := time.Now()
 	var tuples []sampleunion.Tuple
 	if req.Seed != nil {
-		tuples, _, err = e.Sess.SampleWhereBatchSeeded(req.N, pred, *req.Seed)
+		tuples, _, err = e.Sess.SampleWhereSeeded(req.N, pred, *req.Seed)
 	} else {
-		tuples, _, err = e.Sess.SampleWhereBatch(req.N, pred)
+		tuples, _, err = e.Sess.SampleWhere(req.N, pred)
 	}
 	if err != nil {
 		return nil, err
@@ -666,6 +666,8 @@ func (s *Server) handleRefresh(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.appendMu.Lock()
+	defer e.appendMu.Unlock()
 	stale := e.Sess.Stale()
 	if err := e.Sess.Refresh(); err != nil {
 		return nil, err

@@ -19,7 +19,7 @@ import (
 // callers that need full validation Parse separately.
 func Canonical(r io.Reader) (string, error) {
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	scanner.Buffer(nil, maxLineBytes)
 	var b strings.Builder
 	for scanner.Scan() {
 		line := scanner.Text()

@@ -1,9 +1,36 @@
 package spec
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 )
+
+// TestLineLimit pins the 1 MiB line limit at its boundary: the longest
+// line the scanner's grown buffer can hold (terminator included) still
+// canonicalizes and parses its way to a statement error, one more byte
+// is bufio.ErrTooLong from both entry points.
+func TestLineLimit(t *testing.T) {
+	fits := strings.Repeat("x", maxLineBytes-1) + "\n"
+	got, err := Canonical(strings.NewReader(fits))
+	if err != nil {
+		t.Fatalf("line of %d bytes: %v", len(fits), err)
+	}
+	if got != fits {
+		t.Fatalf("canonical form of a %d-byte line has %d bytes", len(fits), len(got))
+	}
+	if _, err := Parse(strings.NewReader(fits), nil); err == nil || errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("Parse of a %d-byte line: err = %v, want an unknown-statement error", len(fits), err)
+	}
+	tooLong := "x" + fits
+	if _, err := Canonical(strings.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("Canonical of a %d-byte line: err = %v, want bufio.ErrTooLong", len(tooLong), err)
+	}
+	if _, err := Parse(strings.NewReader(tooLong), nil); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("Parse of a %d-byte line: err = %v, want bufio.ErrTooLong", len(tooLong), err)
+	}
+}
 
 func TestCanonicalNormalizesFormatting(t *testing.T) {
 	a := `

@@ -45,11 +45,17 @@ type Union struct {
 	Joins     []*join.Join
 }
 
+// maxLineBytes bounds one spec line, terminator included. The scanner
+// grows its buffer up to the bound on demand — handing it the maximum up
+// front would cost every Canonical call (one per HTTP request, through
+// UnionDecl.Key) a 1 MiB allocation.
+const maxLineBytes = 1 << 20
+
 // Parse reads a specification, loading relations through the loader.
 func Parse(r io.Reader, load Loader) (*Union, error) {
 	u := &Union{Relations: make(map[string]*relation.Relation)}
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	scanner.Buffer(nil, maxLineBytes)
 	lineNo := 0
 	for scanner.Scan() {
 		lineNo++

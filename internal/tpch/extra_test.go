@@ -73,14 +73,15 @@ func TestWorkloadsSampleable(t *testing.T) {
 	}
 	for name, w := range ws {
 		for _, m := range []core.JoinMethod{core.MethodEW, core.MethodEO} {
-			s, err := core.NewCoverSampler(w.Joins, core.CoverConfig{
+			g := rng.New(3)
+			p, err := core.PrepareCover(w.Joins, core.CoverConfig{
 				Method:    m,
 				Estimator: &core.HistogramEstimator{Joins: w.Joins},
-			})
+			}, g)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, m, err)
 			}
-			out, err := s.Sample(100, rng.New(3))
+			out, err := p.NewRun().Sample(100, g)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, m, err)
 			}

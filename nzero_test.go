@@ -56,8 +56,8 @@ func TestSampleZeroIsEmpty(t *testing.T) {
 		{"Session.SampleParallel", func() (int, error) { ts, err := sess.SampleParallel(0, 4); return len(ts), err }},
 		{"Session.SampleBatch", func() (int, error) { ts, st, err := sess.SampleBatch(0); mustStats(t, st); return len(ts), err }},
 		{"Session.SampleBatchSeeded", func() (int, error) { ts, _, err := sess.SampleBatchSeeded(0, 3); return len(ts), err }},
-		{"Session.SampleDisjointBatch", func() (int, error) { ts, _, err := sess.SampleDisjointBatch(0); return len(ts), err }},
-		{"Session.SampleWhereBatch", func() (int, error) { ts, _, err := sess.SampleWhereBatch(0, pred); return len(ts), err }},
+		{"Session.SampleDisjointSeeded", func() (int, error) { ts, _, err := sess.SampleDisjointSeeded(0, 3); return len(ts), err }},
+		{"Session.SampleWhereBatchSeeded", func() (int, error) { ts, _, err := sess.SampleWhereBatchSeeded(0, pred, 3); return len(ts), err }},
 	}
 	for _, c := range calls {
 		got, err := c.run()
@@ -98,15 +98,14 @@ func TestSampleNegativeIsError(t *testing.T) {
 		"Session.SampleWhere":    func() error { _, _, err := sess.SampleWhere(-1, pred); return err },
 		"Session.SampleParallel": func() error { _, err := sess.SampleParallel(-1, 4); return err },
 		"Session.SampleBatch":    func() error { _, _, err := sess.SampleBatch(-1); return err },
-		"Session.SampleDisjointBatch": func() error {
-			_, _, err := sess.SampleDisjointBatch(-1)
+		"Session.SampleWhereBatchSeeded": func() error {
+			_, _, err := sess.SampleWhereBatchSeeded(-1, pred, 3)
 			return err
 		},
-		"Session.SampleWhereBatch": func() error { _, _, err := sess.SampleWhereBatch(-1, pred); return err },
-		"Session.ApproxCount":      func() error { _, err := sess.ApproxCount(pred, -1); return err },
-		"Session.ApproxSum":        func() error { _, err := sess.ApproxSum("c", pred, -1); return err },
-		"Session.ApproxAvg":        func() error { _, err := sess.ApproxAvg("c", pred, -1); return err },
-		"Session.ApproxGroup":      func() error { _, err := sess.ApproxGroupCount("a", -1); return err },
+		"Session.ApproxCount": func() error { _, err := sess.ApproxCount(pred, -1); return err },
+		"Session.ApproxSum":   func() error { _, err := sess.ApproxSum("c", pred, -1); return err },
+		"Session.ApproxAvg":   func() error { _, err := sess.ApproxAvg("c", pred, -1); return err },
+		"Session.ApproxGroup": func() error { _, err := sess.ApproxGroupCount("a", -1); return err },
 	}
 	for name, run := range calls {
 		err := run()

@@ -37,9 +37,9 @@ func (u *Union) Estimate(o Options) (*Estimate, error) {
 // SampleParallel draws n tuples using the given number of worker
 // goroutines. It prepares a Session (one warm-up total, shared by every
 // worker) and fans out over it: each worker draws one shard-sized
-// batch (the batch engine, SampleBatchSeeded) on its own decorrelated
-// stream, so worker streams are uniform and independent, and hence so
-// is their concatenation.
+// batch (SampleSeeded) on its own decorrelated stream, so worker
+// streams are uniform and independent, and hence so is their
+// concatenation.
 //
 // SampleParallel is a prepare-then-call wrapper; callers issuing more
 // than one query should Prepare once and use Session.SampleParallel.

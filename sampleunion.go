@@ -238,8 +238,8 @@ type Options struct {
 	// digests — but they differ from non-auto streams under the same
 	// seed.
 	Auto bool
-	// Warmup selects the parameter estimation method (default
-	// WarmupRandomWalk). Ignored with Auto.
+	// Warmup selects the parameter estimation method (default: the zero
+	// value, WarmupHistogram). Ignored with Auto.
 	Warmup Warmup
 	// Method selects the join subroutine (default MethodEW). Ignored
 	// with Auto.
@@ -256,13 +256,6 @@ type Options struct {
 	// instead of the paper's dynamic record; exactly uniform from the
 	// first sample, but needs per-relation indexes.
 	Oracle bool
-	// DetailedTiming wall-clocks every individual draw when filling the
-	// Stats time fields. By default timing is coarse-grained: draws are
-	// always counted exactly, but the clock is read only once per
-	// core.TimingStride draws and scaled, keeping time.Now out of the
-	// sampling inner loop (Stats.TimingSampled reports which mode a run
-	// used).
-	DetailedTiming bool
 	// Seed makes sampling reproducible (default 1). It seeds the
 	// warm-up, and a prepared Session derives a decorrelated per-call
 	// stream from it (see Session.SampleSeeded for explicit streams).
@@ -274,12 +267,11 @@ type Options struct {
 	// one sampler is prepared per shard (warm-ups run in parallel), and
 	// each draw selects a shard proportionally to its estimated union
 	// size before sampling uniformly within it — the union of shards
-	// drawn exactly like the paper draws from a union of joins. Batch
-	// draws fan per-shard sub-batches out to a worker pool and merge
-	// without cross-shard locks.
+	// drawn exactly like the paper draws from a union of joins. Draws
+	// fan per-shard sub-batches out to a worker pool and merge without
+	// cross-shard locks.
 	//
-	// 0 or 1 keeps the single-shard engine — the default fast path,
-	// with streams byte-identical to previous releases. ShardsAuto (or
+	// 0 or 1 keeps the single-shard engine, the default. ShardsAuto (or
 	// any negative value) resolves to runtime.GOMAXPROCS(0). Sharded
 	// streams are themselves deterministic for a fixed seed and shard
 	// count, but differ from single-shard streams under the same seed.
@@ -432,18 +424,16 @@ func shardFactory(o Options) core.ShardFactory {
 		}
 		if o.Online {
 			return core.PrepareOnline(joins, core.OnlineConfig{
-				WarmupWalks:    walks,
-				Oracle:         o.Oracle,
-				DetailedTiming: o.DetailedTiming,
-				Tuner:          ctrl,
+				WarmupWalks: walks,
+				Oracle:      o.Oracle,
+				Tuner:       ctrl,
 			}, g)
 		}
 		return core.PrepareCover(joins, core.CoverConfig{
-			Method:         core.JoinMethod(o.Method),
-			Estimator:      estimatorFor(joins, o, walks),
-			Oracle:         o.Oracle,
-			DetailedTiming: o.DetailedTiming,
-			Tuner:          ctrl,
+			Method:    core.JoinMethod(o.Method),
+			Estimator: estimatorFor(joins, o, walks),
+			Oracle:    o.Oracle,
+			Tuner:     ctrl,
 		}, g)
 	}
 }
@@ -483,8 +473,7 @@ func (u *Union) SampleDisjoint(n int, o Options) ([]Tuple, *Stats, error) {
 	}
 	o = o.withDefaults()
 	shared, err := core.PrepareDisjoint(u.joins, core.DisjointConfig{
-		Method:         core.JoinMethod(o.Method),
-		DetailedTiming: o.DetailedTiming,
+		Method: core.JoinMethod(o.Method),
 	})
 	if err != nil {
 		return nil, nil, err

@@ -112,18 +112,16 @@ func (u *Union) prepare(o Options, prewarm bool) (*Session, error) {
 		}, g)
 	} else if o.Online {
 		prepared, err = core.PrepareOnline(u.joins, core.OnlineConfig{
-			WarmupWalks:    o.WarmupWalks,
-			Oracle:         o.Oracle,
-			DetailedTiming: o.DetailedTiming,
-			Tuner:          tuner,
+			WarmupWalks: o.WarmupWalks,
+			Oracle:      o.Oracle,
+			Tuner:       tuner,
 		}, g)
 	} else {
 		prepared, err = core.PrepareCover(u.joins, core.CoverConfig{
-			Method:         core.JoinMethod(o.Method),
-			Estimator:      u.estimator(o),
-			Oracle:         o.Oracle,
-			DetailedTiming: o.DetailedTiming,
-			Tuner:          tuner,
+			Method:    core.JoinMethod(o.Method),
+			Estimator: u.estimator(o),
+			Oracle:    o.Oracle,
+			Tuner:     tuner,
 		}, g)
 	}
 	if err != nil {
@@ -243,12 +241,11 @@ func (s *Session) disjointShared(st *sessionState) (*core.DisjointShared, error)
 	st.disjointOnce.Do(func() {
 		if s.opts.Shards > 1 || (s.opts.Online && core.JoinMethod(s.opts.Method) != core.MethodEO) {
 			st.disjoint, st.disjointErr = core.PrepareDisjoint(s.u.joins, core.DisjointConfig{
-				Method:         core.JoinMethod(s.opts.Method),
-				DetailedTiming: s.opts.DetailedTiming,
+				Method: core.JoinMethod(s.opts.Method),
 			})
 			return
 		}
-		st.disjoint, st.disjointErr = core.PrepareDisjointFrom(st.prepared, s.opts.DetailedTiming)
+		st.disjoint, st.disjointErr = core.PrepareDisjointFrom(st.prepared)
 	})
 	return st.disjoint, st.disjointErr
 }
@@ -336,6 +333,61 @@ func (s *Session) nextSeed() int64 {
 	return core.DeriveSeed(s.opts.Seed, s.nextStream())
 }
 
+// drawSpec is one sampling request — what every public sampling and
+// aggregate method reduces to.
+type drawSpec struct {
+	n    int
+	seed int64 // the run's RNG stream: caller-supplied, or reserved by nextSeed
+	// disjoint draws from the disjoint union (Definition 1) instead of
+	// the set union.
+	disjoint bool
+	// pred, when non-nil, conditions set-union draws on a predicate
+	// (§8.3's sampling-time enforcement).
+	pred Predicate
+}
+
+// draw is the session's one draw path: validate n, load (or
+// auto-refresh) the state generation, mint a run on the spec's stream,
+// draw, and feed the run's counters to the adaptive controller. It
+// returns the tuples, the run's statistics (warm-up time excluded: it
+// was paid once at Prepare) and, for set-union draws, the |U| estimate
+// the run sampled under (the cached warm-up value, refined by the run
+// itself in online mode).
+func (s *Session) draw(d drawSpec) (out []Tuple, stats *Stats, unionSize float64, err error) {
+	if empty, err := checkN(d.n); err != nil {
+		return nil, nil, 0, err
+	} else if empty {
+		return []Tuple{}, &Stats{}, 0, nil
+	}
+	st, err := s.cur()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	g := rng.New(d.seed)
+	if d.disjoint {
+		shared, err := s.disjointShared(st)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		run := shared.NewRun()
+		if out, err = run.Sample(d.n, g); err != nil {
+			return nil, nil, 0, err
+		}
+		return out, run.Stats(), 0, nil
+	}
+	run := st.prepared.NewRun()
+	if d.pred != nil {
+		out, err = core.SampleWhere(run, s.u.OutputSchema(), d.pred, d.n, g, 0)
+	} else {
+		out, err = run.Sample(d.n, g)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	s.observe(st, run)
+	return out, run.Stats(), run.Params().UnionSize, nil
+}
+
 // Sample draws n independent tuples (with replacement) from the set
 // union at per-draw cost, on the session's next auto stream. It returns
 // the samples in OutputSchema order together with this call's run
@@ -348,64 +400,20 @@ func (s *Session) Sample(n int) ([]Tuple, *Stats, error) {
 // reproduces the same tuples, bit for bit, regardless of what other
 // calls run concurrently (given the same data and refresh history).
 func (s *Session) SampleSeeded(n int, seed int64) ([]Tuple, *Stats, error) {
-	if empty, err := checkN(n); err != nil {
-		return nil, nil, err
-	} else if empty {
-		return []Tuple{}, &Stats{}, nil
-	}
-	st, err := s.cur()
-	if err != nil {
-		return nil, nil, err
-	}
-	run := st.prepared.NewRun()
-	out, err := run.Sample(n, rng.New(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	s.observe(st, run)
-	return out, run.Stats(), nil
+	out, stats, _, err := s.draw(drawSpec{n: n, seed: seed})
+	return out, stats, err
 }
 
-// SampleBatch draws n independent tuples (with replacement) from the
-// set union through the batch engine, on the session's next auto
-// stream. The per-tuple distribution is identical to Sample's; the
-// difference is cost: one session-state load, one run, one RNG, and a
-// draw loop whose weighted row selections are O(1) alias draws and
-// whose per-attempt overheads (subroutine dispatch, wall-clocking,
-// buffer growth) are amortized across the batch. Prefer it whenever
-// more than a handful of tuples are needed at once — SampleParallel,
-// the Approx* aggregates, and the serving layer all draw through it.
+// SampleBatch forwards to Sample.
 //
-// Determinism contract: batch draws consume randomness differently
-// from sequential draws, so SampleBatchSeeded(n, seed) and
-// SampleSeeded(n, seed) return different (identically distributed)
-// tuples. Both are individually reproducible: Sample/SampleSeeded
-// streams are unchanged from previous releases, and batch streams are
-// pinned by their own golden digests.
-func (s *Session) SampleBatch(n int) ([]Tuple, *Stats, error) {
-	return s.SampleBatchSeeded(n, s.nextSeed())
-}
+// Deprecated: Sample is the batch engine.
+func (s *Session) SampleBatch(n int) ([]Tuple, *Stats, error) { return s.Sample(n) }
 
-// SampleBatchSeeded is SampleBatch on an explicit stream: the same
-// seed always reproduces the same tuples, bit for bit, regardless of
-// concurrent calls (given the same data and refresh history).
+// SampleBatchSeeded forwards to SampleSeeded.
+//
+// Deprecated: SampleSeeded is the batch engine.
 func (s *Session) SampleBatchSeeded(n int, seed int64) ([]Tuple, *Stats, error) {
-	if empty, err := checkN(n); err != nil {
-		return nil, nil, err
-	} else if empty {
-		return []Tuple{}, &Stats{}, nil
-	}
-	st, err := s.cur()
-	if err != nil {
-		return nil, nil, err
-	}
-	run := st.prepared.NewRun()
-	out, err := run.SampleBatch(n, rng.New(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	s.observe(st, run)
-	return out, run.Stats(), nil
+	return s.SampleSeeded(n, seed)
 }
 
 // SampleDisjoint draws n tuples from the disjoint union (Definition 1):
@@ -418,57 +426,8 @@ func (s *Session) SampleDisjoint(n int) ([]Tuple, *Stats, error) {
 
 // SampleDisjointSeeded is SampleDisjoint on an explicit stream.
 func (s *Session) SampleDisjointSeeded(n int, seed int64) ([]Tuple, *Stats, error) {
-	if empty, err := checkN(n); err != nil {
-		return nil, nil, err
-	} else if empty {
-		return []Tuple{}, &Stats{}, nil
-	}
-	st, err := s.cur()
-	if err != nil {
-		return nil, nil, err
-	}
-	shared, err := s.disjointShared(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	run := shared.NewRun()
-	out, err := run.Sample(n, rng.New(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, run.Stats(), nil
-}
-
-// SampleDisjointBatch draws n tuples from the disjoint union
-// (Definition 1) through the batch engine — the same distribution as
-// SampleDisjoint at amortized per-draw cost, on the session's next
-// auto stream.
-func (s *Session) SampleDisjointBatch(n int) ([]Tuple, *Stats, error) {
-	return s.SampleDisjointBatchSeeded(n, s.nextSeed())
-}
-
-// SampleDisjointBatchSeeded is SampleDisjointBatch on an explicit
-// stream.
-func (s *Session) SampleDisjointBatchSeeded(n int, seed int64) ([]Tuple, *Stats, error) {
-	if empty, err := checkN(n); err != nil {
-		return nil, nil, err
-	} else if empty {
-		return []Tuple{}, &Stats{}, nil
-	}
-	st, err := s.cur()
-	if err != nil {
-		return nil, nil, err
-	}
-	shared, err := s.disjointShared(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	run := shared.NewRun()
-	out, err := run.SampleBatch(n, rng.New(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, run.Stats(), nil
+	out, stats, _, err := s.draw(drawSpec{n: n, seed: seed, disjoint: true})
+	return out, stats, err
 }
 
 // SampleWhere draws n samples satisfying the predicate, uniform over
@@ -482,60 +441,23 @@ func (s *Session) SampleWhere(n int, pred Predicate) ([]Tuple, *Stats, error) {
 
 // SampleWhereSeeded is SampleWhere on an explicit stream.
 func (s *Session) SampleWhereSeeded(n int, pred Predicate, seed int64) ([]Tuple, *Stats, error) {
-	if empty, err := checkN(n); err != nil {
-		return nil, nil, err
-	} else if empty {
-		return []Tuple{}, &Stats{}, nil
-	}
-	st, err := s.cur()
-	if err != nil {
-		return nil, nil, err
-	}
-	run := st.prepared.NewRun()
-	out, err := core.SampleWhere(run, s.u.OutputSchema(), pred, n, rng.New(seed), 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.observe(st, run)
-	return out, run.Stats(), nil
+	out, stats, _, err := s.draw(drawSpec{n: n, seed: seed, pred: pred})
+	return out, stats, err
 }
 
-// SampleWhereBatch is SampleWhere on the batch engine: candidate
-// draws come in batch-sized chunks, so the predicate-rejection loop
-// pays batch prices instead of per-draw prices. Same distribution as
-// SampleWhere (uniform over the satisfying subset); own pinned
-// streams.
-func (s *Session) SampleWhereBatch(n int, pred Predicate) ([]Tuple, *Stats, error) {
-	return s.SampleWhereBatchSeeded(n, pred, s.nextSeed())
-}
-
-// SampleWhereBatchSeeded is SampleWhereBatch on an explicit stream.
+// SampleWhereBatchSeeded forwards to SampleWhereSeeded.
+//
+// Deprecated: SampleWhereSeeded is the batch engine.
 func (s *Session) SampleWhereBatchSeeded(n int, pred Predicate, seed int64) ([]Tuple, *Stats, error) {
-	if empty, err := checkN(n); err != nil {
-		return nil, nil, err
-	} else if empty {
-		return []Tuple{}, &Stats{}, nil
-	}
-	st, err := s.cur()
-	if err != nil {
-		return nil, nil, err
-	}
-	run := st.prepared.NewRun()
-	out, err := core.SampleWhereBatch(run, s.u.OutputSchema(), pred, n, rng.New(seed), 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.observe(st, run)
-	return out, run.Stats(), nil
+	return s.SampleWhereSeeded(n, pred, seed)
 }
 
 // SampleParallel draws n tuples using the given number of worker
 // goroutines over the session's single shared warm-up: workers share
 // the prepared read-only state and each draws one shard-sized batch
-// (SampleBatchSeeded) on its own decorrelated stream, so the total
-// warm-up cost stays one and the per-tuple cost is the batch engine's,
-// no matter how many workers run. Every worker stream is uniform and
-// independent, hence so is their concatenation.
+// (SampleSeeded) on its own decorrelated stream, so the total warm-up
+// cost stays one, no matter how many workers run. Every worker stream
+// is uniform and independent, hence so is their concatenation.
 func (s *Session) SampleParallel(n, workers int) ([]Tuple, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("sampleunion: workers must be positive, got %d", workers)
@@ -548,12 +470,12 @@ func (s *Session) SampleParallel(n, workers int) ([]Tuple, error) {
 	if workers > n {
 		workers = n
 	}
-	// A sharded session parallelizes inside SampleBatch (per-shard
+	// A sharded session parallelizes inside Sample (per-shard
 	// sub-batches on the shard worker pool); stacking outer workers on
 	// top would oversubscribe the cores, so the whole request goes
-	// through one batch call.
+	// through one call.
 	if workers <= 1 || s.opts.Shards > 1 {
-		out, _, err := s.SampleBatch(n)
+		out, _, err := s.Sample(n)
 		return out, err
 	}
 	// Reserve a contiguous block of stream indexes so one SampleParallel
@@ -571,7 +493,7 @@ func (s *Session) SampleParallel(n, workers int) ([]Tuple, error) {
 		wg.Add(1)
 		go func(w, count int, stream int64) {
 			defer wg.Done()
-			parts[w], _, errs[w] = s.SampleBatchSeeded(count, core.DeriveSeed(s.opts.Seed, stream))
+			parts[w], _, errs[w] = s.SampleSeeded(count, core.DeriveSeed(s.opts.Seed, stream))
 		}(w, count, first+int64(w))
 	}
 	wg.Wait()
@@ -611,12 +533,7 @@ func (s *Session) ApproxSum(attr string, pred Predicate, n int) (AggResult, erro
 // ApproxAvg estimates AVG(attr) WHERE pred over the set union. AVG is
 // a ratio estimator, so |U| cancels and only the samples matter.
 func (s *Session) ApproxAvg(attr string, pred Predicate, n int) (AggResult, error) {
-	if empty, err := checkN(n); err != nil {
-		return AggResult{}, err
-	} else if empty {
-		return AggResult{}, errNoSamples()
-	}
-	samples, _, err := s.SampleBatch(n)
+	samples, _, err := s.sampleWithSize(n)
 	if err != nil {
 		return AggResult{}, err
 	}
@@ -634,25 +551,16 @@ func (s *Session) ApproxGroupCount(attr string, n int) ([]GroupEstimate, error) 
 	return aqp.GroupCount(samples, s.u.OutputSchema(), attr, unionSize, DefaultZ)
 }
 
-// sampleWithSize draws n samples through the batch engine on the next
-// auto stream and returns them with the run's |U| estimate (the cached
-// warm-up value, refined by the run itself in online mode). Every
-// Approx* aggregate draws its sample set through this one batch call.
+// sampleWithSize draws the sample set of an Approx* aggregate on the
+// next auto stream and returns it with the run's |U| estimate. An
+// estimate from zero samples is undefined, so n == 0 is an error here
+// rather than an empty result.
 func (s *Session) sampleWithSize(n int) ([]Tuple, float64, error) {
 	if empty, err := checkN(n); err != nil {
 		return nil, 0, err
 	} else if empty {
 		return nil, 0, errNoSamples()
 	}
-	st, err := s.cur()
-	if err != nil {
-		return nil, 0, err
-	}
-	run := st.prepared.NewRun()
-	out, err := run.SampleBatch(n, rng.New(s.nextSeed()))
-	if err != nil {
-		return nil, 0, err
-	}
-	s.observe(st, run)
-	return out, run.Params().UnionSize, nil
+	out, _, unionSize, err := s.draw(drawSpec{n: n, seed: s.nextSeed()})
+	return out, unionSize, err
 }
