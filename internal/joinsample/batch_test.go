@@ -242,45 +242,3 @@ func equalVersions(a, b []uint64) bool {
 	}
 	return true
 }
-
-// TestWalkManyInto checks the Walker batch variant: probabilities in
-// range, tuples in the join, exact fill/try accounting, and an unbiased
-// Horvitz–Thompson estimate.
-func TestWalkManyInto(t *testing.T) {
-	j := chainJoin(t)
-	w := NewWalker(j)
-	out, rowOf := mkBatch(j, 32)
-	probs := make([]float64, 32)
-	g := rng.New(51)
-	filled, tries := w.WalkManyInto(out, probs, rowOf, 10000, g)
-	if filled != 32 {
-		t.Fatalf("filled %d of 32 (tries %d)", filled, tries)
-	}
-	if tries < filled {
-		t.Fatalf("tries %d < filled %d", tries, filled)
-	}
-	for i := 0; i < filled; i++ {
-		if !j.Contains(out[i]) {
-			t.Fatalf("walk %d produced non-result %v", i, out[i])
-		}
-		if probs[i] <= 0 || probs[i] > 1 {
-			t.Fatalf("walk %d probability %f out of range", i, probs[i])
-		}
-	}
-	// Horvitz–Thompson over batch walks stays unbiased.
-	const n = 60000
-	sum := 0.0
-	walked := 0
-	for walked < n {
-		f, tr := w.WalkManyInto(out, probs, rowOf, 64, g)
-		for i := 0; i < f; i++ {
-			sum += 1 / probs[i]
-		}
-		walked += tr
-	}
-	est := sum / float64(walked)
-	truth := float64(j.Count())
-	if math.Abs(est-truth)/truth > 0.05 {
-		t.Errorf("batch HT estimate %.2f, truth %.0f", est, truth)
-	}
-}

@@ -155,27 +155,6 @@ func (w *Walker) Walk(g *rng.RNG) (relation.Tuple, float64, bool) {
 	return out, p, true
 }
 
-// WalkManyInto is the Walker's batch variant: it fills out[i] and
-// probs[i] with up to len(out) successful walks (each out[i] a
-// distinct caller-owned tuple), attempting at most maxTries walks in
-// total, and returns the number of successful walks and the attempts
-// consumed. Dead walks (dangling tuples) cost an attempt and fill
-// nothing. It serves single-join batch consumers (bulk
-// Horvitz–Thompson estimation); the union engines deliberately keep
-// per-walk stepping, since each walk's estimate update must feed the
-// next draw's parameters.
-func (w *Walker) WalkManyInto(out []relation.Tuple, probs []float64, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int) {
-	for filled < len(out) && tries < maxTries {
-		tries++
-		p, ok := w.WalkInto(out[filled], rowOf, g)
-		if ok {
-			probs[filled] = p
-			filled++
-		}
-	}
-	return filled, tries
-}
-
 // WalkInto is Walk into caller-owned scratch; a dead walk may leave the
 // buffers partially written.
 func (w *Walker) WalkInto(out relation.Tuple, rowOf []int, g *rng.RNG) (float64, bool) {

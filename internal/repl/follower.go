@@ -7,10 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -59,28 +60,36 @@ type AckRequest struct {
 	Resyncs    uint64 `json:"resyncs"`
 }
 
-// Target is one (session, relation) a follower replicates. Refresh is
-// called after frames are applied (at wire-idle boundaries) to fold
-// new rows into the sampler; Commit, when set, makes applied frames
-// durable in the follower's own WAL before they are acked; Checkpoint,
-// when set, anchors a snapshot restored by resync so the follower's
-// WAL chain stays contiguous across its own restarts.
-//
-// Mu is the lock the sibling targets of one session share. A Refresh
-// re-reads every relation of the session, so it must never run while a
-// sibling's replicator is mid-append: the replicator holds Mu while it
-// applies a record, across a flush (Commit + Refresh), and across a
-// resync's restore + Checkpoint + Refresh — the same append → Refresh
-// order the primary's wire append path keeps. The callbacks run with Mu
-// held. A nil Mu gets a private lock (a target with no siblings).
+// Sink is where a replicator puts what it receives for one relation.
+// The implementation owns the ordering against the session's other
+// writers — a Refresh re-reads every relation of the session, so it
+// must never run while a sibling relation's record is mid-apply — which
+// is why the replicator hands over whole steps instead of holding a
+// lock itself.
+type Sink interface {
+	// ApplyRecord applies one WAL record through the relation's
+	// ordinary mutation path, under wal.ApplyRecord's contract.
+	ApplyRecord(seq uint64, payload []byte) (wal.ApplyOutcome, error)
+	// Flush makes the records applied since the last Flush durable in
+	// the follower's own WAL and folds them into the sampler. Only once
+	// it returns nil do they count as applied; a failure abandons the
+	// connection so nothing acks them.
+	Flush() error
+	// RestoreSnapshot replaces the relation's contents with a resync
+	// snapshot, re-anchors the follower's own WAL chain on it (so the
+	// chain stays contiguous across the follower's restarts) and
+	// refreshes the sampler.
+	RestoreSnapshot(sd relation.SnapshotData) error
+}
+
+// Target is one (session, relation) a follower replicates. The
+// replicator only reads Rel (its version is the resume position); every
+// write goes through Sink.
 type Target struct {
-	Session    string
-	Relation   string
-	Rel        *relation.Relation
-	Mu         sync.Locker
-	Refresh    func() error
-	Commit     func() error
-	Checkpoint func() error
+	Session  string
+	Relation string
+	Rel      *relation.Relation
+	Sink     Sink
 }
 
 // Options tunes a Follower.
@@ -88,31 +97,34 @@ type Options struct {
 	Primary    string // base URL of the primary, e.g. http://127.0.0.1:8080
 	Client     *http.Client
 	FollowerID string
-	// Heartbeat is the primary's advertised heartbeat period; ~4 missed
-	// heartbeats (no frame at all in 4 periods) is a dead peer and the
-	// connection is abandoned (default 1s).
+	// Heartbeat is the primary's advertised heartbeat period (default
+	// 1s), the deployment's one statement about how fast replication
+	// should notice and react to change. Everything else is derived from
+	// it: ~4 silent periods is a dead peer and the connection is
+	// abandoned, progress is acked at most every ackPeriods, and
+	// reconnects back off from one period up to backoffMaxPeriods.
 	Heartbeat time.Duration
-	// AckEvery rate-limits progress reports to the primary (default
-	// 500ms; acks also fire on resync and catch-up transitions).
-	AckEvery time.Duration
-	// BackoffMin/BackoffMax bound the capped exponential reconnect
-	// backoff (defaults 100ms / 5s); jitter draws from Seed.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
-	Seed       uint64
-	Logf       func(format string, args ...any)
+	Seed      uint64 // reconnect jitter
+	Logf      func(format string, args ...any)
 }
+
+const (
+	ackPeriods        = 2
+	backoffMaxPeriods = 20
+)
 
 // Follower replicates a set of targets from one primary, each on its
 // own goroutine with independent reconnect backoff and resync state.
 type Follower struct {
 	opt Options
+	// ctx ends every replicator and the requests they have in flight;
+	// Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	reps   map[string]*replicator
-	stop   chan struct{}
-	closed bool
-	wg     sync.WaitGroup
+	mu   sync.Mutex
+	reps map[string]*replicator
+	wg   sync.WaitGroup
 }
 
 // NewFollower returns a follower with no targets; Add starts them.
@@ -123,19 +135,12 @@ func NewFollower(opt Options) *Follower {
 	if opt.Heartbeat <= 0 {
 		opt.Heartbeat = time.Second
 	}
-	if opt.AckEvery <= 0 {
-		opt.AckEvery = 500 * time.Millisecond
-	}
-	if opt.BackoffMin <= 0 {
-		opt.BackoffMin = 100 * time.Millisecond
-	}
-	if opt.BackoffMax <= 0 {
-		opt.BackoffMax = 5 * time.Second
-	}
 	if opt.FollowerID == "" {
 		opt.FollowerID = "follower"
 	}
-	return &Follower{opt: opt, reps: make(map[string]*replicator), stop: make(chan struct{})}
+	f := &Follower{opt: opt, reps: make(map[string]*replicator)}
+	f.ctx, f.cancel = context.WithCancel(context.Background())
+	return f
 }
 
 func (f *Follower) logf(format string, args ...any) {
@@ -150,11 +155,8 @@ func (f *Follower) Add(t Target) {
 	key := streamKey(t.Session, t.Relation)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed || f.reps[key] != nil {
+	if f.ctx.Err() != nil || f.reps[key] != nil {
 		return
-	}
-	if t.Mu == nil {
-		t.Mu = new(sync.Mutex)
 	}
 	r := &replicator{f: f, t: t, rng: rand.New(rand.NewSource(int64(f.opt.Seed) ^ int64(len(f.reps)+1)))}
 	f.reps[key] = r
@@ -167,11 +169,8 @@ func (f *Follower) Add(t Target) {
 
 // Close stops every replicator and waits for them to exit.
 func (f *Follower) Close() {
-	f.mu.Lock()
-	if !f.closed {
-		f.closed = true
-		close(f.stop)
-	}
+	f.mu.Lock() // no Add may start a replicator once Wait is under way
+	f.cancel()
 	f.mu.Unlock()
 	f.wg.Wait()
 }
@@ -198,25 +197,15 @@ type FollowerSnapshot struct {
 	Targets    []TargetSnapshot `json:"targets"`
 }
 
-// Snapshot returns the follower's metrics.
+// Snapshot returns the follower's metrics, targets ordered by
+// (session, relation) — the order of their stream keys.
 func (f *Follower) Snapshot() FollowerSnapshot {
-	f.mu.Lock()
-	reps := make([]*replicator, 0, len(f.reps))
-	for _, r := range f.reps {
-		reps = append(reps, r)
-	}
-	f.mu.Unlock()
 	fs := FollowerSnapshot{Primary: f.opt.Primary, FollowerID: f.opt.FollowerID}
-	for _, r := range reps {
-		fs.Targets = append(fs.Targets, r.snapshot())
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, key := range slices.Sorted(maps.Keys(f.reps)) {
+		fs.Targets = append(fs.Targets, f.reps[key].snapshot())
 	}
-	sort.Slice(fs.Targets, func(i, j int) bool {
-		a, b := fs.Targets[i], fs.Targets[j]
-		if a.Session != b.Session {
-			return a.Session < b.Session
-		}
-		return a.Relation < b.Relation
-	})
 	return fs
 }
 
@@ -269,25 +258,20 @@ func (r *replicator) snapshot() TargetSnapshot {
 // resuming from the follower's own applied version, or from a fresh
 // snapshot when the stream says position alone cannot recover.
 func (r *replicator) run() {
-	opt := r.f.opt
-	backoff := opt.BackoffMin
-	for {
-		select {
-		case <-r.f.stop:
-			return
-		default:
-		}
+	hb := r.f.opt.Heartbeat
+	backoff := hb
+	for r.f.ctx.Err() == nil {
 		err := r.streamOnce()
 		if err == nil {
 			// Clean stream end (primary restart or drain): resume
 			// promptly from the applied position.
-			backoff = opt.BackoffMin
+			backoff = hb
 		} else if errors.Is(err, errResync) {
 			r.f.logf("repl: %s/%s: %v; resyncing from snapshot", r.t.Session, r.t.Relation, err)
 			if rerr := r.resync(); rerr != nil {
 				r.f.logf("repl: %s/%s: resync failed: %v", r.t.Session, r.t.Relation, rerr)
 			} else {
-				backoff = opt.BackoffMin
+				backoff = hb
 				r.ack()
 				continue
 			}
@@ -300,16 +284,61 @@ func (r *replicator) run() {
 		d := backoff/2 + time.Duration(r.rng.Int63n(int64(backoff/2)+1))
 		select {
 		case <-time.After(d):
-		case <-r.f.stop:
+		case <-r.f.ctx.Done():
 			return
 		}
 		if err != nil {
-			backoff *= 2
-			if backoff > opt.BackoffMax {
-				backoff = opt.BackoffMax
-			}
+			backoff = min(2*backoff, backoffMaxPeriods*hb)
 		}
 	}
+}
+
+// watchedBody is a response body under the dead-peer watchdog: every
+// read that yields bytes — frames, heartbeats, snapshot chunks — pushes
+// the deadline out again.
+type watchedBody struct {
+	io.ReadCloser
+	watchdog *time.Timer
+	quiet    time.Duration
+	cancel   context.CancelFunc // releases the request's context
+}
+
+func (b watchedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if n > 0 {
+		b.watchdog.Reset(b.quiet)
+	}
+	return n, err
+}
+
+func (b watchedBody) Close() error {
+	b.watchdog.Stop()
+	b.cancel()
+	return b.ReadCloser.Close()
+}
+
+// get opens one GET against the primary under the dead-peer watchdog:
+// 4 heartbeat periods without the response header, and then without a
+// byte of body, cancel the request — as does ctx, which every caller
+// derives from the follower's. The caller closes the body.
+func (r *replicator) get(ctx context.Context, path string, q url.Values) (*http.Response, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.f.opt.Primary+path+"?"+q.Encode(), nil)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	quiet := 4 * r.f.opt.Heartbeat
+	watchdog := time.AfterFunc(quiet, cancel)
+	resp, err := r.f.opt.Client.Do(req)
+	if err != nil {
+		watchdog.Stop()
+		cancel()
+		return nil, err
+	}
+	watchdog.Reset(quiet)
+	resp.Body = watchedBody{resp.Body, watchdog, quiet, cancel}
+	return resp, nil
 }
 
 // streamOnce opens one stream from the current applied version and
@@ -317,38 +346,17 @@ func (r *replicator) run() {
 // resume); errResync means resync; other errors reconnect with
 // backoff.
 func (r *replicator) streamOnce() error {
-	opt := r.f.opt
 	from := r.t.Rel.Version()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { // tie the request to follower shutdown
-		select {
-		case <-r.f.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	q := url.Values{
+	resp, err := r.get(r.f.ctx, "/repl/stream", url.Values{
 		"session":  {r.t.Session},
 		"relation": {r.t.Relation},
 		"from":     {strconv.FormatUint(from, 10)},
-		"follower": {opt.FollowerID},
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, opt.Primary+"/repl/stream?"+q.Encode(), nil)
-	if err != nil {
-		return err
-	}
-	// Dead-peer watchdog: the response header and then any frame
-	// (heartbeats included) reset it; 4 silent heartbeat periods cancel
-	// the request.
-	watchdog := time.AfterFunc(4*opt.Heartbeat, cancel)
-	defer watchdog.Stop()
-	resp, err := opt.Client.Do(req)
+		"follower": {r.f.opt.FollowerID},
+	})
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	watchdog.Reset(4 * opt.Heartbeat)
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusConflict:
@@ -361,7 +369,7 @@ func (r *replicator) streamOnce() error {
 	r.setConnected(true)
 	defer r.setConnected(false)
 
-	fr := NewFrameReader(resp.Body)
+	fr := wal.NewFrameReader(resp.Body)
 	pending := 0
 	stale := 0 // consecutive heartbeats ahead of us with no record between
 	for {
@@ -375,17 +383,16 @@ func (r *replicator) streamOnce() error {
 				return nil // clean end: resume by reconnect
 			case errors.Is(err, io.ErrUnexpectedEOF):
 				return fmt.Errorf("repl: stream tore mid-frame")
-			case errors.Is(err, ErrBadFrame):
+			case errors.Is(err, wal.ErrBadFrame):
 				// The transport corrupted a frame (or we desynced);
 				// position is untrustworthy, start over from a snapshot.
 				return fmt.Errorf("%w: %v", errResync, err)
-			case ctx.Err() != nil && r.stopped():
+			case r.f.ctx.Err() != nil:
 				return nil
 			default:
 				return err
 			}
 		}
-		watchdog.Reset(4 * opt.Heartbeat)
 		if IsHeartbeat(payload) {
 			r.observeHead(seq)
 			if err := r.flush(&pending); err != nil {
@@ -406,9 +413,7 @@ func (r *replicator) streamOnce() error {
 			continue
 		}
 		stale = 0
-		r.t.Mu.Lock()
-		out, aerr := wal.ApplyRecord(r.t.Rel, seq, payload)
-		r.t.Mu.Unlock()
+		out, aerr := r.t.Sink.ApplyRecord(seq, payload)
 		if aerr != nil {
 			// A seq gap, or a record that contradicts local state:
 			// either way the WAL stream cannot reconcile us.
@@ -433,77 +438,36 @@ func (r *replicator) streamOnce() error {
 	}
 }
 
-// flush commits applied frames to the follower's own WAL and folds
-// them into the sampler. It must succeed before the rows count as
-// applied; a failure abandons the connection so nothing acks them.
+// flush hands the frames applied since the last flush to the sink.
 func (r *replicator) flush(pending *int) error {
 	if *pending == 0 {
 		return nil
 	}
 	*pending = 0
-	r.t.Mu.Lock()
-	defer r.t.Mu.Unlock()
-	if r.t.Commit != nil {
-		if err := r.t.Commit(); err != nil {
-			return fmt.Errorf("repl: follower commit: %w", err)
-		}
-	}
-	if r.t.Refresh != nil {
-		if err := r.t.Refresh(); err != nil {
-			return fmt.Errorf("repl: follower refresh: %w", err)
-		}
+	if err := r.t.Sink.Flush(); err != nil {
+		return fmt.Errorf("repl: follower flush: %w", err)
 	}
 	return nil
 }
 
-// resync pulls a full snapshot from the primary and restores it,
-// discarding local divergence, then re-anchors the follower's own WAL
-// chain and sampler.
+// resync pulls a full snapshot from the primary and hands it to the
+// sink, discarding local divergence.
 func (r *replicator) resync() error {
-	opt := r.f.opt
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	// The watchdog abandons a transfer that stops making progress long
+	// before this outer deadline; retrying with backoff beats waiting.
+	ctx, cancel := context.WithTimeout(r.f.ctx, 2*time.Minute)
 	defer cancel()
-	go func() { // tie the fetch to follower shutdown
-		select {
-		case <-r.f.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	q := url.Values{"session": {r.t.Session}, "relation": {r.t.Relation}}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, opt.Primary+"/repl/snapshot?"+q.Encode(), nil)
-	if err != nil {
-		return err
-	}
-	// Same dead-peer watchdog as the stream: a snapshot whose header or
-	// body stops making progress for ~4 heartbeat periods is a dead
-	// transfer — abandon it and retry with backoff rather than hold the
-	// 2-minute outer deadline.
-	watchdog := time.AfterFunc(4*opt.Heartbeat, cancel)
-	defer watchdog.Stop()
-	resp, err := opt.Client.Do(req)
+	resp, err := r.get(ctx, "/repl/snapshot", url.Values{"session": {r.t.Session}, "relation": {r.t.Relation}})
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	watchdog.Reset(4 * opt.Heartbeat)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("repl: snapshot: %s", resp.Status)
 	}
-	var raw []byte
-	chunk := make([]byte, 64<<10)
-	for {
-		n, rerr := resp.Body.Read(chunk)
-		if n > 0 {
-			watchdog.Reset(4 * opt.Heartbeat)
-			raw = append(raw, chunk[:n]...)
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return fmt.Errorf("repl: snapshot fetch: %w", rerr)
-		}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("repl: snapshot fetch: %w", err)
 	}
 	sd, err := wal.DecodeCheckpoint(raw, r.t.Rel.Arity())
 	if err != nil {
@@ -519,20 +483,8 @@ func (r *replicator) resync() error {
 		r.mu.Unlock()
 		return fmt.Errorf("repl: snapshot version %d behind local %d: diverged", sd.Version, r.t.Rel.Version())
 	}
-	r.t.Mu.Lock()
-	defer r.t.Mu.Unlock()
-	if err := r.t.Rel.RestoreSnapshot(sd); err != nil {
-		return err
-	}
-	if r.t.Checkpoint != nil {
-		if err := r.t.Checkpoint(); err != nil {
-			return fmt.Errorf("repl: checkpoint after resync: %w", err)
-		}
-	}
-	if r.t.Refresh != nil {
-		if err := r.t.Refresh(); err != nil {
-			return err
-		}
+	if err := r.t.Sink.RestoreSnapshot(sd); err != nil {
+		return fmt.Errorf("repl: restoring snapshot: %w", err)
 	}
 	r.mu.Lock()
 	r.resyncs++
@@ -541,15 +493,6 @@ func (r *replicator) resync() error {
 	}
 	r.mu.Unlock()
 	return nil
-}
-
-func (r *replicator) stopped() bool {
-	select {
-	case <-r.f.stop:
-		return true
-	default:
-		return false
-	}
 }
 
 func (r *replicator) setConnected(c bool) {
@@ -574,7 +517,7 @@ func (r *replicator) observeHead(seq uint64) {
 // (metrics only) so failures are logged, not retried.
 func (r *replicator) maybeAck() {
 	r.mu.Lock()
-	due := time.Since(r.lastAck) >= r.f.opt.AckEvery
+	due := time.Since(r.lastAck) >= ackPeriods*r.f.opt.Heartbeat
 	if due {
 		r.lastAck = time.Now()
 	}
@@ -600,7 +543,7 @@ func (r *replicator) ack() {
 	if err != nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(r.f.ctx, 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.f.opt.Primary+"/repl/ack", bytes.NewReader(raw))
 	if err != nil {

@@ -4,112 +4,30 @@
 // them through the relation's ordinary mutation path, refresh their
 // samplers, and serve read-only draws.
 //
-// The wire format IS the WAL frame format — [len u32][crc u32][seq
-// u64][payload], CRC-32C over seq+payload — so the checksum computed
+// The wire format IS the WAL frame format, specified in package wal's
+// comment and decoded here by wal.FrameReader, so the checksum computed
 // when the primary appended the record protects it end to end; nothing
-// re-encodes in between. Two extra conventions ride on top: a
-// heartbeat frame carries payload [0xFF] (a byte no WAL record kind
-// uses) with seq set to the primary's head version, and frame seqs are
-// relation versions, so a follower detects gaps by comparing against
-// its own Version() and falls back to a full snapshot resync.
+// re-encodes in between. This package adds one convention on top: a
+// heartbeat is a frame whose payload is the single byte 0xFF (a byte no
+// WAL record kind uses) and whose seq is the primary's head version.
+// Frame seqs are relation versions, so a follower detects gaps by
+// comparing against its own Version() and falls back to a full snapshot
+// resync.
 package repl
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
-
-const (
-	frameHeaderSize = 16
-	// maxFramePayload matches the WAL's record bound; anything larger in
-	// a length header is stream garbage, not a real frame.
-	maxFramePayload = 64 << 20
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrBadFrame reports a frame whose checksum or length header is
-// invalid: the stream is damaged (or desynced) beyond this point and
-// the connection must be abandoned.
-var ErrBadFrame = errors.New("repl: bad frame")
+import "sampleunion/internal/wal"
 
 // heartbeatByte is the payload of a heartbeat frame. WAL record kinds
 // occupy small values (0..3); 0xFF can never open a real record.
 const heartbeatByte = 0xFF
 
-// AppendFrame appends one wire frame carrying payload at seq.
-func AppendFrame(dst []byte, seq uint64, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Update(0, castagnoli, hdr[8:16])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
 // AppendHeartbeat appends a heartbeat frame advertising the primary's
 // head version.
 func AppendHeartbeat(dst []byte, head uint64) []byte {
-	return AppendFrame(dst, head, []byte{heartbeatByte})
+	return wal.AppendFrame(dst, head, []byte{heartbeatByte})
 }
 
 // IsHeartbeat reports whether a frame payload is a heartbeat.
 func IsHeartbeat(payload []byte) bool {
 	return len(payload) == 1 && payload[0] == heartbeatByte
 }
-
-// FrameReader decodes and validates frames off a byte stream.
-type FrameReader struct {
-	br  *bufio.Reader
-	buf []byte
-}
-
-// NewFrameReader wraps r.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, 64<<10)}
-}
-
-// Next returns the next validated frame. The payload slice is reused
-// across calls. It returns io.EOF on a clean end at a frame boundary,
-// io.ErrUnexpectedEOF when the stream tore mid-frame, and ErrBadFrame
-// (wrapped with detail) when a checksum or length check fails.
-func (fr *FrameReader) Next() (seq uint64, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
-		// io.EOF: clean end at a frame boundary. ErrUnexpectedEOF: torn
-		// header. ReadFull already distinguishes the two.
-		return 0, nil, err
-	}
-	ln := binary.LittleEndian.Uint32(hdr[0:4])
-	if ln > maxFramePayload {
-		return 0, nil, fmt.Errorf("%w: length %d", ErrBadFrame, ln)
-	}
-	if cap(fr.buf) < int(ln) {
-		fr.buf = make([]byte, ln)
-	}
-	fr.buf = fr.buf[:ln]
-	if _, err := io.ReadFull(fr.br, fr.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	seq = binary.LittleEndian.Uint64(hdr[8:16])
-	crc := crc32.Update(0, castagnoli, hdr[8:16])
-	crc = crc32.Update(crc, castagnoli, fr.buf)
-	if crc != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch at seq %d", ErrBadFrame, seq)
-	}
-	return seq, fr.buf, nil
-}
-
-// Buffered reports bytes already pulled off the connection but not yet
-// decoded; a follower uses 0 here as "caught up with the wire" and
-// refreshes its samplers at that boundary instead of per frame.
-func (fr *FrameReader) Buffered() int { return fr.br.Buffered() }

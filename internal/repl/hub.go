@@ -2,8 +2,9 @@ package repl
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -26,20 +27,24 @@ type HubConfig struct {
 	// error turns into a 404 on the stream/snapshot endpoints.
 	Resolve func(session, rel string) (Source, error)
 	// Heartbeat is the idle-stream heartbeat period (default 1s).
-	// Followers treat ~4 missed heartbeats as a dead peer.
+	// Followers treat ~4 missed heartbeats as a dead peer, and a single
+	// write to a follower may block for as long before the stream ends.
 	Heartbeat time.Duration
-	// QueueLen bounds the per-stream send queue in batches (default
-	// 64). A follower too slow to drain it is disconnected rather than
-	// allowed to pin memory; it re-enters through reconnect or resync.
-	QueueLen int
-	// BatchBytes bounds the WAL bytes gathered per send (default
-	// 256KiB).
-	BatchBytes int
-	// WriteTimeout caps a single blocked write to a follower (default
-	// 4x heartbeat).
-	WriteTimeout time.Duration
-	Logf         func(format string, args ...any)
+	Logf      func(format string, args ...any)
 }
+
+const (
+	// streamQueueLen bounds the per-stream send queue in batches. A
+	// follower too slow to drain it is disconnected rather than allowed
+	// to pin memory; it re-enters through reconnect or resync.
+	streamQueueLen = 64
+	// streamBatchBytes bounds the WAL bytes gathered per send.
+	streamBatchBytes = 256 << 10
+	// maxAckEntries caps the ack table: followers mint a fresh ID per
+	// boot, so without a cap every follower restart would leave an entry
+	// behind forever. Past it the least recently acked entry goes.
+	maxAckEntries = 1024
+)
 
 // Hub is the primary's replication fan-out: it serves the long-lived
 // frame streams, snapshot fetches for resync, and follower acks, and
@@ -48,8 +53,11 @@ type HubConfig struct {
 type Hub struct {
 	cfg HubConfig
 
-	mu      sync.Mutex
-	wakers  map[string]*waker
+	mu sync.Mutex
+	// wakers holds, per stream key, the channel idle streams of that
+	// relation block on: Wake closes and drops it, releasing every
+	// waiter at once, and the next waiter installs a fresh one.
+	wakers  map[string]chan struct{}
 	acks    map[string]*ackState
 	streams int
 	closed  bool
@@ -58,32 +66,10 @@ type Hub struct {
 	connects, disconnects, overflows, snapshots uint64
 }
 
+// ackState is one follower's last report on one relation.
 type ackState struct {
-	follower, session, relation string
-	applied                     uint64
-	reconnects, resyncs         uint64
-	last                        time.Time
-}
-
-// waker lets idle streams block until the next committed mutation on
-// their relation: Wake closes the current channel and installs a fresh
-// one, releasing every waiter at once.
-type waker struct {
-	mu sync.Mutex
-	ch chan struct{}
-}
-
-func (w *waker) wait() <-chan struct{} {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ch
-}
-
-func (w *waker) wake() {
-	w.mu.Lock()
-	close(w.ch)
-	w.ch = make(chan struct{})
-	w.mu.Unlock()
+	AckRequest
+	last time.Time
 }
 
 // NewHub returns a hub ready to serve streams.
@@ -91,18 +77,9 @@ func NewHub(cfg HubConfig) *Hub {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 64
-	}
-	if cfg.BatchBytes <= 0 {
-		cfg.BatchBytes = 256 << 10
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 4 * cfg.Heartbeat
-	}
 	return &Hub{
 		cfg:    cfg,
-		wakers: make(map[string]*waker),
+		wakers: make(map[string]chan struct{}),
 		acks:   make(map[string]*ackState),
 		stop:   make(chan struct{}),
 	}
@@ -131,23 +108,26 @@ func streamKey(session, rel string) string { return session + "\x00" + rel }
 // Serving code calls it after the durable commit, so a woken stream
 // always finds the frames on disk.
 func (h *Hub) Wake(session, rel string) {
+	key := streamKey(session, rel)
 	h.mu.Lock()
-	w := h.wakers[streamKey(session, rel)]
-	h.mu.Unlock()
-	if w != nil {
-		w.wake()
+	if ch, ok := h.wakers[key]; ok {
+		close(ch)
+		delete(h.wakers, key)
 	}
+	h.mu.Unlock()
 }
 
-func (h *Hub) wakerFor(session, rel string) *waker {
+// woken returns the channel the next Wake of (session, rel) closes.
+func (h *Hub) woken(session, rel string) <-chan struct{} {
+	key := streamKey(session, rel)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	w := h.wakers[streamKey(session, rel)]
-	if w == nil {
-		w = &waker{ch: make(chan struct{})}
-		h.wakers[streamKey(session, rel)] = w
+	ch, ok := h.wakers[key]
+	if !ok {
+		ch = make(chan struct{})
+		h.wakers[key] = ch
 	}
-	return w
+	return ch
 }
 
 // ServeStream handles GET /repl/stream?session=K&relation=R&from=N: a
@@ -198,12 +178,12 @@ func (h *Hub) ServeStream(w http.ResponseWriter, r *http.Request) {
 	// handler goroutine drains it onto the wire under a write deadline.
 	// The queue is the slow-follower bulkhead: the producer never
 	// blocks on it — overflow ends the stream instead.
-	ch := make(chan []byte, h.cfg.QueueLen)
+	ch := make(chan []byte, streamQueueLen)
 	done := make(chan struct{})
 	defer close(done)
 	go h.produce(ch, done, r, src, session, relName, from)
 	for batch := range ch {
-		rc.SetWriteDeadline(time.Now().Add(h.cfg.WriteTimeout))
+		rc.SetWriteDeadline(time.Now().Add(4 * h.cfg.Heartbeat))
 		if _, err := w.Write(batch); err != nil {
 			return
 		}
@@ -221,7 +201,6 @@ func (h *Hub) produce(ch chan<- []byte, done <-chan struct{}, r *http.Request, s
 	defer cur.Close()
 	hb := time.NewTicker(h.cfg.Heartbeat)
 	defer hb.Stop()
-	buf := make([]byte, 0, h.cfg.BatchBytes)
 	send := func(b []byte) bool {
 		select {
 		case ch <- b:
@@ -235,8 +214,7 @@ func (h *Hub) produce(ch chan<- []byte, done <-chan struct{}, r *http.Request, s
 		}
 	}
 	for {
-		var err error
-		buf, err = cur.Read(buf[:0], h.cfg.BatchBytes)
+		batch, err := cur.Read(nil, streamBatchBytes)
 		if err != nil {
 			// Truncated past the cursor (follower slower than
 			// checkpoint retention) or corrupt mid-log: end the stream;
@@ -244,8 +222,8 @@ func (h *Hub) produce(ch chan<- []byte, done <-chan struct{}, r *http.Request, s
 			h.logf("repl: %s/%s: ending stream: %v", session, relName, err)
 			return
 		}
-		if len(buf) > 0 {
-			if !send(append([]byte(nil), buf...)) {
+		if len(batch) > 0 {
+			if !send(batch) {
 				return
 			}
 			continue
@@ -257,9 +235,8 @@ func (h *Hub) produce(ch chan<- []byte, done <-chan struct{}, r *http.Request, s
 			h.logf("repl: %s/%s: head %d unreachable from WAL, ending stream", session, relName, v)
 			return
 		}
-		wake := h.wakerFor(session, relName).wait()
 		select {
-		case <-wake:
+		case <-h.woken(session, relName):
 		case <-hb.C:
 			if !send(AppendHeartbeat(nil, src.Rel.Version())) {
 				return
@@ -296,19 +273,33 @@ func (h *Hub) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // RecordAck folds a follower's progress report into the hub's metrics.
-func (h *Hub) RecordAck(follower, session, relName string, applied uint64, reconnects, resyncs uint64) {
+// An ack for a (session, relation) the hub cannot resolve is refused and
+// leaves no trace, and the table holds at most maxAckEntries: anyone
+// who can reach the endpoint can send acks, so neither junk nor
+// follower restarts may grow it without bound.
+func (h *Hub) RecordAck(follower, session, relName string, applied uint64, reconnects, resyncs uint64) error {
+	if _, err := h.cfg.Resolve(session, relName); err != nil {
+		return err
+	}
 	key := follower + "\x00" + streamKey(session, relName)
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	st := h.acks[key]
 	if st == nil {
-		st = &ackState{follower: follower, session: session, relation: relName}
+		if len(h.acks) >= maxAckEntries {
+			var oldest string
+			for k, a := range h.acks {
+				if oldest == "" || a.last.Before(h.acks[oldest].last) {
+					oldest = k
+				}
+			}
+			delete(h.acks, oldest)
+		}
+		st = new(ackState)
 		h.acks[key] = st
 	}
-	st.applied = applied
-	st.reconnects = reconnects
-	st.resyncs = resyncs
-	st.last = time.Now()
-	h.mu.Unlock()
+	*st = ackState{AckRequest{follower, session, relName, applied, reconnects, resyncs}, time.Now()}
+	return nil
 }
 
 // FollowerAck is one follower's progress on one relation, as last
@@ -336,7 +327,8 @@ type PrimarySnapshot struct {
 }
 
 // Snapshot returns the hub's metrics, computing per-follower lag
-// against each relation's current head version.
+// against each relation's current head version; followers come ordered
+// by (follower, session, relation), the order of their table keys.
 func (h *Hub) Snapshot() PrimarySnapshot {
 	h.mu.Lock()
 	ps := PrimarySnapshot{
@@ -346,23 +338,22 @@ func (h *Hub) Snapshot() PrimarySnapshot {
 		Overflows:       h.overflows,
 		SnapshotsServed: h.snapshots,
 	}
-	states := make([]*ackState, 0, len(h.acks))
-	for _, st := range h.acks {
-		c := *st
-		states = append(states, &c)
+	states := make([]ackState, 0, len(h.acks))
+	for _, key := range slices.Sorted(maps.Keys(h.acks)) {
+		states = append(states, *h.acks[key])
 	}
 	h.mu.Unlock()
 	for _, st := range states {
 		fa := FollowerAck{
-			Follower:   st.follower,
-			Session:    st.session,
-			Relation:   st.relation,
-			Applied:    st.applied,
-			Reconnects: st.reconnects,
-			Resyncs:    st.resyncs,
+			Follower:   st.Follower,
+			Session:    st.Session,
+			Relation:   st.Relation,
+			Applied:    st.Applied,
+			Reconnects: st.Reconnects,
+			Resyncs:    st.Resyncs,
 			LagSeconds: time.Since(st.last).Seconds(),
 		}
-		if src, err := h.cfg.Resolve(st.session, st.relation); err == nil {
+		if src, err := h.cfg.Resolve(st.Session, st.Relation); err == nil {
 			fa.Head = src.Rel.Version()
 			if fa.Head > fa.Applied {
 				fa.LagRecords = fa.Head - fa.Applied
@@ -370,15 +361,5 @@ func (h *Hub) Snapshot() PrimarySnapshot {
 		}
 		ps.Followers = append(ps.Followers, fa)
 	}
-	sort.Slice(ps.Followers, func(i, j int) bool {
-		a, b := ps.Followers[i], ps.Followers[j]
-		if a.Follower != b.Follower {
-			return a.Follower < b.Follower
-		}
-		if a.Session != b.Session {
-			return a.Session < b.Session
-		}
-		return a.Relation < b.Relation
-	})
 	return ps
 }

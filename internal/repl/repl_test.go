@@ -18,16 +18,16 @@ import (
 	"sampleunion/internal/wal"
 )
 
-// --- frame codec ---
+// --- heartbeat convention (the frame codec itself is tested in wal) ---
 
 func TestFrameRoundtrip(t *testing.T) {
 	var wire []byte
-	wire = AppendFrame(wire, 1, []byte("alpha"))
+	wire = wal.AppendFrame(wire, 1, []byte("alpha"))
 	wire = AppendHeartbeat(wire, 7)
-	wire = AppendFrame(wire, 2, []byte{})
-	wire = AppendFrame(wire, 3, bytes.Repeat([]byte{0xAB}, 1000))
+	wire = wal.AppendFrame(wire, 2, []byte{})
+	wire = wal.AppendFrame(wire, 3, bytes.Repeat([]byte{0xAB}, 1000))
 
-	fr := NewFrameReader(bytes.NewReader(wire))
+	fr := wal.NewFrameReader(bytes.NewReader(wire))
 	seq, p, err := fr.Next()
 	if err != nil || seq != 1 || string(p) != "alpha" {
 		t.Fatalf("frame 1: seq=%d p=%q err=%v", seq, p, err)
@@ -49,37 +49,6 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 	if _, _, err = fr.Next(); err != io.EOF {
 		t.Fatalf("clean end: %v, want io.EOF", err)
-	}
-}
-
-func TestFrameReaderTornStream(t *testing.T) {
-	wire := AppendFrame(nil, 1, []byte("payload"))
-	// Torn mid-header and torn mid-payload both surface ErrUnexpectedEOF.
-	for _, cut := range []int{1, frameHeaderSize - 1, frameHeaderSize + 3} {
-		fr := NewFrameReader(bytes.NewReader(wire[:cut]))
-		if _, _, err := fr.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut at %d: err = %v, want ErrUnexpectedEOF", cut, err)
-		}
-	}
-}
-
-func TestFrameReaderCorruptFrame(t *testing.T) {
-	wire := AppendFrame(nil, 9, []byte("payload-bytes"))
-	// Any flipped bit in seq or payload fails the checksum.
-	for _, pos := range []int{8, 15, frameHeaderSize, len(wire) - 1} {
-		bad := append([]byte(nil), wire...)
-		bad[pos] ^= 0x10
-		fr := NewFrameReader(bytes.NewReader(bad))
-		if _, _, err := fr.Next(); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("flip at %d: err = %v, want ErrBadFrame", pos, err)
-		}
-	}
-	// An absurd length header is rejected before any read.
-	bad := append([]byte(nil), wire...)
-	bad[3] = 0xFF // length |= 0xFF000000 > maxFramePayload
-	fr := NewFrameReader(bytes.NewReader(bad))
-	if _, _, err := fr.Next(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("oversized length: err = %v, want ErrBadFrame", err)
 	}
 }
 
@@ -267,6 +236,22 @@ func newPrimaryNode(t *testing.T, hb time.Duration) *primaryNode {
 	return n
 }
 
+// relSink is the minimal Sink: a bare relation with no sampler, no WAL
+// of its own and no sibling relations to order against.
+type relSink struct{ rel *relation.Relation }
+
+func (s relSink) ApplyRecord(seq uint64, payload []byte) (wal.ApplyOutcome, error) {
+	return wal.ApplyRecord(s.rel, seq, payload)
+}
+func (s relSink) Flush() error { return nil }
+func (s relSink) RestoreSnapshot(sd relation.SnapshotData) error {
+	return s.rel.RestoreSnapshot(sd)
+}
+
+func relTarget(rel *relation.Relation) Target {
+	return Target{Session: "sess", Relation: "t", Rel: rel, Sink: relSink{rel}}
+}
+
 // appendRows writes n sequential rows through the WAL and wakes streams,
 // as the serving append path does.
 func (n *primaryNode) appendRows(t *testing.T, rows int) {
@@ -289,13 +274,10 @@ func newTestFollower(t *testing.T, n *primaryNode, client *http.Client, hb time.
 		Client:     client,
 		FollowerID: "f1",
 		Heartbeat:  hb,
-		AckEvery:   5 * time.Millisecond,
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 100 * time.Millisecond,
 		Seed:       1,
 		Logf:       t.Logf,
 	})
-	f.Add(Target{Session: "sess", Relation: "t", Rel: frel})
+	f.Add(relTarget(frel))
 	t.Cleanup(f.Close)
 	return f, frel
 }
@@ -345,6 +327,38 @@ func TestReplicationAcksReachPrimaryMetrics(t *testing.T) {
 	fs := f.Snapshot()
 	if len(fs.Targets) != 1 || fs.Targets[0].Applied != frel.Version() || !fs.Targets[0].Connected {
 		t.Fatalf("follower metrics wrong: %+v", fs.Targets)
+	}
+}
+
+// TestAckTableBoundedAndValidated: followers mint a fresh ID per boot
+// and anyone can POST an ack, so the table must neither grow with every
+// distinct ID nor remember relations the hub does not serve.
+func TestAckTableBoundedAndValidated(t *testing.T) {
+	n := newPrimaryNode(t, time.Second)
+	for i := 0; i < 5000; i++ {
+		if err := n.hub.RecordAck(fmt.Sprintf("follower-%d", i), "sess", "t", uint64(i), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := n.hub.Snapshot().Followers
+	if len(fs) > maxAckEntries {
+		t.Fatalf("%d followers in the snapshot after 5000 distinct IDs, cap is %d", len(fs), maxAckEntries)
+	}
+	// Eviction is least-recently-acked: the newest report survives.
+	newest := false
+	for _, fa := range fs {
+		newest = newest || fa.Follower == "follower-4999"
+	}
+	if !newest {
+		t.Fatal("the most recent ack was evicted")
+	}
+	if err := n.hub.RecordAck("f1", "no-such-session", "t", 1, 0, 0); err == nil {
+		t.Fatal("ack for an unknown session accepted")
+	}
+	for _, fa := range n.hub.Snapshot().Followers {
+		if fa.Session != "sess" {
+			t.Fatalf("refused ack left a trace: %+v", fa)
+		}
 	}
 }
 
@@ -412,9 +426,9 @@ func TestReplicationResumesFromSilentLoss(t *testing.T) {
 			frel := relation.New("t", relation.NewSchema("a", "b"))
 			f := NewFollower(Options{
 				Primary: front.URL, Client: front.Client(), FollowerID: "f1",
-				Heartbeat: hb, BackoffMin: hb, BackoffMax: 10 * hb, Logf: t.Logf,
+				Heartbeat: hb, Logf: t.Logf,
 			})
-			f.Add(Target{Session: "sess", Relation: "t", Rel: frel})
+			f.Add(relTarget(frel))
 			defer f.Close()
 
 			waitUntil(t, "catch-up on the second stream", func() bool { return frel.Version() == n.rel.Version() })
@@ -470,10 +484,9 @@ func TestReplicationRefusesSnapshotBehindLocalState(t *testing.T) {
 	}
 	f := NewFollower(Options{
 		Primary: n.srv.URL, Client: n.srv.Client(), FollowerID: "f1",
-		Heartbeat: 10 * time.Millisecond, BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 50 * time.Millisecond, Logf: t.Logf,
+		Heartbeat: 10 * time.Millisecond, Logf: t.Logf,
 	})
-	rep := &replicator{f: f, t: Target{Session: "sess", Relation: "t", Rel: frel}}
+	rep := &replicator{f: f, t: relTarget(frel)}
 	err := rep.resync()
 	if err == nil || frel.Version() != 50 {
 		t.Fatalf("resync rolled back diverged state: err=%v version=%d", err, frel.Version())

@@ -3,13 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"sampleunion/internal/relation"
 	"sampleunion/internal/wal"
 )
 
@@ -22,13 +22,15 @@ import (
 // declaration so a rebooted daemon can re-Prepare them and come up
 // warm. Base data is rebuilt deterministically from the declaration on
 // every boot; the WAL and checkpoints carry only wire-level mutations
-// on top of it.
+// on top of it. The store opens and closes the logs and counts what
+// happens to them; each entry's ingest decides when to commit and
+// checkpoint.
 type durableStore struct {
 	root string
 	opts wal.RelationLogOptions
 
 	mu      sync.Mutex
-	entries map[string]*durableEntry
+	entries map[string]*ingest // entries holding open logs, by registry key
 
 	commits         atomic.Int64
 	commitErrors    atomic.Int64
@@ -38,19 +40,8 @@ type durableStore struct {
 	restoredEntries atomic.Int64
 }
 
-// durableEntry is one registry entry's durability state.
-type durableEntry struct {
-	store *durableStore
-	key   string
-	rels  map[string]*wal.RelationLog
-	// recovered counts mutations restored at open across the entry's
-	// relations: > 0 means the entry carries wire-level state beyond
-	// its declaration.
-	recovered int
-}
-
 func newDurableStore(root string, opts wal.RelationLogOptions) *durableStore {
-	return &durableStore{root: root, opts: opts, entries: make(map[string]*durableEntry)}
+	return &durableStore{root: root, opts: opts, entries: make(map[string]*ingest)}
 }
 
 // relDirName maps a relation name to a directory entry. Workload and
@@ -72,78 +63,34 @@ func relDirName(name string) string {
 	return fmt.Sprintf("x%x", name)
 }
 
-// recover opens (restoring checkpoint + WAL state into) the durability
-// state for every relation of a freshly built entry. The relations
-// must hold exactly their deterministic base contents. The sinks are
-// NOT attached yet — warm-up runs on the recovered contents first, and
-// attach follows once the session exists (see Registry.prepare).
-func (d *durableStore) recover(key string, rels map[string]*relation.Relation) (*durableEntry, error) {
-	de := &durableEntry{store: d, key: key, rels: make(map[string]*wal.RelationLog, len(rels))}
-	names := make([]string, 0, len(rels))
-	for name := range rels {
+// recover opens (restoring checkpoint + WAL state into) the log of
+// every relation of a freshly built entry, whose relations must hold
+// exactly their deterministic base contents, and reports how many
+// mutations came back: > 0 means the entry carries wire-level state
+// beyond its declaration. The sinks are NOT attached yet (see
+// newIngest).
+func (d *durableStore) recover(in *ingest) (recovered int, err error) {
+	in.logs = make(map[string]*wal.RelationLog, len(in.rels))
+	names := make([]string, 0, len(in.rels))
+	for name := range in.rels {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		dir := filepath.Join(d.root, "sessions", key, relDirName(name))
-		rl, err := wal.OpenRelationLog(dir, rels[name], d.opts)
+		dir := filepath.Join(d.root, "sessions", in.key, relDirName(name))
+		rl, err := wal.OpenRelationLog(dir, in.rels[name], d.opts)
 		if err != nil {
-			de.close()
-			return nil, fmt.Errorf("serve: recovering relation %q: %w", name, err)
+			in.closeLogs()
+			return 0, fmt.Errorf("serve: recovering relation %q: %w", name, err)
 		}
-		de.rels[name] = rl
-		de.recovered += rl.Recovered()
+		in.logs[name] = rl
+		recovered += rl.Recovered()
 	}
-	d.recoveredMuts.Add(int64(de.recovered))
+	d.recoveredMuts.Add(int64(recovered))
 	d.mu.Lock()
-	d.entries[key] = de
+	d.entries[in.key] = in
 	d.mu.Unlock()
-	return de, nil
-}
-
-// attach starts teeing every relation's mutations into its WAL.
-func (de *durableEntry) attach() {
-	for _, rl := range de.rels {
-		rl.Attach()
-	}
-}
-
-func (de *durableEntry) close() {
-	for _, rl := range de.rels {
-		rl.Close()
-	}
-}
-
-// commit makes the named relation's teed mutations durable; an append
-// ack must not be sent unless it succeeds.
-func (de *durableEntry) commit(name string) error {
-	rl, ok := de.rels[name]
-	if !ok {
-		return fmt.Errorf("serve: no durable state for relation %q", name)
-	}
-	err := rl.Commit()
-	if err != nil {
-		de.store.commitErrors.Add(1)
-		return err
-	}
-	de.store.commits.Add(1)
-	return nil
-}
-
-// maybeCheckpoint checkpoints the named relation when due.
-func (de *durableEntry) maybeCheckpoint(name string) {
-	rl, ok := de.rels[name]
-	if !ok {
-		return
-	}
-	did, err := rl.MaybeCheckpoint()
-	if err != nil {
-		de.store.checkpointErrs.Add(1)
-		return
-	}
-	if did {
-		de.store.checkpoints.Add(1)
-	}
+	return recovered, nil
 }
 
 // release closes an evicted entry's durability state. Its WAL and
@@ -152,11 +99,11 @@ func (de *durableEntry) maybeCheckpoint(name string) {
 // sticky) instead of acking undurable work.
 func (d *durableStore) release(key string) {
 	d.mu.Lock()
-	de := d.entries[key]
+	in := d.entries[key]
 	delete(d.entries, key)
 	d.mu.Unlock()
-	if de != nil {
-		de.close()
+	if in != nil {
+		in.closeLogs()
 	}
 }
 
@@ -166,10 +113,10 @@ func (d *durableStore) release(key string) {
 func (d *durableStore) closeAll() {
 	d.mu.Lock()
 	entries := d.entries
-	d.entries = make(map[string]*durableEntry)
+	d.entries = make(map[string]*ingest)
 	d.mu.Unlock()
-	for _, de := range entries {
-		de.close()
+	for _, in := range entries {
+		in.closeLogs()
 	}
 }
 
@@ -208,8 +155,7 @@ func (d *durableStore) loadManifest() ([]manifestEntry, error) {
 	return m.Entries, nil
 }
 
-// rememberDecl records a declaration in the manifest (idempotent),
-// atomically: temp file, fsync, rename.
+// rememberDecl records a declaration in the manifest (idempotent).
 func (d *durableStore) rememberDecl(key string, decl UnionDecl) error {
 	return d.editManifest(func(m *manifest) {
 		for _, e := range m.Entries {
@@ -238,42 +184,19 @@ func (d *durableStore) forgetDecl(key string) error {
 func (d *durableStore) editManifest(edit func(*manifest)) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// A corrupt or unreadable manifest costs warm restarts, not data;
+	// start a fresh one rather than wedging ingest.
 	var m manifest
-	if raw, err := os.ReadFile(d.manifestPath()); err == nil {
-		if err := json.Unmarshal(raw, &m); err != nil {
-			// A corrupt manifest costs warm restarts, not data; start a
-			// fresh one rather than wedging ingest.
-			m = manifest{}
-		}
-	}
+	m.Entries, _ = d.loadManifest()
 	edit(&m)
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	if err := os.MkdirAll(d.root, 0o777); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	tmp, err := os.CreateTemp(d.root, ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), d.manifestPath()); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
+	return wal.WriteFileAtomic(d.manifestPath(), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
+		return err
+	})
 }
 
 // DurabilitySnapshot is the /metrics durability gauge set.

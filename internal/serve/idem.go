@@ -1,7 +1,5 @@
 package serve
 
-import "sync"
-
 // idemCap bounds the in-memory dedupe window in keys; past it the
 // oldest keys age out FIFO. The durable window is bounded separately
 // by WAL retention — a key whose record was truncated by checkpointing
@@ -13,9 +11,9 @@ const idemCap = 1 << 16
 // (relation, key) pairs mapped to the row count the original batch
 // appended. Keys are recorded only after the batch's WAL commit and
 // recovered from tagged WAL records at restart, so a dedupe answer
-// always refers to a batch that is actually durable.
+// always refers to a batch that is actually durable. The owning
+// ingest's appendMu guards it.
 type idemTable struct {
-	mu    sync.Mutex
 	rows  map[string]int
 	order []string // FIFO aging
 }
@@ -23,16 +21,12 @@ type idemTable struct {
 func idemMapKey(relName, key string) string { return relName + "\x00" + key }
 
 func (t *idemTable) lookup(relName, key string) (int, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n, ok := t.rows[idemMapKey(relName, key)]
 	return n, ok
 }
 
 func (t *idemTable) record(relName, key string, n int) {
 	mk := idemMapKey(relName, key)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.rows == nil {
 		t.rows = make(map[string]int)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"sampleunion"
 	"sampleunion/internal/relation"
+	"sampleunion/internal/repl"
 )
 
 // Entry is one warm union in the registry: the prepared session, the
@@ -27,30 +28,10 @@ type Entry struct {
 
 	hits atomic.Int64
 
-	// mutated records that this entry's relations received appends
-	// over the wire. The registry is a cache over declarations —
-	// re-preparing an evicted key regenerates the declared data, so
-	// wire-level mutations die with the entry. Eviction therefore
-	// prefers unmutated entries; see insertLocked.
-	mutated atomic.Bool
-
-	// appendMu orders append→refresh pairs so two concurrent ingest
-	// calls — wire appends on a primary, sibling replicators' frame
-	// applies on a follower, an explicit /refresh — cannot interleave a
-	// Refresh with another's append (draws never take it; they read the
-	// session's current generation lock-free).
-	appendMu sync.Mutex
-
-	// durable is the entry's WAL + checkpoint state (nil when the
-	// server runs memory-only). When set, the append path commits to
-	// it before acking, and the entry's wire-level mutations survive
-	// both eviction and restarts.
-	durable *durableEntry
-
-	// idem dedupes committed append batches by Idempotency-Key; with
-	// durability on it is seeded from tagged WAL records at recovery,
-	// so dedupe survives a restart.
-	idem idemTable
+	// ingest is the entry's write side — the lock, the WALs, the dedupe
+	// table and the mutated flag. Every row that reaches Rels goes
+	// through one of its methods.
+	*ingest
 
 	// pinned exempts the entry from LRU eviction. Replication
 	// followers pin what they replicate: a replicator holds the
@@ -79,9 +60,11 @@ type Registry struct {
 	cap     int
 
 	// durable, when non-nil, recovers and persists every entry's
-	// wire-level mutations (see durableStore); set by serve.New when
-	// the server is configured with a durable data directory.
+	// wire-level mutations (see durableStore), and hub, when non-nil,
+	// streams them to followers; both are set by serve.New and handed to
+	// each entry's ingest.
 	durable *durableStore
+	hub     *repl.Hub
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // value: *Entry
@@ -170,12 +153,9 @@ func (r *Registry) Get(decl UnionDecl) (*Entry, error) {
 }
 
 // prepare builds the union and pays the warm-up — the expensive part,
-// run outside the registry lock. With durability on, recovery slots in
-// between build and warm-up: the freshly built relations hold their
-// deterministic base contents, checkpoint + WAL replay layers the
-// persisted wire-level mutations on top, and the warm-up then runs
-// over the recovered state. Sinks attach only after the session
-// exists, so warm-up itself writes nothing to the log.
+// run outside the registry lock. The entry's ingest does the warm-up
+// itself, because with durability on recovery has to slot in between
+// build and warm-up (see newIngest).
 func (r *Registry) prepare(key string, decl UnionDecl) (*Entry, error) {
 	u, rels, dict, err := decl.build(r.dataDir)
 	if err != nil {
@@ -185,41 +165,11 @@ func (r *Registry) prepare(key string, decl UnionDecl) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	var de *durableEntry
-	if r.durable != nil {
-		de, err = r.durable.recover(key, rels)
-		if err != nil {
-			return nil, err
-		}
-	}
-	r.prepares.Add(1)
-	sess, err := u.Prepare(opts)
+	in, err := r.newIngest(key, decl, u, opts, rels)
 	if err != nil {
-		if de != nil {
-			r.durable.release(key)
-		}
 		return nil, err
 	}
-	e := &Entry{Key: key, Sess: sess, Union: u, Rels: rels, Dict: dict, durable: de}
-	if de != nil {
-		de.attach()
-		if de.recovered > 0 {
-			e.mutated.Store(true)
-		}
-		// Re-seed the dedupe table from idempotency tags the WAL replay
-		// surfaced, so a client retrying across our restart still
-		// dedupes (within the WAL retention window).
-		for name, rl := range de.rels {
-			for tag, n := range rl.RecoveredTags() {
-				e.idem.record(name, tag, n)
-			}
-		}
-		if err := r.durable.rememberDecl(key, decl.normalize()); err != nil {
-			r.durable.release(key)
-			return nil, err
-		}
-	}
-	return e, nil
+	return &Entry{Key: key, Sess: in.sess, Union: u, Rels: rels, Dict: dict, ingest: in}, nil
 }
 
 // insertLocked publishes a fresh entry and evicts past capacity;
@@ -260,7 +210,7 @@ func (r *Registry) insertLocked(key string, e *Entry) {
 		r.lru.Remove(victim)
 		delete(r.entries, old.Key)
 		r.evictions.Add(1)
-		if r.durable != nil && old.durable != nil {
+		if r.durable != nil {
 			// Close the victim's WAL (an in-flight append racing the
 			// eviction fails its commit rather than ack undurable
 			// work) and drop it from the boot manifest; its on-disk
@@ -302,16 +252,23 @@ type EntryStorage struct {
 	DictLen   int                        `json:"dict_len,omitempty"`
 }
 
-// StorageSnapshot reports per-relation storage gauges for every warm
-// entry, keyed by registry key. Gauges are read off immutable relation
-// snapshots, so only the entry listing holds the registry lock.
-func (r *Registry) StorageSnapshot() map[string]EntryStorage {
+// warm lists the warm entries, most recently used first. Callers work
+// on the entries outside the registry lock.
+func (r *Registry) warm() []*Entry {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	entries := make([]*Entry, 0, r.lru.Len())
 	for el := r.lru.Front(); el != nil; el = el.Next() {
 		entries = append(entries, el.Value.(*Entry))
 	}
-	r.mu.Unlock()
+	return entries
+}
+
+// StorageSnapshot reports per-relation storage gauges for every warm
+// entry, keyed by registry key. Gauges are read off immutable relation
+// snapshots, so only the entry listing holds the registry lock.
+func (r *Registry) StorageSnapshot() map[string]EntryStorage {
+	entries := r.warm()
 	out := make(map[string]EntryStorage, len(entries))
 	for _, e := range entries {
 		es := EntryStorage{Relations: make(map[string]RelationStorage, len(e.Rels))}
@@ -345,12 +302,7 @@ func (r *Registry) StorageSnapshot() map[string]EntryStorage {
 // decisions — the scrape point for watching what the tuner actually
 // chose in serving.
 func (r *Registry) TuningSnapshot() map[string]sampleunion.TuneSnapshot {
-	r.mu.Lock()
-	entries := make([]*Entry, 0, r.lru.Len())
-	for el := r.lru.Front(); el != nil; el = el.Next() {
-		entries = append(entries, el.Value.(*Entry))
-	}
-	r.mu.Unlock()
+	entries := r.warm()
 	out := make(map[string]sampleunion.TuneSnapshot, len(entries))
 	for _, e := range entries {
 		if sn, ok := e.Sess.TuneSnapshot(); ok {

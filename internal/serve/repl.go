@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"sampleunion/internal/repl"
@@ -20,80 +19,49 @@ func (s *Server) resolveSource(session, relName string) (repl.Source, error) {
 	if !ok {
 		return repl.Source{}, fmt.Errorf("serve: no warm session %q", session)
 	}
-	rel, ok := e.Rels[relName]
+	rl, ok := e.logs[relName]
 	if !ok {
 		return repl.Source{}, fmt.Errorf("serve: session %q has no relation %q", session, relName)
 	}
-	if e.durable == nil {
-		return repl.Source{}, fmt.Errorf("serve: session %q has no durable state to stream", session)
-	}
-	rl, ok := e.durable.rels[relName]
-	if !ok {
-		return repl.Source{}, fmt.Errorf("serve: relation %q has no WAL", relName)
-	}
-	return repl.Source{Rel: rel, Log: rl}, nil
+	return repl.Source{Rel: e.Rels[relName], Log: rl}, nil
 }
 
-func (s *Server) replUnavailable(w http.ResponseWriter) bool {
-	if s.hub != nil {
-		return false
-	}
+// replUnavailable answers every /repl/ endpoint on a server that has no
+// hub: only a durable primary feeds followers.
+func (s *Server) replUnavailable(w http.ResponseWriter, r *http.Request) {
 	msg := "serve: replication requires a durable primary (start with -data-dir)"
-	if s.primaryURL != "" {
-		msg = "serve: this node is a follower; replicate from the primary at " + s.primaryURL
+	if s.cfg.FollowPrimary != "" {
+		msg = "serve: this node is a follower; replicate from the primary at " + s.cfg.FollowPrimary
 	}
 	writeJSON(w, http.StatusServiceUnavailable, apiError{Error: msg})
-	return true
 }
 
 // handleReplSessions lists the durable sessions a follower should
 // replicate: the boot manifest, verbatim — key plus the declaration
-// the follower re-prepares to get the identical deterministic base.
+// the follower re-prepares to get the identical deterministic base
+// (a manifestEntry is a repl.RemoteSession on the wire).
 func (s *Server) handleReplSessions(w http.ResponseWriter, r *http.Request) {
-	if s.replUnavailable(w) {
-		return
-	}
 	ents, err := s.reg.durable.loadManifest()
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
-	out := make([]repl.RemoteSession, 0, len(ents))
-	for _, me := range ents {
-		raw, err := json.Marshal(me.Decl)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-			return
-		}
-		out = append(out, repl.RemoteSession{Key: me.Key, Decl: raw})
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, append([]manifestEntry{}, ents...))
 }
 
-func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
-	if s.replUnavailable(w) {
-		return
-	}
-	s.hub.ServeStream(w, r)
-}
-
-func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.replUnavailable(w) {
-		return
-	}
-	s.hub.ServeSnapshot(w, r)
-}
-
+// handleReplAck records a follower's progress report. The body is
+// bounded and the (session, relation) must resolve: the endpoint is
+// open to anyone who can reach the daemon.
 func (s *Server) handleReplAck(w http.ResponseWriter, r *http.Request) {
-	if s.replUnavailable(w) {
-		return
-	}
 	var req repl.AckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "serve: bad ack body: " + err.Error()})
+	if err := decode(r, &req); err != nil {
+		s.writeResult(w, nil, err)
 		return
 	}
-	s.hub.RecordAck(req.Follower, req.Session, req.Relation, req.Applied, req.Reconnects, req.Resyncs)
+	if err := s.hub.RecordAck(req.Follower, req.Session, req.Relation, req.Applied, req.Reconnects, req.Resyncs); err != nil {
+		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
+		return
+	}
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
@@ -105,7 +73,7 @@ func (s *Server) handleReplAck(w http.ResponseWriter, r *http.Request) {
 // restored sessions keep serving reads and the poll retries. Call it
 // once, after RestoreSessions.
 func (s *Server) StartFollower(pollEvery time.Duration) error {
-	if s.primaryURL == "" {
+	if s.cfg.FollowPrimary == "" {
 		return fmt.Errorf("serve: StartFollower on a server with no FollowPrimary")
 	}
 	if s.follower != nil {
@@ -114,21 +82,15 @@ func (s *Server) StartFollower(pollEvery time.Duration) error {
 	if pollEvery <= 0 {
 		pollEvery = 30 * time.Second
 	}
-	// Reconnect backoff and ack cadence scale with the heartbeat: it is
-	// the deployment's one statement about how fast replication should
-	// notice and react to change.
+	now := time.Now().UnixNano()
 	s.follower = repl.NewFollower(repl.Options{
-		Primary:    s.primaryURL,
-		Client:     s.replClient,
-		FollowerID: followerID(),
-		Heartbeat:  s.heartbeat,
-		AckEvery:   2 * s.heartbeat,
-		BackoffMin: s.heartbeat,
-		BackoffMax: 20 * s.heartbeat,
-		Seed:       uint64(time.Now().UnixNano()),
-		Logf:       nil,
+		Primary:    s.cfg.FollowPrimary,
+		Client:     s.cfg.ReplClient,
+		FollowerID: fmt.Sprintf("follower-%d", now%1e9),
+		Heartbeat:  s.cfg.ReplHeartbeat,
+		Seed:       uint64(now),
 	})
-	for _, e := range s.warmEntries() {
+	for _, e := range s.reg.warm() {
 		s.followEntry(e)
 	}
 	go func() {
@@ -147,36 +109,18 @@ func (s *Server) StartFollower(pollEvery time.Duration) error {
 	return nil
 }
 
-var followerSeq sync.Mutex
-
-func followerID() string {
-	followerSeq.Lock()
-	defer followerSeq.Unlock()
-	return fmt.Sprintf("follower-%d", time.Now().UnixNano()%1e9)
-}
-
-func (s *Server) warmEntries() []*Entry {
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	out := make([]*Entry, 0, s.reg.lru.Len())
-	for el := s.reg.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*Entry))
-	}
-	return out
-}
-
 // syncFollowTargets pulls the primary's session list and prepares +
 // follows anything new. Failures are swallowed (the ticker retries):
 // a follower must boot, serve its restored state, and wait out a dead
 // primary.
 func (s *Server) syncFollowTargets() {
-	client := s.replClient
+	client := s.cfg.ReplClient
 	if client == nil {
 		client = http.DefaultClient
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	sessions, err := repl.FetchSessions(ctx, client, s.primaryURL)
+	sessions, err := repl.FetchSessions(ctx, client, s.cfg.FollowPrimary)
 	if err != nil {
 		return
 	}
@@ -197,30 +141,13 @@ func (s *Server) syncFollowTargets() {
 }
 
 // followEntry pins an entry (replicators hold its relations; eviction
-// would orphan them) and registers one replication target per
-// relation. The targets share the entry's appendMu, so a sibling's
-// frame apply never interleaves with a Refresh of the shared session —
-// the order the wire append path keeps on the primary.
+// would orphan them) and registers one replication target per relation,
+// each writing through the entry's ingest — which is what keeps a
+// sibling's frame apply from interleaving with a Refresh of the shared
+// session.
 func (s *Server) followEntry(e *Entry) {
 	e.pinned.Store(true)
 	for name, rel := range e.Rels {
-		t := repl.Target{
-			Session:  e.Key,
-			Relation: name,
-			Rel:      rel,
-			Mu:       &e.appendMu,
-			Refresh: func() error {
-				e.mutated.Store(true)
-				return e.Sess.Refresh()
-			},
-		}
-		if e.durable != nil {
-			relName := name
-			if rl, ok := e.durable.rels[relName]; ok {
-				t.Commit = func() error { return e.durable.commit(relName) }
-				t.Checkpoint = rl.Checkpoint
-			}
-		}
-		s.follower.Add(t)
+		s.follower.Add(repl.Target{Session: e.Key, Relation: name, Rel: rel, Sink: relSink{e.ingest, name}})
 	}
 }

@@ -80,6 +80,7 @@ type Config struct {
 // request surface, with admission control and per-endpoint metrics.
 // Create with New, mount via Handler.
 type Server struct {
+	cfg      Config // with defaults filled in
 	reg      *Registry
 	metrics  *metricsSet
 	sem      chan struct{}
@@ -87,15 +88,10 @@ type Server struct {
 	started  time.Time
 	draining atomic.Bool
 
-	timeout time.Duration
-
 	// hub serves WAL frames to followers (primary with durability
 	// only); follower is the replication client (follower mode only).
-	hub        *repl.Hub
-	follower   *repl.Follower
-	primaryURL string
-	replClient *http.Client
-	heartbeat  time.Duration
+	hub      *repl.Hub
+	follower *repl.Follower
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -122,16 +118,13 @@ func New(cfg Config) *Server {
 		cfg.ReplHeartbeat = time.Second
 	}
 	s := &Server{
-		reg:        NewRegistry(cfg.DataDir, cfg.SessionCap),
-		metrics:    newMetricsSet(),
-		sem:        make(chan struct{}, cfg.MaxInflight),
-		mux:        http.NewServeMux(),
-		started:    time.Now(),
-		timeout:    cfg.RequestTimeout,
-		primaryURL: cfg.FollowPrimary,
-		replClient: cfg.ReplClient,
-		heartbeat:  cfg.ReplHeartbeat,
-		stopCh:     make(chan struct{}),
+		cfg:     cfg,
+		reg:     NewRegistry(cfg.DataDir, cfg.SessionCap),
+		metrics: newMetricsSet(),
+		sem:     make(chan struct{}, cfg.MaxInflight),
+		mux:     http.NewServeMux(),
+		started: time.Now(),
+		stopCh:  make(chan struct{}),
 	}
 	if cfg.DurableDir != "" {
 		s.reg.durable = newDurableStore(cfg.DurableDir, wal.RelationLogOptions{
@@ -144,6 +137,7 @@ func New(cfg Config) *Server {
 			Resolve:   s.resolveSource,
 			Heartbeat: cfg.ReplHeartbeat,
 		})
+		s.reg.hub = s.hub
 	}
 	s.mux.HandleFunc("POST /sample", s.handle("sample", true, s.handleSample))
 	s.mux.HandleFunc("POST /sample/where", s.handle("sample_where", true, s.handleSampleWhere))
@@ -159,10 +153,14 @@ func New(cfg Config) *Server {
 	// The replication surface is raw byte streams and side-channel
 	// bookkeeping, not JSON draws: it mounts outside handle() so
 	// admission control and the response envelope never touch it.
-	s.mux.HandleFunc("GET /repl/sessions", s.handleReplSessions)
-	s.mux.HandleFunc("GET /repl/stream", s.handleReplStream)
-	s.mux.HandleFunc("GET /repl/snapshot", s.handleReplSnapshot)
-	s.mux.HandleFunc("POST /repl/ack", s.handleReplAck)
+	if s.hub != nil {
+		s.mux.HandleFunc("GET /repl/sessions", s.handleReplSessions)
+		s.mux.HandleFunc("GET /repl/stream", s.hub.ServeStream)
+		s.mux.HandleFunc("GET /repl/snapshot", s.hub.ServeSnapshot)
+		s.mux.HandleFunc("POST /repl/ack", s.handleReplAck)
+	} else {
+		s.mux.HandleFunc("/repl/", s.replUnavailable)
+	}
 	return s
 }
 
@@ -293,7 +291,7 @@ func (s *Server) handle(name string, admit bool, fn func(*http.Request) (any, er
 			}
 		}
 		start := time.Now()
-		if !admit || s.timeout <= 0 {
+		if !admit || s.cfg.RequestTimeout <= 0 {
 			payload, err := fn(r)
 			release()
 			m.observe(time.Since(start), err != nil)
@@ -305,7 +303,7 @@ func (s *Server) handle(name string, admit bool, fn func(*http.Request) (any, er
 		// abandoned work keeps its admission slot until it actually
 		// finishes — MaxInflight bounds real concurrency, not just
 		// responsive concurrency.
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		type result struct {
 			payload any
@@ -330,7 +328,7 @@ func (s *Server) handle(name string, admit bool, fn func(*http.Request) (any, er
 			m.observe(time.Since(start), true)
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusServiceUnavailable,
-				apiError{Error: fmt.Sprintf("serve: request exceeded the %v deadline", s.timeout)})
+				apiError{Error: fmt.Sprintf("serve: request exceeded the %v deadline", s.cfg.RequestTimeout)})
 		}
 	}
 }
@@ -341,7 +339,10 @@ func (s *Server) writeResult(w http.ResponseWriter, payload any, err error) {
 		code := http.StatusInternalServerError
 		var bad badRequest
 		var redir redirectError
+		var tooBig *http.MaxBytesError
 		switch {
+		case errors.As(err, &tooBig):
+			code = http.StatusRequestEntityTooLarge
 		case errors.As(err, &redir):
 			code = http.StatusTemporaryRedirect
 			w.Header().Set("Location", redir.location)
@@ -390,11 +391,24 @@ func writeJSON(w http.ResponseWriter, code int, payload any) {
 	}
 }
 
-// decode unmarshals a request body into dst, strictly.
+// maxBodyBytes bounds every request body the server reads: the largest
+// append batch the WAL can frame. Past it a request answers 413 instead
+// of making the daemon buffer whatever a client chooses to send.
+const maxBodyBytes = wal.MaxRecordLen
+
+// decode unmarshals a request body of at most maxBodyBytes into dst,
+// strictly. The limit reader is given no ResponseWriter because a draw
+// abandoned at its deadline may still be reading after the response
+// went out; the server closes a connection whose body was left unread
+// either way.
 func decode(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return fmt.Errorf("serve: request body over %d bytes: %w", maxBodyBytes, err)
+		}
 		return badf("serve: bad request body: %v", err)
 	}
 	return nil
@@ -459,6 +473,11 @@ func (s *Server) handleSample(r *http.Request) (any, error) {
 	default:
 		tuples, _, err = e.Sess.Sample(req.N)
 	}
+	return sampleReply(e, tuples, start, err)
+}
+
+// sampleReply renders a draw's outcome as the /sample response.
+func sampleReply(e *Entry, tuples []sampleunion.Tuple, start time.Time, err error) (any, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -493,15 +512,7 @@ func (s *Server) handleSampleWhere(r *http.Request) (any, error) {
 	} else {
 		tuples, _, err = e.Sess.SampleWhere(req.N, pred)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return sampleResponse{
-		Schema:    schemaAttrs(e.Sess.OutputSchema()),
-		Tuples:    encodeTuples(tuples),
-		UnionSize: e.Sess.UnionSize(),
-		ElapsedUs: float64(time.Since(start).Nanoseconds()) / 1e3,
-	}, nil
+	return sampleReply(e, tuples, start, err)
 }
 
 // approxRequest is the body of the /approx/* endpoints. Attr is
@@ -666,10 +677,8 @@ func (s *Server) handleRefresh(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.appendMu.Lock()
-	defer e.appendMu.Unlock()
-	stale := e.Sess.Stale()
-	if err := e.Sess.Refresh(); err != nil {
+	stale, err := e.refresh()
+	if err != nil {
 		return nil, err
 	}
 	return refreshResponse{Refreshed: stale, UnionSize: e.Sess.UnionSize()}, nil
@@ -714,8 +723,8 @@ type appendResponse struct {
 const maxIdemHeaderLen = 4096
 
 func (s *Server) handleAppend(r *http.Request) (any, error) {
-	if s.primaryURL != "" {
-		return nil, redirectError{location: s.primaryURL + r.URL.Path}
+	if s.cfg.FollowPrimary != "" {
+		return nil, redirectError{location: s.cfg.FollowPrimary + r.URL.Path}
 	}
 	name := r.PathValue("name")
 	idemKey := r.Header.Get("Idempotency-Key")
@@ -746,58 +755,7 @@ func (s *Server) handleAppend(r *http.Request) (any, error) {
 		}
 		rows[i] = t
 	}
-	// Order append→refresh pairs so concurrent ingest calls cannot
-	// observe each other half-applied; draws keep reading the current
-	// session generation and flip to the refreshed one atomically.
-	e.appendMu.Lock()
-	defer e.appendMu.Unlock()
-	if idemKey != "" {
-		if n, ok := e.idem.lookup(name, idemKey); ok {
-			// The batch already committed (possibly before a restart:
-			// recovery reloads keys from the WAL). Re-ack it without
-			// touching the relation.
-			return appendResponse{
-				Appended:  n,
-				Durable:   e.durable != nil,
-				Deduped:   true,
-				UnionSize: e.Sess.UnionSize(),
-			}, nil
-		}
-	}
-	rel.AppendRowsTagged(rows, idemKey)
-	e.mutated.Store(true)
-	if e.durable != nil {
-		// WAL-ack before commit: the rows were teed into the log as
-		// AppendRows ran; make them durable before the 200. A commit
-		// failure refuses the ack — the rows sit in memory but the
-		// client must not treat them as accepted (the response says
-		// so explicitly, since a retry after a restart is safe and a
-		// retry against this process would duplicate them).
-		if err := e.durable.commit(name); err != nil {
-			return nil, fmt.Errorf("serve: append of %d rows to %q not durable: %v (rows are in memory only; do not retry against this process)", len(rows), name, err)
-		}
-	}
-	if idemKey != "" {
-		// Record only after the commit: a refused ack must leave the
-		// key free so the client's retry is not answered from a batch
-		// that never became durable.
-		e.idem.record(name, idemKey, len(rows))
-	}
-	if s.hub != nil {
-		s.hub.Wake(e.Key, name)
-	}
-	resp := appendResponse{Appended: len(rows), Refreshed: true, Durable: e.durable != nil}
-	if err := e.Sess.Refresh(); err != nil {
-		// The rows are committed; a 500 here would invite a retry that
-		// duplicates them. Report the partial outcome instead.
-		resp.Refreshed = false
-		resp.RefreshError = err.Error()
-	}
-	resp.UnionSize = e.Sess.UnionSize()
-	if e.durable != nil {
-		e.durable.maybeCheckpoint(name)
-	}
-	return resp, nil
+	return e.append(name, rows, idemKey)
 }
 
 // healthzResponse is the liveness probe body.

@@ -38,17 +38,7 @@ func ApplyRecord(rel *relation.Relation, seq uint64, payload []byte) (ApplyOutco
 	}
 	switch payload[0] {
 	case batchKind, taggedBatchKind:
-		var (
-			tag   string
-			start int
-			rows  []relation.Tuple
-			err   error
-		)
-		if payload[0] == batchKind {
-			start, rows, err = DecodeBatchRecord(payload)
-		} else {
-			tag, start, rows, err = DecodeTaggedBatchRecord(payload)
-		}
+		tag, start, rows, err := decodeBatchRecord(payload)
 		if err != nil {
 			return ApplyOutcome{}, err
 		}

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -32,7 +31,8 @@ import (
 // batchKind tags a batched-append payload (relation.MutKind uses 0/1).
 const batchKind = 2
 
-// taggedBatchKind tags a batched append carrying an idempotency key:
+// taggedBatchKind tags a batched append carrying an idempotency key,
+// which sits between the kind byte and the untagged body:
 //
 //	[kind=3 u8][klen u16][key klen bytes][start u64][n u32][arity u32][cols]
 //
@@ -85,90 +85,30 @@ func DecodeMutation(p []byte) (relation.Mutation, error) {
 	return m, nil
 }
 
-// batchHeaderLen is the fixed prefix of a batched-append payload.
-const batchHeaderLen = 17
-
 // batchRecordLen is the payload size of a batched append of n rows at
-// the given arity.
-func batchRecordLen(n, arity int) int { return batchHeaderLen + n*arity*8 }
+// the given arity; an empty tag selects the untagged kind.
+func batchRecordLen(tag string, n, arity int) int {
+	ln := 1 + 16 + n*arity*8 // kind, then start + n + arity
+	if tag != "" {
+		ln += 2 + len(tag)
+	}
+	return ln
+}
 
-// encodeBatchRecord fills dst — exactly batchRecordLen(n, len(cols))
-// bytes — with the batched append of rows [start, start+n) read from
-// the published column vectors. It encodes with indexed stores into a
-// caller-reserved buffer because it sits on the ack path of every bulk
-// ingest, where a second pass or copy is measurable against the
-// in-memory append cost.
-func encodeBatchRecord(dst []byte, start, n int, cols [][]relation.Value) {
+// encodeBatchRecord fills dst — exactly batchRecordLen bytes — with the
+// batched append of rows [start, start+n) read from the published
+// column vectors. It encodes with indexed stores into a caller-reserved
+// buffer because it sits on the ack path of every bulk ingest, where a
+// second pass or copy is measurable against the in-memory append cost.
+func encodeBatchRecord(dst []byte, tag string, start, n int, cols [][]relation.Value) {
 	dst[0] = batchKind
-	binary.LittleEndian.PutUint64(dst[1:9], uint64(start))
-	binary.LittleEndian.PutUint32(dst[9:13], uint32(n))
-	binary.LittleEndian.PutUint32(dst[13:17], uint32(len(cols)))
-	p := dst[batchHeaderLen:]
-	for _, col := range cols {
-		for i, v := range col[start : start+n] {
-			binary.LittleEndian.PutUint64(p[i*8:i*8+8], uint64(v))
-		}
-		p = p[n*8:]
+	p := dst[1:]
+	if tag != "" {
+		dst[0] = taggedBatchKind
+		binary.LittleEndian.PutUint16(p[0:2], uint16(len(tag)))
+		copy(p[2:], tag)
+		p = p[2+len(tag):]
 	}
-}
-
-// AppendBatchRecord appends the wire encoding of a batched append of
-// rows [start, start+n) to buf and returns the extended slice.
-func AppendBatchRecord(buf []byte, start, n int, cols [][]relation.Value) []byte {
-	head := len(buf)
-	buf = append(buf, make([]byte, batchRecordLen(n, len(cols)))...)
-	encodeBatchRecord(buf[head:], start, n, cols)
-	return buf
-}
-
-// DecodeBatchRecord parses a payload produced by AppendBatchRecord into
-// the starting physical row and the appended tuples, in append order.
-func DecodeBatchRecord(p []byte) (start int, rows []relation.Tuple, err error) {
-	if len(p) < 1 || p[0] != batchKind {
-		return 0, nil, fmt.Errorf("wal: batch record of %d bytes is malformed", len(p))
-	}
-	return decodeBatchBody(p[1:])
-}
-
-// decodeBatchBody parses [start u64][n u32][arity u32][cols] — the body
-// both batch kinds share past their prefix.
-func decodeBatchBody(p []byte) (start int, rows []relation.Tuple, err error) {
-	if len(p) < 16 {
-		return 0, nil, fmt.Errorf("wal: batch record of %d bytes is malformed", len(p))
-	}
-	start = int(binary.LittleEndian.Uint64(p[0:8]))
-	n := binary.LittleEndian.Uint32(p[8:12])
-	arity := binary.LittleEndian.Uint32(p[12:16])
-	rest := p[16:]
-	if n == 0 || uint64(len(rest)) != uint64(n)*uint64(arity)*8 {
-		return 0, nil, fmt.Errorf("wal: batch record claims %d x %d values, carries %d bytes", n, arity, len(rest))
-	}
-	rows = make([]relation.Tuple, n)
-	flat := make(relation.Tuple, int(n)*int(arity))
-	for i := range rows {
-		rows[i] = flat[i*int(arity) : (i+1)*int(arity)]
-	}
-	for a := 0; a < int(arity); a++ {
-		for i := 0; i < int(n); i++ {
-			rows[i][a] = relation.Value(binary.LittleEndian.Uint64(rest[:8]))
-			rest = rest[8:]
-		}
-	}
-	return start, rows, nil
-}
-
-// taggedBatchRecordLen is the payload size of a tagged batched append.
-func taggedBatchRecordLen(klen, n, arity int) int {
-	return 3 + klen + 16 + n*arity*8
-}
-
-// encodeTaggedBatchRecord fills dst — exactly taggedBatchRecordLen
-// bytes — with a tagged batched append of rows [start, start+n).
-func encodeTaggedBatchRecord(dst []byte, tag string, start, n int, cols [][]relation.Value) {
-	dst[0] = taggedBatchKind
-	binary.LittleEndian.PutUint16(dst[1:3], uint16(len(tag)))
-	copy(dst[3:], tag)
-	p := dst[3+len(tag):]
 	binary.LittleEndian.PutUint64(p[0:8], uint64(start))
 	binary.LittleEndian.PutUint32(p[8:12], uint32(n))
 	binary.LittleEndian.PutUint32(p[12:16], uint32(len(cols)))
@@ -181,18 +121,44 @@ func encodeTaggedBatchRecord(dst []byte, tag string, start, n int, cols [][]rela
 	}
 }
 
-// DecodeTaggedBatchRecord parses a tagged batched-append payload.
-func DecodeTaggedBatchRecord(p []byte) (tag string, start int, rows []relation.Tuple, err error) {
-	if len(p) < 3 || p[0] != taggedBatchKind {
-		return "", 0, nil, fmt.Errorf("wal: tagged batch record of %d bytes is malformed", len(p))
+// decodeBatchRecord parses a batched-append payload of either kind into
+// its idempotency tag ("" when untagged), the starting physical row and
+// the appended tuples, in append order.
+func decodeBatchRecord(p []byte) (tag string, start int, rows []relation.Tuple, err error) {
+	if len(p) < 1 || p[0] != batchKind && p[0] != taggedBatchKind {
+		return "", 0, nil, fmt.Errorf("wal: batch record of %d bytes is malformed", len(p))
 	}
-	klen := int(binary.LittleEndian.Uint16(p[1:3]))
-	if len(p) < 3+klen {
-		return "", 0, nil, fmt.Errorf("wal: tagged batch record truncates its %d-byte key", klen)
+	tagged := p[0] == taggedBatchKind
+	p = p[1:]
+	if tagged {
+		if len(p) < 2 || len(p) < 2+int(binary.LittleEndian.Uint16(p)) {
+			return "", 0, nil, fmt.Errorf("wal: tagged batch record truncates its key")
+		}
+		klen := int(binary.LittleEndian.Uint16(p))
+		tag, p = string(p[2:2+klen]), p[2+klen:]
 	}
-	tag = string(p[3 : 3+klen])
-	start, rows, err = decodeBatchBody(p[3+klen:])
-	return tag, start, rows, err
+	if len(p) < 16 {
+		return "", 0, nil, fmt.Errorf("wal: batch record body of %d bytes is malformed", len(p))
+	}
+	start = int(binary.LittleEndian.Uint64(p[0:8]))
+	n := binary.LittleEndian.Uint32(p[8:12])
+	arity := binary.LittleEndian.Uint32(p[12:16])
+	rest := p[16:]
+	if n == 0 || uint64(len(rest)) != uint64(n)*uint64(arity)*8 {
+		return "", 0, nil, fmt.Errorf("wal: batch record claims %d x %d values, carries %d bytes", n, arity, len(rest))
+	}
+	rows = make([]relation.Tuple, n)
+	flat := make(relation.Tuple, int(n)*int(arity))
+	for i := range rows {
+		rows[i] = flat[i*int(arity) : (i+1)*int(arity)]
+	}
+	for a := 0; a < int(arity); a++ {
+		for i := 0; i < int(n); i++ {
+			rows[i][a] = relation.Value(binary.LittleEndian.Uint64(rest[:8]))
+			rest = rest[8:]
+		}
+	}
+	return tag, start, rows, nil
 }
 
 // Checkpoint file layout (little-endian), named %016x.ckpt after the
@@ -201,46 +167,15 @@ func DecodeTaggedBatchRecord(p []byte) (tag string, start int, rows []relation.T
 //	magic "SUCKPT01" | version u64 | rows u64 | live u64 | arity u64 |
 //	ndead u64 | dead ndead × u64 | cols arity × rows × i64 | crc u32
 //
-// crc is CRC-32C over everything before it. The file is written to a
-// temp name, fsynced, renamed into place, and the directory fsynced —
-// a crash mid-checkpoint leaves the previous checkpoint intact.
+// crc is CRC-32C over everything before it. The file is written with
+// WriteFileAtomic, so a crash mid-checkpoint leaves the previous
+// checkpoint intact.
 
 const ckptMagic = "SUCKPT01"
 
-// WriteCheckpoint atomically persists sd at path.
+// WriteCheckpoint atomically persists sd at path (see WriteFileAtomic).
 func WriteCheckpoint(path string, sd relation.SnapshotData) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	if err := WriteCheckpointTo(bw, sd); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
+	return WriteFileAtomic(path, func(w io.Writer) error { return WriteCheckpointTo(w, sd) })
 }
 
 // WriteCheckpointTo streams sd's SUCKPT01 encoding — the exact bytes a

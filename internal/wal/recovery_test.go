@@ -146,8 +146,8 @@ func TestApplyRecordBatch(t *testing.T) {
 	// physical rows [2, 4).
 	cols := [][]relation.Value{{1, 3, 10, 30}, {2, 4, 20, 40}}
 
-	payload := make([]byte, batchRecordLen(2, 2))
-	encodeBatchRecord(payload, 2, 2, cols)
+	payload := make([]byte, batchRecordLen("", 2, 2))
+	encodeBatchRecord(payload, "", 2, 2, cols)
 
 	out, err := ApplyRecord(rel, 4, payload) // version 2 + 2 rows = seq 4
 	if err != nil || !out.Applied || out.Rows != 2 || out.Tag != "" {
@@ -163,8 +163,8 @@ func TestApplyRecordBatch(t *testing.T) {
 	}
 	// A record that skips versions is a gap.
 	farCols := [][]relation.Value{{1, 3, 10, 30, 50, 70}, {2, 4, 20, 40, 60, 80}}
-	far := make([]byte, batchRecordLen(2, 2))
-	encodeBatchRecord(far, 4, 2, farCols)
+	far := make([]byte, batchRecordLen("", 2, 2))
+	encodeBatchRecord(far, "", 4, 2, farCols)
 	if _, err := ApplyRecord(rel, 9, far); !errors.Is(err, ErrSeqGap) {
 		t.Fatalf("gap batch: %v, want ErrSeqGap", err)
 	}
@@ -173,8 +173,8 @@ func TestApplyRecordBatch(t *testing.T) {
 func TestApplyRecordTaggedBatch(t *testing.T) {
 	rel := relation.New("t", relation.NewSchema("a", "b"))
 	cols := [][]relation.Value{{1}, {2}}
-	payload := make([]byte, taggedBatchRecordLen(len("batch-7"), 1, 2))
-	encodeTaggedBatchRecord(payload, "batch-7", 0, 1, cols)
+	payload := make([]byte, batchRecordLen("batch-7", 1, 2))
+	encodeBatchRecord(payload, "batch-7", 0, 1, cols)
 	out, err := ApplyRecord(rel, 1, payload)
 	if err != nil || !out.Applied || out.Tag != "batch-7" || out.Rows != 1 {
 		t.Fatalf("tagged apply: %+v, %v", out, err)

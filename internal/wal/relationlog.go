@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"sampleunion/internal/relation"
@@ -86,26 +83,13 @@ func OpenRelationLog(dir string, rel *relation.Relation, opt RelationLogOptions)
 // removing corrupt newer ones.
 func (rl *RelationLog) restoreCheckpoint() error {
 	dir := filepath.Join(rl.dir, "checkpoint")
-	des, err := os.ReadDir(dir)
+	vers, err := seqFiles(dir, ckptSuffix)
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var vers []uint64
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ckptSuffix) {
-			continue
-		}
-		v, err := strconv.ParseUint(strings.TrimSuffix(name, ckptSuffix), 16, 64)
-		if err != nil {
-			continue
-		}
-		vers = append(vers, v)
-	}
-	sort.Slice(vers, func(i, j int) bool { return vers[i] < vers[j] })
 	for len(vers) > 0 {
 		v := vers[len(vers)-1]
 		path := filepath.Join(dir, ckptName(v))
@@ -164,9 +148,6 @@ func (rl *RelationLog) RecoveredTags() map[string]int { return rl.tags }
 // later mutation is teed into the WAL before its ack can be committed.
 func (rl *RelationLog) Attach() { rl.rel.SetMutationSink(rl) }
 
-// Detach stops the tee.
-func (rl *RelationLog) Detach() { rl.rel.SetMutationSink(nil) }
-
 // Recovered reports the number of mutations restored at Open (from
 // checkpoint and WAL together, measured in relation versions).
 func (rl *RelationLog) Recovered() int { return rl.recovered }
@@ -176,13 +157,19 @@ func (rl *RelationLog) Recovered() int { return rl.recovered }
 // surfaced by the Commit that must precede any ack.
 func (rl *RelationLog) LogMutation(version uint64, m relation.Mutation) {
 	rl.buf = AppendMutation(rl.buf[:0], m)
-	if err := rl.log.Append(version, rl.buf); err != nil {
-		rl.mu.Lock()
-		if rl.sinkErr == nil {
-			rl.sinkErr = err
-		}
-		rl.mu.Unlock()
+	rl.park(rl.log.Append(version, rl.buf))
+}
+
+// park keeps the first tee failure for Commit to surface.
+func (rl *RelationLog) park(err error) {
+	if err == nil {
+		return
 	}
+	rl.mu.Lock()
+	if rl.sinkErr == nil {
+		rl.sinkErr = err
+	}
+	rl.mu.Unlock()
 }
 
 // batchChunkRows bounds rows per batched-append record so no record can
@@ -207,22 +194,11 @@ func (rl *RelationLog) LogAppendBatch(version uint64, start, n int, cols [][]rel
 		}
 		s := start + off
 		seq := version - uint64(n-off-c)
-		var err error
-		if tag == "" {
-			err = rl.log.AppendReserve(seq, batchRecordLen(c, len(cols)), func(dst []byte) {
-				encodeBatchRecord(dst, s, c, cols)
-			})
-		} else {
-			err = rl.log.AppendReserve(seq, taggedBatchRecordLen(len(tag), c, len(cols)), func(dst []byte) {
-				encodeTaggedBatchRecord(dst, tag, s, c, cols)
-			})
-		}
+		err := rl.log.AppendReserve(seq, batchRecordLen(tag, c, len(cols)), func(dst []byte) {
+			encodeBatchRecord(dst, tag, s, c, cols)
+		})
 		if err != nil {
-			rl.mu.Lock()
-			if rl.sinkErr == nil {
-				rl.sinkErr = err
-			}
-			rl.mu.Unlock()
+			rl.park(err)
 			return
 		}
 	}
@@ -316,6 +292,6 @@ func (rl *RelationLog) MaybeCheckpoint() (bool, error) {
 // raced the detach fail their Commit (sticky ErrClosed) rather than
 // ack silently undurable work.
 func (rl *RelationLog) Close() error {
-	rl.Detach()
+	rl.rel.SetMutationSink(nil)
 	return rl.log.Close()
 }

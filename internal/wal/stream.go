@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -62,16 +60,8 @@ func (c *StreamCursor) Close() {
 func (l *Log) segmentsForStream() ([]segment, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrClosed
-	}
-	if l.err != nil {
-		return nil, l.err
-	}
-	if l.w != nil {
-		if err := l.w.Flush(); err != nil {
-			return nil, l.fail(err)
-		}
+	if err := l.writeOutLocked(true, false); err != nil {
+		return nil, err
 	}
 	return append([]segment(nil), l.segs...), nil
 }
@@ -94,14 +84,9 @@ func (c *StreamCursor) Read(dst []byte, maxBytes int) ([]byte, error) {
 			if !ok {
 				return dst, nil // empty log
 			}
-			f, err := os.Open(seg.path)
-			if err != nil {
-				if os.IsNotExist(err) {
-					return dst, ErrTruncated
-				}
-				return dst, fmt.Errorf("wal: %w", err)
+			if err := c.open(seg); err != nil {
+				return dst, err
 			}
-			c.f, c.first, c.off = f, seg.first, 0
 		}
 		var sawEnd bool
 		dst, sawEnd, err = c.fillFromSegment(dst, limit)
@@ -122,17 +107,26 @@ func (c *StreamCursor) Read(dst []byte, maxBytes int) ([]byte, error) {
 			// was created; a torn or corrupt frame inside one is damage.
 			return dst, fmt.Errorf("wal: stream: corrupt frame mid-log in sealed segment %016x", c.first)
 		}
-		c.Close()
-		f, err := os.Open(next.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return dst, ErrTruncated
-			}
-			return dst, fmt.Errorf("wal: %w", err)
+		if err := c.open(next); err != nil {
+			return dst, err
 		}
-		c.f, c.first, c.off = f, next.first, 0
 	}
 	return dst, nil
+}
+
+// open moves the cursor to the start of seg. A segment that is gone was
+// truncated out from under the cursor.
+func (c *StreamCursor) open(seg segment) error {
+	c.Close()
+	f, err := os.Open(seg.path)
+	if os.IsNotExist(err) {
+		return ErrTruncated
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	c.f, c.first, c.off = f, seg.first, 0
+	return nil
 }
 
 // fillFromSegment reads frames from the open segment into dst until
@@ -151,12 +145,12 @@ func (c *StreamCursor) fillFromSegment(dst []byte, limit int) ([]byte, bool, err
 			c.endedClean = m == 0
 			return dst, true, nil
 		}
-		ln := binary.LittleEndian.Uint32(hdr[0:4])
-		if ln > maxRecordLen {
+		ln, err := frameLen(hdr[:])
+		if err != nil {
 			c.endedClean = false
 			return dst, true, nil
 		}
-		need := headerSize + int(ln)
+		need := headerSize + ln
 		pos := len(dst)
 		dst = append(dst, make([]byte, need)...)
 		m, err = c.f.ReadAt(dst[pos:pos+need], c.off)
@@ -167,13 +161,12 @@ func (c *StreamCursor) fillFromSegment(dst []byte, limit int) ([]byte, bool, err
 			c.endedClean = false
 			return dst[:pos], true, nil
 		}
-		frame := dst[pos : pos+need]
-		if crc32.Update(0, castagnoli, frame[8:]) != binary.LittleEndian.Uint32(frame[4:8]) {
+		seq, err := checkFrame(dst[pos:pos+headerSize], dst[pos+headerSize:])
+		if err != nil {
 			c.endedClean = false
 			return dst[:pos], true, nil
 		}
 		c.off += int64(need)
-		seq := binary.LittleEndian.Uint64(frame[8:16])
 		if seq <= c.seq {
 			dst = dst[:pos] // already streamed (reconnect overlap); skip
 			continue

@@ -6,31 +6,37 @@
 // relation's ordinary mutation path, so a restarted daemon comes back
 // with exactly the acked state.
 //
-// Record frame (little-endian):
+// Record frame (little-endian) — the one specification of the layout,
+// which frame.go alone implements and which is also the replication
+// wire format (package repl ships these bytes verbatim):
 //
 //	[len u32][crc u32][seq u64][payload len bytes]
 //
-// crc is CRC-32C (Castagnoli) over seq+payload. seq is caller-assigned
-// and strictly increasing — relations use their mutation version, so a
-// WAL record's seq IS the relation version it produced. Segments are
-// named %016x.wal after their first record's seq; a torn tail (short
-// frame, bad checksum, impossible length) is truncated away on Open.
-// Damage anywhere except the tail — a torn record followed by segments
-// that still hold valid records, a duplicated segment file, an
-// overlapping seq range — fails Open loudly instead of silently
-// truncating acked history.
+// crc is CRC-32C (Castagnoli) over seq+payload; len counts the payload
+// only and may not exceed MaxRecordLen. seq is caller-assigned and
+// strictly increasing — relations use their mutation version, so a WAL
+// record's seq IS the relation version it produced. A frame that ends
+// early is torn (io.ErrUnexpectedEOF); one whose crc or len is wrong is
+// bad (ErrBadFrame). What a consumer does about either is its own
+// policy: Open truncates damage in the log's last segment away, Replay
+// and a sealed segment under a StreamCursor fail on it, a StreamCursor
+// at the live tail waits for the append in flight, a follower
+// reconnects (torn) or resyncs from a snapshot (bad).
+//
+// Segments are named %016x.wal after their first record's seq. Damage
+// anywhere except the tail — a torn record followed by segments that
+// still hold valid records, a duplicated segment file, an overlapping
+// seq range — fails Open loudly instead of silently truncating acked
+// history.
 package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,27 +65,22 @@ const (
 	SyncNever
 )
 
+// policyNames are the -fsync flag values, indexed by policy.
+var policyNames = [...]string{SyncAlways: "always", SyncInterval: "interval", SyncNever: "off"}
+
 // ParseSyncPolicy maps the -fsync flag values to a policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "off":
-		return SyncNever, nil
+	for p, name := range policyNames {
+		if s == name {
+			return SyncPolicy(p), nil
+		}
 	}
 	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval, or off)", s)
 }
 
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNever:
-		return "off"
+	if p >= 0 && int(p) < len(policyNames) {
+		return policyNames[p]
 	}
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
@@ -109,19 +110,13 @@ func (o Options) withDefaults() Options {
 var ErrClosed = errors.New("wal: log is closed")
 
 const (
-	headerSize = 16
-	// maxRecordLen bounds a frame's payload; a length field past it is
-	// torn-tail garbage, not a record.
-	maxRecordLen = 64 << 20
-	segSuffix    = ".wal"
+	segSuffix = ".wal"
 	// writeBufBytes sizes the segment write buffer. bufio's 4 KiB
 	// default puts a write syscall on the ack path every ~hundred rows
 	// of bulk ingest; 256 KiB keeps appends syscall-free between group
 	// commits.
 	writeBufBytes = 256 << 10
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segment is one log file; first is the seq of its first record.
 type segment struct {
@@ -253,30 +248,29 @@ func Open(dir string, opts Options) (*Log, error) {
 // claims and must not overlap their predecessor, so a duplicated or
 // renamed segment file is an error, not silently replayed history.
 func (l *Log) scanDir() error {
-	names, err := os.ReadDir(l.dir)
+	firsts, err := seqFiles(l.dir, segSuffix)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var segs []segment
-	for _, de := range names {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		first, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 16, 64)
-		if err != nil {
-			continue // foreign file; leave it alone
-		}
-		segs = append(segs, segment{path: filepath.Join(l.dir, name), first: first})
+	segs := make([]segment, len(firsts))
+	for i, first := range firsts {
+		segs[i] = segment{path: filepath.Join(l.dir, segName(first)), first: first}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 	scans := make([]segScan, len(segs))
 	for i, seg := range segs {
-		sc, err := scanSegment(seg.path)
-		if err != nil {
+		sc := &scans[i]
+		sc.goodOff, err = walkSegment(seg.path, func(seq uint64, _ []byte) error {
+			if sc.n == 0 {
+				sc.first = seq
+			}
+			sc.last = seq
+			sc.n++
+			return nil
+		})
+		if err != nil && !isTear(err) {
 			return err
 		}
-		scans[i] = sc
+		sc.intact = err == nil
 	}
 	for i, seg := range segs {
 		sc := scans[i]
@@ -333,45 +327,32 @@ type segScan struct {
 	intact      bool
 }
 
-// scanSegment walks one segment's frames.
-func scanSegment(path string) (segScan, error) {
-	var sc segScan
+// walkSegment calls fn for every valid frame of one segment file, in
+// order, and returns the offset just past the last valid frame. The
+// error is nil when the file ends exactly there; a tear (see isTear)
+// when it does not — the caller decides whether that is a tail to
+// truncate or damage to refuse; otherwise fn's own error or an I/O
+// failure. The payload is only valid during the call.
+func walkSegment(path string, fn func(seq uint64, payload []byte) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return sc, fmt.Errorf("wal: %w", err)
+		return 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	var hdr [headerSize]byte
-	buf := make([]byte, 4096)
+	fr := NewFrameReader(f)
+	var off int64
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			sc.intact = err == io.EOF
-			return sc, nil
+		seq, payload, err := fr.Next()
+		if err == io.EOF {
+			return off, nil
 		}
-		ln := binary.LittleEndian.Uint32(hdr[0:4])
-		if ln > maxRecordLen {
-			return sc, nil
+		if err != nil {
+			return off, err
 		}
-		if int(ln) > len(buf) {
-			buf = make([]byte, ln)
+		if err := fn(seq, payload); err != nil {
+			return off, err
 		}
-		payload := buf[:ln]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return sc, nil
-		}
-		crc := crc32.Update(0, castagnoli, hdr[8:16])
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return sc, nil
-		}
-		seq := binary.LittleEndian.Uint64(hdr[8:16])
-		if sc.n == 0 {
-			sc.first = seq
-		}
-		sc.last = seq
-		sc.n++
-		sc.goodOff += int64(headerSize) + int64(ln)
+		off += int64(headerSize + len(payload))
 	}
 }
 
@@ -384,6 +365,25 @@ func (l *Log) LastSeq() uint64 {
 
 func segName(first uint64) string {
 	return fmt.Sprintf("%016x%s", first, segSuffix)
+}
+
+// seqFiles lists the seqs that dir's %016x<suffix> files — segments,
+// checkpoints — are named after, ascending (ReadDir sorts by name and
+// the names are fixed-width hex). Anything else in the directory is
+// foreign and left alone.
+func seqFiles(dir, suffix string) ([]uint64, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var seqs []uint64
+	for _, de := range des {
+		v, err := strconv.ParseUint(strings.TrimSuffix(de.Name(), suffix), 16, 64)
+		if err == nil && !de.IsDir() && fmt.Sprintf("%016x%s", v, suffix) == de.Name() {
+			seqs = append(seqs, v)
+		}
+	}
+	return seqs, nil
 }
 
 // Append frames and buffers one record. seq must exceed every
@@ -422,10 +422,8 @@ func (l *Log) AppendReserve(seq uint64, size int, encode func(dst []byte)) error
 		encode(p)
 		return l.writeFrameLocked(seq, p)
 	}
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(size))
-	binary.LittleEndian.PutUint64(frame[8:16], seq)
 	encode(frame[headerSize:])
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Update(0, castagnoli, frame[8:]))
+	putFrameHeader(frame[:headerSize], seq, frame[headerSize:])
 	l.size += int64(headerSize) + int64(size)
 	l.lastSeq = seq
 	l.dirty = true
@@ -444,8 +442,8 @@ func (l *Log) appendCheckLocked(seq uint64, size int) error {
 	if seq <= l.lastSeq {
 		return l.fail(fmt.Errorf("wal: non-monotone seq %d (last %d)", seq, l.lastSeq))
 	}
-	if size > maxRecordLen {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame limit", size, maxRecordLen)
+	if size > MaxRecordLen {
+		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame limit", size, MaxRecordLen)
 	}
 	if l.f == nil || l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(seq); err != nil {
@@ -457,11 +455,7 @@ func (l *Log) appendCheckLocked(seq uint64, size int) error {
 
 func (l *Log) writeFrameLocked(seq uint64, payload []byte) error {
 	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Update(0, castagnoli, hdr[8:16])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	putFrameHeader(hdr[:], seq, payload)
 	if _, err := l.w.Write(hdr[:]); err != nil {
 		return l.fail(err)
 	}
@@ -530,54 +524,30 @@ func (l *Log) rotateLocked(seq uint64) error {
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.writeOutLocked(l.opts.Policy != SyncInterval, l.opts.Policy == SyncAlways)
+}
+
+// writeOutLocked surfaces a sticky failure, then — as asked — drains
+// the write buffer into the OS and fsyncs the active segment.
+func (l *Log) writeOutLocked(flush, sync bool) error {
 	if l.err != nil {
 		return l.err
 	}
 	if l.closed {
 		return ErrClosed
 	}
-	if l.f == nil {
-		return nil
-	}
-	if l.opts.Policy == SyncInterval {
+	if l.f == nil || !flush {
 		return nil
 	}
 	if err := l.w.Flush(); err != nil {
 		return l.fail(err)
 	}
-	if l.opts.Policy == SyncAlways {
+	if sync {
 		if err := l.f.Sync(); err != nil {
 			return l.fail(err)
 		}
 		l.dirty = false
 	}
-	return nil
-}
-
-// Sync flushes and fsyncs regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-func (l *Log) syncLocked() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.closed {
-		return ErrClosed
-	}
-	if l.f == nil {
-		return nil
-	}
-	if err := l.w.Flush(); err != nil {
-		return l.fail(err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return l.fail(err)
-	}
-	l.dirty = false
 	return nil
 }
 
@@ -621,18 +591,15 @@ func (l *Log) flushLoop() {
 	}
 }
 
-// Replay calls fn for every record with seq > after, in order. The
-// write buffer is flushed first so replay sees everything appended.
+// Replay calls fn for every record with seq > after, in order; the
+// payload is only valid during the call. The write buffer is flushed
+// first so replay sees everything appended. Open already cut any torn
+// tail away, so a tear found here is damage and fails the replay.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.w != nil {
-		if err := l.w.Flush(); err != nil {
-			return l.fail(err)
-		}
+	if err := l.writeOutLocked(true, false); err != nil {
+		return err
 	}
 	for i, seg := range l.segs {
 		// A segment whose successor starts at or before after+1 holds
@@ -640,47 +607,20 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 		if i+1 < len(l.segs) && l.segs[i+1].first <= after+1 {
 			continue
 		}
-		if err := replaySegment(seg.path, after, fn); err != nil {
+		_, err := walkSegment(seg.path, func(seq uint64, payload []byte) error {
+			if seq <= after {
+				return nil
+			}
+			return fn(seq, payload)
+		})
+		if isTear(err) {
+			return fmt.Errorf("wal: %s: damaged frame mid-log: %w", filepath.Base(seg.path), err)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func replaySegment(path string, after uint64, fn func(uint64, []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var hdr [headerSize]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("wal: %s: torn frame mid-log", filepath.Base(path))
-		}
-		ln := binary.LittleEndian.Uint32(hdr[0:4])
-		if ln > maxRecordLen {
-			return fmt.Errorf("wal: %s: corrupt frame length %d", filepath.Base(path), ln)
-		}
-		payload := make([]byte, ln)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("wal: %s: torn record mid-log", filepath.Base(path))
-		}
-		crc := crc32.Update(0, castagnoli, hdr[8:16])
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return fmt.Errorf("wal: %s: checksum mismatch mid-log", filepath.Base(path))
-		}
-		if seq := binary.LittleEndian.Uint64(hdr[8:16]); seq > after {
-			if err := fn(seq, payload); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 // TruncateThrough removes sealed segments that hold only records with
@@ -724,7 +664,7 @@ func (l *Log) Close() error {
 	}
 	var err error
 	if l.f != nil && l.err == nil {
-		err = l.syncLocked()
+		err = l.writeOutLocked(true, true)
 		if cerr := l.f.Close(); err == nil {
 			err = cerr
 		}
@@ -738,6 +678,45 @@ func (l *Log) Close() error {
 		<-l.flushDone
 	}
 	return err
+}
+
+// WriteFileAtomic replaces the file at path with what write produces,
+// so that a crash at any point leaves the old file or the new one and
+// never a mix: the bytes go to a temp file in the same directory, which
+// is fsynced, closed and renamed over path, and the directory is
+// fsynced so the rename itself survives. Checkpoints and the serving
+// layer's boot manifest are both written this way.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	dir, base := filepath.Dir(path), filepath.Base(path)
+	if err := os.MkdirAll(dir, 0o777); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	tmp, err := os.CreateTemp(dir, "."+base+"-*")
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer os.Remove(tmp.Name())
+	bw := bufio.NewWriterSize(tmp, 1<<16)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: writing %s: %w", base, err)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a rename/create within it is durable.

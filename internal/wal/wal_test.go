@@ -118,99 +118,6 @@ func TestLogRotationAndTruncate(t *testing.T) {
 	}
 }
 
-// TestLogTornTail truncates the log file at every possible byte
-// boundary inside the final record and asserts Open recovers exactly
-// the intact prefix.
-func TestLogTornTail(t *testing.T) {
-	build := func(t *testing.T, dir string) string {
-		l, err := Open(dir, Options{Policy: SyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seq := uint64(1); seq <= 5; seq++ {
-			if err := l.Append(seq, []byte(fmt.Sprintf("payload-%d", seq))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		segs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
-		if len(segs) != 1 {
-			t.Fatalf("expected 1 segment, got %d", len(segs))
-		}
-		return segs[0]
-	}
-
-	probe := t.TempDir()
-	seg := build(t, probe)
-	full, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recLen := headerSize + len("payload-5")
-	for cut := 1; cut <= recLen; cut++ {
-		dir := t.TempDir()
-		seg := build(t, dir)
-		if err := os.Truncate(seg, int64(len(full)-cut)); err != nil {
-			t.Fatal(err)
-		}
-		l, err := Open(dir, Options{Policy: SyncNever})
-		if err != nil {
-			t.Fatalf("cut %d: open: %v", cut, err)
-		}
-		if l.LastSeq() != 4 {
-			t.Fatalf("cut %d: LastSeq = %d, want 4 (torn record 5 dropped)", cut, l.LastSeq())
-		}
-		got := collect(t, l, 0)
-		if len(got) != 4 || got[4] != "payload-4" {
-			t.Fatalf("cut %d: prefix not intact: %v", cut, got)
-		}
-		// The log must accept appends past the tear.
-		if err := l.Append(5, []byte("rewritten-5")); err != nil {
-			t.Fatalf("cut %d: append after tear: %v", cut, err)
-		}
-		if err := l.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		l.Close()
-	}
-}
-
-// TestLogCorruptMidRecord flips a payload byte mid-log: Open must
-// truncate from the corrupt record onward.
-func TestLogCorruptMidRecord(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Policy: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq <= 5; seq++ {
-		if err := l.Append(seq, []byte(fmt.Sprintf("payload-%d", seq))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
-	segs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
-	raw, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	recLen := headerSize + len("payload-1")
-	raw[2*recLen+headerSize] ^= 0xff // corrupt record 3's payload
-	if err := os.WriteFile(segs[0], raw, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(dir, Options{Policy: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.LastSeq() != 2 {
-		t.Fatalf("LastSeq = %d, want 2 (records 3-5 dropped)", l2.LastSeq())
-	}
-}
-
 func TestLogNonMonotoneSeqRejected(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{Policy: SyncNever})
 	if err != nil {
@@ -536,12 +443,13 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 		{0, 1, 2, 3, 4, 5},
 		{10, 11, 12, 13, 14, 15},
 	}
-	enc := AppendBatchRecord(nil, 2, 3, cols)
-	start, rows, err := DecodeBatchRecord(enc)
+	enc := make([]byte, batchRecordLen("", 3, 2))
+	encodeBatchRecord(enc, "", 2, 3, cols)
+	tag, start, rows, err := decodeBatchRecord(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if start != 2 || len(rows) != 3 {
+	if tag != "" || start != 2 || len(rows) != 3 {
 		t.Fatalf("decoded start %d, %d rows; want 2, 3", start, len(rows))
 	}
 	for i, want := range []relation.Tuple{{2, 12}, {3, 13}, {4, 14}} {
@@ -549,11 +457,20 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", i, rows[i], want)
 		}
 	}
-	if _, _, err := DecodeBatchRecord(enc[:10]); err == nil {
+	if _, _, _, err := decodeBatchRecord(enc[:10]); err == nil {
 		t.Fatal("short batch record accepted")
 	}
-	if _, _, err := DecodeBatchRecord(append(enc[:len(enc):len(enc)], 0)); err == nil {
+	if _, _, _, err := decodeBatchRecord(append(enc[:len(enc):len(enc)], 0)); err == nil {
 		t.Fatal("oversized batch record accepted")
+	}
+	// The tagged kind round-trips its key, and a key cut short is refused.
+	tagged := make([]byte, batchRecordLen("k1", 3, 2))
+	encodeBatchRecord(tagged, "k1", 2, 3, cols)
+	if tag, start, rows, err := decodeBatchRecord(tagged); err != nil || tag != "k1" || start != 2 || len(rows) != 3 {
+		t.Fatalf("tagged round trip: tag %q start %d rows %d err %v", tag, start, len(rows), err)
+	}
+	if _, _, _, err := decodeBatchRecord(tagged[:3]); err == nil {
+		t.Fatal("tagged record with a truncated key accepted")
 	}
 }
 
@@ -712,14 +629,14 @@ func TestWriteBufEdges(t *testing.T) {
 	}
 }
 
-func TestAppendReserveFallbackAndSync(t *testing.T) {
+func TestAppendReserveFallback(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Policy: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// In-place record, then one bigger than the write buffer (takes the
-	// scratch fallback), then Sync regardless of policy.
+	// scratch fallback).
 	if err := l.AppendReserve(1, 4, func(dst []byte) { copy(dst, "tiny") }); err != nil {
 		t.Fatal(err)
 	}
@@ -729,9 +646,6 @@ func TestAppendReserveFallbackAndSync(t *testing.T) {
 			dst[i] = byte(i)
 		}
 	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
