@@ -257,17 +257,20 @@ func appendBurst(rels []*Relation, iter, batch, base int) {
 // burst followed by a handful of draws, repeated — under the two
 // maintenance strategies:
 //
-//   - refresh: the warm session absorbs the burst through
+//   - refresh, refresh-ew: the warm session absorbs the burst through
 //     Session.Refresh (delta-overlaid indexes, membership deltas,
 //     dirty-join sampler rebuilds, re-estimation).
 //   - rebuild: the pre-live-relations strategy — every burst invalidates
 //     the derived structures (ResetCaches) and pays a cold Prepare.
 //
-// The configuration is the streaming-friendly one (random-walk warm-up
-// + EO subroutine: index-only setup, walk cost independent of data
-// size), so refresh cost is O(delta + walks) while rebuild is O(data).
-// The per-op gap is the amortized-maintenance claim of this PR; see
-// BENCH_PR3.json.
+// refresh and rebuild run the streaming-friendly configuration
+// (random-walk warm-up + EO subroutine: index-only setup, walk cost
+// independent of data size), so refresh cost is O(delta + walks) while
+// rebuild is O(data); the per-op gap is the amortized-maintenance claim
+// of BENCH_PR3.json. refresh-ew is what serverd resolves an empty
+// declaration to (random-walk warm-up + EW): every dirty join rebuilds
+// its weight tables, one linear pass with O(nodes) allocations — CI
+// gates its allocs/op.
 func BenchmarkMutateThenDraw(b *testing.B) {
 	const (
 		rows  = 30000
@@ -275,28 +278,35 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 		draws = 16
 	)
 	opts := Options{Warmup: WarmupRandomWalk, WarmupWalks: 300, Method: MethodEO, Seed: 1}
-	b.Run("refresh", func(b *testing.B) {
-		u, rels := benchLiveUnion(b, rows)
-		s, err := u.Prepare(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			appendBurst(rels, i, batch, 10*rows)
-			if err := s.Refresh(); err != nil {
-				b.Fatal(err)
-			}
-			out, _, err := s.SampleSeeded(draws, int64(i))
+	optsEW := opts
+	optsEW.Method = MethodEW
+	for _, leg := range []struct {
+		name string
+		opts Options
+	}{{"refresh", opts}, {"refresh-ew", optsEW}} {
+		b.Run(leg.name, func(b *testing.B) {
+			u, rels := benchLiveUnion(b, rows)
+			s, err := u.Prepare(leg.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(out) != draws {
-				b.Fatal("short sample")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				appendBurst(rels, i, batch, 10*rows)
+				if err := s.Refresh(); err != nil {
+					b.Fatal(err)
+				}
+				out, _, err := s.SampleSeeded(draws, int64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(out) != draws {
+					b.Fatal("short sample")
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("rebuild", func(b *testing.B) {
 		u, rels := benchLiveUnion(b, rows)
 		if _, err := u.Prepare(opts); err != nil { // match the warm start

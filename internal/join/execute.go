@@ -33,10 +33,12 @@ func (j *Join) enumerate(k int, out relation.Tuple, rv ResView, yield func(relat
 		}
 		return true
 	}
+	// Row ids before columns: relations may grow meanwhile, storage is
+	// monotone, so columns read after an id always hold it.
 	n := &j.nodes[k]
-	cols := n.Rel.Cols()
 	if k == 0 {
 		rows := n.Rel.Len()
+		cols := n.Rel.Cols()
 		for i := 0; i < rows; i++ {
 			if !n.Rel.Live(i) {
 				continue
@@ -51,7 +53,9 @@ func (j *Join) enumerate(k int, out relation.Tuple, rv ResView, yield func(relat
 		return true
 	}
 	parentVal := out[j.nodes[n.Parent].proj[n.ParentAttrPos]]
-	for _, i := range n.Rel.Matches(n.AttrPos, parentVal) {
+	matches := n.Rel.Matches(n.AttrPos, parentVal)
+	cols := n.Rel.Cols()
+	for _, i := range matches {
 		for _, e := range n.emit {
 			out[e[1]] = cols[e[0]][i]
 		}
@@ -76,100 +80,153 @@ func (j *Join) Execute() []relation.Tuple {
 // Count returns the exact join result size. For tree joins it uses the
 // bottom-up weight recurrence (each tuple's exact extension count, the
 // EW statistic of Zhao et al.), which runs in time linear in the input
-// rather than the output; cyclic joins fall back to counting skeleton
-// results times matching residual rows.
+// rather than the output; cyclic joins fall back to enumeration.
 func (j *Join) Count() int64 {
-	w := j.ExactWeights()
 	if j.res == nil {
-		root := j.nodes[0].Rel
-		var total int64
-		for i := 0; i < root.Len(); i++ {
-			total += w[0][i]
-		}
-		return total
+		return j.ExactWeights().Count()
 	}
 	var total int64
-	out := make(relation.Tuple, j.out.Len())
-	j.countResidual(0, out, j.res.View(), &total)
+	j.Enumerate(func(relation.Tuple) bool {
+		total++
+		return true
+	})
 	return total
 }
 
-func (j *Join) countResidual(k int, out relation.Tuple, rv ResView, total *int64) {
-	if k == len(j.nodes) {
-		*total += int64(len(rv.Match(out)))
-		return
-	}
-	n := &j.nodes[k]
-	cols := n.Rel.Cols()
-	if k == 0 {
-		rows := n.Rel.Len()
-		for i := 0; i < rows; i++ {
-			if !n.Rel.Live(i) {
-				continue
-			}
-			for _, e := range n.emit {
-				out[e[1]] = cols[e[0]][i]
-			}
-			j.countResidual(k+1, out, rv, total)
-		}
-		return
-	}
-	parentVal := out[j.nodes[n.Parent].proj[n.ParentAttrPos]]
-	for _, i := range n.Rel.Matches(n.AttrPos, parentVal) {
-		for _, e := range n.emit {
-			out[e[1]] = cols[e[0]][i]
-		}
-		j.countResidual(k+1, out, rv, total)
-	}
+// WeightTable is one join node's exact weights, packed the way the EW
+// sampler draws from them: the rows with positive weight, grouped by
+// join-attribute value. Segment e — the rows of entry e of the node's
+// index, in index order — is Rows[Off[e]:Off[e+1]], with Cum the running
+// weight sum inside each segment, so a segment's last Cum is the total
+// weight of its value. The root, which has no join attribute, is one
+// segment of its positive-weight rows in row order.
+type WeightTable struct {
+	Off  []int32
+	Rows []int32
+	Cum  []int64
 }
 
-// ExactWeights computes, for every node and every row, the exact number
-// of join results of the subtree rooted at that node that the row
-// participates in — the Exact Weight (EW) statistic of Zhao et al.
-// (§3.2). weights[n][i] is the weight of row i of node n's relation.
-// Dangling and tombstoned rows get weight 0 (the paper's relaxation of
-// key–foreign-key joins, extended to live relations). The residual
-// (cyclic case) is not included; samplers handle it by rejection.
-func (j *Join) ExactWeights() [][]int64 {
-	w := make([][]int64, len(j.nodes))
-	// Process nodes in reverse topological order (children first).
+// Segment returns entry e's rows and their running weight sums.
+func (t *WeightTable) Segment(e int) ([]int32, []int64) {
+	lo, hi := t.Off[e], t.Off[e+1]
+	return t.Rows[lo:hi], t.Cum[lo:hi]
+}
+
+// Total returns the summed weight of entry e's rows.
+func (t *WeightTable) Total(e int) int64 {
+	if lo, hi := t.Off[e], t.Off[e+1]; lo < hi {
+		return t.Cum[hi-1]
+	}
+	return 0
+}
+
+// add appends row r with weight w to the open segment; zero-weight
+// rows are dropped. end closes the segment.
+func (t *WeightTable) add(r int, w int64) {
+	if w <= 0 {
+		return
+	}
+	if n := len(t.Cum); n > int(t.Off[len(t.Off)-1]) {
+		w += t.Cum[n-1]
+	}
+	t.Rows = append(t.Rows, int32(r))
+	t.Cum = append(t.Cum, w)
+}
+
+func (t *WeightTable) end() { t.Off = append(t.Off, int32(len(t.Rows))) }
+
+// Weights is the Exact Weight (EW) statistic of Zhao et al. (§3.2) over
+// one reading of the join's relations: for every node and row, the exact
+// number of results of the node's subtree the row participates in.
+// Dangling and tombstoned rows weigh 0 (the paper's relaxation of
+// key–foreign-key joins, extended to live relations) and are not
+// stored. The residual (cyclic case) is not included; samplers handle
+// it by rejection.
+type Weights struct {
+	// Vers is StateVersions read before anything else, so a mutation
+	// racing the build leaves Vers behind the join's and the weights
+	// read as stale.
+	Vers []uint64
+	// Idx[k] is node k's join-attribute index, the one Nodes[k]'s
+	// segments are aligned to (nil for the root).
+	Idx   []*relation.Index
+	Nodes []WeightTable
+}
+
+// Count returns the exact skeleton result count, |J| for tree joins.
+func (w *Weights) Count() int64 { return w.Nodes[0].Total(0) }
+
+// ExactWeights computes the join's Weights in one bottom-up pass with a
+// fixed number of allocations per node: a node's row weights are the
+// product of its children's segment totals, and packing them along the
+// node's own index yields the totals its parent needs. Relations may
+// mutate meanwhile: each node's index is fetched before its storage
+// snapshot, storage is monotone, so every indexed row id is inside the
+// snapshot, and liveness is read from that snapshot alone.
+func (j *Join) ExactWeights() *Weights {
+	ws := &Weights{
+		Vers:  j.StateVersions(),
+		Idx:   make([]*relation.Index, len(j.nodes)),
+		Nodes: make([]WeightTable, len(j.nodes)),
+	}
+	for k := 1; k < len(j.nodes); k++ {
+		ws.Idx[k] = j.nodes[k].Rel.Index(j.nodes[k].AttrPos)
+	}
+	snaps := make([]relation.SnapshotData, len(j.nodes))
+	most := 0
+	for k := range j.nodes {
+		snaps[k] = j.nodes[k].Rel.CaptureSnapshot()
+		most = max(most, snaps[k].Rows)
+	}
+	scratch := make([]int64, most) // the row weights of the node in hand
+	// Reverse topological order: children first.
 	for k := len(j.nodes) - 1; k >= 0; k-- {
-		n := &j.nodes[k]
-		rows := n.Rel.Len()
-		w[k] = make([]int64, rows)
-		// childSum[c][v] = sum of weights of child c's rows with join value v.
-		cols := n.Rel.Cols()
-		childSums := make([]map[relation.Value]int64, len(n.Children))
-		for ci, c := range n.Children {
-			cn := &j.nodes[c]
-			sums := make(map[relation.Value]int64)
-			ccol := cn.Rel.Cols()[cn.AttrPos]
-			for i := 0; i < cn.Rel.Len(); i++ {
-				if !cn.Rel.Live(i) {
+		s := &snaps[k]
+		w := scratch[:s.Rows]
+		for i := range w {
+			w[i] = 0
+			if s.IsLive(i) {
+				w[i] = 1
+			}
+		}
+		for _, c := range j.nodes[k].Children {
+			col, idx, sums := s.Cols[j.nodes[c].ParentAttrPos], ws.Idx[c], &ws.Nodes[c]
+			for i, wi := range w {
+				if wi == 0 {
 					continue
 				}
-				sums[ccol[i]] += w[c][i]
-			}
-			childSums[ci] = sums
-		}
-		for i := 0; i < rows; i++ {
-			if !n.Rel.Live(i) {
-				continue // weight 0: tombstoned rows join nothing
-			}
-			prod := int64(1)
-			for ci, c := range n.Children {
-				cn := &j.nodes[c]
-				s := childSums[ci][cols[cn.ParentAttrPos][i]]
-				if s == 0 {
-					prod = 0
-					break
+				w[i] = 0
+				if e, ok := idx.EntryOf(col[i]); ok {
+					w[i] = wi * sums.Total(e)
 				}
-				prod *= s
 			}
-			w[k][i] = prod
 		}
+		positive := 0
+		for _, wi := range w {
+			if wi > 0 {
+				positive++
+			}
+		}
+		t := &ws.Nodes[k]
+		t.Rows = make([]int32, 0, positive)
+		t.Cum = make([]int64, 0, positive)
+		if k == 0 {
+			t.Off = make([]int32, 1, 2)
+			for i, wi := range w {
+				t.add(i, wi)
+			}
+			t.end()
+			continue
+		}
+		t.Off = make([]int32, 1, ws.Idx[k].NumEntries()+1)
+		ws.Idx[k].EachEntry(func(rows []int) {
+			for _, r := range rows {
+				t.add(r, w[r])
+			}
+			t.end()
+		})
 	}
-	return w
+	return ws
 }
 
 // OlkenBound returns the extended Olken upper bound on the join size:

@@ -92,22 +92,41 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	}
 }
 
+// rowWeights unpacks node k's weight table into one weight per physical
+// row (0 for the rows the table drops).
+func rowWeights(j *Join, ws *Weights, k int) []int64 {
+	w := make([]int64, j.Nodes()[k].Rel.Len())
+	t := &ws.Nodes[k]
+	for e := 0; e+1 < len(t.Off); e++ {
+		rows, cum := t.Segment(e)
+		prev := int64(0)
+		for i, r := range rows {
+			w[r] = cum[i] - prev
+			prev = cum[i]
+		}
+	}
+	return w
+}
+
 func TestExactWeights(t *testing.T) {
 	j := chainFixture(t)
-	w := j.ExactWeights()
+	ws := j.ExactWeights()
 	// Root R1: row 0 (A=1) extends to 3 results, row 1 (A=2) to 2, row 2 dangles.
-	if w[0][0] != 3 || w[0][1] != 2 || w[0][2] != 0 {
-		t.Errorf("root weights = %v, want [3 2 0]", w[0])
+	if w := rowWeights(j, ws, 0); w[0] != 3 || w[1] != 2 || w[2] != 0 {
+		t.Errorf("root weights = %v, want [3 2 0]", w)
 	}
 	// R2: (1,10)->2, (1,11)->1, (2,10)->2, (9,99)->0.
-	if w[1][0] != 2 || w[1][1] != 1 || w[1][2] != 2 || w[1][3] != 0 {
-		t.Errorf("R2 weights = %v", w[1])
+	if w := rowWeights(j, ws, 1); w[0] != 2 || w[1] != 1 || w[2] != 2 || w[3] != 0 {
+		t.Errorf("R2 weights = %v", w)
 	}
 	// Leaves weigh 1.
-	for i, wi := range w[2] {
+	for i, wi := range rowWeights(j, ws, 2) {
 		if wi != 1 {
 			t.Errorf("leaf weight[%d] = %d", i, wi)
 		}
+	}
+	if ws.Count() != 5 {
+		t.Errorf("Count = %d, want 5", ws.Count())
 	}
 }
 

@@ -105,10 +105,10 @@ func TestBatchRespectsMaxTries(t *testing.T) {
 
 // drawFreqs draws n rows through the given selector and returns
 // per-row frequencies.
-func drawFreqs(wr *weightedRows, n int, draw func(*weightedRows) int) map[int]int {
+func drawFreqs(n int, draw func() int) map[int]int {
 	counts := make(map[int]int)
 	for i := 0; i < n; i++ {
-		counts[draw(wr)]++
+		counts[draw()]++
 	}
 	return counts
 }
@@ -116,8 +116,9 @@ func drawFreqs(wr *weightedRows, n int, draw func(*weightedRows) int) map[int]in
 // TestAliasMatchesPrefixSums is the alias-vs-prefix-sum property test
 // under degraded weights: highly skewed weights, zero weights, and
 // totals past 2^53 (where the retired float derivation could not even
-// address every row). Both selection paths must reproduce the weight
-// distribution.
+// address every row). Every selection path over a weight segment — the
+// bounded draw, the alias table, and EW.drawRow on either side of its
+// threshold — must reproduce the weight distribution.
 func TestAliasMatchesPrefixSums(t *testing.T) {
 	cases := []struct {
 		name string
@@ -134,7 +135,15 @@ func TestAliasMatchesPrefixSums(t *testing.T) {
 		for i := range rows {
 			rows[i] = i
 		}
-		wr := buildWeighted(rows, c.w)
+		seg := refSegment(rows, c.w)
+		tbl := join.WeightTable{Off: []int32{0, int32(len(seg.rows))}, Rows: seg.rows, Cum: seg.cum}
+		ewAt := func(aliasMin int) *EW {
+			return &EW{
+				w:        &join.Weights{Nodes: []join.WeightTable{tbl}},
+				alias:    []aliasSlots{newAliasSlots(tbl.Off, aliasMin)},
+				aliasMin: aliasMin,
+			}
+		}
 		var total float64
 		for _, w := range c.w {
 			if w > 0 {
@@ -156,11 +165,17 @@ func TestAliasMatchesPrefixSums(t *testing.T) {
 			}
 		}
 		gp := rng.New(31)
-		check("prefix", drawFreqs(wr, draws, func(wr *weightedRows) int { return wr.drawBounded(gp) }))
-		ga := rng.New(32)
-		check("alias", drawFreqs(wr, draws, func(wr *weightedRows) int { return wr.drawBatch(ga, 0) }))
-		gt := rng.New(33)
-		check("threshold", drawFreqs(wr, draws, func(wr *weightedRows) int { return wr.drawBatch(gt, 1<<30) }))
+		check("prefix", drawFreqs(draws, func() int { return int(seg.rows[drawBounded(seg.cum, gp)]) }))
+		ga, forced := rng.New(32), ewAt(0)
+		check("alias", drawFreqs(draws, func() int { r, _ := forced.drawRow(0, 0, ga); return r }))
+		if forced.alias[0].slot[0].Load() == nil {
+			t.Errorf("%s: threshold 0 drew without building the alias table", c.name)
+		}
+		gt, never := rng.New(33), ewAt(NeverAlias)
+		check("threshold", drawFreqs(draws, func() int { r, _ := never.drawRow(0, 0, gt); return r }))
+		if len(never.alias[0].slot) != 0 {
+			t.Errorf("%s: NeverAlias reserved %d alias slots", c.name, len(never.alias[0].slot))
+		}
 	}
 }
 

@@ -19,7 +19,7 @@
 package joinsample
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"sampleunion/internal/join"
@@ -91,100 +91,94 @@ const DefaultAliasThreshold = 32
 // draws only.
 const NeverAlias = 1 << 30
 
-// weightedRows supports weighted row selection: O(1) via a lazily built
-// alias table for fan-outs at or above the sampler's alias threshold,
-// O(log n) via the exact integer prefix-sum draw below it.
-type weightedRows struct {
-	rows []int   // row ids
-	cum  []int64 // cumulative weights, cum[i] = sum of w(rows[0..i])
-
-	// alias is the lazily built O(1) draw table, published atomically
-	// so concurrent runs build it at most once each and share one
-	// winner. It is derived purely from rows/cum, which are immutable
-	// after buildWeighted: a live mutation invalidates the whole
-	// sampler generation (unionBase.refreshed rebuilds the dirty
-	// joins' samplers from the current index version), so an alias
-	// table can never outlive the row lists it was built from.
-	alias atomic.Pointer[rng.Alias]
+// drawBounded picks a position in a weight segment proportional to
+// weight using the exact integer bounded draw: correct for every
+// representable total, with no round-up past the segment and no 53-bit
+// precision loss. cum is the segment's running weight sums.
+func drawBounded(cum []int64, g *rng.RNG) int {
+	x := int64(g.Uint64n(uint64(cum[len(cum)-1])))
+	i, _ := slices.BinarySearch(cum, x+1) // the first cum[i] > x
+	return i
 }
 
-func (wr *weightedRows) total() int64 {
-	if len(wr.cum) == 0 {
-		return 0
-	}
-	return wr.cum[len(wr.cum)-1]
-}
-
-// drawBounded picks a row id proportional to weight using the exact
-// integer bounded draw: correct for every representable total, with no
-// round-up past the table and no 53-bit precision loss.
-func (wr *weightedRows) drawBounded(g *rng.RNG) int {
-	x := int64(g.Uint64n(uint64(wr.total())))
-	i := sort.Search(len(wr.cum), func(i int) bool { return wr.cum[i] > x })
-	return wr.rows[i]
-}
-
-// drawBatch is the row selection of every EW draw: alias table at or
-// above the threshold (built lazily on the first draw of this distinct
-// value), exact prefix-sum draw below it. The choice depends only on
-// the fan-out and the sampler's captured threshold, so streams stay
-// deterministic regardless of which run triggered the build.
-// Exactness caveat: the alias table normalizes its per-row
+// newAlias builds a segment's alias table from its running weight
+// sums. Exactness caveat: the table normalizes its per-row
 // probabilities in float64, so above the threshold individual rows
 // carry a relative error up to ~2^-53 — the sub-threshold drawBounded
 // path is the one that is exact for every representable total.
-func (wr *weightedRows) drawBatch(g *rng.RNG, aliasMin int) int {
-	if len(wr.rows) >= aliasMin {
-		return wr.rows[wr.aliasTable().Draw(g)]
-	}
-	return wr.drawBounded(g)
-}
-
-// aliasTable returns the alias table, building and publishing it on
-// first use. Racing builders construct identical tables (the build is
-// deterministic in rows/cum); the first CAS wins and everyone shares
-// its table.
-func (wr *weightedRows) aliasTable() *rng.Alias {
-	if a := wr.alias.Load(); a != nil {
-		return a
-	}
-	w := make([]float64, len(wr.rows))
+func newAlias(cum []int64) *rng.Alias {
+	w := make([]float64, len(cum))
 	prev := int64(0)
-	for i, c := range wr.cum {
+	for i, c := range cum {
 		w[i] = float64(c - prev)
 		prev = c
 	}
-	wr.alias.CompareAndSwap(nil, rng.NewAlias(w))
-	return wr.alias.Load()
+	return rng.NewAlias(w)
 }
 
-func buildWeighted(rows []int, w []int64) *weightedRows {
-	wr := &weightedRows{}
-	var cum int64
-	for _, r := range rows {
-		if w[r] <= 0 {
-			continue
-		}
-		cum += w[r]
-		wr.rows = append(wr.rows, r)
-		wr.cum = append(wr.cum, cum)
+// aliasSlots are one node's alias tables: ents lists, ascending, the
+// entries whose segment reaches the sampler's threshold, and slot[i]
+// is ents[i]'s table, built on the segment's first draw and published
+// atomically so concurrent runs share one winner. A table is derived
+// purely from its segment, which is immutable: a live mutation
+// invalidates the whole sampler generation (unionBase.refreshed
+// rebuilds the dirty joins' samplers), so a table never outlives the
+// rows it was built from.
+type aliasSlots struct {
+	ents []int32
+	slot []atomic.Pointer[rng.Alias]
+}
+
+// newAliasSlots reserves a slot for every non-empty segment of off
+// reaching aliasMin: two scans of the offsets, so both slices are sized
+// exactly.
+func newAliasSlots(off []int32, aliasMin int) aliasSlots {
+	reaches := func(ent int) bool {
+		n := int(off[ent+1] - off[ent])
+		return n > 0 && n >= aliasMin
 	}
-	return wr
+	n := 0
+	for ent := 0; ent+1 < len(off); ent++ {
+		if reaches(ent) {
+			n++
+		}
+	}
+	a := aliasSlots{ents: make([]int32, 0, n), slot: make([]atomic.Pointer[rng.Alias], n)}
+	for ent := 0; len(a.ents) < n; ent++ {
+		if reaches(ent) {
+			a.ents = append(a.ents, int32(ent))
+		}
+	}
+	return a
+}
+
+// table returns entry ent's alias table, building and publishing it on
+// first use. Racing builders construct identical tables (the build is
+// deterministic in cum); the first CAS wins and everyone shares its
+// table.
+func (a *aliasSlots) table(ent int, cum []int64) *rng.Alias {
+	i, _ := slices.BinarySearch(a.ents, int32(ent))
+	if t := a.slot[i].Load(); t != nil {
+		return t
+	}
+	a.slot[i].CompareAndSwap(nil, newAlias(cum))
+	return a.slot[i].Load()
 }
 
 // EW is the Exact Weight sampler: uniform with zero rejection on tree
 // joins (cyclic joins keep a residual rejection step).
 type EW struct {
-	j       *join.Join
-	weights [][]int64
-	root    *weightedRows
-	// nodeIdx[node] is the node's join-attribute CSR index; byValue[node]
-	// is parallel to its entries: the weighted matching rows per distinct
-	// join value (nil when all matching rows have zero weight). Probing
-	// is one index lookup plus one slice access — no second hash table.
-	nodeIdx []*relation.Index
-	byValue [][]*weightedRows
-	exact   int64 // skeleton result count (== |J| for tree joins)
+	j *join.Join
+	// w holds, per node, the flat weight table aligned to the node's
+	// join-attribute index: probing is one index lookup plus two offset
+	// reads — no second hash table, no per-value object. It describes
+	// exactly the relation versions w.Vers: relations mutate by bumping
+	// their version, the union layer detects the mismatch
+	// (unionBase.dirtyJoins), and Refresh builds a fresh EW over the
+	// delta-overlaid index — which is how the tables and their alias
+	// slots are invalidated.
+	w     *join.Weights
+	alias []aliasSlots // per node
 
 	// aliasMin is the alias threshold captured at construction: the
 	// fan-out at which draws switch from prefix sums to alias tables.
@@ -192,14 +186,6 @@ type EW struct {
 	// re-plans: a new threshold only applies to samplers built after it
 	// was decided.
 	aliasMin int
-	// vers snapshots join.StateVersions() at construction. The
-	// weighted-row tables (and any alias tables lazily built over
-	// them) describe exactly this version of the data: relations
-	// mutate by bumping their version, the union layer detects the
-	// mismatch (unionBase.dirtyJoins), and Refresh builds a fresh EW
-	// over the delta-overlaid index — which is how alias invalidation
-	// is wired to the live-mutation machinery.
-	vers []uint64
 }
 
 // NewEW precomputes exact weights for j with the default alias
@@ -210,35 +196,10 @@ func NewEW(j *join.Join) *EW { return NewEWAlias(j, DefaultAliasThreshold) }
 // threshold: the fan-out at which draws build alias tables
 // (0 = always, NeverAlias = never).
 func NewEWAlias(j *join.Join, aliasMin int) *EW {
-	nodes := j.Nodes()
 	w := j.ExactWeights()
-	e := &EW{
-		j: j, weights: w,
-		nodeIdx:  make([]*relation.Index, len(nodes)),
-		byValue:  make([][]*weightedRows, len(nodes)),
-		aliasMin: aliasMin,
-		vers:     j.StateVersions(),
-	}
-	// Dead root rows carry weight 0 (ExactWeights) and are filtered by
-	// buildWeighted, so enumerating physical ids is safe.
-	rootRows := make([]int, nodes[0].Rel.Len())
-	for i := range rootRows {
-		rootRows[i] = i
-	}
-	e.root = buildWeighted(rootRows, w[0])
-	e.exact = e.root.total()
-	for k := 1; k < len(nodes); k++ {
-		n := &nodes[k]
-		idx := n.Rel.Index(n.AttrPos)
-		e.nodeIdx[k] = idx
-		wrs := make([]*weightedRows, idx.NumEntries())
-		for ent := 0; ent < idx.NumEntries(); ent++ {
-			wr := buildWeighted(idx.RowsAt(ent), w[k])
-			if wr.total() > 0 {
-				wrs[ent] = wr
-			}
-		}
-		e.byValue[k] = wrs
+	e := &EW{j: j, w: w, alias: make([]aliasSlots, len(w.Nodes)), aliasMin: aliasMin}
+	for k := range w.Nodes {
+		e.alias[k] = newAliasSlots(w.Nodes[k].Off, aliasMin)
 	}
 	return e
 }
@@ -251,16 +212,16 @@ func (e *EW) Join() *join.Join { return e.j }
 
 // ExactCount returns the exact skeleton result count. For tree joins
 // this is |J|.
-func (e *EW) ExactCount() int64 { return e.exact }
+func (e *EW) ExactCount() int64 { return e.w.Count() }
 
 // SizeEstimate implements Sampler: exact |J| for tree joins, and the
 // skeleton count times the residual max degree (an upper bound) for
 // cyclic joins.
 func (e *EW) SizeEstimate() float64 {
 	if res := e.j.ResidualPart(); res != nil {
-		return float64(e.exact) * float64(res.MaxDegree())
+		return float64(e.w.Count()) * float64(res.MaxDegree())
 	}
-	return float64(e.exact)
+	return float64(e.w.Count())
 }
 
 // StateVersions returns the per-relation version snapshot the sampler's
@@ -268,39 +229,53 @@ func (e *EW) SizeEstimate() float64 {
 // a mismatch with the join's current StateVersions means the tables
 // describe stale data and the sampler must be rebuilt (which Refresh
 // does for dirty joins).
-func (e *EW) StateVersions() []uint64 { return e.vers }
+func (e *EW) StateVersions() []uint64 { return e.w.Vers }
+
+// drawRow is the row selection of every EW draw, over entry ent of node
+// k: alias table at or above the threshold, exact prefix-sum draw below
+// it. The choice depends only on the fan-out and the sampler's captured
+// threshold, so streams stay deterministic regardless of which run
+// triggered an alias build. ok is false on an empty segment.
+func (e *EW) drawRow(k, ent int, g *rng.RNG) (row int, ok bool) {
+	rows, cum := e.w.Nodes[k].Segment(ent)
+	if len(rows) == 0 {
+		return 0, false
+	}
+	if len(rows) >= e.aliasMin {
+		return int(rows[e.alias[k].table(ent, cum).Draw(g)]), true
+	}
+	return int(rows[drawBounded(cum, g)]), true
+}
 
 // SampleManyInto implements Sampler: a tight walk loop over the
-// caller's scratch where every weighted row selection is O(1) through
-// the lazily built alias tables (above the threshold). On tree joins it
-// never rejects, so filled == min(len(out), maxTries).
+// caller's scratch — the root is entry 0 of its own table, every other
+// node the entry of its parent's join value. On tree joins it never
+// rejects, so filled == min(len(out), maxTries).
 func (e *EW) SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int) {
-	if e.exact == 0 || len(out) == 0 {
+	if e.w.Count() == 0 || len(out) == 0 {
 		return 0, 0
 	}
 	nodes := e.j.Nodes()
 	for filled < len(out) && tries < maxTries {
 		tries++
 		t := out[filled]
-		rowOf[0] = e.root.drawBatch(g, e.aliasMin)
-		e.j.FillOutput(0, rowOf[0], t)
-		dead := false
-		for k := 1; k < len(nodes); k++ {
-			n := &nodes[k]
-			v := e.j.ParentValue(k, rowOf[n.Parent])
-			var wr *weightedRows
-			if ent, ok := e.nodeIdx[k].EntryOf(v); ok {
-				wr = e.byValue[k][ent]
+		ok := true
+		for k := range nodes {
+			ent := 0
+			if k > 0 {
+				v := e.j.ParentValue(k, rowOf[nodes[k].Parent])
+				if ent, ok = e.w.Idx[k].EntryOf(v); !ok {
+					break
+				}
 			}
-			if wr == nil || wr.total() == 0 {
-				// Impossible after a positive-weight parent draw; defensive.
-				dead = true
+			// An empty segment is impossible after a positive-weight
+			// parent draw; defensive.
+			if rowOf[k], ok = e.drawRow(k, ent, g); !ok {
 				break
 			}
-			rowOf[k] = wr.drawBatch(g, e.aliasMin)
 			e.j.FillOutput(k, rowOf[k], t)
 		}
-		if dead || !finishResidual(e.j, t, g) {
+		if !ok || !finishResidual(e.j, t, g) {
 			continue
 		}
 		filled++

@@ -56,6 +56,13 @@ func sampleOne(s Sampler, g *rng.RNG) (relation.Tuple, bool) {
 	return out[0], filled == 1
 }
 
+// walkOne is one Walker walk into fresh scratch.
+func walkOne(w *Walker, g *rng.RNG) (relation.Tuple, float64, bool) {
+	out, rowOf := mkBatch(w.Join(), 1)
+	p, ok := w.WalkInto(out[0], rowOf, g)
+	return out[0], p, ok
+}
+
 // checkUniform draws until `draws` accepted samples and verifies the
 // empirical distribution over the join's exact result set is uniform
 // within a chi-square-style tolerance.
@@ -161,7 +168,7 @@ func TestEmptyJoinSamplers(t *testing.T) {
 	if _, ok := sampleOne(NewEO(j), g); ok {
 		t.Error("EO sampled from empty join")
 	}
-	if _, _, ok := NewWalker(j).Walk(g); ok {
+	if _, _, ok := walkOne(NewWalker(j), g); ok {
 		t.Error("WJ walked an empty join")
 	}
 }
@@ -174,7 +181,7 @@ func TestWalkerProbabilities(t *testing.T) {
 	// (1/3), then one of d matches at each hop; verify p(t) matches the
 	// hop degrees by recomputation.
 	for i := 0; i < 2000; i++ {
-		tu, p, ok := w.Walk(g)
+		tu, p, ok := walkOne(w, g)
 		if !ok {
 			continue
 		}
@@ -196,7 +203,7 @@ func TestWalkerHTUnbiased(t *testing.T) {
 	const n = 200000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		if _, p, ok := w.Walk(g); ok {
+		if _, p, ok := walkOne(w, g); ok {
 			sum += 1 / p
 		}
 	}
@@ -215,7 +222,7 @@ func TestWalkerHTUnbiasedCyclic(t *testing.T) {
 	const n = 200000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		if _, p, ok := w.Walk(g); ok {
+		if _, p, ok := walkOne(w, g); ok {
 			sum += 1 / p
 		}
 	}

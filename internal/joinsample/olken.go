@@ -141,21 +141,10 @@ func NewWalker(j *join.Join) *Walker { return &Walker{j: j} }
 // Join returns the underlying join.
 func (w *Walker) Join() *join.Join { return w.j }
 
-// Walk performs one random walk. ok is false when the walk dies on a
-// dangling tuple (p(t) = 0 in the paper's backtracking bookkeeping).
-// The returned tuple is freshly allocated and safe to retain — the
-// walkest reuse pool depends on that.
-func (w *Walker) Walk(g *rng.RNG) (relation.Tuple, float64, bool) {
-	out := make(relation.Tuple, w.j.OutputSchema().Len())
-	rowOf := make([]int, len(w.j.Nodes()))
-	p, ok := w.WalkInto(out, rowOf, g)
-	if !ok {
-		return nil, 0, false
-	}
-	return out, p, true
-}
-
-// WalkInto is Walk into caller-owned scratch; a dead walk may leave the
+// WalkInto performs one random walk into caller-owned scratch: out of
+// the join's output schema length, rowOf of at least one entry per
+// node. ok is false when the walk dies on a dangling tuple (p(t) = 0 in
+// the paper's backtracking bookkeeping); a dead walk may leave the
 // buffers partially written.
 func (w *Walker) WalkInto(out relation.Tuple, rowOf []int, g *rng.RNG) (float64, bool) {
 	nodes := w.j.Nodes()

@@ -1,0 +1,308 @@
+package joinsample
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"sampleunion/internal/join"
+	"sampleunion/internal/relation"
+	"sampleunion/internal/rng"
+)
+
+// refSeg is the reference shape of one weight segment: a private
+// row list and running weight sum per distinct join value, the per-entry
+// construction the flat table replaced.
+type refSeg struct {
+	rows []int32
+	cum  []int64
+}
+
+// refSegment keeps the positive-weight rows of one entry, in order.
+func refSegment(rows []int, w []int64) refSeg {
+	var s refSeg
+	var cum int64
+	for _, r := range rows {
+		if w[r] > 0 {
+			cum += w[r]
+			s.rows = append(s.rows, int32(r))
+			s.cum = append(s.cum, cum)
+		}
+	}
+	return s
+}
+
+// refEW is the straightforward EW: per-row weights by the textbook
+// recurrence over Relation.Matches, one refSeg per index entry, and a
+// draw that spends the RNG exactly like EW.SampleManyInto (root draw,
+// then one bounded or alias draw per node).
+type refEW struct {
+	j        *join.Join
+	idx      []*relation.Index
+	segs     [][]refSeg // per node, per entry; the root has one
+	alias    map[[2]int]*rng.Alias
+	aliasMin int
+}
+
+func newRefEW(j *join.Join, aliasMin int) *refEW {
+	nodes := j.Nodes()
+	w := make([][]int64, len(nodes))
+	for k := len(nodes) - 1; k >= 0; k-- {
+		n := &nodes[k]
+		w[k] = make([]int64, n.Rel.Len())
+		for i := range w[k] {
+			if !n.Rel.Live(i) {
+				continue
+			}
+			w[k][i] = 1
+			for _, c := range n.Children {
+				var sum int64
+				for _, r := range nodes[c].Rel.Matches(nodes[c].AttrPos, n.Rel.Value(i, nodes[c].ParentAttrPos)) {
+					sum += w[c][r]
+				}
+				w[k][i] *= sum
+			}
+		}
+	}
+	e := &refEW{j: j, idx: make([]*relation.Index, len(nodes)), segs: make([][]refSeg, len(nodes)),
+		alias: map[[2]int]*rng.Alias{}, aliasMin: aliasMin}
+	all := make([]int, nodes[0].Rel.Len())
+	for i := range all {
+		all[i] = i
+	}
+	e.segs[0] = []refSeg{refSegment(all, w[0])}
+	for k := 1; k < len(nodes); k++ {
+		e.idx[k] = nodes[k].Rel.Index(nodes[k].AttrPos)
+		for ent := 0; ent < e.idx[k].NumEntries(); ent++ {
+			e.segs[k] = append(e.segs[k], refSegment(e.idx[k].Rows(e.idx[k].ValueAt(ent)), w[k]))
+		}
+	}
+	return e
+}
+
+func (e *refEW) count() int64 {
+	if s := e.segs[0][0]; len(s.cum) > 0 {
+		return s.cum[len(s.cum)-1]
+	}
+	return 0
+}
+
+func (e *refEW) sample(out relation.Tuple, rowOf []int, g *rng.RNG) {
+	for k, n := range e.j.Nodes() {
+		ent := 0
+		if k > 0 {
+			ent, _ = e.idx[k].EntryOf(e.j.ParentValue(k, rowOf[n.Parent]))
+		}
+		s := e.segs[k][ent]
+		if len(s.rows) >= e.aliasMin {
+			a := e.alias[[2]int{k, ent}]
+			if a == nil {
+				a = newAlias(s.cum)
+				e.alias[[2]int{k, ent}] = a
+			}
+			rowOf[k] = int(s.rows[a.Draw(g)])
+		} else {
+			rowOf[k] = int(s.rows[drawBounded(s.cum, g)])
+		}
+		e.j.FillOutput(k, rowOf[k], out)
+	}
+}
+
+// randomTree builds a random join tree of 2–5 relations over small
+// value domains (so fan-outs, dangling rows and missing values all
+// occur). Every edge has its own attribute name; node k's schema is
+// its own join attribute, its children's, and a payload column.
+func randomTree(t *testing.T, r *rand.Rand) (*join.Join, []*relation.Relation) {
+	t.Helper()
+	n := 2 + r.Intn(4)
+	parent := make([]int, n)
+	attrs := make([]string, n)
+	schemas := make([][]string, n)
+	parent[0] = -1
+	for k := 1; k < n; k++ {
+		parent[k] = r.Intn(k)
+		attrs[k] = fmt.Sprintf("J%d", k)
+		schemas[k] = append(schemas[k], attrs[k])
+		schemas[parent[k]] = append(schemas[parent[k]], attrs[k])
+	}
+	rels := make([]*relation.Relation, n)
+	for k := range rels {
+		schemas[k] = append(schemas[k], fmt.Sprintf("P%d", k))
+		rels[k] = relation.New(fmt.Sprintf("R%d", k), relation.NewSchema(schemas[k]...))
+		appendRandom(rels[k], r, 20+r.Intn(60), 12)
+	}
+	j, err := join.NewTree("T", rels, parent, attrs)
+	if err != nil {
+		t.Fatalf("NewTree: %v", err)
+	}
+	return j, rels
+}
+
+// appendRandom appends n rows with join values below domain and a
+// unique payload.
+func appendRandom(rel *relation.Relation, r *rand.Rand, n, domain int) {
+	rows := make([]relation.Tuple, n)
+	for i := range rows {
+		row := make(relation.Tuple, rel.Arity())
+		for a := range row {
+			row[a] = relation.Value(r.Intn(domain))
+		}
+		row[len(row)-1] = relation.Value(rel.Len() + i)
+		rows[i] = row
+	}
+	rel.AppendRows(rows)
+}
+
+// checkAgainstReference pins a freshly built EW to the reference:
+// same segments (rows, order, running sums) per entry of every node,
+// same count, same tuples for a seed on both sides of the alias
+// threshold.
+func checkAgainstReference(t *testing.T, state string, j *join.Join) {
+	t.Helper()
+	for _, aliasMin := range []int{0, 3, NeverAlias} {
+		ew, ref := NewEWAlias(j, aliasMin), newRefEW(j, aliasMin)
+		if ew.ExactCount() != ref.count() || ew.ExactCount() != j.Count() {
+			t.Fatalf("%s: ExactCount %d, reference %d, Count %d", state, ew.ExactCount(), ref.count(), j.Count())
+		}
+		for k := range ref.segs {
+			tb := &ew.w.Nodes[k]
+			if len(tb.Off) != len(ref.segs[k])+1 {
+				t.Fatalf("%s node %d: %d segments, reference %d", state, k, len(tb.Off)-1, len(ref.segs[k]))
+			}
+			for ent, want := range ref.segs[k] {
+				rows, cum := tb.Segment(ent)
+				if fmt.Sprint(rows, cum) != fmt.Sprint(want.rows, want.cum) {
+					t.Fatalf("%s node %d entry %d: rows %v cum %v, reference rows %v cum %v",
+						state, k, ent, rows, cum, want.rows, want.cum)
+				}
+			}
+			if len(tb.Rows) != cap(tb.Rows) || len(tb.Cum) != cap(tb.Cum) {
+				t.Errorf("%s node %d: table not sized exactly (rows %d/%d)", state, k, len(tb.Rows), cap(tb.Rows))
+			}
+		}
+		if ref.count() == 0 {
+			continue
+		}
+		out, rowOf := mkBatch(j, 64)
+		if filled, tries := ew.SampleManyInto(out, rowOf, 64, rng.New(77)); filled != 64 || tries != 64 {
+			t.Fatalf("%s: filled %d of 64 in %d tries", state, filled, tries)
+		}
+		g, want := rng.New(77), make(relation.Tuple, len(out[0]))
+		for i := range out {
+			ref.sample(want, rowOf, g)
+			if !out[i].Equal(want) {
+				t.Fatalf("%s aliasMin %d draw %d: %v, reference %v", state, aliasMin, i, out[i], want)
+			}
+		}
+	}
+}
+
+// TestFlatTableMatchesReference is the property test of the flat
+// weight table over random trees and the three index shapes a live
+// relation goes through: a pure CSR, an overlaid one (appends and
+// deletes, base entries emptied, values first seen through the overlay,
+// dangling and tombstoned rows) and a compacted one.
+func TestFlatTableMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		j, rels := randomTree(t, r)
+		checkAgainstReference(t, "pure CSR", j)
+
+		// A few mutations per relation stay inside the overlay budget
+		// (64 touched values): new values past the domain, deletes, and
+		// one base value emptied outright.
+		for _, rel := range rels {
+			appendRandom(rel, r, 1+r.Intn(6), 16)
+			for d := r.Intn(5); d > 0; d-- {
+				rel.Delete(r.Intn(rel.Len()))
+			}
+			for _, row := range rel.Matches(0, rel.Value(0, 0)) {
+				rel.Delete(row)
+			}
+		}
+		checkAgainstReference(t, "overlay", j)
+
+		// Past the budget the catch-up rebuilds a pure CSR over storage
+		// that now holds tombstones.
+		for _, rel := range rels {
+			appendRandom(rel, r, 200, 16)
+		}
+		checkAgainstReference(t, "compacted", j)
+	}
+}
+
+// TestNewEWAllocsIndependentOfRows: building an EW sampler costs a
+// small constant number of allocations per join node, whatever the
+// relations hold — not one object per distinct join value.
+func TestNewEWAllocsIndependentOfRows(t *testing.T) {
+	build := func(rows int) (*join.Join, float64) {
+		r1 := relation.New("R1", relation.NewSchema("A", "X"))
+		r2 := relation.New("R2", relation.NewSchema("A", "B"))
+		r3 := relation.New("R3", relation.NewSchema("B", "Y"))
+		for i := 0; i < rows; i++ {
+			r1.AppendValues(relation.Value(i), relation.Value(i))
+			r2.AppendValues(relation.Value(i), relation.Value(i/2))
+			r3.AppendValues(relation.Value(i/2), relation.Value(i))
+		}
+		j, err := join.NewChain("J", []*relation.Relation{r1, r2, r3}, []string{"A", "B"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, testing.AllocsPerRun(5, func() { NewEW(j) })
+	}
+	j, small := build(1000)
+	_, large := build(100000)
+	if small != large {
+		t.Errorf("NewEW allocations grow with the data: %v at 1k rows, %v at 100k", small, large)
+	}
+	if limit := float64(8 * (len(j.Nodes()) + 1)); small > limit {
+		t.Errorf("NewEW made %v allocations over %d nodes, want <= %v", small, len(j.Nodes()), limit)
+	}
+}
+
+// TestEWBuildRacesMutations is the regression test for the EW build
+// reading a relation through unrelated atomic loads (run under -race):
+// while goroutines append to and delete from every relation of a join,
+// NewEW must never index past a snapshot it sized a weight slice from,
+// every sampler built mid-flight must keep drawing, and a build after
+// the writers stop must equal the reference over the settled data.
+func TestEWBuildRacesMutations(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	j, rels := randomTree(t, r)
+	var writers sync.WaitGroup
+	for i, rel := range rels {
+		writers.Add(1)
+		go func(rel *relation.Relation, r *rand.Rand) {
+			defer writers.Done()
+			for n := 0; n < 400; n++ {
+				appendRandom(rel, r, 1+r.Intn(4), 16)
+				if n%3 == 0 {
+					rel.Delete(r.Intn(rel.Len()))
+				}
+			}
+		}(rel, rand.New(rand.NewSource(int64(100+i))))
+	}
+	done := make(chan struct{})
+	go func() {
+		writers.Wait()
+		close(done)
+	}()
+	out, rowOf := mkBatch(j, 8)
+	g := rng.New(9)
+	for building := true; building; {
+		select {
+		case <-done:
+			building = false
+		default:
+		}
+		ew := NewEW(j)
+		if filled, _ := ew.SampleManyInto(out, rowOf, 8, g); ew.ExactCount() > 0 && filled != 8 {
+			t.Fatalf("mid-flight sampler filled %d of 8", filled)
+		}
+	}
+	if ew := NewEW(j); !equalVersions(ew.StateVersions(), j.StateVersions()) {
+		t.Fatal("settled sampler's versions are behind the join's")
+	}
+	checkAgainstReference(t, "settled", j)
+}

@@ -330,18 +330,19 @@ func (ix *Index) computeMaxDeg() int {
 // EntryOf returns the dense entry id of a value, or (-1, false) when
 // the value was never indexed. Under an overlay, a value whose rows
 // were all deleted keeps its entry (with zero rows); use Degree to test
-// liveness.
+// liveness. A base value keeps its base entry whether or not the
+// overlay touched it, so the base is probed first and the overlay only
+// for the values it introduced.
 func (ix *Index) EntryOf(v Value) (int, bool) {
-	if ix.ov != nil {
-		if e := ix.ov.lookup(v); e >= 0 {
-			if be := ix.ov.baseEnt[e]; be >= 0 {
-				return int(be), true
-			}
-			// New value: dense id after the base entries.
-			return len(ix.base.keys) + int(ix.ov.rank[e]), true
-		}
+	e, ok := ix.base.entryOf(v)
+	if ok || ix.ov == nil {
+		return e, ok
 	}
-	return ix.base.entryOf(v)
+	if oe := ix.ov.lookup(v); oe >= 0 {
+		// New value: dense id after the base entries.
+		return len(ix.base.keys) + int(ix.ov.rank[oe]), true
+	}
+	return -1, false
 }
 
 // Rows returns the live row ids holding v, ascending. The slice aliases
@@ -408,24 +409,40 @@ func (ix *Index) NumEntries() int {
 	return n
 }
 
+// EachEntry calls fn with the live row ids of every dense entry, in
+// ascending entry id order (the slices are ascending and alias the
+// index). A whole-index pass costs one sequential walk of the CSR base:
+// under an overlay a bitmap marks the touched base entries, and only
+// those pay a hash probe.
+func (ix *Index) EachEntry(fn func(rows []int)) {
+	b, ov := ix.base, ix.ov
+	var touched []uint64
+	if ov != nil {
+		touched = make([]uint64, (len(b.keys)+63)/64)
+		for _, be := range ov.baseEnt {
+			if be >= 0 {
+				touched[be>>6] |= 1 << (uint(be) & 63)
+			}
+		}
+	}
+	for e := range b.keys {
+		if touched != nil && touched[e>>6]&(1<<(uint(e)&63)) != 0 {
+			fn(ov.rows[ov.lookup(b.keys[e])])
+			continue
+		}
+		fn(b.rows[b.starts[e]:b.starts[e+1]])
+	}
+	if ov != nil {
+		for _, oe := range ov.extra {
+			fn(ov.rows[oe])
+		}
+	}
+}
+
 // ValueAt returns entry e's value.
 func (ix *Index) ValueAt(e int) Value {
 	if e < len(ix.base.keys) {
 		return ix.base.keys[e]
 	}
 	return ix.ov.keys[ix.ov.extra[e-len(ix.base.keys)]]
-}
-
-// RowsAt returns entry e's live row ids. The slice aliases the index;
-// do not mutate it.
-func (ix *Index) RowsAt(e int) []int {
-	if e >= len(ix.base.keys) {
-		return ix.ov.rows[ix.ov.extra[e-len(ix.base.keys)]]
-	}
-	if ix.ov != nil {
-		if oe := ix.ov.lookup(ix.base.keys[e]); oe >= 0 {
-			return ix.ov.rows[oe]
-		}
-	}
-	return ix.base.rows[ix.base.starts[e]:ix.base.starts[e+1]]
 }

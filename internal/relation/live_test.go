@@ -31,7 +31,31 @@ func checkIndexEquivalence(t *testing.T, r *Relation, lo, hi Value) {
 		if got, want := r.DistinctCount(a), ref.DistinctCount(a); got != want {
 			t.Fatalf("attr %d: DistinctCount = %d, want %d", a, got, want)
 		}
+		// The dense-entry view: EachEntry's n-th call carries entry n's
+		// rows, the ones the per-value probes return, and EntryOf inverts
+		// ValueAt — under the overlay too (emptied base entries
+		// keep their id; new values follow the base).
+		ix, next, total := r.Index(a), 0, 0
+		ix.EachEntry(func(rows []int) {
+			e := next
+			next++
+			total += len(rows)
+			v := ix.ValueAt(e)
+			if got, ok := ix.EntryOf(v); !ok || got != e {
+				t.Fatalf("attr %d: EntryOf(ValueAt(%d)) = %d, %v", a, e, got, ok)
+			}
+			if want := ix.Rows(v); !reflect.DeepEqual(append([]int(nil), rows...), append([]int(nil), want...)) {
+				t.Fatalf("attr %d entry %d (value %d): EachEntry rows %v, Rows %v", a, e, v, rows, want)
+			}
+		})
+		if next != ix.NumEntries() || total != r.LiveLen() {
+			t.Fatalf("attr %d: EachEntry visited %d of %d entries holding %d of %d live rows",
+				a, next, ix.NumEntries(), total, r.LiveLen())
+		}
 		for v := lo; v <= hi; v++ {
+			if _, ok := ix.EntryOf(v); !ok && ref.Degree(a, v) > 0 {
+				t.Fatalf("attr %d value %d: EntryOf misses a value with %d live rows", a, v, ref.Degree(a, v))
+			}
 			if got, want := r.Degree(a, v), ref.Degree(a, v); got != want {
 				t.Fatalf("attr %d value %d: Degree = %d, want %d", a, v, got, want)
 			}

@@ -17,6 +17,12 @@ type SnapshotData struct {
 	Version uint64
 }
 
+// IsLive reports whether row i (0 <= i < Rows) was live at the snapshot.
+func (sd SnapshotData) IsLive(i int) bool {
+	s := snapshot{dead: sd.Dead}
+	return s.isLive(i)
+}
+
 // CaptureSnapshot returns the published snapshot paired atomically
 // with the version it reflects.
 func (r *Relation) CaptureSnapshot() SnapshotData {

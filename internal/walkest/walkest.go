@@ -37,7 +37,19 @@ type JoinEstimate struct {
 	m2      float64
 	samples []Sample
 	traj    []TrajectoryPoint
+
+	// Walk scratch, private to this estimate (clone drops it): slab is
+	// the unused rest of the current tuple chunk — a successful walk
+	// keeps its tuple where it was written and the slab moves past it,
+	// so retained samples are immutable and separately addressable at
+	// one allocation per slabTuples walks — and rowOf is WalkInto's
+	// per-node row scratch.
+	slab  relation.Tuple
+	rowOf []int
 }
+
+// slabTuples is the number of walk tuples carved from one chunk.
+const slabTuples = 64
 
 // TrajectoryPoint is one sampled point of a join estimate's
 // convergence, recorded every trajectoryStride observations: the
@@ -69,11 +81,20 @@ func NewJoinEstimate(j *join.Join) *JoinEstimate {
 // Step performs one wander-join walk and folds it into the estimate.
 // It returns the walk's sample when successful.
 func (e *JoinEstimate) Step(g *rng.RNG) (Sample, bool) {
-	t, p, ok := e.walker.Walk(g)
+	width := e.J.OutputSchema().Len()
+	if len(e.slab) < width {
+		e.slab = make(relation.Tuple, slabTuples*width)
+	}
+	if e.rowOf == nil {
+		e.rowOf = make([]int, len(e.J.Nodes()))
+	}
+	t := e.slab[:width:width]
+	p, ok := e.walker.WalkInto(t, e.rowOf, g)
 	if !ok {
 		e.Observe(0)
 		return Sample{}, false
 	}
+	e.slab = e.slab[width:]
 	s := Sample{Tuple: t, P: p}
 	e.samples = append(e.samples, s)
 	e.Observe(1 / p)
@@ -230,9 +251,11 @@ func (e *Estimator) JoinEstimates() []*JoinEstimate { return e.ests }
 
 // clone returns an independent copy of the estimate: the running
 // moments by value, the sample pool by slice copy (tuples themselves
-// are immutable and shared), and the stateless walker by reference.
+// are immutable and shared), and the stateless walker by reference;
+// the walk scratch stays behind, so two estimates never write one chunk.
 func (e *JoinEstimate) clone() *JoinEstimate {
 	c := *e
+	c.slab, c.rowOf = nil, nil
 	c.samples = append([]Sample(nil), e.samples...)
 	c.traj = append([]TrajectoryPoint(nil), e.traj...)
 	return &c

@@ -256,10 +256,15 @@ func TestRefreshDisjointAndWhere(t *testing.T) {
 // TestConcurrentDrawsMutationsRefresh races session draws against
 // relation mutations and Refresh calls (run under -race): draws must
 // stay memory-safe on every generation, and the final refreshed state
-// must serve exactly the mutated union.
+// must serve exactly the mutated union. The EW legs (random-walk warm-up
+// is what serverd resolves an empty declaration to) are the library-level
+// regression for Refresh rebuilding a dirty join's weight tables while
+// its relations move: no lock above the relations' own is involved.
 func TestConcurrentDrawsMutationsRefresh(t *testing.T) {
 	for _, opts := range []Options{
 		{Seed: 21, Warmup: WarmupHistogram, Method: MethodEO},
+		{Seed: 21, Warmup: WarmupRandomWalk, Method: MethodEW},
+		{Seed: 21, Warmup: WarmupExact, Method: MethodEW},
 		{Seed: 21, Online: true, WarmupWalks: 50},
 		{Seed: 21, Warmup: WarmupHistogram, Method: MethodEO, AutoRefresh: true},
 	} {
@@ -322,6 +327,17 @@ func TestConcurrentDrawsMutationsRefresh(t *testing.T) {
 		for _, tup := range out {
 			if !truth.Contains(tup) {
 				t.Fatalf("post-settle draw %v not in mutated union", tup)
+			}
+		}
+		// Quiescent Refresh ≡ cold Prepare: under the exact warm-up both
+		// know the union's size outright.
+		if opts.Warmup == WarmupExact {
+			cold, err := truth.Prepare(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ls.s.UnionSize(), cold.UnionSize(); got != want {
+				t.Fatalf("refreshed session sizes the union at %v, a cold Prepare at %v", got, want)
 			}
 		}
 	}
