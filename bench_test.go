@@ -268,9 +268,14 @@ func appendBurst(rels []*Relation, iter, batch, base int) {
 // independent of data size), so refresh cost is O(delta + walks) while
 // rebuild is O(data); the per-op gap is the amortized-maintenance claim
 // of BENCH_PR3.json. refresh-ew is what serverd resolves an empty
-// declaration to (random-walk warm-up + EW): every dirty join rebuilds
-// its weight tables, one linear pass with O(nodes) allocations — CI
-// gates its allocs/op.
+// declaration to (random-walk warm-up + EW): the dirty joins' weight
+// tables are patched from their predecessors', so the work is the
+// burst's neighbourhood — here 32 new one-row segments per join —
+// plus whatever large segment the burst reaches. In this union that is
+// the root's: all of cust, recomputed (one pass, no allocation per row
+// beyond the packed arrays) and given a new alias table by the first
+// draw, which is why the two rows= legs still differ. CI gates the
+// 30 000-row leg's allocs/op and B/op.
 func BenchmarkMutateThenDraw(b *testing.B) {
 	const (
 		rows  = 30000
@@ -283,9 +288,14 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 	for _, leg := range []struct {
 		name string
 		opts Options
-	}{{"refresh", opts}, {"refresh-ew", optsEW}} {
+		rows int
+	}{
+		{"refresh", opts, rows},
+		{"refresh-ew/rows=30000", optsEW, rows},
+		{"refresh-ew/rows=300000", optsEW, 10 * rows},
+	} {
 		b.Run(leg.name, func(b *testing.B) {
-			u, rels := benchLiveUnion(b, rows)
+			u, rels := benchLiveUnion(b, leg.rows)
 			s, err := u.Prepare(leg.opts)
 			if err != nil {
 				b.Fatal(err)
@@ -293,7 +303,7 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				appendBurst(rels, i, batch, 10*rows)
+				appendBurst(rels, i, batch, 10*leg.rows)
 				if err := s.Refresh(); err != nil {
 					b.Fatal(err)
 				}

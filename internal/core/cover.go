@@ -70,6 +70,7 @@ type CoverShared struct {
 	maxDraw    int
 	walkVar    []float64 // per-join relative half-widths after warm-up
 	warmupTime time.Duration
+	refresh    RefreshStats // what the Refresh that built this state did
 }
 
 // PrepareCover builds the shared state for Algorithm 1 and runs the
@@ -151,44 +152,33 @@ func (p *CoverShared) retune(params *Params, g *rng.RNG) (*Params, error) {
 
 // Refresh returns a CoverShared reconciled with the current data:
 // dirty joins reconcile their residuals and rebuild their subroutine
-// samplers (clean joins are shared), and the estimator re-runs over the
-// incrementally maintained indexes and membership tables. With a
-// Tuner, a Refresh is also a re-plan boundary: it rebuilds even over
-// clean data when the controller's rejection trigger fired, and dirty
-// joins defer their sampler rebuild to the plan. The receiver is
-// untouched; in-flight runs keep their snapshot.
+// samplers from the ones they replace (clean joins are shared), and the
+// estimator re-runs over the incrementally maintained indexes and
+// membership tables — a random-walk estimator under walkest's refresh
+// rule, so only dirty joins walk again. With a Tuner, a Refresh is also
+// a re-plan boundary: it rebuilds even over clean data when the
+// controller's rejection trigger fired, and dirty joins defer their
+// sampler rebuild to the plan. The receiver is untouched; in-flight
+// runs keep their snapshot.
 func (p *CoverShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
-	if p.cfg.Tuner == nil {
-		nb, _, changed := p.base.refreshed()
-		if !changed {
-			return p, false, nil
-		}
-		np := &CoverShared{base: nb, cfg: p.cfg, maxDraw: p.maxDraw}
-		if err := np.warm(g); err != nil {
-			return nil, false, err
-		}
-		return np, true, nil
-	}
 	nb, dirty, changed := p.base.refreshedLazy()
 	if !changed {
-		if !p.cfg.Tuner.NeedsReplan() {
+		if p.cfg.Tuner == nil || !p.cfg.Tuner.NeedsReplan() {
 			return p, false, nil
 		}
 		nb = p.base.clone()
 	}
-	// Mutated joins' rejection feedback describes pre-mutation data;
-	// drop it so the re-plan reads their fresh size/bound priors. Clean
-	// joins keep theirs — on a rejection-triggered re-plan over clean
-	// data that feedback IS the signal.
-	for j, d := range dirty {
-		if d {
-			p.cfg.Tuner.DropFeedback(j)
-		}
+	if p.cfg.Tuner == nil {
+		nb.applyJoinConfigs(nb.cfgs)
 	}
 	np := &CoverShared{base: nb, cfg: p.cfg, maxDraw: p.maxDraw}
+	np.cfg.Estimator, np.refresh.Reprobed = refreshedEstimator(p.cfg.Estimator, dirty)
+	dropDirtyFeedback(p.cfg.Tuner, dirty)
 	if err := np.warm(g); err != nil {
 		return nil, false, err
 	}
+	nb.patchStats(dirty, &np.refresh)
+	np.refresh.Walks = walksRun(tuneWalker(p.cfg.Estimator), tuneWalker(np.cfg.Estimator), dirty)
 	return np, true, nil
 }
 

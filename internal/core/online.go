@@ -75,6 +75,7 @@ type OnlineShared struct {
 	// overlap table through them so refinement never un-escalates.
 	exactSizes []float64
 	warmupTime time.Duration
+	refresh    RefreshStats // what the Refresh that built this state did
 }
 
 // PrepareOnline builds the shared state for Algorithm 2 and runs the
@@ -186,15 +187,13 @@ func paramsFromWalks(walks *walkest.Estimator, sizes []float64) (*Params, bool, 
 }
 
 // Refresh returns an OnlineShared reconciled with the current data.
-// Dirty joins rebuild their subroutine samplers and their walk
-// estimates reset and re-warm (the old walks were observations of a
-// join that no longer exists); clean joins keep their samplers,
-// Horvitz–Thompson estimates, and overlap counters — the walk-estimator
-// state reconciles against the changed relations only. Overlap masks
-// recorded by clean anchors against dirty joins stay as recorded; they
-// re-converge as runs refine, which the framework's record/revision
-// machinery tolerates (estimates are never trusted exactly). The
-// receiver is untouched; in-flight runs keep their snapshot.
+// Dirty joins rebuild their subroutine samplers, and the walk state
+// follows walkest's refresh rule (Estimator.Refreshed, as the cover
+// sampler's random-walk estimator does): dirty joins' estimates reset
+// and re-warm (the old walks were observations of a join that no longer
+// exists); clean joins keep their samplers, Horvitz–Thompson estimates
+// and retained walks, whose membership in the dirty joins is probed
+// again. The receiver is untouched; in-flight runs keep their snapshot.
 func (p *OnlineShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 	nb, dirty, changed := p.base.refreshed()
 	if !changed {
@@ -205,21 +204,14 @@ func (p *OnlineShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 		// against a clone so in-flight runs keep their snapshot.
 		nb = p.base.clone()
 	}
-	np := &OnlineShared{base: nb, cfg: p.cfg, walks: p.walks.Clone(), maxDraw: p.maxDraw}
-	for j, d := range dirty {
-		if d {
-			np.walks.Reset(j)
-			if p.cfg.Tuner != nil {
-				// Like the walk estimates, a dirty join's rejection
-				// feedback observed a join that no longer exists; the
-				// re-plan must read its fresh priors instead.
-				p.cfg.Tuner.DropFeedback(j)
-			}
-		}
-	}
+	np := &OnlineShared{base: nb, cfg: p.cfg, maxDraw: p.maxDraw}
+	np.walks, np.refresh.Reprobed = p.walks.Refreshed(dirty)
+	dropDirtyFeedback(p.cfg.Tuner, dirty)
 	if err := np.warm(g); err != nil {
 		return nil, false, err
 	}
+	nb.patchStats(dirty, &np.refresh)
+	np.refresh.Walks = walksRun(p.walks, np.walks, dirty)
 	return np, true, nil
 }
 
@@ -246,17 +238,18 @@ func (p *OnlineShared) NewReuseRun() *OnlineSampler { return p.newRun(true) }
 // newRun adopts the shared warm-up into a run: parameters and alias by
 // reference (replaced, never mutated, on refinement) and the walk
 // estimator by clone (its pool and running estimates mutate with every
-// draw).
+// draw) — with the warm-up pool only for the one run that owns it.
 func (p *OnlineShared) newRun(keepPool bool) *OnlineSampler {
+	walks := p.walks.CloneEstimates
+	if keepPool {
+		walks = p.walks.Clone
+	}
 	s := &OnlineSampler{
 		shared: p,
-		walks:  p.walks.Clone(),
+		walks:  walks(),
 		params: p.params,
 		alias:  p.alias,
 		record: p.base.recordKeys(),
-	}
-	if !keepPool {
-		s.walks.DropSamples()
 	}
 	s.stats.initJoins(len(p.base.joins))
 	return s

@@ -98,24 +98,65 @@ type RandomWalkEstimator struct {
 	// Walker is populated by Params and retained so the online sampler
 	// can reuse warm-up samples and keep refining estimates.
 	Walker *walkest.Estimator
+
+	// resume: Walker is a predecessor's state carried over a refresh
+	// (refreshed), for the next Params to continue from instead of
+	// starting over.
+	resume bool
 }
 
 // Name implements Estimator.
 func (r *RandomWalkEstimator) Name() string { return "random-walk" }
 
-// Params implements Estimator.
+// Params implements Estimator: a cold warm-up that walks every join —
+// or, on the estimator a refresh carried over, only the joins whose
+// estimates the refresh reset.
 func (r *RandomWalkEstimator) Params(g *rng.RNG) (*Params, error) {
-	est, err := walkest.New(r.Joins, r.Opts)
-	if err != nil {
-		return nil, err
+	if !r.resume {
+		est, err := walkest.New(r.Joins, r.Opts)
+		if err != nil {
+			return nil, err
+		}
+		r.Walker = est
 	}
-	est.Warmup(g)
-	r.Walker = est
-	t, err := est.Table()
+	r.resume = false
+	r.Walker.Warmup(g)
+	t, err := r.Walker.Table()
 	if err != nil {
 		return nil, err
 	}
 	return ParamsFromTable(t), nil
+}
+
+// refreshedEstimator returns the estimator the next generation of a
+// cover sampler warms with, and how many retained walks it probed
+// again. A walked RandomWalkEstimator carries its state over under
+// walkest's refresh rule (Estimator.Refreshed, the rule the online
+// sampler's own walks follow); the others hold no state and re-run.
+func refreshedEstimator(est Estimator, dirty []bool) (Estimator, int) {
+	r, ok := est.(*RandomWalkEstimator)
+	if !ok || r.Walker == nil {
+		return est, 0
+	}
+	walker, reprobed := r.Walker.Refreshed(dirty)
+	return &RandomWalkEstimator{Joins: r.Joins, Opts: r.Opts, Walker: walker, resume: true}, reprobed
+}
+
+// walksRun counts the walks a refresh added to next over prev: all a
+// dirty join holds (its estimate was reset), and whatever a clean join
+// gained.
+func walksRun(prev, next *walkest.Estimator, dirty []bool) int {
+	if next == nil {
+		return 0
+	}
+	n := 0
+	for j, je := range next.JoinEstimates() {
+		n += je.Walks()
+		if prev != nil && !dirty[j] {
+			n -= prev.JoinEstimates()[j].Walks()
+		}
+	}
+	return n
 }
 
 // ExactEstimator computes exact parameters by executing every join —

@@ -48,11 +48,16 @@ var (
 	_ Run             = (*OnlineSampler)(nil)
 )
 
-// Prewarm forces every lazily built shared structure of the joins —
-// per-attribute CSR indexes and membership tables — so that concurrent
-// runs pay no build cost and only ever read them. (First use is safe
-// without Prewarm too — both structures build exactly once behind an
-// atomic publish — but prewarming moves the cost into preparation.)
+// Prewarm forces the lazily built shared structures the samplers read —
+// membership tables and, per join edge, the two indexes over its join
+// attribute: the child's, which every draw probes, and the parent's,
+// which a refresh follows from a changed child value to the parent rows
+// holding it — so that concurrent runs pay no build cost and only ever
+// read them. (First use is safe without Prewarm too — both structures
+// build exactly once behind an atomic publish — but prewarming moves
+// the cost into preparation.) An index over any other attribute still
+// builds on its first Relation.Index, and costs a refresh nothing until
+// then.
 func Prewarm(p PreparedSampler) {
 	if s, ok := p.(*ShardedShared); ok {
 		s.prewarm()
@@ -61,10 +66,11 @@ func Prewarm(p PreparedSampler) {
 	base := p.unionBase()
 	for _, j := range base.joins {
 		j.PrewarmMembership()
-		for _, n := range j.Nodes() {
-			for a := 0; a < n.Rel.Arity(); a++ {
-				n.Rel.Index(a)
-			}
+		nodes := j.Nodes()
+		for k := 1; k < len(nodes); k++ {
+			n := &nodes[k]
+			n.Rel.Index(n.AttrPos)
+			nodes[n.Parent].Rel.Index(n.ParentAttrPos)
 		}
 	}
 }
@@ -99,6 +105,52 @@ func Refresh(p PreparedSampler, g *rng.RNG) (PreparedSampler, bool, error) {
 		return s.Refresh(g)
 	}
 	return p, false, fmt.Errorf("core: Refresh: unsupported prepared sampler %T", p)
+}
+
+// RefreshStats reports what the Refresh that produced a prepared sampler
+// did — the work list, not the data size, is what a refresh should cost.
+type RefreshStats struct {
+	// DirtyJoins counts the joins with a mutated relation.
+	DirtyJoins int `json:"dirty_joins"`
+	// SegmentsPatched counts the weight-table segments EW samplers
+	// recomputed in place of a rebuild; NodesRebuilt the join nodes whose
+	// patched table was folded back into flat arrays; JoinsRebuilt the
+	// joins whose tables were rebuilt whole (a compacted index, a lost
+	// mutation-log tail).
+	SegmentsPatched int `json:"segments_patched"`
+	NodesRebuilt    int `json:"nodes_rebuilt"`
+	JoinsRebuilt    int `json:"joins_rebuilt"`
+	// Walks counts the wander-join walks run; Reprobed the retained
+	// walks of clean joins whose membership in the dirty joins was
+	// tested again.
+	Walks    int `json:"walks"`
+	Reprobed int `json:"reprobed"`
+	// Duration is the whole refresh, set by the session layer.
+	Duration time.Duration `json:"duration_ns"`
+}
+
+func (a *RefreshStats) add(b RefreshStats) {
+	a.DirtyJoins += b.DirtyJoins
+	a.SegmentsPatched += b.SegmentsPatched
+	a.NodesRebuilt += b.NodesRebuilt
+	a.JoinsRebuilt += b.JoinsRebuilt
+	a.Walks += b.Walks
+	a.Reprobed += b.Reprobed
+}
+
+// LastRefresh reports what the Refresh that produced p did; it is zero
+// for a sampler that came from a Prepare. A sharded sampler sums its
+// shards'.
+func LastRefresh(p PreparedSampler) RefreshStats {
+	switch s := p.(type) {
+	case *CoverShared:
+		return s.refresh
+	case *OnlineShared:
+		return s.refresh
+	case *ShardedShared:
+		return s.refresh
+	}
+	return RefreshStats{}
 }
 
 // DeriveSeed maps a base seed and a stream index to a decorrelated RNG

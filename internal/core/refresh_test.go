@@ -1,0 +1,124 @@
+package core
+
+import (
+	"testing"
+
+	"sampleunion/internal/relation"
+	"sampleunion/internal/rng"
+	"sampleunion/internal/walkest"
+)
+
+// TestRefreshReprobesCleanAnchors: J1 ∩ J3 is anchored at J1, so its
+// estimate lives in the masks of J1's walks. Appending to J3 copies of
+// half of J1's results dirties J3 only; a Refresh must then move the
+// estimate — by probing J1's retained walks against J3 again, not by
+// walking J1 again — in both engines, and leave the generation it
+// refreshed from alone.
+func TestRefreshReprobesCleanAnchors(t *testing.T) {
+	const j1and3 = 0b101
+	for _, online := range []bool{false, true} {
+		joins := fixtureJoins(t)
+		var p PreparedSampler
+		var err error
+		if online {
+			p, err = PrepareOnline(joins, OnlineConfig{WarmupWalks: 400}, rng.New(7))
+		} else {
+			p, err = PrepareCover(joins, CoverConfig{
+				Method:    MethodEW,
+				Estimator: &RandomWalkEstimator{Joins: joins, Opts: walkest.Options{MaxWalks: 400}},
+			}, rng.New(7))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		walks := func(p PreparedSampler) *walkest.Estimator {
+			if o, ok := p.(*OnlineShared); ok {
+				return o.walks
+			}
+			return tuneWalker(p.(*CoverShared).cfg.Estimator)
+		}
+		before := walks(p)
+		if got := before.OverlapEstimate(j1and3); got != 0 {
+			t.Fatalf("online=%v: disjoint joins estimated to overlap by %v", online, got)
+		}
+		var walked, pooled []int
+		for _, je := range before.JoinEstimates() {
+			walked = append(walked, je.Walks())
+			pooled = append(pooled, len(je.Samples()))
+		}
+
+		// J1 holds K in [0, 40); give J3 the results with K in [0, 20):
+		// 20 + 7 of J1's 54.
+		a, b := joins[2].Nodes()[0].Rel, joins[2].Nodes()[1].Rel
+		for k := 0; k < 20; k++ {
+			a.AppendValues(relation.Value(k), relation.Value(k*10))
+			b.AppendValues(relation.Value(k), relation.Value(k*100))
+			if k%3 == 0 {
+				b.AppendValues(relation.Value(k), relation.Value(k*100+1))
+			}
+		}
+		np, changed, err := Refresh(p, rng.New(8))
+		if err != nil || !changed {
+			t.Fatalf("online=%v: Refresh changed=%v err=%v", online, changed, err)
+		}
+		after := walks(np)
+		if got := after.OverlapEstimate(j1and3); got < 17 || got > 37 {
+			t.Errorf("online=%v: |J1 ∩ J3| estimated %v after the append, want about 27", online, got)
+		}
+		if got := before.OverlapEstimate(j1and3); got != 0 {
+			t.Errorf("online=%v: Refresh moved the old generation's estimate to %v", online, got)
+		}
+		for j, je := range after.JoinEstimates()[:2] {
+			if je.Walks() != walked[j] || je.Size() != before.JoinEstimates()[j].Size() {
+				t.Errorf("online=%v: clean join %d walked again: %d walks (size %v), had %d (size %v)",
+					online, j, je.Walks(), je.Size(), walked[j], before.JoinEstimates()[j].Size())
+			}
+		}
+		st := LastRefresh(np)
+		want := RefreshStats{
+			DirtyJoins: 1,
+			Walks:      after.JoinEstimates()[2].Walks(),
+			Reprobed:   pooled[0] + pooled[1],
+		}
+		if !online {
+			// The EW tables of J3 were patched: the root segment and the
+			// 20 new join values.
+			want.SegmentsPatched = 21
+		}
+		if st != want {
+			t.Errorf("online=%v: refresh stats %+v, want %+v", online, st, want)
+		}
+		if want.Walks == 0 {
+			t.Errorf("online=%v: dirty join was not walked again", online)
+		}
+	}
+}
+
+// TestPrewarmBuildsOnlyEdgeIndexes: a prepared, prewarmed sampler has
+// built, per join edge, the child's index on the join attribute (the
+// draws') and the parent's (a refresh's way up) — and none on a payload
+// attribute, which a later Refresh would otherwise have to catch up for
+// nothing. Such an index still builds on first use.
+func TestPrewarmBuildsOnlyEdgeIndexes(t *testing.T) {
+	joins := fixtureJoins(t)
+	p, err := PrepareCover(joins, CoverConfig{
+		Method:    MethodEW,
+		Estimator: &RandomWalkEstimator{Joins: joins},
+	}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	Prewarm(p)
+	for _, j := range joins {
+		for _, n := range j.Nodes() {
+			// Both relations of a fixture join are (K, payload), joined on K.
+			if got := n.Rel.StorageStats().Indexed; !got[0] || got[1] {
+				t.Errorf("%s: indexed attributes %v, want only the join attribute", n.Rel.Name(), got)
+			}
+		}
+	}
+	rel := joins[0].Nodes()[1].Rel
+	if rel.Degree(1, rel.Value(0, 1)) != 1 || !rel.StorageStats().Indexed[1] {
+		t.Error("payload index did not build on first use")
+	}
+}

@@ -60,11 +60,15 @@ func uniformJoinConfigs(n int, m JoinMethod, aliasMin int) []joinConfig {
 	return cfgs
 }
 
-// newJoinSampler builds the subroutine sampler for one join.
-func newJoinSampler(j *join.Join, c joinConfig) joinsample.Sampler {
+// newJoinSampler builds the subroutine sampler for one join. prev is the
+// sampler the join drew from before its relations mutated, nil on a
+// first build: an EW sampler patches its weight tables from an EW
+// predecessor's instead of recomputing them.
+func newJoinSampler(j *join.Join, c joinConfig, prev joinsample.Sampler) joinsample.Sampler {
 	switch c.method {
 	case MethodEW:
-		return joinsample.NewEWAlias(j, c.aliasMin)
+		was, _ := prev.(*joinsample.EW)
+		return joinsample.NewEWFrom(j, c.aliasMin, was)
 	case MethodWJ:
 		return joinsample.NewWJ(j)
 	}
@@ -81,8 +85,12 @@ type unionBase struct {
 	joins    []*join.Join
 	cfgs     []joinConfig
 	samplers []joinsample.Sampler
-	ref      *relation.Schema
-	perms    [][]int // perms[i][k] = position of ref attr k in join i's schema; nil when equal
+	// pending[i]: samplers[i] does not describe join i's current data —
+	// never built (nil), or left by refreshedLazy as the predecessor its
+	// rebuild patches from. Always false once the base is published.
+	pending []bool
+	ref     *relation.Schema
+	perms   [][]int // perms[i][k] = position of ref attr k in join i's schema; nil when equal
 
 	// probes[i][k] tests membership of a tuple in join i's schema order
 	// against join k — the allocation-free path behind minContaining,
@@ -111,6 +119,7 @@ func newUnionBase(joins []*join.Join, cfgs []joinConfig, deferSamplers bool) (*u
 		joins:    joins,
 		cfgs:     cfgs,
 		samplers: make([]joinsample.Sampler, len(joins)),
+		pending:  make([]bool, len(joins)),
 		ref:      joins[0].OutputSchema(),
 		perms:    make([][]int, len(joins)),
 		probes:   make([][]join.AlignedProbe, len(joins)),
@@ -122,8 +131,8 @@ func newUnionBase(joins []*join.Join, cfgs []joinConfig, deferSamplers bool) (*u
 		// degrees and link index.
 		j.FreshenResidual()
 		b.vers[i] = j.StateVersions()
-		if !deferSamplers {
-			b.samplers[i] = newJoinSampler(j, cfgs[i])
+		if b.pending[i] = deferSamplers; !deferSamplers {
+			b.samplers[i] = newJoinSampler(j, cfgs[i], nil)
 		}
 		if !j.OutputSchema().Equal(b.ref) {
 			perm, err := alignPerm(b.ref, j)
@@ -174,33 +183,25 @@ func (b *unionBase) dirtyJoins() ([]bool, bool) {
 func (b *unionBase) clone() *unionBase {
 	nb := *b
 	nb.samplers = append([]joinsample.Sampler(nil), b.samplers...)
+	nb.pending = append([]bool(nil), b.pending...)
 	nb.cfgs = append([]joinConfig(nil), b.cfgs...)
 	nb.vers = append([][]uint64(nil), b.vers...)
 	return &nb
 }
 
 // refreshed returns a copy of the base whose dirty joins have
-// reconciled residuals and freshly built subroutine samplers; clean
-// joins share their samplers with the old base.
+// reconciled residuals and subroutine samplers rebuilt from their
+// predecessors; clean joins share their samplers with the old base.
 func (b *unionBase) refreshed() (*unionBase, []bool, bool) {
-	dirty, any := b.dirtyJoins()
-	if !any {
-		return b, dirty, false
+	nb, dirty, changed := b.refreshedLazy()
+	if changed {
+		nb.applyJoinConfigs(nb.cfgs)
 	}
-	nb := b.clone()
-	for i, d := range dirty {
-		if !d {
-			continue
-		}
-		nb.joins[i].FreshenResidual()
-		nb.vers[i] = nb.joins[i].StateVersions()
-		nb.samplers[i] = newJoinSampler(nb.joins[i], b.cfgs[i])
-	}
-	return nb, dirty, true
+	return nb, dirty, changed
 }
 
 // refreshedLazy is refreshed for the adaptive path: dirty joins
-// reconcile their residuals and drop their samplers instead of
+// reconcile their residuals and mark their samplers pending instead of
 // rebuilding them eagerly — the re-plan inside the subsequent warm-up
 // rebuilds them once, under the new plan's configs.
 func (b *unionBase) refreshedLazy() (*unionBase, []bool, bool) {
@@ -215,19 +216,47 @@ func (b *unionBase) refreshedLazy() (*unionBase, []bool, bool) {
 		}
 		nb.joins[i].FreshenResidual()
 		nb.vers[i] = nb.joins[i].StateVersions()
-		nb.samplers[i] = nil
+		nb.pending[i] = true
 	}
 	return nb, dirty, true
 }
 
 // applyJoinConfigs installs a plan's per-join configs, rebuilding
-// exactly the samplers whose config changed (or was never built, on
-// the deferred path). Only safe before the base is published to runs.
+// exactly the samplers that are pending or whose config changed, each
+// from the sampler it replaces. Only safe before the base is published
+// to runs.
 func (b *unionBase) applyJoinConfigs(cfgs []joinConfig) {
 	for i := range b.joins {
-		if b.samplers[i] == nil || b.cfgs[i] != cfgs[i] {
+		if b.pending[i] || b.cfgs[i] != cfgs[i] {
 			b.cfgs[i] = cfgs[i]
-			b.samplers[i] = newJoinSampler(b.joins[i], cfgs[i])
+			b.samplers[i] = newJoinSampler(b.joins[i], cfgs[i], b.samplers[i])
+			b.pending[i] = false
+		}
+	}
+}
+
+// patchStats sums what the EW samplers of the dirty joins report about
+// their rebuild into st.
+func (b *unionBase) patchStats(dirty []bool, st *RefreshStats) {
+	for i, d := range dirty {
+		if !d {
+			continue
+		}
+		st.DirtyJoins++
+		ew, ok := b.samplers[i].(*joinsample.EW)
+		if !ok {
+			continue
+		}
+		p := ew.Patch()
+		if p.Rebuilt {
+			st.JoinsRebuilt++
+			continue
+		}
+		for k := range p.Touched {
+			st.SegmentsPatched += len(p.Touched[k])
+			if p.Folded[k] {
+				st.NodesRebuilt++
+			}
 		}
 	}
 }

@@ -88,6 +88,7 @@ type ShardedShared struct {
 	params  *Params
 
 	warmupTime time.Duration
+	refresh    RefreshStats // summed over the shards a Refresh rebuilt
 }
 
 var (
@@ -257,6 +258,7 @@ func (p *ShardedShared) warmShards(g *rng.RNG, prev []PreparedSampler) error {
 	base := int64(g.Uint64())
 	p.perShard = make([]PreparedSampler, p.cfg.Shards)
 	errs := make([]error, p.cfg.Shards)
+	stats := make([]RefreshStats, p.cfg.Shards)
 	p.forEachShard(func(s int) {
 		gs := rng.New(DeriveSeed(base, int64(s)))
 		var ps PreparedSampler
@@ -271,10 +273,11 @@ func (p *ShardedShared) warmShards(g *rng.RNG, prev []PreparedSampler) error {
 		}
 		p.perShard[s], errs[s] = ps, err
 	})
-	for _, err := range errs {
+	for s, err := range errs {
 		if err != nil {
 			return err
 		}
+		p.refresh.add(stats[s])
 	}
 	return nil
 }

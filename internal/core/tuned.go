@@ -99,11 +99,12 @@ func applyPlanEstimates(base *unionBase, p *tune.Plan, params *Params, walker *w
 		// The EW weight pass computes the exact skeleton count as a
 		// byproduct; when the plan also samples this join with EW, the
 		// sampler built here is kept, so escalation costs nothing extra.
-		ew := joinsample.NewEWAlias(base.joins[i], jp.AliasThreshold)
+		was, _ := base.samplers[i].(*joinsample.EW)
+		ew := joinsample.NewEWFrom(base.joins[i], jp.AliasThreshold, was)
 		sizes[i] = float64(ew.ExactCount())
 		if jp.Method == tune.MethodEW {
 			base.cfgs[i] = joinConfig{method: MethodEW, aliasMin: jp.AliasThreshold}
-			base.samplers[i] = ew
+			base.samplers[i], base.pending[i] = ew, false
 		}
 		rebuild = true
 	}
@@ -115,6 +116,20 @@ func applyPlanEstimates(base *unionBase, p *tune.Plan, params *Params, walker *w
 		return nil, nil, err
 	}
 	return ParamsFromTable(t), sizes, nil
+}
+
+// dropDirtyFeedback forgets the rejection feedback of the joins a
+// refresh found mutated: like their walk estimates, it observed a join
+// that no longer exists, and the re-plan must read their fresh
+// size/bound priors instead. Clean joins keep theirs — on a
+// rejection-triggered re-plan over clean data that feedback IS the
+// signal. A nil controller (no tuner) has nothing to forget.
+func dropDirtyFeedback(c *tune.Controller, dirty []bool) {
+	for j, d := range dirty {
+		if d && c != nil {
+			c.DropFeedback(j)
+		}
+	}
 }
 
 // tuneWalker extracts the retained walk estimator from a warm-up

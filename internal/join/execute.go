@@ -1,6 +1,8 @@
 package join
 
 import (
+	"slices"
+
 	"sampleunion/internal/relation"
 )
 
@@ -100,24 +102,73 @@ func (j *Join) Count() int64 {
 // weight sum inside each segment, so a segment's last Cum is the total
 // weight of its value. The root, which has no join attribute, is one
 // segment of its positive-weight rows in row order.
+//
+// Like the index it is aligned to, a table is a flat base plus an
+// optional overlay: PatchWeights recomputes only the segments a mutation
+// reached and keeps them beside the predecessor's flat arrays, which the
+// two generations then share. Segment and Total read through the
+// overlay; Off, Rows and Cum alone describe the table only when
+// Overlay() reports none.
 type WeightTable struct {
 	Off  []int32
 	Rows []int32
 	Cum  []int64
+	ov   *segOverlay // nil = flat
 }
 
-// Segment returns entry e's rows and their running weight sums.
+// segOverlay holds the recomputed segments of a patched table, packed
+// like the base: segment i belongs to entry ents[i] and replaces the
+// base's (entries the index gained since the base was packed have no
+// base segment at all, and are always here).
+type segOverlay struct {
+	ents []int32 // ascending
+	off  []int32
+	rows []int32
+	cum  []int64
+}
+
+// Segment returns entry e's rows and their running weight sums. A flat
+// table answers inline; only a patched one pays the overlay's search.
 func (t *WeightTable) Segment(e int) ([]int32, []int64) {
+	if t.ov != nil {
+		return t.ov.segment(t, e)
+	}
 	lo, hi := t.Off[e], t.Off[e+1]
 	return t.Rows[lo:hi], t.Cum[lo:hi]
 }
 
 // Total returns the summed weight of entry e's rows.
 func (t *WeightTable) Total(e int) int64 {
+	if t.ov != nil {
+		if _, cum := t.ov.segment(t, e); len(cum) > 0 {
+			return cum[len(cum)-1]
+		}
+		return 0
+	}
 	if lo, hi := t.Off[e], t.Off[e+1]; lo < hi {
 		return t.Cum[hi-1]
 	}
 	return 0
+}
+
+// segment is Segment for a table carrying overlay o: the overlaid
+// segment when e has one, else the flat one.
+func (o *segOverlay) segment(t *WeightTable, e int) ([]int32, []int64) {
+	if i, ok := slices.BinarySearch(o.ents, int32(e)); ok {
+		return o.rows[o.off[i]:o.off[i+1]], o.cum[o.off[i]:o.off[i+1]]
+	}
+	lo, hi := t.Off[e], t.Off[e+1]
+	return t.Rows[lo:hi], t.Cum[lo:hi]
+}
+
+// Overlay returns the overlaid entries, ascending, and their segment
+// offsets (segment i has off[i+1]-off[i] rows); both nil for a flat
+// table.
+func (t *WeightTable) Overlay() (ents, off []int32) {
+	if t.ov == nil {
+		return nil, nil
+	}
+	return t.ov.ents, t.ov.off
 }
 
 // add appends row r with weight w to the open segment; zero-weight

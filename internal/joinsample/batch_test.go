@@ -140,7 +140,7 @@ func TestAliasMatchesPrefixSums(t *testing.T) {
 		ewAt := func(aliasMin int) *EW {
 			return &EW{
 				w:        &join.Weights{Nodes: []join.WeightTable{tbl}},
-				alias:    []aliasSlots{newAliasSlots(tbl.Off, aliasMin)},
+				alias:    []nodeAlias{newNodeAlias(&tbl, aliasMin)},
 				aliasMin: aliasMin,
 			}
 		}
@@ -168,13 +168,13 @@ func TestAliasMatchesPrefixSums(t *testing.T) {
 		check("prefix", drawFreqs(draws, func() int { return int(seg.rows[drawBounded(seg.cum, gp)]) }))
 		ga, forced := rng.New(32), ewAt(0)
 		check("alias", drawFreqs(draws, func() int { r, _ := forced.drawRow(0, 0, ga); return r }))
-		if forced.alias[0].slot[0].Load() == nil {
+		if forced.alias[0].find(0).Load() == nil {
 			t.Errorf("%s: threshold 0 drew without building the alias table", c.name)
 		}
 		gt, never := rng.New(33), ewAt(NeverAlias)
 		check("threshold", drawFreqs(draws, func() int { r, _ := never.drawRow(0, 0, gt); return r }))
-		if len(never.alias[0].slot) != 0 {
-			t.Errorf("%s: NeverAlias reserved %d alias slots", c.name, len(never.alias[0].slot))
+		if len(never.alias[0].flat.slot) != 0 {
+			t.Errorf("%s: NeverAlias reserved %d alias slots", c.name, len(never.alias[0].flat.slot))
 		}
 	}
 }

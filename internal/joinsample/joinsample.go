@@ -101,29 +101,12 @@ func drawBounded(cum []int64, g *rng.RNG) int {
 	return i
 }
 
-// newAlias builds a segment's alias table from its running weight
-// sums. Exactness caveat: the table normalizes its per-row
-// probabilities in float64, so above the threshold individual rows
-// carry a relative error up to ~2^-53 — the sub-threshold drawBounded
-// path is the one that is exact for every representable total.
-func newAlias(cum []int64) *rng.Alias {
-	w := make([]float64, len(cum))
-	prev := int64(0)
-	for i, c := range cum {
-		w[i] = float64(c - prev)
-		prev = c
-	}
-	return rng.NewAlias(w)
-}
-
-// aliasSlots are one node's alias tables: ents lists, ascending, the
-// entries whose segment reaches the sampler's threshold, and slot[i]
-// is ents[i]'s table, built on the segment's first draw and published
-// atomically so concurrent runs share one winner. A table is derived
-// purely from its segment, which is immutable: a live mutation
-// invalidates the whole sampler generation (unionBase.refreshed
-// rebuilds the dirty joins' samplers), so a table never outlives the
-// rows it was built from.
+// aliasSlots are the alias tables of one packed run of segments: ents
+// lists, ascending, the entries whose segment reaches the sampler's
+// threshold, and slot[i] is ents[i]'s table, built on the segment's
+// first draw and published atomically so concurrent runs share one
+// winner. A table is derived purely from its segment, which is
+// immutable, so generations that share a segment may share its table.
 type aliasSlots struct {
 	ents []int32
 	slot []atomic.Pointer[rng.Alias]
@@ -131,54 +114,110 @@ type aliasSlots struct {
 
 // newAliasSlots reserves a slot for every non-empty segment of off
 // reaching aliasMin: two scans of the offsets, so both slices are sized
-// exactly.
-func newAliasSlots(off []int32, aliasMin int) aliasSlots {
-	reaches := func(ent int) bool {
-		n := int(off[ent+1] - off[ent])
+// exactly. Segment i belongs to entry ids[i], or to entry i when ids is
+// nil (a flat table).
+func newAliasSlots(off, ids []int32, aliasMin int) *aliasSlots {
+	reaches := func(i int) bool {
+		n := int(off[i+1] - off[i])
 		return n > 0 && n >= aliasMin
 	}
 	n := 0
-	for ent := 0; ent+1 < len(off); ent++ {
-		if reaches(ent) {
+	for i := 0; i+1 < len(off); i++ {
+		if reaches(i) {
 			n++
 		}
 	}
-	a := aliasSlots{ents: make([]int32, 0, n), slot: make([]atomic.Pointer[rng.Alias], n)}
-	for ent := 0; len(a.ents) < n; ent++ {
-		if reaches(ent) {
-			a.ents = append(a.ents, int32(ent))
+	a := &aliasSlots{ents: make([]int32, 0, n), slot: make([]atomic.Pointer[rng.Alias], n)}
+	for i := 0; len(a.ents) < n; i++ {
+		if reaches(i) {
+			ent := int32(i)
+			if ids != nil {
+				ent = ids[i]
+			}
+			a.ents = append(a.ents, ent)
 		}
 	}
 	return a
 }
 
-// table returns entry ent's alias table, building and publishing it on
-// first use. Racing builders construct identical tables (the build is
-// deterministic in cum); the first CAS wins and everyone shares its
-// table.
-func (a *aliasSlots) table(ent int, cum []int64) *rng.Alias {
-	i, _ := slices.BinarySearch(a.ents, int32(ent))
-	if t := a.slot[i].Load(); t != nil {
+// find returns entry ent's slot, or nil when the entry has none.
+func (a *aliasSlots) find(ent int) *atomic.Pointer[rng.Alias] {
+	if i, ok := slices.BinarySearch(a.ents, int32(ent)); ok {
+		return &a.slot[i]
+	}
+	return nil
+}
+
+// nodeAlias are one node's alias tables, shaped like its weight table:
+// slots over the flat segments — shared with the predecessor for as
+// long as the flat arrays are — and slots over the overlay's.
+type nodeAlias struct {
+	flat, ov *aliasSlots
+}
+
+func newNodeAlias(t *join.WeightTable, aliasMin int) nodeAlias {
+	ents, off := t.Overlay()
+	return nodeAlias{flat: newAliasSlots(t.Off, nil, aliasMin), ov: newAliasSlots(off, ents, aliasMin)}
+}
+
+// find returns the slot of the segment WeightTable.Segment serves for
+// ent: an overlaid entry reaching the threshold always has an overlay
+// slot, so the flat slots are asked only about untouched entries.
+func (a *nodeAlias) find(ent int) *atomic.Pointer[rng.Alias] {
+	if len(a.ov.ents) > 0 {
+		if s := a.ov.find(ent); s != nil {
+			return s
+		}
+	}
+	return a.flat.find(ent)
+}
+
+// table returns entry ent's alias table, building it from the segment's
+// running weight sums and publishing it on first use. Racing builders
+// construct identical tables (the build is deterministic in cum); the
+// first CAS wins and everyone shares its table. Exactness caveat: the
+// table normalizes its per-row probabilities in float64, so above the
+// threshold individual rows carry a relative error up to ~2^-53 — the
+// sub-threshold drawBounded path is the one that is exact for every
+// representable total.
+func (a *nodeAlias) table(ent int, cum []int64) *rng.Alias {
+	s := a.find(ent)
+	if t := s.Load(); t != nil {
 		return t
 	}
-	a.slot[i].CompareAndSwap(nil, newAlias(cum))
-	return a.slot[i].Load()
+	s.CompareAndSwap(nil, rng.NewAliasCum(cum))
+	return s.Load()
+}
+
+// carry hands the predecessor's built tables to the slots of segments
+// the patch did not recompute (touched, ascending, lists the recomputed
+// entries).
+func (a *aliasSlots) carry(from *nodeAlias, touched []int32) {
+	for i, ent := range a.ents {
+		if _, hit := slices.BinarySearch(touched, ent); hit {
+			continue
+		}
+		if s := from.find(int(ent)); s != nil {
+			a.slot[i].Store(s.Load())
+		}
+	}
 }
 
 // EW is the Exact Weight sampler: uniform with zero rejection on tree
 // joins (cyclic joins keep a residual rejection step).
 type EW struct {
 	j *join.Join
-	// w holds, per node, the flat weight table aligned to the node's
+	// w holds, per node, the weight table aligned to the node's
 	// join-attribute index: probing is one index lookup plus two offset
 	// reads — no second hash table, no per-value object. It describes
 	// exactly the relation versions w.Vers: relations mutate by bumping
 	// their version, the union layer detects the mismatch
-	// (unionBase.dirtyJoins), and Refresh builds a fresh EW over the
-	// delta-overlaid index — which is how the tables and their alias
-	// slots are invalidated.
+	// (unionBase.dirtyJoins), and Refresh patches a successor from this
+	// sampler (NewEWFrom), which shares every segment — and its alias
+	// table — the mutations did not reach.
 	w     *join.Weights
-	alias []aliasSlots // per node
+	alias []nodeAlias // per node
+	patch join.Patch  // how w came from the predecessor's tables
 
 	// aliasMin is the alias threshold captured at construction: the
 	// fan-out at which draws switch from prefix sums to alias tables.
@@ -195,14 +234,47 @@ func NewEW(j *join.Join) *EW { return NewEWAlias(j, DefaultAliasThreshold) }
 // NewEWAlias precomputes exact weights for j with an explicit alias
 // threshold: the fan-out at which draws build alias tables
 // (0 = always, NeverAlias = never).
-func NewEWAlias(j *join.Join, aliasMin int) *EW {
-	w := j.ExactWeights()
-	e := &EW{j: j, w: w, alias: make([]aliasSlots, len(w.Nodes)), aliasMin: aliasMin}
+func NewEWAlias(j *join.Join, aliasMin int) *EW { return NewEWFrom(j, aliasMin, nil) }
+
+// NewEWFrom is NewEWAlias given the sampler the join drew from before
+// its relations last mutated (nil builds cold): the weights are patched
+// from prev's (join.PatchWeights) instead of recomputed, and untouched
+// segments keep the alias tables prev's draws already built. The draws
+// equal a cold build's, seed for seed: every segment holds the rows and
+// running sums a cold build computes.
+func NewEWFrom(j *join.Join, aliasMin int, prev *EW) *EW {
+	var from *join.Weights
+	if prev != nil && prev.j == j {
+		from = prev.w
+	}
+	w, patch := j.PatchWeights(from)
+	e := &EW{j: j, w: w, alias: make([]nodeAlias, len(w.Nodes)), patch: patch, aliasMin: aliasMin}
 	for k := range w.Nodes {
-		e.alias[k] = newAliasSlots(w.Nodes[k].Off, aliasMin)
+		t := &w.Nodes[k]
+		if patch.Rebuilt || prev.aliasMin != aliasMin {
+			e.alias[k] = newNodeAlias(t, aliasMin)
+			continue
+		}
+		was := &prev.alias[k]
+		if len(patch.Touched[k]) == 0 {
+			e.alias[k] = *was // the predecessor's table, untouched
+			continue
+		}
+		ents, off := t.Overlay()
+		a := nodeAlias{flat: was.flat, ov: newAliasSlots(off, ents, aliasMin)}
+		a.ov.carry(was, patch.Touched[k])
+		if patch.Folded[k] {
+			a.flat = newAliasSlots(t.Off, nil, aliasMin)
+			a.flat.carry(was, patch.Touched[k])
+		}
+		e.alias[k] = a
 	}
 	return e
 }
+
+// Patch reports how the sampler's weight tables were derived from its
+// predecessor's.
+func (e *EW) Patch() join.Patch { return e.patch }
 
 // Method implements Sampler.
 func (e *EW) Method() string { return "EW" }

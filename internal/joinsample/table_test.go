@@ -3,6 +3,7 @@ package joinsample
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -98,7 +99,7 @@ func (e *refEW) sample(out relation.Tuple, rowOf []int, g *rng.RNG) {
 		if len(s.rows) >= e.aliasMin {
 			a := e.alias[[2]int{k, ent}]
 			if a == nil {
-				a = newAlias(s.cum)
+				a = rng.NewAliasCum(s.cum)
 				e.alias[[2]int{k, ent}] = a
 			}
 			rowOf[k] = int(s.rows[a.Draw(g)])
@@ -229,7 +230,166 @@ func TestFlatTableMatchesReference(t *testing.T) {
 			appendRandom(rel, r, 200, 16)
 		}
 		checkAgainstReference(t, "compacted", j)
+
+		// From here on the tables are patched, not built: random bursts
+		// across the relations, every fourth op a patch (12 in a row of
+		// generations, plus whatever the random bytes add).
+		script := make([]byte, 48)
+		r.Read(script)
+		for i := 3; i < len(script); i += 4 {
+			script[i] = opPatch << 3
+		}
+		patchScript(t, seed, j, rels, script)
 	}
+}
+
+// Script op kinds of patchScript, in the high bits of a script byte (the
+// low three pick the relation).
+const (
+	opAppend   = iota // 1-4 rows, values inside and just past the domain
+	opAppend2         // (appends are the common case)
+	opDelete          // one random row
+	opEmpty           // every row of one join value
+	opBurst           // 200 rows: past the index's overlay budget, so it compacts
+	opPatch           // patch the samplers and check them
+	opPatch2          //
+	opNewValue        // rows under a value no index has seen
+	opKinds
+)
+
+// patchScript drives three chains of EW samplers (alias threshold 0, 3,
+// never), each patched from its predecessor, through the mutations the
+// script spells, and after every patch pins the patched sampler to a
+// cold build over the same data: same entries, Segment, Total and Count
+// at every node, same 64 seeded tuples, and — for the segments the
+// patch did not recompute — the very alias tables the predecessor's
+// draws built.
+func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relation, script []byte) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed ^ 0x5eed))
+	thresholds := []int{0, 3, NeverAlias}
+	chain := make([]*EW, len(thresholds))
+	for i, aliasMin := range thresholds {
+		chain[i] = NewEWAlias(j, aliasMin)
+	}
+	fresh := relation.Value(1000)
+	patch := func(step int) {
+		for i, aliasMin := range thresholds {
+			chain[i] = checkPatched(t, fmt.Sprintf("seed %d step %d aliasMin %d", seed, step, aliasMin), j, aliasMin, chain[i])
+		}
+	}
+	for step, b := range script {
+		rel := rels[int(b&7)%len(rels)]
+		switch int(b>>3) % opKinds {
+		case opAppend, opAppend2:
+			appendRandom(rel, r, 1+r.Intn(4), 16)
+		case opDelete:
+			if rel.Len() > 0 {
+				rel.Delete(r.Intn(rel.Len()))
+			}
+		case opEmpty:
+			if rel.Len() > 0 {
+				for _, row := range rel.Matches(0, rel.Value(r.Intn(rel.Len()), 0)) {
+					rel.Delete(row)
+				}
+			}
+		case opBurst:
+			appendRandom(rel, r, 200, 16)
+		case opNewValue:
+			row := make(relation.Tuple, rel.Arity())
+			for a := range row {
+				row[a] = fresh
+			}
+			fresh++
+			rel.AppendRows([]relation.Tuple{row, row.Clone()})
+		default:
+			patch(step)
+		}
+	}
+	patch(len(script))
+}
+
+// checkPatched patches prev into the sampler of j's current data and
+// compares it with a cold build; it returns the patched sampler, its
+// alias tables built by the draws, for the next step to patch from.
+func checkPatched(t testing.TB, state string, j *join.Join, aliasMin int, prev *EW) *EW {
+	t.Helper()
+	ew, cold := NewEWFrom(j, aliasMin, prev), NewEWAlias(j, aliasMin)
+	if !equalVersions(ew.StateVersions(), cold.StateVersions()) {
+		t.Fatalf("%s: patched versions %v, cold %v", state, ew.StateVersions(), cold.StateVersions())
+	}
+	if ew.ExactCount() != cold.ExactCount() {
+		t.Fatalf("%s: patched count %d, cold %d", state, ew.ExactCount(), cold.ExactCount())
+	}
+	p := ew.Patch()
+	for k := range cold.w.Nodes {
+		entries := 1
+		if k > 0 {
+			if ew.w.Idx[k] != cold.w.Idx[k] {
+				t.Fatalf("%s node %d: patched and cold tables read different indexes", state, k)
+			}
+			entries = cold.w.Idx[k].NumEntries()
+		}
+		for ent := 0; ent < entries; ent++ {
+			rows, cum := ew.w.Nodes[k].Segment(ent)
+			wantRows, wantCum := cold.w.Nodes[k].Segment(ent)
+			if fmt.Sprint(rows, cum) != fmt.Sprint(wantRows, wantCum) {
+				t.Fatalf("%s node %d entry %d: patched rows %v cum %v, cold rows %v cum %v (patch %+v)",
+					state, k, ent, rows, cum, wantRows, wantCum, p)
+			}
+			if got, want := ew.w.Nodes[k].Total(ent), cold.w.Nodes[k].Total(ent); got != want {
+				t.Fatalf("%s node %d entry %d: patched total %d, cold %d", state, k, ent, got, want)
+			}
+			if p.Rebuilt || prev.aliasMin != aliasMin {
+				continue
+			}
+			// An untouched segment the predecessor drew through keeps
+			// that table; prev knows the entry, or it would be touched.
+			if _, hit := slices.BinarySearch(p.Touched[k], int32(ent)); hit || len(rows) < aliasMin || len(rows) == 0 {
+				continue
+			}
+			was, now := prev.alias[k].find(ent), ew.alias[k].find(ent)
+			if was == nil || now == nil {
+				t.Fatalf("%s node %d entry %d: untouched segment of %d rows has no alias slot (before %v, after %v)",
+					state, k, ent, len(rows), was != nil, now != nil)
+			}
+			if was.Load() != now.Load() {
+				t.Fatalf("%s node %d entry %d: untouched segment lost its alias table", state, k, ent)
+			}
+		}
+	}
+	if cold.ExactCount() == 0 {
+		return ew
+	}
+	out, rowOf := mkBatch(j, 64)
+	want, wantRowOf := mkBatch(j, 64)
+	ew.SampleManyInto(out, rowOf, 64, rng.New(77))
+	cold.SampleManyInto(want, wantRowOf, 64, rng.New(77))
+	for i := range out {
+		if !out[i].Equal(want[i]) {
+			t.Fatalf("%s draw %d: patched %v, cold %v", state, i, out[i], want[i])
+		}
+	}
+	return ew
+}
+
+// FuzzWeightPatch is patchScript over fuzzer-chosen trees and mutation
+// scripts: whatever the order of appends, deletes, emptied and new
+// values, compactions and patches, a patched sampler equals a cold one.
+func FuzzWeightPatch(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		script := make([]byte, 48)
+		rand.New(rand.NewSource(seed)).Read(script)
+		f.Add(seed, script)
+	}
+	f.Add(int64(9), []byte{opBurst << 3, opPatch << 3, opEmpty<<3 | 1, opNewValue<<3 | 1, opPatch << 3, opDelete << 3})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		if len(script) > 256 {
+			script = script[:256]
+		}
+		j, rels := randomTree(t, rand.New(rand.NewSource(seed)))
+		patchScript(t, seed, j, rels, script)
+	})
 }
 
 // TestNewEWAllocsIndependentOfRows: building an EW sampler costs a
@@ -290,19 +450,26 @@ func TestEWBuildRacesMutations(t *testing.T) {
 	}()
 	out, rowOf := mkBatch(j, 8)
 	g := rng.New(9)
+	// One chain builds cold every time, the other patches each sampler
+	// from the last — whose tables a racing writer may have left a
+	// mixture of versions, which the next patch has to repair.
+	patched := NewEW(j)
 	for building := true; building; {
 		select {
 		case <-done:
 			building = false
 		default:
 		}
-		ew := NewEW(j)
-		if filled, _ := ew.SampleManyInto(out, rowOf, 8, g); ew.ExactCount() > 0 && filled != 8 {
-			t.Fatalf("mid-flight sampler filled %d of 8", filled)
+		patched = NewEWFrom(j, DefaultAliasThreshold, patched)
+		for _, ew := range []*EW{NewEW(j), patched} {
+			if filled, _ := ew.SampleManyInto(out, rowOf, 8, g); ew.ExactCount() > 0 && filled != 8 {
+				t.Fatalf("mid-flight sampler filled %d of 8", filled)
+			}
 		}
 	}
 	if ew := NewEW(j); !equalVersions(ew.StateVersions(), j.StateVersions()) {
 		t.Fatal("settled sampler's versions are behind the join's")
 	}
 	checkAgainstReference(t, "settled", j)
+	checkPatched(t, "settled", j, DefaultAliasThreshold, patched)
 }

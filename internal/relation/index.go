@@ -380,6 +380,12 @@ func (ix *Index) MaxDegree() int { return ix.maxDeg }
 // mismatch means the derived structure describes an older snapshot.
 func (ix *Index) Version() uint64 { return ix.version }
 
+// SameBase reports whether ix and o are catch-ups of one CSR base, which
+// is what keeps dense entry ids stable between them: an entry of the
+// older index is the same entry, of the same value, in the newer one.
+// A compaction builds a new base and renumbers.
+func (ix *Index) SameBase(o *Index) bool { return ix.base == o.base }
+
 // Distinct returns the number of distinct values with at least one live
 // row.
 func (ix *Index) Distinct() int {

@@ -616,19 +616,27 @@ func (r *Relation) Tuples() []Tuple {
 
 // StorageStats describes a relation's columnar storage footprint at one
 // snapshot: physical and live row counts plus the bytes backing each
-// column vector (allocated capacity, not just the occupied prefix).
+// column vector (allocated capacity, not just the occupied prefix), and
+// which attributes have an index built — each one a structure every
+// later mutation has to be caught up in.
 type StorageStats struct {
 	Rows     int     `json:"rows"`
 	LiveRows int     `json:"live_rows"`
 	ColBytes []int64 `json:"col_bytes"`
+	Indexed  []bool  `json:"indexed"`
 }
 
 // StorageStats reports the current snapshot's storage footprint.
 func (r *Relation) StorageStats() StorageStats {
 	s := r.snap.Load()
-	st := StorageStats{Rows: s.rows, LiveRows: s.live, ColBytes: make([]int64, len(s.cols))}
+	st := StorageStats{Rows: s.rows, LiveRows: s.live, ColBytes: make([]int64, len(s.cols)), Indexed: make([]bool, len(s.cols))}
 	for a, c := range s.cols {
 		st.ColBytes[a] = int64(cap(c)) * 8
+	}
+	if set := r.indexes.Load(); set != nil {
+		for a, ix := range *set {
+			st.Indexed[a] = ix != nil
+		}
 	}
 	return st
 }

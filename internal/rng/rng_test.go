@@ -209,3 +209,95 @@ func TestPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// refAlias is the table construction NewAlias and NewAliasCum replaced:
+// a float copy of the weights, a separate scaled column and two int
+// worklists. It is kept as the reference the lean build is pinned to.
+func refAlias(weights []float64) (prob []float64, alias []int) {
+	n := len(weights)
+	total := 0.0
+	for _, w := range weights {
+		if w > 0 {
+			total += w
+		}
+	}
+	if n == 0 || total <= 0 {
+		return nil, nil
+	}
+	prob, alias = make([]float64, n), make([]int, n)
+	scaled := make([]float64, n)
+	small := make([]int, 0, n)
+	large := make([]int, 0, n)
+	for i, w := range weights {
+		if w < 0 {
+			w = 0
+		}
+		scaled[i] = w * float64(n) / total
+		if scaled[i] < 1 {
+			small = append(small, i)
+		} else {
+			large = append(large, i)
+		}
+	}
+	for len(small) > 0 && len(large) > 0 {
+		s := small[len(small)-1]
+		small = small[:len(small)-1]
+		l := large[len(large)-1]
+		large = large[:len(large)-1]
+		prob[s] = scaled[s]
+		alias[s] = l
+		scaled[l] -= 1 - scaled[s]
+		if scaled[l] < 1 {
+			small = append(small, l)
+		} else {
+			large = append(large, l)
+		}
+	}
+	for _, i := range append(large, small...) {
+		prob[i] = 1
+		alias[i] = i
+	}
+	return prob, alias
+}
+
+// TestAliasTablesMatchReference: both constructors build, entry for
+// entry, the table the reference builds — same worklist pop order — so
+// no seeded stream that draws through an alias table moves.
+func TestAliasTablesMatchReference(t *testing.T) {
+	g := New(99)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + g.Intn(200)
+		w := make([]float64, n)
+		cum := make([]int64, n)
+		var sum int64
+		for i := range w {
+			switch g.Intn(4) {
+			case 0: // zero weights and ties at the mean
+			case 1:
+				w[i] = 1
+			default:
+				w[i] = float64(1 + g.Intn(1<<uint(1+g.Intn(40))))
+			}
+			sum += int64(w[i])
+			cum[i] = sum
+		}
+		prob, alias := refAlias(w)
+		for name, a := range map[string]*Alias{"NewAlias": NewAlias(w), "NewAliasCum": NewAliasCum(cum)} {
+			if (a == nil) != (prob == nil) {
+				t.Fatalf("trial %d %s: nil table %v, reference nil %v", trial, name, a == nil, prob == nil)
+			}
+			if a == nil {
+				continue
+			}
+			for i := range prob {
+				if a.prob[i] != prob[i] || int(a.alias[i]) != alias[i] {
+					t.Fatalf("trial %d %s entry %d: (%v, %d), reference (%v, %d)",
+						trial, name, i, a.prob[i], a.alias[i], prob[i], alias[i])
+				}
+			}
+		}
+	}
+	if a := NewAlias([]float64{-3, 2, -1, 6}); a.prob[0] != 0 || a.prob[2] != 0 {
+		t.Errorf("negative weights not treated as zero: %v", a.prob)
+	}
+}

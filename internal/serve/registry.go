@@ -235,14 +235,16 @@ func (r *Registry) Lookup(key string) (*Entry, bool) {
 	return el.Value.(*Entry), true
 }
 
-// RelationStorage is one relation's storage gauge set: row counts and
-// the bytes each column vector pins (capacity, not just length — the
-// number a footprint regression shows up in).
+// RelationStorage is one relation's storage gauge set: row counts, the
+// bytes each column vector pins (capacity, not just length — the number
+// a footprint regression shows up in) and the attributes that have an
+// index built, which every append then maintains.
 type RelationStorage struct {
 	Rows     int              `json:"rows"`
 	LiveRows int              `json:"live_rows"`
 	Bytes    int64            `json:"bytes"`
 	ColBytes map[string]int64 `json:"col_bytes"`
+	Indexes  []string         `json:"indexes"`
 }
 
 // EntryStorage groups one warm entry's storage gauges: its relations
@@ -283,6 +285,9 @@ func (r *Registry) StorageSnapshot() map[string]EntryStorage {
 			for a, b := range st.ColBytes {
 				rs.Bytes += b
 				rs.ColBytes[attrs[a]] = b
+				if st.Indexed[a] {
+					rs.Indexes = append(rs.Indexes, attrs[a])
+				}
 			}
 			es.Relations[name] = rs
 		}
@@ -307,6 +312,21 @@ func (r *Registry) TuningSnapshot() map[string]sampleunion.TuneSnapshot {
 	for _, e := range entries {
 		if sn, ok := e.Sess.TuneSnapshot(); ok {
 			out[e.Key] = sn
+		}
+	}
+	return out
+}
+
+// RefreshSnapshot reports, per warm entry whose session has refreshed,
+// what its last Refresh did: dirty joins, weight-table segments patched
+// against nodes and joins rebuilt, walks run, walks probed again and
+// the duration — the scrape point for "why was this append slow".
+func (r *Registry) RefreshSnapshot() map[string]sampleunion.RefreshStats {
+	entries := r.warm()
+	out := make(map[string]sampleunion.RefreshStats, len(entries))
+	for _, e := range entries {
+		if st := e.Sess.RefreshStats(); st != (sampleunion.RefreshStats{}) {
+			out[e.Key] = st
 		}
 	}
 	return out

@@ -384,6 +384,31 @@ func TestAppendRefresh(t *testing.T) {
 		t.Fatalf("post-append sample: code %d, %d tuples", code, len(sr.Tuples))
 	}
 
+	// /metrics says what that refresh did — nation is every join's
+	// root, so all five were dirty — and which indexes appends keep up:
+	// nation's join attribute, not its payload columns.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m metricsResponse
+	err = json.NewDecoder(resp.Body).Decode(&m)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Refresh) != 1 {
+		t.Fatalf("refresh section has %d sessions, want 1", len(m.Refresh))
+	}
+	for key, st := range m.Refresh {
+		if st.DirtyJoins != 5 || st.Duration <= 0 {
+			t.Errorf("refresh stats %+v, want 5 dirty joins and a duration", st)
+		}
+		if got := m.Storage[key].Relations["nation"].Indexes; len(got) != 1 || got[0] != "nationkey" {
+			t.Errorf("nation indexes %v, want [nationkey]", got)
+		}
+	}
+
 	// Explicit refresh endpoint: idempotent when nothing mutated.
 	var rr refreshResponse
 	if code := post(t, ts.URL+"/refresh", unionRequest{Union: decl}, &rr); code != 200 {

@@ -800,6 +800,11 @@ type metricsResponse struct {
 	// alias-threshold choices in force. Absent when no warm session is
 	// adaptive.
 	Tuning map[string]sampleunion.TuneSnapshot `json:"tuning,omitempty"`
+	// Refresh reports each session's last effective Refresh (keyed by
+	// registry key): its work list — dirty joins, segments patched,
+	// nodes and joins rebuilt, walks run and probed again — and its
+	// duration. Absent until a session has refreshed.
+	Refresh map[string]sampleunion.RefreshStats `json:"refresh,omitempty"`
 	// Durability reports WAL/checkpoint gauges; absent on a
 	// memory-only server.
 	Durability *DurabilitySnapshot `json:"durability,omitempty"`
@@ -826,6 +831,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Rejected:  s.metrics.rejected.Load(),
 		Inflight:  s.Inflight(),
 		Tuning:    s.reg.TuningSnapshot(),
+		Refresh:   s.reg.RefreshSnapshot(),
 	}
 	if s.reg.durable != nil {
 		snap := s.reg.durable.snapshot()

@@ -147,3 +147,68 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Errorf("explicit options overridden: %+v", o2)
 	}
 }
+
+// TestRefreshedReprobesRetainedWalks: after J2's relation gains the
+// values 0..9, Refreshed with J2 dirty must reset J2, leave the clean
+// joins' walk counts and sizes alone, and re-derive their overlap with
+// J2 from the walks they retained — each walk's mask agreeing with what
+// the joins now contain, the counters with the masks, and the estimator
+// it was taken from with itself.
+func TestRefreshedReprobesRetainedWalks(t *testing.T) {
+	joins := threeWayJoins(t)
+	e, err := New(joins, Options{MaxWalks: 2000, TargetRel: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Warmup(rng.New(52))
+	before := e.OverlapEstimate(0b101) // |J0 ∩ J2| = 10
+	rel := joins[2].Nodes()[0].Rel
+	for v := 0; v < 10; v++ {
+		rel.AppendValues(relation.Value(v), relation.Value(v*3))
+	}
+	r, reprobed := e.Refreshed([]bool{false, false, true})
+	if want := len(e.ests[0].samples) + len(e.ests[1].samples); reprobed != want {
+		t.Errorf("reprobed %d walks, want the %d the clean joins retain", reprobed, want)
+	}
+	if r.ests[2].Walks() != 0 || len(r.wByMask[2]) != 0 || r.wAll[2] != 0 {
+		t.Errorf("dirty join kept state: %d walks, masks %v", r.ests[2].Walks(), r.wByMask[2])
+	}
+	for j := 0; j < 2; j++ {
+		if r.ests[j].Walks() != e.ests[j].Walks() || r.ests[j].Size() != e.ests[j].Size() {
+			t.Errorf("clean join %d: %d walks size %v, had %d size %v",
+				j, r.ests[j].Walks(), r.ests[j].Size(), e.ests[j].Walks(), e.ests[j].Size())
+		}
+		sums := map[uint]float64{}
+		for _, s := range r.ests[j].samples {
+			v := int(s.Tuple[0])
+			want := uint(0)
+			for i, lohi := range [][2]int{{0, 60}, {30, 90}, {50, 100}} {
+				if (v >= lohi[0] && v < lohi[1]) || (i == 2 && v < 10) {
+					want |= 1 << uint(i)
+				}
+			}
+			if s.Mask != want {
+				t.Fatalf("join %d walk of value %d: mask %03b, want %03b", j, v, s.Mask, want)
+			}
+			sums[s.Mask] += 1 / s.P
+		}
+		for mask, w := range sums {
+			if r.wByMask[j][mask] != w {
+				t.Errorf("join %d mask %03b: counter %v, retained walks sum to %v", j, mask, r.wByMask[j][mask], w)
+			}
+		}
+		if len(sums) != len(r.wByMask[j]) {
+			t.Errorf("join %d: counters %v, walks carry masks %v", j, r.wByMask[j], sums)
+		}
+	}
+	if got := r.OverlapEstimate(0b101); math.Abs(got-20)/20 > 0.2 {
+		t.Errorf("|J0 ∩ J2| estimated %.1f after the append, want ~20", got)
+	}
+	if got := e.OverlapEstimate(0b101); got != before {
+		t.Errorf("Refreshed moved the receiver's estimate: %v, was %v", got, before)
+	}
+	// Nothing dirty: a plain copy, nothing probed.
+	if c, n := e.Refreshed(make([]bool, 3)); n != 0 || c.OverlapEstimate(0b101) != before {
+		t.Errorf("clean Refreshed probed %d walks, estimate %v (was %v)", n, c.OverlapEstimate(0b101), before)
+	}
+}

@@ -18,10 +18,13 @@ import (
 )
 
 // Sample is one successful walk retained for overlap estimation and
-// sample reuse: the result tuple and its walk probability p(t).
+// sample reuse: the result tuple, its walk probability p(t), and Mask,
+// the set of joins containing the tuple (bit i for join i, its own
+// included) as the Estimator that walked it last probed them.
 type Sample struct {
 	Tuple relation.Tuple
 	P     float64
+	Mask  uint
 }
 
 // JoinEstimate maintains the running Horvitz–Thompson estimate of one
@@ -250,25 +253,18 @@ func New(joins []*join.Join, opts Options) (*Estimator, error) {
 func (e *Estimator) JoinEstimates() []*JoinEstimate { return e.ests }
 
 // clone returns an independent copy of the estimate: the running
-// moments by value, the sample pool by slice copy (tuples themselves
-// are immutable and shared), and the stateless walker by reference;
-// the walk scratch stays behind, so two estimates never write one chunk.
-func (e *JoinEstimate) clone() *JoinEstimate {
+// moments by value, the sample pool — when kept — by slice copy (tuples
+// themselves are immutable and shared), and the stateless walker by
+// reference; the walk scratch stays behind, so two estimates never write
+// one chunk.
+func (e *JoinEstimate) clone(keepPool bool) *JoinEstimate {
 	c := *e
-	c.slab, c.rowOf = nil, nil
-	c.samples = append([]Sample(nil), e.samples...)
+	c.slab, c.rowOf, c.samples = nil, nil, nil
+	if keepPool {
+		c.samples = append([]Sample(nil), e.samples...)
+	}
 	c.traj = append([]TrajectoryPoint(nil), e.traj...)
 	return &c
-}
-
-// DropSamples empties every reuse pool, keeping the size estimates and
-// overlap counters. Prepared sessions drop the pool from each run's
-// clone: sharing warm-up tuples across runs would correlate streams
-// that are documented as independent.
-func (e *Estimator) DropSamples() {
-	for _, je := range e.ests {
-		je.samples = nil
-	}
 }
 
 // Clone returns an independent deep copy of the estimator's mutable
@@ -277,7 +273,15 @@ func (e *Estimator) DropSamples() {
 // concurrent runs consume their own pools and refine their own
 // estimates without synchronization. Retained sample tuples are shared
 // read-only.
-func (e *Estimator) Clone() *Estimator {
+func (e *Estimator) Clone() *Estimator { return e.clone(true) }
+
+// CloneEstimates is Clone with empty reuse pools: the size estimates
+// and overlap counters only. Prepared sessions start each run from it —
+// sharing warm-up tuples across runs would correlate streams that are
+// documented as independent, so the pools are not worth copying.
+func (e *Estimator) CloneEstimates() *Estimator { return e.clone(false) }
+
+func (e *Estimator) clone(keepPool bool) *Estimator {
 	c := &Estimator{
 		joins:   e.joins,
 		opts:    e.opts,
@@ -287,7 +291,7 @@ func (e *Estimator) Clone() *Estimator {
 		probes:  e.probes,
 	}
 	for i, je := range e.ests {
-		c.ests[i] = je.clone()
+		c.ests[i] = je.clone(keepPool)
 		m := make(map[uint]float64, len(e.wByMask[i]))
 		for mask, w := range e.wByMask[i] {
 			m[mask] = w
@@ -307,6 +311,51 @@ func (e *Estimator) Reset(j int) {
 	e.wAll[j] = 0
 }
 
+// Refreshed returns the estimator a refresh continues from when the
+// relations of the joins marked dirty have mutated, leaving e untouched
+// (runs cloned from it keep their snapshot). A dirty join is Reset: its
+// walks observed data that no longer exists, and the caller walks it
+// again. A clean join keeps its Horvitz–Thompson state and its retained
+// walks — p(t) of a walk depends on the join's own relations only — but
+// whether a dirty join contains those walks' tuples may have moved, so
+// each retained walk's mask is probed again against the dirty joins and
+// the join's overlap counters are summed afresh over the pool. It also
+// reports how many walks it probed again.
+func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
+	c := e.Clone()
+	var moved uint
+	for j, d := range dirty {
+		if d {
+			c.Reset(j)
+			moved |= 1 << uint(j)
+		}
+	}
+	if moved == 0 {
+		return c, 0
+	}
+	reprobed := 0
+	for j, je := range c.ests {
+		if dirty[j] || len(je.samples) == 0 {
+			continue
+		}
+		byMask, all := make(map[uint]float64, len(c.wByMask[j])), 0.0
+		for i := range je.samples {
+			s := &je.samples[i]
+			s.Mask &^= moved
+			for o, p := range c.probes[j] {
+				if dirty[o] && p != nil && p.Contains(s.Tuple) {
+					s.Mask |= 1 << uint(o)
+				}
+			}
+			byMask[s.Mask] += 1 / s.P
+			all += 1 / s.P
+		}
+		c.wByMask[j], c.wAll[j] = byMask, all
+		reprobed += len(je.samples)
+	}
+	return c, reprobed
+}
+
 // StepJoin performs one walk of join j, folding the result into both
 // the size estimate and the overlap counters (§6.2's containment check
 // against every other join's index).
@@ -315,23 +364,29 @@ func (e *Estimator) StepJoin(j int, g *rng.RNG) (Sample, bool) {
 	if !ok {
 		return Sample{}, false
 	}
-	mask := uint(1) << uint(j)
+	s.Mask = uint(1) << uint(j)
 	for i, p := range e.probes[j] {
 		if p != nil && p.Contains(s.Tuple) {
-			mask |= 1 << uint(i)
+			s.Mask |= 1 << uint(i)
 		}
 	}
+	pool := e.ests[j].samples
+	pool[len(pool)-1].Mask = s.Mask
 	w := 1 / s.P
-	e.wByMask[j][mask] += w
+	e.wByMask[j][s.Mask] += w
 	e.wAll[j] += w
 	return s, true
 }
 
-// Warmup walks every join until its size confidence target is met or
-// the walk budget runs out (§6.1's termination rule).
+// Warmup walks every join that has no observations yet — all of them on
+// a new estimator, the reset ones after Refreshed — until its size
+// confidence target is met or the walk budget runs out (§6.1's
+// termination rule).
 func (e *Estimator) Warmup(g *rng.RNG) {
-	for j := range e.ests {
-		e.WarmupJoin(j, e.opts.MaxWalks, g)
+	for j, je := range e.ests {
+		if je.Walks() == 0 {
+			e.WarmupJoin(j, e.opts.MaxWalks, g)
+		}
 	}
 }
 

@@ -398,3 +398,68 @@ func TestRefreshCyclicUnion(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshedTablesDrawLikeRebuilt pins that patching the exact-weight
+// tables changes no seeded stream: through a refresh that leaves a
+// weight-table overlay, one that folds it, and one after a burst large
+// enough to compact the indexes (which rebuilds the join's tables
+// whole), the refreshed session draws byte-identically to a session
+// prepared cold over the same relations — whose tables are built flat.
+// The exact warm-up keeps the parameters equal on both sides, so the
+// tables are the only thing compared.
+func TestRefreshedTablesDrawLikeRebuilt(t *testing.T) {
+	opts := Options{Seed: 9, Warmup: WarmupExact, Method: MethodEW}
+	ls, err := liveUnionSession(t, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 9000
+	burst := func(n int) {
+		var cust, ord []Tuple
+		for i := 0; i < n; i++ {
+			cust = append(cust, Tuple{Value(next), Value(next % 5)})
+			ord = append(ord, Tuple{Value(next * 10), Value(next)}, Tuple{Value(next*10 + 1), Value(20 + i%10)})
+			next++
+		}
+		ls.rels[0].AppendRows(cust)
+		ls.rels[1].AppendRows(ord)
+		ls.rels[1].Delete(len(ord) % ls.rels[1].Len())
+	}
+	steps := []struct {
+		rows int
+		want func(RefreshStats) bool
+		what string
+	}{
+		{2, func(st RefreshStats) bool {
+			return st.SegmentsPatched > 0 && st.NodesRebuilt == 0 && st.JoinsRebuilt == 0
+		}, "an overlay"},
+		{25, func(st RefreshStats) bool { return st.NodesRebuilt > 0 && st.JoinsRebuilt == 0 }, "a folded node"},
+		{400, func(st RefreshStats) bool { return st.JoinsRebuilt == 1 }, "a rebuilt join"},
+	}
+	for _, step := range steps {
+		burst(step.rows)
+		if err := ls.s.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if st := ls.s.RefreshStats(); st.DirtyJoins != 1 || st.Duration <= 0 || !step.want(st) {
+			t.Errorf("burst of %d: refresh stats %+v, want %s", step.rows, st, step.what)
+		}
+		cold, err := ls.s.Union().Prepare(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ls.s.SampleSeeded(128, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := cold.SampleSeeded(128, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("burst of %d, draw %d: refreshed session %v, cold session %v", step.rows, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -51,6 +51,7 @@ type Session struct {
 type sessionState struct {
 	prepared core.PreparedSampler
 	est      Estimate
+	refresh  RefreshStats // zero for the generation Prepare built
 
 	// The disjoint-union sampler is built on first use: it needs no
 	// estimator, and most sessions never call SampleDisjoint.
@@ -80,9 +81,9 @@ func errNoSamples() error {
 // Prepare runs the warm-up for the given options exactly once and
 // returns a Session that serves any number of sampling and AQP calls
 // at per-draw cost. It estimates the framework parameters (join sizes,
-// covers, |U|), builds the per-join subroutine samplers, and forces
-// every lazily built shared index and membership map so that concurrent
-// calls only read shared state.
+// covers, |U|), builds the per-join subroutine samplers, and forces the
+// lazily built join-attribute indexes and membership maps so that
+// concurrent calls only read shared state.
 func (u *Union) Prepare(o Options) (*Session, error) {
 	return u.prepare(o, true)
 }
@@ -200,7 +201,8 @@ func (s *Session) Stale() bool {
 // Prepare: per-attribute indexes absorb the mutation log through their
 // delta overlays, membership tables patch per-relation deltas, cyclic
 // residuals extend by delta joins when they can, only dirty joins'
-// subroutine samplers (and, online, walk estimates) rebuild, and the
+// subroutine samplers rebuild (exact-weight tables by patching the
+// segments the mutations reached) and only they walk again, and the
 // parameters re-estimate. The new state is prewarmed and published
 // atomically: concurrent draws never block and simply keep their
 // generation until the swap. A no-op when nothing mutated.
@@ -214,6 +216,7 @@ func (s *Session) Refresh() error {
 	if !core.Stale(st.prepared) && !needsReplan(st) {
 		return nil
 	}
+	start := time.Now()
 	s.refreshes++
 	g := rng.New(core.DeriveSeed(s.opts.Seed, -s.refreshes))
 	np, changed, err := core.Refresh(st.prepared, g)
@@ -224,9 +227,24 @@ func (s *Session) Refresh() error {
 		return nil
 	}
 	core.Prewarm(np)
-	s.state.Store(newSessionState(np))
+	ns := newSessionState(np)
+	ns.refresh = core.LastRefresh(np)
+	ns.refresh.Duration = time.Since(start)
+	s.state.Store(ns)
 	return nil
 }
+
+// RefreshStats is a Refresh's work list: how many joins were dirty, how
+// much of their exact-weight tables was patched, folded or rebuilt, how
+// many walks ran and how many retained walks were probed again, and how
+// long it all took.
+type RefreshStats = core.RefreshStats
+
+// RefreshStats reports what the session's last effective Refresh did
+// (zero until one has run). A refresh that costs far more than its
+// burst shows here as rebuilt nodes or joins rather than patched
+// segments.
+func (s *Session) RefreshStats() RefreshStats { return s.state.Load().refresh }
 
 // disjointShared builds the disjoint-union sampler on first use (per
 // state generation — a Refresh rebuilds it lazily too). Cover sessions
