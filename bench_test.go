@@ -108,7 +108,11 @@ func BenchmarkSessionParallel(b *testing.B) {
 // is the per-tuple cost; allocs/op ÷ K the per-tuple allocations —
 // the acceptance bar is ≤ 2). The loop1024 baseline draws the same
 // 1024 tuples as 1024 Session.Sample(1) calls; n=1024 must beat it by
-// ≥ 2x in tuples/sec. Recorded in BENCH_PR5.json.
+// ≥ 2x in tuples/sec. Recorded in BENCH_PR5.json. A call draws on a
+// recycled run, so it allocates what it returns — the batch's two
+// slices (width × 8 + 24 bytes per tuple) and its copy of the Stats:
+// CI's bench-smoke gates n=1024 at 1.2 allocs and 76 B per tuple and
+// n=16 at 8 allocs and 1500 B per call.
 func BenchmarkSampleBatch(b *testing.B) {
 	u := benchUnion(b)
 	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"sampleunion/internal/join"
@@ -21,6 +22,9 @@ type DisjointConfig struct {
 type DisjointShared struct {
 	base  *unionBase
 	alias *rng.Alias
+
+	// runs recycles released *DisjointSampler (see CoverShared.runs).
+	runs *sync.Pool
 }
 
 // PrepareDisjoint builds the shared state of a disjoint-union sampler.
@@ -55,14 +59,19 @@ func newDisjointShared(base *unionBase) (*DisjointShared, error) {
 	if alias == nil {
 		return nil, fmt.Errorf("core: all joins are empty")
 	}
-	return &DisjointShared{base: base, alias: alias}, nil
+	return &DisjointShared{base: base, alias: alias, runs: newRunPool()}, nil
 }
 
-// NewRun returns a fresh sampling run (its own Stats and scratch) over
-// the shared prepared state.
+// NewRun returns a sampling run (its own Stats and scratch) over the
+// shared prepared state: a released one when there is one, a new one
+// otherwise, its counters zeroed either way.
 func (p *DisjointShared) NewRun() *DisjointSampler {
-	s := &DisjointSampler{shared: p, scratch: p.base.newScratch()}
-	s.stats.initJoins(len(p.base.joins))
+	s, _ := p.runs.Get().(*DisjointSampler)
+	if s == nil {
+		s = &DisjointSampler{scratch: p.base.newScratch()}
+	}
+	s.shared = p
+	s.stats.reset(len(p.base.joins))
 	return s
 }
 
@@ -73,9 +82,17 @@ func (p *DisjointShared) NewRun() *DisjointSampler {
 // (an accepted draw lands on any particular result with probability
 // 1/Σ_j bound_j regardless of join).
 type DisjointSampler struct {
+	runRNG
 	shared  *DisjointShared
 	scratch drawScratch
 	stats   Stats
+}
+
+// Release returns the run to its prepared state's pool (see Run.Release).
+func (s *DisjointSampler) Release() {
+	p := s.shared
+	s.shared = nil
+	p.runs.Put(s)
 }
 
 // Stats returns the run's instrumentation.
@@ -159,8 +176,8 @@ func NewBernoulliSampler(joins []*join.Join, cfg BernoulliConfig, g *rng.RNG) (*
 		return nil, fmt.Errorf("core: estimated union size is zero")
 	}
 	s := &BernoulliSampler{base: base, cfg: cfg, params: p, record: base.recordKeys(), scratch: base.newScratch()}
+	s.stats.reset(len(joins))
 	s.stats.WarmupTime = time.Since(start)
-	s.stats.initJoins(len(joins))
 	return s, nil
 }
 

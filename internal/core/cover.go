@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"sampleunion/internal/join"
@@ -71,6 +72,11 @@ type CoverShared struct {
 	walkVar    []float64 // per-join relative half-widths after warm-up
 	warmupTime time.Duration
 	refresh    RefreshStats // what the Refresh that built this state did
+
+	// runs recycles released *CoverSampler (see newRunPool). It belongs to
+	// this generation: a Refresh publishes a new CoverShared with an empty
+	// pool, so a run never crosses generations.
+	runs *sync.Pool
 }
 
 // PrepareCover builds the shared state for Algorithm 1 and runs the
@@ -92,7 +98,7 @@ func PrepareCover(joins []*join.Join, cfg CoverConfig, g *rng.RNG) (*CoverShared
 	if maxDraw <= 0 {
 		maxDraw = 256
 	}
-	p := &CoverShared{base: base, cfg: cfg, maxDraw: maxDraw}
+	p := &CoverShared{base: base, cfg: cfg, maxDraw: maxDraw, runs: newRunPool()}
 	if err := p.warm(g); err != nil {
 		return nil, err
 	}
@@ -171,7 +177,7 @@ func (p *CoverShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 	if p.cfg.Tuner == nil {
 		nb.applyJoinConfigs(nb.cfgs)
 	}
-	np := &CoverShared{base: nb, cfg: p.cfg, maxDraw: p.maxDraw}
+	np := &CoverShared{base: nb, cfg: p.cfg, maxDraw: p.maxDraw, runs: newRunPool()}
 	np.cfg.Estimator, np.refresh.Reprobed = refreshedEstimator(p.cfg.Estimator, dirty)
 	dropDirtyFeedback(p.cfg.Tuner, dirty)
 	if err := np.warm(g); err != nil {
@@ -188,20 +194,18 @@ func (p *CoverShared) Params() *Params { return p.params }
 // WarmupTime reports how long the one-time warm-up took.
 func (p *CoverShared) WarmupTime() time.Duration { return p.warmupTime }
 
-// NewRun returns a fresh sampling run over the shared prepared state:
-// its own value-to-join record, result buffer, and Stats. Runs are
-// independent; any number may sample concurrently as long as each uses
-// its own RNG.
+// NewRun returns a sampling run over the shared prepared state with its
+// own value-to-join record, result buffer, and Stats: a released run of
+// this generation when there is one, a new one otherwise, reset either
+// way. Runs are independent; any number may sample concurrently as long
+// as each uses its own RNG.
 func (p *CoverShared) NewRun() Run {
-	s := &CoverSampler{
-		shared:  p,
-		record:  p.base.recordKeys(),
-		scratch: p.base.newScratch(),
+	s, _ := p.runs.Get().(*CoverSampler)
+	if s == nil {
+		s = &CoverSampler{record: p.base.recordKeys(), scratch: p.base.newScratch()}
 	}
-	s.stats.initJoins(len(p.base.joins))
-	for i := range p.walkVar {
-		s.stats.Joins[i].WalkVariance = p.walkVar[i]
-	}
+	s.shared = p
+	s.reset()
 	return s
 }
 
@@ -220,12 +224,35 @@ func (p *CoverShared) unionBase() *unionBase { return p.base }
 // this implementation redraws within the join (counting every draw in
 // Stats.TotalDraws, the Theorem 2 cost unit).
 type CoverSampler struct {
+	runRNG
 	shared  *CoverShared
 	record  *relation.KeyCounter // value (ref order) -> assigned join
 	scratch drawScratch
 	result  []resultEntry
 	arena   []relation.Value // backing store of buffered samples
 	stats   Stats
+}
+
+// reset starts the run over: record and buffers emptied with their
+// storage kept, counters zeroed. Nothing a later draw decides can depend
+// on what the storage held — the record answers only through Lookup/At,
+// and its handles restart at 0.
+func (s *CoverSampler) reset() {
+	s.record.Reset()
+	s.result, s.arena = s.result[:0], s.arena[:0]
+	s.stats.reset(len(s.shared.base.joins))
+	for i, v := range s.shared.walkVar {
+		s.stats.Joins[i].WalkVariance = v
+	}
+}
+
+// Release returns the run to its generation's pool (see Run.Release).
+func (s *CoverSampler) Release() {
+	p := s.shared
+	s.shared = nil
+	if p.base.poolable(s.arena, s.record) {
+		p.runs.Put(s)
+	}
 }
 
 // Params returns the shared warm-up parameters.
@@ -241,11 +268,13 @@ func (s *CoverSampler) Stats() *Stats { return &s.stats }
 // tuples are final (a later revision only affects tuples not yet
 // returned), so Sample can be called repeatedly for more data. Join
 // selection stays per-tuple — batching it across tuples would correlate
-// samples that must be independent — while the result buffer grows once
-// per call and the wall clock is read once per call (bookBatchTime).
+// samples that must be independent — while the result buffer, the arena
+// and the record are sized for the batch once per call and the wall
+// clock is read once per call (bookBatchTime).
 func (s *CoverSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	s.result = growEntries(s.result, n)
 	s.arena = growArena(s.arena, (n-len(s.result))*s.shared.base.ref.Len())
+	s.shared.base.reserveRecord(s.record, n-len(s.result))
 	before := s.stats
 	start := time.Now()
 	for len(s.result) < n {

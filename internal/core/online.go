@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"sampleunion/internal/histest"
@@ -56,8 +57,8 @@ type onlineEntry struct {
 
 // OnlineShared is the prepared state of Algorithm 2: the histogram
 // initialization plus warm-up walks, run exactly once. The master walk
-// estimator is frozen after warm-up; each run created with NewRun
-// receives its own clone of the Horvitz–Thompson and overlap state —
+// estimator is frozen after warm-up; each run handed out by NewRun
+// starts from its own copy of the Horvitz–Thompson and overlap state —
 // but not the warm-up sample pool: handing the same tuples to several
 // runs would correlate streams that must be independent, so prepared
 // runs start from the shared estimates and draw fresh walks. The §7
@@ -76,6 +77,10 @@ type OnlineShared struct {
 	exactSizes []float64
 	warmupTime time.Duration
 	refresh    RefreshStats // what the Refresh that built this state did
+
+	// runs recycles released *OnlineSampler of this generation (see
+	// CoverShared.runs).
+	runs *sync.Pool
 }
 
 // PrepareOnline builds the shared state for Algorithm 2 and runs the
@@ -100,7 +105,7 @@ func PrepareOnline(joins []*join.Join, cfg OnlineConfig, g *rng.RNG) (*OnlineSha
 	if err != nil {
 		return nil, err
 	}
-	p := &OnlineShared{base: base, cfg: cfg, walks: walks, maxDraw: maxDraw}
+	p := &OnlineShared{base: base, cfg: cfg, walks: walks, maxDraw: maxDraw, runs: newRunPool()}
 	if err := p.warm(g); err != nil {
 		return nil, err
 	}
@@ -204,7 +209,7 @@ func (p *OnlineShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 		// against a clone so in-flight runs keep their snapshot.
 		nb = p.base.clone()
 	}
-	np := &OnlineShared{base: nb, cfg: p.cfg, maxDraw: p.maxDraw}
+	np := &OnlineShared{base: nb, cfg: p.cfg, maxDraw: p.maxDraw, runs: newRunPool()}
 	np.walks, np.refresh.Reprobed = p.walks.Refreshed(dirty)
 	dropDirtyFeedback(p.cfg.Tuner, dirty)
 	if err := np.warm(g); err != nil {
@@ -221,37 +226,33 @@ func (p *OnlineShared) Params() *Params { return p.params }
 // WarmupTime reports how long the one-time warm-up took.
 func (p *OnlineShared) WarmupTime() time.Duration { return p.warmupTime }
 
-// NewRun returns a fresh sampling run over the shared warm-up: its own
-// clone of the walk estimator's running estimates (pool excluded, see
-// the type comment), record, result buffer, and Stats. Runs are
-// independent and reproducible from their RNG; any number may sample
-// concurrently as long as each uses its own RNG.
-func (p *OnlineShared) NewRun() Run { return p.newRun(false) }
+// NewRun returns a sampling run over the shared warm-up with its own
+// copy of the walk estimator's running estimates (pool excluded, see
+// the type comment), record, result buffer, and Stats: a released run of
+// this generation when there is one, a new one otherwise, reset either
+// way. Runs are independent and reproducible from their RNG; any number
+// may sample concurrently as long as each uses its own RNG.
+func (p *OnlineShared) NewRun() Run {
+	s, _ := p.runs.Get().(*OnlineSampler)
+	if s == nil {
+		s = &OnlineSampler{walks: new(walkest.Estimator), record: p.base.recordKeys()}
+	}
+	s.shared = p
+	s.reset()
+	return s
+}
 
 // NewReuseRun returns the single-stream run of §7: like NewRun, but the
 // run keeps the warm-up sample pool and draws from it (with the
 // 1/(p(t)·|J_j|) acceptance correction) before walking afresh. The pool
 // is the prepared state's one set of warm-up tuples, so at most one
-// reuse run per prepared state yields an independent stream.
-func (p *OnlineShared) NewReuseRun() *OnlineSampler { return p.newRun(true) }
-
-// newRun adopts the shared warm-up into a run: parameters and alias by
-// reference (replaced, never mutated, on refinement) and the walk
-// estimator by clone (its pool and running estimates mutate with every
-// draw) — with the warm-up pool only for the one run that owns it.
-func (p *OnlineShared) newRun(keepPool bool) *OnlineSampler {
-	walks := p.walks.CloneEstimates
-	if keepPool {
-		walks = p.walks.Clone
-	}
-	s := &OnlineSampler{
-		shared: p,
-		walks:  walks(),
-		params: p.params,
-		alias:  p.alias,
-		record: p.base.recordKeys(),
-	}
-	s.stats.initJoins(len(p.base.joins))
+// reuse run per prepared state yields an independent stream. It is
+// NewRun with the estimator swapped for a full clone; the estimates
+// NewRun copied first are a few words, paid once per prepared state,
+// and not worth a second constructor.
+func (p *OnlineShared) NewReuseRun() *OnlineSampler {
+	s := p.NewRun().(*OnlineSampler)
+	s.walks = p.walks.Clone()
 	return s
 }
 
@@ -263,9 +264,10 @@ func (p *OnlineShared) unionBase() *unionBase { return p.base }
 // the l/(p(t)·|J_j|) acceptance correction (line 8), and every Phi
 // recorded probabilities re-estimates parameters and backtracks
 // previously accepted tuples to the new distribution (§7). All mutable
-// state — the walk estimator clone, parameters under refinement, the
+// state — the walk estimator copy, parameters under refinement, the
 // record, the result buffer, stats — is per-run.
 type OnlineSampler struct {
+	runRNG
 	shared   *OnlineShared
 	walks    *walkest.Estimator
 	params   *Params
@@ -276,6 +278,30 @@ type OnlineSampler struct {
 	stats    Stats
 	recorded int
 	conf     float64
+}
+
+// reset adopts the shared warm-up into the run and starts it over:
+// parameters and alias by reference (replaced, never mutated, on
+// refinement), the walk estimates copied into the estimator the run
+// already owns (they mutate with every draw), record and buffers emptied
+// with their storage kept, counters zeroed.
+func (s *OnlineSampler) reset() {
+	p := s.shared
+	s.walks.CopyEstimates(p.walks)
+	s.params, s.alias = p.params, p.alias
+	s.record.Reset()
+	s.result, s.arena = s.result[:0], s.arena[:0]
+	s.stats.reset(len(p.base.joins))
+	s.recorded, s.conf = 0, 0
+}
+
+// Release returns the run to its generation's pool (see Run.Release).
+func (s *OnlineSampler) Release() {
+	p := s.shared
+	s.shared, s.params, s.alias = nil, nil, nil
+	if p.base.poolable(s.arena, s.record) {
+		p.runs.Put(s)
+	}
 }
 
 // refreshParams rebuilds Params from the run's walk estimator when it
@@ -321,12 +347,14 @@ func (s *OnlineSampler) Confidence() float64 { return s.conf }
 // tuples are final (later revisions and backtracking only affect
 // buffered, not-yet-returned tuples). Walks feed the run's estimates
 // one at a time — each walk updates the parameters the next draw
-// samples under — while the result buffer grows once per call and the
-// wall clock is read once per call, split across Accept/Reject and
-// Reuse/Regular by the call's attempt counts (bookBatchTime).
+// samples under — while the result buffer, the arena and the record are
+// sized for the batch once per call and the wall clock is read once per
+// call, split across Accept/Reject and Reuse/Regular by the call's
+// attempt counts (bookBatchTime).
 func (s *OnlineSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	s.result = growEntries(s.result, n)
 	s.arena = growArena(s.arena, (n-len(s.result))*s.shared.base.ref.Len())
+	s.shared.base.reserveRecord(s.record, n-len(s.result))
 	before := s.stats
 	start := time.Now()
 	for len(s.result) < n {

@@ -23,17 +23,31 @@ type Run interface {
 	// Params returns the parameters the run currently samples under:
 	// the shared warm-up estimates, refined per-run in online mode.
 	Params() *Params
+	// RNG restarts the generator the run carries at seed and returns it:
+	// the stream rng.New(seed) yields, without a new source per run.
+	RNG(seed int64) *rng.RNG
+	// Release hands the run back to the prepared generation it came
+	// from, whose next NewRun may reset and reuse it. The caller must be
+	// done with everything that points into the run — copy what Stats
+	// and Params return first (returned tuples are the caller's own) —
+	// and must not touch the run again. Releasing is optional: a run
+	// that is never released is simply collected.
+	Release()
 }
 
 // PreparedSampler is the immutable product of a one-time warm-up: it
-// knows the estimated parameters and mints independent sampling runs.
-// CoverShared (Algorithm 1) and OnlineShared (Algorithm 2) implement it.
+// knows the estimated parameters and hands out independent sampling
+// runs. CoverShared (Algorithm 1) and OnlineShared (Algorithm 2)
+// implement it.
 type PreparedSampler interface {
 	// Params returns the warm-up parameter estimates.
 	Params() *Params
 	// WarmupTime reports how long the one-time warm-up took.
 	WarmupTime() time.Duration
-	// NewRun mints an independent sampling run over the shared state.
+	// NewRun returns an independent sampling run over the shared state:
+	// a released one, reset, when the generation has one, a newly built
+	// one otherwise. The two cannot be told apart by anything they draw
+	// or report.
 	NewRun() Run
 
 	// unionBase exposes the shared join machinery so sibling samplers

@@ -1,0 +1,447 @@
+package core
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"sampleunion/internal/join"
+	"sampleunion/internal/relation"
+	"sampleunion/internal/rng"
+)
+
+// drawn is everything one (n, seed) draw on a run reports: the tuples,
+// the counters, and the |U| the run sampled under.
+type drawn struct {
+	tuples []relation.Tuple
+	stats  Stats
+	size   float64
+	err    string
+}
+
+// drawOn draws (n, seed) on run through sample (Sample, or a SampleWhere
+// loop) and copies the outcome out of the run. The wall-clock fields are
+// dropped: they are the one part of Stats two equal draws cannot share.
+func drawOn(run UnionSampler, seed int64, sample func(g *rng.RNG) ([]relation.Tuple, error)) drawn {
+	type seeded interface {
+		RNG(seed int64) *rng.RNG
+	}
+	var d drawn
+	out, err := sample(run.(seeded).RNG(seed))
+	if err != nil {
+		d.err = err.Error()
+	}
+	for _, t := range out {
+		d.tuples = append(d.tuples, t.Clone())
+	}
+	d.stats = *run.Stats()
+	d.stats.Joins = append([]JoinBreakdown(nil), d.stats.Joins...)
+	d.stats.AcceptTime, d.stats.RejectTime, d.stats.ReuseTime, d.stats.RegularTime = 0, 0, 0, 0
+	if r, ok := run.(Run); ok {
+		d.size = r.Params().UnionSize
+	}
+	return d
+}
+
+func plain(run UnionSampler, n int) func(*rng.RNG) ([]relation.Tuple, error) {
+	return func(g *rng.RNG) ([]relation.Tuple, error) { return run.Sample(n, g) }
+}
+
+// recycler is one engine under the recycled ≡ fresh test: a prepared
+// generation that gets its runs back, and a twin prepared the same way
+// that never does — every run the twin hands out is newly built.
+type recycler struct {
+	name     string
+	newRun   func() UnionSampler
+	freshRun func() UnionSampler
+}
+
+func release(run UnionSampler) { run.(interface{ Release() }).Release() }
+
+func recyclers(t *testing.T) []recycler {
+	t.Helper()
+	joins := fixtureJoins(t)
+	engine := func(name string, prep func() PreparedSampler) recycler {
+		p, twin := prep(), prep()
+		return recycler{name,
+			func() UnionSampler { return p.NewRun() },
+			func() UnionSampler { return twin.NewRun() }}
+	}
+	must := func(p PreparedSampler, err error) PreparedSampler {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cover := func(cfg CoverConfig) func() PreparedSampler {
+		return func() PreparedSampler { return must(PrepareCover(joins, cfg, rng.New(1009))) }
+	}
+	online := func(cfg OnlineConfig) func() PreparedSampler {
+		return func() PreparedSampler { return must(PrepareOnline(joins, cfg, rng.New(1013))) }
+	}
+	sharded := func(f ShardFactory) func() PreparedSampler {
+		return func() PreparedSampler {
+			return must(PrepareSharded(joins, ShardedConfig{Shards: 3, Workers: 2, Factory: f}, rng.New(11)))
+		}
+	}
+	backtracking := OnlineConfig{WarmupWalks: 0, Phi: 25, Gamma: 0.999}
+	rs := []recycler{
+		engine("cover-ew", cover(CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}})),
+		engine("cover-eo", cover(CoverConfig{Method: MethodEO, Estimator: &HistogramEstimator{Joins: joins}})),
+		engine("cover-oracle", cover(CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}, Oracle: true})),
+		engine("online", online(OnlineConfig{WarmupWalks: 100})),
+		engine("online-backtracking", online(backtracking)),
+		engine("sharded-cover", sharded(exactFactory)),
+		engine("sharded-online", sharded(func(js []*join.Join, g *rng.RNG) (PreparedSampler, error) {
+			return PrepareOnline(js, backtracking, g)
+		})),
+	}
+	d1, err := PrepareDisjoint(joins, DisjointConfig{Method: MethodEO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := PrepareDisjoint(joins, DisjointConfig{Method: MethodEO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(rs, recycler{"disjoint",
+		func() UnionSampler { return d1.NewRun() },
+		func() UnionSampler { return d2.NewRun() }})
+}
+
+// TestRecycledRunEqualsFresh: a draw on a run that has been used,
+// released and handed out again — after a much larger batch, after a
+// much smaller one, after a SampleWhere that called Sample several times
+// on the run — returns the tuples, counters and |U| of the same draw on a
+// newly built run. Under the race detector sync.Pool drops a share of
+// what it is given, so each engine goes round several times.
+func TestRecycledRunEqualsFresh(t *testing.T) {
+	pred := relation.Cmp{Attr: "K", Op: relation.LT, Val: 7}
+	for _, e := range recyclers(t) {
+		schema := fixtureJoins(t)[0].OutputSchema()
+		where := func(run UnionSampler, n int) func(*rng.RNG) ([]relation.Tuple, error) {
+			return func(g *rng.RNG) ([]relation.Tuple, error) {
+				return SampleWhere(run, schema, pred, n, g, 0)
+			}
+		}
+		seed := int64(100)
+		backtracks := 0
+		for round := 0; round < 4; round++ {
+			for _, step := range []struct {
+				n     int
+				where bool
+			}{{2000, false}, {5, false}, {1500, false}, {30, true}, {3, false}, {900, false}} {
+				seed++
+				sample := plain
+				if step.where {
+					if e.name == "disjoint" {
+						continue
+					}
+					sample = where
+				}
+				run := e.newRun()
+				got := drawOn(run, seed, sample(run, step.n))
+				release(run)
+				fresh := e.freshRun()
+				want := drawOn(fresh, seed, sample(fresh, step.n))
+				if got.err != "" || len(got.tuples) != step.n {
+					t.Fatalf("%s round %d n=%d: %d tuples, error %q", e.name, round, step.n, len(got.tuples), got.err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s round %d n=%d seed=%d: recycled run drew\n%+v\na fresh run\n%+v",
+						e.name, round, step.n, seed, got.stats, want.stats)
+				}
+				backtracks += got.stats.Backtracks
+			}
+		}
+		if (e.name == "online-backtracking" || e.name == "sharded-online") && backtracks == 0 {
+			t.Fatalf("%s: no draw backtracked; the case is not covered", e.name)
+		}
+	}
+}
+
+// coveredEstimator reports fixed parameters, whatever the data.
+type coveredEstimator struct{ p *Params }
+
+func (coveredEstimator) Name() string                       { return "covered" }
+func (e coveredEstimator) Params(*rng.RNG) (*Params, error) { return e.p, nil }
+
+// TestRecycledRunAfterMidBatchError: a batch that fails part-way leaves
+// accepted tuples, record entries and counters behind in the run; once
+// released and handed out again the run must draw what a fresh one does.
+// The failure is made by an oracle run over a join that lies wholly
+// inside an earlier one while the parameters claim it has cover: every
+// draw from it is a duplicate, so a tuple whose 65 join selections all
+// land there exhausts them.
+func TestRecycledRunAfterMidBatchError(t *testing.T) {
+	all := fixtureJoins(t)
+	inner := func() *join.Join {
+		a := relation.New("in_a", relation.NewSchema("K", "X"))
+		b := relation.New("in_b", relation.NewSchema("K", "Y"))
+		for k := 10; k < 30; k++ {
+			a.AppendValues(relation.Value(k), relation.Value(k*10))
+			b.AppendValues(relation.Value(k), relation.Value(k*100))
+		}
+		j, err := join.NewChain("inner", []*relation.Relation{a, b}, []string{"K"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}()
+	joins := []*join.Join{all[0], inner}
+	prep := func() *CoverShared {
+		p, err := PrepareCover(joins, CoverConfig{
+			Method: MethodEW,
+			Oracle: true,
+			Estimator: coveredEstimator{&Params{
+				JoinSizes: []float64{54, 20},
+				Cover:     []float64{1, 49},
+				UnionSize: 50,
+			}},
+		}, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p, twin := prep(), prep()
+
+	// A seed whose 400-tuple batch fails after accepting some tuples, and
+	// one whose 3-tuple batch succeeds.
+	failing, passing := int64(-1), int64(-1)
+	for seed := int64(1); seed < 200 && (failing < 0 || passing < 0); seed++ {
+		run := twin.NewRun()
+		if d := drawOn(run, seed, plain(run, 400)); d.err != "" && d.stats.Accepted > 0 && failing < 0 {
+			failing = seed
+		}
+		run = twin.NewRun()
+		if d := drawOn(run, seed, plain(run, 3)); d.err == "" && passing < 0 {
+			passing = seed
+		}
+	}
+	if failing < 0 || passing < 0 {
+		t.Fatalf("no seed found: failing %d, passing %d", failing, passing)
+	}
+	for round := 0; round < 6; round++ {
+		run := p.NewRun()
+		if d := drawOn(run, failing, plain(run, 400)); d.err == "" {
+			t.Fatal("the failing batch succeeded on the recycling generation")
+		}
+		release(run)
+		run = p.NewRun()
+		got := drawOn(run, passing, plain(run, 3))
+		release(run)
+		fresh := twin.NewRun()
+		if want := drawOn(fresh, passing, plain(fresh, 3)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: after a failed batch the recycled run drew\n%+v\na fresh run\n%+v", round, got, want)
+		}
+	}
+}
+
+// TestRunPoolBelongsToItsGeneration: a Refresh publishes a prepared
+// state with a pool of its own, so a run released to the old generation
+// is never handed out by the new one, and the retention bound keeps a
+// run that grew very large out of the pool altogether.
+func TestRunPoolBelongsToItsGeneration(t *testing.T) {
+	joins := fixtureJoins(t)
+	old, err := PrepareCover(joins, CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight := old.NewRun()
+	joins[0].Nodes()[0].Rel.AppendValues(relation.Value(500), relation.Value(5000))
+	joins[0].Nodes()[1].Rel.AppendValues(relation.Value(500), relation.Value(50000))
+	np, changed, err := Refresh(old, rng.New(4))
+	if err != nil || !changed {
+		t.Fatalf("refresh: changed %v, %v", changed, err)
+	}
+	inFlight.Release()
+	for i := 0; i < 8; i++ {
+		run := np.NewRun().(*CoverSampler)
+		if run == inFlight || run.shared != np {
+			t.Fatalf("run %d of the refreshed generation belongs to %p, want %p (old-generation run reused: %v)",
+				i, run.shared, np, run == inFlight)
+		}
+		run.Release()
+	}
+	if run := old.NewRun().(*CoverSampler); run.shared != old {
+		t.Fatal("the old generation handed out a run of another generation")
+	}
+
+	big := np.NewRun()
+	n := maxPooledValues/joins[0].OutputSchema().Len() + 1
+	if _, err := big.Sample(n, big.RNG(5)); err != nil {
+		t.Fatal(err)
+	}
+	big.Release()
+	for i := 0; i < 8; i++ {
+		if run := np.NewRun(); run == big {
+			t.Fatalf("a run holding %d buffered values was pooled; the bound is %d", cap(big.(*CoverSampler).arena), maxPooledValues)
+		}
+	}
+}
+
+// TestRetentionBoundCountsTheRecord: a SampleWhere with an unselective
+// predicate calls Sample on one run many times. Every call's tuples leave
+// the arena when they are served, so the arena stays a chunk wide, while
+// the record keeps each distinct value the run has seen. The retention
+// bound must see that growth too, or a stream of small requests keeps the
+// run's record alive in the pool.
+func TestRetentionBoundCountsTheRecord(t *testing.T) {
+	const rows = 100_000
+	sa, sb := relation.NewSchema("K", "X"), relation.NewSchema("K", "Y")
+	mk := func(name string, lo int) *join.Join {
+		a, b := relation.New(name+"_a", sa), relation.New(name+"_b", sb)
+		for k := lo; k < lo+rows; k++ {
+			a.AppendValues(relation.Value(k), relation.Value(k*10))
+			b.AppendValues(relation.Value(k), relation.Value(k*100))
+		}
+		j, err := join.NewChain(name, []*relation.Relation{a, b}, []string{"K"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	joins := []*join.Join{mk("wide1", 0), mk("wide2", rows)}
+	schema := joins[0].OutputSchema()
+	cover, err := PrepareCover(joins, CoverConfig{Method: MethodEW, Estimator: coveredEstimator{&Params{
+		JoinSizes: []float64{rows, rows},
+		Cover:     []float64{rows, rows},
+		UnionSize: 2 * rows,
+	}}}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	online, err := PrepareOnline(joins, OnlineConfig{WarmupWalks: 100}, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1 000 matches of a predicate 1 in 200 tuples satisfies: about 200
+	// chunk calls of at most 1 000 tuples over a union of 200 000 values.
+	pred := relation.Cmp{Attr: "K", Op: relation.LT, Val: 1000}
+	for name, p := range map[string]PreparedSampler{"cover": cover, "online": online} {
+		run := p.NewRun()
+		if _, err := SampleWhere(run, schema, pred, 1000, run.RNG(9), 0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var arena []relation.Value
+		var record *relation.KeyCounter
+		switch r := run.(type) {
+		case *CoverSampler:
+			arena, record = r.arena, r.record
+		case *OnlineSampler:
+			arena, record = r.arena, r.record
+		}
+		if cap(arena) > maxPooledValues || record.Cap()*schema.Len() <= maxPooledValues {
+			t.Fatalf("%s: arena holds %d values and the record %d keys of %d values; the case needs a small arena under a record past the bound of %d values",
+				name, cap(arena), record.Cap(), schema.Len(), maxPooledValues)
+		}
+		run.Release()
+		for i := 0; i < 8; i++ {
+			if again := p.NewRun(); again == run {
+				t.Fatalf("%s: a run whose record holds %d keys was pooled behind an arena of %d values", name, record.Cap(), cap(arena))
+			}
+		}
+	}
+}
+
+// TestRecordReservedWithinTheUnion: Sample sizes the record for the
+// batch, but never past what the union holds — a request for many more
+// tuples than the union has values must not buy a record that large.
+func TestRecordReservedWithinTheUnion(t *testing.T) {
+	joins := fixtureJoins(t)
+	var size float64
+	for _, j := range joins {
+		size += float64(j.Count())
+	}
+	p, err := PrepareCover(joins, CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := p.NewRun().(*CoverSampler)
+	if _, err := run.Sample(1<<16, run.RNG(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := run.record.Cap(); float64(got) > 2*size+16 {
+		t.Fatalf("the record of a union of at most %.0f values was sized for %d keys by a 65 536-tuple request", size, got)
+	}
+}
+
+// TestRunBuffersSizedOncePerBatch: Sample sizes the record, like the
+// result entries and the arena, for the batch before the first draw, so
+// a run that is never recycled allocates each of them once and not once
+// per doubling; a recycled run allocates only what it returns.
+func TestRunBuffersSizedOncePerBatch(t *testing.T) {
+	joins := fixtureJoins(t)
+	p, err := PrepareCover(joins, CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := rng.New(1)
+	fresh := testing.AllocsPerRun(20, func() {
+		if _, err := p.NewRun().Sample(1024, g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Run, record + its four arrays, scratch (3), Stats.Joins, entries,
+	// arena, and the two slices of the returned batch; the race detector
+	// adds a few of its own. Growing the record by doubling from 16 slots
+	// took 55.
+	t.Logf("never-recycled run: %.0f allocations for 1024 tuples", fresh)
+	if fresh > 24 {
+		t.Errorf("a never-recycled run allocates %.0f objects for 1024 tuples, want <= 24", fresh)
+	}
+	recycled := testing.AllocsPerRun(200, func() {
+		run := p.NewRun()
+		if _, err := run.Sample(1024, run.RNG(7)); err != nil {
+			t.Fatal(err)
+		}
+		run.Release()
+	})
+	// sync.Pool forgets a run now and then (always, a quarter of the
+	// time, under the race detector), so the average sits a little above
+	// the two slices of the returned batch.
+	if recycled > fresh/2 {
+		t.Errorf("a recycled run allocates %.1f objects for 1024 tuples, a fresh one %.0f", recycled, fresh)
+	}
+}
+
+// TestRetiredGenerationIsCollectable: a session under a stream of appends
+// retires a generation per Refresh, each owning weight and alias tables.
+// Pooling runs must not hold a retired generation past the next
+// collection — sync.Pool keeps itself reachable for two more, so neither
+// the pool nor a pooled run may lead back to the generation.
+func TestRetiredGenerationIsCollectable(t *testing.T) {
+	joins := fixtureJoins(t)
+	collected := make(chan struct{})
+	retire := func() PreparedSampler {
+		old, err := PrepareCover(joins, CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}}, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(old, func(*CoverShared) { close(collected) })
+		for i := 0; i < 8; i++ { // the race detector's sync.Pool drops some
+			run := old.NewRun()
+			if _, err := run.Sample(64, run.RNG(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+			run.Release()
+		}
+		joins[0].Nodes()[0].Rel.AppendValues(relation.Value(700), relation.Value(7000))
+		np, changed, err := Refresh(old, rng.New(4))
+		if err != nil || !changed {
+			t.Fatalf("refresh: changed %v, %v", changed, err)
+		}
+		return np
+	}
+	np := retire()
+	runtime.GC() // one collection: the finalizer is queued by it or never
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the retired generation survived a collection: something pooled still reaches it")
+	}
+	runtime.KeepAlive(np)
+}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/joinsample"
 	"sampleunion/internal/relation"
+	"sampleunion/internal/rng"
 )
 
 // JoinMethod selects the single-join sampling subroutine (§3.2).
@@ -289,6 +291,46 @@ type drawScratch struct {
 	many []relation.Tuple
 }
 
+// maxPooledValues is the retention bound of the run pools: a released
+// run whose tuple buffer or record grew past this many values (2 MiB) is
+// dropped instead of pooled, so one very large request cannot pin its
+// buffers under a stream of small ones. Both are measured because they
+// grow apart on a run that gets several Sample calls: serveResult
+// compacts the arena after every call, while the record keeps every
+// distinct value the run has seen. The result entries never outnumber
+// the arena's tuples.
+const maxPooledValues = 1 << 18
+
+// poolable reports whether a released run's buffers are within the
+// retention bound.
+func (b *unionBase) poolable(arena []relation.Value, record *relation.KeyCounter) bool {
+	return cap(arena) <= maxPooledValues && record.Cap()*b.ref.Len() <= maxPooledValues
+}
+
+// newRunPool returns the pool a prepared generation recycles its released
+// runs through. It is allocated apart from the generation, and a run
+// gives up its pointer to the generation when it is released, because
+// sync.Pool keeps itself — and so whatever it is part of or holds —
+// reachable from a global list until the second collection after its
+// last Put: a pool embedded in the generation, or pooled runs pointing
+// back at it, would keep every retired generation's weight and alias
+// tables alive that long under a stream of appends.
+func newRunPool() *sync.Pool { return new(sync.Pool) }
+
+// runRNG is the generator a run carries across recycling.
+type runRNG struct{ g *rng.RNG }
+
+// RNG restarts the run's generator at seed (building it on first use)
+// and returns it.
+func (r *runRNG) RNG(seed int64) *rng.RNG {
+	if r.g == nil {
+		r.g = rng.New(seed)
+	} else {
+		r.g.Reseed(seed)
+	}
+	return r.g
+}
+
 func (b *unionBase) newScratch() drawScratch {
 	s := drawScratch{
 		out:   make(relation.Tuple, b.ref.Len()),
@@ -303,6 +345,22 @@ func (b *unionBase) newScratch() drawScratch {
 // join-specific alignment projection (recordProj).
 func (b *unionBase) recordKeys() *relation.KeyCounter {
 	return relation.NewKeyCounter(b.ref.Len(), 0)
+}
+
+// reserveRecord makes room in a run's record for the n values a batch is
+// about to add, capped at what the union can still add: a record never
+// holds more than Σ_j |J_j| distinct values, and every subroutine
+// sampler knows |J_j| or an upper bound of it. A large n over a small
+// union then costs the record nothing.
+func (b *unionBase) reserveRecord(record *relation.KeyCounter, n int) {
+	room := -float64(record.Len())
+	for _, s := range b.samplers {
+		room += s.SizeEstimate()
+	}
+	if float64(n) > room {
+		n = int(room)
+	}
+	record.Reserve(n)
 }
 
 // recordProj is the projection that maps a tuple in join i's schema

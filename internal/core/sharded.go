@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -89,6 +90,11 @@ type ShardedShared struct {
 
 	warmupTime time.Duration
 	refresh    RefreshStats // summed over the shards a Refresh rebuilt
+
+	// runs recycles released *ShardedSampler of this generation (see
+	// CoverShared.runs); the per-shard runs inside go back to their own
+	// shard's pool.
+	runs *sync.Pool
 }
 
 var (
@@ -159,6 +165,7 @@ func PrepareSharded(joins []*join.Join, cfg ShardedConfig, g *rng.RNG) (*Sharded
 		attr:      attr,
 		workers:   workers,
 		partOf:    make(map[*relation.Relation]*relation.Partition),
+		runs:      newRunPool(),
 	}
 	// Version snapshot first: a mutation landing while the partitions
 	// build makes the result stale (refresh reconciles), never silently
@@ -365,6 +372,7 @@ func (p *ShardedShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 		parts:      p.parts,
 		partOf:     p.partOf,
 		shardJoins: p.shardJoins,
+		runs:       newRunPool(),
 	}
 	// New snapshot before syncing, for the same conservative reason as
 	// at build: a racing mutation re-reports stale rather than being
@@ -423,10 +431,16 @@ func (p *ShardedShared) ShardWeights() []float64 {
 	return append([]float64(nil), p.weights...)
 }
 
-// NewRun mints an independent sampling run: one per-shard run each (its
-// own record, scratch, and Stats), merged behind one Run interface.
+// NewRun returns an independent sampling run: one per-shard run each
+// (its own record, scratch, and Stats), merged behind one Run interface.
+// Like the other engines' it is a released run when there is one; its
+// per-shard runs are taken from their shards the same way.
 func (p *ShardedShared) NewRun() Run {
-	s := &ShardedSampler{shared: p, runs: make([]Run, len(p.perShard))}
+	s, _ := p.runs.Get().(*ShardedSampler)
+	if s == nil {
+		s = &ShardedSampler{runs: make([]Run, len(p.perShard)), counts: make([]int, len(p.perShard))}
+	}
+	s.shared = p
 	for i, ps := range p.perShard {
 		if ps != nil {
 			s.runs[i] = ps.NewRun()
@@ -448,9 +462,31 @@ func (p *ShardedShared) unionBase() *unionBase { return nil }
 // shard reconciliation because the shards are disjoint: a value can
 // never be produced by two shards.
 type ShardedSampler struct {
+	runRNG
 	shared *ShardedShared
 	runs   []Run
 	stats  Stats
+
+	// Per-call scratch, kept across calls and recycling: the shard drawn
+	// for each output position and each shard's tuple count.
+	order  []int32
+	counts []int
+}
+
+// Release returns the per-shard runs to their shards' pools and the run
+// to its generation's (see Run.Release).
+func (s *ShardedSampler) Release() {
+	for i, r := range s.runs {
+		if r != nil {
+			r.Release()
+			s.runs[i] = nil
+		}
+	}
+	p := s.shared
+	s.shared = nil
+	if cap(s.order) <= maxPooledValues {
+		p.runs.Put(s)
+	}
 }
 
 // Sample draws n tuples: shard assignments are drawn first (recording
@@ -465,8 +501,10 @@ func (s *ShardedSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 		return []relation.Tuple{}, nil
 	}
 	shards := len(s.runs)
-	order := make([]int32, n)
-	counts := make([]int, shards)
+	order := slices.Grow(s.order[:0], n)[:n]
+	s.order = order
+	counts := s.counts
+	clear(counts)
 	for i := range order {
 		sh := s.shared.alias.Draw(g)
 		order[i] = int32(sh)
@@ -486,7 +524,7 @@ func (s *ShardedSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 		busy = append(busy, sh)
 	}
 	drawShard := func(sh int) {
-		parts[sh], errs[sh] = s.runs[sh].Sample(counts[sh], rng.New(DeriveSeed(base, int64(sh))))
+		parts[sh], errs[sh] = s.runs[sh].Sample(counts[sh], s.runs[sh].RNG(DeriveSeed(base, int64(sh))))
 	}
 	if len(busy) == 1 || s.shared.workers <= 1 {
 		for _, sh := range busy {
@@ -512,10 +550,8 @@ func (s *ShardedSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 		}
 	}
 	out := make([]relation.Tuple, n)
-	cursor := make([]int, shards)
 	for i, sh := range order {
-		out[i] = parts[sh][cursor[sh]]
-		cursor[sh]++
+		out[i], parts[sh] = parts[sh][0], parts[sh][1:]
 	}
 	return out, nil
 }
@@ -535,10 +571,10 @@ func (s *ShardedSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error
 // fragment of union join i — except WalkVariance, where the merge
 // keeps the worst (largest) shard's half-width: a join is only as
 // converged as its least-converged fragment. The merge is recomputed
-// on every call, so it reflects all draws so far.
+// on every call into the same Stats, so it reflects all draws so far.
 func (s *ShardedSampler) Stats() *Stats {
-	var m Stats
-	m.initJoins(len(s.shared.origJoins))
+	m := &s.stats
+	m.reset(len(s.shared.origJoins))
 	for _, r := range s.runs {
 		if r == nil {
 			continue
@@ -571,8 +607,7 @@ func (s *ShardedSampler) Stats() *Stats {
 		m.ReuseTime += st.ReuseTime
 		m.RegularTime += st.RegularTime
 	}
-	s.stats = m
-	return &s.stats
+	return m
 }
 
 // Params returns the shared aggregate parameters. Online runs refine

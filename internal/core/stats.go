@@ -77,14 +77,17 @@ type JoinBreakdown struct {
 	WalkVariance float64
 }
 
-// initJoins sizes the per-join breakdown for a union of n joins,
-// preserving any counts already accumulated.
-func (s *Stats) initJoins(n int) {
-	if len(s.Joins) < n {
-		nj := make([]JoinBreakdown, n)
-		copy(nj, s.Joins)
-		s.Joins = nj
+// reset zeroes the Stats for a union of n joins, keeping the per-join
+// breakdown's storage: a recycled run starts its counters over without
+// allocating.
+func (s *Stats) reset(n int) {
+	joins := s.Joins
+	if cap(joins) < n {
+		joins = make([]JoinBreakdown, n)
 	}
+	joins = joins[:n]
+	clear(joins)
+	*s = Stats{Joins: joins}
 }
 
 // bookDraws counts tries subroutine attempts routed at join j, got of

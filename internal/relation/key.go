@@ -1,5 +1,7 @@
 package relation
 
+import "slices"
+
 // 64-bit tuple keys. The sampling hot path used to identify tuple
 // values by string keys (TupleKey): every record lookup, membership
 // probe, and distinct-projection test allocated an 8·arity-byte string.
@@ -266,8 +268,12 @@ func (kt *keyTable) insertRow(cols [][]Value, i int, proj []int) int {
 
 // grow doubles the slot array and rehashes every entry from its stored
 // fingerprint.
-func (kt *keyTable) grow() {
-	slots := make([]int32, len(kt.slots)*2)
+func (kt *keyTable) grow() { kt.rehash(len(kt.slots) * 2) }
+
+// rehash replaces the slot array with one of n slots (a power of two)
+// and places every entry again from its stored fingerprint.
+func (kt *keyTable) rehash(n int) {
+	slots := make([]int32, n)
 	mask := uint64(len(slots) - 1)
 	for e, h := range kt.hashes {
 		i := h & mask
@@ -277,6 +283,27 @@ func (kt *keyTable) grow() {
 		slots[i] = int32(e + 1)
 	}
 	kt.slots = slots
+}
+
+// reserve makes room for n more entries, so that inserting them grows
+// neither the slot array nor the entry arrays.
+func (kt *keyTable) reserve(n int) {
+	kt.hashes = slices.Grow(kt.hashes, n)
+	kt.vals = slices.Grow(kt.vals, n*kt.arity)
+	slots := len(kt.slots)
+	for (len(kt.hashes)+n)*4 > slots*3 {
+		slots <<= 1
+	}
+	if slots > len(kt.slots) {
+		kt.rehash(slots)
+	}
+}
+
+// reset removes every entry and keeps the storage.
+func (kt *keyTable) reset() {
+	clear(kt.slots)
+	kt.hashes = kt.hashes[:0]
+	kt.vals = kt.vals[:0]
 }
 
 // entryKey returns entry e's key values. The slice aliases the arena;
@@ -447,6 +474,29 @@ func (c *KeyCounter) Clone() *KeyCounter {
 		counts: append([]int(nil), c.counts...),
 	}
 }
+
+// Reset empties the counter and keeps its storage: the next key inserted
+// receives handle 0 again, and no lookup can see a key from before the
+// reset. A recycled sampling run resets its record instead of building a
+// new one.
+func (c *KeyCounter) Reset() {
+	c.kt.reset()
+	c.counts = c.counts[:0]
+}
+
+// Reserve makes room for n more keys, so that inserting them allocates
+// nothing. It changes no lookup, handle or stored value.
+func (c *KeyCounter) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	c.kt.reserve(n)
+	c.counts = slices.Grow(c.counts, n)
+}
+
+// Cap reports how many keys the counter's storage holds before it grows:
+// what a Reset keeps.
+func (c *KeyCounter) Cap() int { return cap(c.counts) }
 
 // At returns the value stored at a handle.
 func (c *KeyCounter) At(handle int) int { return c.counts[handle] }

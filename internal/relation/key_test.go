@@ -18,7 +18,11 @@ func randTuple(r *rand.Rand, arity int) Tuple {
 
 // checkCounterAgainstReference drives a KeyCounter and a reference
 // map[string]int (keyed by TupleKey, the pre-refactor scheme) through
-// the same random operation stream and fails on any divergence.
+// the same random operation stream and fails on any divergence. Now and
+// then the stream resets both (handles must restart at 0 and no key from
+// before may be found — a later reset then meets a large table holding
+// few keys, the case that empties slot by slot) or reserves room in the
+// counter alone, which must change nothing the reference can see.
 func checkCounterAgainstReference(t *testing.T, seed int64, degrade uint64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -29,6 +33,14 @@ func checkCounterAgainstReference(t *testing.T, seed int64, degrade uint64) {
 		ref := make(map[string]int)
 		refOrder := make(map[string]int) // key -> expected handle (insertion rank)
 		for op := 0; op < 3000; op++ {
+			switch x := r.Intn(300); {
+			case x == 0:
+				kc.Reset()
+				clear(ref)
+				clear(refOrder)
+			case x < 4:
+				kc.Reserve(r.Intn(200))
+			}
 			tu := randTuple(r, arity)
 			key := TupleKey(tu)
 			switch r.Intn(3) {

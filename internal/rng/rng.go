@@ -21,6 +21,12 @@ func New(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed restarts the generator at seed: the stream that follows is the
+// one New(seed) yields, drawn from the source this generator already
+// owns. A recycled sampling run restarts its generator this way instead
+// of allocating and discarding a 607-word source per call.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
+
 // Split derives an independent generator from the current stream. Use it
 // to hand each subsystem its own stream so that interleaving does not
 // perturb reproducibility.

@@ -17,6 +17,39 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesNew pins the contract recycled runs rest on: after
+// Reseed(s) a generator that has already consumed part of another
+// stream yields exactly New(s)'s stream, across the draw kinds the
+// samplers use.
+func TestReseedMatchesNew(t *testing.T) {
+	g := New(99)
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		for i := 0; i < 37; i++ { // leave g mid-stream
+			g.Uint64n(1000)
+			g.Float64()
+		}
+		g.Reseed(seed)
+		fresh := New(seed)
+		for i := 0; i < 10000; i++ {
+			switch i % 3 {
+			case 0:
+				n := uint64(i)*2654435761 + 1
+				if a, b := g.Uint64n(n), fresh.Uint64n(n); a != b {
+					t.Fatalf("seed %d draw %d: Uint64n %d after Reseed, %d from New", seed, i, a, b)
+				}
+			case 1:
+				if a, b := g.Float64(), fresh.Float64(); a != b {
+					t.Fatalf("seed %d draw %d: Float64 %v after Reseed, %v from New", seed, i, a, b)
+				}
+			default:
+				if a, b := g.Intn(i+1), fresh.Intn(i+1); a != b {
+					t.Fatalf("seed %d draw %d: Intn %d after Reseed, %d from New", seed, i, a, b)
+				}
+			}
+		}
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	g := New(7)
 	c1 := g.Split()

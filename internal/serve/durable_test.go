@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sampleunion"
 	"sampleunion/internal/wal"
 )
 
@@ -46,7 +47,7 @@ func durableCfg(dir string) Config {
 
 // seededDraw pulls an explicitly seeded batch so two servers can be
 // compared draw-for-draw regardless of their auto-stream positions.
-func seededDraw(t *testing.T, url string, decl UnionDecl, n int, seed int64) [][]int64 {
+func seededDraw(t *testing.T, url string, decl UnionDecl, n int, seed int64) []sampleunion.Tuple {
 	t.Helper()
 	var resp sampleResponse
 	if code := post(t, url+"/sample", sampleRequest{Union: decl, N: n, Seed: &seed}, &resp); code != http.StatusOK {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 
 	"sampleunion/internal/repl"
@@ -91,5 +93,46 @@ func TestReplAckValidated(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized ack: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestDrawCountLimit pins the hostile-n outcome on every draw endpoint:
+// the engine sizes its buffers for the whole batch up front, so an n the
+// process could never hold must end in a 400 that names the limit — not
+// in a makeslice panic or an out-of-memory kill — and must give its
+// admission slot back.
+func TestDrawCountLimit(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInflight: 1})
+	decl := quickDecl()
+	seededDraw(t, ts.URL, decl, 1, 1)
+	where := &PredDecl{Cmp: &CmpDecl{Attr: "nationkey", Op: "<", Value: 10}}
+
+	for _, n := range []int{maxDrawN + 1, 2_000_000_000, 4_000_000_000_000} {
+		for path, body := range map[string]any{
+			"/sample":       sampleRequest{Union: decl, N: n},
+			"/sample/where": sampleRequest{Union: decl, N: n, Where: where},
+			"/approx/count": approxRequest{Union: decl, N: n, Where: where},
+			"/approx/sum":   approxRequest{Union: decl, N: n, Attr: "nationkey"},
+			"/approx/avg":   approxRequest{Union: decl, N: n, Attr: "nationkey"},
+			"/approx/group": approxRequest{Union: decl, N: n, Attr: "nationkey"},
+		} {
+			var apiErr apiError
+			if code := post(t, ts.URL+path, body, &apiErr); code != http.StatusBadRequest {
+				t.Fatalf("%s n=%d: status %d (%q), want 400", path, n, code, apiErr.Error)
+			}
+			if !strings.Contains(apiErr.Error, strconv.Itoa(maxDrawN)) {
+				t.Fatalf("%s n=%d: error %q does not name the limit %d", path, n, apiErr.Error, maxDrawN)
+			}
+			if got := s.Inflight(); got != 0 {
+				t.Fatalf("%s n=%d: %d admission slots held after the refusal", path, n, got)
+			}
+		}
+	}
+	// With one slot in all, a leaked one would answer 429 here.
+	if got := len(seededDraw(t, ts.URL, decl, 3, 2)); got != 3 {
+		t.Fatalf("draw after the refusals returned %d tuples, want 3", got)
+	}
+	if err := checkDrawN(maxDrawN, 1); err != nil {
+		t.Fatalf("n at the limit refused: %v", err)
 	}
 }

@@ -70,6 +70,14 @@ type Registry struct {
 	entries map[string]*list.Element // value: *Entry
 	lru     *list.List               // front = most recently used
 	flights map[string]*flight
+	// keys remembers the registry key of declarations already
+	// fingerprinted, so a repeated declaration — every request of a
+	// steady client — skips validate/normalize/canonicalize/hash. Only
+	// successful keys of declarations whose Spec is at most
+	// maxCachedSpecBytes are kept, and the map is dropped whole when it
+	// passes keyCacheFactor × cap, so a flood of distinct or very large
+	// declarations costs what it did without the map.
+	keys map[UnionDecl]string
 
 	prepares  atomic.Int64 // warm-ups actually run
 	hits      atomic.Int64 // lookups served by a warm entry
@@ -100,8 +108,20 @@ func NewRegistry(dataDir string, cap int) *Registry {
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 		flights: make(map[string]*flight),
+		keys:    make(map[UnionDecl]string),
 	}
 }
+
+// keyCacheFactor sizes Registry.keys relative to the session capacity:
+// several spellings of one declaration share a key, so the map may hold
+// a few per warm session.
+const keyCacheFactor = 4
+
+// maxCachedSpecBytes bounds the Spec of a declaration Registry.keys
+// remembers: the map key embeds the Spec text (up to maxBodyBytes on the
+// wire) and every lookup hashes it under the registry lock, so with the
+// entry bound this caps the map at keyCacheFactor × cap × 4 KiB.
+const maxCachedSpecBytes = 4 << 10
 
 // Get resolves a declaration to its warm entry, preparing it if this
 // is the first request for the key. Concurrent first requests share
@@ -109,11 +129,26 @@ func NewRegistry(dataDir string, cap int) *Registry {
 // block until it finishes and reuse (or share the error of) its
 // outcome.
 func (r *Registry) Get(decl UnionDecl) (*Entry, error) {
-	key, err := decl.Key()
-	if err != nil {
-		return nil, err
-	}
+	cached := len(decl.Spec) <= maxCachedSpecBytes
 	r.mu.Lock()
+	key, ok := "", false
+	if cached {
+		key, ok = r.keys[decl]
+	}
+	if !ok {
+		r.mu.Unlock()
+		var err error
+		if key, err = decl.Key(); err != nil {
+			return nil, err
+		}
+		r.mu.Lock()
+		if cached {
+			if len(r.keys) >= keyCacheFactor*r.cap {
+				clear(r.keys)
+			}
+			r.keys[decl] = key
+		}
+	}
 	if el, ok := r.entries[key]; ok {
 		r.lru.MoveToFront(el)
 		r.mu.Unlock()

@@ -396,6 +396,21 @@ func writeJSON(w http.ResponseWriter, code int, payload any) {
 // of making the daemon buffer whatever a client chooses to send.
 const maxBodyBytes = wal.MaxRecordLen
 
+// maxDrawN bounds the tuples one request may ask the engine to draw. The
+// engine sizes its buffers for the whole batch before the first draw, so
+// an unchecked n from the wire is an allocation of the client's choosing
+// — a runtime panic or an out-of-memory kill, not an error response.
+const maxDrawN = 1 << 20
+
+// checkDrawN refuses a draw count outside [least, maxDrawN] as a client
+// error.
+func checkDrawN(n, least int) error {
+	if n < least || n > maxDrawN {
+		return badf("serve: n must be between %d and %d, got %d", least, maxDrawN, n)
+	}
+	return nil
+}
+
 // decode unmarshals a request body of at most maxBodyBytes into dst,
 // strictly. The limit reader is given no ResponseWriter because a draw
 // abandoned at its deadline may still be reading after the response
@@ -428,12 +443,15 @@ type sampleRequest struct {
 	Where *PredDecl `json:"where,omitempty"`
 }
 
-// sampleResponse carries the drawn tuples in schema order.
+// sampleResponse carries the drawn tuples in schema order. A Tuple is a
+// slice of int64-backed values with no marshaller of its own, so the
+// engine's result encodes as arrays of numbers without a copy; an empty
+// draw must be a non-nil slice to encode as [] rather than null.
 type sampleResponse struct {
-	Schema    []string  `json:"schema"`
-	Tuples    [][]int64 `json:"tuples"`
-	UnionSize float64   `json:"union_size"`
-	ElapsedUs float64   `json:"elapsed_us"`
+	Schema    []string            `json:"schema"`
+	Tuples    []sampleunion.Tuple `json:"tuples"`
+	UnionSize float64             `json:"union_size"`
+	ElapsedUs float64             `json:"elapsed_us"`
 }
 
 func (s *Server) entryFor(decl UnionDecl) (*Entry, error) {
@@ -454,8 +472,8 @@ func (s *Server) handleSample(r *http.Request) (any, error) {
 	if req.Where != nil {
 		return nil, badf("serve: /sample takes no predicate; use /sample/where")
 	}
-	if req.N < 0 {
-		return nil, badf("serve: n must be >= 0, got %d", req.N)
+	if err := checkDrawN(req.N, 0); err != nil {
+		return nil, err
 	}
 	e, err := s.entryFor(req.Union)
 	if err != nil {
@@ -483,7 +501,7 @@ func sampleReply(e *Entry, tuples []sampleunion.Tuple, start time.Time, err erro
 	}
 	return sampleResponse{
 		Schema:    schemaAttrs(e.Sess.OutputSchema()),
-		Tuples:    encodeTuples(tuples),
+		Tuples:    tuples,
 		UnionSize: e.Sess.UnionSize(),
 		ElapsedUs: float64(time.Since(start).Nanoseconds()) / 1e3,
 	}, nil
@@ -494,8 +512,8 @@ func (s *Server) handleSampleWhere(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	if req.N < 0 {
-		return nil, badf("serve: n must be >= 0, got %d", req.N)
+	if err := checkDrawN(req.N, 0); err != nil {
+		return nil, err
 	}
 	pred, err := wherePredicate(req.Where)
 	if err != nil {
@@ -546,8 +564,8 @@ func (s *Server) approxCall(r *http.Request, needAttr bool,
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	if req.N <= 0 {
-		return nil, badf("serve: approximate aggregates need n >= 1, got %d", req.N)
+	if err := checkDrawN(req.N, 1); err != nil {
+		return nil, err
 	}
 	if needAttr && req.Attr == "" {
 		return nil, badf("serve: this aggregate needs an attr")
@@ -601,8 +619,8 @@ func (s *Server) handleApproxGroup(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	if req.N <= 0 {
-		return nil, badf("serve: approximate aggregates need n >= 1, got %d", req.N)
+	if err := checkDrawN(req.N, 1); err != nil {
+		return nil, err
 	}
 	if req.Attr == "" {
 		return nil, badf("serve: group count needs an attr")
@@ -865,26 +883,6 @@ func schemaAttrs(s *sampleunion.Schema) []string {
 	out := make([]string, s.Len())
 	for i := range out {
 		out[i] = s.Attr(i)
-	}
-	return out
-}
-
-// encodeTuples converts a tuple batch to its wire shape. All rows
-// share one flat backing array — two allocations per response instead
-// of one per tuple.
-func encodeTuples(ts []sampleunion.Tuple) [][]int64 {
-	if len(ts) == 0 {
-		return [][]int64{}
-	}
-	arity := len(ts[0])
-	flat := make([]int64, len(ts)*arity)
-	out := make([][]int64, len(ts))
-	for i, t := range ts {
-		row := flat[i*arity : (i+1)*arity : (i+1)*arity]
-		for j, v := range t {
-			row[j] = int64(v)
-		}
-		out[i] = row
 	}
 	return out
 }

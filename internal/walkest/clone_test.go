@@ -63,3 +63,68 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone shares overlap state with the original")
 	}
 }
+
+// TestCopyEstimatesRestartsInPlace: a run's estimator copied from the
+// warm-up starts at the warm-up's estimates with empty pools, diverges
+// without touching the warm-up, and a second copy into the same storage
+// brings it back to exactly the warm-up's state — what a recycled online
+// run starts from.
+func TestCopyEstimatesRestartsInPlace(t *testing.T) {
+	joins := overlappingJoins(t)
+	e, err := New(joins, Options{MaxWalks: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Warmup(rng.New(1))
+	want, err := e.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	atWarmup := func(c *Estimator, when string) {
+		t.Helper()
+		for j, je := range e.ests {
+			cj := c.ests[j]
+			if cj.Walks() != je.Walks() || cj.Size() != je.Size() || cj.Variance() != je.Variance() {
+				t.Fatalf("%s: join %d estimate (%d, %v, %v), warm-up has (%d, %v, %v)", when, j,
+					cj.Walks(), cj.Size(), cj.Variance(), je.Walks(), je.Size(), je.Variance())
+			}
+			if len(cj.Samples()) != 0 {
+				t.Fatalf("%s: join %d starts with %d pooled walks, want none", when, j, len(cj.Samples()))
+			}
+			if len(cj.Trajectory()) != len(je.Trajectory()) {
+				t.Fatalf("%s: join %d trajectory has %d points, want %d", when, j, len(cj.Trajectory()), len(je.Trajectory()))
+			}
+		}
+		got, err := c.Table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mask := uint(1); mask < 1<<uint(len(joins)); mask++ {
+			if got.Get(mask) != want.Get(mask) {
+				t.Fatalf("%s: overlap %b = %v, warm-up has %v", when, mask, got.Get(mask), want.Get(mask))
+			}
+		}
+	}
+
+	c := new(Estimator)
+	c.CopyEstimates(e)
+	atWarmup(c, "first copy")
+	storage := c.ests[0]
+	g := rng.New(2)
+	for i := 0; i < 300; i++ {
+		c.StepJoin(i%len(joins), g)
+	}
+	if c.ests[0].Walks() == e.ests[0].Walks() {
+		t.Fatal("the copy did not accumulate its own walks")
+	}
+	if after, err := e.Table(); err != nil || after.UnionSize() != want.UnionSize() || len(e.ests[0].Samples()) == 0 {
+		t.Fatalf("the copy's walks moved the warm-up: |U| %v, was %v (%v); pool %d",
+			after.UnionSize(), want.UnionSize(), err, len(e.ests[0].Samples()))
+	}
+
+	c.CopyEstimates(e)
+	atWarmup(c, "second copy")
+	if c.ests[0] != storage {
+		t.Fatal("the second copy replaced the estimate it was given instead of overwriting it")
+	}
+}

@@ -8,6 +8,7 @@ package walkest
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"sampleunion/internal/join"
@@ -253,52 +254,75 @@ func New(joins []*join.Join, opts Options) (*Estimator, error) {
 func (e *Estimator) JoinEstimates() []*JoinEstimate { return e.ests }
 
 // clone returns an independent copy of the estimate: the running
-// moments by value, the sample pool — when kept — by slice copy (tuples
-// themselves are immutable and shared), and the stateless walker by
-// reference; the walk scratch stays behind, so two estimates never write
-// one chunk.
-func (e *JoinEstimate) clone(keepPool bool) *JoinEstimate {
+// moments by value, the sample pool by slice copy (tuples themselves are
+// immutable and shared), and the stateless walker by reference; the walk
+// scratch stays behind, so two estimates never write one chunk.
+func (e *JoinEstimate) clone() *JoinEstimate {
 	c := *e
-	c.slab, c.rowOf, c.samples = nil, nil, nil
-	if keepPool {
-		c.samples = append([]Sample(nil), e.samples...)
-	}
+	c.slab, c.rowOf = nil, nil
+	c.samples = append([]Sample(nil), e.samples...)
 	c.traj = append([]TrajectoryPoint(nil), e.traj...)
 	return &c
 }
 
 // Clone returns an independent deep copy of the estimator's mutable
-// state: per-join estimates, reuse pools, and overlap counters. The
-// online sampler clones a shared warm-up estimator per run, so
-// concurrent runs consume their own pools and refine their own
-// estimates without synchronization. Retained sample tuples are shared
-// read-only.
-func (e *Estimator) Clone() *Estimator { return e.clone(true) }
+// state: per-join estimates, reuse pools, and overlap counters. The one
+// run that owns the warm-up pool (§7's sample reuse) consumes its own
+// copy. Retained sample tuples are shared read-only.
+func (e *Estimator) Clone() *Estimator {
+	c := e.shell()
+	for j := range e.ests {
+		c.adopt(e, j)
+	}
+	return c
+}
 
-// CloneEstimates is Clone with empty reuse pools: the size estimates
-// and overlap counters only. Prepared sessions start each run from it —
-// sharing warm-up tuples across runs would correlate streams that are
-// documented as independent, so the pools are not worth copying.
-func (e *Estimator) CloneEstimates() *Estimator { return e.clone(false) }
-
-func (e *Estimator) clone(keepPool bool) *Estimator {
-	c := &Estimator{
+// shell returns an estimator over e's joins with no per-join state yet.
+func (e *Estimator) shell() *Estimator {
+	return &Estimator{
 		joins:   e.joins,
 		opts:    e.opts,
 		ests:    make([]*JoinEstimate, len(e.ests)),
-		wByMask: make([]map[uint]float64, len(e.wByMask)),
-		wAll:    append([]float64(nil), e.wAll...),
+		wByMask: make([]map[uint]float64, len(e.ests)),
+		wAll:    make([]float64, len(e.ests)),
 		probes:  e.probes,
 	}
-	for i, je := range e.ests {
-		c.ests[i] = je.clone(keepPool)
-		m := make(map[uint]float64, len(e.wByMask[i]))
-		for mask, w := range e.wByMask[i] {
-			m[mask] = w
+}
+
+// adopt gives c its own copy of src's state for join j.
+func (c *Estimator) adopt(src *Estimator, j int) {
+	c.ests[j] = src.ests[j].clone()
+	c.wByMask[j] = maps.Clone(src.wByMask[j])
+	c.wAll[j] = src.wAll[j]
+}
+
+// CopyEstimates makes e an independent copy of src's size estimates and
+// overlap counters with empty reuse pools, written into the storage e
+// already owns (the zero Estimator owns none and allocates it). Prepared
+// sessions start every run from the shared warm-up this way — sharing
+// warm-up tuples across runs would correlate streams that are documented
+// as independent, so the pools are not copied — and a recycled run pays
+// a few word copies for it instead of a fresh estimator. e keeps its
+// walk scratch: nothing it handed out before is still referenced once
+// its owner starts over.
+func (e *Estimator) CopyEstimates(src *Estimator) {
+	if len(e.ests) != len(src.ests) {
+		*e = *src.shell()
+		for j := range e.ests {
+			e.ests[j] = new(JoinEstimate)
+			e.wByMask[j] = make(map[uint]float64, len(src.wByMask[j]))
 		}
-		c.wByMask[i] = m
 	}
-	return c
+	copy(e.wAll, src.wAll)
+	for j, from := range src.ests {
+		to := e.ests[j]
+		to.J, to.walker = from.J, from.walker
+		to.n, to.mean, to.m2 = from.n, from.mean, from.m2
+		to.samples = to.samples[:0]
+		to.traj = append(to.traj[:0], from.traj...)
+		clear(e.wByMask[j])
+		maps.Copy(e.wByMask[j], src.wByMask[j])
+	}
 }
 
 // Reset discards join j's estimate, overlap counters, and reuse pool —
@@ -322,12 +346,14 @@ func (e *Estimator) Reset(j int) {
 // the join's overlap counters are summed afresh over the pool. It also
 // reports how many walks it probed again.
 func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
-	c := e.Clone()
+	c := e.shell()
 	var moved uint
 	for j, d := range dirty {
 		if d {
 			c.Reset(j)
 			moved |= 1 << uint(j)
+		} else {
+			c.adopt(e, j)
 		}
 	}
 	if moved == 0 {

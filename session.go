@@ -2,6 +2,7 @@ package sampleunion
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,12 +21,14 @@ import (
 // requests.
 //
 // A Session is safe for concurrent use. The prepared state is immutable
-// and swapped atomically by Refresh; each call mints its own sampling
-// run with a private RNG stream, record, and Stats. Auto-streamed
-// methods (Sample, ApproxCount, ...) draw their stream index from an
-// atomic counter, so concurrent calls get distinct, non-overlapping
-// streams; use the *Seeded variants when a caller needs a
-// bit-reproducible stream regardless of call interleaving.
+// and swapped atomically by Refresh; each call takes its own sampling
+// run — a recycled one, reset, when the state generation has one — with
+// a private RNG stream, record, and Stats, and what a call returns is
+// the caller's own. Auto-streamed methods (Sample, ApproxCount, ...)
+// draw their stream index from an atomic counter, so concurrent calls
+// get distinct, non-overlapping streams; use the *Seeded variants when a
+// caller needs a bit-reproducible stream regardless of call
+// interleaving.
 //
 // Sessions stay warm across mutations: after Relation.Append/
 // AppendRows/Delete on the underlying data, Refresh reconciles only the
@@ -365,12 +368,13 @@ type drawSpec struct {
 }
 
 // draw is the session's one draw path: validate n, load (or
-// auto-refresh) the state generation, mint a run on the spec's stream,
-// draw, and feed the run's counters to the adaptive controller. It
-// returns the tuples, the run's statistics (warm-up time excluded: it
-// was paid once at Prepare) and, for set-union draws, the |U| estimate
-// the run sampled under (the cached warm-up value, refined by the run
-// itself in online mode).
+// auto-refresh) the state generation, take a run from it on the spec's
+// stream, draw, feed the run's counters to the adaptive controller, and
+// hand the run back for the next call to reuse. It returns the tuples,
+// the run's statistics (warm-up time excluded: it was paid once at
+// Prepare) and, for set-union draws, the |U| estimate the run sampled
+// under (the cached warm-up value, refined by the run itself in online
+// mode) — all three the caller's own, none pointing into the run.
 func (s *Session) draw(d drawSpec) (out []Tuple, stats *Stats, unionSize float64, err error) {
 	if empty, err := checkN(d.n); err != nil {
 		return nil, nil, 0, err
@@ -381,29 +385,38 @@ func (s *Session) draw(d drawSpec) (out []Tuple, stats *Stats, unionSize float64
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	g := rng.New(d.seed)
 	if d.disjoint {
 		shared, err := s.disjointShared(st)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		run := shared.NewRun()
-		if out, err = run.Sample(d.n, g); err != nil {
+		defer run.Release()
+		if out, err = run.Sample(d.n, run.RNG(d.seed)); err != nil {
 			return nil, nil, 0, err
 		}
-		return out, run.Stats(), 0, nil
+		return out, ownStats(run.Stats()), 0, nil
 	}
 	run := st.prepared.NewRun()
+	defer run.Release()
 	if d.pred != nil {
-		out, err = core.SampleWhere(run, s.u.OutputSchema(), d.pred, d.n, g, 0)
+		out, err = core.SampleWhere(run, s.u.OutputSchema(), d.pred, d.n, run.RNG(d.seed), 0)
 	} else {
-		out, err = run.Sample(d.n, g)
+		out, err = run.Sample(d.n, run.RNG(d.seed))
 	}
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	s.observe(st, run)
-	return out, run.Stats(), run.Params().UnionSize, nil
+	return out, ownStats(run.Stats()), run.Params().UnionSize, nil
+}
+
+// ownStats copies a run's statistics out of the run, per-join breakdown
+// included, so they stay what they were once the run is reused.
+func ownStats(st *Stats) *Stats {
+	own := *st
+	own.Joins = slices.Clone(st.Joins)
+	return &own
 }
 
 // Sample draws n independent tuples (with replacement) from the set
