@@ -108,11 +108,11 @@ func BenchmarkSessionParallel(b *testing.B) {
 // is the per-tuple cost; allocs/op ÷ K the per-tuple allocations —
 // the acceptance bar is ≤ 2). The loop1024 baseline draws the same
 // 1024 tuples as 1024 Session.Sample(1) calls; n=1024 must beat it by
-// ≥ 2x in tuples/sec. Recorded in BENCH_PR5.json. A call draws on a
-// recycled run, so it allocates what it returns — the batch's two
-// slices (width × 8 + 24 bytes per tuple) and its copy of the Stats:
-// CI's bench-smoke gates n=1024 at 1.2 allocs and 76 B per tuple and
-// n=16 at 8 allocs and 1500 B per call.
+// ≥ 2x in tuples/sec (31.6x when it landed; PR 5 in CHANGES.md). A
+// call draws on a recycled run, so it allocates what it returns — the
+// batch's two slices (width × 8 + 24 bytes per tuple) and its copy of
+// the Stats: CI's bench-smoke gates n=1024 at 1.2 allocs and 76 B per
+// tuple and n=16 at 8 allocs and 1500 B per call.
 func BenchmarkSampleBatch(b *testing.B) {
 	u := benchUnion(b)
 	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
@@ -271,15 +271,15 @@ func appendBurst(rels []*Relation, iter, batch, base int) {
 // (random-walk warm-up + EO subroutine: index-only setup, walk cost
 // independent of data size), so refresh cost is O(delta + walks) while
 // rebuild is O(data); the per-op gap is the amortized-maintenance claim
-// of BENCH_PR3.json. refresh-ew is what serverd resolves an empty
-// declaration to (random-walk warm-up + EW): the dirty joins' weight
-// tables are patched from their predecessors', so the work is the
-// burst's neighbourhood — here 32 new one-row segments per join —
-// plus whatever large segment the burst reaches. In this union that is
-// the root's: all of cust, recomputed (one pass, no allocation per row
-// beyond the packed arrays) and given a new alias table by the first
-// draw, which is why the two rows= legs still differ. CI gates the
-// 30 000-row leg's allocs/op and B/op.
+// (12.4x when it landed; PR 3 in CHANGES.md). refresh-ew is what
+// serverd resolves an empty declaration to (random-walk warm-up + EW):
+// the dirty joins' weight tables are patched from their predecessors',
+// so the work is the burst's neighbourhood — here 32 new one-row
+// segments per join — plus whatever large segment the burst reaches.
+// In this union that is the root's: all of cust, recomputed (one pass,
+// no allocation per row beyond the packed arrays) and given a new alias
+// table by the first draw, which is why the two rows= legs still
+// differ. CI gates the 30 000-row leg's allocs/op and B/op.
 func BenchmarkMutateThenDraw(b *testing.B) {
 	const (
 		rows  = 30000

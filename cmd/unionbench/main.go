@@ -1,13 +1,13 @@
 // Command unionbench regenerates the paper's evaluation tables
-// (Fig 4a–4d, Fig 5a–5h, Fig 6a–6b, plus the Theorem 2 cost check) and
-// the engineering experiments (prepared, hotpath, mutation, serving,
-// batch).
+// (Fig 4a–4d, Fig 5a–5h, Fig 6a–6b, the Theorem 2 cost check), the
+// ablations, and the two smokes CI runs (shards, adaptive). Performance
+// is measured by the benchmark module: bash benchmark/run.sh.
 //
 // Usage:
 //
 //	unionbench                      # run every experiment at defaults
 //	unionbench -exp fig5c           # one experiment
-//	unionbench -exp batch           # batch engine vs per-draw baseline
+//	unionbench -exp shards          # shard-parallel throughput vs core count
 //	unionbench -sf 2 -overlap 0.4   # scale knobs
 //	unionbench -quick               # CI-sized smoke run
 package main

@@ -8,9 +8,9 @@
 // Benchmarks use the harness's Quick option so one iteration stays
 // sub-second; the unionbench CLI runs full-scale sweeps.
 //
-// This file is an external test package: internal/bench reaches back
-// into the public API through the serving layer, so importing it from
-// an in-package test would be an import cycle.
+// This file is an external test package: internal/bench imports the
+// public API (the adaptive experiment), so importing it from an
+// in-package test would be an import cycle.
 package sampleunion_test
 
 import (
@@ -93,7 +93,3 @@ func BenchmarkFig6bPhaseCost(b *testing.B) { runExperiment(b, "fig6b") }
 // BenchmarkThm2CostBound validates Theorem 2's N + N log N total
 // sampling cost bound.
 func BenchmarkThm2CostBound(b *testing.B) { runExperiment(b, "thm2") }
-
-// BenchmarkServing regenerates the serving experiment: HTTP /sample
-// latency vs client concurrency over one warm session.
-func BenchmarkServing(b *testing.B) { runExperiment(b, "serving") }

@@ -10,11 +10,11 @@ import (
 )
 
 // Adaptive pits the tuner (Options.Auto) against a hand-tuned grid of
-// fixed configurations (BENCH_PR9.json): each scenario is prepared and
-// sampled end to end — warm-up plus N draws, plus a mutation burst,
-// refresh, and N more draws where the scenario mutates — under every
-// configuration, and the row compares auto against the grid's best and
-// worst. The adversarial scenarios are built so no fixed configuration
+// fixed configurations: each scenario is prepared and sampled end to
+// end — warm-up plus N draws, plus a mutation burst, refresh, and N
+// more draws where the scenario mutates — under every configuration,
+// and the row compares auto against the grid's best and worst. The
+// adversarial scenarios are built so no fixed configuration
 // wins everywhere: zipfian join degrees make rejection subroutines
 // (EO, WJ) pay tens of tries per draw, a 1000x share skew concentrates
 // that cost in one join, and a skew-inverting burst moves it to the

@@ -2,8 +2,10 @@
 // figure, each producing the table of rows behind that figure. Absolute
 // numbers differ from the paper (different hardware, Go instead of
 // Python, laptop-scale data), but the comparisons — who wins, by what
-// factor, where the trends go — are the reproduction target; see
-// EXPERIMENTS.md for the paper-vs-measured record.
+// factor, where the trends go — are the reproduction target. Besides
+// the figures it keeps the ablations and two smokes (shards, adaptive)
+// that CI runs; performance is measured by the benchmark/ module, not
+// here.
 package bench
 
 import (
@@ -119,8 +121,8 @@ func (o Options) withDefaults() Options {
 // Runner is one experiment.
 type Runner func(Options) (*Result, error)
 
-// Experiments maps experiment ids (fig4a ... fig6b) to runners, in the
-// order the paper presents them.
+// Experiments maps experiment ids to runners: the paper's figures in
+// the order it presents them, then the ablations and the two smokes.
 func Experiments() []struct {
 	ID  string
 	Run Runner
@@ -149,14 +151,7 @@ func Experiments() []struct {
 		{"ablation-oracle", AblationOracle},
 		{"ablation-bernoulli", AblationBernoulli},
 		{"scale-joins", ScaleJoins},
-		{"prepared", PreparedAmortization},
-		{"hotpath", Hotpath},
-		{"mutation", MutationRefresh},
-		{"serving", Serving},
-		{"batch", Batch},
 		{"shards", Shards},
-		{"storage", Storage},
-		{"durability", Durability},
 		{"adaptive", Adaptive},
 	}
 }

@@ -446,9 +446,9 @@ func (s *OnlineSampler) candidate(j int, g *rng.RNG) (relation.Tuple, int, bool,
 		// Acceptance ratio: the pool's composition is proportional to
 		// p(t) and the acceptance proportional to 1/p(t), so any
 		// constant scale preserves per-value uniformity; 1/(p·|J|)
-		// keeps the ratio near one (the paper's l·/(p·|J|) scale
-		// inflates the multiplicity of every accepted tuple by the
-		// pool size — see DESIGN.md, Deviations).
+		// keeps the ratio near one. This deviates from Algorithm 2 on
+		// purpose: the paper's l·/(p·|J|) scale inflates the
+		// multiplicity of every accepted tuple by the pool size.
 		mult := s.instances(1/(sm.P*size), g)
 		if mult > 0 {
 			return sm.Tuple, mult, true, true

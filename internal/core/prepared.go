@@ -97,7 +97,8 @@ func Stale(p PreparedSampler) bool {
 	if s, ok := p.(*ShardedShared); ok {
 		return s.stale()
 	}
-	_, any := p.unionBase().dirtyJoins()
+	b := p.unionBase()
+	_, any := dirtyJoins(b.joins, b.vers)
 	return any
 }
 

@@ -161,14 +161,15 @@ func newUnionBase(joins []*join.Join, cfgs []joinConfig, deferSamplers bool) (*u
 }
 
 // dirtyJoins reports, per join, whether any underlying relation mutated
-// since the join's subroutine sampler was built, and whether any did.
-func (b *unionBase) dirtyJoins() ([]bool, bool) {
-	dirty := make([]bool, len(b.joins))
+// since the version snapshot vers was taken (vers[i] is joins[i]'s
+// StateVersions at build or last refresh), and whether any did.
+func dirtyJoins(joins []*join.Join, vers [][]uint64) ([]bool, bool) {
+	dirty := make([]bool, len(joins))
 	any := false
-	for i, j := range b.joins {
+	for i, j := range joins {
 		cur := j.StateVersions()
 		for k, v := range cur {
-			if k >= len(b.vers[i]) || b.vers[i][k] != v {
+			if k >= len(vers[i]) || vers[i][k] != v {
 				dirty[i] = true
 				any = true
 				break
@@ -207,7 +208,7 @@ func (b *unionBase) refreshed() (*unionBase, []bool, bool) {
 // rebuilding them eagerly — the re-plan inside the subsequent warm-up
 // rebuilds them once, under the new plan's configs.
 func (b *unionBase) refreshedLazy() (*unionBase, []bool, bool) {
-	dirty, any := b.dirtyJoins()
+	dirty, any := dirtyJoins(b.joins, b.vers)
 	if !any {
 		return b, dirty, false
 	}

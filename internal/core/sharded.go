@@ -271,7 +271,13 @@ func (p *ShardedShared) warmShards(g *rng.RNG, prev []PreparedSampler) error {
 		var ps PreparedSampler
 		var err error
 		if prev != nil && prev[s] != nil {
-			ps, _, err = Refresh(prev[s], gs)
+			var changed bool
+			ps, changed, err = Refresh(prev[s], gs)
+			// A clean shard returns prev[s] itself, whose stats are an
+			// earlier refresh's; a shard built by Factory has no work list.
+			if changed {
+				stats[s] = LastRefresh(ps)
+			}
 		} else {
 			ps, err = p.cfg.Factory(p.shardJoins[s], gs)
 		}
@@ -323,25 +329,8 @@ func (p *ShardedShared) aggregate() error {
 // snapshot — the authoritative staleness signal for the sharded
 // sampler (per-shard samplers see fragments, which only move on Sync).
 func (p *ShardedShared) stale() bool {
-	dirty, any := p.dirtyOrig()
-	_ = dirty
+	_, any := dirtyJoins(p.origJoins, p.vers)
 	return any
-}
-
-func (p *ShardedShared) dirtyOrig() ([]bool, bool) {
-	dirty := make([]bool, len(p.origJoins))
-	any := false
-	for i, j := range p.origJoins {
-		cur := j.StateVersions()
-		for k, v := range cur {
-			if k >= len(p.vers[i]) || p.vers[i][k] != v {
-				dirty[i] = true
-				any = true
-				break
-			}
-		}
-	}
-	return dirty, any
 }
 
 // Refresh reconciles the sharded sampler with mutated data: partitions
@@ -354,7 +343,7 @@ func (p *ShardedShared) dirtyOrig() ([]bool, bool) {
 // in-flight runs keep drawing under the live-relation visibility
 // contract.
 func (p *ShardedShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
-	dirty, any := p.dirtyOrig()
+	dirty, any := dirtyJoins(p.origJoins, p.vers)
 	if !any {
 		return p, false, nil
 	}

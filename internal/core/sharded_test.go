@@ -207,6 +207,16 @@ func TestShardedRefresh(t *testing.T) {
 	if Stale(np2) {
 		t.Fatal("refreshed sampler still stale")
 	}
+	// The work list is the sum over the shards this refresh rebuilt. A
+	// second, one-row burst reaches one shard: the clean shards return
+	// their previous samplers, whose stats must not be counted again.
+	checkShardedRefreshStats(t, p, np2.(*ShardedShared))
+	rel.AppendValues(1002, 3)
+	np3, _, err := Refresh(np2, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShardedRefreshStats(t, np2.(*ShardedShared), np3.(*ShardedShared))
 	idx := unionIndex(t, joins)
 	out, err := np2.NewRun().Sample(300, rng.New(7))
 	if err != nil {
@@ -220,6 +230,28 @@ func TestShardedRefresh(t *testing.T) {
 	// Old generation still serves its snapshot (live-relation contract).
 	if _, err := p.NewRun().Sample(50, rng.New(8)); err != nil {
 		t.Fatalf("old generation draw: %v", err)
+	}
+}
+
+// checkShardedRefreshStats asserts that next's RefreshStats is non-empty
+// and equals the sum of LastRefresh over the shards it did not carry
+// over from prev.
+func checkShardedRefreshStats(t *testing.T, prev, next *ShardedShared) {
+	t.Helper()
+	var want RefreshStats
+	rebuilt := 0
+	for s, ps := range next.perShard {
+		if ps != nil && ps != prev.perShard[s] {
+			want.add(LastRefresh(ps))
+			rebuilt++
+		}
+	}
+	got := LastRefresh(next)
+	if got != want {
+		t.Fatalf("sharded RefreshStats %+v, per-shard sum %+v", got, want)
+	}
+	if rebuilt == 0 || got.DirtyJoins < rebuilt || got.SegmentsPatched+got.JoinsRebuilt == 0 {
+		t.Fatalf("sharded RefreshStats %+v after %d shard(s) refreshed", got, rebuilt)
 	}
 }
 

@@ -50,8 +50,9 @@ type membershipTables struct {
 // Contains reports whether output tuple t (in this join's output schema
 // order) is a result of the join — without executing the join. Every
 // relation must hold a row matching t's projection onto its attributes;
-// join-attribute consistency is automatic because join attributes share
-// names and therefore output positions (see DESIGN.md). This is the
+// join-attribute consistency is automatic because a join attribute is
+// one output column: every relation carrying it reads the same position
+// of t, so the projections cannot disagree on its value. This is the
 // membership primitive the random-walk overlap estimator relies on
 // (§6.2): "we already have the index for each J_i".
 //

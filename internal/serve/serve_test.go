@@ -342,6 +342,20 @@ func TestSampleEndpoints(t *testing.T) {
 	}
 }
 
+func getMetrics(t *testing.T, base string) metricsResponse {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m metricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestAppendRefresh drives the live path end to end over HTTP: append
 // rows into a base relation, then observe the refreshed session serve
 // them.
@@ -387,16 +401,7 @@ func TestAppendRefresh(t *testing.T) {
 	// /metrics says what that refresh did — nation is every join's
 	// root, so all five were dirty — and which indexes appends keep up:
 	// nation's join attribute, not its payload columns.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m metricsResponse
-	err = json.NewDecoder(resp.Body).Decode(&m)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, ts.URL)
 	if len(m.Refresh) != 1 {
 		t.Fatalf("refresh section has %d sessions, want 1", len(m.Refresh))
 	}
@@ -407,6 +412,20 @@ func TestAppendRefresh(t *testing.T) {
 		if got := m.Storage[key].Relations["nation"].Indexes; len(got) != 1 || got[0] != "nationkey" {
 			t.Errorf("nation indexes %v, want [nationkey]", got)
 		}
+	}
+
+	// A sharded entry reports its shards' summed work, not zeros.
+	sharded := quickDecl()
+	sharded.Options.Shards = 2
+	if code := post(t, ts.URL+"/relation/nation/append", appendRequest{Union: sharded, Rows: [][]int64{{27, 990003, 3}}}, &ar); code != 200 || !ar.Refreshed {
+		t.Fatalf("sharded append: code %d, %+v", code, ar)
+	}
+	shardedKey, err := sharded.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := getMetrics(t, ts.URL).Refresh[shardedKey]; !ok || st.DirtyJoins == 0 {
+		t.Errorf("sharded entry's refresh stats %+v (present %t), want dirty joins", st, ok)
 	}
 
 	// Explicit refresh endpoint: idempotent when nothing mutated.

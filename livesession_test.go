@@ -463,3 +463,38 @@ func TestRefreshedTablesDrawLikeRebuilt(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedRefreshStats pins that a sharded session reports its
+// refresh's work list — the sum of its shards' — and that a Refresh
+// with nothing to do leaves the last effective refresh's report alone.
+// The per-shard sum itself is checked in internal/core
+// (TestShardedRefresh), which can see the shards.
+func TestShardedRefreshStats(t *testing.T) {
+	ls, err := liveUnionSession(t, Options{Seed: 3, Shards: 2, Warmup: WarmupRandomWalk, Method: MethodEW})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ls.s.RefreshStats(); st != (RefreshStats{}) {
+		t.Fatalf("stats before any refresh: %+v", st)
+	}
+	var cust, ord []Tuple
+	for k := 9000; k < 9008; k++ { // enough keys to land in both shards
+		cust = append(cust, Tuple{Value(k), Value(k % 5)})
+		ord = append(ord, Tuple{Value(k * 10), Value(k)})
+	}
+	ls.rels[0].AppendRows(cust)
+	ls.rels[1].AppendRows(ord)
+	if err := ls.s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	st := ls.s.RefreshStats()
+	if st.DirtyJoins < 1 || st.SegmentsPatched+st.JoinsRebuilt == 0 || st.Walks == 0 || st.Duration <= 0 {
+		t.Fatalf("sharded refresh stats %+v: want dirty joins, patched or rebuilt tables, walks and a duration", st)
+	}
+	if err := ls.s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if again := ls.s.RefreshStats(); again != st {
+		t.Fatalf("no-op Refresh changed the stats: %+v, was %+v", again, st)
+	}
+}
