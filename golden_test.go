@@ -124,6 +124,12 @@ var goldenDigests = map[string]string{
 	"online":    "ab6005ab45eb3fcf",
 	"cyclic-ew": "ab392a7ebf43258d",
 	"cyclic-eo": "ba2a8487a19207c5",
+	// Recorded from the engine as it stood before the cover and online
+	// runs were given one record and one result buffer: the oracle branch
+	// of online's accept rule, and the one session path on which a served
+	// batch leaves entries buffered and the arena is compacted behind them.
+	"online-oracle": "5bcca9171dd7bdbf",
+	"online-where":  "f8ed34856669ccb1",
 	// Sharded streams: the union is hash-partitioned into shards and
 	// draws alias-select a shard per tuple, so these differ from the
 	// single-shard recordings above. They depend only on (seed, shard
@@ -180,6 +186,7 @@ func goldenModes(t testing.TB) []goldenMode {
 		{"cover-wj", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodWJ}},
 		{"oracle", u, Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true}},
 		{"online", u, Options{Online: true, WarmupWalks: 150}},
+		{"online-oracle", u, Options{Online: true, WarmupWalks: 150, Oracle: true}},
 		{"cyclic-ew", cu, Options{Warmup: WarmupHistogram, Method: MethodEW}},
 		{"cyclic-eo", cu, Options{Warmup: WarmupHistogram, Method: MethodEO}},
 		// Sharded: cover, online, and cyclic (residual rebound per shard).
@@ -229,6 +236,14 @@ func goldenScenarios(t testing.TB) []scenario {
 		scenario{"where", func() ([]Tuple, error) {
 			s := prepareGolden(t, u, Options{Warmup: WarmupExact, Method: MethodEW})
 			out, _, err := s.SampleWhereSeeded(32, Cmp{Attr: "nationkey", Op: LT, Val: 4}, goldenStream)
+			return out, err
+		}},
+		// An online run under a selective predicate: SampleWhere calls
+		// Sample several times on one run, and a call that overshoots by a
+		// multi-instance commit leaves entries buffered for the next.
+		scenario{"online-where", func() ([]Tuple, error) {
+			s := prepareGolden(t, u, Options{Online: true, WarmupWalks: 150})
+			out, _, err := s.SampleWhereSeeded(200, Cmp{Attr: "nationkey", Op: LT, Val: 1}, goldenStream)
 			return out, err
 		}},
 		scenario{"mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact, Method: MethodEW})},
