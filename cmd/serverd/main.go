@@ -48,8 +48,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data", "", "data directory for inline-spec CSV files (empty disables specs)")
 	sessions := flag.Int("sessions", 8, "warm sessions kept in the registry (LRU beyond it)")
-	maxInflight := flag.Int("max-inflight", 0, "draw requests executing at once before shedding 429s (0 = 16 x GOMAXPROCS / shard-workers)")
-	shardWorkers := flag.Int("shard-workers", 0, "per-request shard fan-out of sharded sessions, used to scale the max-inflight default (0 = GOMAXPROCS)")
+	maxInflight := flag.Int("max-inflight", 0, "draw requests executing at once before shedding 429s (0 = 16)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM/SIGINT")
 	durableDir := flag.String("data-dir", "", "durable state directory: per-relation WALs, checkpoints, and the boot manifest (empty = memory-only)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always (fsync before every append ack), interval (group commit), off")
@@ -72,10 +71,7 @@ func main() {
 		fail("serverd: -sessions must be >= 1, got %d", *sessions)
 	}
 	if *maxInflight < 0 {
-		fail("serverd: -max-inflight must be >= 0 (0 = auto), got %d", *maxInflight)
-	}
-	if *shardWorkers < 0 {
-		fail("serverd: -shard-workers must be >= 0 (0 = auto), got %d", *shardWorkers)
+		fail("serverd: -max-inflight must be >= 0 (0 = the default, 16), got %d", *maxInflight)
 	}
 	if *drainTimeout <= 0 {
 		fail("serverd: -drain-timeout must be positive, got %v", *drainTimeout)
@@ -104,7 +100,6 @@ func main() {
 		DataDir:         *dataDir,
 		SessionCap:      *sessions,
 		MaxInflight:     *maxInflight,
-		ShardWorkers:    *shardWorkers,
 		DurableDir:      *durableDir,
 		FsyncPolicy:     policy,
 		FsyncInterval:   *fsyncInterval,

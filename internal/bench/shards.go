@@ -81,13 +81,13 @@ func Shards(o Options) (*Result, error) {
 		runtime.GOMAXPROCS(c)
 		var prepared core.PreparedSampler
 		if c == 1 {
-			prepared, err = factory(w.Joins, core.NewRunRNG(o.Seed, 0))
+			prepared, err = factory(w.Joins, rng.New(core.DeriveSeed(o.Seed, 0)))
 		} else {
 			prepared, err = core.PrepareSharded(w.Joins, core.ShardedConfig{
 				Shards:  c,
 				Workers: c,
 				Factory: factory,
-			}, core.NewRunRNG(o.Seed, 0))
+			}, rng.New(core.DeriveSeed(o.Seed, 0)))
 		}
 		if err != nil {
 			return nil, err

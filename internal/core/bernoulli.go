@@ -23,7 +23,7 @@ type DisjointShared struct {
 	base  *unionBase
 	alias *rng.Alias
 
-	// runs recycles released *DisjointSampler (see CoverShared.runs).
+	// runs recycles released *DisjointSampler (see prepared.runs).
 	runs *sync.Pool
 }
 
@@ -31,25 +31,17 @@ type DisjointShared struct {
 // Disjoint sampling needs no estimator warm-up: selection weights come
 // from the subroutine samplers' own size knowledge.
 func PrepareDisjoint(joins []*join.Join, cfg DisjointConfig) (*DisjointShared, error) {
-	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), cfg.Method, 0), false)
+	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), cfg.Method))
 	if err != nil {
 		return nil, err
 	}
+	base.applyJoinConfigs(base.cfgs)
 	return newDisjointShared(base)
 }
 
-// PrepareDisjointFrom builds a disjoint-union sampler over the joins
-// and subroutine samplers already prepared for a set-union sampler,
-// avoiding a second subroutine setup (EW weight tables, indexes). A
-// sharded sampler has no single shared base; callers holding one should
-// use PrepareDisjoint over the original joins instead.
-func PrepareDisjointFrom(p PreparedSampler) (*DisjointShared, error) {
-	if _, ok := p.(*ShardedShared); ok {
-		return nil, fmt.Errorf("core: PrepareDisjointFrom does not support sharded samplers; use PrepareDisjoint")
-	}
-	return newDisjointShared(p.unionBase())
-}
-
+// newDisjointShared builds the disjoint-union sampler over a base whose
+// subroutine samplers are built: PrepareDisjoint's own, or — through
+// PreparedSampler.Disjoint — the one a set-union sampler already warmed.
 func newDisjointShared(base *unionBase) (*DisjointShared, error) {
 	weights := make([]float64, len(base.joins))
 	for i, s := range base.samplers {
@@ -163,10 +155,11 @@ func NewBernoulliSampler(joins []*join.Join, cfg BernoulliConfig, g *rng.RNG) (*
 	if cfg.Estimator == nil {
 		return nil, fmt.Errorf("core: BernoulliConfig.Estimator is required")
 	}
-	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), cfg.Method, 0), false)
+	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), cfg.Method))
 	if err != nil {
 		return nil, err
 	}
+	base.applyJoinConfigs(base.cfgs)
 	start := time.Now()
 	p, err := cfg.Estimator.Params(g)
 	if err != nil {
@@ -228,7 +221,7 @@ func (s *BernoulliSampler) accept(j int, t relation.Tuple) bool {
 	if s.cfg.Oracle {
 		return s.base.minContaining(j, t) == j
 	}
-	proj := s.base.recordProj(j)
+	proj := s.base.perms[j]
 	k, seen := s.record.Lookup(t, proj)
 	if !seen {
 		s.record.PutNew(t, proj, j)

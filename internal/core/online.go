@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"time"
 
-	"sampleunion/internal/histest"
 	"sampleunion/internal/join"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
@@ -23,10 +20,6 @@ type OnlineConfig struct {
 	// alone and lets estimates refine purely online (the no-warm-up
 	// variant of §4's closing remark).
 	WarmupWalks int
-	// HistOpts configure the histogram initialization (line 1).
-	HistOpts histest.Options
-	// WalkOpts tune confidence parameters (Z defaulting per walkest).
-	WalkOpts walkest.Options
 	// Phi is the backtrack period: a parameter update and backtracking
 	// pass runs every Phi recorded probabilities (line 18). Values <= 0
 	// default to 64.
@@ -48,130 +41,90 @@ type OnlineConfig struct {
 	Tuner *tune.Controller
 }
 
-type onlineEntry struct {
-	key  int // record handle of the tuple's value (see resultEntry)
-	off  int // start of the tuple's span in the run's arena
-	join int
-	prob float64 // inclusion probability the tuple was accepted under
-}
-
-// OnlineShared is the prepared state of Algorithm 2: the histogram
-// initialization plus warm-up walks, run exactly once. The master walk
-// estimator is frozen after warm-up; each run handed out by NewRun
-// starts from its own copy of the Horvitz–Thompson and overlap state —
-// but not the warm-up sample pool: handing the same tuples to several
-// runs would correlate streams that must be independent, so prepared
-// runs start from the shared estimates and draw fresh walks. The §7
-// sample-reuse optimization belongs to a single stream: NewReuseRun
-// hands the pool to the one run that owns it.
+// OnlineShared is the prepared state of Algorithm 2: the shared prepared
+// state, warmed by the histogram initialization plus warm-up walks
+// (onlineWarmup), run exactly once. The master walk estimator is frozen
+// after warm-up; each run handed out by NewRun starts from its own copy
+// of the Horvitz–Thompson and overlap state — but not the warm-up sample
+// pool: handing the same tuples to several runs would correlate streams
+// that must be independent, so prepared runs start from the shared
+// estimates and draw fresh walks. The §7 sample-reuse optimization
+// belongs to a single stream: NewReuseRun hands the pool to the one run
+// that owns it. With a tuner the subroutine stays EO for every join, and
+// escalated exact counts stay pinned through run-level refinement
+// (prepared.exactSizes).
 type OnlineShared struct {
-	base    *unionBase
-	cfg     OnlineConfig
-	walks   *walkest.Estimator
-	params  *Params
-	alias   *rng.Alias
-	maxDraw int
-	// exactSizes pin escalated joins' exact counts (index -1 entries
-	// keep the walk estimate); run-level parameter refinement reads the
-	// overlap table through them so refinement never un-escalates.
-	exactSizes []float64
-	warmupTime time.Duration
-	refresh    RefreshStats // what the Refresh that built this state did
-
-	// runs recycles released *OnlineSampler of this generation (see
-	// CoverShared.runs).
-	runs *sync.Pool
+	prepared
+	phi   int
+	gamma float64
 }
 
 // PrepareOnline builds the shared state for Algorithm 2 and runs the
 // warm-up (histogram initialization + warm-up walks) exactly once,
 // drawing warm-up randomness from g.
 func PrepareOnline(joins []*join.Join, cfg OnlineConfig, g *rng.RNG) (*OnlineShared, error) {
-	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), MethodEO, 0), false)
+	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), MethodEO))
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Phi <= 0 {
-		cfg.Phi = 64
-	}
-	if cfg.Gamma <= 0 {
-		cfg.Gamma = 0.9
-	}
-	maxDraw := cfg.MaxDrawsPerSelection
-	if maxDraw <= 0 {
-		maxDraw = 256
-	}
-	walks, err := walkest.New(joins, cfg.WalkOpts)
+	walks, err := walkest.New(joins, walkest.Options{})
 	if err != nil {
 		return nil, err
 	}
-	p := &OnlineShared{base: base, cfg: cfg, walks: walks, maxDraw: maxDraw, runs: newRunPool()}
+	p := &OnlineShared{phi: cfg.Phi, gamma: cfg.Gamma, prepared: prepared{
+		base:    base,
+		est:     &onlineWarmup{joins: joins, warmupWalks: cfg.WarmupWalks, walks: walks},
+		tuner:   cfg.Tuner,
+		oracle:  cfg.Oracle,
+		drawCap: cfg.MaxDrawsPerSelection,
+		runs:    newRunPool(),
+	}}
+	if p.phi <= 0 {
+		p.phi = 64
+	}
+	if p.gamma <= 0 {
+		p.gamma = 0.9
+	}
 	if err := p.warm(g); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// warm initializes parameters: histogram first (cheap), then walks
-// until every join has the configured number of warm-up walks, whose
-// samples seed the reuse pool. It runs exactly once per prepared state
-// (PrepareOnline or Refresh), before the state is published to runs. On
-// a refresh the histogram re-reads the (incrementally maintained)
-// indexes, and only the dirty joins walk: Refresh reset their
-// estimates, while a clean join's cloned estimate already counts the
-// WarmupWalks walks of its own warm-up, so its loop below is a no-op.
-func (p *OnlineShared) warm(g *rng.RNG) error {
-	start := time.Now()
-	hist := &HistogramEstimator{Joins: p.base.joins, Opts: p.cfg.HistOpts}
-	params, err := hist.Params(g)
-	if err != nil {
-		return err
-	}
-	p.params = params
-	if p.cfg.WarmupWalks > 0 {
-		for j, je := range p.walks.JoinEstimates() {
-			for je.Walks() < p.cfg.WarmupWalks {
-				p.walks.StepJoin(j, g)
-			}
-		}
-		if params, ok, err := paramsFromWalks(p.walks, nil); err != nil {
-			return err
-		} else if ok {
-			p.params = params
-		}
-	}
-	if p.cfg.Tuner != nil {
-		if err := p.retune(g); err != nil {
-			return err
-		}
-	}
-	p.alias = rng.NewAlias(p.params.Cover)
-	p.warmupTime = time.Since(start)
-	if p.alias == nil {
-		return ErrEmptyUnion
-	}
-	return nil
+// onlineWarmup is Algorithm 2's warm-up as an Estimator: histogram
+// parameters first (cheap, line 1), then walks until every join has
+// warmupWalks of them, whose samples seed the reuse pool. On a refresh
+// the histogram re-reads the (incrementally maintained) indexes, and only
+// the dirty joins walk: the refresh reset their estimates, while a clean
+// join's carried estimate already counts the walks of its own warm-up.
+type onlineWarmup struct {
+	joins       []*join.Join
+	warmupWalks int
+	walks       *walkest.Estimator
 }
 
-// retune runs the adaptive re-plan at an online warm-up boundary:
-// wide cyclic joins walk up to their escalated budgets, wide tree
-// joins escalate to exact counts (pinned via exactSizes so run-level
-// refinement keeps them), and the batch slice cap follows the plan.
-// Join subroutines are not re-planned — the online sampler draws by
-// wander-join walks by construction.
-func (p *OnlineShared) retune(g *rng.RNG) error {
-	stats := gatherTuneStats(p.base.joins, p.params, p.walks, false)
-	plan := p.cfg.Tuner.Replan(stats)
-	params, sizes, err := applyPlanEstimates(p.base, plan, p.params, p.walks, g)
+// Name implements Estimator.
+func (o *onlineWarmup) Name() string { return "online" }
+
+// Params implements Estimator.
+func (o *onlineWarmup) Params(g *rng.RNG) (*Params, error) {
+	params, err := (&HistogramEstimator{Joins: o.joins}).Params(g)
+	if err != nil || o.warmupWalks <= 0 {
+		return params, err
+	}
+	for j, je := range o.walks.JoinEstimates() {
+		for je.Walks() < o.warmupWalks {
+			o.walks.StepJoin(j, g)
+		}
+	}
+	walked, ok, err := paramsFromWalks(o.walks, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.params = params
-	p.exactSizes = sizes
-	if p.cfg.MaxDrawsPerSelection <= 0 {
-		p.maxDraw = plan.MaxDrawsPerSelection
+	if ok {
+		params = walked
 	}
-	return nil
+	return params, nil
 }
 
 // paramsFromWalks rebuilds Params from a walk estimator once every join
@@ -191,40 +144,14 @@ func paramsFromWalks(walks *walkest.Estimator, sizes []float64) (*Params, bool, 
 	return ParamsFromTable(t), true, nil
 }
 
-// Refresh returns an OnlineShared reconciled with the current data.
-// Dirty joins rebuild their subroutine samplers, and the walk state
-// follows walkest's refresh rule (Estimator.Refreshed, as the cover
-// sampler's random-walk estimator does): dirty joins' estimates reset
-// and re-warm (the old walks were observations of a join that no longer
-// exists); clean joins keep their samplers, Horvitz–Thompson estimates
-// and retained walks, whose membership in the dirty joins is probed
-// again. The receiver is untouched; in-flight runs keep their snapshot.
+// Refresh implements PreparedSampler.
 func (p *OnlineShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
-	nb, dirty, changed := p.base.refreshed()
+	np, changed, err := p.nextGen(g)
 	if !changed {
-		if p.cfg.Tuner == nil || !p.cfg.Tuner.NeedsReplan() {
-			return p, false, nil
-		}
-		// Rejection feedback requested a re-plan on clean data: rebuild
-		// against a clone so in-flight runs keep their snapshot.
-		nb = p.base.clone()
+		return p, false, err
 	}
-	np := &OnlineShared{base: nb, cfg: p.cfg, maxDraw: p.maxDraw, runs: newRunPool()}
-	np.walks, np.refresh.Reprobed = p.walks.Refreshed(dirty)
-	dropDirtyFeedback(p.cfg.Tuner, dirty)
-	if err := np.warm(g); err != nil {
-		return nil, false, err
-	}
-	nb.patchStats(dirty, &np.refresh)
-	np.refresh.Walks = walksRun(p.walks, np.walks, dirty)
-	return np, true, nil
+	return &OnlineShared{np, p.phi, p.gamma}, true, nil
 }
-
-// Params returns the warm-up parameters.
-func (p *OnlineShared) Params() *Params { return p.params }
-
-// WarmupTime reports how long the one-time warm-up took.
-func (p *OnlineShared) WarmupTime() time.Duration { return p.warmupTime }
 
 // NewRun returns a sampling run over the shared warm-up with its own
 // copy of the walk estimator's running estimates (pool excluded, see
@@ -235,10 +162,9 @@ func (p *OnlineShared) WarmupTime() time.Duration { return p.warmupTime }
 func (p *OnlineShared) NewRun() Run {
 	s, _ := p.runs.Get().(*OnlineSampler)
 	if s == nil {
-		s = &OnlineSampler{walks: new(walkest.Estimator), record: p.base.recordKeys()}
+		s = &OnlineSampler{walks: new(walkest.Estimator)}
 	}
-	s.shared = p
-	s.reset()
+	s.reset(p)
 	return s
 }
 
@@ -252,11 +178,9 @@ func (p *OnlineShared) NewRun() Run {
 // and not worth a second constructor.
 func (p *OnlineShared) NewReuseRun() *OnlineSampler {
 	s := p.NewRun().(*OnlineSampler)
-	s.walks = p.walks.Clone()
+	s.walks = p.walker.Clone()
 	return s
 }
-
-func (p *OnlineShared) unionBase() *unionBase { return p.base }
 
 // OnlineSampler is one run of Algorithm 2: it starts from the shared
 // warm-up parameters, samples joins with wander-join walks whose draws
@@ -267,47 +191,37 @@ func (p *OnlineShared) unionBase() *unionBase { return p.base }
 // state — the walk estimator copy, parameters under refinement, the
 // record, the result buffer, stats — is per-run.
 type OnlineSampler struct {
-	runRNG
+	runState
 	shared   *OnlineShared
 	walks    *walkest.Estimator
 	params   *Params
 	alias    *rng.Alias
-	record   *relation.KeyCounter // value (ref order) -> assigned join
-	result   []onlineEntry
-	arena    []relation.Value // backing store of buffered samples
-	stats    Stats
 	recorded int
-	conf     float64
+	conf     float64 // the walk estimator's confidence level as of the last backtrack
 }
 
 // reset adopts the shared warm-up into the run and starts it over:
 // parameters and alias by reference (replaced, never mutated, on
 // refinement), the walk estimates copied into the estimator the run
-// already owns (they mutate with every draw), record and buffers emptied
-// with their storage kept, counters zeroed.
-func (s *OnlineSampler) reset() {
-	p := s.shared
-	s.walks.CopyEstimates(p.walks)
+// already owns (they mutate with every draw).
+func (s *OnlineSampler) reset(p *OnlineShared) {
+	s.runState.reset(&p.prepared)
+	s.shared = p
+	s.walks.CopyEstimates(p.walker)
 	s.params, s.alias = p.params, p.alias
-	s.record.Reset()
-	s.result, s.arena = s.result[:0], s.arena[:0]
-	s.stats.reset(len(p.base.joins))
 	s.recorded, s.conf = 0, 0
 }
 
 // Release returns the run to its generation's pool (see Run.Release).
 func (s *OnlineSampler) Release() {
-	p := s.shared
 	s.shared, s.params, s.alias = nil, nil, nil
-	if p.base.poolable(s.arena, s.record) {
-		p.runs.Put(s)
-	}
+	s.release(s)
 }
 
 // refreshParams rebuilds Params from the run's walk estimator when it
 // has observations, keeping the current values otherwise.
 func (s *OnlineSampler) refreshParams() error {
-	params, ok, err := paramsFromWalks(s.walks, s.shared.exactSizes)
+	params, ok, err := paramsFromWalks(s.walks, s.prep.exactSizes)
 	if err != nil {
 		return err
 	}
@@ -330,7 +244,7 @@ func (s *OnlineSampler) Params() *Params { return s.params }
 // for joins whose size is pinned exact by the tuner).
 func (s *OnlineSampler) Stats() *Stats {
 	for j, je := range s.walks.JoinEstimates() {
-		if es := s.shared.exactSizes; es != nil && j < len(es) && es[j] >= 0 {
+		if es := s.prep.exactSizes; es != nil && j < len(es) && es[j] >= 0 {
 			s.stats.Joins[j].WalkVariance = 0
 			continue
 		}
@@ -338,9 +252,6 @@ func (s *OnlineSampler) Stats() *Stats {
 	}
 	return &s.stats
 }
-
-// Confidence returns the walk estimator's current confidence level.
-func (s *OnlineSampler) Confidence() float64 { return s.conf }
 
 // Sample returns n tuples from the set union in the first join's
 // output schema order. Consecutive calls continue the stream: returned
@@ -352,11 +263,7 @@ func (s *OnlineSampler) Confidence() float64 { return s.conf }
 // call, split across Accept/Reject and Reuse/Regular by the call's
 // attempt counts (bookBatchTime).
 func (s *OnlineSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	s.result = growEntries(s.result, n)
-	s.arena = growArena(s.arena, (n-len(s.result))*s.shared.base.ref.Len())
-	s.shared.base.reserveRecord(s.record, n-len(s.result))
-	before := s.stats
-	start := time.Now()
+	before, start := s.beginBatch(n)
 	for len(s.result) < n {
 		if err := s.drawOne(g); err != nil {
 			return nil, err
@@ -365,8 +272,7 @@ func (s *OnlineSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 			return nil, err
 		}
 	}
-	s.stats.bookBatchTime(&before, time.Since(start))
-	return s.serveResult(n), nil
+	return s.serveResult(n, &before, start), nil
 }
 
 // SampleBatch forwards to Sample.
@@ -377,36 +283,6 @@ func (s *OnlineSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error)
 	return s.Sample(n, g)
 }
 
-// serveResult copies the first n buffered samples out over one flat
-// backing (two allocations for the whole batch) and compacts the arena
-// behind the remaining entries. Entry offsets are non-decreasing — the
-// mult instances of one commit share one span — so duplicates remap to
-// the span's new position and distinct spans forward-copy safely (the
-// m-th distinct remaining span starts at or after m*k).
-func (s *OnlineSampler) serveResult(n int) []relation.Tuple {
-	k := s.shared.base.ref.Len()
-	out := serveFlat(s.arena, n, k, func(i int) int { return s.result[i].off })
-	s.result = s.result[:copy(s.result, s.result[n:])]
-	w := 0
-	prevOld, prevNew := -1, -1
-	for i := range s.result {
-		e := &s.result[i]
-		if e.off == prevOld {
-			e.off = prevNew
-			continue
-		}
-		prevOld = e.off
-		if e.off != w {
-			copy(s.arena[w:w+k], s.arena[e.off:e.off+k])
-		}
-		prevNew = w
-		e.off = w
-		w += k
-	}
-	s.arena = s.arena[:w]
-	return out
-}
-
 // drawOne selects a join by cover weight and retries within it until
 // at least one instance of a tuple is accepted.
 func (s *OnlineSampler) drawOne(g *rng.RNG) error {
@@ -415,19 +291,20 @@ func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 			return fmt.Errorf("core: online sampler made no progress after %d selections", selections)
 		}
 		j := s.alias.Draw(g)
-		for attempt := 0; attempt < s.shared.maxDraw; attempt++ {
+		for attempt := 0; attempt < s.prep.maxDraw; attempt++ {
 			t, mult, reuse, ok := s.candidate(j, g)
 			if !ok {
 				continue
 			}
-			if k, ok := s.acceptValue(j, t); ok {
-				s.commit(k, j, t, mult)
+			if k, ok := s.accept(j, t); ok {
+				// Commit under the inclusion probability of the parameters
+				// in force, for backtracking to thin by.
+				s.commit(k, j, t, mult, s.inclusionProb(j))
 				if reuse {
 					s.stats.ReuseAccepted++
 				}
 				return nil
 			}
-			s.stats.RejectedDup++
 		}
 	}
 }
@@ -489,62 +366,6 @@ func (s *OnlineSampler) instances(r float64, g *rng.RNG) int {
 	return k
 }
 
-// acceptValue applies the cover record / revision logic of Algorithm 1
-// to a candidate value of join j; on acceptance it returns the value's
-// record handle for commit.
-func (s *OnlineSampler) acceptValue(j int, t relation.Tuple) (int, bool) {
-	proj := s.shared.base.recordProj(j)
-	k, seen := s.record.Lookup(t, proj)
-	if s.shared.cfg.Oracle {
-		f := s.shared.base.minContaining(j, t)
-		if seen {
-			s.record.SetAt(k, f)
-		} else {
-			k = s.record.PutNew(t, proj, f)
-		}
-		return k, f == j
-	}
-	if seen {
-		assigned := s.record.At(k)
-		if assigned < j {
-			return k, false
-		}
-		if assigned > j {
-			s.record.SetAt(k, j)
-			s.stats.Revised++
-			s.removeKey(k)
-		}
-	} else {
-		k = s.record.PutNew(t, proj, j)
-	}
-	return k, true
-}
-
-func (s *OnlineSampler) removeKey(k int) {
-	kept := s.result[:0]
-	for _, e := range s.result {
-		if e.key == k {
-			s.stats.RevisedRemoved++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	s.result = kept
-}
-
-// commit appends mult instances of the accepted tuple, recording the
-// inclusion probability they were accepted under for backtracking.
-func (s *OnlineSampler) commit(k, j int, t relation.Tuple, mult int) {
-	off := len(s.arena)
-	s.arena = s.shared.base.alignedAppend(j, t, s.arena)
-	prob := s.inclusionProb(j)
-	for i := 0; i < mult; i++ {
-		s.result = append(s.result, onlineEntry{key: k, off: off, join: j, prob: prob})
-	}
-	s.stats.Accepted += mult
-	s.stats.Joins[j].Accepted += mult
-}
-
 // inclusionProb is the per-draw probability a value of join j enters
 // the result under the current parameters: (|J'_j|/|U|) · (1/|J_j|).
 func (s *OnlineSampler) inclusionProb(j int) float64 {
@@ -557,7 +378,7 @@ func (s *OnlineSampler) inclusionProb(j int) float64 {
 // maybeBacktrack runs the §7 parameter update and backtracking pass
 // every Phi recorded probabilities while confidence is below Gamma.
 func (s *OnlineSampler) maybeBacktrack(g *rng.RNG) error {
-	if s.recorded < s.shared.cfg.Phi || s.conf >= s.shared.cfg.Gamma {
+	if s.recorded < s.shared.phi || s.conf >= s.shared.gamma {
 		return nil
 	}
 	s.recorded = 0
@@ -565,11 +386,7 @@ func (s *OnlineSampler) maybeBacktrack(g *rng.RNG) error {
 	if err := s.refreshParams(); err != nil {
 		return err
 	}
-	z := s.shared.cfg.WalkOpts.Z
-	if z <= 0 {
-		z = 1.645
-	}
-	s.conf = s.walks.Confidence(z)
+	s.conf = s.walks.Confidence(s.walks.Z())
 	// Backtrack: thin every previously accepted tuple to the new
 	// inclusion probability (keep with min(1, new/old)).
 	kept := s.result[:0]

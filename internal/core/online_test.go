@@ -77,8 +77,8 @@ func TestOnlineSamplerBacktracking(t *testing.T) {
 	if st.Backtracks < 2 {
 		t.Errorf("backtracks = %d, want several", st.Backtracks)
 	}
-	if s.Confidence() <= 0 {
-		t.Errorf("confidence = %f", s.Confidence())
+	if s.conf <= 0 {
+		t.Errorf("confidence = %f", s.conf)
 	}
 }
 

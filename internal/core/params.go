@@ -100,8 +100,8 @@ type RandomWalkEstimator struct {
 	Walker *walkest.Estimator
 
 	// resume: Walker is a predecessor's state carried over a refresh
-	// (refreshed), for the next Params to continue from instead of
-	// starting over.
+	// (refreshedEstimator), for the next Params to continue from instead
+	// of starting over.
 	resume bool
 }
 
@@ -129,17 +129,23 @@ func (r *RandomWalkEstimator) Params(g *rng.RNG) (*Params, error) {
 }
 
 // refreshedEstimator returns the estimator the next generation of a
-// cover sampler warms with, and how many retained walks it probed
-// again. A walked RandomWalkEstimator carries its state over under
-// walkest's refresh rule (Estimator.Refreshed, the rule the online
-// sampler's own walks follow); the others hold no state and re-run.
+// prepared sampler warms with, and how many retained walks it probed
+// again. A walked estimator carries its state over under walkest's
+// refresh rule (Estimator.Refreshed): dirty joins' estimates reset,
+// clean joins keep theirs and their retained walks, whose membership in
+// the dirty joins is probed again. The others hold no state and re-run.
 func refreshedEstimator(est Estimator, dirty []bool) (Estimator, int) {
-	r, ok := est.(*RandomWalkEstimator)
-	if !ok || r.Walker == nil {
-		return est, 0
+	switch e := est.(type) {
+	case *RandomWalkEstimator:
+		if e.Walker != nil {
+			walker, reprobed := e.Walker.Refreshed(dirty)
+			return &RandomWalkEstimator{Joins: e.Joins, Opts: e.Opts, Walker: walker, resume: true}, reprobed
+		}
+	case *onlineWarmup:
+		walks, reprobed := e.walks.Refreshed(dirty)
+		return &onlineWarmup{joins: e.joins, warmupWalks: e.warmupWalks, walks: walks}, reprobed
 	}
-	walker, reprobed := r.Walker.Refreshed(dirty)
-	return &RandomWalkEstimator{Joins: r.Joins, Opts: r.Opts, Walker: walker, resume: true}, reprobed
+	return est, 0
 }
 
 // walksRun counts the walks a refresh added to next over prev: all a

@@ -1,44 +1,19 @@
 package core
 
 import (
-	"fmt"
+	"sync"
 	"time"
 
-	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
+	"sampleunion/internal/tune"
+	"sampleunion/internal/walkest"
 )
 
-// Run is one sampling run over a prepared set-union sampler. A run owns
-// all per-draw mutable state (RNG-driven stream position, value-to-join
-// record, result buffer, Stats, online refinement); the prepared state
-// behind it is shared and read-only. Runs from the same prepared
-// sampler may execute concurrently as long as each uses its own RNG.
-type Run interface {
-	UnionSampler
-	// SampleBatch forwards to Sample.
-	//
-	// Deprecated: Sample is the batch engine; the name stays for
-	// callers compiled against it.
-	SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error)
-	// Params returns the parameters the run currently samples under:
-	// the shared warm-up estimates, refined per-run in online mode.
-	Params() *Params
-	// RNG restarts the generator the run carries at seed and returns it:
-	// the stream rng.New(seed) yields, without a new source per run.
-	RNG(seed int64) *rng.RNG
-	// Release hands the run back to the prepared generation it came
-	// from, whose next NewRun may reset and reuse it. The caller must be
-	// done with everything that points into the run — copy what Stats
-	// and Params return first (returned tuples are the caller's own) —
-	// and must not touch the run again. Releasing is optional: a run
-	// that is never released is simply collected.
-	Release()
-}
-
 // PreparedSampler is the immutable product of a one-time warm-up: it
-// knows the estimated parameters and hands out independent sampling
-// runs. CoverShared (Algorithm 1) and OnlineShared (Algorithm 2)
-// implement it.
+// knows the estimated parameters, hands out independent sampling runs,
+// and carries its own lifecycle — prewarm, staleness, refresh. CoverShared
+// (Algorithm 1) and OnlineShared (Algorithm 2) implement it over one
+// prepared state; ShardedShared over one prepared sampler per shard.
 type PreparedSampler interface {
 	// Params returns the warm-up parameter estimates.
 	Params() *Params
@@ -49,36 +24,201 @@ type PreparedSampler interface {
 	// one otherwise. The two cannot be told apart by anything they draw
 	// or report.
 	NewRun() Run
-
-	// unionBase exposes the shared join machinery so sibling samplers
-	// (PrepareDisjointFrom) can reuse it without a second setup.
-	unionBase() *unionBase
+	// Prewarm forces the lazily built shared structures the samplers
+	// read — membership tables and, per join edge, the two indexes over
+	// its join attribute: the child's, which every draw probes, and the
+	// parent's, which a refresh follows from a changed child value to the
+	// parent rows holding it — so that concurrent runs pay no build cost
+	// and only ever read them. (First use is safe without Prewarm too —
+	// both structures build exactly once behind an atomic publish — but
+	// prewarming moves the cost into preparation.) An index over any
+	// other attribute still builds on its first Relation.Index, and costs
+	// a refresh nothing until then.
+	Prewarm()
+	// Stale reports whether any relation underlying the sampler mutated
+	// since its warm-up (or last Refresh): draws still work but serve
+	// parameters estimated over the old contents. It costs a few atomic
+	// version loads and is safe to call concurrently with runs.
+	Stale() bool
+	// Refresh returns a prepared sampler reconciled with the current
+	// data: dirty joins' residual materializations reconcile
+	// (incrementally when the mutation delta allows), their subroutine
+	// samplers rebuild from the ones they replace, and the estimator
+	// re-runs over the incrementally maintained indexes and membership
+	// tables — clean joins keep their samplers and their walk estimates,
+	// whose membership in the dirty joins is probed again. With a tuner a
+	// Refresh is also a re-plan boundary: it rebuilds even over clean
+	// data when the controller's rejection trigger fired. The receiver is
+	// left untouched, so in-flight runs keep sampling the old snapshot;
+	// changed reports whether a new sampler was built. Warm-up randomness
+	// is drawn from g, so a fixed seed makes refreshed sessions
+	// reproducible.
+	Refresh(g *rng.RNG) (np PreparedSampler, changed bool, err error)
+	// LastRefresh reports what the Refresh that produced the sampler
+	// did; it is zero for one that came from a Prepare. A sharded sampler
+	// sums its shards'.
+	LastRefresh() RefreshStats
+	// Tuners returns the adaptive controllers driving the sampler: one
+	// for the cover and online engines, one per non-empty shard for the
+	// sharded engine, nil when the sampler is not adaptive. The session
+	// layer uses it to query pending re-plans and to report tuner
+	// decisions without holding controller references across
+	// refresh-time rebuilds.
+	Tuners() []*tune.Controller
+	// Disjoint returns Definition 1's disjoint-union sampler over the
+	// joins and subroutine samplers already prepared here, avoiding a
+	// second subroutine setup (EW weight tables, indexes). A sharded
+	// sampler has no single set to share and reports an error; prepare
+	// over its original joins with PrepareDisjoint instead.
+	Disjoint() (*DisjointShared, error)
 }
 
 var (
 	_ PreparedSampler = (*CoverShared)(nil)
 	_ PreparedSampler = (*OnlineShared)(nil)
-	_ Run             = (*CoverSampler)(nil)
-	_ Run             = (*OnlineSampler)(nil)
+	_ PreparedSampler = (*ShardedShared)(nil)
 )
 
-// Prewarm forces the lazily built shared structures the samplers read —
-// membership tables and, per join edge, the two indexes over its join
-// attribute: the child's, which every draw probes, and the parent's,
-// which a refresh follows from a changed child value to the parent rows
-// holding it — so that concurrent runs pay no build cost and only ever
-// read them. (First use is safe without Prewarm too — both structures
-// build exactly once behind an atomic publish — but prewarming moves
-// the cost into preparation.) An index over any other attribute still
-// builds on its first Relation.Index, and costs a refresh nothing until
-// then.
-func Prewarm(p PreparedSampler) {
-	if s, ok := p.(*ShardedShared); ok {
-		s.prewarm()
-		return
+// Prewarm forwards to p.Prewarm.
+func Prewarm(p PreparedSampler) { p.Prewarm() }
+
+// defaultMaxDraws caps subroutine draws per join selection when neither
+// the configuration nor a tuner's plan sets the cap.
+const defaultMaxDraws = 256
+
+// prepared is the state Algorithms 1 and 2 prepare alike, embedded by
+// value in CoverShared and OnlineShared: the join base with its
+// subroutine samplers, the estimator that warmed it, the parameters and
+// join-selection table the warm-up produced, and the pool its runs
+// recycle through. After warm-up it is immutable and therefore safe to
+// share between any number of concurrent runs — the split that lets one
+// expensive warm-up serve many cheap draws. The two algorithms prepare
+// through one lifecycle (warm, nextGen); they differ in the estimator
+// and in the run NewRun hands out.
+type prepared struct {
+	base *unionBase
+	// est warms this generation (a refresh carries its walk state over,
+	// refreshedEstimator); walker is the walk state est retained, nil
+	// when the warm-up ran no walks.
+	est    Estimator
+	walker *walkest.Estimator
+
+	// tuner, when non-nil, re-plans at every warm-up; perJoin says its
+	// plan also picks each join's subroutine (Algorithm 2 draws by
+	// walks, whatever subroutine a plan names). oracle switches the
+	// record from dynamic assignment to exact membership. drawCap is the
+	// configured cap on draws per join selection, <= 0 for the plan's.
+	tuner   *tune.Controller
+	perJoin bool
+	oracle  bool
+	drawCap int
+
+	params  *Params
+	alias   *rng.Alias
+	maxDraw int
+	// exactSizes pin escalated joins' exact counts (index -1 entries
+	// keep the walk estimate); run-level parameter refinement reads the
+	// overlap table through them so refinement never un-escalates.
+	exactSizes []float64
+	walkVar    []float64 // per-join relative half-widths after warm-up
+	warmupTime time.Duration
+	refresh    RefreshStats // what the Refresh that built this state did
+
+	// runs recycles this generation's released runs (see newRunPool): a
+	// Refresh publishes a new state with an empty pool, so a run never
+	// crosses generations.
+	runs *sync.Pool
+}
+
+// warm runs the estimator, plans, and prepares the join-selection
+// distribution (lines 1-2 of Algorithm 1). It runs exactly once per
+// prepared state (Prepare or Refresh), before the state is published to
+// runs: gather the planner inputs from the just-finished estimation,
+// apply the plan's estimation escalations, and build every pending
+// subroutine sampler exactly once, under the plan's config.
+func (p *prepared) warm(g *rng.RNG) error {
+	start := time.Now()
+	params, err := p.est.Params(g)
+	if err != nil {
+		return err
 	}
-	base := p.unionBase()
-	for _, j := range base.joins {
+	p.walker = tuneWalker(p.est)
+	plan := p.plan(params)
+	if p.params, p.exactSizes, err = applyPlanEstimates(p.base, plan, params, p.walker, g); err != nil {
+		return err
+	}
+	p.alias = rng.NewAlias(p.params.Cover)
+	if p.maxDraw = p.drawCap; p.maxDraw <= 0 {
+		p.maxDraw = plan.MaxDrawsPerSelection
+	}
+	if p.walker != nil {
+		p.walkVar = make([]float64, len(p.base.joins))
+		for i, je := range p.walker.JoinEstimates() {
+			p.walkVar[i] = je.RelHalfWidth(p.walker.Z())
+		}
+	}
+	p.warmupTime = time.Since(start)
+	if p.alias == nil {
+		return ErrEmptyUnion
+	}
+	cfgs := p.base.cfgs
+	if p.perJoin {
+		cfgs = planJoinConfigs(plan)
+	}
+	p.base.applyJoinConfigs(cfgs)
+	return nil
+}
+
+// plan returns the decisions this warm-up installs. A tuner builds them
+// from the warm-up's statistics, folding in the rejection feedback it
+// accumulated; a pinned configuration is the constant plan — the configs
+// the base was prepared with, no escalation, the default draw cap.
+func (p *prepared) plan(params *Params) *tune.Plan {
+	if p.tuner != nil {
+		_, exact := p.est.(*ExactEstimator)
+		return p.tuner.Replan(gatherTuneStats(p.base.joins, params, p.walker, exact))
+	}
+	plan := &tune.Plan{Joins: make([]tune.JoinPlan, len(p.base.cfgs)), MaxDrawsPerSelection: defaultMaxDraws}
+	for i, c := range p.base.cfgs {
+		plan.Joins[i] = tune.JoinPlan{Method: tune.Method(c.method), AliasThreshold: c.aliasMin}
+	}
+	return plan
+}
+
+// nextGen is the Refresh of both algorithms: reconcile the base, carry
+// the estimator's walk state over under walkest's refresh rule (dirty
+// joins' estimates reset — the old walks observed a join that no longer
+// exists — and only they walk again), warm, and report the work list.
+func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
+	nb, dirty, changed := p.base.reconciled()
+	if !changed {
+		if p.tuner == nil || !p.tuner.NeedsReplan() {
+			return np, false, nil
+		}
+		// Rejection feedback requested a re-plan on clean data: rebuild
+		// against a clone so in-flight runs keep their snapshot.
+		nb = p.base.clone()
+	}
+	np = prepared{base: nb, tuner: p.tuner, perJoin: p.perJoin, oracle: p.oracle, drawCap: p.drawCap, runs: newRunPool()}
+	np.est, np.refresh.Reprobed = refreshedEstimator(p.est, dirty)
+	dropDirtyFeedback(p.tuner, dirty)
+	if err := np.warm(g); err != nil {
+		return np, false, err
+	}
+	nb.patchStats(dirty, &np.refresh)
+	np.refresh.Walks = walksRun(p.walker, np.walker, dirty)
+	return np, true, nil
+}
+
+// Params returns the warm-up parameters.
+func (p *prepared) Params() *Params { return p.params }
+
+// WarmupTime reports how long the one-time warm-up took.
+func (p *prepared) WarmupTime() time.Duration { return p.warmupTime }
+
+// Prewarm implements PreparedSampler.
+func (p *prepared) Prewarm() {
+	for _, j := range p.base.joins {
 		j.PrewarmMembership()
 		nodes := j.Nodes()
 		for k := 1; k < len(nodes); k++ {
@@ -89,38 +229,25 @@ func Prewarm(p PreparedSampler) {
 	}
 }
 
-// Stale reports whether any relation underlying the prepared sampler
-// mutated since its warm-up (or last Refresh): draws still work but
-// serve parameters estimated over the old contents. It costs a few
-// atomic version loads and is safe to call concurrently with runs.
-func Stale(p PreparedSampler) bool {
-	if s, ok := p.(*ShardedShared); ok {
-		return s.stale()
-	}
-	b := p.unionBase()
-	_, any := dirtyJoins(b.joins, b.vers)
+// Stale implements PreparedSampler.
+func (p *prepared) Stale() bool {
+	_, any := dirtyJoins(p.base.joins, p.base.vers)
 	return any
 }
 
-// Refresh returns a prepared sampler reconciled with the current data:
-// dirty joins' residual materializations reconcile (incrementally when
-// the mutation delta allows), their subroutine samplers rebuild, and
-// the parameters re-estimate — clean joins keep their samplers and
-// (for the online mode) their walk estimates. The receiver is left
-// untouched, so in-flight runs keep sampling the old snapshot; changed
-// reports whether a new sampler was built. Warm-up randomness is drawn
-// from g, so a fixed seed makes refreshed sessions reproducible.
-func Refresh(p PreparedSampler, g *rng.RNG) (PreparedSampler, bool, error) {
-	switch s := p.(type) {
-	case *CoverShared:
-		return s.Refresh(g)
-	case *OnlineShared:
-		return s.Refresh(g)
-	case *ShardedShared:
-		return s.Refresh(g)
+// LastRefresh implements PreparedSampler.
+func (p *prepared) LastRefresh() RefreshStats { return p.refresh }
+
+// Tuners implements PreparedSampler.
+func (p *prepared) Tuners() []*tune.Controller {
+	if p.tuner == nil {
+		return nil
 	}
-	return p, false, fmt.Errorf("core: Refresh: unsupported prepared sampler %T", p)
+	return []*tune.Controller{p.tuner}
 }
+
+// Disjoint implements PreparedSampler.
+func (p *prepared) Disjoint() (*DisjointShared, error) { return newDisjointShared(p.base) }
 
 // RefreshStats reports what the Refresh that produced a prepared sampler
 // did — the work list, not the data size, is what a refresh should cost.
@@ -153,21 +280,6 @@ func (a *RefreshStats) add(b RefreshStats) {
 	a.Reprobed += b.Reprobed
 }
 
-// LastRefresh reports what the Refresh that produced p did; it is zero
-// for a sampler that came from a Prepare. A sharded sampler sums its
-// shards'.
-func LastRefresh(p PreparedSampler) RefreshStats {
-	switch s := p.(type) {
-	case *CoverShared:
-		return s.refresh
-	case *OnlineShared:
-		return s.refresh
-	case *ShardedShared:
-		return s.refresh
-	}
-	return RefreshStats{}
-}
-
 // DeriveSeed maps a base seed and a stream index to a decorrelated RNG
 // seed using the SplitMix64 finalizer. Unlike additive schemes
 // (seed + i·constant), nearby base seeds and stream indexes can never
@@ -181,10 +293,4 @@ func DeriveSeed(base, stream int64) int64 {
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
 	return int64(z)
-}
-
-// NewRunRNG returns the RNG for stream index i of a prepared session
-// with the given base seed.
-func NewRunRNG(base, stream int64) *rng.RNG {
-	return rng.New(DeriveSeed(base, stream))
 }

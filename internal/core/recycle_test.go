@@ -253,20 +253,20 @@ func TestRunPoolBelongsToItsGeneration(t *testing.T) {
 	inFlight := old.NewRun()
 	joins[0].Nodes()[0].Rel.AppendValues(relation.Value(500), relation.Value(5000))
 	joins[0].Nodes()[1].Rel.AppendValues(relation.Value(500), relation.Value(50000))
-	np, changed, err := Refresh(old, rng.New(4))
+	np, changed, err := old.Refresh(rng.New(4))
 	if err != nil || !changed {
 		t.Fatalf("refresh: changed %v, %v", changed, err)
 	}
 	inFlight.Release()
 	for i := 0; i < 8; i++ {
 		run := np.NewRun().(*CoverSampler)
-		if run == inFlight || run.shared != np {
+		if run == inFlight || run.prep != &np.(*CoverShared).prepared {
 			t.Fatalf("run %d of the refreshed generation belongs to %p, want %p (old-generation run reused: %v)",
-				i, run.shared, np, run == inFlight)
+				i, run.prep, np, run == inFlight)
 		}
 		run.Release()
 	}
-	if run := old.NewRun().(*CoverSampler); run.shared != old {
+	if run := old.NewRun().(*CoverSampler); run.prep != &old.prepared {
 		t.Fatal("the old generation handed out a run of another generation")
 	}
 
@@ -430,7 +430,7 @@ func TestRetiredGenerationIsCollectable(t *testing.T) {
 			run.Release()
 		}
 		joins[0].Nodes()[0].Rel.AppendValues(relation.Value(700), relation.Value(7000))
-		np, changed, err := Refresh(old, rng.New(4))
+		np, changed, err := old.Refresh(rng.New(4))
 		if err != nil || !changed {
 			t.Fatalf("refresh: changed %v, %v", changed, err)
 		}

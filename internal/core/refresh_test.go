@@ -33,9 +33,9 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 		}
 		walks := func(p PreparedSampler) *walkest.Estimator {
 			if o, ok := p.(*OnlineShared); ok {
-				return o.walks
+				return o.walker
 			}
-			return tuneWalker(p.(*CoverShared).cfg.Estimator)
+			return p.(*CoverShared).walker
 		}
 		before := walks(p)
 		if got := before.OverlapEstimate(j1and3); got != 0 {
@@ -57,7 +57,7 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 				b.AppendValues(relation.Value(k), relation.Value(k*100+1))
 			}
 		}
-		np, changed, err := Refresh(p, rng.New(8))
+		np, changed, err := p.Refresh(rng.New(8))
 		if err != nil || !changed {
 			t.Fatalf("online=%v: Refresh changed=%v err=%v", online, changed, err)
 		}
@@ -74,7 +74,7 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 					online, j, je.Walks(), je.Size(), walked[j], before.JoinEstimates()[j].Size())
 			}
 		}
-		st := LastRefresh(np)
+		st := np.LastRefresh()
 		want := RefreshStats{
 			DirtyJoins: 1,
 			Walks:      after.JoinEstimates()[2].Walks(),

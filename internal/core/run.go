@@ -1,0 +1,269 @@
+package core
+
+import (
+	"sync"
+	"time"
+
+	"sampleunion/internal/relation"
+	"sampleunion/internal/rng"
+)
+
+// Run is one sampling run over a prepared set-union sampler. A run owns
+// all per-draw mutable state (RNG-driven stream position, value-to-join
+// record, result buffer, Stats, online refinement); the prepared state
+// behind it is shared and read-only. Runs from the same prepared
+// sampler may execute concurrently as long as each uses its own RNG.
+type Run interface {
+	UnionSampler
+	// SampleBatch forwards to Sample.
+	//
+	// Deprecated: Sample is the batch engine; the name stays for
+	// callers compiled against it.
+	SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error)
+	// Params returns the parameters the run currently samples under:
+	// the shared warm-up estimates, refined per-run in online mode.
+	Params() *Params
+	// RNG restarts the generator the run carries at seed and returns it:
+	// the stream rng.New(seed) yields, without a new source per run.
+	RNG(seed int64) *rng.RNG
+	// Release hands the run back to the prepared generation it came
+	// from, whose next NewRun may reset and reuse it. The caller must be
+	// done with everything that points into the run — copy what Stats
+	// and Params return first (returned tuples are the caller's own) —
+	// and must not touch the run again. Releasing is optional: a run
+	// that is never released is simply collected.
+	Release()
+}
+
+var (
+	_ Run = (*CoverSampler)(nil)
+	_ Run = (*OnlineSampler)(nil)
+	_ Run = (*ShardedSampler)(nil)
+)
+
+// resultEntry is one buffered sample: the arena offset of the tuple's
+// value span plus the value's dense record handle (KeyCounter insertion
+// rank), which identifies the tuple's value for revision removal. The
+// tuple itself lives in the run's arena — buffering a sample allocates
+// nothing. join and prob are what Algorithm 2's backtracking pass thins
+// by; Algorithm 1 never reads them.
+type resultEntry struct {
+	key  int
+	off  int // start of the tuple's span in the run's arena
+	join int
+	prob float64 // inclusion probability the tuple was accepted under
+}
+
+// runState is the mutable state a run of either algorithm owns, embedded
+// by value in CoverSampler and OnlineSampler, and the one implementation
+// of what the two share: the value-to-join record with Algorithm 1's
+// accept/reject/revise rule (lines 8-14), the result buffer over a
+// run-owned arena, batch sizing and copy-out, and the reset / Release
+// half of recycling. The algorithms differ in how a candidate is
+// produced (a subroutine draw; a walk or a reused warm-up sample with a
+// multiplicity) and in online's backtracking pass.
+type runState struct {
+	runRNG
+	prep   *prepared            // the generation the run samples; nil once released
+	record *relation.KeyCounter // value (ref order) -> assigned join
+	result []resultEntry
+	arena  []relation.Value // backing store of buffered samples
+	stats  Stats
+}
+
+// reset starts the run over on generation p: record and buffers emptied
+// with their storage kept, counters zeroed. Nothing a later draw decides
+// can depend on what the storage held — the record answers only through
+// Lookup/At, and its handles restart at 0.
+func (s *runState) reset(p *prepared) {
+	s.prep = p
+	if s.record == nil {
+		s.record = p.base.recordKeys()
+	}
+	s.record.Reset()
+	s.result, s.arena = s.result[:0], s.arena[:0]
+	s.stats.reset(len(p.base.joins))
+	for i, v := range p.walkVar {
+		s.stats.Joins[i].WalkVariance = v
+	}
+}
+
+// maxPooledValues is the retention bound of the run pools: a released
+// run whose tuple buffer or record grew past this many values (2 MiB) is
+// dropped instead of pooled, so one very large request cannot pin its
+// buffers under a stream of small ones. Both are measured because they
+// grow apart on a run that gets several Sample calls: serveResult
+// compacts the arena after every call, while the record keeps every
+// distinct value the run has seen.
+const maxPooledValues = 1 << 18
+
+// release returns run — the sampler s is embedded in — to its
+// generation's pool when its buffers are within the retention bound, and
+// drops the run's pointer to the generation either way (see newRunPool).
+func (s *runState) release(run Run) {
+	p := s.prep
+	s.prep = nil
+	if cap(s.arena) <= maxPooledValues && s.record.Cap()*p.base.ref.Len() <= maxPooledValues {
+		p.runs.Put(run)
+	}
+}
+
+// newRunPool returns the pool a prepared generation recycles its released
+// runs through. It is allocated apart from the generation, and a run
+// gives up its pointer to the generation when it is released, because
+// sync.Pool keeps itself — and so whatever it is part of or holds —
+// reachable from a global list until the second collection after its
+// last Put: a pool embedded in the generation, or pooled runs pointing
+// back at it, would keep every retired generation's weight and alias
+// tables alive that long under a stream of appends.
+func newRunPool() *sync.Pool { return new(sync.Pool) }
+
+// runRNG is the generator a run carries across recycling.
+type runRNG struct{ g *rng.RNG }
+
+// RNG restarts the run's generator at seed (building it on first use)
+// and returns it.
+func (r *runRNG) RNG(seed int64) *rng.RNG {
+	if r.g == nil {
+		r.g = rng.New(seed)
+	} else {
+		r.g.Reseed(seed)
+	}
+	return r.g
+}
+
+// Stats returns the run's instrumentation.
+func (s *runState) Stats() *Stats { return &s.stats }
+
+// beginBatch sizes the result entries, the arena and the record for a
+// batch that ends with n samples buffered, so one Sample call allocates
+// each at most once, and opens the call's time booking: the counters as
+// they stand and the one clock reading before the draw loop.
+func (s *runState) beginBatch(n int) (Stats, time.Time) {
+	b := s.prep.base
+	if cap(s.result) < n {
+		s.result = append(make([]resultEntry, 0, n), s.result...)
+	}
+	need := n - len(s.result)
+	if k := need * b.ref.Len(); k > 0 && cap(s.arena)-len(s.arena) < k {
+		s.arena = append(make([]relation.Value, 0, len(s.arena)+k), s.arena...)
+	}
+	// A record never holds more than Σ_j |J_j| distinct values, and every
+	// subroutine sampler knows |J_j| or an upper bound of it: a large n
+	// over a small union costs the record nothing.
+	room := -float64(s.record.Len())
+	for _, js := range b.samplers {
+		room += js.SizeEstimate()
+	}
+	if float64(need) > room {
+		need = int(room)
+	}
+	s.record.Reserve(need)
+	return s.stats, time.Now()
+}
+
+// serveResult closes the batch beginBatch opened: it books the call's
+// elapsed time (bookBatchTime), copies the first n buffered samples out
+// as tuples over one flat backing (two allocations for the whole batch)
+// and compacts the arena behind the remaining entries — there are some
+// only when an online commit's instances overshot n. Entry offsets are
+// non-decreasing — the instances of one commit share one span — so
+// duplicates remap to the span's new position and distinct spans
+// forward-copy safely (the m-th distinct remaining span starts at or
+// after m*k).
+func (s *runState) serveResult(n int, before *Stats, start time.Time) []relation.Tuple {
+	s.stats.bookBatchTime(before, time.Since(start))
+	k := s.prep.base.ref.Len()
+	flat := make([]relation.Value, n*k)
+	out := make([]relation.Tuple, n)
+	for i := range out {
+		off := s.result[i].off
+		copy(flat[i*k:(i+1)*k], s.arena[off:off+k])
+		out[i] = relation.Tuple(flat[i*k : (i+1)*k : (i+1)*k])
+	}
+	s.result = s.result[:copy(s.result, s.result[n:])]
+	w := 0
+	prevOld, prevNew := -1, -1
+	for i := range s.result {
+		e := &s.result[i]
+		if e.off == prevOld {
+			e.off = prevNew
+			continue
+		}
+		prevOld = e.off
+		if e.off != w {
+			copy(s.arena[w:w+k], s.arena[e.off:e.off+k])
+		}
+		prevNew = w
+		e.off = w
+		w += k
+	}
+	s.arena = s.arena[:w]
+	return out
+}
+
+// accept applies lines 8-14 of Algorithm 1 to t, a candidate value of
+// join j in j's schema order: look the value up in the record, assign it
+// a join — by exact membership under the oracle, dynamically otherwise —
+// reject it when an earlier join covers it, and revise when it turns out
+// to belong to this earlier join. On acceptance it returns the value's
+// record handle for commit.
+func (s *runState) accept(j int, t relation.Tuple) (int, bool) {
+	b := s.prep.base
+	proj := b.perms[j]
+	k, seen := s.record.Lookup(t, proj)
+	if s.prep.oracle {
+		f := b.minContaining(j, t)
+		if seen {
+			s.record.SetAt(k, f)
+		} else {
+			k = s.record.PutNew(t, proj, f)
+		}
+		if f < j {
+			s.stats.RejectedDup++
+			return k, false
+		}
+		return k, true
+	}
+	if !seen {
+		return s.record.PutNew(t, proj, j), true
+	}
+	switch assigned := s.record.At(k); {
+	case assigned < j:
+		s.stats.RejectedDup++ // line 8: covered by an earlier join
+		return k, false
+	case assigned > j:
+		// Revision (lines 10-12): the value belongs to this earlier
+		// join; drop the copies credited to the later one.
+		s.record.SetAt(k, j)
+		s.stats.Revised++
+		s.removeKey(k)
+	}
+	return k, true
+}
+
+// removeKey drops every result tuple with the given record handle.
+func (s *runState) removeKey(k int) {
+	kept := s.result[:0]
+	for _, e := range s.result {
+		if e.key == k {
+			s.stats.RevisedRemoved++
+			continue
+		}
+		kept = append(kept, e)
+	}
+	s.result = kept
+}
+
+// commit buffers mult instances of the accepted tuple t (join j, record
+// handle k) as one arena span in reference schema order, recording the
+// inclusion probability they were accepted under for backtracking.
+func (s *runState) commit(k, j int, t relation.Tuple, mult int, prob float64) {
+	off := len(s.arena)
+	s.arena = s.prep.base.alignedAppend(j, t, s.arena)
+	for i := 0; i < mult; i++ {
+		s.result = append(s.result, resultEntry{key: k, off: off, join: j, prob: prob})
+	}
+	s.stats.Accepted += mult
+	s.stats.Joins[j].Accepted += mult
+}

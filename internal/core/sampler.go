@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/joinsample"
 	"sampleunion/internal/relation"
-	"sampleunion/internal/rng"
 )
 
 // JoinMethod selects the single-join sampling subroutine (§3.2).
@@ -39,25 +37,20 @@ func (m JoinMethod) String() string {
 
 // joinConfig is one join's subroutine configuration inside a union
 // base: the sampling method plus the alias-table threshold EW draws
-// build weighted-row alias tables at. Explicitly configured
-// unions use one uniform config per join (uniformJoinConfigs), which
-// reproduces the pre-tuning behavior exactly; an adaptive plan sets
+// build weighted-row alias tables at. A pinned configuration uses one
+// uniform config per join (uniformJoinConfigs); an adaptive plan sets
 // them per join.
 type joinConfig struct {
 	method   JoinMethod
 	aliasMin int
 }
 
-// uniformJoinConfigs is the non-adaptive configuration: every join
-// samples with the same method at the same alias threshold (<= 0
-// selects the engine default).
-func uniformJoinConfigs(n int, m JoinMethod, aliasMin int) []joinConfig {
-	if aliasMin <= 0 {
-		aliasMin = joinsample.DefaultAliasThreshold
-	}
+// uniformJoinConfigs is the pinned configuration: every join samples
+// with the same method at the engine's default alias threshold.
+func uniformJoinConfigs(n int, m JoinMethod) []joinConfig {
 	cfgs := make([]joinConfig, n)
 	for i := range cfgs {
-		cfgs[i] = joinConfig{method: m, aliasMin: aliasMin}
+		cfgs[i] = joinConfig{method: m, aliasMin: joinsample.DefaultAliasThreshold}
 	}
 	return cfgs
 }
@@ -88,7 +81,7 @@ type unionBase struct {
 	cfgs     []joinConfig
 	samplers []joinsample.Sampler
 	// pending[i]: samplers[i] does not describe join i's current data —
-	// never built (nil), or left by refreshedLazy as the predecessor its
+	// never built (nil), or left by reconciled as the predecessor its
 	// rebuild patches from. Always false once the base is published.
 	pending []bool
 	ref     *relation.Schema
@@ -107,13 +100,11 @@ type unionBase struct {
 	maxNodes int // scratch sizing: most tree nodes over all joins
 }
 
-// newUnionBase builds the shared join machinery with one subroutine
-// sampler per join, per cfgs. deferSamplers leaves the samplers nil —
-// the adaptive warm-up path plans per-join configs from the warm-up
-// statistics first and then builds every sampler once, via
-// applyJoinConfigs, instead of building a provisional set it would
-// immediately discard.
-func newUnionBase(joins []*join.Join, cfgs []joinConfig, deferSamplers bool) (*unionBase, error) {
+// newUnionBase builds the shared join machinery over cfgs, every
+// subroutine sampler pending: the warm-up plans per-join configs from its
+// statistics first and applyJoinConfigs then builds each sampler once —
+// under a pinned configuration the plan is cfgs itself.
+func newUnionBase(joins []*join.Join, cfgs []joinConfig) (*unionBase, error) {
 	if err := validateUnion(joins); err != nil {
 		return nil, err
 	}
@@ -133,9 +124,7 @@ func newUnionBase(joins []*join.Join, cfgs []joinConfig, deferSamplers bool) (*u
 		// degrees and link index.
 		j.FreshenResidual()
 		b.vers[i] = j.StateVersions()
-		if b.pending[i] = deferSamplers; !deferSamplers {
-			b.samplers[i] = newJoinSampler(j, cfgs[i], nil)
-		}
+		b.pending[i] = true
 		if !j.OutputSchema().Equal(b.ref) {
 			perm, err := alignPerm(b.ref, j)
 			if err != nil {
@@ -192,22 +181,12 @@ func (b *unionBase) clone() *unionBase {
 	return &nb
 }
 
-// refreshed returns a copy of the base whose dirty joins have
-// reconciled residuals and subroutine samplers rebuilt from their
-// predecessors; clean joins share their samplers with the old base.
-func (b *unionBase) refreshed() (*unionBase, []bool, bool) {
-	nb, dirty, changed := b.refreshedLazy()
-	if changed {
-		nb.applyJoinConfigs(nb.cfgs)
-	}
-	return nb, dirty, changed
-}
-
-// refreshedLazy is refreshed for the adaptive path: dirty joins
-// reconcile their residuals and mark their samplers pending instead of
-// rebuilding them eagerly — the re-plan inside the subsequent warm-up
-// rebuilds them once, under the new plan's configs.
-func (b *unionBase) refreshedLazy() (*unionBase, []bool, bool) {
+// reconciled returns a copy of the base whose dirty joins have
+// reconciled residuals and pending samplers — the plan of the warm-up
+// that follows rebuilds each once, from the sampler it replaces, under
+// that plan's config; clean joins share their samplers with the old
+// base. Nothing dirty: the base itself.
+func (b *unionBase) reconciled() (*unionBase, []bool, bool) {
 	dirty, any := dirtyJoins(b.joins, b.vers)
 	if !any {
 		return b, dirty, false
@@ -292,46 +271,6 @@ type drawScratch struct {
 	many []relation.Tuple
 }
 
-// maxPooledValues is the retention bound of the run pools: a released
-// run whose tuple buffer or record grew past this many values (2 MiB) is
-// dropped instead of pooled, so one very large request cannot pin its
-// buffers under a stream of small ones. Both are measured because they
-// grow apart on a run that gets several Sample calls: serveResult
-// compacts the arena after every call, while the record keeps every
-// distinct value the run has seen. The result entries never outnumber
-// the arena's tuples.
-const maxPooledValues = 1 << 18
-
-// poolable reports whether a released run's buffers are within the
-// retention bound.
-func (b *unionBase) poolable(arena []relation.Value, record *relation.KeyCounter) bool {
-	return cap(arena) <= maxPooledValues && record.Cap()*b.ref.Len() <= maxPooledValues
-}
-
-// newRunPool returns the pool a prepared generation recycles its released
-// runs through. It is allocated apart from the generation, and a run
-// gives up its pointer to the generation when it is released, because
-// sync.Pool keeps itself — and so whatever it is part of or holds —
-// reachable from a global list until the second collection after its
-// last Put: a pool embedded in the generation, or pooled runs pointing
-// back at it, would keep every retired generation's weight and alias
-// tables alive that long under a stream of appends.
-func newRunPool() *sync.Pool { return new(sync.Pool) }
-
-// runRNG is the generator a run carries across recycling.
-type runRNG struct{ g *rng.RNG }
-
-// RNG restarts the run's generator at seed (building it on first use)
-// and returns it.
-func (r *runRNG) RNG(seed int64) *rng.RNG {
-	if r.g == nil {
-		r.g = rng.New(seed)
-	} else {
-		r.g.Reseed(seed)
-	}
-	return r.g
-}
-
 func (b *unionBase) newScratch() drawScratch {
 	s := drawScratch{
 		out:   make(relation.Tuple, b.ref.Len()),
@@ -343,30 +282,10 @@ func (b *unionBase) newScratch() drawScratch {
 
 // recordKeys returns an empty tuple-keyed table for per-run records:
 // keys are tuples in reference schema order, inserted through the
-// join-specific alignment projection (recordProj).
+// join-specific alignment projection (perms[i], nil = identity).
 func (b *unionBase) recordKeys() *relation.KeyCounter {
 	return relation.NewKeyCounter(b.ref.Len(), 0)
 }
-
-// reserveRecord makes room in a run's record for the n values a batch is
-// about to add, capped at what the union can still add: a record never
-// holds more than Σ_j |J_j| distinct values, and every subroutine
-// sampler knows |J_j| or an upper bound of it. A large n over a small
-// union then costs the record nothing.
-func (b *unionBase) reserveRecord(record *relation.KeyCounter, n int) {
-	room := -float64(record.Len())
-	for _, s := range b.samplers {
-		room += s.SizeEstimate()
-	}
-	if float64(n) > room {
-		n = int(room)
-	}
-	record.Reserve(n)
-}
-
-// recordProj is the projection that maps a tuple in join i's schema
-// order onto the reference order for record lookups (nil = identity).
-func (b *unionBase) recordProj(i int) []int { return b.perms[i] }
 
 // alignedAppend appends the values of t (a tuple in join i's schema
 // order) to arena in reference schema order. Accepted draws ride this
@@ -382,42 +301,6 @@ func (b *unionBase) alignedAppend(i int, t relation.Tuple, arena []relation.Valu
 		arena = append(arena, t[p])
 	}
 	return arena
-}
-
-// growArena ensures arena has room for need more values without
-// reallocating mid-batch.
-func growArena(arena []relation.Value, need int) []relation.Value {
-	if need <= 0 || cap(arena)-len(arena) >= need {
-		return arena
-	}
-	na := make([]relation.Value, len(arena), len(arena)+need)
-	copy(na, arena)
-	return na
-}
-
-// growEntries grows a result buffer's capacity to n entries without
-// changing its contents, so one Sample call allocates it at most once.
-func growEntries[E any](r []E, n int) []E {
-	if cap(r) >= n {
-		return r
-	}
-	nr := make([]E, len(r), n)
-	copy(nr, r)
-	return nr
-}
-
-// serveFlat copies n buffered spans of arena out as tuples over one
-// flat backing: two allocations for the whole batch. offAt(i) returns
-// the i-th served entry's arena offset; k is the tuple width.
-func serveFlat(arena []relation.Value, n, k int, offAt func(int) int) []relation.Tuple {
-	flat := make([]relation.Value, n*k)
-	out := make([]relation.Tuple, n)
-	for i := 0; i < n; i++ {
-		off := offAt(i)
-		copy(flat[i*k:(i+1)*k], arena[off:off+k])
-		out[i] = relation.Tuple(flat[i*k : (i+1)*k : (i+1)*k])
-	}
-	return out
 }
 
 // minContaining returns f(t): the smallest join index whose result

@@ -11,6 +11,7 @@ import (
 	"sampleunion/internal/join"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
+	"sampleunion/internal/tune"
 )
 
 // This file implements the shard-parallel union sampler: every relation
@@ -51,11 +52,6 @@ type ShardedConfig struct {
 	Workers int
 	// Factory prepares one shard's sampler; required.
 	Factory ShardFactory
-	// Attr overrides the partition attribute (must be a common output
-	// attribute). Empty selects the attribute automatically: the one
-	// whose holders cover the most rows, so the largest share of the
-	// data is actually partitioned.
-	Attr string
 }
 
 // ShardedShared is the prepared state of the shard-parallel sampler: S
@@ -66,7 +62,7 @@ type ShardedConfig struct {
 type ShardedShared struct {
 	origJoins []*join.Join
 	cfg       ShardedConfig
-	attr      string
+	attr      string // the partition attribute, PartitionAttr's choice
 	workers   int
 
 	// parts hold the partitioned relations (one Partition per distinct
@@ -92,15 +88,10 @@ type ShardedShared struct {
 	refresh    RefreshStats // summed over the shards a Refresh rebuilt
 
 	// runs recycles released *ShardedSampler of this generation (see
-	// CoverShared.runs); the per-shard runs inside go back to their own
+	// prepared.runs); the per-shard runs inside go back to their own
 	// shard's pool.
 	runs *sync.Pool
 }
-
-var (
-	_ PreparedSampler = (*ShardedShared)(nil)
-	_ Run             = (*ShardedSampler)(nil)
-)
 
 // PartitionAttr selects the partition attribute for a union: among the
 // common output attributes, the one whose holder relations (distinct by
@@ -146,12 +137,7 @@ func PrepareSharded(joins []*join.Join, cfg ShardedConfig, g *rng.RNG) (*Sharded
 		return nil, err
 	}
 	start := time.Now()
-	attr := cfg.Attr
-	if attr == "" {
-		attr = PartitionAttr(joins)
-	} else if !joins[0].OutputSchema().Has(attr) {
-		return nil, fmt.Errorf("core: partition attribute %q is not an output attribute", attr)
-	}
+	attr := PartitionAttr(joins)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -231,28 +217,29 @@ func (p *ShardedShared) shardRel(s int) func(*relation.Relation) (*relation.Rela
 	}
 }
 
-// forEachShard runs f for every shard, in parallel up to p.workers.
-// Each f(s) touches only shard s's state plus concurrency-safe shared
-// structures (relation indexes, membership tables), so the fan-out is
-// race-free and — because every shard draws from its own derived
-// stream — deterministic regardless of scheduling.
-func (p *ShardedShared) forEachShard(f func(s int)) {
-	if p.workers <= 1 || p.cfg.Shards <= 1 {
-		for s := 0; s < p.cfg.Shards; s++ {
-			f(s)
+// fanOut runs f(0) … f(n-1) on at most workers goroutines, inline when
+// there is nothing to overlap. Every caller's f(i) touches only shard
+// i's state plus concurrency-safe shared structures (relation indexes,
+// membership tables), so the fan-out is race-free and — because every
+// shard draws from its own derived stream — deterministic regardless of
+// scheduling.
+func fanOut(workers, n int, f func(i int)) {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
 		}
 		return
 	}
-	sem := make(chan struct{}, p.workers)
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for s := 0; s < p.cfg.Shards; s++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(s int) {
+		go func(i int) {
 			defer wg.Done()
-			f(s)
+			f(i)
 			<-sem
-		}(s)
+		}(i)
 	}
 	wg.Wait()
 }
@@ -266,17 +253,17 @@ func (p *ShardedShared) warmShards(g *rng.RNG, prev []PreparedSampler) error {
 	p.perShard = make([]PreparedSampler, p.cfg.Shards)
 	errs := make([]error, p.cfg.Shards)
 	stats := make([]RefreshStats, p.cfg.Shards)
-	p.forEachShard(func(s int) {
+	fanOut(p.workers, p.cfg.Shards, func(s int) {
 		gs := rng.New(DeriveSeed(base, int64(s)))
 		var ps PreparedSampler
 		var err error
 		if prev != nil && prev[s] != nil {
 			var changed bool
-			ps, changed, err = Refresh(prev[s], gs)
+			ps, changed, err = prev[s].Refresh(gs)
 			// A clean shard returns prev[s] itself, whose stats are an
 			// earlier refresh's; a shard built by Factory has no work list.
 			if changed {
-				stats[s] = LastRefresh(ps)
+				stats[s] = ps.LastRefresh()
 			}
 		} else {
 			ps, err = p.cfg.Factory(p.shardJoins[s], gs)
@@ -325,10 +312,10 @@ func (p *ShardedShared) aggregate() error {
 	return nil
 }
 
-// stale reports whether any original join's state moved since the
+// Stale reports whether any original join's state moved since the
 // snapshot — the authoritative staleness signal for the sharded
 // sampler (per-shard samplers see fragments, which only move on Sync).
-func (p *ShardedShared) stale() bool {
+func (p *ShardedShared) Stale() bool {
 	_, any := dirtyJoins(p.origJoins, p.vers)
 	return any
 }
@@ -391,13 +378,32 @@ func (p *ShardedShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 	return np, true, nil
 }
 
-// prewarm forces every shard's lazily built shared structures.
-func (p *ShardedShared) prewarm() {
-	p.forEachShard(func(s int) {
+// Prewarm forces every shard's lazily built shared structures.
+func (p *ShardedShared) Prewarm() {
+	fanOut(p.workers, p.cfg.Shards, func(s int) {
 		if p.perShard[s] != nil {
-			Prewarm(p.perShard[s])
+			p.perShard[s].Prewarm()
 		}
 	})
+}
+
+// LastRefresh sums what the shards a Refresh rebuilt report.
+func (p *ShardedShared) LastRefresh() RefreshStats { return p.refresh }
+
+// Tuners returns the non-empty shards' controllers.
+func (p *ShardedShared) Tuners() []*tune.Controller {
+	var out []*tune.Controller
+	for _, ps := range p.perShard {
+		if ps != nil {
+			out = append(out, ps.Tuners()...)
+		}
+	}
+	return out
+}
+
+// Disjoint fails: the shards share no one set of subroutine samplers.
+func (p *ShardedShared) Disjoint() (*DisjointShared, error) {
+	return nil, fmt.Errorf("core: a sharded sampler has no subroutine samplers to share; use PrepareDisjoint")
 }
 
 // Params returns the aggregate parameters: per-join sizes, cover sizes,
@@ -407,18 +413,6 @@ func (p *ShardedShared) Params() *Params { return p.params }
 // WarmupTime reports how long the last (re)preparation took, wall
 // clock: parallel shard warm-ups overlap inside it.
 func (p *ShardedShared) WarmupTime() time.Duration { return p.warmupTime }
-
-// Shards returns the shard count.
-func (p *ShardedShared) Shards() int { return p.cfg.Shards }
-
-// Attr returns the partition attribute.
-func (p *ShardedShared) Attr() string { return p.attr }
-
-// ShardWeights returns the per-shard union-size weights (the alias
-// table's distribution); the slice is a copy.
-func (p *ShardedShared) ShardWeights() []float64 {
-	return append([]float64(nil), p.weights...)
-}
 
 // NewRun returns an independent sampling run: one per-shard run each
 // (its own record, scratch, and Stats), merged behind one Run interface.
@@ -437,12 +431,6 @@ func (p *ShardedShared) NewRun() Run {
 	}
 	return s
 }
-
-// unionBase implements PreparedSampler vacuously: a sharded sampler has
-// no single shared join base. Prewarm, Stale, Refresh, and
-// PrepareDisjointFrom all dispatch on the concrete type before touching
-// it.
-func (p *ShardedShared) unionBase() *unionBase { return nil }
 
 // ShardedSampler is one sampling run over the union of shards: per
 // tuple, the alias table picks a shard proportionally to |U_s| and the
@@ -512,27 +500,10 @@ func (s *ShardedSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 		}
 		busy = append(busy, sh)
 	}
-	drawShard := func(sh int) {
+	fanOut(s.shared.workers, len(busy), func(i int) {
+		sh := busy[i]
 		parts[sh], errs[sh] = s.runs[sh].Sample(counts[sh], s.runs[sh].RNG(DeriveSeed(base, int64(sh))))
-	}
-	if len(busy) == 1 || s.shared.workers <= 1 {
-		for _, sh := range busy {
-			drawShard(sh)
-		}
-	} else {
-		sem := make(chan struct{}, s.shared.workers)
-		var wg sync.WaitGroup
-		for _, sh := range busy {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(sh int) {
-				defer wg.Done()
-				drawShard(sh)
-				<-sem
-			}(sh)
-		}
-		wg.Wait()
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -57,7 +57,7 @@ func TestShardedAggregatesMatchUnsharded(t *testing.T) {
 			t.Fatalf("join %d cover: sharded %g, unsharded %g", j, sp.Cover[j], fp.Cover[j])
 		}
 	}
-	weights := p.ShardWeights()
+	weights := p.weights
 	if len(weights) != 4 {
 		t.Fatalf("%d weights", len(weights))
 	}
@@ -68,8 +68,8 @@ func TestShardedAggregatesMatchUnsharded(t *testing.T) {
 	if math.Abs(sum-fp.UnionSize) > 1e-6 {
 		t.Fatalf("shard weights sum to %g, |U| is %g", sum, fp.UnionSize)
 	}
-	if p.Shards() != 4 || p.Attr() != "K" {
-		t.Fatalf("Shards=%d Attr=%q", p.Shards(), p.Attr())
+	if len(p.perShard) != 4 || p.attr != "K" {
+		t.Fatalf("Shards=%d Attr=%q", len(p.perShard), p.attr)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestShardedToleratesEmptyShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	busy := 0
-	for _, w := range p.ShardWeights() {
+	for _, w := range p.weights {
 		if w > 0 {
 			busy++
 		}
@@ -163,11 +163,8 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := PrepareSharded(joins, ShardedConfig{Shards: 2}, rng.New(1)); err == nil {
 		t.Fatal("nil factory accepted")
 	}
-	if _, err := PrepareSharded(joins, ShardedConfig{Shards: 2, Factory: exactFactory, Attr: "nope"}, rng.New(1)); err == nil {
-		t.Fatal("unknown partition attribute accepted")
-	}
-	if _, err := PrepareDisjointFrom(mustSharded(t, joins)); err == nil {
-		t.Fatal("PrepareDisjointFrom accepted a sharded sampler")
+	if _, err := mustSharded(t, joins).Disjoint(); err == nil {
+		t.Fatal("a sharded sampler offered subroutine samplers to share")
 	}
 }
 
@@ -187,24 +184,24 @@ func TestShardedRefresh(t *testing.T) {
 	if err != nil || changed || np != PreparedSampler(p) {
 		t.Fatalf("clean refresh: changed=%t err=%v", changed, err)
 	}
-	if Stale(p) {
+	if p.Stale() {
 		t.Fatal("fresh sharded sampler reports stale")
 	}
 	// Mutate a base relation; Stale must trip, Refresh must reconcile.
 	rel := joins[0].Nodes()[0].Rel
 	rel.AppendValues(1000, 1)
 	rel.AppendValues(1001, 2)
-	if !Stale(p) {
+	if !p.Stale() {
 		t.Fatal("mutated sharded sampler not stale")
 	}
-	np2, changed, err := Refresh(p, rng.New(2))
+	np2, changed, err := p.Refresh(rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !changed {
 		t.Fatal("refresh over mutations reported no change")
 	}
-	if Stale(np2) {
+	if np2.Stale() {
 		t.Fatal("refreshed sampler still stale")
 	}
 	// The work list is the sum over the shards this refresh rebuilt. A
@@ -212,7 +209,7 @@ func TestShardedRefresh(t *testing.T) {
 	// their previous samplers, whose stats must not be counted again.
 	checkShardedRefreshStats(t, p, np2.(*ShardedShared))
 	rel.AppendValues(1002, 3)
-	np3, _, err := Refresh(np2, rng.New(3))
+	np3, _, err := np2.Refresh(rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +239,11 @@ func checkShardedRefreshStats(t *testing.T, prev, next *ShardedShared) {
 	rebuilt := 0
 	for s, ps := range next.perShard {
 		if ps != nil && ps != prev.perShard[s] {
-			want.add(LastRefresh(ps))
+			want.add(ps.LastRefresh())
 			rebuilt++
 		}
 	}
-	got := LastRefresh(next)
+	got := next.LastRefresh()
 	if got != want {
 		t.Fatalf("sharded RefreshStats %+v, per-shard sum %+v", got, want)
 	}
@@ -257,8 +254,14 @@ func checkShardedRefreshStats(t *testing.T, prev, next *ShardedShared) {
 
 func TestShardedPrewarm(t *testing.T) {
 	p, _ := prepareShardedFixture(t, 2)
-	Prewarm(p) // must dispatch to the sharded path, not unionBase()
-	if p.unionBase() != nil {
-		t.Fatal("sharded sampler exposes a union base")
+	Prewarm(p)
+	for s, joins := range p.shardJoins {
+		for _, j := range joins {
+			for _, n := range j.Nodes()[1:] {
+				if !n.Rel.StorageStats().Indexed[n.AttrPos] {
+					t.Errorf("shard %d: %s has no index on its join attribute after Prewarm", s, n.Rel.Name())
+				}
+			}
+		}
 	}
 }

@@ -135,37 +135,11 @@ func dropDirtyFeedback(c *tune.Controller, dirty []bool) {
 // tuneWalker extracts the retained walk estimator from a warm-up
 // estimator, when it has one.
 func tuneWalker(est Estimator) *walkest.Estimator {
-	if rw, ok := est.(*RandomWalkEstimator); ok {
-		return rw.Walker
-	}
-	return nil
-}
-
-// Tuners returns the adaptive controllers driving a prepared sampler:
-// a single controller for the cover and online engines, one per
-// non-empty shard for the sharded engine, nil when the sampler is not
-// adaptive. The session layer uses it to query pending re-plans and to
-// report tuner decisions without holding controller references across
-// refresh-time rebuilds.
-func Tuners(p PreparedSampler) []*tune.Controller {
-	switch v := p.(type) {
-	case *CoverShared:
-		if v.cfg.Tuner != nil {
-			return []*tune.Controller{v.cfg.Tuner}
-		}
-	case *OnlineShared:
-		if v.cfg.Tuner != nil {
-			return []*tune.Controller{v.cfg.Tuner}
-		}
-	case *ShardedShared:
-		var out []*tune.Controller
-		for _, ps := range v.perShard {
-			if ps == nil {
-				continue
-			}
-			out = append(out, Tuners(ps)...)
-		}
-		return out
+	switch e := est.(type) {
+	case *RandomWalkEstimator:
+		return e.Walker
+	case *onlineWarmup:
+		return e.walks
 	}
 	return nil
 }

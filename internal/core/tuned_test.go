@@ -81,7 +81,7 @@ func TestTunedCoverLifecycle(t *testing.T) {
 	if ctrl.Plan() == nil {
 		t.Fatal("no plan installed at Prepare")
 	}
-	if got := len(Tuners(p)); got != 1 {
+	if got := len(p.Tuners()); got != 1 {
 		t.Fatalf("Tuners returned %d controllers, want 1", got)
 	}
 	if p.Params() == nil || p.WarmupTime() <= 0 {
@@ -97,9 +97,9 @@ func TestTunedCoverLifecycle(t *testing.T) {
 	if got := p.Params().JoinSizes[0]; got != 79 {
 		t.Fatalf("escalated join size = %v, want the exact 79", got)
 	}
-	checkMembers(t, joins, p.NewRun(), 500, NewRunRNG(11, 1))
+	checkMembers(t, joins, p.NewRun(), 500, rng.New(DeriveSeed(11, 1)))
 
-	if Stale(p) {
+	if p.Stale() {
 		t.Fatal("prepared sampler stale before any mutation")
 	}
 	// Double the heavy fan-out and delete one flat row: join 0 dirty.
@@ -110,10 +110,10 @@ func TestTunedCoverLifecycle(t *testing.T) {
 	}
 	b.AppendRows(extra)
 	b.Delete(heavyLiveRow(t, b, 70))
-	if !Stale(p) {
+	if !p.Stale() {
 		t.Fatal("mutation not detected as stale")
 	}
-	np, changed, err := Refresh(p, rng.New(12))
+	np, changed, err := p.Refresh(rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTunedCoverLifecycle(t *testing.T) {
 	if got := ctrl.Snapshot().Replans; got != 2 {
 		t.Fatalf("replans = %d after Refresh, want 2", got)
 	}
-	checkMembers(t, joins, np.NewRun(), 500, NewRunRNG(11, 2))
+	checkMembers(t, joins, np.NewRun(), 500, rng.New(DeriveSeed(11, 2)))
 }
 
 // heavyLiveRow returns the index of the n-th live row of r.
@@ -169,7 +169,7 @@ func TestTunedCoverRejectionReplan(t *testing.T) {
 	if ObserveRun(nil, cur, prev) == nil {
 		t.Fatal("nil controller must pass the previous snapshot through")
 	}
-	np, changed, err := Refresh(p, rng.New(22))
+	np, changed, err := p.Refresh(rng.New(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestTunedCoverRejectionReplan(t *testing.T) {
 		t.Fatal("Refresh returned the old prepared sampler")
 	}
 	// A second Refresh with no mutation and no pending flag is a no-op.
-	_, changed, err = Refresh(np, rng.New(23))
+	_, changed, err = np.Refresh(rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +218,10 @@ func TestTunedOnlineLifecycle(t *testing.T) {
 	if got := p.Params().JoinSizes[0]; got != 79 {
 		t.Fatalf("escalated join size = %v, want the exact 79", got)
 	}
-	if got := len(Tuners(p)); got != 1 {
+	if got := len(p.Tuners()); got != 1 {
 		t.Fatalf("Tuners returned %d controllers, want 1", got)
 	}
-	checkMembers(t, joins, p.NewRun(), 300, NewRunRNG(31, 1))
+	checkMembers(t, joins, p.NewRun(), 300, rng.New(DeriveSeed(31, 1)))
 
 	// Shrink the heavy fan-out to 8: join 0 dirty, its walks and its
 	// accumulated feedback reset, and the re-plan reads fresh priors.
@@ -232,10 +232,10 @@ func TestTunedOnlineLifecycle(t *testing.T) {
 			gone++
 		}
 	}
-	if !Stale(p) {
+	if !p.Stale() {
 		t.Fatal("mutation not detected as stale")
 	}
-	np, changed, err := Refresh(p, rng.New(32))
+	np, changed, err := p.Refresh(rng.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestTunedOnlineLifecycle(t *testing.T) {
 	if got := ctrl.Snapshot().Replans; got != 2 {
 		t.Fatalf("replans = %d after Refresh, want 2", got)
 	}
-	checkMembers(t, joins, np.NewRun(), 300, NewRunRNG(31, 2))
+	checkMembers(t, joins, np.NewRun(), 300, rng.New(DeriveSeed(31, 2)))
 }
 
 // TestNewRunRNGStreams: stream derivation must decorrelate both nearby
@@ -254,7 +254,7 @@ func TestNewRunRNGStreams(t *testing.T) {
 	if DeriveSeed(1, 0) == DeriveSeed(1, 1) || DeriveSeed(1, 0) == DeriveSeed(2, 0) {
 		t.Fatal("DeriveSeed collapsed nearby inputs")
 	}
-	a, b := NewRunRNG(1, 0), NewRunRNG(1, 1)
+	a, b := rng.New(DeriveSeed(1, 0)), rng.New(DeriveSeed(1, 1))
 	same := 0
 	for i := 0; i < 8; i++ {
 		if a.Uint64() == b.Uint64() {

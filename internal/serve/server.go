@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -29,15 +28,8 @@ type Config struct {
 	SessionCap int
 	// MaxInflight bounds concurrently executing draw requests; past it
 	// the server sheds load with 429 + Retry-After instead of queueing
-	// without bound. Default 16 × GOMAXPROCS ÷ ShardWorkers (min 1):
-	// sharded sessions fan every batch request out to ShardWorkers
-	// goroutines, so the admission cap is divided by the fan-out to keep
-	// one batch request from oversubscribing the cores.
+	// without bound. Default defaultMaxInflight.
 	MaxInflight int
-	// ShardWorkers is the per-request shard fan-out sessions prepared
-	// with a shards option use (the worker-pool width of one batch
-	// draw). It only scales the MaxInflight default; default GOMAXPROCS.
-	ShardWorkers int
 
 	// DurableDir enables durable ingest: per-relation WALs, snapshot
 	// checkpoints, and the boot manifest live under it, and every
@@ -97,19 +89,17 @@ type Server struct {
 	stopCh   chan struct{}
 }
 
+// defaultMaxInflight is the admission cap of a server configured with
+// none, whatever the core count.
+const defaultMaxInflight = 16
+
 // New builds a Server.
 func New(cfg Config) *Server {
 	if cfg.SessionCap <= 0 {
 		cfg.SessionCap = 8
 	}
-	if cfg.ShardWorkers <= 0 {
-		cfg.ShardWorkers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 16 * runtime.GOMAXPROCS(0) / cfg.ShardWorkers
-		if cfg.MaxInflight < 1 {
-			cfg.MaxInflight = 1
-		}
+		cfg.MaxInflight = defaultMaxInflight
 	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 4096

@@ -132,7 +132,7 @@ func (u *Union) prepare(o Options, prewarm bool) (*Session, error) {
 		return nil, err
 	}
 	if prewarm {
-		core.Prewarm(prepared)
+		prepared.Prewarm()
 	}
 	s := &Session{u: u, opts: o}
 	s.state.Store(newSessionState(prepared))
@@ -157,7 +157,7 @@ func newSessionState(prepared core.PreparedSampler) *sessionState {
 // Auto, the controller's rejection trigger requested a re-plan.
 func (s *Session) cur() (*sessionState, error) {
 	st := s.state.Load()
-	if s.opts.AutoRefresh && (core.Stale(st.prepared) || needsReplan(st)) {
+	if s.opts.AutoRefresh && (st.prepared.Stale() || needsReplan(st)) {
 		if err := s.Refresh(); err != nil {
 			return nil, err
 		}
@@ -170,7 +170,7 @@ func (s *Session) cur() (*sessionState, error) {
 // raised the rejection trigger since the last re-plan boundary. Always
 // false for non-Auto sessions.
 func needsReplan(st *sessionState) bool {
-	for _, c := range core.Tuners(st.prepared) {
+	for _, c := range st.prepared.Tuners() {
 		if c.NeedsReplan() {
 			return true
 		}
@@ -187,7 +187,7 @@ func (s *Session) observe(st *sessionState, run core.Run) {
 	if !s.opts.Auto || s.opts.Shards > 1 {
 		return
 	}
-	if ts := core.Tuners(st.prepared); len(ts) == 1 {
+	if ts := st.prepared.Tuners(); len(ts) == 1 {
 		core.ObserveRun(ts[0], run.Stats().Joins, nil)
 	}
 }
@@ -197,7 +197,7 @@ func (s *Session) observe(st *sessionState, run core.Run) {
 // parameters estimated over the old contents until Refresh runs. It
 // costs a few atomic loads.
 func (s *Session) Stale() bool {
-	return core.Stale(s.state.Load().prepared)
+	return s.state.Load().prepared.Stale()
 }
 
 // Refresh reconciles the session with mutated data without a cold
@@ -216,22 +216,22 @@ func (s *Session) Refresh() error {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
 	st := s.state.Load()
-	if !core.Stale(st.prepared) && !needsReplan(st) {
+	if !st.prepared.Stale() && !needsReplan(st) {
 		return nil
 	}
 	start := time.Now()
 	s.refreshes++
 	g := rng.New(core.DeriveSeed(s.opts.Seed, -s.refreshes))
-	np, changed, err := core.Refresh(st.prepared, g)
+	np, changed, err := st.prepared.Refresh(g)
 	if err != nil {
 		return err
 	}
 	if !changed {
 		return nil
 	}
-	core.Prewarm(np)
+	np.Prewarm()
 	ns := newSessionState(np)
-	ns.refresh = core.LastRefresh(np)
+	ns.refresh = np.LastRefresh()
 	ns.refresh.Duration = time.Since(start)
 	s.state.Store(ns)
 	return nil
@@ -266,7 +266,7 @@ func (s *Session) disjointShared(st *sessionState) (*core.DisjointShared, error)
 			})
 			return
 		}
-		st.disjoint, st.disjointErr = core.PrepareDisjointFrom(st.prepared)
+		st.disjoint, st.disjointErr = st.prepared.Disjoint()
 	})
 	return st.disjoint, st.disjointErr
 }
@@ -285,7 +285,7 @@ type TuneJoinDecision = tune.JoinDecision
 // (Exact if any shard escalated, the largest walk budget, the lowest
 // alias threshold; Method is shard 0's).
 func (s *Session) TuneSnapshot() (TuneSnapshot, bool) {
-	ts := core.Tuners(s.state.Load().prepared)
+	ts := s.state.Load().prepared.Tuners()
 	if len(ts) == 0 {
 		return TuneSnapshot{}, false
 	}
