@@ -1,0 +1,70 @@
+package serve
+
+import (
+	"encoding/json"
+	"testing"
+)
+
+// TestDeclKeysPinned pins, byte for byte, what a declaration hashes to
+// and what its normalized form serializes to. Keys name on-disk WAL
+// directories and manifest entries, and followers exchange the
+// normalized declaration JSON, so neither may move when the option
+// vocabulary is refactored: a changed row here means a -data-dir
+// written by an older binary no longer restores. Declarations are given
+// as the wire spells them, so the table does not depend on how the Go
+// types behind the wire are declared.
+func TestDeclKeysPinned(t *testing.T) {
+	const (
+		defaultKey = "d6b0ff43c5fe0e3d7656dfe601e5d87a714016c13505311afb27f411fa601c3e"
+		defaultDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"random-walk","method":"EW","warmup_walks":1000,"seed":1,"shards":1}}`
+		autoKey    = "0f386402b9ca9b8d3ca1511c7d9ee198611d64eb099d5641e54af9f0ee7d4d13"
+		autoDoc    = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"auto","method":"auto","warmup_walks":128,"seed":1,"shards":1}}`
+	)
+	for _, tc := range []struct {
+		name, decl, key, normalized string
+	}{
+		{"empty options", `{}`, defaultKey, defaultDoc},
+		{"explicit random-walk EW", `{"workload":"UQ1","options":{"warmup":"random-walk","method":"EW"}}`, defaultKey, defaultDoc},
+		{"warmup auto", `{"options":{"warmup":"auto"}}`, autoKey, autoDoc},
+		{"method auto spelled out", `{"options":{"method":"auto","warmup_walks":128}}`, autoKey, autoDoc},
+		{"histogram EO", `{"workload":"UQ2","sf":0.05,"options":{"warmup":"histogram","method":"EO","seed":7}}`,
+			"96b3c76d7aa99b3c155cc2bb9343abcd98cfdf098da27a51f3d0761bfdd45112",
+			`{"workload":"UQ2","sf":0.05,"overlap":0.2,"data_seed":1,"options":{"warmup":"histogram","method":"EO","warmup_walks":1000,"seed":7,"shards":1}}`},
+		{"online", `{"options":{"online":true}}`,
+			"1b21793157cf2dd168a52b20996b417c5443601a9049fdb8537766741f05be2c",
+			`{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"random-walk","method":"EW","online":true,"warmup_walks":1000,"seed":1,"shards":1}}`},
+		{"negative walks", `{"options":{"online":true,"warmup_walks":-7}}`,
+			"816b370351943aadb474f90ab66c76e6fa87fe956f4d744b058370045614148f",
+			`{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"random-walk","method":"EW","online":true,"warmup_walks":-1,"seed":1,"shards":1}}`},
+		{"shards", `{"workload":"UQ3","overlap":0.5,"data_seed":9,"options":{"shards":3}}`,
+			"ff02c9a5d44bd32f58c6d104917507cd613b81c36487fbf7e45088edbbdd26c4",
+			`{"workload":"UQ3","sf":0.1,"overlap":0.5,"data_seed":9,"options":{"warmup":"random-walk","method":"EW","warmup_walks":1000,"seed":1,"shards":3}}`},
+		{"inline spec", `{"spec":"rel x x.csv\nchain J x k x","options":{"seed":1}}`,
+			"c14fa8ac2b5797e7ce3828467501416efe8eb10158097908c7dc58393a233668",
+			`{"spec":"rel x x.csv\nchain J x k x","options":{"warmup":"random-walk","method":"EW","warmup_walks":1000,"seed":1,"shards":1}}`},
+		{"exact WJ oracle", `{"options":{"warmup":"exact","method":"WJ","oracle":true}}`,
+			"18557bf0823326dd225840f65ae48ae34f1713f2175e9aeeb55d914cf8027e51",
+			`{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"exact","method":"WJ","warmup_walks":1000,"oracle":true,"seed":1,"shards":1}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var d UnionDecl
+			if err := json.Unmarshal([]byte(tc.decl), &d); err != nil {
+				t.Fatal(err)
+			}
+			key, err := d.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if key != tc.key {
+				t.Errorf("Key() = %s, pinned %s", key, tc.key)
+			}
+			got, err := json.Marshal(d.normalize())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.normalized {
+				t.Errorf("normalized declaration\n got %s\nwant %s", got, tc.normalized)
+			}
+		})
+	}
+}
