@@ -271,8 +271,8 @@ func appendBurst(rels []*Relation, iter, batch, base int) {
 // (random-walk warm-up + EO subroutine: index-only setup, walk cost
 // independent of data size), so refresh cost is O(delta + walks) while
 // rebuild is O(data); the per-op gap is the amortized-maintenance claim
-// (12.4x when it landed; PR 3 in CHANGES.md). refresh-ew is what
-// serverd resolves an empty declaration to (random-walk warm-up + EW):
+// (12.4x when it landed; PR 3 in CHANGES.md). refresh-ew is the
+// pairing the zero Options selects (random-walk warm-up + EW):
 // the dirty joins' weight tables are patched from their predecessors',
 // so the work is the burst's neighbourhood — here 32 new one-row
 // segments per join — plus whatever large segment the burst reaches.

@@ -12,6 +12,8 @@
 //	sampler -spec union.spec -data ./data -n 1000 -workers 4
 //	sampler -workload UQ2 -n 1000 -warmup auto
 //
+// -warmup and -method are sampleunion.Options' Warmup and Method, spelled
+// as the library spells them; left out, they mean random-walk and EW.
 // -warmup auto (equivalently -method auto) enables adaptive tuning:
 // the session plans the warm-up escalation and the per-join subroutine
 // itself. Since the plan owns both decisions, pinning the other knob
@@ -19,10 +21,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 
 	"sampleunion"
 	"sampleunion/internal/spec"
@@ -37,21 +41,14 @@ func main() {
 	sf := flag.Float64("sf", 1, "scale factor (built-in workloads)")
 	ov := flag.Float64("overlap", 0.2, "overlap scale (built-in workloads)")
 	seed := flag.Int64("seed", 1, "random seed")
-	warmup := flag.String("warmup", "random-walk", "warm-up: histogram, random-walk, exact, or auto (adaptive tuning)")
-	method := flag.String("method", "EW", "join subroutine: EW, EO, WJ, or auto (adaptive tuning)")
+	warmup := flag.String("warmup", "", "warm-up: histogram, random-walk, exact, or auto (adaptive tuning); empty means random-walk")
+	method := flag.String("method", "", "join subroutine: EW, EO, WJ, or auto (adaptive tuning); empty means EW")
 	online := flag.Bool("online", false, "use the online sampler (Algorithm 2)")
 	workers := flag.Int("workers", 1, "parallel sampling workers sharing one warm-up")
 	showStats := flag.Bool("stats", true, "print run statistics to stderr")
 	flag.Parse()
 
-	// Which flags the user actually set, as opposed to flag defaults:
-	// auto-mode conflicts are about explicit pins, so -warmup auto with
-	// -method left at its default is fine, while -warmup auto -method EW
-	// is a contradiction.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	o, err := options(*warmup, *method, explicit["warmup"], explicit["method"], *online, *seed)
+	o, err := options(*warmup, *method, *online, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
@@ -75,43 +72,28 @@ func loadUnion(specPath, dataDir, workload string, sf, ov float64, seed int64) (
 		}
 		return sampleunion.NewUnion(u.Joins...)
 	}
-	ws, err := tpch.Workloads(tpch.Config{SF: sf, Overlap: ov, Seed: seed})
+	w, err := tpch.ByName(workload, tpch.Config{SF: sf, Overlap: ov, Seed: seed})
 	if err != nil {
 		return nil, err
-	}
-	w, ok := ws[workload]
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q (UQ1, UQ2, UQ3)", workload)
 	}
 	return sampleunion.NewUnion(w.Joins...)
 }
 
-// options parses the -warmup and -method strings, rejecting anything
-// that is not a documented value: silently coercing a typo (say
-// -warmup=histgram) to a default would sample under the wrong
-// configuration without any sign of it. "auto" in either flag enables
-// adaptive tuning; explicitly pinning the other flag alongside it is
-// rejected the same way (adaptive mode owns both decisions — ignoring
-// the pin would sample under a configuration the user did not ask
-// for).
-func options(warmup, method string, warmupSet, methodSet bool, online bool, seed int64) (sampleunion.Options, error) {
-	o := sampleunion.Options{Online: online, Seed: seed}
-	if warmup == "auto" || method == "auto" {
-		if warmup != "auto" && warmupSet {
-			return o, fmt.Errorf("-method auto conflicts with -warmup %s: adaptive mode plans the warm-up (drop -warmup)", warmup)
-		}
-		if method != "auto" && methodSet {
-			return o, fmt.Errorf("-warmup auto conflicts with -method %s: adaptive mode picks the subroutine per join (drop -method)", method)
-		}
-		o.Auto = true
-		return o, nil
-	}
-	var err error
-	if o.Warmup, err = sampleunion.ParseWarmup(warmup); err != nil {
-		return o, fmt.Errorf("-warmup: %w", err)
-	}
-	if o.Method, err = sampleunion.ParseMethod(method); err != nil {
-		return o, fmt.Errorf("-method: %w", err)
+// options hands the -warmup and -method strings to the library as they
+// are and has Options.Canonical judge them, so a typo (-warmup=histgram)
+// or an explicit pin beside auto is an error here, before any data is
+// generated, rather than a sample under a configuration the user did not
+// ask for. The library names the two fields as the wire does; the flags
+// are those names behind a dash.
+func options(warmup, method string, online bool, seed int64) (sampleunion.Options, error) {
+	o, err := sampleunion.Options{
+		Warmup: sampleunion.Warmup(warmup),
+		Method: sampleunion.Method(method),
+		Online: online,
+		Seed:   seed,
+	}.Canonical()
+	if err != nil {
+		return o, errors.New(strings.NewReplacer("warmup ", "-warmup ", "method ", "-method ").Replace(err.Error()))
 	}
 	return o, nil
 }

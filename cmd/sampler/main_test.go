@@ -8,25 +8,25 @@ import (
 )
 
 func TestOptionsParsing(t *testing.T) {
+	// An empty string is a flag the user left out.
 	cases := []struct {
 		name           string
 		warmup, method string
-		wSet, mSet     bool
 		wantAuto       bool
 		wantErr        string
 	}{
-		{name: "defaults", warmup: "random-walk", method: "EW"},
-		{name: "warmup auto", warmup: "auto", method: "EW", wSet: true, wantAuto: true},
-		{name: "method auto", warmup: "random-walk", method: "auto", mSet: true, wantAuto: true},
-		{name: "both auto", warmup: "auto", method: "auto", wSet: true, mSet: true, wantAuto: true},
-		{name: "auto vs pinned method", warmup: "auto", method: "EO", wSet: true, mSet: true, wantErr: "conflicts with -method EO"},
-		{name: "auto vs pinned warmup", warmup: "exact", method: "auto", wSet: true, mSet: true, wantErr: "conflicts with -warmup exact"},
-		{name: "warmup typo", warmup: "histgram", method: "EW", wSet: true, wantErr: "-warmup"},
-		{name: "method typo", warmup: "random-walk", method: "EX", mSet: true, wantErr: "-method"},
+		{name: "defaults"},
+		{name: "warmup auto", warmup: "auto", wantAuto: true},
+		{name: "method auto", method: "auto", wantAuto: true},
+		{name: "both auto", warmup: "auto", method: "auto", wantAuto: true},
+		{name: "auto vs pinned method", warmup: "auto", method: "EO", wantErr: "conflicts with -method EO"},
+		{name: "auto vs pinned warmup", warmup: "exact", method: "auto", wantErr: "conflicts with -warmup exact"},
+		{name: "warmup typo", warmup: "histgram", wantErr: "-warmup"},
+		{name: "method typo", method: "EX", wantErr: "-method"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o, err := options(tc.warmup, tc.method, tc.wSet, tc.mSet, false, 7)
+			o, err := options(tc.warmup, tc.method, false, 7)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
@@ -36,13 +36,20 @@ func TestOptionsParsing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if o.Auto != tc.wantAuto {
-				t.Fatalf("Auto = %v, want %v", o.Auto, tc.wantAuto)
+			if auto := o.Warmup == sampleunion.WarmupAuto; auto != tc.wantAuto {
+				t.Fatalf("auto = %v, want %v", auto, tc.wantAuto)
 			}
 			if o.Seed != 7 {
 				t.Fatalf("Seed = %d, want 7", o.Seed)
 			}
 		})
+	}
+	// With neither flag given the CLI samples under what the library's
+	// zero Options and an empty served declaration mean (the same literal
+	// is pinned in the root package and internal/serve).
+	want := sampleunion.Options{Warmup: sampleunion.WarmupRandomWalk, Method: sampleunion.MethodEW, WarmupWalks: 1000, Seed: 7, Shards: 1}
+	if got, err := options("", "", false, 7); err != nil || got != want {
+		t.Fatalf("options with no -warmup/-method = %+v, %v; want %+v", got, err, want)
 	}
 }
 
@@ -64,7 +71,7 @@ func TestRunDrawsCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := sampleunion.Options{Auto: true, Seed: 1}
+	o := sampleunion.Options{Warmup: sampleunion.WarmupAuto, Seed: 1}
 	if err := run(u, 8, 1, o, false); err != nil {
 		t.Fatal(err)
 	}

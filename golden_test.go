@@ -193,10 +193,10 @@ func goldenModes(t testing.TB) []goldenMode {
 		{"shard-cover-ew", u, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3}},
 		{"shard-online", u, Options{Online: true, WarmupWalks: 150, Shards: 2}},
 		{"shard-cyclic-eo", cu, Options{Warmup: WarmupHistogram, Method: MethodEO, Shards: 2}},
-		{"auto-cover", u, Options{Auto: true}},
-		{"auto-online", u, Options{Auto: true, Online: true}},
-		{"auto-cyclic", cu, Options{Auto: true}},
-		{"auto-shard", u, Options{Auto: true, Shards: 2}},
+		{"auto-cover", u, Options{Warmup: WarmupAuto}},
+		{"auto-online", u, Options{Warmup: WarmupAuto, Online: true}},
+		{"auto-cyclic", cu, Options{Warmup: WarmupAuto}},
+		{"auto-shard", u, Options{Warmup: WarmupAuto, Shards: 2}},
 	}
 }
 
@@ -252,7 +252,7 @@ func goldenScenarios(t testing.TB) []scenario {
 		scenario{"mutate-cyclic-eo", mutateCyclicDraw(t)},
 		// Dirty shards rebuilt via the delta path.
 		scenario{"shard-mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3})},
-		scenario{"auto-mutate", mutateDraw(t, Options{Auto: true})},
+		scenario{"auto-mutate", mutateDraw(t, Options{Warmup: WarmupAuto})},
 	)
 }
 

@@ -9,7 +9,7 @@ import (
 	"sampleunion/internal/tpch"
 )
 
-// Adaptive pits the tuner (Options.Auto) against a hand-tuned grid of
+// Adaptive pits the tuner (WarmupAuto) against a hand-tuned grid of
 // fixed configurations: each scenario is prepared and sampled end to
 // end — warm-up plus N draws, plus a mutation burst, refresh, and N
 // more draws where the scenario mutates — under every configuration,
@@ -36,7 +36,7 @@ func Adaptive(o Options) (*Result, error) {
 		{"rw-WJ", su.Options{Warmup: su.WarmupRandomWalk, Method: su.MethodWJ, Seed: o.Seed}},
 		{"exact-EW", su.Options{Warmup: su.WarmupExact, Method: su.MethodEW, Seed: o.Seed}},
 	}
-	auto := su.Options{Auto: true, Seed: o.Seed}
+	auto := su.Options{Warmup: su.WarmupAuto, Seed: o.Seed}
 
 	res := &Result{
 		Name:   "adaptive tuning vs hand-tuned configurations (end-to-end ms)",

@@ -48,10 +48,11 @@ type Stats struct {
 	// draws that ended accepted; RejectTime on draws that ended
 	// rejected. ReuseTime/RegularTime hold the total time (accepted and
 	// rejected attempts) of the reuse and regular phases of the online
-	// sampler, so PerAcceptedReuse/PerAcceptedRegular reproduce the
-	// paper's Fig 6b per-phase cost metric. The clock is read once per
-	// Sample call and split by attempt counts (bookBatchTime): a phase
-	// comparison is as fine-grained as the calls it is drawn in.
+	// sampler, so dividing by ReuseAccepted and Accepted-ReuseAccepted
+	// reproduces the paper's Fig 6b per-phase cost metric. The clock is
+	// read once per Sample call and split by attempt counts
+	// (bookBatchTime): a phase comparison is as fine-grained as the
+	// calls it is drawn in.
 	WarmupTime  time.Duration
 	AcceptTime  time.Duration
 	RejectTime  time.Duration
@@ -133,25 +134,6 @@ func (s *Stats) bookBatchTime(before *Stats, d time.Duration) {
 	reused := share(reuse)
 	s.ReuseTime += reused
 	s.RegularTime += d - reused
-}
-
-// PerAcceptedReuse returns the average time to produce one accepted
-// sample in the reuse phase (Fig 6b); zero when the phase was unused.
-func (s *Stats) PerAcceptedReuse() time.Duration {
-	if s.ReuseAccepted == 0 {
-		return 0
-	}
-	return s.ReuseTime / time.Duration(s.ReuseAccepted)
-}
-
-// PerAcceptedRegular returns the average time per accepted sample in
-// the regular phase (Fig 6b).
-func (s *Stats) PerAcceptedRegular() time.Duration {
-	regular := s.Accepted - s.ReuseAccepted
-	if regular <= 0 {
-		return 0
-	}
-	return s.RegularTime / time.Duration(regular)
 }
 
 func (s *Stats) String() string {

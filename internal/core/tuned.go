@@ -12,10 +12,10 @@ import (
 // prepared samplers. The division of labor: tune.Build is a pure
 // function from observed statistics to a Plan; this file gathers those
 // statistics from a warm-up (sizes and cover shares from Params,
-// variance trajectories from the walk estimator, structural facts from
-// the joins) and applies the resulting decisions (per-join subroutine
-// configs, exact-count escalation, walk-budget escalation, the batch
-// slice cap).
+// relative confidence half-widths from the walk estimator, structural
+// facts from the joins) and applies the resulting decisions (per-join
+// subroutine configs, exact-count escalation, walk-budget escalation,
+// the batch slice cap).
 //
 // Determinism: every input to the plan derives from the seeded warm-up
 // stream plus draw counters the controller folded in at the previous
@@ -24,7 +24,7 @@ import (
 // change only at Prepare/Refresh boundaries, never mid-stream.
 
 // gatherTuneStats assembles the planner inputs for a union from a
-// completed warm-up. walker carries per-join walk trajectories when
+// completed warm-up. walker carries per-join walk estimates when
 // the warm-up was walk-based (nil otherwise); exact marks the sizes as
 // ground truth (the exact estimator), which suppresses escalation.
 func gatherTuneStats(joins []*join.Join, params *Params, walker *walkest.Estimator, exact bool) []tune.JoinStats {
@@ -144,21 +144,13 @@ func tuneWalker(est Estimator) *walkest.Estimator {
 	return nil
 }
 
-// ObserveRun feeds one run's per-join draw counters into a controller
-// as rejection feedback, relative to a previously reported snapshot
-// (so repeated Stats reads do not double-count). It returns the new
-// snapshot to report against next time.
-func ObserveRun(c *tune.Controller, cur, prev []JoinBreakdown) []JoinBreakdown {
+// ObserveRun feeds one completed run's per-join draw counters into a
+// controller as rejection feedback. A nil controller takes none.
+func ObserveRun(c *tune.Controller, joins []JoinBreakdown) {
 	if c == nil {
-		return prev
+		return
 	}
-	for j, jb := range cur {
-		d, r := int64(jb.Draws), int64(jb.Rejected)
-		if j < len(prev) {
-			d -= int64(prev[j].Draws)
-			r -= int64(prev[j].Rejected)
-		}
-		c.ObserveDraws(j, d, r)
+	for j, jb := range joins {
+		c.ObserveDraws(j, int64(jb.Draws), int64(jb.Rejected))
 	}
-	return append([]JoinBreakdown(nil), cur...)
 }

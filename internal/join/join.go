@@ -285,15 +285,6 @@ func (j *Join) FillOutput(k, r int, out relation.Tuple) {
 	}
 }
 
-// FillResidual copies residual row r into the output-tuple positions the
-// residual contributes. It panics when the join has no residual.
-// Samplers that matched rows against a pinned ResView must use
-// ResView.FillInto instead, so the row id and the materialization agree
-// under concurrent reconciliation.
-func (j *Join) FillResidual(r int, out relation.Tuple) {
-	j.res.View().FillInto(r, out)
-}
-
 // ParentValue returns, for non-root node k, the join-attribute value the
 // node must match given its parent's chosen row.
 func (j *Join) ParentValue(k, parentRow int) relation.Value {

@@ -8,7 +8,7 @@ import (
 )
 
 // Adversarial-skew differential tests for the adaptive mode
-// (Options.Auto): unions built to punish any fixed configuration —
+// (WarmupAuto): unions built to punish any fixed configuration —
 // one join orders of magnitude heavier than its sibling, zipfian join
 // degrees that leave walk estimates wide, and mutation bursts that
 // invert the skew under a warm session. The tuner must keep the union
@@ -82,7 +82,7 @@ func unionOf(t *testing.T, joins []*su.Join, relSets [][]*relation.Relation) *sc
 // session for follow-up mutation checks.
 func checkAuto(t *testing.T, sc *scenario, label string, seed int64, draws int) *su.Session {
 	t.Helper()
-	sess, err := sc.union.Prepare(su.Options{Auto: true, Oracle: true, Seed: seed})
+	sess, err := sc.union.Prepare(su.Options{Warmup: su.WarmupAuto, Oracle: true, Seed: seed})
 	if err != nil {
 		t.Fatalf("%s: prepare: %v", label, err)
 	}
@@ -240,7 +240,7 @@ func TestAdaptiveOnlineSkew(t *testing.T) {
 	jHeavy, rHeavy := constChain(t, "oheavy", 8, 12, 0) // 96 results
 	jLight, rLight := constChain(t, "olight", 1, 2, 500)
 	sc := unionOf(t, []*su.Join{jHeavy, jLight}, [][]*relation.Relation{rHeavy, rLight})
-	sess, err := sc.union.Prepare(su.Options{Auto: true, Online: true, Seed: 4})
+	sess, err := sc.union.Prepare(su.Options{Warmup: su.WarmupAuto, Online: true, Seed: 4})
 	if err != nil {
 		t.Fatalf("online prepare: %v", err)
 	}

@@ -348,13 +348,6 @@ func (s *KeySet) InsertProj(t Tuple, proj []int) bool {
 	return true
 }
 
-// ContainsRow reports whether row i of the column vectors, seen through
-// proj (nil = identity), is in the set — hashing straight from the
-// columns, no tuple materialized.
-func (s *KeySet) ContainsRow(cols [][]Value, i int, proj []int) bool {
-	return s.kt.lookupRow(cols, i, proj) >= 0
-}
-
 // InsertRow adds row i of the column vectors under proj and reports
 // whether it was absent.
 func (s *KeySet) InsertRow(cols [][]Value, i int, proj []int) bool {

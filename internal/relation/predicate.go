@@ -44,6 +44,19 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
+// ParseCmpOp is the inverse of CmpOp.String; "==" also reads as EQ.
+func ParseCmpOp(s string) (CmpOp, error) {
+	if s == "==" {
+		return EQ, nil
+	}
+	for op := EQ; op <= GE; op++ {
+		if op.String() == s {
+			return op, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown comparison operator %q (valid: = != < <= > >=)", s)
+}
+
 // apply evaluates `a op b`.
 func (op CmpOp) apply(a, b Value) bool {
 	switch op {

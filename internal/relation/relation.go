@@ -179,7 +179,7 @@ func (r *Relation) Arity() int { return r.schema.Len() }
 
 // Row returns row i as a freshly allocated Tuple gathered from the
 // column vectors. It is the convenience accessor for cold paths; hot
-// paths read Cols (or RowInto) to stay allocation-free. The values a
+// paths read Cols to stay allocation-free. The values a
 // row id denotes stay valid forever: storage is monotone and deleted
 // rows keep their values.
 func (r *Relation) Row(i int) Tuple {
@@ -189,14 +189,6 @@ func (r *Relation) Row(i int) Tuple {
 		out[a] = c[i]
 	}
 	return out
-}
-
-// RowInto gathers row i into out (which must have the relation's
-// arity) without allocating.
-func (r *Relation) RowInto(i int, out Tuple) {
-	for a, c := range r.snap.Load().cols {
-		out[a] = c[i]
-	}
 }
 
 // Cols returns the current snapshot's column vectors: one []Value per
@@ -417,16 +409,9 @@ func (r *Relation) SetMutationSink(s MutationSink) {
 	r.sink = s
 }
 
-// EnableMutationLog starts recording mutations so derived structures
-// built from the current contents can catch up incrementally. Building
-// an index enables it automatically; join membership tables and
-// residual materializations call it explicitly.
-func (r *Relation) EnableMutationLog() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.enableLogLocked()
-}
-
+// enableLogLocked starts recording mutations, so that a structure
+// derived from the current contents (an index, a LiveRows reader's
+// table) can catch up incrementally. Callers hold r.mu.
 func (r *Relation) enableLogLocked() {
 	if r.logOn {
 		return
@@ -560,15 +545,6 @@ func (r *Relation) mutationsSinceLocked(since uint64) (tail []Mutation, upTo uin
 		return nil, upTo, false
 	}
 	return r.log[since-r.logStart : upTo-r.logStart], upTo, true
-}
-
-// IndexByName is Index keyed by attribute name.
-func (r *Relation) IndexByName(attr string) (*Index, error) {
-	a := r.schema.Index(attr)
-	if a < 0 {
-		return nil, fmt.Errorf("relation %s: no attribute %q", r.name, attr)
-	}
-	return r.Index(a), nil
 }
 
 // Matches returns the live row ids whose attribute at position a equals

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -224,7 +225,7 @@ func TestTupleKeyProperties(t *testing.T) {
 
 func TestTupleOrdering(t *testing.T) {
 	ts := []Tuple{{3, 1}, {1, 2}, {1, 1}, {2, 9}}
-	SortTuples(ts)
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
 	want := []Tuple{{1, 1}, {1, 2}, {2, 9}, {3, 1}}
 	for i := range want {
 		if !ts[i].Equal(want[i]) {
@@ -281,44 +282,6 @@ func TestVerticalSplitErrors(t *testing.T) {
 	}
 	if _, _, err := VerticalSplit(r, "L", []string{"k"}, "R2", []string{"k", "x"}); err == nil {
 		t.Error("split dropping an attribute succeeded")
-	}
-}
-
-func TestHorizontalSplit(t *testing.T) {
-	r := testRel(t)
-	yes, no := HorizontalSplit(r, "Y", "N", Cmp{Attr: "a", Op: EQ, Val: 1})
-	if yes.Len() != 2 || no.Len() != 2 {
-		t.Fatalf("split = %d/%d, want 2/2", yes.Len(), no.Len())
-	}
-	if yes.Len()+no.Len() != r.Len() {
-		t.Error("split is not a partition")
-	}
-}
-
-func TestSplitByTemplate(t *testing.T) {
-	ab := MustFromTuples("AB", NewSchema("A", "B"), []Tuple{{1, 2}, {1, 3}})
-	bcd := MustFromTuples("BCD", NewSchema("B", "C", "D"), []Tuple{{2, 5, 7}, {3, 5, 8}})
-	pairs, err := SplitByTemplate([]*Relation{ab, bcd}, []string{"A", "B", "C", "D"})
-	if err != nil {
-		t.Fatalf("SplitByTemplate: %v", err)
-	}
-	if len(pairs) != 3 {
-		t.Fatalf("pairs = %d, want 3", len(pairs))
-	}
-	if pairs[0].Original != ab || pairs[1].Original != bcd || pairs[2].Original != bcd {
-		t.Error("pair provenance wrong")
-	}
-	if pairs[0].FakeNext {
-		t.Error("AB->BC marked fake; different originals")
-	}
-	if !pairs[1].FakeNext {
-		t.Error("BC->CD not marked fake; same original BCD")
-	}
-	if _, err := SplitByTemplate([]*Relation{ab}, []string{"A", "Z"}); err == nil {
-		t.Error("template with missing attribute succeeded")
-	}
-	if _, err := SplitByTemplate([]*Relation{ab}, []string{"A"}); err == nil {
-		t.Error("one-attribute template succeeded")
 	}
 }
 

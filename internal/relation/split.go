@@ -2,9 +2,8 @@ package relation
 
 import "fmt"
 
-// This file implements the relation-splitting utilities used by UQ3 and
-// by the splitting method of §5.2: vertical splits (projections that
-// share a linking attribute) and horizontal splits (row partitions).
+// This file implements the relation-splitting utility UQ3 is built on:
+// vertical splits (projections that share a linking attribute).
 
 // VerticalSplit cuts r into two relations: left keeps leftAttrs and
 // right keeps rightAttrs. The two attribute lists must cover the schema
@@ -40,82 +39,4 @@ func VerticalSplit(r *Relation, leftName string, leftAttrs []string, rightName s
 		return nil, nil, err
 	}
 	return left, right, nil
-}
-
-// HorizontalSplit partitions r's rows by predicate: the first result
-// holds rows satisfying pred, the second the rest.
-func HorizontalSplit(r *Relation, trueName, falseName string, pred Predicate) (*Relation, *Relation) {
-	yes := New(trueName, r.Schema())
-	no := New(falseName, r.Schema())
-	yesIDs := r.ScanWhere(pred, nil)
-	// The complement of the scan's survivors among live rows, by tandem
-	// walk (ScanWhere emits ascending ids).
-	var noIDs []int
-	j, n := 0, r.Len()
-	for i := 0; i < n; i++ {
-		if !r.Live(i) {
-			continue
-		}
-		if j < len(yesIDs) && yesIDs[j] == i {
-			j++
-			continue
-		}
-		noIDs = append(noIDs, i)
-	}
-	yes.AppendRowIDs(r, yesIDs)
-	no.AppendRowIDs(r, noIDs)
-	return yes, no
-}
-
-// SplitPair is a two-attribute sub-relation produced by the splitting
-// method (§5.2). It records the original relation's size, which the
-// estimation steps need ("split relations keep a record of their
-// original sizes").
-type SplitPair struct {
-	Rel      *Relation // two-attribute sub-relation, duplicates removed
-	Original *Relation // relation it was split from
-	FakeNext bool      // true when the join to the next pair in the
-	// template is a "fake join": both pairs were split from the same
-	// original relation, so the join reconstructs it rather than
-	// combining distinct relations (degree factor 1 in Theorem 4).
-}
-
-// SplitByTemplate decomposes the relations of a join into two-attribute
-// sub-relations following template, an ordering of output attributes:
-// pair i holds (template[i], template[i+1]). Each pair is taken from a
-// relation in rels containing both attributes when one exists (a real
-// split); otherwise the pair must be derivable by pre-joining, which the
-// caller handles (histest does) — here we return an error so the caller
-// can fall back.
-func SplitByTemplate(rels []*Relation, template []string) ([]SplitPair, error) {
-	if len(template) < 2 {
-		return nil, fmt.Errorf("relation: template needs >= 2 attributes, got %d", len(template))
-	}
-	pairs := make([]SplitPair, 0, len(template)-1)
-	for i := 0; i+1 < len(template); i++ {
-		a, b := template[i], template[i+1]
-		src := findRelationWith(rels, a, b)
-		if src == nil {
-			return nil, fmt.Errorf("relation: no relation contains both %q and %q", a, b)
-		}
-		sub, err := src.DistinctProject(fmt.Sprintf("%s[%s,%s]", src.Name(), a, b), []string{a, b})
-		if err != nil {
-			return nil, err
-		}
-		pairs = append(pairs, SplitPair{Rel: sub, Original: src})
-	}
-	// Mark fake joins: consecutive pairs split from the same original.
-	for i := 0; i+1 < len(pairs); i++ {
-		pairs[i].FakeNext = pairs[i].Original == pairs[i+1].Original
-	}
-	return pairs, nil
-}
-
-func findRelationWith(rels []*Relation, a, b string) *Relation {
-	for _, r := range rels {
-		if r.Schema().Has(a) && r.Schema().Has(b) {
-			return r
-		}
-	}
-	return nil
 }

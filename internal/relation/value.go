@@ -10,7 +10,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -158,9 +157,4 @@ func (t Tuple) Less(u Tuple) bool {
 
 func (t Tuple) String() string {
 	return fmt.Sprint([]Value(t))
-}
-
-// SortTuples sorts ts in place lexicographically.
-func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
 }

@@ -3,7 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
+
+	"sampleunion"
 )
 
 // autoDecl is a small adaptive declaration: the session plans its own
@@ -18,7 +21,7 @@ func autoDecl() UnionDecl {
 }
 
 // TestAutoDeclaration pins the adaptive request surface: "auto" in
-// either enum field prepares an Options.Auto session and serves draws.
+// either enum field prepares an adaptive session and serves draws.
 func TestAutoDeclaration(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	var resp sampleResponse
@@ -39,7 +42,7 @@ func TestAutoDeclaration(t *testing.T) {
 	if !ok {
 		t.Fatal("auto entry missing after warm-up")
 	}
-	if !e.Sess.Options().Auto {
+	if e.Sess.Options().Warmup != sampleunion.WarmupAuto {
 		t.Fatal("auto declaration prepared a non-adaptive session")
 	}
 }
@@ -154,5 +157,46 @@ func TestMetricsTuningSection(t *testing.T) {
 	}
 	if _, ok := m.Tuning[quickKey]; ok {
 		t.Fatal("explicit entry must not appear in the tuning section")
+	}
+}
+
+// TestWireOptionsAreLibraryOptions: a /sample body that declares only a
+// seed prepares the session the library's zero Options and cmd/sampler
+// with no -warmup/-method prepare (the same literal is pinned in the
+// root package and cmd/sampler), and an enum value the library does not
+// know answers 400.
+func TestWireOptionsAreLibraryOptions(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const union = `{"workload":"UQ1","sf":0.02,"options":{"seed":7}}`
+	resp, err := http.Post(ts.URL+"/sample", "application/json", strings.NewReader(`{"union":`+union+`,"n":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/sample: status %d", resp.StatusCode)
+	}
+	var decl UnionDecl
+	if err := json.Unmarshal([]byte(union), &decl); err != nil {
+		t.Fatal(err)
+	}
+	key, err := decl.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.Registry().Lookup(key)
+	if !ok {
+		t.Fatal("entry missing after warm-up")
+	}
+	want := sampleunion.Options{Warmup: sampleunion.WarmupRandomWalk, Method: sampleunion.MethodEW, WarmupWalks: 1000, Seed: 7, Shards: 1}
+	if got := e.Sess.Options(); got != want {
+		t.Fatalf("session options %+v, want %+v", got, want)
+	}
+
+	typo := quickDecl()
+	typo.Options.Warmup = "histgram"
+	var apiErr apiError
+	if code := post(t, ts.URL+"/sample", sampleRequest{Union: typo, N: 1}, &apiErr); code != http.StatusBadRequest || apiErr.Error == "" {
+		t.Fatalf("unknown warmup: status %d, error %q; want 400 naming it", code, apiErr.Error)
 	}
 }

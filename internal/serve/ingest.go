@@ -65,7 +65,7 @@ type ingest struct {
 // to the log) → attach → seed the dedupe table from the idempotency
 // tags replay surfaced, so a client retrying across a restart still
 // dedupes within the WAL retention window → boot manifest.
-func (r *Registry) newIngest(key string, decl UnionDecl, u *sampleunion.Union, opts sampleunion.Options, rels map[string]*relation.Relation) (*ingest, error) {
+func (r *Registry) newIngest(key string, decl UnionDecl, u *sampleunion.Union, rels map[string]*relation.Relation) (*ingest, error) {
 	in := &ingest{key: key, rels: rels, store: r.durable, hub: r.hub}
 	recovered := 0
 	if in.store != nil {
@@ -75,7 +75,7 @@ func (r *Registry) newIngest(key string, decl UnionDecl, u *sampleunion.Union, o
 		}
 	}
 	r.prepares.Add(1)
-	sess, err := u.Prepare(opts)
+	sess, err := u.Prepare(decl.Options)
 	if err != nil {
 		in.release()
 		return nil, err

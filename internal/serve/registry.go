@@ -196,11 +196,7 @@ func (r *Registry) prepare(key string, decl UnionDecl) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, err := decl.Options.toOptions()
-	if err != nil {
-		return nil, err
-	}
-	in, err := r.newIngest(key, decl, u, opts, rels)
+	in, err := r.newIngest(key, decl, u, rels)
 	if err != nil {
 		return nil, err
 	}

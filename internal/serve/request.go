@@ -20,7 +20,6 @@ package serve
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"sampleunion"
@@ -50,121 +49,18 @@ type UnionDecl struct {
 	Options OptionsDecl `json:"options"`
 }
 
-// OptionsDecl is the JSON form of sampleunion.Options (the sampling
-// knobs that shape a warm-up; per-request knobs like n and seed live
-// on the request).
-type OptionsDecl struct {
-	// Warmup and Method accept the usual enum strings plus "auto":
-	// declaring either as "auto" prepares the session with adaptive
-	// tuning (Options.Auto), where the planner decides both the warm-up
-	// escalation and the per-join subroutine. Declaring one as "auto"
-	// while pinning the other to an explicit value is a conflict and
-	// answers 400 — adaptive mode owns both decisions.
-	Warmup      string `json:"warmup,omitempty"` // histogram | random-walk | exact | auto
-	Method      string `json:"method,omitempty"` // EW | EO | WJ | auto
-	Online      bool   `json:"online,omitempty"`
-	WarmupWalks int    `json:"warmup_walks,omitempty"`
-	Oracle      bool   `json:"oracle,omitempty"`
-	Seed        int64  `json:"seed,omitempty"`
-	// Shards enables the shard-parallel engine (Options.Shards): 0 or 1
-	// keeps the single-shard engine, -1 resolves to the server's core
-	// count, >= 2 is an explicit shard count.
-	Shards int `json:"shards,omitempty"`
-}
+// OptionsDecl is sampleunion.Options: the library's option vocabulary
+// is the wire's, field for field (its JSON tags are the wire names), and
+// Options.Canonical is what validates, defaults and fingerprints it.
+// "auto" in warmup or method prepares the session with adaptive tuning;
+// beside an explicit value of the other it answers 400. Per-request
+// knobs like n and seed live on the request.
+type OptionsDecl = sampleunion.Options
 
-// auto reports whether the declaration opts into adaptive tuning.
-func (o OptionsDecl) auto() bool {
-	return o.Warmup == "auto" || o.Method == "auto"
-}
-
-// validate rejects combinations normalize would otherwise paper over.
-// It runs on the raw declaration — before defaults fill in — so an
-// explicitly pinned warmup or method alongside "auto" is caught rather
-// than canonicalized away. Mirrors the cmd/sampler flag convention
-// (PR 4): conflicting explicit knobs are an error, not a silent
-// override; the server surfaces it as 400.
-func (o OptionsDecl) validate() error {
-	if !o.auto() {
-		return nil
-	}
-	if o.Warmup != "" && o.Warmup != "auto" {
-		return fmt.Errorf("serve: method=auto conflicts with warmup=%q; adaptive mode plans the warm-up (drop the explicit warmup)", o.Warmup)
-	}
-	if o.Method != "" && o.Method != "auto" {
-		return fmt.Errorf("serve: warmup=auto conflicts with method=%q; adaptive mode picks the subroutine per join (drop the explicit method)", o.Method)
-	}
-	return nil
-}
-
-// normalize fills defaults so equal-by-effect declarations produce
-// equal fingerprints (mirrors Options.withDefaults).
-func (o OptionsDecl) normalize() OptionsDecl {
-	if o.auto() {
-		// Canonicalize both enum fields to "auto" (declaring either one
-		// opts in) and mirror the library's cheaper adaptive walk
-		// default, so {"warmup":"auto"} and {"method":"auto",
-		// "warmup_walks":128} share a session.
-		o.Warmup, o.Method = "auto", "auto"
-		if o.WarmupWalks == 0 {
-			o.WarmupWalks = sampleunion.AutoWarmupWalks
-		}
-	}
-	if o.Warmup == "" {
-		o.Warmup = "random-walk"
-	}
-	if o.Method == "" {
-		o.Method = "EW"
-	}
-	if o.WarmupWalks == 0 {
-		o.WarmupWalks = 1000
-	}
-	if o.WarmupWalks < 0 {
-		o.WarmupWalks = -1
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Shards < 0 {
-		// Resolve "auto" at the server, so the fingerprint is stable for
-		// the server's lifetime and equal-by-effect declarations share a
-		// session.
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	return o
-}
-
-// toOptions converts to library options, validating the enum strings.
-func (o OptionsDecl) toOptions() (sampleunion.Options, error) {
-	if err := o.validate(); err != nil {
-		return sampleunion.Options{}, err
-	}
-	o = o.normalize()
-	out := sampleunion.Options{
-		Online:      o.Online,
-		WarmupWalks: o.WarmupWalks,
-		Oracle:      o.Oracle,
-		Seed:        o.Seed,
-		Shards:      o.Shards,
-	}
-	if o.auto() {
-		out.Auto = true
-		return out, nil
-	}
-	var err error
-	if out.Warmup, err = sampleunion.ParseWarmup(o.Warmup); err != nil {
-		return out, err
-	}
-	if out.Method, err = sampleunion.ParseMethod(o.Method); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// normalize fills declaration defaults (shared by key computation and
-// union construction).
+// normalize fills declaration defaults (shared by key computation,
+// union construction and the boot manifest). Options it cannot
+// canonicalize stay as declared: Key reports that error, and every other
+// caller holds a declaration whose Key succeeded.
 func (d UnionDecl) normalize() UnionDecl {
 	if d.Spec == "" {
 		if d.Workload == "" {
@@ -180,7 +76,9 @@ func (d UnionDecl) normalize() UnionDecl {
 			d.DataSeed = 1
 		}
 	}
-	d.Options = d.Options.normalize()
+	if o, err := d.Options.Canonical(); err == nil {
+		d.Options = o
+	}
 	return d
 }
 
@@ -189,18 +87,17 @@ func (d UnionDecl) normalize() UnionDecl {
 // the workload identity, plus the normalized options. Declarations
 // with equal keys are served by the same warm session.
 func (d UnionDecl) Key() (string, error) {
-	// Validate before normalizing: a conflicting declaration (explicit
-	// warmup alongside method=auto) would otherwise canonicalize to the
-	// same key as a legitimate adaptive declaration and be served from
-	// its warm entry without ever reaching option validation.
-	if err := d.Options.validate(); err != nil {
+	// Reject bad options here, not at Prepare: a conflicting declaration
+	// (explicit warmup alongside method=auto) must never be mistaken for
+	// the legitimate adaptive declaration and served from its warm entry.
+	o, err := d.Options.Canonical()
+	if err != nil {
 		return "", err
 	}
 	d = d.normalize()
 	if d.Spec != "" && d.Workload != "" {
 		return "", fmt.Errorf("serve: declare either workload or spec, not both")
 	}
-	o := d.Options
 	optPart := fmt.Sprintf("opts warmup=%s method=%s online=%t walks=%d oracle=%t seed=%d shards=%d",
 		o.Warmup, o.Method, o.Online, o.WarmupWalks, o.Oracle, o.Seed, o.Shards)
 	srcPart := fmt.Sprintf("workload name=%s sf=%g overlap=%g seed=%d",
@@ -238,19 +135,7 @@ func (d UnionDecl) build(dataDir string) (*sampleunion.Union, map[string]*relati
 		}
 		return u, su.Relations, dict, nil
 	}
-	cfg := tpch.Config{SF: d.SF, Overlap: d.Overlap, Seed: d.DataSeed}
-	var w *tpch.Workload
-	var err error
-	switch d.Workload {
-	case "UQ1":
-		w, err = tpch.UQ1(cfg)
-	case "UQ2":
-		w, err = tpch.UQ2(cfg)
-	case "UQ3":
-		w, err = tpch.UQ3(cfg)
-	default:
-		return nil, nil, nil, fmt.Errorf("serve: unknown workload %q (valid: UQ1, UQ2, UQ3)", d.Workload)
-	}
+	w, err := tpch.ByName(d.Workload, tpch.Config{SF: d.SF, Overlap: d.Overlap, Seed: d.DataSeed})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -322,9 +207,9 @@ func (p PredDecl) toPredicate() (relation.Predicate, error) {
 	}
 	switch {
 	case p.Cmp != nil:
-		op, err := parseCmpOp(p.Cmp.Op)
+		op, err := relation.ParseCmpOp(p.Cmp.Op)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 		return relation.Cmp{Attr: p.Cmp.Attr, Op: op, Val: relation.Value(p.Cmp.Value)}, nil
 	case len(p.And) > 0:
@@ -365,22 +250,4 @@ func toPredicates(decls []PredDecl) ([]relation.Predicate, error) {
 		out[i] = p
 	}
 	return out, nil
-}
-
-func parseCmpOp(s string) (relation.CmpOp, error) {
-	switch s {
-	case "=", "==":
-		return relation.EQ, nil
-	case "!=":
-		return relation.NE, nil
-	case "<":
-		return relation.LT, nil
-	case "<=":
-		return relation.LE, nil
-	case ">":
-		return relation.GT, nil
-	case ">=":
-		return relation.GE, nil
-	}
-	return 0, fmt.Errorf("serve: unknown comparison operator %q (valid: = != < <= > >=)", s)
 }

@@ -119,7 +119,7 @@ func (u *Union) parseFilter(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown relation %q", args[0])
 	}
-	op, err := parseOp(args[2])
+	op, err := relation.ParseCmpOp(args[2])
 	if err != nil {
 		return err
 	}
@@ -134,24 +134,6 @@ func (u *Union) parseFilter(args []string) error {
 		Attr: args[1], Op: op, Val: relation.Value(v),
 	})
 	return nil
-}
-
-func parseOp(s string) (relation.CmpOp, error) {
-	switch s {
-	case "=", "==":
-		return relation.EQ, nil
-	case "!=":
-		return relation.NE, nil
-	case "<":
-		return relation.LT, nil
-	case "<=":
-		return relation.LE, nil
-	case ">":
-		return relation.GT, nil
-	case ">=":
-		return relation.GE, nil
-	}
-	return 0, fmt.Errorf("unknown comparison operator %q", s)
 }
 
 func (u *Union) parseChain(args []string) error {

@@ -171,15 +171,28 @@ func materializeSupplierCustomer(g *Generator, v int) (*relation.Relation, error
 	return out, nil
 }
 
+// ByName builds the one named workload.
+func ByName(name string, cfg Config) (*Workload, error) {
+	switch name {
+	case "UQ1":
+		return UQ1(cfg)
+	case "UQ2":
+		return UQ2(cfg)
+	case "UQ3":
+		return UQ3(cfg)
+	}
+	return nil, fmt.Errorf("tpch: unknown workload %q (valid: UQ1, UQ2, UQ3)", name)
+}
+
 // Workloads builds all three workloads with one configuration.
 func Workloads(cfg Config) (map[string]*Workload, error) {
 	out := make(map[string]*Workload, 3)
-	for _, build := range []func(Config) (*Workload, error){UQ1, UQ2, UQ3} {
-		w, err := build(cfg)
+	for _, name := range []string{"UQ1", "UQ2", "UQ3"} {
+		w, err := ByName(name, cfg)
 		if err != nil {
 			return nil, err
 		}
-		out[w.Name] = w
+		out[name] = w
 	}
 	return out, nil
 }

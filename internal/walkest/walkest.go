@@ -40,7 +40,6 @@ type JoinEstimate struct {
 	mean    float64
 	m2      float64
 	samples []Sample
-	traj    []TrajectoryPoint
 
 	// Walk scratch, private to this estimate (clone drops it): slab is
 	// the unused rest of the current tuple chunk — a successful walk
@@ -54,28 +53,6 @@ type JoinEstimate struct {
 
 // slabTuples is the number of walk tuples carved from one chunk.
 const slabTuples = 64
-
-// TrajectoryPoint is one sampled point of a join estimate's
-// convergence, recorded every trajectoryStride observations: the
-// planner reads the trajectory to distinguish an estimate that is
-// converging from one stuck at high variance.
-type TrajectoryPoint struct {
-	Walks    int
-	Size     float64
-	Variance float64
-}
-
-// HalfWidth evaluates the point's z·σ/√n confidence half-width.
-func (p TrajectoryPoint) HalfWidth(z float64) float64 {
-	if p.Walks == 0 {
-		return math.Inf(1)
-	}
-	return z * math.Sqrt(p.Variance) / math.Sqrt(float64(p.Walks))
-}
-
-// trajectoryStride spaces trajectory recording so the hot Observe path
-// pays one modulo per observation and the trajectory stays small.
-const trajectoryStride = 16
 
 // NewJoinEstimate prepares an empty estimate for j.
 func NewJoinEstimate(j *join.Join) *JoinEstimate {
@@ -114,14 +91,7 @@ func (e *JoinEstimate) Observe(invP float64) {
 	d := invP - e.mean
 	e.mean += d / float64(e.n)
 	e.m2 += d * (invP - e.mean)
-	if e.n%trajectoryStride == 0 {
-		e.traj = append(e.traj, TrajectoryPoint{Walks: e.n, Size: e.mean, Variance: e.Variance()})
-	}
 }
-
-// Trajectory returns the recorded convergence points (oldest first).
-// The slice is owned by the estimate; callers must not mutate it.
-func (e *JoinEstimate) Trajectory() []TrajectoryPoint { return e.traj }
 
 // RelHalfWidth is the confidence half-width relative to the size
 // estimate — the planner's convergence signal. It is +Inf before any
@@ -261,7 +231,6 @@ func (e *JoinEstimate) clone() *JoinEstimate {
 	c := *e
 	c.slab, c.rowOf = nil, nil
 	c.samples = append([]Sample(nil), e.samples...)
-	c.traj = append([]TrajectoryPoint(nil), e.traj...)
 	return &c
 }
 
@@ -319,7 +288,6 @@ func (e *Estimator) CopyEstimates(src *Estimator) {
 		to.J, to.walker = from.J, from.walker
 		to.n, to.mean, to.m2 = from.n, from.mean, from.m2
 		to.samples = to.samples[:0]
-		to.traj = append(to.traj[:0], from.traj...)
 		clear(e.wByMask[j])
 		maps.Copy(e.wByMask[j], src.wByMask[j])
 	}

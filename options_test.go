@@ -1,0 +1,141 @@
+package sampleunion
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// TestCanonicalIsIdempotent: canonical options are a fixed point, so
+// Session.Options() can be prepared again and a normalized declaration
+// re-keyed without drifting.
+func TestCanonicalIsIdempotent(t *testing.T) {
+	cores := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ in, want Options }{
+		{Options{}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 1, Shards: 1}},
+		{Options{Seed: 9}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 9, Shards: 1}},
+		{Options{Warmup: WarmupHistogram, Method: MethodEO}, Options{Warmup: WarmupHistogram, Method: MethodEO, WarmupWalks: 1000, Seed: 1, Shards: 1}},
+		{Options{Online: true, WarmupWalks: -7}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, Online: true, WarmupWalks: -1, Seed: 1, Shards: 1}},
+		{Options{Shards: ShardsAuto}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 1, Shards: cores}},
+		{Options{Shards: -4, AutoRefresh: true}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 1, Shards: cores, AutoRefresh: true}},
+		{Options{Warmup: WarmupAuto}, Options{Warmup: WarmupAuto, Method: MethodAuto, WarmupWalks: 128, Seed: 1, Shards: 1}},
+		{Options{Method: MethodAuto, WarmupWalks: 50}, Options{Warmup: WarmupAuto, Method: MethodAuto, WarmupWalks: 50, Seed: 1, Shards: 1}},
+		{Options{Warmup: WarmupAuto, Method: MethodAuto, WarmupWalks: -1}, Options{Warmup: WarmupAuto, Method: MethodAuto, WarmupWalks: -1, Seed: 1, Shards: 1}},
+	} {
+		once, err := tc.in.Canonical()
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.in, err)
+		}
+		if once != tc.want {
+			t.Errorf("%+v canonicalizes to\n %+v, want\n %+v", tc.in, once, tc.want)
+		}
+		if twice, err := once.Canonical(); err != nil || twice != once {
+			t.Errorf("%+v: second pass gives %+v (%v), want the first pass's %+v", tc.in, twice, err, once)
+		}
+	}
+}
+
+// TestCanonicalRejects: an unknown enum value or an explicit pin beside
+// auto is an error at every entry point, never a silent default.
+func TestCanonicalRejects(t *testing.T) {
+	u := demoUnion(t)
+	for _, tc := range []struct {
+		o    Options
+		want string
+	}{
+		{Options{Warmup: "histgram"}, `unknown warmup "histgram"`},
+		{Options{Method: "ew"}, `unknown method "ew"`},
+		{Options{Warmup: WarmupAuto, Method: MethodWJ}, "warmup auto conflicts with method WJ"},
+		{Options{Warmup: WarmupExact, Method: MethodAuto}, "method auto conflicts with warmup exact"},
+	} {
+		if _, err := tc.o.Canonical(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Canonical err = %v, want one containing %q", tc.o, err, tc.want)
+		}
+		if _, err := u.Prepare(tc.o); err == nil {
+			t.Errorf("%+v: Prepare accepted it", tc.o)
+		}
+		if _, _, err := u.Sample(1, tc.o); err == nil {
+			t.Errorf("%+v: Sample accepted it", tc.o)
+		}
+		if _, err := u.Estimate(tc.o); err == nil {
+			t.Errorf("%+v: Estimate accepted it", tc.o)
+		}
+		if _, _, err := u.SampleDisjoint(1, tc.o); err == nil {
+			t.Errorf("%+v: SampleDisjoint accepted it", tc.o)
+		}
+	}
+}
+
+// sameSession fails unless a and b report the same estimate and draw
+// the same tuples on the same explicit stream.
+func sameSession(t *testing.T, a, b *Session) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Estimate(), b.Estimate()) {
+		t.Fatalf("estimates differ: %+v vs %+v", a.Estimate(), b.Estimate())
+	}
+	for _, stream := range []int64{1, 77} {
+		ta, _, err := a.SampleSeeded(200, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, _, err := b.SampleSeeded(200, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if digest(ta) != digest(tb) {
+			t.Fatalf("stream %d differs between the two sessions", stream)
+		}
+	}
+}
+
+// TestZeroOptionsMeanRandomWalkEW: the library's zero value is what the
+// serving layer and cmd/sampler mean by "nothing declared" (the same
+// literal is pinned in internal/serve and cmd/sampler), and preparing
+// with it is preparing with the explicit spelling.
+func TestZeroOptionsMeanRandomWalkEW(t *testing.T) {
+	const seed = 7
+	explicit := Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: seed, Shards: 1}
+	if got, err := (Options{Seed: seed}).Canonical(); err != nil || got != explicit {
+		t.Fatalf("Options{Seed: %d}.Canonical() = %+v, %v; want %+v", seed, got, err, explicit)
+	}
+	u := demoUnion(t)
+	zero, err := u.Prepare(Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Options() != explicit {
+		t.Fatalf("Session.Options() = %+v, want %+v", zero.Options(), explicit)
+	}
+	spelled, err := u.Prepare(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSession(t, zero, spelled)
+}
+
+// TestSessionOptionsRoundTrip: u.Prepare(s.Options()) prepares s again.
+// An online session declared with no warm-up walks used to come back
+// with the default 1000, because the stored 0 meant "unset" on the
+// second pass.
+func TestSessionOptionsRoundTrip(t *testing.T) {
+	u := demoUnion(t)
+	for _, o := range []Options{
+		{Online: true, WarmupWalks: -1},
+		{Warmup: WarmupAuto, Seed: 3},
+		{Warmup: WarmupHistogram, Method: MethodEO, Shards: 2},
+	} {
+		s, err := u.Prepare(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := u.Prepare(s.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Options() != s.Options() {
+			t.Fatalf("%+v: options drift from %+v to %+v", o, s.Options(), again.Options())
+		}
+		sameSession(t, s, again)
+	}
+}

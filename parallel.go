@@ -22,7 +22,10 @@ type Estimate struct {
 // parameters without sampling. A prepared Session caches this report;
 // Session.Estimate returns it without re-estimating.
 func (u *Union) Estimate(o Options) (*Estimate, error) {
-	o = o.withDefaults()
+	o, err := o.Canonical()
+	if err != nil {
+		return nil, err
+	}
 	p, err := u.estimator(o).Params(rng.New(o.Seed))
 	if err != nil {
 		return nil, err

@@ -32,8 +32,14 @@
 //
 // The warm-up estimation method, the single-join sampling subroutine,
 // and the online (sample reuse + backtracking) mode are selected
-// through Options; see the examples/ directory for end-to-end
-// programs.
+// through Options. The zero Options is the random-walk warm-up with the
+// exact-weight subroutine (Warmup: WarmupRandomWalk, Method: MethodEW);
+// Options{Warmup: WarmupAuto} hands both choices to the adaptive
+// planner. Warmup and Method values are their own textual spelling, so
+// the same Options serve as the JSON "options" object of the serving
+// layer and behind cmd/sampler's flags, and Options.Canonical is the one
+// place they are validated and defaulted. See the examples/ directory
+// for end-to-end programs.
 package sampleunion
 
 import (
@@ -136,130 +142,90 @@ func Cyclic(name string, rels []*Relation, edges []Edge, residualSet []int) (*Jo
 }
 
 // Warmup selects how the framework estimates join sizes, overlaps, and
-// the union size before sampling.
-type Warmup int
+// the union size before sampling. The value is its own textual
+// spelling: the Go constant, the JSON "warmup" field of a served
+// declaration and cmd/sampler's -warmup flag are one vocabulary.
+type Warmup string
 
 const (
 	// WarmupHistogram uses column statistics only (§5): near-zero
 	// setup, upper-bound overlaps, suitable when data access is
 	// infeasible (data markets). Sampling efficiency suffers under
 	// skew.
-	WarmupHistogram Warmup = iota
+	WarmupHistogram Warmup = "histogram"
 	// WarmupRandomWalk runs wander-join walks (§6): accurate unbiased
-	// estimates at the cost of warm-up walks; needs data access.
-	WarmupRandomWalk
+	// estimates at the cost of warm-up walks; needs data access. The
+	// empty Warmup means this.
+	WarmupRandomWalk Warmup = "random-walk"
 	// WarmupExact executes every join and computes exact parameters —
 	// the FullJoinUnion ground truth; exponential, for validation only.
-	WarmupExact
+	WarmupExact Warmup = "exact"
+	// WarmupAuto enables adaptive tuning: the session starts from a
+	// cheap random-walk warm-up (128 walks per join unless WarmupWalks
+	// overrides it) and an internal/tune controller plans the rest per
+	// join from the observed statistics — the subroutine (EW for
+	// heavy-rejection joins, WJ for heavy-rejection joins too large for
+	// EW setup, EO otherwise), exact-count escalation for joins whose
+	// size estimate stayed wide, extra walks for wide cyclic joins,
+	// alias tables only where a join's draw share justifies them, and
+	// the batch slice cap. The controller re-plans at every Refresh
+	// boundary, folding in rejection feedback from completed runs; with
+	// AutoRefresh a high post-warm-up rejection rate alone triggers a
+	// re-plan, even over clean data.
+	//
+	// The plan owns both decisions, so WarmupAuto and MethodAuto imply
+	// each other, and either one beside an explicit value of the other
+	// is an error rather than a silent override. Adaptive streams are
+	// deterministic for a fixed seed, data, and call history, and are
+	// pinned by their own golden digests — but they differ from pinned
+	// streams under the same seed.
+	WarmupAuto Warmup = "auto"
 )
 
-func (w Warmup) String() string {
-	switch w {
-	case WarmupRandomWalk:
-		return "random-walk"
-	case WarmupExact:
-		return "exact"
-	}
-	return "histogram"
-}
-
-// ParseWarmup maps the textual warm-up names ("histogram",
-// "random-walk", "exact") to the Warmup constant, rejecting anything
-// else. It is the inverse of Warmup.String and the single place tools
-// (cmd/sampler, the serving layer) turn user input into a Warmup.
-func ParseWarmup(s string) (Warmup, error) {
-	switch s {
-	case "histogram":
-		return WarmupHistogram, nil
-	case "random-walk":
-		return WarmupRandomWalk, nil
-	case "exact":
-		return WarmupExact, nil
-	}
-	return 0, fmt.Errorf("sampleunion: unknown warm-up %q (valid: histogram, random-walk, exact)", s)
-}
-
-// Method selects the single-join sampling subroutine (§3.2).
-type Method int
+// Method selects the single-join sampling subroutine (§3.2); like
+// Warmup, the value is its textual spelling on every surface.
+type Method string
 
 const (
-	// MethodEW: exact weights, zero rejection, linear setup.
-	MethodEW Method = iota
+	// MethodEW: exact weights, zero rejection, linear setup. The empty
+	// Method means this.
+	MethodEW Method = "EW"
 	// MethodEO: extended Olken bounds, cheap setup, rejection under skew.
-	MethodEO
+	MethodEO Method = "EO"
 	// MethodWJ: wander-join walks thinned to uniform against the Olken
 	// bound; index-only setup, EO-like acceptance rate.
-	MethodWJ
+	MethodWJ Method = "WJ"
+	// MethodAuto lets the adaptive planner pick the subroutine per
+	// join; see WarmupAuto.
+	MethodAuto Method = "auto"
 )
 
-func (m Method) String() string {
-	switch m {
-	case MethodEO:
-		return "EO"
-	case MethodWJ:
-		return "WJ"
-	}
-	return "EW"
-}
-
-// ParseMethod maps the textual subroutine names ("EW", "EO", "WJ") to
-// the Method constant, rejecting anything else.
-func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "EW":
-		return MethodEW, nil
-	case "EO":
-		return MethodEO, nil
-	case "WJ":
-		return MethodWJ, nil
-	}
-	return 0, fmt.Errorf("sampleunion: unknown join subroutine %q (valid: EW, EO, WJ)", s)
-}
-
-// Options configure Union.Sample.
+// Options configure a warm-up and the sampler prepared from it. The
+// JSON tags are the serving layer's wire names: a served declaration's
+// "options" object is this struct.
 type Options struct {
-	// Auto enables adaptive tuning: the session starts from a cheap
-	// random-walk warm-up (AutoWarmupWalks walks per join unless
-	// WarmupWalks overrides it) and an internal/tune controller plans
-	// the rest per join from the observed statistics — the subroutine
-	// (EW for heavy-rejection joins, WJ for heavy-rejection joins too
-	// large for EW setup, EO otherwise), exact-count escalation for
-	// joins whose size estimate stayed wide, extra walks for wide
-	// cyclic joins, alias tables only where a join's draw share
-	// justifies them, and the batch slice cap. The controller re-plans
-	// at every Refresh boundary, folding in rejection feedback from
-	// completed runs; with AutoRefresh a high post-warm-up rejection
-	// rate alone triggers a re-plan, even over clean data.
-	//
-	// With Auto set, Warmup and Method are ignored (the plan decides
-	// both); tools reject the explicit combination instead of silently
-	// ignoring it. Auto streams are deterministic for a fixed seed,
-	// data, and call history, and are pinned by their own golden
-	// digests — but they differ from non-auto streams under the same
-	// seed.
-	Auto bool
-	// Warmup selects the parameter estimation method (default: the zero
-	// value, WarmupHistogram). Ignored with Auto.
-	Warmup Warmup
-	// Method selects the join subroutine (default MethodEW). Ignored
-	// with Auto.
-	Method Method
+	// Warmup selects the parameter estimation method. Empty means
+	// WarmupRandomWalk.
+	Warmup Warmup `json:"warmup,omitempty"`
+	// Method selects the join subroutine. Empty means MethodEW.
+	Method Method `json:"method,omitempty"`
 	// Online enables Algorithm 2: wander-join draws with sample reuse
 	// and backtracking parameter refinement.
-	Online bool
+	Online bool `json:"online,omitempty"`
 	// WarmupWalks bounds warm-up walks per join for the random-walk
-	// and online modes. 0 means the default of 1000; a negative value
-	// disables warm-up walks entirely (online mode then starts from
-	// histogram parameters and refines purely on the fly).
-	WarmupWalks int
+	// and online modes. 0 means the default of 1000 (128 under
+	// WarmupAuto); a negative value disables warm-up walks entirely
+	// (online mode then starts from histogram parameters and refines
+	// purely on the fly).
+	WarmupWalks int `json:"warmup_walks,omitempty"`
 	// Oracle uses exact membership tests for value-to-join assignment
 	// instead of the paper's dynamic record; exactly uniform from the
 	// first sample, but needs per-relation indexes.
-	Oracle bool
+	Oracle bool `json:"oracle,omitempty"`
 	// Seed makes sampling reproducible (default 1). It seeds the
 	// warm-up, and a prepared Session derives a decorrelated per-call
 	// stream from it (see Session.SampleSeeded for explicit streams).
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 
 	// Shards enables the shard-parallel engine: every relation carrying
 	// the partition attribute (a common output attribute, chosen to
@@ -275,7 +241,7 @@ type Options struct {
 	// any negative value) resolves to runtime.GOMAXPROCS(0). Sharded
 	// streams are themselves deterministic for a fixed seed and shard
 	// count, but differ from single-shard streams under the same seed.
-	Shards int
+	Shards int `json:"shards,omitempty"`
 
 	// AutoRefresh makes a prepared Session reconcile itself before a
 	// sampling call whenever the underlying relations mutated since the
@@ -283,7 +249,7 @@ type Options struct {
 	// The reconcile is the incremental Session.Refresh, not a cold
 	// Prepare; callers wanting explicit control leave this false and
 	// call Refresh themselves.
-	AutoRefresh bool
+	AutoRefresh bool `json:"-"`
 
 	// testEstimator, when non-nil, overrides the Warmup selection with
 	// a caller-supplied estimator. Package tests use it to count
@@ -295,26 +261,56 @@ type Options struct {
 // (runtime.GOMAXPROCS) at Prepare time.
 const ShardsAuto = -1
 
-// AutoWarmupWalks is the walk budget of the adaptive mode's initial
+// autoWarmupWalks is the walk budget of the adaptive mode's initial
 // cheap warm-up: enough for the planner to tell converged estimates
-// from wide ones, far below the non-adaptive default of 1000 — the
-// plan escalates exactly the joins that need more. Exported so
-// declaration surfaces (the serve layer) can mirror the default when
-// canonicalizing equal-by-effect adaptive declarations.
-const AutoWarmupWalks = 128
+// from wide ones, far below the pinned default of 1000 — the plan
+// escalates exactly the joins that need more.
+const autoWarmupWalks = 128
 
-func (o Options) withDefaults() Options {
-	if o.Auto {
-		o.Warmup = WarmupRandomWalk
-		if o.WarmupWalks == 0 {
-			o.WarmupWalks = AutoWarmupWalks
+// Canonical validates the options and fills every default, returning
+// the one spelling all equal-by-effect options share: an empty Warmup
+// is WarmupRandomWalk and an empty Method MethodEW; "auto" in either
+// enum sets both (and is an error beside an explicit value of the
+// other); WarmupWalks 0 is 1000 (128 under auto) and any negative count
+// -1; Seed 0 is 1; Shards below 0 is runtime.GOMAXPROCS(0) and below 1
+// is 1. Canonical options are a fixed point of Canonical. Every entry
+// point of the package applies it, and the serving layer keys and
+// persists declarations by it, so it is the only place an enum string
+// is checked or a default chosen.
+func (o Options) Canonical() (Options, error) {
+	switch o.Warmup {
+	case "", WarmupHistogram, WarmupRandomWalk, WarmupExact, WarmupAuto:
+	default:
+		return o, fmt.Errorf("sampleunion: unknown warmup %q (valid: histogram, random-walk, exact, auto)", o.Warmup)
+	}
+	switch o.Method {
+	case "", MethodEW, MethodEO, MethodWJ, MethodAuto:
+	default:
+		return o, fmt.Errorf("sampleunion: unknown method %q (valid: EW, EO, WJ, auto)", o.Method)
+	}
+	if o.Warmup == WarmupAuto || o.Method == MethodAuto {
+		if o.Warmup != "" && o.Warmup != WarmupAuto {
+			return o, fmt.Errorf("sampleunion: method auto conflicts with warmup %s: adaptive mode plans the warm-up (drop the explicit warmup)", o.Warmup)
 		}
+		if o.Method != "" && o.Method != MethodAuto {
+			return o, fmt.Errorf("sampleunion: warmup auto conflicts with method %s: adaptive mode picks the subroutine per join (drop the explicit method)", o.Method)
+		}
+		o.Warmup, o.Method = WarmupAuto, MethodAuto
+		if o.WarmupWalks == 0 {
+			o.WarmupWalks = autoWarmupWalks
+		}
+	}
+	if o.Warmup == "" {
+		o.Warmup = WarmupRandomWalk
+	}
+	if o.Method == "" {
+		o.Method = MethodEW
 	}
 	if o.WarmupWalks == 0 {
 		o.WarmupWalks = 1000
 	}
 	if o.WarmupWalks < 0 {
-		o.WarmupWalks = 0
+		o.WarmupWalks = -1
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -325,7 +321,29 @@ func (o Options) withDefaults() Options {
 	if o.Shards < 1 {
 		o.Shards = 1
 	}
-	return o
+	return o, nil
+}
+
+// The accessors below read canonical options.
+
+// auto reports whether the adaptive planner owns the warm-up and
+// subroutine decisions.
+func (o Options) auto() bool { return o.Warmup == WarmupAuto }
+
+// walks is the warm-up walk budget per join; the canonical -1 (no
+// warm-up walks) runs none.
+func (o Options) walks() int { return max(o.WarmupWalks, 0) }
+
+// joinMethod is the subroutine every join starts on. Under MethodAuto
+// that is EW until the planner's per-join choice replaces it.
+func (o Options) joinMethod() core.JoinMethod {
+	switch o.Method {
+	case MethodEO:
+		return core.MethodEO
+	case MethodWJ:
+		return core.MethodWJ
+	}
+	return core.MethodEW
 }
 
 // Union is a set of joins with a common output schema whose union is
@@ -365,9 +383,9 @@ func (u *Union) Joins() []*Join { return u.joins }
 // output schema; other joins are aligned to it by attribute name).
 func (u *Union) OutputSchema() *Schema { return u.joins[0].OutputSchema() }
 
-// estimator builds the core.Estimator for the options.
+// estimator builds the core.Estimator for the (canonical) options.
 func (u *Union) estimator(o Options) core.Estimator {
-	return estimatorFor(u.joins, o, o.WarmupWalks)
+	return estimatorFor(u.joins, o, o.walks())
 }
 
 // estimatorFor builds the core.Estimator for an arbitrary join set —
@@ -379,63 +397,74 @@ func estimatorFor(joins []*join.Join, o Options, walks int) core.Estimator {
 		return o.testEstimator
 	}
 	switch o.Warmup {
-	case WarmupRandomWalk:
-		return &core.RandomWalkEstimator{Joins: joins, Opts: walkest.Options{MaxWalks: walks}}
-	case WarmupExact:
-		return &core.ExactEstimator{Joins: joins}
-	default:
+	case WarmupHistogram:
 		sizes := histest.SizeEO
 		if o.Method == MethodEW {
 			sizes = histest.SizeEW
 		}
 		return &core.HistogramEstimator{Joins: joins, Opts: histest.Options{Sizes: sizes}}
+	case WarmupExact:
+		return &core.ExactEstimator{Joins: joins}
 	}
+	return &core.RandomWalkEstimator{Joins: joins, Opts: walkest.Options{MaxWalks: walks}}
 }
 
 // minShardWarmupWalks floors the per-shard walk budget: dividing the
 // session budget across many shards must not starve a shard's estimate.
 const minShardWarmupWalks = 32
 
-// shardFactory returns the closure the sharded engine uses to prepare
-// one shard's sampler under the session's options: the same
-// online/cover selection as the single-shard path, with the warm-up
-// walk budget split across shards.
-//
-// Under Auto every shard gets its own fresh controller — a controller
-// shared across parallel shard warm-ups would make its feedback
-// fold-in depend on worker scheduling and the shard streams
-// nondeterministic. The controllers persist per shard across
-// incremental refreshes (the sharded Refresh hands each shard its
-// previous prepared sampler); sharded sessions feed them no draw
-// feedback, so each shard re-plans purely from its own warm-up
-// statistics.
-func shardFactory(o Options) core.ShardFactory {
-	walks := o.WarmupWalks
-	if o.Shards > 1 && walks > 0 {
-		walks = (walks + o.Shards - 1) / o.Shards
-		if walks < minShardWarmupWalks {
-			walks = minShardWarmupWalks
-		}
+// prepareSampler prepares the sampler the (canonical) options select:
+// the engine itself over the union's joins, or the shard-parallel
+// engine with one engine per shard and the warm-up walk budget split
+// across them.
+func (u *Union) prepareSampler(o Options, g *rng.RNG) (core.PreparedSampler, error) {
+	walks := o.walks()
+	if o.Shards <= 1 {
+		return prepareEngine(u.joins, o, walks, g)
 	}
-	return func(joins []*join.Join, g *rng.RNG) (core.PreparedSampler, error) {
-		var ctrl *tune.Controller
-		if o.Auto {
-			ctrl = tune.NewController(tune.Config{WalkBudget: walks})
-		}
-		if o.Online {
-			return core.PrepareOnline(joins, core.OnlineConfig{
-				WarmupWalks: walks,
-				Oracle:      o.Oracle,
-				Tuner:       ctrl,
-			}, g)
-		}
-		return core.PrepareCover(joins, core.CoverConfig{
-			Method:    core.JoinMethod(o.Method),
-			Estimator: estimatorFor(joins, o, walks),
-			Oracle:    o.Oracle,
-			Tuner:     ctrl,
+	if walks > 0 {
+		walks = max((walks+o.Shards-1)/o.Shards, minShardWarmupWalks)
+	}
+	return core.PrepareSharded(u.joins, core.ShardedConfig{
+		Shards: o.Shards,
+		Factory: func(joins []*join.Join, g *rng.RNG) (core.PreparedSampler, error) {
+			return prepareEngine(joins, o, walks, g)
+		},
+	}, g)
+}
+
+// prepareEngine is the one place the options pick between the paper's
+// two samplers: Algorithm 2 when Online, Algorithm 1 over the selected
+// estimator otherwise, on the whole union's joins or on one shard's
+// rebound joins.
+//
+// Under auto every call makes its own controller. A single-shard
+// session's lives as long as the session, accumulating rejection
+// feedback between re-plan boundaries. A sharded session gets one per
+// shard — a controller shared across parallel shard warm-ups would make
+// its feedback fold-in depend on worker scheduling and the shard
+// streams nondeterministic. Those persist per shard across incremental
+// refreshes (the sharded Refresh hands each shard its previous prepared
+// sampler) and are fed no draw feedback, so each shard re-plans purely
+// from its own warm-up statistics.
+func prepareEngine(joins []*join.Join, o Options, walks int, g *rng.RNG) (core.PreparedSampler, error) {
+	var ctrl *tune.Controller
+	if o.auto() {
+		ctrl = tune.NewController(tune.Config{WalkBudget: walks})
+	}
+	if o.Online {
+		return core.PrepareOnline(joins, core.OnlineConfig{
+			WarmupWalks: walks,
+			Oracle:      o.Oracle,
+			Tuner:       ctrl,
 		}, g)
 	}
+	return core.PrepareCover(joins, core.CoverConfig{
+		Method:    o.joinMethod(),
+		Estimator: estimatorFor(joins, o, walks),
+		Oracle:    o.Oracle,
+		Tuner:     ctrl,
+	}, g)
 }
 
 // Sample draws n independent tuples (with replacement) from the set
@@ -471,10 +500,11 @@ func (u *Union) SampleDisjoint(n int, o Options) ([]Tuple, *Stats, error) {
 	} else if empty {
 		return []Tuple{}, &Stats{}, nil
 	}
-	o = o.withDefaults()
-	shared, err := core.PrepareDisjoint(u.joins, core.DisjointConfig{
-		Method: core.JoinMethod(o.Method),
-	})
+	o, err := o.Canonical()
+	if err != nil {
+		return nil, nil, err
+	}
+	shared, err := core.PrepareDisjoint(u.joins, core.DisjointConfig{Method: o.joinMethod()})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -489,12 +519,11 @@ func (u *Union) SampleDisjoint(n int, o Options) ([]Tuple, *Stats, error) {
 // EstimateUnionSize runs the selected warm-up and returns the
 // estimated |J_1 ∪ ... ∪ J_n| without executing the joins.
 func (u *Union) EstimateUnionSize(o Options) (float64, error) {
-	o = o.withDefaults()
-	p, err := u.estimator(o).Params(rng.New(o.Seed))
+	e, err := u.Estimate(o)
 	if err != nil {
 		return 0, err
 	}
-	return p.UnionSize, nil
+	return e.UnionSize, nil
 }
 
 // ExactUnionSize executes every join and returns the exact set-union

@@ -107,11 +107,15 @@ func TestNewUnionValidation(t *testing.T) {
 	}
 }
 
+// TestWarmupStrings pins the constants' values: they are the wire and
+// flag spellings, hashed into registry keys and written to manifests.
 func TestWarmupStrings(t *testing.T) {
-	if WarmupHistogram.String() != "histogram" ||
-		WarmupRandomWalk.String() != "random-walk" ||
-		WarmupExact.String() != "exact" {
+	if WarmupHistogram != "histogram" || WarmupRandomWalk != "random-walk" ||
+		WarmupExact != "exact" || WarmupAuto != "auto" {
 		t.Error("warmup names wrong")
+	}
+	if MethodEW != "EW" || MethodEO != "EO" || MethodWJ != "WJ" || MethodAuto != "auto" {
+		t.Error("method names wrong")
 	}
 }
 

@@ -97,37 +97,11 @@ func (u *Union) Prepare(o Options) (*Session, error) {
 // private session samples serially (lazy structures then build on
 // demand, as they always did).
 func (u *Union) prepare(o Options, prewarm bool) (*Session, error) {
-	o = o.withDefaults()
-	g := rng.New(o.Seed)
-	var tuner *tune.Controller
-	if o.Auto && o.Shards <= 1 {
-		// One controller for the session's lifetime: it persists across
-		// refreshes, accumulating rejection feedback between re-plan
-		// boundaries. Sharded sessions use per-shard controllers created
-		// inside the factory instead (see shardFactory).
-		tuner = tune.NewController(tune.Config{WalkBudget: o.WarmupWalks})
+	o, err := o.Canonical()
+	if err != nil {
+		return nil, err
 	}
-	var prepared core.PreparedSampler
-	var err error
-	if o.Shards > 1 {
-		prepared, err = core.PrepareSharded(u.joins, core.ShardedConfig{
-			Shards:  o.Shards,
-			Factory: shardFactory(o),
-		}, g)
-	} else if o.Online {
-		prepared, err = core.PrepareOnline(u.joins, core.OnlineConfig{
-			WarmupWalks: o.WarmupWalks,
-			Oracle:      o.Oracle,
-			Tuner:       tuner,
-		}, g)
-	} else {
-		prepared, err = core.PrepareCover(u.joins, core.CoverConfig{
-			Method:    core.JoinMethod(o.Method),
-			Estimator: u.estimator(o),
-			Oracle:    o.Oracle,
-			Tuner:     tuner,
-		}, g)
-	}
+	prepared, err := u.prepareSampler(o, rng.New(o.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +128,7 @@ func newSessionState(prepared core.PreparedSampler) *sessionState {
 // cur returns the state generation this call samples under, refreshing
 // first when the session was prepared with AutoRefresh and either the
 // underlying relations mutated since the last (re)preparation or, under
-// Auto, the controller's rejection trigger requested a re-plan.
+// WarmupAuto, the controller's rejection trigger requested a re-plan.
 func (s *Session) cur() (*sessionState, error) {
 	st := s.state.Load()
 	if s.opts.AutoRefresh && (st.prepared.Stale() || needsReplan(st)) {
@@ -168,7 +142,7 @@ func (s *Session) cur() (*sessionState, error) {
 
 // needsReplan reports whether any of the state's adaptive controllers
 // raised the rejection trigger since the last re-plan boundary. Always
-// false for non-Auto sessions.
+// false for sessions without adaptive tuning.
 func needsReplan(st *sessionState) bool {
 	for _, c := range st.prepared.Tuners() {
 		if c.NeedsReplan() {
@@ -184,11 +158,11 @@ func needsReplan(st *sessionState) bool {
 // controllers re-plan from warm-up statistics alone (the merged
 // breakdown cannot be attributed back to one shard's controller).
 func (s *Session) observe(st *sessionState, run core.Run) {
-	if !s.opts.Auto || s.opts.Shards > 1 {
+	if !s.opts.auto() || s.opts.Shards > 1 {
 		return
 	}
 	if ts := st.prepared.Tuners(); len(ts) == 1 {
-		core.ObserveRun(ts[0], run.Stats().Joins, nil)
+		core.ObserveRun(ts[0], run.Stats().Joins)
 	}
 }
 
@@ -260,10 +234,8 @@ func (s *Session) RefreshStats() RefreshStats { return s.state.Load().refresh }
 // not need shard fan-out.
 func (s *Session) disjointShared(st *sessionState) (*core.DisjointShared, error) {
 	st.disjointOnce.Do(func() {
-		if s.opts.Shards > 1 || (s.opts.Online && core.JoinMethod(s.opts.Method) != core.MethodEO) {
-			st.disjoint, st.disjointErr = core.PrepareDisjoint(s.u.joins, core.DisjointConfig{
-				Method: core.JoinMethod(s.opts.Method),
-			})
+		if method := s.opts.joinMethod(); s.opts.Shards > 1 || (s.opts.Online && method != core.MethodEO) {
+			st.disjoint, st.disjointErr = core.PrepareDisjoint(s.u.joins, core.DisjointConfig{Method: method})
 			return
 		}
 		st.disjoint, st.disjointErr = st.prepared.Disjoint()
@@ -279,7 +251,7 @@ type TuneSnapshot = tune.Snapshot
 type TuneJoinDecision = tune.JoinDecision
 
 // TuneSnapshot reports the adaptive controller's current decisions; ok
-// is false for sessions prepared without Options.Auto. A sharded
+// is false for sessions prepared without WarmupAuto. A sharded
 // session's report aggregates its per-shard controllers: counts sum,
 // and each join's decision merges to the most escalated shard's
 // (Exact if any shard escalated, the largest walk budget, the lowest
@@ -323,8 +295,8 @@ func (s *Session) TuneSnapshot() (TuneSnapshot, bool) {
 // Union returns the union this session samples.
 func (s *Session) Union() *Union { return s.u }
 
-// Options returns the options the session was prepared with (defaults
-// applied).
+// Options returns the options the session was prepared with, in
+// canonical form: preparing with them again prepares the same session.
 func (s *Session) Options() Options { return s.opts }
 
 // OutputSchema returns the schema sampled tuples use.
