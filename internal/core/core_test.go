@@ -368,16 +368,3 @@ func TestParamsFromExactTable(t *testing.T) {
 		}
 	}
 }
-
-func TestEstimatorNames(t *testing.T) {
-	joins := fixtureJoins(t)
-	if (&HistogramEstimator{Joins: joins}).Name() != "histogram" {
-		t.Error("histogram name")
-	}
-	if (&RandomWalkEstimator{Joins: joins}).Name() != "random-walk" {
-		t.Error("random-walk name")
-	}
-	if (&ExactEstimator{Joins: joins}).Name() != "exact" {
-		t.Error("exact name")
-	}
-}

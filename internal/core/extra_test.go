@@ -97,8 +97,6 @@ func TestCoverSamplerNoProgress(t *testing.T) {
 // tests.
 type fakeEstimator struct{ sizes []float64 }
 
-func (f *fakeEstimator) Name() string { return "fake" }
-
 func (f *fakeEstimator) Params(*rng.RNG) (*Params, error) {
 	n := len(f.sizes)
 	p := &Params{JoinSizes: f.sizes, Cover: f.sizes}

@@ -103,9 +103,6 @@ type onlineWarmup struct {
 	walks       *walkest.Estimator
 }
 
-// Name implements Estimator.
-func (o *onlineWarmup) Name() string { return "online" }
-
 // Params implements Estimator.
 func (o *onlineWarmup) Params(g *rng.RNG) (*Params, error) {
 	params, err := (&HistogramEstimator{Joins: o.joins}).Params(g)

@@ -59,9 +59,6 @@ func (p *Params) RatioError(j int, truth *Params) float64 {
 // Estimator is the pluggable warm-up: anything that can produce Params
 // for a union of joins.
 type Estimator interface {
-	// Name identifies the instantiation ("histogram", "random-walk",
-	// "exact").
-	Name() string
 	// Params runs the warm-up and returns framework parameters.
 	Params(g *rng.RNG) (*Params, error)
 }
@@ -72,9 +69,6 @@ type HistogramEstimator struct {
 	Joins []*join.Join
 	Opts  histest.Options
 }
-
-// Name implements Estimator.
-func (h *HistogramEstimator) Name() string { return "histogram" }
 
 // Params implements Estimator.
 func (h *HistogramEstimator) Params(*rng.RNG) (*Params, error) {
@@ -104,9 +98,6 @@ type RandomWalkEstimator struct {
 	// of starting over.
 	resume bool
 }
-
-// Name implements Estimator.
-func (r *RandomWalkEstimator) Name() string { return "random-walk" }
 
 // Params implements Estimator: a cold warm-up that walks every join —
 // or, on the estimator a refresh carried over, only the joins whose
@@ -171,9 +162,6 @@ func walksRun(prev, next *walkest.Estimator, dirty []bool) int {
 type ExactEstimator struct {
 	Joins []*join.Join
 }
-
-// Name implements Estimator.
-func (e *ExactEstimator) Name() string { return "exact" }
 
 // Params implements Estimator.
 func (e *ExactEstimator) Params(*rng.RNG) (*Params, error) {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"sampleunion/internal/join"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/tune"
 	"sampleunion/internal/walkest"
@@ -24,16 +25,11 @@ type PreparedSampler interface {
 	// one otherwise. The two cannot be told apart by anything they draw
 	// or report.
 	NewRun() Run
-	// Prewarm forces the lazily built shared structures the samplers
-	// read — membership tables and, per join edge, the two indexes over
-	// its join attribute: the child's, which every draw probes, and the
-	// parent's, which a refresh follows from a changed child value to the
-	// parent rows holding it — so that concurrent runs pay no build cost
-	// and only ever read them. (First use is safe without Prewarm too —
-	// both structures build exactly once behind an atomic publish — but
-	// prewarming moves the cost into preparation.) An index over any
-	// other attribute still builds on its first Relation.Index, and costs
-	// a refresh nothing until then.
+	// Prewarm runs BuildShared over the sampler's joins. A sampler whose
+	// preparation began with the build phase (Union.Prepare, every
+	// Refresh) has nothing left for it to do; what it forces is the lazy
+	// builds of a sampler prepared without one — a one-shot wrapper's,
+	// a direct PrepareCover's — before its runs go concurrent.
 	Prewarm()
 	// Stale reports whether any relation underlying the sampler mutated
 	// since its warm-up (or last Refresh): draws still work but serve
@@ -81,6 +77,30 @@ var (
 
 // Prewarm forwards to p.Prewarm.
 func Prewarm(p PreparedSampler) { p.Prewarm() }
+
+// BuildShared is the build phase of a preparation: it forces, join beside
+// join, the shared structures that are a pure function of the data —
+// each join's membership tables and, per join edge, the two indexes over
+// its join attribute: the child's, which every walk and draw probes, and
+// the parent's, which a refresh follows from a changed child value to the
+// parent rows holding it. Run before the warm-up it moves every
+// first-touch build off the serial walks and onto all cores; it consumes
+// no randomness, so what the warm-up then estimates and draws is the
+// same. (First use is safe without it — both structures build exactly
+// once behind their own lock.) An index over any other attribute still
+// builds on its first Relation.Index, and costs a refresh nothing until
+// then.
+func BuildShared(joins []*join.Join) {
+	join.FanOut(0, len(joins), func(i int) {
+		joins[i].PrewarmMembership()
+		nodes := joins[i].Nodes()
+		for k := 1; k < len(nodes); k++ {
+			n := &nodes[k]
+			n.Rel.Index(n.AttrPos)
+			nodes[n.Parent].Rel.Index(n.ParentAttrPos)
+		}
+	})
+}
 
 // defaultMaxDraws caps subroutine draws per join selection when neither
 // the configuration nor a tuner's plan sets the cap.
@@ -188,7 +208,8 @@ func (p *prepared) plan(params *Params) *tune.Plan {
 // nextGen is the Refresh of both algorithms: reconcile the base, carry
 // the estimator's walk state over under walkest's refresh rule (dirty
 // joins' estimates reset — the old walks observed a join that no longer
-// exists — and only they walk again), warm, and report the work list.
+// exists — and only they walk again), catch the shared structures up
+// (BuildShared), warm, and report the work list.
 func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
 	nb, dirty, changed := p.base.reconciled()
 	if !changed {
@@ -202,6 +223,7 @@ func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
 	np = prepared{base: nb, tuner: p.tuner, perJoin: p.perJoin, oracle: p.oracle, drawCap: p.drawCap, runs: newRunPool()}
 	np.est, np.refresh.Reprobed = refreshedEstimator(p.est, dirty)
 	dropDirtyFeedback(p.tuner, dirty)
+	BuildShared(nb.joins)
 	if err := np.warm(g); err != nil {
 		return np, false, err
 	}
@@ -217,17 +239,7 @@ func (p *prepared) Params() *Params { return p.params }
 func (p *prepared) WarmupTime() time.Duration { return p.warmupTime }
 
 // Prewarm implements PreparedSampler.
-func (p *prepared) Prewarm() {
-	for _, j := range p.base.joins {
-		j.PrewarmMembership()
-		nodes := j.Nodes()
-		for k := 1; k < len(nodes); k++ {
-			n := &nodes[k]
-			n.Rel.Index(n.AttrPos)
-			nodes[n.Parent].Rel.Index(n.ParentAttrPos)
-		}
-	}
-}
+func (p *prepared) Prewarm() { BuildShared(p.base.joins) }
 
 // Stale implements PreparedSampler.
 func (p *prepared) Stale() bool {

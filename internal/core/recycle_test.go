@@ -165,7 +165,6 @@ func TestRecycledRunEqualsFresh(t *testing.T) {
 // coveredEstimator reports fixed parameters, whatever the data.
 type coveredEstimator struct{ p *Params }
 
-func (coveredEstimator) Name() string                       { return "covered" }
 func (e coveredEstimator) Params(*rng.RNG) (*Params, error) { return e.p, nil }
 
 // TestRecycledRunAfterMidBatchError: a batch that fails part-way leaves

@@ -205,16 +205,17 @@ func (b *unionBase) reconciled() (*unionBase, []bool, bool) {
 
 // applyJoinConfigs installs a plan's per-join configs, rebuilding
 // exactly the samplers that are pending or whose config changed, each
-// from the sampler it replaces. Only safe before the base is published
-// to runs.
+// from the sampler it replaces and beside the other joins' (an EW weight
+// table reads its own join and writes its own slot). Only safe before
+// the base is published to runs.
 func (b *unionBase) applyJoinConfigs(cfgs []joinConfig) {
-	for i := range b.joins {
+	join.FanOut(0, len(b.joins), func(i int) {
 		if b.pending[i] || b.cfgs[i] != cfgs[i] {
 			b.cfgs[i] = cfgs[i]
 			b.samplers[i] = newJoinSampler(b.joins[i], cfgs[i], b.samplers[i])
 			b.pending[i] = false
 		}
-	}
+	})
 }
 
 // patchStats sums what the EW samplers of the dirty joins report about

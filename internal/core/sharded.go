@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -48,7 +47,8 @@ type ShardedConfig struct {
 	// Shards is the partition fan-out (>= 1).
 	Shards int
 	// Workers bounds the goroutines a warm-up, refresh, or draw
-	// fans out to; <= 0 defaults to min(Shards, GOMAXPROCS).
+	// fans out to; <= 0 means GOMAXPROCS, which join.FanOut never
+	// exceeds whatever is asked.
 	Workers int
 	// Factory prepares one shard's sampler; required.
 	Factory ShardFactory
@@ -63,7 +63,6 @@ type ShardedShared struct {
 	origJoins []*join.Join
 	cfg       ShardedConfig
 	attr      string // the partition attribute, PartitionAttr's choice
-	workers   int
 
 	// parts hold the partitioned relations (one Partition per distinct
 	// relation carrying the partition attribute); partOf maps a source
@@ -138,18 +137,10 @@ func PrepareSharded(joins []*join.Join, cfg ShardedConfig, g *rng.RNG) (*Sharded
 	}
 	start := time.Now()
 	attr := PartitionAttr(joins)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Shards {
-		workers = cfg.Shards
-	}
 	p := &ShardedShared{
 		origJoins: joins,
 		cfg:       cfg,
 		attr:      attr,
-		workers:   workers,
 		partOf:    make(map[*relation.Relation]*relation.Partition),
 		runs:      newRunPool(),
 	}
@@ -217,33 +208,6 @@ func (p *ShardedShared) shardRel(s int) func(*relation.Relation) (*relation.Rela
 	}
 }
 
-// fanOut runs f(0) … f(n-1) on at most workers goroutines, inline when
-// there is nothing to overlap. Every caller's f(i) touches only shard
-// i's state plus concurrency-safe shared structures (relation indexes,
-// membership tables), so the fan-out is race-free and — because every
-// shard draws from its own derived stream — deterministic regardless of
-// scheduling.
-func fanOut(workers, n int, f func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			f(i)
-			<-sem
-		}(i)
-	}
-	wg.Wait()
-}
-
 // warmShards prepares (or, with prev non-nil, refreshes) every shard's
 // sampler. Shard s draws its warm-up randomness from stream s of a base
 // derived from g, so the result is reproducible whatever the worker
@@ -253,7 +217,7 @@ func (p *ShardedShared) warmShards(g *rng.RNG, prev []PreparedSampler) error {
 	p.perShard = make([]PreparedSampler, p.cfg.Shards)
 	errs := make([]error, p.cfg.Shards)
 	stats := make([]RefreshStats, p.cfg.Shards)
-	fanOut(p.workers, p.cfg.Shards, func(s int) {
+	join.FanOut(p.cfg.Workers, p.cfg.Shards, func(s int) {
 		gs := rng.New(DeriveSeed(base, int64(s)))
 		var ps PreparedSampler
 		var err error
@@ -344,7 +308,6 @@ func (p *ShardedShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 		origJoins:  p.origJoins,
 		cfg:        p.cfg,
 		attr:       p.attr,
-		workers:    p.workers,
 		parts:      p.parts,
 		partOf:     p.partOf,
 		shardJoins: p.shardJoins,
@@ -380,7 +343,7 @@ func (p *ShardedShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 
 // Prewarm forces every shard's lazily built shared structures.
 func (p *ShardedShared) Prewarm() {
-	fanOut(p.workers, p.cfg.Shards, func(s int) {
+	join.FanOut(p.cfg.Workers, p.cfg.Shards, func(s int) {
 		if p.perShard[s] != nil {
 			p.perShard[s].Prewarm()
 		}
@@ -500,7 +463,7 @@ func (s *ShardedSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 		}
 		busy = append(busy, sh)
 	}
-	fanOut(s.shared.workers, len(busy), func(i int) {
+	join.FanOut(s.shared.cfg.Workers, len(busy), func(i int) {
 		sh := busy[i]
 		parts[sh], errs[sh] = s.runs[sh].Sample(counts[sh], s.runs[sh].RNG(DeriveSeed(base, int64(sh))))
 	})

@@ -58,21 +58,23 @@ func New(joins []*join.Join, opts Options) (*Estimator, error) {
 	if len(joins) == 0 {
 		return nil, fmt.Errorf("histest: no joins")
 	}
-	e := &Estimator{joins: joins, opts: opts}
+	e := &Estimator{joins: joins, opts: opts, profiles: make([]*Profile, len(joins))}
+	// Column statistics are a scan per relation: the joins' are gathered
+	// side by side, each into its own slot.
 	if !opts.ForceSplit && AlignedChains(joins) {
-		for _, j := range joins {
-			p, err := ProfileFromChain(j)
+		errs := make([]error, len(joins))
+		join.FanOut(0, len(joins), func(i int) {
+			e.profiles[i], errs[i] = ProfileFromChain(joins[i])
+		})
+		for _, err := range errs {
 			if err != nil {
 				return nil, err
 			}
-			e.profiles = append(e.profiles, p)
 		}
 		return e, nil
 	}
 	pres := make([]*Precomputed, len(joins))
-	for i, j := range joins {
-		pres[i] = Precompute(j)
-	}
+	join.FanOut(0, len(joins), func(i int) { pres[i] = Precompute(joins[i]) })
 	attrs, err := CanonicalAttrs(pres)
 	if err != nil {
 		return nil, err
@@ -83,11 +85,9 @@ func New(joins []*join.Join, opts Options) (*Estimator, error) {
 	}
 	e.template = tmpl
 	for i, j := range joins {
-		p, err := ProfileFromTemplate(j, tmpl, pres[i])
-		if err != nil {
+		if e.profiles[i], err = ProfileFromTemplate(j, tmpl, pres[i]); err != nil {
 			return nil, err
 		}
-		e.profiles = append(e.profiles, p)
 	}
 	return e, nil
 }

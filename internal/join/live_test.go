@@ -263,3 +263,40 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestMembershipBaseExactlySized: a base table is reserved for its
+// relation's live rows before the first insert, so a fresh build — and
+// the rebuild a burst past the delta budget forces — leaves every table
+// of distinct rows with Cap == Len. Fails if the counter goes back to
+// growing its entry arrays by doubling.
+func TestMembershipBaseExactlySized(t *testing.T) {
+	a := relation.New("A", relation.NewSchema("x", "y"))
+	b := relation.New("B", relation.NewSchema("y", "z"))
+	for i := 0; i < 1500; i++ {
+		a.AppendValues(relation.Value(i), relation.Value(i%60))
+		b.AppendValues(relation.Value(i%60), relation.Value(i))
+	}
+	j, err := NewChain("chain", []*relation.Relation{a, b}, []string{"y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for k, tab := range j.ensureMembership().tabs {
+			if tab.delta != nil || tab.base.Len() != tab.rel.LiveLen() || tab.base.Cap() != tab.base.Len() {
+				t.Errorf("%s, table %d: base Len %d Cap %d over %d live rows (delta %v)",
+					when, k, tab.base.Len(), tab.base.Cap(), tab.rel.LiveLen(), tab.delta != nil)
+			}
+		}
+	}
+	check("fresh build")
+	for _, r := range []*relation.Relation{a, b} {
+		big := make([]relation.Tuple, 700)
+		for i := range big {
+			big[i] = relation.Tuple{relation.Value(5000 + i), relation.Value(7000 + i)}
+		}
+		r.AppendRows(big)
+		r.Delete(3)
+	}
+	check("rebuild past the delta budget")
+}

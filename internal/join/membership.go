@@ -1,6 +1,8 @@
 package join
 
 import (
+	"slices"
+
 	"sampleunion/internal/relation"
 )
 
@@ -290,6 +292,7 @@ func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
 	}
 	ids, _, version := rel.LiveRows()
 	base := relation.NewKeyCounter(rel.Arity(), len(ids))
+	base.Reserve(len(ids))
 	cols := rel.Cols()
 	for _, i := range ids {
 		base.AddRow(cols, i, nil, 1)
@@ -298,26 +301,20 @@ func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
 }
 
 // buildMembership assembles the next immutable membership snapshot,
-// reconciling each relation's table against the previous generation.
+// reconciling each relation's table against the previous generation —
+// side by side: a table reads one relation and writes one slot.
 func (j *Join) buildMembership(old *membershipTables) *membershipTables {
-	total := len(j.nodes)
-	if j.res != nil {
-		total++
-	}
-	m := &membershipTables{tabs: make([]*memberTable, total)}
-	oldTab := func(k int) *memberTable {
-		if old == nil || k >= len(old.tabs) {
-			return nil
+	rels := j.Relations()
+	m := &membershipTables{tabs: make([]*memberTable, len(rels))}
+	FanOut(0, len(rels), func(k int) {
+		var prev *memberTable
+		if old != nil && k < len(old.tabs) {
+			prev = old.tabs[k]
 		}
-		return old.tabs[k]
-	}
-	for k := range j.nodes {
-		m.tabs[k] = reconcileTable(oldTab(k), j.nodes[k].Rel)
-	}
+		m.tabs[k] = reconcileTable(prev, rels[k])
+	})
 	if j.res != nil {
-		m.tabs[len(j.nodes)] = reconcileTable(oldTab(len(j.nodes)), j.res.Rel())
-		m.resSrcVers = make([]uint64, len(j.res.src))
-		copy(m.resSrcVers, j.res.srcVers)
+		m.resSrcVers = slices.Clone(j.res.srcVers)
 	}
 	return m
 }

@@ -285,11 +285,21 @@ func (kt *keyTable) rehash(n int) {
 	kt.slots = slots
 }
 
+// grown returns s with room for n more elements: exactly n when s has no
+// storage yet (a table reserved once, before its build, is exactly
+// sized), amortized growth otherwise.
+func grown[E any](s []E, n int) []E {
+	if cap(s) == 0 {
+		return make([]E, 0, n)
+	}
+	return slices.Grow(s, n)
+}
+
 // reserve makes room for n more entries, so that inserting them grows
 // neither the slot array nor the entry arrays.
 func (kt *keyTable) reserve(n int) {
-	kt.hashes = slices.Grow(kt.hashes, n)
-	kt.vals = slices.Grow(kt.vals, n*kt.arity)
+	kt.hashes = grown(kt.hashes, n)
+	kt.vals = grown(kt.vals, n*kt.arity)
 	slots := len(kt.slots)
 	for (len(kt.hashes)+n)*4 > slots*3 {
 		slots <<= 1
@@ -484,7 +494,7 @@ func (c *KeyCounter) Reserve(n int) {
 		return
 	}
 	c.kt.reserve(n)
-	c.counts = slices.Grow(c.counts, n)
+	c.counts = grown(c.counts, n)
 }
 
 // Cap reports how many keys the counter's storage holds before it grows:

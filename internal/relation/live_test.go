@@ -107,6 +107,14 @@ func driveLiveRelation(t *testing.T, ops []byte, arity int, degrade uint64) {
 	if degrade != 0 {
 		r.SetIndexHashDegradeForTest(degrade)
 	}
+	driveLive(t, r, ops)
+}
+
+// driveLive is driveLiveRelation over a relation the caller made (and
+// may have loaded).
+func driveLive(t *testing.T, r *Relation, ops []byte) {
+	t.Helper()
+	arity := r.Arity()
 	val := func(b byte) Value { return Value(int(b%11) - 2) }
 	mkRow := func(seed byte) Tuple {
 		row := make(Tuple, arity)
@@ -371,9 +379,9 @@ func TestConcurrentMutateAndProbe(t *testing.T) {
 // driver: any divergence between the delta-overlaid index and a rebuilt
 // reference, or any panic, is a finding.
 func FuzzLiveIndex(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 0xFF, 0x40, 0x09}, uint8(2), false)
-	f.Add([]byte{11, 12, 2, 4, 9, 14, 19, 24, 4}, uint8(1), true)
-	f.Add([]byte{1, 101, 2, 102, 3, 103, 4, 104}, uint8(3), false)
+	for _, s := range liveIndexSeeds {
+		f.Add(s.ops, uint8(s.arity-1), s.degrade)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte, arity uint8, degrade bool) {
 		a := int(arity)%3 + 1
 		if len(ops) > 400 {

@@ -223,34 +223,19 @@ func (r *Relation) AppendRows(rows []Tuple) { r.AppendRowsTagged(rows, "") }
 // record, so the serving layer's retry deduplication survives restarts
 // and replication. The tag does not affect the in-memory append.
 func (r *Relation) AppendRowsTagged(rows []Tuple, tag string) {
-	if len(rows) == 0 {
-		return
-	}
 	k := r.schema.Len()
 	for i, t := range rows {
 		if len(t) != k {
 			panic(fmt.Sprintf("relation %s: append row %d arity %d, want %d", r.name, i, len(t), k))
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.snap.Load()
-	first := s.rows
-	cols := make([][]Value, k)
-	for a := range cols {
-		col := s.cols[a]
-		if n := len(col) + len(rows); cap(col) < n {
-			grown := make([]Value, len(col), growCap(cap(col), n))
-			copy(grown, col)
-			col = grown
-		}
+	r.appendBatch(len(rows), tag, func(a int, col []Value) []Value {
+		col = room(col, len(rows))
 		for _, t := range rows {
 			col = append(col, t[a])
 		}
-		cols[a] = col
-	}
-	r.snap.Store(&snapshot{cols: cols, rows: s.rows + len(rows), dead: s.dead, live: s.live + len(rows)})
-	r.logAppendBatch(first, len(rows), tag)
+		return col
+	})
 }
 
 // AppendRowIDs appends the given rows of src — which must have the
@@ -258,46 +243,82 @@ func (r *Relation) AppendRowsTagged(rows []Tuple, tag string) {
 // per-column copy loop with no row materialization. It is the bulk
 // path behind Filter, Partition, and the splits.
 func (r *Relation) AppendRowIDs(src *Relation, ids []int) {
-	if len(ids) == 0 {
-		return
-	}
-	k := r.schema.Len()
 	srcCols := src.Cols()
-	if len(srcCols) != k {
-		panic(fmt.Sprintf("relation %s: AppendRowIDs from arity %d, want %d", r.name, len(srcCols), k))
+	if len(srcCols) != r.schema.Len() {
+		panic(fmt.Sprintf("relation %s: AppendRowIDs from arity %d, want %d", r.name, len(srcCols), r.schema.Len()))
+	}
+	r.appendBatch(len(ids), "", func(a int, col []Value) []Value {
+		col, sc := room(col, len(ids)), srcCols[a]
+		for _, i := range ids {
+			col = append(col, sc[i])
+		}
+		return col
+	})
+}
+
+// AppendColumns appends len(cols[0]) rows given column-wise (cols[a][i]
+// is attribute a of the i-th new row) as one batch: the same Version and
+// the same MutationSink record as AppendRows of the same rows. It is the
+// bulk-load path: an empty relation adopts the vectors as its storage,
+// clipped to their length — nothing is copied, nothing regrows — so the
+// caller must not write to them afterwards.
+func (r *Relation) AppendColumns(cols [][]Value) {
+	if len(cols) != r.schema.Len() {
+		panic(fmt.Sprintf("relation %s: AppendColumns arity %d, want %d", r.name, len(cols), r.schema.Len()))
+	}
+	n := 0
+	if len(cols) > 0 {
+		n = len(cols[0])
+	}
+	for a, c := range cols {
+		if len(c) != n {
+			panic(fmt.Sprintf("relation %s: AppendColumns column %d has %d values, column 0 has %d", r.name, a, len(c), n))
+		}
+	}
+	r.appendBatch(n, "", func(a int, col []Value) []Value {
+		if len(col) == 0 {
+			return cols[a][:n:n]
+		}
+		return append(room(col, n), cols[a]...)
+	})
+}
+
+// appendBatch publishes n more rows under one lock acquisition, one
+// snapshot and one batch log record; fill returns attribute a's column
+// with the n new values appended (room gives it the capacity).
+func (r *Relation) appendBatch(n int, tag string, fill func(a int, col []Value) []Value) {
+	if n == 0 {
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.snap.Load()
-	first := s.rows
-	cols := make([][]Value, k)
-	for a := range cols {
-		col := s.cols[a]
-		if n := len(col) + len(ids); cap(col) < n {
-			grown := make([]Value, len(col), growCap(cap(col), n))
-			copy(grown, col)
-			col = grown
-		}
-		sc := srcCols[a]
-		for _, i := range ids {
-			col = append(col, sc[i])
-		}
-		cols[a] = col
+	cols := make([][]Value, len(s.cols))
+	for a, col := range s.cols {
+		cols[a] = fill(a, col)
 	}
-	r.snap.Store(&snapshot{cols: cols, rows: s.rows + len(ids), dead: s.dead, live: s.live + len(ids)})
-	r.logAppendBatch(first, len(ids), "")
+	r.snap.Store(&snapshot{cols: cols, rows: s.rows + n, dead: s.dead, live: s.live + n})
+	r.logAppendBatch(s.rows, n, tag)
 }
 
-// growCap doubles capacity until it covers need (minimum 8), keeping
-// column growth amortized-constant under streaming appends.
-func growCap(cur, need int) int {
-	if cur < 8 {
-		cur = 8
+// room returns col with capacity for n more values. A column with no
+// storage yet is sized exactly (a bulk load is one allocation per
+// column); afterwards capacity doubles (minimum 8), keeping growth
+// amortized-constant under streaming appends.
+func room(col []Value, n int) []Value {
+	need := len(col) + n
+	if cap(col) >= need {
+		return col
 	}
-	for cur < need {
-		cur *= 2
+	c := need
+	if cap(col) > 0 {
+		for c = max(cap(col), 8); c < need; {
+			c *= 2
+		}
 	}
-	return cur
+	grown := make([]Value, len(col), c)
+	copy(grown, col)
+	return grown
 }
 
 // appendLocked appends one row; callers hold r.mu.
@@ -667,12 +688,7 @@ func (r *Relation) Project(name string, attrs []string) (*Relation, error) {
 		}
 		cols[k] = col
 	}
-	out.mu.Lock()
-	defer out.mu.Unlock()
-	out.snap.Store(&snapshot{cols: cols, rows: len(live), live: len(live)})
-	for i := range live {
-		out.logMutation(Mutation{Kind: MutAppend, Row: i})
-	}
+	out.AppendColumns(cols)
 	return out, nil
 }
 

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"bytes"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -220,26 +219,6 @@ func TestTupleKeyProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTupleOrdering(t *testing.T) {
-	ts := []Tuple{{3, 1}, {1, 2}, {1, 1}, {2, 9}}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
-	want := []Tuple{{1, 1}, {1, 2}, {2, 9}, {3, 1}}
-	for i := range want {
-		if !ts[i].Equal(want[i]) {
-			t.Fatalf("sorted[%d] = %v, want %v", i, ts[i], want[i])
-		}
-	}
-	if !ts[0].Less(ts[1]) || ts[1].Less(ts[0]) {
-		t.Error("Less inconsistent")
-	}
-	if Tuple([]Value{1}).Less(Tuple{1}) {
-		t.Error("equal tuples reported Less")
-	}
-	if !Tuple([]Value{1}).Less(Tuple{1, 0}) {
-		t.Error("prefix should be Less than extension")
 	}
 }
 

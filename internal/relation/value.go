@@ -140,21 +140,6 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
-// Less orders tuples lexicographically; it is used for deterministic
-// output ordering in tools and tests.
-func (t Tuple) Less(u Tuple) bool {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
-	for i := 0; i < n; i++ {
-		if t[i] != u[i] {
-			return t[i] < u[i]
-		}
-	}
-	return len(t) < len(u)
-}
-
 func (t Tuple) String() string {
 	return fmt.Sprint([]Value(t))
 }

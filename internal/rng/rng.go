@@ -80,38 +80,3 @@ func (g *RNG) Bernoulli(p float64) bool {
 	}
 	return g.r.Float64() < p
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Categorical samples an index proportionally to weights. Negative
-// weights are treated as zero. It returns -1 when all weights are zero.
-// For repeated draws from fixed weights prefer NewAlias.
-func (g *RNG) Categorical(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return -1
-	}
-	x := g.r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	// Floating-point slack: return the last positive weight.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	return -1
-}

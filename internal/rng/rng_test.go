@@ -95,38 +95,6 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 }
 
-func TestCategoricalDistribution(t *testing.T) {
-	g := New(11)
-	w := []float64{1, 0, 3, 6}
-	counts := make([]int, len(w))
-	const n = 300000
-	for i := 0; i < n; i++ {
-		counts[g.Categorical(w)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight category drawn %d times", counts[1])
-	}
-	for i, want := range []float64{0.1, 0, 0.3, 0.6} {
-		got := float64(counts[i]) / n
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("category %d frequency = %.4f, want %.2f", i, got, want)
-		}
-	}
-}
-
-func TestCategoricalDegenerate(t *testing.T) {
-	g := New(5)
-	if got := g.Categorical(nil); got != -1 {
-		t.Errorf("Categorical(nil) = %d", got)
-	}
-	if got := g.Categorical([]float64{0, 0}); got != -1 {
-		t.Errorf("Categorical(zeros) = %d", got)
-	}
-	if got := g.Categorical([]float64{-1, 2}); got != 1 {
-		t.Errorf("Categorical(neg,pos) = %d", got)
-	}
-}
-
 func TestAliasMatchesWeights(t *testing.T) {
 	g := New(13)
 	w := []float64{2, 5, 0, 1, 2}
@@ -229,18 +197,6 @@ func TestUint64nZeroPanics(t *testing.T) {
 		}
 	}()
 	g.Uint64n(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	g := New(19)
-	p := g.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("bad permutation %v", p)
-		}
-		seen[v] = true
-	}
 }
 
 // refAlias is the table construction NewAlias and NewAliasCum replaced:

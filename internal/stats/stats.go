@@ -23,18 +23,16 @@ type AttrStats struct {
 
 // BuildAttr computes statistics for the attribute at position pos of r.
 func BuildAttr(r *relation.Relation, pos int) *AttrStats {
-	s := &AttrStats{
-		Attr: r.Schema().Attr(pos),
-		Freq: make(map[relation.Value]int),
-	}
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		if !r.Live(i) {
-			continue
-		}
-		v := r.Value(i, pos)
-		s.Freq[v]++
-		s.Total++
+	ids, _, _ := r.LiveRows()
+	return buildAttr(r.Schema().Attr(pos), r.Cols()[pos], ids)
+}
+
+// buildAttr computes one attribute's statistics over the captured live
+// rows of its column vector.
+func buildAttr(attr string, col []relation.Value, ids []int) *AttrStats {
+	s := &AttrStats{Attr: attr, Freq: make(map[relation.Value]int), Total: len(ids)}
+	for _, i := range ids {
+		s.Freq[col[i]]++
 	}
 	for _, c := range s.Freq {
 		if c > s.Max {
@@ -77,16 +75,22 @@ type RelStats struct {
 	Attrs map[string]*AttrStats
 }
 
-// Build computes full statistics for r.
+// Build computes full statistics for r over one capture of it: the live
+// rows are taken once, atomically with respect to mutations, and the
+// column vectors read afterwards hold every one of them (storage is
+// monotone), so under concurrent appends and deletes Size and every
+// attribute's Total and Freq still describe the same rows.
 func Build(r *relation.Relation) *RelStats {
+	ids, _, _ := r.LiveRows()
+	cols := r.Cols()
 	rs := &RelStats{
 		Name:  r.Name(),
-		Size:  r.LiveLen(),
-		Attrs: make(map[string]*AttrStats, r.Arity()),
+		Size:  len(ids),
+		Attrs: make(map[string]*AttrStats, len(cols)),
 	}
-	for i := 0; i < r.Arity(); i++ {
-		a := BuildAttr(r, i)
-		rs.Attrs[a.Attr] = a
+	for i, col := range cols {
+		attr := r.Schema().Attr(i)
+		rs.Attrs[attr] = buildAttr(attr, col, ids)
 	}
 	return rs
 }
@@ -106,34 +110,4 @@ func (rs *RelStats) MaxDegree(attr string) int {
 		return a.Max
 	}
 	return 0
-}
-
-// MinMaxDegree returns min over the given stats of M_attr — the
-// min_j M_{A_i}(R_{j,i+1}) factor of §5.1. It returns 0 if ss is empty.
-func MinMaxDegree(ss []*RelStats, attr string) int {
-	min := 0
-	for i, rs := range ss {
-		m := rs.MaxDegree(attr)
-		if i == 0 || m < min {
-			min = m
-		}
-	}
-	return min
-}
-
-// MinAvgDegree returns min over the given stats of the average degree of
-// attr — the refinement of §5.1 when full histograms are available.
-func MinAvgDegree(ss []*RelStats, attr string) float64 {
-	min := 0.0
-	for i, rs := range ss {
-		a, ok := rs.Attrs[attr]
-		var v float64
-		if ok {
-			v = a.Avg()
-		}
-		if i == 0 || v < min {
-			min = v
-		}
-	}
-	return min
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"sampleunion/internal/relation"
@@ -71,21 +72,42 @@ func TestBuildRelStats(t *testing.T) {
 	}
 }
 
-func TestMinAggregates(t *testing.T) {
-	r1 := relation.MustFromTuples("A", relation.NewSchema("k"), []relation.Tuple{{1}, {1}, {2}})
-	r2 := relation.MustFromTuples("B", relation.NewSchema("k"), []relation.Tuple{{1}, {2}, {3}, {3}, {3}})
-	ss := []*RelStats{Build(r1), Build(r2)}
-	if got := MinMaxDegree(ss, "k"); got != 2 {
-		t.Errorf("MinMaxDegree = %d, want 2", got)
+// TestBuildUnderMutation: statistics built while another goroutine
+// appends and deletes describe one snapshot — every attribute counts the
+// rows Size counts, and its histogram sums to them. (Reading Len, Live and
+// Value row by row, each its own snapshot load, tore them apart.)
+func TestBuildUnderMutation(t *testing.T) {
+	r := relation.New("R", relation.NewSchema("k", "v", "w"))
+	for i := 0; i < 2000; i++ {
+		r.AppendValues(relation.Value(i%7), relation.Value(i%13), relation.Value(i))
 	}
-	if got := MinMaxDegree(nil, "k"); got != 0 {
-		t.Errorf("MinMaxDegree(nil) = %d", got)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.AppendValues(relation.Value(i%5), relation.Value(i%3), relation.Value(i))
+			r.Delete(i * 31 % r.Len())
+		}
+	}()
+	for n := 0; n < 60; n++ {
+		rs := Build(r)
+		for name, a := range rs.Attrs {
+			sum := 0
+			for _, c := range a.Freq {
+				sum += c
+			}
+			if a.Total != rs.Size || sum != a.Total {
+				t.Fatalf("build %d attr %s: Size %d, Total %d, Σ Freq %d", n, name, rs.Size, a.Total, sum)
+			}
+		}
 	}
-	// avg degrees: A = 3/2 = 1.5, B = 5/3 ≈ 1.67; min = 1.5
-	if got := MinAvgDegree(ss, "k"); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("MinAvgDegree = %f, want 1.5", got)
-	}
-	if got := MinAvgDegree(ss, "nope"); got != 0 {
-		t.Errorf("MinAvgDegree(nope) = %f", got)
-	}
+	close(stop)
+	wg.Wait()
 }

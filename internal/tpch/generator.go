@@ -130,57 +130,68 @@ const (
 
 // Region returns the region relation (variant-independent).
 func (g *Generator) Region() *relation.Relation {
-	r := relation.New("region", relation.NewSchema("regionkey", "r_name"))
-	for i := 0; i < RegionCount; i++ {
-		r.AppendValues(relation.Value(i), relation.Value(i*100+7))
-	}
-	return r
+	return load("region", RegionCount, []string{"regionkey", "r_name"}, func(c [][]relation.Value, i int) {
+		c[0][i], c[1][i] = relation.Value(i), relation.Value(i*100+7)
+	})
 }
 
 // Nation returns the nation relation (variant-independent).
 func (g *Generator) Nation() *relation.Relation {
-	r := relation.New("nation", relation.NewSchema("nationkey", "n_name", "regionkey"))
-	for i := 0; i < NationCount; i++ {
-		r.AppendValues(relation.Value(i), relation.Value(i*100+13), relation.Value(i%RegionCount))
+	return load("nation", NationCount, []string{"nationkey", "n_name", "regionkey"}, func(c [][]relation.Value, i int) {
+		c[0][i], c[1][i], c[2][i] = relation.Value(i), relation.Value(i*100+13), relation.Value(i%RegionCount)
+	})
+}
+
+// load builds an n-row relation as one columnar bulk load: exactly sized
+// column vectors, row i filled by fill(cols, i), one AppendColumns — the
+// Version and contents appending the rows one at a time would leave,
+// without a snapshot per row.
+func load(name string, n int, attrs []string, fill func(c [][]relation.Value, i int)) *relation.Relation {
+	cols := columns(len(attrs), n)
+	for i := 0; i < n; i++ {
+		fill(cols, i)
 	}
+	r := relation.New(name, relation.NewSchema(attrs...))
+	r.AppendColumns(cols)
 	return r
+}
+
+// columns returns k exactly sized column vectors of n rows.
+func columns(k, n int) [][]relation.Value {
+	cols := make([][]relation.Value, k)
+	for a := range cols {
+		cols[a] = make([]relation.Value, n)
+	}
+	return cols
 }
 
 // Supplier returns variant v's supplier relation.
 func (g *Generator) Supplier(v int) *relation.Relation {
 	n := g.scaled(Rows.Supplier)
 	s := g.sharedCount(n)
-	r := relation.New(fmt.Sprintf("supplier_v%d", v),
-		relation.NewSchema("suppkey", "s_name", "nationkey", "s_acctbal"))
-	for i := 0; i < n; i++ {
-		sa := salt(i, s, v)
-		r.AppendValues(
-			relation.Value(i),
-			g.cell("supplier", i, 1, sa)%100000,
-			relation.Value(int64(g.cell("supplier", i, 2, -1))%NationCount),
-			g.cell("supplier", i, 3, sa)%10000,
-		)
-	}
-	return r
+	return load(fmt.Sprintf("supplier_v%d", v), n, []string{"suppkey", "s_name", "nationkey", "s_acctbal"},
+		func(c [][]relation.Value, i int) {
+			sa := salt(i, s, v)
+			c[0][i] = relation.Value(i)
+			c[1][i] = g.cell("supplier", i, 1, sa) % 100000
+			c[2][i] = relation.Value(int64(g.cell("supplier", i, 2, -1)) % NationCount)
+			c[3][i] = g.cell("supplier", i, 3, sa) % 10000
+		})
 }
 
 // Customer returns variant v's customer relation.
 func (g *Generator) Customer(v int) *relation.Relation {
 	n := g.scaled(Rows.Customer)
 	s := g.sharedCount(n)
-	r := relation.New(fmt.Sprintf("customer_v%d", v),
-		relation.NewSchema("custkey", "c_name", "nationkey", "c_acctbal", "c_mktsegment"))
-	for i := 0; i < n; i++ {
-		sa := salt(i, s, v)
-		r.AppendValues(
-			relation.Value(i),
-			g.cell("customer", i, 1, sa)%100000,
-			relation.Value(int64(g.cell("customer", i, 2, -1))%NationCount),
-			g.cell("customer", i, 3, sa)%10000,
-			relation.Value(int64(g.cell("customer", i, 4, sa))%5),
-		)
-	}
-	return r
+	return load(fmt.Sprintf("customer_v%d", v), n, []string{"custkey", "c_name", "nationkey", "c_acctbal", "c_mktsegment"},
+		func(c [][]relation.Value, i int) {
+			sa := salt(i, s, v)
+			c[0][i] = relation.Value(i)
+			c[1][i] = g.cell("customer", i, 1, sa) % 100000
+			c[2][i] = relation.Value(int64(g.cell("customer", i, 2, -1)) % NationCount)
+			c[3][i] = g.cell("customer", i, 3, sa) % 10000
+			c[4][i] = relation.Value(int64(g.cell("customer", i, 4, sa)) % 5)
+		})
 }
 
 // Orders returns variant v's orders relation. Shared orders reference
@@ -190,24 +201,20 @@ func (g *Generator) Orders(v int) *relation.Relation {
 	s := g.sharedCount(n)
 	nCust := g.scaled(Rows.Customer)
 	sCust := g.sharedCount(nCust)
-	r := relation.New(fmt.Sprintf("orders_v%d", v),
-		relation.NewSchema("orderkey", "custkey", "o_status", "o_totalprice"))
-	for i := 0; i < n; i++ {
-		sa := salt(i, s, v)
-		var ck int64
-		if sa == -1 && sCust > 0 {
-			ck = int64(g.cell("orders", i, 1, -1)) % int64(sCust)
-		} else {
-			ck = int64(g.cell("orders", i, 1, sa)) % int64(nCust)
-		}
-		r.AppendValues(
-			relation.Value(i),
-			relation.Value(ck),
-			relation.Value(int64(g.cell("orders", i, 2, sa))%3),
-			g.cell("orders", i, 3, sa)%100000,
-		)
-	}
-	return r
+	return load(fmt.Sprintf("orders_v%d", v), n, []string{"orderkey", "custkey", "o_status", "o_totalprice"},
+		func(c [][]relation.Value, i int) {
+			sa := salt(i, s, v)
+			var ck int64
+			if sa == -1 && sCust > 0 {
+				ck = int64(g.cell("orders", i, 1, -1)) % int64(sCust)
+			} else {
+				ck = int64(g.cell("orders", i, 1, sa)) % int64(nCust)
+			}
+			c[0][i] = relation.Value(i)
+			c[1][i] = relation.Value(ck)
+			c[2][i] = relation.Value(int64(g.cell("orders", i, 2, sa)) % 3)
+			c[3][i] = g.cell("orders", i, 3, sa) % 100000
+		})
 }
 
 // Lineitem returns variant v's lineitem relation (UQ1's shape: no part
@@ -219,42 +226,34 @@ func (g *Generator) Lineitem(v int) *relation.Relation {
 	s := g.sharedCount(n)
 	nOrd := g.scaled(Rows.Orders)
 	sOrd := g.sharedCount(nOrd)
-	r := relation.New(fmt.Sprintf("lineitem_v%d", v),
-		relation.NewSchema("orderkey", "l_linenumber", "l_quantity", "l_price"))
-	for i := 0; i < n; i++ {
-		sa := salt(i, s, v)
-		var ok int64
-		if sa == -1 && sOrd > 0 {
-			ok = int64(g.cell("lineitem", i, 0, -1)) % int64(sOrd)
-		} else {
-			ok = int64(g.cell("lineitem", i, 0, sa)) % int64(nOrd)
-		}
-		r.AppendValues(
-			relation.Value(ok),
-			relation.Value(i),
-			g.cell("lineitem", i, 2, sa)%50+1,
-			g.cell("lineitem", i, 3, sa)%100000,
-		)
-	}
-	return r
+	return load(fmt.Sprintf("lineitem_v%d", v), n, []string{"orderkey", "l_linenumber", "l_quantity", "l_price"},
+		func(c [][]relation.Value, i int) {
+			sa := salt(i, s, v)
+			var ok int64
+			if sa == -1 && sOrd > 0 {
+				ok = int64(g.cell("lineitem", i, 0, -1)) % int64(sOrd)
+			} else {
+				ok = int64(g.cell("lineitem", i, 0, sa)) % int64(nOrd)
+			}
+			c[0][i] = relation.Value(ok)
+			c[1][i] = relation.Value(i)
+			c[2][i] = g.cell("lineitem", i, 2, sa)%50 + 1
+			c[3][i] = g.cell("lineitem", i, 3, sa) % 100000
+		})
 }
 
 // Part returns variant v's part relation.
 func (g *Generator) Part(v int) *relation.Relation {
 	n := g.scaled(Rows.Part)
 	s := g.sharedCount(n)
-	r := relation.New(fmt.Sprintf("part_v%d", v),
-		relation.NewSchema("partkey", "p_name", "p_size", "p_retail"))
-	for i := 0; i < n; i++ {
-		sa := salt(i, s, v)
-		r.AppendValues(
-			relation.Value(i),
-			g.cell("part", i, 1, sa)%100000,
-			g.cell("part", i, 2, sa)%50+1,
-			g.cell("part", i, 3, sa)%10000,
-		)
-	}
-	return r
+	return load(fmt.Sprintf("part_v%d", v), n, []string{"partkey", "p_name", "p_size", "p_retail"},
+		func(c [][]relation.Value, i int) {
+			sa := salt(i, s, v)
+			c[0][i] = relation.Value(i)
+			c[1][i] = g.cell("part", i, 1, sa) % 100000
+			c[2][i] = g.cell("part", i, 2, sa)%50 + 1
+			c[3][i] = g.cell("part", i, 3, sa) % 10000
+		})
 }
 
 // PartSupp returns variant v's partsupp relation. Shared rows reference
@@ -264,24 +263,20 @@ func (g *Generator) PartSupp(v int) *relation.Relation {
 	s := g.sharedCount(n)
 	nPart, sPart := g.scaled(Rows.Part), g.sharedCount(g.scaled(Rows.Part))
 	nSupp, sSupp := g.scaled(Rows.Supplier), g.sharedCount(g.scaled(Rows.Supplier))
-	r := relation.New(fmt.Sprintf("partsupp_v%d", v),
-		relation.NewSchema("partkey", "suppkey", "ps_availqty", "ps_supplycost"))
-	for i := 0; i < n; i++ {
-		sa := salt(i, s, v)
-		var pk, sk int64
-		if sa == -1 && sPart > 0 && sSupp > 0 {
-			pk = int64(g.cell("partsupp", i, 0, -1)) % int64(sPart)
-			sk = int64(g.cell("partsupp", i, 1, -1)) % int64(sSupp)
-		} else {
-			pk = int64(g.cell("partsupp", i, 0, sa)) % int64(nPart)
-			sk = int64(g.cell("partsupp", i, 1, sa)) % int64(nSupp)
-		}
-		r.AppendValues(
-			relation.Value(pk),
-			relation.Value(sk),
-			g.cell("partsupp", i, 2, sa)%1000,
-			g.cell("partsupp", i, 3, sa)%10000,
-		)
-	}
-	return r
+	return load(fmt.Sprintf("partsupp_v%d", v), n, []string{"partkey", "suppkey", "ps_availqty", "ps_supplycost"},
+		func(c [][]relation.Value, i int) {
+			sa := salt(i, s, v)
+			var pk, sk int64
+			if sa == -1 && sPart > 0 && sSupp > 0 {
+				pk = int64(g.cell("partsupp", i, 0, -1)) % int64(sPart)
+				sk = int64(g.cell("partsupp", i, 1, -1)) % int64(sSupp)
+			} else {
+				pk = int64(g.cell("partsupp", i, 0, sa)) % int64(nPart)
+				sk = int64(g.cell("partsupp", i, 1, sa)) % int64(nSupp)
+			}
+			c[0][i] = relation.Value(pk)
+			c[1][i] = relation.Value(sk)
+			c[2][i] = g.cell("partsupp", i, 2, sa) % 1000
+			c[3][i] = g.cell("partsupp", i, 3, sa) % 10000
+		})
 }

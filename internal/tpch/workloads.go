@@ -35,10 +35,11 @@ func UQ1N(cfg Config, variants int) (*Workload, error) {
 		Name:        "UQ1",
 		Description: "five chain joins over nation⋈supplier⋈customer⋈orders⋈lineitem",
 	}
+	rels := generate(variants, g.Supplier, g.Customer, g.Orders, g.Lineitem)
 	for v := 0; v < variants; v++ {
 		j, err := join.NewChain(
 			fmt.Sprintf("UQ1_J%d", v+1),
-			[]*relation.Relation{nation, g.Supplier(v), g.Customer(v), g.Orders(v), g.Lineitem(v)},
+			append([]*relation.Relation{nation}, rels[v]...),
 			[]string{"nationkey", "nationkey", "custkey", "orderkey"},
 		)
 		if err != nil {
@@ -49,6 +50,22 @@ func UQ1N(cfg Config, variants int) (*Workload, error) {
 	return w, nil
 }
 
+// generate builds every kind of relation for variants 0 … variants-1,
+// out[v][k] = kinds[k](v), side by side: a cell is a pure function of
+// (seed, relation, row, column, variant), so the order relations are
+// built in — and on how many cores — cannot change them.
+func generate(variants int, kinds ...func(v int) *relation.Relation) [][]*relation.Relation {
+	out := make([][]*relation.Relation, variants)
+	for v := range out {
+		out[v] = make([]*relation.Relation, len(kinds))
+	}
+	join.FanOut(0, variants*len(kinds), func(i int) {
+		v, k := i/len(kinds), i%len(kinds)
+		out[v][k] = kinds[k](v)
+	})
+	return out
+}
+
 // UQ2 builds the second workload: three chain joins over
 // region ⋈ nation ⋈ supplier ⋈ partsupp ⋈ part on the same data with
 // different selection predicates (following Q2^N ∪ Q2^P ∪ Q2^S), so
@@ -57,7 +74,8 @@ func UQ1N(cfg Config, variants int) (*Workload, error) {
 func UQ2(cfg Config) (*Workload, error) {
 	g := NewGenerator(cfg)
 	region, nation := g.Region(), g.Nation()
-	supplier, partsupp, part := g.Supplier(0), g.PartSupp(0), g.Part(0)
+	v0 := generate(1, g.Supplier, g.PartSupp, g.Part)[0]
+	supplier, partsupp, part := v0[0], v0[1], v0[2]
 	w := &Workload{
 		Name:        "UQ2",
 		Description: "three predicate-filtered chain joins over region⋈nation⋈supplier⋈partsupp⋈part",
@@ -73,7 +91,7 @@ func UQ2(cfg Config) (*Workload, error) {
 		{"P", relation.True{}, relation.True{}, relation.Cmp{Attr: "p_size", Op: relation.LT, Val: 35}},
 		{"S", relation.True{}, relation.Cmp{Attr: "s_acctbal", Op: relation.LT, Val: 7000}, relation.True{}},
 	}
-	for i, v := range variants {
+	for _, v := range variants {
 		rels := []*relation.Relation{
 			region,
 			nation.Filter(fmt.Sprintf("nation_q%s", v.name), v.nation),
@@ -88,7 +106,6 @@ func UQ2(cfg Config) (*Workload, error) {
 		if err != nil {
 			return nil, err
 		}
-		_ = i
 		w.Joins = append(w.Joins, j)
 	}
 	return w, nil
@@ -106,10 +123,11 @@ func UQ3(cfg Config) (*Workload, error) {
 		Description: "one acyclic + two chain joins over split supplier/customer/orders",
 	}
 
+	const sup, cust, ord = 0, 1, 2
+	rels := generate(3, g.Supplier, g.Customer, g.Orders)
+
 	// J1: plain chain supplier ⋈ customer ⋈ orders on variant 0.
-	j1, err := join.NewChain("UQ3_J1",
-		[]*relation.Relation{g.Supplier(0), g.Customer(0), g.Orders(0)},
-		[]string{"nationkey", "custkey"})
+	j1, err := join.NewChain("UQ3_J1", rels[0], []string{"nationkey", "custkey"})
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +136,11 @@ func UQ3(cfg Config) (*Workload, error) {
 	// J2: denormalized chain on variant 1 — supplier⋈customer is
 	// materialized into one wide relation (the PartSupplier_E situation
 	// of Fig 1), horizontally restricted to o_status <= 1.
-	sc, err := materializeSupplierCustomer(g, 1)
+	sc, err := materializeSupplierCustomer(1, rels[1][sup], rels[1][cust])
 	if err != nil {
 		return nil, err
 	}
-	orders2 := g.Orders(1).Filter("orders_v1_lo",
+	orders2 := rels[1][ord].Filter("orders_v1_lo",
 		relation.Cmp{Attr: "o_status", Op: relation.LE, Val: 1})
 	j2, err := join.NewChain("UQ3_J2",
 		[]*relation.Relation{sc, orders2}, []string{"custkey"})
@@ -135,17 +153,16 @@ func UQ3(cfg Config) (*Workload, error) {
 	// custA(custkey, nationkey, c_name) and custB(custkey, c_acctbal,
 	// c_mktsegment); custA is the root joined to custB, supplier, and
 	// orders (horizontally restricted to o_status >= 1).
-	cust := g.Customer(2)
-	custA, custB, err := relation.VerticalSplit(cust,
+	custA, custB, err := relation.VerticalSplit(rels[2][cust],
 		"custA_v2", []string{"custkey", "c_name", "nationkey"},
 		"custB_v2", []string{"custkey", "c_acctbal", "c_mktsegment"})
 	if err != nil {
 		return nil, err
 	}
-	orders3 := g.Orders(2).Filter("orders_v2_hi",
+	orders3 := rels[2][ord].Filter("orders_v2_hi",
 		relation.Cmp{Attr: "o_status", Op: relation.GE, Val: 1})
 	j3, err := join.NewTree("UQ3_J3",
-		[]*relation.Relation{custA, custB, g.Supplier(2), orders3},
+		[]*relation.Relation{custA, custB, rels[2][sup], orders3},
 		[]int{-1, 0, 0, 0},
 		[]string{"", "custkey", "nationkey", "custkey"})
 	if err != nil {
@@ -156,18 +173,24 @@ func UQ3(cfg Config) (*Workload, error) {
 }
 
 // materializeSupplierCustomer joins variant v's supplier and customer
-// on nationkey into one denormalized relation.
-func materializeSupplierCustomer(g *Generator, v int) (*relation.Relation, error) {
-	j, err := join.NewChain("sc_tmp",
-		[]*relation.Relation{g.Supplier(v), g.Customer(v)}, []string{"nationkey"})
+// on nationkey into one denormalized relation, bulk-loaded into columns
+// sized by the join's exact count.
+func materializeSupplierCustomer(v int, supplier, customer *relation.Relation) (*relation.Relation, error) {
+	j, err := join.NewChain("sc_tmp", []*relation.Relation{supplier, customer}, []string{"nationkey"})
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(fmt.Sprintf("suppcust_v%d", v), j.OutputSchema())
+	cols := columns(j.OutputSchema().Len(), int(j.Count()))
+	i := 0
 	j.Enumerate(func(t relation.Tuple) bool {
-		out.Append(t.Clone())
+		for a, v := range t {
+			cols[a][i] = v
+		}
+		i++
 		return true
 	})
+	out := relation.New(fmt.Sprintf("suppcust_v%d", v), j.OutputSchema())
+	out.AppendColumns(cols)
 	return out, nil
 }
 

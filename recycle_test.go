@@ -172,6 +172,10 @@ func TestRecycledRunsUnderConcurrentRefresh(t *testing.T) {
 					seen[w] = append(seen[w], observed{before, n, seed, out, st})
 				}
 				done.Add(1)
+				// A drawer never blocks, so without this the scheduler may
+				// run all eight to completion before the refresher below
+				// gets a core back, and there is one generation to check.
+				runtime.Gosched()
 			}
 		}(w)
 	}

@@ -416,21 +416,25 @@ const minShardWarmupWalks = 32
 // prepareSampler prepares the sampler the (canonical) options select:
 // the engine itself over the union's joins, or the shard-parallel
 // engine with one engine per shard and the warm-up walk budget split
-// across them.
-func (u *Union) prepareSampler(o Options, g *rng.RNG) (core.PreparedSampler, error) {
+// across them. With build each engine's preparation starts with the
+// build phase (core.BuildShared over the joins it samples — a shard's
+// over its fragments, inline when the shard warm-ups already fill the
+// cores); without, structures build when the warm-up first touches them.
+func (u *Union) prepareSampler(o Options, build bool, g *rng.RNG) (core.PreparedSampler, error) {
 	walks := o.walks()
-	if o.Shards <= 1 {
-		return prepareEngine(u.joins, o, walks, g)
-	}
-	if walks > 0 {
+	if o.Shards > 1 && walks > 0 {
 		walks = max((walks+o.Shards-1)/o.Shards, minShardWarmupWalks)
 	}
-	return core.PrepareSharded(u.joins, core.ShardedConfig{
-		Shards: o.Shards,
-		Factory: func(joins []*join.Join, g *rng.RNG) (core.PreparedSampler, error) {
-			return prepareEngine(joins, o, walks, g)
-		},
-	}, g)
+	engine := func(joins []*join.Join, g *rng.RNG) (core.PreparedSampler, error) {
+		if build {
+			core.BuildShared(joins)
+		}
+		return prepareEngine(joins, o, walks, g)
+	}
+	if o.Shards <= 1 {
+		return engine(u.joins, g)
+	}
+	return core.PrepareSharded(u.joins, core.ShardedConfig{Shards: o.Shards, Factory: engine}, g)
 }
 
 // prepareEngine is the one place the options pick between the paper's
@@ -468,9 +472,11 @@ func prepareEngine(joins []*join.Join, o Options, walks int, g *rng.RNG) (core.P
 }
 
 // Sample draws n independent tuples (with replacement) from the set
-// union of the joins, each distinct result tuple with probability
-// 1/|U| under exact parameters (Theorem 1). It returns the samples in
-// OutputSchema order together with run statistics.
+// union of the joins. Under exact parameters each distinct result tuple
+// has probability 1/|U| (Theorem 1) at every n with Options.Oracle, and
+// in the limit n ≫ |U| without it (the run's record has to fill first;
+// see Session.Sample). It returns the samples in OutputSchema order
+// together with run statistics.
 //
 // Sample is a prepare-then-call wrapper: it pays the full warm-up on
 // every call. Callers issuing more than one query over the same union

@@ -91,22 +91,19 @@ func (u *Union) Prepare(o Options) (*Session, error) {
 	return u.prepare(o, true)
 }
 
-// prepare runs the warm-up. prewarm additionally forces the joins'
-// lazily built indexes and membership maps — required before a session
-// is shared across goroutines, skipped by the one-shot wrappers whose
-// private session samples serially (lazy structures then build on
-// demand, as they always did).
+// prepare runs the warm-up. prewarm first forces the joins' lazily
+// built indexes and membership maps, on every core, before the serial
+// estimation reads them — what a session shared across goroutines wants;
+// skipped by the one-shot wrappers whose private session samples serially
+// (lazy structures then build on demand, and only the ones touched).
 func (u *Union) prepare(o Options, prewarm bool) (*Session, error) {
 	o, err := o.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	prepared, err := u.prepareSampler(o, rng.New(o.Seed))
+	prepared, err := u.prepareSampler(o, prewarm, rng.New(o.Seed))
 	if err != nil {
 		return nil, err
-	}
-	if prewarm {
-		prepared.Prewarm()
 	}
 	s := &Session{u: u, opts: o}
 	s.state.Store(newSessionState(prepared))
@@ -203,7 +200,6 @@ func (s *Session) Refresh() error {
 	if !changed {
 		return nil
 	}
-	np.Prewarm()
 	ns := newSessionState(np)
 	ns.refresh = np.LastRefresh()
 	ns.refresh.Duration = time.Since(start)
@@ -395,6 +391,11 @@ func ownStats(st *Stats) *Stats {
 // union at per-draw cost, on the session's next auto stream. It returns
 // the samples in OutputSchema order together with this call's run
 // statistics (warm-up time excluded: it was paid once at Prepare).
+// Every call is its own run: with Options.Oracle the draws are uniform
+// over the union at every n; without it a run learns which join owns a
+// value from its own record, so they are uniform only as this call's n
+// grows past |U|, and a small call over-draws results several joins
+// produce (README, Choosing options).
 func (s *Session) Sample(n int) ([]Tuple, *Stats, error) {
 	return s.SampleSeeded(n, s.nextSeed())
 }
@@ -512,10 +513,13 @@ func (s *Session) SampleParallel(n, workers int) ([]Tuple, error) {
 	return out, nil
 }
 
-// ApproxCount estimates COUNT(*) WHERE pred over the set union from n
-// uniform samples — the approximate-query-answering use case of the
-// paper's introduction. The session's cached |U| estimate serves the
-// scale-up, so the call costs n draws and nothing more.
+// ApproxCount estimates COUNT(*) WHERE pred over the set union from one
+// Sample(n) — the approximate-query-answering use case of the paper's
+// introduction. The session's cached |U| estimate serves the scale-up,
+// so the call costs n draws and nothing more. Like every Approx*
+// method, its interval is calibrated when those n draws are uniform:
+// under Options.Oracle with exact parameters at every n, otherwise only
+// for n well past |U| (see Sample).
 func (s *Session) ApproxCount(pred Predicate, n int) (AggResult, error) {
 	samples, unionSize, err := s.sampleWithSize(n)
 	if err != nil {

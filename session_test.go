@@ -15,8 +15,6 @@ type countingEstimator struct {
 	calls atomic.Int64
 }
 
-func (c *countingEstimator) Name() string { return "counting(" + c.inner.Name() + ")" }
-
 func (c *countingEstimator) Params(g *rng.RNG) (*core.Params, error) {
 	c.calls.Add(1)
 	return c.inner.Params(g)
