@@ -82,6 +82,48 @@ func TestApproxIntervalCalibration(t *testing.T) {
 	checkCoverage(t, "ApproxSum", sumCovered, sumTotal)
 }
 
+// TestApproxCountCalibratedUnderZeroOptions is the calibration half of
+// ROADMAP item 1, under the options a caller gets by default: on the
+// two-region shape at 10 000 customers per region (|U| = 15 000, 5 000 in
+// both joins), the 95 % intervals of ApproxCount at n = 2000 must cover
+// the truth at the nominal rate for the overlap and for the whole first
+// cover region — both inside the region whose size the exact-weight
+// subroutine knows exactly, so what is tested is that a 2000-tuple call
+// is a uniform draw, not how good the overlap estimate is.
+func TestApproxCountCalibratedUnderZeroOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("statistical calibration test")
+	}
+	sc := twoRegions(t, 10_000)
+	sess, err := sc.union.Prepare(su.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		pred  relation.Predicate
+		truth float64
+	}{
+		{"overlap", relation.And{relation.Cmp{Attr: "B", Op: relation.GE, Val: 5000}, relation.Cmp{Attr: "B", Op: relation.LT, Val: 10_000}}, 5000},
+		{"first region", relation.Cmp{Attr: "B", Op: relation.LT, Val: 10_000}, 10_000},
+	} {
+		covered, mean := 0, 0.0
+		const reps = 200
+		for rep := 0; rep < reps; rep++ {
+			res, err := sess.ApproxCount(tc.pred, 2000)
+			if err != nil {
+				t.Fatalf("%s rep %d: %v", tc.name, rep, err)
+			}
+			mean += res.Value / reps
+			if lo, hi := res.Interval(); lo <= tc.truth && tc.truth <= hi {
+				covered++
+			}
+		}
+		t.Logf("%s: mean %.0f for a truth of %.0f", tc.name, mean, tc.truth)
+		checkCoverage(t, "ApproxCount("+tc.name+")", covered, reps)
+	}
+}
+
 func checkCoverage(t *testing.T, what string, covered, total int) {
 	t.Helper()
 	if total < 100 {
