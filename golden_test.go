@@ -117,11 +117,11 @@ func digest(ts []Tuple) string {
 // sampler's per-tuple loop was deleted: a sharded draw assigns shards
 // first and runs one sub-batch per shard on its own derived stream.
 var goldenDigests = map[string]string{
-	"cover-ew":  "8f0009ed7a3f4d9b",
-	"cover-eo":  "465158fbac4cc0de",
-	"cover-wj":  "1425eeeb866a50fe",
+	"cover-ew":  "e8426b4621336a81",
+	"cover-eo":  "d482e6861776995f",
+	"cover-wj":  "d1e22255b710c131",
 	"oracle":    "684db964bc538315",
-	"online":    "ab6005ab45eb3fcf",
+	"online":    "5bcca9171dd7bdbf",
 	"cyclic-ew": "ab392a7ebf43258d",
 	"cyclic-eo": "ba2a8487a19207c5",
 	// Recorded from the engine as it stood before the cover and online
@@ -129,35 +129,35 @@ var goldenDigests = map[string]string{
 	// of online's accept rule, and the one session path on which a served
 	// batch leaves entries buffered and the arena is compacted behind them.
 	"online-oracle": "5bcca9171dd7bdbf",
-	"online-where":  "f8ed34856669ccb1",
+	"online-where":  "9f78648f36875f33",
 	// Sharded streams: the union is hash-partitioned into shards and
 	// draws alias-select a shard per tuple, so these differ from the
 	// single-shard recordings above. They depend only on (seed, shard
 	// count), never on worker scheduling.
-	"shard-cover-ew":  "1c5d9b4797fefdf6",
-	"shard-online":    "7b614228268e8c32",
+	"shard-cover-ew":  "40664e409a0b0823",
+	"shard-online":    "64df8f7f5cf69ecb",
 	"shard-cyclic-eo": "7b377edfb466f4dd",
 	// Adaptive-mode streams: the plan derives from the seeded warm-up,
 	// so auto streams are deterministic but differ from every
 	// explicit-mode stream under the same seed. auto-cyclic equals
 	// cyclic-eo because the one-join cyclic union's stream depends only
 	// on the chosen subroutine, and the plan picked EO there.
-	"auto-cover":  "f39a581be21b967d",
-	"auto-online": "a07add1e7f90d7bb",
+	"auto-cover":  "c5c7778a541f602e",
+	"auto-online": "fb052df2c8576396",
 	"auto-cyclic": "ba2a8487a19207c5",
-	"auto-shard":  "7bd2f93cc63071a5",
+	"auto-shard":  "07e244b94cda2064",
 
 	"disjoint": "f4702720567b5022",
-	"where":    "98a41e44ec206f8e",
+	"where":    "6cad43c78fe6f250",
 	// Post-mutation refreshed draws: a fixed mutation script plus
 	// Session.Refresh, then the same seeded stream — this repo's form of
 	// "maintained answer ≡ recomputed answer after every update".
-	"mutate-cover-ew":       "8e2bd4648738082a",
-	"mutate-cover-eo":       "9304ff62e2042f23",
-	"mutate-online":         "00f85e71861c6ea6",
+	"mutate-cover-ew":       "de2e80f6e52380e4",
+	"mutate-cover-eo":       "cf7e09c00bc98114",
+	"mutate-online":         "f685a5313fd64db8",
 	"mutate-cyclic-eo":      "3787d5c08d55a697",
-	"shard-mutate-cover-ew": "fa1bbeda2cc39cca",
-	"auto-mutate":           "9eab3b2948c277eb",
+	"shard-mutate-cover-ew": "bbcf1a6d3785d052",
+	"auto-mutate":           "535d4f301600f73e",
 }
 
 // goldenSeed is the session seed of every golden scenario; goldenStream

@@ -218,14 +218,5 @@ func (s *BernoulliSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 }
 
 func (s *BernoulliSampler) accept(j int, t relation.Tuple) bool {
-	if s.cfg.Oracle {
-		return s.base.minContaining(j, t) == j
-	}
-	proj := s.base.perms[j]
-	k, seen := s.record.Lookup(t, proj)
-	if !seen {
-		s.record.PutNew(t, proj, j)
-		return true
-	}
-	return s.record.At(k) == j
+	return s.base.minContaining(j, t) == j
 }

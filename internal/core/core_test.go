@@ -222,26 +222,8 @@ func TestCoverSamplerCostBound(t *testing.T) {
 	if draws := float64(s.Stats().TotalDraws); draws > bound {
 		t.Errorf("total draws %.0f exceed 4(N + N log N) = %.0f", draws, bound)
 	}
-}
-
-func TestCoverSamplerRevisionsHappen(t *testing.T) {
-	joins := fixtureJoins(t)
-	s := coverRun(t, joins, CoverConfig{
-		Method:    MethodEW,
-		Estimator: &ExactEstimator{Joins: joins},
-	})
-	if _, err := s.Sample(30000, rng.New(7)); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Revised == 0 {
-		t.Error("no revisions on overlapping joins; record logic suspect")
-	}
-	if st.RejectedDup == 0 {
-		t.Error("no duplicate rejections on overlapping joins")
-	}
-	if st.AcceptTime <= 0 || st.RejectTime <= 0 {
-		t.Errorf("time breakdown not recorded: %+v", st)
+	if st := s.Stats(); st.RejectedDup == 0 || st.Revised != 0 {
+		t.Errorf("overlapping joins: %d draws rejected as an earlier join's, %d revisions; want some and none", st.RejectedDup, st.Revised)
 	}
 }
 

@@ -202,57 +202,26 @@ func (s *runState) serveResult(n int, before *Stats, start time.Time) []relation
 	return out
 }
 
-// accept applies lines 8-14 of Algorithm 1 to t, a candidate value of
-// join j in j's schema order: look the value up in the record, assign it
-// a join — by exact membership under the oracle, dynamically otherwise —
-// reject it when an earlier join covers it, and revise when it turns out
-// to belong to this earlier join. On acceptance it returns the value's
+// accept decides whether t, a candidate value of join j in j's schema
+// order, is j's to return: a value belongs to the first join that
+// contains it (f(t) = min{i : t ∈ J_i}, by exact membership), so a draw an
+// earlier join covers is rejected. On acceptance it returns the value's
 // record handle for commit.
 func (s *runState) accept(j int, t relation.Tuple) (int, bool) {
 	b := s.prep.base
 	proj := b.perms[j]
 	k, seen := s.record.Lookup(t, proj)
-	if s.prep.oracle {
-		f := b.minContaining(j, t)
-		if seen {
-			s.record.SetAt(k, f)
-		} else {
-			k = s.record.PutNew(t, proj, f)
-		}
-		if f < j {
-			s.stats.RejectedDup++
-			return k, false
-		}
-		return k, true
+	f := b.minContaining(j, t)
+	if seen {
+		s.record.SetAt(k, f)
+	} else {
+		k = s.record.PutNew(t, proj, f)
 	}
-	if !seen {
-		return s.record.PutNew(t, proj, j), true
-	}
-	switch assigned := s.record.At(k); {
-	case assigned < j:
-		s.stats.RejectedDup++ // line 8: covered by an earlier join
+	if f < j {
+		s.stats.RejectedDup++
 		return k, false
-	case assigned > j:
-		// Revision (lines 10-12): the value belongs to this earlier
-		// join; drop the copies credited to the later one.
-		s.record.SetAt(k, j)
-		s.stats.Revised++
-		s.removeKey(k)
 	}
 	return k, true
-}
-
-// removeKey drops every result tuple with the given record handle.
-func (s *runState) removeKey(k int) {
-	kept := s.result[:0]
-	for _, e := range s.result {
-		if e.key == k {
-			s.stats.RevisedRemoved++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	s.result = kept
 }
 
 // commit buffers mult instances of the accepted tuple t (join j, record
