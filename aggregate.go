@@ -17,7 +17,9 @@ const DefaultZ = 1.96
 // paper's introduction. One warm-up serves both the |U| estimate and
 // the sampling run, and the sample set is drawn in one Sample call; to
 // serve many aggregates from the same warm-up, Prepare a Session and
-// use its Approx* methods.
+// use its Approx* methods. As there, the interval covers the sampling
+// noise of the n draws, not the error of the warm-up's parameters (see
+// Session.ApproxCount).
 func (u *Union) ApproxCount(pred Predicate, n int, o Options) (AggResult, error) {
 	s, err := u.prepare(o, false)
 	if err != nil {

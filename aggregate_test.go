@@ -9,7 +9,7 @@ func TestApproxCount(t *testing.T) {
 	u := demoUnion(t)
 	// Truth: customers 0..44, 2 orders each; custkey < 15 → 30 tuples.
 	res, err := u.ApproxCount(Cmp{Attr: "custkey", Op: LT, Val: 15}, 20000,
-		Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 40})
+		Options{Warmup: WarmupExact, Method: MethodEW, Seed: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestApproxSum(t *testing.T) {
 		truth += float64(2 * k)
 	}
 	res, err := u.ApproxSum("custkey", True{}, 20000,
-		Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 41})
+		Options{Warmup: WarmupExact, Method: MethodEW, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestApproxSum(t *testing.T) {
 func TestApproxAvg(t *testing.T) {
 	u := demoUnion(t)
 	res, err := u.ApproxAvg("custkey", True{}, 20000,
-		Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 42})
+		Options{Warmup: WarmupExact, Method: MethodEW, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestApproxWithRandomWalkWarmup(t *testing.T) {
 func TestApproxGroupCount(t *testing.T) {
 	u := demoUnion(t)
 	groups, err := u.ApproxGroupCount("nationkey", 20000,
-		Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 45})
+		Options{Warmup: WarmupExact, Method: MethodEW, Seed: 45})
 	if err != nil {
 		t.Fatal(err)
 	}

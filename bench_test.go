@@ -152,9 +152,11 @@ func BenchmarkSampleBatch(b *testing.B) {
 }
 
 // BenchmarkDrawPath measures the per-draw hot path in isolation: one
-// prepared session, one run, b.N tuples drawn in a single stream. The
-// allocs/op column is allocations per returned tuple — the target of
-// the allocation-free draw path refactor.
+// prepared session, one run, b.N tuples drawn in a single stream, every
+// candidate of the second join probed against the first
+// (Join.Contains projection probes). The allocs/op column is allocations
+// per returned tuple — the target of the allocation-free draw path
+// refactor.
 func BenchmarkDrawPath(b *testing.B) {
 	u := benchUnion(b)
 	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
@@ -172,27 +174,8 @@ func BenchmarkDrawPath(b *testing.B) {
 	}
 }
 
-// BenchmarkDrawPathOracle is BenchmarkDrawPath with exact membership
-// tests, which exercises Join.Contains projection probes on every draw.
-func BenchmarkDrawPathOracle(b *testing.B) {
-	u := benchUnion(b)
-	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	out, _, err := s.SampleSeeded(b.N, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(out) != b.N {
-		b.Fatal("short sample")
-	}
-}
-
 // BenchmarkMembershipProbe measures a single Join.Contains probe on a
-// warm join — the §6.2 membership primitive behind the oracle mode and
+// warm join — the §6.2 membership primitive behind the accept rule and
 // the overlap estimator.
 func BenchmarkMembershipProbe(b *testing.B) {
 	u := benchUnion(b)

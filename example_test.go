@@ -39,7 +39,6 @@ func Example() {
 	}
 	tuples, _, err := u.Sample(5, sampleunion.Options{
 		Warmup: sampleunion.WarmupExact, // exact parameters: exactly uniform
-		Oracle: true,
 		Seed:   1,
 	})
 	if err != nil {

@@ -107,29 +107,28 @@ func digest(ts []Tuple) string {
 // one stream: Session.SampleSeeded, which the deprecated *Batch*
 // forwarders return verbatim (TestForwardersMatchEngine).
 //
-// History: the digests of EO, WJ and online-walk modes date from before
-// the allocation-free draw-path refactor and have never changed. The EW
-// rows (cover-ew, oracle, disjoint, where, cyclic-ew, mutate-cover-ew,
-// shard-cover-ew) carry what used to be their batch-* twins' digests:
-// EW row selection is the alias-table / exact Uint64n draw, and the
-// float prefix-sum selection those names once pinned is gone.
-// shard-cyclic-eo and auto-shard were re-pinned when the sharded
-// sampler's per-tuple loop was deleted: a sharded draw assigns shards
-// first and runs one sub-batch per shard on its own derived stream.
+// History: every row over the three-join union except exact-ew and
+// disjoint was re-pinned when exact membership became the only accept
+// rule (a value belongs to the first join that contains it; before, a
+// run learned that from its own record and revised). exact-ew, which
+// already drew that way under an option since removed, disjoint,
+// and the one-join cyclic rows, where there is nothing to assign, kept
+// their digests; online took the digest of the online-oracle row, which
+// was then deleted as its duplicate. shard-cyclic-eo dates from when the
+// sharded sampler's per-tuple loop was deleted: a sharded draw assigns
+// shards first and runs one sub-batch per shard on its own derived
+// stream.
 var goldenDigests = map[string]string{
 	"cover-ew":  "e8426b4621336a81",
 	"cover-eo":  "d482e6861776995f",
 	"cover-wj":  "d1e22255b710c131",
-	"oracle":    "684db964bc538315",
+	"exact-ew":  "684db964bc538315",
 	"online":    "5bcca9171dd7bdbf",
 	"cyclic-ew": "ab392a7ebf43258d",
 	"cyclic-eo": "ba2a8487a19207c5",
-	// Recorded from the engine as it stood before the cover and online
-	// runs were given one record and one result buffer: the oracle branch
-	// of online's accept rule, and the one session path on which a served
-	// batch leaves entries buffered and the arena is compacted behind them.
-	"online-oracle": "5bcca9171dd7bdbf",
-	"online-where":  "9f78648f36875f33",
+	// The one session path on which a served batch leaves entries buffered
+	// and the arena is compacted behind them.
+	"online-where": "9f78648f36875f33",
 	// Sharded streams: the union is hash-partitioned into shards and
 	// draws alias-select a shard per tuple, so these differ from the
 	// single-shard recordings above. They depend only on (seed, shard
@@ -184,9 +183,8 @@ func goldenModes(t testing.TB) []goldenMode {
 		{"cover-ew", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEW}},
 		{"cover-eo", u, Options{Warmup: WarmupHistogram, Method: MethodEO}},
 		{"cover-wj", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodWJ}},
-		{"oracle", u, Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true}},
+		{"exact-ew", u, Options{Warmup: WarmupExact, Method: MethodEW}},
 		{"online", u, Options{Online: true, WarmupWalks: 150}},
-		{"online-oracle", u, Options{Online: true, WarmupWalks: 150, Oracle: true}},
 		{"cyclic-ew", cu, Options{Warmup: WarmupHistogram, Method: MethodEW}},
 		{"cyclic-eo", cu, Options{Warmup: WarmupHistogram, Method: MethodEO}},
 		// Sharded: cover, online, and cyclic (residual rebound per shard).
@@ -322,8 +320,8 @@ func mutateCyclicDraw(t testing.TB) func() ([]Tuple, error) {
 }
 
 // TestSeededGolden pins seeded sampling output across every draw path:
-// cover (EW/EO/WJ), oracle, online, disjoint, predicate rejection, and
-// cyclic joins with a residual.
+// cover (EW/EO/WJ, exact and estimated parameters), online, disjoint,
+// predicate rejection, and cyclic joins with a residual.
 func TestSeededGolden(t *testing.T) {
 	print := os.Getenv("GOLDEN_PRINT") != ""
 	for _, sc := range goldenScenarios(t) {

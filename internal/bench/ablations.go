@@ -7,15 +7,13 @@ import (
 	"sampleunion/internal/core"
 	"sampleunion/internal/histest"
 	"sampleunion/internal/overlap"
-	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/tpch"
 )
 
 // This file holds ablation experiments beyond the paper's figures: each
 // isolates one design choice of the framework (splitting vs direct
-// profiles, template scoring, the dynamic record vs exact membership,
-// Bernoulli vs non-Bernoulli join selection).
+// profiles, template scoring, Bernoulli vs non-Bernoulli join selection).
 
 // AblationSplit compares §5.1's direct equi-length-chain estimation
 // against forcing the §5.2 splitting method on the same (aligned) UQ1
@@ -108,94 +106,6 @@ func AblationZeroScore(o Options) (*Result, error) {
 			fmt.Sprintf("%.0f", truth.UnionSize), f(meanErr))
 	}
 	return res, nil
-}
-
-// AblationOracle compares the paper's dynamic orig_join record against
-// exact membership tests: revisions performed, result tuples torn up,
-// and the total-variation distance of the output from uniform.
-func AblationOracle(o Options) (*Result, error) {
-	o = o.withDefaults()
-	// Keep the union small relative to the sample count: the TVD metric
-	// needs many samples per distinct union tuple, or sampling noise
-	// swamps the record-vs-oracle difference.
-	sf := o.SF / 4
-	w, err := tpch.UQ1N(tpch.Config{SF: sf, Overlap: 0.5, Seed: o.Seed}, 3)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Name:   "dynamic record vs membership oracle (UQ1, overlap 0.5)",
-		Figure: "ablation-oracle",
-		Note:   "tvd_from_uniform includes multinomial sampling noise; compare rows, not absolute values",
-		Header: []string{"assignment", "revised", "torn_up", "dup_rejects", "tvd_from_uniform"},
-	}
-	n := o.Samples * 20
-	for _, oracle := range []bool{false, true} {
-		g := rng.New(o.Seed)
-		p, err := core.PrepareCover(w.Joins, core.CoverConfig{
-			Method:    core.MethodEW,
-			Estimator: &core.ExactEstimator{Joins: w.Joins},
-			Oracle:    oracle,
-		}, g)
-		if err != nil {
-			return nil, err
-		}
-		s := p.NewRun()
-		out, err := s.Sample(n, g)
-		if err != nil {
-			return nil, err
-		}
-		tvd, err := tvdFromUniform(w, out)
-		if err != nil {
-			return nil, err
-		}
-		name := "record"
-		if oracle {
-			name = "oracle"
-		}
-		st := s.Stats()
-		res.Add(name, fmt.Sprintf("%d", st.Revised), fmt.Sprintf("%d", st.RevisedRemoved),
-			fmt.Sprintf("%d", st.RejectedDup), f(tvd))
-	}
-	return res, nil
-}
-
-// tvdFromUniform estimates the total-variation distance between the
-// empirical sample distribution and the uniform distribution over the
-// exact set union.
-func tvdFromUniform(w *tpch.Workload, out []relation.Tuple) (float64, error) {
-	ref := w.Joins[0].OutputSchema()
-	universe := make(map[string]struct{})
-	for _, j := range w.Joins {
-		perm, err := overlap.AlignPerm(ref, j.OutputSchema())
-		if err != nil {
-			return 0, err
-		}
-		buf := make(relation.Tuple, ref.Len())
-		j.Enumerate(func(tu relation.Tuple) bool {
-			for i, p := range perm {
-				buf[i] = tu[p]
-			}
-			universe[relation.TupleKey(buf)] = struct{}{}
-			return true
-		})
-	}
-	counts := make(map[string]int)
-	for _, tu := range out {
-		counts[relation.TupleKey(tu)]++
-	}
-	u := 1 / float64(len(universe))
-	n := float64(len(out))
-	tvd := 0.0
-	for k := range universe {
-		p := float64(counts[k]) / n
-		d := p - u
-		if d < 0 {
-			d = -d
-		}
-		tvd += d
-	}
-	return tvd / 2, nil
 }
 
 // AblationBernoulli compares the §3 Bernoulli union-trick sampler with

@@ -148,7 +148,6 @@ func Experiments() []struct {
 		{"thm2", Thm2CostBound},
 		{"ablation-split", AblationSplit},
 		{"ablation-zeroscore", AblationZeroScore},
-		{"ablation-oracle", AblationOracle},
 		{"ablation-bernoulli", AblationBernoulli},
 		{"scale-joins", ScaleJoins},
 		{"shards", Shards},

@@ -122,16 +122,12 @@ func (s *DisjointSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 type BernoulliConfig struct {
 	Method    JoinMethod
 	Estimator Estimator
-	// Oracle: as in CoverConfig, exact membership instead of the
-	// dynamic first-observed-join record.
-	Oracle bool
 }
 
 // BernoulliSampler implements the straightforward set-union sampler of
 // §3 (the "union trick"): at each iteration every join J_j is selected
 // independently with probability |J_j|/|U|; a tuple drawn from J_j is
-// kept only when its value is assigned to J_j (the first join it was
-// observed in — or, under Oracle, the first join containing it). Each
+// kept only when J_j is the first join containing it, f(u) = j. Each
 // value u is therefore returned with probability
 // |J_{f(u)}|/|U| · 1/|J_{f(u)}| = 1/|U| per iteration.
 //
@@ -141,9 +137,7 @@ type BernoulliConfig struct {
 // implemented here as the framework's base case.
 type BernoulliSampler struct {
 	base    *unionBase
-	cfg     BernoulliConfig
 	params  *Params
-	record  *relation.KeyCounter // value (ref order) -> first-observed join
 	scratch drawScratch
 	stats   Stats
 }
@@ -168,7 +162,7 @@ func NewBernoulliSampler(joins []*join.Join, cfg BernoulliConfig, g *rng.RNG) (*
 	if p.UnionSize <= 0 {
 		return nil, fmt.Errorf("core: estimated union size is zero")
 	}
-	s := &BernoulliSampler{base: base, cfg: cfg, params: p, record: base.recordKeys(), scratch: base.newScratch()}
+	s := &BernoulliSampler{base: base, params: p, scratch: base.newScratch()}
 	s.stats.reset(len(joins))
 	s.stats.WarmupTime = time.Since(start)
 	return s, nil
@@ -202,7 +196,7 @@ func (s *BernoulliSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 			if got == 0 {
 				continue
 			}
-			if !s.accept(j, s.scratch.out) {
+			if s.base.minContaining(j, s.scratch.out) != j {
 				s.stats.RejectedDup++
 				continue
 			}
@@ -215,8 +209,4 @@ func (s *BernoulliSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	}
 	s.stats.bookBatchTime(&before, time.Since(start))
 	return out, nil
-}
-
-func (s *BernoulliSampler) accept(j int, t relation.Tuple) bool {
-	return s.base.minContaining(j, t) == j
 }

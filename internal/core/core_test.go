@@ -136,20 +136,15 @@ func disjointRun(t testing.TB, joins []*join.Join, method JoinMethod) *DisjointS
 }
 
 // TestCoverSamplerUniform drives Algorithm 1 through the uniformity
-// check across subroutines and record modes.
+// check across subroutines.
 func TestCoverSamplerUniform(t *testing.T) {
 	cases := []struct {
 		name   string
 		method JoinMethod
-		oracle bool
-		slack  float64
 	}{
-		{"ew-oracle", MethodEW, true, 1},
-		// The dynamic record mis-assigns values until they are re-drawn
-		// from an earlier join; allow extra slack for those transients.
-		{"ew-record", MethodEW, false, 3},
-		{"eo-oracle", MethodEO, true, 1},
-		{"wj-oracle", MethodWJ, true, 1},
+		{"ew-oracle", MethodEW},
+		{"eo-oracle", MethodEO},
+		{"wj-oracle", MethodWJ},
 	}
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -157,9 +152,8 @@ func TestCoverSamplerUniform(t *testing.T) {
 			s := coverRun(t, joins, CoverConfig{
 				Method:    c.method,
 				Estimator: &ExactEstimator{Joins: joins},
-				Oracle:    c.oracle,
 			})
-			checkUniformUnion(t, joins, 60000, c.slack, s.Sample, rng.New(int64(200+i)))
+			checkUniformUnion(t, joins, 60000, 1, s.Sample, rng.New(int64(200+i)))
 		})
 	}
 }
@@ -169,7 +163,6 @@ func TestCoverSamplerRandomWalkParams(t *testing.T) {
 	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &RandomWalkEstimator{Joins: joins},
-		Oracle:    true,
 	})
 	// Estimated covers deviate from truth, so the output deviates from
 	// uniform proportionally (this is exactly the ratio error the
@@ -212,7 +205,6 @@ func TestCoverSamplerCostBound(t *testing.T) {
 	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
-		Oracle:    true,
 	})
 	const n = 20000
 	if _, err := s.Sample(n, rng.New(6)); err != nil {
@@ -232,7 +224,6 @@ func TestBernoulliSamplerUniform(t *testing.T) {
 	s, err := NewBernoulliSampler(joins, BernoulliConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
-		Oracle:    true,
 	}, rng.New(1009))
 	if err != nil {
 		t.Fatal(err)
@@ -240,6 +231,9 @@ func TestBernoulliSamplerUniform(t *testing.T) {
 	checkUniformUnion(t, joins, 60000, 1, s.Sample, rng.New(8))
 	if s.Stats().RejectedDup == 0 {
 		t.Error("Bernoulli sampler never rejected a duplicate on overlapping joins")
+	}
+	if s.Params() == nil {
+		t.Error("Params nil after sampling")
 	}
 }
 

@@ -20,12 +20,6 @@ type CoverConfig struct {
 	// subroutine's per-attempt normalization cancel; the public API's
 	// Options wiring guarantees this pairing.
 	Estimator Estimator
-	// Oracle switches the value-to-join assignment from the dynamic
-	// orig_join record (the paper's Algorithm 1, lines 8-13) to exact
-	// membership tests f(u) = min{i : u ∈ J_i}. The oracle needs data
-	// access but makes uniformity exact from the first sample; the
-	// record converges to it as values are re-drawn.
-	Oracle bool
 	// MaxDrawsPerSelection caps subroutine draws per join selection
 	// before reselecting a join (guards against a join whose cover
 	// region is empty but whose estimated cover size is positive).
@@ -63,7 +57,6 @@ func PrepareCover(joins []*join.Join, cfg CoverConfig, g *rng.RNG) (*CoverShared
 		est:     cfg.Estimator,
 		tuner:   cfg.Tuner,
 		perJoin: true,
-		oracle:  cfg.Oracle,
 		drawCap: cfg.MaxDrawsPerSelection,
 		runs:    newRunPool(),
 	}}
@@ -83,10 +76,10 @@ func (p *CoverShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 }
 
 // NewRun returns a sampling run over the shared prepared state with its
-// own value-to-join record, result buffer, and Stats: a released run of
-// this generation when there is one, a new one otherwise, reset either
-// way. Runs are independent; any number may sample concurrently as long
-// as each uses its own RNG.
+// own result buffer and Stats: a released run of this generation when
+// there is one, a new one otherwise, reset either way. Runs are
+// independent; any number may sample concurrently as long as each uses
+// its own RNG.
 func (p *CoverShared) NewRun() Run {
 	s, _ := p.runs.Get().(*CoverSampler)
 	if s == nil {
@@ -97,11 +90,12 @@ func (p *CoverShared) NewRun() Run {
 }
 
 // CoverSampler is one sampling run of Algorithm 1: join selection
-// proportional to cover sizes |J'_j|/|U|, uniform sampling inside the
+// proportional to cover sizes |J'_j|/|U|, and uniform sampling inside the
 // selected join with redraws until the draw lands in the join's cover
-// region, and revision when a value turns out to belong to an earlier
-// join. All mutable state (record, result buffer, stats) is per-run;
-// the prepared state is shared and read-only.
+// region — the values no earlier join contains, decided by membership
+// (runState.accept) where the paper's lines 8-14 learn it from a record
+// and revise. All mutable state (result buffer, stats) is per-run; the
+// prepared state is shared and read-only.
 //
 // On the redraw semantics: Theorem 1's proof takes the probability of a
 // value u given its cover join as 1/|J'_j|; redrawing within the
@@ -121,14 +115,12 @@ func (s *CoverSampler) Params() *Params { return s.prep.params }
 
 // Sample returns n tuples drawn with replacement from the set union,
 // each with probability 1/|U| (Theorem 1). Tuples are in the first
-// join's output schema order. Consecutive calls continue the stream —
-// the record carries over, and a call buffers exactly the n tuples it
-// returns, so returned tuples are final (a revision only ever removes
-// tuples of the call in progress) — and Sample can be called repeatedly
-// for more data. Join selection stays per-tuple — batching it across
-// tuples would correlate samples that must be independent — while the
-// result buffer, the arena and the record are sized for the batch once
-// per call and the wall clock is read once per call (bookBatchTime).
+// join's output schema order. Consecutive calls continue the stream — a
+// call buffers exactly the n tuples it returns — and Sample can be called
+// repeatedly for more data. Join selection stays per-tuple — batching it
+// across tuples would correlate samples that must be independent — while
+// the result buffer and the arena are sized for the batch once per call
+// and the wall clock is read once per call (bookBatchTime).
 func (s *CoverSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	before, start := s.beginBatch(n)
 	for len(s.result) < n {
@@ -147,11 +139,11 @@ func (s *CoverSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error) 
 	return s.Sample(n, g)
 }
 
-// drawOne runs join selection and the accept/reject/revise logic until
-// one tuple is appended to the result. The join-level acceptance loop
-// runs devirtualized inside the subroutine (SampleManyInto, one call
-// per union-level candidate) and lands in the run's scratch buffers;
-// only an accepted tuple is copied into the arena.
+// drawOne runs join selection and the accept rule until one tuple is
+// appended to the result. The join-level acceptance loop runs
+// devirtualized inside the subroutine (SampleManyInto, one call per
+// union-level candidate) and lands in the run's scratch buffers; only an
+// accepted tuple is copied into the arena.
 func (s *CoverSampler) drawOne(g *rng.RNG) error {
 	for selections := 0; ; selections++ {
 		if selections > 64 {
@@ -167,8 +159,8 @@ func (s *CoverSampler) drawOne(g *rng.RNG) error {
 			if got == 0 {
 				break // budget exhausted or dead join: reselect
 			}
-			if k, ok := s.accept(j, s.scratch.out); ok {
-				s.commit(k, j, s.scratch.out, 1, 0)
+			if s.accept(j, s.scratch.out) {
+				s.commit(j, s.scratch.out, 1, 0)
 				return nil
 			}
 			// Union-level duplicate: redraw within the same join

@@ -11,35 +11,6 @@ import (
 	"sampleunion/internal/rng"
 )
 
-// TestBernoulliRecordMode exercises the dynamic first-observed-join
-// record of the union trick (non-oracle path).
-func TestBernoulliRecordMode(t *testing.T) {
-	joins := fixtureJoins(t)
-	s, err := NewBernoulliSampler(joins, BernoulliConfig{
-		Method:    MethodEW,
-		Estimator: &ExactEstimator{Joins: joins},
-	}, rng.New(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := unionIndex(t, joins)
-	out, err := s.Sample(5000, rng.New(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tu := range out {
-		if _, ok := idx[relation.TupleKey(tu)]; !ok {
-			t.Fatalf("record-mode Bernoulli produced non-union tuple %v", tu)
-		}
-	}
-	if s.Stats().RejectedDup == 0 {
-		t.Error("record never rejected on overlapping joins")
-	}
-	if s.Params() == nil {
-		t.Error("Params nil after sampling")
-	}
-}
-
 // TestBernoulliEOProbabilitiesClamped: under EO bounds the selection
 // probability uses bound/|U| with |U| >= max bound, so it stays a
 // probability; the run must terminate and stay inside the union.

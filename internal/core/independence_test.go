@@ -9,8 +9,7 @@ import (
 )
 
 // TestSampleIndependence checks the i.i.d. half of Theorem 1: under
-// exact parameters and the membership oracle, consecutive samples are
-// independent. We test lag-1 independence with a chi-square over the
+// exact parameters consecutive samples are independent. We test lag-1 independence with a chi-square over the
 // joint distribution of (coarse cell of sample i, coarse cell of
 // sample i+1): under independence it is the product of the marginals.
 func TestSampleIndependence(t *testing.T) {
@@ -18,7 +17,6 @@ func TestSampleIndependence(t *testing.T) {
 	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
-		Oracle:    true,
 	})
 	const n = 60000
 	out, err := s.Sample(n, rng.New(61))

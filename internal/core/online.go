@@ -27,8 +27,6 @@ type OnlineConfig struct {
 	// Gamma is the target confidence level; once reached, parameter
 	// updates stop (line 18). Values <= 0 default to 0.9.
 	Gamma float64
-	// Oracle uses exact membership instead of the dynamic record.
-	Oracle bool
 	// MaxDrawsPerSelection caps attempts per join selection; <= 0
 	// defaults to 256 — or, with a Tuner, to the plan's cap.
 	MaxDrawsPerSelection int
@@ -75,7 +73,6 @@ func PrepareOnline(joins []*join.Join, cfg OnlineConfig, g *rng.RNG) (*OnlineSha
 		base:    base,
 		est:     &onlineWarmup{joins: joins, warmupWalks: cfg.WarmupWalks, walks: walks},
 		tuner:   cfg.Tuner,
-		oracle:  cfg.Oracle,
 		drawCap: cfg.MaxDrawsPerSelection,
 		runs:    newRunPool(),
 	}}
@@ -152,7 +149,7 @@ func (p *OnlineShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 
 // NewRun returns a sampling run over the shared warm-up with its own
 // copy of the walk estimator's running estimates (pool excluded, see
-// the type comment), record, result buffer, and Stats: a released run of
+// the type comment), result buffer, and Stats: a released run of
 // this generation when there is one, a new one otherwise, reset either
 // way. Runs are independent and reproducible from their RNG; any number
 // may sample concurrently as long as each uses its own RNG.
@@ -186,7 +183,7 @@ func (p *OnlineShared) NewReuseRun() *OnlineSampler {
 // recorded probabilities re-estimates parameters and backtracks
 // previously accepted tuples to the new distribution (§7). All mutable
 // state — the walk estimator copy, parameters under refinement, the
-// record, the result buffer, stats — is per-run.
+// result buffer, stats — is per-run.
 type OnlineSampler struct {
 	runState
 	shared   *OnlineShared
@@ -252,13 +249,12 @@ func (s *OnlineSampler) Stats() *Stats {
 
 // Sample returns n tuples from the set union in the first join's
 // output schema order. Consecutive calls continue the stream: returned
-// tuples are final (later revisions and backtracking only affect
-// buffered, not-yet-returned tuples). Walks feed the run's estimates
-// one at a time — each walk updates the parameters the next draw
-// samples under — while the result buffer, the arena and the record are
-// sized for the batch once per call and the wall clock is read once per
-// call, split across Accept/Reject and Reuse/Regular by the call's
-// attempt counts (bookBatchTime).
+// tuples are final (later backtracking only affects buffered,
+// not-yet-returned tuples). Walks feed the run's estimates one at a time
+// — each walk updates the parameters the next draw samples under — while
+// the result buffer and the arena are sized for the batch once per call
+// and the wall clock is read once per call, split across Accept/Reject
+// and Reuse/Regular by the call's attempt counts (bookBatchTime).
 func (s *OnlineSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	before, start := s.beginBatch(n)
 	for len(s.result) < n {
@@ -293,10 +289,10 @@ func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 			if !ok {
 				continue
 			}
-			if k, ok := s.accept(j, t); ok {
+			if s.accept(j, t) {
 				// Commit under the inclusion probability of the parameters
 				// in force, for backtracking to thin by.
-				s.commit(k, j, t, mult, s.inclusionProb(j))
+				s.commit(j, t, mult, s.inclusionProb(j))
 				if reuse {
 					s.stats.ReuseAccepted++
 				}

@@ -87,7 +87,6 @@ func TestOnlineSamplerApproxUniform(t *testing.T) {
 	s := onlineReuseRun(t, joins, OnlineConfig{
 		WarmupWalks: 2000,
 		Phi:         500,
-		Oracle:      true,
 	})
 	// Online estimates converge but are never exact: wide slack, the
 	// bias being exactly what the paper's ratio-error experiments

@@ -125,12 +125,10 @@ type prepared struct {
 
 	// tuner, when non-nil, re-plans at every warm-up; perJoin says its
 	// plan also picks each join's subroutine (Algorithm 2 draws by
-	// walks, whatever subroutine a plan names). oracle switches the
-	// record from dynamic assignment to exact membership. drawCap is the
-	// configured cap on draws per join selection, <= 0 for the plan's.
+	// walks, whatever subroutine a plan names). drawCap is the configured
+	// cap on draws per join selection, <= 0 for the plan's.
 	tuner   *tune.Controller
 	perJoin bool
-	oracle  bool
 	drawCap int
 
 	params  *Params
@@ -220,7 +218,7 @@ func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
 		// against a clone so in-flight runs keep their snapshot.
 		nb = p.base.clone()
 	}
-	np = prepared{base: nb, tuner: p.tuner, perJoin: p.perJoin, oracle: p.oracle, drawCap: p.drawCap, runs: newRunPool()}
+	np = prepared{base: nb, tuner: p.tuner, perJoin: p.perJoin, drawCap: p.drawCap, runs: newRunPool()}
 	np.est, np.refresh.Reprobed = refreshedEstimator(p.est, dirty)
 	dropDirtyFeedback(p.tuner, dirty)
 	BuildShared(nb.joins)

@@ -9,8 +9,8 @@ import (
 
 // TestConcurrentFreshOracleRuns hits the membership tables' first-use
 // path from many concurrent session streams at once: the prepared
-// sampler is deliberately NOT prewarmed, so the very first oracle
-// Contains probes race to build the per-join KeySets. Run under -race
+// sampler is deliberately NOT prewarmed, so the very first membership
+// probes of the accept rule race to build the per-join tables. Run under -race
 // this pins the documented hazard fixed in this refactor ("Contains ...
 // is not safe for concurrent first use"): the build must happen exactly
 // once behind the atomic publish, and every stream must still see exact
@@ -20,7 +20,6 @@ func TestConcurrentFreshOracleRuns(t *testing.T) {
 	shared, err := PrepareCover(joins, CoverConfig{
 		Method:    MethodEO,
 		Estimator: &ExactEstimator{Joins: joins},
-		Oracle:    true, // every accepted draw probes Contains
 	}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)

@@ -90,7 +90,6 @@ func recyclers(t *testing.T) []recycler {
 	rs := []recycler{
 		engine("cover-ew", cover(CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}})),
 		engine("cover-eo", cover(CoverConfig{Method: MethodEO, Estimator: &HistogramEstimator{Joins: joins}})),
-		engine("cover-oracle", cover(CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}, Oracle: true})),
 		engine("online", online(OnlineConfig{WarmupWalks: 100})),
 		engine("online-backtracking", online(backtracking)),
 		engine("sharded-cover", sharded(exactFactory)),
@@ -168,9 +167,9 @@ type coveredEstimator struct{ p *Params }
 func (e coveredEstimator) Params(*rng.RNG) (*Params, error) { return e.p, nil }
 
 // TestRecycledRunAfterMidBatchError: a batch that fails part-way leaves
-// accepted tuples, record entries and counters behind in the run; once
-// released and handed out again the run must draw what a fresh one does.
-// The failure is made by an oracle run over a join that lies wholly
+// accepted tuples and counters behind in the run; once released and
+// handed out again the run must draw what a fresh one does. The failure
+// is made by a run over a join that lies wholly
 // inside an earlier one while the parameters claim it has cover: every
 // draw from it is a duplicate, so a tuple whose 65 join selections all
 // land there exhausts them.
@@ -193,7 +192,6 @@ func TestRecycledRunAfterMidBatchError(t *testing.T) {
 	prep := func() *CoverShared {
 		p, err := PrepareCover(joins, CoverConfig{
 			Method: MethodEW,
-			Oracle: true,
 			Estimator: coveredEstimator{&Params{
 				JoinSizes: []float64{54, 20},
 				Cover:     []float64{1, 49},
@@ -282,96 +280,10 @@ func TestRunPoolBelongsToItsGeneration(t *testing.T) {
 	}
 }
 
-// TestRetentionBoundCountsTheRecord: a SampleWhere with an unselective
-// predicate calls Sample on one run many times. Every call's tuples leave
-// the arena when they are served, so the arena stays a chunk wide, while
-// the record keeps each distinct value the run has seen. The retention
-// bound must see that growth too, or a stream of small requests keeps the
-// run's record alive in the pool.
-func TestRetentionBoundCountsTheRecord(t *testing.T) {
-	const rows = 100_000
-	sa, sb := relation.NewSchema("K", "X"), relation.NewSchema("K", "Y")
-	mk := func(name string, lo int) *join.Join {
-		a, b := relation.New(name+"_a", sa), relation.New(name+"_b", sb)
-		for k := lo; k < lo+rows; k++ {
-			a.AppendValues(relation.Value(k), relation.Value(k*10))
-			b.AppendValues(relation.Value(k), relation.Value(k*100))
-		}
-		j, err := join.NewChain(name, []*relation.Relation{a, b}, []string{"K"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	joins := []*join.Join{mk("wide1", 0), mk("wide2", rows)}
-	schema := joins[0].OutputSchema()
-	cover, err := PrepareCover(joins, CoverConfig{Method: MethodEW, Estimator: coveredEstimator{&Params{
-		JoinSizes: []float64{rows, rows},
-		Cover:     []float64{rows, rows},
-		UnionSize: 2 * rows,
-	}}}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	online, err := PrepareOnline(joins, OnlineConfig{WarmupWalks: 100}, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 000 matches of a predicate 1 in 200 tuples satisfies: about 200
-	// chunk calls of at most 1 000 tuples over a union of 200 000 values.
-	pred := relation.Cmp{Attr: "K", Op: relation.LT, Val: 1000}
-	for name, p := range map[string]PreparedSampler{"cover": cover, "online": online} {
-		run := p.NewRun()
-		if _, err := SampleWhere(run, schema, pred, 1000, run.RNG(9), 0); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var arena []relation.Value
-		var record *relation.KeyCounter
-		switch r := run.(type) {
-		case *CoverSampler:
-			arena, record = r.arena, r.record
-		case *OnlineSampler:
-			arena, record = r.arena, r.record
-		}
-		if cap(arena) > maxPooledValues || record.Cap()*schema.Len() <= maxPooledValues {
-			t.Fatalf("%s: arena holds %d values and the record %d keys of %d values; the case needs a small arena under a record past the bound of %d values",
-				name, cap(arena), record.Cap(), schema.Len(), maxPooledValues)
-		}
-		run.Release()
-		for i := 0; i < 8; i++ {
-			if again := p.NewRun(); again == run {
-				t.Fatalf("%s: a run whose record holds %d keys was pooled behind an arena of %d values", name, record.Cap(), cap(arena))
-			}
-		}
-	}
-}
-
-// TestRecordReservedWithinTheUnion: Sample sizes the record for the
-// batch, but never past what the union holds — a request for many more
-// tuples than the union has values must not buy a record that large.
-func TestRecordReservedWithinTheUnion(t *testing.T) {
-	joins := fixtureJoins(t)
-	var size float64
-	for _, j := range joins {
-		size += float64(j.Count())
-	}
-	p, err := PrepareCover(joins, CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}}, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := p.NewRun().(*CoverSampler)
-	if _, err := run.Sample(1<<16, run.RNG(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := run.record.Cap(); float64(got) > 2*size+16 {
-		t.Fatalf("the record of a union of at most %.0f values was sized for %d keys by a 65 536-tuple request", size, got)
-	}
-}
-
-// TestRunBuffersSizedOncePerBatch: Sample sizes the record, like the
-// result entries and the arena, for the batch before the first draw, so
-// a run that is never recycled allocates each of them once and not once
-// per doubling; a recycled run allocates only what it returns.
+// TestRunBuffersSizedOncePerBatch: Sample sizes the result entries and
+// the arena for the batch before the first draw, so a run that is never
+// recycled allocates each of them once and not once per doubling; a
+// recycled run allocates only what it returns.
 func TestRunBuffersSizedOncePerBatch(t *testing.T) {
 	joins := fixtureJoins(t)
 	p, err := PrepareCover(joins, CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}}, rng.New(3))
@@ -384,13 +296,11 @@ func TestRunBuffersSizedOncePerBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Run, record + its four arrays, scratch (3), Stats.Joins, entries,
-	// arena, and the two slices of the returned batch; the race detector
-	// adds a few of its own. Growing the record by doubling from 16 slots
-	// took 55.
+	// Run, scratch (3), Stats.Joins, entries, arena, and the two slices of
+	// the returned batch: 9.
 	t.Logf("never-recycled run: %.0f allocations for 1024 tuples", fresh)
-	if fresh > 24 {
-		t.Errorf("a never-recycled run allocates %.0f objects for 1024 tuples, want <= 24", fresh)
+	if fresh > 12 {
+		t.Errorf("a never-recycled run allocates %.0f objects for 1024 tuples, want <= 12", fresh)
 	}
 	recycled := testing.AllocsPerRun(200, func() {
 		run := p.NewRun()

@@ -9,10 +9,10 @@ import (
 )
 
 // Run is one sampling run over a prepared set-union sampler. A run owns
-// all per-draw mutable state (RNG-driven stream position, value-to-join
-// record, result buffer, Stats, online refinement); the prepared state
-// behind it is shared and read-only. Runs from the same prepared
-// sampler may execute concurrently as long as each uses its own RNG.
+// all per-draw mutable state (RNG-driven stream position, result buffer,
+// Stats, online refinement); the prepared state behind it is shared and
+// read-only. Runs from the same prepared sampler may execute concurrently
+// as long as each uses its own RNG.
 type Run interface {
 	UnionSampler
 	// SampleBatch forwards to Sample.
@@ -42,13 +42,10 @@ var (
 )
 
 // resultEntry is one buffered sample: the arena offset of the tuple's
-// value span plus the value's dense record handle (KeyCounter insertion
-// rank), which identifies the tuple's value for revision removal. The
-// tuple itself lives in the run's arena — buffering a sample allocates
-// nothing. join and prob are what Algorithm 2's backtracking pass thins
-// by; Algorithm 1 never reads them.
+// value span. The tuple itself lives in the run's arena — buffering a
+// sample allocates nothing. join and prob are what Algorithm 2's
+// backtracking pass thins by; Algorithm 1 never reads them.
 type resultEntry struct {
-	key  int
 	off  int // start of the tuple's span in the run's arena
 	join int
 	prob float64 // inclusion probability the tuple was accepted under
@@ -56,31 +53,24 @@ type resultEntry struct {
 
 // runState is the mutable state a run of either algorithm owns, embedded
 // by value in CoverSampler and OnlineSampler, and the one implementation
-// of what the two share: the value-to-join record with Algorithm 1's
-// accept/reject/revise rule (lines 8-14), the result buffer over a
+// of what the two share: the accept rule, the result buffer over a
 // run-owned arena, batch sizing and copy-out, and the reset / Release
 // half of recycling. The algorithms differ in how a candidate is
 // produced (a subroutine draw; a walk or a reused warm-up sample with a
 // multiplicity) and in online's backtracking pass.
 type runState struct {
 	runRNG
-	prep   *prepared            // the generation the run samples; nil once released
-	record *relation.KeyCounter // value (ref order) -> assigned join
+	prep   *prepared // the generation the run samples; nil once released
 	result []resultEntry
 	arena  []relation.Value // backing store of buffered samples
 	stats  Stats
 }
 
-// reset starts the run over on generation p: record and buffers emptied
-// with their storage kept, counters zeroed. Nothing a later draw decides
-// can depend on what the storage held — the record answers only through
-// Lookup/At, and its handles restart at 0.
+// reset starts the run over on generation p: buffers emptied with their
+// storage kept, counters zeroed. Nothing a later draw decides can depend
+// on what the storage held.
 func (s *runState) reset(p *prepared) {
 	s.prep = p
-	if s.record == nil {
-		s.record = p.base.recordKeys()
-	}
-	s.record.Reset()
 	s.result, s.arena = s.result[:0], s.arena[:0]
 	s.stats.reset(len(p.base.joins))
 	for i, v := range p.walkVar {
@@ -89,21 +79,18 @@ func (s *runState) reset(p *prepared) {
 }
 
 // maxPooledValues is the retention bound of the run pools: a released
-// run whose tuple buffer or record grew past this many values (2 MiB) is
-// dropped instead of pooled, so one very large request cannot pin its
-// buffers under a stream of small ones. Both are measured because they
-// grow apart on a run that gets several Sample calls: serveResult
-// compacts the arena after every call, while the record keeps every
-// distinct value the run has seen.
+// run whose tuple buffer grew past this many values (2 MiB) is dropped
+// instead of pooled, so one very large request cannot pin its buffer
+// under a stream of small ones.
 const maxPooledValues = 1 << 18
 
 // release returns run — the sampler s is embedded in — to its
-// generation's pool when its buffers are within the retention bound, and
+// generation's pool when its buffer is within the retention bound, and
 // drops the run's pointer to the generation either way (see newRunPool).
 func (s *runState) release(run Run) {
 	p := s.prep
 	s.prep = nil
-	if cap(s.arena) <= maxPooledValues && s.record.Cap()*p.base.ref.Len() <= maxPooledValues {
+	if cap(s.arena) <= maxPooledValues {
 		p.runs.Put(run)
 	}
 }
@@ -135,30 +122,17 @@ func (r *runRNG) RNG(seed int64) *rng.RNG {
 // Stats returns the run's instrumentation.
 func (s *runState) Stats() *Stats { return &s.stats }
 
-// beginBatch sizes the result entries, the arena and the record for a
-// batch that ends with n samples buffered, so one Sample call allocates
-// each at most once, and opens the call's time booking: the counters as
-// they stand and the one clock reading before the draw loop.
+// beginBatch sizes the result entries and the arena for a batch that
+// ends with n samples buffered, so one Sample call allocates each at most
+// once, and opens the call's time booking: the counters as they stand and
+// the one clock reading before the draw loop.
 func (s *runState) beginBatch(n int) (Stats, time.Time) {
-	b := s.prep.base
 	if cap(s.result) < n {
 		s.result = append(make([]resultEntry, 0, n), s.result...)
 	}
-	need := n - len(s.result)
-	if k := need * b.ref.Len(); k > 0 && cap(s.arena)-len(s.arena) < k {
+	if k := (n - len(s.result)) * s.prep.base.ref.Len(); k > 0 && cap(s.arena)-len(s.arena) < k {
 		s.arena = append(make([]relation.Value, 0, len(s.arena)+k), s.arena...)
 	}
-	// A record never holds more than Σ_j |J_j| distinct values, and every
-	// subroutine sampler knows |J_j| or an upper bound of it: a large n
-	// over a small union costs the record nothing.
-	room := -float64(s.record.Len())
-	for _, js := range b.samplers {
-		room += js.SizeEstimate()
-	}
-	if float64(need) > room {
-		need = int(room)
-	}
-	s.record.Reserve(need)
 	return s.stats, time.Now()
 }
 
@@ -204,34 +178,26 @@ func (s *runState) serveResult(n int, before *Stats, start time.Time) []relation
 
 // accept decides whether t, a candidate value of join j in j's schema
 // order, is j's to return: a value belongs to the first join that
-// contains it (f(t) = min{i : t ∈ J_i}, by exact membership), so a draw an
-// earlier join covers is rejected. On acceptance it returns the value's
-// record handle for commit.
-func (s *runState) accept(j int, t relation.Tuple) (int, bool) {
-	b := s.prep.base
-	proj := b.perms[j]
-	k, seen := s.record.Lookup(t, proj)
-	f := b.minContaining(j, t)
-	if seen {
-		s.record.SetAt(k, f)
-	} else {
-		k = s.record.PutNew(t, proj, f)
+// contains it, f(t) = min{i : t ∈ J_i} by exact membership, so a draw an
+// earlier join covers is rejected (line 8 of Algorithm 1, with f known
+// instead of learned). That holds from a run's first draw, which is what
+// makes a call of any size a uniform draw.
+func (s *runState) accept(j int, t relation.Tuple) bool {
+	if s.prep.base.minContaining(j, t) == j {
+		return true
 	}
-	if f < j {
-		s.stats.RejectedDup++
-		return k, false
-	}
-	return k, true
+	s.stats.RejectedDup++
+	return false
 }
 
-// commit buffers mult instances of the accepted tuple t (join j, record
-// handle k) as one arena span in reference schema order, recording the
-// inclusion probability they were accepted under for backtracking.
-func (s *runState) commit(k, j int, t relation.Tuple, mult int, prob float64) {
+// commit buffers mult instances of the accepted tuple t of join j as one
+// arena span in reference schema order, recording the inclusion
+// probability they were accepted under for backtracking.
+func (s *runState) commit(j int, t relation.Tuple, mult int, prob float64) {
 	off := len(s.arena)
 	s.arena = s.prep.base.alignedAppend(j, t, s.arena)
 	for i := 0; i < mult; i++ {
-		s.result = append(s.result, resultEntry{key: k, off: off, join: j, prob: prob})
+		s.result = append(s.result, resultEntry{off: off, join: j, prob: prob})
 	}
 	s.stats.Accepted += mult
 	s.stats.Joins[j].Accepted += mult

@@ -73,7 +73,7 @@ func newJoinSampler(j *join.Join, c joinConfig, prev joinsample.Sampler) joinsam
 // unionBase holds what every union sampler shares: the joins, their
 // subroutine samplers, tuple-key alignment to the reference output
 // schema (the first join's) so one value has one key across joins, and
-// prepared membership probes for the oracle path. Everything here is
+// prepared membership probes for the accept rule. Everything here is
 // read-only after construction and shared between concurrent runs; all
 // per-draw scratch lives in the runs (drawScratch).
 type unionBase struct {
@@ -281,13 +281,6 @@ func (b *unionBase) newScratch() drawScratch {
 	return s
 }
 
-// recordKeys returns an empty tuple-keyed table for per-run records:
-// keys are tuples in reference schema order, inserted through the
-// join-specific alignment projection (perms[i], nil = identity).
-func (b *unionBase) recordKeys() *relation.KeyCounter {
-	return relation.NewKeyCounter(b.ref.Len(), 0)
-}
-
 // alignedAppend appends the values of t (a tuple in join i's schema
 // order) to arena in reference schema order. Accepted draws ride this
 // zero-clone path: buffered samples live as k-wide spans of a run-owned
@@ -305,10 +298,9 @@ func (b *unionBase) alignedAppend(i int, t relation.Tuple, arena []relation.Valu
 }
 
 // minContaining returns f(t): the smallest join index whose result
-// contains the tuple (drawn from join i, so f(t) <= i always holds).
-// This is the membership oracle used by the provably uniform variants.
-// The probes are prepared at construction, so the scan allocates
-// nothing.
+// contains the tuple (drawn from join i, so f(t) <= i always holds) —
+// the value-to-join assignment every union sampler accepts by. The
+// probes are prepared at construction, so the scan allocates nothing.
 func (b *unionBase) minContaining(i int, t relation.Tuple) int {
 	for k := range b.probes[i] {
 		if b.probes[i][k].Contains(t) {

@@ -378,7 +378,7 @@ func (p *ShardedShared) Params() *Params { return p.params }
 func (p *ShardedShared) WarmupTime() time.Duration { return p.warmupTime }
 
 // NewRun returns an independent sampling run: one per-shard run each
-// (its own record, scratch, and Stats), merged behind one Run interface.
+// (its own buffers, scratch, and Stats), merged behind one Run interface.
 // Like the other engines' it is a released run when there is one; its
 // per-shard runs are taken from their shards the same way.
 func (p *ShardedShared) NewRun() Run {
@@ -398,8 +398,8 @@ func (p *ShardedShared) NewRun() Run {
 // ShardedSampler is one sampling run over the union of shards: per
 // tuple, the alias table picks a shard proportionally to |U_s| and the
 // shard's run draws uniformly within it — Algorithm 1's join-selection
-// shape lifted one level up. Per-shard record state needs no cross-
-// shard reconciliation because the shards are disjoint: a value can
+// shape lifted one level up. Membership is decided inside a shard, with
+// no cross-shard probe, because the shards are disjoint: a value can
 // never be produced by two shards.
 type ShardedSampler struct {
 	runRNG
@@ -516,8 +516,6 @@ func (s *ShardedSampler) Stats() *Stats {
 		}
 		m.Accepted += st.Accepted
 		m.RejectedDup += st.RejectedDup
-		m.Revised += st.Revised
-		m.RevisedRemoved += st.RevisedRemoved
 		m.JoinRejects += st.JoinRejects
 		m.ReuseAccepted += st.ReuseAccepted
 		m.ReuseRejected += st.ReuseRejected

@@ -11,14 +11,13 @@ import (
 type Stats struct {
 	// Accepted counts tuples added to the result.
 	Accepted int
-	// RejectedDup counts set-union rejections: the tuple's value was
-	// assigned to an earlier join (line 8 of Algorithm 1).
+	// RejectedDup counts set-union rejections: an earlier join contains
+	// the tuple's value (line 8 of Algorithm 1).
 	RejectedDup int
-	// Revised counts revisions: a value reassigned to an earlier join,
-	// its copies removed from the result (lines 10-12 of Algorithm 1).
+	// Revised is always zero: ownership is decided by membership, so
+	// nothing is ever revised. The field stays because the frozen
+	// benchmark/layers.go compiles against it.
 	Revised int
-	// RevisedRemoved counts result tuples dropped by revisions.
-	RevisedRemoved int
 	// JoinRejects counts join-subroutine rejections (EO accept/reject,
 	// dangling walks).
 	JoinRejects int
@@ -138,8 +137,8 @@ func (s *Stats) bookBatchTime(before *Stats, d time.Duration) {
 
 func (s *Stats) String() string {
 	return fmt.Sprintf(
-		"accepted=%d dupRejected=%d revised=%d joinRejects=%d reuse=%d/%d backtracks=%d draws=%d warmup=%v accept=%v reject=%v",
-		s.Accepted, s.RejectedDup, s.Revised, s.JoinRejects,
+		"accepted=%d dupRejected=%d joinRejects=%d reuse=%d/%d backtracks=%d draws=%d warmup=%v accept=%v reject=%v",
+		s.Accepted, s.RejectedDup, s.JoinRejects,
 		s.ReuseAccepted, s.ReuseAccepted+s.ReuseRejected,
 		s.Backtracks, s.TotalDraws, s.WarmupTime, s.AcceptTime, s.RejectTime)
 }

@@ -13,7 +13,6 @@ func TestSampleWhereUniformOverSubset(t *testing.T) {
 	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
-		Oracle:    true,
 	})
 	schema := joins[0].OutputSchema()
 	pred := relation.Cmp{Attr: "K", Op: relation.LT, Val: 40}
@@ -78,7 +77,6 @@ func TestSampleStreaming(t *testing.T) {
 	s := coverRun(t, joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &ExactEstimator{Joins: joins},
-		Oracle:    true,
 	})
 	g := rng.New(23)
 	a, err := s.Sample(100, g)

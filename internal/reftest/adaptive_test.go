@@ -82,7 +82,7 @@ func unionOf(t *testing.T, joins []*su.Join, relSets [][]*relation.Relation) *sc
 // session for follow-up mutation checks.
 func checkAuto(t *testing.T, sc *scenario, label string, seed int64, draws int) *su.Session {
 	t.Helper()
-	sess, err := sc.union.Prepare(su.Options{Warmup: su.WarmupAuto, Oracle: true, Seed: seed})
+	sess, err := sc.union.Prepare(su.Options{Warmup: su.WarmupAuto, Seed: seed})
 	if err != nil {
 		t.Fatalf("%s: prepare: %v", label, err)
 	}

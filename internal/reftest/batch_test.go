@@ -57,7 +57,7 @@ func TestDrawsMatchReferenceAcrossRefresh(t *testing.T) {
 		}
 		method := []su.Method{su.MethodEW, su.MethodEO, su.MethodWJ}[seed%3]
 		sess, err := sc.union.Prepare(su.Options{
-			Seed: seed + 1, Warmup: su.WarmupExact, Method: method, Oracle: true,
+			Seed: seed + 1, Warmup: su.WarmupExact, Method: method,
 		})
 		if err != nil {
 			t.Fatalf("seed %d (%s): prepare: %v", seed, sc.name, err)
@@ -103,7 +103,7 @@ func TestBatchDisjointAndWhere(t *testing.T) {
 		if len(union) == 0 || len(union) > 300 {
 			continue
 		}
-		sess, err := sc.union.Prepare(su.Options{Seed: seed + 1, Warmup: su.WarmupExact, Method: su.MethodEW, Oracle: true})
+		sess, err := sc.union.Prepare(su.Options{Seed: seed + 1, Warmup: su.WarmupExact, Method: su.MethodEW})
 		if err != nil {
 			t.Fatalf("seed %d (%s): prepare: %v", seed, sc.name, err)
 		}

@@ -11,9 +11,9 @@ import (
 // confidence intervals against ground truth: over reftest scenarios
 // whose exact COUNT and SUM answers come from the brute-force
 // reference enumerator, the 95% intervals must cover the truth at
-// roughly the nominal rate. Sessions run WarmupExact + Oracle, so the
-// draws are exactly uniform and |U| is exact — any calibration failure
-// is the interval construction itself. This guards the Wilson-floor
+// roughly the nominal rate. Sessions run WarmupExact, so the draws are
+// exactly uniform and |U| is exact — any calibration failure is the
+// interval construction itself. This guards the Wilson-floor
 // fix in internal/aqp and any future estimator change.
 func TestApproxIntervalCalibration(t *testing.T) {
 	if testing.Short() {
@@ -49,7 +49,7 @@ func TestApproxIntervalCalibration(t *testing.T) {
 			continue
 		}
 
-		sess, err := sc.union.Prepare(su.Options{Warmup: su.WarmupExact, Oracle: true, Seed: seed})
+		sess, err := sc.union.Prepare(su.Options{Warmup: su.WarmupExact, Seed: seed})
 		if err != nil {
 			t.Fatalf("scenario %s: %v", sc.name, err)
 		}
@@ -146,7 +146,7 @@ func TestApproxCountDegenerateCoverage(t *testing.T) {
 	union, _ := sc.reference()
 	out := sc.union.OutputSchema()
 
-	sess, err := sc.union.Prepare(su.Options{Warmup: su.WarmupExact, Oracle: true, Seed: 21})
+	sess, err := sc.union.Prepare(su.Options{Warmup: su.WarmupExact, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,8 +279,8 @@ func mutationBurst(rnd *rand.Rand, rels []*relation.Relation) {
 }
 
 // TestDifferentialUniform drives >= 50 randomized scenarios through the
-// provably uniform configuration (exact warm-up + membership oracle,
-// subroutine rotating EW/EO/WJ): sampler output must be exactly the
+// provably uniform configuration (exact warm-up, subroutine rotating
+// EW/EO/WJ): sampler output must be exactly the
 // reference union by membership, fully covered, and uniform by
 // chi-square — statically, and again after two random mutation bursts
 // and a session refresh.
@@ -295,7 +295,7 @@ func TestDifferentialUniform(t *testing.T) {
 		}
 		method := []su.Method{su.MethodEW, su.MethodEO, su.MethodWJ}[seed%3]
 		sess, err := sc.union.Prepare(su.Options{
-			Seed: seed + 1, Warmup: su.WarmupExact, Method: method, Oracle: true,
+			Seed: seed + 1, Warmup: su.WarmupExact, Method: method,
 		})
 		if err != nil {
 			t.Fatalf("seed %d (%s): prepare: %v", seed, sc.name, err)
@@ -334,10 +334,16 @@ func TestDifferentialUniform(t *testing.T) {
 	}
 }
 
-// TestDifferentialRecordAndOnline runs the record-based (non-oracle)
-// and online configurations through the same scenarios: their
-// uniformity is asymptotic, so the check is exact membership plus
-// coverage rather than strict chi-square.
+// TestDifferentialRecordAndOnline runs the cover sampler on a second
+// seed family and the online configuration through the same scenarios.
+// (The name is from when the cover sampler learned which join owns a
+// value from a per-run record and was uniform only asymptotically.) The
+// cover half is held to the strict chi-square like TestDifferentialUniform.
+// So is the online half over a single join; over several it is held to
+// exact membership plus coverage, because Algorithm 2 as implemented
+// retries inside the selected join until a walk delivers an instance, which
+// over-draws a join whose walks often fail (README, What a request gets) —
+// a property of its instance system, not of the accept rule.
 func TestDifferentialRecordAndOnline(t *testing.T) {
 	executed := 0
 	for seed := int64(0); seed < 24; seed++ {
@@ -355,11 +361,12 @@ func TestDifferentialRecordAndOnline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d (%s): prepare: %v", seed, sc.name, err)
 		}
+		strict := !opts.Online || len(sc.relSets) == 1
 		draws, _, err := sess.SampleSeeded(drawCount(len(union)), seed*13+1)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, sc.name, err)
 		}
-		checkDraws(t, fmt.Sprintf("seed %d (%s) static", seed, sc.name), draws, UniformWeights(union), false)
+		checkDraws(t, fmt.Sprintf("seed %d (%s) static", seed, sc.name), draws, UniformWeights(union), strict)
 
 		rnd := rand.New(rand.NewSource(seed + 2000))
 		mutationBurst(rnd, sc.rels)
@@ -375,7 +382,7 @@ func TestDifferentialRecordAndOnline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d (%s) post-burst: %v", seed, sc.name, err)
 		}
-		checkDraws(t, fmt.Sprintf("seed %d (%s) post-burst", seed, sc.name), draws, UniformWeights(union), false)
+		checkDraws(t, fmt.Sprintf("seed %d (%s) post-burst", seed, sc.name), draws, UniformWeights(union), strict)
 		executed++
 	}
 	if executed < 10 {
@@ -451,7 +458,7 @@ func TestDifferentialPredicates(t *testing.T) {
 		if len(filtered) == 0 || len(union) > 300 || len(filtered) < 2 {
 			continue
 		}
-		sess, err := sc.union.Prepare(su.Options{Seed: seed + 4, Warmup: su.WarmupExact, Method: su.MethodEW, Oracle: true})
+		sess, err := sc.union.Prepare(su.Options{Seed: seed + 4, Warmup: su.WarmupExact, Method: su.MethodEW})
 		if err != nil {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}

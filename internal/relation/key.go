@@ -309,19 +309,6 @@ func (kt *keyTable) reserve(n int) {
 	}
 }
 
-// reset removes every entry and keeps the storage.
-func (kt *keyTable) reset() {
-	clear(kt.slots)
-	kt.hashes = kt.hashes[:0]
-	kt.vals = kt.vals[:0]
-}
-
-// entryKey returns entry e's key values. The slice aliases the arena;
-// treat it as read-only.
-func (kt *keyTable) entryKey(e int) Tuple {
-	return Tuple(kt.vals[e*kt.arity : (e+1)*kt.arity])
-}
-
 // KeySet is a set of fixed-arity tuples: the allocation-free
 // replacement for map[string]struct{} over TupleKey strings.
 type KeySet struct {
@@ -402,30 +389,6 @@ func (c *KeyCounter) Get(t Tuple, proj []int) (int, bool) {
 	return 0, false
 }
 
-// Put sets the value for the projection of t, inserting the key if
-// absent, and returns its handle.
-func (c *KeyCounter) Put(t Tuple, proj []int, v int) int {
-	e := c.kt.lookup(t, proj)
-	if e < 0 {
-		e = c.kt.insert(t, proj)
-		c.counts = append(c.counts, v)
-		return e
-	}
-	c.counts[e] = v
-	return e
-}
-
-// PutNew inserts the projection of t with value v and returns its
-// handle, skipping the presence probe: the caller must have just
-// observed a miss (Lookup/Get returned false) with no intervening
-// mutation. Inserting a key that is already present corrupts the
-// table.
-func (c *KeyCounter) PutNew(t Tuple, proj []int, v int) int {
-	e := c.kt.insert(t, proj)
-	c.counts = append(c.counts, v)
-	return e
-}
-
 // Add adds delta to the value for the projection of t (inserting the
 // key at zero if absent) and returns the handle and the new value.
 func (c *KeyCounter) Add(t Tuple, proj []int, delta int) (int, int) {
@@ -478,15 +441,6 @@ func (c *KeyCounter) Clone() *KeyCounter {
 	}
 }
 
-// Reset empties the counter and keeps its storage: the next key inserted
-// receives handle 0 again, and no lookup can see a key from before the
-// reset. A recycled sampling run resets its record instead of building a
-// new one.
-func (c *KeyCounter) Reset() {
-	c.kt.reset()
-	c.counts = c.counts[:0]
-}
-
 // Reserve makes room for n more keys, so that inserting them allocates
 // nothing. It changes no lookup, handle or stored value.
 func (c *KeyCounter) Reserve(n int) {
@@ -498,15 +452,8 @@ func (c *KeyCounter) Reserve(n int) {
 }
 
 // Cap reports how many keys the counter's storage holds before it grows:
-// what a Reset keeps.
+// after a Reserve and no more inserts than it made room for, Len.
 func (c *KeyCounter) Cap() int { return cap(c.counts) }
 
 // At returns the value stored at a handle.
 func (c *KeyCounter) At(handle int) int { return c.counts[handle] }
-
-// SetAt replaces the value stored at a handle.
-func (c *KeyCounter) SetAt(handle, v int) { c.counts[handle] = v }
-
-// KeyAt returns the key tuple stored at a handle. The slice aliases the
-// counter's arena; treat it as read-only.
-func (c *KeyCounter) KeyAt(handle int) Tuple { return c.kt.entryKey(handle) }

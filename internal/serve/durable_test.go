@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sampleunion"
@@ -131,6 +134,44 @@ func TestDurableWarmRestart(t *testing.T) {
 	}
 	if st := s2.Registry().Stats(); st.Prepares != 1 {
 		t.Fatalf("prepares after restore+draw = %d, want 1 (warm)", st.Prepares)
+	}
+}
+
+// TestRestoreRefusesMovedKey: a manifest entry is stored under the key
+// its declaration hashed to when it was written, and that key names its
+// WAL directory. An entry whose declaration no longer hashes to its key —
+// here one written by a binary that still had the "oracle" option, which
+// this one drops on reading — must stop the boot with both keys in the
+// error, not be prepared over an empty directory beside its data.
+func TestRestoreRefusesMovedKey(t *testing.T) {
+	const storedKey = "18557bf0823326dd225840f65ae48ae34f1713f2175e9aeeb55d914cf8027e51"
+	dir := t.TempDir()
+	manifest := `{"entries":[{"key":"` + storedKey + `","decl":{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,` +
+		`"options":{"warmup":"exact","method":"WJ","warmup_walks":1000,"oracle":true,"seed":1,"shards":1}}}]}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, durableCfg(dir))
+	defer s.Close()
+	n, err := s.RestoreSessions()
+	if err == nil || n != 0 {
+		t.Fatalf("restored %d sessions, err %v; want the entry refused", n, err)
+	}
+	var d UnionDecl
+	if err := json.Unmarshal([]byte(`{"options":{"warmup":"exact","method":"WJ"}}`), &d); err != nil {
+		t.Fatal(err)
+	}
+	recomputed, err2 := d.Key()
+	if err2 != nil {
+		t.Fatal(err2)
+	}
+	for _, want := range []string{"entry 0", storedKey, recomputed} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if st := s.Registry().Stats(); st.Prepares != 0 {
+		t.Fatalf("%d sessions were prepared for a refused manifest", st.Prepares)
 	}
 }
 

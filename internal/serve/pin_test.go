@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +14,8 @@ import (
 // vocabulary is refactored: a changed row here means a -data-dir
 // written by an older binary no longer restores. Declarations are given
 // as the wire spells them, so the table does not depend on how the Go
-// types behind the wire are declared.
+// types behind the wire are declared. A row without a key is a
+// declaration the wire no longer accepts: the server must answer it 400.
 func TestDeclKeysPinned(t *testing.T) {
 	const (
 		defaultKey = "d6b0ff43c5fe0e3d7656dfe601e5d87a714016c13505311afb27f411fa601c3e"
@@ -42,11 +45,27 @@ func TestDeclKeysPinned(t *testing.T) {
 		{"inline spec", `{"spec":"rel x x.csv\nchain J x k x","options":{"seed":1}}`,
 			"c14fa8ac2b5797e7ce3828467501416efe8eb10158097908c7dc58393a233668",
 			`{"spec":"rel x x.csv\nchain J x k x","options":{"warmup":"random-walk","method":"EW","warmup_walks":1000,"seed":1,"shards":1}}`},
-		{"exact WJ oracle", `{"options":{"warmup":"exact","method":"WJ","oracle":true}}`,
-			"18557bf0823326dd225840f65ae48ae34f1713f2175e9aeeb55d914cf8027e51",
-			`{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"exact","method":"WJ","warmup_walks":1000,"oracle":true,"seed":1,"shards":1}}`},
+		// Membership is the only accept rule: the option that used to select
+		// it is an unknown field, not a silently ignored one.
+		{"exact WJ oracle", `{"options":{"warmup":"exact","method":"WJ","oracle":true}}`, "", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.key == "" {
+				_, ts := newTestServer(t, Config{})
+				resp, err := http.Post(ts.URL+"/estimate", "application/json", strings.NewReader(`{"union":`+tc.decl+`}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var e apiError
+				if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "oracle"`) {
+					t.Fatalf("status %d, error %q; want 400 naming the unknown field", resp.StatusCode, e.Error)
+				}
+				return
+			}
 			var d UnionDecl
 			if err := json.Unmarshal([]byte(tc.decl), &d); err != nil {
 				t.Fatal(err)

@@ -205,7 +205,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // session's relations come back from checkpoint + WAL replay and its
 // warm-up runs over the recovered contents before any request arrives.
 // It reports how many sessions were restored; a no-durability server
-// restores zero. Call it once, before serving.
+// restores zero. An entry whose stored key is not what its declaration
+// hashes to is refused, and restoring stops there. Call it once, before
+// serving.
 func (s *Server) RestoreSessions() (int, error) {
 	d := s.reg.durable
 	if d == nil {
@@ -216,7 +218,16 @@ func (s *Server) RestoreSessions() (int, error) {
 		return 0, err
 	}
 	n := 0
-	for _, me := range ents {
+	for i, me := range ents {
+		// The key names the entry's directory: a declaration that no longer
+		// hashes to it (an option this binary does not know, say) would be
+		// prepared over an empty one and its WAL left behind unread.
+		if key, err := me.Decl.Key(); err != nil {
+			return n, fmt.Errorf("serve: restoring session %s: %w", me.Key, err)
+		} else if key != me.Key {
+			return n, fmt.Errorf("serve: manifest entry %d is stored under key %s but its declaration hashes to %s: refusing to restore it over another directory",
+				i, me.Key, key)
+		}
 		if _, err := s.reg.Get(me.Decl); err != nil {
 			return n, fmt.Errorf("serve: restoring session %s: %w", me.Key, err)
 		}

@@ -25,7 +25,7 @@ func TestEstimateReport(t *testing.T) {
 func TestSampleParallel(t *testing.T) {
 	u := demoUnion(t)
 	out, err := u.SampleParallel(1000, 4, Options{
-		Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 10,
+		Warmup: WarmupExact, Method: MethodEW, Seed: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,11 +41,11 @@ func TestSampleParallel(t *testing.T) {
 }
 
 func TestSampleParallelRace(t *testing.T) {
-	// Exercised under -race in CI: many workers over shared joins with
-	// the oracle (membership maps) and EO (max-degree indexes).
+	// Exercised under -race in CI: many workers over shared joins, every
+	// one probing the membership maps and EO's max-degree indexes.
 	u := demoUnion(t)
 	out, err := u.SampleParallel(400, 8, Options{
-		Warmup: WarmupHistogram, Method: MethodEO, Oracle: true, Seed: 11,
+		Warmup: WarmupHistogram, Method: MethodEO, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func TestRecycledDrawEqualsColdSession(t *testing.T) {
 	}{
 		{"cover-ew", Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEW}, false},
 		{"cover-eo", Options{Warmup: WarmupHistogram, Method: MethodEO}, false},
-		{"oracle", Options{Warmup: WarmupExact, Method: MethodEW, Oracle: true}, false},
+		{"exact-ew", Options{Warmup: WarmupExact, Method: MethodEW}, false},
 		{"online", Options{Online: true, WarmupWalks: 20}, false},
 		{"shard-cover-ew", Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3}, false},
 		{"shard-online", Options{Online: true, WarmupWalks: 20, Shards: 2}, false},

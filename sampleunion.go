@@ -218,10 +218,6 @@ type Options struct {
 	// (online mode then starts from histogram parameters and refines
 	// purely on the fly).
 	WarmupWalks int `json:"warmup_walks,omitempty"`
-	// Oracle uses exact membership tests for value-to-join assignment
-	// instead of the paper's dynamic record; exactly uniform from the
-	// first sample, but needs per-relation indexes.
-	Oracle bool `json:"oracle,omitempty"`
 	// Seed makes sampling reproducible (default 1). It seeds the
 	// warm-up, and a prepared Session derives a decorrelated per-call
 	// stream from it (see Session.SampleSeeded for explicit streams).
@@ -459,24 +455,21 @@ func prepareEngine(joins []*join.Join, o Options, walks int, g *rng.RNG) (core.P
 	if o.Online {
 		return core.PrepareOnline(joins, core.OnlineConfig{
 			WarmupWalks: walks,
-			Oracle:      o.Oracle,
 			Tuner:       ctrl,
 		}, g)
 	}
 	return core.PrepareCover(joins, core.CoverConfig{
 		Method:    o.joinMethod(),
 		Estimator: estimatorFor(joins, o, walks),
-		Oracle:    o.Oracle,
 		Tuner:     ctrl,
 	}, g)
 }
 
 // Sample draws n independent tuples (with replacement) from the set
 // union of the joins. Under exact parameters each distinct result tuple
-// has probability 1/|U| (Theorem 1) at every n with Options.Oracle, and
-// in the limit n ≫ |U| without it (the run's record has to fill first;
-// see Session.Sample). It returns the samples in OutputSchema order
-// together with run statistics.
+// has probability 1/|U| (Theorem 1) at every n; under estimated ones, up
+// to the estimation error of the cover shares (see Session.Sample). It
+// returns the samples in OutputSchema order together with run statistics.
 //
 // Sample is a prepare-then-call wrapper: it pays the full warm-up on
 // every call. Callers issuing more than one query over the same union

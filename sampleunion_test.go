@@ -39,7 +39,7 @@ func TestUnionSampleModes(t *testing.T) {
 		t.Fatalf("exact union = %d, want 90", exact)
 	}
 	cases := []Options{
-		{Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 1},
+		{Warmup: WarmupExact, Method: MethodEW, Seed: 1},
 		{Warmup: WarmupRandomWalk, Method: MethodEW, Seed: 2},
 		{Warmup: WarmupHistogram, Method: MethodEO, Seed: 3},
 		{Online: true, WarmupWalks: 300, Seed: 4},
@@ -137,7 +137,7 @@ func TestCyclicThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := u.Sample(50, Options{Warmup: WarmupExact, Oracle: true})
+	out, _, err := u.Sample(50, Options{Warmup: WarmupExact})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // A Session is safe for concurrent use. The prepared state is immutable
 // and swapped atomically by Refresh; each call takes its own sampling
 // run — a recycled one, reset, when the state generation has one — with
-// a private RNG stream, record, and Stats, and what a call returns is
+// a private RNG stream, buffers, and Stats, and what a call returns is
 // the caller's own. Auto-streamed methods (Sample, ApproxCount, ...)
 // draw their stream index from an atomic counter, so concurrent calls
 // get distinct, non-overlapping streams; use the *Seeded variants when a
@@ -391,11 +391,12 @@ func ownStats(st *Stats) *Stats {
 // union at per-draw cost, on the session's next auto stream. It returns
 // the samples in OutputSchema order together with this call's run
 // statistics (warm-up time excluded: it was paid once at Prepare).
-// Every call is its own run: with Options.Oracle the draws are uniform
-// over the union at every n; without it a run learns which join owns a
-// value from its own record, so they are uniform only as this call's n
-// grows past |U|, and a small call over-draws results several joins
-// produce (README, Choosing options).
+// Every call is its own run, and uniform over the union at every n up
+// to the estimation error of the warm-up's cover shares: a result in
+// cover region j — the results join j produces and no earlier join does —
+// is drawn with probability ĉ_j/(Û·c_j), which is 1/|U| under WarmupExact
+// and as close as the estimates ĉ_j are to the region sizes c_j otherwise
+// (README, What a request gets).
 func (s *Session) Sample(n int) ([]Tuple, *Stats, error) {
 	return s.SampleSeeded(n, s.nextSeed())
 }
@@ -517,9 +518,13 @@ func (s *Session) SampleParallel(n, workers int) ([]Tuple, error) {
 // Sample(n) — the approximate-query-answering use case of the paper's
 // introduction. The session's cached |U| estimate serves the scale-up,
 // so the call costs n draws and nothing more. Like every Approx*
-// method, its interval is calibrated when those n draws are uniform:
-// under Options.Oracle with exact parameters at every n, otherwise only
-// for n well past |U| (see Sample).
+// method, its interval covers the sampling noise of those n draws, not
+// the error of the warm-up's parameters: the draws are uniform up to the
+// estimation error of the cover shares and the scale-up uses the
+// estimated |U| (see Sample), so under WarmupExact the interval is
+// calibrated at every n, and under an estimating warm-up an aggregate
+// over a region whose cover share is mis-estimated is off by that share's
+// error however large n is.
 func (s *Session) ApproxCount(pred Predicate, n int) (AggResult, error) {
 	samples, unionSize, err := s.sampleWithSize(n)
 	if err != nil {

@@ -22,7 +22,7 @@ func (c *countingEstimator) Params(g *rng.RNG) (*core.Params, error) {
 
 func countingOptions(u *Union) (*countingEstimator, Options) {
 	ce := &countingEstimator{inner: &core.ExactEstimator{Joins: u.Joins()}}
-	return ce, Options{Method: MethodEW, Oracle: true, Seed: 1, testEstimator: ce}
+	return ce, Options{Method: MethodEW, Seed: 1, testEstimator: ce}
 }
 
 // TestPrepareRunsEstimatorOnce is the warm-up amortization contract:
@@ -87,7 +87,7 @@ func TestSessionConcurrentReproducibleStreams(t *testing.T) {
 	// Subtests carry fixed names: a name printed from the Options value
 	// changes whenever the struct does.
 	for name, o := range map[string]Options{
-		"exact-ew-oracle": {Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 1},
+		"exact-ew-oracle": {Warmup: WarmupExact, Method: MethodEW, Seed: 1},
 		"histogram-eo":    {Warmup: WarmupHistogram, Method: MethodEO, Seed: 2},
 		"online":          {Online: true, WarmupWalks: 200, Seed: 3},
 	} {
@@ -291,7 +291,7 @@ func TestSessionDisjointAndEstimate(t *testing.T) {
 func TestSessionParallelScaling(t *testing.T) {
 	u := demoUnion(t)
 	for _, o := range []Options{
-		{Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 10},
+		{Warmup: WarmupExact, Method: MethodEW, Seed: 10},
 		{Warmup: WarmupHistogram, Method: MethodEO, Seed: 11},
 		{Online: true, WarmupWalks: 100, Seed: 12},
 	} {

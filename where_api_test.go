@@ -8,7 +8,7 @@ func TestSampleWhere(t *testing.T) {
 	u := demoUnion(t)
 	pred := Cmp{Attr: "custkey", Op: LT, Val: 20}
 	out, stats, err := u.SampleWhere(200, pred, Options{
-		Warmup: WarmupExact, Method: MethodEW, Oracle: true, Seed: 6,
+		Warmup: WarmupExact, Method: MethodEW, Seed: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
