@@ -112,28 +112,37 @@ func BenchmarkSessionParallel(b *testing.B) {
 // call draws on a recycled run, so it allocates what it returns — the
 // batch's two slices (width × 8 + 24 bytes per tuple) and its copy of
 // the Stats: CI's bench-smoke gates n=1024 at 1.2 allocs and 76 B per
-// tuple and n=16 at 8 allocs and 1500 B per call.
+// tuple and n=16 at 8 allocs and 1500 B per call. The online legs are the
+// same call on Algorithm 2 (random-walk warm-up): a walk lands in the
+// run's scratch and only an accepted one is copied, into the arena, so a
+// call allocates the same batch plus one parameter update (the first
+// backtrack, where refinement freezes on this union) — gated at 24 allocs
+// per call and width × 8 + 40 B per tuple at n=1024.
 func BenchmarkSampleBatch(b *testing.B) {
 	u := benchUnion(b)
 	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, n := range []int{1, 16, 256, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, _, err := s.SampleBatch(n)
-				if err != nil {
-					b.Fatal(err)
+	batches := func(b *testing.B, s *Session, sizes ...int) {
+		for _, n := range sizes {
+			b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					out, _, err := s.SampleBatch(n)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(out) != n {
+						b.Fatal("short batch")
+					}
 				}
-				if len(out) != n {
-					b.Fatal("short batch")
-				}
-			}
-		})
+			})
+		}
 	}
+	batches(b, s, 1, 16, 256, 1024)
+	b.Run("online", func(b *testing.B) { batches(b, benchOnline(b), 16, 1024) })
 	b.Run("loop1024", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -146,6 +155,60 @@ func BenchmarkSampleBatch(b *testing.B) {
 				if len(out) != 1 {
 					b.Fatal("short sample")
 				}
+			}
+		}
+	})
+}
+
+// benchOnline prepares Algorithm 2 over benchUnion under a random-walk
+// warm-up, the pairing the benchmark's lib_online workload serves.
+func benchOnline(b *testing.B) *Session {
+	b.Helper()
+	s, err := benchUnion(b).Prepare(Options{Online: true, Warmup: WarmupRandomWalk, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkApproxCount is one aggregate over n online draws. The call
+// folds the batch where the run wrote it, so what it allocates — the
+// run's one parameter update — is the same at every n; CI gates B/op at
+// n=256 and n=2048 within 10 % of each other.
+func BenchmarkApproxCount(b *testing.B) {
+	s := benchOnline(b)
+	pred := Cmp{Attr: "nationkey", Op: LT, Val: 5}
+	for _, n := range []int{256, 2048} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			// Size the run the timed calls recycle: a backtrack leaves dead
+			// spans in the arena, so how far it grows settles over a few
+			// streams, not one.
+			for i := 0; i < 100; i++ {
+				s.ApproxCount(pred, n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err := s.ApproxCount(pred, n); err != nil || res.N != n {
+					b.Fatal(res, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSampleWhere draws 512 tuples under a predicate a tenth of the
+// union satisfies: about 5 000 candidates are read in the run's arena and
+// only the kept ones copied, so CI gates B/op at 1.25 × the result
+// (n × (width × 8 + 24) bytes).
+func BenchmarkSampleWhere(b *testing.B) {
+	s := benchOnline(b)
+	pred := Cmp{Attr: "custkey", Op: LT, Val: 60}
+	b.Run("n=512", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if out, _, err := s.SampleWhere(512, pred); err != nil || len(out) != 512 {
+				b.Fatal(len(out), err)
 			}
 		}
 	})

@@ -118,6 +118,12 @@ func (s *DisjointSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	return out, nil
 }
 
+// SampleView forwards to Sample: a disjoint run buffers nothing, so its
+// batch is the caller's already.
+func (s *DisjointSampler) SampleView(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.Sample(n, g)
+}
+
 // BernoulliConfig configures the §3 union-trick sampler.
 type BernoulliConfig struct {
 	Method    JoinMethod
@@ -209,4 +215,9 @@ func (s *BernoulliSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	}
 	s.stats.bookBatchTime(&before, time.Since(start))
 	return out, nil
+}
+
+// SampleView forwards to Sample, like DisjointSampler's.
+func (s *BernoulliSampler) SampleView(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.Sample(n, g)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sampleunion/internal/join"
-	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/tune"
 )
@@ -84,6 +83,7 @@ func (p *CoverShared) NewRun() Run {
 	s, _ := p.runs.Get().(*CoverSampler)
 	if s == nil {
 		s = &CoverSampler{scratch: p.base.newScratch()}
+		s.draw = s.drawOne
 	}
 	s.reset(&p.prepared)
 	return s
@@ -95,7 +95,9 @@ func (p *CoverShared) NewRun() Run {
 // region — the values no earlier join contains, decided by membership
 // (runState.accept) where the paper's lines 8-14 learn it from a record
 // and revise. All mutable state (result buffer, stats) is per-run; the
-// prepared state is shared and read-only.
+// prepared state is shared and read-only. Each returned tuple has
+// probability 1/|U| (Theorem 1), and a call buffers exactly the n tuples
+// it returns.
 //
 // On the redraw semantics: Theorem 1's proof takes the probability of a
 // value u given its cover join as 1/|J'_j|; redrawing within the
@@ -112,32 +114,6 @@ func (s *CoverSampler) Release() { s.release(s) }
 
 // Params returns the shared warm-up parameters.
 func (s *CoverSampler) Params() *Params { return s.prep.params }
-
-// Sample returns n tuples drawn with replacement from the set union,
-// each with probability 1/|U| (Theorem 1). Tuples are in the first
-// join's output schema order. Consecutive calls continue the stream — a
-// call buffers exactly the n tuples it returns — and Sample can be called
-// repeatedly for more data. Join selection stays per-tuple — batching it
-// across tuples would correlate samples that must be independent — while
-// the result buffer and the arena are sized for the batch once per call
-// and the wall clock is read once per call (bookBatchTime).
-func (s *CoverSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	before, start := s.beginBatch(n)
-	for len(s.result) < n {
-		if err := s.drawOne(g); err != nil {
-			return nil, err
-		}
-	}
-	return s.serveResult(n, &before, start), nil
-}
-
-// SampleBatch forwards to Sample.
-//
-// Deprecated: Sample is the batch engine; the name stays for callers
-// compiled against it.
-func (s *CoverSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	return s.Sample(n, g)
-}
 
 // drawOne runs join selection and the accept rule until one tuple is
 // appended to the result. The join-level acceptance loop runs
@@ -159,7 +135,7 @@ func (s *CoverSampler) drawOne(g *rng.RNG) error {
 			if got == 0 {
 				break // budget exhausted or dead join: reselect
 			}
-			if s.accept(j, s.scratch.out) {
+			if s.accept(j, s.scratch.out, 0) {
 				s.commit(j, s.scratch.out, 1, 0)
 				return nil
 			}

@@ -43,11 +43,11 @@ type OnlineConfig struct {
 // state, warmed by the histogram initialization plus warm-up walks
 // (onlineWarmup), run exactly once. The master walk estimator is frozen
 // after warm-up; each run handed out by NewRun starts from its own copy
-// of the Horvitz–Thompson and overlap state — but not the warm-up sample
-// pool: handing the same tuples to several runs would correlate streams
-// that must be independent, so prepared runs start from the shared
-// estimates and draw fresh walks. The §7 sample-reuse optimization
-// belongs to a single stream: NewReuseRun hands the pool to the one run
+// of the Horvitz–Thompson and overlap state and walks afresh into its own
+// scratch, retaining nothing. It does not get the walks the warm-up
+// retained: handing the same tuples to several runs would correlate
+// streams that must be independent. The §7 sample-reuse optimization
+// belongs to a single stream: NewReuseRun hands that pool to the one run
 // that owns it. With a tuner the subroutine stays EO for every join, and
 // escalated exact counts stay pinned through run-level refinement
 // (prepared.exactSizes).
@@ -111,31 +111,27 @@ func (o *onlineWarmup) Params(g *rng.RNG) (*Params, error) {
 			o.walks.StepJoin(j, g)
 		}
 	}
-	walked, ok, err := paramsFromWalks(o.walks, nil)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		params = walked
+	if walked, err := paramsFromWalks(o.walks, nil); walked != nil || err != nil {
+		return walked, err
 	}
 	return params, nil
 }
 
 // paramsFromWalks rebuilds Params from a walk estimator once every join
-// has observations; ok is false while any join is still unobserved (the
+// has observations; it returns nil while any join is still unobserved (the
 // caller keeps its current parameters). Non-nil sizes pin escalated
 // joins' exact counts through the rebuild (walkest.TableWithSizes).
-func paramsFromWalks(walks *walkest.Estimator, sizes []float64) (*Params, bool, error) {
+func paramsFromWalks(walks *walkest.Estimator, sizes []float64) (*Params, error) {
 	for _, je := range walks.JoinEstimates() {
 		if je.Walks() == 0 {
-			return nil, false, nil
+			return nil, nil
 		}
 	}
 	t, err := walks.TableWithSizes(sizes)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return ParamsFromTable(t), true, nil
+	return ParamsFromTable(t), nil
 }
 
 // Refresh implements PreparedSampler.
@@ -156,7 +152,8 @@ func (p *OnlineShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 func (p *OnlineShared) NewRun() Run {
 	s, _ := p.runs.Get().(*OnlineSampler)
 	if s == nil {
-		s = &OnlineSampler{walks: new(walkest.Estimator)}
+		s = &OnlineSampler{walks: new(walkest.Estimator), scratch: make(relation.Tuple, p.base.ref.Len())}
+		s.draw = s.drawOne
 	}
 	s.reset(p)
 	return s
@@ -178,12 +175,14 @@ func (p *OnlineShared) NewReuseRun() *OnlineSampler {
 
 // OnlineSampler is one run of Algorithm 2: it starts from the shared
 // warm-up parameters, samples joins with wander-join walks whose draws
-// double as Horvitz–Thompson observations, reuses warm-up samples with
-// the l/(p(t)·|J_j|) acceptance correction (line 8), and every Phi
-// recorded probabilities re-estimates parameters and backtracks
-// previously accepted tuples to the new distribution (§7). All mutable
-// state — the walk estimator copy, parameters under refinement, the
-// result buffer, stats — is per-run.
+// double as Horvitz–Thompson observations — one at a time: each updates
+// the estimates the next draw samples under — and every Phi recorded
+// probabilities re-estimates parameters and backtracks previously
+// accepted, not yet returned tuples to the new distribution (§7), until
+// confidence Gamma is reached. A reuse run first draws the warm-up's
+// retained walks, with the 1/(p(t)·|J_j|) acceptance correction (line 8).
+// All mutable state — the walk estimator copy, parameters under
+// refinement, the walk scratch, the result buffer, stats — is per-run.
 type OnlineSampler struct {
 	runState
 	shared   *OnlineShared
@@ -191,7 +190,8 @@ type OnlineSampler struct {
 	params   *Params
 	alias    *rng.Alias
 	recorded int
-	conf     float64 // the walk estimator's confidence level as of the last backtrack
+	conf     float64        // the walk estimator's confidence level as of the last backtrack
+	scratch  relation.Tuple // where a fresh walk lands; only an accepted one is copied, into the arena
 }
 
 // reset adopts the shared warm-up into the run and starts it over:
@@ -215,12 +215,9 @@ func (s *OnlineSampler) Release() {
 // refreshParams rebuilds Params from the run's walk estimator when it
 // has observations, keeping the current values otherwise.
 func (s *OnlineSampler) refreshParams() error {
-	params, ok, err := paramsFromWalks(s.walks, s.prep.exactSizes)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil // keep current params until walks exist everywhere
+	params, err := paramsFromWalks(s.walks, s.prep.exactSizes)
+	if params == nil {
+		return err // none yet: keep current params until walks exist everywhere
 	}
 	s.params = params
 	s.alias = rng.NewAlias(params.Cover)
@@ -247,37 +244,9 @@ func (s *OnlineSampler) Stats() *Stats {
 	return &s.stats
 }
 
-// Sample returns n tuples from the set union in the first join's
-// output schema order. Consecutive calls continue the stream: returned
-// tuples are final (later backtracking only affects buffered,
-// not-yet-returned tuples). Walks feed the run's estimates one at a time
-// — each walk updates the parameters the next draw samples under — while
-// the result buffer and the arena are sized for the batch once per call
-// and the wall clock is read once per call, split across Accept/Reject
-// and Reuse/Regular by the call's attempt counts (bookBatchTime).
-func (s *OnlineSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	before, start := s.beginBatch(n)
-	for len(s.result) < n {
-		if err := s.drawOne(g); err != nil {
-			return nil, err
-		}
-		if err := s.maybeBacktrack(g); err != nil {
-			return nil, err
-		}
-	}
-	return s.serveResult(n, &before, start), nil
-}
-
-// SampleBatch forwards to Sample.
-//
-// Deprecated: Sample is the batch engine; the name stays for callers
-// compiled against it.
-func (s *OnlineSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	return s.Sample(n, g)
-}
-
-// drawOne selects a join by cover weight and retries within it until
-// at least one instance of a tuple is accepted.
+// drawOne selects a join by cover weight and retries within it until at
+// least one instance of a tuple is accepted, then runs the backtracking
+// check.
 func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 	for selections := 0; ; selections++ {
 		if selections > 64 {
@@ -285,65 +254,66 @@ func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 		}
 		j := s.alias.Draw(g)
 		for attempt := 0; attempt < s.prep.maxDraw; attempt++ {
-			t, mult, reuse, ok := s.candidate(j, g)
-			if !ok {
+			sm, mult, reuse := s.candidate(j, g)
+			if mult == 0 {
 				continue
 			}
-			if s.accept(j, t) {
+			if s.accept(j, sm.Tuple, sm.Mask) {
 				// Commit under the inclusion probability of the parameters
 				// in force, for backtracking to thin by.
-				s.commit(j, t, mult, s.inclusionProb(j))
+				s.commit(j, sm.Tuple, mult, s.inclusionProb(j))
 				if reuse {
 					s.stats.ReuseAccepted++
 				}
-				return nil
+				return s.maybeBacktrack(g)
+			}
+			if reuse {
+				s.stats.ReuseRejectedDup++
 			}
 		}
 	}
 }
 
-// candidate produces one tuple of join j with a multiplicity, first
-// from the reuse pool (line 8), then by a fresh wander-join walk whose
-// probability feeds the running estimates. Both paths apply the
-// p(t)-correction so that each value of J_j is produced with equal
-// expected multiplicity — uniform within the join.
-func (s *OnlineSampler) candidate(j int, g *rng.RNG) (relation.Tuple, int, bool, bool) {
+// candidate produces one tuple of join j with a multiplicity (zero: none
+// this attempt): from the reuse pool while the run holds one (line 8;
+// NewReuseRun), otherwise by a fresh wander-join walk into the run's
+// scratch, whose probability feeds the running estimates. Both paths apply
+// the p(t)-correction so that each value of J_j is produced with equal
+// expected multiplicity — uniform within the join. While the run refines
+// its parameters a fresh walk is probed against every other join once, for
+// the overlap counters, and its mask decides acceptance too; after that
+// nothing reads the counters, so the walk probes nothing and accept's
+// first-hit scan is the only probe — as for a pool sample, whose mask is
+// the warm-up's.
+func (s *OnlineSampler) candidate(j int, g *rng.RNG) (sm walkest.Sample, mult int, reuse bool) {
 	je := s.walks.JoinEstimates()[j]
 	size := s.params.JoinSizes[j]
 	s.stats.Joins[j].Draws++
 	if pool := je.Samples(); len(pool) > 0 {
-		sm := je.TakeSample(g.Intn(len(pool))) // without replacement (line 8)
+		sm = je.TakeSample(g.Intn(len(pool))) // without replacement (line 8)
+		sm.Mask = 0
 		// Acceptance ratio: the pool's composition is proportional to
 		// p(t) and the acceptance proportional to 1/p(t), so any
 		// constant scale preserves per-value uniformity; 1/(p·|J|)
 		// keeps the ratio near one. This deviates from Algorithm 2 on
 		// purpose: the paper's l·/(p·|J|) scale inflates the
 		// multiplicity of every accepted tuple by the pool size.
-		mult := s.instances(1/(sm.P*size), g)
-		if mult > 0 {
-			return sm.Tuple, mult, true, true
+		if mult = s.instances(1/(sm.P*size), g); mult == 0 {
+			s.stats.ReuseRejected++
 		}
-		s.stats.ReuseRejected++
-		return nil, 0, true, false
+		return sm, mult, true
 	}
 	s.stats.TotalDraws++
-	sm, ok := s.walks.StepJoin(j, g) // fresh walk; updates the estimates
+	sm, ok := s.walks.WalkJoin(j, s.scratch, s.conf < s.shared.gamma, g)
 	s.recorded++
-	if !ok {
-		s.stats.JoinRejects++
-		s.stats.Joins[j].Rejected++
-		return nil, 0, false, false
+	if ok {
+		mult = s.instances(1/(sm.P*size), g)
 	}
-	// The walk enters the pool inside Step; consume it immediately so
-	// the fresh draw is not double-counted as reusable.
-	je.TakeSample(len(je.Samples()) - 1)
-	mult := s.instances(1/(sm.P*size), g)
 	if mult == 0 {
 		s.stats.JoinRejects++
 		s.stats.Joins[j].Rejected++
-		return nil, 0, false, false
 	}
-	return sm.Tuple, mult, false, true
+	return sm, mult, false
 }
 
 // instances converts an acceptance ratio (which may exceed 1, §7's

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -63,7 +65,11 @@ type runState struct {
 	prep   *prepared // the generation the run samples; nil once released
 	result []resultEntry
 	arena  []relation.Value // backing store of buffered samples
+	view   []relation.Tuple // SampleView's tuple headers over the arena
 	stats  Stats
+	// draw is the algorithm's step, set when the run is built: buffer at
+	// least one more sample (and, online, run the backtracking check).
+	draw func(g *rng.RNG) error
 }
 
 // reset starts the run over on generation p: buffers emptied with their
@@ -122,58 +128,82 @@ func (r *runRNG) RNG(seed int64) *rng.RNG {
 // Stats returns the run's instrumentation.
 func (s *runState) Stats() *Stats { return &s.stats }
 
-// beginBatch sizes the result entries and the arena for a batch that
-// ends with n samples buffered, so one Sample call allocates each at most
-// once, and opens the call's time booking: the counters as they stand and
-// the one clock reading before the draw loop.
-func (s *runState) beginBatch(n int) (Stats, time.Time) {
+// Sample returns n tuples drawn with replacement from the set union, in
+// the first join's output schema order, as the caller's own. Consecutive
+// calls continue the stream: returned tuples are final. Join selection
+// stays per-tuple — batching it across tuples would correlate samples
+// that must be independent.
+func (s *runState) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.sample(n, g, false)
+}
+
+// SampleView is Sample without the copy-out, for a consumer that folds
+// or filters the batch while it holds the run: the tuples alias the run's
+// arena and are valid until the run's next call or Release.
+func (s *runState) SampleView(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.sample(n, g, true)
+}
+
+// SampleBatch forwards to Sample.
+//
+// Deprecated: Sample is the batch engine; the name stays for callers
+// compiled against it.
+func (s *runState) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.Sample(n, g)
+}
+
+// sample is one call. The result entries and the arena are sized for a
+// batch that ends with n samples buffered, so a call allocates each at
+// most once; entries the last call left buffered are instances of one
+// commit — only a call's last commit can overshoot its n — and their span
+// moves to the front of the arena first (now, not when that batch was
+// served: its view stayed readable until this call). The draw loop is
+// timed by one clock reading (bookBatchTime), and the first n buffered
+// samples are handed over: copied out as tuples over one flat backing
+// (two allocations for the whole batch), or, as a view, as tuples over the
+// arena itself, their headers in a slice the run keeps.
+func (s *runState) sample(n int, g *rng.RNG, view bool) ([]relation.Tuple, error) {
+	k := s.prep.base.ref.Len()
+	if len(s.result) == 0 {
+		s.arena = s.arena[:0]
+	} else {
+		s.arena = s.arena[:copy(s.arena[:k], s.arena[s.result[0].off:])]
+		for i := range s.result {
+			s.result[i].off = 0
+		}
+	}
 	if cap(s.result) < n {
 		s.result = append(make([]resultEntry, 0, n), s.result...)
 	}
-	if k := (n - len(s.result)) * s.prep.base.ref.Len(); k > 0 && cap(s.arena)-len(s.arena) < k {
-		s.arena = append(make([]relation.Value, 0, len(s.arena)+k), s.arena...)
+	if need := (n - len(s.result)) * k; need > 0 && cap(s.arena)-len(s.arena) < need {
+		s.arena = append(make([]relation.Value, 0, len(s.arena)+need), s.arena...)
 	}
-	return s.stats, time.Now()
-}
-
-// serveResult closes the batch beginBatch opened: it books the call's
-// elapsed time (bookBatchTime), copies the first n buffered samples out
-// as tuples over one flat backing (two allocations for the whole batch)
-// and compacts the arena behind the remaining entries — there are some
-// only when an online commit's instances overshot n. Entry offsets are
-// non-decreasing — the instances of one commit share one span — so
-// duplicates remap to the span's new position and distinct spans
-// forward-copy safely (the m-th distinct remaining span starts at or
-// after m*k).
-func (s *runState) serveResult(n int, before *Stats, start time.Time) []relation.Tuple {
-	s.stats.bookBatchTime(before, time.Since(start))
-	k := s.prep.base.ref.Len()
-	flat := make([]relation.Value, n*k)
-	out := make([]relation.Tuple, n)
-	for i := range out {
-		off := s.result[i].off
-		copy(flat[i*k:(i+1)*k], s.arena[off:off+k])
-		out[i] = relation.Tuple(flat[i*k : (i+1)*k : (i+1)*k])
+	before, start := s.stats, time.Now()
+	for len(s.result) < n {
+		if err := s.draw(g); err != nil {
+			return nil, err
+		}
+	}
+	s.stats.bookBatchTime(&before, time.Since(start))
+	var out []relation.Tuple
+	if view {
+		s.view = slices.Grow(s.view[:0], n)[:n]
+		out = s.view
+		for i := range out {
+			off := s.result[i].off
+			out[i] = s.arena[off : off+k : off+k]
+		}
+	} else {
+		flat := make([]relation.Value, n*k)
+		out = make([]relation.Tuple, n)
+		for i := range out {
+			off := s.result[i].off
+			copy(flat[i*k:(i+1)*k], s.arena[off:off+k])
+			out[i] = flat[i*k : (i+1)*k : (i+1)*k]
+		}
 	}
 	s.result = s.result[:copy(s.result, s.result[n:])]
-	w := 0
-	prevOld, prevNew := -1, -1
-	for i := range s.result {
-		e := &s.result[i]
-		if e.off == prevOld {
-			e.off = prevNew
-			continue
-		}
-		prevOld = e.off
-		if e.off != w {
-			copy(s.arena[w:w+k], s.arena[e.off:e.off+k])
-		}
-		prevNew = w
-		e.off = w
-		w += k
-	}
-	s.arena = s.arena[:w]
-	return out
+	return out, nil
 }
 
 // accept decides whether t, a candidate value of join j in j's schema
@@ -181,9 +211,15 @@ func (s *runState) serveResult(n int, before *Stats, start time.Time) []relation
 // contains it, f(t) = min{i : t ∈ J_i} by exact membership, so a draw an
 // earlier join covers is rejected (line 8 of Algorithm 1, with f known
 // instead of learned). That holds from a run's first draw, which is what
-// makes a call of any size a uniform draw.
-func (s *runState) accept(j int, t relation.Tuple) bool {
-	if s.prep.base.minContaining(j, t) == j {
+// makes a call of any size a uniform draw. A non-zero mask is the set of
+// joins containing t as the walk that produced it just probed them: its
+// lowest bit is f(t), and no join is probed a second time.
+func (s *runState) accept(j int, t relation.Tuple, mask uint) bool {
+	f := bits.TrailingZeros(mask)
+	if mask == 0 {
+		f = s.prep.base.minContaining(j, t)
+	}
+	if f == j {
 		return true
 	}
 	s.stats.RejectedDup++

@@ -437,6 +437,17 @@ func (s *ShardedSampler) Release() {
 // is bit-identical however many workers actually run — scheduling
 // affects only wall clock.
 func (s *ShardedSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.sample(n, g, Run.Sample)
+}
+
+// SampleView is Sample over the shard runs' views: the merged tuples
+// alias the shard runs' arenas, valid until the run's next call or
+// Release.
+func (s *ShardedSampler) SampleView(n int, g *rng.RNG) ([]relation.Tuple, error) {
+	return s.sample(n, g, Run.SampleView)
+}
+
+func (s *ShardedSampler) sample(n int, g *rng.RNG, draw func(Run, int, *rng.RNG) ([]relation.Tuple, error)) ([]relation.Tuple, error) {
 	if n <= 0 {
 		return []relation.Tuple{}, nil
 	}
@@ -465,7 +476,7 @@ func (s *ShardedSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 	}
 	join.FanOut(s.shared.cfg.Workers, len(busy), func(i int) {
 		sh := busy[i]
-		parts[sh], errs[sh] = s.runs[sh].Sample(counts[sh], s.runs[sh].RNG(DeriveSeed(base, int64(sh))))
+		parts[sh], errs[sh] = draw(s.runs[sh], counts[sh], s.runs[sh].RNG(DeriveSeed(base, int64(sh))))
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -519,6 +530,7 @@ func (s *ShardedSampler) Stats() *Stats {
 		m.JoinRejects += st.JoinRejects
 		m.ReuseAccepted += st.ReuseAccepted
 		m.ReuseRejected += st.ReuseRejected
+		m.ReuseRejectedDup += st.ReuseRejectedDup
 		m.Backtracks += st.Backtracks
 		m.BacktrackDropped += st.BacktrackDropped
 		m.TotalDraws += st.TotalDraws

@@ -21,9 +21,12 @@ type Stats struct {
 	// JoinRejects counts join-subroutine rejections (EO accept/reject,
 	// dangling walks).
 	JoinRejects int
-	// ReuseAccepted / ReuseRejected count reuse-pool draws (Algorithm 2).
-	ReuseAccepted int
-	ReuseRejected int
+	// ReuseAccepted / ReuseRejected / ReuseRejectedDup partition the
+	// reuse-pool draws (Algorithm 2): committed, thinned to zero instances,
+	// or rejected as an earlier join's value (a slice of RejectedDup).
+	ReuseAccepted    int
+	ReuseRejected    int
+	ReuseRejectedDup int
 	// Backtracks counts parameter-update rounds; BacktrackDropped the
 	// result tuples removed by backtracking (§7).
 	Backtracks       int
@@ -114,7 +117,8 @@ func (s *Stats) bookBatchTime(before *Stats, d time.Duration) {
 		(s.RejectedDup - before.RejectedDup) +
 		(s.ReuseRejected - before.ReuseRejected)
 	reuse := (s.ReuseAccepted - before.ReuseAccepted) +
-		(s.ReuseRejected - before.ReuseRejected)
+		(s.ReuseRejected - before.ReuseRejected) +
+		(s.ReuseRejectedDup - before.ReuseRejectedDup)
 	total := acc + rej
 	if total <= 0 {
 		s.AcceptTime += d
@@ -139,6 +143,6 @@ func (s *Stats) String() string {
 	return fmt.Sprintf(
 		"accepted=%d dupRejected=%d joinRejects=%d reuse=%d/%d backtracks=%d draws=%d warmup=%v accept=%v reject=%v",
 		s.Accepted, s.RejectedDup, s.JoinRejects,
-		s.ReuseAccepted, s.ReuseAccepted+s.ReuseRejected,
+		s.ReuseAccepted, s.ReuseAccepted+s.ReuseRejected+s.ReuseRejectedDup,
 		s.Backtracks, s.TotalDraws, s.WarmupTime, s.AcceptTime, s.RejectTime)
 }

@@ -53,6 +53,13 @@ func TestStatsInvariantsAcrossCalls(t *testing.T) {
 	}
 	sharded, _ := prepareShardedFixture(t, 3)
 	online := onlineReuseRun(t, joins, OnlineConfig{WarmupWalks: 300, Phi: 100})
+	pooled := func() (n int) {
+		for _, je := range online.walks.JoinEstimates() {
+			n += len(je.Samples())
+		}
+		return n
+	}
+	pool := pooled()
 	cases := []struct {
 		name string
 		run  UnionSampler
@@ -111,16 +118,19 @@ func TestStatsInvariantsAcrossCalls(t *testing.T) {
 				rejected += jb.Rejected
 				accepted += jb.Accepted
 			}
-			// Per-join draws add the reuse-pool draws to the fresh ones; a
-			// reuse draw rejected as a union-level duplicate is counted in
-			// RejectedDup, which fresh duplicates share.
-			lo := st.TotalDraws + st.ReuseAccepted + st.ReuseRejected
-			hi := lo
-			if c.run == UnionSampler(online) {
-				hi += st.RejectedDup
+			// Per-join draws add the reuse-pool draws to the fresh ones, and
+			// every pool draw has one of three outcomes.
+			reused := st.ReuseAccepted + st.ReuseRejected + st.ReuseRejectedDup
+			if want := st.TotalDraws + reused; draws != want {
+				t.Errorf("per-join draws sum to %d, want %d", draws, want)
 			}
-			if draws < lo || draws > hi {
-				t.Errorf("per-join draws sum to %d, want within [%d, %d]", draws, lo, hi)
+			if c.run == UnionSampler(online) {
+				if drawn := pool - pooled(); drawn == 0 || drawn != reused || st.ReuseRejectedDup == 0 || st.ReuseRejectedDup > st.RejectedDup {
+					t.Errorf("%d pool draws, but accepted %d + thinned %d + duplicate %d (of %d duplicates)",
+						drawn, st.ReuseAccepted, st.ReuseRejected, st.ReuseRejectedDup, st.RejectedDup)
+				}
+			} else if reused != 0 {
+				t.Errorf("%d pool draws on a run without a pool", reused)
 			}
 			if rejected != st.JoinRejects || accepted != st.Accepted {
 				t.Errorf("per-join rejected/accepted %d/%d, aggregates %d/%d", rejected, accepted, st.JoinRejects, st.Accepted)

@@ -11,6 +11,10 @@ import (
 // tuples (with replacement) in a fixed output schema order.
 type UnionSampler interface {
 	Sample(n int, g *rng.RNG) ([]relation.Tuple, error)
+	// SampleView is Sample for a consumer that reads the batch before the
+	// sampler's next call and keeps none of it: the tuples may alias the
+	// sampler's own buffers (a Run's do), valid until that call or Release.
+	SampleView(n int, g *rng.RNG) ([]relation.Tuple, error)
 	Stats() *Stats
 }
 
@@ -25,13 +29,16 @@ type UnionSampler interface {
 //
 // Candidates are drawn in need-sized chunks (at least whereChunk at a
 // time), so the rejection loop pays the engine's amortized per-draw
-// price. maxDraws caps the total draws (0 means 1000·n) so that a
-// predicate with empty support fails cleanly instead of looping
-// forever.
+// price, and are read where the sampler wrote them (SampleView): only
+// the kept tuples are copied, into one backing of exactly n tuples.
+// maxDraws caps the total draws (0 means 1000·n) so that a predicate
+// with empty support fails cleanly instead of looping forever.
 func SampleWhere(s UnionSampler, schema *relation.Schema, pred relation.Predicate, n int, g *rng.RNG, maxDraws int) ([]relation.Tuple, error) {
 	if maxDraws <= 0 {
 		maxDraws = 1000 * n
 	}
+	k := schema.Len()
+	flat := make([]relation.Value, 0, n*k)
 	out := make([]relation.Tuple, 0, n)
 	drawn := 0
 	for len(out) < n {
@@ -43,14 +50,15 @@ func SampleWhere(s UnionSampler, schema *relation.Schema, pred relation.Predicat
 		if remaining := maxDraws - drawn; want > remaining {
 			want = remaining
 		}
-		tuples, err := s.Sample(want, g)
+		tuples, err := s.SampleView(want, g)
 		if err != nil {
 			return nil, err
 		}
 		drawn += len(tuples)
 		for _, t := range tuples {
 			if pred.Eval(t, schema) {
-				out = append(out, t)
+				flat = append(flat, t...)
+				out = append(out, flat[len(flat)-k:len(flat):len(flat)])
 				if len(out) == n {
 					break
 				}

@@ -1,6 +1,7 @@
 package walkest
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -71,6 +72,52 @@ func TestStepJoinMasks(t *testing.T) {
 		if math.Abs(got-c.want)/c.want > 0.2 {
 			t.Errorf("overlap(%b) = %.1f, want ~%.0f", c.mask, got, c.want)
 		}
+	}
+}
+
+// TestWalkJoinRetainsNothing: the served walk is StepJoin without the
+// pool. Seed for seed it lands on the same tuple with the same p(t) and —
+// while its caller refines — the same mask and overlap counters, in the
+// caller's tuple, allocating nothing; told that refinement is over it
+// still feeds the size estimate, but probes no join and moves no counter.
+func TestWalkJoinRetainsNothing(t *testing.T) {
+	joins := threeWayJoins(t)
+	stepped, _ := New(joins, Options{})
+	walked, _ := New(joins, Options{})
+	gs, gw := rng.New(54), rng.New(54)
+	scratch := make(relation.Tuple, joins[1].OutputSchema().Len())
+	for i := 0; i < 500; i++ {
+		want, ok1 := stepped.StepJoin(1, gs)
+		got, ok2 := walked.WalkJoin(1, scratch, true, gw)
+		if ok1 != ok2 || got.P != want.P || got.Mask != want.Mask || !got.Tuple.Equal(want.Tuple) {
+			t.Fatalf("walk %d: WalkJoin %+v, StepJoin %+v", i, got, want)
+		}
+		if ok2 && &got.Tuple[0] != &scratch[0] {
+			t.Fatal("the walk did not land in the caller's tuple")
+		}
+	}
+	je := walked.ests[1]
+	if len(je.samples) != 0 || je.slab != nil {
+		t.Errorf("a served walk retained %d samples, slab %v", len(je.samples), je.slab != nil)
+	}
+	if walked.wAll[1] != stepped.wAll[1] || !maps.Equal(walked.wByMask[1], stepped.wByMask[1]) || je.Size() != stepped.ests[1].Size() {
+		t.Error("refining walks and retained walks disagree on the estimates")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { walked.WalkJoin(1, scratch, true, gw) }); allocs != 0 {
+		t.Errorf("a served walk allocates %.1f times", allocs)
+	}
+
+	all, byMask, n := walked.wAll[1], maps.Clone(walked.wByMask[1]), je.Walks()
+	for i := 0; i < 200; i++ {
+		if sm, ok := walked.WalkJoin(1, scratch, false, gw); !ok || sm.Mask != 0 {
+			t.Fatalf("frozen walk: ok=%v mask=%b", ok, sm.Mask)
+		}
+	}
+	if je.Walks() != n+200 {
+		t.Errorf("frozen walks folded %d observations, want 200", je.Walks()-n)
+	}
+	if walked.wAll[1] != all || !maps.Equal(walked.wByMask[1], byMask) {
+		t.Error("a frozen walk moved the overlap counters")
 	}
 }
 

@@ -2,14 +2,15 @@
 // union-sampling framework (§6): join sizes by Horvitz–Thompson
 // estimation over Wander-Join walks (§6.1), join overlaps from the
 // weighted fraction of one join's walk samples contained in the others
-// (§6.2), confidence intervals for both, and the retained sample pool
-// that the online sampler of §7 reuses.
+// (§6.2), confidence intervals for the sizes, and the warm-up's retained
+// walks: the pool §7's sample reuse draws from and a refresh probes again.
 package walkest
 
 import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/joinsample"
@@ -18,10 +19,10 @@ import (
 	"sampleunion/internal/rng"
 )
 
-// Sample is one successful walk retained for overlap estimation and
-// sample reuse: the result tuple, its walk probability p(t), and Mask,
-// the set of joins containing the tuple (bit i for join i, its own
-// included) as the Estimator that walked it last probed them.
+// Sample is one successful walk: the result tuple, its walk probability
+// p(t), and Mask, the set of joins containing the tuple (bit i for join
+// i, its own included) as the Estimator that walked it last probed them —
+// zero when it did not (WalkJoin).
 type Sample struct {
 	Tuple relation.Tuple
 	P     float64
@@ -41,17 +42,15 @@ type JoinEstimate struct {
 	m2      float64
 	samples []Sample
 
-	// Walk scratch, private to this estimate (clone drops it): slab is
-	// the unused rest of the current tuple chunk — a successful walk
-	// keeps its tuple where it was written and the slab moves past it,
-	// so retained samples are immutable and separately addressable at
-	// one allocation per slabTuples walks — and rowOf is WalkInto's
-	// per-node row scratch.
+	// Scratch, private to this estimate (clone drops it): slab is the
+	// unused rest of the chunk retain carves tuples from — one
+	// allocation per slabTuples retained walks, each tuple immutable and
+	// separately addressable — and rowOf is WalkInto's per-node rows.
 	slab  relation.Tuple
 	rowOf []int
 }
 
-// slabTuples is the number of walk tuples carved from one chunk.
+// slabTuples is the number of retained walk tuples carved from one chunk.
 const slabTuples = 64
 
 // NewJoinEstimate prepares an empty estimate for j.
@@ -59,27 +58,35 @@ func NewJoinEstimate(j *join.Join) *JoinEstimate {
 	return &JoinEstimate{J: j, walker: joinsample.NewWalker(j)}
 }
 
-// Step performs one wander-join walk and folds it into the estimate.
-// It returns the walk's sample when successful.
-func (e *JoinEstimate) Step(g *rng.RNG) (Sample, bool) {
+// Walk performs one wander-join walk into t — the caller's, one output
+// tuple wide — folds it into the estimate, and returns p(t) when the walk
+// succeeded. Nothing is retained.
+func (e *JoinEstimate) Walk(t relation.Tuple, g *rng.RNG) (float64, bool) {
+	if e.rowOf == nil {
+		e.rowOf = make([]int, len(e.J.Nodes()))
+	}
+	p, ok := e.walker.WalkInto(t, e.rowOf, g)
+	if !ok {
+		e.Observe(0)
+		return 0, false
+	}
+	e.Observe(1 / p)
+	return p, true
+}
+
+// retain carves the tuple of the next retained walk from the estimate's
+// own chunk; keep adds the walk, once it has succeeded there, to the pool.
+func (e *JoinEstimate) retain() relation.Tuple {
 	width := e.J.OutputSchema().Len()
 	if len(e.slab) < width {
 		e.slab = make(relation.Tuple, slabTuples*width)
 	}
-	if e.rowOf == nil {
-		e.rowOf = make([]int, len(e.J.Nodes()))
-	}
-	t := e.slab[:width:width]
-	p, ok := e.walker.WalkInto(t, e.rowOf, g)
-	if !ok {
-		e.Observe(0)
-		return Sample{}, false
-	}
-	e.slab = e.slab[width:]
-	s := Sample{Tuple: t, P: p}
+	return e.slab[:width:width]
+}
+
+func (e *JoinEstimate) keep(s Sample) {
+	e.slab = e.slab[len(s.Tuple):]
 	e.samples = append(e.samples, s)
-	e.Observe(1 / p)
-	return s, true
 }
 
 // Observe folds one Horvitz–Thompson observation (1/p for a successful
@@ -127,8 +134,8 @@ func (e *JoinEstimate) HalfWidth(z float64) float64 {
 	return z * math.Sqrt(e.Variance()) / math.Sqrt(float64(e.n))
 }
 
-// Samples returns the retained successful walks. The slice is shared:
-// the online sampler consumes it as the reuse pool.
+// Samples returns the retained successful walks. The slice is shared: a
+// reuse run consumes it as its pool.
 func (e *JoinEstimate) Samples() []Sample { return e.samples }
 
 // TakeSample removes and returns the sample at index i (order is not
@@ -266,14 +273,12 @@ func (c *Estimator) adopt(src *Estimator, j int) {
 }
 
 // CopyEstimates makes e an independent copy of src's size estimates and
-// overlap counters with empty reuse pools, written into the storage e
+// overlap counters with no retained walks, written into the storage e
 // already owns (the zero Estimator owns none and allocates it). Prepared
 // sessions start every run from the shared warm-up this way — sharing
 // warm-up tuples across runs would correlate streams that are documented
-// as independent, so the pools are not copied — and a recycled run pays
-// a few word copies for it instead of a fresh estimator. e keeps its
-// walk scratch: nothing it handed out before is still referenced once
-// its owner starts over.
+// as independent — and a recycled run pays a few word copies for it
+// instead of a fresh estimator.
 func (e *Estimator) CopyEstimates(src *Estimator) {
 	if len(e.ests) != len(src.ests) {
 		*e = *src.shell()
@@ -293,19 +298,9 @@ func (e *Estimator) CopyEstimates(src *Estimator) {
 	}
 }
 
-// Reset discards join j's estimate, overlap counters, and reuse pool —
-// its walks observed a join whose data has since mutated. Other joins'
-// state is untouched, which is what lets a session refresh re-walk only
-// the dirty joins.
-func (e *Estimator) Reset(j int) {
-	e.ests[j] = NewJoinEstimate(e.joins[j])
-	e.wByMask[j] = make(map[uint]float64)
-	e.wAll[j] = 0
-}
-
 // Refreshed returns the estimator a refresh continues from when the
 // relations of the joins marked dirty have mutated, leaving e untouched
-// (runs cloned from it keep their snapshot). A dirty join is Reset: its
+// (runs cloned from it keep their snapshot). A dirty join starts over: its
 // walks observed data that no longer exists, and the caller walks it
 // again. A clean join keeps its Horvitz–Thompson state and its retained
 // walks — p(t) of a walk depends on the join's own relations only — but
@@ -318,7 +313,7 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 	var moved uint
 	for j, d := range dirty {
 		if d {
-			c.Reset(j)
+			c.ests[j], c.wByMask[j] = NewJoinEstimate(e.joins[j]), make(map[uint]float64)
 			moved |= 1 << uint(j)
 		} else {
 			c.adopt(e, j)
@@ -350,26 +345,47 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 	return c, reprobed
 }
 
-// StepJoin performs one walk of join j, folding the result into both
-// the size estimate and the overlap counters (§6.2's containment check
-// against every other join's index).
+// StepJoin is WalkJoin retained, as the warm-up walks: the tuple lands in
+// the join estimate's own chunk and a successful walk joins its pool —
+// what §7's sample reuse draws and a refresh probes again.
 func (e *Estimator) StepJoin(j int, g *rng.RNG) (Sample, bool) {
-	s, ok := e.ests[j].Step(g)
+	s, ok := e.WalkJoin(j, e.ests[j].retain(), true, g)
+	if ok {
+		e.ests[j].keep(s)
+	}
+	return s, ok
+}
+
+// WalkJoin performs one walk of join j into t, retaining nothing
+// (JoinEstimate.Walk). While the caller still refines its parameters the
+// walk feeds the overlap counters too and the sample carries its mask;
+// once nothing will read the counters again (Algorithm 2, line 18: updates
+// stop at confidence γ) no other join is probed and Mask stays zero.
+func (e *Estimator) WalkJoin(j int, t relation.Tuple, refining bool, g *rng.RNG) (Sample, bool) {
+	p, ok := e.ests[j].Walk(t, g)
 	if !ok {
 		return Sample{}, false
 	}
-	s.Mask = uint(1) << uint(j)
-	for i, p := range e.probes[j] {
-		if p != nil && p.Contains(s.Tuple) {
-			s.Mask |= 1 << uint(i)
+	s := Sample{Tuple: t, P: p}
+	if refining {
+		s.Mask = e.foldMask(j, t, p)
+	}
+	return s, true
+}
+
+// foldMask probes t, a successful walk of join j with probability p,
+// against every other join's index (§6.2's containment check), adds it to
+// j's overlap counters and returns the mask.
+func (e *Estimator) foldMask(j int, t relation.Tuple, p float64) uint {
+	mask := uint(1) << uint(j)
+	for i, pr := range e.probes[j] {
+		if pr != nil && pr.Contains(t) {
+			mask |= 1 << uint(i)
 		}
 	}
-	pool := e.ests[j].samples
-	pool[len(pool)-1].Mask = s.Mask
-	w := 1 / s.P
-	e.wByMask[j][s.Mask] += w
-	e.wAll[j] += w
-	return s, true
+	e.wByMask[j][mask] += 1 / p
+	e.wAll[j] += 1 / p
+	return mask
 }
 
 // Warmup walks every join that has no observations yet — all of them on
@@ -453,14 +469,8 @@ func (e *Estimator) OverlapEstimate(mask uint) float64 {
 // overlapEstimateSized is OverlapEstimate with the anchor size read
 // through size, so escalated exact counts rescale overlaps too.
 func (e *Estimator) overlapEstimateSized(mask uint, size func(int) float64) float64 {
-	anchor := -1
-	for i := range e.joins {
-		if mask&(1<<uint(i)) != 0 {
-			anchor = i
-			break
-		}
-	}
-	if anchor < 0 || e.wAll[anchor] == 0 {
+	anchor := bits.TrailingZeros(mask)
+	if anchor >= len(e.joins) || e.wAll[anchor] == 0 {
 		return 0
 	}
 	var wIn float64
@@ -470,39 +480,6 @@ func (e *Estimator) overlapEstimateSized(mask uint, size func(int) float64) floa
 		}
 	}
 	return size(anchor) * wIn / e.wAll[anchor]
-}
-
-// OverlapHalfWidth evaluates the Eq. 3 confidence half-width for the
-// overlap of the subset mask: it combines the variance of the anchor's
-// size estimate (T_{n,2}) with the binomial variance of the contained
-// fraction p̂(1-p̂), assuming independence as the paper does.
-func (e *Estimator) OverlapHalfWidth(mask uint, z float64) float64 {
-	anchor := -1
-	for i := range e.joins {
-		if mask&(1<<uint(i)) != 0 {
-			anchor = i
-			break
-		}
-	}
-	if anchor < 0 {
-		return math.Inf(1)
-	}
-	je := e.ests[anchor]
-	if je.n == 0 || je.Size() == 0 {
-		return math.Inf(1)
-	}
-	est := e.OverlapEstimate(mask)
-	pHat := est / je.Size()
-	if pHat < 0 {
-		pHat = 0
-	}
-	if pHat > 1 {
-		pHat = 1
-	}
-	t2 := je.Variance()
-	tn := je.Size()
-	variance := t2*pHat*(1-pHat) + t2*pHat + tn*pHat*(1-pHat)
-	return z * math.Sqrt(variance/float64(je.n))
 }
 
 // Confidence reports the smallest relative confidence achieved across

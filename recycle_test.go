@@ -129,6 +129,17 @@ func TestReturnedStatsSurviveRunReuse(t *testing.T) {
 	}
 }
 
+// yielding holds of every tuple (custkeys are not negative) but hands the
+// processor over before reading each one, so a fold over it is still reading
+// its samples when the other goroutines run.
+type yielding struct{}
+
+func (yielding) Eval(t Tuple, s *Schema) bool {
+	runtime.Gosched()
+	return Cmp{Attr: "custkey", Op: GE, Val: 0}.Eval(t, s)
+}
+func (yielding) String() string { return "yielding" }
+
 // TestRecycledRunsUnderConcurrentRefresh: eight goroutines draw seeded
 // batches of very different sizes — handing runs back and taking each
 // other's — while another appends rows and refreshes. An exact-weight
@@ -136,7 +147,10 @@ func TestReturnedStatsSurviveRunReuse(t *testing.T) {
 // that ran under one generation must equal the same (n, seed) drawn
 // alone on that generation afterwards: a run that carried anything
 // across calls, or crossed from one generation's pool into another's,
-// would not.
+// would not. Beside them two goroutines draw on an online session over the
+// same relations and two fold aggregates, one on each session, refreshed by
+// the same loop: a fold that read its view after the run was released, or
+// two online runs walking into one scratch tuple, is a data race.
 func TestRecycledRunsUnderConcurrentRefresh(t *testing.T) {
 	ls, err := liveUnionSession(t, Options{Seed: 21, Warmup: WarmupExact, Method: MethodEW})
 	if err != nil {
@@ -179,6 +193,45 @@ func TestRecycledRunsUnderConcurrentRefresh(t *testing.T) {
 			}
 		}(w)
 	}
+	online, err := ls.u.Prepare(Options{Seed: 22, Online: true, WarmupWalks: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var side sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		side.Add(1)
+		go func(w int) {
+			defer side.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := 1 + (i%5)*(i%5)*20
+				switch w {
+				case 0, 1:
+					if out, _, err := online.SampleSeeded(n, int64(w*1000+i)); err != nil || len(out) != n {
+						t.Errorf("online drawer %d: %d of %d tuples, %v", w, len(out), n, err)
+						return
+					}
+				default:
+					sess := []*Session{s, online}[w-2]
+					size := sess.state.Load().est.UnionSize
+					res, err := sess.ApproxCount(yielding{}, n)
+					// Every sample satisfies it, so the count is the |U| the
+					// run sampled under: the generation's, unless the online run
+					// refined it or a refresh landed in between.
+					if err != nil || res.N != n || (w == 2 && res.Value != size && sess.state.Load().est.UnionSize == size) {
+						t.Errorf("aggregate caller %d: %v, %v (|U| %v)", w, res, err, size)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}(w)
+	}
 	refreshed := make(chan int)
 	go func() { // appends and refreshes, a few draws apart
 		cycles := 0
@@ -194,6 +247,10 @@ func TestRecycledRunsUnderConcurrentRefresh(t *testing.T) {
 				t.Errorf("refresh: %v", err)
 				break
 			}
+			if err := online.Refresh(); err != nil {
+				t.Errorf("online refresh: %v", err)
+				break
+			}
 			cycles++
 			if t.Failed() {
 				break
@@ -203,6 +260,8 @@ func TestRecycledRunsUnderConcurrentRefresh(t *testing.T) {
 	}()
 	wg.Wait()
 	cycles := <-refreshed
+	close(stop)
+	side.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}

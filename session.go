@@ -335,7 +335,7 @@ type drawSpec struct {
 	pred Predicate
 }
 
-// draw is the session's one draw path: validate n, load (or
+// draw is the draw path of every sampling method: validate n, load (or
 // auto-refresh) the state generation, take a run from it on the spec's
 // stream, draw, feed the run's counters to the adaptive controller, and
 // hand the run back for the next call to reuse. It returns the tuples,
@@ -514,65 +514,71 @@ func (s *Session) SampleParallel(n, workers int) ([]Tuple, error) {
 	return out, nil
 }
 
-// ApproxCount estimates COUNT(*) WHERE pred over the set union from one
-// Sample(n) — the approximate-query-answering use case of the paper's
+// ApproxCount estimates COUNT(*) WHERE pred over the set union from n
+// draws — the approximate-query-answering use case of the paper's
 // introduction. The session's cached |U| estimate serves the scale-up,
-// so the call costs n draws and nothing more. Like every Approx*
-// method, its interval covers the sampling noise of those n draws, not
-// the error of the warm-up's parameters: the draws are uniform up to the
-// estimation error of the cover shares and the scale-up uses the
-// estimated |U| (see Sample), so under WarmupExact the interval is
-// calibrated at every n, and under an estimating warm-up an aggregate
-// over a region whose cover share is mis-estimated is off by that share's
-// error however large n is.
+// so the call costs n draws and nothing more: like every Approx* method
+// it holds one run for the fold and counts the samples in the run's own
+// buffer, so what it allocates does not grow with n. Its interval covers
+// the sampling noise of those n draws, not the error of the warm-up's
+// parameters: the draws are uniform up to the estimation error of the
+// cover shares and the scale-up uses the estimated |U| (see Sample), so
+// under WarmupExact the interval is calibrated at every n, and under an
+// estimating warm-up an aggregate over a region whose cover share is
+// mis-estimated is off by that share's error however large n is.
 func (s *Session) ApproxCount(pred Predicate, n int) (AggResult, error) {
-	samples, unionSize, err := s.sampleWithSize(n)
-	if err != nil {
-		return AggResult{}, err
-	}
-	return aqp.Count(samples, s.u.OutputSchema(), pred, unionSize, DefaultZ)
+	return foldSamples(s, n, func(samples []Tuple, unionSize float64) (AggResult, error) {
+		return aqp.Count(samples, s.u.OutputSchema(), pred, unionSize, DefaultZ)
+	})
 }
 
 // ApproxSum estimates SUM(attr) WHERE pred over the set union.
 func (s *Session) ApproxSum(attr string, pred Predicate, n int) (AggResult, error) {
-	samples, unionSize, err := s.sampleWithSize(n)
-	if err != nil {
-		return AggResult{}, err
-	}
-	return aqp.Sum(samples, s.u.OutputSchema(), attr, pred, unionSize, DefaultZ)
+	return foldSamples(s, n, func(samples []Tuple, unionSize float64) (AggResult, error) {
+		return aqp.Sum(samples, s.u.OutputSchema(), attr, pred, unionSize, DefaultZ)
+	})
 }
 
 // ApproxAvg estimates AVG(attr) WHERE pred over the set union. AVG is
 // a ratio estimator, so |U| cancels and only the samples matter.
 func (s *Session) ApproxAvg(attr string, pred Predicate, n int) (AggResult, error) {
-	samples, _, err := s.sampleWithSize(n)
-	if err != nil {
-		return AggResult{}, err
-	}
-	return aqp.Avg(samples, s.u.OutputSchema(), attr, pred, DefaultZ)
+	return foldSamples(s, n, func(samples []Tuple, _ float64) (AggResult, error) {
+		return aqp.Avg(samples, s.u.OutputSchema(), attr, pred, DefaultZ)
+	})
 }
 
 // ApproxGroupCount estimates COUNT(*) GROUP BY attr over the set
 // union, descending by estimated group size. Groups rarer than about
 // |U|/n are expected to be missing from the result.
 func (s *Session) ApproxGroupCount(attr string, n int) ([]GroupEstimate, error) {
-	samples, unionSize, err := s.sampleWithSize(n)
-	if err != nil {
-		return nil, err
-	}
-	return aqp.GroupCount(samples, s.u.OutputSchema(), attr, unionSize, DefaultZ)
+	return foldSamples(s, n, func(samples []Tuple, unionSize float64) ([]GroupEstimate, error) {
+		return aqp.GroupCount(samples, s.u.OutputSchema(), attr, unionSize, DefaultZ)
+	})
 }
 
-// sampleWithSize draws the sample set of an Approx* aggregate on the
-// next auto stream and returns it with the run's |U| estimate. An
-// estimate from zero samples is undefined, so n == 0 is an error here
-// rather than an empty result.
-func (s *Session) sampleWithSize(n int) ([]Tuple, float64, error) {
+// foldSamples is the draw behind every Approx* aggregate: n samples on
+// the next auto stream, folded where the run wrote them — the call holds
+// its run for the fold and releases it after, so no tuple is copied out to
+// be counted. fold also gets the |U| estimate the run sampled under, and
+// must keep no sample. An estimate from zero samples is undefined, so
+// n == 0 is an error here rather than an empty result.
+func foldSamples[T any](s *Session, n int, fold func(samples []Tuple, unionSize float64) (T, error)) (res T, err error) {
 	if empty, err := checkN(n); err != nil {
-		return nil, 0, err
+		return res, err
 	} else if empty {
-		return nil, 0, errNoSamples()
+		return res, errNoSamples()
 	}
-	out, _, unionSize, err := s.draw(drawSpec{n: n, seed: s.nextSeed()})
-	return out, unionSize, err
+	seed := s.nextSeed()
+	st, err := s.cur()
+	if err != nil {
+		return res, err
+	}
+	run := st.prepared.NewRun()
+	defer run.Release()
+	samples, err := run.SampleView(n, run.RNG(seed))
+	if err != nil {
+		return res, err
+	}
+	s.observe(st, run)
+	return fold(samples, run.Params().UnionSize)
 }
