@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"sampleunion/internal/overlap"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/walkest"
@@ -39,15 +40,18 @@ func TestWalkMaskIsTheAcceptRule(t *testing.T) {
 		g := rng.New(int64(1000 + i))
 		aligned := make(relation.Tuple, out.Len())
 		for j, jn := range joins {
-			schema := jn.OutputSchema()
-			scratch := make(relation.Tuple, schema.Len())
+			perm, err := overlap.AlignPerm(out, jn.OutputSchema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch := make(relation.Tuple, out.Len())
 			for w := 0; w < 150; w++ {
 				sm, ok := est.WalkJoin(j, scratch, true, g)
 				if !ok {
 					continue
 				}
-				for a := range aligned {
-					aligned[a] = sm.Tuple[schema.Index(out.Attr(a))]
+				for a, p := range perm {
+					aligned[a] = sm.Tuple[p]
 				}
 				key := relation.TupleKey(aligned)
 				var want uint
