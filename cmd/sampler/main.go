@@ -10,14 +10,9 @@
 //
 //	sampler -workload UQ1 -n 1000 -warmup random-walk -method EW
 //	sampler -spec union.spec -data ./data -n 1000 -workers 4
-//	sampler -workload UQ2 -n 1000 -warmup auto
 //
 // -warmup and -method are sampleunion.Options' Warmup and Method, spelled
 // as the library spells them; left out, they mean random-walk and EW.
-// -warmup auto (equivalently -method auto) enables adaptive tuning:
-// the session plans the warm-up escalation and the per-join subroutine
-// itself. Since the plan owns both decisions, pinning the other knob
-// explicitly alongside auto is an error, not a silent override.
 package main
 
 import (
@@ -41,8 +36,8 @@ func main() {
 	sf := flag.Float64("sf", 1, "scale factor (built-in workloads)")
 	ov := flag.Float64("overlap", 0.2, "overlap scale (built-in workloads)")
 	seed := flag.Int64("seed", 1, "random seed")
-	warmup := flag.String("warmup", "", "warm-up: histogram, random-walk, exact, or auto (adaptive tuning); empty means random-walk")
-	method := flag.String("method", "", "join subroutine: EW, EO, WJ, or auto (adaptive tuning); empty means EW")
+	warmup := flag.String("warmup", "", "warm-up: histogram, random-walk, or exact; empty means random-walk")
+	method := flag.String("method", "", "join subroutine: EW, EO, or WJ; empty means EW")
 	online := flag.Bool("online", false, "use the online sampler (Algorithm 2)")
 	workers := flag.Int("workers", 1, "parallel sampling workers sharing one warm-up")
 	showStats := flag.Bool("stats", true, "print run statistics to stderr")
@@ -81,9 +76,8 @@ func loadUnion(specPath, dataDir, workload string, sf, ov float64, seed int64) (
 
 // options hands the -warmup and -method strings to the library as they
 // are and has Options.Canonical judge them, so a typo (-warmup=histgram)
-// or an explicit pin beside auto is an error here, before any data is
-// generated, rather than a sample under a configuration the user did not
-// ask for. The library names the two fields as the wire does; the flags
+// is an error here, before any data is generated, rather than a sample
+// under a configuration the user did not ask for. The library names the two fields as the wire does; the flags
 // are those names behind a dash.
 func options(warmup, method string, online bool, seed int64) (sampleunion.Options, error) {
 	o, err := sampleunion.Options{

@@ -12,15 +12,17 @@ func TestOptionsParsing(t *testing.T) {
 	cases := []struct {
 		name           string
 		warmup, method string
-		wantAuto       bool
 		wantErr        string
 	}{
 		{name: "defaults"},
-		{name: "warmup auto", warmup: "auto", wantAuto: true},
-		{name: "method auto", method: "auto", wantAuto: true},
-		{name: "both auto", warmup: "auto", method: "auto", wantAuto: true},
-		{name: "auto vs pinned method", warmup: "auto", method: "EO", wantErr: "conflicts with -method EO"},
-		{name: "auto vs pinned warmup", warmup: "exact", method: "auto", wantErr: "conflicts with -warmup exact"},
+		{name: "pinned", warmup: "histogram", method: "WJ"},
+		// The adaptive mode is gone: "auto" is one more unknown value, named
+		// with its flag and the values that remain.
+		{name: "warmup auto", warmup: "auto", wantErr: `unknown -warmup "auto" (valid: histogram, random-walk, exact)`},
+		{name: "method auto", method: "auto", wantErr: `unknown -method "auto" (valid: EW, EO, WJ)`},
+		{name: "both auto", warmup: "auto", method: "auto", wantErr: `unknown -warmup "auto"`},
+		{name: "auto vs pinned method", warmup: "auto", method: "EO", wantErr: `unknown -warmup "auto"`},
+		{name: "auto vs pinned warmup", warmup: "exact", method: "auto", wantErr: `unknown -method "auto"`},
 		{name: "warmup typo", warmup: "histgram", wantErr: "-warmup"},
 		{name: "method typo", method: "EX", wantErr: "-method"},
 	}
@@ -36,8 +38,8 @@ func TestOptionsParsing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if auto := o.Warmup == sampleunion.WarmupAuto; auto != tc.wantAuto {
-				t.Fatalf("auto = %v, want %v", auto, tc.wantAuto)
+			if tc.warmup != "" && (string(o.Warmup) != tc.warmup || string(o.Method) != tc.method) {
+				t.Fatalf("options %+v, want -warmup %s -method %s as typed", o, tc.warmup, tc.method)
 			}
 			if o.Seed != 7 {
 				t.Fatalf("Seed = %d, want 7", o.Seed)
@@ -71,7 +73,7 @@ func TestRunDrawsCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := sampleunion.Options{Warmup: sampleunion.WarmupAuto, Seed: 1}
+	o := sampleunion.Options{Seed: 1}
 	if err := run(u, 8, 1, o, false); err != nil {
 		t.Fatal(err)
 	}

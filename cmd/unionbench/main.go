@@ -1,7 +1,7 @@
 // Command unionbench regenerates the paper's evaluation tables
 // (Fig 4a–4d, Fig 5a–5h, Fig 6a–6b, the Theorem 2 cost check), the
-// ablations, and the two smokes CI runs (shards, adaptive). Performance
-// is measured by the benchmark module: bash benchmark/run.sh.
+// ablations, and the shards smoke CI runs. Performance is measured by
+// the benchmark module: bash benchmark/run.sh.
 //
 // Usage:
 //

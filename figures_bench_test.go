@@ -8,9 +8,8 @@
 // Benchmarks use the harness's Quick option so one iteration stays
 // sub-second; the unionbench CLI runs full-scale sweeps.
 //
-// This file is an external test package: internal/bench imports the
-// public API (the adaptive experiment), so importing it from an
-// in-package test would be an import cycle.
+// This file is an external test package: it reaches the library only
+// through internal/bench.
 package sampleunion_test
 
 import (

@@ -136,15 +136,6 @@ var goldenDigests = map[string]string{
 	"shard-cover-ew":  "40664e409a0b0823",
 	"shard-online":    "64df8f7f5cf69ecb",
 	"shard-cyclic-eo": "7b377edfb466f4dd",
-	// Adaptive-mode streams: the plan derives from the seeded warm-up,
-	// so auto streams are deterministic but differ from every
-	// explicit-mode stream under the same seed. auto-cyclic equals
-	// cyclic-eo because the one-join cyclic union's stream depends only
-	// on the chosen subroutine, and the plan picked EO there.
-	"auto-cover":  "c5c7778a541f602e",
-	"auto-online": "fb052df2c8576396",
-	"auto-cyclic": "ba2a8487a19207c5",
-	"auto-shard":  "07e244b94cda2064",
 
 	"disjoint": "f4702720567b5022",
 	"where":    "6cad43c78fe6f250",
@@ -156,7 +147,6 @@ var goldenDigests = map[string]string{
 	"mutate-online":         "f685a5313fd64db8",
 	"mutate-cyclic-eo":      "3787d5c08d55a697",
 	"shard-mutate-cover-ew": "bbcf1a6d3785d052",
-	"auto-mutate":           "535d4f301600f73e",
 }
 
 // goldenSeed is the session seed of every golden scenario; goldenStream
@@ -191,10 +181,6 @@ func goldenModes(t testing.TB) []goldenMode {
 		{"shard-cover-ew", u, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3}},
 		{"shard-online", u, Options{Online: true, WarmupWalks: 150, Shards: 2}},
 		{"shard-cyclic-eo", cu, Options{Warmup: WarmupHistogram, Method: MethodEO, Shards: 2}},
-		{"auto-cover", u, Options{Warmup: WarmupAuto}},
-		{"auto-online", u, Options{Warmup: WarmupAuto, Online: true}},
-		{"auto-cyclic", cu, Options{Warmup: WarmupAuto}},
-		{"auto-shard", u, Options{Warmup: WarmupAuto, Shards: 2}},
 	}
 }
 
@@ -250,7 +236,6 @@ func goldenScenarios(t testing.TB) []scenario {
 		scenario{"mutate-cyclic-eo", mutateCyclicDraw(t)},
 		// Dirty shards rebuilt via the delta path.
 		scenario{"shard-mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3})},
-		scenario{"auto-mutate", mutateDraw(t, Options{Warmup: WarmupAuto})},
 	)
 }
 

@@ -4,6 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	su "sampleunion"
+	"sampleunion/internal/core"
+	"sampleunion/internal/histest"
+	"sampleunion/internal/relation"
+	"sampleunion/internal/rng"
+	"sampleunion/internal/tpch"
+	"sampleunion/internal/walkest"
 )
 
 func quick() Options { return Options{Quick: true, Seed: 1} }
@@ -68,5 +76,98 @@ func TestResultFormatting(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// chainOf builds R(A,B) ⋈_B S(B,C) over the given rows.
+func chainOf(t *testing.T, tag string, r, s []relation.Tuple) *su.Join {
+	t.Helper()
+	rr := relation.New(tag+"_r", relation.NewSchema("A", "B"))
+	rr.AppendRows(r)
+	rs := relation.New(tag+"_s", relation.NewSchema("B", "C"))
+	rs.AppendRows(s)
+	j, err := su.Chain(tag, []*relation.Relation{rr, rs}, []string{"B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// zipfDegreesUnion is a join with zipfian degrees — k B values, one
+// fanning out heavy ways and the rest once, so heavy+k-1 results under an
+// Olken bound of k·heavy — beside a flat 4×32 chain over other values.
+func zipfDegreesUnion(t *testing.T, k, heavy int) *su.Union {
+	t.Helper()
+	var r, s, fr, fs []relation.Tuple
+	for b := 0; b < k; b++ {
+		r = append(r, relation.Tuple{relation.Value(b), relation.Value(b)})
+		if b > 0 {
+			s = append(s, relation.Tuple{relation.Value(b), relation.Value(500 + b)})
+		}
+	}
+	for c := 0; c < heavy; c++ {
+		s = append(s, relation.Tuple{0, relation.Value(1000 + c)})
+	}
+	const base = 100000
+	for i := 0; i < 4; i++ {
+		fr = append(fr, relation.Tuple{relation.Value(base + i), base})
+	}
+	for i := 0; i < 32; i++ {
+		fs = append(fs, relation.Tuple{base, relation.Value(base + 1000 + i)})
+	}
+	u, err := su.NewUnion(chainOf(t, "z", r, s), chainOf(t, "f", fr, fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// TestEWAbsorbsZipfDegrees: the shape behind "EW unless its set-up is
+// the cost" (README, Choosing Method and WarmupWalks), on counters. On
+// zipfian degrees the rejection subroutines accept about one try in k
+// against the Olken bound; EW's weights absorb the skew.
+func TestEWAbsorbsZipfDegrees(t *testing.T) {
+	const n = 300
+	for _, tc := range []struct {
+		m        su.Method
+		min, max float64 // subroutine draws per returned tuple
+	}{
+		{su.MethodEW, 1, 1.05},
+		{su.MethodEO, 8, 1e9},
+		{su.MethodWJ, 8, 1e9},
+	} {
+		s, err := zipfDegreesUnion(t, 64, 1000).Prepare(su.Options{Method: tc.m, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := s.Sample(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if per := float64(st.TotalDraws) / n; per < tc.min || per > tc.max {
+			t.Errorf("%s: %.2f subroutine draws per tuple, want within [%g, %g]", tc.m, per, tc.min, tc.max)
+		}
+	}
+}
+
+// TestRandomWalkBeatsHistogramOnUQ1: Fig 4 / Fig 5a's ordering — the
+// random-walk warm-up's |J_i|/|U| ratios are closer to the truth than the
+// histogram's upper bounds.
+func TestRandomWalkBeatsHistogramOnUQ1(t *testing.T) {
+	o := quick().withDefaults()
+	w, err := tpch.UQ1(tpch.Config{SF: o.SF, Overlap: o.Overlap, Seed: o.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hist, err := ratioErrors(w, &core.HistogramEstimator{Joins: w.Joins, Opts: histest.Options{Sizes: histest.SizeEW}}, rng.New(o.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, walk, err := ratioErrors(w, &core.RandomWalkEstimator{Joins: w.Joins, Opts: walkest.Options{MaxWalks: 1000}}, rng.New(o.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walk >= hist/2 {
+		t.Errorf("mean ratio error: random-walk %.4f, histogram %.4f; want random-walk under half of it", walk, hist)
 	}
 }

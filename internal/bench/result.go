@@ -3,9 +3,8 @@
 // numbers differ from the paper (different hardware, Go instead of
 // Python, laptop-scale data), but the comparisons — who wins, by what
 // factor, where the trends go — are the reproduction target. Besides
-// the figures it keeps the ablations and two smokes (shards, adaptive)
-// that CI runs; performance is measured by the benchmark/ module, not
-// here.
+// the figures it keeps the ablations and the shards smoke that CI runs;
+// performance is measured by the benchmark/ module, not here.
 package bench
 
 import (
@@ -122,7 +121,7 @@ func (o Options) withDefaults() Options {
 type Runner func(Options) (*Result, error)
 
 // Experiments maps experiment ids to runners: the paper's figures in
-// the order it presents them, then the ablations and the two smokes.
+// the order it presents them, then the ablations and the shards smoke.
 func Experiments() []struct {
 	ID  string
 	Run Runner
@@ -151,7 +150,6 @@ func Experiments() []struct {
 		{"ablation-bernoulli", AblationBernoulli},
 		{"scale-joins", ScaleJoins},
 		{"shards", Shards},
-		{"adaptive", Adaptive},
 	}
 }
 

@@ -31,11 +31,11 @@ type DisjointShared struct {
 // Disjoint sampling needs no estimator warm-up: selection weights come
 // from the subroutine samplers' own size knowledge.
 func PrepareDisjoint(joins []*join.Join, cfg DisjointConfig) (*DisjointShared, error) {
-	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), cfg.Method))
+	base, err := newUnionBase(joins, cfg.Method)
 	if err != nil {
 		return nil, err
 	}
-	base.applyJoinConfigs(base.cfgs)
+	base.buildPending()
 	return newDisjointShared(base)
 }
 
@@ -155,11 +155,11 @@ func NewBernoulliSampler(joins []*join.Join, cfg BernoulliConfig, g *rng.RNG) (*
 	if cfg.Estimator == nil {
 		return nil, fmt.Errorf("core: BernoulliConfig.Estimator is required")
 	}
-	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), cfg.Method))
+	base, err := newUnionBase(joins, cfg.Method)
 	if err != nil {
 		return nil, err
 	}
-	base.applyJoinConfigs(base.cfgs)
+	base.buildPending()
 	start := time.Now()
 	p, err := cfg.Estimator.Params(g)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/rng"
-	"sampleunion/internal/tune"
 )
 
 // CoverConfig configures the non-Bernoulli cover sampler (Algorithm 1).
@@ -22,16 +21,8 @@ type CoverConfig struct {
 	// MaxDrawsPerSelection caps subroutine draws per join selection
 	// before reselecting a join (guards against a join whose cover
 	// region is empty but whose estimated cover size is positive).
-	// Values <= 0 default to 256 — or, with a Tuner, to the plan's cap.
+	// Values <= 0 default to 256.
 	MaxDrawsPerSelection int
-	// Tuner, when non-nil, re-plans per-join decisions at every warm-up
-	// (Prepare and Refresh): the subroutine and alias threshold per join,
-	// exact-count escalation for wide tree-join estimates, extra walks
-	// for wide cyclic ones, and the batch slice cap. Method then only
-	// names the starting point; the plan overrides it per join. The
-	// controller also accumulates rejection feedback between warm-ups
-	// (fed by the session layer) and folds it into the next plan.
-	Tuner *tune.Controller
 }
 
 // CoverShared is the prepared state of Algorithm 1: the shared prepared
@@ -47,16 +38,14 @@ func PrepareCover(joins []*join.Join, cfg CoverConfig, g *rng.RNG) (*CoverShared
 	if cfg.Estimator == nil {
 		return nil, fmt.Errorf("core: CoverConfig.Estimator is required")
 	}
-	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), cfg.Method))
+	base, err := newUnionBase(joins, cfg.Method)
 	if err != nil {
 		return nil, err
 	}
 	p := &CoverShared{prepared{
 		base:    base,
 		est:     cfg.Estimator,
-		tuner:   cfg.Tuner,
-		perJoin: true,
-		drawCap: cfg.MaxDrawsPerSelection,
+		maxDraw: cfg.MaxDrawsPerSelection,
 		runs:    newRunPool(),
 	}}
 	if err := p.warm(g); err != nil {

@@ -154,3 +154,21 @@ func TestJoinMethodNames(t *testing.T) {
 		t.Error("method names wrong")
 	}
 }
+
+// TestNewRunRNGStreams: stream derivation must decorrelate both nearby
+// seeds and nearby stream indexes.
+func TestNewRunRNGStreams(t *testing.T) {
+	if DeriveSeed(1, 0) == DeriveSeed(1, 1) || DeriveSeed(1, 0) == DeriveSeed(2, 0) {
+		t.Fatal("DeriveSeed collapsed nearby inputs")
+	}
+	a, b := rng.New(DeriveSeed(1, 0)), rng.New(DeriveSeed(1, 1))
+	same := 0
+	for i := 0; i < 8; i++ {
+		if a.Uint64() == b.Uint64() {
+			same++
+		}
+	}
+	if same == 8 {
+		t.Fatal("adjacent streams produced identical output")
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"sampleunion/internal/join"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
-	"sampleunion/internal/tune"
 	"sampleunion/internal/walkest"
 )
 
@@ -28,15 +27,8 @@ type OnlineConfig struct {
 	// updates stop (line 18). Values <= 0 default to 0.9.
 	Gamma float64
 	// MaxDrawsPerSelection caps attempts per join selection; <= 0
-	// defaults to 256 — or, with a Tuner, to the plan's cap.
+	// defaults to 256.
 	MaxDrawsPerSelection int
-	// Tuner, when non-nil, re-plans at every warm-up (Prepare and
-	// Refresh): per-join walk budgets (wide cyclic estimates get more
-	// walks), exact-count escalation for wide tree-join estimates
-	// (pinned through run-level refinement via the size overrides), and
-	// the batch slice cap. The subroutine stays EO for every join — the
-	// online sampler is walk-based by construction.
-	Tuner *tune.Controller
 }
 
 // OnlineShared is the prepared state of Algorithm 2: the shared prepared
@@ -48,9 +40,7 @@ type OnlineConfig struct {
 // retained: handing the same tuples to several runs would correlate
 // streams that must be independent. The §7 sample-reuse optimization
 // belongs to a single stream: NewReuseRun hands that pool to the one run
-// that owns it. With a tuner the subroutine stays EO for every join, and
-// escalated exact counts stay pinned through run-level refinement
-// (prepared.exactSizes).
+// that owns it.
 type OnlineShared struct {
 	prepared
 	phi   int
@@ -61,7 +51,7 @@ type OnlineShared struct {
 // warm-up (histogram initialization + warm-up walks) exactly once,
 // drawing warm-up randomness from g.
 func PrepareOnline(joins []*join.Join, cfg OnlineConfig, g *rng.RNG) (*OnlineShared, error) {
-	base, err := newUnionBase(joins, uniformJoinConfigs(len(joins), MethodEO))
+	base, err := newUnionBase(joins, MethodEO)
 	if err != nil {
 		return nil, err
 	}
@@ -72,8 +62,7 @@ func PrepareOnline(joins []*join.Join, cfg OnlineConfig, g *rng.RNG) (*OnlineSha
 	p := &OnlineShared{phi: cfg.Phi, gamma: cfg.Gamma, prepared: prepared{
 		base:    base,
 		est:     &onlineWarmup{joins: joins, warmupWalks: cfg.WarmupWalks, walks: walks},
-		tuner:   cfg.Tuner,
-		drawCap: cfg.MaxDrawsPerSelection,
+		maxDraw: cfg.MaxDrawsPerSelection,
 		runs:    newRunPool(),
 	}}
 	if p.phi <= 0 {
@@ -111,7 +100,7 @@ func (o *onlineWarmup) Params(g *rng.RNG) (*Params, error) {
 			o.walks.StepJoin(j, g)
 		}
 	}
-	if walked, err := paramsFromWalks(o.walks, nil); walked != nil || err != nil {
+	if walked, err := paramsFromWalks(o.walks); walked != nil || err != nil {
 		return walked, err
 	}
 	return params, nil
@@ -119,15 +108,14 @@ func (o *onlineWarmup) Params(g *rng.RNG) (*Params, error) {
 
 // paramsFromWalks rebuilds Params from a walk estimator once every join
 // has observations; it returns nil while any join is still unobserved (the
-// caller keeps its current parameters). Non-nil sizes pin escalated
-// joins' exact counts through the rebuild (walkest.TableWithSizes).
-func paramsFromWalks(walks *walkest.Estimator, sizes []float64) (*Params, error) {
+// caller keeps its current parameters).
+func paramsFromWalks(walks *walkest.Estimator) (*Params, error) {
 	for _, je := range walks.JoinEstimates() {
 		if je.Walks() == 0 {
 			return nil, nil
 		}
 	}
-	t, err := walks.TableWithSizes(sizes)
+	t, err := walks.Table()
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +203,7 @@ func (s *OnlineSampler) Release() {
 // refreshParams rebuilds Params from the run's walk estimator when it
 // has observations, keeping the current values otherwise.
 func (s *OnlineSampler) refreshParams() error {
-	params, err := paramsFromWalks(s.walks, s.prep.exactSizes)
+	params, err := paramsFromWalks(s.walks)
 	if params == nil {
 		return err // none yet: keep current params until walks exist everywhere
 	}
@@ -231,14 +219,9 @@ func (s *OnlineSampler) refreshParams() error {
 func (s *OnlineSampler) Params() *Params { return s.params }
 
 // Stats returns the run's instrumentation. Per-join WalkVariance
-// reflects the run's current walk state at the time of the call (zero
-// for joins whose size is pinned exact by the tuner).
+// reflects the run's current walk state at the time of the call.
 func (s *OnlineSampler) Stats() *Stats {
 	for j, je := range s.walks.JoinEstimates() {
-		if es := s.prep.exactSizes; es != nil && j < len(es) && es[j] >= 0 {
-			s.stats.Joins[j].WalkVariance = 0
-			continue
-		}
 		s.stats.Joins[j].WalkVariance = je.RelHalfWidth(s.walks.Z())
 	}
 	return &s.stats

@@ -6,7 +6,6 @@ import (
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/rng"
-	"sampleunion/internal/tune"
 	"sampleunion/internal/walkest"
 )
 
@@ -42,25 +41,16 @@ type PreparedSampler interface {
 	// samplers rebuild from the ones they replace, and the estimator
 	// re-runs over the incrementally maintained indexes and membership
 	// tables — clean joins keep their samplers and their walk estimates,
-	// whose membership in the dirty joins is probed again. With a tuner a
-	// Refresh is also a re-plan boundary: it rebuilds even over clean
-	// data when the controller's rejection trigger fired. The receiver is
+	// whose membership in the dirty joins is probed again. The receiver is
 	// left untouched, so in-flight runs keep sampling the old snapshot;
-	// changed reports whether a new sampler was built. Warm-up randomness
-	// is drawn from g, so a fixed seed makes refreshed sessions
-	// reproducible.
+	// changed reports whether a new sampler was built — never over
+	// unchanged data. Warm-up randomness is drawn from g, so a fixed seed
+	// makes refreshed sessions reproducible.
 	Refresh(g *rng.RNG) (np PreparedSampler, changed bool, err error)
 	// LastRefresh reports what the Refresh that produced the sampler
 	// did; it is zero for one that came from a Prepare. A sharded sampler
 	// sums its shards'.
 	LastRefresh() RefreshStats
-	// Tuners returns the adaptive controllers driving the sampler: one
-	// for the cover and online engines, one per non-empty shard for the
-	// sharded engine, nil when the sampler is not adaptive. The session
-	// layer uses it to query pending re-plans and to report tuner
-	// decisions without holding controller references across
-	// refresh-time rebuilds.
-	Tuners() []*tune.Controller
 	// Disjoint returns Definition 1's disjoint-union sampler over the
 	// joins and subroutine samplers already prepared here, avoiding a
 	// second subroutine setup (EW weight tables, indexes). A sharded
@@ -102,8 +92,8 @@ func BuildShared(joins []*join.Join) {
 	})
 }
 
-// defaultMaxDraws caps subroutine draws per join selection when neither
-// the configuration nor a tuner's plan sets the cap.
+// defaultMaxDraws caps subroutine draws per join selection when the
+// configuration does not.
 const defaultMaxDraws = 256
 
 // prepared is the state Algorithms 1 and 2 prepare alike, embedded by
@@ -123,21 +113,10 @@ type prepared struct {
 	est    Estimator
 	walker *walkest.Estimator
 
-	// tuner, when non-nil, re-plans at every warm-up; perJoin says its
-	// plan also picks each join's subroutine (Algorithm 2 draws by
-	// walks, whatever subroutine a plan names). drawCap is the configured
-	// cap on draws per join selection, <= 0 for the plan's.
-	tuner   *tune.Controller
-	perJoin bool
-	drawCap int
-
 	params  *Params
 	alias   *rng.Alias
-	maxDraw int
-	// exactSizes pin escalated joins' exact counts (index -1 entries
-	// keep the walk estimate); run-level parameter refinement reads the
-	// overlap table through them so refinement never un-escalates.
-	exactSizes []float64
+	maxDraw int // cap on subroutine draws per join selection
+
 	walkVar    []float64 // per-join relative half-widths after warm-up
 	warmupTime time.Duration
 	refresh    RefreshStats // what the Refresh that built this state did
@@ -148,26 +127,21 @@ type prepared struct {
 	runs *sync.Pool
 }
 
-// warm runs the estimator, plans, and prepares the join-selection
-// distribution (lines 1-2 of Algorithm 1). It runs exactly once per
-// prepared state (Prepare or Refresh), before the state is published to
-// runs: gather the planner inputs from the just-finished estimation,
-// apply the plan's estimation escalations, and build every pending
-// subroutine sampler exactly once, under the plan's config.
+// warm runs the estimator, prepares the join-selection distribution
+// (lines 1-2 of Algorithm 1) and builds every pending subroutine sampler.
+// It runs exactly once per prepared state (Prepare or Refresh), before
+// the state is published to runs.
 func (p *prepared) warm(g *rng.RNG) error {
 	start := time.Now()
 	params, err := p.est.Params(g)
 	if err != nil {
 		return err
 	}
-	p.walker = tuneWalker(p.est)
-	plan := p.plan(params)
-	if p.params, p.exactSizes, err = applyPlanEstimates(p.base, plan, params, p.walker, g); err != nil {
-		return err
-	}
-	p.alias = rng.NewAlias(p.params.Cover)
-	if p.maxDraw = p.drawCap; p.maxDraw <= 0 {
-		p.maxDraw = plan.MaxDrawsPerSelection
+	p.params = params
+	p.walker = retainedWalker(p.est)
+	p.alias = rng.NewAlias(params.Cover)
+	if p.maxDraw <= 0 {
+		p.maxDraw = defaultMaxDraws
 	}
 	if p.walker != nil {
 		p.walkVar = make([]float64, len(p.base.joins))
@@ -179,28 +153,20 @@ func (p *prepared) warm(g *rng.RNG) error {
 	if p.alias == nil {
 		return ErrEmptyUnion
 	}
-	cfgs := p.base.cfgs
-	if p.perJoin {
-		cfgs = planJoinConfigs(plan)
-	}
-	p.base.applyJoinConfigs(cfgs)
+	p.base.buildPending()
 	return nil
 }
 
-// plan returns the decisions this warm-up installs. A tuner builds them
-// from the warm-up's statistics, folding in the rejection feedback it
-// accumulated; a pinned configuration is the constant plan — the configs
-// the base was prepared with, no escalation, the default draw cap.
-func (p *prepared) plan(params *Params) *tune.Plan {
-	if p.tuner != nil {
-		_, exact := p.est.(*ExactEstimator)
-		return p.tuner.Replan(gatherTuneStats(p.base.joins, params, p.walker, exact))
+// retainedWalker extracts the retained walk estimator from a warm-up
+// estimator, when it has one.
+func retainedWalker(est Estimator) *walkest.Estimator {
+	switch e := est.(type) {
+	case *RandomWalkEstimator:
+		return e.Walker
+	case *onlineWarmup:
+		return e.walks
 	}
-	plan := &tune.Plan{Joins: make([]tune.JoinPlan, len(p.base.cfgs)), MaxDrawsPerSelection: defaultMaxDraws}
-	for i, c := range p.base.cfgs {
-		plan.Joins[i] = tune.JoinPlan{Method: tune.Method(c.method), AliasThreshold: c.aliasMin}
-	}
-	return plan
+	return nil
 }
 
 // nextGen is the Refresh of both algorithms: reconcile the base, carry
@@ -211,16 +177,10 @@ func (p *prepared) plan(params *Params) *tune.Plan {
 func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
 	nb, dirty, changed := p.base.reconciled()
 	if !changed {
-		if p.tuner == nil || !p.tuner.NeedsReplan() {
-			return np, false, nil
-		}
-		// Rejection feedback requested a re-plan on clean data: rebuild
-		// against a clone so in-flight runs keep their snapshot.
-		nb = p.base.clone()
+		return np, false, nil
 	}
-	np = prepared{base: nb, tuner: p.tuner, perJoin: p.perJoin, drawCap: p.drawCap, runs: newRunPool()}
+	np = prepared{base: nb, maxDraw: p.maxDraw, runs: newRunPool()}
 	np.est, np.refresh.Reprobed = refreshedEstimator(p.est, dirty)
-	dropDirtyFeedback(p.tuner, dirty)
 	BuildShared(nb.joins)
 	if err := np.warm(g); err != nil {
 		return np, false, err
@@ -247,14 +207,6 @@ func (p *prepared) Stale() bool {
 
 // LastRefresh implements PreparedSampler.
 func (p *prepared) LastRefresh() RefreshStats { return p.refresh }
-
-// Tuners implements PreparedSampler.
-func (p *prepared) Tuners() []*tune.Controller {
-	if p.tuner == nil {
-		return nil
-	}
-	return []*tune.Controller{p.tuner}
-}
 
 // Disjoint implements PreparedSampler.
 func (p *prepared) Disjoint() (*DisjointShared, error) { return newDisjointShared(p.base) }

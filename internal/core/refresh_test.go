@@ -13,7 +13,8 @@ import (
 // half of J1's results dirties J3 only; a Refresh must then move the
 // estimate — by probing J1's retained walks against J3 again, not by
 // walking J1 again — in both engines, and leave the generation it
-// refreshed from alone.
+// refreshed from alone. Over unchanged data, before the append and after
+// the refresh, a Refresh builds nothing and returns its receiver.
 func TestRefreshReprobesCleanAnchors(t *testing.T) {
 	const j1and3 = 0b101
 	for _, online := range []bool{false, true} {
@@ -36,6 +37,9 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 				return o.walker
 			}
 			return p.(*CoverShared).walker
+		}
+		if same, changed, err := p.Refresh(rng.New(8)); err != nil || changed || same != p {
+			t.Fatalf("online=%v: Refresh over unchanged data: changed=%v err=%v", online, changed, err)
 		}
 		before := walks(p)
 		if got := before.OverlapEstimate(j1and3); got != 0 {
@@ -90,6 +94,9 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 		}
 		if want.Walks == 0 {
 			t.Errorf("online=%v: dirty join was not walked again", online)
+		}
+		if same, changed, err := np.Refresh(rng.New(9)); err != nil || changed || same != np {
+			t.Errorf("online=%v: second Refresh with nothing new: changed=%v err=%v", online, changed, err)
 		}
 	}
 }

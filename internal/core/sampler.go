@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/joinsample"
+	"sampleunion/internal/overlap"
 	"sampleunion/internal/relation"
 )
 
@@ -35,35 +37,15 @@ func (m JoinMethod) String() string {
 	return "EO"
 }
 
-// joinConfig is one join's subroutine configuration inside a union
-// base: the sampling method plus the alias-table threshold EW draws
-// build weighted-row alias tables at. A pinned configuration uses one
-// uniform config per join (uniformJoinConfigs); an adaptive plan sets
-// them per join.
-type joinConfig struct {
-	method   JoinMethod
-	aliasMin int
-}
-
-// uniformJoinConfigs is the pinned configuration: every join samples
-// with the same method at the engine's default alias threshold.
-func uniformJoinConfigs(n int, m JoinMethod) []joinConfig {
-	cfgs := make([]joinConfig, n)
-	for i := range cfgs {
-		cfgs[i] = joinConfig{method: m, aliasMin: joinsample.DefaultAliasThreshold}
-	}
-	return cfgs
-}
-
 // newJoinSampler builds the subroutine sampler for one join. prev is the
 // sampler the join drew from before its relations mutated, nil on a
 // first build: an EW sampler patches its weight tables from an EW
 // predecessor's instead of recomputing them.
-func newJoinSampler(j *join.Join, c joinConfig, prev joinsample.Sampler) joinsample.Sampler {
-	switch c.method {
+func newJoinSampler(j *join.Join, m JoinMethod, prev joinsample.Sampler) joinsample.Sampler {
+	switch m {
 	case MethodEW:
 		was, _ := prev.(*joinsample.EW)
-		return joinsample.NewEWFrom(j, c.aliasMin, was)
+		return joinsample.NewEWFrom(j, joinsample.DefaultAliasThreshold, was)
 	case MethodWJ:
 		return joinsample.NewWJ(j)
 	}
@@ -78,7 +60,7 @@ func newJoinSampler(j *join.Join, c joinConfig, prev joinsample.Sampler) joinsam
 // per-draw scratch lives in the runs (drawScratch).
 type unionBase struct {
 	joins    []*join.Join
-	cfgs     []joinConfig
+	method   JoinMethod // the subroutine every join samples with
 	samplers []joinsample.Sampler
 	// pending[i]: samplers[i] does not describe join i's current data —
 	// never built (nil), or left by reconciled as the predecessor its
@@ -100,17 +82,15 @@ type unionBase struct {
 	maxNodes int // scratch sizing: most tree nodes over all joins
 }
 
-// newUnionBase builds the shared join machinery over cfgs, every
-// subroutine sampler pending: the warm-up plans per-join configs from its
-// statistics first and applyJoinConfigs then builds each sampler once —
-// under a pinned configuration the plan is cfgs itself.
-func newUnionBase(joins []*join.Join, cfgs []joinConfig) (*unionBase, error) {
+// newUnionBase builds the shared join machinery for one subroutine,
+// every sampler pending: buildPending builds each, once.
+func newUnionBase(joins []*join.Join, method JoinMethod) (*unionBase, error) {
 	if err := validateUnion(joins); err != nil {
 		return nil, err
 	}
 	b := &unionBase{
 		joins:    joins,
-		cfgs:     cfgs,
+		method:   method,
 		samplers: make([]joinsample.Sampler, len(joins)),
 		pending:  make([]bool, len(joins)),
 		ref:      joins[0].OutputSchema(),
@@ -126,9 +106,9 @@ func newUnionBase(joins []*join.Join, cfgs []joinConfig) (*unionBase, error) {
 		b.vers[i] = j.StateVersions()
 		b.pending[i] = true
 		if !j.OutputSchema().Equal(b.ref) {
-			perm, err := alignPerm(b.ref, j)
+			perm, err := overlap.AlignPerm(b.ref, j.OutputSchema())
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("core: join %s: %w", j.Name(), err)
 			}
 			b.perms[i] = perm
 		}
@@ -168,30 +148,23 @@ func dirtyJoins(joins []*join.Join, vers [][]uint64) ([]bool, bool) {
 	return dirty, any
 }
 
-// clone returns a copy of the base whose per-join slices (samplers,
-// configs, version snapshots) are private, so the copy can rebuild
-// individual joins without touching the original. Schema alignment and
-// membership probes are version-independent and shared as-is.
-func (b *unionBase) clone() *unionBase {
-	nb := *b
-	nb.samplers = append([]joinsample.Sampler(nil), b.samplers...)
-	nb.pending = append([]bool(nil), b.pending...)
-	nb.cfgs = append([]joinConfig(nil), b.cfgs...)
-	nb.vers = append([][]uint64(nil), b.vers...)
-	return &nb
-}
-
 // reconciled returns a copy of the base whose dirty joins have
-// reconciled residuals and pending samplers — the plan of the warm-up
-// that follows rebuilds each once, from the sampler it replaces, under
-// that plan's config; clean joins share their samplers with the old
-// base. Nothing dirty: the base itself.
+// reconciled residuals and pending samplers — buildPending rebuilds each
+// once, from the sampler it replaces; clean joins share their samplers
+// with the old base. The copy's per-join slices are private, so it
+// rebuilds individual joins without touching the original; schema
+// alignment and membership probes are version-independent and shared
+// as-is. Nothing dirty: the base itself.
 func (b *unionBase) reconciled() (*unionBase, []bool, bool) {
 	dirty, any := dirtyJoins(b.joins, b.vers)
 	if !any {
 		return b, dirty, false
 	}
-	nb := b.clone()
+	nb := new(unionBase)
+	*nb = *b
+	nb.samplers = slices.Clone(b.samplers)
+	nb.pending = slices.Clone(b.pending)
+	nb.vers = slices.Clone(b.vers)
 	for i, d := range dirty {
 		if !d {
 			continue
@@ -203,16 +176,14 @@ func (b *unionBase) reconciled() (*unionBase, []bool, bool) {
 	return nb, dirty, true
 }
 
-// applyJoinConfigs installs a plan's per-join configs, rebuilding
-// exactly the samplers that are pending or whose config changed, each
-// from the sampler it replaces and beside the other joins' (an EW weight
+// buildPending builds exactly the samplers that are pending, each from
+// the sampler it replaces and beside the other joins' (an EW weight
 // table reads its own join and writes its own slot). Only safe before
 // the base is published to runs.
-func (b *unionBase) applyJoinConfigs(cfgs []joinConfig) {
+func (b *unionBase) buildPending() {
 	join.FanOut(0, len(b.joins), func(i int) {
-		if b.pending[i] || b.cfgs[i] != cfgs[i] {
-			b.cfgs[i] = cfgs[i]
-			b.samplers[i] = newJoinSampler(b.joins[i], cfgs[i], b.samplers[i])
+		if b.pending[i] {
+			b.samplers[i] = newJoinSampler(b.joins[i], b.method, b.samplers[i])
 			b.pending[i] = false
 		}
 	})
@@ -242,19 +213,6 @@ func (b *unionBase) patchStats(dirty []bool, st *RefreshStats) {
 			}
 		}
 	}
-}
-
-func alignPerm(ref *relation.Schema, j *join.Join) ([]int, error) {
-	s := j.OutputSchema()
-	perm := make([]int, ref.Len())
-	for i := 0; i < ref.Len(); i++ {
-		p := s.Index(ref.Attr(i))
-		if p < 0 {
-			return nil, fmt.Errorf("core: join %s lacks attribute %q", j.Name(), ref.Attr(i))
-		}
-		perm[i] = p
-	}
-	return perm, nil
 }
 
 // drawScratch is the per-run buffer set behind the allocation-free draw

@@ -10,7 +10,6 @@ import (
 	"sampleunion/internal/join"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
-	"sampleunion/internal/tune"
 )
 
 // This file implements the shard-parallel union sampler: every relation
@@ -352,17 +351,6 @@ func (p *ShardedShared) Prewarm() {
 
 // LastRefresh sums what the shards a Refresh rebuilt report.
 func (p *ShardedShared) LastRefresh() RefreshStats { return p.refresh }
-
-// Tuners returns the non-empty shards' controllers.
-func (p *ShardedShared) Tuners() []*tune.Controller {
-	var out []*tune.Controller
-	for _, ps := range p.perShard {
-		if ps != nil {
-			out = append(out, ps.Tuners()...)
-		}
-	}
-	return out
-}
 
 // Disjoint fails: the shards share no one set of subroutine samplers.
 func (p *ShardedShared) Disjoint() (*DisjointShared, error) {

@@ -39,9 +39,8 @@ type Stats struct {
 	// the union): where the attempts went, which joins' subroutines
 	// rejected them, and how converged each join's size estimate was.
 	// The aggregate fields above remain authoritative; Joins slices the
-	// subroutine-level activity so an adaptive controller (and callers
-	// inspecting skew) can attribute rejection cost to the join causing
-	// it. Union-level duplicate rejections (RejectedDup) are a property
+	// subroutine-level activity so callers inspecting skew can attribute
+	// rejection cost to the join causing it. Union-level duplicate rejections (RejectedDup) are a property
 	// of the overlap, not of a join's subroutine, and are not broken
 	// down.
 	Joins []JoinBreakdown

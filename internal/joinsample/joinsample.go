@@ -83,8 +83,8 @@ func liveRoot(r *relation.Relation, g *rng.RNG) (int, bool) {
 // search saves. The threshold is per-sampler configuration
 // (NewEWAlias), never mutable package state: each EW captures its value
 // at construction, so a prepared session's pinned streams cannot be
-// perturbed after the fact. An adaptive plan supplies per-join
-// thresholds; everything else uses this default.
+// perturbed after the fact. The union engines build every EW at this
+// default.
 const DefaultAliasThreshold = 32
 
 // NeverAlias is a threshold no fan-out reaches: bounded prefix-sum
@@ -221,9 +221,8 @@ type EW struct {
 
 	// aliasMin is the alias threshold captured at construction: the
 	// fan-out at which draws switch from prefix sums to alias tables.
-	// Capturing it keeps a prepared session's streams stable across
-	// re-plans: a new threshold only applies to samplers built after it
-	// was decided.
+	// A successor patched from this sampler (NewEWFrom) keeps its alias
+	// tables only when built at the same threshold.
 	aliasMin int
 }
 

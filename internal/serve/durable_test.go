@@ -139,39 +139,57 @@ func TestDurableWarmRestart(t *testing.T) {
 
 // TestRestoreRefusesMovedKey: a manifest entry is stored under the key
 // its declaration hashed to when it was written, and that key names its
-// WAL directory. An entry whose declaration no longer hashes to its key —
-// here one written by a binary that still had the "oracle" option, which
-// this one drops on reading — must stop the boot with both keys in the
-// error, not be prepared over an empty directory beside its data.
+// WAL directory. An entry this binary cannot key the same way must stop
+// the boot with the stored key in the error, not be prepared over an
+// empty directory beside its data: one whose declaration no longer hashes
+// to its key (written by a binary that still had the "oracle" option,
+// which this one drops on reading — both keys are named), and one whose
+// declaration no longer keys at all (written by a binary that still had
+// the adaptive mode: the key and normalized declaration TestDeclKeysPinned
+// pinned for "auto").
 func TestRestoreRefusesMovedKey(t *testing.T) {
-	const storedKey = "18557bf0823326dd225840f65ae48ae34f1713f2175e9aeeb55d914cf8027e51"
-	dir := t.TempDir()
-	manifest := `{"entries":[{"key":"` + storedKey + `","decl":{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,` +
-		`"options":{"warmup":"exact","method":"WJ","warmup_walks":1000,"oracle":true,"seed":1,"shards":1}}}]}`
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := newTestServer(t, durableCfg(dir))
-	defer s.Close()
-	n, err := s.RestoreSessions()
-	if err == nil || n != 0 {
-		t.Fatalf("restored %d sessions, err %v; want the entry refused", n, err)
-	}
+	const (
+		oracleKey = "18557bf0823326dd225840f65ae48ae34f1713f2175e9aeeb55d914cf8027e51"
+		oracleDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"exact","method":"WJ","warmup_walks":1000,"oracle":true,"seed":1,"shards":1}}`
+		autoKey   = "0f386402b9ca9b8d3ca1511c7d9ee198611d64eb099d5641e54af9f0ee7d4d13"
+		autoDoc   = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"auto","method":"auto","warmup_walks":128,"seed":1,"shards":1}}`
+	)
 	var d UnionDecl
 	if err := json.Unmarshal([]byte(`{"options":{"warmup":"exact","method":"WJ"}}`), &d); err != nil {
 		t.Fatal(err)
 	}
-	recomputed, err2 := d.Key()
-	if err2 != nil {
-		t.Fatal(err2)
+	recomputed, err := d.Key()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"entry 0", storedKey, recomputed} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
-		}
-	}
-	if st := s.Registry().Stats(); st.Prepares != 0 {
-		t.Fatalf("%d sessions were prepared for a refused manifest", st.Prepares)
+	for _, tc := range []struct {
+		name, key, doc string
+		wants          []string
+	}{
+		{"dropped option", oracleKey, oracleDoc, []string{"entry 0", oracleKey, recomputed}},
+		{"removed auto", autoKey, autoDoc, []string{autoKey, `unknown warmup "auto"`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			manifest := `{"entries":[{"key":"` + tc.key + `","decl":` + tc.doc + `}]}`
+			if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, _ := newTestServer(t, durableCfg(dir))
+			defer s.Close()
+			n, err := s.RestoreSessions()
+			if err == nil || n != 0 {
+				t.Fatalf("restored %d sessions, err %v; want the entry refused", n, err)
+			}
+			for _, want := range tc.wants {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+			if st := s.Registry().Stats(); st.Prepares != 0 {
+				t.Fatalf("%d sessions were prepared for a refused manifest", st.Prepares)
+			}
+		})
 	}
 }
 

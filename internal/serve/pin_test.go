@@ -15,21 +15,22 @@ import (
 // written by an older binary no longer restores. Declarations are given
 // as the wire spells them, so the table does not depend on how the Go
 // types behind the wire are declared. A row without a key is a
-// declaration the wire no longer accepts: the server must answer it 400.
+// declaration the wire no longer accepts: the server must answer it 400
+// with the text in its last column.
 func TestDeclKeysPinned(t *testing.T) {
 	const (
 		defaultKey = "d6b0ff43c5fe0e3d7656dfe601e5d87a714016c13505311afb27f411fa601c3e"
 		defaultDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"random-walk","method":"EW","warmup_walks":1000,"seed":1,"shards":1}}`
-		autoKey    = "0f386402b9ca9b8d3ca1511c7d9ee198611d64eb099d5641e54af9f0ee7d4d13"
-		autoDoc    = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"auto","method":"auto","warmup_walks":128,"seed":1,"shards":1}}`
 	)
 	for _, tc := range []struct {
 		name, decl, key, normalized string
 	}{
 		{"empty options", `{}`, defaultKey, defaultDoc},
 		{"explicit random-walk EW", `{"workload":"UQ1","options":{"warmup":"random-walk","method":"EW"}}`, defaultKey, defaultDoc},
-		{"warmup auto", `{"options":{"warmup":"auto"}}`, autoKey, autoDoc},
-		{"method auto spelled out", `{"options":{"method":"auto","warmup_walks":128}}`, autoKey, autoDoc},
+		// The adaptive mode is gone; its two spellings used to share key
+		// 0f386402… (TestRestoreRefusesMovedKey holds the manifest entry).
+		{"warmup auto", `{"options":{"warmup":"auto"}}`, "", `unknown warmup "auto" (valid: histogram, random-walk, exact)`},
+		{"method auto spelled out", `{"options":{"method":"auto","warmup_walks":128}}`, "", `unknown method "auto" (valid: EW, EO, WJ)`},
 		{"histogram EO", `{"workload":"UQ2","sf":0.05,"options":{"warmup":"histogram","method":"EO","seed":7}}`,
 			"96b3c76d7aa99b3c155cc2bb9343abcd98cfdf098da27a51f3d0761bfdd45112",
 			`{"workload":"UQ2","sf":0.05,"overlap":0.2,"data_seed":1,"options":{"warmup":"histogram","method":"EO","warmup_walks":1000,"seed":7,"shards":1}}`},
@@ -47,7 +48,7 @@ func TestDeclKeysPinned(t *testing.T) {
 			`{"spec":"rel x x.csv\nchain J x k x","options":{"warmup":"random-walk","method":"EW","warmup_walks":1000,"seed":1,"shards":1}}`},
 		// Membership is the only accept rule: the option that used to select
 		// it is an unknown field, not a silently ignored one.
-		{"exact WJ oracle", `{"options":{"warmup":"exact","method":"WJ","oracle":true}}`, "", ""},
+		{"exact WJ oracle", `{"options":{"warmup":"exact","method":"WJ","oracle":true}}`, "", `unknown field "oracle"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.key == "" {
@@ -61,8 +62,8 @@ func TestDeclKeysPinned(t *testing.T) {
 				if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 					t.Fatal(err)
 				}
-				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "oracle"`) {
-					t.Fatalf("status %d, error %q; want 400 naming the unknown field", resp.StatusCode, e.Error)
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.normalized) {
+					t.Fatalf("status %d, error %q; want 400 containing %q", resp.StatusCode, e.Error, tc.normalized)
 				}
 				return
 			}

@@ -108,8 +108,8 @@ func TestSampleResponseBytesPinned(t *testing.T) {
 
 // TestRegistryKeyCache: remembering a declaration's key in front of
 // UnionDecl.Key changes nothing a client or /metrics can see. Hits and
-// prepares count as before, a conflicting declaration is refused on
-// every request (an error is never remembered), a flood of distinct
+// prepares count as before, a declaration whose options the library
+// rejects is refused on every request (an error is never remembered), a flood of distinct
 // declarations cannot grow the memo past its bound, and an evicted
 // session's remembered key leads to a fresh prepare, not to the evicted
 // entry.
@@ -141,7 +141,7 @@ func TestRegistryKeyCache(t *testing.T) {
 	bad.Options = OptionsDecl{Warmup: "exact", Method: "auto", Seed: 1}
 	for i := 0; i < 3; i++ {
 		if _, err := r.Get(bad); err == nil {
-			t.Fatalf("request %d with warmup pinned beside method=auto was served", i)
+			t.Fatalf("request %d with the removed method \"auto\" was served", i)
 		}
 	}
 	if _, ok := r.keys[bad]; ok {

@@ -330,24 +330,6 @@ func (r *Registry) StorageSnapshot() map[string]EntryStorage {
 	return out
 }
 
-// TuningSnapshot reports the adaptive controller's decisions for every
-// warm entry prepared with an "auto" declaration, keyed by registry
-// key; non-adaptive entries are absent. Each report carries the
-// controller counters (plans built, exact-estimation escalations, a
-// pending rejection-triggered re-plan) and the current per-join
-// decisions — the scrape point for watching what the tuner actually
-// chose in serving.
-func (r *Registry) TuningSnapshot() map[string]sampleunion.TuneSnapshot {
-	entries := r.warm()
-	out := make(map[string]sampleunion.TuneSnapshot, len(entries))
-	for _, e := range entries {
-		if sn, ok := e.Sess.TuneSnapshot(); ok {
-			out[e.Key] = sn
-		}
-	}
-	return out
-}
-
 // RefreshSnapshot reports, per warm entry whose session has refreshed,
 // what its last Refresh did: dirty joins, weight-table segments patched
 // against nodes and joins rebuilt, walks run, walks probed again and

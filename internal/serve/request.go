@@ -52,9 +52,7 @@ type UnionDecl struct {
 // OptionsDecl is sampleunion.Options: the library's option vocabulary
 // is the wire's, field for field (its JSON tags are the wire names), and
 // Options.Canonical is what validates, defaults and fingerprints it.
-// "auto" in warmup or method prepares the session with adaptive tuning;
-// beside an explicit value of the other it answers 400. Per-request
-// knobs like n and seed live on the request.
+// Per-request knobs like n and seed live on the request.
 type OptionsDecl = sampleunion.Options
 
 // normalize fills declaration defaults (shared by key computation,
@@ -87,9 +85,9 @@ func (d UnionDecl) normalize() UnionDecl {
 // the workload identity, plus the normalized options. Declarations
 // with equal keys are served by the same warm session.
 func (d UnionDecl) Key() (string, error) {
-	// Reject bad options here, not at Prepare: a conflicting declaration
-	// (explicit warmup alongside method=auto) must never be mistaken for
-	// the legitimate adaptive declaration and served from its warm entry.
+	// Reject bad options here, not at Prepare: a declaration the library
+	// would refuse must never hash to a legitimate one's key and be served
+	// from its warm entry.
 	o, err := d.Options.Canonical()
 	if err != nil {
 		return "", err

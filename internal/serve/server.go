@@ -813,12 +813,6 @@ type metricsResponse struct {
 	Storage  map[string]EntryStorage `json:"storage"`
 	Rejected int64                   `json:"rejected"`
 	Inflight int                     `json:"inflight"`
-	// Tuning reports per-session tuner decisions (adaptive "auto"
-	// sessions only, keyed by registry key): plan and escalation
-	// counters plus the per-join subroutine / exact / walk-budget /
-	// alias-threshold choices in force. Absent when no warm session is
-	// adaptive.
-	Tuning map[string]sampleunion.TuneSnapshot `json:"tuning,omitempty"`
 	// Refresh reports each session's last effective Refresh (keyed by
 	// registry key): its work list — dirty joins, segments patched,
 	// nodes and joins rebuilt, walks run and probed again — and its
@@ -849,7 +843,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Storage:   s.reg.StorageSnapshot(),
 		Rejected:  s.metrics.rejected.Load(),
 		Inflight:  s.Inflight(),
-		Tuning:    s.reg.TuningSnapshot(),
 		Refresh:   s.reg.RefreshSnapshot(),
 	}
 	if s.reg.durable != nil {

@@ -14,6 +14,13 @@
 // The Method and Warmup enums are numerically identical to their
 // core/sampleunion counterparts (EW=0, EO=1, WJ=2; histogram=0,
 // random-walk=1, exact=2), so casts between the packages are direct.
+//
+// Nothing in the product plans: every session samples under the pinned
+// configuration its Options name (CHANGES.md PR 24 has the measurement
+// that retired the adaptive mode). Build's only caller is the frozen
+// benchmark module's tune.plan_us probe (benchmark/layers.go), which
+// compiles against JoinStats, Config, Build and Plan; the package goes
+// when that probe does (ROADMAP item 4).
 package tune
 
 import "math"

@@ -2,7 +2,6 @@ package tune
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -123,95 +122,5 @@ func TestBuildDeterministic(t *testing.T) {
 		if a.Joins[i] != b.Joins[i] {
 			t.Fatalf("join %d plan differs: %+v vs %+v", i, a.Joins[i], b.Joins[i])
 		}
-	}
-}
-
-func TestControllerReplanAndFeedback(t *testing.T) {
-	c := NewController(Config{MinFeedbackDraws: 100})
-	if c.Plan() != nil {
-		t.Fatal("plan before first replan")
-	}
-	stats := []JoinStats{{Walks: 64, Size: 1000, RelHalfWidth: 0.05, OlkenBound: 2000, Rows: 10}}
-	p := c.Replan(append([]JoinStats(nil), stats...))
-	if p.Joins[0].Method != MethodEO {
-		t.Fatalf("initial method %v, want EO", p.Joins[0].Method)
-	}
-	if c.Snapshot().Replans != 1 {
-		t.Fatalf("replans = %d, want 1", c.Snapshot().Replans)
-	}
-
-	// 99% observed rejection: the trigger fires, and the next replan
-	// folds the feedback in and flips the join to EW.
-	c.ObserveDraws(0, 10000, 9900)
-	if !c.NeedsReplan() {
-		t.Fatal("rejection trigger did not fire")
-	}
-	p = c.Replan(append([]JoinStats(nil), stats...))
-	if p.Joins[0].Method != MethodEW {
-		t.Fatalf("post-feedback method %v, want EW", p.Joins[0].Method)
-	}
-	if c.NeedsReplan() {
-		t.Fatal("replan did not clear the pending flag")
-	}
-
-	// The feedback window reset: re-planning again with clean stats
-	// returns to the prior-driven choice.
-	p = c.Replan(append([]JoinStats(nil), stats...))
-	if p.Joins[0].Method != MethodEO {
-		t.Fatalf("post-reset method %v, want EO", p.Joins[0].Method)
-	}
-}
-
-func TestControllerEscalationCounter(t *testing.T) {
-	c := NewController(Config{})
-	wide := []JoinStats{{Walks: 64, Size: 1000, RelHalfWidth: 0.5, OlkenBound: 1500}}
-	c.Replan(append([]JoinStats(nil), wide...))
-	if got := c.Snapshot().Escalations; got != 1 {
-		t.Fatalf("escalations = %d, want 1", got)
-	}
-	// Same decision again is not a new escalation... but the plan was
-	// rebuilt from wide stats, so Exact stays true and the counter must
-	// not double-count relative to the previous plan.
-	c.Replan(append([]JoinStats(nil), wide...))
-	if got := c.Snapshot().Escalations; got != 1 {
-		t.Fatalf("escalations after identical replan = %d, want 1", got)
-	}
-}
-
-func TestControllerConcurrentObserve(t *testing.T) {
-	c := NewController(Config{})
-	c.Replan([]JoinStats{{Walks: 64, Size: 100, OlkenBound: 200, RelHalfWidth: 0.05}})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.ObserveDraws(0, 2, 1)
-				c.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.NeedsReplan() {
-		t.Fatal("50% rejection fired the 90% trigger")
-	}
-}
-
-func TestSnapshotJoins(t *testing.T) {
-	c := NewController(Config{})
-	c.Replan([]JoinStats{
-		{Walks: 64, Size: 1000, RelHalfWidth: 0.5, OlkenBound: 1e6, Rows: 10, Share: 0.9},
-		{Walks: 64, Size: 1000, RelHalfWidth: 0.05, OlkenBound: 1200, Share: 0.1},
-	})
-	s := c.Snapshot()
-	if len(s.Joins) != 2 {
-		t.Fatalf("snapshot joins = %d, want 2", len(s.Joins))
-	}
-	if s.Joins[0].Method != "EW" || !s.Joins[0].Exact {
-		t.Errorf("join 0 decision %+v, want EW + exact", s.Joins[0])
-	}
-	if s.Joins[1].Method != "EO" || s.Joins[1].Exact {
-		t.Errorf("join 1 decision %+v, want plain EO", s.Joins[1])
 	}
 }

@@ -101,8 +101,8 @@ func (e *JoinEstimate) Observe(invP float64) {
 }
 
 // RelHalfWidth is the confidence half-width relative to the size
-// estimate — the planner's convergence signal. It is +Inf before any
-// walk and when the size estimate is zero.
+// estimate. It is +Inf before any walk and when the size estimate is
+// zero.
 func (e *JoinEstimate) RelHalfWidth(z float64) float64 {
 	if e.n == 0 || e.mean <= 0 {
 		return math.Inf(1)
@@ -394,23 +394,16 @@ func (e *Estimator) foldMask(j int, t relation.Tuple, p float64) uint {
 // termination rule).
 func (e *Estimator) Warmup(g *rng.RNG) {
 	for j, je := range e.ests {
-		if je.Walks() == 0 {
-			e.WarmupJoin(j, e.opts.MaxWalks, g)
+		if je.Walks() > 0 {
+			continue
 		}
-	}
-}
-
-// WarmupJoin walks join j until its size confidence target is met or
-// the given budget runs out — the per-join entry point an adaptive
-// plan uses to spend different budgets on different joins.
-func (e *Estimator) WarmupJoin(j, budget int, g *rng.RNG) {
-	je := e.ests[j]
-	for je.Walks() < budget {
-		e.StepJoin(j, g)
-		if je.Walks() >= e.opts.MinWalks &&
-			je.Size() > 0 &&
-			je.HalfWidth(e.opts.Z) < e.opts.TargetRel*je.Size() {
-			break
+		for je.Walks() < e.opts.MaxWalks {
+			e.StepJoin(j, g)
+			if je.Walks() >= e.opts.MinWalks &&
+				je.Size() > 0 &&
+				je.HalfWidth(e.opts.Z) < e.opts.TargetRel*je.Size() {
+				break
+			}
 		}
 	}
 }
@@ -424,35 +417,19 @@ func (e *Estimator) Z() float64 { return e.opts.Z }
 // |O_Δ| = |J_j| · (Σ_{t ∈ S_j ∩ all} 1/p(t)) / (Σ_{t ∈ S_j} 1/p(t))
 // anchored at the subset's smallest join index.
 func (e *Estimator) Table() (*overlap.Table, error) {
-	return e.TableWithSizes(nil)
-}
-
-// TableWithSizes is Table with per-join size overrides: sizes[j] >= 0
-// replaces join j's HT singleton estimate (an exact count an adaptive
-// plan escalated to), and the join's overlap estimates rescale with it
-// — the walk samples still supply the contained fractions, the
-// override supplies the scale. Pass nil (or -1 entries) to keep the
-// walk estimates.
-func (e *Estimator) TableWithSizes(sizes []float64) (*overlap.Table, error) {
 	t, err := overlap.NewTable(len(e.joins))
 	if err != nil {
 		return nil, err
 	}
-	size := func(j int) float64 {
-		if j < len(sizes) && sizes[j] >= 0 {
-			return sizes[j]
-		}
-		return e.ests[j].Size()
-	}
-	for i := range e.ests {
-		t.Set(1<<uint(i), size(i))
+	for i, je := range e.ests {
+		t.Set(1<<uint(i), je.Size())
 	}
 	full := uint(1)<<uint(len(e.joins)) - 1
 	for mask := uint(3); mask <= full; mask++ {
 		if mask&(mask-1) == 0 {
 			continue // singleton
 		}
-		t.Set(mask, e.overlapEstimateSized(mask, size))
+		t.Set(mask, e.OverlapEstimate(mask))
 	}
 	t.Normalize()
 	return t, nil
@@ -463,12 +440,6 @@ func (e *Estimator) TableWithSizes(sizes []float64) (*overlap.Table, error) {
 // weighted fraction of the anchor's walk samples contained in every
 // other join of the subset, scaled by the anchor's size estimate.
 func (e *Estimator) OverlapEstimate(mask uint) float64 {
-	return e.overlapEstimateSized(mask, func(j int) float64 { return e.ests[j].Size() })
-}
-
-// overlapEstimateSized is OverlapEstimate with the anchor size read
-// through size, so escalated exact counts rescale overlaps too.
-func (e *Estimator) overlapEstimateSized(mask uint, size func(int) float64) float64 {
 	anchor := bits.TrailingZeros(mask)
 	if anchor >= len(e.joins) || e.wAll[anchor] == 0 {
 		return 0
@@ -479,7 +450,7 @@ func (e *Estimator) overlapEstimateSized(mask uint, size func(int) float64) floa
 			wIn += w
 		}
 	}
-	return size(anchor) * wIn / e.wAll[anchor]
+	return e.ests[anchor].Size() * wIn / e.wAll[anchor]
 }
 
 // Confidence reports the smallest relative confidence achieved across

@@ -19,9 +19,6 @@ func TestCanonicalIsIdempotent(t *testing.T) {
 		{Options{Online: true, WarmupWalks: -7}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, Online: true, WarmupWalks: -1, Seed: 1, Shards: 1}},
 		{Options{Shards: ShardsAuto}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 1, Shards: cores}},
 		{Options{Shards: -4, AutoRefresh: true}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 1, Shards: cores, AutoRefresh: true}},
-		{Options{Warmup: WarmupAuto}, Options{Warmup: WarmupAuto, Method: MethodAuto, WarmupWalks: 128, Seed: 1, Shards: 1}},
-		{Options{Method: MethodAuto, WarmupWalks: 50}, Options{Warmup: WarmupAuto, Method: MethodAuto, WarmupWalks: 50, Seed: 1, Shards: 1}},
-		{Options{Warmup: WarmupAuto, Method: MethodAuto, WarmupWalks: -1}, Options{Warmup: WarmupAuto, Method: MethodAuto, WarmupWalks: -1, Seed: 1, Shards: 1}},
 	} {
 		once, err := tc.in.Canonical()
 		if err != nil {
@@ -36,8 +33,9 @@ func TestCanonicalIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestCanonicalRejects: an unknown enum value or an explicit pin beside
-// auto is an error at every entry point, never a silent default.
+// TestCanonicalRejects: an unknown enum value — the removed "auto"
+// included, alone or beside a pin — is an error listing the valid ones at
+// every entry point, never a silent default.
 func TestCanonicalRejects(t *testing.T) {
 	u := demoUnion(t)
 	for _, tc := range []struct {
@@ -46,8 +44,10 @@ func TestCanonicalRejects(t *testing.T) {
 	}{
 		{Options{Warmup: "histgram"}, `unknown warmup "histgram"`},
 		{Options{Method: "ew"}, `unknown method "ew"`},
-		{Options{Warmup: WarmupAuto, Method: MethodWJ}, "warmup auto conflicts with method WJ"},
-		{Options{Warmup: WarmupExact, Method: MethodAuto}, "method auto conflicts with warmup exact"},
+		{Options{Warmup: "auto"}, `unknown warmup "auto" (valid: histogram, random-walk, exact)`},
+		{Options{Method: "auto"}, `unknown method "auto" (valid: EW, EO, WJ)`},
+		{Options{Warmup: "auto", Method: MethodWJ}, `unknown warmup "auto"`},
+		{Options{Warmup: WarmupExact, Method: "auto"}, `unknown method "auto"`},
 	} {
 		if _, err := tc.o.Canonical(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: Canonical err = %v, want one containing %q", tc.o, err, tc.want)
@@ -122,7 +122,6 @@ func TestSessionOptionsRoundTrip(t *testing.T) {
 	u := demoUnion(t)
 	for _, o := range []Options{
 		{Online: true, WarmupWalks: -1},
-		{Warmup: WarmupAuto, Seed: 3},
 		{Warmup: WarmupHistogram, Method: MethodEO, Shards: 2},
 	} {
 		s, err := u.Prepare(o)

@@ -19,8 +19,8 @@ type outcome struct {
 }
 
 func drawOutcome(s *Session, d drawSpec) outcome {
-	out, stats, size, err := s.draw(d)
-	o := outcome{tuples: out, size: size, failed: err != nil}
+	out, stats, err := s.draw(d)
+	o := outcome{tuples: out, size: s.UnionSize(), failed: err != nil}
 	if stats != nil {
 		o.stats = *stats
 		o.stats.AcceptTime, o.stats.RejectTime, o.stats.ReuseTime, o.stats.RegularTime = 0, 0, 0, 0

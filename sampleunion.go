@@ -33,9 +33,8 @@
 // The warm-up estimation method, the single-join sampling subroutine,
 // and the online (sample reuse + backtracking) mode are selected
 // through Options. The zero Options is the random-walk warm-up with the
-// exact-weight subroutine (Warmup: WarmupRandomWalk, Method: MethodEW);
-// Options{Warmup: WarmupAuto} hands both choices to the adaptive
-// planner. Warmup and Method values are their own textual spelling, so
+// exact-weight subroutine (Warmup: WarmupRandomWalk, Method: MethodEW).
+// Warmup and Method values are their own textual spelling, so
 // the same Options serve as the JSON "options" object of the serving
 // layer and behind cmd/sampler's flags, and Options.Canonical is the one
 // place they are validated and defaulted. See the examples/ directory
@@ -52,7 +51,6 @@ import (
 	"sampleunion/internal/overlap"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
-	"sampleunion/internal/tune"
 	"sampleunion/internal/walkest"
 )
 
@@ -160,26 +158,6 @@ const (
 	// WarmupExact executes every join and computes exact parameters —
 	// the FullJoinUnion ground truth; exponential, for validation only.
 	WarmupExact Warmup = "exact"
-	// WarmupAuto enables adaptive tuning: the session starts from a
-	// cheap random-walk warm-up (128 walks per join unless WarmupWalks
-	// overrides it) and an internal/tune controller plans the rest per
-	// join from the observed statistics — the subroutine (EW for
-	// heavy-rejection joins, WJ for heavy-rejection joins too large for
-	// EW setup, EO otherwise), exact-count escalation for joins whose
-	// size estimate stayed wide, extra walks for wide cyclic joins,
-	// alias tables only where a join's draw share justifies them, and
-	// the batch slice cap. The controller re-plans at every Refresh
-	// boundary, folding in rejection feedback from completed runs; with
-	// AutoRefresh a high post-warm-up rejection rate alone triggers a
-	// re-plan, even over clean data.
-	//
-	// The plan owns both decisions, so WarmupAuto and MethodAuto imply
-	// each other, and either one beside an explicit value of the other
-	// is an error rather than a silent override. Adaptive streams are
-	// deterministic for a fixed seed, data, and call history, and are
-	// pinned by their own golden digests — but they differ from pinned
-	// streams under the same seed.
-	WarmupAuto Warmup = "auto"
 )
 
 // Method selects the single-join sampling subroutine (§3.2); like
@@ -195,9 +173,6 @@ const (
 	// MethodWJ: wander-join walks thinned to uniform against the Olken
 	// bound; index-only setup, EO-like acceptance rate.
 	MethodWJ Method = "WJ"
-	// MethodAuto lets the adaptive planner pick the subroutine per
-	// join; see WarmupAuto.
-	MethodAuto Method = "auto"
 )
 
 // Options configure a warm-up and the sampler prepared from it. The
@@ -213,10 +188,9 @@ type Options struct {
 	// and backtracking parameter refinement.
 	Online bool `json:"online,omitempty"`
 	// WarmupWalks bounds warm-up walks per join for the random-walk
-	// and online modes. 0 means the default of 1000 (128 under
-	// WarmupAuto); a negative value disables warm-up walks entirely
-	// (online mode then starts from histogram parameters and refines
-	// purely on the fly).
+	// and online modes. 0 means the default of 1000; a negative value
+	// disables warm-up walks entirely (online mode then starts from
+	// histogram parameters and refines purely on the fly).
 	WarmupWalks int `json:"warmup_walks,omitempty"`
 	// Seed makes sampling reproducible (default 1). It seeds the
 	// warm-up, and a prepared Session derives a decorrelated per-call
@@ -257,44 +231,24 @@ type Options struct {
 // (runtime.GOMAXPROCS) at Prepare time.
 const ShardsAuto = -1
 
-// autoWarmupWalks is the walk budget of the adaptive mode's initial
-// cheap warm-up: enough for the planner to tell converged estimates
-// from wide ones, far below the pinned default of 1000 — the plan
-// escalates exactly the joins that need more.
-const autoWarmupWalks = 128
-
 // Canonical validates the options and fills every default, returning
 // the one spelling all equal-by-effect options share: an empty Warmup
-// is WarmupRandomWalk and an empty Method MethodEW; "auto" in either
-// enum sets both (and is an error beside an explicit value of the
-// other); WarmupWalks 0 is 1000 (128 under auto) and any negative count
-// -1; Seed 0 is 1; Shards below 0 is runtime.GOMAXPROCS(0) and below 1
+// is WarmupRandomWalk and an empty Method MethodEW; WarmupWalks 0 is
+// 1000 and any negative count -1; Seed 0 is 1; Shards below 0 is runtime.GOMAXPROCS(0) and below 1
 // is 1. Canonical options are a fixed point of Canonical. Every entry
 // point of the package applies it, and the serving layer keys and
 // persists declarations by it, so it is the only place an enum string
 // is checked or a default chosen.
 func (o Options) Canonical() (Options, error) {
 	switch o.Warmup {
-	case "", WarmupHistogram, WarmupRandomWalk, WarmupExact, WarmupAuto:
+	case "", WarmupHistogram, WarmupRandomWalk, WarmupExact:
 	default:
-		return o, fmt.Errorf("sampleunion: unknown warmup %q (valid: histogram, random-walk, exact, auto)", o.Warmup)
+		return o, fmt.Errorf("sampleunion: unknown warmup %q (valid: histogram, random-walk, exact)", o.Warmup)
 	}
 	switch o.Method {
-	case "", MethodEW, MethodEO, MethodWJ, MethodAuto:
+	case "", MethodEW, MethodEO, MethodWJ:
 	default:
-		return o, fmt.Errorf("sampleunion: unknown method %q (valid: EW, EO, WJ, auto)", o.Method)
-	}
-	if o.Warmup == WarmupAuto || o.Method == MethodAuto {
-		if o.Warmup != "" && o.Warmup != WarmupAuto {
-			return o, fmt.Errorf("sampleunion: method auto conflicts with warmup %s: adaptive mode plans the warm-up (drop the explicit warmup)", o.Warmup)
-		}
-		if o.Method != "" && o.Method != MethodAuto {
-			return o, fmt.Errorf("sampleunion: warmup auto conflicts with method %s: adaptive mode picks the subroutine per join (drop the explicit method)", o.Method)
-		}
-		o.Warmup, o.Method = WarmupAuto, MethodAuto
-		if o.WarmupWalks == 0 {
-			o.WarmupWalks = autoWarmupWalks
-		}
+		return o, fmt.Errorf("sampleunion: unknown method %q (valid: EW, EO, WJ)", o.Method)
 	}
 	if o.Warmup == "" {
 		o.Warmup = WarmupRandomWalk
@@ -322,16 +276,11 @@ func (o Options) Canonical() (Options, error) {
 
 // The accessors below read canonical options.
 
-// auto reports whether the adaptive planner owns the warm-up and
-// subroutine decisions.
-func (o Options) auto() bool { return o.Warmup == WarmupAuto }
-
 // walks is the warm-up walk budget per join; the canonical -1 (no
 // warm-up walks) runs none.
 func (o Options) walks() int { return max(o.WarmupWalks, 0) }
 
-// joinMethod is the subroutine every join starts on. Under MethodAuto
-// that is EW until the planner's per-join choice replaces it.
+// joinMethod is the subroutine every join samples with.
 func (o Options) joinMethod() core.JoinMethod {
 	switch o.Method {
 	case MethodEO:
@@ -437,31 +386,13 @@ func (u *Union) prepareSampler(o Options, build bool, g *rng.RNG) (core.Prepared
 // two samplers: Algorithm 2 when Online, Algorithm 1 over the selected
 // estimator otherwise, on the whole union's joins or on one shard's
 // rebound joins.
-//
-// Under auto every call makes its own controller. A single-shard
-// session's lives as long as the session, accumulating rejection
-// feedback between re-plan boundaries. A sharded session gets one per
-// shard — a controller shared across parallel shard warm-ups would make
-// its feedback fold-in depend on worker scheduling and the shard
-// streams nondeterministic. Those persist per shard across incremental
-// refreshes (the sharded Refresh hands each shard its previous prepared
-// sampler) and are fed no draw feedback, so each shard re-plans purely
-// from its own warm-up statistics.
 func prepareEngine(joins []*join.Join, o Options, walks int, g *rng.RNG) (core.PreparedSampler, error) {
-	var ctrl *tune.Controller
-	if o.auto() {
-		ctrl = tune.NewController(tune.Config{WalkBudget: walks})
-	}
 	if o.Online {
-		return core.PrepareOnline(joins, core.OnlineConfig{
-			WarmupWalks: walks,
-			Tuner:       ctrl,
-		}, g)
+		return core.PrepareOnline(joins, core.OnlineConfig{WarmupWalks: walks}, g)
 	}
 	return core.PrepareCover(joins, core.CoverConfig{
 		Method:    o.joinMethod(),
 		Estimator: estimatorFor(joins, o, walks),
-		Tuner:     ctrl,
 	}, g)
 }
 

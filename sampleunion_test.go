@@ -111,10 +111,10 @@ func TestNewUnionValidation(t *testing.T) {
 // flag spellings, hashed into registry keys and written to manifests.
 func TestWarmupStrings(t *testing.T) {
 	if WarmupHistogram != "histogram" || WarmupRandomWalk != "random-walk" ||
-		WarmupExact != "exact" || WarmupAuto != "auto" {
+		WarmupExact != "exact" {
 		t.Error("warmup names wrong")
 	}
-	if MethodEW != "EW" || MethodEO != "EO" || MethodWJ != "WJ" || MethodAuto != "auto" {
+	if MethodEW != "EW" || MethodEO != "EO" || MethodWJ != "WJ" {
 		t.Error("method names wrong")
 	}
 }

@@ -12,13 +12,12 @@ import (
 // scheduleModes are the preparations whose build phase fans out: the
 // zero Options (walks over prebuilt indexes and membership tables, EW
 // weight tables side by side), Algorithm 2 and the histogram warm-up
-// (column statistics per join), the adaptive plan, and shards (whose
-// build phases run inside the sharded fan-out).
+// (column statistics per join), and shards (whose build phases run
+// inside the sharded fan-out).
 var scheduleModes = []Options{
 	{Seed: 5},
 	{Seed: 5, Online: true},
 	{Seed: 5, Warmup: WarmupHistogram},
-	{Seed: 5, Warmup: WarmupAuto},
 	{Seed: 5, Shards: 2},
 }
 

@@ -10,7 +10,6 @@ import (
 	"sampleunion/internal/aqp"
 	"sampleunion/internal/core"
 	"sampleunion/internal/rng"
-	"sampleunion/internal/tune"
 )
 
 // Session is a prepared sampler over a union of joins: the expensive
@@ -123,44 +122,17 @@ func newSessionState(prepared core.PreparedSampler) *sessionState {
 }
 
 // cur returns the state generation this call samples under, refreshing
-// first when the session was prepared with AutoRefresh and either the
-// underlying relations mutated since the last (re)preparation or, under
-// WarmupAuto, the controller's rejection trigger requested a re-plan.
+// first when the session was prepared with AutoRefresh and the
+// underlying relations mutated since the last (re)preparation.
 func (s *Session) cur() (*sessionState, error) {
 	st := s.state.Load()
-	if s.opts.AutoRefresh && (st.prepared.Stale() || needsReplan(st)) {
+	if s.opts.AutoRefresh && st.prepared.Stale() {
 		if err := s.Refresh(); err != nil {
 			return nil, err
 		}
 		st = s.state.Load()
 	}
 	return st, nil
-}
-
-// needsReplan reports whether any of the state's adaptive controllers
-// raised the rejection trigger since the last re-plan boundary. Always
-// false for sessions without adaptive tuning.
-func needsReplan(st *sessionState) bool {
-	for _, c := range st.prepared.Tuners() {
-		if c.NeedsReplan() {
-			return true
-		}
-	}
-	return false
-}
-
-// observe feeds one completed run's per-join draw counters into the
-// session's adaptive controller as rejection feedback. Only the
-// single-shard engines take feedback: a sharded session's per-shard
-// controllers re-plan from warm-up statistics alone (the merged
-// breakdown cannot be attributed back to one shard's controller).
-func (s *Session) observe(st *sessionState, run core.Run) {
-	if !s.opts.auto() || s.opts.Shards > 1 {
-		return
-	}
-	if ts := st.prepared.Tuners(); len(ts) == 1 {
-		core.ObserveRun(ts[0], run.Stats().Joins)
-	}
 }
 
 // Stale reports whether the underlying relations mutated since the
@@ -187,7 +159,7 @@ func (s *Session) Refresh() error {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
 	st := s.state.Load()
-	if !st.prepared.Stale() && !needsReplan(st) {
+	if !st.prepared.Stale() {
 		return nil
 	}
 	start := time.Now()
@@ -239,55 +211,6 @@ func (s *Session) disjointShared(st *sessionState) (*core.DisjointShared, error)
 	return st.disjoint, st.disjointErr
 }
 
-// TuneSnapshot is the adaptive controller's decision report: re-plan
-// and escalation counts plus the current per-join plan.
-type TuneSnapshot = tune.Snapshot
-
-// TuneJoinDecision is one join's slice of a TuneSnapshot.
-type TuneJoinDecision = tune.JoinDecision
-
-// TuneSnapshot reports the adaptive controller's current decisions; ok
-// is false for sessions prepared without WarmupAuto. A sharded
-// session's report aggregates its per-shard controllers: counts sum,
-// and each join's decision merges to the most escalated shard's
-// (Exact if any shard escalated, the largest walk budget, the lowest
-// alias threshold; Method is shard 0's).
-func (s *Session) TuneSnapshot() (TuneSnapshot, bool) {
-	ts := s.state.Load().prepared.Tuners()
-	if len(ts) == 0 {
-		return TuneSnapshot{}, false
-	}
-	if len(ts) == 1 {
-		return ts[0].Snapshot(), true
-	}
-	var agg TuneSnapshot
-	for _, c := range ts {
-		sn := c.Snapshot()
-		agg.Replans += sn.Replans
-		agg.Escalations += sn.Escalations
-		agg.PendingReplan = agg.PendingReplan || sn.PendingReplan
-		if agg.Joins == nil {
-			agg.Joins = sn.Joins
-			continue
-		}
-		for j := range sn.Joins {
-			if j >= len(agg.Joins) {
-				break
-			}
-			if sn.Joins[j].Exact {
-				agg.Joins[j].Exact = true
-			}
-			if sn.Joins[j].WalkBudget > agg.Joins[j].WalkBudget {
-				agg.Joins[j].WalkBudget = sn.Joins[j].WalkBudget
-			}
-			if sn.Joins[j].AliasThreshold < agg.Joins[j].AliasThreshold {
-				agg.Joins[j].AliasThreshold = sn.Joins[j].AliasThreshold
-			}
-		}
-	}
-	return agg, true
-}
-
 // Union returns the union this session samples.
 func (s *Session) Union() *Union { return s.u }
 
@@ -337,33 +260,31 @@ type drawSpec struct {
 
 // draw is the draw path of every sampling method: validate n, load (or
 // auto-refresh) the state generation, take a run from it on the spec's
-// stream, draw, feed the run's counters to the adaptive controller, and
-// hand the run back for the next call to reuse. It returns the tuples,
-// the run's statistics (warm-up time excluded: it was paid once at
-// Prepare) and, for set-union draws, the |U| estimate the run sampled
-// under (the cached warm-up value, refined by the run itself in online
-// mode) — all three the caller's own, none pointing into the run.
-func (s *Session) draw(d drawSpec) (out []Tuple, stats *Stats, unionSize float64, err error) {
+// stream, draw, and hand the run back for the next call to reuse. It
+// returns the tuples and the run's statistics (warm-up time excluded: it
+// was paid once at Prepare) — both the caller's own, neither pointing
+// into the run.
+func (s *Session) draw(d drawSpec) (out []Tuple, stats *Stats, err error) {
 	if empty, err := checkN(d.n); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	} else if empty {
-		return []Tuple{}, &Stats{}, 0, nil
+		return []Tuple{}, &Stats{}, nil
 	}
 	st, err := s.cur()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	if d.disjoint {
 		shared, err := s.disjointShared(st)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		run := shared.NewRun()
 		defer run.Release()
 		if out, err = run.Sample(d.n, run.RNG(d.seed)); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		return out, ownStats(run.Stats()), 0, nil
+		return out, ownStats(run.Stats()), nil
 	}
 	run := st.prepared.NewRun()
 	defer run.Release()
@@ -373,10 +294,9 @@ func (s *Session) draw(d drawSpec) (out []Tuple, stats *Stats, unionSize float64
 		out, err = run.Sample(d.n, run.RNG(d.seed))
 	}
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	s.observe(st, run)
-	return out, ownStats(run.Stats()), run.Params().UnionSize, nil
+	return out, ownStats(run.Stats()), nil
 }
 
 // ownStats copies a run's statistics out of the run, per-join breakdown
@@ -405,7 +325,7 @@ func (s *Session) Sample(n int) ([]Tuple, *Stats, error) {
 // reproduces the same tuples, bit for bit, regardless of what other
 // calls run concurrently (given the same data and refresh history).
 func (s *Session) SampleSeeded(n int, seed int64) ([]Tuple, *Stats, error) {
-	out, stats, _, err := s.draw(drawSpec{n: n, seed: seed})
+	out, stats, err := s.draw(drawSpec{n: n, seed: seed})
 	return out, stats, err
 }
 
@@ -431,7 +351,7 @@ func (s *Session) SampleDisjoint(n int) ([]Tuple, *Stats, error) {
 
 // SampleDisjointSeeded is SampleDisjoint on an explicit stream.
 func (s *Session) SampleDisjointSeeded(n int, seed int64) ([]Tuple, *Stats, error) {
-	out, stats, _, err := s.draw(drawSpec{n: n, seed: seed, disjoint: true})
+	out, stats, err := s.draw(drawSpec{n: n, seed: seed, disjoint: true})
 	return out, stats, err
 }
 
@@ -446,7 +366,7 @@ func (s *Session) SampleWhere(n int, pred Predicate) ([]Tuple, *Stats, error) {
 
 // SampleWhereSeeded is SampleWhere on an explicit stream.
 func (s *Session) SampleWhereSeeded(n int, pred Predicate, seed int64) ([]Tuple, *Stats, error) {
-	out, stats, _, err := s.draw(drawSpec{n: n, seed: seed, pred: pred})
+	out, stats, err := s.draw(drawSpec{n: n, seed: seed, pred: pred})
 	return out, stats, err
 }
 
@@ -579,6 +499,5 @@ func foldSamples[T any](s *Session, n int, fold func(samples []Tuple, unionSize 
 	if err != nil {
 		return res, err
 	}
-	s.observe(st, run)
 	return fold(samples, run.Params().UnionSize)
 }
