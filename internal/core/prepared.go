@@ -133,13 +133,12 @@ type prepared struct {
 // the state is published to runs.
 func (p *prepared) warm(g *rng.RNG) error {
 	start := time.Now()
-	params, err := p.est.Params(g)
-	if err != nil {
+	var err error
+	if p.params, err = p.est.Params(g); err != nil {
 		return err
 	}
-	p.params = params
 	p.walker = retainedWalker(p.est)
-	p.alias = rng.NewAlias(params.Cover)
+	p.alias = rng.NewAlias(p.params.Cover)
 	if p.maxDraw <= 0 {
 		p.maxDraw = defaultMaxDraws
 	}

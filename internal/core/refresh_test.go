@@ -38,6 +38,9 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 			}
 			return p.(*CoverShared).walker
 		}
+		if p.Params() == nil || p.WarmupTime() <= 0 {
+			t.Fatalf("online=%v: warm-up left no params or no warm-up time", online)
+		}
 		if same, changed, err := p.Refresh(rng.New(8)); err != nil || changed || same != p {
 			t.Fatalf("online=%v: Refresh over unchanged data: changed=%v err=%v", online, changed, err)
 		}

@@ -160,8 +160,8 @@ func (b *unionBase) reconciled() (*unionBase, []bool, bool) {
 	if !any {
 		return b, dirty, false
 	}
-	nb := new(unionBase)
-	*nb = *b
+	cp := *b
+	nb := &cp
 	nb.samplers = slices.Clone(b.samplers)
 	nb.pending = slices.Clone(b.pending)
 	nb.vers = slices.Clone(b.vers)

@@ -234,11 +234,11 @@ const ShardsAuto = -1
 // Canonical validates the options and fills every default, returning
 // the one spelling all equal-by-effect options share: an empty Warmup
 // is WarmupRandomWalk and an empty Method MethodEW; WarmupWalks 0 is
-// 1000 and any negative count -1; Seed 0 is 1; Shards below 0 is runtime.GOMAXPROCS(0) and below 1
-// is 1. Canonical options are a fixed point of Canonical. Every entry
-// point of the package applies it, and the serving layer keys and
-// persists declarations by it, so it is the only place an enum string
-// is checked or a default chosen.
+// 1000 and any negative count -1; Seed 0 is 1; Shards below 0 is
+// runtime.GOMAXPROCS(0) and below 1 is 1. Canonical options are a fixed
+// point of Canonical. Every entry point of the package applies it, and
+// the serving layer keys and persists declarations by it, so it is the
+// only place an enum string is checked or a default chosen.
 func (o Options) Canonical() (Options, error) {
 	switch o.Warmup {
 	case "", WarmupHistogram, WarmupRandomWalk, WarmupExact:
