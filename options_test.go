@@ -114,6 +114,34 @@ func TestZeroOptionsMeanRandomWalkEW(t *testing.T) {
 	sameSession(t, zero, spelled)
 }
 
+// TestEstimateMatchesSession: Union.Estimate runs the warm-up Prepare
+// runs, so it reports exactly what a session prepared with the same
+// options does — Algorithm 2's fixed-budget walks or histogram start
+// included, not the cover's early-stopping walk.
+func TestEstimateMatchesSession(t *testing.T) {
+	u := goldenUnion(t)
+	for _, o := range []Options{
+		{},
+		{Online: true},
+		{Online: true, WarmupWalks: 150},
+		{Online: true, WarmupWalks: -1},
+		{Warmup: WarmupHistogram},
+		{Warmup: WarmupExact},
+	} {
+		est, err := u.Estimate(o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		s, err := u.Prepare(o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		if got := s.Estimate(); !reflect.DeepEqual(est, got) {
+			t.Errorf("%+v: Union.Estimate |U| = %v, Session.Estimate |U| = %v\n %+v\n %+v", o, est.UnionSize, got.UnionSize, est, got)
+		}
+	}
+}
+
 // TestSessionOptionsRoundTrip: u.Prepare(s.Options()) prepares s again.
 // An online session declared with no warm-up walks used to come back
 // with the default 1000, because the stored 0 meant "unset" on the
