@@ -291,7 +291,7 @@ func TestDisjointSamplerUniform(t *testing.T) {
 
 func TestValidateUnionErrors(t *testing.T) {
 	joins := fixtureJoins(t)
-	if err := validateUnion(nil); err == nil {
+	if err := ValidateUnion(nil); err == nil {
 		t.Error("empty union accepted")
 	}
 	bad := relation.MustFromTuples("B", relation.NewSchema("Z"), []relation.Tuple{{1}})
@@ -299,7 +299,7 @@ func TestValidateUnionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := validateUnion([]*join.Join{joins[0], jb}); err == nil {
+	if err := ValidateUnion([]*join.Join{joins[0], jb}); err == nil {
 		t.Error("mismatched output schemas accepted")
 	}
 	if _, err := PrepareCover(joins, CoverConfig{}, rng.New(1)); err == nil {

@@ -12,12 +12,12 @@ import (
 
 // OnlineConfig configures the online union sampler (Algorithm 2).
 type OnlineConfig struct {
-	// WarmupWalks > 0 runs that many wander-join walks per join before
-	// sampling, filling the reuse pool and replacing the histogram
-	// initialization with random-walk estimates (the paper's
-	// "random-walk with reuse"). 0 starts from histogram parameters
-	// alone and lets estimates refine purely online (the no-warm-up
-	// variant of §4's closing remark).
+	// WarmupWalks > 0 runs exactly that many wander-join walks per join
+	// before sampling (OnlineEstimator): their estimates are the starting
+	// parameters and their samples the reuse pool (the paper's
+	// "random-walk with reuse"). <= 0 starts from histogram parameters
+	// and an empty walk estimator and refines purely online (the
+	// no-warm-up variant of §4's closing remark).
 	WarmupWalks int
 	// Phi is the backtrack period: a parameter update and backtracking
 	// pass runs every Phi recorded probabilities (line 18). Values <= 0
@@ -26,100 +26,65 @@ type OnlineConfig struct {
 	// Gamma is the target confidence level; once reached, parameter
 	// updates stop (line 18). Values <= 0 default to 0.9.
 	Gamma float64
-	// MaxDrawsPerSelection caps attempts per join selection; <= 0
-	// defaults to 256.
-	MaxDrawsPerSelection int
 }
 
 // OnlineShared is the prepared state of Algorithm 2: the shared prepared
-// state, warmed by the histogram initialization plus warm-up walks
-// (onlineWarmup), run exactly once. The master walk estimator is frozen
-// after warm-up; each run handed out by NewRun starts from its own copy
-// of the Horvitz–Thompson and overlap state and walks afresh into its own
-// scratch, retaining nothing. It does not get the walks the warm-up
-// retained: handing the same tuples to several runs would correlate
-// streams that must be independent. The §7 sample-reuse optimization
-// belongs to a single stream: NewReuseRun hands that pool to the one run
-// that owns it.
+// state, warmed by OnlineEstimator, run exactly once. The master walk
+// estimator is frozen after warm-up; each run handed out by NewRun starts
+// from its own copy of the Horvitz–Thompson and overlap state and walks
+// afresh into its own scratch, retaining nothing. It does not get the
+// walks the warm-up retained: handing the same tuples to several runs
+// would correlate streams that must be independent. The §7 sample-reuse
+// optimization belongs to a single stream: NewReuseRun hands that pool to
+// the one run that owns it.
 type OnlineShared struct {
 	prepared
 	phi   int
 	gamma float64
 }
 
+// OnlineEstimator is Algorithm 2's warm-up: exactly walks wander-join
+// walks per join — the random-walk warm-up of Algorithm 1 with the walk
+// floor raised to the budget, so §6.1's early stop never fires — or, for
+// walks <= 0, histogram parameters alone (§5: cheap to calculate, refined
+// on the fly).
+func OnlineEstimator(joins []*join.Join, walks int) Estimator {
+	if walks <= 0 {
+		return &HistogramEstimator{Joins: joins}
+	}
+	return &RandomWalkEstimator{Joins: joins, Opts: walkest.Options{MaxWalks: walks, MinWalks: walks}}
+}
+
 // PrepareOnline builds the shared state for Algorithm 2 and runs the
-// warm-up (histogram initialization + warm-up walks) exactly once,
-// drawing warm-up randomness from g.
+// warm-up (OnlineEstimator) exactly once, drawing warm-up randomness
+// from g.
 func PrepareOnline(joins []*join.Join, cfg OnlineConfig, g *rng.RNG) (*OnlineShared, error) {
 	base, err := newUnionBase(joins, MethodEO)
 	if err != nil {
 		return nil, err
 	}
-	walks, err := walkest.New(joins, walkest.Options{})
-	if err != nil {
-		return nil, err
-	}
-	p := &OnlineShared{phi: cfg.Phi, gamma: cfg.Gamma, prepared: prepared{
-		base:    base,
-		est:     &onlineWarmup{joins: joins, warmupWalks: cfg.WarmupWalks, walks: walks},
-		maxDraw: cfg.MaxDrawsPerSelection,
-		runs:    newRunPool(),
-	}}
-	if p.phi <= 0 {
-		p.phi = 64
-	}
-	if p.gamma <= 0 {
-		p.gamma = 0.9
-	}
+	p := prepared{base: base, est: OnlineEstimator(joins, cfg.WarmupWalks), runs: newRunPool()}
 	if err := p.warm(g); err != nil {
 		return nil, err
 	}
-	return p, nil
+	phi, gamma := cfg.Phi, cfg.Gamma
+	if phi <= 0 {
+		phi = 64
+	}
+	if gamma <= 0 {
+		gamma = 0.9
+	}
+	return newOnlineShared(p, phi, gamma), nil
 }
 
-// onlineWarmup is Algorithm 2's warm-up as an Estimator: histogram
-// parameters first (cheap, line 1), then walks until every join has
-// warmupWalks of them, whose samples seed the reuse pool. On a refresh
-// the histogram re-reads the (incrementally maintained) indexes, and only
-// the dirty joins walk: the refresh reset their estimates, while a clean
-// join's carried estimate already counts the walks of its own warm-up.
-type onlineWarmup struct {
-	joins       []*join.Join
-	warmupWalks int
-	walks       *walkest.Estimator
-}
-
-// Params implements Estimator.
-func (o *onlineWarmup) Params(g *rng.RNG) (*Params, error) {
-	params, err := (&HistogramEstimator{Joins: o.joins}).Params(g)
-	if err != nil || o.warmupWalks <= 0 {
-		return params, err
+// newOnlineShared wraps a warmed generation. A warm-up that walked
+// nothing retains no walk estimator, so its runs refine from an empty one
+// (walkest.New fails only on no joins, which newUnionBase refused).
+func newOnlineShared(p prepared, phi int, gamma float64) *OnlineShared {
+	if p.walker == nil {
+		p.walker, _ = walkest.New(p.base.joins, walkest.Options{})
 	}
-	for j, je := range o.walks.JoinEstimates() {
-		for je.Walks() < o.warmupWalks {
-			o.walks.StepJoin(j, g)
-		}
-	}
-	if walked, err := paramsFromWalks(o.walks); walked != nil || err != nil {
-		return walked, err
-	}
-	return params, nil
-}
-
-// paramsFromWalks rebuilds Params from a walk estimator once every join
-// has observations; it returns nil while any join is still unobserved (the
-// caller keeps its current parameters).
-func paramsFromWalks(walks *walkest.Estimator) (*Params, error) {
-	for _, je := range walks.JoinEstimates() {
-		if je.Walks() == 0 {
-			return nil, nil
-		}
-	}
-	t, err := walks.Table()
-	if err != nil {
-		return nil, err
-	}
-	return ParamsFromTable(t), nil
+	return &OnlineShared{p, phi, gamma}
 }
 
 // Refresh implements PreparedSampler.
@@ -128,7 +93,7 @@ func (p *OnlineShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
 	if !changed {
 		return p, false, err
 	}
-	return &OnlineShared{np, p.phi, p.gamma}, true, nil
+	return newOnlineShared(np, p.phi, p.gamma), true, nil
 }
 
 // NewRun returns a sampling run over the shared warm-up with its own
@@ -200,15 +165,20 @@ func (s *OnlineSampler) Release() {
 	s.release(s)
 }
 
-// refreshParams rebuilds Params from the run's walk estimator when it
-// has observations, keeping the current values otherwise.
+// refreshParams rebuilds Params from the run's walk estimator once every
+// join has observations, keeping the current values until then.
 func (s *OnlineSampler) refreshParams() error {
-	params, err := paramsFromWalks(s.walks)
-	if params == nil {
-		return err // none yet: keep current params until walks exist everywhere
+	for _, je := range s.walks.JoinEstimates() {
+		if je.Walks() == 0 {
+			return nil
+		}
 	}
-	s.params = params
-	s.alias = rng.NewAlias(params.Cover)
+	t, err := s.walks.Table()
+	if err != nil {
+		return err
+	}
+	s.params = ParamsFromTable(t)
+	s.alias = rng.NewAlias(s.params.Cover)
 	if s.alias == nil {
 		return fmt.Errorf("core: refreshed cover is all-zero")
 	}

@@ -126,15 +126,9 @@ func (r *RandomWalkEstimator) Params(g *rng.RNG) (*Params, error) {
 // clean joins keep theirs and their retained walks, whose membership in
 // the dirty joins is probed again. The others hold no state and re-run.
 func refreshedEstimator(est Estimator, dirty []bool) (Estimator, int) {
-	switch e := est.(type) {
-	case *RandomWalkEstimator:
-		if e.Walker != nil {
-			walker, reprobed := e.Walker.Refreshed(dirty)
-			return &RandomWalkEstimator{Joins: e.Joins, Opts: e.Opts, Walker: walker, resume: true}, reprobed
-		}
-	case *onlineWarmup:
-		walks, reprobed := e.walks.Refreshed(dirty)
-		return &onlineWarmup{joins: e.joins, warmupWalks: e.warmupWalks, walks: walks}, reprobed
+	if e, ok := est.(*RandomWalkEstimator); ok && e.Walker != nil {
+		walker, reprobed := e.Walker.Refreshed(dirty)
+		return &RandomWalkEstimator{Joins: e.Joins, Opts: e.Opts, Walker: walker, resume: true}, reprobed
 	}
 	return est, 0
 }
@@ -172,10 +166,15 @@ func (e *ExactEstimator) Params(*rng.RNG) (*Params, error) {
 	return ParamsFromTable(t), nil
 }
 
-// validateUnion checks the joins form a well-defined union query.
-func validateUnion(joins []*join.Join) error {
+// ValidateUnion checks the joins form a well-defined union query: at
+// least one and at most overlap.MaxJoins joins, each producing the first
+// join's output attributes.
+func ValidateUnion(joins []*join.Join) error {
 	if len(joins) == 0 {
 		return fmt.Errorf("core: no joins")
+	}
+	if len(joins) > overlap.MaxJoins {
+		return fmt.Errorf("core: at most %d joins per union", overlap.MaxJoins)
 	}
 	ref := joins[0].OutputSchema()
 	for _, j := range joins[1:] {

@@ -159,11 +159,8 @@ func (p *prepared) warm(g *rng.RNG) error {
 // retainedWalker extracts the retained walk estimator from a warm-up
 // estimator, when it has one.
 func retainedWalker(est Estimator) *walkest.Estimator {
-	switch e := est.(type) {
-	case *RandomWalkEstimator:
+	if e, ok := est.(*RandomWalkEstimator); ok {
 		return e.Walker
-	case *onlineWarmup:
-		return e.walks
 	}
 	return nil
 }

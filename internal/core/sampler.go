@@ -85,7 +85,7 @@ type unionBase struct {
 // newUnionBase builds the shared join machinery for one subroutine,
 // every sampler pending: buildPending builds each, once.
 func newUnionBase(joins []*join.Join, method JoinMethod) (*unionBase, error) {
-	if err := validateUnion(joins); err != nil {
+	if err := ValidateUnion(joins); err != nil {
 		return nil, err
 	}
 	b := &unionBase{

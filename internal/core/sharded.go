@@ -131,7 +131,7 @@ func PrepareSharded(joins []*join.Join, cfg ShardedConfig, g *rng.RNG) (*Sharded
 	if cfg.Factory == nil {
 		return nil, fmt.Errorf("core: ShardedConfig.Factory is required")
 	}
-	if err := validateUnion(joins); err != nil {
+	if err := ValidateUnion(joins); err != nil {
 		return nil, err
 	}
 	start := time.Now()

@@ -153,6 +153,10 @@ func TestRestoreRefusesMovedKey(t *testing.T) {
 		oracleDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"exact","method":"WJ","warmup_walks":1000,"oracle":true,"seed":1,"shards":1}}`
 		autoKey   = "0f386402b9ca9b8d3ca1511c7d9ee198611d64eb099d5641e54af9f0ee7d4d13"
 		autoDoc   = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"auto","method":"auto","warmup_walks":128,"seed":1,"shards":1}}`
+		// A cover declaration with no warm-up walks once canonicalized to a
+		// key of its own while it drew like the default budget.
+		walklessKey = "02713526c81f42684acde6cfc410149364bd1c3ae322891b0e3b9cf0b5148dbe"
+		walklessDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"random-walk","method":"EW","warmup_walks":-1,"seed":1,"shards":1}}`
 	)
 	var d UnionDecl
 	if err := json.Unmarshal([]byte(`{"options":{"warmup":"exact","method":"WJ"}}`), &d); err != nil {
@@ -168,6 +172,7 @@ func TestRestoreRefusesMovedKey(t *testing.T) {
 	}{
 		{"dropped option", oracleKey, oracleDoc, []string{"entry 0", oracleKey, recomputed}},
 		{"removed auto", autoKey, autoDoc, []string{autoKey, `unknown warmup "auto"`}},
+		{"walkless cover", walklessKey, walklessDoc, []string{walklessKey, "negative warmup_walks -1 needs online"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

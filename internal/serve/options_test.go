@@ -11,7 +11,9 @@ import (
 
 // TestAutoDeclaration: the adaptive mode is gone, and a declaration that
 // still names it fails loudly — "auto" in either enum field answers 400
-// with the values that remain, and nothing is prepared for it.
+// with the values that remain, and nothing is prepared for it. So does a
+// negative walk budget without "online", the one sampler that can start
+// without warm-up walks.
 func TestAutoDeclaration(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
@@ -20,6 +22,7 @@ func TestAutoDeclaration(t *testing.T) {
 	}{
 		{OptionsDecl{Warmup: "auto", Seed: 1}, `unknown warmup "auto" (valid: histogram, random-walk, exact)`},
 		{OptionsDecl{Method: "auto", WarmupWalks: 128, Seed: 1}, `unknown method "auto" (valid: EW, EO, WJ)`},
+		{OptionsDecl{WarmupWalks: -1, Seed: 1}, `negative warmup_walks -1 needs online`},
 	} {
 		decl := quickDecl()
 		decl.Options = tc.opts

@@ -65,6 +65,9 @@ func TestSessionRefreshServesNewData(t *testing.T) {
 		{Seed: 7, Warmup: WarmupExact, Method: MethodEW},
 		{Seed: 7, Warmup: WarmupHistogram, Method: MethodEO},
 		{Seed: 7, Online: true, WarmupWalks: 100},
+		// No warm-up walks: each generation's runs refine from an empty
+		// walk estimator, which a Refresh must hand on too.
+		{Seed: 7, Online: true, WarmupWalks: -1},
 	} {
 		s, err := liveUnionSession(t, opts)
 		if err != nil {

@@ -35,7 +35,9 @@ func TestCanonicalIsIdempotent(t *testing.T) {
 
 // TestCanonicalRejects: an unknown enum value — the removed "auto"
 // included, alone or beside a pin — is an error listing the valid ones at
-// every entry point, never a silent default.
+// every entry point, never a silent default; so is a negative walk budget
+// without Online, which used to run the 1000-walk default under a key of
+// its own.
 func TestCanonicalRejects(t *testing.T) {
 	u := demoUnion(t)
 	for _, tc := range []struct {
@@ -48,6 +50,8 @@ func TestCanonicalRejects(t *testing.T) {
 		{Options{Method: "auto"}, `unknown method "auto" (valid: EW, EO, WJ)`},
 		{Options{Warmup: "auto", Method: MethodWJ}, `unknown warmup "auto"`},
 		{Options{Warmup: WarmupExact, Method: "auto"}, `unknown method "auto"`},
+		{Options{WarmupWalks: -1}, `negative warmup_walks -1 needs online`},
+		{Options{Warmup: WarmupHistogram, Method: MethodEO, WarmupWalks: -7}, `negative warmup_walks -7 needs online`},
 	} {
 		if _, err := tc.o.Canonical(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: Canonical err = %v, want one containing %q", tc.o, err, tc.want)

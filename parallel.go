@@ -26,7 +26,7 @@ func (u *Union) Estimate(o Options) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := u.estimator(o).Params(rng.New(o.Seed))
+	p, err := estimatorFor(u.joins, o, o.WarmupWalks).Params(rng.New(o.Seed))
 	if err != nil {
 		return nil, err
 	}

@@ -187,10 +187,12 @@ type Options struct {
 	// Online enables Algorithm 2: wander-join draws with sample reuse
 	// and backtracking parameter refinement.
 	Online bool `json:"online,omitempty"`
-	// WarmupWalks bounds warm-up walks per join for the random-walk
-	// and online modes. 0 means the default of 1000; a negative value
-	// disables warm-up walks entirely (online mode then starts from
-	// histogram parameters and refines purely on the fly).
+	// WarmupWalks is the warm-up walk budget per join. 0 means 1000.
+	// The random-walk warm-up stops a join's walks early once its size
+	// estimate is confident enough; online mode walks exactly the budget.
+	// A negative value runs no warm-up walks and is only valid with
+	// Online, which then starts from histogram parameters and refines
+	// purely on the fly.
 	WarmupWalks int `json:"warmup_walks,omitempty"`
 	// Seed makes sampling reproducible (default 1). It seeds the
 	// warm-up, and a prepared Session derives a decorrelated per-call
@@ -234,7 +236,8 @@ const ShardsAuto = -1
 // Canonical validates the options and fills every default, returning
 // the one spelling all equal-by-effect options share: an empty Warmup
 // is WarmupRandomWalk and an empty Method MethodEW; WarmupWalks 0 is
-// 1000 and any negative count -1; Seed 0 is 1; Shards below 0 is
+// 1000 and any negative count -1 (an error without Online, the one
+// sampler that can start without walks); Seed 0 is 1; Shards below 0 is
 // runtime.GOMAXPROCS(0) and below 1 is 1. Canonical options are a fixed
 // point of Canonical. Every entry point of the package applies it, and
 // the serving layer keys and persists declarations by it, so it is the
@@ -260,6 +263,9 @@ func (o Options) Canonical() (Options, error) {
 		o.WarmupWalks = 1000
 	}
 	if o.WarmupWalks < 0 {
+		if !o.Online {
+			return o, fmt.Errorf("sampleunion: negative warmup_walks %d needs online (only Algorithm 2 starts without warm-up walks)", o.WarmupWalks)
+		}
 		o.WarmupWalks = -1
 	}
 	if o.Seed == 0 {
@@ -274,13 +280,8 @@ func (o Options) Canonical() (Options, error) {
 	return o, nil
 }
 
-// The accessors below read canonical options.
-
-// walks is the warm-up walk budget per join; the canonical -1 (no
-// warm-up walks) runs none.
-func (o Options) walks() int { return max(o.WarmupWalks, 0) }
-
-// joinMethod is the subroutine every join samples with.
+// joinMethod is the subroutine every join samples with (canonical
+// options).
 func (o Options) joinMethod() core.JoinMethod {
 	switch o.Method {
 	case MethodEO:
@@ -300,23 +301,8 @@ type Union struct {
 // NewUnion validates that the joins share an output attribute set and
 // returns the union query.
 func NewUnion(joins ...*Join) (*Union, error) {
-	if len(joins) == 0 {
-		return nil, fmt.Errorf("sampleunion: no joins")
-	}
-	if len(joins) > overlap.MaxJoins {
-		return nil, fmt.Errorf("sampleunion: at most %d joins per union", overlap.MaxJoins)
-	}
-	ref := joins[0].OutputSchema()
-	for _, j := range joins[1:] {
-		s := j.OutputSchema()
-		if s.Len() != ref.Len() {
-			return nil, fmt.Errorf("sampleunion: join %s output arity %d, want %d", j.Name(), s.Len(), ref.Len())
-		}
-		for i := 0; i < ref.Len(); i++ {
-			if !s.Has(ref.Attr(i)) {
-				return nil, fmt.Errorf("sampleunion: join %s lacks output attribute %q", j.Name(), ref.Attr(i))
-			}
-		}
+	if err := core.ValidateUnion(joins); err != nil {
+		return nil, err
 	}
 	return &Union{joins: joins}, nil
 }
@@ -328,18 +314,17 @@ func (u *Union) Joins() []*Join { return u.joins }
 // output schema; other joins are aligned to it by attribute name).
 func (u *Union) OutputSchema() *Schema { return u.joins[0].OutputSchema() }
 
-// estimator builds the core.Estimator for the (canonical) options.
-func (u *Union) estimator(o Options) core.Estimator {
-	return estimatorFor(u.joins, o, o.walks())
-}
-
-// estimatorFor builds the core.Estimator for an arbitrary join set —
-// the whole union's, or one shard's rebound joins — with an explicit
-// walk budget (the sharded engine divides the session's budget across
-// shards).
+// estimatorFor builds the core.Estimator for the (canonical) options
+// over a join set — the whole union's, or one shard's rebound joins —
+// with an explicit walk budget (the sharded engine divides the session's
+// budget across shards). Online options warm the way Algorithm 2 does,
+// whatever the Warmup.
 func estimatorFor(joins []*join.Join, o Options, walks int) core.Estimator {
 	if o.testEstimator != nil {
 		return o.testEstimator
+	}
+	if o.Online {
+		return core.OnlineEstimator(joins, walks)
 	}
 	switch o.Warmup {
 	case WarmupHistogram:
@@ -366,7 +351,7 @@ const minShardWarmupWalks = 32
 // over its fragments, inline when the shard warm-ups already fill the
 // cores); without, structures build when the warm-up first touches them.
 func (u *Union) prepareSampler(o Options, build bool, g *rng.RNG) (core.PreparedSampler, error) {
-	walks := o.walks()
+	walks := o.WarmupWalks
 	if o.Shards > 1 && walks > 0 {
 		walks = max((walks+o.Shards-1)/o.Shards, minShardWarmupWalks)
 	}
