@@ -361,7 +361,10 @@ func appendBurst(rels []*Relation, iter, batch, base int) {
 // In this union that is the root's: all of cust, recomputed (one pass,
 // no allocation per row beyond the packed arrays) and given a new alias
 // table by the first draw, which is why the two rows= legs still
-// differ. CI gates the 30 000-row leg's allocs/op and B/op.
+// differ. The aged leg starts timing once the bursts have built the
+// member deltas and index overlays half way to their fold, where a
+// refresh that copied them whole would show. CI gates the 30 000-row
+// leg's allocs/op and B/op, and the aged leg's B/op.
 func BenchmarkMutateThenDraw(b *testing.B) {
 	const (
 		rows  = 30000
@@ -375,10 +378,15 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 		name string
 		opts Options
 		rows int
+		aged int // bursts run before the timer starts
 	}{
-		{"refresh", opts, rows},
-		{"refresh-ew/rows=30000", optsEW, rows},
-		{"refresh-ew/rows=300000", optsEW, 10 * rows},
+		{"refresh", opts, rows, 0},
+		{"refresh-ew/rows=30000", optsEW, rows, 0},
+		{"refresh-ew/rows=300000", optsEW, 10 * rows, 0},
+		// Half of the member-delta and index-overlay budgets (an eighth of
+		// the rows each) already spent: what a refresh copies of the
+		// deltas built up since their last fold shows here.
+		{"refresh-ew/rows=30000/aged", optsEW, rows, rows / 16 / batch},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			u, rels := benchLiveUnion(b, leg.rows)
@@ -386,9 +394,7 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			step := func(i int) {
 				appendBurst(rels, i, batch, 10*leg.rows)
 				if err := s.Refresh(); err != nil {
 					b.Fatal(err)
@@ -400,6 +406,14 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 				if len(out) != draws {
 					b.Fatal("short sample")
 				}
+			}
+			for i := 0; i < leg.aged; i++ {
+				step(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(leg.aged + i)
 			}
 		})
 	}

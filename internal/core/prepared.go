@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sampleunion/internal/join"
+	"sampleunion/internal/joinsample"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/walkest"
 )
@@ -206,6 +207,13 @@ func (p *prepared) LastRefresh() RefreshStats { return p.refresh }
 
 // Disjoint implements PreparedSampler.
 func (p *prepared) Disjoint() (*DisjointShared, error) { return newDisjointShared(p.base) }
+
+// Samplers returns the per-join subroutine samplers the state draws from.
+func (p *prepared) Samplers() []joinsample.Sampler { return p.base.samplers }
+
+// EngineOf, set by the root package, returns what a Session draws from
+// now: how checks in this module read tables no public method exposes.
+var EngineOf func(session any) PreparedSampler
 
 // RefreshStats reports what the Refresh that produced a prepared sampler
 // did — the work list, not the data size, is what a refresh should cost.

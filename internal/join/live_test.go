@@ -1,8 +1,12 @@
 package join
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sampleunion/internal/relation"
@@ -299,4 +303,193 @@ func TestMembershipBaseExactlySized(t *testing.T) {
 		r.Delete(3)
 	}
 	check("rebuild past the delta budget")
+}
+
+// memberGen is a membership generation as ensureMembership returned it,
+// with each relation's live-row multiset at the versions it reflects.
+type memberGen struct {
+	m    *membershipTables
+	want []map[string]int // per relation: TupleKey -> live rows
+}
+
+// liveCounts is the from-scratch membership count of a relation: its
+// live rows, tallied by value.
+func liveCounts(r *relation.Relation) map[string]int {
+	out := make(map[string]int)
+	for _, t := range r.Tuples() {
+		out[relation.TupleKey(t)]++
+	}
+	return out
+}
+
+// mutateForMembers is one seeded step of TestMembershipGenerationsIsolated:
+// a few rows appended to one relation (repeats included, so counts pass
+// 1), or one row deleted. seen collects every tuple either relation held.
+func mutateForMembers(rnd *rand.Rand, rels []*relation.Relation, seen []map[string]relation.Tuple) {
+	k := rnd.Intn(len(rels))
+	r := rels[k]
+	if rnd.Intn(4) == 0 && r.Len() > 0 {
+		r.Delete(rnd.Intn(r.Len()))
+		return
+	}
+	rows := make([]relation.Tuple, 1+rnd.Intn(8))
+	for i := range rows {
+		rows[i] = relation.Tuple{relation.Value(rnd.Intn(400)), relation.Value(rnd.Intn(12))}
+		seen[k][relation.TupleKey(rows[i])] = rows[i]
+	}
+	r.AppendRows(rows)
+}
+
+// membersFixture is a two-relation chain over y, every tuple it starts
+// with recorded in seen.
+func membersFixture(t *testing.T) (*Join, []*relation.Relation, []map[string]relation.Tuple) {
+	t.Helper()
+	a := relation.New("A", relation.NewSchema("x", "y"))
+	b := relation.New("B", relation.NewSchema("y", "z"))
+	rels := []*relation.Relation{a, b}
+	seen := []map[string]relation.Tuple{{}, {}}
+	for i := 0; i < 300; i++ {
+		for k, tup := range []relation.Tuple{{relation.Value(i), relation.Value(i % 12)}, {relation.Value(i % 12), relation.Value(i % 40)}} {
+			rels[k].AppendRows([]relation.Tuple{tup})
+			seen[k][relation.TupleKey(tup)] = tup
+		}
+	}
+	j, err := NewChain("chain", rels, []string{"y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.PrewarmMembership()
+	return j, rels, seen
+}
+
+// checkMemberGen compares every count g's tables give for the tuples in
+// seen with the multiset g was captured over.
+func checkMemberGen(t *testing.T, label string, g memberGen, seen []map[string]relation.Tuple) {
+	for k, tab := range g.m.tabs {
+		for key, tup := range seen[k] {
+			if got, want := tab.count(tup, nil), g.want[k][key]; got != want {
+				t.Errorf("%s, relation %d (version %d): count(%v) = %d, from scratch %d", label, k, tab.version, tup, got, want)
+				return
+			}
+		}
+	}
+}
+
+// TestMembershipGenerationsIsolated keeps every membership generation a
+// seeded append/delete script produces — delta extensions and folds —
+// and after the last mutation re-checks each against the relations'
+// contents at its own versions: a reconcile that wrote where an older
+// generation reads (two successors extending one delta, say) shows here.
+func TestMembershipGenerationsIsolated(t *testing.T) {
+	j, rels, seen := membersFixture(t)
+	rnd := rand.New(rand.NewSource(11))
+	var kept []memberGen
+	folds := 0
+	for step := 0; step < 240; step++ {
+		mutateForMembers(rnd, rels, seen)
+		g := memberGen{m: j.ensureMembership()}
+		for _, r := range rels {
+			g.want = append(g.want, liveCounts(r))
+		}
+		if len(kept) > 0 && g.m.tabs[0].base != kept[len(kept)-1].m.tabs[0].base {
+			folds++
+		}
+		kept = append(kept, g)
+	}
+	if folds < 2 {
+		t.Fatalf("script folded relation A's delta %d times, want at least 2", folds)
+	}
+	for i, g := range kept {
+		checkMemberGen(t, fmt.Sprintf("generation %d", i), g, seen)
+	}
+}
+
+// TestOldMemberGenerationsUnderReconcile: readers keep probing every
+// membership generation published so far, each against the counts it was
+// published with, while a writer mutates and reconciles the next ones
+// (run under -race: a reconcile that writes where an older generation
+// reads is a race).
+func TestOldMemberGenerationsUnderReconcile(t *testing.T) {
+	j, rels, seen := membersFixture(t)
+	// The universe is fixed up front so readers can range over it while
+	// the writer appends: the writer draws only from it.
+	var universe [][]relation.Tuple
+	for k := range seen {
+		var tups []relation.Tuple
+		for _, tup := range seen[k] {
+			tups = append(tups, tup)
+		}
+		universe = append(universe, tups)
+	}
+	type pinned struct {
+		m    *membershipTables
+		want [][]int // per relation, per universe tuple
+	}
+	var mu sync.Mutex
+	var gens []pinned
+	var passes atomic.Int64 // reader passes over a generation
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		readers.Add(1)
+		go func(w int) {
+			defer readers.Done()
+			for i := w; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				n := len(gens)
+				var g pinned
+				if n > 0 {
+					g = gens[i%n]
+				}
+				mu.Unlock()
+				for k := 0; n > 0 && k < len(universe); k++ {
+					for u, tup := range universe[k] {
+						if got := g.m.tabs[k].count(tup, nil); got != g.want[k][u] {
+							t.Errorf("relation %d: count(%v) = %d, published as %d", k, tup, got, g.want[k][u])
+							return
+						}
+					}
+				}
+				if n > 0 {
+					passes.Add(1)
+				}
+			}
+		}(w)
+	}
+	rnd := rand.New(rand.NewSource(5))
+	for step := 0; step < 150; step++ {
+		k := rnd.Intn(len(rels))
+		if rnd.Intn(4) == 0 {
+			rels[k].Delete(rnd.Intn(rels[k].Len()))
+		} else {
+			rows := make([]relation.Tuple, 1+rnd.Intn(8))
+			for i := range rows {
+				rows[i] = universe[k][rnd.Intn(len(universe[k]))]
+			}
+			rels[k].AppendRows(rows)
+		}
+		p := pinned{m: j.ensureMembership()}
+		for k, r := range rels {
+			counts := liveCounts(r)
+			row := make([]int, len(universe[k]))
+			for u, tup := range universe[k] {
+				row[u] = counts[relation.TupleKey(tup)]
+			}
+			p.want = append(p.want, row)
+		}
+		mu.Lock()
+		gens = append(gens, p)
+		mu.Unlock()
+		// Let the readers probe old generations while the next is built.
+		for want, spin := passes.Load()+1, 0; passes.Load() < want && spin < 1000; spin++ {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	readers.Wait()
 }

@@ -20,13 +20,24 @@ type memberTable struct {
 	version uint64               // log position base+delta reflect
 }
 
-func (mt *memberTable) containsProj(t relation.Tuple, proj []int) bool {
+// count returns how many live rows hold the projection of t.
+func (mt *memberTable) count(t relation.Tuple, proj []int) int {
 	c, _ := mt.base.Get(t, proj)
 	if mt.delta != nil {
 		d, _ := mt.delta.Get(t, proj)
 		c += d
 	}
-	return c > 0
+	return c
+}
+
+// MemberCount returns relation k's (Relations order) membership count of
+// t, and how many keys its delta holds: none right after a fold.
+func (j *Join) MemberCount(k int, t relation.Tuple) (count, deltaKeys int) {
+	mt := j.ensureMembership().tabs[k]
+	if mt.delta != nil {
+		deltaKeys = mt.delta.Len()
+	}
+	return mt.count(t, nil), deltaKeys
 }
 
 // membershipTables is the immutable product of one membership build or
@@ -34,9 +45,9 @@ func (mt *memberTable) containsProj(t relation.Tuple, proj []int) bool {
 // published through an atomic pointer so concurrent first use builds it
 // exactly once and mutation is detected and reconciled on the next
 // probe. Tables of unchanged relations are shared between generations;
-// a changed relation's table is caught up by cloning its small delta
-// and replaying the mutation-log tail — never by rescanning the
-// relation unless the tail is gone or the delta outgrew its budget.
+// a changed relation's table is caught up by extending its small delta
+// with the mutation-log tail — never by rescanning the relation unless
+// the tail is gone or the delta outgrew its budget.
 //
 // Freshness is decided from this snapshot and Relation.Version reads
 // only — never from mutable Residual fields, which reconcile rewrites
@@ -71,12 +82,12 @@ func (j *Join) Contains(t relation.Tuple) bool {
 func (j *Join) containsPerm(t relation.Tuple, perm []int) bool {
 	m := j.ensureMembership()
 	for k := range j.nodes {
-		if !m.tabs[k].containsProj(t, composed(j.nodes[k].proj, perm)) {
+		if m.tabs[k].count(t, composed(j.nodes[k].proj, perm)) <= 0 {
 			return false
 		}
 	}
 	if j.res != nil {
-		if !m.tabs[len(j.nodes)].containsProj(t, composed(j.res.proj, perm)) {
+		if m.tabs[len(j.nodes)].count(t, composed(j.res.proj, perm)) <= 0 {
 			return false
 		}
 	}
@@ -178,7 +189,7 @@ func composedCopy(proj, perm []int) []int {
 func (p AlignedProbe) Contains(t relation.Tuple) bool {
 	m := p.j.ensureMembership()
 	for k, proj := range p.projs {
-		if !m.tabs[k].containsProj(t, proj) {
+		if m.tabs[k].count(t, proj) <= 0 {
 			return false
 		}
 	}
@@ -188,7 +199,9 @@ func (p AlignedProbe) Contains(t relation.Tuple) bool {
 // ensureMembership returns the current membership tables, building them
 // on first use and reconciling them when a base relation was mutated
 // since the last build. The fast path is one atomic load plus one
-// version read per relation.
+// version read per relation. A reconcile extends its predecessor's
+// deltas, so each generation may have one successor: it is derived under
+// memMu from the published one, and published before memMu is released.
 func (j *Join) ensureMembership() *membershipTables {
 	if m := j.membership.Load(); m != nil && j.membershipFresh(m) {
 		return m
@@ -258,9 +271,9 @@ func memberBudget(rel *relation.Relation) int {
 }
 
 // reconcileTable returns an up-to-date table for rel, reusing old when
-// possible: unchanged tables are shared, small tails extend a cloned
-// delta, and everything else rebuilds the base from an atomic row
-// capture.
+// possible: unchanged tables are shared, small tails extend old's delta
+// (once: ensureMembership), and everything else rebuilds the base from
+// an atomic row capture.
 func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
 	if old != nil && old.rel == rel {
 		if old.version == rel.Version() {
@@ -274,7 +287,7 @@ func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
 		if ok && deltaLen+len(tail) <= memberBudget(rel) {
 			var delta *relation.KeyCounter
 			if old.delta != nil {
-				delta = old.delta.Clone()
+				delta = old.delta.Extend(len(tail))
 			} else {
 				delta = relation.NewKeyCounter(rel.Arity(), len(tail))
 			}

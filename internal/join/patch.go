@@ -3,6 +3,7 @@ package join
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"sampleunion/internal/relation"
 )
@@ -86,7 +87,9 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
 	// moved[k]: the touched entries of node k whose total changed, which
 	// is all a parent's weights can see of them.
 	moved := make([][]int32, n)
-	var hits []reweigh
+	sc := scratchPool.Get().(*patchScratch)
+	defer scratchPool.Put(sc)
+	hits := sc.hits
 	for k := n - 1; k >= 0; k-- {
 		nd, s := &j.nodes[k], &snaps[k]
 		hits = hits[:0]
@@ -129,7 +132,7 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
 		if k > 0 {
 			entries, known = ws.Idx[k].NumEntries(), prev.Idx[k].NumEntries()
 		}
-		ws.Nodes[k], p.Touched[k], p.Folded[k] = j.patchNode(k, ws, s, &prev.Nodes[k], hits, entries, known)
+		ws.Nodes[k], p.Touched[k], p.Folded[k] = j.patchNode(k, ws, s, &prev.Nodes[k], hits, entries, known, &sc.fresh)
 		for _, e := range p.Touched[k] {
 			var was int64
 			if int(e) < known {
@@ -140,8 +143,18 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
 			}
 		}
 	}
+	sc.hits = hits
 	return ws, p
 }
+
+// patchScratch is what PatchWeights writes only to read back — the node
+// in hand's hits, its rewritten segments — pooled across calls.
+type patchScratch struct {
+	hits  []reweigh
+	fresh segOverlay
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 
 // patchNode returns node k's table with the segments holding the hit
 // rows (sorted by entry, then row) rewritten over prev's, the entries
@@ -149,8 +162,10 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
 // overlay merged with prev's own, or — once the overlay's entries and
 // rows pass an eighth of the flat table's (floor 64), the rule the index
 // compacts by — are folded with the untouched segments into fresh flat
-// arrays.
-func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *WeightTable, hits []reweigh, entries, known int) (WeightTable, []int32, bool) {
+// arrays. Rewritten segments are the result when they are every entry,
+// and are written straight into it; otherwise they go to scratch, reused
+// across calls, and are copied once into the merged overlay or the fold.
+func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *WeightTable, hits []reweigh, entries, known int, scratch *segOverlay) (WeightTable, []int32, bool) {
 	if len(hits) == 0 {
 		return *prev, nil, false
 	}
@@ -172,12 +187,12 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 			size += len(rows)
 		}
 	}
-	fresh := &segOverlay{
-		ents: touched,
-		off:  make([]int32, 1, len(touched)+1),
-		rows: make([]int32, 0, size),
-		cum:  make([]int64, 0, size),
+	fresh := scratch
+	if len(touched) == entries {
+		fresh = &segOverlay{ents: touched}
 	}
+	fresh.off = append(slices.Grow(fresh.off[:0], len(touched)+1), 0)
+	fresh.rows, fresh.cum = slices.Grow(fresh.rows[:0], size), slices.Grow(fresh.cum[:0], size)
 	for lo, hi := 0, 0; lo < len(hits); lo = hi {
 		for hi < len(hits) && hits[hi].ent == hits[lo].ent {
 			hi++
@@ -186,10 +201,7 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 		j.appendSegment(k, ws, s, rows, cum, hits[lo:hi], fresh)
 		fresh.off = append(fresh.off, int32(len(fresh.rows)))
 	}
-	old := prev.ov
-	if old == nil {
-		old = &segOverlay{off: []int32{0}}
-	}
+	old := cmp.Or(prev.ov, &segOverlay{})
 	// merged visits, ascending, every entry of the two overlays with the
 	// segment that stands for it: the fresh one where both have it.
 	merged := func(visit func(e int32, rows []int32, cum []int64)) {
@@ -216,7 +228,7 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	})
 	if ents+rows <= max(64, (len(prev.Off)+len(prev.Rows))/8) {
 		ov := fresh
-		if len(old.ents) > 0 {
+		if fresh == scratch {
 			ov = &segOverlay{
 				ents: make([]int32, 0, ents),
 				off:  make([]int32, 1, ents+1),
@@ -232,7 +244,7 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 		}
 		return WeightTable{Off: prev.Off, Rows: prev.Rows, Cum: prev.Cum, ov: ov}, touched, false
 	}
-	if len(touched) == entries {
+	if fresh != scratch {
 		// Every entry was rewritten: the fresh segments are the table.
 		return WeightTable{Off: fresh.off, Rows: fresh.rows, Cum: fresh.cum}, touched, true
 	}

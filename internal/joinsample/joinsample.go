@@ -275,6 +275,9 @@ func NewEWFrom(j *join.Join, aliasMin int, prev *EW) *EW {
 // predecessor's.
 func (e *EW) Patch() join.Patch { return e.patch }
 
+// Weights returns the weight tables the sampler draws from.
+func (e *EW) Weights() *join.Weights { return e.w }
+
 // Method implements Sampler.
 func (e *EW) Method() string { return "EW" }
 

@@ -263,7 +263,8 @@ const (
 // cold build over the same data: same entries, Segment, Total and Count
 // at every node, same 64 seeded tuples, and — for the segments the
 // patch did not recompute — the very alias tables the predecessor's
-// draws built.
+// draws built. Once the script is over, every generation is pinned again
+// to the tables it had then.
 func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relation, script []byte) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -273,9 +274,20 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 		chain[i] = NewEWAlias(j, aliasMin)
 	}
 	fresh := relation.Value(1000)
+	// Every generation is kept with its tables as checkPatched found them
+	// equal to a cold build's: a later patch that wrote into storage an
+	// earlier generation still holds shows at the end.
+	type generation struct {
+		state string
+		ew    *EW
+		want  []string
+	}
+	var kept []generation
 	patch := func(step int) {
 		for i, aliasMin := range thresholds {
-			chain[i] = checkPatched(t, fmt.Sprintf("seed %d step %d aliasMin %d", seed, step, aliasMin), j, aliasMin, chain[i])
+			state := fmt.Sprintf("seed %d step %d aliasMin %d", seed, step, aliasMin)
+			chain[i] = checkPatched(t, state, j, aliasMin, chain[i])
+			kept = append(kept, generation{state, chain[i], tableDump(chain[i])})
 		}
 	}
 	for step, b := range script {
@@ -307,6 +319,28 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 		}
 	}
 	patch(len(script))
+	for _, g := range kept {
+		if got := tableDump(g.ew); !slices.Equal(got, g.want) {
+			t.Fatalf("%s: tables changed after later patches:\n%v\nwere\n%v", g.state, got, g.want)
+		}
+	}
+}
+
+// tableDump renders every segment of every node of ew's tables — rows,
+// running sums and total, entry by entry — as plain data.
+func tableDump(ew *EW) []string {
+	var out []string
+	for k := range ew.w.Nodes {
+		entries := 1
+		if k > 0 {
+			entries = ew.w.Idx[k].NumEntries()
+		}
+		for ent := 0; ent < entries; ent++ {
+			rows, cum := ew.w.Nodes[k].Segment(ent)
+			out = append(out, fmt.Sprint(k, ent, rows, cum, ew.w.Nodes[k].Total(ent)))
+		}
+	}
+	return out
 }
 
 // checkPatched patches prev into the sampler of j's current data and

@@ -1,5 +1,7 @@
 package relation
 
+import "slices"
+
 // Index is a per-attribute hash index: an immutable CSR base (the row
 // ids of every distinct value contiguous in one packed slice, addressed
 // by a counting-sort offset table, with an open-addressed value table
@@ -8,9 +10,9 @@ package relation
 // first — a value untouched by any mutation costs exactly the pure-CSR
 // probe — and every published Index is immutable, so concurrent readers
 // need no synchronization. Relation.Index catches an index up to the
-// current version by cloning the overlay and replaying the mutation-log
-// tail; when the overlay would grow past a fraction of the base, the
-// catch-up compacts back to a pure CSR instead.
+// current version by deriving the overlay's successor and replaying the
+// mutation-log tail into it; when the overlay would grow past a fraction
+// of the base, the catch-up compacts back to a pure CSR instead.
 type Index struct {
 	base    *csr
 	ov      *overlay // nil = pure CSR
@@ -29,7 +31,7 @@ type csr struct {
 }
 
 // overlay holds the touched values: for each, the fully merged live row
-// list. It is immutable once published; catch-up clones it.
+// list. It is immutable once published; catch-up derives a successor.
 type overlay struct {
 	slots   []int32 // open addressing: overlay entry index + 1; 0 = empty
 	keys    []Value // touched values
@@ -164,21 +166,20 @@ func (o *overlay) lookup(v Value) int {
 	}
 }
 
-// clone deep-copies the overlay's entry tables; row slices stay shared
-// until modified (the catch-up copies them on first write).
-func (o *overlay) clone() *overlay {
+// successor returns the overlay a catch-up of up to n mutations writes
+// into. It shares o's arrays that only grow (keys, baseEnt, extra, rank,
+// and row lists but for deletes, which copy theirs) and appends past o's
+// ends; it copies what is written in place: slots and row-list headers.
+// So o may have one successor (Relation.Index): a second would write
+// where readers of the first read.
+func (o *overlay) successor(n int) *overlay {
 	if o == nil {
 		return &overlay{slots: make([]int32, minSlots)}
 	}
-	return &overlay{
-		slots:   append([]int32(nil), o.slots...),
-		keys:    append([]Value(nil), o.keys...),
-		rows:    append([][]int(nil), o.rows...),
-		baseEnt: append([]int32(nil), o.baseEnt...),
-		extra:   append([]int32(nil), o.extra...),
-		rank:    append([]int32(nil), o.rank...),
-		degrade: o.degrade,
-	}
+	s := *o
+	s.slots = slices.Clone(o.slots)
+	s.rows = append(make([][]int, 0, len(o.rows)+n), o.rows...)
+	return &s
 }
 
 // ensure returns the overlay entry for v, creating it (initialized with
@@ -243,32 +244,19 @@ func (ix *Index) applyTail(s *snapshot, a int, tail []Mutation, version uint64) 
 	if existing+len(tail) > budget {
 		return nil
 	}
-	ov := ix.ov.clone()
+	ov := ix.ov.successor(len(tail))
 	ov.degrade = ix.base.degrade
 	col := s.cols[a]
-	copied := make([]bool, len(ov.rows), len(ov.rows)+len(tail))
 	for _, m := range tail {
 		switch m.Kind {
 		case MutAppend:
-			v := col[m.Row]
-			e := ov.ensure(v, ix.base)
-			for len(copied) <= e {
-				copied = append(copied, true) // fresh entries own their slice
-			}
-			if !copied[e] {
-				ov.rows[e] = append([]int(nil), ov.rows[e]...)
-				copied[e] = true
-			}
+			e := ov.ensure(col[m.Row], ix.base)
 			ov.rows[e] = append(ov.rows[e], m.Row)
 		case MutDelete:
-			v := m.Vals[a]
-			e := ov.ensure(v, ix.base)
-			for len(copied) <= e {
-				copied = append(copied, true)
-			}
-			if !copied[e] {
-				ov.rows[e] = append([]int(nil), ov.rows[e]...)
-				copied[e] = true
+			e := ov.ensure(m.Vals[a], ix.base)
+			// A delete shifts the list in place: never one ix still reads.
+			if e < existing && sameStart(ov.rows[e], ix.ov.rows[e]) {
+				ov.rows[e] = slices.Clone(ov.rows[e])
 			}
 			ov.rows[e] = removeRow(ov.rows[e], m.Row)
 		}
@@ -277,6 +265,9 @@ func (ix *Index) applyTail(s *snapshot, a int, tail []Mutation, version uint64) 
 	nx.maxDeg = nx.computeMaxDeg()
 	return nx
 }
+
+// sameStart reports whether row lists a and b share their first element.
+func sameStart(a, b []int) bool { return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0] }
 
 // removeRow deletes row from an ascending id list in place.
 func removeRow(rows []int, row int) []int {
@@ -346,11 +337,11 @@ func (ix *Index) EntryOf(v Value) (int, bool) {
 }
 
 // Rows returns the live row ids holding v, ascending. The slice aliases
-// the index; do not mutate it.
+// the index (clipped: an append reallocates); do not mutate it.
 func (ix *Index) Rows(v Value) []int {
 	if ix.ov != nil {
 		if e := ix.ov.lookup(v); e >= 0 {
-			return ix.ov.rows[e]
+			return slices.Clip(ix.ov.rows[e])
 		}
 	}
 	return ix.base.rowsOf(v)
@@ -433,14 +424,14 @@ func (ix *Index) EachEntry(fn func(rows []int)) {
 	}
 	for e := range b.keys {
 		if touched != nil && touched[e>>6]&(1<<(uint(e)&63)) != 0 {
-			fn(ov.rows[ov.lookup(b.keys[e])])
+			fn(slices.Clip(ov.rows[ov.lookup(b.keys[e])]))
 			continue
 		}
 		fn(b.rows[b.starts[e]:b.starts[e+1]])
 	}
 	if ov != nil {
 		for _, oe := range ov.extra {
-			fn(ov.rows[oe])
+			fn(slices.Clip(ov.rows[oe]))
 		}
 	}
 }

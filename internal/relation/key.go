@@ -424,21 +424,17 @@ func (c *KeyCounter) AddRow(cols [][]Value, i int, proj []int, delta int) (int, 
 	return e, c.counts[e]
 }
 
-// Clone returns an independent copy of the counter: flat array copies,
-// no rehashing. Incremental membership maintenance clones the small
-// delta table per reconcile instead of rebuilding the base.
-func (c *KeyCounter) Clone() *KeyCounter {
-	return &KeyCounter{
-		kt: keyTable{
-			hasher:      c.kt.hasher,
-			arity:       c.kt.arity,
-			slots:       append([]int32(nil), c.kt.slots...),
-			hashes:      append([]uint64(nil), c.kt.hashes...),
-			vals:        append([]Value(nil), c.kt.vals...),
-			degradeMask: c.kt.degradeMask,
-		},
-		counts: append([]int(nil), c.counts...),
+// Extend returns a successor with room for n more keys, leaving c as it
+// is. Entries are never removed, so it shares c's hashes and key arena and
+// appends past their ends; it copies what Add writes in place (slots,
+// counts). So c may have one successor: a second would write where
+// readers of the first read.
+func (c *KeyCounter) Extend(n int) *KeyCounter {
+	s := &KeyCounter{kt: c.kt, counts: append(make([]int, 0, len(c.counts)+n), c.counts...)}
+	if s.kt.reserve(n); len(s.kt.slots) == len(c.kt.slots) { // not rehashed
+		s.kt.slots = slices.Clone(c.kt.slots)
 	}
+	return s
 }
 
 // Reserve makes room for n more keys, so that inserting them allocates

@@ -3,7 +3,10 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -128,6 +131,7 @@ func driveLive(t *testing.T, r *Relation, ops []byte) {
 	for a := 0; a < arity; a++ {
 		r.Index(a)
 	}
+	var kept []generation
 	checks := 0
 	for pc := 0; pc < len(ops); pc++ {
 		op := ops[pc]
@@ -145,10 +149,12 @@ func driveLive(t *testing.T, r *Relation, ops []byte) {
 			if r.Len() > 0 {
 				r.Delete(int(op/5) * 13 % r.Len())
 			}
-		case 3: // probe: forces the overlay build mid-stream
+		case 3: // probe: forces the overlay build mid-stream; keep what it returned
 			for a := 0; a < arity; a++ {
-				r.Degree(a, val(op/5))
-				r.Matches(a, val(op))
+				ix := r.Index(a)
+				kept = append(kept, generation{a, ix, r.snap.Load()})
+				ix.Degree(val(op / 5))
+				ix.Rows(val(op))
 			}
 		case 4: // full check at intermediate states (bounded: they are costly)
 			if checks < 3 {
@@ -158,6 +164,46 @@ func driveLive(t *testing.T, r *Relation, ops []byte) {
 		}
 	}
 	checkIndexEquivalence(t, r, -3, 9)
+	checkGenerations(t, kept, r.testDegrade, -3, 9)
+}
+
+// generation is an index as a caller got it, with the storage snapshot
+// of the version it reflects.
+type generation struct {
+	a    int
+	ix   *Index
+	snap *snapshot
+}
+
+// checkGenerations re-checks kept indexes, after everything that came
+// later, against from-scratch builds over their own snapshots: a catch-up
+// that wrote where an older generation reads — two successors extending
+// one overlay, say — shows here.
+func checkGenerations(t *testing.T, kept []generation, degrade uint64, lo, hi Value) {
+	t.Helper()
+	for i, g := range kept {
+		ix, want := g.ix, buildIndex(g.snap, g.a, g.ix.version, degrade)
+		if ix.MaxDegree() != want.MaxDegree() || ix.Distinct() != want.Distinct() {
+			t.Fatalf("generation %d (attr %d, version %d): MaxDegree %d Distinct %d, rebuilt %d %d",
+				i, g.a, ix.version, ix.MaxDegree(), ix.Distinct(), want.MaxDegree(), want.Distinct())
+		}
+		for v := lo; v <= hi; v++ {
+			if got := ix.Rows(v); !slices.Equal(got, want.Rows(v)) || ix.Degree(v) != len(got) {
+				t.Fatalf("generation %d (attr %d, version %d) value %d: rows %v (degree %d), rebuilt %v",
+					i, g.a, ix.version, v, got, ix.Degree(v), want.Rows(v))
+			}
+		}
+		e := 0
+		ix.EachEntry(func(rows []int) {
+			if v := ix.ValueAt(e); !slices.Equal(rows, ix.Rows(v)) {
+				t.Fatalf("generation %d (attr %d) entry %d: EachEntry rows %v, Rows(%d) %v", i, g.a, e, rows, v, ix.Rows(v))
+			}
+			if got, ok := ix.EntryOf(ix.ValueAt(e)); !ok || got != e {
+				t.Fatalf("generation %d (attr %d): EntryOf(ValueAt(%d)) = %d, %v", i, g.a, e, got, ok)
+			}
+			e++
+		})
+	}
 }
 
 // TestLiveIndexMatchesRebuilt drives randomized interleavings of
@@ -373,6 +419,86 @@ func TestConcurrentMutateAndProbe(t *testing.T) {
 	close(done)
 	mutWG.Wait()
 	checkIndexEquivalence(t, r, -1, 20)
+}
+
+// TestOldGenerationsUnderCatchUp: readers keep probing every index a
+// writer got from Relation.Index, each against the rows it answered with
+// when it was new, while the writer mutates and catches the index up
+// again — overlays extended, compacted and extended anew (run under
+// -race: a catch-up that writes where an older generation reads is a
+// race).
+func TestOldGenerationsUnderCatchUp(t *testing.T) {
+	r := New("gens", NewSchema("A", "B"))
+	for i := 0; i < 400; i++ {
+		r.AppendValues(Value(i%40), Value(i%7))
+	}
+	const domain = 160
+	type pinned struct {
+		ix   *Index
+		rows [][]int // per value 0..domain-1
+	}
+	var mu sync.Mutex
+	var gens []pinned
+	var passes atomic.Int64 // reader passes over a generation
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		readers.Add(1)
+		go func(w int) {
+			defer readers.Done()
+			for i := w; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				n := len(gens)
+				var g pinned
+				if n > 0 {
+					g = gens[i%n]
+				}
+				mu.Unlock()
+				for v := 0; n > 0 && v < domain; v++ {
+					if got := g.ix.Rows(Value(v)); !slices.Equal(got, g.rows[v]) || g.ix.Degree(Value(v)) != len(got) {
+						t.Errorf("version %d value %d: rows %v, published as %v", g.ix.version, v, got, g.rows[v])
+						return
+					}
+				}
+				if n > 0 {
+					passes.Add(1)
+				}
+			}
+		}(w)
+	}
+	rnd := rand.New(rand.NewSource(3))
+	compactions := 0
+	for step := 0; step < 300; step++ {
+		if rnd.Intn(4) == 0 {
+			r.Delete(rnd.Intn(r.Len()))
+		} else {
+			r.AppendValues(Value(rnd.Intn(domain)), Value(rnd.Intn(7)))
+		}
+		p := pinned{ix: r.Index(0), rows: make([][]int, domain)}
+		for v := range p.rows {
+			p.rows[v] = slices.Clone(p.ix.Rows(Value(v)))
+		}
+		mu.Lock()
+		if len(gens) > 0 && !p.ix.SameBase(gens[len(gens)-1].ix) {
+			compactions++
+		}
+		gens = append(gens, p)
+		mu.Unlock()
+		// Let the readers probe old generations while the next is built.
+		for want, spin := passes.Load()+1, 0; passes.Load() < want && spin < 1000; spin++ {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	readers.Wait()
+	if compactions < 2 {
+		t.Fatalf("script compacted %d times, want at least 2", compactions)
+	}
 }
 
 // FuzzLiveIndex feeds arbitrary op streams through the live-relation

@@ -109,6 +109,10 @@ func (u *Union) prepare(o Options, prewarm bool) (*Session, error) {
 	return s, nil
 }
 
+func init() {
+	core.EngineOf = func(s any) core.PreparedSampler { return s.(*Session).state.Load().prepared }
+}
+
 func newSessionState(prepared core.PreparedSampler) *sessionState {
 	p := prepared.Params()
 	return &sessionState{
