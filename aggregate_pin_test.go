@@ -20,20 +20,20 @@ import (
 // Refresh.
 var pinnedAggregates = map[string][2]string{
 	"cover": {
-		"count1=0±115.051223/1 count3=48.3333333±77.3494428/3 count7=62.1428571±53.1578781/7 count300=67.1833333±8.19766717/300 sum=3388.65±711.864877/200 avg=578.3±58.4541802/150 g4=26.1±7.59117389/45 g0=22.62±7.27130883/39 g3=20.3±7.02970248/35 g6=19.72±6.96532924/34 g1=19.14±6.89925473/33 g2=19.14±6.89925473/33 g5=17.98±6.76174309/31 where=e79c678918b2a2f4",
-		"count1=0±109.534219/1 count3=92.03125±73.6403369/3 count7=59.1629464±50.6088203/7 count300=57.5195313±7.79948021/300 sum=3442.19883±1100.99795/200 avg=668.16±113.57124/150 g0=27.609375±7.44860069/50 g1=22.6396875±7.02922371/41 g5=21.5353125±6.92263077/39 g2=18.2221875±6.56841763/33 g3=17.67±6.50383142/32 g4=15.46125±6.22730435/28 g6=14.9090625±6.15323085/27 where=22ae87b7fc22206c",
+		"count1=0±116.489363/1 count3=48.9375±78.3163108/3 count7=62.9196429±53.8223515/7 count300=67.53375±8.30214784/300 sum=3488.265±728.263345/200 avg=581.693333±58.6864616/150 g4=25.839±7.63537396/44 g0=23.49±7.4195891/40 g1=21.141±7.18108904/36 g2=21.141±7.18108904/36 g3=19.37925±6.98549542/33 g6=18.792±6.91680815/32 g5=17.03025±6.69930592/29 where=60ae9a79321a5b41",
+		"count1=0±111.517861/1 count3=93.6979167±74.973948/3 count7=60.234375±51.5253355/7 count300=59.0296875±7.9434134/300 sum=3819.36133±1299.26534/200 avg=672.7±113.305013/150 g0=28.6715625±7.62533267/51 g1=23.0496875±7.15652148/41 g5=21.363125±6.99166115/38 g2=19.114375±6.75141557/34 g3=18.5521875±6.68737029/33 g6=15.74125±6.34007953/28 g4=14.0546875±6.10713055/25 where=2c4c76394b848514",
 	},
 	"online": {
-		"count1=0±118.701124/1 count3=49.8666667±79.8032872/3 count7=106.857143±53.161351/7 count300=57.6844283±8.32023606/300 sum=3456.10104±735.527853/200 avg=559.133333±53.3950743/150 g2=27.1705916±7.78050217/46 g1=24.2172664±7.51903414/41 g0=22.4452713±7.34582284/38 g3=20.0826112±7.09340765/34 g4=20.0826112±7.09340765/34 g6=20.0826112±7.09340765/34 g5=13.5852958±6.24076785/23 where=4946a849614bff84",
-		"count1=0±116.648716/1 count3=0±82.5488806/3 count7=84.007619±53.8959783/7 count300=74.5373585±8.32297338/300 sum=3959.01989±970.176482/200 avg=693.053333±125.85338/150 g3=29.6971431±7.8980905/51 g5=24.4564708±7.46664595/42 g1=20.9626892±7.12052117/36 g2=20.3803923±7.0575416/35 g4=19.7980954±6.99291342/34 g0=16.8866108±6.64280158/29 g6=13.3928292±6.1523532/23 where=588a1abdec1d769e",
+		"count1=0±111.401322/1 count3=46.8±74.8955984/3 count7=100.285714±49.89207/7 count300=57.8333115±8.08660494/300 sum=3267.52817±679.050412/200 avg=569±52.0344807/150 g1=27.6942696±7.58086438/49 g2=22.607567±7.14086241/40 g0=20.3468103±6.91132192/36 g3=20.3468103±6.91132192/36 g6=18.6512428±6.72307603/33 g4=16.3904861±6.44763762/29 g5=15.2601078±6.29811337/27 where=a61bdf1795e5c286",
+		"count1=0±111.79805/1 count3=0±79.1162067/3 count7=80.5142857±51.6547932/7 count300=67.4065833±8.16382202/300 sum=4706.78921±1345.47972/200 avg=683.893333±126.636649/150 g3=25.6984935±7.59385456/44 g1=24.5303802±7.48921074/42 g2=23.3622668±7.37924309/40 g4=21.6100968±7.20361184/37 g5=17.5217001±6.73695669/30 g0=16.9376434±6.66287665/29 g6=16.3535868±6.58670949/28 where=6cdc000619ce6de6",
 	},
 	"shard-cover": {
 		"count1=0±119.018506/1 count3=50±80.0166649/3 count7=64.2857143±54.9909083/7 count300=68±8.4853843/300 sum=3905.25±777.600619/200 avg=569.64±55.3991255/150 g5=27.6±7.90346648/46 g6=26.4±7.80114837/44 g1=24.6±7.63786617/41 g0=20.4±7.205513/34 g2=19.8±7.13716007/33 g3=18.6±6.99490664/31 g4=12.6±6.14936144/21 where=ef8185ba8955006f",
 		"count1=0±119.018506/1 count3=50±80.0166649/3 count7=150±53.1508264/7 count300=62.5±8.47481721/300 sum=3692.25±987.469787/200 avg=634.54±97.0362283/150 g5=27.6±7.90346648/46 g0=25.8±7.74806314/43 g4=24.6±7.63786617/41 g6=19.2±7.06698151/32 g1=18±6.92085926/30 g2=17.4±6.84475701/29 g3=17.4±6.84475701/29 where=08f85b79bb93f287",
 	},
 	"shard-online": {
-		"count1=146.2±116.003371/1 count3=97.4666667±77.9895761/3 count7=41.7714286±51.9531384/7 count300=58.48±8.24048255/300 sum=3207.628±675.855626/200 avg=559.446667±54.1657384/150 g3=29.24±7.88851918/50 g2=25.1464±7.55177887/43 g5=20.468±7.08787933/35 g6=20.468±7.08787933/35 g0=19.2984±6.95635201/33 g1=16.3744±6.5950924/28 g4=15.2048±6.43590864/26 where=9cd92bed07e66f27",
-		"count1=142.813333±113.316197/1 count3=47.6044444±76.1829776/3 count7=81.607619±52.3562328/7 count300=60.4576444±8.07387226/300 sum=4549.31873±1609.87029/200 avg=718.32±149.09266/150 g0=26.8489067±7.57173769/47 g1=25.1351467±7.42738668/44 g3=25.1351467±7.42738668/44 g4=19.9938667±6.92369134/35 g5=17.1376±6.58927321/30 g2=14.2813333±6.20561411/25 g6=14.2813333±6.20561411/25 where=a3af4bf1fae455ca",
+		"count1=146.32±116.098586/1 count3=97.5466667±78.0535894/3 count7=83.6114286±53.6417981/7 count300=55.6016±8.21098202/300 sum=3974.0512±759.062889/200 avg=581.02±53.160676/150 g6=24.58176±7.50489719/42 g3=23.99648±7.45048385/41 g2=22.82592±7.33750282/39 g5=22.24064±7.2788517/38 g1=21.07008±7.15699922/36 g0=16.97312±6.67683231/29 g4=14.632±6.35798798/25 where=12255915a6b30ac2",
+		"count1=145.826667±115.707147/1 count3=48.6088889±77.7904235/3 count7=83.3295238±53.4609391/7 count300=64.1637333±8.25072727/300 sum=5142.5774±1774.55628/200 avg=736.04±148.941828/150 g0=26.8321067±7.68357447/46 g3=25.0821867±7.5324948/43 g1=24.49888±7.47959363/42 g5=20.4157333±7.06977987/35 g4=19.8324267±7.00503962/34 g6=16.9158933±6.65432066/29 g2=12.24944±5.97827254/21 where=3dbe819f099d0656",
 	},
 }
 

@@ -117,24 +117,29 @@ func digest(ts []Tuple) string {
 // was then deleted as its duplicate. shard-cyclic-eo dates from when the
 // sharded sampler's per-tuple loop was deleted: a sharded draw assigns
 // shards first and runs one sub-batch per shard on its own derived
-// stream.
+// stream. online, online-where, shard-online and mutate-online were
+// re-pinned when the walk warm-up began estimating each cover size
+// directly (a Horvitz–Thompson mean over the join's own walks) instead
+// of by inclusion–exclusion over an overlap table; cover-ew and cover-wj
+// read the same estimates, but their covers moved too little to change
+// any of their 64 join selections.
 var goldenDigests = map[string]string{
 	"cover-ew":  "e8426b4621336a81",
 	"cover-eo":  "d482e6861776995f",
 	"cover-wj":  "d1e22255b710c131",
 	"exact-ew":  "684db964bc538315",
-	"online":    "5bcca9171dd7bdbf",
+	"online":    "f972938db680d37a",
 	"cyclic-ew": "ab392a7ebf43258d",
 	"cyclic-eo": "ba2a8487a19207c5",
 	// The one session path on which a served batch leaves entries buffered
 	// and the arena is compacted behind them.
-	"online-where": "9f78648f36875f33",
+	"online-where": "e8cada294a0d5c82",
 	// Sharded streams: the union is hash-partitioned into shards and
 	// draws alias-select a shard per tuple, so these differ from the
 	// single-shard recordings above. They depend only on (seed, shard
 	// count), never on worker scheduling.
 	"shard-cover-ew":  "40664e409a0b0823",
-	"shard-online":    "64df8f7f5cf69ecb",
+	"shard-online":    "3ebf90456aeffb92",
 	"shard-cyclic-eo": "7b377edfb466f4dd",
 
 	"disjoint": "f4702720567b5022",
@@ -144,7 +149,7 @@ var goldenDigests = map[string]string{
 	// "maintained answer ≡ recomputed answer after every update".
 	"mutate-cover-ew":       "de2e80f6e52380e4",
 	"mutate-cover-eo":       "cf7e09c00bc98114",
-	"mutate-online":         "f685a5313fd64db8",
+	"mutate-online":         "a2c636a45af237f4",
 	"mutate-cyclic-eo":      "3787d5c08d55a697",
 	"shard-mutate-cover-ew": "bbcf1a6d3785d052",
 }

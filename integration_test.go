@@ -119,3 +119,31 @@ func TestIntegrationDisjointVsSet(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionSizeIsCoverSum: under the zero Options the union size a
+// session reports is the sum of the cover sizes its join selection draws
+// by, so Û and the draws never disagree about the union (UQ1, sf 1, data
+// seeds 1–3).
+func TestUnionSizeIsCoverSum(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		w, err := tpch.UQ1(tpch.Config{SF: 1, Overlap: 0.2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := NewUnion(w.Joins...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := u.Prepare(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, sum := s.Estimate(), 0.0
+		for _, c := range est.CoverSizes {
+			sum += c
+		}
+		if math.Abs(est.UnionSize-sum) > 1e-12*sum || s.UnionSize() != est.UnionSize {
+			t.Errorf("data seed %d: Û = %v (Session.UnionSize %v), Σ ĉ = %v", seed, est.UnionSize, s.UnionSize(), sum)
+		}
+	}
+}

@@ -31,8 +31,8 @@ type OnlineConfig struct {
 // OnlineShared is the prepared state of Algorithm 2: the shared prepared
 // state, warmed by OnlineEstimator, run exactly once. The master walk
 // estimator is frozen after warm-up; each run handed out by NewRun starts
-// from its own copy of the Horvitz–Thompson and overlap state and walks
-// afresh into its own scratch, retaining nothing. It does not get the
+// from its own copy of the Horvitz–Thompson size and cover estimates and
+// walks afresh into its own scratch, retaining nothing. It does not get the
 // walks the warm-up retained: handing the same tuples to several runs
 // would correlate streams that must be independent. The §7 sample-reuse
 // optimization belongs to a single stream: NewReuseRun hands that pool to
@@ -173,11 +173,7 @@ func (s *OnlineSampler) refreshParams() error {
 			return nil
 		}
 	}
-	t, err := s.walks.Table()
-	if err != nil {
-		return err
-	}
-	s.params = ParamsFromTable(t)
+	s.params = paramsFromWalks(s.walks)
 	s.alias = rng.NewAlias(s.params.Cover)
 	if s.alias == nil {
 		return fmt.Errorf("core: refreshed cover is all-zero")
@@ -188,11 +184,11 @@ func (s *OnlineSampler) refreshParams() error {
 // Params returns the run's current parameters.
 func (s *OnlineSampler) Params() *Params { return s.params }
 
-// Stats returns the run's instrumentation. Per-join WalkVariance
+// Stats returns the run's instrumentation. Per-join CoverRelHalfWidth
 // reflects the run's current walk state at the time of the call.
 func (s *OnlineSampler) Stats() *Stats {
 	for j, je := range s.walks.JoinEstimates() {
-		s.stats.Joins[j].WalkVariance = je.RelHalfWidth(s.walks.Z())
+		s.stats.Joins[j].CoverRelHalfWidth = je.CoverRelHalfWidth(s.walks.Z())
 	}
 	return &s.stats
 }
@@ -230,14 +226,13 @@ func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 // candidate produces one tuple of join j with a multiplicity (zero: none
 // this attempt): from the reuse pool while the run holds one (line 8;
 // NewReuseRun), otherwise by a fresh wander-join walk into the run's
-// scratch, whose probability feeds the running estimates. Both paths apply
-// the p(t)-correction so that each value of J_j is produced with equal
-// expected multiplicity — uniform within the join. While the run refines
-// its parameters a fresh walk is probed against every other join once, for
-// the overlap counters, and its mask decides acceptance too; after that
-// nothing reads the counters, so the walk probes nothing and accept's
-// first-hit scan is the only probe — as for a pool sample, whose mask is
-// the warm-up's.
+// scratch. Both paths apply the p(t)-correction so that each value of J_j
+// is produced with equal expected multiplicity — uniform within the join.
+// While the run refines its parameters a fresh walk is probed against every
+// other join once, for the running estimates, and its mask decides
+// acceptance too; after that nothing reads the estimates, so the walk
+// probes and folds in nothing and accept's first-hit scan is the only
+// probe — as for a pool sample.
 func (s *OnlineSampler) candidate(j int, g *rng.RNG) (sm walkest.Sample, mult int, reuse bool) {
 	je := s.walks.JoinEstimates()[j]
 	size := s.params.JoinSizes[j]

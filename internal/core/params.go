@@ -18,19 +18,19 @@ import (
 	"sampleunion/internal/walkest"
 )
 
-// Params are the framework parameters the warm-up phase produces: the
-// overlap table and everything Algorithm 1 derives from it.
+// Params are the framework parameters the warm-up phase produces, all
+// Algorithm 1 needs: the join sizes, the cover sizes, and the union size
+// they sum to.
 type Params struct {
-	Table     *overlap.Table
 	JoinSizes []float64 // |J_j| (or its instantiation-specific bound)
 	Cover     []float64 // |J'_j| per §3.1's cover
-	UnionSize float64   // |U| per Eq. 1
+	UnionSize float64   // |U|: Σ Cover, Eq. 1 for an exact table
 }
 
 // ParamsFromTable derives cover sizes and the union size from an
-// overlap table.
+// overlap table — the histogram and exact warm-ups' inclusion–exclusion.
 func ParamsFromTable(t *overlap.Table) *Params {
-	p := &Params{Table: t}
+	p := &Params{}
 	p.JoinSizes = make([]float64, t.N())
 	for j := 0; j < t.N(); j++ {
 		p.JoinSizes[j] = t.JoinSize(j)
@@ -112,11 +112,20 @@ func (r *RandomWalkEstimator) Params(g *rng.RNG) (*Params, error) {
 	}
 	r.resume = false
 	r.Walker.Warmup(g)
-	t, err := r.Walker.Table()
-	if err != nil {
-		return nil, err
+	return paramsFromWalks(r.Walker), nil
+}
+
+// paramsFromWalks reads Params off a walk estimator: the Horvitz–Thompson
+// join and cover sizes, and Û = Σ ĉ_j, so the union size is the one the
+// cover draws by.
+func paramsFromWalks(w *walkest.Estimator) *Params {
+	ests := w.JoinEstimates()
+	p := &Params{JoinSizes: make([]float64, len(ests)), Cover: make([]float64, len(ests))}
+	for j, je := range ests {
+		p.JoinSizes[j], p.Cover[j] = je.Size(), je.Cover()
+		p.UnionSize += je.Cover()
 	}
-	return ParamsFromTable(t), nil
+	return p
 }
 
 // refreshedEstimator returns the estimator the next generation of a

@@ -118,7 +118,7 @@ type prepared struct {
 	alias   *rng.Alias
 	maxDraw int // cap on subroutine draws per join selection
 
-	walkVar    []float64 // per-join relative half-widths after warm-up
+	coverRelHW []float64 // per-join cover-size relative half-widths after warm-up
 	warmupTime time.Duration
 	refresh    RefreshStats // what the Refresh that built this state did
 
@@ -144,9 +144,9 @@ func (p *prepared) warm(g *rng.RNG) error {
 		p.maxDraw = defaultMaxDraws
 	}
 	if p.walker != nil {
-		p.walkVar = make([]float64, len(p.base.joins))
+		p.coverRelHW = make([]float64, len(p.base.joins))
 		for i, je := range p.walker.JoinEstimates() {
-			p.walkVar[i] = je.RelHalfWidth(p.walker.Z())
+			p.coverRelHW[i] = je.CoverRelHalfWidth(p.walker.Z())
 		}
 	}
 	p.warmupTime = time.Since(start)

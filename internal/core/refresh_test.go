@@ -8,15 +8,15 @@ import (
 	"sampleunion/internal/walkest"
 )
 
-// TestRefreshReprobesCleanAnchors: J1 ∩ J3 is anchored at J1, so its
-// estimate lives in the masks of J1's walks. Appending to J3 copies of
-// half of J1's results dirties J3 only; a Refresh must then move the
-// estimate — by probing J1's retained walks against J3 again, not by
-// walking J1 again — in both engines, and leave the generation it
-// refreshed from alone. Over unchanged data, before the append and after
-// the refresh, a Refresh builds nothing and returns its receiver.
+// TestRefreshReprobesCleanAnchors: each join anchors its own cover
+// estimate — ĉ_3 lives in J3's walks, as the share of them no earlier
+// join contains. Appending to J1 copies of J3's results with K in
+// [60, 70) dirties J1 only; a Refresh must then move ĉ_3 — by probing
+// J3's retained walks against J1 again, not by walking J3 again — in both
+// engines, and leave the generation it refreshed from alone. Over
+// unchanged data, before the append and after the refresh, a Refresh
+// builds nothing and returns its receiver.
 func TestRefreshReprobesCleanAnchors(t *testing.T) {
-	const j1and3 = 0b101
 	for _, online := range []bool{false, true} {
 		joins := fixtureJoins(t)
 		var p PreparedSampler
@@ -45,8 +45,10 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 			t.Fatalf("online=%v: Refresh over unchanged data: changed=%v err=%v", online, changed, err)
 		}
 		before := walks(p)
-		if got := before.OverlapEstimate(j1and3); got != 0 {
-			t.Fatalf("online=%v: disjoint joins estimated to overlap by %v", online, got)
+		// J3's region is K in [60, 80): 20 + 7 of its results.
+		cover3 := before.JoinEstimates()[2].Cover()
+		if cover3 < 17 || cover3 > 37 {
+			t.Fatalf("online=%v: ĉ_3 = %v before the append, want about 27", online, cover3)
 		}
 		var walked, pooled []int
 		for _, je := range before.JoinEstimates() {
@@ -54,10 +56,10 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 			pooled = append(pooled, len(je.Samples()))
 		}
 
-		// J1 holds K in [0, 40); give J3 the results with K in [0, 20):
-		// 20 + 7 of J1's 54.
-		a, b := joins[2].Nodes()[0].Rel, joins[2].Nodes()[1].Rel
-		for k := 0; k < 20; k++ {
+		// Give J1 J3's results with K in [60, 70): J3's region keeps
+		// K in [70, 80), 10 + 3 results.
+		a, b := joins[0].Nodes()[0].Rel, joins[0].Nodes()[1].Rel
+		for k := 60; k < 70; k++ {
 			a.AppendValues(relation.Value(k), relation.Value(k*10))
 			b.AppendValues(relation.Value(k), relation.Value(k*100))
 			if k%3 == 0 {
@@ -69,13 +71,14 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 			t.Fatalf("online=%v: Refresh changed=%v err=%v", online, changed, err)
 		}
 		after := walks(np)
-		if got := after.OverlapEstimate(j1and3); got < 17 || got > 37 {
-			t.Errorf("online=%v: |J1 ∩ J3| estimated %v after the append, want about 27", online, got)
+		if got := after.JoinEstimates()[2].Cover(); got < 8 || got > 18 {
+			t.Errorf("online=%v: ĉ_3 estimated %v after the append, want about 13", online, got)
 		}
-		if got := before.OverlapEstimate(j1and3); got != 0 {
+		if got := before.JoinEstimates()[2].Cover(); got != cover3 {
 			t.Errorf("online=%v: Refresh moved the old generation's estimate to %v", online, got)
 		}
-		for j, je := range after.JoinEstimates()[:2] {
+		for j, je := range after.JoinEstimates()[1:] {
+			j++
 			if je.Walks() != walked[j] || je.Size() != before.JoinEstimates()[j].Size() {
 				t.Errorf("online=%v: clean join %d walked again: %d walks (size %v), had %d (size %v)",
 					online, j, je.Walks(), je.Size(), walked[j], before.JoinEstimates()[j].Size())
@@ -84,13 +87,13 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 		st := np.LastRefresh()
 		want := RefreshStats{
 			DirtyJoins: 1,
-			Walks:      after.JoinEstimates()[2].Walks(),
-			Reprobed:   pooled[0] + pooled[1],
+			Walks:      after.JoinEstimates()[0].Walks(),
+			Reprobed:   pooled[1] + pooled[2],
 		}
 		if !online {
-			// The EW tables of J3 were patched: the root segment and the
-			// 20 new join values.
-			want.SegmentsPatched = 21
+			// The EW tables of J1 were patched: the root segment and the
+			// 10 new join values.
+			want.SegmentsPatched = 11
 		}
 		if st != want {
 			t.Errorf("online=%v: refresh stats %+v, want %+v", online, st, want)

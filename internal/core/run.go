@@ -79,8 +79,8 @@ func (s *runState) reset(p *prepared) {
 	s.prep = p
 	s.result, s.arena = s.result[:0], s.arena[:0]
 	s.stats.reset(len(p.base.joins))
-	for i, v := range p.walkVar {
-		s.stats.Joins[i].WalkVariance = v
+	for i, v := range p.coverRelHW {
+		s.stats.Joins[i].CoverRelHalfWidth = v
 	}
 }
 

@@ -489,11 +489,12 @@ func (s *ShardedSampler) SampleBatch(n int, g *rng.RNG) ([]relation.Tuple, error
 // Stats merges the per-shard runs' instrumentation by summation (the
 // counters are counts of disjoint work; the durations add the same
 // way, so they total the shards' concurrent work and may exceed the
-// wall time around the calls). Per-join breakdowns sum element-wise — shard join i is a
-// fragment of union join i — except WalkVariance, where the merge
-// keeps the worst (largest) shard's half-width: a join is only as
-// converged as its least-converged fragment. The merge is recomputed
-// on every call into the same Stats, so it reflects all draws so far.
+// wall time around the calls). Per-join breakdowns sum element-wise —
+// shard join i is a fragment of union join i — except CoverRelHalfWidth,
+// where the merge keeps the worst (largest) shard's relative half-width: a
+// join's cover is only as converged as its least-converged fragment's.
+// The merge is recomputed on every call into the same Stats, so it
+// reflects all draws so far.
 func (s *ShardedSampler) Stats() *Stats {
 	m := &s.stats
 	m.reset(len(s.shared.origJoins))
@@ -509,9 +510,7 @@ func (s *ShardedSampler) Stats() *Stats {
 			m.Joins[j].Accepted += jb.Accepted
 			m.Joins[j].Rejected += jb.Rejected
 			m.Joins[j].Draws += jb.Draws
-			if jb.WalkVariance > m.Joins[j].WalkVariance {
-				m.Joins[j].WalkVariance = jb.WalkVariance
-			}
+			m.Joins[j].CoverRelHalfWidth = max(m.Joins[j].CoverRelHalfWidth, jb.CoverRelHalfWidth)
 		}
 		m.Accepted += st.Accepted
 		m.RejectedDup += st.RejectedDup

@@ -72,11 +72,11 @@ type JoinBreakdown struct {
 	// Draws counts subroutine attempts routed at this join — its slice
 	// of Stats.TotalDraws, plus reuse-pool draws in online mode.
 	Draws int
-	// WalkVariance is the join's size-estimate relative confidence
-	// half-width (walkest.RelHalfWidth) as of the run's current walk
-	// state: 0 when the estimate is exact or the mode runs no walks,
-	// +Inf before any walk observed the join.
-	WalkVariance float64
+	// CoverRelHalfWidth is the join's cover-size relative confidence
+	// half-width (walkest.CoverRelHalfWidth) as of the run's current walk
+	// state: 0 when the mode runs no walks, +Inf before any walk observed
+	// the join and while its cover is estimated at zero.
+	CoverRelHalfWidth float64
 }
 
 // reset zeroes the Stats for a union of n joins, keeping the per-join

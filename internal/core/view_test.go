@@ -15,7 +15,7 @@ import (
 // (conf < γ) the walk carries the mask it was probed to, the mask's lowest
 // bit is f(t), and accept reads it — shown by handing accept a mask that
 // contradicts the data, which it believes. Once refinement has frozen the
-// walk carries no mask, the overlap counters stop moving, and accept's
+// walk carries no mask, the estimates stop moving, and accept's
 // first-hit scan is the only probe. (join.AlignedProbe is a concrete
 // struct on the hot path, so the probes are pinned by what each side can
 // be seen to read rather than by a counter inside it.)
@@ -73,18 +73,18 @@ func TestFreshWalkIsProbedOnce(t *testing.T) {
 	if run.conf < shared.gamma || run.stats.Backtracks == 0 {
 		t.Fatalf("refinement did not freeze: conf %.3f after %d backtracks", run.conf, run.stats.Backtracks)
 	}
-	share := func() float64 { return run.walks.OverlapEstimate(0b11) / run.walks.JoinEstimates()[0].Size() }
-	was, walks := share(), run.walks.JoinEstimates()[0].Walks()
+	je := run.walks.JoinEstimates()[1]
+	cover, walks, hw := je.Cover(), je.Walks(), run.Stats().Joins[1].CoverRelHalfWidth
 	for i := 0; i < 300; i++ {
 		if _, mask := walk(i % len(joins)); mask != 0 {
 			t.Fatalf("frozen walk carries mask %b", mask)
 		}
 	}
-	if run.walks.JoinEstimates()[0].Walks() == walks {
-		t.Error("frozen walks no longer feed the size estimate Stats.WalkVariance reads")
+	if je.Walks() != walks || je.Cover() != cover {
+		t.Errorf("frozen walks moved the estimates: %d walks, ĉ %v; were %d, %v", je.Walks(), je.Cover(), walks, cover)
 	}
-	if share() != was {
-		t.Errorf("overlap counters moved after the freeze: %v -> %v", was, share())
+	if got := run.Stats().Joins[1].CoverRelHalfWidth; got != hw || !(hw > 0) {
+		t.Errorf("Stats reads cover half-width %v after the freeze, %v at it", got, hw)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestSampleViewEqualsSample(t *testing.T) {
 	sharded, _ := prepareShardedFixture(t, 2)
 	for name, p := range map[string]PreparedSampler{"cover": cover, "online": online, "sharded": sharded} {
 		copied, viewed := p.NewRun(), p.NewRun()
-		gc, gv := copied.RNG(7), viewed.RNG(7)
+		gc, gv := copied.RNG(6), viewed.RNG(6)
 		leftovers := 0
 		for _, n := range []int{1, 2, 3, 1, 5, 64, 2, 1, 300, 1, 1, 7} {
 			want, err := copied.Sample(n, gc)

@@ -18,8 +18,6 @@ import (
 // TestDifferentialUniform) and are held to the strict chi-square,
 // statically and after the burst and a Refresh; the online configuration
 // is held to membership and coverage, as in TestDifferentialRecordAndOnline.
-// (The tests are named for the adaptive mode they were written against,
-// which is gone; the shapes are what they keep.)
 
 func mkRel(name string, attrs []string, rows [][]int64) *relation.Relation {
 	r := relation.New(name, relation.NewSchema(attrs...))
@@ -91,10 +89,10 @@ func checkExact(t *testing.T, sc *scenario, label string, method su.Method, seed
 	return sess
 }
 
-// TestAdaptiveHeavySkew pits a ~1000-result join against a single-
+// TestSkewHeavyLight pits a ~1000-result join against a single-
 // result sibling — the 1000x share skew under which the light join is
 // selected once in a thousand draws and must still get its 1/|U|.
-func TestAdaptiveHeavySkew(t *testing.T) {
+func TestSkewHeavyLight(t *testing.T) {
 	jHeavy, rHeavy := constChain(t, "heavy", 25, 40, 0) // 1000 results
 	jLight, rLight := constChain(t, "light", 1, 1, 500) // 1 result
 	sc := unionOf(t, []*su.Join{jHeavy, jLight}, [][]*relation.Relation{rHeavy, rLight})
@@ -105,11 +103,11 @@ func TestAdaptiveHeavySkew(t *testing.T) {
 	checkExact(t, sc, "heavy-skew static", su.MethodEW, 1, 30*len(union))
 }
 
-// TestAdaptiveZipfEscalation drives zipfian join degrees — one B value
+// TestSkewZipfDegrees drives zipfian join degrees — one B value
 // with fan-out 64 among fifteen with fan-out 1 — through Olken sampling,
 // which accepts 79 tries in 1 024 against the join's bound: the heavy
 // value's results and the light ones' must come out equally likely.
-func TestAdaptiveZipfEscalation(t *testing.T) {
+func TestSkewZipfDegrees(t *testing.T) {
 	// R has one row per B value; S gives B=0 fan-out 64, B=1..15
 	// fan-out 1: join size 79, walk-weight cv ≈ 3.
 	var rRows, sRows [][]int64
@@ -152,12 +150,12 @@ func TestAdaptiveZipfEscalation(t *testing.T) {
 	checkDraws(t, "zipf post-burst", got, UniformWeights(union), true)
 }
 
-// TestAdaptiveSkewInversion starts heavy/light and then inverts the
+// TestSkewInversion starts heavy/light and then inverts the
 // skew under the warm session: a burst deletes most of the heavy
 // join's fan-out while appending fan-out to the light join. The cover
 // shares that were right at warm-up are wrong afterwards; the post-burst
 // stream must be uniform over the inverted union.
-func TestAdaptiveSkewInversion(t *testing.T) {
+func TestSkewInversion(t *testing.T) {
 	jA, rA := constChain(t, "a", 12, 16, 0) // 192 results
 	jB, rB := constChain(t, "b", 2, 1, 500) // 2 results
 	sc := unionOf(t, []*su.Join{jA, jB}, [][]*relation.Relation{rA, rB})
@@ -192,12 +190,12 @@ func TestAdaptiveSkewInversion(t *testing.T) {
 	checkDraws(t, "skew-inversion post-burst", got, UniformWeights(union), true)
 }
 
-// TestAdaptiveOnlineSkew runs the online (Algorithm 2) configuration
+// TestSkewOnline runs the online (Algorithm 2) configuration
 // through the heavy-skew shape. Over several joins its instance system is
 // not held to the chi-square (TestDifferentialRecordAndOnline says why),
 // so the check is exact membership plus full coverage, statically and
 // after a skew-inverting burst.
-func TestAdaptiveOnlineSkew(t *testing.T) {
+func TestSkewOnline(t *testing.T) {
 	jHeavy, rHeavy := constChain(t, "oheavy", 8, 12, 0) // 96 results
 	jLight, rLight := constChain(t, "olight", 1, 2, 500)
 	sc := unionOf(t, []*su.Join{jHeavy, jLight}, [][]*relation.Relation{rHeavy, rLight})

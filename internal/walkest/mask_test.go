@@ -1,7 +1,6 @@
 package walkest
 
 import (
-	"maps"
 	"math"
 	"testing"
 
@@ -34,6 +33,22 @@ func threeWayJoins(t *testing.T) []*join.Join {
 	return []*join.Join{mk("J0", 0, 60), mk("J1", 30, 90), mk("J2", 50, 100)}
 }
 
+// intervalMask reports which of threeWayJoins' joins hold v, J0 extended to
+// hi0.
+func intervalMask(v, hi0 int) uint {
+	mask := uint(0)
+	for i, lohi := range [][2]int{{0, hi0}, {30, 90}, {50, 100}} {
+		if v >= lohi[0] && v < lohi[1] {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
+}
+
+// TestStepJoinMasks: every retained walk carries the joins that hold its
+// value, and each join's cover estimate — its own walks whose mask has no
+// earlier bit — approximates its cover region: J0 all 60 values, J1
+// 60..89, J2 90..99.
 func TestStepJoinMasks(t *testing.T) {
 	joins := threeWayJoins(t)
 	e, err := New(joins, Options{})
@@ -41,45 +56,29 @@ func TestStepJoinMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := rng.New(51)
-	for i := 0; i < 4000; i++ {
-		e.StepJoin(0, g)
-	}
-	// Every observed mask must include bit 0 and match the interval
-	// structure: values < 30 -> 001; 30..49 -> 011; 50..59 -> 111.
-	for mask, w := range e.wByMask[0] {
-		if mask&1 == 0 {
-			t.Fatalf("anchor bit missing from mask %b", mask)
-		}
-		if w <= 0 {
-			t.Fatalf("non-positive weight for mask %b", mask)
-		}
-		switch mask {
-		case 0b001, 0b011, 0b111:
-		default:
-			t.Fatalf("impossible membership mask %b for the fixture", mask)
+	for j := range joins {
+		for i := 0; i < 4000; i++ {
+			e.StepJoin(j, g)
 		}
 	}
-	// Overlap estimates approximate interval sizes: |J0∩J1| = 30,
-	// |J0∩J2| = 10, |J0∩J1∩J2| = 10.
-	cases := []struct {
-		mask uint
-		want float64
-	}{
-		{0b011, 30}, {0b101, 10}, {0b111, 10},
-	}
-	for _, c := range cases {
-		got := e.OverlapEstimate(c.mask)
-		if math.Abs(got-c.want)/c.want > 0.2 {
-			t.Errorf("overlap(%b) = %.1f, want ~%.0f", c.mask, got, c.want)
+	for j, want := range []float64{60, 30, 10} {
+		je := e.ests[j]
+		for _, s := range je.samples {
+			if m := intervalMask(int(s.Tuple[0]), 60); s.Mask != m {
+				t.Fatalf("join %d walk of value %d: mask %03b, want %03b", j, s.Tuple[0], s.Mask, m)
+			}
+		}
+		if got := je.Cover(); math.Abs(got-want)/want > 0.2 {
+			t.Errorf("cover[%d] = %.1f, want ~%.0f", j, got, want)
 		}
 	}
 }
 
 // TestWalkJoinRetainsNothing: the served walk is StepJoin without the
 // pool. Seed for seed it lands on the same tuple with the same p(t) and —
-// while its caller refines — the same mask and overlap counters, in the
-// caller's tuple, allocating nothing; told that refinement is over it
-// still feeds the size estimate, but probes no join and moves no counter.
+// while its caller refines — the same mask and estimates, in the caller's
+// tuple, allocating nothing; told that refinement is over it probes no
+// join and folds nothing in.
 func TestWalkJoinRetainsNothing(t *testing.T) {
 	joins := threeWayJoins(t)
 	stepped, _ := New(joins, Options{})
@@ -100,64 +99,57 @@ func TestWalkJoinRetainsNothing(t *testing.T) {
 	if len(je.samples) != 0 || je.slab != nil {
 		t.Errorf("a served walk retained %d samples, slab %v", len(je.samples), je.slab != nil)
 	}
-	if walked.wAll[1] != stepped.wAll[1] || !maps.Equal(walked.wByMask[1], stepped.wByMask[1]) || je.Size() != stepped.ests[1].Size() {
+	if st := stepped.ests[1]; je.n != st.n || je.size != st.size || je.cover != st.cover {
 		t.Error("refining walks and retained walks disagree on the estimates")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { walked.WalkJoin(1, scratch, true, gw) }); allocs != 0 {
 		t.Errorf("a served walk allocates %.1f times", allocs)
 	}
 
-	all, byMask, n := walked.wAll[1], maps.Clone(walked.wByMask[1]), je.Walks()
+	n, size, cover := je.n, je.size, je.cover
 	for i := 0; i < 200; i++ {
 		if sm, ok := walked.WalkJoin(1, scratch, false, gw); !ok || sm.Mask != 0 {
 			t.Fatalf("frozen walk: ok=%v mask=%b", ok, sm.Mask)
 		}
 	}
-	if je.Walks() != n+200 {
-		t.Errorf("frozen walks folded %d observations, want 200", je.Walks()-n)
-	}
-	if walked.wAll[1] != all || !maps.Equal(walked.wByMask[1], byMask) {
-		t.Error("a frozen walk moved the overlap counters")
+	if je.n != n || je.size != size || je.cover != cover {
+		t.Errorf("frozen walks moved the estimates: %d walks, was %d", je.n, n)
 	}
 }
 
-func TestOverlapEstimateAnchorsOnSmallest(t *testing.T) {
+// TestCoverEstimateUsesOwnWalks: a join's cover comes from its own walks
+// alone. With only J1 walked, ĉ_1 is J1's region (60..89) and the joins
+// without walks estimate nothing.
+func TestCoverEstimateUsesOwnWalks(t *testing.T) {
 	joins := threeWayJoins(t)
 	e, err := New(joins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only join 1 has walks: a mask {1,2} anchored at join 1 works, a
-	// mask {0,1} anchored at join 0 has no observations yet.
 	g := rng.New(52)
 	for i := 0; i < 2000; i++ {
 		e.StepJoin(1, g)
 	}
-	if got := e.OverlapEstimate(0b110); got <= 0 {
-		t.Errorf("anchored-at-1 estimate = %f", got)
+	if got := e.ests[1].Cover(); math.Abs(got-30)/30 > 0.2 {
+		t.Errorf("cover[1] = %.1f, want ~30", got)
 	}
-	if got := e.OverlapEstimate(0b011); got != 0 {
-		t.Errorf("estimate without anchor walks = %f, want 0", got)
-	}
-	if got := e.OverlapEstimate(0); got != 0 {
-		t.Errorf("empty mask estimate = %f", got)
+	for _, j := range []int{0, 2} {
+		if je := e.ests[j]; je.Cover() != 0 || je.Walks() != 0 {
+			t.Errorf("join %d: cover %v from %d walks without walking it", j, je.Cover(), je.Walks())
+		}
 	}
 }
 
+// TestTableAgainstExactOnThreeWay: sizes and cover sizes against the
+// exact overlap table, and Û = Σ ĉ against the exact union.
 func TestTableAgainstExactOnThreeWay(t *testing.T) {
 	joins := threeWayJoins(t)
-	// Single-relation walks have zero size variance, so the confidence
-	// early-stop would fire at MinWalks; force the full budget so the
-	// overlap fractions converge too.
+	// Force the full budget so the cover fractions converge tightly.
 	e, err := New(joins, Options{MaxWalks: 6000, TargetRel: 0.01, MinWalks: 6000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Warmup(rng.New(53))
-	tab, err := e.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
 	exact, exactUnion, err := overlap.Exact(joins)
 	if err != nil {
 		t.Fatal(err)
@@ -165,21 +157,17 @@ func TestTableAgainstExactOnThreeWay(t *testing.T) {
 	if exactUnion != 100 {
 		t.Fatalf("fixture union = %d", exactUnion)
 	}
-	full := uint(0b111)
-	for mask := uint(1); mask <= full; mask++ {
-		want := exact.Get(mask)
-		got := tab.Get(mask)
-		if want == 0 {
-			if got > 3 {
-				t.Errorf("overlap(%b) = %.1f, want ~0", mask, got)
-			}
-			continue
+	cover, u := exact.CoverSizes(), 0.0
+	for j, je := range e.ests {
+		if je.Size() != exact.JoinSize(j) {
+			t.Errorf("size[%d] = %.1f, want %.0f", j, je.Size(), exact.JoinSize(j))
 		}
-		if math.Abs(got-want)/want > 0.2 {
-			t.Errorf("overlap(%b) = %.1f, want ~%.0f", mask, got, want)
+		if math.Abs(je.Cover()-cover[j])/cover[j] > 0.2 {
+			t.Errorf("cover[%d] = %.1f, want ~%.0f", j, je.Cover(), cover[j])
 		}
+		u += je.Cover()
 	}
-	if u := tab.UnionSize(); math.Abs(u-100) > 8 {
+	if math.Abs(u-100) > 8 {
 		t.Errorf("union size = %.1f, want ~100", u)
 	}
 }
@@ -195,12 +183,12 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// TestRefreshedReprobesRetainedWalks: after J2's relation gains the
-// values 0..9, Refreshed with J2 dirty must reset J2, leave the clean
-// joins' walk counts and sizes alone, and re-derive their overlap with
-// J2 from the walks they retained — each walk's mask agreeing with what
-// the joins now contain, the counters with the masks, and the estimator
-// it was taken from with itself.
+// TestRefreshedReprobesRetainedWalks: after J0's relation gains the
+// values 60..79, Refreshed with J0 dirty must reset J0, leave the clean
+// joins' walk counts and sizes alone, and re-derive their cover estimates
+// from the walks they retained — each walk's mask agreeing with what the
+// joins now contain, ĉ with the masks (J1's region shrinks to 80..89, J2's
+// stays 90..99), and the estimator it was taken from with itself.
 func TestRefreshedReprobesRetainedWalks(t *testing.T) {
 	joins := threeWayJoins(t)
 	e, err := New(joins, Options{MaxWalks: 2000, TargetRel: 1e-9})
@@ -208,54 +196,46 @@ func TestRefreshedReprobesRetainedWalks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Warmup(rng.New(52))
-	before := e.OverlapEstimate(0b101) // |J0 ∩ J2| = 10
-	rel := joins[2].Nodes()[0].Rel
-	for v := 0; v < 10; v++ {
+	before := []float64{e.ests[1].Cover(), e.ests[2].Cover()}
+	rel := joins[0].Nodes()[0].Rel
+	for v := 60; v < 80; v++ {
 		rel.AppendValues(relation.Value(v), relation.Value(v*3))
 	}
-	r, reprobed := e.Refreshed([]bool{false, false, true})
-	if want := len(e.ests[0].samples) + len(e.ests[1].samples); reprobed != want {
+	r, reprobed := e.Refreshed([]bool{true, false, false})
+	if want := len(e.ests[1].samples) + len(e.ests[2].samples); reprobed != want {
 		t.Errorf("reprobed %d walks, want the %d the clean joins retain", reprobed, want)
 	}
-	if r.ests[2].Walks() != 0 || len(r.wByMask[2]) != 0 || r.wAll[2] != 0 {
-		t.Errorf("dirty join kept state: %d walks, masks %v", r.ests[2].Walks(), r.wByMask[2])
+	if je := r.ests[0]; je.Walks() != 0 || je.Size() != 0 || je.Cover() != 0 {
+		t.Errorf("dirty join kept state: %d walks, size %v, cover %v", je.Walks(), je.Size(), je.Cover())
 	}
-	for j := 0; j < 2; j++ {
-		if r.ests[j].Walks() != e.ests[j].Walks() || r.ests[j].Size() != e.ests[j].Size() {
+	for j := 1; j < 3; j++ {
+		je := r.ests[j]
+		if je.Walks() != e.ests[j].Walks() || je.Size() != e.ests[j].Size() {
 			t.Errorf("clean join %d: %d walks size %v, had %d size %v",
-				j, r.ests[j].Walks(), r.ests[j].Size(), e.ests[j].Walks(), e.ests[j].Size())
+				j, je.Walks(), je.Size(), e.ests[j].Walks(), e.ests[j].Size())
 		}
-		sums := map[uint]float64{}
-		for _, s := range r.ests[j].samples {
-			v := int(s.Tuple[0])
-			want := uint(0)
-			for i, lohi := range [][2]int{{0, 60}, {30, 90}, {50, 100}} {
-				if (v >= lohi[0] && v < lohi[1]) || (i == 2 && v < 10) {
-					want |= 1 << uint(i)
-				}
+		sum := 0.0
+		for _, s := range je.samples {
+			if want := intervalMask(int(s.Tuple[0]), 80); s.Mask != want {
+				t.Fatalf("join %d walk of value %d: mask %03b, want %03b", j, s.Tuple[0], s.Mask, want)
 			}
-			if s.Mask != want {
-				t.Fatalf("join %d walk of value %d: mask %03b, want %03b", j, v, s.Mask, want)
-			}
-			sums[s.Mask] += 1 / s.P
+			sum += coverObservation(s, j)
 		}
-		for mask, w := range sums {
-			if r.wByMask[j][mask] != w {
-				t.Errorf("join %d mask %03b: counter %v, retained walks sum to %v", j, mask, r.wByMask[j][mask], w)
-			}
-		}
-		if len(sums) != len(r.wByMask[j]) {
-			t.Errorf("join %d: counters %v, walks carry masks %v", j, r.wByMask[j], sums)
+		if want := sum / float64(je.Walks()); math.Abs(je.Cover()-want) > 1e-9*want {
+			t.Errorf("join %d: ĉ %v, retained walks give %v", j, je.Cover(), want)
 		}
 	}
-	if got := r.OverlapEstimate(0b101); math.Abs(got-20)/20 > 0.2 {
-		t.Errorf("|J0 ∩ J2| estimated %.1f after the append, want ~20", got)
+	if got := r.ests[1].Cover(); math.Abs(got-10)/10 > 0.2 {
+		t.Errorf("ĉ_1 = %.1f after the append, want ~10", got)
 	}
-	if got := e.OverlapEstimate(0b101); got != before {
-		t.Errorf("Refreshed moved the receiver's estimate: %v, was %v", got, before)
+	if got := r.ests[2].Cover(); math.Abs(got-before[1]) > 1e-9*before[1] {
+		t.Errorf("ĉ_2 moved to %.1f, was %.1f: no earlier join gained its values", got, before[1])
+	}
+	if got := e.ests[1].Cover(); got != before[0] {
+		t.Errorf("Refreshed moved the receiver's estimate: %v, was %v", got, before[0])
 	}
 	// Nothing dirty: a plain copy, nothing probed.
-	if c, n := e.Refreshed(make([]bool, 3)); n != 0 || c.OverlapEstimate(0b101) != before {
-		t.Errorf("clean Refreshed probed %d walks, estimate %v (was %v)", n, c.OverlapEstimate(0b101), before)
+	if c, n := e.Refreshed(make([]bool, 3)); n != 0 || c.ests[1].Cover() != before[0] {
+		t.Errorf("clean Refreshed probed %d walks, estimate %v (was %v)", n, c.ests[1].Cover(), before[0])
 	}
 }

@@ -1,20 +1,19 @@
 // Package walkest implements the random-walk instantiation of the
-// union-sampling framework (§6): join sizes by Horvitz–Thompson
-// estimation over Wander-Join walks (§6.1), join overlaps from the
-// weighted fraction of one join's walk samples contained in the others
-// (§6.2), confidence intervals for the sizes, and the warm-up's retained
-// walks: the pool §7's sample reuse draws from and a refresh probes again.
+// union-sampling framework (§6). Each join keeps two Horvitz–Thompson
+// estimates over its own Wander-Join walks (§6.1): its size |J_j|, and the
+// size c_j of its cover region — the results no earlier join contains
+// (§3.1), which a walk knows from the membership mask its tuple is probed
+// to (§6.2's containment check). The package also keeps confidence
+// intervals for the cover sizes and the warm-up's retained walks: the pool
+// §7's sample reuse draws from and a refresh probes again.
 package walkest
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"math/bits"
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/joinsample"
-	"sampleunion/internal/overlap"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
 )
@@ -29,18 +28,29 @@ type Sample struct {
 	Mask  uint
 }
 
-// JoinEstimate maintains the running Horvitz–Thompson estimate of one
-// join's size: over n walks (failed walks contributing 0), the mean of
-// 1/p(t) is an unbiased estimator of |J| (§6.1). Mean and variance are
-// tracked with Welford's algorithm so the estimate updates in O(1) per
-// walk, matching the paper's real-time update rule.
+// moments is a running mean and sum of squared deviations, updated with
+// Welford's algorithm in O(1) per observation.
+type moments struct{ mean, m2 float64 }
+
+// add folds x in as the n-th observation.
+func (m *moments) add(x float64, n int) {
+	d := x - m.mean
+	m.mean += d / float64(n)
+	m.m2 += d * (x - m.mean)
+}
+
+// JoinEstimate maintains the running Horvitz–Thompson estimates of one
+// join over its n walks, a failed walk contributing 0 to both: the mean
+// of 1/p(t) is an unbiased estimator of |J| (§6.1), and the mean of
+// y(t) = 1/p(t) when no earlier join contains t, else 0, one of the cover
+// size c = |J'| (§3.1). Both update in O(1) per walk, matching the
+// paper's real-time update rule.
 type JoinEstimate struct {
-	J       *join.Join
-	walker  *joinsample.Walker
-	n       int
-	mean    float64
-	m2      float64
-	samples []Sample
+	J           *join.Join
+	walker      *joinsample.Walker
+	n           int
+	size, cover moments
+	samples     []Sample
 
 	// Scratch, private to this estimate (clone drops it): slab is the
 	// unused rest of the chunk retain carves tuples from — one
@@ -58,20 +68,13 @@ func NewJoinEstimate(j *join.Join) *JoinEstimate {
 	return &JoinEstimate{J: j, walker: joinsample.NewWalker(j)}
 }
 
-// Walk performs one wander-join walk into t — the caller's, one output
-// tuple wide — folds it into the estimate, and returns p(t) when the walk
-// succeeded. Nothing is retained.
-func (e *JoinEstimate) Walk(t relation.Tuple, g *rng.RNG) (float64, bool) {
+// walk performs one wander-join walk into t — the caller's, one output
+// tuple wide — and returns p(t) when it succeeded. It folds nothing in.
+func (e *JoinEstimate) walk(t relation.Tuple, g *rng.RNG) (float64, bool) {
 	if e.rowOf == nil {
 		e.rowOf = make([]int, len(e.J.Nodes()))
 	}
-	p, ok := e.walker.WalkInto(t, e.rowOf, g)
-	if !ok {
-		e.Observe(0)
-		return 0, false
-	}
-	e.Observe(1 / p)
-	return p, true
+	return e.walker.WalkInto(t, e.rowOf, g)
 }
 
 // retain carves the tuple of the next retained walk from the estimate's
@@ -89,49 +92,68 @@ func (e *JoinEstimate) keep(s Sample) {
 	e.samples = append(e.samples, s)
 }
 
-// Observe folds one Horvitz–Thompson observation (1/p for a successful
-// walk, 0 for a failed one) into the running mean and variance. The
-// online sampler calls it directly when it reuses its own draws to
-// refine parameters (§7).
-func (e *JoinEstimate) Observe(invP float64) {
+// observe folds one walk in: invP is its 1/p(t) and y its cover
+// observation, both 0 for a failed walk.
+func (e *JoinEstimate) observe(invP, y float64) {
 	e.n++
-	d := invP - e.mean
-	e.mean += d / float64(e.n)
-	e.m2 += d * (invP - e.mean)
+	e.size.add(invP, e.n)
+	e.cover.add(y, e.n)
 }
 
-// RelHalfWidth is the confidence half-width relative to the size
-// estimate. It is +Inf before any walk and when the size estimate is
-// zero.
-func (e *JoinEstimate) RelHalfWidth(z float64) float64 {
-	if e.n == 0 || e.mean <= 0 {
-		return math.Inf(1)
+// coverObservation is y(t) for s, a successful walk of join j.
+func coverObservation(s Sample, j int) float64 {
+	if s.Mask&(1<<uint(j)-1) != 0 {
+		return 0
 	}
-	return e.HalfWidth(z) / e.mean
+	return 1 / s.P
+}
+
+// rederiveCover recomputes the cover moments of join j from the retained
+// walks, after their masks were probed again: every successful walk a
+// warm-up took is retained, so the n − len(samples) others failed and
+// count 0.
+func (e *JoinEstimate) rederiveCover(j int) {
+	var c moments
+	for i, s := range e.samples {
+		c.add(coverObservation(s, j), i+1)
+	}
+	for i := len(e.samples); i < e.n; i++ {
+		c.add(0, i+1)
+	}
+	e.cover = c
 }
 
 // Walks reports the number of observations folded in so far.
 func (e *JoinEstimate) Walks() int { return e.n }
 
 // Size returns the current |J| estimate (0 before any walk).
-func (e *JoinEstimate) Size() float64 { return e.mean }
+func (e *JoinEstimate) Size() float64 { return e.size.mean }
 
-// Variance returns the sample variance of the HT observations — the
-// T_{n,2} term of §6.2's variance expression.
-func (e *JoinEstimate) Variance() float64 {
-	if e.n < 2 {
-		return 0
-	}
-	return e.m2 / float64(e.n-1)
-}
+// Cover returns the current cover-size estimate ĉ (0 before any walk).
+func (e *JoinEstimate) Cover() float64 { return e.cover.mean }
 
-// HalfWidth returns the z·σ/√n confidence half-width of the size
-// estimate (§6.1).
-func (e *JoinEstimate) HalfWidth(z float64) float64 {
+// coverHalfWidth returns the z·σ/√n confidence half-width of ĉ (+Inf
+// before any walk). The variance is floored at ĉ²·3/n, the rule of three,
+// so that n equal observations never read as an exact estimate.
+func (e *JoinEstimate) coverHalfWidth(z float64) float64 {
 	if e.n == 0 {
 		return math.Inf(1)
 	}
-	return z * math.Sqrt(e.Variance()) / math.Sqrt(float64(e.n))
+	n := float64(e.n)
+	v := 0.0
+	if e.n > 1 {
+		v = e.cover.m2 / (n - 1)
+	}
+	return z * math.Sqrt(max(v, e.cover.mean*e.cover.mean*3/n)/n)
+}
+
+// CoverRelHalfWidth is coverHalfWidth relative to ĉ: +Inf before any walk
+// and while ĉ is zero.
+func (e *JoinEstimate) CoverRelHalfWidth(z float64) float64 {
+	if e.n == 0 || e.cover.mean <= 0 {
+		return math.Inf(1)
+	}
+	return e.coverHalfWidth(z) / e.cover.mean
 }
 
 // Samples returns the retained successful walks. The slice is shared: a
@@ -157,7 +179,7 @@ type Options struct {
 	// <= 0 default to 1.645.
 	Z float64
 	// TargetRel stops walking a join early once the confidence
-	// half-width falls below TargetRel × size estimate. Values <= 0
+	// half-width of its cover size falls below TargetRel × ĉ. Values <= 0
 	// default to 0.1.
 	TargetRel float64
 	// MinWalks floors the walk count before the early-stop test.
@@ -181,17 +203,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Estimator runs the warm-up phase for a union of joins and produces
-// the overlap table. Overlap statistics are accumulated incrementally
-// as walks happen (a per-join map from membership bitmask to summed
-// 1/p weight), so they survive the online sampler consuming the reuse
-// pool.
+// Estimator runs the warm-up phase for a union of joins: one JoinEstimate
+// per join, each updated as its walks happen, so the estimates survive
+// the online sampler consuming the reuse pool.
 type Estimator struct {
-	joins   []*join.Join
-	ests    []*JoinEstimate
-	opts    Options
-	wByMask []map[uint]float64 // per join: membership mask -> Σ 1/p
-	wAll    []float64          // per join: Σ 1/p over successful walks
+	joins []*join.Join
+	ests  []*JoinEstimate
+	opts  Options
 
 	// probes[j][i] tests a join-j walk tuple against join i without
 	// re-deriving the schema alignment per walk (nil when i == j or the
@@ -208,8 +226,6 @@ func New(joins []*join.Join, opts Options) (*Estimator, error) {
 	e := &Estimator{joins: joins, opts: opts.withDefaults()}
 	for _, j := range joins {
 		e.ests = append(e.ests, NewJoinEstimate(j))
-		e.wByMask = append(e.wByMask, make(map[uint]float64))
-		e.wAll = append(e.wAll, 0)
 	}
 	e.probes = make([][]*join.AlignedProbe, len(joins))
 	for j, src := range joins {
@@ -242,13 +258,13 @@ func (e *JoinEstimate) clone() *JoinEstimate {
 }
 
 // Clone returns an independent deep copy of the estimator's mutable
-// state: per-join estimates, reuse pools, and overlap counters. The one
-// run that owns the warm-up pool (§7's sample reuse) consumes its own
-// copy. Retained sample tuples are shared read-only.
+// state: per-join estimates and reuse pools. The one run that owns the
+// warm-up pool (§7's sample reuse) consumes its own copy. Retained sample
+// tuples are shared read-only.
 func (e *Estimator) Clone() *Estimator {
 	c := e.shell()
-	for j := range e.ests {
-		c.adopt(e, j)
+	for j, je := range e.ests {
+		c.ests[j] = je.clone()
 	}
 	return c
 }
@@ -256,45 +272,32 @@ func (e *Estimator) Clone() *Estimator {
 // shell returns an estimator over e's joins with no per-join state yet.
 func (e *Estimator) shell() *Estimator {
 	return &Estimator{
-		joins:   e.joins,
-		opts:    e.opts,
-		ests:    make([]*JoinEstimate, len(e.ests)),
-		wByMask: make([]map[uint]float64, len(e.ests)),
-		wAll:    make([]float64, len(e.ests)),
-		probes:  e.probes,
+		joins:  e.joins,
+		opts:   e.opts,
+		ests:   make([]*JoinEstimate, len(e.ests)),
+		probes: e.probes,
 	}
 }
 
-// adopt gives c its own copy of src's state for join j.
-func (c *Estimator) adopt(src *Estimator, j int) {
-	c.ests[j] = src.ests[j].clone()
-	c.wByMask[j] = maps.Clone(src.wByMask[j])
-	c.wAll[j] = src.wAll[j]
-}
-
-// CopyEstimates makes e an independent copy of src's size estimates and
-// overlap counters with no retained walks, written into the storage e
-// already owns (the zero Estimator owns none and allocates it). Prepared
-// sessions start every run from the shared warm-up this way — sharing
-// warm-up tuples across runs would correlate streams that are documented
-// as independent — and a recycled run pays a few word copies for it
-// instead of a fresh estimator.
+// CopyEstimates makes e an independent copy of src's estimates with no
+// retained walks, written into the storage e already owns (the zero
+// Estimator owns none and allocates it). Prepared sessions start every
+// run from the shared warm-up this way — sharing warm-up tuples across
+// runs would correlate streams that are documented as independent — and
+// a recycled run pays a few word copies for it instead of a fresh
+// estimator.
 func (e *Estimator) CopyEstimates(src *Estimator) {
 	if len(e.ests) != len(src.ests) {
 		*e = *src.shell()
 		for j := range e.ests {
 			e.ests[j] = new(JoinEstimate)
-			e.wByMask[j] = make(map[uint]float64, len(src.wByMask[j]))
 		}
 	}
-	copy(e.wAll, src.wAll)
 	for j, from := range src.ests {
 		to := e.ests[j]
 		to.J, to.walker = from.J, from.walker
-		to.n, to.mean, to.m2 = from.n, from.mean, from.m2
+		to.n, to.size, to.cover = from.n, from.size, from.cover
 		to.samples = to.samples[:0]
-		clear(e.wByMask[j])
-		maps.Copy(e.wByMask[j], src.wByMask[j])
 	}
 }
 
@@ -302,21 +305,21 @@ func (e *Estimator) CopyEstimates(src *Estimator) {
 // relations of the joins marked dirty have mutated, leaving e untouched
 // (runs cloned from it keep their snapshot). A dirty join starts over: its
 // walks observed data that no longer exists, and the caller walks it
-// again. A clean join keeps its Horvitz–Thompson state and its retained
+// again. A clean join keeps its walk count, size estimate and retained
 // walks — p(t) of a walk depends on the join's own relations only — but
 // whether a dirty join contains those walks' tuples may have moved, so
 // each retained walk's mask is probed again against the dirty joins and
-// the join's overlap counters are summed afresh over the pool. It also
+// the join's cover estimate is derived afresh from the pool. It also
 // reports how many walks it probed again.
 func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 	c := e.shell()
 	var moved uint
 	for j, d := range dirty {
 		if d {
-			c.ests[j], c.wByMask[j] = NewJoinEstimate(e.joins[j]), make(map[uint]float64)
+			c.ests[j] = NewJoinEstimate(e.joins[j])
 			moved |= 1 << uint(j)
 		} else {
-			c.adopt(e, j)
+			c.ests[j] = e.ests[j].clone()
 		}
 	}
 	if moved == 0 {
@@ -327,7 +330,6 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 		if dirty[j] || len(je.samples) == 0 {
 			continue
 		}
-		byMask, all := make(map[uint]float64, len(c.wByMask[j])), 0.0
 		for i := range je.samples {
 			s := &je.samples[i]
 			s.Mask &^= moved
@@ -336,10 +338,8 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 					s.Mask |= 1 << uint(o)
 				}
 			}
-			byMask[s.Mask] += 1 / s.P
-			all += 1 / s.P
 		}
-		c.wByMask[j], c.wAll[j] = byMask, all
+		je.rederiveCover(j)
 		reprobed += len(je.samples)
 	}
 	return c, reprobed
@@ -356,41 +356,43 @@ func (e *Estimator) StepJoin(j int, g *rng.RNG) (Sample, bool) {
 	return s, ok
 }
 
-// WalkJoin performs one walk of join j into t, retaining nothing
-// (JoinEstimate.Walk). While the caller still refines its parameters the
-// walk feeds the overlap counters too and the sample carries its mask;
-// once nothing will read the counters again (Algorithm 2, line 18: updates
-// stop at confidence γ) no other join is probed and Mask stays zero.
+// WalkJoin performs one walk of join j into t, retaining nothing. While
+// the caller still refines its parameters the sample carries its mask and
+// the walk is folded into j's estimates; once nothing will read them
+// again (Algorithm 2, line 18: updates stop at confidence γ) no other
+// join is probed, nothing is folded in and Mask stays zero.
 func (e *Estimator) WalkJoin(j int, t relation.Tuple, refining bool, g *rng.RNG) (Sample, bool) {
-	p, ok := e.ests[j].Walk(t, g)
+	je := e.ests[j]
+	p, ok := je.walk(t, g)
 	if !ok {
+		if refining {
+			je.observe(0, 0)
+		}
 		return Sample{}, false
 	}
 	s := Sample{Tuple: t, P: p}
 	if refining {
-		s.Mask = e.foldMask(j, t, p)
+		s.Mask = e.mask(j, t)
+		je.observe(1/p, coverObservation(s, j))
 	}
 	return s, true
 }
 
-// foldMask probes t, a successful walk of join j with probability p,
-// against every other join's index (§6.2's containment check), adds it to
-// j's overlap counters and returns the mask.
-func (e *Estimator) foldMask(j int, t relation.Tuple, p float64) uint {
+// mask probes t, a successful walk of join j, against every other join's
+// index (§6.2's containment check) and returns the joins that contain it.
+func (e *Estimator) mask(j int, t relation.Tuple) uint {
 	mask := uint(1) << uint(j)
 	for i, pr := range e.probes[j] {
 		if pr != nil && pr.Contains(t) {
 			mask |= 1 << uint(i)
 		}
 	}
-	e.wByMask[j][mask] += 1 / p
-	e.wAll[j] += 1 / p
 	return mask
 }
 
 // Warmup walks every join that has no observations yet — all of them on
-// a new estimator, the reset ones after Refreshed — until its size
-// confidence target is met or the walk budget runs out (§6.1's
+// a new estimator, the reset ones after Refreshed — until the confidence
+// target on its cover size is met or the walk budget runs out (§6.1's
 // termination rule).
 func (e *Estimator) Warmup(g *rng.RNG) {
 	for j, je := range e.ests {
@@ -399,9 +401,7 @@ func (e *Estimator) Warmup(g *rng.RNG) {
 		}
 		for je.Walks() < e.opts.MaxWalks {
 			e.StepJoin(j, g)
-			if je.Walks() >= e.opts.MinWalks &&
-				je.Size() > 0 &&
-				je.HalfWidth(e.opts.Z) < e.opts.TargetRel*je.Size() {
+			if je.Walks() >= e.opts.MinWalks && je.CoverRelHalfWidth(e.opts.Z) < e.opts.TargetRel {
 				break
 			}
 		}
@@ -412,63 +412,13 @@ func (e *Estimator) Warmup(g *rng.RNG) {
 // callers evaluate half-widths at the same level the warm-up did.
 func (e *Estimator) Z() float64 { return e.opts.Z }
 
-// Table assembles the overlap table from the warm-up state: singleton
-// sizes from the HT estimates, each subset Δ from the §6.2 rule
-// |O_Δ| = |J_j| · (Σ_{t ∈ S_j ∩ all} 1/p(t)) / (Σ_{t ∈ S_j} 1/p(t))
-// anchored at the subset's smallest join index.
-func (e *Estimator) Table() (*overlap.Table, error) {
-	t, err := overlap.NewTable(len(e.joins))
-	if err != nil {
-		return nil, err
-	}
-	for i, je := range e.ests {
-		t.Set(1<<uint(i), je.Size())
-	}
-	full := uint(1)<<uint(len(e.joins)) - 1
-	for mask := uint(3); mask <= full; mask++ {
-		if mask&(mask-1) == 0 {
-			continue // singleton
-		}
-		t.Set(mask, e.OverlapEstimate(mask))
-	}
-	t.Normalize()
-	return t, nil
-}
-
-// OverlapEstimate computes the §6.2 overlap estimate for the subset
-// mask, anchoring on the smallest join index in the subset: the
-// weighted fraction of the anchor's walk samples contained in every
-// other join of the subset, scaled by the anchor's size estimate.
-func (e *Estimator) OverlapEstimate(mask uint) float64 {
-	anchor := bits.TrailingZeros(mask)
-	if anchor >= len(e.joins) || e.wAll[anchor] == 0 {
-		return 0
-	}
-	var wIn float64
-	for m, w := range e.wByMask[anchor] {
-		if m&mask == mask {
-			wIn += w
-		}
-	}
-	return e.ests[anchor].Size() * wIn / e.wAll[anchor]
-}
-
 // Confidence reports the smallest relative confidence achieved across
-// the joins' size estimates: 1 - halfWidth/size, clamped to [0, 1]. The
+// the joins' cover estimates: 1 − CoverRelHalfWidth, clamped at 0. The
 // online sampler uses it as the γ of Algorithm 2.
 func (e *Estimator) Confidence(z float64) float64 {
 	worst := 1.0
 	for _, je := range e.ests {
-		if je.Size() <= 0 {
-			return 0
-		}
-		c := 1 - je.HalfWidth(z)/je.Size()
-		if c < 0 {
-			c = 0
-		}
-		if c < worst {
-			worst = c
-		}
+		worst = min(worst, 1-je.CoverRelHalfWidth(z))
 	}
-	return worst
+	return max(worst, 0)
 }

@@ -43,59 +43,82 @@ func overlappingJoins(t *testing.T) []*join.Join {
 
 func TestJoinEstimateConvergesToSize(t *testing.T) {
 	joins := overlappingJoins(t)
-	je := NewJoinEstimate(joins[0])
+	e, _ := New(joins, Options{})
+	je := e.JoinEstimates()[0]
 	g := rng.New(1)
 	scratch := make(relation.Tuple, joins[0].OutputSchema().Len())
 	for i := 0; i < 20000; i++ {
-		je.Walk(scratch, g)
+		e.WalkJoin(0, scratch, true, g)
 	}
 	truth := float64(joins[0].Count())
 	if math.Abs(je.Size()-truth)/truth > 0.05 {
 		t.Fatalf("HT size = %.1f, truth %.1f", je.Size(), truth)
 	}
+	if je.Cover() != je.Size() {
+		t.Errorf("the first join's cover %.1f is not its size %.1f", je.Cover(), je.Size())
+	}
 	if je.Walks() != 20000 {
 		t.Errorf("Walks = %d", je.Walks())
 	}
-	if je.HalfWidth(1.645) <= 0 {
-		t.Errorf("half width = %f", je.HalfWidth(1.645))
+	if je.coverHalfWidth(1.645) <= 0 {
+		t.Errorf("half width = %f", je.coverHalfWidth(1.645))
 	}
 }
 
+// TestWelfordMatchesDirectVariance: the running moments of both
+// observations are the direct mean and sample variance.
 func TestWelfordMatchesDirectVariance(t *testing.T) {
 	je := &JoinEstimate{}
 	vals := []float64{4, 8, 15, 16, 23, 42}
-	for _, v := range vals {
-		je.Observe(v)
+	for i, v := range vals {
+		je.observe(v, float64(i%2)*v)
 	}
-	mean := 0.0
-	for _, v := range vals {
-		mean += v
+	direct := func(y func(i int) float64) (mean, variance float64) {
+		for i := range vals {
+			mean += y(i)
+		}
+		mean /= float64(len(vals))
+		for i := range vals {
+			variance += (y(i) - mean) * (y(i) - mean)
+		}
+		return mean, variance / float64(len(vals)-1)
 	}
-	mean /= float64(len(vals))
-	varSum := 0.0
-	for _, v := range vals {
-		varSum += (v - mean) * (v - mean)
+	for name, c := range map[string]struct {
+		m moments
+		y func(i int) float64
+	}{
+		"size":  {je.size, func(i int) float64 { return vals[i] }},
+		"cover": {je.cover, func(i int) float64 { return float64(i%2) * vals[i] }},
+	} {
+		mean, variance := direct(c.y)
+		if math.Abs(c.m.mean-mean) > 1e-9 || math.Abs(c.m.m2/float64(len(vals)-1)-variance) > 1e-9 {
+			t.Errorf("%s: mean %f variance %f, want %f %f", name, c.m.mean, c.m.m2/float64(len(vals)-1), mean, variance)
+		}
 	}
-	wantVar := varSum / float64(len(vals)-1)
-	if math.Abs(je.Size()-mean) > 1e-9 {
-		t.Errorf("mean = %f, want %f", je.Size(), mean)
-	}
-	if math.Abs(je.Variance()-wantVar) > 1e-9 {
-		t.Errorf("variance = %f, want %f", je.Variance(), wantVar)
+	if je.Size() != je.size.mean || je.Cover() != je.cover.mean {
+		t.Error("Size and Cover do not read the running means")
 	}
 }
 
+// TestVarianceDegenerate: no walk reads as an infinitely wide interval,
+// and equal observations — zero sample variance — never as a zero one:
+// the rule-of-three floor keeps ĉ·z·√3/n.
 func TestVarianceDegenerate(t *testing.T) {
 	je := &JoinEstimate{}
-	if je.Variance() != 0 {
-		t.Error("variance of empty estimate nonzero")
-	}
-	if !math.IsInf(je.HalfWidth(1.645), 1) {
+	if !math.IsInf(je.coverHalfWidth(1.645), 1) || !math.IsInf(je.CoverRelHalfWidth(1.645), 1) {
 		t.Error("half width of empty estimate finite")
 	}
-	je.Observe(5)
-	if je.Variance() != 0 {
-		t.Error("variance of single observation nonzero")
+	for n := 1; n <= 64; n++ {
+		je.observe(5, 5)
+		want := 1.645 * math.Sqrt(3) / float64(n)
+		if got := je.CoverRelHalfWidth(1.645); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("%d equal observations: relative half-width %v, want the floor's %v", n, got, want)
+		}
+	}
+	zero := &JoinEstimate{}
+	zero.observe(5, 0)
+	if !math.IsInf(zero.CoverRelHalfWidth(1.645), 1) {
+		t.Error("a zero cover estimate has a finite relative half-width")
 	}
 }
 
@@ -132,6 +155,9 @@ func TestWarmupRespectsBudgetAndTarget(t *testing.T) {
 	}
 }
 
+// TestOverlapEstimateAccuracy: with two joins, the walks' view of their
+// overlap is |Ĵ_1| − ĉ_1 — the part of J_1 that J_0 covers — and lands on
+// the exact one.
 func TestOverlapEstimateAccuracy(t *testing.T) {
 	joins := overlappingJoins(t)
 	e, err := New(joins, Options{MaxWalks: 8000, TargetRel: 0.01})
@@ -144,7 +170,8 @@ func TestOverlapEstimateAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.OverlapEstimate(0b11)
+	je := e.JoinEstimates()[1]
+	got := je.Size() - je.Cover()
 	want := exact.Get(0b11)
 	if want == 0 {
 		t.Fatal("fixture overlap empty")
@@ -154,29 +181,29 @@ func TestOverlapEstimateAccuracy(t *testing.T) {
 	}
 }
 
+// TestTableCloseToExact: sizes, cover sizes and Û = Σ ĉ land near what
+// the exact overlap table says.
 func TestTableCloseToExact(t *testing.T) {
 	joins := overlappingJoins(t)
 	e, err := New(joins, Options{MaxWalks: 8000, TargetRel: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := rng.New(5)
-	e.Warmup(g)
-	tab, err := e.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e.Warmup(rng.New(5))
 	exact, exactUnion, err := overlap.Exact(joins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range joins {
-		truth := exact.JoinSize(i)
-		if math.Abs(tab.JoinSize(i)-truth)/truth > 0.1 {
-			t.Errorf("size[%d] = %.1f, exact %.1f", i, tab.JoinSize(i), truth)
+	cover, u := exact.CoverSizes(), 0.0
+	for i, je := range e.JoinEstimates() {
+		if truth := exact.JoinSize(i); math.Abs(je.Size()-truth)/truth > 0.1 {
+			t.Errorf("size[%d] = %.1f, exact %.1f", i, je.Size(), truth)
 		}
+		if math.Abs(je.Cover()-cover[i])/cover[i] > 0.15 {
+			t.Errorf("cover[%d] = %.1f, exact %.1f", i, je.Cover(), cover[i])
+		}
+		u += je.Cover()
 	}
-	u := tab.UnionSize()
 	if math.Abs(u-float64(exactUnion))/float64(exactUnion) > 0.15 {
 		t.Errorf("union estimate %.1f, exact %d", u, exactUnion)
 	}
