@@ -239,3 +239,47 @@ func TestRefreshedReprobesRetainedWalks(t *testing.T) {
 		t.Errorf("clean Refreshed probed %d walks, estimate %v (was %v)", n, c.ests[1].Cover(), before[0])
 	}
 }
+
+// TestRefreshedReprobesAfterDeletes: after J0's relation loses the values
+// 40..59, J0 is dirty and the walks it owned must find their next owner,
+// which no refresh of J0 alone can tell: J2's walks of 50..59 now belong
+// to J1, and J1's walks of 40..59 to J1 itself. Every retained walk agrees
+// with what the joins now contain, and ĉ with the retained walks.
+func TestRefreshedReprobesAfterDeletes(t *testing.T) {
+	joins := threeWayJoins(t)
+	e, err := New(joins, Options{MaxWalks: 2000, TargetRel: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Warmup(rng.New(55))
+	rel := joins[0].Nodes()[0].Rel
+	for i := 40; i < 60; i++ {
+		if !rel.Delete(i) {
+			t.Fatalf("row %d not deleted", i)
+		}
+	}
+	r, _ := e.Refreshed([]bool{true, false, false})
+	for j, want := range map[int]float64{1: 50, 2: 10} {
+		je, moved := r.ests[j], 0
+		sum := 0.0
+		for i, s := range je.samples {
+			v := int(s.Tuple[0])
+			if was := e.ests[j].samples[i]; was.Mask&1 != 0 && v >= 40 {
+				moved++
+			}
+			if want := intervalMask(v, 40); s.Mask != want {
+				t.Fatalf("join %d walk of value %d: mask %03b, want %03b", j, v, s.Mask, want)
+			}
+			sum += coverObservation(s, j)
+		}
+		if moved == 0 {
+			t.Fatalf("join %d: no retained walk was J0's before the deletes", j)
+		}
+		if w := sum / float64(je.Walks()); math.Abs(je.Cover()-w) > 1e-9*w {
+			t.Errorf("join %d: ĉ %v, retained walks give %v", j, je.Cover(), w)
+		}
+		if got := je.Cover(); math.Abs(got-want)/want > 0.2 {
+			t.Errorf("ĉ_%d = %.1f after the deletes, want ~%.0f", j, got, want)
+		}
+	}
+}
