@@ -202,7 +202,7 @@ func (s *BernoulliSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
 			if got == 0 {
 				continue
 			}
-			if s.base.minContaining(j, s.scratch.out) != j {
+			if s.base.owners.Owner(j, s.scratch.out) != j {
 				s.stats.RejectedDup++
 				continue
 			}

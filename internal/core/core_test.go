@@ -43,7 +43,7 @@ func unionIndex(t testing.TB, joins []*join.Join) map[string]int {
 	ref := joins[0].OutputSchema()
 	idx := make(map[string]int)
 	for _, j := range joins {
-		perm, err := overlap.AlignPerm(ref, j.OutputSchema())
+		perm, err := ref.Perm(j.OutputSchema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestDisjointSamplerUniform(t *testing.T) {
 	mult := make(map[string]int)
 	var total int
 	for _, j := range joins {
-		perm, err := overlap.AlignPerm(ref, j.OutputSchema())
+		perm, err := ref.Perm(j.OutputSchema())
 		if err != nil {
 			t.Fatal(err)
 		}

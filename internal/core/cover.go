@@ -124,7 +124,7 @@ func (s *CoverSampler) drawOne(g *rng.RNG) error {
 			if got == 0 {
 				break // budget exhausted or dead join: reselect
 			}
-			if s.accept(j, s.scratch.out, 0) {
+			if s.accept(j, s.scratch.out, -1) {
 				s.commit(j, s.scratch.out, 1, 0)
 				return nil
 			}

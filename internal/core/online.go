@@ -207,7 +207,7 @@ func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 			if mult == 0 {
 				continue
 			}
-			if s.accept(j, sm.Tuple, sm.Mask) {
+			if s.accept(j, sm.Tuple, sm.Owner) {
 				// Commit under the inclusion probability of the parameters
 				// in force, for backtracking to thin by.
 				s.commit(j, sm.Tuple, mult, s.inclusionProb(j))
@@ -228,18 +228,18 @@ func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 // NewReuseRun), otherwise by a fresh wander-join walk into the run's
 // scratch. Both paths apply the p(t)-correction so that each value of J_j
 // is produced with equal expected multiplicity — uniform within the join.
-// While the run refines its parameters a fresh walk is probed against every
-// other join once, for the running estimates, and its mask decides
-// acceptance too; after that nothing reads the estimates, so the walk
-// probes and folds in nothing and accept's first-hit scan is the only
-// probe — as for a pool sample.
+// While the run refines its parameters a fresh walk is probed once for its
+// owner f(t), for the running estimates, and that owner decides acceptance
+// too; after that nothing reads the estimates, so the walk probes and
+// folds in nothing and accept's owner scan is the only probe — as for a
+// pool sample.
 func (s *OnlineSampler) candidate(j int, g *rng.RNG) (sm walkest.Sample, mult int, reuse bool) {
 	je := s.walks.JoinEstimates()[j]
 	size := s.params.JoinSizes[j]
 	s.stats.Joins[j].Draws++
 	if pool := je.Samples(); len(pool) > 0 {
 		sm = je.TakeSample(g.Intn(len(pool))) // without replacement (line 8)
-		sm.Mask = 0
+		sm.Owner = -1
 		// Acceptance ratio: the pool's composition is proportional to
 		// p(t) and the acceptance proportional to 1/p(t), so any
 		// constant scale preserves per-value uniformity; 1/(p·|J|)

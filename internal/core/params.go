@@ -132,8 +132,8 @@ func paramsFromWalks(w *walkest.Estimator) *Params {
 // prepared sampler warms with, and how many retained walks it probed
 // again. A walked estimator carries its state over under walkest's
 // refresh rule (Estimator.Refreshed): dirty joins' estimates reset,
-// clean joins keep theirs and their retained walks, whose membership in
-// the dirty joins is probed again. The others hold no state and re-run.
+// clean joins keep theirs and their retained walks, whose owners are
+// re-derived. The others hold no state and re-run.
 func refreshedEstimator(est Estimator, dirty []bool) (Estimator, int) {
 	if e, ok := est.(*RandomWalkEstimator); ok && e.Walker != nil {
 		walker, reprobed := e.Walker.Refreshed(dirty)

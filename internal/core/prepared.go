@@ -229,8 +229,8 @@ type RefreshStats struct {
 	NodesRebuilt    int `json:"nodes_rebuilt"`
 	JoinsRebuilt    int `json:"joins_rebuilt"`
 	// Walks counts the wander-join walks run; Reprobed the retained
-	// walks of clean joins whose membership in the dirty joins was
-	// tested again.
+	// walks of clean joins whose owners were re-derived
+	// (walkest.Estimator.Refreshed).
 	Walks    int `json:"walks"`
 	Reprobed int `json:"reprobed"`
 	// Duration is the whole refresh, set by the session layer.

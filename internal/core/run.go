@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -211,15 +210,14 @@ func (s *runState) sample(n int, g *rng.RNG, view bool) ([]relation.Tuple, error
 // contains it, f(t) = min{i : t ∈ J_i} by exact membership, so a draw an
 // earlier join covers is rejected (line 8 of Algorithm 1, with f known
 // instead of learned). That holds from a run's first draw, which is what
-// makes a call of any size a uniform draw. A non-zero mask is the set of
-// joins containing t as the walk that produced it just probed them: its
-// lowest bit is f(t), and no join is probed a second time.
-func (s *runState) accept(j int, t relation.Tuple, mask uint) bool {
-	f := bits.TrailingZeros(mask)
-	if mask == 0 {
-		f = s.prep.base.minContaining(j, t)
+// makes a call of any size a uniform draw. A non-negative owner is f(t)
+// as the walk that produced t just probed it, so no join is probed a
+// second time; a negative one is probed here.
+func (s *runState) accept(j int, t relation.Tuple, owner int) bool {
+	if owner < 0 {
+		owner = s.prep.base.owners.Owner(j, t)
 	}
-	if f == j {
+	if owner == j {
 		return true
 	}
 	s.stats.RejectedDup++

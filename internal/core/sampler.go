@@ -6,7 +6,6 @@ import (
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/joinsample"
-	"sampleunion/internal/overlap"
 	"sampleunion/internal/relation"
 )
 
@@ -55,9 +54,9 @@ func newJoinSampler(j *join.Join, m JoinMethod, prev joinsample.Sampler) joinsam
 // unionBase holds what every union sampler shares: the joins, their
 // subroutine samplers, tuple-key alignment to the reference output
 // schema (the first join's) so one value has one key across joins, and
-// prepared membership probes for the accept rule. Everything here is
-// read-only after construction and shared between concurrent runs; all
-// per-draw scratch lives in the runs (drawScratch).
+// the owner probes the accept rule decides f(t) with (join.Owners).
+// Everything here is read-only after construction and shared between
+// concurrent runs; all per-draw scratch lives in the runs (drawScratch).
 type unionBase struct {
 	joins    []*join.Join
 	method   JoinMethod // the subroutine every join samples with
@@ -68,11 +67,7 @@ type unionBase struct {
 	pending []bool
 	ref     *relation.Schema
 	perms   [][]int // perms[i][k] = position of ref attr k in join i's schema; nil when equal
-
-	// probes[i][k] tests membership of a tuple in join i's schema order
-	// against join k — the allocation-free path behind minContaining,
-	// which only ever scans k < i, so just the lower triangle is built.
-	probes [][]join.AlignedProbe
+	owners  *join.Owners
 
 	// vers[i] snapshots join i's relation versions when its subroutine
 	// sampler was built; Refresh compares against fresh snapshots to
@@ -95,7 +90,6 @@ func newUnionBase(joins []*join.Join, method JoinMethod) (*unionBase, error) {
 		pending:  make([]bool, len(joins)),
 		ref:      joins[0].OutputSchema(),
 		perms:    make([][]int, len(joins)),
-		probes:   make([][]join.AlignedProbe, len(joins)),
 		vers:     make([][]uint64, len(joins)),
 	}
 	for i, j := range joins {
@@ -106,7 +100,7 @@ func newUnionBase(joins []*join.Join, method JoinMethod) (*unionBase, error) {
 		b.vers[i] = j.StateVersions()
 		b.pending[i] = true
 		if !j.OutputSchema().Equal(b.ref) {
-			perm, err := overlap.AlignPerm(b.ref, j.OutputSchema())
+			perm, err := b.ref.Perm(j.OutputSchema())
 			if err != nil {
 				return nil, fmt.Errorf("core: join %s: %w", j.Name(), err)
 			}
@@ -116,16 +110,11 @@ func newUnionBase(joins []*join.Join, method JoinMethod) (*unionBase, error) {
 			b.maxNodes = n
 		}
 	}
-	for i, ji := range joins {
-		b.probes[i] = make([]join.AlignedProbe, i)
-		for k := 0; k < i; k++ {
-			p, ok := joins[k].AlignProbe(ji.OutputSchema())
-			if !ok {
-				return nil, fmt.Errorf("core: join %s not alignable to %s", joins[k].Name(), ji.Name())
-			}
-			b.probes[i][k] = p
-		}
+	owners, err := join.NewOwners(joins)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	b.owners = owners
 	return b, nil
 }
 
@@ -153,7 +142,7 @@ func dirtyJoins(joins []*join.Join, vers [][]uint64) ([]bool, bool) {
 // once, from the sampler it replaces; clean joins share their samplers
 // with the old base. The copy's per-join slices are private, so it
 // rebuilds individual joins without touching the original; schema
-// alignment and membership probes are version-independent and shared
+// alignment and owner probes are version-independent and shared
 // as-is. Nothing dirty: the base itself.
 func (b *unionBase) reconciled() (*unionBase, []bool, bool) {
 	dirty, any := dirtyJoins(b.joins, b.vers)
@@ -253,17 +242,4 @@ func (b *unionBase) alignedAppend(i int, t relation.Tuple, arena []relation.Valu
 		arena = append(arena, t[p])
 	}
 	return arena
-}
-
-// minContaining returns f(t): the smallest join index whose result
-// contains the tuple (drawn from join i, so f(t) <= i always holds) —
-// the value-to-join assignment every union sampler accepts by. The
-// probes are prepared at construction, so the scan allocates nothing.
-func (b *unionBase) minContaining(i int, t relation.Tuple) int {
-	for k := range b.probes[i] {
-		if b.probes[i][k].Contains(t) {
-			return k
-		}
-	}
-	return i
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -11,14 +10,14 @@ import (
 )
 
 // TestFreshWalkIsProbedOnce: a fresh walk of a served online run meets
-// every other join's membership table at most once. While the run refines
-// (conf < γ) the walk carries the mask it was probed to, the mask's lowest
-// bit is f(t), and accept reads it — shown by handing accept a mask that
-// contradicts the data, which it believes. Once refinement has frozen the
-// walk carries no mask, the estimates stop moving, and accept's
-// first-hit scan is the only probe. (join.AlignedProbe is a concrete
-// struct on the hot path, so the probes are pinned by what each side can
-// be seen to read rather than by a counter inside it.)
+// every earlier join's membership table at most once. While the run
+// refines (conf < γ) the walk carries the owner f(t) it was probed to, and
+// accept reads it — shown by handing accept an owner that contradicts the
+// data, which it believes. Once refinement has frozen the walk carries no
+// owner (-1), the estimates stop moving, and accept's owner scan is the
+// only probe. (join.AlignedProbe is a concrete struct on the hot path, so
+// the probes are pinned by what each side can be seen to read rather than
+// by a counter inside it.)
 func TestFreshWalkIsProbedOnce(t *testing.T) {
 	joins := fixtureJoins(t)
 	shared, err := PrepareOnline(joins, OnlineConfig{WarmupWalks: 100}, rng.New(41))
@@ -28,13 +27,13 @@ func TestFreshWalkIsProbedOnce(t *testing.T) {
 	run := shared.NewRun().(*OnlineSampler)
 	g := rng.New(42)
 	base := run.prep.base
-	walk := func(j int) (relation.Tuple, uint) {
+	walk := func(j int) (relation.Tuple, int) {
 		for {
 			if sm, mult, reuse := run.candidate(j, g); mult > 0 {
 				if reuse {
 					t.Fatal("a served run drew from the warm-up pool")
 				}
-				return sm.Tuple, sm.Mask
+				return sm.Tuple, sm.Owner
 			}
 		}
 	}
@@ -42,14 +41,14 @@ func TestFreshWalkIsProbedOnce(t *testing.T) {
 	var shadowed relation.Tuple // a value of join 1 that join 0 owns
 	for i := 0; i < 300; i++ {
 		j := i % len(joins)
-		tu, mask := walk(j)
-		if mask == 0 || mask&(1<<uint(j)) == 0 {
-			t.Fatalf("refining walk of join %d carries mask %b", j, mask)
+		tu, owner := walk(j)
+		if owner < 0 || owner > j {
+			t.Fatalf("refining walk of join %d carries owner %d", j, owner)
 		}
-		if f := base.minContaining(j, tu); bits.TrailingZeros(mask) != f {
-			t.Fatalf("join %d tuple %v: mask %b, f(t) = %d", j, tu, mask, f)
+		if f := base.owners.Owner(j, tu); owner != f {
+			t.Fatalf("join %d tuple %v: owner %d, f(t) = %d", j, tu, owner, f)
 		}
-		if j == 1 && mask&1 != 0 {
+		if j == 1 && owner == 0 {
 			shadowed = tu.Clone()
 		}
 	}
@@ -57,10 +56,10 @@ func TestFreshWalkIsProbedOnce(t *testing.T) {
 		t.Fatal("no walk of join 1 landed in join 0")
 	}
 	dups := run.stats.RejectedDup
-	if !run.accept(1, shadowed, 1<<1) {
-		t.Error("accept probed join 0 although the walk's mask was at hand")
+	if !run.accept(1, shadowed, 1) {
+		t.Error("accept probed join 0 although the walk's owner was at hand")
 	}
-	if run.accept(1, shadowed, 0) || run.accept(1, shadowed, 0b11) || run.stats.RejectedDup != dups+2 {
+	if run.accept(1, shadowed, -1) || run.accept(1, shadowed, 0) || run.stats.RejectedDup != dups+2 {
 		t.Error("accept kept a value join 0 owns")
 	}
 	if len(run.walks.JoinEstimates()[0].Samples()) != 0 {
@@ -76,8 +75,8 @@ func TestFreshWalkIsProbedOnce(t *testing.T) {
 	je := run.walks.JoinEstimates()[1]
 	cover, walks, hw := je.Cover(), je.Walks(), run.Stats().Joins[1].CoverRelHalfWidth
 	for i := 0; i < 300; i++ {
-		if _, mask := walk(i % len(joins)); mask != 0 {
-			t.Fatalf("frozen walk carries mask %b", mask)
+		if _, owner := walk(i % len(joins)); owner != -1 {
+			t.Fatalf("frozen walk carries owner %d", owner)
 		}
 	}
 	if je.Walks() != walks || je.Cover() != cover {

@@ -183,28 +183,3 @@ func TestConcurrentFirstContains(t *testing.T) {
 		}
 	}
 }
-
-// TestAlignedProbeMatchesContainsAligned checks the prepared probe
-// against the compatibility path on a permuted schema.
-func TestAlignedProbeMatchesContainsAligned(t *testing.T) {
-	j, _, _ := abChainFixture(t)
-	// External schema with the output attributes permuted: (y, k, x).
-	ext := relation.NewSchema("y", "k", "x")
-	probe, ok := j.AlignProbe(ext)
-	if !ok {
-		t.Fatal("AlignProbe failed")
-	}
-	for i := 0; i < 10; i++ {
-		tu := relation.Tuple{relation.Value(i * 100), relation.Value(i), relation.Value(i * 10)}
-		if !probe.Contains(tu) {
-			t.Errorf("probe misses tuple %v", tu)
-		}
-		if probe.Contains(tu) != j.ContainsAligned(tu, ext) {
-			t.Errorf("probe and ContainsAligned disagree on %v", tu)
-		}
-		miss := relation.Tuple{relation.Value(i * 100), relation.Value(i), relation.Value(i*10 + 5)}
-		if probe.Contains(miss) || j.ContainsAligned(miss, ext) {
-			t.Errorf("non-result tuple %v contained", miss)
-		}
-	}
-}

@@ -183,19 +183,146 @@ func TestContainsMatchesEnumerationExhaustively(t *testing.T) {
 	}
 }
 
+// TestContainsAligned: a probe prepared for another attribute order
+// answers what Contains answers on the tuple in the join's own order, and
+// a schema without one of the join's attributes cannot be probed from.
 func TestContainsAligned(t *testing.T) {
-	j := chainFixture(t)
-	// Same attributes, different order.
-	other := relation.NewSchema("Y", "B", "X", "A")
-	if !j.ContainsAligned(relation.Tuple{7, 10, 100, 1}, other) {
-		t.Error("aligned Contains missed a real result")
+	ab, _, _ := abChainFixture(t)
+	var abHits, abMisses []relation.Tuple // in (y, k, x) order
+	for i := 0; i < 10; i++ {
+		v := relation.Value(i)
+		abHits = append(abHits, relation.Tuple{v * 100, v, v * 10})
+		abMisses = append(abMisses, relation.Tuple{v * 100, v, v*10 + 5})
 	}
-	if j.ContainsAligned(relation.Tuple{7, 10, 100, 3}, other) {
-		t.Error("aligned Contains accepted a non-result")
+	for _, c := range []struct {
+		j            *Join
+		ext          *relation.Schema
+		hits, misses []relation.Tuple
+	}{
+		{chainFixture(t), relation.NewSchema("Y", "B", "X", "A"),
+			[]relation.Tuple{{7, 10, 100, 1}}, []relation.Tuple{{7, 10, 100, 3}}},
+		{ab, relation.NewSchema("y", "k", "x"), abHits, abMisses},
+	} {
+		probe, err := c.j.AlignProbe(c.ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm, err := c.j.OutputSchema().Perm(c.ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(tu relation.Tuple, want bool) {
+			own := make(relation.Tuple, len(tu))
+			for i, p := range perm {
+				own[i] = tu[p]
+			}
+			if probe.Contains(tu) != want || c.j.Contains(own) != want {
+				t.Errorf("%s: probe %v on %v, Contains %v on %v; want %v",
+					c.j.Name(), probe.Contains(tu), tu, c.j.Contains(own), own, want)
+			}
+		}
+		for _, tu := range c.hits {
+			check(tu, true)
+		}
+		for _, tu := range c.misses {
+			check(tu, false)
+		}
+		short := relation.NewSchema(c.ext.Attrs()[1:]...)
+		if _, err := c.j.AlignProbe(short); err == nil {
+			t.Errorf("%s: probe prepared for %v, which lacks an attribute", c.j.Name(), short)
+		}
 	}
-	// Schema missing an attribute cannot match.
-	if j.ContainsAligned(relation.Tuple{7, 10, 100}, relation.NewSchema("Y", "B", "X")) {
-		t.Error("schema missing attribute matched")
+}
+
+// TestOwners: Owner is the first join holding a value, probed through
+// each join's own attribute order. After a burst on one join, Reowned from
+// the old owner agrees with the data: J1 and J2 values J0 lost move on to
+// J1, and J2 values J1 gained move to J1. Unprobed (-1), it is Owner.
+func TestOwners(t *testing.T) {
+	spans := [][2]int{{0, 60}, {30, 90}, {50, 100}} // J1 lists (W, V)
+	var rels []*relation.Relation
+	var joins []*Join
+	tuple := func(j, v int) relation.Tuple {
+		if j == 1 {
+			return relation.Tuple{relation.Value(3 * v), relation.Value(v)}
+		}
+		return relation.Tuple{relation.Value(v), relation.Value(3 * v)}
+	}
+	for j, sp := range spans {
+		schema := relation.NewSchema("V", "W")
+		if j == 1 {
+			schema = relation.NewSchema("W", "V")
+		}
+		r := relation.New("R", schema)
+		for v := sp[0]; v < sp[1]; v++ {
+			r.Append(tuple(j, v))
+		}
+		jn, err := NewChain("J", []*relation.Relation{r}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels, joins = append(rels, r), append(joins, jn)
+	}
+	o, err := NewOwners(joins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := func(v int) int {
+		for j, sp := range spans {
+			if v >= sp[0] && v < sp[1] {
+				return j
+			}
+		}
+		return -1
+	}
+	// owners[j][v] is what join j's value v was last found to belong to.
+	owners := make([]map[int]int, len(joins))
+	probe := func(j int) {
+		owners[j] = make(map[int]int)
+		for v := spans[j][0]; v < spans[j][1]; v++ {
+			if got := o.Owner(j, tuple(j, v)); got != first(v) {
+				t.Fatalf("Owner(%d, %d) = %d, want %d", j, v, got, first(v))
+			}
+			owners[j][v] = first(v)
+		}
+	}
+	for j := range joins {
+		probe(j)
+	}
+	burst := func(dirty []bool) {
+		t.Helper()
+		for j := range joins {
+			if dirty[j] {
+				probe(j)
+				continue
+			}
+			for v, was := range owners[j] {
+				tu := tuple(j, v)
+				got, want := o.Reowned(j, tu, was, dirty), first(v)
+				if got != want || o.Reowned(j, tu, -1, dirty) != want {
+					t.Fatalf("join %d value %d: Reowned %d from %d, want %d", j, v, got, was, want)
+				}
+				owners[j][v] = got
+			}
+		}
+	}
+	for v := 40; v < 60; v++ {
+		rels[0].Delete(v)
+	}
+	spans[0][1] = 40
+	burst([]bool{true, false, false})
+	for v := 90; v < 95; v++ {
+		rels[1].Append(tuple(1, v))
+	}
+	spans[1][1] = 95
+	burst([]bool{false, true, false})
+
+	other, err := NewChain("X", []*relation.Relation{relation.New("X", relation.NewSchema("V", "Z"))}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewOwners([]*Join{joins[0], other}); err == nil {
+		t.Error("owners prepared over joins with different attributes")
 	}
 }
 

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"slices"
 
 	"sampleunion/internal/relation"
@@ -66,77 +67,28 @@ type membershipTables struct {
 // join-attribute consistency is automatic because a join attribute is
 // one output column: every relation carrying it reads the same position
 // of t, so the projections cannot disagree on its value. This is the
-// membership primitive the random-walk overlap estimator relies on
-// (§6.2): "we already have the index for each J_i".
+// membership primitive the random-walk estimator relies on (§6.2): "we
+// already have the index for each J_i".
 //
 // The per-relation projection tables are built on first use (exactly
 // once, even under concurrent first use) and probed without allocating:
 // projections are hashed through an access path, never materialized.
 func (j *Join) Contains(t relation.Tuple) bool {
-	return j.containsPerm(t, nil)
-}
-
-// containsPerm is Contains for a tuple whose output attributes live at
-// positions perm[0..out.Len()) of t (nil = identity). Probes compose
-// the node projection with perm, so no intermediate tuple is built.
-func (j *Join) containsPerm(t relation.Tuple, perm []int) bool {
 	m := j.ensureMembership()
-	for k := range j.nodes {
-		if m.tabs[k].count(t, composed(j.nodes[k].proj, perm)) <= 0 {
-			return false
-		}
-	}
-	if j.res != nil {
-		if m.tabs[len(j.nodes)].count(t, composed(j.res.proj, perm)) <= 0 {
+	for k := range m.tabs {
+		if m.tabs[k].count(t, j.proj(k)) <= 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// composed maps a node projection through an optional outer
-// permutation. With perm nil the projection is returned as-is, so the
-// common case costs nothing.
-func composed(proj, perm []int) []int {
-	if perm == nil {
-		return proj
+// proj returns relation k's (Relations order) output positions.
+func (j *Join) proj(k int) []int {
+	if k < len(j.nodes) {
+		return j.nodes[k].proj
 	}
-	out := make([]int, len(proj))
-	for i, p := range proj {
-		out[i] = perm[p]
-	}
-	return out
-}
-
-// ContainsAligned is Contains for a tuple expressed in another join's
-// output schema: attributes are aligned by name, so joins whose output
-// schemas hold the same attributes in different orders remain
-// comparable (§2's unionability assumption). Callers probing repeatedly
-// from the same schema should hold an AlignedProbe instead, which
-// precomputes the alignment once.
-func (j *Join) ContainsAligned(t relation.Tuple, schema *relation.Schema) bool {
-	if schema.Equal(j.out) {
-		return j.Contains(t)
-	}
-	p, ok := j.alignPerm(schema)
-	if !ok {
-		return false
-	}
-	return j.containsPerm(t, p)
-}
-
-// alignPerm maps output positions to positions in the given schema:
-// perm[i] is where output attribute i lives in schema order.
-func (j *Join) alignPerm(schema *relation.Schema) ([]int, bool) {
-	perm := make([]int, j.out.Len())
-	for i := 0; i < j.out.Len(); i++ {
-		p := schema.Index(j.out.Attr(i))
-		if p < 0 {
-			return nil, false
-		}
-		perm[i] = p
-	}
-	return perm, true
+	return j.res.proj
 }
 
 // AlignedProbe is a prepared membership probe: Contains for tuples in a
@@ -145,43 +97,26 @@ func (j *Join) alignPerm(schema *relation.Schema) ([]int, bool) {
 // concurrent use.
 type AlignedProbe struct {
 	j     *Join
-	projs [][]int // per tree node (+ residual): output-tuple positions
+	projs [][]int // per relation (Relations order): positions in the schema
 }
 
 // AlignProbe prepares an AlignedProbe for tuples in the given schema
-// order. ok is false when the schema lacks one of the join's output
-// attributes.
-func (j *Join) AlignProbe(schema *relation.Schema) (AlignedProbe, bool) {
-	var perm []int
-	if !schema.Equal(j.out) {
-		p, ok := j.alignPerm(schema)
-		if !ok {
-			return AlignedProbe{}, false
-		}
-		perm = p
+// order, which must hold exactly the join's output attributes.
+func (j *Join) AlignProbe(schema *relation.Schema) (AlignedProbe, error) {
+	perm, err := j.out.Perm(schema)
+	if err != nil {
+		return AlignedProbe{}, err
 	}
-	pr := AlignedProbe{j: j}
-	for k := range j.nodes {
-		pr.projs = append(pr.projs, composedCopy(j.nodes[k].proj, perm))
-	}
+	pr := AlignedProbe{j: j, projs: make([][]int, len(j.nodes))}
 	if j.res != nil {
-		pr.projs = append(pr.projs, composedCopy(j.res.proj, perm))
+		pr.projs = append(pr.projs, nil)
 	}
-	return pr, true
-}
-
-// composedCopy is composed with an unconditional copy, so the probe
-// never aliases the join's internal tables.
-func composedCopy(proj, perm []int) []int {
-	out := make([]int, len(proj))
-	for i, p := range proj {
-		if perm == nil {
-			out[i] = p
-		} else {
-			out[i] = perm[p]
+	for k := range pr.projs {
+		for _, p := range j.proj(k) {
+			pr.projs[k] = append(pr.projs[k], perm[p])
 		}
 	}
-	return out
+	return pr, nil
 }
 
 // Contains reports whether t (in the probe's schema order) is a result
@@ -194,6 +129,65 @@ func (p AlignedProbe) Contains(t relation.Tuple) bool {
 		}
 	}
 	return true
+}
+
+// Owners decides which join of a union owns a value: f(t), the first join
+// whose result contains it — the cover region t belongs to (§3.1), the
+// only join Algorithm 1 accepts t from, and the join whose walks count t
+// towards its cover estimate (§6.2). For each join j it holds a prepared
+// probe of every earlier join for tuples in j's schema order, the lower
+// triangle of the union's joins; it is immutable, so runs share it.
+type Owners struct {
+	probes [][]AlignedProbe // probes[j][k], k < j
+}
+
+// NewOwners prepares the owner probes of a union's joins, which must
+// share one output attribute set.
+func NewOwners(joins []*Join) (*Owners, error) {
+	o := &Owners{probes: make([][]AlignedProbe, len(joins))}
+	for j, src := range joins {
+		o.probes[j] = make([]AlignedProbe, j)
+		for k := range j {
+			p, err := joins[k].AlignProbe(src.OutputSchema())
+			if err != nil {
+				return nil, fmt.Errorf("join: %s not alignable to %s: %w", joins[k].Name(), src.Name(), err)
+			}
+			o.probes[j][k] = p
+		}
+	}
+	return o, nil
+}
+
+// Owner returns f(t) for t, a result of join j in j's schema order: the
+// lowest k < j whose result contains t, else j. The scan stops at the
+// first hit and allocates nothing.
+func (o *Owners) Owner(j int, t relation.Tuple) int {
+	for k := range o.probes[j] {
+		if o.probes[j][k].Contains(t) {
+			return k
+		}
+	}
+	return j
+}
+
+// Reowned returns Owner(j, t) after the joins marked dirty mutated, given
+// owner, what Owner returned before (negative: never probed). It probes
+// only what can have moved: the dirty joins below owner, which may have
+// gained t, and — when owner is dirty and may have lost t — owner and
+// every join after it, which the first scan never reached.
+func (o *Owners) Reowned(j int, t relation.Tuple, owner int, dirty []bool) int {
+	for k := range o.probes[j] {
+		if !dirty[k] && k < owner {
+			continue
+		}
+		if !dirty[k] && k == owner {
+			return owner
+		}
+		if o.probes[j][k].Contains(t) {
+			return k
+		}
+	}
+	return j
 }
 
 // ensureMembership returns the current membership tables, building them

@@ -119,8 +119,12 @@ func TestRebindCyclic(t *testing.T) {
 		}
 	}
 	// Membership works on the rebound join too.
+	probe, err := rj.AlignProbe(j.OutputSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
 	j.Enumerate(func(tu relation.Tuple) bool {
-		if !rj.ContainsAligned(tu, j.OutputSchema()) {
+		if !probe.Contains(tu) {
 			t.Fatalf("rebound cyclic join does not contain %v", tu)
 		}
 		return false

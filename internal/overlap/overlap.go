@@ -208,7 +208,7 @@ func Exact(joins []*join.Join) (*Table, int, error) {
 	byMask := make(map[uint]int)
 	seen := make(map[string]uint, 1024)
 	for jIdx, j := range joins {
-		perm, err := alignPerm(ref, j.OutputSchema())
+		perm, err := ref.Perm(j.OutputSchema())
 		if err != nil {
 			return nil, 0, fmt.Errorf("overlap: join %s: %w", j.Name(), err)
 		}
@@ -238,24 +238,3 @@ func Exact(joins []*join.Join) (*Table, int, error) {
 	}
 	return t, unionSize, nil
 }
-
-// alignPerm returns perm such that aligned[i] = tuple[perm[i]] expresses
-// a tuple of schema `from` in schema `ref` order.
-func alignPerm(ref, from *relation.Schema) ([]int, error) {
-	if ref.Len() != from.Len() {
-		return nil, fmt.Errorf("schema arity %d != %d", from.Len(), ref.Len())
-	}
-	perm := make([]int, ref.Len())
-	for i := 0; i < ref.Len(); i++ {
-		p := from.Index(ref.Attr(i))
-		if p < 0 {
-			return nil, fmt.Errorf("schema lacks attribute %q", ref.Attr(i))
-		}
-		perm[i] = p
-	}
-	return perm, nil
-}
-
-// AlignPerm is the exported form of alignPerm for other packages that
-// need to express tuples of one join in another join's schema order.
-func AlignPerm(ref, from *relation.Schema) ([]int, error) { return alignPerm(ref, from) }

@@ -1,30 +1,28 @@
 package reftest
 
 import (
-	"math/bits"
 	"testing"
 
-	"sampleunion/internal/overlap"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/walkest"
 )
 
-// TestWalkMaskIsTheAcceptRule: the containment mask a refining walk
-// carries is what the online run accepts by, so it has to say what exact
-// membership says. Against the brute-force reference, over every generator
-// shape and the two-region union: each bit is set exactly when that join
-// produces the walked tuple, so the lowest one is f(t), the join that owns
-// it. (That a run which stopped probing masks still returns the pinned
-// streams is golden_test.go's online rows, untouched.)
-func TestWalkMaskIsTheAcceptRule(t *testing.T) {
+// TestWalkOwnerIsTheAcceptRule: the owner a refining walk carries is what
+// the online run accepts by, so it has to say what exact membership says.
+// Against the brute-force reference, over every generator shape and the
+// two-region union: the walked tuple is a result of its own join, and the
+// owner is f(t), its cover region — the first join that produces it. (That a run which stopped probing
+// owners still returns the pinned streams is golden_test.go's online
+// rows, untouched.)
+func TestWalkOwnerIsTheAcceptRule(t *testing.T) {
 	scenarios := []*scenario{twoRegions(t, 40)}
 	for seed := int64(0); seed < 30; seed++ {
 		sc := buildScenario(t, seed)
 		sc.ensureNonEmpty()
 		scenarios = append(scenarios, sc)
 	}
-	walked, shared := 0, 0
+	walked, shadowed := 0, 0
 	for i, sc := range scenarios {
 		joins := sc.union.Joins()
 		out := sc.union.OutputSchema()
@@ -40,7 +38,7 @@ func TestWalkMaskIsTheAcceptRule(t *testing.T) {
 		g := rng.New(int64(1000 + i))
 		aligned := make(relation.Tuple, out.Len())
 		for j, jn := range joins {
-			perm, err := overlap.AlignPerm(out, jn.OutputSchema())
+			perm, err := out.Perm(jn.OutputSchema())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,24 +52,20 @@ func TestWalkMaskIsTheAcceptRule(t *testing.T) {
 					aligned[a] = sm.Tuple[p]
 				}
 				key := relation.TupleKey(aligned)
-				var want uint
-				for o := range joins {
-					if _, in := perJoin[o][key]; in {
-						want |= 1 << uint(o)
-					}
+				if _, own := perJoin[j][key]; !own {
+					t.Fatalf("%s #%d join %d walked %v, which it does not produce", sc.name, i, j, aligned)
 				}
-				if sm.Mask != want || bits.TrailingZeros(sm.Mask) != region[key] {
-					t.Fatalf("%s #%d join %d tuple %v: mask %b, reference %b, owner %d",
-						sc.name, i, j, aligned, sm.Mask, want, region[key])
+				if want := region[key]; sm.Owner != want {
+					t.Fatalf("%s #%d join %d tuple %v: owner %d, reference %d", sc.name, i, j, aligned, sm.Owner, want)
 				}
 				walked++
-				if want&(want-1) != 0 {
-					shared++
+				if sm.Owner != j {
+					shadowed++
 				}
 			}
 		}
 	}
-	if walked < 2000 || shared < 100 {
-		t.Fatalf("%d walks checked, %d of them in more than one join: too few to say anything", walked, shared)
+	if walked < 2000 || shadowed < 100 {
+		t.Fatalf("%d walks checked, %d of them owned by an earlier join: too few to say anything", walked, shadowed)
 	}
 }

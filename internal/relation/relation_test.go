@@ -65,6 +65,18 @@ func TestSchemaProject(t *testing.T) {
 	if _, err := s.Project([]string{"z"}); err == nil {
 		t.Error("Project(z) succeeded, want error")
 	}
+	// Perm is the projection onto all of s's attributes, and only exists
+	// between schemas holding the same ones.
+	perm, err := s.Perm(NewSchema("c", "a", "b"))
+	if err != nil || len(perm) != 3 || perm[0] != 1 || perm[1] != 2 || perm[2] != 0 {
+		t.Errorf("Perm = %v, %v; want [1 2 0]", perm, err)
+	}
+	if _, err := s.Perm(NewSchema("c", "a")); err == nil {
+		t.Error("Perm from a narrower schema succeeded")
+	}
+	if _, err := s.Perm(NewSchema("c", "a", "z")); err == nil {
+		t.Error("Perm from a schema lacking b succeeded")
+	}
 }
 
 func TestRelationRowsAndValues(t *testing.T) {

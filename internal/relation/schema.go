@@ -85,6 +85,16 @@ func (s *Schema) Project(attrs []string) ([]int, error) {
 	return idx, nil
 }
 
+// Perm returns perm such that aligned[i] = t[perm[i]] expresses a tuple t
+// of schema from in s's order. It fails unless from holds exactly s's
+// attributes, in any order (§2's unionability assumption).
+func (s *Schema) Perm(from *Schema) ([]int, error) {
+	if s.Len() != from.Len() {
+		return nil, fmt.Errorf("relation: schema %v has arity %d, want %d", from.attrs, from.Len(), s.Len())
+	}
+	return from.Project(s.attrs)
+}
+
 func (s *Schema) String() string {
 	return "(" + strings.Join(s.attrs, ", ") + ")"
 }

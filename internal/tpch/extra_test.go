@@ -89,7 +89,7 @@ func TestWorkloadsSampleable(t *testing.T) {
 			for _, tu := range out {
 				found := false
 				for _, j := range w.Joins {
-					if j.ContainsAligned(tu, ref) {
+					if pr, err := j.AlignProbe(ref); err == nil && pr.Contains(tu) {
 						found = true
 						break
 					}

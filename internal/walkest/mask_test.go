@@ -33,23 +33,22 @@ func threeWayJoins(t *testing.T) []*join.Join {
 	return []*join.Join{mk("J0", 0, 60), mk("J1", 30, 90), mk("J2", 50, 100)}
 }
 
-// intervalMask reports which of threeWayJoins' joins hold v, J0 extended to
-// hi0.
-func intervalMask(v, hi0 int) uint {
-	mask := uint(0)
+// intervalOwner is f(v) over threeWayJoins, J0 extended to hi0: the first
+// join that holds v (-1: none).
+func intervalOwner(v, hi0 int) int {
 	for i, lohi := range [][2]int{{0, hi0}, {30, 90}, {50, 100}} {
 		if v >= lohi[0] && v < lohi[1] {
-			mask |= 1 << uint(i)
+			return i
 		}
 	}
-	return mask
+	return -1
 }
 
-// TestStepJoinMasks: every retained walk carries the joins that hold its
-// value, and each join's cover estimate — its own walks whose mask has no
-// earlier bit — approximates its cover region: J0 all 60 values, J1
-// 60..89, J2 90..99.
-func TestStepJoinMasks(t *testing.T) {
+// TestStepJoinOwners: every retained walk carries the first join that
+// holds its value, and each join's cover estimate — its own walks it owns
+// — approximates its cover region: J0 all 60 values, J1 60..89, J2
+// 90..99.
+func TestStepJoinOwners(t *testing.T) {
 	joins := threeWayJoins(t)
 	e, err := New(joins, Options{})
 	if err != nil {
@@ -64,8 +63,8 @@ func TestStepJoinMasks(t *testing.T) {
 	for j, want := range []float64{60, 30, 10} {
 		je := e.ests[j]
 		for _, s := range je.samples {
-			if m := intervalMask(int(s.Tuple[0]), 60); s.Mask != m {
-				t.Fatalf("join %d walk of value %d: mask %03b, want %03b", j, s.Tuple[0], s.Mask, m)
+			if f := intervalOwner(int(s.Tuple[0]), 60); s.Owner != f {
+				t.Fatalf("join %d walk of value %d: owner %d, want %d", j, s.Tuple[0], s.Owner, f)
 			}
 		}
 		if got := je.Cover(); math.Abs(got-want)/want > 0.2 {
@@ -76,7 +75,7 @@ func TestStepJoinMasks(t *testing.T) {
 
 // TestWalkJoinRetainsNothing: the served walk is StepJoin without the
 // pool. Seed for seed it lands on the same tuple with the same p(t) and —
-// while its caller refines — the same mask and estimates, in the caller's
+// while its caller refines — the same owner and estimates, in the caller's
 // tuple, allocating nothing; told that refinement is over it probes no
 // join and folds nothing in.
 func TestWalkJoinRetainsNothing(t *testing.T) {
@@ -88,7 +87,7 @@ func TestWalkJoinRetainsNothing(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		want, ok1 := stepped.StepJoin(1, gs)
 		got, ok2 := walked.WalkJoin(1, scratch, true, gw)
-		if ok1 != ok2 || got.P != want.P || got.Mask != want.Mask || !got.Tuple.Equal(want.Tuple) {
+		if ok1 != ok2 || got.P != want.P || got.Owner != want.Owner || !got.Tuple.Equal(want.Tuple) {
 			t.Fatalf("walk %d: WalkJoin %+v, StepJoin %+v", i, got, want)
 		}
 		if ok2 && &got.Tuple[0] != &scratch[0] {
@@ -108,8 +107,8 @@ func TestWalkJoinRetainsNothing(t *testing.T) {
 
 	n, size, cover := je.n, je.size, je.cover
 	for i := 0; i < 200; i++ {
-		if sm, ok := walked.WalkJoin(1, scratch, false, gw); !ok || sm.Mask != 0 {
-			t.Fatalf("frozen walk: ok=%v mask=%b", ok, sm.Mask)
+		if sm, ok := walked.WalkJoin(1, scratch, false, gw); !ok || sm.Owner != -1 {
+			t.Fatalf("frozen walk: ok=%v owner=%d", ok, sm.Owner)
 		}
 	}
 	if je.n != n || je.size != size || je.cover != cover {
@@ -186,8 +185,8 @@ func TestOptionsDefaults(t *testing.T) {
 // TestRefreshedReprobesRetainedWalks: after J0's relation gains the
 // values 60..79, Refreshed with J0 dirty must reset J0, leave the clean
 // joins' walk counts and sizes alone, and re-derive their cover estimates
-// from the walks they retained — each walk's mask agreeing with what the
-// joins now contain, ĉ with the masks (J1's region shrinks to 80..89, J2's
+// from the walks they retained — each walk's owner agreeing with what the
+// joins now contain, ĉ with the owners (J1's region shrinks to 80..89, J2's
 // stays 90..99), and the estimator it was taken from with itself.
 func TestRefreshedReprobesRetainedWalks(t *testing.T) {
 	joins := threeWayJoins(t)
@@ -216,8 +215,8 @@ func TestRefreshedReprobesRetainedWalks(t *testing.T) {
 		}
 		sum := 0.0
 		for _, s := range je.samples {
-			if want := intervalMask(int(s.Tuple[0]), 80); s.Mask != want {
-				t.Fatalf("join %d walk of value %d: mask %03b, want %03b", j, s.Tuple[0], s.Mask, want)
+			if want := intervalOwner(int(s.Tuple[0]), 80); s.Owner != want {
+				t.Fatalf("join %d walk of value %d: owner %d, want %d", j, s.Tuple[0], s.Owner, want)
 			}
 			sum += coverObservation(s, j)
 		}
@@ -264,11 +263,11 @@ func TestRefreshedReprobesAfterDeletes(t *testing.T) {
 		sum := 0.0
 		for i, s := range je.samples {
 			v := int(s.Tuple[0])
-			if was := e.ests[j].samples[i]; was.Mask&1 != 0 && v >= 40 {
+			if was := e.ests[j].samples[i]; was.Owner == 0 && v >= 40 {
 				moved++
 			}
-			if want := intervalMask(v, 40); s.Mask != want {
-				t.Fatalf("join %d walk of value %d: mask %03b, want %03b", j, v, s.Mask, want)
+			if want := intervalOwner(v, 40); s.Owner != want {
+				t.Fatalf("join %d walk of value %d: owner %d, want %d", j, v, s.Owner, want)
 			}
 			sum += coverObservation(s, j)
 		}

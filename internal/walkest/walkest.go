@@ -2,15 +2,16 @@
 // union-sampling framework (§6). Each join keeps two Horvitz–Thompson
 // estimates over its own Wander-Join walks (§6.1): its size |J_j|, and the
 // size c_j of its cover region — the results no earlier join contains
-// (§3.1), which a walk knows from the membership mask its tuple is probed
-// to (§6.2's containment check). The package also keeps confidence
-// intervals for the cover sizes and the warm-up's retained walks: the pool
-// §7's sample reuse draws from and a refresh probes again.
+// (§3.1), which a walk knows from f(t), the first join containing its
+// tuple (§6.2's containment check, join.Owners). The package also keeps
+// confidence intervals for the cover sizes and the warm-up's retained
+// walks: the pool §7's sample reuse draws from and a refresh probes again.
 package walkest
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/joinsample"
@@ -19,13 +20,13 @@ import (
 )
 
 // Sample is one successful walk: the result tuple, its walk probability
-// p(t), and Mask, the set of joins containing the tuple (bit i for join
-// i, its own included) as the Estimator that walked it last probed them —
-// zero when it did not (WalkJoin).
+// p(t), and Owner, f(t) — the first join containing the tuple, its own
+// when no earlier join does — as the Estimator that walked it last probed
+// it; -1 when it did not (WalkJoin).
 type Sample struct {
 	Tuple relation.Tuple
 	P     float64
-	Mask  uint
+	Owner int
 }
 
 // moments is a running mean and sum of squared deviations, updated with
@@ -102,14 +103,14 @@ func (e *JoinEstimate) observe(invP, y float64) {
 
 // coverObservation is y(t) for s, a successful walk of join j.
 func coverObservation(s Sample, j int) float64 {
-	if s.Mask&(1<<uint(j)-1) != 0 {
+	if s.Owner != j {
 		return 0
 	}
 	return 1 / s.P
 }
 
 // rederiveCover recomputes the cover moments of join j from the retained
-// walks, after their masks were probed again: every successful walk a
+// walks, after their owners were derived again: every successful walk a
 // warm-up took is retained, so the n − len(samples) others failed and
 // count 0.
 func (e *JoinEstimate) rederiveCover(j int) {
@@ -205,39 +206,29 @@ func (o Options) withDefaults() Options {
 
 // Estimator runs the warm-up phase for a union of joins: one JoinEstimate
 // per join, each updated as its walks happen, so the estimates survive
-// the online sampler consuming the reuse pool.
+// the online sampler consuming the reuse pool. A refining walk of join j
+// is probed once, for its owner (owners, immutable and shared by clones):
+// against the joins before j, up to the first that contains it.
 type Estimator struct {
-	joins []*join.Join
-	ests  []*JoinEstimate
-	opts  Options
-
-	// probes[j][i] tests a join-j walk tuple against join i without
-	// re-deriving the schema alignment per walk (nil when i == j or the
-	// schemas are not alignable, which counts as not contained — the
-	// same answer ContainsAligned gives). Immutable, shared by clones.
-	probes [][]*join.AlignedProbe
+	joins  []*join.Join
+	ests   []*JoinEstimate
+	opts   Options
+	owners *join.Owners
 }
 
-// New prepares a random-walk estimator over the joins.
+// New prepares a random-walk estimator over the joins, which must share
+// one output attribute set.
 func New(joins []*join.Join, opts Options) (*Estimator, error) {
 	if len(joins) == 0 {
 		return nil, fmt.Errorf("walkest: no joins")
 	}
-	e := &Estimator{joins: joins, opts: opts.withDefaults()}
+	owners, err := join.NewOwners(joins)
+	if err != nil {
+		return nil, fmt.Errorf("walkest: %w", err)
+	}
+	e := &Estimator{joins: joins, opts: opts.withDefaults(), owners: owners}
 	for _, j := range joins {
 		e.ests = append(e.ests, NewJoinEstimate(j))
-	}
-	e.probes = make([][]*join.AlignedProbe, len(joins))
-	for j, src := range joins {
-		e.probes[j] = make([]*join.AlignedProbe, len(joins))
-		for i, other := range joins {
-			if i == j {
-				continue
-			}
-			if p, ok := other.AlignProbe(src.OutputSchema()); ok {
-				e.probes[j][i] = &p
-			}
-		}
 	}
 	return e, nil
 }
@@ -275,7 +266,7 @@ func (e *Estimator) shell() *Estimator {
 		joins:  e.joins,
 		opts:   e.opts,
 		ests:   make([]*JoinEstimate, len(e.ests)),
-		probes: e.probes,
+		owners: e.owners,
 	}
 }
 
@@ -307,22 +298,20 @@ func (e *Estimator) CopyEstimates(src *Estimator) {
 // walks observed data that no longer exists, and the caller walks it
 // again. A clean join keeps its walk count, size estimate and retained
 // walks — p(t) of a walk depends on the join's own relations only — but
-// whether a dirty join contains those walks' tuples may have moved, so
-// each retained walk's mask is probed again against the dirty joins and
-// the join's cover estimate is derived afresh from the pool. It also
-// reports how many walks it probed again.
+// a dirty join may have gained or lost those walks' tuples, so each
+// retained walk's owner is derived again (join.Owners.Reowned) and the
+// join's cover estimate afresh from the pool. It also reports how many
+// walks it probed again.
 func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 	c := e.shell()
-	var moved uint
 	for j, d := range dirty {
 		if d {
 			c.ests[j] = NewJoinEstimate(e.joins[j])
-			moved |= 1 << uint(j)
 		} else {
 			c.ests[j] = e.ests[j].clone()
 		}
 	}
-	if moved == 0 {
+	if !slices.Contains(dirty, true) {
 		return c, 0
 	}
 	reprobed := 0
@@ -332,12 +321,7 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 		}
 		for i := range je.samples {
 			s := &je.samples[i]
-			s.Mask &^= moved
-			for o, p := range c.probes[j] {
-				if dirty[o] && p != nil && p.Contains(s.Tuple) {
-					s.Mask |= 1 << uint(o)
-				}
-			}
+			s.Owner = c.owners.Reowned(j, s.Tuple, s.Owner, dirty)
 		}
 		je.rederiveCover(j)
 		reprobed += len(je.samples)
@@ -357,10 +341,10 @@ func (e *Estimator) StepJoin(j int, g *rng.RNG) (Sample, bool) {
 }
 
 // WalkJoin performs one walk of join j into t, retaining nothing. While
-// the caller still refines its parameters the sample carries its mask and
-// the walk is folded into j's estimates; once nothing will read them
+// the caller still refines its parameters the sample carries its owner
+// and the walk is folded into j's estimates; once nothing will read them
 // again (Algorithm 2, line 18: updates stop at confidence γ) no other
-// join is probed, nothing is folded in and Mask stays zero.
+// join is probed, nothing is folded in and Owner is -1.
 func (e *Estimator) WalkJoin(j int, t relation.Tuple, refining bool, g *rng.RNG) (Sample, bool) {
 	je := e.ests[j]
 	p, ok := je.walk(t, g)
@@ -370,24 +354,12 @@ func (e *Estimator) WalkJoin(j int, t relation.Tuple, refining bool, g *rng.RNG)
 		}
 		return Sample{}, false
 	}
-	s := Sample{Tuple: t, P: p}
+	s := Sample{Tuple: t, P: p, Owner: -1}
 	if refining {
-		s.Mask = e.mask(j, t)
+		s.Owner = e.owners.Owner(j, t)
 		je.observe(1/p, coverObservation(s, j))
 	}
 	return s, true
-}
-
-// mask probes t, a successful walk of join j, against every other join's
-// index (§6.2's containment check) and returns the joins that contain it.
-func (e *Estimator) mask(j int, t relation.Tuple) uint {
-	mask := uint(1) << uint(j)
-	for i, pr := range e.probes[j] {
-		if pr != nil && pr.Contains(t) {
-			mask |= 1 << uint(i)
-		}
-	}
-	return mask
 }
 
 // Warmup walks every join that has no observations yet — all of them on

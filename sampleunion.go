@@ -296,6 +296,9 @@ func (o Options) joinMethod() core.JoinMethod {
 // sampled.
 type Union struct {
 	joins []*Join
+	// probes[i] tests join i's membership for tuples in OutputSchema
+	// order, prepared once for Contains.
+	probes []join.AlignedProbe
 }
 
 // NewUnion validates that the joins share an output attribute set and
@@ -304,7 +307,15 @@ func NewUnion(joins ...*Join) (*Union, error) {
 	if err := core.ValidateUnion(joins); err != nil {
 		return nil, err
 	}
-	return &Union{joins: joins}, nil
+	u := &Union{joins: joins, probes: make([]join.AlignedProbe, len(joins))}
+	for i, j := range joins {
+		p, err := j.AlignProbe(u.OutputSchema())
+		if err != nil {
+			return nil, err
+		}
+		u.probes[i] = p
+	}
+	return u, nil
 }
 
 // Joins returns the union's joins.
@@ -486,9 +497,8 @@ func (u *Union) PushDown(preds ...Predicate) (*Union, error) {
 // Contains reports whether the tuple (in OutputSchema order) is a
 // result of at least one of the union's joins.
 func (u *Union) Contains(t Tuple) bool {
-	ref := u.OutputSchema()
-	for _, j := range u.joins {
-		if j.ContainsAligned(t, ref) {
+	for _, p := range u.probes {
+		if p.Contains(t) {
 			return true
 		}
 	}

@@ -107,6 +107,48 @@ func TestNewUnionValidation(t *testing.T) {
 	}
 }
 
+// TestUnionContainsAllocatesNothing: Contains probes each join through
+// an alignment prepared with the union, also for a join whose output
+// lists the attributes in another order, and allocates nothing once the
+// membership tables are built.
+func TestUnionContainsAllocatesNothing(t *testing.T) {
+	a := NewRelation("cust", NewSchema("custkey", "nationkey"))
+	b := NewRelation("ord", NewSchema("orderkey", "custkey"))
+	for k := 0; k < 30; k++ {
+		a.AppendValues(Value(k), Value(k%5))
+		b.AppendValues(Value(k*10), Value(k))
+	}
+	east, err := Chain("east", []*Relation{a, b}, []string{"custkey"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewRelation("ord_w", NewSchema("orderkey", "custkey"))
+	d := NewRelation("cust_w", NewSchema("custkey", "nationkey"))
+	for k := 30; k < 40; k++ {
+		c.AppendValues(Value(k*10), Value(k))
+		d.AppendValues(Value(k), Value(k%5))
+	}
+	west, err := Chain("west", []*Relation{c, d}, []string{"custkey"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewUnion(east, west)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if west.OutputSchema().Equal(u.OutputSchema()) {
+		t.Fatal("fixture: west lists the attributes in the union's order")
+	}
+	// (custkey, nationkey, orderkey): one row of east, one of west, none.
+	in, inWest, out := Tuple{3, 3, 30}, Tuple{35, 0, 350}, Tuple{35, 1, 350}
+	if !u.Contains(in) || !u.Contains(inWest) || u.Contains(out) {
+		t.Fatalf("Contains: %v %v %v, want true true false", u.Contains(in), u.Contains(inWest), u.Contains(out))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { u.Contains(inWest); u.Contains(out) }); allocs != 0 {
+		t.Errorf("Contains allocates %.1f times per call pair", allocs)
+	}
+}
+
 // TestWarmupStrings pins the constants' values: they are the wire and
 // flag spellings, hashed into registry keys and written to manifests.
 func TestWarmupStrings(t *testing.T) {
