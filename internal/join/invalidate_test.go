@@ -183,3 +183,30 @@ func TestConcurrentFirstContains(t *testing.T) {
 		}
 	}
 }
+
+// TestAlignedProbeMatchesContainsAligned checks the prepared probe on a
+// permuted schema against Contains on the same tuple in the join's order.
+func TestAlignedProbeMatchesContainsAligned(t *testing.T) {
+	j, _, _ := abChainFixture(t)
+	// External schema with the output attributes permuted: (y, k, x);
+	// the join's own order is (k, x, y).
+	ext := relation.NewSchema("y", "k", "x")
+	probe, err := j.AlignProbe(ext)
+	if err != nil {
+		t.Fatalf("AlignProbe: %v", err)
+	}
+	own := func(tu relation.Tuple) relation.Tuple { return relation.Tuple{tu[1], tu[2], tu[0]} }
+	for i := 0; i < 10; i++ {
+		tu := relation.Tuple{relation.Value(i * 100), relation.Value(i), relation.Value(i * 10)}
+		if !probe.Contains(tu) {
+			t.Errorf("probe misses tuple %v", tu)
+		}
+		if probe.Contains(tu) != j.Contains(own(tu)) {
+			t.Errorf("probe and Contains disagree on %v", tu)
+		}
+		miss := relation.Tuple{relation.Value(i * 100), relation.Value(i), relation.Value(i*10 + 5)}
+		if probe.Contains(miss) || j.Contains(own(miss)) {
+			t.Errorf("non-result tuple %v contained", miss)
+		}
+	}
+}
