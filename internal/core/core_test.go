@@ -321,6 +321,33 @@ func TestDisjointSamplerEmptyUnion(t *testing.T) {
 	}
 }
 
+// TestHistogramUnionSizeIsCoverSum: the histogram warm-up reads |U| off
+// the cover sizes its alias draws by. Three joins of 10, every pair
+// overlapping in all 10 and the triple in none, is a monotone table
+// Normalize accepts: Eq. 1 reads 30 there, while the clamped covers are
+// 10, 0, 0 and every draw comes from join 0.
+func TestHistogramUnionSizeIsCoverSum(t *testing.T) {
+	tab, err := overlap.NewTable(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mask := range []uint{0b001, 0b010, 0b100, 0b011, 0b101, 0b110} {
+		tab.Set(mask, 10)
+	}
+	tab.Normalize()
+	if tab.Get(0b110) != 10 || tab.Get(0b111) != 0 {
+		t.Fatalf("Normalize moved the table: pair %v, triple %v", tab.Get(0b110), tab.Get(0b111))
+	}
+	p := ParamsFromTable(tab)
+	sum := 0.0
+	for _, c := range p.Cover {
+		sum += c
+	}
+	if sum != 10 || p.UnionSize != sum {
+		t.Errorf("cover %v (Σ %v), |U| = %v; want Σ cover = |U| = 10", p.Cover, sum, p.UnionSize)
+	}
+}
+
 func TestParamsFromExactTable(t *testing.T) {
 	joins := fixtureJoins(t)
 	tab, exactUnion, err := overlap.Exact(joins)
