@@ -114,6 +114,33 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
+// BenchmarkExactUnionSize measures the exact warm-up's count over UQ1 at
+// sf 1 (≈ 24 000 results across five joins) once the indexes and
+// membership tables exist (the untimed first call builds them): one
+// enumeration per join, join beside join, and an owner probe per result.
+// Nothing it allocates grows with the results — CI gates allocs/op — where
+// the subset-table count it replaced built a string key per result.
+func BenchmarkExactUnionSize(b *testing.B) {
+	w, err := tpch.UQ1(tpch.Config{SF: 1, Overlap: 0.2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := NewUnion(w.Joins...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := u.ExactUnionSize(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := u.ExactUnionSize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSessionParallel measures SampleParallel scaling over one
 // shared warm-up at 1/2/4/8 workers.
 func BenchmarkSessionParallel(b *testing.B) {

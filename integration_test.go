@@ -120,10 +120,12 @@ func TestIntegrationDisjointVsSet(t *testing.T) {
 	}
 }
 
-// TestUnionSizeIsCoverSum: under the zero Options the union size a
-// session reports is the sum of the cover sizes its join selection draws
-// by, so Û and the draws never disagree about the union (UQ1, sf 1, data
-// seeds 1–3).
+// TestUnionSizeIsCoverSum: under every warm-up the union size a session
+// reports is the sum of the cover sizes its join selection draws by, so
+// Û and the draws never disagree about the union (UQ1, sf 1, data seeds
+// 1–3). One engine sums its covers in join order, so the two are equal;
+// the sharded engine sums per-shard |U_s| and per-join covers across
+// shards, which may differ in the last bits.
 func TestUnionSizeIsCoverSum(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		w, err := tpch.UQ1(tpch.Config{SF: 1, Overlap: 0.2, Seed: seed})
@@ -134,16 +136,25 @@ func TestUnionSizeIsCoverSum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := u.Prepare(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, sum := s.Estimate(), 0.0
-		for _, c := range est.CoverSizes {
-			sum += c
-		}
-		if math.Abs(est.UnionSize-sum) > 1e-12*sum || s.UnionSize() != est.UnionSize {
-			t.Errorf("data seed %d: Û = %v (Session.UnionSize %v), Σ ĉ = %v", seed, est.UnionSize, s.UnionSize(), sum)
+		for _, wu := range []Warmup{"", WarmupHistogram, WarmupExact} {
+			for _, shards := range []int{1, 2} {
+				s, err := u.Prepare(Options{Warmup: wu, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				est, sum := s.Estimate(), 0.0
+				for _, c := range est.CoverSizes {
+					sum += c
+				}
+				tol := 0.0
+				if shards > 1 {
+					tol = 1e-12 * sum
+				}
+				if math.Abs(est.UnionSize-sum) > tol || s.UnionSize() != est.UnionSize {
+					t.Errorf("data seed %d, warm-up %q, %d shards: Û = %v (Session.UnionSize %v), Σ ĉ = %v",
+						seed, wu, shards, est.UnionSize, s.UnionSize(), sum)
+				}
+			}
 		}
 	}
 }

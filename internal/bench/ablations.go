@@ -73,11 +73,10 @@ func AblationZeroScore(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	exact, _, err := overlap.Exact(w.Joins)
+	truth, err := (&core.ExactEstimator{Joins: w.Joins}).Params(nil)
 	if err != nil {
 		return nil, err
 	}
-	truth := core.ParamsFromTable(exact)
 	res := &Result{
 		Name:   "template zero-score hyper-parameter on UQ3",
 		Figure: "ablation-zeroscore",
@@ -88,15 +87,12 @@ func AblationZeroScore(o Options) (*Result, error) {
 		scores = []float64{0, 0.5}
 	}
 	for _, z := range scores {
-		est, err := histest.New(w.Joins, histest.Options{Sizes: histest.SizeEO, ZeroScore: z})
+		p, err := (&core.HistogramEstimator{
+			Joins: w.Joins, Opts: histest.Options{Sizes: histest.SizeEO, ZeroScore: z},
+		}).Params(nil)
 		if err != nil {
 			return nil, err
 		}
-		tab, err := est.Estimate()
-		if err != nil {
-			return nil, err
-		}
-		p := core.ParamsFromTable(tab)
 		meanErr := 0.0
 		for j := range w.Joins {
 			meanErr += p.RatioError(j, truth)

@@ -7,7 +7,6 @@ import (
 
 	"sampleunion/internal/core"
 	"sampleunion/internal/histest"
-	"sampleunion/internal/overlap"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/tpch"
 	"sampleunion/internal/walkest"
@@ -42,11 +41,10 @@ func ms(d time.Duration) string {
 // ratioErrors runs the estimator and returns per-join |J_i|/|U| ratio
 // errors against exact parameters plus their mean.
 func ratioErrors(w *tpch.Workload, est core.Estimator, g *rng.RNG) ([]float64, float64, error) {
-	truthTab, _, err := overlap.Exact(w.Joins)
+	truth, err := (&core.ExactEstimator{Joins: w.Joins}).Params(nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	truth := core.ParamsFromTable(truthTab)
 	p, err := est.Params(g)
 	if err != nil {
 		return nil, 0, err
@@ -139,7 +137,7 @@ func estimationRuntime(o Options, fig, name string, build func(tpch.Config) (*tp
 		}
 		histTime := time.Since(start)
 		start = time.Now()
-		if _, _, err := overlap.Exact(w.Joins); err != nil {
+		if _, err := (&core.ExactEstimator{Joins: w.Joins}).Params(nil); err != nil {
 			return nil, err
 		}
 		fullTime := time.Since(start)
@@ -157,11 +155,10 @@ func Fig5aRatioErrorMethods(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	truthTab, _, err := overlap.Exact(w.Joins)
+	truth, err := (&core.ExactEstimator{Joins: w.Joins}).Params(nil)
 	if err != nil {
 		return nil, err
 	}
-	truth := core.ParamsFromTable(truthTab)
 	hist, err := (&core.HistogramEstimator{
 		Joins: w.Joins, Opts: histest.Options{Sizes: histest.SizeEO},
 	}).Params(rng.New(o.Seed))

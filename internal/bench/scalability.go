@@ -11,9 +11,10 @@ import (
 )
 
 // ScaleJoins sweeps the number of joins in the union (UQ1 variants):
-// warm-up cost is exponential in n through the powerset of overlaps
-// (§4 notes the number of input joins is small in practice), while
-// per-sample cost stays flat — this quantifies both.
+// warm-up cost grows with n — every join walks, and a walk of join j
+// probes up to j earlier joins for its owner (§4 notes the number of
+// input joins is small in practice) — while per-sample cost stays flat;
+// this quantifies both.
 func ScaleJoins(o Options) (*Result, error) {
 	o = o.withDefaults()
 	res := &Result{

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"sampleunion/internal/join"
@@ -338,7 +340,7 @@ func TestHistogramUnionSizeIsCoverSum(t *testing.T) {
 	if tab.Get(0b110) != 10 || tab.Get(0b111) != 0 {
 		t.Fatalf("Normalize moved the table: pair %v, triple %v", tab.Get(0b110), tab.Get(0b111))
 	}
-	p := ParamsFromTable(tab)
+	p := NewParams(tab.JoinSizes(), tab.CoverSizes())
 	sum := 0.0
 	for _, c := range p.Cover {
 		sum += c
@@ -348,26 +350,103 @@ func TestHistogramUnionSizeIsCoverSum(t *testing.T) {
 	}
 }
 
-func TestParamsFromExactTable(t *testing.T) {
-	joins := fixtureJoins(t)
-	tab, exactUnion, err := overlap.Exact(joins)
+// shapeJoins builds a union over (A, B, C) of the three join shapes: a
+// chain R0(A,B) ⋈ S0(B,C), a star tree rooted at T1(B) with children
+// (B,A) and (B,C) — output order B, A, C, so owner probes align schemas —
+// and a triangle R2(A,B), S2(B,C), U2(C,A). Every relation holds 12
+// distinct rows over values 0..3, so the joins overlap.
+func shapeJoins(t testing.TB, rnd *rand.Rand) ([]*join.Join, []*relation.Relation) {
+	t.Helper()
+	var rels []*relation.Relation
+	mk := func(name string, attrs ...string) *relation.Relation {
+		r := relation.New(name, relation.NewSchema(attrs...))
+		for r.Len() < min(12, 1<<(2*len(attrs))) {
+			appendFresh(r, rnd)
+		}
+		rels = append(rels, r)
+		return r
+	}
+	chain, err := join.NewChain("chain", []*relation.Relation{mk("R0", "A", "B"), mk("S0", "B", "C")}, []string{"B"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ParamsFromTable(tab)
-	if math.Abs(p.UnionSize-float64(exactUnion)) > 1e-6 {
-		t.Errorf("UnionSize = %f, want %d", p.UnionSize, exactUnion)
+	tree, err := join.NewTree("tree", []*relation.Relation{mk("T1", "B"), mk("L1", "B", "A"), mk("M1", "B", "C")},
+		[]int{-1, 0, 0}, []string{"", "B", "B"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sum := 0.0
-	for _, c := range p.Cover {
-		sum += c
+	tri, err := join.NewCyclic("tri", []*relation.Relation{mk("R2", "A", "B"), mk("S2", "B", "C"), mk("U2", "C", "A")},
+		[]join.Edge{{A: 0, B: 1, Attr: "B"}, {A: 1, B: 2, Attr: "C"}, {A: 2, B: 0, Attr: "A"}}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(sum-p.UnionSize) > 1e-6 {
-		t.Errorf("cover sum %f != union %f", sum, p.UnionSize)
-	}
-	for j := range joins {
-		if p.RatioError(j, p) != 0 {
-			t.Errorf("self ratio error nonzero for join %d", j)
+	return []*join.Join{chain, tree, tri}, rels
+}
+
+// appendFresh appends a random row over values 0..3 that r does not hold
+// live: relations stay duplicate-free (§3).
+func appendFresh(r *relation.Relation, rnd *rand.Rand) {
+	for {
+		row := make(relation.Tuple, r.Arity())
+		for i := range row {
+			row[i] = relation.Value(rnd.Intn(4))
 		}
+		dup := false
+		for i := 0; i < r.Len() && !dup; i++ {
+			dup = r.Live(i) && r.Row(i).Equal(row)
+		}
+		if !dup {
+			r.Append(row)
+			return
+		}
+	}
+}
+
+// TestParamsFromExactTable: the exact warm-up's owner count — one
+// enumeration per join, an owner probe per result — reads the same join
+// sizes, cover sizes and union size as the brute-force subset table
+// (overlap.Exact), on chain, tree and cyclic joins, and again after each
+// of three bursts — one delete and one append per relation — and a
+// Refresh of the prepared sampler.
+func TestParamsFromExactTable(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	joins, rels := shapeJoins(t, rnd)
+	var p PreparedSampler
+	p, err := PrepareCover(joins, CoverConfig{Method: MethodEO, Estimator: &ExactEstimator{Joins: joins}}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for burst := 0; burst <= 3; burst++ {
+		tab, union, err := overlap.Exact(joins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.Params()
+		if got.UnionSize != float64(union) || !slices.Equal(got.JoinSizes, tab.JoinSizes()) || !slices.Equal(got.Cover, tab.CoverSizes()) {
+			t.Errorf("burst %d: owner count sizes %v cover %v |U| %v; subset table %v %v %d",
+				burst, got.JoinSizes, got.Cover, got.UnionSize, tab.JoinSizes(), tab.CoverSizes(), union)
+		}
+		if got.Cover[1] == 0 || got.Cover[1] == got.JoinSizes[1] || got.Cover[2] == got.JoinSizes[2] {
+			t.Errorf("burst %d: covers %v of sizes %v: the fixture lost its overlaps", burst, got.Cover, got.JoinSizes)
+		}
+		for j := range joins {
+			if got.RatioError(j, got) != 0 {
+				t.Errorf("burst %d: self ratio error nonzero for join %d", burst, j)
+			}
+		}
+		for _, r := range rels {
+			for i := rnd.Intn(r.Len()); ; i = (i + 1) % r.Len() {
+				if r.Live(i) {
+					r.Delete(i)
+					break
+				}
+			}
+			appendFresh(r, rnd)
+		}
+		np, changed, err := p.Refresh(rng.New(int64(burst)))
+		if err != nil || !changed {
+			t.Fatalf("burst %d: Refresh changed=%v err=%v", burst, changed, err)
+		}
+		p = np
 	}
 }

@@ -13,30 +13,29 @@ import (
 
 	"sampleunion/internal/histest"
 	"sampleunion/internal/join"
-	"sampleunion/internal/overlap"
+	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/walkest"
 )
 
 // Params are the framework parameters the warm-up phase produces, all
 // Algorithm 1 needs: the join sizes, the cover sizes, and the union size
-// they sum to.
+// they sum to. Algorithm 1 picks join j with probability |J'_j| / Σ|J'|,
+// so Σ Cover is the only union size consistent with its draws; every
+// warm-up reports sizes and covers and NewParams sums them.
 type Params struct {
 	JoinSizes []float64 // |J_j| (or its instantiation-specific bound)
 	Cover     []float64 // |J'_j| per §3.1's cover
-	UnionSize float64   // |U|: Σ Cover, Eq. 1 for an exact table
+	UnionSize float64   // |U| = Σ Cover, summed in join order
 }
 
-// ParamsFromTable derives cover sizes and the union size from an
-// overlap table — the histogram and exact warm-ups' inclusion–exclusion.
-func ParamsFromTable(t *overlap.Table) *Params {
-	p := &Params{}
-	p.JoinSizes = make([]float64, t.N())
-	for j := 0; j < t.N(); j++ {
-		p.JoinSizes[j] = t.JoinSize(j)
+// NewParams returns the parameters of a warm-up that estimated the given
+// join and cover sizes; it keeps both slices.
+func NewParams(joinSizes, cover []float64) *Params {
+	p := &Params{JoinSizes: joinSizes, Cover: cover}
+	for _, c := range cover {
+		p.UnionSize += c
 	}
-	p.Cover = t.CoverSizes()
-	p.UnionSize = t.UnionSize()
 	return p
 }
 
@@ -80,7 +79,7 @@ func (h *HistogramEstimator) Params(*rng.RNG) (*Params, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ParamsFromTable(t), nil
+	return NewParams(t.JoinSizes(), t.CoverSizes()), nil
 }
 
 // RandomWalkEstimator adapts walkest (§6): warm-up walks buy accurate
@@ -120,12 +119,11 @@ func (r *RandomWalkEstimator) Params(g *rng.RNG) (*Params, error) {
 // cover draws by.
 func paramsFromWalks(w *walkest.Estimator) *Params {
 	ests := w.JoinEstimates()
-	p := &Params{JoinSizes: make([]float64, len(ests)), Cover: make([]float64, len(ests))}
+	sizes, cover := make([]float64, len(ests)), make([]float64, len(ests))
 	for j, je := range ests {
-		p.JoinSizes[j], p.Cover[j] = je.Size(), je.Cover()
-		p.UnionSize += je.Cover()
+		sizes[j], cover[j] = je.Size(), je.Cover()
 	}
-	return p
+	return NewParams(sizes, cover)
 }
 
 // refreshedEstimator returns the estimator the next generation of a
@@ -159,31 +157,43 @@ func walksRun(prev, next *walkest.Estimator, dirty []bool) int {
 	return n
 }
 
-// ExactEstimator computes exact parameters by executing every join —
-// the FullJoinUnion ground truth (§9). Exponentially expensive; only
-// for validation and small scales.
+// ExactEstimator counts exact parameters — the FullJoinUnion ground
+// truth (§9). It enumerates each join once, join beside join, and probes
+// every result's owner (join.Owners): |J_j| counts j's results and c_j
+// those no earlier join contains. Its cost is the joins' output times at
+// most j−1 membership probes per result of join j, allocating nothing per
+// result. Relations are duplicate-free (§3), so a join's results are
+// distinct and the counts are set sizes.
 type ExactEstimator struct {
 	Joins []*join.Join
 }
 
 // Params implements Estimator.
 func (e *ExactEstimator) Params(*rng.RNG) (*Params, error) {
-	t, _, err := overlap.Exact(e.Joins)
+	owners, err := join.NewOwners(e.Joins)
 	if err != nil {
 		return nil, err
 	}
-	return ParamsFromTable(t), nil
+	sizes, cover := make([]float64, len(e.Joins)), make([]float64, len(e.Joins))
+	join.FanOut(0, len(e.Joins), func(j int) {
+		var n, c int64
+		e.Joins[j].Enumerate(func(t relation.Tuple) bool {
+			n++
+			if owners.Owner(j, t) == j {
+				c++
+			}
+			return true
+		})
+		sizes[j], cover[j] = float64(n), float64(c)
+	})
+	return NewParams(sizes, cover), nil
 }
 
 // ValidateUnion checks the joins form a well-defined union query: at
-// least one and at most overlap.MaxJoins joins, each producing the first
-// join's output attributes.
+// least one join, each producing the first join's output attributes.
 func ValidateUnion(joins []*join.Join) error {
 	if len(joins) == 0 {
 		return fmt.Errorf("core: no joins")
-	}
-	if len(joins) > overlap.MaxJoins {
-		return fmt.Errorf("core: at most %d joins per union", overlap.MaxJoins)
 	}
 	ref := joins[0].OutputSchema()
 	for _, j := range joins[1:] {

@@ -331,7 +331,10 @@ func TestEstimatorAlignedChains(t *testing.T) {
 	if tab.Get(0b11) < exact.Get(0b11) {
 		t.Errorf("overlap bound %f below exact %f", tab.Get(0b11), exact.Get(0b11))
 	}
-	u := tab.UnionSize()
+	u := 0.0 // the union size the sampler draws by: Σ cover
+	for _, c := range tab.CoverSizes() {
+		u += c
+	}
 	if u < float64(exactUnion)-1e-9 {
 		// An overlap over-estimate shrinks the union estimate; with
 		// exact sizes the union may undershoot but never below the

@@ -98,11 +98,6 @@ func (j *Join) StateVersions() []uint64 {
 	return out
 }
 
-// Key returns the identity key of an output tuple: equal keys identify
-// equal tuple values across all joins sharing the output schema (§3
-// Example 3).
-func (j *Join) Key(t relation.Tuple) string { return relation.TupleKey(t) }
-
 // NewChain builds the chain join rels[0] ⋈ rels[1] ⋈ ... where rels[i]
 // joins rels[i-1] on attrs[i-1]; len(attrs) must be len(rels)-1.
 func NewChain(name string, rels []*relation.Relation, attrs []string) (*Join, error) {

@@ -1,9 +1,8 @@
-// Package overlap implements the union-size combinatorics of §3.1 and
-// §4: the table of overlap sizes |O_Δ| over the powerset of joins, the
-// k-overlap decomposition A^k_j (Theorem 3), the set-union size formula
-// (Eq. 1), and cover sizes |J'_i| by inclusion–exclusion. It also
-// provides the exact (full-join) computation of all of these, the
-// FullJoinUnion ground truth of §9.
+// Package overlap holds the histogram warm-up's subset table (§4): the
+// overlap sizes |O_Δ| over the powerset of joins, and the cover sizes
+// |J'_i| of §3.1 read off it by inclusion–exclusion. Exact fills the same
+// table by brute force, the reference the estimators' tests and
+// internal/bench's subset-overlap ablation compare against.
 //
 // Subsets of the n joins are represented as bitmasks: bit j set means
 // join j is in the subset.
@@ -18,8 +17,9 @@ import (
 	"sampleunion/internal/relation"
 )
 
-// MaxJoins bounds the number of joins in one union query: the powerset
-// table is dense in 2^n.
+// MaxJoins bounds the joins one Table covers: the powerset table is
+// dense in 2^n. Only the histogram warm-up and Exact build one; the
+// samplers and the other warm-ups take any number of joins.
 const MaxJoins = 20
 
 // Table holds (exact or estimated) overlap sizes for every non-empty
@@ -37,9 +37,6 @@ func NewTable(n int) (*Table, error) {
 	}
 	return &Table{n: n, sizes: make([]float64, 1<<uint(n))}, nil
 }
-
-// N reports the number of joins.
-func (t *Table) N() int { return t.n }
 
 // Set records |O_Δ| for the subset mask.
 func (t *Table) Set(mask uint, size float64) {
@@ -59,6 +56,15 @@ func (t *Table) Get(mask uint) float64 {
 
 // JoinSize returns |J_j|.
 func (t *Table) JoinSize(j int) float64 { return t.sizes[1<<uint(j)] }
+
+// JoinSizes returns |J_j| for every join, in join order.
+func (t *Table) JoinSizes() []float64 {
+	out := make([]float64, t.n)
+	for j := range out {
+		out[j] = t.JoinSize(j)
+	}
+	return out
+}
 
 // Normalize enforces the monotonicity every true overlap table obeys:
 // adding a join to a subset cannot grow the overlap. Estimated tables
@@ -85,67 +91,6 @@ func (t *Table) Normalize() {
 			}
 		}
 	}
-}
-
-// KOverlaps computes |A^k_j| for every join j and order k following
-// Theorem 3: A^k_j is the size of the part of J_j shared with exactly
-// k-1 other joins. Results are clamped at zero, which matters when the
-// table holds estimates. The returned matrix is indexed [j][k-1].
-func (t *Table) KOverlaps() [][]float64 {
-	n := t.n
-	full := uint(1<<uint(n)) - 1
-	a := make([][]float64, n)
-	for j := 0; j < n; j++ {
-		a[j] = make([]float64, n)
-		a[j][n-1] = t.Get(full)
-		for k := n - 1; k >= 1; k-- {
-			// Sum of |O_Δ| over Δ of size k containing j.
-			sum := 0.0
-			jb := uint(1) << uint(j)
-			for mask := uint(1); mask <= full; mask++ {
-				if mask&jb != 0 && bits.OnesCount(mask) == k {
-					sum += t.Get(mask)
-				}
-			}
-			// Deduct the higher-order areas counted multiple times.
-			for r := k + 1; r <= n; r++ {
-				sum -= float64(binomial(r-1, k-1)) * a[j][r-1]
-			}
-			if sum < 0 {
-				sum = 0
-			}
-			a[j][k-1] = sum
-		}
-	}
-	return a
-}
-
-// UnionSize evaluates Eq. 1: |U| = Σ_j Σ_k |A^k_j| / k. The result is
-// clamped to [max_j |J_j|, Σ_j |J_j|], the bounds any set union obeys —
-// estimated tables can otherwise drift outside them.
-func (t *Table) UnionSize() float64 {
-	a := t.KOverlaps()
-	u := 0.0
-	for j := 0; j < t.n; j++ {
-		for k := 1; k <= t.n; k++ {
-			u += a[j][k-1] / float64(k)
-		}
-	}
-	lo, hi := 0.0, 0.0
-	for j := 0; j < t.n; j++ {
-		s := t.JoinSize(j)
-		hi += s
-		if s > lo {
-			lo = s
-		}
-	}
-	if u < lo {
-		u = lo
-	}
-	if u > hi {
-		u = hi
-	}
-	return u
 }
 
 // CoverSizes computes |J'_i| for the cover induced by the table's join
@@ -177,28 +122,14 @@ func (t *Table) CoverSizes() []float64 {
 	return out
 }
 
-// binomial returns C(n, k) for small arguments.
-func binomial(n, k int) int64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	res := int64(1)
-	for i := 1; i <= k; i++ {
-		res = res * int64(n-k+i) / int64(i)
-	}
-	return res
-}
-
 // Exact materializes every join and fills a Table with the true overlap
 // sizes; it also returns the exact set-union size. Output tuples are
 // aligned by attribute name to the first join's schema (§2: all joins
-// share an output schema). This is the brute-force ground truth; it is
-// exponentially cheaper than intersecting pairwise because each tuple's
-// membership mask is computed once and aggregated with a superset-sum
-// (zeta) transform.
+// share an output schema). This is the brute-force reference: each
+// tuple's membership mask is computed once, keyed by its value, and
+// aggregated with a superset-sum over the 2^n subsets. The samplers' own
+// exact warm-up (core.ExactEstimator) counts covers by owner probes and
+// needs none of it.
 func Exact(joins []*join.Join) (*Table, int, error) {
 	t, err := NewTable(len(joins))
 	if err != nil {

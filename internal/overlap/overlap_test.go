@@ -2,7 +2,6 @@ package overlap
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -55,53 +54,6 @@ func unionOfSets(sets [][]int) map[int]bool {
 	return u
 }
 
-func TestUnionSizeExactOnSets(t *testing.T) {
-	sets := [][]int{
-		{1, 2, 3, 4, 5},
-		{4, 5, 6, 7},
-		{5, 7, 8, 9, 10, 11},
-	}
-	tab := tableFromSets(sets)
-	want := float64(len(unionOfSets(sets)))
-	if got := tab.UnionSize(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("UnionSize = %f, want %f", got, want)
-	}
-}
-
-func TestKOverlapsOnSets(t *testing.T) {
-	sets := [][]int{
-		{1, 2, 3, 4, 5}, // 1,2,3 private; 4 shared with B; 5 with B and C
-		{4, 5, 6, 7},    // 6 private; 7 shared with C
-		{5, 7, 8, 9, 10, 11},
-	}
-	tab := tableFromSets(sets)
-	a := tab.KOverlaps()
-	// Join 0: A^1 = {1,2,3} = 3, A^2 = {4} = 1, A^3 = {5} = 1.
-	want0 := []float64{3, 1, 1}
-	for k, w := range want0 {
-		if math.Abs(a[0][k]-w) > 1e-9 {
-			t.Errorf("A^%d_0 = %f, want %f", k+1, a[0][k], w)
-		}
-	}
-	// Join 1: A^1 = {6} = 1, A^2 = {4,7} = 2, A^3 = {5} = 1.
-	want1 := []float64{1, 2, 1}
-	for k, w := range want1 {
-		if math.Abs(a[1][k]-w) > 1e-9 {
-			t.Errorf("A^%d_1 = %f, want %f", k+1, a[1][k], w)
-		}
-	}
-	// Sanity: Σ_k A^k_j = |J_j|.
-	for j := range sets {
-		sum := 0.0
-		for k := range a[j] {
-			sum += a[j][k]
-		}
-		if math.Abs(sum-tab.JoinSize(j)) > 1e-9 {
-			t.Errorf("Σ_k A^k_%d = %f, want |J_%d| = %f", j, sum, j, tab.JoinSize(j))
-		}
-	}
-}
-
 func TestCoverSizesOnSets(t *testing.T) {
 	sets := [][]int{
 		{1, 2, 3, 4, 5},
@@ -122,12 +74,13 @@ func TestCoverSizesOnSets(t *testing.T) {
 	for _, c := range cover {
 		sum += c
 	}
-	if math.Abs(sum-tab.UnionSize()) > 1e-9 {
-		t.Errorf("Σ|J'_i| = %f, |U| = %f", sum, tab.UnionSize())
+	if want := float64(len(unionOfSets(sets))); math.Abs(sum-want) > 1e-9 {
+		t.Errorf("Σ|J'_i| = %f, |U| = %f", sum, want)
 	}
 }
 
-// TestUnionAndCoverProperty drives the identities with random sets.
+// TestUnionAndCoverProperty drives the cover identity with random sets:
+// the cover sizes partition the union.
 func TestUnionAndCoverProperty(t *testing.T) {
 	f := func(raw [3][]uint8) bool {
 		sets := make([][]int, 3)
@@ -139,31 +92,11 @@ func TestUnionAndCoverProperty(t *testing.T) {
 				sets[j] = []int{int(j) + 100} // keep joins non-empty
 			}
 		}
-		tab := tableFromSets(sets)
-		want := float64(len(unionOfSets(sets)))
-		if math.Abs(tab.UnionSize()-want) > 1e-6 {
-			return false
-		}
-		cover := tab.CoverSizes()
 		sum := 0.0
-		for _, c := range cover {
+		for _, c := range tableFromSets(sets).CoverSizes() {
 			sum += c
 		}
-		if math.Abs(sum-want) > 1e-6 {
-			return false
-		}
-		// k-overlap row sums equal join sizes.
-		a := tab.KOverlaps()
-		for j := range sets {
-			rs := 0.0
-			for k := range a[j] {
-				rs += a[j][k]
-			}
-			if math.Abs(rs-tab.JoinSize(j)) > 1e-6 {
-				return false
-			}
-		}
-		return true
+		return math.Abs(sum-float64(len(unionOfSets(sets)))) <= 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -202,8 +135,8 @@ func TestTableBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.N() != 2 {
-		t.Errorf("N = %d", tab.N())
+	if n := len(tab.JoinSizes()); n != 2 {
+		t.Errorf("%d join sizes, want 2", n)
 	}
 	tab.Set(0b01, -5) // negative clamps to 0
 	if tab.Get(0b01) != 0 {
@@ -213,23 +146,8 @@ func TestTableBasics(t *testing.T) {
 		t.Errorf("empty mask nonzero")
 	}
 	tab.Set(0b10, 7)
-	if tab.JoinSize(1) != 7 {
-		t.Errorf("JoinSize(1) = %f", tab.JoinSize(1))
-	}
-}
-
-func TestBinomial(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want int64
-	}{
-		{0, 0, 1}, {5, 0, 1}, {5, 5, 1}, {5, 2, 10}, {6, 3, 20},
-		{10, 4, 210}, {5, 6, 0}, {5, -1, 0},
-	}
-	for _, c := range cases {
-		if got := binomial(c.n, c.k); got != c.want {
-			t.Errorf("C(%d,%d) = %d, want %d", c.n, c.k, got, c.want)
-		}
+	if tab.JoinSize(1) != 7 || tab.JoinSizes()[1] != 7 {
+		t.Errorf("JoinSize(1) = %f, JoinSizes %v", tab.JoinSize(1), tab.JoinSizes())
 	}
 }
 
@@ -269,9 +187,6 @@ func TestExactOnJoins(t *testing.T) {
 	}
 	if tab.Get(0b11) != 2 {
 		t.Errorf("pairwise overlap = %f, want 2", tab.Get(0b11))
-	}
-	if got := tab.UnionSize(); math.Abs(got-5) > 1e-9 {
-		t.Errorf("UnionSize = %f, want 5", got)
 	}
 	cover := tab.CoverSizes()
 	if cover[0] != 4 || cover[1] != 1 {
@@ -323,8 +238,4 @@ func TestMaskInvariants(t *testing.T) {
 			t.Errorf("cover[%d] = %f, want 0", i, cover[i])
 		}
 	}
-	if got := tab.UnionSize(); got != 2 {
-		t.Errorf("UnionSize = %f, want 2", got)
-	}
-	_ = bits.OnesCount(0)
 }

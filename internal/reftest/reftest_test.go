@@ -283,7 +283,8 @@ func mutationBurst(rnd *rand.Rand, rels []*relation.Relation) {
 // EW/EO/WJ): sampler output must be exactly the
 // reference union by membership, fully covered, and uniform by
 // chi-square — statically, and again after two random mutation bursts
-// and a session refresh.
+// and a session refresh. Each time the exact union size reads the
+// reference's.
 func TestDifferentialUniform(t *testing.T) {
 	executed := 0
 	for seed := int64(0); seed < 60; seed++ {
@@ -306,6 +307,7 @@ func TestDifferentialUniform(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		checkDraws(t, label, draws, UniformWeights(union), true)
+		checkExactCount(t, label, sc, sess, len(union))
 
 		// Mutation bursts: mutate, refresh the warm session, re-derive the
 		// reference, re-check.
@@ -326,11 +328,25 @@ func TestDifferentialUniform(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			checkDraws(t, label, draws, UniformWeights(union), true)
+			checkExactCount(t, label, sc, sess, len(union))
 		}
 		executed++
 	}
 	if executed < 50 {
 		t.Fatalf("only %d scenarios executed; differential coverage requires >= 50", executed)
+	}
+}
+
+// checkExactCount holds the exact warm-up's owner count to the
+// brute-force union: Union.ExactUnionSize and the (refreshed) session's
+// |U| must both read its size.
+func checkExactCount(t *testing.T, label string, sc *scenario, sess *su.Session, want int) {
+	t.Helper()
+	if n, err := sc.union.ExactUnionSize(); err != nil || n != want {
+		t.Errorf("%s: ExactUnionSize = %d, %v; reference union has %d", label, n, err, want)
+	}
+	if got := sess.UnionSize(); got != float64(want) {
+		t.Errorf("%s: session |U| = %v; reference union has %d", label, got, want)
 	}
 }
 

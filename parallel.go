@@ -12,9 +12,12 @@ type Estimate struct {
 	// bounds under WarmupHistogram+MethodEO).
 	JoinSizes []float64
 	// CoverSizes are the |J'_j| of §3.1: the share of each join not
-	// covered by earlier joins. They sum to UnionSize.
+	// covered by earlier joins, which the sampler picks joins in
+	// proportion to. Exact counts under WarmupExact.
 	CoverSizes []float64
-	// UnionSize is the estimated |J_1 ∪ ... ∪ J_n| (Eq. 1).
+	// UnionSize is the estimated |J_1 ∪ ... ∪ J_n|: Σ CoverSizes, under
+	// every warm-up (the sharded engine sums its shards' |U_s|, equal up
+	// to rounding).
 	UnionSize float64
 }
 

@@ -48,7 +48,6 @@ import (
 	"sampleunion/internal/core"
 	"sampleunion/internal/histest"
 	"sampleunion/internal/join"
-	"sampleunion/internal/overlap"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/walkest"
@@ -155,8 +154,10 @@ const (
 	// estimates at the cost of warm-up walks; needs data access. The
 	// empty Warmup means this.
 	WarmupRandomWalk Warmup = "random-walk"
-	// WarmupExact executes every join and computes exact parameters —
-	// the FullJoinUnion ground truth; exponential, for validation only.
+	// WarmupExact executes every join once and counts exact parameters
+	// — the FullJoinUnion ground truth: each result is probed against
+	// the earlier joins to find its cover region. Its cost is the joins'
+	// full output, so it suits validation and small scales.
 	WarmupExact Warmup = "exact"
 )
 
@@ -453,10 +454,15 @@ func (u *Union) EstimateUnionSize(o Options) (float64, error) {
 }
 
 // ExactUnionSize executes every join and returns the exact set-union
-// size — the expensive ground truth.
+// size: WarmupExact's count, Σ_j of join j's results no earlier join
+// contains — one enumeration per join and a membership probe per earlier
+// join, the expensive ground truth.
 func (u *Union) ExactUnionSize() (int, error) {
-	_, n, err := overlap.Exact(u.joins)
-	return n, err
+	p, err := (&core.ExactEstimator{Joins: u.joins}).Params(nil)
+	if err != nil {
+		return 0, err
+	}
+	return int(p.UnionSize), nil
 }
 
 // SampleWhere draws n samples satisfying the predicate, uniform over

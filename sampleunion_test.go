@@ -1,6 +1,8 @@
 package sampleunion
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -200,5 +202,51 @@ func TestMethodWJThroughAPI(t *testing.T) {
 		if !u.Contains(tu) {
 			t.Fatalf("WJ sample outside union")
 		}
+	}
+}
+
+// TestManyJoinsNeedNoSubsetTable: nothing but the histogram warm-up's
+// subset table is dense in 2^k, so a union of 21 joins — one past that
+// table's cap — prepares and samples under the zero Options and counts
+// exactly, while WarmupHistogram refuses it with the table's own error.
+func TestManyJoinsNeedNoSubsetTable(t *testing.T) {
+	joins := make([]*Join, 21)
+	for i := range joins {
+		a := NewRelation(fmt.Sprintf("cust_%d", i), NewSchema("custkey", "nationkey"))
+		b := NewRelation(fmt.Sprintf("ord_%d", i), NewSchema("orderkey", "custkey"))
+		for k := 5 * i; k < 5*i+20; k++ {
+			a.AppendValues(Value(k), Value(k%5))
+			b.AppendValues(Value(k*10), Value(k))
+			b.AppendValues(Value(k*10+1), Value(k))
+		}
+		j, err := Chain(fmt.Sprintf("J_%d", i), []*Relation{a, b}, []string{"custkey"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		joins[i] = j
+	}
+	u, err := NewUnion(joins...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact, err := u.ExactUnionSize(); err != nil || exact != 240 { // custkeys 0..119, 2 orders each
+		t.Errorf("ExactUnionSize = %d, %v; want 240", exact, err)
+	}
+	s, err := u.Prepare(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := s.Sample(50)
+	if err != nil || len(out) != 50 {
+		t.Fatalf("Sample(50): %d tuples, %v", len(out), err)
+	}
+	for _, tu := range out {
+		if !u.Contains(tu) {
+			t.Fatalf("sample %v outside the union", tu)
+		}
+	}
+	_, err = u.Prepare(Options{Warmup: WarmupHistogram})
+	if err == nil || !strings.Contains(err.Error(), "overlap: need 1..20 joins, got 21") {
+		t.Errorf("histogram warm-up over 21 joins: err %v, want the subset table's cap", err)
 	}
 }
