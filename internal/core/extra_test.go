@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"sampleunion/internal/histest"
 	"sampleunion/internal/join"
@@ -62,6 +63,56 @@ func TestCoverSamplerNoProgress(t *testing.T) {
 	if !strings.Contains(err.Error(), "no progress") {
 		t.Errorf("unexpected error: %v", err)
 	}
+}
+
+// deadJoin is R(K,X) = {(1,1)} ⋈ S(K,Y) = {(2,1)}: its Olken bound is 1
+// and it has no result, so every subroutine draw from it fails.
+func deadJoin(t *testing.T) *join.Join {
+	t.Helper()
+	r := relation.MustFromTuples("R", relation.NewSchema("K", "X"), []relation.Tuple{{1, 1}})
+	s := relation.MustFromTuples("S", relation.NewSchema("K", "Y"), []relation.Tuple{{2, 1}})
+	j, err := join.NewChain("dead", []*relation.Relation{r, s}, []string{"K"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// failsWithin runs sample and requires it to return a "no progress"
+// error before the deadline instead of spinning.
+func failsWithin(t *testing.T, sample func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- sample() }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "no progress") {
+			t.Fatalf("sampling a union without results: err = %v, want a no-progress error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sampling a union without results did not return")
+	}
+}
+
+// TestBernoulliSamplerNoProgress: a join whose bound is positive but
+// which has no results must fail the Bernoulli run, not spin it.
+func TestBernoulliSamplerNoProgress(t *testing.T) {
+	joins := []*join.Join{deadJoin(t)}
+	s, err := NewBernoulliSampler(joins, BernoulliConfig{
+		Method:    MethodEO,
+		Estimator: &HistogramEstimator{Joins: joins, Opts: histest.Options{Sizes: histest.SizeEO}},
+	}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failsWithin(t, func() error { _, err := s.Sample(1, rng.New(2)); return err })
+}
+
+// TestDisjointSamplerNoProgress is TestBernoulliSamplerNoProgress for
+// Definition 1's sampler.
+func TestDisjointSamplerNoProgress(t *testing.T) {
+	s := disjointRun(t, []*join.Join{deadJoin(t)}, MethodEO)
+	failsWithin(t, func() error { _, err := s.Sample(1, rng.New(2)); return err })
 }
 
 // fakeEstimator reports fabricated parameters, for failure-injection

@@ -3,6 +3,7 @@ package sampleunion
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // unionForNTests builds a tiny two-join union for the n<=0 contract
@@ -138,5 +139,33 @@ func TestApproxZeroIsError(t *testing.T) {
 		if err := run(); err == nil {
 			t.Errorf("%s(0): want a no-samples error, got nil", name)
 		}
+	}
+}
+
+// TestSampleDisjointWithoutResultsFails: R(k,x) = {(1,1)} ⋈ S(k,y) =
+// {(2,1)} has Olken bound 1 and no results, so an EO disjoint draw can
+// never succeed; the call must give up with a no-progress error.
+func TestSampleDisjointWithoutResultsFails(t *testing.T) {
+	r := NewRelation("r", NewSchema("k", "x"))
+	s := NewRelation("s", NewSchema("k", "y"))
+	r.AppendValues(1, 1)
+	s.AppendValues(2, 1)
+	j, err := Chain("dead", []*Relation{r, s}, []string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewUnion(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { _, _, err := u.SampleDisjoint(1, Options{Method: MethodEO}); done <- err }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "no progress") {
+			t.Fatalf("SampleDisjoint over a union without results: err = %v, want a no-progress error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SampleDisjoint over a union without results did not return")
 	}
 }
