@@ -121,13 +121,14 @@ func AblationBernoulli(o Options) (*Result, error) {
 			return nil, err
 		}
 		bg := rng.New(o.Seed)
-		bs, err := core.NewBernoulliSampler(w.Joins, core.BernoulliConfig{
+		bp, err := core.PrepareBernoulli(w.Joins, core.CoverConfig{
 			Method:    core.MethodEW,
 			Estimator: &core.ExactEstimator{Joins: w.Joins},
 		}, bg)
 		if err != nil {
 			return nil, err
 		}
+		bs := bp.NewRun()
 		if _, err := bs.Sample(o.Samples, bg); err != nil {
 			return nil, err
 		}

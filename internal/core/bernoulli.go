@@ -2,36 +2,28 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"sampleunion/internal/join"
-	"sampleunion/internal/relation"
+	"sampleunion/internal/joinsample"
 	"sampleunion/internal/rng"
 )
 
-// DisjointConfig configures Definition 1's disjoint-union sampler.
-type DisjointConfig struct {
-	Method JoinMethod
-}
-
 // DisjointShared is the prepared state of Definition 1's disjoint-union
-// sampler: the per-join subroutine samplers and the size-proportional
-// selection table. It is immutable and safe to share between any number
-// of concurrent runs created with NewRun.
-type DisjointShared struct {
-	base  *unionBase
-	alias *rng.Alias
+// sampler: the shared prepared state, warmed by the subroutine samplers'
+// own size knowledge (samplerSizes), handing out DisjointSampler runs.
+type DisjointShared struct{ prepared }
 
-	// runs recycles released *DisjointSampler (see prepared.runs).
-	runs *sync.Pool
-}
-
-// PrepareDisjoint builds the shared state of a disjoint-union sampler.
-// Disjoint sampling needs no estimator warm-up: selection weights come
-// from the subroutine samplers' own size knowledge.
-func PrepareDisjoint(joins []*join.Join, cfg DisjointConfig) (*DisjointShared, error) {
-	base, err := newUnionBase(joins, cfg.Method)
+// PrepareDisjoint builds the shared state of a disjoint-union sampler
+// whose joins sample with method. It runs no estimator and draws no
+// randomness: in the disjoint union every join is its own cover, so the
+// selection weights are the subroutine samplers' size estimates — exact
+// sizes under EW, Olken bounds under EO, whose rejection rates
+// renormalize exactly (an accepted draw lands on any particular result
+// with probability 1/Σ_j bound_j, whatever its join). Each draw consumes
+// one join selection and one subroutine attempt, so a seed's stream is
+// fixed; the `disjoint` golden digest pins it.
+func PrepareDisjoint(joins []*join.Join, method JoinMethod) (*DisjointShared, error) {
+	base, err := newUnionBase(joins, method)
 	if err != nil {
 		return nil, err
 	}
@@ -39,185 +31,142 @@ func PrepareDisjoint(joins []*join.Join, cfg DisjointConfig) (*DisjointShared, e
 	return newDisjointShared(base)
 }
 
-// newDisjointShared builds the disjoint-union sampler over a base whose
+// newDisjointShared warms a disjoint-union sampler over a base whose
 // subroutine samplers are built: PrepareDisjoint's own, or — through
 // PreparedSampler.Disjoint — the one a set-union sampler already warmed.
 func newDisjointShared(base *unionBase) (*DisjointShared, error) {
-	weights := make([]float64, len(base.joins))
-	for i, s := range base.samplers {
-		weights[i] = s.SizeEstimate()
+	p := &DisjointShared{prepared{base: base, est: samplerSizes(base.samplers), runs: newRunPool()}}
+	if err := p.warm(nil); err != nil {
+		return nil, err
 	}
-	alias := rng.NewAlias(weights)
-	if alias == nil {
-		return nil, fmt.Errorf("core: all joins are empty")
-	}
-	return &DisjointShared{base: base, alias: alias, runs: newRunPool()}, nil
+	return p, nil
 }
 
-// NewRun returns a sampling run (its own Stats and scratch) over the
-// shared prepared state: a released one when there is one, a new one
-// otherwise, its counters zeroed either way.
-func (p *DisjointShared) NewRun() *DisjointSampler {
+// samplerSizes is the disjoint union's warm-up: each join's size and
+// cover are its subroutine sampler's SizeEstimate.
+type samplerSizes []joinsample.Sampler
+
+// Params implements Estimator.
+func (s samplerSizes) Params(*rng.RNG) (*Params, error) {
+	sizes := make([]float64, len(s))
+	for i, js := range s {
+		sizes[i] = js.SizeEstimate()
+	}
+	return NewParams(sizes, sizes), nil
+}
+
+// NewRun returns a sampling run over the shared prepared state, recycled
+// or newly built, reset either way (see CoverShared.NewRun).
+func (p *DisjointShared) NewRun() Run {
 	s, _ := p.runs.Get().(*DisjointSampler)
 	if s == nil {
 		s = &DisjointSampler{scratch: p.base.newScratch()}
+		s.draw = s.drawOne
 	}
-	s.shared = p
-	s.stats.reset(len(p.base.joins))
+	s.reset(&p.prepared)
 	return s
 }
 
-// DisjointSampler is one run of Definition 1's sampler: a join is
-// selected proportionally to its size instantiation and one tuple is
-// drawn from it; under EW the selection weights are exact sizes, under
-// EO they are Olken bounds whose rejection rates re-normalize exactly
-// (an accepted draw lands on any particular result with probability
-// 1/Σ_j bound_j regardless of join).
+// DisjointSampler is one run of Definition 1's sampler: each returned
+// tuple is a result of join j with probability 1/(|J_1| + ... + |J_n|),
+// a value in k joins k times as likely.
 type DisjointSampler struct {
-	runRNG
-	shared  *DisjointShared
+	runState
 	scratch drawScratch
-	stats   Stats
 }
 
-// Release returns the run to its prepared state's pool (see Run.Release).
-func (s *DisjointSampler) Release() {
-	p := s.shared
-	s.shared = nil
-	p.runs.Put(s)
-}
+// Release returns the run to its generation's pool (see Run.Release).
+func (s *DisjointSampler) Release() { s.release(s) }
 
-// Stats returns the run's instrumentation.
-func (s *DisjointSampler) Stats() *Stats { return &s.stats }
-
-// Sample returns n independent tuples, each with probability
-// 1/(|J_1| + ... + |J_n|), in the first join's output schema order.
-// Every iteration selects a join and attempts exactly one subroutine
-// draw: under EO the bound weights renormalize through full
-// reselection, so retrying within a join would bias the distribution.
-func (s *DisjointSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	k := s.shared.base.ref.Len()
-	flat := make([]relation.Value, 0, n*k)
-	out := make([]relation.Tuple, 0, n)
-	before := s.stats
-	start := time.Now()
-	for len(out) < n {
-		j := s.shared.alias.Draw(g)
-		got, tries := s.shared.base.samplers[j].SampleManyInto(s.scratch.many, s.scratch.rowOf, 1, g)
+// drawOne selects a join proportionally to its size and makes exactly
+// one subroutine attempt, committing it on success: under EO the bound
+// weights renormalize through full reselection, so retrying within a
+// join would bias the distribution.
+func (s *DisjointSampler) drawOne(g *rng.RNG) error {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		j := s.prep.alias.Draw(g)
+		got, tries := s.prep.base.samplers[j].SampleManyInto(s.scratch.many, s.scratch.rowOf, 1, g)
 		s.stats.bookDraws(j, tries, got)
-		if got == 0 {
-			continue
+		if got > 0 {
+			s.commit(j, s.scratch.out, 1, 0)
+			return nil
 		}
-		off := len(flat)
-		flat = s.shared.base.alignedAppend(j, s.scratch.out, flat)
-		out = append(out, relation.Tuple(flat[off:len(flat):len(flat)]))
-		s.stats.Accepted++
-		s.stats.Joins[j].Accepted++
 	}
-	s.stats.bookBatchTime(&before, time.Since(start))
-	return out, nil
+	return fmt.Errorf("core: disjoint sampler made no progress after %d attempts", maxAttempts)
 }
 
-// SampleView forwards to Sample: a disjoint run buffers nothing, so its
-// batch is the caller's already.
-func (s *DisjointSampler) SampleView(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	return s.Sample(n, g)
+// BernoulliShared is the prepared state of the §3 union-trick sampler:
+// the shared prepared state, warmed like Algorithm 1's, handing out
+// BernoulliSampler runs.
+type BernoulliShared struct{ prepared }
+
+// PrepareBernoulli builds the shared state for the union trick and runs
+// the warm-up exactly once, as PrepareCover does for the same cfg. A
+// run's rounds span its calls: a call continues the round of joins the
+// previous call on the run stopped in rather than starting a new one, so
+// only a run's first call flips its coins from join 0. A seed's stream
+// therefore matches a sampler that restarted the round on every call in
+// a run's first call, and can differ from it only across consecutive
+// calls on one run; no golden digest pins a Bernoulli stream.
+func PrepareBernoulli(joins []*join.Join, cfg CoverConfig, g *rng.RNG) (*BernoulliShared, error) {
+	p, err := prepareWith(joins, cfg, g)
+	if err != nil {
+		return nil, err
+	}
+	return &BernoulliShared{p}, nil
 }
 
-// BernoulliConfig configures the §3 union-trick sampler.
-type BernoulliConfig struct {
-	Method    JoinMethod
-	Estimator Estimator
+// NewRun returns a sampling run over the shared prepared state, recycled
+// or newly built, reset either way (see CoverShared.NewRun).
+func (p *BernoulliShared) NewRun() Run {
+	s, _ := p.runs.Get().(*BernoulliSampler)
+	if s == nil {
+		s = &BernoulliSampler{scratch: p.base.newScratch()}
+		s.draw = s.drawOne
+	}
+	s.reset(&p.prepared)
+	s.next = 0
+	return s
 }
 
-// BernoulliSampler implements the straightforward set-union sampler of
-// §3 (the "union trick"): at each iteration every join J_j is selected
-// independently with probability |J_j|/|U|; a tuple drawn from J_j is
-// kept only when J_j is the first join containing it, f(u) = j. Each
-// value u is therefore returned with probability
-// |J_{f(u)}|/|U| · 1/|J_{f(u)}| = 1/|U| per iteration.
+// BernoulliSampler is one run of the straightforward set-union sampler
+// of §3 (the "union trick"): round after round every join J_j is
+// selected independently with probability |J_j|/|U|, and a tuple drawn
+// from J_j is kept only when J_j is the first join containing it,
+// f(u) = j (runState.accept). Each value u is therefore returned with
+// probability |J_{f(u)}|/|U| · 1/|J_{f(u)}| = 1/|U| per selection.
 //
 // Compared to Algorithm 1 the rejection ratio is high for heavily
 // overlapping joins — the motivation for the non-Bernoulli cover
 // selection (§3.1); the evaluation skips it for that reason, but it is
 // implemented here as the framework's base case.
 type BernoulliSampler struct {
-	base    *unionBase
-	params  *Params
+	runState
 	scratch drawScratch
-	stats   Stats
+	next    int // the join the current round continues at
 }
 
-// NewBernoulliSampler builds a union-trick sampler and runs its
-// estimator, drawing warm-up randomness from g; the cost is booked into
-// the run's Stats.WarmupTime.
-func NewBernoulliSampler(joins []*join.Join, cfg BernoulliConfig, g *rng.RNG) (*BernoulliSampler, error) {
-	if cfg.Estimator == nil {
-		return nil, fmt.Errorf("core: BernoulliConfig.Estimator is required")
-	}
-	base, err := newUnionBase(joins, cfg.Method)
-	if err != nil {
-		return nil, err
-	}
-	base.buildPending()
-	start := time.Now()
-	p, err := cfg.Estimator.Params(g)
-	if err != nil {
-		return nil, err
-	}
-	if p.UnionSize <= 0 {
-		return nil, fmt.Errorf("core: estimated union size is zero")
-	}
-	s := &BernoulliSampler{base: base, params: p, scratch: base.newScratch()}
-	s.stats.reset(len(joins))
-	s.stats.WarmupTime = time.Since(start)
-	return s, nil
-}
+// Release returns the run to its generation's pool (see Run.Release).
+func (s *BernoulliSampler) Release() { s.release(s) }
 
-// Params returns the warm-up parameters.
-func (s *BernoulliSampler) Params() *Params { return s.params }
-
-// Stats returns the run's instrumentation.
-func (s *BernoulliSampler) Stats() *Stats { return &s.stats }
-
-// Sample returns n tuples, each value with probability 1/|U| per
-// iteration, in the first join's output schema order.
-func (s *BernoulliSampler) Sample(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	k := s.base.ref.Len()
-	flat := make([]relation.Value, 0, n*k)
-	out := make([]relation.Tuple, 0, n)
-	before := s.stats
-	start := time.Now()
-	for len(out) < n {
-		for j := range s.base.joins {
-			if len(out) >= n {
-				break
-			}
-			p := s.params.JoinSizes[j] / s.params.UnionSize
-			if !g.Bernoulli(p) {
-				continue
-			}
-			got, tries := s.base.samplers[j].SampleManyInto(s.scratch.many, s.scratch.rowOf, 1, g)
-			s.stats.bookDraws(j, tries, got)
-			if got == 0 {
-				continue
-			}
-			if s.base.owners.Owner(j, s.scratch.out) != j {
-				s.stats.RejectedDup++
-				continue
-			}
-			off := len(flat)
-			flat = s.base.alignedAppend(j, s.scratch.out, flat)
-			out = append(out, relation.Tuple(flat[off:len(flat):len(flat)]))
-			s.stats.Accepted++
-			s.stats.Joins[j].Accepted++
+// drawOne walks the rounds from where the run left off, flipping each
+// join's coin and attempting one subroutine draw on a success, until a
+// draw is accepted.
+func (s *BernoulliSampler) drawOne(g *rng.RNG) error {
+	p := s.prep.params
+	for attempt := 0; attempt < maxAttempts; {
+		j := s.next
+		s.next = (j + 1) % len(p.JoinSizes)
+		if !g.Bernoulli(p.JoinSizes[j] / p.UnionSize) {
+			continue
+		}
+		attempt++
+		got, tries := s.prep.base.samplers[j].SampleManyInto(s.scratch.many, s.scratch.rowOf, 1, g)
+		s.stats.bookDraws(j, tries, got)
+		if got > 0 && s.accept(j, s.scratch.out, -1) {
+			s.commit(j, s.scratch.out, 1, 0)
+			return nil
 		}
 	}
-	s.stats.bookBatchTime(&before, time.Since(start))
-	return out, nil
-}
-
-// SampleView forwards to Sample, like DisjointSampler's.
-func (s *BernoulliSampler) SampleView(n int, g *rng.RNG) ([]relation.Tuple, error) {
-	return s.Sample(n, g)
+	return fmt.Errorf("core: Bernoulli sampler made no progress after %d attempts", maxAttempts)
 }

@@ -128,9 +128,20 @@ func onlineReuseRun(t testing.TB, joins []*join.Join, cfg OnlineConfig) *OnlineS
 }
 
 // disjointRun prepares Definition 1's sampler and mints one run.
-func disjointRun(t testing.TB, joins []*join.Join, method JoinMethod) *DisjointSampler {
+func disjointRun(t testing.TB, joins []*join.Join, method JoinMethod) Run {
 	t.Helper()
-	p, err := PrepareDisjoint(joins, DisjointConfig{Method: method})
+	p, err := PrepareDisjoint(joins, method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.NewRun()
+}
+
+// bernoulliRun prepares the union trick (warm-up on a fixed seed) and
+// mints one run.
+func bernoulliRun(t testing.TB, joins []*join.Join, method JoinMethod, est Estimator) Run {
+	t.Helper()
+	p, err := PrepareBernoulli(joins, CoverConfig{Method: method, Estimator: est}, rng.New(1009))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +234,7 @@ func TestCoverSamplerCostBound(t *testing.T) {
 
 func TestBernoulliSamplerUniform(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewBernoulliSampler(joins, BernoulliConfig{
-		Method:    MethodEW,
-		Estimator: &ExactEstimator{Joins: joins},
-	}, rng.New(1009))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := bernoulliRun(t, joins, MethodEW, &ExactEstimator{Joins: joins})
 	checkUniformUnion(t, joins, 60000, 1, s.Sample, rng.New(8))
 	if s.Stats().RejectedDup == 0 {
 		t.Error("Bernoulli sampler never rejected a duplicate on overlapping joins")
@@ -307,7 +312,7 @@ func TestValidateUnionErrors(t *testing.T) {
 	if _, err := PrepareCover(joins, CoverConfig{}, rng.New(1)); err == nil {
 		t.Error("missing estimator accepted")
 	}
-	if _, err := NewBernoulliSampler(joins, BernoulliConfig{}, rng.New(1)); err == nil {
+	if _, err := PrepareBernoulli(joins, CoverConfig{}, rng.New(1)); err == nil {
 		t.Error("missing estimator accepted")
 	}
 }
@@ -318,7 +323,7 @@ func TestDisjointSamplerEmptyUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PrepareDisjoint([]*join.Join{je}, DisjointConfig{Method: MethodEW}); err == nil {
+	if _, err := PrepareDisjoint([]*join.Join{je}, MethodEW); err == nil {
 		t.Error("empty union accepted by disjoint sampler")
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"sampleunion/internal/rng"
 )
 
-// CoverConfig configures the non-Bernoulli cover sampler (Algorithm 1).
+// CoverConfig configures the samplers that draw under warm-up
+// parameters: the non-Bernoulli cover sampler (Algorithm 1) and the §3
+// union trick (PrepareBernoulli).
 type CoverConfig struct {
 	// Method is the single-join subroutine (EW or EO), sampling at the
 	// engine's default alias threshold (joinsample.DefaultAliasThreshold).
@@ -18,11 +20,6 @@ type CoverConfig struct {
 	// subroutine's per-attempt normalization cancel; the public API's
 	// Options wiring guarantees this pairing.
 	Estimator Estimator
-	// MaxDrawsPerSelection caps subroutine draws per join selection
-	// before reselecting a join (guards against a join whose cover
-	// region is empty but whose estimated cover size is positive).
-	// Values <= 0 default to 256.
-	MaxDrawsPerSelection int
 }
 
 // CoverShared is the prepared state of Algorithm 1: the shared prepared
@@ -35,21 +32,27 @@ type CoverShared struct{ prepared }
 // The result is read-only: hand each sampling run its own RNG via
 // NewRun.
 func PrepareCover(joins []*join.Join, cfg CoverConfig, g *rng.RNG) (*CoverShared, error) {
-	if cfg.Estimator == nil {
-		return nil, fmt.Errorf("core: CoverConfig.Estimator is required")
-	}
-	base, err := newUnionBase(joins, cfg.Method)
+	p, err := prepareWith(joins, cfg, g)
 	if err != nil {
 		return nil, err
 	}
-	p := &CoverShared{prepared{
-		base:    base,
-		est:     cfg.Estimator,
-		maxDraw: cfg.MaxDrawsPerSelection,
-		runs:    newRunPool(),
-	}}
+	return &CoverShared{p}, nil
+}
+
+// prepareWith builds cfg's subroutine samplers over joins and warms them
+// with cfg's estimator: the prepared state of PrepareCover and
+// PrepareBernoulli.
+func prepareWith(joins []*join.Join, cfg CoverConfig, g *rng.RNG) (prepared, error) {
+	if cfg.Estimator == nil {
+		return prepared{}, fmt.Errorf("core: CoverConfig.Estimator is required")
+	}
+	base, err := newUnionBase(joins, cfg.Method)
+	if err != nil {
+		return prepared{}, err
+	}
+	p := prepared{base: base, est: cfg.Estimator, runs: newRunPool()}
 	if err := p.warm(g); err != nil {
-		return nil, err
+		return prepared{}, err
 	}
 	return p, nil
 }
@@ -101,9 +104,6 @@ type CoverSampler struct {
 // Release returns the run to its generation's pool (see Run.Release).
 func (s *CoverSampler) Release() { s.release(s) }
 
-// Params returns the shared warm-up parameters.
-func (s *CoverSampler) Params() *Params { return s.prep.params }
-
 // drawOne runs join selection and the accept rule until one tuple is
 // appended to the result. The join-level acceptance loop runs
 // devirtualized inside the subroutine (SampleManyInto, one call per
@@ -111,12 +111,12 @@ func (s *CoverSampler) Params() *Params { return s.prep.params }
 // accepted tuple is copied into the arena.
 func (s *CoverSampler) drawOne(g *rng.RNG) error {
 	for selections := 0; ; selections++ {
-		if selections > 64 {
+		if selections > maxSelections {
 			return fmt.Errorf("core: cover sampler made no progress after %d join selections", selections)
 		}
 		j := s.prep.alias.Draw(g)
 		sampler := s.prep.base.samplers[j]
-		budget := s.prep.maxDraw
+		budget := maxDrawsPerSelection
 		for budget > 0 {
 			got, tries := sampler.SampleManyInto(s.scratch.many, s.scratch.rowOf, budget, g)
 			budget -= tries

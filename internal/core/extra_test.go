@@ -17,13 +17,7 @@ import (
 // probability; the run must terminate and stay inside the union.
 func TestBernoulliEOSampler(t *testing.T) {
 	joins := fixtureJoins(t)
-	s, err := NewBernoulliSampler(joins, BernoulliConfig{
-		Method:    MethodEO,
-		Estimator: &HistogramEstimator{Joins: joins, Opts: histest.Options{Sizes: histest.SizeEO}},
-	}, rng.New(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := bernoulliRun(t, joins, MethodEO, &HistogramEstimator{Joins: joins, Opts: histest.Options{Sizes: histest.SizeEO}})
 	p := s.Params()
 	for j := range joins {
 		if p.JoinSizes[j] > p.UnionSize+1e-9 {
@@ -52,9 +46,8 @@ func TestCoverSamplerNoProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := coverRun(t, []*join.Join{je}, CoverConfig{
-		Method:               MethodEW,
-		Estimator:            &fakeEstimator{sizes: []float64{100}},
-		MaxDrawsPerSelection: 4,
+		Method:    MethodEW,
+		Estimator: &fakeEstimator{sizes: []float64{100}},
 	})
 	_, err = s.Sample(1, rng.New(34))
 	if err == nil {
@@ -98,13 +91,7 @@ func failsWithin(t *testing.T, sample func() error) {
 // which has no results must fail the Bernoulli run, not spin it.
 func TestBernoulliSamplerNoProgress(t *testing.T) {
 	joins := []*join.Join{deadJoin(t)}
-	s, err := NewBernoulliSampler(joins, BernoulliConfig{
-		Method:    MethodEO,
-		Estimator: &HistogramEstimator{Joins: joins, Opts: histest.Options{Sizes: histest.SizeEO}},
-	}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := bernoulliRun(t, joins, MethodEO, &HistogramEstimator{Joins: joins, Opts: histest.Options{Sizes: histest.SizeEO}})
 	failsWithin(t, func() error { _, err := s.Sample(1, rng.New(2)); return err })
 }
 

@@ -198,11 +198,11 @@ func (s *OnlineSampler) Stats() *Stats {
 // check.
 func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 	for selections := 0; ; selections++ {
-		if selections > 64 {
+		if selections > maxSelections {
 			return fmt.Errorf("core: online sampler made no progress after %d selections", selections)
 		}
 		j := s.alias.Draw(g)
-		for attempt := 0; attempt < s.prep.maxDraw; attempt++ {
+		for attempt := 0; attempt < maxDrawsPerSelection; attempt++ {
 			sm, mult, reuse := s.candidate(j, g)
 			if mult == 0 {
 				continue

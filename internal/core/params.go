@@ -3,9 +3,11 @@
 // sampler (Definition 1), the Bernoulli set-union sampler (the union
 // trick of §3), the non-Bernoulli cover sampler (Algorithm 1), and the
 // online union sampler with sample reuse and backtracking (Algorithm 2).
-// Warm-up parameters come from pluggable estimators: histogram-based
-// (§5), random-walk (§6), or exact full-join ground truth (§9's
-// FullJoinUnion baseline).
+// All four are one run engine: each prepares a prepared state and hands
+// out runs that embed runState (run.go), differing only in their draw
+// step. Warm-up parameters come from pluggable estimators:
+// histogram-based (§5), random-walk (§6), or exact full-join ground
+// truth (§9's FullJoinUnion baseline).
 package core
 
 import (

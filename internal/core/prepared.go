@@ -93,19 +93,28 @@ func BuildShared(joins []*join.Join) {
 	})
 }
 
-// defaultMaxDraws caps subroutine draws per join selection when the
-// configuration does not.
-const defaultMaxDraws = 256
+// The draw steps' progress bound. A step gives up with a "no progress"
+// error instead of spinning on a join whose estimated cover or bound is
+// positive but that yields no result: the cover and online steps after
+// maxSelections join selections of up to maxDrawsPerSelection draws
+// each; the disjoint and Bernoulli steps, which select anew for every
+// draw, after maxAttempts draws.
+const (
+	maxSelections        = 64
+	maxDrawsPerSelection = 256
+	maxAttempts          = maxSelections * maxDrawsPerSelection
+)
 
-// prepared is the state Algorithms 1 and 2 prepare alike, embedded by
-// value in CoverShared and OnlineShared: the join base with its
-// subroutine samplers, the estimator that warmed it, the parameters and
-// join-selection table the warm-up produced, and the pool its runs
-// recycle through. After warm-up it is immutable and therefore safe to
-// share between any number of concurrent runs — the split that lets one
-// expensive warm-up serve many cheap draws. The two algorithms prepare
-// through one lifecycle (warm, nextGen); they differ in the estimator
-// and in the run NewRun hands out.
+// prepared is the state every union sampler prepares alike, embedded by
+// value in CoverShared, OnlineShared, DisjointShared and BernoulliShared:
+// the join base with its subroutine samplers, the estimator that warmed
+// it, the parameters and join-selection table the warm-up produced, and
+// the pool its runs recycle through. After warm-up it is immutable and
+// therefore safe to share between any number of concurrent runs — the
+// split that lets one expensive warm-up serve many cheap draws. The
+// samplers prepare through one lifecycle (warm, and for the two
+// algorithms nextGen); they differ in the estimator and in the run
+// NewRun hands out.
 type prepared struct {
 	base *unionBase
 	// est warms this generation (a refresh carries its walk state over,
@@ -114,9 +123,8 @@ type prepared struct {
 	est    Estimator
 	walker *walkest.Estimator
 
-	params  *Params
-	alias   *rng.Alias
-	maxDraw int // cap on subroutine draws per join selection
+	params *Params
+	alias  *rng.Alias
 
 	coverRelHW []float64 // per-join cover-size relative half-widths after warm-up
 	warmupTime time.Duration
@@ -140,9 +148,6 @@ func (p *prepared) warm(g *rng.RNG) error {
 	}
 	p.walker = retainedWalker(p.est)
 	p.alias = rng.NewAlias(p.params.Cover)
-	if p.maxDraw <= 0 {
-		p.maxDraw = defaultMaxDraws
-	}
 	if p.walker != nil {
 		p.coverRelHW = make([]float64, len(p.base.joins))
 		for i, je := range p.walker.JoinEstimates() {
@@ -176,7 +181,7 @@ func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
 	if !changed {
 		return np, false, nil
 	}
-	np = prepared{base: nb, maxDraw: p.maxDraw, runs: newRunPool()}
+	np = prepared{base: nb, runs: newRunPool()}
 	np.est, np.refresh.Reprobed = refreshedEstimator(p.est, dirty)
 	BuildShared(nb.joins)
 	if err := np.warm(g); err != nil {

@@ -60,7 +60,7 @@ func (*shortErr) Error() string { return "short sample" }
 // base.
 func TestConcurrentFreshDisjointRuns(t *testing.T) {
 	joins := fixtureJoins(t)
-	shared, err := PrepareDisjoint(joins, DisjointConfig{Method: MethodEO})
+	shared, err := PrepareDisjoint(joins, MethodEO)
 	if err != nil {
 		t.Fatal(err)
 	}

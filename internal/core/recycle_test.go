@@ -23,12 +23,9 @@ type drawn struct {
 // drawOn draws (n, seed) on run through sample (Sample, or a SampleWhere
 // loop) and copies the outcome out of the run. The wall-clock fields are
 // dropped: they are the one part of Stats two equal draws cannot share.
-func drawOn(run UnionSampler, seed int64, sample func(g *rng.RNG) ([]relation.Tuple, error)) drawn {
-	type seeded interface {
-		RNG(seed int64) *rng.RNG
-	}
+func drawOn(run Run, seed int64, sample func(g *rng.RNG) ([]relation.Tuple, error)) drawn {
 	var d drawn
-	out, err := sample(run.(seeded).RNG(seed))
+	out, err := sample(run.RNG(seed))
 	if err != nil {
 		d.err = err.Error()
 	}
@@ -38,56 +35,55 @@ func drawOn(run UnionSampler, seed int64, sample func(g *rng.RNG) ([]relation.Tu
 	d.stats = *run.Stats()
 	d.stats.Joins = append([]JoinBreakdown(nil), d.stats.Joins...)
 	d.stats.AcceptTime, d.stats.RejectTime, d.stats.ReuseTime, d.stats.RegularTime = 0, 0, 0, 0
-	if r, ok := run.(Run); ok {
-		d.size = r.Params().UnionSize
-	}
+	d.size = run.Params().UnionSize
 	return d
 }
 
-func plain(run UnionSampler, n int) func(*rng.RNG) ([]relation.Tuple, error) {
+func plain(run Run, n int) func(*rng.RNG) ([]relation.Tuple, error) {
 	return func(g *rng.RNG) ([]relation.Tuple, error) { return run.Sample(n, g) }
 }
+
+// runMaker is a prepared state of any sampler: what hands out runs.
+type runMaker interface{ NewRun() Run }
 
 // recycler is one engine under the recycled ≡ fresh test: a prepared
 // generation that gets its runs back, and a twin prepared the same way
 // that never does — every run the twin hands out is newly built.
 type recycler struct {
 	name     string
-	newRun   func() UnionSampler
-	freshRun func() UnionSampler
+	newRun   func() Run
+	freshRun func() Run
 }
-
-func release(run UnionSampler) { run.(interface{ Release() }).Release() }
 
 func recyclers(t *testing.T) []recycler {
 	t.Helper()
 	joins := fixtureJoins(t)
-	engine := func(name string, prep func() PreparedSampler) recycler {
+	engine := func(name string, prep func() runMaker) recycler {
 		p, twin := prep(), prep()
 		return recycler{name,
-			func() UnionSampler { return p.NewRun() },
-			func() UnionSampler { return twin.NewRun() }}
+			func() Run { return p.NewRun() },
+			func() Run { return twin.NewRun() }}
 	}
-	must := func(p PreparedSampler, err error) PreparedSampler {
+	must := func(p runMaker, err error) runMaker {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	cover := func(cfg CoverConfig) func() PreparedSampler {
-		return func() PreparedSampler { return must(PrepareCover(joins, cfg, rng.New(1009))) }
+	cover := func(cfg CoverConfig) func() runMaker {
+		return func() runMaker { return must(PrepareCover(joins, cfg, rng.New(1009))) }
 	}
-	online := func(cfg OnlineConfig) func() PreparedSampler {
-		return func() PreparedSampler { return must(PrepareOnline(joins, cfg, rng.New(1013))) }
+	online := func(cfg OnlineConfig) func() runMaker {
+		return func() runMaker { return must(PrepareOnline(joins, cfg, rng.New(1013))) }
 	}
-	sharded := func(f ShardFactory) func() PreparedSampler {
-		return func() PreparedSampler {
+	sharded := func(f ShardFactory) func() runMaker {
+		return func() runMaker {
 			return must(PrepareSharded(joins, ShardedConfig{Shards: 3, Workers: 2, Factory: f}, rng.New(11)))
 		}
 	}
 	backtracking := OnlineConfig{WarmupWalks: 0, Phi: 25, Gamma: 0.999}
-	rs := []recycler{
+	return []recycler{
 		engine("cover-ew", cover(CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}})),
 		engine("cover-eo", cover(CoverConfig{Method: MethodEO, Estimator: &HistogramEstimator{Joins: joins}})),
 		engine("online", online(OnlineConfig{WarmupWalks: 100})),
@@ -96,18 +92,11 @@ func recyclers(t *testing.T) []recycler {
 		engine("sharded-online", sharded(func(js []*join.Join, g *rng.RNG) (PreparedSampler, error) {
 			return PrepareOnline(js, backtracking, g)
 		})),
+		engine("disjoint", func() runMaker { return must(PrepareDisjoint(joins, MethodEO)) }),
+		engine("bernoulli", func() runMaker {
+			return must(PrepareBernoulli(joins, CoverConfig{Method: MethodEW, Estimator: &ExactEstimator{Joins: joins}}, rng.New(1009)))
+		}),
 	}
-	d1, err := PrepareDisjoint(joins, DisjointConfig{Method: MethodEO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := PrepareDisjoint(joins, DisjointConfig{Method: MethodEO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(rs, recycler{"disjoint",
-		func() UnionSampler { return d1.NewRun() },
-		func() UnionSampler { return d2.NewRun() }})
 }
 
 // TestRecycledRunEqualsFresh: a draw on a run that has been used,
@@ -120,7 +109,7 @@ func TestRecycledRunEqualsFresh(t *testing.T) {
 	pred := relation.Cmp{Attr: "K", Op: relation.LT, Val: 7}
 	for _, e := range recyclers(t) {
 		schema := fixtureJoins(t)[0].OutputSchema()
-		where := func(run UnionSampler, n int) func(*rng.RNG) ([]relation.Tuple, error) {
+		where := func(run Run, n int) func(*rng.RNG) ([]relation.Tuple, error) {
 			return func(g *rng.RNG) ([]relation.Tuple, error) {
 				return SampleWhere(run, schema, pred, n, g, 0)
 			}
@@ -135,14 +124,11 @@ func TestRecycledRunEqualsFresh(t *testing.T) {
 				seed++
 				sample := plain
 				if step.where {
-					if e.name == "disjoint" {
-						continue
-					}
 					sample = where
 				}
 				run := e.newRun()
 				got := drawOn(run, seed, sample(run, step.n))
-				release(run)
+				run.Release()
 				fresh := e.freshRun()
 				want := drawOn(fresh, seed, sample(fresh, step.n))
 				if got.err != "" || len(got.tuples) != step.n {
@@ -226,10 +212,10 @@ func TestRecycledRunAfterMidBatchError(t *testing.T) {
 		if d := drawOn(run, failing, plain(run, 400)); d.err == "" {
 			t.Fatal("the failing batch succeeded on the recycling generation")
 		}
-		release(run)
+		run.Release()
 		run = p.NewRun()
 		got := drawOn(run, passing, plain(run, 3))
-		release(run)
+		run.Release()
 		fresh := twin.NewRun()
 		if want := drawOn(fresh, passing, plain(fresh, 3)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: after a failed batch the recycled run drew\n%+v\na fresh run\n%+v", round, got, want)

@@ -15,7 +15,15 @@ import (
 // read-only. Runs from the same prepared sampler may execute concurrently
 // as long as each uses its own RNG.
 type Run interface {
-	UnionSampler
+	// Sample returns n tuples drawn with replacement, in the first join's
+	// output schema order, as the caller's own.
+	Sample(n int, g *rng.RNG) ([]relation.Tuple, error)
+	// SampleView is Sample for a consumer that reads the batch before the
+	// run's next call and keeps none of it: the tuples alias the run's
+	// buffers, valid until that call or Release.
+	SampleView(n int, g *rng.RNG) ([]relation.Tuple, error)
+	// Stats returns the run's instrumentation.
+	Stats() *Stats
 	// SampleBatch forwards to Sample.
 	//
 	// Deprecated: Sample is the batch engine; the name stays for
@@ -39,6 +47,8 @@ type Run interface {
 var (
 	_ Run = (*CoverSampler)(nil)
 	_ Run = (*OnlineSampler)(nil)
+	_ Run = (*DisjointSampler)(nil)
+	_ Run = (*BernoulliSampler)(nil)
 	_ Run = (*ShardedSampler)(nil)
 )
 
@@ -52,13 +62,15 @@ type resultEntry struct {
 	prob float64 // inclusion probability the tuple was accepted under
 }
 
-// runState is the mutable state a run of either algorithm owns, embedded
-// by value in CoverSampler and OnlineSampler, and the one implementation
-// of what the two share: the accept rule, the result buffer over a
-// run-owned arena, batch sizing and copy-out, and the reset / Release
-// half of recycling. The algorithms differ in how a candidate is
-// produced (a subroutine draw; a walk or a reused warm-up sample with a
-// multiplicity) and in online's backtracking pass.
+// runState is the mutable state every run of a prepared state owns,
+// embedded by value in CoverSampler, OnlineSampler, DisjointSampler and
+// BernoulliSampler, and the one implementation of what they share: the
+// accept rule, the result buffer over a run-owned arena, batch sizing and
+// copy-out or view, and the reset / Release half of recycling. The
+// samplers differ only in their draw step: how a join is selected (by
+// cover, by size, by a coin per join), how a candidate is produced (a
+// subroutine draw; a walk or a reused warm-up sample with a
+// multiplicity), and online's backtracking pass.
 type runState struct {
 	runRNG
 	prep   *prepared // the generation the run samples; nil once released
@@ -66,7 +78,7 @@ type runState struct {
 	arena  []relation.Value // backing store of buffered samples
 	view   []relation.Tuple // SampleView's tuple headers over the arena
 	stats  Stats
-	// draw is the algorithm's step, set when the run is built: buffer at
+	// draw is the sampler's step, set when the run is built: buffer at
 	// least one more sample (and, online, run the backtracking check).
 	draw func(g *rng.RNG) error
 }
@@ -127,7 +139,11 @@ func (r *runRNG) RNG(seed int64) *rng.RNG {
 // Stats returns the run's instrumentation.
 func (s *runState) Stats() *Stats { return &s.stats }
 
-// Sample returns n tuples drawn with replacement from the set union, in
+// Params returns the parameters the run samples under: its generation's
+// warm-up estimates (an online run refines its own).
+func (s *runState) Params() *Params { return s.prep.params }
+
+// Sample returns n tuples drawn with replacement from the run's union, in
 // the first join's output schema order, as the caller's own. Consecutive
 // calls continue the stream: returned tuples are final. Join selection
 // stays per-tuple — batching it across tuples would correlate samples

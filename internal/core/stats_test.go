@@ -47,10 +47,6 @@ func TestBookBatchTimeSumsExactly(t *testing.T) {
 func TestStatsInvariantsAcrossCalls(t *testing.T) {
 	joins := fixtureJoins(t)
 	exact := &ExactEstimator{Joins: joins}
-	bern, err := NewBernoulliSampler(joins, BernoulliConfig{Method: MethodEW, Estimator: exact}, rng.New(83))
-	if err != nil {
-		t.Fatal(err)
-	}
 	sharded, _ := prepareShardedFixture(t, 3)
 	online := onlineReuseRun(t, joins, OnlineConfig{WarmupWalks: 300, Phi: 100})
 	pooled := func() (n int) {
@@ -62,12 +58,12 @@ func TestStatsInvariantsAcrossCalls(t *testing.T) {
 	pool := pooled()
 	cases := []struct {
 		name string
-		run  UnionSampler
+		run  Run
 	}{
 		{"cover-ew", coverRun(t, joins, CoverConfig{Method: MethodEW, Estimator: exact})},
 		{"cover-eo-oracle", coverRun(t, joins, CoverConfig{Method: MethodEO, Estimator: exact})},
 		{"disjoint-eo", disjointRun(t, joins, MethodEO)},
-		{"bernoulli", bern},
+		{"bernoulli", bernoulliRun(t, joins, MethodEW, exact)},
 		{"sharded", sharded.NewRun()},
 		{"online-reuse", online},
 	}
@@ -107,7 +103,7 @@ func TestStatsInvariantsAcrossCalls(t *testing.T) {
 			// buffer; everywhere else one attempt has one outcome and the
 			// buffer drains to exactly n.
 			buffered := 0
-			if c.run == UnionSampler(online) {
+			if c.run == Run(online) {
 				buffered = len(online.result)
 			} else if got := st.Accepted + st.JoinRejects + st.RejectedDup; got != st.TotalDraws {
 				t.Errorf("outcomes sum to %d, attempts %d: %+v", got, st.TotalDraws, st)
@@ -124,7 +120,7 @@ func TestStatsInvariantsAcrossCalls(t *testing.T) {
 			if want := st.TotalDraws + reused; draws != want {
 				t.Errorf("per-join draws sum to %d, want %d", draws, want)
 			}
-			if c.run == UnionSampler(online) {
+			if c.run == Run(online) {
 				if drawn := pool - pooled(); drawn == 0 || drawn != reused || st.ReuseRejectedDup == 0 || st.ReuseRejectedDup > st.RejectedDup {
 					t.Errorf("%d pool draws, but accepted %d + thinned %d + duplicate %d (of %d duplicates)",
 						drawn, st.ReuseAccepted, st.ReuseRejected, st.ReuseRejectedDup, st.RejectedDup)

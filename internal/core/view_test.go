@@ -103,7 +103,16 @@ func TestSampleViewEqualsSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded, _ := prepareShardedFixture(t, 2)
-	for name, p := range map[string]PreparedSampler{"cover": cover, "online": online, "sharded": sharded} {
+	disjoint, err := PrepareDisjoint(joins, MethodEO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bernoulli, err := PrepareBernoulli(joins, CoverConfig{Method: MethodEW, Estimator: exact}, rng.New(53))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]runMaker{"cover": cover, "online": online, "sharded": sharded, "disjoint": disjoint, "bernoulli": bernoulli}
+	for name, p := range engines {
 		copied, viewed := p.NewRun(), p.NewRun()
 		gc, gv := copied.RNG(6), viewed.RNG(6)
 		leftovers := 0
@@ -121,6 +130,10 @@ func TestSampleViewEqualsSample(t *testing.T) {
 			case *CoverSampler:
 				rs = &r.runState
 			case *OnlineSampler:
+				rs = &r.runState
+			case *DisjointSampler:
+				rs = &r.runState
+			case *BernoulliSampler:
 				rs = &r.runState
 			}
 			if rs != nil {

@@ -7,17 +7,6 @@ import (
 	"sampleunion/internal/rng"
 )
 
-// UnionSampler is any of the package's set-union samplers: it draws n
-// tuples (with replacement) in a fixed output schema order.
-type UnionSampler interface {
-	Sample(n int, g *rng.RNG) ([]relation.Tuple, error)
-	// SampleView is Sample for a consumer that reads the batch before the
-	// sampler's next call and keeps none of it: the tuples may alias the
-	// sampler's own buffers (a Run's do), valid until that call or Release.
-	SampleView(n int, g *rng.RNG) ([]relation.Tuple, error)
-	Stats() *Stats
-}
-
 // SampleWhere implements the second alternative of §8.3: enforce a
 // selection predicate during sampling by rejecting non-matching
 // samples. Conditioning a uniform stream on the predicate leaves it
@@ -29,11 +18,11 @@ type UnionSampler interface {
 //
 // Candidates are drawn in need-sized chunks (at least whereChunk at a
 // time), so the rejection loop pays the engine's amortized per-draw
-// price, and are read where the sampler wrote them (SampleView): only
+// price, and are read where the run wrote them (SampleView): only
 // the kept tuples are copied, into one backing of exactly n tuples.
 // maxDraws caps the total draws (0 means 1000·n) so that a predicate
 // with empty support fails cleanly instead of looping forever.
-func SampleWhere(s UnionSampler, schema *relation.Schema, pred relation.Predicate, n int, g *rng.RNG, maxDraws int) ([]relation.Tuple, error) {
+func SampleWhere(s Run, schema *relation.Schema, pred relation.Predicate, n int, g *rng.RNG, maxDraws int) ([]relation.Tuple, error) {
 	if maxDraws <= 0 {
 		maxDraws = 1000 * n
 	}

@@ -1,6 +1,8 @@
 package join
 
 import (
+	"fmt"
+
 	"sampleunion/internal/relation"
 )
 
@@ -10,12 +12,14 @@ import (
 // may return its argument to share a relation unchanged; the returned
 // relation must keep the original's schema. The shard-parallel engine
 // uses Rebind to instantiate one join per shard, substituting hash
-// fragments for the relations that carry the partition attribute.
+// fragments for the relations that carry the partition attribute, and
+// PushDown to substitute filtered relations.
 //
 // For a cyclic join, sub is also applied to the residual's current
-// materialization; the rebound residual is untracked (like PushDown's),
-// so a rebound cyclic join must be rebuilt — not reconciled — when its
-// original's member relations mutate.
+// materialization; the rebound residual is untracked, so a rebound
+// cyclic join must be rebuilt — not reconciled — when its original's
+// member relations mutate. A link attribute missing from the rebound
+// output is an error.
 func Rebind(j *Join, name string, sub func(*relation.Relation) (*relation.Relation, error)) (*Join, error) {
 	nodes := j.Nodes()
 	newRels := make([]*relation.Relation, len(nodes))
@@ -49,7 +53,11 @@ func Rebind(j *Join, name string, sub func(*relation.Relation) (*relation.Relati
 		}
 		res.linkOut = make([]int, len(res.LinkAttrs))
 		for i, a := range res.LinkAttrs {
-			res.linkOut[i] = out.out.Index(a)
+			p := out.out.Index(a)
+			if p < 0 {
+				return nil, fmt.Errorf("join %s: link attribute %q lost in %s", j.name, a, name)
+			}
+			res.linkOut[i] = p
 		}
 		out.membership.Store(nil)
 	}

@@ -74,53 +74,12 @@ func PushDown(j *Join, preds ...relation.Predicate) (*Join, error) {
 			return nil, fmt.Errorf("join %s: predicate %s references attributes of no single relation; enforce it during sampling instead (§8.3)", j.name, p)
 		}
 	}
-
-	nodes := j.Nodes()
-	newRels := make([]*relation.Relation, len(nodes))
-	parents := make([]int, len(nodes))
-	attrs := make([]string, len(nodes))
-	for i := range nodes {
-		var err error
-		newRels[i], err = filter(nodes[i].Rel)
-		if err != nil {
-			return nil, err
-		}
-		parents[i] = nodes[i].Parent
-		attrs[i] = nodes[i].Attr
-	}
-	out, err := NewTree(j.name+"|σ", newRels, parents, attrs)
-	if err != nil {
-		return nil, err
-	}
-	if j.res != nil {
-		fres, err := filter(j.res.Rel())
-		if err != nil {
-			return nil, err
-		}
-		res, err := rebuildResidual(fres, j.res.LinkAttrs)
-		if err != nil {
-			return nil, err
-		}
-		out.res = res
-		if err := out.buildOutput(); err != nil {
-			return nil, err
-		}
-		res.linkOut = make([]int, len(res.LinkAttrs))
-		for i, a := range res.LinkAttrs {
-			p := out.out.Index(a)
-			if p < 0 {
-				return nil, fmt.Errorf("join %s: link attribute %q lost in pushdown", j.name, a)
-			}
-			res.linkOut[i] = p
-		}
-		out.membership.Store(nil)
-	}
-	return out, nil
+	return Rebind(j, j.name+"|σ", filter)
 }
 
-// rebuildResidual re-indexes a filtered residual relation. The result
-// is untracked (no member sources): pushdown produces a static derived
-// join, so there is nothing to reconcile against.
+// rebuildResidual re-indexes a filtered or rebound residual relation.
+// The result is untracked (no member sources): a derived join is static,
+// so there is nothing to reconcile against.
 func rebuildResidual(rel *relation.Relation, links []string) (*Residual, error) {
 	res := &Residual{LinkAttrs: links}
 	res.linkPos = make([]int, len(links))

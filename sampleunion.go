@@ -431,7 +431,7 @@ func (u *Union) SampleDisjoint(n int, o Options) ([]Tuple, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	shared, err := core.PrepareDisjoint(u.joins, core.DisjointConfig{Method: o.joinMethod()})
+	shared, err := core.PrepareDisjoint(u.joins, o.joinMethod())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -207,7 +207,7 @@ func (s *Session) RefreshStats() RefreshStats { return s.state.Load().refresh }
 func (s *Session) disjointShared(st *sessionState) (*core.DisjointShared, error) {
 	st.disjointOnce.Do(func() {
 		if method := s.opts.joinMethod(); s.opts.Shards > 1 || (s.opts.Online && method != core.MethodEO) {
-			st.disjoint, st.disjointErr = core.PrepareDisjoint(s.u.joins, core.DisjointConfig{Method: method})
+			st.disjoint, st.disjointErr = core.PrepareDisjoint(s.u.joins, method)
 			return
 		}
 		st.disjoint, st.disjointErr = st.prepared.Disjoint()
@@ -263,11 +263,11 @@ type drawSpec struct {
 }
 
 // draw is the draw path of every sampling method: validate n, load (or
-// auto-refresh) the state generation, take a run from it on the spec's
-// stream, draw, and hand the run back for the next call to reuse. It
-// returns the tuples and the run's statistics (warm-up time excluded: it
-// was paid once at Prepare) — both the caller's own, neither pointing
-// into the run.
+// auto-refresh) the state generation, take a run on the spec's stream
+// from it (or from its disjoint-union sampler), draw, and hand the run
+// back for the next call to reuse. It returns the tuples and the run's
+// statistics (warm-up time excluded: it was paid once at Prepare) — both
+// the caller's own, neither pointing into the run.
 func (s *Session) draw(d drawSpec) (out []Tuple, stats *Stats, err error) {
 	if empty, err := checkN(d.n); err != nil {
 		return nil, nil, err
@@ -278,19 +278,13 @@ func (s *Session) draw(d drawSpec) (out []Tuple, stats *Stats, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	var p interface{ NewRun() core.Run } = st.prepared
 	if d.disjoint {
-		shared, err := s.disjointShared(st)
-		if err != nil {
+		if p, err = s.disjointShared(st); err != nil {
 			return nil, nil, err
 		}
-		run := shared.NewRun()
-		defer run.Release()
-		if out, err = run.Sample(d.n, run.RNG(d.seed)); err != nil {
-			return nil, nil, err
-		}
-		return out, ownStats(run.Stats()), nil
 	}
-	run := st.prepared.NewRun()
+	run := p.NewRun()
 	defer run.Release()
 	if d.pred != nil {
 		out, err = core.SampleWhere(run, s.u.OutputSchema(), d.pred, d.n, run.RNG(d.seed), 0)
