@@ -5,6 +5,7 @@ package sampleunion
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sampleunion/internal/tpch"
@@ -88,7 +89,49 @@ func BenchmarkPreparedReuse(b *testing.B) {
 // not grow with the data: CI gates B/op at sf=20 within 10 % of sf=1
 // (≈ 0.5 MB both; 1.3 and 13.8 MB while every online Prepare also built
 // a histogram estimate it then discarded).
+//
+// The cover/sf=8 leg is a cold Prepare under the zero Options over UQ1
+// data generated afresh for every iteration, and reports what the
+// session keeps: the heap in use after it, collected, per row of the
+// base relations (retained-B/row, data included). CI gates it; see the
+// bench-smoke job for the values it sits between.
 func BenchmarkPrepare(b *testing.B) {
+	b.Run("cover/sf=8", func(b *testing.B) {
+		var retained float64
+		var ms runtime.MemStats
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			w, err := tpch.UQ1(tpch.Config{SF: 8, Overlap: 0.2, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			u, err := NewUnion(w.Joins...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			s, err := u.Prepare(Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			rows, seen := 0, map[*Relation]bool{}
+			for _, j := range w.Joins {
+				for _, r := range j.Relations() {
+					if !seen[r] {
+						seen[r] = true
+						rows += r.Len()
+					}
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			retained += float64(ms.HeapInuse) / float64(rows)
+			runtime.KeepAlive(s)
+		}
+		b.ReportMetric(retained/float64(b.N), "retained-B/row")
+	})
 	for _, sf := range []float64{1, 20} {
 		b.Run(fmt.Sprintf("online/sf=%g", sf), func(b *testing.B) {
 			w, err := tpch.UQ3(tpch.Config{SF: sf, Overlap: 0.2, Seed: 1})

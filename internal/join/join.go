@@ -46,8 +46,8 @@ type Join struct {
 	res   *Residual // non-nil for cyclic joins
 	out   *relation.Schema
 
-	// membership holds the per-relation projection KeySets behind
-	// Contains: built on first probe (exactly once under concurrent
+	// membership holds the per-relation row sets behind Contains:
+	// built on first probe (exactly once under concurrent
 	// first use, guarded by memMu) and republished when a base
 	// relation's version moves (Relation.Append invalidation).
 	membership atomic.Pointer[membershipTables]

@@ -268,11 +268,14 @@ func min(a, b int) int {
 	return b
 }
 
-// TestMembershipBaseExactlySized: a base table is reserved for its
-// relation's live rows before the first insert, so a fresh build — and
-// the rebuild a burst past the delta budget forces — leaves every table
-// of distinct rows with Cap == Len. Fails if the counter goes back to
-// growing its entry arrays by doubling.
+// TestMembershipBaseExactlySized: a base set holds exactly its
+// relation's live rows and stores no values — its bytes are 8 per slot
+// of the smallest power-of-two array (at least 16) at most
+// three-quarters full, whatever the arity — after a fresh build and
+// after the rebuild a burst past the delta budget forces. And a row
+// holds its values' membership only while it is live: a tombstoned row
+// with a live duplicate leaves the values a member, one without leaves
+// them out.
 func TestMembershipBaseExactlySized(t *testing.T) {
 	a := relation.New("A", relation.NewSchema("x", "y"))
 	b := relation.New("B", relation.NewSchema("y", "z"))
@@ -284,13 +287,26 @@ func TestMembershipBaseExactlySized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if j.MembershipBytes() != 0 {
+		t.Errorf("membership bytes %d before the first probe", j.MembershipBytes())
+	}
 	check := func(when string) {
 		t.Helper()
+		var bytes int64
 		for k, tab := range j.ensureMembership().tabs {
-			if tab.delta != nil || tab.base.Len() != tab.rel.LiveLen() || tab.base.Cap() != tab.base.Len() {
-				t.Errorf("%s, table %d: base Len %d Cap %d over %d live rows (delta %v)",
-					when, k, tab.base.Len(), tab.base.Cap(), tab.rel.LiveLen(), tab.delta != nil)
+			bytes += tab.base.Bytes()
+			live := tab.rel.LiveLen()
+			slots := 16
+			for live*4 > slots*3 {
+				slots <<= 1
 			}
+			if tab.delta != nil || tab.base.Len() != live || tab.base.Bytes() != int64(slots)*8 {
+				t.Errorf("%s, table %d: base of %d rows in %d bytes over %d live rows, want %d bytes (delta %v)",
+					when, k, tab.base.Len(), tab.base.Bytes(), live, slots*8, tab.delta != nil)
+			}
+		}
+		if j.MembershipBytes() != bytes {
+			t.Errorf("%s: MembershipBytes %d, the bases hold %d", when, j.MembershipBytes(), bytes)
 		}
 	}
 	check("fresh build")
@@ -303,6 +319,18 @@ func TestMembershipBaseExactlySized(t *testing.T) {
 		r.Delete(3)
 	}
 	check("rebuild past the delta budget")
+
+	// Row 10 of A is (10, 10) and now has a live duplicate; row 11,
+	// (11, 11), has none. B's (10, 10) and (11, 11) join both.
+	a.AppendValues(10, 10)
+	a.Delete(10)
+	a.Delete(11)
+	if c, _ := j.MemberCount(0, relation.Tuple{10, 10}); c != 1 || !j.Contains(relation.Tuple{10, 10, 10}) {
+		t.Errorf("tombstoned (10, 10) with a live duplicate: count %d, contained %v; want 1, true", c, j.Contains(relation.Tuple{10, 10, 10}))
+	}
+	if c, _ := j.MemberCount(0, relation.Tuple{11, 11}); c != 0 || j.Contains(relation.Tuple{11, 11, 11}) {
+		t.Errorf("tombstoned (11, 11) without a live duplicate: count %d, contained %v; want 0, false", c, j.Contains(relation.Tuple{11, 11, 11}))
+	}
 }
 
 // memberGen is a membership generation as ensureMembership returned it,
@@ -362,13 +390,15 @@ func membersFixture(t *testing.T) (*Join, []*relation.Relation, []map[string]rel
 	return j, rels, seen
 }
 
-// checkMemberGen compares every count g's tables give for the tuples in
-// seen with the multiset g was captured over.
+// checkMemberGen compares every count and has g's tables give for the
+// tuples in seen with the multiset g was captured over.
 func checkMemberGen(t *testing.T, label string, g memberGen, seen []map[string]relation.Tuple) {
 	for k, tab := range g.m.tabs {
 		for key, tup := range seen[k] {
-			if got, want := tab.count(tup, nil), g.want[k][key]; got != want {
-				t.Errorf("%s, relation %d (version %d): count(%v) = %d, from scratch %d", label, k, tab.version, tup, got, want)
+			got, want := tab.count(tup, nil), g.want[k][key]
+			if got != want || tab.has(tup, nil) != (want > 0) {
+				t.Errorf("%s, relation %d (version %d): count(%v) = %d, has %v, from scratch %d",
+					label, k, tab.view.Version(), tup, got, tab.has(tup, nil), want)
 				return
 			}
 		}
@@ -402,6 +432,63 @@ func TestMembershipGenerationsIsolated(t *testing.T) {
 	for i, g := range kept {
 		checkMemberGen(t, fmt.Sprintf("generation %d", i), g, seen)
 	}
+}
+
+// FuzzMembership is TestMembershipGenerationsIsolated over fuzzed
+// scripts: a seeded append/delete script over values from a small domain,
+// so rows repeat, with every fingerprint ANDed with mask (0 leaves them
+// whole; a small mask makes the row sets' tags collide and their probe
+// chains long). Every generation is kept, and after the last step each
+// one's count and has for every tuple either relation ever held must
+// equal a from-scratch tally of that generation's relations.
+func FuzzMembership(f *testing.F) {
+	f.Add(int64(1), uint8(60), uint8(0x7))
+	f.Add(int64(2), uint8(200), uint8(0))
+	f.Add(int64(3), uint8(255), uint8(0x1))
+	f.Fuzz(func(t *testing.T, seed int64, steps, mask uint8) {
+		rnd := rand.New(rand.NewSource(seed))
+		a := relation.New("A", relation.NewSchema("x", "y"))
+		b := relation.New("B", relation.NewSchema("y", "z"))
+		rels := []*relation.Relation{a, b}
+		seen := []map[string]relation.Tuple{{}, {}}
+		row := func() relation.Tuple {
+			return relation.Tuple{relation.Value(rnd.Intn(12)), relation.Value(rnd.Intn(4))}
+		}
+		for k, r := range rels {
+			r.SetHashDegradeForTest(uint64(mask))
+			for i := 0; i < 40; i++ {
+				tup := row()
+				seen[k][relation.TupleKey(tup)] = tup
+				r.AppendRows([]relation.Tuple{tup})
+			}
+		}
+		j, err := NewChain("chain", rels, []string{"y"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []memberGen
+		for step := 0; step < int(steps); step++ {
+			k := rnd.Intn(len(rels))
+			if rnd.Intn(3) == 0 {
+				rels[k].Delete(rnd.Intn(rels[k].Len()))
+			} else {
+				rows := make([]relation.Tuple, 1+rnd.Intn(6))
+				for i := range rows {
+					rows[i] = row()
+					seen[k][relation.TupleKey(rows[i])] = rows[i]
+				}
+				rels[k].AppendRows(rows)
+			}
+			g := memberGen{m: j.ensureMembership()}
+			for _, r := range rels {
+				g.want = append(g.want, liveCounts(r))
+			}
+			kept = append(kept, g)
+		}
+		for i, g := range kept {
+			checkMemberGen(t, fmt.Sprintf("generation %d", i), g, seen)
+		}
+	})
 }
 
 // TestOldMemberGenerationsUnderReconcile: readers keep probing every

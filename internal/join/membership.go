@@ -7,38 +7,53 @@ import (
 	"sampleunion/internal/relation"
 )
 
-// memberTable is one relation's membership structure: an immutable
-// base multiset of full rows (value tuple -> live row count, captured
-// at a version) plus an optional small immutable delta of net count
-// changes since. A tuple is a member iff base + delta count > 0.
-// Relations untouched since the base build probe exactly one table;
-// mutated relations pay one extra lookup until the delta folds back
-// into a rebuilt base.
+// memberTable is one relation's membership structure: row-id sets
+// checked against a snapshot the table pins. The immutable base holds
+// the rows live at its build, the optional immutable delta the rows
+// appended since; a row of either is a member while it is live in the
+// pinned view, so a delete writes nothing. Relations untouched since the
+// base build probe exactly one set; mutated relations pay one extra
+// probe until the mutations since the base reach memberBudget and the
+// base is built again.
 type memberTable struct {
-	rel     *relation.Relation
-	base    *relation.KeyCounter
-	delta   *relation.KeyCounter // nil when empty
-	version uint64               // log position base+delta reflect
+	rel      *relation.Relation
+	view     relation.View    // what rows read and its version
+	base     *relation.RowSet // rows live at the base build
+	baseRows int              // rows the base build saw; the delta's first row
+	delta    *relation.RowSet // rows appended since; nil when none
+	since    int              // mutations since the base build
 }
 
 // count returns how many live rows hold the projection of t.
 func (mt *memberTable) count(t relation.Tuple, proj []int) int {
-	c, _ := mt.base.Get(t, proj)
-	if mt.delta != nil {
-		d, _ := mt.delta.Get(t, proj)
-		c += d
-	}
-	return c
+	return mt.base.Count(mt.view, t, proj) + mt.delta.Count(mt.view, t, proj)
+}
+
+// has reports whether a live row holds the projection of t, stopping at
+// the first.
+func (mt *memberTable) has(t relation.Tuple, proj []int) bool {
+	return mt.base.Has(mt.view, t, proj) || mt.delta.Has(mt.view, t, proj)
 }
 
 // MemberCount returns relation k's (Relations order) membership count of
-// t, and how many keys its delta holds: none right after a fold.
-func (j *Join) MemberCount(k int, t relation.Tuple) (count, deltaKeys int) {
+// t, and how many rows its delta holds: none right after a fold.
+func (j *Join) MemberCount(k int, t relation.Tuple) (count, deltaRows int) {
 	mt := j.ensureMembership().tabs[k]
-	if mt.delta != nil {
-		deltaKeys = mt.delta.Len()
+	return mt.count(t, nil), mt.delta.Len()
+}
+
+// MembershipBytes returns the bytes the current membership sets hold, 0
+// before the first membership probe built them.
+func (j *Join) MembershipBytes() int64 {
+	m := j.membership.Load()
+	if m == nil {
+		return 0
 	}
-	return mt.count(t, nil), deltaKeys
+	var n int64
+	for _, mt := range m.tabs {
+		n += mt.base.Bytes() + mt.delta.Bytes()
+	}
+	return n
 }
 
 // membershipTables is the immutable product of one membership build or
@@ -46,9 +61,10 @@ func (j *Join) MemberCount(k int, t relation.Tuple) (count, deltaKeys int) {
 // published through an atomic pointer so concurrent first use builds it
 // exactly once and mutation is detected and reconciled on the next
 // probe. Tables of unchanged relations are shared between generations;
-// a changed relation's table is caught up by extending its small delta
-// with the mutation-log tail — never by rescanning the relation unless
-// the tail is gone or the delta outgrew its budget.
+// a changed relation's table is caught up by pinning the new snapshot and
+// building its small delta over the rows appended since the base — never
+// by rescanning the relation unless the log tail is gone or the
+// mutations since the base outgrew their budget.
 //
 // Freshness is decided from this snapshot and Relation.Version reads
 // only — never from mutable Residual fields, which reconcile rewrites
@@ -70,13 +86,13 @@ type membershipTables struct {
 // membership primitive the random-walk estimator relies on (§6.2): "we
 // already have the index for each J_i".
 //
-// The per-relation projection tables are built on first use (exactly
-// once, even under concurrent first use) and probed without allocating:
-// projections are hashed through an access path, never materialized.
+// The per-relation row sets are built on first use (exactly once, even
+// under concurrent first use) and probed without allocating: projections
+// are hashed through an access path, never materialized.
 func (j *Join) Contains(t relation.Tuple) bool {
 	m := j.ensureMembership()
 	for k := range m.tabs {
-		if m.tabs[k].count(t, j.proj(k)) <= 0 {
+		if !m.tabs[k].has(t, j.proj(k)) {
 			return false
 		}
 	}
@@ -124,7 +140,7 @@ func (j *Join) AlignProbe(schema *relation.Schema) (AlignedProbe, error) {
 func (p AlignedProbe) Contains(t relation.Tuple) bool {
 	m := p.j.ensureMembership()
 	for k, proj := range p.projs {
-		if m.tabs[k].count(t, proj) <= 0 {
+		if !m.tabs[k].has(t, proj) {
 			return false
 		}
 	}
@@ -193,9 +209,8 @@ func (o *Owners) Reowned(j int, t relation.Tuple, owner int, dirty []bool) int {
 // ensureMembership returns the current membership tables, building them
 // on first use and reconciling them when a base relation was mutated
 // since the last build. The fast path is one atomic load plus one
-// version read per relation. A reconcile extends its predecessor's
-// deltas, so each generation may have one successor: it is derived under
-// memMu from the published one, and published before memMu is released.
+// version read per relation. A reconcile is derived under memMu from the
+// published generation, and published before memMu is released.
 func (j *Join) ensureMembership() *membershipTables {
 	if m := j.membership.Load(); m != nil && j.membershipFresh(m) {
 		return m
@@ -222,7 +237,7 @@ func (j *Join) ensureMembership() *membershipTables {
 // the immutable snapshot (it runs lock-free on every Contains).
 func (j *Join) membershipFresh(m *membershipTables) bool {
 	for k := range j.nodes {
-		if m.tabs[k].version != j.nodes[k].Rel.Version() {
+		if m.tabs[k].view.Version() != j.nodes[k].Rel.Version() {
 			return false
 		}
 	}
@@ -254,8 +269,9 @@ func (j *Join) FreshenResidual() {
 	}
 }
 
-// memberBudget is the delta size past which a member table folds back
-// into a rebuilt base.
+// memberBudget is the number of mutations since the base build past
+// which a member table folds back into a rebuilt base: the delta's rows
+// and the dead rows both sets still hold.
 func memberBudget(rel *relation.Relation) int {
 	b := rel.Len() / 8
 	if b < 64 {
@@ -265,46 +281,32 @@ func memberBudget(rel *relation.Relation) int {
 }
 
 // reconcileTable returns an up-to-date table for rel, reusing old when
-// possible: unchanged tables are shared, small tails extend old's delta
-// (once: ensureMembership), and everything else rebuilds the base from
-// an atomic row capture.
+// possible: unchanged tables are shared, a short tail pins the new
+// snapshot beside old's base and a delta of the rows appended since the
+// base (deletes only count), and everything else builds the base again
+// from the pinned snapshot's live rows.
 func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
-	if old != nil && old.rel == rel {
-		if old.version == rel.Version() {
-			return old
-		}
-		tail, upTo, ok := rel.MutationsSince(old.version)
-		deltaLen := 0
-		if old.delta != nil {
-			deltaLen = old.delta.Len()
-		}
-		if ok && deltaLen+len(tail) <= memberBudget(rel) {
-			var delta *relation.KeyCounter
-			if old.delta != nil {
-				delta = old.delta.Extend(len(tail))
-			} else {
-				delta = relation.NewKeyCounter(rel.Arity(), len(tail))
-			}
-			cols := rel.Cols()
-			for _, m := range tail {
-				switch m.Kind {
-				case relation.MutAppend:
-					delta.AddRow(cols, m.Row, nil, 1)
-				case relation.MutDelete:
-					delta.Add(m.Vals, nil, -1)
-				}
-			}
-			return &memberTable{rel: rel, base: old.base, delta: delta, version: upTo}
-		}
+	if old == nil || old.rel != rel {
+		return newMemberTable(rel, rel.Pin())
 	}
-	ids, _, version := rel.LiveRows()
-	base := relation.NewKeyCounter(rel.Arity(), len(ids))
-	base.Reserve(len(ids))
-	cols := rel.Cols()
-	for _, i := range ids {
-		base.AddRow(cols, i, nil, 1)
+	if old.view.Version() == rel.Version() {
+		return old
 	}
-	return &memberTable{rel: rel, base: base, version: version}
+	v, tail, ok := rel.PinSince(old.view.Version())
+	if !ok || old.since+len(tail) > memberBudget(rel) {
+		return newMemberTable(rel, v)
+	}
+	next := *old
+	next.view, next.since = v, old.since+len(tail)
+	if v.Rows() > old.view.Rows() {
+		next.delta = relation.NewRowSet(v, old.baseRows)
+	}
+	return &next
+}
+
+// newMemberTable builds a table whose base holds the rows live in v.
+func newMemberTable(rel *relation.Relation, v relation.View) *memberTable {
+	return &memberTable{rel: rel, view: v, base: relation.NewRowSet(v, 0), baseRows: v.Rows()}
 }
 
 // buildMembership assembles the next immutable membership snapshot,

@@ -57,8 +57,8 @@ func TestBulkLoadEqualsAppend(t *testing.T) {
 		}
 		byRow, bulk := New("live", NewSchema(schema...)), New("live", NewSchema(schema...))
 		if seed.degrade {
-			byRow.SetIndexHashDegradeForTest(0x7)
-			bulk.SetIndexHashDegradeForTest(0x7)
+			byRow.SetHashDegradeForTest(0x7)
+			bulk.SetHashDegradeForTest(0x7)
 		}
 		var rowSink, bulkSink batchSink
 		bulk.SetMutationSink(&bulkSink)

@@ -63,42 +63,39 @@ func overlayThreshold(base *csr) int {
 
 // buildIndex constructs a pure-CSR index over attribute position a of
 // the snapshot, skipping tombstoned rows. Both passes run down the
-// attribute's column vector.
+// attribute's column vector. The value directory grows with the distinct
+// values, not the rows, and the key list is copied to its exact length.
 func buildIndex(s *snapshot, a int, version uint64, degrade uint64) *Index {
 	n := s.rows
 	col := s.cols[a]
-	b := &csr{degrade: degrade}
+	b := &csr{degrade: degrade, slots: make([]int32, minSlots)}
 	// Pass 1: discover distinct values and their degrees. counts is
 	// indexed by entry id (first-appearance rank).
-	nslots := minSlots
-	for nslots < n*2 {
-		nslots <<= 1
-	}
-	b.slots = make([]int32, nslots)
 	counts := make([]int32, 0, 16)
-	mask := uint64(nslots - 1)
 	for i := 0; i < n; i++ {
 		if !s.isLive(i) {
 			continue
 		}
 		v := col[i]
-		h := hashValue(v, degrade)
-		j := h & mask
-		for {
+		mask := uint64(len(b.slots) - 1)
+		for j := hashValue(v, degrade) & mask; ; j = (j + 1) & mask {
 			sl := b.slots[j]
 			if sl == 0 {
 				b.slots[j] = int32(len(b.keys) + 1)
 				b.keys = append(b.keys, v)
 				counts = append(counts, 1)
+				if len(b.keys)*2 > len(b.slots) {
+					b.slots = valueSlots(b.keys, len(b.slots)*2, degrade)
+				}
 				break
 			}
 			if b.keys[sl-1] == v {
 				counts[sl-1]++
 				break
 			}
-			j = (j + 1) & mask
 		}
 	}
+	b.keys = slices.Clone(b.keys)
 	// Pass 2: prefix sums, then scatter row ids. Scanning rows in order
 	// keeps each group ascending.
 	b.starts = make([]int32, len(b.keys)+1)
@@ -122,6 +119,21 @@ func buildIndex(s *snapshot, a int, version uint64, degrade uint64) *Index {
 		cursor[e]++
 	}
 	return &Index{base: b, maxDeg: b.maxDeg, version: version}
+}
+
+// valueSlots returns an open-addressed directory of n slots (a power of
+// two) over keys: entry e's slot holds e + 1, 0 marks an empty slot.
+func valueSlots(keys []Value, n int, degrade uint64) []int32 {
+	slots := make([]int32, n)
+	mask := uint64(n - 1)
+	for e, v := range keys {
+		j := hashValue(v, degrade) & mask
+		for slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		slots[j] = int32(e + 1)
+	}
+	return slots
 }
 
 func (b *csr) entryOf(v Value) (int, bool) {
@@ -191,7 +203,7 @@ func (o *overlay) ensure(v Value, base *csr) int {
 		return e
 	}
 	if (len(o.keys)+1)*4 > len(o.slots)*3 {
-		o.grow()
+		o.slots = valueSlots(o.keys, max(len(o.slots)*2, minSlots), o.degrade)
 	}
 	e := len(o.keys)
 	o.keys = append(o.keys, v)
@@ -215,23 +227,6 @@ func (o *overlay) ensure(v Value, base *csr) int {
 	return e
 }
 
-func (o *overlay) grow() {
-	n := len(o.slots) * 2
-	if n < minSlots {
-		n = minSlots
-	}
-	slots := make([]int32, n)
-	mask := uint64(n - 1)
-	for e, v := range o.keys {
-		j := hashValue(v, o.degrade) & mask
-		for slots[j] != 0 {
-			j = (j + 1) & mask
-		}
-		slots[j] = int32(e + 1)
-	}
-	o.slots = slots
-}
-
 // applyTail returns a new Index reflecting the mutation-log tail on top
 // of ix, or nil when the overlay would exceed its budget and the caller
 // should rebuild a pure CSR instead.
@@ -253,7 +248,7 @@ func (ix *Index) applyTail(s *snapshot, a int, tail []Mutation, version uint64) 
 			e := ov.ensure(col[m.Row], ix.base)
 			ov.rows[e] = append(ov.rows[e], m.Row)
 		case MutDelete:
-			e := ov.ensure(m.Vals[a], ix.base)
+			e := ov.ensure(col[m.Row], ix.base) // a dead row keeps its values
 			// A delete shifts the list in place: never one ix still reads.
 			if e < existing && sameStart(ov.rows[e], ix.ov.rows[e]) {
 				ov.rows[e] = slices.Clone(ov.rows[e])
@@ -434,6 +429,21 @@ func (ix *Index) EachEntry(fn func(rows []int)) {
 			fn(slices.Clip(ov.rows[oe]))
 		}
 	}
+}
+
+// Bytes returns the bytes the index's arrays hold: the CSR base and, under
+// an overlay, its directory, keys, entry maps and row lists (which may
+// share storage with an older generation's).
+func (ix *Index) Bytes() int64 {
+	b := ix.base
+	n := 4*int64(len(b.slots)+len(b.starts)) + 8*int64(cap(b.keys)+len(b.rows))
+	if ov := ix.ov; ov != nil {
+		n += 4*int64(len(ov.slots)+cap(ov.baseEnt)+cap(ov.extra)+cap(ov.rank)) + 8*int64(cap(ov.keys)) + 24*int64(cap(ov.rows))
+		for _, rows := range ov.rows {
+			n += 8 * int64(cap(rows))
+		}
+	}
+	return n
 }
 
 // ValueAt returns entry e's value.

@@ -16,25 +16,37 @@ func randTuple(r *rand.Rand, arity int) Tuple {
 	return t
 }
 
+// add is AddRow with t as the one row of its own column vectors.
+func add(kc *KeyCounter, t Tuple, delta int) (int, int) {
+	cols := make([][]Value, len(t))
+	for a, v := range t {
+		cols[a] = []Value{v}
+	}
+	return kc.AddRow(cols, 0, nil, delta)
+}
+
+// get returns the value stored for t.
+func get(kc *KeyCounter, t Tuple) (int, bool) {
+	if h, ok := kc.Lookup(t, nil); ok {
+		return kc.At(h), true
+	}
+	return 0, false
+}
+
 // checkCounterAgainstReference drives a KeyCounter and a reference
 // map[string]int (keyed by TupleKey, the pre-refactor scheme) through
-// the same random operation stream and fails on any divergence. Now and
-// then the stream reserves room in the counter alone, which must change
-// nothing the reference can see.
+// the same random operation stream and fails on any divergence.
 func checkCounterAgainstReference(t *testing.T, seed int64, degrade uint64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	for _, arity := range []int{1, 2, 3, 5} {
 		kc := NewKeyCounter(arity, 0)
-		kc.kt.hasher = NewKeyHasher(uint64(seed))
-		kc.kt.degradeMask = degrade
+		kc.hasher = keyHasher{seed: uint64(seed)}
+		kc.degradeMask = degrade
 		ref := make(map[string]int)
 		refOrder := make(map[string]int) // key -> expected handle (insertion rank)
 		keys := make(map[string]Tuple)
 		for op := 0; op < 3000; op++ {
-			if r.Intn(100) == 0 {
-				kc.Reserve(r.Intn(200))
-			}
 			tu := randTuple(r, arity)
 			key := TupleKey(tu)
 			switch r.Intn(3) {
@@ -43,7 +55,7 @@ func checkCounterAgainstReference(t *testing.T, seed int64, degrade uint64) {
 				if r.Intn(2) == 0 {
 					delta = r.Intn(100) - 50
 				}
-				h, c := kc.Add(tu, nil, delta)
+				h, c := add(kc, tu, delta)
 				if _, seen := ref[key]; !seen {
 					refOrder[key] = len(refOrder)
 					keys[key] = tu
@@ -53,7 +65,7 @@ func checkCounterAgainstReference(t *testing.T, seed int64, degrade uint64) {
 					t.Fatalf("arity %d op %d: Add = (%d,%d), want (%d,%d)", arity, op, h, c, refOrder[key], ref[key])
 				}
 			case 2: // Get
-				v, ok := kc.Get(tu, nil)
+				v, ok := get(kc, tu)
 				rv, rok := ref[key]
 				if ok != rok || v != rv {
 					t.Fatalf("arity %d op %d: Get = (%d,%v), want (%d,%v)", arity, op, v, ok, rv, rok)
@@ -95,11 +107,11 @@ func TestKeyCounterForcedCollisions(t *testing.T) {
 	func() {
 		r := rand.New(rand.NewSource(7))
 		kc := NewKeyCounter(2, 0)
-		kc.kt.degradeMask = 1
+		kc.degradeMask = 1
 		ref := make(map[string]int)
 		for i := 0; i < 500; i++ {
 			tu := randTuple(r, 2)
-			kc.Add(tu, nil, 1)
+			add(kc, tu, 1)
 			ref[TupleKey(tu)]++
 		}
 		for k, v := range ref {
@@ -111,39 +123,44 @@ func TestKeyCounterForcedCollisions(t *testing.T) {
 				}
 				tu = append(tu, Value(u))
 			}
-			if got, ok := kc.Get(tu, nil); !ok || got != v {
+			if got, ok := get(kc, tu); !ok || got != v {
 				t.Fatalf("1-bit hash: Get = (%d,%v), want (%d,true)", got, ok, v)
 			}
 		}
 	}()
 }
 
-// TestKeySetProjMatchesReference checks projected membership against
-// materialized projections under a degraded hash.
-func TestKeySetProjMatchesReference(t *testing.T) {
+// TestKeyCounterProjMatchesReference checks projected inserts and
+// lookups against materialized projections under a degraded hash.
+func TestKeyCounterProjMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	const arity, width = 3, 6
 	proj := []int{4, 0, 2} // projection positions inside a width-6 tuple
-	set := NewKeySet(arity, 0)
-	set.kt.degradeMask = 0x7
-	ref := make(map[string]bool)
+	kc := NewKeyCounter(arity, 0)
+	kc.degradeMask = 0x7
+	ref := make(map[string]int)
 	for i := 0; i < 2000; i++ {
 		wide := randTuple(r, width)
 		narrow := Tuple{wide[proj[0]], wide[proj[1]], wide[proj[2]]}
 		if r.Intn(2) == 0 {
-			set.InsertProj(wide, proj)
-			ref[TupleKey(narrow)] = true
-		} else {
-			if got, want := set.ContainsProj(wide, proj), ref[TupleKey(narrow)]; got != want {
-				t.Fatalf("op %d: ContainsProj = %v, want %v", i, got, want)
+			cols := make([][]Value, width)
+			for a, v := range wide {
+				cols[a] = []Value{v}
 			}
-			if got, want := set.Contains(narrow), ref[TupleKey(narrow)]; got != want {
-				t.Fatalf("op %d: Contains = %v, want %v", i, got, want)
-			}
+			kc.AddRow(cols, 0, proj, 1)
+			ref[TupleKey(narrow)]++
+			continue
+		}
+		want := ref[TupleKey(narrow)]
+		if h, ok := kc.Lookup(wide, proj); ok != (want > 0) || ok && kc.At(h) != want {
+			t.Fatalf("op %d: projected Lookup = (%d, %v), want count %d", i, h, ok, want)
+		}
+		if got, _ := get(kc, narrow); got != want {
+			t.Fatalf("op %d: Lookup = %d, want %d", i, got, want)
 		}
 	}
-	if set.Len() != len(ref) {
-		t.Fatalf("Len = %d, want %d", set.Len(), len(ref))
+	if kc.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", kc.Len(), len(ref))
 	}
 }
 
@@ -156,20 +173,20 @@ func FuzzKeyCounter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const arity = 2
 		kc := NewKeyCounter(arity, 0)
-		kc.kt.degradeMask = 0xf // keep collisions frequent
+		kc.degradeMask = 0xf // keep collisions frequent
 		ref := make(map[string]int)
 		for i := 0; i+arity < len(data); i += arity + 1 {
 			tu := Tuple{Value(int8(data[i])), Value(int8(data[i+1]))}
 			key := TupleKey(tu)
 			switch data[i+arity] % 3 {
 			case 0:
-				kc.Add(tu, nil, int(data[i+arity]))
+				add(kc, tu, int(data[i+arity]))
 				ref[key] += int(data[i+arity])
 			case 1:
-				kc.Add(tu, nil, 1)
+				add(kc, tu, 1)
 				ref[key]++
 			case 2:
-				v, ok := kc.Get(tu, nil)
+				v, ok := get(kc, tu)
 				rv, rok := ref[key]
 				if ok != rok || v != rv {
 					t.Fatalf("Get = (%d,%v), want (%d,%v)", v, ok, rv, rok)

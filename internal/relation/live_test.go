@@ -108,7 +108,7 @@ func driveLiveRelation(t *testing.T, ops []byte, arity int, degrade uint64) {
 	}
 	r := New("live", NewSchema(schema...))
 	if degrade != 0 {
-		r.SetIndexHashDegradeForTest(degrade)
+		r.SetHashDegradeForTest(degrade)
 	}
 	driveLive(t, r, ops)
 }
@@ -309,8 +309,8 @@ func TestMutationLogTail(t *testing.T) {
 	if tail[0].Kind != MutAppend || tail[0].Row != 1 {
 		t.Fatalf("tail[0] = %+v, want append row 1", tail[0])
 	}
-	if tail[2].Kind != MutDelete || tail[2].Row != 0 || tail[2].Vals[0] != 1 {
-		t.Fatalf("tail[2] = %+v, want delete row 0 vals [1]", tail[2])
+	if tail[2].Kind != MutDelete || tail[2].Row != 0 || tail[2].Vals != nil || r.Value(tail[2].Row, 0) != 1 {
+		t.Fatalf("tail[2] = %+v (storage holds %d), want delete row 0 with no values, storage holding 1", tail[2], r.Value(tail[2].Row, 0))
 	}
 	if _, _, ok := r.MutationsSince(v0 - 1); ok {
 		t.Fatal("MutationsSince before the enable point must fail")

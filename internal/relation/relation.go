@@ -57,8 +57,8 @@ type Relation struct {
 	// Guarded by mu like the log itself.
 	sink MutationSink
 
-	// testDegrade, when non-zero, collapses the index hash space so
-	// collision paths are exercised; see SetIndexHashDegradeForTest.
+	// testDegrade, when non-zero, collapses the hash space of indexes and
+	// row sets so collision paths are exercised; see SetHashDegradeForTest.
 	testDegrade uint64
 }
 
@@ -66,9 +66,10 @@ type Relation struct {
 // in version order, with version the value Version() reports after the
 // mutation. The relation's mutation lock is held during the call: the
 // sink must not call back into the relation. Unlike the bounded
-// in-memory log, a sink always receives Vals — for appends they are
-// gathered from the just-published snapshot — so it can serialize the
-// mutation without touching storage. Treat m.Vals as read-only.
+// in-memory log, a sink receives an append's Vals, gathered from the
+// just-published snapshot, so it can serialize the mutation without
+// touching storage; a delete carries its row id alone. Treat m.Vals as
+// read-only.
 type MutationSink interface {
 	LogMutation(version uint64, m Mutation)
 	// LogAppendBatch is the bulk-append tee: rows [start, start+n) were
@@ -107,8 +108,8 @@ type MutKind uint8
 const (
 	// MutAppend records a row append; the row's values live in storage.
 	MutAppend MutKind = iota
-	// MutDelete records a row tombstone; Vals carries the dead row's
-	// values, gathered from the column vectors at delete time.
+	// MutDelete records a row tombstone; the dead row keeps its values
+	// in storage.
 	MutDelete
 )
 
@@ -118,7 +119,7 @@ const (
 type Mutation struct {
 	Kind MutKind
 	Row  int
-	Vals Tuple // MutDelete only
+	Vals Tuple // a MutAppend's values, for a MutationSink only
 }
 
 // maxLogLen bounds the mutation log; structures further behind than the
@@ -349,12 +350,8 @@ func (r *Relation) Delete(i int) bool {
 	dead := make([]uint64, words)
 	copy(dead, s.dead)
 	dead[i>>6] |= 1 << (uint(i) & 63)
-	vals := make(Tuple, len(s.cols))
-	for a, c := range s.cols {
-		vals[a] = c[i]
-	}
 	r.snap.Store(&snapshot{cols: s.cols, rows: s.rows, dead: dead, live: s.live - 1})
-	r.logMutation(Mutation{Kind: MutDelete, Row: i, Vals: vals})
+	r.logMutation(Mutation{Kind: MutDelete, Row: i})
 	return true
 }
 
@@ -364,11 +361,10 @@ func (r *Relation) logMutation(m Mutation) {
 	v := r.version.Add(1)
 	if r.sink != nil {
 		sm := m
-		if sm.Vals == nil {
-			// Appends log no values (storage has them); a sink needs
-			// them to serialize the mutation, so gather from the
-			// just-published snapshot. The in-memory log entry below
-			// keeps its lean no-Vals shape.
+		if sm.Kind == MutAppend {
+			// The log holds no values (storage has them); a sink needs
+			// an append's to serialize it, so gather them from the
+			// just-published snapshot.
 			s := r.snap.Load()
 			vals := make(Tuple, len(s.cols))
 			for a, c := range s.cols {
@@ -432,7 +428,8 @@ func (r *Relation) SetMutationSink(s MutationSink) {
 
 // enableLogLocked starts recording mutations, so that a structure
 // derived from the current contents (an index, a LiveRows reader's
-// table) can catch up incrementally. Callers hold r.mu.
+// table, a pinned View's row set) can catch up incrementally. Callers
+// hold r.mu.
 func (r *Relation) enableLogLocked() {
 	if r.logOn {
 		return
@@ -494,10 +491,11 @@ func (r *Relation) ResetCaches() {
 	r.logOn = false
 }
 
-// SetIndexHashDegradeForTest collapses the hash space of indexes built
-// afterwards (mask ANDed onto every fingerprint), forcing collisions so
-// equality-verification paths are exercised. Test-only.
-func (r *Relation) SetIndexHashDegradeForTest(mask uint64) {
+// SetHashDegradeForTest collapses the hash space of the indexes and the
+// row sets built over views pinned afterwards (mask ANDed onto every
+// fingerprint), forcing collisions so equality-verification paths are
+// exercised. Test-only.
+func (r *Relation) SetHashDegradeForTest(mask uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.testDegrade = mask
@@ -618,24 +616,28 @@ func (r *Relation) Tuples() []Tuple {
 // snapshot: physical and live row counts plus the bytes backing each
 // column vector (allocated capacity, not just the occupied prefix), and
 // which attributes have an index built — each one a structure every
-// later mutation has to be caught up in.
+// later mutation has to be caught up in — with the bytes each holds.
 type StorageStats struct {
-	Rows     int     `json:"rows"`
-	LiveRows int     `json:"live_rows"`
-	ColBytes []int64 `json:"col_bytes"`
-	Indexed  []bool  `json:"indexed"`
+	Rows       int     `json:"rows"`
+	LiveRows   int     `json:"live_rows"`
+	ColBytes   []int64 `json:"col_bytes"`
+	Indexed    []bool  `json:"indexed"`
+	IndexBytes []int64 `json:"index_bytes"`
 }
 
 // StorageStats reports the current snapshot's storage footprint.
 func (r *Relation) StorageStats() StorageStats {
 	s := r.snap.Load()
-	st := StorageStats{Rows: s.rows, LiveRows: s.live, ColBytes: make([]int64, len(s.cols)), Indexed: make([]bool, len(s.cols))}
+	k := len(s.cols)
+	st := StorageStats{Rows: s.rows, LiveRows: s.live, ColBytes: make([]int64, k), Indexed: make([]bool, k), IndexBytes: make([]int64, k)}
 	for a, c := range s.cols {
 		st.ColBytes[a] = int64(cap(c)) * 8
 	}
 	if set := r.indexes.Load(); set != nil {
 		for a, ix := range *set {
-			st.Indexed[a] = ix != nil
+			if st.Indexed[a] = ix != nil; ix != nil {
+				st.IndexBytes[a] = ix.Bytes()
+			}
 		}
 	}
 	return st
@@ -703,11 +705,11 @@ func (r *Relation) DistinctProject(name string, attrs []string) (*Relation, erro
 	}
 	out := New(name, p.schema)
 	n := p.Len()
-	seen := NewKeySet(p.schema.Len(), n)
+	seen := NewKeyCounter(p.schema.Len(), n)
 	cols := p.Cols()
 	var kept []int
 	for i := 0; i < n; i++ {
-		if seen.InsertRow(cols, i, nil) {
+		if _, c := seen.AddRow(cols, i, nil, 1); c == 1 {
 			kept = append(kept, i)
 		}
 	}
@@ -728,7 +730,7 @@ func appendTupleKey(dst []byte, t Tuple) []byte {
 
 // TupleKey returns a string key uniquely identifying t's values; two
 // tuples of the same arity have equal keys iff they are Equal. The
-// sampling hot path uses KeySet/KeyCounter instead; TupleKey remains
+// sampling hot path uses RowSet/KeyCounter instead; TupleKey remains
 // the reference encoding (and serves the warm-up's exact overlap
 // computation, where a string map over all result tuples is fine).
 func TupleKey(t Tuple) string {

@@ -269,20 +269,24 @@ func (r *Registry) Lookup(key string) (*Entry, bool) {
 // RelationStorage is one relation's storage gauge set: row counts, the
 // bytes each column vector pins (capacity, not just length — the number
 // a footprint regression shows up in) and the attributes that have an
-// index built, which every append then maintains.
+// index built, which every append then maintains, with the bytes each
+// index holds.
 type RelationStorage struct {
-	Rows     int              `json:"rows"`
-	LiveRows int              `json:"live_rows"`
-	Bytes    int64            `json:"bytes"`
-	ColBytes map[string]int64 `json:"col_bytes"`
-	Indexes  []string         `json:"indexes"`
+	Rows       int              `json:"rows"`
+	LiveRows   int              `json:"live_rows"`
+	Bytes      int64            `json:"bytes"`
+	ColBytes   map[string]int64 `json:"col_bytes"`
+	Indexes    []string         `json:"indexes"`
+	IndexBytes map[string]int64 `json:"index_bytes"`
 }
 
-// EntryStorage groups one warm entry's storage gauges: its relations
-// plus the interning dictionary size (spec entries only).
+// EntryStorage groups one warm entry's storage gauges: its relations,
+// the bytes each join's membership sets hold, and the interning
+// dictionary size (spec entries only).
 type EntryStorage struct {
-	Relations map[string]RelationStorage `json:"relations"`
-	DictLen   int                        `json:"dict_len,omitempty"`
+	Relations   map[string]RelationStorage `json:"relations"`
+	MemberBytes map[string]int64           `json:"member_bytes"`
+	DictLen     int                        `json:"dict_len,omitempty"`
 }
 
 // warm lists the warm entries, most recently used first. Callers work
@@ -304,13 +308,14 @@ func (r *Registry) StorageSnapshot() map[string]EntryStorage {
 	entries := r.warm()
 	out := make(map[string]EntryStorage, len(entries))
 	for _, e := range entries {
-		es := EntryStorage{Relations: make(map[string]RelationStorage, len(e.Rels))}
+		es := EntryStorage{Relations: make(map[string]RelationStorage, len(e.Rels)), MemberBytes: map[string]int64{}}
 		for name, rel := range e.Rels {
 			st := rel.StorageStats()
 			rs := RelationStorage{
-				Rows:     st.Rows,
-				LiveRows: st.LiveRows,
-				ColBytes: make(map[string]int64, len(st.ColBytes)),
+				Rows:       st.Rows,
+				LiveRows:   st.LiveRows,
+				ColBytes:   make(map[string]int64, len(st.ColBytes)),
+				IndexBytes: map[string]int64{},
 			}
 			attrs := rel.Schema().Attrs()
 			for a, b := range st.ColBytes {
@@ -318,9 +323,13 @@ func (r *Registry) StorageSnapshot() map[string]EntryStorage {
 				rs.ColBytes[attrs[a]] = b
 				if st.Indexed[a] {
 					rs.Indexes = append(rs.Indexes, attrs[a])
+					rs.IndexBytes[attrs[a]] = st.IndexBytes[a]
 				}
 			}
 			es.Relations[name] = rs
+		}
+		for _, j := range e.Union.Joins() {
+			es.MemberBytes[j.Name()] = j.MembershipBytes()
 		}
 		if e.Dict != nil {
 			es.DictLen = e.Dict.Len()

@@ -642,6 +642,53 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsStorageBytes: beside col_bytes, /metrics reports the bytes
+// each built index holds, under exactly the attributes "indexes" lists,
+// and the bytes each join's membership sets hold: 8-byte row-id slots at
+// most three-quarters full and at least 16 per set, so under 22 bytes per
+// live row of the entry's relations and 128 more per set.
+func TestMetricsStorageBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if code := post(t, ts.URL+"/sample", sampleRequest{Union: quickDecl(), N: 5}, nil); code != 200 {
+		t.Fatalf("/sample: %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m metricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	for key, es := range m.Storage {
+		indexed, live := 0, 0
+		for name, rs := range es.Relations {
+			live += rs.LiveRows
+			if len(rs.IndexBytes) != len(rs.Indexes) {
+				t.Errorf("%s: index_bytes %v for indexes %v", name, rs.IndexBytes, rs.Indexes)
+			}
+			for _, a := range rs.Indexes {
+				if rs.IndexBytes[a] < int64(rs.LiveRows)*8 {
+					t.Errorf("%s: index on %s holds %d bytes for %d live rows", name, a, rs.IndexBytes[a], rs.LiveRows)
+				}
+				indexed++
+			}
+		}
+		if indexed == 0 {
+			t.Errorf("entry %s: no index bytes reported", key)
+		}
+		if len(es.MemberBytes) == 0 {
+			t.Fatalf("entry %s: no membership bytes", key)
+		}
+		for j, b := range es.MemberBytes {
+			if b <= 0 || b > int64(live)*22+1024 {
+				t.Errorf("entry %s: join %s membership holds %d bytes over %d live rows", key, j, b, live)
+			}
+		}
+	}
+}
+
 // TestBadRequests pins the 400 surface: malformed JSON, unknown
 // fields, bad enums, bad predicates, negative n.
 func TestBadRequests(t *testing.T) {
