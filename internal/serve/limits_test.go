@@ -136,3 +136,33 @@ func TestDrawCountLimit(t *testing.T) {
 		t.Fatalf("n at the limit refused: %v", err)
 	}
 }
+
+// TestWorkersLimit pins the hostile-workers outcome: SampleParallel starts
+// a goroutine per worker behind a single admission slot, so a workers
+// count over the bound answers 400 naming it, starts nothing and gives the
+// slot back, while the bound itself is served.
+func TestWorkersLimit(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInflight: 1})
+	decl := quickDecl()
+	seed := int64(1)
+	for _, body := range []sampleRequest{
+		{Union: decl, N: 1 << 20, Workers: 1 << 20},
+		{Union: decl, N: 8, Workers: maxWorkers + 1},
+		{Union: decl, N: 8, Workers: maxWorkers + 1, Seed: &seed},
+	} {
+		var apiErr apiError
+		if code := post(t, ts.URL+"/sample", body, &apiErr); code != http.StatusBadRequest {
+			t.Fatalf("workers=%d: status %d (%q), want 400", body.Workers, code, apiErr.Error)
+		}
+		if !strings.Contains(apiErr.Error, strconv.Itoa(maxWorkers)) {
+			t.Fatalf("workers=%d: error %q does not name the limit %d", body.Workers, apiErr.Error, maxWorkers)
+		}
+		if got := s.Inflight(); got != 0 {
+			t.Fatalf("workers=%d: %d admission slots held after the refusal", body.Workers, got)
+		}
+	}
+	var sr sampleResponse
+	if code := post(t, ts.URL+"/sample", sampleRequest{Union: decl, N: 2 * maxWorkers, Workers: maxWorkers}, &sr); code != http.StatusOK || len(sr.Tuples) != 2*maxWorkers {
+		t.Fatalf("workers at the limit: status %d, %d tuples", code, len(sr.Tuples))
+	}
+}

@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"sampleunion"
 )
@@ -39,10 +43,12 @@ func legacyEncodeTuples(ts []sampleunion.Tuple) [][]int64 {
 	return out
 }
 
-// TestSampleResponseBytesPinned: marshalling the engine's tuples directly
-// must put the same bytes on the wire as the copied [][]int64 did — for
-// an empty draw ("tuples":[], never null), for ordinary draws, and for
-// values at the ends of the int64 range.
+// TestSampleResponseBytesPinned: encoding a reply straight from the
+// engine's tuples — a run's arena for plain and seeded draws, the caller's
+// own tuples for predicate and worker draws — must put the same bytes on
+// the wire as the copied [][]int64 did through encoding/json: for an
+// empty draw ("tuples":[], never null), for ordinary draws, and for values
+// at the ends of the int64 range.
 func TestSampleResponseBytesPinned(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	decl := quickDecl()
@@ -58,6 +64,9 @@ func TestSampleResponseBytesPinned(t *testing.T) {
 		"n=0 where":   {"/sample/where", sampleRequest{Union: decl, N: 0, Where: where}},
 		"n=7 seeded":  {"/sample", sampleRequest{Union: decl, N: 7, Seed: &seed}},
 		"n=40 where":  {"/sample/where", sampleRequest{Union: decl, N: 40, Seed: &seed, Where: where}},
+
+		"n=1024 seeded":  {"/sample", sampleRequest{Union: decl, N: 1024, Seed: &seed}},
+		"n=64 workers=4": {"/sample", sampleRequest{Union: decl, N: 64, Workers: 4}},
 	} {
 		resp, err := http.Post(ts.URL+req.path, "application/json", bytesReader(t, req.body))
 		if err != nil {
@@ -93,16 +102,53 @@ func TestSampleResponseBytesPinned(t *testing.T) {
 	}
 
 	extremes := []sampleunion.Tuple{{-1 << 63, 1<<63 - 1, 0}, {-1, 1, 42}}
-	got, err := json.Marshal(sampleResponse{Tuples: extremes})
+	schema := []string{"lo", "hi", "a<b&c"}
+	marshalled, err := json.Marshal(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(legacySampleResponse{Tuples: legacyEncodeTuples(extremes)})
+	got, err := appendSample(nil, marshalled, extremes, 1e21, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("extreme values encode as %s, the [][]int64 encoder wrote %s", got, want)
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(legacySampleResponse{
+		Schema: schema, Tuples: legacyEncodeTuples(extremes), UnionSize: 1e21, ElapsedUs: 0.5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("extreme values encode as %s, the [][]int64 encoder wrote %s", got, want.Bytes())
+	}
+}
+
+// TestAppendFloatMatchesEncodingJSON: union_size and elapsed_us are
+// written as encoding/json writes a float64, on both sides of its switch
+// to exponent form; what it refuses to encode answers the 500 envelope it
+// answered when encoding/json wrote the reply.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	for _, f := range []float64{0, 1e-7, 1e-6, 123.25, 5e20, 1e21, -2.5e-9, -31.75, math.SmallestNonzeroFloat64, math.MaxFloat64} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendFloat([]byte("x"), f)
+		if err != nil || string(got) != "x"+string(want) {
+			t.Errorf("appendFloat(%v) = %s (%v), encoding/json writes %s", f, got[1:], err, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, want := json.Marshal(f)
+		if _, err := appendFloat(nil, f); err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("appendFloat(%v): error %v, encoding/json: %v", f, err, want)
+		}
+		_, err := encodeSample(&Entry{schemaJSON: []byte("[]")}, nil, f, time.Now())
+		rec := httptest.NewRecorder()
+		(&Server{}).writeResult(rec, nil, err)
+		envelope := fmt.Sprintf("{\"error\":%q}\n", "serve: response encoding failed: "+want.Error())
+		if rec.Code != http.StatusInternalServerError || rec.Body.String() != envelope || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("union_size %v: status %d body %q, want 500 %q", f, rec.Code, rec.Body.String(), envelope)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 
@@ -25,6 +26,10 @@ type Entry struct {
 	// workload entries, whose generators emit integers directly); its
 	// size is a /metrics storage gauge.
 	Dict *relation.Dictionary
+
+	// schemaJSON is the session's output schema as /sample replies spell
+	// it, marshalled once.
+	schemaJSON []byte
 
 	hits atomic.Int64
 
@@ -200,7 +205,8 @@ func (r *Registry) prepare(key string, decl UnionDecl) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Entry{Key: key, Sess: in.sess, Union: u, Rels: rels, Dict: dict, ingest: in}, nil
+	schema, _ := json.Marshal(in.sess.OutputSchema().Attrs()) // a []string always marshals
+	return &Entry{Key: key, Sess: in.sess, Union: u, Rels: rels, Dict: dict, schemaJSON: schema, ingest: in}, nil
 }
 
 // insertLocked publishes a fresh entry and evicts past capacity;

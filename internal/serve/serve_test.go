@@ -10,7 +10,18 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"sampleunion"
 )
+
+// sampleResponse is the body of /sample and /sample/where as a client
+// decodes it.
+type sampleResponse struct {
+	Schema    []string            `json:"schema"`
+	Tuples    []sampleunion.Tuple `json:"tuples"`
+	UnionSize float64             `json:"union_size"`
+	ElapsedUs float64             `json:"elapsed_us"`
+}
 
 // quickDecl is a small, fast-to-prepare declaration shared by most
 // tests: tiny data, histogram warm-up (no walks).

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -369,17 +370,23 @@ var encodePool = sync.Pool{
 // response (a 10^6-tuple draw) should not pin its buffer forever.
 const pooledBufferCap = 1 << 20
 
+// writeJSON sends payload with the status code from a pooled buffer: a
+// *bytes.Buffer is a reply encodeSample already finished and goes out as
+// it stands; anything else is encoded through encoding/json first.
 func writeJSON(w http.ResponseWriter, code int, payload any) {
-	buf := encodePool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(payload); err != nil {
-		// Pre-header encoding failure: answer a clean 500 instead of a
-		// truncated body.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "{\"error\":%q}\n", "serve: response encoding failed: "+err.Error())
-		encodePool.Put(buf)
-		return
+	buf, encoded := payload.(*bytes.Buffer)
+	if !encoded {
+		buf = encodePool.Get().(*bytes.Buffer)
+		buf.Reset()
+		if err := json.NewEncoder(buf).Encode(payload); err != nil {
+			// Pre-header encoding failure: answer a clean 500 instead of a
+			// truncated body.
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
+			fmt.Fprintf(w, "{\"error\":%q}\n", encodeFailed(err).Error())
+			encodePool.Put(buf)
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
@@ -411,6 +418,11 @@ func checkDrawN(n, least int) error {
 	}
 	return nil
 }
+
+// maxWorkers bounds /sample's workers: SampleParallel starts one goroutine
+// per worker, and an admitted request holds one MaxInflight slot however
+// many it starts.
+const maxWorkers = 64
 
 // decode unmarshals a request body of at most maxBodyBytes into dst,
 // strictly. The limit reader is given no ResponseWriter because a draw
@@ -444,15 +456,71 @@ type sampleRequest struct {
 	Where *PredDecl `json:"where,omitempty"`
 }
 
-// sampleResponse carries the drawn tuples in schema order. A Tuple is a
-// slice of int64-backed values with no marshaller of its own, so the
-// engine's result encodes as arrays of numbers without a copy; an empty
-// draw must be a non-nil slice to encode as [] rather than null.
-type sampleResponse struct {
-	Schema    []string            `json:"schema"`
-	Tuples    []sampleunion.Tuple `json:"tuples"`
-	UnionSize float64             `json:"union_size"`
-	ElapsedUs float64             `json:"elapsed_us"`
+// encodeSample encodes a draw's reply into a pooled buffer for writeJSON
+// to send. A view's reply is finished here, before its run goes back.
+func encodeSample(e *Entry, tuples []sampleunion.Tuple, unionSize float64, start time.Time) (*bytes.Buffer, error) {
+	buf := encodePool.Get().(*bytes.Buffer)
+	buf.Reset()
+	b, err := appendSample(buf.AvailableBuffer(), e.schemaJSON, tuples, unionSize, float64(time.Since(start).Nanoseconds())/1e3)
+	if err != nil {
+		encodePool.Put(buf)
+		return nil, encodeFailed(err)
+	}
+	buf.Write(b)
+	return buf, nil
+}
+
+// appendSample appends the /sample reply encoding/json writes for
+// {"schema", "tuples", "union_size", "elapsed_us"} and a newline, schema
+// given already marshalled: every tuple an array of its int64 values, an
+// empty draw "tuples":[].
+func appendSample(b, schema []byte, tuples []sampleunion.Tuple, unionSize, elapsedUs float64) ([]byte, error) {
+	b = append(append(b, `{"schema":`...), schema...)
+	b = append(b, `,"tuples":[`...)
+	for i, t := range tuples {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, v := range t {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, ']')
+	}
+	b, err := appendFloat(append(b, `],"union_size":`...), unionSize)
+	if err == nil {
+		b, err = appendFloat(append(b, `,"elapsed_us":`...), elapsedUs)
+	}
+	return append(b, '}', '\n'), err
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// form that reads back as f, in exponent form below 1e-6 and from 1e21 up
+// with a one-digit negative exponent unpadded, and NaN or ±Inf refused
+// with the error encoding/json returns for them.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 → e-7
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// encodeFailed is the error of a reply that could not be encoded: a 500
+// through the envelope rather than a truncated body.
+func encodeFailed(err error) error {
+	return fmt.Errorf("serve: response encoding failed: %w", err)
 }
 
 func (s *Server) entryFor(decl UnionDecl) (*Entry, error) {
@@ -476,36 +544,36 @@ func (s *Server) handleSample(r *http.Request) (any, error) {
 	if err := checkDrawN(req.N, 0); err != nil {
 		return nil, err
 	}
+	if req.Workers > maxWorkers {
+		return nil, badf("serve: workers must be at most %d, got %d", maxWorkers, req.Workers)
+	}
 	e, err := s.entryFor(req.Union)
 	if err != nil {
 		return nil, err
 	}
 	// A request for n tuples is one call into the engine, not n
-	// per-draw calls; SampleParallel shards into batches per worker.
+	// per-draw calls; SampleParallel shards into batches per worker. A
+	// single call's reply is encoded from the run's own buffers, under the
+	// |U| the run drew with.
 	start := time.Now()
-	var tuples []sampleunion.Tuple
-	switch {
-	case req.Seed != nil:
-		tuples, _, err = e.Sess.SampleSeeded(req.N, *req.Seed)
-	case req.Workers > 1:
-		tuples, err = e.Sess.SampleParallel(req.N, req.Workers)
-	default:
-		tuples, _, err = e.Sess.Sample(req.N)
+	if req.Seed == nil && req.Workers > 1 {
+		tuples, err := e.Sess.SampleParallel(req.N, req.Workers)
+		if err != nil {
+			return nil, err
+		}
+		return encodeSample(e, tuples, e.Sess.UnionSize(), start)
 	}
-	return sampleReply(e, tuples, start, err)
-}
-
-// sampleReply renders a draw's outcome as the /sample response.
-func sampleReply(e *Entry, tuples []sampleunion.Tuple, start time.Time, err error) (any, error) {
-	if err != nil {
-		return nil, err
+	var reply *bytes.Buffer
+	use := func(tuples []sampleunion.Tuple, unionSize float64) (err error) {
+		reply, err = encodeSample(e, tuples, unionSize, start)
+		return err
 	}
-	return sampleResponse{
-		Schema:    schemaAttrs(e.Sess.OutputSchema()),
-		Tuples:    tuples,
-		UnionSize: e.Sess.UnionSize(),
-		ElapsedUs: float64(time.Since(start).Nanoseconds()) / 1e3,
-	}, nil
+	if req.Seed != nil {
+		err = e.Sess.SampleViewSeeded(req.N, *req.Seed, use)
+	} else {
+		err = e.Sess.SampleView(req.N, use)
+	}
+	return reply, err
 }
 
 func (s *Server) handleSampleWhere(r *http.Request) (any, error) {
@@ -531,7 +599,10 @@ func (s *Server) handleSampleWhere(r *http.Request) (any, error) {
 	} else {
 		tuples, _, err = e.Sess.SampleWhere(req.N, pred)
 	}
-	return sampleReply(e, tuples, start, err)
+	if err != nil {
+		return nil, err
+	}
+	return encodeSample(e, tuples, e.Sess.UnionSize(), start)
 }
 
 // approxRequest is the body of the /approx/* endpoints. Attr is
@@ -871,12 +942,4 @@ func wherePredicate(p *PredDecl) (relation.Predicate, error) {
 		return nil, badRequest{err}
 	}
 	return pred, nil
-}
-
-func schemaAttrs(s *sampleunion.Schema) []string {
-	out := make([]string, s.Len())
-	for i := range out {
-		out[i] = s.Attr(i)
-	}
-	return out
 }

@@ -169,3 +169,47 @@ func TestSampleDisjointWithoutResultsFails(t *testing.T) {
 		t.Fatal("SampleDisjoint over a union without results did not return")
 	}
 }
+
+// TestZeroDrawStreams pins what n == 0 does to the auto streams: Sample
+// and SampleView reserve one (SampleView calls use with no tuples), and an
+// Approx* call, which refuses before drawing, reserves none.
+func TestZeroDrawStreams(t *testing.T) {
+	u := unionForNTests(t)
+	pred := Cmp{Attr: "a", Op: GE, Val: 0}
+	nextDraw := func(before func(*Session)) string {
+		s, err := u.Prepare(Options{Seed: 7, Warmup: WarmupHistogram})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before(s)
+		ts, _, err := s.Sample(20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest(ts)
+	}
+	fresh := nextDraw(func(*Session) {})
+	afterOne := nextDraw(func(s *Session) { s.Sample(1) })
+	if fresh == afterOne {
+		t.Fatal("the first and second auto streams draw alike; the test cannot tell them apart")
+	}
+	if got := nextDraw(func(s *Session) { s.Sample(0) }); got != afterOne {
+		t.Error("Sample(0) reserved no auto stream")
+	}
+	if got := nextDraw(func(s *Session) {
+		err := s.SampleView(0, func(ts []Tuple, _ float64) error {
+			if ts == nil || len(ts) != 0 {
+				t.Errorf("SampleView(0) handed use %v, want an empty non-nil batch", ts)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}); got != afterOne {
+		t.Error("SampleView(0) reserved no auto stream")
+	}
+	if got := nextDraw(func(s *Session) { s.ApproxCount(pred, 0) }); got != fresh {
+		t.Error("ApproxCount(0) reserved an auto stream")
+	}
+}

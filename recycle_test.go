@@ -1,6 +1,7 @@
 package sampleunion
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"slices"
@@ -291,5 +292,40 @@ func TestRecycledRunsUnderConcurrentRefresh(t *testing.T) {
 	if checked < drawers*perDrawer/2 || len(gens) < 3 {
 		t.Fatalf("%d of %d draws ran under one generation, over %d generations (%d refreshes): too few to say anything",
 			checked, drawers*perDrawer, len(gens), cycles)
+	}
+}
+
+// TestSampleViewRecyclesItsRun: a view call hands its run back once use
+// returns, whatever use returned, and what use returned comes back to the
+// caller. The next call then draws on the same run: its first tuple sits
+// where the previous call's did, at the front of the run's arena (under
+// Shards 2, of whichever shard drew first). sync.Pool may drop a run — a
+// quarter of them under -race — so the test looks for that on some calls
+// after a refusal, not on every one.
+func TestSampleViewRecyclesItsRun(t *testing.T) {
+	refused := errors.New("refused")
+	for _, o := range viewOptions {
+		s := prepareGolden(t, goldenUnion(t), o)
+		var prev *Value
+		reused := 0
+		for i := 0; i < 60; i++ {
+			var want error
+			if i%2 == 1 {
+				want = refused
+			}
+			err := s.SampleViewSeeded(64, int64(i), func(ts []Tuple, _ float64) error {
+				if i%2 == 0 && &ts[0][0] == prev {
+					reused++
+				}
+				prev = &ts[0][0]
+				return want
+			})
+			if err != want {
+				t.Fatalf("%+v call %d: SampleViewSeeded returned %v, use returned %v", o, i, err, want)
+			}
+		}
+		if reused == 0 {
+			t.Fatalf("%+v: no call after a refused one drew on the run the refused one had", o)
+		}
 	}
 }

@@ -327,6 +327,38 @@ func (s *Session) SampleSeeded(n int, seed int64) ([]Tuple, *Stats, error) {
 	return out, stats, err
 }
 
+// SampleView is Sample for a caller that reads the batch while the
+// session holds its run — to encode, fold or filter it — and keeps none of
+// it: it draws n tuples on the stream Sample would use, calls use with
+// them and the |U| estimate the run drew under, then hands the run back.
+// The tuples alias the run's buffers and are valid only until use
+// returns; what use returns, SampleView returns. n == 0 reserves a stream
+// and calls use with no tuples, as Sample does.
+func (s *Session) SampleView(n int, use func(tuples []Tuple, unionSize float64) error) error {
+	return s.SampleViewSeeded(n, s.nextSeed(), use)
+}
+
+// SampleViewSeeded is SampleView on an explicit stream: use gets the
+// tuples SampleSeeded(n, seed) returns.
+func (s *Session) SampleViewSeeded(n int, seed int64, use func(tuples []Tuple, unionSize float64) error) error {
+	if empty, err := checkN(n); err != nil {
+		return err
+	} else if empty {
+		return use([]Tuple{}, s.UnionSize())
+	}
+	st, err := s.cur()
+	if err != nil {
+		return err
+	}
+	run := st.prepared.NewRun()
+	defer run.Release()
+	tuples, err := run.SampleView(n, run.RNG(seed))
+	if err != nil {
+		return err
+	}
+	return use(tuples, run.Params().UnionSize)
+}
+
 // SampleBatch forwards to Sample.
 //
 // Deprecated: Sample is the batch engine.
@@ -475,27 +507,20 @@ func (s *Session) ApproxGroupCount(attr string, n int) ([]GroupEstimate, error) 
 }
 
 // foldSamples is the draw behind every Approx* aggregate: n samples on
-// the next auto stream, folded where the run wrote them — the call holds
-// its run for the fold and releases it after, so no tuple is copied out to
-// be counted. fold also gets the |U| estimate the run sampled under, and
-// must keep no sample. An estimate from zero samples is undefined, so
-// n == 0 is an error here rather than an empty result.
+// the next auto stream, folded where the run wrote them (SampleView), so no
+// tuple is copied out to be counted. fold also gets the |U| estimate the run
+// sampled under, and must keep no sample. An estimate from zero samples is
+// undefined, so n == 0 is an error here, before any stream is reserved,
+// rather than an empty result.
 func foldSamples[T any](s *Session, n int, fold func(samples []Tuple, unionSize float64) (T, error)) (res T, err error) {
 	if empty, err := checkN(n); err != nil {
 		return res, err
 	} else if empty {
 		return res, errNoSamples()
 	}
-	seed := s.nextSeed()
-	st, err := s.cur()
-	if err != nil {
-		return res, err
-	}
-	run := st.prepared.NewRun()
-	defer run.Release()
-	samples, err := run.SampleView(n, run.RNG(seed))
-	if err != nil {
-		return res, err
-	}
-	return fold(samples, run.Params().UnionSize)
+	err = s.SampleView(n, func(samples []Tuple, unionSize float64) (err error) {
+		res, err = fold(samples, unionSize)
+		return err
+	})
+	return res, err
 }
