@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/joinsample"
+	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
 	"sampleunion/internal/walkest"
 )
@@ -129,6 +131,7 @@ type prepared struct {
 	coverRelHW []float64 // per-join cover-size relative half-widths after warm-up
 	warmupTime time.Duration
 	refresh    RefreshStats // what the Refresh that built this state did
+	folds      folds        // the joins' structures' fold counters once warm
 
 	// runs recycles this generation's released runs (see newRunPool): a
 	// Refresh publishes a new state with an empty pool, so a run never
@@ -159,7 +162,28 @@ func (p *prepared) warm(g *rng.RNG) error {
 		return ErrEmptyUnion
 	}
 	p.base.buildPending()
+	p.folds = countFolds(p.base.joins)
 	return nil
+}
+
+// folds are the O(rows) catch-ups the structures under a set of joins
+// have been through: index compactions over their distinct relations,
+// and membership tables built again.
+type folds struct{ indexes, members uint64 }
+
+func countFolds(joins []*join.Join) folds {
+	var f folds
+	var seen []*relation.Relation
+	for _, j := range joins {
+		f.members += j.MemberRebuilds()
+		for _, r := range j.Relations() {
+			if !slices.Contains(seen, r) {
+				seen = append(seen, r)
+				f.indexes += r.IndexCompactions()
+			}
+		}
+	}
+	return f
 }
 
 // retainedWalker extracts the retained walk estimator from a warm-up
@@ -189,6 +213,8 @@ func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
 	}
 	nb.patchStats(dirty, &np.refresh)
 	np.refresh.Walks = walksRun(p.walker, np.walker, dirty)
+	np.refresh.IndexesCompacted = int(np.folds.indexes - p.folds.indexes)
+	np.refresh.MembersRebuilt = int(np.folds.members - p.folds.members)
 	return np, true, nil
 }
 
@@ -233,6 +259,13 @@ type RefreshStats struct {
 	SegmentsPatched int `json:"segments_patched"`
 	NodesRebuilt    int `json:"nodes_rebuilt"`
 	JoinsRebuilt    int `json:"joins_rebuilt"`
+	// IndexesCompacted counts the indexes over the joins' relations that
+	// were built again instead of extending their overlay, and
+	// MembersRebuilt the membership tables whose delta was folded into a
+	// rebuilt base, since the previous generation was built: with
+	// NodesRebuilt, the folds that cost O(rows) rather than O(burst).
+	IndexesCompacted int `json:"indexes_compacted"`
+	MembersRebuilt   int `json:"members_rebuilt"`
 	// Walks counts the wander-join walks run; Reprobed the retained
 	// walks of clean joins whose owners were re-derived
 	// (walkest.Estimator.Refreshed).
@@ -247,6 +280,8 @@ func (a *RefreshStats) add(b RefreshStats) {
 	a.SegmentsPatched += b.SegmentsPatched
 	a.NodesRebuilt += b.NodesRebuilt
 	a.JoinsRebuilt += b.JoinsRebuilt
+	a.IndexesCompacted += b.IndexesCompacted
+	a.MembersRebuilt += b.MembersRebuilt
 	a.Walks += b.Walks
 	a.Reprobed += b.Reprobed
 }

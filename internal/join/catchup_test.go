@@ -116,7 +116,7 @@ func patchBytes(t *testing.T, rows, age int) (bytes uint64, overlaid int) {
 	if p.Rebuilt || p.Folded[1] {
 		t.Fatalf("the measured patch rebuilt or folded (%+v)", p)
 	}
-	ents, _ := w.Nodes[1].Overlay()
+	ents, _, _ := w.Nodes[1].Overlay()
 	return bytes, len(ents)
 }
 

@@ -2,6 +2,7 @@ package join
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"sampleunion/internal/relation"
 )
@@ -116,15 +117,22 @@ type WeightTable struct {
 	ov   *segOverlay // nil = flat
 }
 
-// segOverlay holds the recomputed segments of a patched table, packed
-// like the base: segment i belongs to entry ents[i] and replaces the
+// segOverlay holds the recomputed segments of a patched table: a
+// directory whose segment i belongs to entry ents[i] and replaces the
 // base's (entries the index gained since the base was packed have no
-// base segment at all, and are always here).
+// base segment at all, and are always here), over segment storage the
+// overlay shares with its predecessors. A patch appends the segments it
+// rewrote past the predecessor's ends of rows and cum and builds a new
+// directory; the segments it kept stay where they are. So an overlay
+// reads nothing past its own directory's bounds, and it may have one
+// successor that appends in place — the one that sets extended; any
+// other copies what it keeps into storage of its own.
 type segOverlay struct {
-	ents []int32 // ascending
-	off  []int32
-	rows []int32
-	cum  []int64
+	ents     []int32 // ascending
+	lo, hi   []int32 // segment i is rows[lo[i]:hi[i]], cum[lo[i]:hi[i]]
+	rows     []int32
+	cum      []int64
+	extended atomic.Bool
 }
 
 // Segment returns entry e's rows and their running weight sums. A flat
@@ -155,20 +163,20 @@ func (t *WeightTable) Total(e int) int64 {
 // segment when e has one, else the flat one.
 func (o *segOverlay) segment(t *WeightTable, e int) ([]int32, []int64) {
 	if i, ok := slices.BinarySearch(o.ents, int32(e)); ok {
-		return o.rows[o.off[i]:o.off[i+1]], o.cum[o.off[i]:o.off[i+1]]
+		return o.rows[o.lo[i]:o.hi[i]], o.cum[o.lo[i]:o.hi[i]]
 	}
 	lo, hi := t.Off[e], t.Off[e+1]
 	return t.Rows[lo:hi], t.Cum[lo:hi]
 }
 
-// Overlay returns the overlaid entries, ascending, and their segment
-// offsets (segment i has off[i+1]-off[i] rows); both nil for a flat
-// table.
-func (t *WeightTable) Overlay() (ents, off []int32) {
+// Overlay returns the overlaid entries, ascending, and their segments'
+// bounds in the overlay's storage (segment i has hi[i]-lo[i] rows); all
+// nil for a flat table.
+func (t *WeightTable) Overlay() (ents, lo, hi []int32) {
 	if t.ov == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
-	return t.ov.ents, t.ov.off
+	return t.ov.ents, t.ov.lo, t.ov.hi
 }
 
 // add appends row r with weight w to the open segment; zero-weight

@@ -52,6 +52,9 @@ type Join struct {
 	// relation's version moves (Relation.Append invalidation).
 	membership atomic.Pointer[membershipTables]
 	memMu      sync.Mutex
+	// memberFolds counts member tables a reconcile built again from the
+	// snapshot instead of extending their delta.
+	memberFolds atomic.Uint64
 }
 
 // Name returns the join's name.

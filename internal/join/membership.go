@@ -62,7 +62,7 @@ func (j *Join) MembershipBytes() int64 {
 // exactly once and mutation is detected and reconciled on the next
 // probe. Tables of unchanged relations are shared between generations;
 // a changed relation's table is caught up by pinning the new snapshot and
-// building its small delta over the rows appended since the base — never
+// inserting the rows appended since the last pin into its delta — never
 // by rescanning the relation unless the log tail is gone or the
 // mutations since the base outgrew their budget.
 //
@@ -282,9 +282,11 @@ func memberBudget(rel *relation.Relation) int {
 
 // reconcileTable returns an up-to-date table for rel, reusing old when
 // possible: unchanged tables are shared, a short tail pins the new
-// snapshot beside old's base and a delta of the rows appended since the
-// base (deletes only count), and everything else builds the base again
-// from the pinned snapshot's live rows.
+// snapshot beside old's base and extends old's delta by the rows
+// appended since old's pin (deletes only count), and everything else
+// builds the base again from the pinned snapshot's live rows. old is the
+// published table and reconcile runs under memMu, so old's delta gets
+// one successor, as RowSet.Extend requires.
 func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
 	if old == nil || old.rel != rel {
 		return newMemberTable(rel, rel.Pin())
@@ -299,7 +301,7 @@ func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
 	next := *old
 	next.view, next.since = v, old.since+len(tail)
 	if v.Rows() > old.view.Rows() {
-		next.delta = relation.NewRowSet(v, old.baseRows)
+		next.delta = old.delta.Extend(v, old.view.Rows())
 	}
 	return &next
 }
@@ -321,12 +323,21 @@ func (j *Join) buildMembership(old *membershipTables) *membershipTables {
 			prev = old.tabs[k]
 		}
 		m.tabs[k] = reconcileTable(prev, rels[k])
+		if prev != nil && m.tabs[k].base != prev.base {
+			j.memberFolds.Add(1)
+		}
 	})
 	if j.res != nil {
 		m.resSrcVers = slices.Clone(j.res.srcVers)
 	}
 	return m
 }
+
+// MemberRebuilds returns how many times a reconcile built a membership
+// table's base again — the mutations since the base outgrew memberBudget,
+// or the mutation log no longer reached back to it — rather than
+// extending its delta: the reconciles that cost O(rows).
+func (j *Join) MemberRebuilds() uint64 { return j.memberFolds.Load() }
 
 // PrewarmMembership forces the membership tables (and the underlying
 // per-attribute indexes are forced by core.Prewarm); after it returns,

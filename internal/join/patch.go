@@ -151,21 +151,30 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
 // in hand's hits, its rewritten segments — pooled across calls.
 type patchScratch struct {
 	hits  []reweigh
-	fresh segOverlay
+	fresh segRun
+}
+
+// segRun is a run of segments packed back to back: segment i is
+// rows[off[i]:off[i+1]], cum[off[i]:off[i+1]].
+type segRun struct {
+	off  []int32
+	rows []int32
+	cum  []int64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 
 // patchNode returns node k's table with the segments holding the hit
 // rows (sorted by entry, then row) rewritten over prev's, the entries
-// it rewrote, and whether it folded: the rewritten segments become an
-// overlay merged with prev's own, or — once the overlay's entries and
-// rows pass an eighth of the flat table's (floor 64), the rule the index
-// compacts by — are folded with the untouched segments into fresh flat
-// arrays. Rewritten segments are the result when they are every entry,
-// and are written straight into it; otherwise they go to scratch, reused
-// across calls, and are copied once into the merged overlay or the fold.
-func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *WeightTable, hits []reweigh, entries, known int, scratch *segOverlay) (WeightTable, []int32, bool) {
+// it rewrote, and whether it folded: the rewritten segments extend
+// prev's overlay (segOverlay.extend), or — once the overlay's entries
+// and rows pass an eighth of the flat table's (floor 64), the rule the
+// index compacts by — are folded with the untouched segments into fresh
+// flat arrays. Rewritten segments are the result when they are every
+// entry, and are written straight into it; otherwise they go to scratch,
+// reused across calls, and are copied once into the overlay's storage or
+// the fold.
+func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *WeightTable, hits []reweigh, entries, known int, scratch *segRun) (WeightTable, []int32, bool) {
 	if len(hits) == 0 {
 		return *prev, nil, false
 	}
@@ -189,7 +198,7 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	}
 	fresh := scratch
 	if len(touched) == entries {
-		fresh = &segOverlay{ents: touched}
+		fresh = &segRun{}
 	}
 	fresh.off = append(slices.Grow(fresh.off[:0], len(touched)+1), 0)
 	fresh.rows, fresh.cum = slices.Grow(fresh.rows[:0], size), slices.Grow(fresh.cum[:0], size)
@@ -207,7 +216,7 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	merged := func(visit func(e int32, rows []int32, cum []int64)) {
 		for i, t := 0, 0; i < len(old.ents) || t < len(touched); {
 			if t == len(touched) || (i < len(old.ents) && old.ents[i] < touched[t]) {
-				visit(old.ents[i], old.rows[old.off[i]:old.off[i+1]], old.cum[old.off[i]:old.off[i+1]])
+				visit(old.ents[i], old.rows[old.lo[i]:old.hi[i]], old.cum[old.lo[i]:old.hi[i]])
 				i++
 				continue
 			}
@@ -227,20 +236,11 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 		}
 	})
 	if ents+rows <= max(64, (len(prev.Off)+len(prev.Rows))/8) {
-		ov := fresh
+		var ov *segOverlay
 		if fresh == scratch {
-			ov = &segOverlay{
-				ents: make([]int32, 0, ents),
-				off:  make([]int32, 1, ents+1),
-				rows: make([]int32, 0, rows),
-				cum:  make([]int64, 0, rows),
-			}
-			merged(func(e int32, seg []int32, cum []int64) {
-				ov.ents = append(ov.ents, e)
-				ov.rows = append(ov.rows, seg...)
-				ov.cum = append(ov.cum, cum...)
-				ov.off = append(ov.off, int32(len(ov.rows)))
-			})
+			ov = old.extend(touched, fresh, ents, rows)
+		} else { // every entry was rewritten: the fresh segments are the overlay
+			ov = &segOverlay{ents: touched, lo: fresh.off[:len(touched)], hi: fresh.off[1:], rows: fresh.rows, cum: fresh.cum}
 		}
 		return WeightTable{Off: prev.Off, Rows: prev.Rows, Cum: prev.Cum, ov: ov}, touched, false
 	}
@@ -272,6 +272,47 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	return t, touched, true
 }
 
+// extend returns o's successor: a directory of ents entries and rows
+// rows over o's segments that touched (ascending) does not name and
+// fresh's, segment t for entry touched[t]. When o grants its one
+// in-place successor and its storage has room, fresh's segments are
+// appended past o's ends and the kept segments stay where they are;
+// otherwise the kept segments and fresh's are copied into new storage of
+// twice the rows, which leaves the rewritten ones behind.
+func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) *segOverlay {
+	n := &segOverlay{ents: make([]int32, 0, ents), lo: make([]int32, 0, ents), hi: make([]int32, 0, ents)}
+	inPlace := cap(o.rows)-len(o.rows) >= len(fresh.rows) && o.extended.CompareAndSwap(false, true)
+	if inPlace {
+		n.rows, n.cum = o.rows, o.cum
+	} else {
+		n.rows, n.cum = make([]int32, 0, 2*rows), make([]int64, 0, 2*rows)
+	}
+	put := func(e int32, seg []int32, cum []int64) {
+		n.ents = append(n.ents, e)
+		n.lo = append(n.lo, int32(len(n.rows)))
+		n.rows = append(n.rows, seg...)
+		n.cum = append(n.cum, cum...)
+		n.hi = append(n.hi, int32(len(n.rows)))
+	}
+	for i, t := 0, 0; i < len(o.ents) || t < len(touched); {
+		if t == len(touched) || (i < len(o.ents) && o.ents[i] < touched[t]) {
+			if inPlace {
+				n.ents, n.lo, n.hi = append(n.ents, o.ents[i]), append(n.lo, o.lo[i]), append(n.hi, o.hi[i])
+			} else {
+				put(o.ents[i], o.rows[o.lo[i]:o.hi[i]], o.cum[o.lo[i]:o.hi[i]])
+			}
+			i++
+			continue
+		}
+		if i < len(o.ents) && o.ents[i] == touched[t] {
+			i++
+		}
+		put(touched[t], fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]])
+		t++
+	}
+	return n
+}
+
 // appendSegment rewrites the segment of the entry hits name (they share
 // it; rows ascending) and appends it to ov: the entry's live rows in
 // index order, a hit row weighed from the children's finished tables,
@@ -279,7 +320,7 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 // for it — zero when absent: nothing changed for a row that is not hit.
 // The result is the flat build's segment: same rows, same order, same
 // running sums.
-func (j *Join) appendSegment(k int, ws *Weights, s *relation.SnapshotData, wasRows []int32, wasCum []int64, hits []reweigh, ov *segOverlay) {
+func (j *Join) appendSegment(k int, ws *Weights, s *relation.SnapshotData, wasRows []int32, wasCum []int64, hits []reweigh, ov *segRun) {
 	var cum int64
 	p, h := 0, 0 // cursors into the old segment and the hits
 	add := func(r int) {

@@ -112,17 +112,17 @@ type aliasSlots struct {
 	slot []atomic.Pointer[rng.Alias]
 }
 
-// newAliasSlots reserves a slot for every non-empty segment of off
-// reaching aliasMin: two scans of the offsets, so both slices are sized
-// exactly. Segment i belongs to entry ids[i], or to entry i when ids is
-// nil (a flat table).
-func newAliasSlots(off, ids []int32, aliasMin int) *aliasSlots {
+// newAliasSlots reserves a slot for every non-empty segment reaching
+// aliasMin, segment i holding hi[i]-lo[i] rows: two scans of the bounds,
+// so both slices are sized exactly. Segment i belongs to entry ids[i], or
+// to entry i when ids is nil (a flat table).
+func newAliasSlots(lo, hi, ids []int32, aliasMin int) *aliasSlots {
 	reaches := func(i int) bool {
-		n := int(off[i+1] - off[i])
+		n := int(hi[i] - lo[i])
 		return n > 0 && n >= aliasMin
 	}
 	n := 0
-	for i := 0; i+1 < len(off); i++ {
+	for i := range lo {
 		if reaches(i) {
 			n++
 		}
@@ -156,8 +156,13 @@ type nodeAlias struct {
 }
 
 func newNodeAlias(t *join.WeightTable, aliasMin int) nodeAlias {
-	ents, off := t.Overlay()
-	return nodeAlias{flat: newAliasSlots(t.Off, nil, aliasMin), ov: newAliasSlots(off, ents, aliasMin)}
+	ents, lo, hi := t.Overlay()
+	return nodeAlias{flat: flatAliasSlots(t, aliasMin), ov: newAliasSlots(lo, hi, ents, aliasMin)}
+}
+
+// flatAliasSlots reserves the slots of t's flat segments.
+func flatAliasSlots(t *join.WeightTable, aliasMin int) *aliasSlots {
+	return newAliasSlots(t.Off[:len(t.Off)-1], t.Off[1:], nil, aliasMin)
 }
 
 // find returns the slot of the segment WeightTable.Segment serves for
@@ -259,11 +264,11 @@ func NewEWFrom(j *join.Join, aliasMin int, prev *EW) *EW {
 			e.alias[k] = *was // the predecessor's table, untouched
 			continue
 		}
-		ents, off := t.Overlay()
-		a := nodeAlias{flat: was.flat, ov: newAliasSlots(off, ents, aliasMin)}
+		ents, lo, hi := t.Overlay()
+		a := nodeAlias{flat: was.flat, ov: newAliasSlots(lo, hi, ents, aliasMin)}
 		a.ov.carry(was, patch.Touched[k])
 		if patch.Folded[k] {
-			a.flat = newAliasSlots(t.Off, nil, aliasMin)
+			a.flat = flatAliasSlots(t, aliasMin)
 			a.flat.carry(was, patch.Touched[k])
 		}
 		e.alias[k] = a

@@ -1,18 +1,22 @@
 package relation
 
-import "slices"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Index is a per-attribute hash index: an immutable CSR base (the row
 // ids of every distinct value contiguous in one packed slice, addressed
 // by a counting-sort offset table, with an open-addressed value table
-// on top) plus an optional immutable delta overlay that absorbs
-// mutations without rebuilding the base. Probes consult the overlay
-// first — a value untouched by any mutation costs exactly the pure-CSR
-// probe — and every published Index is immutable, so concurrent readers
-// need no synchronization. Relation.Index catches an index up to the
-// current version by deriving the overlay's successor and replaying the
-// mutation-log tail into it; when the overlay would grow past a fraction
-// of the base, the catch-up compacts back to a pure CSR instead.
+// on top) plus an optional delta overlay that absorbs mutations without
+// rebuilding the base. Probes consult the overlay first — a value
+// untouched by any mutation costs exactly the pure-CSR probe — and every
+// published Index answers the same forever, so concurrent readers need
+// no lock. Relation.Index catches an index up to the current version by
+// deriving the overlay's successor, which extends it in place, and
+// replaying the mutation-log tail into it; when the overlay would grow
+// past a fraction of the base, the catch-up compacts back to a pure CSR
+// instead.
 type Index struct {
 	base    *csr
 	ov      *overlay // nil = pure CSR
@@ -31,16 +35,27 @@ type csr struct {
 }
 
 // overlay holds the touched values: for each, the fully merged live row
-// list. It is immutable once published; catch-up derives a successor.
+// list. Catch-up derives a successor that extends it in place (see
+// successor), so an overlay reads nothing past its own len(keys): a slot
+// naming a later entry is occupied but matches nothing.
 type overlay struct {
-	slots   []int32 // open addressing: overlay entry index + 1; 0 = empty
+	slots   []int32 // open addressing: overlay entry index + 1; 0 = empty; atomic
 	keys    []Value // touched values
-	rows    [][]int // merged live rows per touched value (ascending)
+	rows    []*hdrs // merged live rows per touched value (ascending), hdrChunk headers per chunk
 	baseEnt []int32 // base entry of the value, or -1 when new
 	extra   []int32 // overlay entries of values absent from base, in first-appearance order
 	rank    []int32 // per overlay entry: its index in extra (-1 for base values); keeps EntryOf O(1)
 	degrade uint64
 }
+
+// hdrChunk is how many row-list headers one copy-on-write chunk of an
+// overlay holds.
+const hdrChunk = 32
+
+type hdrs [hdrChunk][]int
+
+// rowsAt returns overlay entry e's live rows.
+func (o *overlay) rowsAt(e int) []int { return o.rows[e/hdrChunk][e%hdrChunk] }
 
 // hashValue fingerprints one attribute value for the slot tables.
 func hashValue(v Value, degrade uint64) uint64 {
@@ -168,37 +183,54 @@ func (o *overlay) lookup(v Value) int {
 	mask := uint64(len(o.slots) - 1)
 	h := hashValue(v, o.degrade)
 	for j := h & mask; ; j = (j + 1) & mask {
-		s := o.slots[j]
+		s := atomic.LoadInt32(&o.slots[j])
 		if s == 0 {
 			return -1
 		}
-		if o.keys[s-1] == v {
-			return int(s - 1)
+		if e := int(s - 1); e < len(o.keys) && o.keys[e] == v {
+			return e
 		}
 	}
 }
 
-// successor returns the overlay a catch-up of up to n mutations writes
-// into. It shares o's arrays that only grow (keys, baseEnt, extra, rank,
-// and row lists but for deletes, which copy theirs) and appends past o's
-// ends; it copies what is written in place: slots and row-list headers.
-// So o may have one successor (Relation.Index): a second would write
-// where readers of the first read.
-func (o *overlay) successor(n int) *overlay {
+// successor returns the overlay a catch-up writes into. It extends o in
+// place: it appends past o's ends of the arrays that only grow (keys,
+// baseEnt, extra, rank, and row lists but for deletes, which copy
+// theirs), and writes new entries into o's slot array with atomic stores
+// until it has to grow. What it rewrites o still reads — the row-list
+// headers of o's entries — it copies per chunk (header), so it copies
+// the chunk directory and the chunks it writes, not every header. So o
+// may have one successor (Relation.Index): a second would write where
+// readers of the first read.
+func (o *overlay) successor() *overlay {
 	if o == nil {
 		return &overlay{slots: make([]int32, minSlots)}
 	}
 	s := *o
-	s.slots = slices.Clone(o.slots)
-	s.rows = append(make([][]int, 0, len(o.rows)+n), o.rows...)
+	s.rows = slices.Clone(o.rows)
 	return &s
+}
+
+// header returns entry e's row-list header to write through: a chunk
+// shared with pred, the overlay this one succeeds, is copied first when
+// pred reads e.
+func (o *overlay) header(e int, pred *overlay) *[]int {
+	c := e / hdrChunk
+	if c == len(o.rows) {
+		o.rows = append(o.rows, new(hdrs))
+	}
+	if pred != nil && e < len(pred.keys) && o.rows[c] == pred.rows[c] {
+		cp := *o.rows[c]
+		o.rows[c] = &cp
+	}
+	return &o.rows[c][e%hdrChunk]
 }
 
 // ensure returns the overlay entry for v, creating it (initialized with
 // the base's row list for v — necessarily all live, since any earlier
 // deletion of a v-row would already have created the entry) when
-// absent.
-func (o *overlay) ensure(v Value, base *csr) int {
+// absent. pred is the overlay o succeeds.
+func (o *overlay) ensure(v Value, base *csr, pred *overlay) int {
 	if e := o.lookup(v); e >= 0 {
 		return e
 	}
@@ -209,21 +241,21 @@ func (o *overlay) ensure(v Value, base *csr) int {
 	o.keys = append(o.keys, v)
 	be, ok := base.entryOf(v)
 	if ok {
-		o.rows = append(o.rows, append([]int(nil), base.rows[base.starts[be]:base.starts[be+1]]...))
+		*o.header(e, pred) = append([]int(nil), base.rows[base.starts[be]:base.starts[be+1]]...)
 		o.baseEnt = append(o.baseEnt, int32(be))
 		o.rank = append(o.rank, -1)
 	} else {
-		o.rows = append(o.rows, nil)
+		*o.header(e, pred) = nil
 		o.baseEnt = append(o.baseEnt, -1)
 		o.rank = append(o.rank, int32(len(o.extra)))
 		o.extra = append(o.extra, int32(e))
 	}
 	mask := uint64(len(o.slots) - 1)
 	j := hashValue(v, o.degrade) & mask
-	for o.slots[j] != 0 {
+	for atomic.LoadInt32(&o.slots[j]) != 0 {
 		j = (j + 1) & mask
 	}
-	o.slots[j] = int32(e + 1)
+	atomic.StoreInt32(&o.slots[j], int32(e+1))
 	return e
 }
 
@@ -239,25 +271,33 @@ func (ix *Index) applyTail(s *snapshot, a int, tail []Mutation, version uint64) 
 	if existing+len(tail) > budget {
 		return nil
 	}
-	ov := ix.ov.successor(len(tail))
+	ov := ix.ov.successor()
 	ov.degrade = ix.base.degrade
 	col := s.cols[a]
+	// Appends only raise degrees, so the new max is the old one or a
+	// degree an append reached; a delete may lower the max, and then the
+	// max is computed again.
+	maxDeg, deleted := ix.maxDeg, false
 	for _, m := range tail {
+		e := ov.ensure(col[m.Row], ix.base, ix.ov) // a dead row keeps its values
+		h := ov.header(e, ix.ov)
 		switch m.Kind {
 		case MutAppend:
-			e := ov.ensure(col[m.Row], ix.base)
-			ov.rows[e] = append(ov.rows[e], m.Row)
+			*h = append(*h, m.Row)
+			maxDeg = max(maxDeg, len(*h))
 		case MutDelete:
-			e := ov.ensure(col[m.Row], ix.base) // a dead row keeps its values
 			// A delete shifts the list in place: never one ix still reads.
-			if e < existing && sameStart(ov.rows[e], ix.ov.rows[e]) {
-				ov.rows[e] = slices.Clone(ov.rows[e])
+			if e < existing && sameStart(*h, ix.ov.rowsAt(e)) {
+				*h = slices.Clone(*h)
 			}
-			ov.rows[e] = removeRow(ov.rows[e], m.Row)
+			*h = removeRow(*h, m.Row)
+			deleted = true
 		}
 	}
-	nx := &Index{base: ix.base, ov: ov, version: version}
-	nx.maxDeg = nx.computeMaxDeg()
+	nx := &Index{base: ix.base, ov: ov, maxDeg: maxDeg, version: version}
+	if deleted {
+		nx.maxDeg = nx.computeMaxDeg()
+	}
 	return nx
 }
 
@@ -289,10 +329,11 @@ func (ix *Index) computeMaxDeg() int {
 	max := 0
 	shrunkAttainer := false
 	for e := range ov.keys {
-		if d := len(ov.rows[e]); d > max {
+		d := len(ov.rowsAt(e))
+		if d > max {
 			max = d
 		}
-		if be := ov.baseEnt[e]; be >= 0 && ix.base.degreeAt(int(be)) == ix.base.maxDeg && len(ov.rows[e]) < ix.base.maxDeg {
+		if be := ov.baseEnt[e]; be >= 0 && ix.base.degreeAt(int(be)) == ix.base.maxDeg && d < ix.base.maxDeg {
 			shrunkAttainer = true
 		}
 	}
@@ -336,7 +377,7 @@ func (ix *Index) EntryOf(v Value) (int, bool) {
 func (ix *Index) Rows(v Value) []int {
 	if ix.ov != nil {
 		if e := ix.ov.lookup(v); e >= 0 {
-			return slices.Clip(ix.ov.rows[e])
+			return slices.Clip(ix.ov.rowsAt(e))
 		}
 	}
 	return ix.base.rowsOf(v)
@@ -346,7 +387,7 @@ func (ix *Index) Rows(v Value) []int {
 func (ix *Index) Degree(v Value) int {
 	if ix.ov != nil {
 		if e := ix.ov.lookup(v); e >= 0 {
-			return len(ix.ov.rows[e])
+			return len(ix.ov.rowsAt(e))
 		}
 	}
 	e, ok := ix.base.entryOf(v)
@@ -381,9 +422,9 @@ func (ix *Index) Distinct() int {
 	}
 	for e := range ix.ov.keys {
 		switch {
-		case ix.ov.baseEnt[e] >= 0 && len(ix.ov.rows[e]) == 0:
+		case ix.ov.baseEnt[e] >= 0 && len(ix.ov.rowsAt(e)) == 0:
 			n--
-		case ix.ov.baseEnt[e] < 0 && len(ix.ov.rows[e]) > 0:
+		case ix.ov.baseEnt[e] < 0 && len(ix.ov.rowsAt(e)) > 0:
 			n++
 		}
 	}
@@ -419,28 +460,28 @@ func (ix *Index) EachEntry(fn func(rows []int)) {
 	}
 	for e := range b.keys {
 		if touched != nil && touched[e>>6]&(1<<(uint(e)&63)) != 0 {
-			fn(slices.Clip(ov.rows[ov.lookup(b.keys[e])]))
+			fn(slices.Clip(ov.rowsAt(ov.lookup(b.keys[e]))))
 			continue
 		}
 		fn(b.rows[b.starts[e]:b.starts[e+1]])
 	}
 	if ov != nil {
 		for _, oe := range ov.extra {
-			fn(slices.Clip(ov.rows[oe]))
+			fn(slices.Clip(ov.rowsAt(int(oe))))
 		}
 	}
 }
 
 // Bytes returns the bytes the index's arrays hold: the CSR base and, under
-// an overlay, its directory, keys, entry maps and row lists (which may
-// share storage with an older generation's).
+// an overlay, its directory, keys, entry maps, row-list headers and row
+// lists (which may share storage with an older generation's).
 func (ix *Index) Bytes() int64 {
 	b := ix.base
 	n := 4*int64(len(b.slots)+len(b.starts)) + 8*int64(cap(b.keys)+len(b.rows))
 	if ov := ix.ov; ov != nil {
-		n += 4*int64(len(ov.slots)+cap(ov.baseEnt)+cap(ov.extra)+cap(ov.rank)) + 8*int64(cap(ov.keys)) + 24*int64(cap(ov.rows))
-		for _, rows := range ov.rows {
-			n += 8 * int64(cap(rows))
+		n += 4*int64(len(ov.slots)+cap(ov.baseEnt)+cap(ov.extra)+cap(ov.rank)) + 8*int64(cap(ov.keys)+cap(ov.rows)) + 24*hdrChunk*int64(len(ov.rows))
+		for e := range ov.keys {
+			n += 8 * int64(cap(ov.rowsAt(e)))
 		}
 	}
 	return n

@@ -45,6 +45,10 @@ type Relation struct {
 	// relation compare it to detect staleness.
 	version atomic.Uint64
 
+	// compactions counts the indexes a catch-up built again from the
+	// snapshot instead of extending their overlay.
+	compactions atomic.Uint64
+
 	// Mutation log, guarded by mu. logOn flips true when the first
 	// derived structure is built (bulk loading before that costs no log
 	// traffic); entries cover versions logStart+1 .. logStart+len(log).
@@ -546,6 +550,9 @@ func (r *Relation) Index(a int) *Index {
 	}
 	if next == nil {
 		next = buildIndex(s, a, v, r.testDegrade)
+		if prev != nil {
+			r.compactions.Add(1)
+		}
 	}
 	set := make([]*Index, r.schema.Len())
 	if old != nil {
@@ -555,6 +562,12 @@ func (r *Relation) Index(a int) *Index {
 	r.indexes.Store(&set)
 	return next
 }
+
+// IndexCompactions returns how many times an index of the relation was
+// brought up to date by building it again — its overlay outgrew its
+// budget, or the mutation log no longer reached back to it — rather than
+// by extending its overlay: the catch-ups that cost O(rows).
+func (r *Relation) IndexCompactions() uint64 { return r.compactions.Load() }
 
 // mutationsSinceLocked is MutationsSince for callers already holding
 // r.mu.

@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // View is one published snapshot of a relation's storage paired with the
 // version it reflects. Storage is monotone and tombstones are
@@ -72,8 +75,15 @@ func (v View) matches(row int, t Tuple, proj []int) bool {
 // fingerprint above the row id + 1 (0 = empty), and a probe that meets a
 // matching tag compares the row's values in the columns of the View it is
 // given. A row is a member while it is live in that View, so a delete
-// writes nothing here. Rows with equal values share a probe chain. A
-// built set is immutable and safe for concurrent probes.
+// writes nothing here. Rows with equal values share a probe chain.
+//
+// A set is extended rather than rebuilt (Extend): the successor inserts
+// the rows appended since into the slot array it shares with its
+// predecessor, with atomic stores, and copies the array only when it has
+// to grow. A probe reads slots with atomic loads and skips a slot whose
+// row id its View does not have yet, so every generation answers for its
+// own rows while its successors are built. A set may have one successor:
+// a second would insert where the first's readers probe.
 type RowSet struct {
 	slots   []uint64
 	n       int
@@ -99,16 +109,36 @@ func NewRowSet(v View, from int) *RowSet {
 		n = v.s.rows - from
 	}
 	s := &RowSet{slots: make([]uint64, setSlots(n)), degrade: v.degrade}
-	for i := from; i < v.s.rows; i++ {
-		if v.s.isLive(i) {
-			s.insert(v, i)
-		}
-	}
+	s.insertFrom(v, from)
 	return s
 }
 
-// Len returns the number of rows the set was built with, including any
-// that died since; 0 for a nil set.
+// Extend returns s's successor: s's rows and v's live rows whose ids are
+// from or more, where from is the row count of the view s was last built
+// or extended over (nil s: NewRowSet). It inserts in place while the
+// slot array stays three-quarters full at most, and otherwise moves
+// every row still live in v into an array of twice the slots. s keeps
+// answering as before: its probes skip the rows v added.
+func (s *RowSet) Extend(v View, from int) *RowSet {
+	if s == nil {
+		return NewRowSet(v, from)
+	}
+	next := *s
+	if (s.n+v.s.rows-from)*4 > len(s.slots)*3 {
+		next.slots = make([]uint64, max(2*len(s.slots), setSlots(s.n+v.s.rows-from)))
+		next.n = 0
+		for _, sl := range s.slots {
+			if i := int(uint32(sl)) - 1; sl != 0 && v.s.isLive(i) {
+				next.insert(v, i)
+			}
+		}
+	}
+	next.insertFrom(v, from)
+	return &next
+}
+
+// Len returns the number of rows the set holds, including any that died
+// since they were inserted; 0 for a nil set.
 func (s *RowSet) Len() int {
 	if s == nil {
 		return 0
@@ -131,6 +161,15 @@ func (s *RowSet) fingerprint(h uint64) uint64 {
 	return h
 }
 
+// insertFrom inserts v's live rows whose ids are from or more.
+func (s *RowSet) insertFrom(v View, from int) {
+	for i := from; i < v.s.rows; i++ {
+		if v.s.isLive(i) {
+			s.insert(v, i)
+		}
+	}
+}
+
 // insert places row i of v; the slot array has room for it.
 func (s *RowSet) insert(v View, i int) {
 	if uint64(i)+1 >= 1<<rowIDBits {
@@ -139,27 +178,28 @@ func (s *RowSet) insert(v View, i int) {
 	h := s.fingerprint(keyHasher{}.hashRow(v.s.cols, i, nil))
 	mask := uint64(len(s.slots) - 1)
 	j := h & mask
-	for s.slots[j] != 0 {
+	for atomic.LoadUint64(&s.slots[j]) != 0 {
 		j = (j + 1) & mask
 	}
-	s.slots[j] = h>>rowIDBits<<rowIDBits | uint64(i+1)
+	atomic.StoreUint64(&s.slots[j], h>>rowIDBits<<rowIDBits|uint64(i+1))
 	s.n++
 }
 
 // scan counts the rows live in v whose values equal the projection of t
 // (proj nil = identity; len(proj) must equal the relation's arity),
-// stopping at the first when first is set. It allocates nothing.
+// stopping at the first when first is set. A slot holding a row v does
+// not have is occupied but matches nothing. It allocates nothing.
 func (s *RowSet) scan(v View, t Tuple, proj []int, first bool) int {
 	h := s.fingerprint(keyHasher{}.hashProj(t, proj))
 	tag := h >> rowIDBits
 	mask := uint64(len(s.slots) - 1)
 	c := 0
 	for j := h & mask; ; j = (j + 1) & mask {
-		sl := s.slots[j]
+		sl := atomic.LoadUint64(&s.slots[j])
 		if sl == 0 {
 			return c
 		}
-		if sl>>rowIDBits == tag && v.matches(int(uint32(sl))-1, t, proj) {
+		if row := int(uint32(sl)) - 1; sl>>rowIDBits == tag && row < v.s.rows && v.matches(row, t, proj) {
 			if c++; first {
 				return c
 			}

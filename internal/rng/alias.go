@@ -37,8 +37,10 @@ func NewAliasCum(cum []int64) *Alias {
 
 // build turns non-negative weights into the table, in place: prob is
 // scaled to mean 1 and becomes the table's acceptance column. The small
-// and large worklists are the two ends of one slice (an index is on at
-// most one of them), popped and pushed in Walker's stack order.
+// and large worklists are stacks linked through the alias column — an
+// index is on at most one of them, and its alias is written only once it
+// has left both — popped and pushed in Walker's stack order. So a table
+// allocates its two columns and nothing else.
 func build(prob []float64) *Alias {
 	n := len(prob)
 	total := 0.0
@@ -49,40 +51,32 @@ func build(prob []float64) *Alias {
 		return nil
 	}
 	a := &Alias{prob: prob, alias: make([]int32, n)}
-	work := make([]int32, n)
-	small, large := 0, n // small is work[:small], large is work[large:], tops inward
+	next := a.alias // next[i]: the index below i on its stack, or -1
+	small, large := int32(-1), int32(-1)
+	push := func(i int32) {
+		if prob[i] < 1 {
+			next[i], small = small, i
+		} else {
+			next[i], large = large, i
+		}
+	}
 	for i, w := range prob {
 		prob[i] = w * float64(n) / total
-		if prob[i] < 1 {
-			work[small] = int32(i)
-			small++
-		} else {
-			large--
-			work[large] = int32(i)
-		}
+		push(int32(i))
 	}
-	for small > 0 && large < n {
-		small--
-		s := work[small]
-		l := work[large]
-		large++
+	for small >= 0 && large >= 0 {
+		s, l := small, large
+		small, large = next[s], next[l]
 		a.alias[s] = l
 		prob[l] -= 1 - prob[s]
-		if prob[l] < 1 {
-			work[small] = l
-			small++
-		} else {
-			large--
-			work[large] = l
+		push(l)
+	}
+	for _, top := range []int32{small, large} {
+		for i := top; i >= 0; {
+			below := next[i]
+			prob[i], a.alias[i] = 1, i
+			i = below
 		}
-	}
-	for _, i := range work[:small] {
-		prob[i] = 1
-		a.alias[i] = i
-	}
-	for _, i := range work[large:] {
-		prob[i] = 1
-		a.alias[i] = i
 	}
 	return a
 }

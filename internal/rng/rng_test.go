@@ -139,6 +139,21 @@ func TestAliasDegenerate(t *testing.T) {
 	}
 }
 
+// TestAliasCumAllocatesItsColumns: an EW segment's alias table costs the
+// table and its two columns, whatever its length — Walker's worklists
+// are threaded through the alias column, not allocated beside it.
+func TestAliasCumAllocatesItsColumns(t *testing.T) {
+	for _, n := range []int{1, 40, 4096} {
+		cum := make([]int64, n)
+		for i := range cum {
+			cum[i] = int64(i*i%7 + i + 1)
+		}
+		if got := testing.AllocsPerRun(20, func() { NewAliasCum(cum) }); got != 3 {
+			t.Errorf("NewAliasCum over %d weights: %v allocations, want 3 (the table and its two columns)", n, got)
+		}
+	}
+}
+
 // TestUint64nBoundary is the regression test for the weighted-row index
 // derivation bug: the old float path int64(Float64()*float64(total))
 // rounds up to total when Float64 lands close enough to 1 — the product

@@ -282,3 +282,40 @@ func TestRefreshedReprobesAfterDeletes(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshedSharesUnmovedPools: when a dirty join gains no value a
+// clean join's walks hold, no owner moves, so each clean join's refreshed
+// estimate shares its predecessor's pool instead of copying it, and its
+// estimates are bit for bit those a copied pool gives.
+func TestRefreshedSharesUnmovedPools(t *testing.T) {
+	joins := threeWayJoins(t)
+	e, err := New(joins, Options{MaxWalks: 2000, TargetRel: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Warmup(rng.New(52))
+	joins[0].Nodes()[0].Rel.AppendValues(1000, 3000) // no other join holds 1000
+	r, _ := e.Refreshed([]bool{true, false, false})
+	for j := 1; j < 3; j++ {
+		was, now := e.ests[j], r.ests[j]
+		if len(now.samples) == 0 || &now.samples[0] != &was.samples[0] {
+			t.Errorf("join %d: the refreshed pool of %d walks is a copy, want the predecessor's", j, len(now.samples))
+		}
+		copied := was.clone()
+		copied.rederiveCover(j)
+		if math.Float64bits(now.Cover()) != math.Float64bits(copied.Cover()) ||
+			math.Float64bits(now.coverHalfWidth(1.645)) != math.Float64bits(copied.coverHalfWidth(1.645)) ||
+			math.Float64bits(now.Size()) != math.Float64bits(copied.Size()) {
+			t.Errorf("join %d: ĉ %v ± %v, |Ĵ| %v; from a copied pool %v ± %v, %v", j,
+				now.Cover(), now.coverHalfWidth(1.645), now.Size(), copied.Cover(), copied.coverHalfWidth(1.645), copied.Size())
+		}
+	}
+	// A walk retained after the refresh must not land in the shared pool.
+	before := len(e.ests[1].samples)
+	for i := 0; i < 50; i++ {
+		r.StepJoin(1, rng.New(int64(i)))
+	}
+	if len(e.ests[1].samples) != before || &r.ests[1].samples[0] == &e.ests[1].samples[0] {
+		t.Error("walks retained by the refreshed estimate reached the predecessor's pool")
+	}
+}

@@ -242,9 +242,17 @@ func (e *Estimator) JoinEstimates() []*JoinEstimate { return e.ests }
 // immutable and shared), and the stateless walker by reference; the walk
 // scratch stays behind, so two estimates never write one chunk.
 func (e *JoinEstimate) clone() *JoinEstimate {
+	c := e.share()
+	c.samples = append([]Sample(nil), e.samples...)
+	return c
+}
+
+// share is clone with the sample pool shared read-only: clipped, so the
+// copy's first retained walk moves it to storage of its own.
+func (e *JoinEstimate) share() *JoinEstimate {
 	c := *e
 	c.slab, c.rowOf = nil, nil
-	c.samples = append([]Sample(nil), e.samples...)
+	c.samples = slices.Clip(e.samples)
 	return &c
 }
 
@@ -300,15 +308,16 @@ func (e *Estimator) CopyEstimates(src *Estimator) {
 // walks — p(t) of a walk depends on the join's own relations only — but
 // a dirty join may have gained or lost those walks' tuples, so each
 // retained walk's owner is derived again (join.Owners.Reowned) and the
-// join's cover estimate afresh from the pool. It also reports how many
-// walks it probed again.
+// join's cover estimate afresh from the pool. The pool is shared with e's
+// until an owner moves, and copied then. It also reports how many walks
+// it probed again.
 func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 	c := e.shell()
 	for j, d := range dirty {
 		if d {
 			c.ests[j] = NewJoinEstimate(e.joins[j])
 		} else {
-			c.ests[j] = e.ests[j].clone()
+			c.ests[j] = e.ests[j].share()
 		}
 	}
 	if !slices.Contains(dirty, true) {
@@ -319,9 +328,16 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 		if dirty[j] || len(je.samples) == 0 {
 			continue
 		}
-		for i := range je.samples {
-			s := &je.samples[i]
-			s.Owner = c.owners.Reowned(j, s.Tuple, s.Owner, dirty)
+		shared := true
+		for i, s := range je.samples {
+			owner := c.owners.Reowned(j, s.Tuple, s.Owner, dirty)
+			if owner == s.Owner {
+				continue
+			}
+			if shared {
+				je.samples, shared = slices.Clone(je.samples), false
+			}
+			je.samples[i].Owner = owner
 		}
 		je.rederiveCover(j)
 		reprobed += len(je.samples)
