@@ -116,8 +116,7 @@ func patchBytes(t *testing.T, rows, age int) (bytes uint64, overlaid int) {
 	if p.Rebuilt || p.Folded[1] {
 		t.Fatalf("the measured patch rebuilt or folded (%+v)", p)
 	}
-	ents, _, _ := w.Nodes[1].Overlay()
-	return bytes, len(ents)
+	return bytes, len(w.Nodes[1].OverlayEntries())
 }
 
 // TestPatchBytesByAge reports what a 32-row weight patch allocates right

@@ -1,9 +1,6 @@
 package join
 
 import (
-	"slices"
-	"sync/atomic"
-
 	"sampleunion/internal/relation"
 )
 
@@ -109,30 +106,12 @@ func (j *Join) Count() int64 {
 // reached and keeps them beside the predecessor's flat arrays, which the
 // two generations then share. Segment and Total read through the
 // overlay; Off, Rows and Cum alone describe the table only when
-// Overlay() reports none.
+// OverlayEntries() reports none.
 type WeightTable struct {
 	Off  []int32
 	Rows []int32
 	Cum  []int64
 	ov   *segOverlay // nil = flat
-}
-
-// segOverlay holds the recomputed segments of a patched table: a
-// directory whose segment i belongs to entry ents[i] and replaces the
-// base's (entries the index gained since the base was packed have no
-// base segment at all, and are always here), over segment storage the
-// overlay shares with its predecessors. A patch appends the segments it
-// rewrote past the predecessor's ends of rows and cum and builds a new
-// directory; the segments it kept stay where they are. So an overlay
-// reads nothing past its own directory's bounds, and it may have one
-// successor that appends in place — the one that sets extended; any
-// other copies what it keeps into storage of its own.
-type segOverlay struct {
-	ents     []int32 // ascending
-	lo, hi   []int32 // segment i is rows[lo[i]:hi[i]], cum[lo[i]:hi[i]]
-	rows     []int32
-	cum      []int64
-	extended atomic.Bool
 }
 
 // Segment returns entry e's rows and their running weight sums. A flat
@@ -159,24 +138,13 @@ func (t *WeightTable) Total(e int) int64 {
 	return 0
 }
 
-// segment is Segment for a table carrying overlay o: the overlaid
-// segment when e has one, else the flat one.
-func (o *segOverlay) segment(t *WeightTable, e int) ([]int32, []int64) {
-	if i, ok := slices.BinarySearch(o.ents, int32(e)); ok {
-		return o.rows[o.lo[i]:o.hi[i]], o.cum[o.lo[i]:o.hi[i]]
-	}
-	lo, hi := t.Off[e], t.Off[e+1]
-	return t.Rows[lo:hi], t.Cum[lo:hi]
-}
-
-// Overlay returns the overlaid entries, ascending, and their segments'
-// bounds in the overlay's storage (segment i has hi[i]-lo[i] rows); all
-// nil for a flat table.
-func (t *WeightTable) Overlay() (ents, lo, hi []int32) {
+// OverlayEntries returns the overlaid entries, ascending: nil for a flat
+// table.
+func (t *WeightTable) OverlayEntries() []int32 {
 	if t.ov == nil {
-		return nil, nil, nil
+		return nil
 	}
-	return t.ov.ents, t.ov.lo, t.ov.hi
+	return t.ov.entries()
 }
 
 // add appends row r with weight w to the open segment; zero-weight

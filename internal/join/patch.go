@@ -211,36 +211,13 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 		fresh.off = append(fresh.off, int32(len(fresh.rows)))
 	}
 	old := cmp.Or(prev.ov, &segOverlay{})
-	// merged visits, ascending, every entry of the two overlays with the
-	// segment that stands for it: the fresh one where both have it.
-	merged := func(visit func(e int32, rows []int32, cum []int64)) {
-		for i, t := 0, 0; i < len(old.ents) || t < len(touched); {
-			if t == len(touched) || (i < len(old.ents) && old.ents[i] < touched[t]) {
-				visit(old.ents[i], old.rows[old.lo[i]:old.hi[i]], old.cum[old.lo[i]:old.hi[i]])
-				i++
-				continue
-			}
-			if i < len(old.ents) && old.ents[i] == touched[t] {
-				i++
-			}
-			visit(touched[t], fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]])
-			t++
-		}
-	}
-	ents, rows, replaced := 0, 0, 0
-	merged(func(e int32, seg []int32, _ []int64) {
-		ents++
-		rows += len(seg)
-		if int(e)+1 < len(prev.Off) {
-			replaced += int(prev.Off[e+1] - prev.Off[e])
-		}
-	})
+	ents, rows := old.measure(touched, fresh)
 	if ents+rows <= max(64, (len(prev.Off)+len(prev.Rows))/8) {
 		var ov *segOverlay
 		if fresh == scratch {
 			ov = old.extend(touched, fresh, ents, rows)
 		} else { // every entry was rewritten: the fresh segments are the overlay
-			ov = &segOverlay{ents: touched, lo: fresh.off[:len(touched)], hi: fresh.off[1:], rows: fresh.rows, cum: fresh.cum}
+			ov = overlayOf(touched, fresh)
 		}
 		return WeightTable{Off: prev.Off, Rows: prev.Rows, Cum: prev.Cum, ov: ov}, touched, false
 	}
@@ -248,6 +225,31 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 		// Every entry was rewritten: the fresh segments are the table.
 		return WeightTable{Off: fresh.off, Rows: fresh.rows, Cum: fresh.cum}, touched, true
 	}
+	// merged visits, ascending, every entry of the old overlay and the
+	// fresh segments with the segment that stands for it: the fresh one
+	// where both have it.
+	live := old.liveRecs()
+	merged := func(visit func(e int32, rows []int32, cum []int64)) {
+		for i, t := 0, 0; i < len(live) || t < len(touched); {
+			if t == len(touched) || (i < len(live) && live[i].ent < touched[t]) {
+				rc := live[i]
+				visit(rc.ent, old.rows[rc.lo:rc.hi], old.cum[rc.lo:rc.hi])
+				i++
+				continue
+			}
+			if i < len(live) && live[i].ent == touched[t] {
+				i++
+			}
+			visit(touched[t], fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]])
+			t++
+		}
+	}
+	replaced := 0
+	merged(func(e int32, _ []int32, _ []int64) {
+		if int(e)+1 < len(prev.Off) {
+			replaced += int(prev.Off[e+1] - prev.Off[e])
+		}
+	})
 	t := WeightTable{
 		Off:  make([]int32, 1, entries+1),
 		Rows: make([]int32, 0, len(prev.Rows)-replaced+rows),
@@ -270,47 +272,6 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	})
 	flat(entries)
 	return t, touched, true
-}
-
-// extend returns o's successor: a directory of ents entries and rows
-// rows over o's segments that touched (ascending) does not name and
-// fresh's, segment t for entry touched[t]. When o grants its one
-// in-place successor and its storage has room, fresh's segments are
-// appended past o's ends and the kept segments stay where they are;
-// otherwise the kept segments and fresh's are copied into new storage of
-// twice the rows, which leaves the rewritten ones behind.
-func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) *segOverlay {
-	n := &segOverlay{ents: make([]int32, 0, ents), lo: make([]int32, 0, ents), hi: make([]int32, 0, ents)}
-	inPlace := cap(o.rows)-len(o.rows) >= len(fresh.rows) && o.extended.CompareAndSwap(false, true)
-	if inPlace {
-		n.rows, n.cum = o.rows, o.cum
-	} else {
-		n.rows, n.cum = make([]int32, 0, 2*rows), make([]int64, 0, 2*rows)
-	}
-	put := func(e int32, seg []int32, cum []int64) {
-		n.ents = append(n.ents, e)
-		n.lo = append(n.lo, int32(len(n.rows)))
-		n.rows = append(n.rows, seg...)
-		n.cum = append(n.cum, cum...)
-		n.hi = append(n.hi, int32(len(n.rows)))
-	}
-	for i, t := 0, 0; i < len(o.ents) || t < len(touched); {
-		if t == len(touched) || (i < len(o.ents) && o.ents[i] < touched[t]) {
-			if inPlace {
-				n.ents, n.lo, n.hi = append(n.ents, o.ents[i]), append(n.lo, o.lo[i]), append(n.hi, o.hi[i])
-			} else {
-				put(o.ents[i], o.rows[o.lo[i]:o.hi[i]], o.cum[o.lo[i]:o.hi[i]])
-			}
-			i++
-			continue
-		}
-		if i < len(o.ents) && o.ents[i] == touched[t] {
-			i++
-		}
-		put(touched[t], fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]])
-		t++
-	}
-	return n
 }
 
 // appendSegment rewrites the segment of the entry hits name (they share

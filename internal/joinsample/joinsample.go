@@ -112,30 +112,62 @@ type aliasSlots struct {
 	slot []atomic.Pointer[rng.Alias]
 }
 
-// newAliasSlots reserves a slot for every non-empty segment reaching
-// aliasMin, segment i holding hi[i]-lo[i] rows: two scans of the bounds,
-// so both slices are sized exactly. Segment i belongs to entry ids[i], or
-// to entry i when ids is nil (a flat table).
-func newAliasSlots(lo, hi, ids []int32, aliasMin int) *aliasSlots {
-	reaches := func(i int) bool {
-		n := int(hi[i] - lo[i])
-		return n > 0 && n >= aliasMin
-	}
+// reaches reports whether a segment of n rows draws through an alias
+// table.
+func reaches(n, aliasMin int) bool { return n > 0 && n >= aliasMin }
+
+// flatAliasSlots reserves a slot for every flat segment of t reaching
+// aliasMin: two scans of the offsets, so both slices are sized exactly.
+func flatAliasSlots(t *join.WeightTable, aliasMin int) *aliasSlots {
 	n := 0
-	for i := range lo {
-		if reaches(i) {
+	for e := 0; e+1 < len(t.Off); e++ {
+		if reaches(int(t.Off[e+1]-t.Off[e]), aliasMin) {
 			n++
 		}
 	}
 	a := &aliasSlots{ents: make([]int32, 0, n), slot: make([]atomic.Pointer[rng.Alias], n)}
-	for i := 0; len(a.ents) < n; i++ {
-		if reaches(i) {
-			ent := int32(i)
-			if ids != nil {
-				ent = ids[i]
-			}
-			a.ents = append(a.ents, ent)
+	for e := 0; len(a.ents) < n; e++ {
+		if reaches(int(t.Off[e+1]-t.Off[e]), aliasMin) {
+			a.ents = append(a.ents, int32(e))
 		}
+	}
+	return a
+}
+
+// overlaySlots returns the slots of t's overlaid segments when t is a
+// patch of a table whose overlaid segments had slots was: was's slots
+// of the entries touched (ascending) does not name, with their tables,
+// and a new slot for each touched entry whose rewritten segment reaches
+// aliasMin. A nil was reserves a slot for every overlaid segment
+// reaching aliasMin.
+func overlaySlots(t *join.WeightTable, was *aliasSlots, touched []int32, aliasMin int) *aliasSlots {
+	if was == nil {
+		was, touched = &aliasSlots{}, t.OverlayEntries()
+	}
+	fresh := make([]int32, 0, len(touched))
+	for _, e := range touched {
+		if rows, _ := t.Segment(int(e)); reaches(len(rows), aliasMin) {
+			fresh = append(fresh, e)
+		}
+	}
+	n := len(fresh)
+	for _, e := range was.ents {
+		if _, hit := slices.BinarySearch(touched, e); !hit {
+			n++
+		}
+	}
+	a := &aliasSlots{ents: make([]int32, 0, n), slot: make([]atomic.Pointer[rng.Alias], n)}
+	for i, f := 0, 0; i < len(was.ents) || f < len(fresh); {
+		if f == len(fresh) || (i < len(was.ents) && was.ents[i] < fresh[f]) {
+			if _, hit := slices.BinarySearch(touched, was.ents[i]); !hit {
+				a.slot[len(a.ents)].Store(was.slot[i].Load())
+				a.ents = append(a.ents, was.ents[i])
+			}
+			i++
+			continue
+		}
+		a.ents = append(a.ents, fresh[f])
+		f++
 	}
 	return a
 }
@@ -156,13 +188,7 @@ type nodeAlias struct {
 }
 
 func newNodeAlias(t *join.WeightTable, aliasMin int) nodeAlias {
-	ents, lo, hi := t.Overlay()
-	return nodeAlias{flat: flatAliasSlots(t, aliasMin), ov: newAliasSlots(lo, hi, ents, aliasMin)}
-}
-
-// flatAliasSlots reserves the slots of t's flat segments.
-func flatAliasSlots(t *join.WeightTable, aliasMin int) *aliasSlots {
-	return newAliasSlots(t.Off[:len(t.Off)-1], t.Off[1:], nil, aliasMin)
+	return nodeAlias{flat: flatAliasSlots(t, aliasMin), ov: overlaySlots(t, nil, nil, aliasMin)}
 }
 
 // find returns the slot of the segment WeightTable.Segment serves for
@@ -264,14 +290,13 @@ func NewEWFrom(j *join.Join, aliasMin int, prev *EW) *EW {
 			e.alias[k] = *was // the predecessor's table, untouched
 			continue
 		}
-		ents, lo, hi := t.Overlay()
-		a := nodeAlias{flat: was.flat, ov: newAliasSlots(lo, hi, ents, aliasMin)}
-		a.ov.carry(was, patch.Touched[k])
 		if patch.Folded[k] {
-			a.flat = flatAliasSlots(t, aliasMin)
+			a := nodeAlias{flat: flatAliasSlots(t, aliasMin), ov: &aliasSlots{}}
 			a.flat.carry(was, patch.Touched[k])
+			e.alias[k] = a
+			continue
 		}
-		e.alias[k] = a
+		e.alias[k] = nodeAlias{flat: was.flat, ov: overlaySlots(t, was.ov, patch.Touched[k], aliasMin)}
 	}
 	return e
 }
