@@ -1,7 +1,11 @@
 package join
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"sampleunion/internal/relation"
@@ -137,4 +141,91 @@ func TestPatchBytesByAge(t *testing.T) {
 		aged = least(aged, b)
 	}
 	t.Logf("32-row patch: %d B at age 0, %d B over an overlay of %d segments (%.2fx)", fresh, aged, ents, float64(aged)/float64(fresh))
+}
+
+// weightDump is every segment of every node of w, copied.
+func weightDump(w *Weights) [][]string {
+	out := make([][]string, len(w.Nodes))
+	for k := range w.Nodes {
+		entries := 1
+		if k > 0 {
+			entries = w.Idx[k].NumEntries()
+		}
+		for e := 0; e < entries; e++ {
+			rows, cum := w.Nodes[k].Segment(e)
+			out[k] = append(out[k], fmt.Sprint(rows, cum, w.Nodes[k].Total(e)))
+		}
+	}
+	return out
+}
+
+// TestWeightGenerationsUnderPatch: readers keep probing one weight-table
+// generation, against the segments it was published with, while its next
+// eight generations are patched from it, each from the one before. Each
+// of those gets a sibling too — patched from the same predecessor after
+// one more mutation — which must equal a cold build and must leave the
+// first successor as it was (run under -race: a patch that writes where
+// an older generation reads, or two successors extending one overlay in
+// place, is a race or a mismatch).
+func TestWeightGenerationsUnderPatch(t *testing.T) {
+	c := newAgedChain(t, 4096)
+	rnd := rand.New(rand.NewSource(9))
+	mutate := func() {
+		switch rnd.Intn(4) {
+		case 0: // rows on values no burst touched before
+			c.burst()
+		case 1:
+			c.b.Delete(rnd.Intn(c.b.Len()))
+		default: // rows on existing values: their segments grow
+			for i := 0; i < 8; i++ {
+				c.b.AppendValues(relation.Value(rnd.Intn(c.rows/8)), relation.Value(c.rows+rnd.Intn(1<<20)))
+			}
+		}
+	}
+	w := c.j.ExactWeights()
+	overlaid := 0
+	for round := 0; round < 12; round++ {
+		pinned, want := w, weightDump(w)
+		done := make(chan struct{})
+		var readers sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if got := weightDump(pinned); !reflect.DeepEqual(got, want) {
+						t.Errorf("round %d: a generation's segments changed while its successors were patched", round)
+						return
+					}
+				}
+			}()
+		}
+		for g := 0; g < 8; g++ {
+			mutate()
+			first, _ := c.j.PatchWeights(w)
+			firstWant := weightDump(first)
+			mutate()
+			sibling, _ := c.j.PatchWeights(w)
+			if !reflect.DeepEqual(weightDump(sibling), weightDump(c.j.ExactWeights())) {
+				t.Fatalf("round %d generation %d: the second successor of one generation differs from a cold build", round, g)
+			}
+			if !reflect.DeepEqual(weightDump(first), firstWant) {
+				t.Fatalf("round %d generation %d: the second successor of one generation rewrote the first", round, g)
+			}
+			if len(sibling.Nodes[1].OverlayEntries()) > 0 {
+				overlaid++
+			}
+			w = sibling
+		}
+		close(done)
+		readers.Wait()
+	}
+	if overlaid < 48 {
+		t.Errorf("only %d of 96 generations carried an overlay: the script no longer exercises in-place extension", overlaid)
+	}
 }

@@ -252,7 +252,7 @@ const (
 	opEmpty           // every row of one join value
 	opBurst           // 200 rows: past the index's overlay budget, so it compacts
 	opPatch           // patch the samplers and check them
-	opPatch2          //
+	opPatch2          // patch a sibling of the next patch from the same samplers, check and keep it
 	opNewValue        // rows under a value no index has seen
 	opKinds
 )
@@ -290,6 +290,16 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 			kept = append(kept, generation{state, chain[i], tableDump(chain[i])})
 		}
 	}
+	// A sibling is a successor the chain does not continue from: the next
+	// patch is a second successor of the same sampler, which must neither
+	// extend its overlay where the sibling did nor disturb the sibling.
+	sibling := func(step int) {
+		for i, aliasMin := range thresholds {
+			state := fmt.Sprintf("seed %d step %d aliasMin %d sibling", seed, step, aliasMin)
+			sib := checkPatched(t, state, j, aliasMin, chain[i])
+			kept = append(kept, generation{state, sib, tableDump(sib)})
+		}
+	}
 	for step, b := range script {
 		rel := rels[int(b&7)%len(rels)]
 		switch int(b>>3) % opKinds {
@@ -314,6 +324,8 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 			}
 			fresh++
 			rel.AppendRows([]relation.Tuple{row, row.Clone()})
+		case opPatch2:
+			sibling(step)
 		default:
 			patch(step)
 		}
