@@ -120,7 +120,7 @@ func patchBytes(t *testing.T, rows, age int) (bytes uint64, overlaid int) {
 	if p.Rebuilt || p.Folded[1] {
 		t.Fatalf("the measured patch rebuilt or folded (%+v)", p)
 	}
-	return bytes, len(w.Nodes[1].OverlayEntries())
+	return bytes, w.Nodes[1].ov.ents
 }
 
 // TestPatchBytesByAge reports what a 32-row weight patch allocates right
@@ -217,7 +217,7 @@ func TestWeightGenerationsUnderPatch(t *testing.T) {
 			if !reflect.DeepEqual(weightDump(first), firstWant) {
 				t.Fatalf("round %d generation %d: the second successor of one generation rewrote the first", round, g)
 			}
-			if len(sibling.Nodes[1].OverlayEntries()) > 0 {
+			if sibling.Nodes[1].ov != nil {
 				overlaid++
 			}
 			w = sibling

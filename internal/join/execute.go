@@ -105,8 +105,8 @@ func (j *Join) Count() int64 {
 // optional overlay: PatchWeights recomputes only the segments a mutation
 // reached and keeps them beside the predecessor's flat arrays, which the
 // two generations then share. Segment and Total read through the
-// overlay; Off, Rows and Cum alone describe the table only when
-// OverlayEntries() reports none.
+// overlay; Off, Rows and Cum alone describe the table only when it
+// carries none.
 type WeightTable struct {
 	Off  []int32
 	Rows []int32
@@ -136,15 +136,6 @@ func (t *WeightTable) Total(e int) int64 {
 		return t.Cum[hi-1]
 	}
 	return 0
-}
-
-// OverlayEntries returns the overlaid entries, ascending: nil for a flat
-// table.
-func (t *WeightTable) OverlayEntries() []int32 {
-	if t.ov == nil {
-		return nil
-	}
-	return t.ov.entries()
 }
 
 // add appends row r with weight w to the open segment; zero-weight

@@ -21,8 +21,8 @@ import (
 // that needs more room than the storage has, copies the live segments
 // into storage of its own.
 type segOverlay struct {
-	slots    []int32  // open addressing on entry ids: record + 1, 0 = empty; atomic
-	recs     []segRec // one per segment written, oldest first
+	slots    []atomic.Int32 // open addressing on entry ids: record + 1, 0 = empty
+	recs     []segRec       // one per segment written, oldest first
 	rows     []int32
 	cum      []int64
 	ents     int // overlaid entries
@@ -45,7 +45,7 @@ func (o *segOverlay) find(e int) int {
 	}
 	mask := len(o.slots) - 1
 	for j := entSlot(e, mask); ; j = (j + 1) & mask {
-		s := int(atomic.LoadInt32(&o.slots[j]))
+		s := int(o.slots[j].Load())
 		if s == 0 {
 			return r
 		}
@@ -76,16 +76,6 @@ func (o *segOverlay) liveRecs() []segRec {
 	}
 	slices.SortFunc(live, func(a, b segRec) int { return cmp.Compare(a.ent, b.ent) })
 	return live
-}
-
-// entries returns o's overlaid entries, ascending.
-func (o *segOverlay) entries() []int32 {
-	live := o.liveRecs()
-	ents := make([]int32, len(live))
-	for i, rc := range live {
-		ents[i] = rc.ent
-	}
-	return ents
 }
 
 // measure returns the entries and rows o's successor overlays once
@@ -138,7 +128,7 @@ func (n *segOverlay) reserve(ents, rows int) {
 	for slots < 4*ents {
 		slots <<= 1
 	}
-	n.slots = make([]int32, slots)
+	n.slots = make([]atomic.Int32, slots)
 	n.recs = make([]segRec, 0, 2*ents)
 	n.rows, n.cum = make([]int32, 0, 2*rows), make([]int64, 0, 2*rows)
 }
@@ -155,10 +145,10 @@ func (n *segOverlay) file(rc segRec) {
 	n.recs = append(n.recs, rc)
 	mask := len(n.slots) - 1
 	j := entSlot(int(rc.ent), mask)
-	for atomic.LoadInt32(&n.slots[j]) != 0 {
+	for n.slots[j].Load() != 0 {
 		j = (j + 1) & mask
 	}
-	atomic.StoreInt32(&n.slots[j], int32(len(n.recs)))
+	n.slots[j].Store(int32(len(n.recs)))
 }
 
 // overlayOf returns an overlay whose storage is fresh's own arrays,

@@ -135,40 +135,25 @@ func flatAliasSlots(t *join.WeightTable, aliasMin int) *aliasSlots {
 }
 
 // overlaySlots returns the slots of t's overlaid segments when t is a
-// patch of a table whose overlaid segments had slots was: was's slots
-// of the entries touched (ascending) does not name, with their tables,
-// and a new slot for each touched entry whose rewritten segment reaches
-// aliasMin. A nil was reserves a slot for every overlaid segment
-// reaching aliasMin.
-func overlaySlots(t *join.WeightTable, was *aliasSlots, touched []int32, aliasMin int) *aliasSlots {
-	if was == nil {
-		was, touched = &aliasSlots{}, t.OverlayEntries()
+// patch of a table whose alias slots were was: was's overlay slots of
+// the entries touched (ascending) does not name, with their tables, and
+// a new slot for each touched entry whose rewritten segment reaches
+// aliasMin.
+func overlaySlots(t *join.WeightTable, was *nodeAlias, touched []int32, aliasMin int) *aliasSlots {
+	var ents []int32
+	for _, e := range was.ov.ents {
+		if _, hit := slices.BinarySearch(touched, e); !hit {
+			ents = append(ents, e)
+		}
 	}
-	fresh := make([]int32, 0, len(touched))
 	for _, e := range touched {
 		if rows, _ := t.Segment(int(e)); reaches(len(rows), aliasMin) {
-			fresh = append(fresh, e)
+			ents = append(ents, e)
 		}
 	}
-	n := len(fresh)
-	for _, e := range was.ents {
-		if _, hit := slices.BinarySearch(touched, e); !hit {
-			n++
-		}
-	}
-	a := &aliasSlots{ents: make([]int32, 0, n), slot: make([]atomic.Pointer[rng.Alias], n)}
-	for i, f := 0, 0; i < len(was.ents) || f < len(fresh); {
-		if f == len(fresh) || (i < len(was.ents) && was.ents[i] < fresh[f]) {
-			if _, hit := slices.BinarySearch(touched, was.ents[i]); !hit {
-				a.slot[len(a.ents)].Store(was.slot[i].Load())
-				a.ents = append(a.ents, was.ents[i])
-			}
-			i++
-			continue
-		}
-		a.ents = append(a.ents, fresh[f])
-		f++
-	}
+	slices.Sort(ents)
+	a := &aliasSlots{ents: ents, slot: make([]atomic.Pointer[rng.Alias], len(ents))}
+	a.carry(was, touched)
 	return a
 }
 
@@ -187,8 +172,9 @@ type nodeAlias struct {
 	flat, ov *aliasSlots
 }
 
+// newNodeAlias returns the slots of flat table t.
 func newNodeAlias(t *join.WeightTable, aliasMin int) nodeAlias {
-	return nodeAlias{flat: flatAliasSlots(t, aliasMin), ov: overlaySlots(t, nil, nil, aliasMin)}
+	return nodeAlias{flat: flatAliasSlots(t, aliasMin), ov: &aliasSlots{}}
 }
 
 // find returns the slot of the segment WeightTable.Segment serves for
@@ -252,8 +238,8 @@ type EW struct {
 
 	// aliasMin is the alias threshold captured at construction: the
 	// fan-out at which draws switch from prefix sums to alias tables.
-	// A successor patched from this sampler (NewEWFrom) keeps its alias
-	// tables only when built at the same threshold.
+	// A successor (NewEWFrom) patches from this sampler only when built
+	// at the same threshold.
 	aliasMin int
 }
 
@@ -267,21 +253,22 @@ func NewEW(j *join.Join) *EW { return NewEWAlias(j, DefaultAliasThreshold) }
 func NewEWAlias(j *join.Join, aliasMin int) *EW { return NewEWFrom(j, aliasMin, nil) }
 
 // NewEWFrom is NewEWAlias given the sampler the join drew from before
-// its relations last mutated (nil builds cold): the weights are patched
-// from prev's (join.PatchWeights) instead of recomputed, and untouched
-// segments keep the alias tables prev's draws already built. The draws
+// its relations last mutated (nil, or one at another threshold, builds
+// cold): the weights are patched from prev's (join.PatchWeights) instead
+// of recomputed, and untouched segments keep the alias tables prev's
+// draws already built. The draws
 // equal a cold build's, seed for seed: every segment holds the rows and
 // running sums a cold build computes.
 func NewEWFrom(j *join.Join, aliasMin int, prev *EW) *EW {
 	var from *join.Weights
-	if prev != nil && prev.j == j {
+	if prev != nil && prev.j == j && prev.aliasMin == aliasMin {
 		from = prev.w
 	}
 	w, patch := j.PatchWeights(from)
 	e := &EW{j: j, w: w, alias: make([]nodeAlias, len(w.Nodes)), patch: patch, aliasMin: aliasMin}
 	for k := range w.Nodes {
 		t := &w.Nodes[k]
-		if patch.Rebuilt || prev.aliasMin != aliasMin {
+		if patch.Rebuilt { // flat tables
 			e.alias[k] = newNodeAlias(t, aliasMin)
 			continue
 		}
@@ -290,13 +277,12 @@ func NewEWFrom(j *join.Join, aliasMin int, prev *EW) *EW {
 			e.alias[k] = *was // the predecessor's table, untouched
 			continue
 		}
-		if patch.Folded[k] {
-			a := nodeAlias{flat: flatAliasSlots(t, aliasMin), ov: &aliasSlots{}}
-			a.flat.carry(was, patch.Touched[k])
-			e.alias[k] = a
+		if patch.Folded[k] { // a flat table
+			e.alias[k] = newNodeAlias(t, aliasMin)
+			e.alias[k].flat.carry(was, patch.Touched[k])
 			continue
 		}
-		e.alias[k] = nodeAlias{flat: was.flat, ov: overlaySlots(t, was.ov, patch.Touched[k], aliasMin)}
+		e.alias[k] = nodeAlias{flat: was.flat, ov: overlaySlots(t, was, patch.Touched[k], aliasMin)}
 	}
 	return e
 }

@@ -39,12 +39,12 @@ type csr struct {
 // successor), so an overlay reads nothing past its own len(keys): a slot
 // naming a later entry is occupied but matches nothing.
 type overlay struct {
-	slots   []int32 // open addressing: overlay entry index + 1; 0 = empty; atomic
-	keys    []Value // touched values
-	rows    []*hdrs // merged live rows per touched value (ascending), hdrChunk headers per chunk
-	baseEnt []int32 // base entry of the value, or -1 when new
-	extra   []int32 // overlay entries of values absent from base, in first-appearance order
-	rank    []int32 // per overlay entry: its index in extra (-1 for base values); keeps EntryOf O(1)
+	slots   []atomic.Int32 // open addressing: overlay entry index + 1; 0 = empty
+	keys    []Value        // touched values
+	rows    []*hdrs        // merged live rows per touched value (ascending), hdrChunk headers per chunk
+	baseEnt []int32        // base entry of the value, or -1 when new
+	extra   []int32        // overlay entries of values absent from base, in first-appearance order
+	rank    []int32        // per overlay entry: its index in extra (-1 for base values); keeps EntryOf O(1)
 	degrade uint64
 }
 
@@ -183,7 +183,7 @@ func (o *overlay) lookup(v Value) int {
 	mask := uint64(len(o.slots) - 1)
 	h := hashValue(v, o.degrade)
 	for j := h & mask; ; j = (j + 1) & mask {
-		s := atomic.LoadInt32(&o.slots[j])
+		s := o.slots[j].Load()
 		if s == 0 {
 			return -1
 		}
@@ -204,7 +204,7 @@ func (o *overlay) lookup(v Value) int {
 // readers of the first read.
 func (o *overlay) successor() *overlay {
 	if o == nil {
-		return &overlay{slots: make([]int32, minSlots)}
+		return &overlay{slots: make([]atomic.Int32, minSlots)}
 	}
 	s := *o
 	s.rows = slices.Clone(o.rows)
@@ -235,9 +235,13 @@ func (o *overlay) ensure(v Value, base *csr, pred *overlay) int {
 		return e
 	}
 	if (len(o.keys)+1)*4 > len(o.slots)*3 {
-		o.slots = valueSlots(o.keys, max(len(o.slots)*2, minSlots), o.degrade)
+		o.slots = make([]atomic.Int32, len(o.slots)*2)
+		for e, v := range o.keys {
+			o.file(e, v)
+		}
 	}
 	e := len(o.keys)
+	o.file(e, v)
 	o.keys = append(o.keys, v)
 	be, ok := base.entryOf(v)
 	if ok {
@@ -250,13 +254,17 @@ func (o *overlay) ensure(v Value, base *csr, pred *overlay) int {
 		o.rank = append(o.rank, int32(len(o.extra)))
 		o.extra = append(o.extra, int32(e))
 	}
+	return e
+}
+
+// file stores entry e, holding v, in v's probe chain.
+func (o *overlay) file(e int, v Value) {
 	mask := uint64(len(o.slots) - 1)
 	j := hashValue(v, o.degrade) & mask
-	for atomic.LoadInt32(&o.slots[j]) != 0 {
+	for o.slots[j].Load() != 0 {
 		j = (j + 1) & mask
 	}
-	atomic.StoreInt32(&o.slots[j], int32(e+1))
-	return e
+	o.slots[j].Store(int32(e + 1))
 }
 
 // applyTail returns a new Index reflecting the mutation-log tail on top

@@ -85,7 +85,7 @@ func (v View) matches(row int, t Tuple, proj []int) bool {
 // own rows while its successors are built. A set may have one successor:
 // a second would insert where the first's readers probe.
 type RowSet struct {
-	slots   []uint64
+	slots   []atomic.Uint64
 	n       int
 	degrade uint64 // test-only: ANDed onto every fingerprint to force collisions
 }
@@ -108,7 +108,7 @@ func NewRowSet(v View, from int) *RowSet {
 	if from > 0 {
 		n = v.s.rows - from
 	}
-	s := &RowSet{slots: make([]uint64, setSlots(n)), degrade: v.degrade}
+	s := &RowSet{slots: make([]atomic.Uint64, setSlots(n)), degrade: v.degrade}
 	s.insertFrom(v, from)
 	return s
 }
@@ -125,11 +125,11 @@ func (s *RowSet) Extend(v View, from int) *RowSet {
 	}
 	next := *s
 	if (s.n+v.s.rows-from)*4 > len(s.slots)*3 {
-		next.slots = make([]uint64, max(2*len(s.slots), setSlots(s.n+v.s.rows-from)))
+		next.slots = make([]atomic.Uint64, max(2*len(s.slots), setSlots(s.n+v.s.rows-from)))
 		next.n = 0
-		for _, sl := range s.slots {
-			if i := int(uint32(sl)) - 1; sl != 0 && v.s.isLive(i) {
-				next.insert(v, i)
+		for j := range s.slots {
+			if sl := s.slots[j].Load(); sl != 0 && v.s.isLive(int(uint32(sl))-1) {
+				next.insert(v, int(uint32(sl))-1)
 			}
 		}
 	}
@@ -178,10 +178,10 @@ func (s *RowSet) insert(v View, i int) {
 	h := s.fingerprint(keyHasher{}.hashRow(v.s.cols, i, nil))
 	mask := uint64(len(s.slots) - 1)
 	j := h & mask
-	for atomic.LoadUint64(&s.slots[j]) != 0 {
+	for s.slots[j].Load() != 0 {
 		j = (j + 1) & mask
 	}
-	atomic.StoreUint64(&s.slots[j], h>>rowIDBits<<rowIDBits|uint64(i+1))
+	s.slots[j].Store(h>>rowIDBits<<rowIDBits | uint64(i+1))
 	s.n++
 }
 
@@ -195,7 +195,7 @@ func (s *RowSet) scan(v View, t Tuple, proj []int, first bool) int {
 	mask := uint64(len(s.slots) - 1)
 	c := 0
 	for j := h & mask; ; j = (j + 1) & mask {
-		sl := atomic.LoadUint64(&s.slots[j])
+		sl := s.slots[j].Load()
 		if sl == 0 {
 			return c
 		}
