@@ -33,7 +33,12 @@ type segOverlay struct {
 // segRec locates one segment: entry ent's rows are rows[lo:hi].
 type segRec struct{ ent, lo, hi int32 }
 
-func entSlot(e, mask int) int { return int(uint32(e)*0x9E3779B1) & mask }
+// entSlot is entry e's home slot: a multiplicative hash with its high
+// half folded down, so that strided entry ids still spread.
+func entSlot(e, mask int) int {
+	h := uint64(e) * 0x9E3779B97F4A7C15
+	return int(h^h>>32) & mask
+}
 
 // find returns the record of entry e's segment, or -1 when e is not
 // overlaid. A later record of the same entry sits further along the
