@@ -11,6 +11,7 @@ import (
 	"sampleunion/internal/relation"
 )
 
+// least is min for byte counts (the package's tests declare an int min).
 func least(a, b uint64) uint64 {
 	if a < b {
 		return a

@@ -85,7 +85,7 @@ func (v View) matches(row int, t Tuple, proj []int) bool {
 // own rows while its successors are built. A set may have one successor:
 // a second would insert where the first's readers probe.
 type RowSet struct {
-	slots   []atomic.Uint64
+	slots   []uint64 // atomic where a predecessor's readers may probe
 	n       int
 	degrade uint64 // test-only: ANDed onto every fingerprint to force collisions
 }
@@ -108,8 +108,8 @@ func NewRowSet(v View, from int) *RowSet {
 	if from > 0 {
 		n = v.s.rows - from
 	}
-	s := &RowSet{slots: make([]atomic.Uint64, setSlots(n)), degrade: v.degrade}
-	s.insertFrom(v, from)
+	s := &RowSet{slots: make([]uint64, setSlots(n)), degrade: v.degrade}
+	s.insertFrom(v, from, false)
 	return s
 }
 
@@ -123,17 +123,16 @@ func (s *RowSet) Extend(v View, from int) *RowSet {
 	if s == nil {
 		return NewRowSet(v, from)
 	}
-	next := *s
+	next, shared := *s, true
 	if (s.n+v.s.rows-from)*4 > len(s.slots)*3 {
-		next.slots = make([]atomic.Uint64, max(2*len(s.slots), setSlots(s.n+v.s.rows-from)))
-		next.n = 0
-		for j := range s.slots {
-			if sl := s.slots[j].Load(); sl != 0 && v.s.isLive(int(uint32(sl))-1) {
-				next.insert(v, int(uint32(sl))-1)
+		next.slots, next.n, shared = make([]uint64, max(2*len(s.slots), setSlots(s.n+v.s.rows-from))), 0, false
+		for _, sl := range s.slots {
+			if i := int(uint32(sl)) - 1; sl != 0 && v.s.isLive(i) {
+				next.insert(v, i, false)
 			}
 		}
 	}
-	next.insertFrom(v, from)
+	next.insertFrom(v, from, shared)
 	return &next
 }
 
@@ -162,26 +161,32 @@ func (s *RowSet) fingerprint(h uint64) uint64 {
 }
 
 // insertFrom inserts v's live rows whose ids are from or more.
-func (s *RowSet) insertFrom(v View, from int) {
+func (s *RowSet) insertFrom(v View, from int, shared bool) {
 	for i := from; i < v.s.rows; i++ {
 		if v.s.isLive(i) {
-			s.insert(v, i)
+			s.insert(v, i, shared)
 		}
 	}
 }
 
-// insert places row i of v; the slot array has room for it.
-func (s *RowSet) insert(v View, i int) {
+// insert places row i of v; the slot array has room for it. A slot of
+// an array shared with a predecessor is stored atomically; an array no
+// reader holds yet is published later, by whoever publishes the set.
+func (s *RowSet) insert(v View, i int, shared bool) {
 	if uint64(i)+1 >= 1<<rowIDBits {
 		panic(fmt.Sprintf("relation: row id %d does not fit a row set slot", i))
 	}
 	h := s.fingerprint(keyHasher{}.hashRow(v.s.cols, i, nil))
 	mask := uint64(len(s.slots) - 1)
 	j := h & mask
-	for s.slots[j].Load() != 0 {
+	for atomic.LoadUint64(&s.slots[j]) != 0 {
 		j = (j + 1) & mask
 	}
-	s.slots[j].Store(h>>rowIDBits<<rowIDBits | uint64(i+1))
+	if sl := h>>rowIDBits<<rowIDBits | uint64(i+1); shared {
+		atomic.StoreUint64(&s.slots[j], sl)
+	} else {
+		s.slots[j] = sl
+	}
 	s.n++
 }
 
@@ -195,7 +200,7 @@ func (s *RowSet) scan(v View, t Tuple, proj []int, first bool) int {
 	mask := uint64(len(s.slots) - 1)
 	c := 0
 	for j := h & mask; ; j = (j + 1) & mask {
-		sl := s.slots[j].Load()
+		sl := atomic.LoadUint64(&s.slots[j])
 		if sl == 0 {
 			return c
 		}
