@@ -8,8 +8,8 @@ import (
 func TestApproxCount(t *testing.T) {
 	u := demoUnion(t)
 	// Truth: customers 0..44, 2 orders each; custkey < 15 → 30 tuples.
-	res, err := u.ApproxCount(Cmp{Attr: "custkey", Op: LT, Val: 15}, 20000,
-		Options{Warmup: WarmupExact, Method: MethodEW, Seed: 40})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 40})
+	res, err := s.ApproxCount(Cmp{Attr: "custkey", Op: LT, Val: 15}, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,8 @@ func TestApproxSum(t *testing.T) {
 	for k := 0; k < 45; k++ {
 		truth += float64(2 * k)
 	}
-	res, err := u.ApproxSum("custkey", True{}, 20000,
-		Options{Warmup: WarmupExact, Method: MethodEW, Seed: 41})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 41})
+	res, err := s.ApproxSum("custkey", True{}, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func TestApproxSum(t *testing.T) {
 
 func TestApproxAvg(t *testing.T) {
 	u := demoUnion(t)
-	res, err := u.ApproxAvg("custkey", True{}, 20000,
-		Options{Warmup: WarmupExact, Method: MethodEW, Seed: 42})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 42})
+	res, err := s.ApproxAvg("custkey", True{}, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +50,8 @@ func TestApproxAvg(t *testing.T) {
 
 func TestApproxWithRandomWalkWarmup(t *testing.T) {
 	u := demoUnion(t)
-	res, err := u.ApproxCount(True{}, 5000,
-		Options{Warmup: WarmupRandomWalk, WarmupWalks: 2000, Seed: 43})
+	s := prepared(t, u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 2000, Seed: 43})
+	res, err := s.ApproxCount(True{}, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +63,8 @@ func TestApproxWithRandomWalkWarmup(t *testing.T) {
 
 func TestApproxGroupCount(t *testing.T) {
 	u := demoUnion(t)
-	groups, err := u.ApproxGroupCount("nationkey", 20000,
-		Options{Warmup: WarmupExact, Method: MethodEW, Seed: 45})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 45})
+	groups, err := s.ApproxGroupCount("nationkey", 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,8 @@ func TestApproxGroupCount(t *testing.T) {
 
 func TestApproxOnline(t *testing.T) {
 	u := demoUnion(t)
-	res, err := u.ApproxCount(True{}, 3000, Options{Online: true, WarmupWalks: 500, Seed: 44})
+	s := prepared(t, u, Options{Online: true, WarmupWalks: 500, Seed: 44})
+	res, err := s.ApproxCount(True{}, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}

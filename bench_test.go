@@ -15,9 +15,10 @@ import (
 // Algorithm 1 (exact parameters, EW subroutine) on a small union — the
 // per-sample cost a library user sees.
 func BenchmarkUnionSample(b *testing.B) {
-	u := benchUnion(b)
+	s := prepared(b, benchUnion(b), Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
 	b.ReportAllocs()
-	out, _, err := u.Sample(b.N+1, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
+	b.ResetTimer()
+	out, _, err := s.Sample(b.N + 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,9 +29,10 @@ func BenchmarkUnionSample(b *testing.B) {
 
 // BenchmarkDisjointSample measures disjoint-union sampling throughput.
 func BenchmarkDisjointSample(b *testing.B) {
-	u := benchUnion(b)
+	s := prepared(b, benchUnion(b), Options{Method: MethodEW, Seed: 1})
 	b.ReportAllocs()
-	out, _, err := u.SampleDisjoint(b.N+1, Options{Method: MethodEW, Seed: 1})
+	b.ResetTimer()
+	out, _, err := s.SampleDisjoint(b.N + 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,8 +41,8 @@ func BenchmarkDisjointSample(b *testing.B) {
 	}
 }
 
-// BenchmarkColdSample measures the pre-session shape: every query pays
-// the full warm-up (here random-walk estimation) before drawing its
+// BenchmarkColdSample measures the prepare-per-query shape: every query
+// pays the full warm-up (here random-walk estimation) before drawing its
 // samples. Compare with BenchmarkPreparedReuse.
 func BenchmarkColdSample(b *testing.B) {
 	u := benchUnion(b)
@@ -48,7 +50,11 @@ func BenchmarkColdSample(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := u.Sample(100, o)
+		s, err := u.Prepare(o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, _, err := s.Sample(100)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -349,7 +355,7 @@ func BenchmarkDrawPath(b *testing.B) {
 func BenchmarkMembershipProbe(b *testing.B) {
 	u := benchUnion(b)
 	j := u.Joins()[0]
-	hit, _, err := u.Sample(1, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
+	hit, _, err := prepared(b, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1}).Sample(1)
 	if err != nil {
 		b.Fatal(err)
 	}

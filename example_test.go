@@ -7,7 +7,8 @@ import (
 )
 
 // Example demonstrates the minimal flow: build two joins over
-// normalized tables, union them, and draw uniform samples.
+// normalized tables, union them, prepare a session, and draw uniform
+// samples from it.
 func Example() {
 	build := func(region string, lo, hi int) *sampleunion.Join {
 		cust := sampleunion.NewRelation("cust_"+region,
@@ -37,10 +38,14 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	tuples, _, err := u.Sample(5, sampleunion.Options{
+	s, err := u.Prepare(sampleunion.Options{
 		Warmup: sampleunion.WarmupExact, // exact parameters: exactly uniform
 		Seed:   1,
 	})
+	if err != nil {
+		panic(err)
+	}
+	tuples, _, err := s.Sample(5)
 	if err != nil {
 		panic(err)
 	}
@@ -53,9 +58,9 @@ func Example() {
 	// schema: (custkey, segment, orderkey)
 }
 
-// ExampleUnion_ApproxCount answers an aggregate over the union from a
+// ExampleSession_ApproxCount answers an aggregate over the union from a
 // sample instead of executing the joins.
-func ExampleUnion_ApproxCount() {
+func ExampleSession_ApproxCount() {
 	items := sampleunion.NewRelation("items", sampleunion.NewSchema("itemkey", "price"))
 	sales := sampleunion.NewRelation("sales", sampleunion.NewSchema("salekey", "itemkey"))
 	for i := 0; i < 500; i++ {
@@ -70,12 +75,12 @@ func ExampleUnion_ApproxCount() {
 	if err != nil {
 		panic(err)
 	}
+	s, err := u.Prepare(sampleunion.Options{Warmup: sampleunion.WarmupExact, Seed: 2})
+	if err != nil {
+		panic(err)
+	}
 	// COUNT(*) WHERE price < 50 — the truth is 250.
-	res, err := u.ApproxCount(
-		sampleunion.Cmp{Attr: "price", Op: sampleunion.LT, Val: 50},
-		4000,
-		sampleunion.Options{Warmup: sampleunion.WarmupExact, Seed: 2},
-	)
+	res, err := s.ApproxCount(sampleunion.Cmp{Attr: "price", Op: sampleunion.LT, Val: 50}, 4000)
 	if err != nil {
 		panic(err)
 	}

@@ -46,11 +46,15 @@ func main() {
 
 	// Buy a 25-tuple uniform sample. Histogram warm-up + Extended
 	// Olken keeps the per-seller access tuple-at-a-time.
-	tuples, stats, err := u.Sample(25, sampleunion.Options{
+	s, err := u.Prepare(sampleunion.Options{
 		Warmup: sampleunion.WarmupHistogram,
 		Method: sampleunion.MethodEO,
 		Seed:   99,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	tuples, stats, err := s.Sample(25)
 	if err != nil {
 		log.Fatal(err)
 	}

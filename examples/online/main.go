@@ -32,7 +32,11 @@ func main() {
 }
 
 func run(u *sampleunion.Union, o sampleunion.Options) {
-	tuples, stats, err := u.Sample(3000, o)
+	s, err := u.Prepare(o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tuples, stats, err := s.Sample(3000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +44,7 @@ func run(u *sampleunion.Union, o sampleunion.Options) {
 	fmt.Printf("parameter updates (backtracks): %d, tuples dropped by backtracking: %d\n",
 		stats.Backtracks, stats.BacktrackDropped)
 	fmt.Printf("warm-up %v, accepted %v, rejected %v\n",
-		stats.WarmupTime, stats.AcceptTime, stats.RejectTime)
+		s.WarmupTime(), stats.AcceptTime, stats.RejectTime)
 }
 
 // buildUnion makes three overlapping store ⋈ sales joins with skewed

@@ -44,7 +44,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tuples2, stats2, err := fu.Sample(100, sampleunion.Options{Seed: 4})
+	fs, err := fu.Prepare(sampleunion.Options{Seed: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	tuples2, stats2, err := fs.Sample(100)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,11 +37,15 @@ func main() {
 	fmt.Printf("training universe (set union of 3 regional joins): %d tuples\n", exact)
 
 	// The training set: 20 i.i.d. tuples, uniform over the union.
-	train, stats, err := u.Sample(20, sampleunion.Options{
+	s, err := u.Prepare(sampleunion.Options{
 		Warmup: sampleunion.WarmupRandomWalk,
 		Method: sampleunion.MethodEW,
 		Seed:   7,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	train, stats, err := s.Sample(20)
 	if err != nil {
 		log.Fatal(err)
 	}

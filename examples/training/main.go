@@ -26,7 +26,11 @@ func main() {
 
 	// The paper's way: fit on a 10%-sized i.i.d. sample.
 	n := len(full) / 10
-	sample, _, err := u.Sample(n, sampleunion.Options{Seed: 11})
+	s, err := u.Prepare(sampleunion.Options{Seed: 11})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sample, _, err := s.Sample(n)
 	if err != nil {
 		log.Fatal(err)
 	}

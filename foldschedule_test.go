@@ -9,10 +9,10 @@ import (
 // foldScheduleWant is the fold schedule of TestFoldSchedule's script:
 // per Refresh that folded anything, "step:i/m/n/j" with i indexes
 // compacted, m membership tables rebuilt, n weight-table nodes folded
-// and j joins rebuilt whole. The thresholds behind it — an eighth of the
-// base for index overlays, member deltas and weight overlays alike, floor
-// 64 — decide when a refresh pays O(rows) instead of O(burst); a change
-// that moves them moves this string.
+// and j joins rebuilt whole. The threshold behind it — relation.FoldBudget,
+// an eighth of the base for index overlays, member deltas and weight
+// overlays alike, floor 64 — decides when a refresh pays O(rows) instead
+// of O(burst); a change that moves it moves this string.
 var foldScheduleWant = strings.Join([]string{
 	"0:0/0/2/0 1:0/0/2/0 2:0/0/2/0 3:0/0/2/0 4:0/0/2/0 5:0/0/4/0 6:0/0/2/0 7:2/0/0/2 8:0/2/2/0 9:0/0/2/0",
 	"10:0/0/2/0 11:0/0/2/0 12:0/0/2/0 13:0/0/2/0 14:0/0/4/0 15:0/0/2/0 16:2/0/0/2 17:0/0/2/0 18:0/0/2/0 19:0/2/2/0",

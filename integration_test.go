@@ -38,10 +38,7 @@ func TestIntegrationUQWorkloads(t *testing.T) {
 				t.Errorf("union estimate %.0f vs exact %d (rel err %.2f)", est, exact, rel)
 			}
 			// Histogram estimate exists and respects the union bounds.
-			hist, err := u.Estimate(Options{Warmup: WarmupHistogram, Method: MethodEO})
-			if err != nil {
-				t.Fatal(err)
-			}
+			hist := prepared(t, u, Options{Warmup: WarmupHistogram, Method: MethodEO}).Estimate()
 			if hist.UnionSize <= 0 {
 				t.Errorf("histogram union estimate %f", hist.UnionSize)
 			}
@@ -58,7 +55,7 @@ func TestIntegrationUQWorkloads(t *testing.T) {
 				{Warmup: WarmupHistogram, Method: MethodEO, Seed: 7},
 				{Online: true, WarmupWalks: 300, Seed: 8},
 			} {
-				out, stats, err := u.Sample(400, o)
+				out, stats, err := prepared(t, u, o).Sample(400)
 				if err != nil {
 					t.Fatalf("%+v: %v", o, err)
 				}
@@ -72,7 +69,8 @@ func TestIntegrationUQWorkloads(t *testing.T) {
 				}
 			}
 			// COUNT(*) approximates |U|.
-			res, err := u.ApproxCount(True{}, 4000, Options{Warmup: WarmupRandomWalk, WarmupWalks: 2000, Seed: 9})
+			s := prepared(t, u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 2000, Seed: 9})
+			res, err := s.ApproxCount(True{}, 4000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +107,7 @@ func TestIntegrationDisjointVsSet(t *testing.T) {
 	if int64(exact) == disjoint {
 		t.Fatal("UQ2 at overlap 0.5 shows no overlap; workload broken")
 	}
-	out, _, err := u.SampleDisjoint(500, Options{Seed: 10})
+	out, _, err := prepared(t, u, Options{Seed: 10}).SampleDisjoint(500)
 	if err != nil {
 		t.Fatal(err)
 	}

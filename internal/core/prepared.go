@@ -30,8 +30,8 @@ type PreparedSampler interface {
 	// Prewarm runs BuildShared over the sampler's joins. A sampler whose
 	// preparation began with the build phase (Union.Prepare, every
 	// Refresh) has nothing left for it to do; what it forces is the lazy
-	// builds of a sampler prepared without one — a one-shot wrapper's,
-	// a direct PrepareCover's — before its runs go concurrent.
+	// builds of a sampler prepared without one — a direct PrepareCover's
+	// — before its runs go concurrent.
 	Prewarm()
 	// Stale reports whether any relation underlying the sampler mutated
 	// since its warm-up (or last Refresh): draws still work but serve

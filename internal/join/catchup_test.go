@@ -86,7 +86,7 @@ func reconcileBytes(t *testing.T, rows, age int) uint64 {
 // twice those of the same reconcile right after the base build.
 func TestReconcileBytesIndependentOfAge(t *testing.T) {
 	const rows = 1 << 14
-	budget := rows / 8 // memberBudget
+	budget := relation.FoldBudget(rows)
 	fresh, aged := ^uint64(0), ^uint64(0)
 	for i := 0; i < 3; i++ { // the least of three: a stray collection is not the reconcile's
 		fresh = least(fresh, reconcileBytes(t, rows, 0))

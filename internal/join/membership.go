@@ -13,8 +13,8 @@ import (
 // appended since; a row of either is a member while it is live in the
 // pinned view, so a delete writes nothing. Relations untouched since the
 // base build probe exactly one set; mutated relations pay one extra
-// probe until the mutations since the base reach memberBudget and the
-// base is built again.
+// probe until the mutations since the base reach relation.FoldBudget of
+// the relation's rows and the base is built again.
 type memberTable struct {
 	rel      *relation.Relation
 	view     relation.View    // what rows read and its version
@@ -269,17 +269,6 @@ func (j *Join) FreshenResidual() {
 	}
 }
 
-// memberBudget is the number of mutations since the base build past
-// which a member table folds back into a rebuilt base: the delta's rows
-// and the dead rows both sets still hold.
-func memberBudget(rel *relation.Relation) int {
-	b := rel.Len() / 8
-	if b < 64 {
-		b = 64
-	}
-	return b
-}
-
 // reconcileTable returns an up-to-date table for rel, reusing old when
 // possible: unchanged tables are shared, a short tail pins the new
 // snapshot beside old's base and extends old's delta by the rows
@@ -295,7 +284,9 @@ func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
 		return old
 	}
 	v, tail, ok := rel.PinSince(old.view.Version())
-	if !ok || old.since+len(tail) > memberBudget(rel) {
+	// The mutations since the base — the delta's rows and the dead rows
+	// both sets still hold — fold back into a rebuilt base past the budget.
+	if !ok || old.since+len(tail) > relation.FoldBudget(rel.Len()) {
 		return newMemberTable(rel, v)
 	}
 	next := *old
@@ -334,7 +325,7 @@ func (j *Join) buildMembership(old *membershipTables) *membershipTables {
 }
 
 // MemberRebuilds returns how many times a reconcile built a membership
-// table's base again — the mutations since the base outgrew memberBudget,
+// table's base again — the mutations since the base outgrew their fold budget,
 // or the mutation log no longer reached back to it — rather than
 // extending its delta: the reconciles that cost O(rows).
 func (j *Join) MemberRebuilds() uint64 { return j.memberFolds.Load() }

@@ -168,8 +168,7 @@ var scratchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 // rows (sorted by entry, then row) rewritten over prev's, the entries
 // it rewrote, and whether it folded: the rewritten segments extend
 // prev's overlay (segOverlay.extend), or — once the overlay's entries
-// and rows pass an eighth of the flat table's (floor 64), the rule the
-// index compacts by — are folded with the untouched segments into fresh
+// and rows pass relation.FoldBudget of the flat table's — are folded with the untouched segments into fresh
 // flat arrays. Rewritten segments are the result when they are every
 // entry, and are written straight into it; otherwise they go to scratch,
 // reused across calls, and are copied once into the overlay's storage or
@@ -212,7 +211,7 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	}
 	old := cmp.Or(prev.ov, &segOverlay{})
 	ents, rows := old.measure(touched, fresh)
-	if ents+rows <= max(64, (len(prev.Off)+len(prev.Rows))/8) {
+	if ents+rows <= relation.FoldBudget(len(prev.Off)+len(prev.Rows)) {
 		var ov *segOverlay
 		if fresh == scratch {
 			ov = old.extend(touched, fresh, ents, rows)

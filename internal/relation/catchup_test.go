@@ -50,7 +50,7 @@ func catchUpBytes(rows, age int) uint64 {
 // are at most twice those of the same catch-up over a pure CSR.
 func TestCatchUpBytesIndependentOfAge(t *testing.T) {
 	const rows = 1 << 14
-	budget := rows / 8 // overlayThreshold
+	budget := FoldBudget(rows)
 	fresh, aged := ^uint64(0), ^uint64(0)
 	for i := 0; i < 3; i++ { // the least of three: a stray collection is not the catch-up's
 		fresh = min(fresh, catchUpBytes(rows, 0))

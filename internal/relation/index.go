@@ -66,15 +66,13 @@ func hashValue(v Value, degrade uint64) uint64 {
 	return h
 }
 
-// overlayThreshold returns the touched-value budget before a catch-up
-// compacts to a pure CSR.
-func overlayThreshold(base *csr) int {
-	t := len(base.rows) / 8
-	if t < 64 {
-		t = 64
-	}
-	return t
-}
+// FoldBudget is the one fold rule of live structures over n base
+// entries: an eighth of them, floor 64. An index overlay compacts to a
+// pure CSR once its touched values pass FoldBudget of the base's rows, a
+// membership table rebuilds its base once the mutations since it pass
+// FoldBudget of the relation's rows, and a weight table folds its overlay
+// once the rewritten entries and rows pass FoldBudget of the flat table's.
+func FoldBudget(n int) int { return max(64, n/8) }
 
 // buildIndex constructs a pure-CSR index over attribute position a of
 // the snapshot, skipping tombstoned rows. Both passes run down the
@@ -271,7 +269,7 @@ func (o *overlay) file(e int, v Value) {
 // of ix, or nil when the overlay would exceed its budget and the caller
 // should rebuild a pure CSR instead.
 func (ix *Index) applyTail(s *snapshot, a int, tail []Mutation, version uint64) *Index {
-	budget := overlayThreshold(ix.base)
+	budget := FoldBudget(len(ix.base.rows))
 	existing := 0
 	if ix.ov != nil {
 		existing = len(ix.ov.keys)

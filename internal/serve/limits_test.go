@@ -140,25 +140,34 @@ func TestDrawCountLimit(t *testing.T) {
 // TestWorkersLimit pins the hostile-workers outcome: SampleParallel starts
 // a goroutine per worker behind a single admission slot, so a workers
 // count over the bound answers 400 naming it, starts nothing and gives the
-// slot back, while the bound itself is served.
+// slot back, while the bound itself is served. /sample/where draws on one
+// goroutine, so any workers count there answers 400 naming the field — as
+// /sample answers 400 to a where predicate — instead of being ignored.
 func TestWorkersLimit(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 1})
 	decl := quickDecl()
 	seed := int64(1)
-	for _, body := range []sampleRequest{
-		{Union: decl, N: 1 << 20, Workers: 1 << 20},
-		{Union: decl, N: 8, Workers: maxWorkers + 1},
-		{Union: decl, N: 8, Workers: maxWorkers + 1, Seed: &seed},
+	where := &PredDecl{Cmp: &CmpDecl{Attr: "nationkey", Op: "<", Value: 10}}
+	for _, c := range []struct {
+		path string
+		body sampleRequest
+		want string
+	}{
+		{"/sample", sampleRequest{Union: decl, N: 1 << 20, Workers: 1 << 20}, strconv.Itoa(maxWorkers)},
+		{"/sample", sampleRequest{Union: decl, N: 8, Workers: maxWorkers + 1}, strconv.Itoa(maxWorkers)},
+		{"/sample", sampleRequest{Union: decl, N: 8, Workers: maxWorkers + 1, Seed: &seed}, strconv.Itoa(maxWorkers)},
+		{"/sample/where", sampleRequest{Union: decl, N: 8, Workers: 1, Where: where}, "workers"},
+		{"/sample/where", sampleRequest{Union: decl, N: 8, Workers: 4, Where: where}, "workers"},
 	} {
 		var apiErr apiError
-		if code := post(t, ts.URL+"/sample", body, &apiErr); code != http.StatusBadRequest {
-			t.Fatalf("workers=%d: status %d (%q), want 400", body.Workers, code, apiErr.Error)
+		if code := post(t, ts.URL+c.path, c.body, &apiErr); code != http.StatusBadRequest {
+			t.Fatalf("%s workers=%d: status %d (%q), want 400", c.path, c.body.Workers, code, apiErr.Error)
 		}
-		if !strings.Contains(apiErr.Error, strconv.Itoa(maxWorkers)) {
-			t.Fatalf("workers=%d: error %q does not name the limit %d", body.Workers, apiErr.Error, maxWorkers)
+		if !strings.Contains(apiErr.Error, c.want) {
+			t.Fatalf("%s workers=%d: error %q does not name %q", c.path, c.body.Workers, apiErr.Error, c.want)
 		}
 		if got := s.Inflight(); got != 0 {
-			t.Fatalf("workers=%d: %d admission slots held after the refusal", body.Workers, got)
+			t.Fatalf("%s workers=%d: %d admission slots held after the refusal", c.path, c.body.Workers, got)
 		}
 	}
 	var sr sampleResponse

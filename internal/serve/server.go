@@ -450,7 +450,7 @@ type sampleRequest struct {
 	// Seed pins an explicit reproducible stream; absent draws the
 	// session's next auto stream.
 	Seed *int64 `json:"seed,omitempty"`
-	// Workers fans a plain /sample draw over that many goroutines.
+	// Workers (only /sample) fans a draw over that many goroutines.
 	Workers int `json:"workers,omitempty"`
 	// Where (only /sample/where) filters the sampled subset.
 	Where *PredDecl `json:"where,omitempty"`
@@ -580,6 +580,9 @@ func (s *Server) handleSampleWhere(r *http.Request) (any, error) {
 	var req sampleRequest
 	if err := decode(r, &req); err != nil {
 		return nil, err
+	}
+	if req.Workers != 0 {
+		return nil, badf("serve: /sample/where takes no workers; it draws on one goroutine")
 	}
 	if err := checkDrawN(req.N, 0); err != nil {
 		return nil, err

@@ -31,12 +31,10 @@ func unionForNTests(t *testing.T) *Union {
 	return u
 }
 
-// TestSampleZeroIsEmpty pins the n == 0 contract: every sampling entry
-// point returns an empty (non-nil) result and no error.
+// TestSampleZeroIsEmpty pins the n == 0 contract: every Session sampling
+// entry point returns an empty (non-nil) result and no error.
 func TestSampleZeroIsEmpty(t *testing.T) {
-	u := unionForNTests(t)
-	o := Options{Seed: 7, Warmup: WarmupHistogram}
-	sess, err := u.Prepare(o)
+	sess, err := unionForNTests(t).Prepare(Options{Seed: 7, Warmup: WarmupHistogram})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +45,9 @@ func TestSampleZeroIsEmpty(t *testing.T) {
 		run  func() (int, error)
 	}
 	calls := []call{
-		{"Union.Sample", func() (int, error) { ts, st, err := u.Sample(0, o); mustStats(t, st); return len(ts), err }},
-		{"Union.SampleDisjoint", func() (int, error) { ts, st, err := u.SampleDisjoint(0, o); mustStats(t, st); return len(ts), err }},
-		{"Union.SampleWhere", func() (int, error) { ts, _, err := u.SampleWhere(0, pred, o); return len(ts), err }},
 		{"Session.Sample", func() (int, error) { ts, st, err := sess.Sample(0); mustStats(t, st); return len(ts), err }},
 		{"Session.SampleSeeded", func() (int, error) { ts, _, err := sess.SampleSeeded(0, 3); return len(ts), err }},
-		{"Session.SampleDisjoint", func() (int, error) { ts, _, err := sess.SampleDisjoint(0); return len(ts), err }},
+		{"Session.SampleDisjoint", func() (int, error) { ts, st, err := sess.SampleDisjoint(0); mustStats(t, st); return len(ts), err }},
 		{"Session.SampleWhere", func() (int, error) { ts, _, err := sess.SampleWhere(0, pred); return len(ts), err }},
 		{"Session.SampleParallel", func() (int, error) { ts, err := sess.SampleParallel(0, 4); return len(ts), err }},
 		{"Session.SampleBatch", func() (int, error) { ts, st, err := sess.SampleBatch(0); mustStats(t, st); return len(ts), err }},
@@ -79,21 +74,15 @@ func mustStats(t *testing.T, st *Stats) {
 }
 
 // TestSampleNegativeIsError pins the n < 0 contract: a clear error, no
-// panic, uniformly across entry points.
+// panic, uniformly across Session entry points.
 func TestSampleNegativeIsError(t *testing.T) {
-	u := unionForNTests(t)
-	o := Options{Seed: 7, Warmup: WarmupHistogram}
-	sess, err := u.Prepare(o)
+	sess, err := unionForNTests(t).Prepare(Options{Seed: 7, Warmup: WarmupHistogram})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pred := Cmp{Attr: "a", Op: GE, Val: 0}
 
 	calls := map[string]func() error{
-		"Union.Sample":           func() error { _, _, err := u.Sample(-1, o); return err },
-		"Union.SampleDisjoint":   func() error { _, _, err := u.SampleDisjoint(-1, o); return err },
-		"Union.SampleWhere":      func() error { _, _, err := u.SampleWhere(-1, pred, o); return err },
-		"Union.ApproxCount":      func() error { _, err := u.ApproxCount(pred, -1, o); return err },
 		"Session.Sample":         func() error { _, _, err := sess.Sample(-1); return err },
 		"Session.SampleDisjoint": func() error { _, _, err := sess.SampleDisjoint(-1); return err },
 		"Session.SampleWhere":    func() error { _, _, err := sess.SampleWhere(-1, pred); return err },
@@ -144,7 +133,9 @@ func TestApproxZeroIsError(t *testing.T) {
 
 // TestSampleDisjointWithoutResultsFails: R(k,x) = {(1,1)} ⋈ S(k,y) =
 // {(2,1)} has Olken bound 1 and no results, so an EO disjoint draw can
-// never succeed; the call must give up with a no-progress error.
+// never succeed; the call must give up with a no-progress error. The
+// histogram warm-up prepares the session from that bound (a walk-based
+// warm-up would find the union empty and refuse to prepare).
 func TestSampleDisjointWithoutResultsFails(t *testing.T) {
 	r := NewRelation("r", NewSchema("k", "x"))
 	s := NewRelation("s", NewSchema("k", "y"))
@@ -158,8 +149,12 @@ func TestSampleDisjointWithoutResultsFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess, err := u.Prepare(Options{Warmup: WarmupHistogram, Method: MethodEO})
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
-	go func() { _, _, err := u.SampleDisjoint(1, Options{Method: MethodEO}); done <- err }()
+	go func() { _, _, err := sess.SampleDisjoint(1); done <- err }()
 	select {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), "no progress") {

@@ -6,10 +6,7 @@ import (
 
 func TestEstimateReport(t *testing.T) {
 	u := demoUnion(t)
-	est, err := u.Estimate(Options{Warmup: WarmupExact})
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := prepared(t, u, Options{Warmup: WarmupExact}).Estimate()
 	if len(est.JoinSizes) != 2 || len(est.CoverSizes) != 2 {
 		t.Fatalf("report shapes: %+v", est)
 	}
@@ -24,9 +21,8 @@ func TestEstimateReport(t *testing.T) {
 
 func TestSampleParallel(t *testing.T) {
 	u := demoUnion(t)
-	out, err := u.SampleParallel(1000, 4, Options{
-		Warmup: WarmupExact, Method: MethodEW, Seed: 10,
-	})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 10})
+	out, err := s.SampleParallel(1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,23 +40,22 @@ func TestSampleParallelRace(t *testing.T) {
 	// Exercised under -race in CI: many workers over shared joins, every
 	// one probing the membership maps and EO's max-degree indexes.
 	u := demoUnion(t)
-	out, err := u.SampleParallel(400, 8, Options{
-		Warmup: WarmupHistogram, Method: MethodEO, Seed: 11,
-	})
+	s := prepared(t, u, Options{Warmup: WarmupHistogram, Method: MethodEO, Seed: 11})
+	out, err := s.SampleParallel(400, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 400 {
 		t.Fatalf("got %d", len(out))
 	}
-	// Random-walk warm-up per worker plus the online sampler.
-	out, err = u.SampleParallel(400, 8, Options{
-		Warmup: WarmupRandomWalk, WarmupWalks: 100, Seed: 12,
-	})
+	// The random-walk warm-up and the online sampler.
+	s = prepared(t, u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 100, Seed: 12})
+	out, err = s.SampleParallel(400, 8)
 	if err != nil || len(out) != 400 {
 		t.Fatalf("random-walk parallel: %v, %d", err, len(out))
 	}
-	out, err = u.SampleParallel(400, 8, Options{Online: true, WarmupWalks: 100, Seed: 13})
+	s = prepared(t, u, Options{Online: true, WarmupWalks: 100, Seed: 13})
+	out, err = s.SampleParallel(400, 8)
 	if err != nil || len(out) != 400 {
 		t.Fatalf("online parallel: %v, %d", err, len(out))
 	}
@@ -68,18 +63,18 @@ func TestSampleParallelRace(t *testing.T) {
 
 func TestSampleParallelEdgeCases(t *testing.T) {
 	u := demoUnion(t)
-	if _, err := u.SampleParallel(10, 0, Options{}); err == nil {
+	if _, err := prepared(t, u, Options{}).SampleParallel(10, 0); err == nil {
 		t.Error("workers=0 accepted")
 	}
 	// workers > n clamps; workers == 1 falls back to Sample.
-	out, err := u.SampleParallel(3, 10, Options{Warmup: WarmupExact, Seed: 12})
+	out, err := prepared(t, u, Options{Warmup: WarmupExact, Seed: 12}).SampleParallel(3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 3 {
 		t.Fatalf("got %d", len(out))
 	}
-	out, err = u.SampleParallel(5, 1, Options{Warmup: WarmupExact, Seed: 13})
+	out, err = prepared(t, u, Options{Warmup: WarmupExact, Seed: 13}).SampleParallel(5, 1)
 	if err != nil || len(out) != 5 {
 		t.Fatalf("workers=1: %v, %d", err, len(out))
 	}

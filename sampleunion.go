@@ -14,11 +14,10 @@
 //	// ... load tuples ...
 //	j1, _ := sampleunion.Chain("east", []*sampleunion.Relation{customers, orders}, []string{"custkey"})
 //	u, _ := sampleunion.NewUnion(j1, j2, j3)
-//	tuples, stats, _ := u.Sample(1000, sampleunion.Options{Seed: 42})
 //
 // The paper splits the work into an expensive warm-up (join sizes,
-// covers, |U|) and cheap per-sample draws. To pay the warm-up once and
-// answer many queries, prepare a Session:
+// covers, |U|) and cheap per-sample draws. A Union describes the query;
+// Prepare pays the warm-up once and returns a Session that draws:
 //
 //	s, _ := u.Prepare(sampleunion.Options{Seed: 42})
 //	tuples, _, _ := s.Sample(1000)        // per-draw cost only
@@ -27,8 +26,7 @@
 // A Session is safe for concurrent use: the prepared state is shared
 // read-only and every call samples its own independent stream, so
 // Session.SampleParallel performs exactly one warm-up total no matter
-// how many workers it fans out to. The Union-level Sample/Approx*
-// methods remain as prepare-then-call wrappers for one-shot use.
+// how many workers it fans out to.
 //
 // The warm-up estimation method, the single-join sampling subroutine,
 // and the online (sample reuse + backtracking) mode are selected
@@ -358,19 +356,16 @@ const minShardWarmupWalks = 32
 // prepareSampler prepares the sampler the (canonical) options select:
 // the engine itself over the union's joins, or the shard-parallel
 // engine with one engine per shard and the warm-up walk budget split
-// across them. With build each engine's preparation starts with the
-// build phase (core.BuildShared over the joins it samples — a shard's
-// over its fragments, inline when the shard warm-ups already fill the
-// cores); without, structures build when the warm-up first touches them.
-func (u *Union) prepareSampler(o Options, build bool, g *rng.RNG) (core.PreparedSampler, error) {
+// across them. Each engine's preparation starts with the build phase
+// (core.BuildShared over the joins it samples — a shard's over its
+// fragments, inline when the shard warm-ups already fill the cores).
+func (u *Union) prepareSampler(o Options, g *rng.RNG) (core.PreparedSampler, error) {
 	walks := o.WarmupWalks
 	if o.Shards > 1 && walks > 0 {
 		walks = max((walks+o.Shards-1)/o.Shards, minShardWarmupWalks)
 	}
 	engine := func(joins []*join.Join, g *rng.RNG) (core.PreparedSampler, error) {
-		if build {
-			core.BuildShared(joins)
-		}
+		core.BuildShared(joins)
 		return prepareEngine(joins, o, walks, g)
 	}
 	if o.Shards <= 1 {
@@ -393,64 +388,21 @@ func prepareEngine(joins []*join.Join, o Options, walks int, g *rng.RNG) (core.P
 	}, g)
 }
 
-// Sample draws n independent tuples (with replacement) from the set
-// union of the joins. Under exact parameters each distinct result tuple
-// has probability 1/|U| (Theorem 1) at every n; under estimated ones, up
-// to the estimation error of the cover shares (see Session.Sample). It
-// returns the samples in OutputSchema order together with run statistics.
-//
-// Sample is a prepare-then-call wrapper: it pays the full warm-up on
-// every call. Callers issuing more than one query over the same union
-// should Prepare once and sample from the Session.
-func (u *Union) Sample(n int, o Options) ([]Tuple, *Stats, error) {
-	s, err := u.prepare(o, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, stats, err := s.Sample(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.WarmupTime += s.WarmupTime()
-	return out, stats, nil
-}
-
-// SampleDisjoint draws n tuples from the disjoint union (Definition 1):
-// each result tuple with probability 1/(|J_1| + ... + |J_n|), counting
-// duplicates across joins separately. Like Sample, it is a
-// prepare-then-call wrapper; prefer Session.SampleDisjoint when issuing
-// more than one query, since the disjoint sampler shares the session's
-// prepared subroutine samplers.
-func (u *Union) SampleDisjoint(n int, o Options) ([]Tuple, *Stats, error) {
-	if empty, err := checkN(n); err != nil {
-		return nil, nil, err
-	} else if empty {
-		return []Tuple{}, &Stats{}, nil
-	}
-	o, err := o.Canonical()
-	if err != nil {
-		return nil, nil, err
-	}
-	shared, err := core.PrepareDisjoint(u.joins, o.joinMethod())
-	if err != nil {
-		return nil, nil, err
-	}
-	run := shared.NewRun()
-	out, err := run.Sample(n, rng.New(core.DeriveSeed(o.Seed, 1)))
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, run.Stats(), nil
-}
-
-// EstimateUnionSize runs the selected warm-up and returns the
-// estimated |J_1 ∪ ... ∪ J_n| without executing the joins.
+// EstimateUnionSize runs the selected warm-up over the whole union and
+// returns the estimated |J_1 ∪ ... ∪ J_n| without executing the joins
+// or preparing a sampler. It is the warm-up a single-shard Session runs,
+// so it equals that Session's UnionSize; under Shards > 1 a Session sums
+// per-shard warm-ups instead, and the two estimates differ.
 func (u *Union) EstimateUnionSize(o Options) (float64, error) {
-	e, err := u.Estimate(o)
+	o, err := o.Canonical()
 	if err != nil {
 		return 0, err
 	}
-	return e.UnionSize, nil
+	p, err := estimatorFor(u.joins, o, o.WarmupWalks).Params(rng.New(o.Seed))
+	if err != nil {
+		return 0, err
+	}
+	return p.UnionSize, nil
 }
 
 // ExactUnionSize executes every join and returns the exact set-union
@@ -463,26 +415,6 @@ func (u *Union) ExactUnionSize() (int, error) {
 		return 0, err
 	}
 	return int(p.UnionSize), nil
-}
-
-// SampleWhere draws n samples satisfying the predicate, uniform over
-// the satisfying subset of the union — §8.3's sampling-time predicate
-// enforcement. Rejection adds a cost factor of |σ(U)|/|U|, so highly
-// selective predicates should be pushed down with PushDown instead.
-//
-// SampleWhere is a prepare-then-call wrapper; prefer Prepare +
-// Session.SampleWhere when issuing more than one query.
-func (u *Union) SampleWhere(n int, pred Predicate, o Options) ([]Tuple, *Stats, error) {
-	s, err := u.prepare(o, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, stats, err := s.SampleWhere(n, pred)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.WarmupTime += s.WarmupTime()
-	return out, stats, nil
 }
 
 // PushDown returns a new Union whose joins are filtered by the given

@@ -31,6 +31,16 @@ func demoUnion(t *testing.T) *Union {
 	return u
 }
 
+// prepared prepares a session over u, failing the test on error.
+func prepared(t testing.TB, u *Union, o Options) *Session {
+	t.Helper()
+	s, err := u.Prepare(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestUnionSampleModes(t *testing.T) {
 	u := demoUnion(t)
 	exact, err := u.ExactUnionSize()
@@ -47,7 +57,7 @@ func TestUnionSampleModes(t *testing.T) {
 		{Online: true, WarmupWalks: 300, Seed: 4},
 	}
 	for _, o := range cases {
-		out, stats, err := u.Sample(500, o)
+		out, stats, err := prepared(t, u, o).Sample(500)
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)
 		}
@@ -67,7 +77,7 @@ func TestUnionSampleModes(t *testing.T) {
 
 func TestUnionSampleDisjoint(t *testing.T) {
 	u := demoUnion(t)
-	out, stats, err := u.SampleDisjoint(300, Options{Seed: 5})
+	out, stats, err := prepared(t, u, Options{Seed: 5}).SampleDisjoint(300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +191,7 @@ func TestCyclicThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := u.Sample(50, Options{Warmup: WarmupExact})
+	out, _, err := prepared(t, u, Options{Warmup: WarmupExact}).Sample(50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +204,8 @@ func TestCyclicThroughPublicAPI(t *testing.T) {
 
 func TestMethodWJThroughAPI(t *testing.T) {
 	u := demoUnion(t)
-	out, _, err := u.Sample(300, Options{Warmup: WarmupRandomWalk, Method: MethodWJ, Seed: 20})
+	s := prepared(t, u, Options{Warmup: WarmupRandomWalk, Method: MethodWJ, Seed: 20})
+	out, _, err := s.Sample(300)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,6 +48,23 @@ type Session struct {
 	refreshes int64
 }
 
+// Estimate is the warm-up parameter report: what the framework knows
+// about the union before sampling.
+type Estimate struct {
+	// JoinSizes are the per-join size estimates |J_j| (exact under
+	// WarmupExact, Horvitz–Thompson under WarmupRandomWalk, upper
+	// bounds under WarmupHistogram+MethodEO).
+	JoinSizes []float64
+	// CoverSizes are the |J'_j| of §3.1: the share of each join not
+	// covered by earlier joins, which the sampler picks joins in
+	// proportion to. Exact counts under WarmupExact.
+	CoverSizes []float64
+	// UnionSize is the estimated |J_1 ∪ ... ∪ J_n|: Σ CoverSizes, under
+	// every warm-up (the sharded engine sums its shards' |U_s|, equal up
+	// to rounding).
+	UnionSize float64
+}
+
 // sessionState is one immutable prepared-state generation. Draws load
 // it once, so a concurrent Refresh never changes state under a call.
 type sessionState struct {
@@ -63,10 +80,10 @@ type sessionState struct {
 }
 
 // checkN validates a requested sample count: negative counts are a
-// caller error everywhere, uniformly across Union and Session entry
-// points. empty reports n == 0, which every sampling method answers
-// with an empty result at zero cost (and every Approx* method with a
-// no-samples error, since an estimate from zero samples is undefined).
+// caller error at every Session entry point. empty reports n == 0, which
+// every sampling method answers with an empty result at zero cost (and
+// every Approx* method with a no-samples error, since an estimate from
+// zero samples is undefined).
 func checkN(n int) (empty bool, err error) {
 	if n < 0 {
 		return false, fmt.Errorf("sampleunion: sample count must be >= 0, got %d", n)
@@ -82,25 +99,17 @@ func errNoSamples() error {
 
 // Prepare runs the warm-up for the given options exactly once and
 // returns a Session that serves any number of sampling and AQP calls
-// at per-draw cost. It estimates the framework parameters (join sizes,
-// covers, |U|), builds the per-join subroutine samplers, and forces the
-// lazily built join-attribute indexes and membership maps so that
-// concurrent calls only read shared state.
+// at per-draw cost. It first builds the joins' join-attribute indexes
+// and membership tables on every core (core.BuildShared), then estimates
+// the framework parameters (join sizes, covers, |U|) and builds the
+// per-join subroutine samplers, so that concurrent calls only read
+// shared state.
 func (u *Union) Prepare(o Options) (*Session, error) {
-	return u.prepare(o, true)
-}
-
-// prepare runs the warm-up. prewarm first forces the joins' lazily
-// built indexes and membership maps, on every core, before the serial
-// estimation reads them — what a session shared across goroutines wants;
-// skipped by the one-shot wrappers whose private session samples serially
-// (lazy structures then build on demand, and only the ones touched).
-func (u *Union) prepare(o Options, prewarm bool) (*Session, error) {
 	o, err := o.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	prepared, err := u.prepareSampler(o, prewarm, rng.New(o.Seed))
+	prepared, err := u.prepareSampler(o, rng.New(o.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -463,6 +472,16 @@ func (s *Session) SampleParallel(n, workers int) ([]Tuple, error) {
 	}
 	return out, nil
 }
+
+// AggResult is an approximate-aggregate estimate with its confidence
+// half-width.
+type AggResult = aqp.Result
+
+// GroupEstimate is one group of ApproxGroupCount.
+type GroupEstimate = aqp.Group
+
+// DefaultZ is the 95% confidence multiplier every Approx* interval uses.
+const DefaultZ = 1.96
 
 // ApproxCount estimates COUNT(*) WHERE pred over the set union from n
 // draws — the approximate-query-answering use case of the paper's

@@ -61,13 +61,13 @@ func TestPrepareRunsEstimatorOnce(t *testing.T) {
 	}
 }
 
-// TestSampleParallelSingleWarmup asserts the tentpole property on the
-// compatibility wrapper too: Union.SampleParallel performs exactly one
-// warm-up total, not one per worker.
+// TestSampleParallelSingleWarmup: preparing and fanning a request out
+// over eight workers performs exactly one warm-up total, not one per
+// worker.
 func TestSampleParallelSingleWarmup(t *testing.T) {
 	u := demoUnion(t)
 	ce, o := countingOptions(u)
-	out, err := u.SampleParallel(1000, 8, o)
+	out, err := prepared(t, u, o).SampleParallel(1000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

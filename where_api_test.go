@@ -7,9 +7,8 @@ import (
 func TestSampleWhere(t *testing.T) {
 	u := demoUnion(t)
 	pred := Cmp{Attr: "custkey", Op: LT, Val: 20}
-	out, stats, err := u.SampleWhere(200, pred, Options{
-		Warmup: WarmupExact, Method: MethodEW, Seed: 6,
-	})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 6})
+	out, stats, err := s.SampleWhere(200, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,8 @@ func TestSampleWhere(t *testing.T) {
 func TestSampleWhereOnline(t *testing.T) {
 	u := demoUnion(t)
 	pred := Cmp{Attr: "nationkey", Op: EQ, Val: 2}
-	out, _, err := u.SampleWhere(100, pred, Options{Online: true, WarmupWalks: 200, Seed: 7})
+	s := prepared(t, u, Options{Online: true, WarmupWalks: 200, Seed: 7})
+	out, _, err := s.SampleWhere(100, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSampleWhereOnline(t *testing.T) {
 func TestSampleWhereImpossible(t *testing.T) {
 	u := demoUnion(t)
 	pred := Cmp{Attr: "custkey", Op: GT, Val: 100000}
-	if _, _, err := u.SampleWhere(5, pred, Options{Warmup: WarmupExact}); err == nil {
+	if _, _, err := prepared(t, u, Options{Warmup: WarmupExact}).SampleWhere(5, pred); err == nil {
 		t.Fatal("impossible predicate succeeded")
 	}
 }
@@ -67,7 +67,8 @@ func TestPushDownAPI(t *testing.T) {
 	if exact != 40 {
 		t.Fatalf("filtered union = %d, want 40", exact)
 	}
-	out, _, err := fu.Sample(100, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 8})
+	s := prepared(t, fu, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 8})
+	out, _, err := s.Sample(100)
 	if err != nil {
 		t.Fatal(err)
 	}
