@@ -45,7 +45,7 @@ func TestPrecomputeCyclicResidual(t *testing.T) {
 	joins := cyclicUnion(t)
 	pre := Precompute(joins[0])
 	// The residual counts as one extra pseudo-relation.
-	if got := len(pre.relStats); got != 3 {
+	if got := len(pre.rels); got != 3 {
 		t.Fatalf("cyclic precompute has %d relations, want 3 (skeleton 2 + residual)", got)
 	}
 	// Attributes of the residual are reachable in the distance metric.

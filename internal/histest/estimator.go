@@ -59,22 +59,20 @@ func New(joins []*join.Join, opts Options) (*Estimator, error) {
 		return nil, fmt.Errorf("histest: no joins")
 	}
 	e := &Estimator{joins: joins, opts: opts, profiles: make([]*Profile, len(joins))}
-	// Column statistics are a scan per relation: the joins' are gathered
-	// side by side, each into its own slot.
 	if !opts.ForceSplit && AlignedChains(joins) {
-		errs := make([]error, len(joins))
-		join.FanOut(0, len(joins), func(i int) {
-			e.profiles[i], errs[i] = ProfileFromChain(joins[i])
-		})
-		for _, err := range errs {
+		for i, j := range joins {
+			p, err := ProfileFromChain(j)
 			if err != nil {
 				return nil, err
 			}
+			e.profiles[i] = p
 		}
 		return e, nil
 	}
 	pres := make([]*Precomputed, len(joins))
-	join.FanOut(0, len(joins), func(i int) { pres[i] = Precompute(joins[i]) })
+	for i, j := range joins {
+		pres[i] = Precompute(j)
+	}
 	attrs, err := CanonicalAttrs(pres)
 	if err != nil {
 		return nil, err

@@ -12,8 +12,10 @@ package histest_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sampleunion/internal/core"
@@ -201,6 +203,98 @@ func TestHistogramParamsPinned(t *testing.T) {
 					t.Errorf("%s:\n got %s\nwant %s", key, got, want)
 				}
 			}
+		}
+	}
+}
+
+// mixedUnion builds a triangle R(A,B) ⋈ S(B,C) ⋈ T(C,A) with a pendant
+// U(C,D), and a chain P(A,B) ⋈ Q(B,C) ⋈ V(C,D), over the given rows, so
+// the warm-up takes the template path through a cyclic join's residual
+// and Theorem 4 multiplies in a degree factor. schemas names the
+// relations' attributes in that order.
+var schemas = []string{"AB", "BC", "CA", "CD", "AB", "BC", "CD"}
+
+func mixedUnion(t testing.TB, rows [][]relation.Tuple) ([]*join.Join, []*relation.Relation) {
+	t.Helper()
+	rels := make([]*relation.Relation, len(schemas))
+	for k, s := range schemas {
+		schema := relation.NewSchema(s[:1], s[1:])
+		rels[k] = relation.MustFromTuples(fmt.Sprintf("R%d", k), schema, rows[k])
+	}
+	cyc, err := join.NewCyclic("cyclic", rels[:4], []join.Edge{
+		{A: 0, B: 1, Attr: "B"}, {A: 1, B: 2, Attr: "C"}, {A: 2, B: 0, Attr: "A"}, {A: 1, B: 3, Attr: "C"},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := join.NewChain("chain", rels[4:], []string{"B", "C"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*join.Join{cyc, chain}, rels
+}
+
+// TestParamsUnderConcurrentMutation: the warm-up reads degrees while
+// another goroutine appends and deletes rows (run it under -race), and
+// once the writer stops — and the cyclic join's residual is reconciled,
+// as a refresh does — its parameters are, bit for bit, those of a union
+// built fresh from the same live rows.
+func TestParamsUnderConcurrentMutation(t *testing.T) {
+	// Small value domains, so every relation joins its neighbours.
+	cell := func(attr byte, i int) relation.Value {
+		return relation.Value(int(attr-'A')*100 + i%(7+int(attr-'A')))
+	}
+	rows := make([][]relation.Tuple, len(schemas))
+	for k, s := range schemas {
+		for i := 0; i < 30; i++ {
+			rows[k] = append(rows[k], relation.Tuple{cell(s[0], i+k), cell(s[1], 3*i+k)})
+		}
+	}
+	joins, rels := mixedUnion(t, rows)
+	configs := histogramConfigs()
+	var reads atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 0; round < 300; round++ {
+			// Pace the writes so that every warm-up overlaps some.
+			for reads.Load() < int64(round/15) {
+				runtime.Gosched()
+			}
+			k := round % len(rels)
+			r := rels[k]
+			r.Append(relation.Tuple{cell(schemas[k][0], 5*round), cell(schemas[k][1], 2*round+1)})
+			if round%3 != 0 {
+				r.Delete((round * 7) % r.Len())
+			}
+		}
+	}()
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+		default:
+			if _, err := (&core.HistogramEstimator{Joins: joins, Opts: configs[i%len(configs)]}).Params(nil); err != nil {
+				t.Fatal(err)
+			}
+			joins[0].FreshenResidual()
+			reads.Add(1)
+			continue
+		}
+		break
+	}
+	joins[0].FreshenResidual()
+	live := make([][]relation.Tuple, len(rels))
+	for k, r := range rels {
+		live[k] = r.Tuples()
+	}
+	fresh, _ := mixedUnion(t, live)
+	for _, o := range configs {
+		got, want := paramsRow(t, joins, o), paramsRow(t, fresh, o)
+		if testing.Verbose() {
+			t.Logf("%s: %s", configName(o), got)
+		}
+		if got != want {
+			t.Errorf("%s: mutated union %s, fresh union %s", configName(o), got, want)
 		}
 	}
 }

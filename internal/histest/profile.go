@@ -2,7 +2,10 @@
 // union-sampling framework (§5, §8): overlap upper bounds for chain,
 // acyclic, and cyclic joins computed from column statistics only — the
 // decentralized setting where full data access is infeasible (data
-// markets, data in the wild).
+// markets, data in the wild). The statistics are the ones a relation's
+// attribute indexes already maintain under appends and deletes: each
+// value's live degree, the distinct count and the maximum degree. The
+// warm-up reads them and counts nothing again.
 //
 // The pipeline is: convert every join in the union to a common chain
 // "profile" — either directly (equi-length chains, §5.1) or through the
@@ -16,14 +19,14 @@ import (
 	"fmt"
 
 	"sampleunion/internal/join"
-	"sampleunion/internal/stats"
+	"sampleunion/internal/relation"
 )
 
-// Entry is one element of a chain profile: the column statistics of the
-// chain relation (or split pair source) plus how it joins the previous
-// element.
+// Entry is one element of a chain profile: the chain relation (or split
+// pair source), whose attribute indexes supply its degree statistics,
+// plus how it joins the previous element.
 type Entry struct {
-	Stats *stats.RelStats
+	Rel *relation.Relation
 	// JoinAttr joins this entry to the previous one; "" for the first.
 	JoinAttr string
 	// Fake marks a fake join (§5.2): this entry and the previous one
@@ -47,7 +50,7 @@ type Profile struct {
 }
 
 // ProfileFromChain builds the direct profile of a chain join: its
-// relations in path order with their statistics (§5.1, no splitting).
+// relations in path order (§5.1, no splitting).
 func ProfileFromChain(j *join.Join) (*Profile, error) {
 	if !j.IsChain() {
 		return nil, fmt.Errorf("histest: join %s is not a chain", j.Name())
@@ -58,11 +61,7 @@ func ProfileFromChain(j *join.Join) (*Profile, error) {
 		if i > 0 && nodes[i].Parent != i-1 {
 			return nil, fmt.Errorf("histest: join %s chain nodes out of path order", j.Name())
 		}
-		p.Entries[i] = Entry{
-			Stats:      stats.Build(nodes[i].Rel),
-			JoinAttr:   nodes[i].Attr,
-			PathFactor: 1,
-		}
+		p.Entries[i] = Entry{Rel: nodes[i].Rel, JoinAttr: nodes[i].Attr, PathFactor: 1}
 	}
 	return p, nil
 }
@@ -103,7 +102,7 @@ func AlignedChains(joins []*join.Join) bool {
 // template (an ordering of the output attributes): entry i describes
 // the two-attribute sub-relation (template[i], template[i+1]). When a
 // single relation holds both attributes the entry carries that
-// relation's statistics; otherwise the entry is synthesized by
+// relation; otherwise the entry is synthesized by
 // combining degrees along the join-tree path between holders (§8.1.2).
 func ProfileFromTemplate(j *join.Join, template []string, pre *Precomputed) (*Profile, error) {
 	if len(template) < 2 {
@@ -122,7 +121,7 @@ func ProfileFromTemplate(j *join.Join, template []string, pre *Precomputed) (*Pr
 			e.JoinAttr = ""
 		}
 		if src >= 0 {
-			e.Stats = pre.relStats[src]
+			e.Rel = pre.rels[src]
 			e.Fake = i > 0 && src == prevSrc
 			prevSrc = src
 		} else {
@@ -140,7 +139,7 @@ func ProfileFromTemplate(j *join.Join, template []string, pre *Precomputed) (*Pr
 			if err != nil {
 				return nil, fmt.Errorf("histest: join %s, pair (%s,%s): %w", j.Name(), a, b, err)
 			}
-			e.Stats = pre.relStats[anchor]
+			e.Rel = pre.rels[anchor]
 			e.PathFactor = factor
 			prevSrc = -1
 		}
@@ -150,20 +149,15 @@ func ProfileFromTemplate(j *join.Join, template []string, pre *Precomputed) (*Pr
 }
 
 // Precomputed caches per-join structures shared by template search and
-// profile construction: relation statistics, attribute holders, and
-// join-tree adjacency (the residual of a cyclic join counts as one
-// extra node linked to the skeleton relations it shares attributes
-// with, per §8.2's "treat S_R as a single relation").
+// profile construction: the relations, attribute holders, and join-tree
+// adjacency (the residual of a cyclic join counts as one extra node
+// linked to the skeleton relations it shares attributes with, per
+// §8.2's "treat S_R as a single relation").
 type Precomputed struct {
-	j        *join.Join
-	rels     []*joinRelView
-	relStats []*stats.RelStats
-	holders  map[string][]int // attribute -> relation indexes holding it
-	adj      [][]adjEdge      // join-graph adjacency between relations
-}
-
-type joinRelView struct {
-	schemaAttrs []string
+	j       *join.Join
+	rels    []*relation.Relation
+	holders map[string][]int // attribute -> relation indexes holding it
+	adj     [][]adjEdge      // join-graph adjacency between relations
 }
 
 type adjEdge struct {
@@ -180,17 +174,14 @@ func Precompute(j *join.Join) *Precomputed {
 		total++
 	}
 	p := &Precomputed{
-		j:        j,
-		rels:     make([]*joinRelView, total),
-		relStats: make([]*stats.RelStats, total),
-		holders:  make(map[string][]int),
-		adj:      make([][]adjEdge, total),
+		j:       j,
+		rels:    make([]*relation.Relation, total),
+		holders: make(map[string][]int),
+		adj:     make([][]adjEdge, total),
 	}
 	for i := range nodes {
-		rel := nodes[i].Rel
-		p.rels[i] = &joinRelView{schemaAttrs: rel.Schema().Attrs()}
-		p.relStats[i] = stats.Build(rel)
-		for _, a := range p.rels[i].schemaAttrs {
+		p.rels[i] = nodes[i].Rel
+		for _, a := range p.rels[i].Schema().Attrs() {
 			p.holders[a] = append(p.holders[a], i)
 		}
 	}
@@ -201,10 +192,8 @@ func Precompute(j *join.Join) *Precomputed {
 	}
 	if res != nil {
 		ri := len(nodes)
-		resRel := res.Rel()
-		p.rels[ri] = &joinRelView{schemaAttrs: resRel.Schema().Attrs()}
-		p.relStats[ri] = stats.Build(resRel)
-		for _, a := range p.rels[ri].schemaAttrs {
+		p.rels[ri] = res.Rel()
+		for _, a := range p.rels[ri].Schema().Attrs() {
 			p.holders[a] = append(p.holders[a], ri)
 		}
 		for _, a := range res.LinkAttrs {
@@ -224,17 +213,8 @@ func Precompute(j *join.Join) *Precomputed {
 // Preference order is the node order, which makes profile construction
 // deterministic.
 func (p *Precomputed) holderOfBoth(a, b string) int {
-	for i, rv := range p.rels {
-		hasA, hasB := false, false
-		for _, attr := range rv.schemaAttrs {
-			if attr == a {
-				hasA = true
-			}
-			if attr == b {
-				hasB = true
-			}
-		}
-		if hasA && hasB {
+	for i, r := range p.rels {
+		if r.Schema().Has(a) && r.Schema().Has(b) {
 			return i
 		}
 	}
@@ -312,7 +292,11 @@ func (p *Precomputed) pathFactor(a, b string) (anchor int, factor float64, err e
 				continue
 			}
 			visited[e.to] = true
-			m := float64(p.relStats[e.to].MaxDegree(e.attr))
+			ix, err := attrIndex(p.rels[e.to], e.attr)
+			if err != nil {
+				return -1, 0, err
+			}
+			m := float64(ix.MaxDegree())
 			queue = append(queue, state{rel: e.to, start: s.start, factor: s.factor * m})
 		}
 	}

@@ -3,6 +3,7 @@ package histest
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sampleunion/internal/relation"
 )
@@ -48,7 +49,7 @@ func Bound(profiles []*Profile, mode Mode) (float64, error) {
 		// A single-relation chain: the trivial bound min_j |J_j|.
 		min := math.Inf(1)
 		for _, p := range profiles {
-			if s := float64(p.Entries[0].Stats.Size) * p.Entries[0].PathFactor; s < min {
+			if s := float64(p.Entries[0].Rel.LiveLen()) * p.Entries[0].PathFactor; s < min {
 				min = s
 			}
 		}
@@ -72,32 +73,32 @@ func Bound(profiles []*Profile, mode Mode) (float64, error) {
 	return k, nil
 }
 
-// firstHop computes K(1): the per-value histogram product, minimized
-// across joins, summed over the values common to every join's first two
-// chain elements.
+// firstHop computes K(1): the per-value degree product, minimized
+// across joins, summed in ascending value order over the live values of
+// the join whose first element has the fewest distinct values.
 func firstHop(profiles []*Profile) (float64, error) {
 	attr := profiles[0].Entries[1].JoinAttr
-	// Iterate the values of the smallest histogram to keep the scan
-	// proportional to the tightest domain.
-	type hist struct{ h0, h1 histogramView }
+	// Iterate the values of the smallest domain to keep the scan
+	// proportional to the tightest one.
+	type hist struct{ h0, h1 degrees }
 	hs := make([]hist, len(profiles))
 	smallest, smallestSize := -1, math.MaxInt
 	for i, p := range profiles {
-		h0, err := histView(p.Entries[0], attr)
+		h0, err := degreesOf(p.Entries[0], attr)
 		if err != nil {
 			return 0, fmt.Errorf("histest: join %s: %w", p.Join.Name(), err)
 		}
-		h1, err := histView(p.Entries[1], attr)
+		h1, err := degreesOf(p.Entries[1], attr)
 		if err != nil {
 			return 0, fmt.Errorf("histest: join %s: %w", p.Join.Name(), err)
 		}
 		hs[i] = hist{h0, h1}
-		if n := h0.distinct(); n < smallestSize {
+		if n := h0.ix.Distinct(); n < smallestSize {
 			smallest, smallestSize = i, n
 		}
 	}
 	sum := 0.0
-	for _, v := range hs[smallest].h0.values() {
+	for _, v := range liveValues(hs[smallest].h0.ix) {
 		min := math.Inf(1)
 		for i := range hs {
 			term := hs[i].h0.degree(v) * hs[i].h1.degree(v)
@@ -122,14 +123,16 @@ func hopFactor(profiles []*Profile, i int, mode Mode) (float64, error) {
 		if e.Fake {
 			f = 1 // fake join: the split rejoins one original relation
 		} else {
-			as, err := e.Stats.Attr(e.JoinAttr)
+			ix, err := attrIndex(e.Rel, e.JoinAttr)
 			if err != nil {
 				return 0, fmt.Errorf("histest: join %s entry %d: %w", p.Join.Name(), i, err)
 			}
 			if mode == AvgMode {
-				f = as.Avg()
+				if n := ix.Distinct(); n > 0 {
+					f = float64(e.Rel.LiveLen()) / float64(n)
+				}
 			} else {
-				f = float64(as.Max)
+				f = float64(ix.MaxDegree())
 			}
 			f *= e.PathFactor
 		}
@@ -140,29 +143,39 @@ func hopFactor(profiles []*Profile, i int, mode Mode) (float64, error) {
 	return min, nil
 }
 
-// histogramView exposes an entry's degree function for one attribute,
-// scaled by the entry's path factor.
-type histogramView struct {
-	entry Entry
-	attr  string
-}
-
-func histView(e Entry, attr string) (histogramView, error) {
-	if _, err := e.Stats.Attr(attr); err != nil {
-		return histogramView{}, err
+// attrIndex returns r's index over the named attribute.
+func attrIndex(r *relation.Relation, attr string) (*relation.Index, error) {
+	pos := r.Schema().Index(attr)
+	if pos < 0 {
+		return nil, fmt.Errorf("relation %s has no attribute %q", r.Name(), attr)
 	}
-	return histogramView{entry: e, attr: attr}, nil
+	return r.Index(pos), nil
 }
 
-func (h histogramView) degree(v relation.Value) float64 {
-	as := h.entry.Stats.Attrs[h.attr]
-	return float64(as.Freq[v]) * h.entry.PathFactor
+// degrees is an entry's degree function for one attribute, scaled by the
+// entry's path factor.
+type degrees struct {
+	ix     *relation.Index
+	factor float64
 }
 
-func (h histogramView) distinct() int {
-	return h.entry.Stats.Attrs[h.attr].Distinct()
+func degreesOf(e Entry, attr string) (degrees, error) {
+	ix, err := attrIndex(e.Rel, attr)
+	return degrees{ix: ix, factor: e.PathFactor}, err
 }
 
-func (h histogramView) values() []relation.Value {
-	return h.entry.Stats.Attrs[h.attr].Values()
+func (d degrees) degree(v relation.Value) float64 {
+	return float64(d.ix.Degree(v)) * d.factor
+}
+
+// liveValues returns the values of ix with a live row, ascending.
+func liveValues(ix *relation.Index) []relation.Value {
+	vs := make([]relation.Value, 0, ix.Distinct())
+	for e := range ix.NumEntries() {
+		if v := ix.ValueAt(e); ix.Degree(v) > 0 {
+			vs = append(vs, v)
+		}
+	}
+	slices.Sort(vs)
+	return vs
 }
