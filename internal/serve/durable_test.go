@@ -146,7 +146,8 @@ func TestDurableWarmRestart(t *testing.T) {
 // which this one drops on reading — both keys are named), and one whose
 // declaration no longer keys at all (written by a binary that still had
 // the adaptive mode: the key and normalized declaration TestDeclKeysPinned
-// pinned for "auto").
+// pinned for "auto"), and one whose options no longer canonicalize
+// (an online session declared with the histogram warm-up it ignored).
 func TestRestoreRefusesMovedKey(t *testing.T) {
 	const (
 		oracleKey = "18557bf0823326dd225840f65ae48ae34f1713f2175e9aeeb55d914cf8027e51"
@@ -157,6 +158,10 @@ func TestRestoreRefusesMovedKey(t *testing.T) {
 		// key of its own while it drew like the default budget.
 		walklessKey = "02713526c81f42684acde6cfc410149364bd1c3ae322891b0e3b9cf0b5148dbe"
 		walklessDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"random-walk","method":"EW","warmup_walks":-1,"seed":1,"shards":1}}`
+		// Online options once kept the Warmup they ignored, so this drew
+		// like the random-walk spelling under a key of its own.
+		onlineHistKey = "53fb1883ab94b46c08dd26f4b53923d57b9096f38468cb44eb3a19820b89426d"
+		onlineHistDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"histogram","method":"EW","online":true,"warmup_walks":1000,"seed":1,"shards":1}}`
 	)
 	var d UnionDecl
 	if err := json.Unmarshal([]byte(`{"options":{"warmup":"exact","method":"WJ"}}`), &d); err != nil {
@@ -173,6 +178,7 @@ func TestRestoreRefusesMovedKey(t *testing.T) {
 		{"dropped option", oracleKey, oracleDoc, []string{"entry 0", oracleKey, recomputed}},
 		{"removed auto", autoKey, autoDoc, []string{autoKey, `unknown warmup "auto"`}},
 		{"walkless cover", walklessKey, walklessDoc, []string{walklessKey, "negative warmup_walks -1 needs online"}},
+		{"online histogram", onlineHistKey, onlineHistDoc, []string{onlineHistKey, `not warmup "histogram"`}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -13,7 +13,8 @@ import (
 // still names it fails loudly — "auto" in either enum field answers 400
 // with the values that remain, and nothing is prepared for it. So does a
 // negative walk budget without "online", the one sampler that can start
-// without warm-up walks.
+// without warm-up walks, and "online" beside a warm-up other than
+// random-walk, which it would ignore while keying a session of its own.
 func TestAutoDeclaration(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
@@ -23,6 +24,8 @@ func TestAutoDeclaration(t *testing.T) {
 		{OptionsDecl{Warmup: "auto", Seed: 1}, `unknown warmup "auto" (valid: histogram, random-walk, exact)`},
 		{OptionsDecl{Method: "auto", WarmupWalks: 128, Seed: 1}, `unknown method "auto" (valid: EW, EO, WJ)`},
 		{OptionsDecl{WarmupWalks: -1, Seed: 1}, `negative warmup_walks -1 needs online`},
+		{OptionsDecl{Online: true, Warmup: "histogram", Seed: 1}, `not warmup "histogram" (warmup_walks < 0 is how Algorithm 2 starts from histogram parameters)`},
+		{OptionsDecl{Online: true, Warmup: "exact", Seed: 1}, `not warmup "exact"`},
 	} {
 		decl := quickDecl()
 		decl.Options = tc.opts

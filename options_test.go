@@ -52,6 +52,9 @@ func TestCanonicalRejects(t *testing.T) {
 		{Options{Warmup: WarmupExact, Method: "auto"}, `unknown method "auto"`},
 		{Options{WarmupWalks: -1}, `negative warmup_walks -1 needs online`},
 		{Options{Warmup: WarmupHistogram, Method: MethodEO, WarmupWalks: -7}, `negative warmup_walks -7 needs online`},
+		{Options{Online: true, Warmup: WarmupHistogram}, `online warms with random walks, not warmup "histogram" (warmup_walks < 0 is how`},
+		{Options{Online: true, Warmup: WarmupExact}, `not warmup "exact"`},
+		{Options{Online: true, Warmup: WarmupHistogram, WarmupWalks: -1}, `not warmup "histogram"`},
 	} {
 		if _, err := tc.o.Canonical(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: Canonical err = %v, want one containing %q", tc.o, err, tc.want)

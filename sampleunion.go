@@ -184,7 +184,9 @@ type Options struct {
 	// Method selects the join subroutine. Empty means MethodEW.
 	Method Method `json:"method,omitempty"`
 	// Online enables Algorithm 2: wander-join draws with sample reuse
-	// and backtracking parameter refinement.
+	// and backtracking parameter refinement. It warms with its own
+	// walks, so Warmup must be empty or WarmupRandomWalk beside it; a
+	// negative WarmupWalks starts it from histogram parameters instead.
 	Online bool `json:"online,omitempty"`
 	// WarmupWalks is the warm-up walk budget per join. 0 means 1000.
 	// The random-walk warm-up stops a join's walks early once its size
@@ -234,8 +236,9 @@ const ShardsAuto = -1
 
 // Canonical validates the options and fills every default, returning
 // the one spelling all equal-by-effect options share: an empty Warmup
-// is WarmupRandomWalk and an empty Method MethodEW; WarmupWalks 0 is
-// 1000 and any negative count -1 (an error without Online, the one
+// is WarmupRandomWalk and an empty Method MethodEW; Online with any other
+// Warmup is an error (Algorithm 2 always warms with walks); WarmupWalks 0
+// is 1000 and any negative count -1 (an error without Online, the one
 // sampler that can start without walks); Seed 0 is 1; Shards below 0 is
 // runtime.GOMAXPROCS(0) and below 1 is 1. Canonical options are a fixed
 // point of Canonical. Every entry point of the package applies it, and
@@ -254,6 +257,9 @@ func (o Options) Canonical() (Options, error) {
 	}
 	if o.Warmup == "" {
 		o.Warmup = WarmupRandomWalk
+	}
+	if o.Online && o.Warmup != WarmupRandomWalk {
+		return o, fmt.Errorf("sampleunion: online warms with random walks, not warmup %q (warmup_walks < 0 is how Algorithm 2 starts from histogram parameters)", o.Warmup)
 	}
 	if o.Method == "" {
 		o.Method = MethodEW
@@ -327,8 +333,8 @@ func (u *Union) OutputSchema() *Schema { return u.joins[0].OutputSchema() }
 // estimatorFor builds the core.Estimator for the (canonical) options
 // over a join set — the whole union's, or one shard's rebound joins —
 // with an explicit walk budget (the sharded engine divides the session's
-// budget across shards). Online options warm the way Algorithm 2 does,
-// whatever the Warmup.
+// budget across shards). Online options warm the way Algorithm 2 does;
+// Canonical admits no Warmup but random-walk beside them.
 func estimatorFor(joins []*join.Join, o Options, walks int) core.Estimator {
 	if o.testEstimator != nil {
 		return o.testEstimator
