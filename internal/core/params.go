@@ -64,8 +64,9 @@ type Estimator interface {
 	Params(g *rng.RNG) (*Params, error)
 }
 
-// HistogramEstimator adapts histest (§5) to the framework: statistics
-// only, no data access, near-zero setup cost.
+// HistogramEstimator adapts histest (§5) to the framework: degree
+// statistics only, read from the relations' attribute indexes, so no
+// data pass and near-zero setup cost.
 type HistogramEstimator struct {
 	Joins []*join.Join
 	Opts  histest.Options

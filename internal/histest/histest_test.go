@@ -163,6 +163,17 @@ func TestAvgModeBelowBoundMode(t *testing.T) {
 	if lo > hi+1e-9 {
 		t.Fatalf("avg-degree estimate %.2f above max-degree bound %.2f", lo, hi)
 	}
+	// An emptied relation has no distinct values: its average degree is
+	// 0, not 0/0, so both modes bound the overlap by 0.
+	c1 := joins[0].Nodes()[2].Rel
+	for i := 0; i < c1.Len(); i++ {
+		c1.Delete(i)
+	}
+	for _, mode := range []Mode{BoundMode, AvgMode} {
+		if got, err := Bound([]*Profile{p1, p2}, mode); err != nil || got != 0 {
+			t.Errorf("mode %d over an empty relation: %v, %v; want 0", mode, got, err)
+		}
+	}
 }
 
 func TestBoundValidation(t *testing.T) {

@@ -207,13 +207,14 @@ func TestHistogramParamsPinned(t *testing.T) {
 	}
 }
 
+// schemas names mixedUnion's relations' two attributes, in order.
+var schemas = []string{"AB", "BC", "CA", "CD", "AB", "BC", "CD"}
+
 // mixedUnion builds a triangle R(A,B) ⋈ S(B,C) ⋈ T(C,A) with a pendant
 // U(C,D), and a chain P(A,B) ⋈ Q(B,C) ⋈ V(C,D), over the given rows, so
 // the warm-up takes the template path through a cyclic join's residual
-// and Theorem 4 multiplies in a degree factor. schemas names the
-// relations' attributes in that order.
-var schemas = []string{"AB", "BC", "CA", "CD", "AB", "BC", "CD"}
-
+// (T) and Theorem 4 multiplies in a degree factor read from R and P,
+// two relations with deleted rows.
 func mixedUnion(t testing.TB, rows [][]relation.Tuple) ([]*join.Join, []*relation.Relation) {
 	t.Helper()
 	rels := make([]*relation.Relation, len(schemas))
@@ -223,7 +224,7 @@ func mixedUnion(t testing.TB, rows [][]relation.Tuple) ([]*join.Join, []*relatio
 	}
 	cyc, err := join.NewCyclic("cyclic", rels[:4], []join.Edge{
 		{A: 0, B: 1, Attr: "B"}, {A: 1, B: 2, Attr: "C"}, {A: 2, B: 0, Attr: "A"}, {A: 1, B: 3, Attr: "C"},
-	}, nil)
+	}, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,18 +270,23 @@ func TestParamsUnderConcurrentMutation(t *testing.T) {
 			}
 		}
 	}()
+	var firstErr error
+read:
 	for i := 0; ; i++ {
 		select {
 		case <-done:
+			break read
 		default:
-			if _, err := (&core.HistogramEstimator{Joins: joins, Opts: configs[i%len(configs)]}).Params(nil); err != nil {
-				t.Fatal(err)
-			}
-			joins[0].FreshenResidual()
-			reads.Add(1)
-			continue
 		}
-		break
+		// Keep reading after an error: the writer waits for reads.
+		if _, err := (&core.HistogramEstimator{Joins: joins, Opts: configs[i%len(configs)]}).Params(nil); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		joins[0].FreshenResidual()
+		reads.Add(1)
+	}
+	if firstErr != nil {
+		t.Fatal(firstErr)
 	}
 	joins[0].FreshenResidual()
 	live := make([][]relation.Tuple, len(rels))
@@ -289,11 +295,7 @@ func TestParamsUnderConcurrentMutation(t *testing.T) {
 	}
 	fresh, _ := mixedUnion(t, live)
 	for _, o := range configs {
-		got, want := paramsRow(t, joins, o), paramsRow(t, fresh, o)
-		if testing.Verbose() {
-			t.Logf("%s: %s", configName(o), got)
-		}
-		if got != want {
+		if got, want := paramsRow(t, joins, o), paramsRow(t, fresh, o); got != want {
 			t.Errorf("%s: mutated union %s, fresh union %s", configName(o), got, want)
 		}
 	}

@@ -101,9 +101,9 @@ func AlignedChains(joins []*join.Join) bool {
 // ProfileFromTemplate builds the split profile of a join over a shared
 // template (an ordering of the output attributes): entry i describes
 // the two-attribute sub-relation (template[i], template[i+1]). When a
-// single relation holds both attributes the entry carries that
-// relation; otherwise the entry is synthesized by
-// combining degrees along the join-tree path between holders (§8.1.2).
+// single relation holds both attributes the entry carries that relation;
+// otherwise the entry is synthesized by combining degrees along the
+// join-tree path between holders (§8.1.2).
 func ProfileFromTemplate(j *join.Join, template []string, pre *Precomputed) (*Profile, error) {
 	if len(template) < 2 {
 		return nil, fmt.Errorf("histest: template needs at least 2 attributes")

@@ -80,29 +80,27 @@ func firstHop(profiles []*Profile) (float64, error) {
 	attr := profiles[0].Entries[1].JoinAttr
 	// Iterate the values of the smallest domain to keep the scan
 	// proportional to the tightest one.
-	type hist struct{ h0, h1 degrees }
-	hs := make([]hist, len(profiles))
-	smallest, smallestSize := -1, math.MaxInt
+	ixs := make([][2]*relation.Index, len(profiles))
+	smallest := 0
 	for i, p := range profiles {
-		h0, err := degreesOf(p.Entries[0], attr)
-		if err != nil {
-			return 0, fmt.Errorf("histest: join %s: %w", p.Join.Name(), err)
+		for k := range ixs[i] {
+			ix, err := attrIndex(p.Entries[k].Rel, attr)
+			if err != nil {
+				return 0, fmt.Errorf("histest: join %s: %w", p.Join.Name(), err)
+			}
+			ixs[i][k] = ix
 		}
-		h1, err := degreesOf(p.Entries[1], attr)
-		if err != nil {
-			return 0, fmt.Errorf("histest: join %s: %w", p.Join.Name(), err)
-		}
-		hs[i] = hist{h0, h1}
-		if n := h0.ix.Distinct(); n < smallestSize {
-			smallest, smallestSize = i, n
+		if ixs[i][0].Distinct() < ixs[smallest][0].Distinct() {
+			smallest = i
 		}
 	}
 	sum := 0.0
-	for _, v := range liveValues(hs[smallest].h0.ix) {
+	for _, v := range liveValues(ixs[smallest][0]) {
 		min := math.Inf(1)
-		for i := range hs {
-			term := hs[i].h0.degree(v) * hs[i].h1.degree(v)
-			if term < min {
+		for i, p := range profiles {
+			d0 := float64(ixs[i][0].Degree(v)) * p.Entries[0].PathFactor
+			d1 := float64(ixs[i][1].Degree(v)) * p.Entries[1].PathFactor
+			if term := d0 * d1; term < min {
 				min = term
 			}
 			if min == 0 {
@@ -150,22 +148,6 @@ func attrIndex(r *relation.Relation, attr string) (*relation.Index, error) {
 		return nil, fmt.Errorf("relation %s has no attribute %q", r.Name(), attr)
 	}
 	return r.Index(pos), nil
-}
-
-// degrees is an entry's degree function for one attribute, scaled by the
-// entry's path factor.
-type degrees struct {
-	ix     *relation.Index
-	factor float64
-}
-
-func degreesOf(e Entry, attr string) (degrees, error) {
-	ix, err := attrIndex(e.Rel, attr)
-	return degrees{ix: ix, factor: e.PathFactor}, err
-}
-
-func (d degrees) degree(v relation.Value) float64 {
-	return float64(d.ix.Degree(v)) * d.factor
 }
 
 // liveValues returns the values of ix with a live row, ascending.

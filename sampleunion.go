@@ -143,10 +143,13 @@ func Cyclic(name string, rels []*Relation, edges []Edge, residualSet []int) (*Jo
 type Warmup string
 
 const (
-	// WarmupHistogram uses column statistics only (§5): near-zero
-	// setup, upper-bound overlaps, suitable when data access is
-	// infeasible (data markets). Sampling efficiency suffers under
-	// skew.
+	// WarmupHistogram uses column statistics only (§5): each value's
+	// degree, the distinct count and the maximum degree, read from the
+	// relations' attribute indexes, which keep them under appends and
+	// deletes, so the warm-up counts nothing again and its setup does not
+	// grow with the data (with EO sizes; EW sizes count each join's
+	// results). Upper-bound overlaps, suitable when data access is
+	// infeasible (data markets). Sampling efficiency suffers under skew.
 	WarmupHistogram Warmup = "histogram"
 	// WarmupRandomWalk runs wander-join walks (§6): accurate unbiased
 	// estimates at the cost of warm-up walks; needs data access. The
