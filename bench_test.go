@@ -453,8 +453,12 @@ func appendBurst(rels []*Relation, iter, batch, base int) {
 // table by the first draw, which is why the two rows= legs still
 // differ. The aged leg starts timing once the bursts have built the
 // member deltas and index overlays half way to their fold, where a
-// refresh that copied them whole would show. CI gates the 30 000-row
-// leg's allocs/op and B/op, and the aged leg's B/op.
+// refresh that copied them whole would show. The fanout leg is UQ1 (two
+// variants, sf 8) under a 32-row lineitem append: the nationkey fan-out
+// of customer and supplier, whose large segments a burst reaches most
+// of, and whose others a patch must leave shared rather than copy. CI
+// gates the 30 000-row leg's allocs/op and B/op, and the B/op of the
+// 300 000-row, aged and fanout legs.
 func BenchmarkMutateThenDraw(b *testing.B) {
 	const (
 		rows  = 30000
@@ -507,6 +511,38 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 			}
 		})
 	}
+	b.Run("refresh-ew/fanout", func(b *testing.B) {
+		w, err := tpch.UQ1N(tpch.Config{SF: 8, Overlap: 0.2, Seed: 1}, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		u, err := NewUnion(w.Joins...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := u.Prepare(optsEW)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rels := w.Joins[0].Relations()
+		orders, lineitem := rels[3].Len(), rels[4]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			add := make([]Tuple, batch)
+			for r := range add {
+				serial := i*batch + r
+				add[r] = Tuple{Value(serial * 7919 % orders), Value(1_000_000_000 + serial), 1, 1}
+			}
+			lineitem.AppendRows(add)
+			if err := s.Refresh(); err != nil {
+				b.Fatal(err)
+			}
+			if out, _, err := s.SampleSeeded(draws, int64(i)); err != nil || len(out) != draws {
+				b.Fatal("short sample", err)
+			}
+		}
+	})
 	b.Run("rebuild", func(b *testing.B) {
 		u, rels := benchLiveUnion(b, rows)
 		if _, err := u.Prepare(opts); err != nil { // match the warm start

@@ -11,8 +11,7 @@ import (
 // parameters: the non-Bernoulli cover sampler (Algorithm 1) and the §3
 // union trick (PrepareBernoulli).
 type CoverConfig struct {
-	// Method is the single-join subroutine (EW or EO), sampling at the
-	// engine's default alias threshold (joinsample.DefaultAliasThreshold).
+	// Method is the single-join subroutine (EW or EO).
 	Method JoinMethod
 	// Estimator supplies warm-up parameters; required. Its join-size
 	// instantiation should match Method (EW sizes with MethodEW, EO

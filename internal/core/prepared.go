@@ -253,12 +253,18 @@ type RefreshStats struct {
 	DirtyJoins int `json:"dirty_joins"`
 	// SegmentsPatched counts the weight-table segments EW samplers
 	// recomputed in place of a rebuild; NodesRebuilt the join nodes whose
-	// patched table was folded back into flat arrays; JoinsRebuilt the
-	// joins whose tables were rebuilt whole (a compacted index, a lost
-	// mutation-log tail).
+	// patch cost the whole node (join.Patch.Folded: small segments folded
+	// back into flat arrays, or every segment rewritten); JoinsRebuilt
+	// the joins whose tables were rebuilt whole (a compacted index, a
+	// lost mutation-log tail). WeightBytes is the weight-table storage
+	// all of that wrote — running sums, row lists, offsets, overlay
+	// records and large-segment directories (join.Patch.Bytes) — which
+	// is what shows a large segment's cost: rewriting one writes its
+	// length.
 	SegmentsPatched int `json:"segments_patched"`
 	NodesRebuilt    int `json:"nodes_rebuilt"`
 	JoinsRebuilt    int `json:"joins_rebuilt"`
+	WeightBytes     int `json:"weight_bytes"`
 	// IndexesCompacted counts the indexes over the joins' relations that
 	// were built again instead of extending their overlay, and
 	// MembersRebuilt the membership tables whose delta was folded into a
@@ -280,6 +286,7 @@ func (a *RefreshStats) add(b RefreshStats) {
 	a.SegmentsPatched += b.SegmentsPatched
 	a.NodesRebuilt += b.NodesRebuilt
 	a.JoinsRebuilt += b.JoinsRebuilt
+	a.WeightBytes += b.WeightBytes
 	a.IndexesCompacted += b.IndexesCompacted
 	a.MembersRebuilt += b.MembersRebuilt
 	a.Walks += b.Walks

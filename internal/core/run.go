@@ -32,8 +32,9 @@ type Run interface {
 	// Params returns the parameters the run currently samples under:
 	// the shared warm-up estimates, refined per-run in online mode.
 	Params() *Params
-	// RNG restarts the generator the run carries at seed and returns it:
-	// the stream rng.New(seed) yields, without a new source per run.
+	// RNG restarts the run's generator at seed and returns it: the
+	// stream rng.New(seed) yields, on a generator borrowed from the
+	// process-wide pool (rng.Borrow) until Release.
 	RNG(seed int64) *rng.RNG
 	// Release hands the run back to the prepared generation it came
 	// from, whose next NewRun may reset and reuse it. The caller must be
@@ -107,6 +108,7 @@ const maxPooledValues = 1 << 18
 func (s *runState) release(run Run) {
 	p := s.prep
 	s.prep = nil
+	s.returnRNG()
 	if cap(s.arena) <= maxPooledValues {
 		p.runs.Put(run)
 	}
@@ -122,18 +124,28 @@ func (s *runState) release(run Run) {
 // tables alive that long under a stream of appends.
 func newRunPool() *sync.Pool { return new(sync.Pool) }
 
-// runRNG is the generator a run carries across recycling.
+// runRNG is the generator a run draws with between its first RNG call
+// and its Release, which hands it back to the process-wide pool: runs
+// are pooled per generation, so a Refresh starts with none, but its
+// first draws still build no source.
 type runRNG struct{ g *rng.RNG }
 
-// RNG restarts the run's generator at seed (building it on first use)
+// RNG restarts the run's generator at seed (borrowing it on first use)
 // and returns it.
 func (r *runRNG) RNG(seed int64) *rng.RNG {
 	if r.g == nil {
-		r.g = rng.New(seed)
+		r.g = rng.Borrow(seed)
 	} else {
 		r.g.Reseed(seed)
 	}
 	return r.g
+}
+
+func (r *runRNG) returnRNG() {
+	if r.g != nil {
+		rng.Return(r.g)
+		r.g = nil
+	}
 }
 
 // Stats returns the run's instrumentation.

@@ -44,7 +44,7 @@ func newJoinSampler(j *join.Join, m JoinMethod, prev joinsample.Sampler) joinsam
 	switch m {
 	case MethodEW:
 		was, _ := prev.(*joinsample.EW)
-		return joinsample.NewEWFrom(j, joinsample.DefaultAliasThreshold, was)
+		return joinsample.NewEWFrom(j, was)
 	case MethodWJ:
 		return joinsample.NewWJ(j)
 	}
@@ -191,6 +191,7 @@ func (b *unionBase) patchStats(dirty []bool, st *RefreshStats) {
 			continue
 		}
 		p := ew.Patch()
+		st.WeightBytes += p.Bytes
 		if p.Rebuilt {
 			st.JoinsRebuilt++
 			continue

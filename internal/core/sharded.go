@@ -412,6 +412,7 @@ func (s *ShardedSampler) Release() {
 	}
 	p := s.shared
 	s.shared = nil
+	s.returnRNG()
 	if cap(s.order) <= maxPooledValues {
 		p.runs.Put(s)
 	}

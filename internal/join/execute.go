@@ -1,7 +1,12 @@
 package join
 
 import (
+	"cmp"
+	"slices"
+	"sync/atomic"
+
 	"sampleunion/internal/relation"
+	"sampleunion/internal/rng"
 )
 
 // Enumerate streams every join result tuple to yield; enumeration stops
@@ -93,62 +98,122 @@ func (j *Join) Count() int64 {
 	return total
 }
 
-// WeightTable is one join node's exact weights, packed the way the EW
-// sampler draws from them: the rows with positive weight, grouped by
-// join-attribute value. Segment e — the rows of entry e of the node's
-// index, in index order — is Rows[Off[e]:Off[e+1]], with Cum the running
-// weight sum inside each segment, so a segment's last Cum is the total
-// weight of its value. The root, which has no join attribute, is one
-// segment of its positive-weight rows in row order.
-//
-// Like the index it is aligned to, a table is a flat base plus an
-// optional overlay: PatchWeights recomputes only the segments a mutation
-// reached and keeps them beside the predecessor's flat arrays, which the
-// two generations then share. Segment and Total read through the
-// overlay; Off, Rows and Cum alone describe the table only when it
-// carries none.
-type WeightTable struct {
-	Off  []int32
-	Rows []int32
-	Cum  []int64
-	ov   *segOverlay // nil = flat
+// LargeRows is the length from which a weight segment stands alone as a
+// LargeSegment, and from which EW draws select its rows through a Walker
+// alias table (O(1) per draw) instead of the prefix-sum binary search
+// (O(log fan-out)): below it the table's two RNG draws and cache
+// footprint cost more than the search saves.
+const LargeRows = 32
+
+// LargeSegment is a weight segment of at least LargeRows rows, held
+// apart from its node's flat arrays: immutable once published, so
+// generations share it by pointer — a patch that does not reach it
+// copies nothing of it — and with it the alias table its first draw
+// builds.
+type LargeSegment struct {
+	Ent   int32   // the index entry whose rows these are
+	Rows  []int32 // as WeightTable.Segment returns them
+	Cum   []int64
+	alias atomic.Pointer[rng.Alias]
 }
 
-// Segment returns entry e's rows and their running weight sums. A flat
-// table answers inline; only a patched one pays the overlay's search.
-func (t *WeightTable) Segment(e int) ([]int32, []int64) {
+// Alias returns the segment's alias table, built from its running sums
+// on first use and published atomically: racing builders construct
+// identical tables and share the first. The table normalizes its
+// per-row probabilities in float64, so a row carries a relative error up
+// to ~2^-53; the prefix-sum draw of smaller segments is the one exact
+// for every representable total.
+func (s *LargeSegment) Alias() *rng.Alias {
+	if a := s.alias.Load(); a != nil {
+		return a
+	}
+	s.alias.CompareAndSwap(nil, rng.NewAliasCum(s.Cum))
+	return s.alias.Load()
+}
+
+// WeightTable is one join node's exact weights, packed the way the EW
+// sampler draws from them: per entry of the node's index, a segment of
+// the value's rows with positive weight, in index order, with their
+// running weight sums, so a segment's last sum is the total its parent
+// multiplies by. The root is one segment of its rows in row order.
+//
+// A segment of LargeRows rows or more is a LargeSegment, listed by entry
+// in Large. The small ones are three flat arrays — segment e is
+// Rows[Off[e]:Off[e+1]], Cum likewise, empty for a large entry — plus an
+// optional overlay, like the index they are aligned to: PatchWeights
+// files the small segments it recomputed in an overlay beside the
+// predecessor's flat arrays, which the two generations share, and gives
+// a large one an object of its own. Segment and Total read all three.
+type WeightTable struct {
+	Off   []int32
+	Rows  []int32
+	Cum   []int64
+	Large []*LargeSegment
+	ov    *segOverlay // nil = flat
+}
+
+// SegmentOf returns entry e's rows, their running weight sums, and the
+// LargeSegment holding them if any. Only a patched table pays the
+// overlay's search, and only an entry with no small segment Large's.
+func (t *WeightTable) SegmentOf(e int) ([]int32, []int64, *LargeSegment) {
+	rows, cum := t.flat(e)
 	if t.ov != nil {
-		return t.ov.segment(t, e)
+		rows, cum = t.ov.segment(t, e)
+	}
+	if len(rows) > 0 || len(t.Large) == 0 {
+		return rows, cum, nil
+	}
+	i, ok := slices.BinarySearchFunc(t.Large, int32(e), func(s *LargeSegment, e int32) int { return cmp.Compare(s.Ent, e) })
+	if !ok {
+		return nil, nil, nil
+	}
+	return t.Large[i].Rows, t.Large[i].Cum, t.Large[i]
+}
+
+// flat returns entry e's segment in the flat arrays: empty for an entry
+// past them, which the index gained after they were packed.
+func (t *WeightTable) flat(e int) ([]int32, []int64) {
+	if e+1 >= len(t.Off) {
+		return nil, nil
 	}
 	lo, hi := t.Off[e], t.Off[e+1]
 	return t.Rows[lo:hi], t.Cum[lo:hi]
 }
 
+// Segment returns entry e's rows and their running weight sums.
+func (t *WeightTable) Segment(e int) ([]int32, []int64) {
+	rows, cum, _ := t.SegmentOf(e)
+	return rows, cum
+}
+
 // Total returns the summed weight of entry e's rows.
 func (t *WeightTable) Total(e int) int64 {
-	if t.ov != nil {
-		if _, cum := t.ov.segment(t, e); len(cum) > 0 {
-			return cum[len(cum)-1]
-		}
-		return 0
-	}
-	if lo, hi := t.Off[e], t.Off[e+1]; lo < hi {
-		return t.Cum[hi-1]
+	if _, cum := t.Segment(e); len(cum) > 0 {
+		return cum[len(cum)-1]
 	}
 	return 0
 }
 
-// add appends row r with weight w to the open segment; zero-weight
-// rows are dropped. end closes the segment.
-func (t *WeightTable) add(r int, w int64) {
-	if w <= 0 {
-		return
+// appendPositive appends the rows of one entry that weigh more than zero
+// under w, in order, and their running weight sums.
+func appendPositive(rows []int32, cum []int64, entry []int, w []int64) ([]int32, []int64) {
+	var sum int64
+	for _, r := range entry {
+		if w[r] > 0 {
+			sum += w[r]
+			rows, cum = append(rows, int32(r)), append(cum, sum)
+		}
 	}
-	if n := len(t.Cum); n > int(t.Off[len(t.Off)-1]) {
-		w += t.Cum[n-1]
+	return rows, cum
+}
+
+// rows counts the rows of t's flat arrays and large segments.
+func (t *WeightTable) rows() int {
+	n := len(t.Rows)
+	for _, s := range t.Large {
+		n += len(s.Rows)
 	}
-	t.Rows = append(t.Rows, int32(r))
-	t.Cum = append(t.Cum, w)
+	return n
 }
 
 func (t *WeightTable) end() { t.Off = append(t.Off, int32(len(t.Rows))) }
@@ -178,9 +243,10 @@ func (w *Weights) Count() int64 { return w.Nodes[0].Total(0) }
 // fixed number of allocations per node: a node's row weights are the
 // product of its children's segment totals, and packing them along the
 // node's own index yields the totals its parent needs. Relations may
-// mutate meanwhile: each node's index is fetched before its storage
-// snapshot, storage is monotone, so every indexed row id is inside the
-// snapshot, and liveness is read from that snapshot alone.
+// mutate meanwhile: each node's index is
+// fetched before its storage snapshot, storage is monotone, so every
+// indexed row id is inside the snapshot, and liveness is read from that
+// snapshot alone.
 func (j *Join) ExactWeights() *Weights {
 	ws := &Weights{
 		Vers:  j.StateVersions(),
@@ -219,32 +285,81 @@ func (j *Join) ExactWeights() *Weights {
 				}
 			}
 		}
-		positive := 0
-		for _, wi := range w {
-			if wi > 0 {
-				positive++
-			}
-		}
-		t := &ws.Nodes[k]
-		t.Rows = make([]int32, 0, positive)
-		t.Cum = make([]int64, 0, positive)
+		// A first pass over the entries sizes every array, a second fills
+		// them.
+		pk := packer{w: w}
 		if k == 0 {
-			t.Off = make([]int32, 1, 2)
-			for i, wi := range w {
-				t.add(i, wi)
+			root := make([]int, s.Rows)
+			for i := range root {
+				root[i] = i
 			}
-			t.end()
+			pk.entry(root)
+			pk.fill(&ws.Nodes[k], 1)
+			pk.entry(root)
 			continue
 		}
-		t.Off = make([]int32, 1, ws.Idx[k].NumEntries()+1)
-		ws.Idx[k].EachEntry(func(rows []int) {
-			for _, r := range rows {
-				t.add(r, w[r])
-			}
-			t.end()
-		})
+		ws.Idx[k].EachEntry(pk.entry)
+		pk.fill(&ws.Nodes[k], ws.Idx[k].NumEntries())
+		ws.Idx[k].EachEntry(pk.entry)
 	}
 	return ws
+}
+
+// packer lays one node's positive row weights out as its WeightTable,
+// one entry at a time: small segments into the flat arrays, large ones
+// carved from one slab of segments and one of rows and sums. Until fill
+// names the table it only counts what the arrays must hold.
+type packer struct {
+	w                    []int64
+	t                    *WeightTable
+	small, large, nLarge int
+	slab                 []LargeSegment
+	rows                 []int32
+	cum                  []int64
+}
+
+func (p *packer) entry(rows []int) {
+	n := 0
+	for _, r := range rows {
+		if p.w[r] > 0 {
+			n++
+		}
+	}
+	switch t := p.t; {
+	case t == nil && n >= LargeRows:
+		p.large, p.nLarge = p.large+n, p.nLarge+1
+	case t == nil:
+		p.small += n
+	case n < LargeRows:
+		t.Rows, t.Cum = appendPositive(t.Rows, t.Cum, rows, p.w)
+		t.end()
+	default:
+		seg, lo := &p.slab[len(t.Large)], len(p.rows)
+		p.rows, p.cum = appendPositive(p.rows, p.cum, rows, p.w)
+		seg.Ent, seg.Rows, seg.Cum = int32(len(t.Off)-1), p.rows[lo:len(p.rows):len(p.rows)], p.cum[lo:len(p.cum):len(p.cum)]
+		t.Large = append(t.Large, seg)
+		t.end()
+	}
+}
+
+// fill allocates t's arrays, for entries entries, at the sizes counted
+// so far, and turns the packer to filling them.
+func (p *packer) fill(t *WeightTable, entries int) {
+	*t = WeightTable{Off: make([]int32, 1, entries+1), Rows: make([]int32, 0, p.small), Cum: make([]int64, 0, p.small)}
+	if p.nLarge > 0 {
+		p.slab, t.Large = make([]LargeSegment, p.nLarge), make([]*LargeSegment, 0, p.nLarge)
+		p.rows, p.cum = make([]int32, 0, p.large), make([]int64, 0, p.large)
+	}
+	p.t = t
+}
+
+// rowIDs returns 0, 1, …, n-1: the root's one entry.
+func rowIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
 // OlkenBound returns the extended Olken upper bound on the join size:

@@ -20,9 +20,15 @@ type Patch struct {
 	// were rewritten; every other segment is the predecessor's. Nil
 	// when Rebuilt.
 	Touched [][]int32
-	// Folded[k]: node k's overlay outgrew an eighth of its table and was
-	// folded, with the untouched segments, into fresh flat arrays.
+	// Folded[k]: the patch cost node k whole — its small segments'
+	// overlay outgrew an eighth of their flat arrays and was folded, with
+	// the untouched ones, into fresh flat arrays, or it rewrote every
+	// entry's segment and those passed an eighth of the node.
 	Folded []bool
+	// Bytes is the weight-table storage the patch wrote: running sums,
+	// row lists, offsets, overlay records and large-segment directories;
+	// the whole tables when Rebuilt.
+	Bytes int
 }
 
 // reweigh names one row whose weight may have moved, and the entry of
@@ -49,7 +55,14 @@ type reweigh struct{ ent, row int32 }
 // adjusted, naming one twice — here, or again from the next generation,
 // whose Vers predate the mutation — is harmless.
 func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
-	rebuilt := func() (*Weights, Patch) { return j.ExactWeights(), Patch{Rebuilt: true} }
+	rebuilt := func() (*Weights, Patch) {
+		ws, p := j.ExactWeights(), Patch{Rebuilt: true}
+		for k := range ws.Nodes {
+			t := &ws.Nodes[k]
+			p.Bytes += 4*len(t.Off) + 12*t.rows() + 8*len(t.Large)
+		}
+		return ws, p
+	}
 	if prev == nil {
 		return rebuilt()
 	}
@@ -126,19 +139,17 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
 		})
 		hits = slices.Compact(hits)
 
-		// The root is one entry; elsewhere prev knows the entries its own
-		// index had, and the index in hand may have gained some.
-		entries, known := 1, 1
+		// The root is one entry; elsewhere the index in hand may have
+		// gained entries prev's tables lack, and read as empty.
+		entries := 1
 		if k > 0 {
-			entries, known = ws.Idx[k].NumEntries(), prev.Idx[k].NumEntries()
+			entries = ws.Idx[k].NumEntries()
 		}
-		ws.Nodes[k], p.Touched[k], p.Folded[k] = j.patchNode(k, ws, s, &prev.Nodes[k], hits, entries, known, &sc.fresh)
+		var bytes int
+		ws.Nodes[k], p.Touched[k], p.Folded[k], bytes = j.patchNode(k, ws, s, &prev.Nodes[k], hits, entries, sc)
+		p.Bytes += bytes
 		for _, e := range p.Touched[k] {
-			var was int64
-			if int(e) < known {
-				was = prev.Nodes[k].Total(int(e))
-			}
-			if ws.Nodes[k].Total(int(e)) != was {
+			if ws.Nodes[k].Total(int(e)) != prev.Nodes[k].Total(int(e)) {
 				moved[k] = append(moved[k], e)
 			}
 		}
@@ -148,10 +159,12 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
 }
 
 // patchScratch is what PatchWeights writes only to read back — the node
-// in hand's hits, its rewritten segments — pooled across calls.
+// in hand's hits, its rewritten segments and the entries of the small
+// ones — pooled across calls.
 type patchScratch struct {
 	hits  []reweigh
 	fresh segRun
+	small []int32
 }
 
 // segRun is a run of segments packed back to back: segment i is
@@ -165,24 +178,18 @@ type segRun struct {
 var scratchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 
 // patchNode returns node k's table with the segments holding the hit
-// rows (sorted by entry, then row) rewritten over prev's, the entries
-// it rewrote, and whether it folded: the rewritten segments extend
-// prev's overlay (segOverlay.extend), or — once the overlay's entries
-// and rows pass relation.FoldBudget of the flat table's — are folded with the untouched segments into fresh
-// flat arrays. Rewritten segments are the result when they are every
-// entry, and are written straight into it; otherwise they go to scratch,
-// reused across calls, and are copied once into the overlay's storage or
-// the fold.
-func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *WeightTable, hits []reweigh, entries, known int, scratch *segRun) (WeightTable, []int32, bool) {
+// rows (sorted by entry, then row) rewritten over prev's, the entries it
+// rewrote, whether that cost the whole node (Patch.Folded) and the bytes
+// it wrote. Each segment is rewritten into scratch, reused across calls.
+// A large one is copied into a LargeSegment — keeping its predecessor's
+// row list if the rows did not move — beside a copy of prev.Large. The
+// small ones extend prev's overlay (segOverlay.extend), or — once the
+// overlay's entries and rows pass relation.FoldBudget of the flat
+// arrays' — are folded with the untouched ones into fresh flat arrays;
+// an entry turned large leaves them an empty segment.
+func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *WeightTable, hits []reweigh, entries int, sc *patchScratch) (WeightTable, []int32, bool, int) {
 	if len(hits) == 0 {
-		return *prev, nil, false
-	}
-	// was returns the segment prev holds for an entry it knows.
-	was := func(e int32) (rows []int32, cum []int64) {
-		if int(e) < known {
-			rows, cum = prev.Segment(int(e))
-		}
-		return rows, cum
+		return *prev, nil, false, 0
 	}
 	// Sized by what the segments held before plus a row per hit: a
 	// segment cannot gain a row that is not named.
@@ -191,12 +198,12 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	for i, h := range hits {
 		if i == 0 || h.ent != hits[i-1].ent {
 			touched = append(touched, h.ent)
-			rows, _ := was(h.ent)
+			rows, _ := prev.Segment(int(h.ent))
 			size += len(rows)
 		}
 	}
-	fresh := scratch
-	if len(touched) == entries {
+	fresh := &sc.fresh
+	if entries == 1 { // the root: its one segment is written straight into the result
 		fresh = &segRun{}
 	}
 	fresh.off = append(slices.Grow(fresh.off[:0], len(touched)+1), 0)
@@ -205,72 +212,135 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 		for hi < len(hits) && hits[hi].ent == hits[lo].ent {
 			hi++
 		}
-		rows, cum := was(hits[lo].ent)
+		rows, cum := prev.Segment(int(hits[lo].ent))
 		j.appendSegment(k, ws, s, rows, cum, hits[lo:hi], fresh)
 		fresh.off = append(fresh.off, int32(len(fresh.rows)))
 	}
-	old := cmp.Or(prev.ov, &segOverlay{})
-	ents, rows := old.measure(touched, fresh)
-	if ents+rows <= relation.FoldBudget(len(prev.Off)+len(prev.Rows)) {
-		var ov *segOverlay
-		if fresh == scratch {
-			ov = old.extend(touched, fresh, ents, rows)
-		} else { // every entry was rewritten: the fresh segments are the overlay
-			ov = overlayOf(touched, fresh)
+	whole := len(touched) == entries && len(touched)+len(fresh.rows) > relation.FoldBudget(len(prev.Off)+prev.rows())
+
+	// Large segments go out; the small ones move to the front of fresh.
+	t, small, large := *prev, sc.small[:0], []*LargeSegment(nil)
+	n, dropped, bytes := 0, 0, 0
+	for i, lo := 0, int32(0); i < len(touched); i++ {
+		e, hi := touched[i], fresh.off[i+1]
+		rows, cum := fresh.rows[lo:hi], fresh.cum[lo:hi]
+		lo = hi
+		wasRows, _, was := prev.SegmentOf(int(e))
+		if was != nil {
+			dropped++
 		}
-		return WeightTable{Off: prev.Off, Rows: prev.Rows, Cum: prev.Cum, ov: ov}, touched, false
+		if len(rows) >= LargeRows {
+			seg := &LargeSegment{Ent: e, Rows: slices.Clip(rows), Cum: slices.Clip(cum)}
+			if fresh == &sc.fresh {
+				seg.Cum = slices.Clone(cum)
+			}
+			if was != nil && slices.Equal(was.Rows, rows) {
+				seg.Rows = was.Rows
+			} else {
+				if fresh == &sc.fresh {
+					seg.Rows = slices.Clone(rows)
+				}
+				bytes += 4 * len(rows)
+			}
+			bytes += 8 * len(cum)
+			large = append(large, seg)
+		}
+		// Once e's segment is large, or a large one emptied, the small
+		// layers need only stop answering for e.
+		if len(rows) >= LargeRows || (len(rows) == 0 && was != nil) {
+			if was != nil || len(wasRows) == 0 {
+				continue
+			}
+			rows, cum = nil, nil
+		}
+		copy(fresh.rows[n:], rows)
+		copy(fresh.cum[n:], cum)
+		n += len(rows)
+		small = append(small, e)
+		fresh.off[len(small)] = int32(n)
 	}
-	if fresh != scratch {
-		// Every entry was rewritten: the fresh segments are the table.
-		return WeightTable{Off: fresh.off, Rows: fresh.rows, Cum: fresh.cum}, touched, true
+	fresh.off, fresh.rows, fresh.cum = fresh.off[:len(small)+1], fresh.rows[:n], fresh.cum[:n]
+	sc.small = small
+	if len(large)+dropped > 0 {
+		dir := make([]*LargeSegment, 0, len(prev.Large)-dropped+len(large))
+		i := 0
+		for _, seg := range prev.Large {
+			for ; i < len(large) && large[i].Ent < seg.Ent; i++ {
+				dir = append(dir, large[i])
+			}
+			if _, hit := slices.BinarySearch(touched, seg.Ent); !hit {
+				dir = append(dir, seg)
+			}
+		}
+		t.Large = append(dir, large[i:]...)
+		bytes += 8 * len(t.Large)
+	}
+	if len(small) == 0 {
+		return t, touched, whole, bytes
+	}
+	if len(small) == entries && fresh == &sc.fresh {
+		// Every entry was rewritten: the fresh segments are the overlay
+		// or the table, in storage of their own.
+		fresh = &segRun{off: slices.Clone(fresh.off), rows: slices.Clone(fresh.rows), cum: slices.Clone(fresh.cum)}
+	}
+	old := cmp.Or(prev.ov, &segOverlay{})
+	ents, rows := old.measure(small, fresh)
+	if ents+rows <= relation.FoldBudget(len(prev.Off)+len(prev.Rows)) {
+		wrote := 12 * (len(fresh.rows) + len(small))
+		if fresh == &sc.fresh {
+			t.ov, wrote = old.extend(small, fresh, ents, rows)
+		} else {
+			t.ov = overlayOf(small, fresh)
+		}
+		return t, touched, whole, bytes + wrote
+	}
+	if fresh != &sc.fresh {
+		t.Off, t.Rows, t.Cum, t.ov = fresh.off, fresh.rows, fresh.cum, nil
+		return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows)
 	}
 	// merged visits, ascending, every entry of the old overlay and the
 	// fresh segments with the segment that stands for it: the fresh one
 	// where both have it.
 	live := old.liveRecs()
 	merged := func(visit func(e int32, rows []int32, cum []int64)) {
-		for i, t := 0, 0; i < len(live) || t < len(touched); {
-			if t == len(touched) || (i < len(live) && live[i].ent < touched[t]) {
+		for i, f := 0, 0; i < len(live) || f < len(small); {
+			if f == len(small) || (i < len(live) && live[i].ent < small[f]) {
 				rc := live[i]
 				visit(rc.ent, old.rows[rc.lo:rc.hi], old.cum[rc.lo:rc.hi])
 				i++
 				continue
 			}
-			if i < len(live) && live[i].ent == touched[t] {
+			if i < len(live) && live[i].ent == small[f] {
 				i++
 			}
-			visit(touched[t], fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]])
-			t++
+			visit(small[f], fresh.rows[fresh.off[f]:fresh.off[f+1]], fresh.cum[fresh.off[f]:fresh.off[f+1]])
+			f++
 		}
 	}
 	replaced := 0
 	merged(func(e int32, _ []int32, _ []int64) {
-		if int(e)+1 < len(prev.Off) {
-			replaced += int(prev.Off[e+1] - prev.Off[e])
-		}
+		seg, _ := prev.flat(int(e))
+		replaced += len(seg)
 	})
-	t := WeightTable{
-		Off:  make([]int32, 1, entries+1),
-		Rows: make([]int32, 0, len(prev.Rows)-replaced+rows),
-		Cum:  make([]int64, 0, len(prev.Rows)-replaced+rows),
-	}
+	t.Off, t.ov = make([]int32, 1, entries+1), nil
+	t.Rows = make([]int32, 0, len(prev.Rows)-replaced+rows)
+	t.Cum = make([]int64, 0, len(prev.Rows)-replaced+rows)
 	next := 0 // the flat entry to write
 	flat := func(upTo int) {
 		for ; next < upTo; next++ {
-			t.Rows = append(t.Rows, prev.Rows[prev.Off[next]:prev.Off[next+1]]...)
-			t.Cum = append(t.Cum, prev.Cum[prev.Off[next]:prev.Off[next+1]]...)
+			rows, cum := prev.flat(next)
+			t.Rows, t.Cum = append(t.Rows, rows...), append(t.Cum, cum...)
 			t.end()
 		}
 	}
 	merged(func(e int32, seg []int32, cum []int64) {
 		flat(int(e))
-		t.Rows = append(t.Rows, seg...)
-		t.Cum = append(t.Cum, cum...)
+		t.Rows, t.Cum = append(t.Rows, seg...), append(t.Cum, cum...)
 		t.end()
 		next++
 	})
 	flat(entries)
-	return t, touched, true
+	return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows)
 }
 
 // appendSegment rewrites the segment of the entry hits name (they share

@@ -67,8 +67,7 @@ func (o *segOverlay) segment(t *WeightTable, e int) ([]int32, []int64) {
 		rc := o.recs[r]
 		return o.rows[rc.lo:rc.hi], o.cum[rc.lo:rc.hi]
 	}
-	lo, hi := t.Off[e], t.Off[e+1]
-	return t.Rows[lo:hi], t.Cum[lo:hi]
+	return t.flat(e)
 }
 
 // liveRecs returns the records of o's overlaid entries, by entry.
@@ -105,13 +104,16 @@ func (o *segOverlay) measure(touched []int32, fresh *segRun) (ents, rows int) {
 // records and slots have room, fresh's segments are appended past o's
 // ends and every other segment stays where it is; otherwise o's live
 // segments that touched does not name, then fresh's, are copied into new
-// storage with room for as many again.
-func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) *segOverlay {
+// storage with room for as many again. It also returns the bytes of
+// segments and records it wrote.
+func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) (*segOverlay, int) {
 	n := &segOverlay{ents: ents, live: rows}
 	fits := cap(o.recs)-len(o.recs) >= len(touched) && cap(o.rows)-len(o.rows) >= len(fresh.rows) &&
 		(len(o.recs)+len(touched))*2 <= len(o.slots)
+	shared := 0
 	if fits && o.extended.CompareAndSwap(false, true) {
 		n.slots, n.recs, n.rows, n.cum = o.slots, o.recs, o.rows, o.cum
+		shared = len(o.rows) + len(o.recs)
 	} else {
 		n.reserve(ents, rows)
 		for r, rc := range o.recs {
@@ -123,7 +125,7 @@ func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) *seg
 	for t, e := range touched {
 		n.put(e, fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]])
 	}
-	return n
+	return n, 12 * (len(n.rows) + len(n.recs) - shared)
 }
 
 // reserve gives n empty storage for twice ents segments of rows rows in

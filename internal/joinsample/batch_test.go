@@ -70,12 +70,66 @@ func TestBatchUniformWJ(t *testing.T)       { checkUniformBatch(t, NewWJ(chainJo
 func TestBatchUniformEWCyclic(t *testing.T) { checkUniformBatch(t, NewEW(triangleJoin(t)), 24, 30000) }
 func TestBatchUniformEOCyclic(t *testing.T) { checkUniformBatch(t, NewEO(triangleJoin(t)), 25, 30000) }
 
-// TestBatchAliasForced re-runs the EW batch uniformity check with the
-// alias threshold at zero, so every weighted row selection goes through
-// an alias table even on tiny fan-outs.
+// wideChainJoin is chainJoin with fan-outs on both sides of
+// join.LargeRows: R2's A = 1 and A = 3 segments (40 and 33 rows) draw
+// through alias tables, its A = 2 segment and R3's through prefix sums.
+func wideChainJoin(t *testing.T) *join.Join {
+	t.Helper()
+	r1 := relation.MustFromTuples("R1", relation.NewSchema("A", "X"), []relation.Tuple{
+		{1, 100}, {2, 200}, {3, 300},
+	})
+	r2 := relation.New("R2", relation.NewSchema("A", "B", "P"))
+	for i := 0; i < 40; i++ {
+		r2.AppendValues(1, relation.Value(10+i%2), relation.Value(i))
+	}
+	for i := 0; i < 3; i++ {
+		r2.AppendValues(2, 10, relation.Value(100+i))
+	}
+	for i := 0; i < 33; i++ {
+		r2.AppendValues(3, 11, relation.Value(200+i))
+	}
+	r2.AppendValues(9, 99, 0)
+	r3 := relation.MustFromTuples("R3", relation.NewSchema("B", "Y"), []relation.Tuple{
+		{10, 7}, {10, 8}, {11, 9},
+	})
+	j, err := join.NewChain("J", []*relation.Relation{r1, r2, r3}, []string{"A", "B"})
+	if err != nil {
+		t.Fatalf("NewChain: %v", err)
+	}
+	return j
+}
+
+// wideTriangleJoin is triangleJoin whose skeleton has an S segment of 40
+// rows (B = 10) beside segments of one and two.
+func wideTriangleJoin(t *testing.T) *join.Join {
+	t.Helper()
+	r := relation.MustFromTuples("R", relation.NewSchema("A", "B"), []relation.Tuple{
+		{1, 10}, {1, 11}, {2, 10}, {3, 12},
+	})
+	s := relation.New("S", relation.NewSchema("B", "C", "P"))
+	for i := 0; i < 40; i++ {
+		s.AppendValues(10, relation.Value(100+i%2), relation.Value(i))
+	}
+	s.AppendValues(11, 100, 40)
+	s.AppendValues(11, 100, 41)
+	s.AppendValues(12, 102, 42)
+	u := relation.MustFromTuples("T", relation.NewSchema("C", "A"), []relation.Tuple{
+		{100, 1}, {100, 2}, {101, 1}, {102, 9},
+	})
+	j, err := join.NewCyclic("tri", []*relation.Relation{r, s, u},
+		[]join.Edge{{A: 0, B: 1, Attr: "B"}, {A: 1, B: 2, Attr: "C"}, {A: 2, B: 0, Attr: "A"}}, nil)
+	if err != nil {
+		t.Fatalf("NewCyclic: %v", err)
+	}
+	return j
+}
+
+// TestBatchAliasForced re-runs the EW batch uniformity check on joins
+// whose fan-outs straddle join.LargeRows, so that one batch selects rows
+// through alias tables and through prefix sums.
 func TestBatchAliasForced(t *testing.T) {
-	checkUniformBatch(t, NewEWAlias(chainJoin(t), 0), 26, 30000)
-	checkUniformBatch(t, NewEWAlias(triangleJoin(t), 0), 27, 30000)
+	checkUniformBatch(t, NewEW(wideChainJoin(t)), 26, 30000)
+	checkUniformBatch(t, NewEW(wideTriangleJoin(t)), 27, 30000)
 }
 
 // TestBatchRespectsMaxTries: the batch call must consume at most
@@ -117,8 +171,9 @@ func drawFreqs(n int, draw func() int) map[int]int {
 // under degraded weights: highly skewed weights, zero weights, and
 // totals past 2^53 (where the retired float derivation could not even
 // address every row). Every selection path over a weight segment — the
-// bounded draw, the alias table, and EW.drawRow on either side of its
-// threshold — must reproduce the weight distribution.
+// bounded draw, and EW.drawRow over the segment held flat and held as a
+// large segment with its alias table — must reproduce the weight
+// distribution.
 func TestAliasMatchesPrefixSums(t *testing.T) {
 	cases := []struct {
 		name string
@@ -136,14 +191,12 @@ func TestAliasMatchesPrefixSums(t *testing.T) {
 			rows[i] = i
 		}
 		seg := refSegment(rows, c.w)
-		tbl := join.WeightTable{Off: []int32{0, int32(len(seg.rows))}, Rows: seg.rows, Cum: seg.cum}
-		ewAt := func(aliasMin int) *EW {
-			return &EW{
-				w:        &join.Weights{Nodes: []join.WeightTable{tbl}},
-				alias:    []nodeAlias{newNodeAlias(&tbl, aliasMin)},
-				aliasMin: aliasMin,
-			}
+		large := &join.LargeSegment{Rows: seg.rows, Cum: seg.cum}
+		ewOf := func(tbl join.WeightTable) *EW {
+			return &EW{w: &join.Weights{Nodes: []join.WeightTable{tbl}}}
 		}
+		flat := ewOf(join.WeightTable{Off: []int32{0, int32(len(seg.rows))}, Rows: seg.rows, Cum: seg.cum})
+		aliased := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{large}})
 		var total float64
 		for _, w := range c.w {
 			if w > 0 {
@@ -166,16 +219,17 @@ func TestAliasMatchesPrefixSums(t *testing.T) {
 		}
 		gp := rng.New(31)
 		check("prefix", drawFreqs(draws, func() int { return int(seg.rows[drawBounded(seg.cum, gp)]) }))
-		ga, forced := rng.New(32), ewAt(0)
-		check("alias", drawFreqs(draws, func() int { r, _ := forced.drawRow(0, 0, ga); return r }))
-		if forced.alias[0].find(0).Load() == nil {
-			t.Errorf("%s: threshold 0 drew without building the alias table", c.name)
+		ga, ref := rng.New(32), rng.NewAliasCum(seg.cum)
+		check("alias", drawFreqs(draws, func() int { r, _ := aliased.drawRow(0, 0, ga); return r }))
+		// drawRow spent the stream the segment's own table does.
+		ga, gr := rng.New(34), rng.New(34)
+		for i := 0; i < 1000; i++ {
+			if r, _ := aliased.drawRow(0, 0, ga); r != int(seg.rows[ref.Draw(gr)]) {
+				t.Fatalf("%s: large-segment draw %d left the alias table's stream", c.name, i)
+			}
 		}
-		gt, never := rng.New(33), ewAt(NeverAlias)
-		check("threshold", drawFreqs(draws, func() int { r, _ := never.drawRow(0, 0, gt); return r }))
-		if len(never.alias[0].flat.slot) != 0 {
-			t.Errorf("%s: NeverAlias reserved %d alias slots", c.name, len(never.alias[0].flat.slot))
-		}
+		gt := rng.New(33)
+		check("flat", drawFreqs(draws, func() int { r, _ := flat.drawRow(0, 0, gt); return r }))
 	}
 }
 
@@ -189,15 +243,18 @@ func TestBatchInvalidationAfterMutation(t *testing.T) {
 	r1 := relation.MustFromTuples("R1", relation.NewSchema("A", "X"), []relation.Tuple{
 		{1, 100}, {2, 200},
 	})
-	r2 := relation.MustFromTuples("R2", relation.NewSchema("A", "B"), []relation.Tuple{
-		{1, 10}, {1, 11}, {2, 12},
-	})
+	r2 := relation.New("R2", relation.NewSchema("A", "B"))
+	for i := 0; i < 40; i++ {
+		r2.AppendValues(1, relation.Value(100+i))
+	}
+	r2.AppendValues(2, 12)
 	j, err := join.NewChain("J", []*relation.Relation{r1, r2}, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Threshold zero forces alias tables so staleness would surface.
-	stale := NewEWAlias(j, 0)
+	// R2's A = 1 segment is a large one: its alias table is built before
+	// the mutation, so staleness would surface.
+	stale := NewEW(j)
 	node := j.Nodes()[1]
 	idxVerBefore := node.Rel.Index(node.AttrPos).Version()
 	out, rowOf := mkBatch(j, 16)
@@ -208,10 +265,13 @@ func TestBatchInvalidationAfterMutation(t *testing.T) {
 	}
 	preResults := len(j.Execute())
 
-	// Mutate: a new A value with heavy fan-out, plus a delete.
-	r2.AppendRows([]relation.Tuple{{3, 13}, {3, 14}, {3, 15}})
+	// Mutate: a new A value with a fan-out past join.LargeRows, plus a
+	// delete.
+	for i := 0; i < 35; i++ {
+		r2.AppendValues(3, relation.Value(200+i))
+	}
 	r1.AppendRows([]relation.Tuple{{3, 300}})
-	r2.Delete(2) // drop {2,12}: customer 2 loses its only order
+	r2.Delete(40) // drop {2,12}: customer 2 loses its only order
 
 	if same := equalVersions(stale.StateVersions(), j.StateVersions()); same {
 		t.Fatal("mutation did not bump the join state versions")
@@ -235,7 +295,7 @@ func TestBatchInvalidationAfterMutation(t *testing.T) {
 
 	// The rebuilt sampler (what Refresh does for a dirty join) must be
 	// uniform over the new result set.
-	fresh := NewEWAlias(j, 0)
+	fresh := NewEW(j)
 	if !equalVersions(fresh.StateVersions(), j.StateVersions()) {
 		t.Fatal("fresh sampler version snapshot mismatch")
 	}

@@ -3,7 +3,10 @@
 // framework of Zhao et al. (SIGMOD'18) with the paper's adaptations:
 //
 //   - Exact Weight (EW): exact per-tuple result counts computed bottom-up
-//     over the join tree; zero rejection, uniform samples.
+//     over the join tree; zero rejection, uniform samples. A row is drawn
+//     by prefix sums, or through the alias table that a segment of
+//     join.LargeRows rows or more carries, and a Refresh patches only the
+//     segments its mutations reached (NewEWFrom).
 //   - Extended Olken (EO): max-degree upper-bound weights with
 //     accept/reject; uniform samples with a rejection rate that grows
 //     with skew. Dangling tuples have acceptance probability zero, which
@@ -20,7 +23,6 @@ package joinsample
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"sampleunion/internal/join"
 	"sampleunion/internal/relation"
@@ -76,21 +78,6 @@ func liveRoot(r *relation.Relation, g *rng.RNG) (int, bool) {
 	return 0, false
 }
 
-// DefaultAliasThreshold is the fan-out above which EW selects weighted
-// rows through a lazily built Walker alias table (O(1) per draw)
-// instead of the prefix-sum binary search (O(log fan-out)). Below it
-// the table's two RNG draws and cache footprint cost more than the
-// search saves. The threshold is per-sampler configuration
-// (NewEWAlias), never mutable package state: each EW captures its value
-// at construction, so a prepared session's pinned streams cannot be
-// perturbed after the fact. The union engines build every EW at this
-// default.
-const DefaultAliasThreshold = 32
-
-// NeverAlias is a threshold no fan-out reaches: bounded prefix-sum
-// draws only.
-const NeverAlias = 1 << 30
-
 // drawBounded picks a position in a weight segment proportional to
 // weight using the exact integer bounded draw: correct for every
 // representable total, with no round-up past the segment and no 53-bit
@@ -101,190 +88,37 @@ func drawBounded(cum []int64, g *rng.RNG) int {
 	return i
 }
 
-// aliasSlots are the alias tables of one packed run of segments: ents
-// lists, ascending, the entries whose segment reaches the sampler's
-// threshold, and slot[i] is ents[i]'s table, built on the segment's
-// first draw and published atomically so concurrent runs share one
-// winner. A table is derived purely from its segment, which is
-// immutable, so generations that share a segment may share its table.
-type aliasSlots struct {
-	ents []int32
-	slot []atomic.Pointer[rng.Alias]
-}
-
-// reaches reports whether a segment of n rows draws through an alias
-// table.
-func reaches(n, aliasMin int) bool { return n > 0 && n >= aliasMin }
-
-// flatAliasSlots reserves a slot for every flat segment of t reaching
-// aliasMin: two scans of the offsets, so both slices are sized exactly.
-func flatAliasSlots(t *join.WeightTable, aliasMin int) *aliasSlots {
-	n := 0
-	for e := 0; e+1 < len(t.Off); e++ {
-		if reaches(int(t.Off[e+1]-t.Off[e]), aliasMin) {
-			n++
-		}
-	}
-	a := &aliasSlots{ents: make([]int32, 0, n), slot: make([]atomic.Pointer[rng.Alias], n)}
-	for e := 0; len(a.ents) < n; e++ {
-		if reaches(int(t.Off[e+1]-t.Off[e]), aliasMin) {
-			a.ents = append(a.ents, int32(e))
-		}
-	}
-	return a
-}
-
-// overlaySlots returns the slots of t's overlaid segments when t is a
-// patch of a table whose alias slots were was: was's overlay slots of
-// the entries touched (ascending) does not name, with their tables, and
-// a new slot for each touched entry whose rewritten segment reaches
-// aliasMin.
-func overlaySlots(t *join.WeightTable, was *nodeAlias, touched []int32, aliasMin int) *aliasSlots {
-	var ents []int32
-	for _, e := range was.ov.ents {
-		if _, hit := slices.BinarySearch(touched, e); !hit {
-			ents = append(ents, e)
-		}
-	}
-	for _, e := range touched {
-		if rows, _ := t.Segment(int(e)); reaches(len(rows), aliasMin) {
-			ents = append(ents, e)
-		}
-	}
-	slices.Sort(ents)
-	a := &aliasSlots{ents: ents, slot: make([]atomic.Pointer[rng.Alias], len(ents))}
-	a.carry(was, touched)
-	return a
-}
-
-// find returns entry ent's slot, or nil when the entry has none.
-func (a *aliasSlots) find(ent int) *atomic.Pointer[rng.Alias] {
-	if i, ok := slices.BinarySearch(a.ents, int32(ent)); ok {
-		return &a.slot[i]
-	}
-	return nil
-}
-
-// nodeAlias are one node's alias tables, shaped like its weight table:
-// slots over the flat segments — shared with the predecessor for as
-// long as the flat arrays are — and slots over the overlay's.
-type nodeAlias struct {
-	flat, ov *aliasSlots
-}
-
-// newNodeAlias returns the slots of flat table t.
-func newNodeAlias(t *join.WeightTable, aliasMin int) nodeAlias {
-	return nodeAlias{flat: flatAliasSlots(t, aliasMin), ov: &aliasSlots{}}
-}
-
-// find returns the slot of the segment WeightTable.Segment serves for
-// ent: an overlaid entry reaching the threshold always has an overlay
-// slot, so the flat slots are asked only about untouched entries.
-func (a *nodeAlias) find(ent int) *atomic.Pointer[rng.Alias] {
-	if len(a.ov.ents) > 0 {
-		if s := a.ov.find(ent); s != nil {
-			return s
-		}
-	}
-	return a.flat.find(ent)
-}
-
-// table returns entry ent's alias table, building it from the segment's
-// running weight sums and publishing it on first use. Racing builders
-// construct identical tables (the build is deterministic in cum); the
-// first CAS wins and everyone shares its table. Exactness caveat: the
-// table normalizes its per-row probabilities in float64, so above the
-// threshold individual rows carry a relative error up to ~2^-53 — the
-// sub-threshold drawBounded path is the one that is exact for every
-// representable total.
-func (a *nodeAlias) table(ent int, cum []int64) *rng.Alias {
-	s := a.find(ent)
-	if t := s.Load(); t != nil {
-		return t
-	}
-	s.CompareAndSwap(nil, rng.NewAliasCum(cum))
-	return s.Load()
-}
-
-// carry hands the predecessor's built tables to the slots of segments
-// the patch did not recompute (touched, ascending, lists the recomputed
-// entries).
-func (a *aliasSlots) carry(from *nodeAlias, touched []int32) {
-	for i, ent := range a.ents {
-		if _, hit := slices.BinarySearch(touched, ent); hit {
-			continue
-		}
-		if s := from.find(int(ent)); s != nil {
-			a.slot[i].Store(s.Load())
-		}
-	}
-}
-
 // EW is the Exact Weight sampler: uniform with zero rejection on tree
 // joins (cyclic joins keep a residual rejection step).
 type EW struct {
 	j *join.Join
 	// w holds, per node, the weight table aligned to the node's
 	// join-attribute index: probing is one index lookup plus two offset
-	// reads — no second hash table, no per-value object. It describes
-	// exactly the relation versions w.Vers: relations mutate by bumping
-	// their version, the union layer detects the mismatch
-	// (unionBase.dirtyJoins), and Refresh patches a successor from this
-	// sampler (NewEWFrom), which shares every segment — and its alias
-	// table — the mutations did not reach.
+	// reads. It describes exactly the relation versions w.Vers: the union
+	// layer detects a mismatch (unionBase.dirtyJoins), and Refresh
+	// patches a successor from this sampler (NewEWFrom), which shares
+	// every segment — and its alias table — the mutations did not reach.
 	w     *join.Weights
-	alias []nodeAlias // per node
-	patch join.Patch  // how w came from the predecessor's tables
-
-	// aliasMin is the alias threshold captured at construction: the
-	// fan-out at which draws switch from prefix sums to alias tables.
-	// A successor (NewEWFrom) patches from this sampler only when built
-	// at the same threshold.
-	aliasMin int
+	patch join.Patch // how w came from the predecessor's tables
 }
 
-// NewEW precomputes exact weights for j with the default alias
-// threshold.
-func NewEW(j *join.Join) *EW { return NewEWAlias(j, DefaultAliasThreshold) }
+// NewEW precomputes exact weights for j.
+func NewEW(j *join.Join) *EW { return NewEWFrom(j, nil) }
 
-// NewEWAlias precomputes exact weights for j with an explicit alias
-// threshold: the fan-out at which draws build alias tables
-// (0 = always, NeverAlias = never).
-func NewEWAlias(j *join.Join, aliasMin int) *EW { return NewEWFrom(j, aliasMin, nil) }
-
-// NewEWFrom is NewEWAlias given the sampler the join drew from before
-// its relations last mutated (nil, or one at another threshold, builds
-// cold): the weights are patched from prev's (join.PatchWeights) instead
-// of recomputed, and untouched segments keep the alias tables prev's
-// draws already built. The draws
-// equal a cold build's, seed for seed: every segment holds the rows and
-// running sums a cold build computes.
-func NewEWFrom(j *join.Join, aliasMin int, prev *EW) *EW {
+// NewEWFrom is NewEW given the sampler the join drew from before its
+// relations last mutated (nil builds cold): the weights are patched from
+// prev's (join.PatchWeights) instead of recomputed, and the large
+// segments the patch did not reach — with the alias tables prev's draws
+// built over them — are prev's own. The draws equal a cold build's, seed
+// for seed: every segment holds the rows and running sums a cold build
+// computes.
+func NewEWFrom(j *join.Join, prev *EW) *EW {
 	var from *join.Weights
-	if prev != nil && prev.j == j && prev.aliasMin == aliasMin {
+	if prev != nil && prev.j == j {
 		from = prev.w
 	}
 	w, patch := j.PatchWeights(from)
-	e := &EW{j: j, w: w, alias: make([]nodeAlias, len(w.Nodes)), patch: patch, aliasMin: aliasMin}
-	for k := range w.Nodes {
-		t := &w.Nodes[k]
-		if patch.Rebuilt { // flat tables
-			e.alias[k] = newNodeAlias(t, aliasMin)
-			continue
-		}
-		was := &prev.alias[k]
-		if len(patch.Touched[k]) == 0 {
-			e.alias[k] = *was // the predecessor's table, untouched
-			continue
-		}
-		if patch.Folded[k] { // a flat table
-			e.alias[k] = newNodeAlias(t, aliasMin)
-			e.alias[k].flat.carry(was, patch.Touched[k])
-			continue
-		}
-		e.alias[k] = nodeAlias{flat: was.flat, ov: overlaySlots(t, was, patch.Touched[k], aliasMin)}
-	}
-	return e
+	return &EW{j: j, w: w, patch: patch}
 }
 
 // Patch reports how the sampler's weight tables were derived from its
@@ -322,17 +156,18 @@ func (e *EW) SizeEstimate() float64 {
 func (e *EW) StateVersions() []uint64 { return e.w.Vers }
 
 // drawRow is the row selection of every EW draw, over entry ent of node
-// k: alias table at or above the threshold, exact prefix-sum draw below
-// it. The choice depends only on the fan-out and the sampler's captured
-// threshold, so streams stay deterministic regardless of which run
-// triggered an alias build. ok is false on an empty segment.
+// k: through the segment's alias table when it is a large one
+// (join.LargeRows), by the exact prefix-sum draw otherwise. The choice
+// depends only on the segment's length, so streams stay deterministic
+// regardless of which run triggered an alias build. ok is false on an
+// empty segment.
 func (e *EW) drawRow(k, ent int, g *rng.RNG) (row int, ok bool) {
-	rows, cum := e.w.Nodes[k].Segment(ent)
+	rows, cum, large := e.w.Nodes[k].SegmentOf(ent)
+	if large != nil {
+		return int(rows[large.Alias().Draw(g)]), true
+	}
 	if len(rows) == 0 {
 		return 0, false
-	}
-	if len(rows) >= e.aliasMin {
-		return int(rows[e.alias[k].table(ent, cum).Draw(g)]), true
 	}
 	return int(rows[drawBounded(cum, g)]), true
 }

@@ -2,6 +2,7 @@ package joinsample
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"sampleunion/internal/join"
@@ -66,15 +67,18 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 	for s := 0; s < segs; s += 5 {
 		touched = append(touched, s)
 	}
+	c := newFanoutChain(t, segs, per)
+	ew := NewEW(c.j)
 	got, limit := ^uint64(0), uint64(0)
-	for i := 0; i < 3; i++ { // the least of three: a stray collection is not the patch's
-		c := newFanoutChain(t, segs, per)
-		prev := NewEW(c.j)
+	// The least of three patches in a row: a stray collection, or the
+	// first patch's growth of the scratch the patches share, is not a
+	// patch's.
+	for i := 0; i < 3; i++ {
+		prev := ew
 		c.touch(touched...)
-		var ew *EW
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ew = NewEWFrom(c.j, DefaultAliasThreshold, prev)
+		ew = NewEWFrom(c.j, prev)
 		runtime.ReadMemStats(&after)
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 
@@ -88,8 +92,6 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 				seg, _ := ew.w.Nodes[k].Segment(int(e))
 				rows += len(seg)
 			}
-		}
-		for k := range ew.w.Nodes {
 			entries := 1
 			if k > 0 {
 				entries = ew.w.Idx[k].NumEntries()
@@ -105,5 +107,114 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 	t.Logf("patch of %d of %d large segments: %d B (bound %d)", len(touched), segs, got, limit)
 	if got > limit {
 		t.Errorf("NewEWFrom allocated %d B for a patch bounded by %d B: untouched large segments were copied", got, limit)
+	}
+}
+
+// TestWeightPatchAcrossLargeRows runs patches across join.LargeRows in
+// both directions — by rows appended and deleted, and by weights that
+// drop to zero and come back — plus a large segment that empties, a new
+// join value that opens a large one and a root that crosses, and pins
+// each generation to a cold build (checkPatched: every segment, total
+// and count, 64 seeded tuples, and untouched large segments with their
+// alias tables pointer-identical to the predecessor's). Each step checks
+// that its crossing happened; once the script is over, every generation
+// is pinned again to the tables it had then.
+func TestWeightPatchAcrossLargeRows(t *testing.T) {
+	root := relation.New("root", relation.NewSchema("A", "X"))
+	mid := relation.New("mid", relation.NewSchema("A", "B"))
+	leaf := relation.New("leaf", relation.NewSchema("B", "P"))
+	serial := 0
+	addMid := func(a, n int) {
+		for i := 0; i < n; i++ {
+			mid.AppendValues(relation.Value(a), relation.Value(serial))
+			leaf.AppendValues(relation.Value(serial), relation.Value(serial))
+			serial++
+		}
+	}
+	for a := 0; a < 5; a++ {
+		root.AppendValues(relation.Value(a), relation.Value(a))
+		root.AppendValues(relation.Value(a), relation.Value(100+a))
+	}
+	for a, n := range []int{30, 33, 40, 5, 12} {
+		addMid(a, n)
+	}
+	j, err := join.NewChain("cross", []*relation.Relation{root, mid, leaf}, []string{"A", "B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// size returns the rows of node k's segment for join value v (the
+	// root's one segment for k = 0), and whether it is a large one.
+	size := func(ew *EW, k int, v relation.Value) (int, bool) {
+		ent := 0
+		if k > 0 {
+			var ok bool
+			if ent, ok = ew.w.Idx[k].EntryOf(v); !ok {
+				return 0, false
+			}
+		}
+		rows, _, large := ew.w.Nodes[k].SegmentOf(ent)
+		return len(rows), large != nil
+	}
+	midRows := func(a relation.Value) []int { return mid.Matches(0, a) }
+	ew := NewEW(j)
+	type generation struct {
+		state string
+		ew    *EW
+		want  []string
+	}
+	var kept []generation
+	for _, step := range []struct {
+		name   string
+		k      int
+		v      relation.Value
+		mutate func()
+		rows   int
+		large  bool
+	}{
+		{"rows grow past", 1, 0, func() { addMid(0, 3) }, 33, true},
+		{"rows shrink below", 1, 1, func() { mid.Delete(midRows(1)[0]); mid.Delete(midRows(1)[1]) }, 31, false},
+		{"weights drop below", 1, 2, func() {
+			for _, r := range midRows(2)[:10] {
+				leaf.Delete(leaf.Matches(0, mid.Value(r, 1))[0])
+			}
+		}, 30, false},
+		{"weights come back", 1, 2, func() {
+			for _, r := range midRows(2)[:10] {
+				leaf.AppendValues(mid.Value(r, 1), -1)
+			}
+		}, 40, true},
+		{"large segment empties", 1, 0, func() {
+			for _, r := range midRows(0) {
+				mid.Delete(r)
+			}
+		}, 0, false},
+		{"new value opens large", 1, 7, func() { addMid(7, 36); root.AppendValues(7, 7) }, 36, true},
+		{"root grows past", 0, 0, func() {
+			for i := 0; i < 30; i++ {
+				root.AppendValues(relation.Value(i%5+1), relation.Value(200+i))
+			}
+		}, 33, true},
+		{"root shrinks below", 0, 0, func() {
+			for _, r := range root.Matches(0, 1) {
+				root.Delete(r)
+			}
+		}, 25, false},
+	} {
+		before, wasLarge := size(ew, step.k, step.v)
+		step.mutate()
+		ew = checkPatched(t, step.name, j, ew)
+		kept = append(kept, generation{step.name, ew, tableDump(ew)})
+		if rows, large := size(ew, step.k, step.v); rows != step.rows || large != step.large {
+			t.Fatalf("%s: node %d value %d went from %d rows (large %v) to %d (large %v), want %d (large %v)",
+				step.name, step.k, step.v, before, wasLarge, rows, large, step.rows, step.large)
+		}
+		if ew.Patch().Rebuilt {
+			t.Fatalf("%s: the step rebuilt the join instead of patching it", step.name)
+		}
+	}
+	for _, g := range kept {
+		if got := tableDump(g.ew); !slices.Equal(got, g.want) {
+			t.Fatalf("%s: tables changed after later patches:\n%v\nwere\n%v", g.state, got, g.want)
+		}
 	}
 }

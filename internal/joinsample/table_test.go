@@ -36,17 +36,17 @@ func refSegment(rows []int, w []int64) refSeg {
 
 // refEW is the straightforward EW: per-row weights by the textbook
 // recurrence over Relation.Matches, one refSeg per index entry, and a
-// draw that spends the RNG exactly like EW.SampleManyInto (root draw,
-// then one bounded or alias draw per node).
+// draw that spends the RNG exactly like EW.SampleManyInto (one draw per
+// node: an alias draw on a segment of join.LargeRows rows or more, a
+// bounded one below).
 type refEW struct {
-	j        *join.Join
-	idx      []*relation.Index
-	segs     [][]refSeg // per node, per entry; the root has one
-	alias    map[[2]int]*rng.Alias
-	aliasMin int
+	j     *join.Join
+	idx   []*relation.Index
+	segs  [][]refSeg // per node, per entry; the root has one
+	alias map[[2]int]*rng.Alias
 }
 
-func newRefEW(j *join.Join, aliasMin int) *refEW {
+func newRefEW(j *join.Join) *refEW {
 	nodes := j.Nodes()
 	w := make([][]int64, len(nodes))
 	for k := len(nodes) - 1; k >= 0; k-- {
@@ -67,7 +67,7 @@ func newRefEW(j *join.Join, aliasMin int) *refEW {
 		}
 	}
 	e := &refEW{j: j, idx: make([]*relation.Index, len(nodes)), segs: make([][]refSeg, len(nodes)),
-		alias: map[[2]int]*rng.Alias{}, aliasMin: aliasMin}
+		alias: map[[2]int]*rng.Alias{}}
 	all := make([]int, nodes[0].Rel.Len())
 	for i := range all {
 		all[i] = i
@@ -96,7 +96,7 @@ func (e *refEW) sample(out relation.Tuple, rowOf []int, g *rng.RNG) {
 			ent, _ = e.idx[k].EntryOf(e.j.ParentValue(k, rowOf[n.Parent]))
 		}
 		s := e.segs[k][ent]
-		if len(s.rows) >= e.aliasMin {
+		if len(s.rows) >= join.LargeRows {
 			a := e.alias[[2]int{k, ent}]
 			if a == nil {
 				a = rng.NewAliasCum(s.cum)
@@ -110,11 +110,13 @@ func (e *refEW) sample(out relation.Tuple, rowOf []int, g *rng.RNG) {
 	}
 }
 
-// randomTree builds a random join tree of 2–5 relations over small
-// value domains (so fan-outs, dangling rows and missing values all
-// occur). Every edge has its own attribute name; node k's schema is
-// its own join attribute, its children's, and a payload column.
-func randomTree(t *testing.T, r *rand.Rand) (*join.Join, []*relation.Relation) {
+// randomTree builds a random join tree of 2–5 relations of 20–80 rows
+// over join values below domain (so fan-outs, dangling rows and missing
+// values all occur; a domain of 2 or 3 makes segments of join.LargeRows
+// rows and more beside smaller ones). Every edge has its own attribute
+// name; node k's schema is its own join attribute, its children's, and a
+// payload column.
+func randomTree(t *testing.T, r *rand.Rand, domain int) (*join.Join, []*relation.Relation) {
 	t.Helper()
 	n := 2 + r.Intn(4)
 	parent := make([]int, n)
@@ -131,7 +133,7 @@ func randomTree(t *testing.T, r *rand.Rand) (*join.Join, []*relation.Relation) {
 	for k := range rels {
 		schemas[k] = append(schemas[k], fmt.Sprintf("P%d", k))
 		rels[k] = relation.New(fmt.Sprintf("R%d", k), relation.NewSchema(schemas[k]...))
-		appendRandom(rels[k], r, 20+r.Intn(60), 12)
+		appendRandom(rels[k], r, 20+r.Intn(60), domain)
 	}
 	j, err := join.NewTree("T", rels, parent, attrs)
 	if err != nil {
@@ -157,58 +159,74 @@ func appendRandom(rel *relation.Relation, r *rand.Rand, n, domain int) {
 
 // checkAgainstReference pins a freshly built EW to the reference:
 // same segments (rows, order, running sums) per entry of every node,
-// same count, same tuples for a seed on both sides of the alias
-// threshold.
-func checkAgainstReference(t *testing.T, state string, j *join.Join) {
+// each in the directory of large segments exactly when it has
+// join.LargeRows rows or more, same count, same tuples for a seed. It
+// returns how many non-empty segments were small and how many large.
+func checkAgainstReference(t *testing.T, state string, j *join.Join) (small, large int) {
 	t.Helper()
-	for _, aliasMin := range []int{0, 3, NeverAlias} {
-		ew, ref := NewEWAlias(j, aliasMin), newRefEW(j, aliasMin)
-		if ew.ExactCount() != ref.count() || ew.ExactCount() != j.Count() {
-			t.Fatalf("%s: ExactCount %d, reference %d, Count %d", state, ew.ExactCount(), ref.count(), j.Count())
+	ew, ref := NewEW(j), newRefEW(j)
+	if ew.ExactCount() != ref.count() || ew.ExactCount() != j.Count() {
+		t.Fatalf("%s: ExactCount %d, reference %d, Count %d", state, ew.ExactCount(), ref.count(), j.Count())
+	}
+	for k := range ref.segs {
+		tb := &ew.w.Nodes[k]
+		if len(tb.Off) != len(ref.segs[k])+1 {
+			t.Fatalf("%s node %d: %d segments, reference %d", state, k, len(tb.Off)-1, len(ref.segs[k]))
 		}
-		for k := range ref.segs {
-			tb := &ew.w.Nodes[k]
-			if len(tb.Off) != len(ref.segs[k])+1 {
-				t.Fatalf("%s node %d: %d segments, reference %d", state, k, len(tb.Off)-1, len(ref.segs[k]))
+		for ent, want := range ref.segs[k] {
+			rows, cum, seg := tb.SegmentOf(ent)
+			if fmt.Sprint(rows, cum) != fmt.Sprint(want.rows, want.cum) {
+				t.Fatalf("%s node %d entry %d: rows %v cum %v, reference rows %v cum %v",
+					state, k, ent, rows, cum, want.rows, want.cum)
 			}
-			for ent, want := range ref.segs[k] {
-				rows, cum := tb.Segment(ent)
-				if fmt.Sprint(rows, cum) != fmt.Sprint(want.rows, want.cum) {
-					t.Fatalf("%s node %d entry %d: rows %v cum %v, reference rows %v cum %v",
-						state, k, ent, rows, cum, want.rows, want.cum)
-				}
+			if (seg != nil) != (len(rows) >= join.LargeRows) {
+				t.Fatalf("%s node %d entry %d: %d rows, large segment %v", state, k, ent, len(rows), seg != nil)
 			}
-			if len(tb.Rows) != cap(tb.Rows) || len(tb.Cum) != cap(tb.Cum) {
-				t.Errorf("%s node %d: table not sized exactly (rows %d/%d)", state, k, len(tb.Rows), cap(tb.Rows))
+			switch {
+			case seg != nil:
+				large++
+			case len(rows) > 0:
+				small++
 			}
 		}
-		if ref.count() == 0 {
-			continue
-		}
-		out, rowOf := mkBatch(j, 64)
-		if filled, tries := ew.SampleManyInto(out, rowOf, 64, rng.New(77)); filled != 64 || tries != 64 {
-			t.Fatalf("%s: filled %d of 64 in %d tries", state, filled, tries)
-		}
-		g, want := rng.New(77), make(relation.Tuple, len(out[0]))
-		for i := range out {
-			ref.sample(want, rowOf, g)
-			if !out[i].Equal(want) {
-				t.Fatalf("%s aliasMin %d draw %d: %v, reference %v", state, aliasMin, i, out[i], want)
-			}
+		if len(tb.Rows) != cap(tb.Rows) || len(tb.Cum) != cap(tb.Cum) {
+			t.Errorf("%s node %d: table not sized exactly (rows %d/%d)", state, k, len(tb.Rows), cap(tb.Rows))
 		}
 	}
+	if ref.count() == 0 {
+		return small, large
+	}
+	out, rowOf := mkBatch(j, 64)
+	if filled, tries := ew.SampleManyInto(out, rowOf, 64, rng.New(77)); filled != 64 || tries != 64 {
+		t.Fatalf("%s: filled %d of 64 in %d tries", state, filled, tries)
+	}
+	g, want := rng.New(77), make(relation.Tuple, len(out[0]))
+	for i := range out {
+		ref.sample(want, rowOf, g)
+		if !out[i].Equal(want) {
+			t.Fatalf("%s draw %d: %v, reference %v", state, i, out[i], want)
+		}
+	}
+	return small, large
 }
 
-// TestFlatTableMatchesReference is the property test of the flat
-// weight table over random trees and the three index shapes a live
-// relation goes through: a pure CSR, an overlaid one (appends and
-// deletes, base entries emptied, values first seen through the overlay,
-// dangling and tombstoned rows) and a compacted one.
+// TestFlatTableMatchesReference is the property test of the weight
+// table over random trees and the three index shapes a live relation
+// goes through: a pure CSR, an overlaid one (appends and deletes, base
+// entries emptied, values first seen through the overlay, dangling and
+// tombstoned rows) and a compacted one. Half the trees draw their join
+// values from a domain of 2, so that both draw paths — prefix sums below
+// join.LargeRows, alias tables at and above — meet the reference.
 func TestFlatTableMatchesReference(t *testing.T) {
+	var small, large int
+	check := func(state string, j *join.Join) {
+		s, l := checkAgainstReference(t, state, j)
+		small, large = small+s, large+l
+	}
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		j, rels := randomTree(t, r)
-		checkAgainstReference(t, "pure CSR", j)
+		j, rels := randomTree(t, r, []int{12, 2}[seed%2])
+		check("pure CSR", j)
 
 		// A few mutations per relation stay inside the overlay budget
 		// (64 touched values): new values past the domain, deletes, and
@@ -222,14 +240,14 @@ func TestFlatTableMatchesReference(t *testing.T) {
 				rel.Delete(row)
 			}
 		}
-		checkAgainstReference(t, "overlay", j)
+		check("overlay", j)
 
 		// Past the budget the catch-up rebuilds a pure CSR over storage
 		// that now holds tombstones.
 		for _, rel := range rels {
 			appendRandom(rel, r, 200, 16)
 		}
-		checkAgainstReference(t, "compacted", j)
+		check("compacted", j)
 
 		// From here on the tables are patched, not built: random bursts
 		// across the relations, every fourth op a patch (12 in a row of
@@ -240,6 +258,9 @@ func TestFlatTableMatchesReference(t *testing.T) {
 			script[i] = opPatch << 3
 		}
 		patchScript(t, seed, j, rels, script)
+	}
+	if small == 0 || large == 0 {
+		t.Errorf("the fixtures held %d small and %d large segments: a draw path went unchecked", small, large)
 	}
 }
 
@@ -257,22 +278,18 @@ const (
 	opKinds
 )
 
-// patchScript drives three chains of EW samplers (alias threshold 0, 3,
-// never), each patched from its predecessor, through the mutations the
-// script spells, and after every patch pins the patched sampler to a
-// cold build over the same data: same entries, Segment, Total and Count
-// at every node, same 64 seeded tuples, and — for the segments the
-// patch did not recompute — the very alias tables the predecessor's
-// draws built. Once the script is over, every generation is pinned again
-// to the tables it had then.
+// patchScript drives a chain of EW samplers, each patched from its
+// predecessor, through the mutations the script spells, and after every
+// patch pins the patched sampler to a cold build over the same data: same
+// entries, Segment, Total and Count at every node, same 64 seeded tuples,
+// and — for the large segments the patch did not recompute — the very
+// segments and alias tables the predecessor's draws built. Once the
+// script is over, every generation is pinned again to the tables it had
+// then.
 func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relation, script []byte) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed ^ 0x5eed))
-	thresholds := []int{0, 3, NeverAlias}
-	chain := make([]*EW, len(thresholds))
-	for i, aliasMin := range thresholds {
-		chain[i] = NewEWAlias(j, aliasMin)
-	}
+	chain := NewEW(j)
 	fresh := relation.Value(1000)
 	// Every generation is kept with its tables as checkPatched found them
 	// equal to a cold build's: a later patch that wrote into storage an
@@ -284,21 +301,17 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 	}
 	var kept []generation
 	patch := func(step int) {
-		for i, aliasMin := range thresholds {
-			state := fmt.Sprintf("seed %d step %d aliasMin %d", seed, step, aliasMin)
-			chain[i] = checkPatched(t, state, j, aliasMin, chain[i])
-			kept = append(kept, generation{state, chain[i], tableDump(chain[i])})
-		}
+		state := fmt.Sprintf("seed %d step %d", seed, step)
+		chain = checkPatched(t, state, j, chain)
+		kept = append(kept, generation{state, chain, tableDump(chain)})
 	}
 	// A sibling is a successor the chain does not continue from: the next
 	// patch is a second successor of the same sampler, which must neither
 	// extend its overlay where the sibling did nor disturb the sibling.
 	sibling := func(step int) {
-		for i, aliasMin := range thresholds {
-			state := fmt.Sprintf("seed %d step %d aliasMin %d sibling", seed, step, aliasMin)
-			sib := checkPatched(t, state, j, aliasMin, chain[i])
-			kept = append(kept, generation{state, sib, tableDump(sib)})
-		}
+		state := fmt.Sprintf("seed %d step %d sibling", seed, step)
+		sib := checkPatched(t, state, j, chain)
+		kept = append(kept, generation{state, sib, tableDump(sib)})
 	}
 	for step, b := range script {
 		rel := rels[int(b&7)%len(rels)]
@@ -358,9 +371,9 @@ func tableDump(ew *EW) []string {
 // checkPatched patches prev into the sampler of j's current data and
 // compares it with a cold build; it returns the patched sampler, its
 // alias tables built by the draws, for the next step to patch from.
-func checkPatched(t testing.TB, state string, j *join.Join, aliasMin int, prev *EW) *EW {
+func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 	t.Helper()
-	ew, cold := NewEWFrom(j, aliasMin, prev), NewEWAlias(j, aliasMin)
+	ew, cold := NewEWFrom(j, prev), NewEW(j)
 	if !equalVersions(ew.StateVersions(), cold.StateVersions()) {
 		t.Fatalf("%s: patched versions %v, cold %v", state, ew.StateVersions(), cold.StateVersions())
 	}
@@ -386,21 +399,21 @@ func checkPatched(t testing.TB, state string, j *join.Join, aliasMin int, prev *
 			if got, want := ew.w.Nodes[k].Total(ent), cold.w.Nodes[k].Total(ent); got != want {
 				t.Fatalf("%s node %d entry %d: patched total %d, cold %d", state, k, ent, got, want)
 			}
-			if p.Rebuilt || prev.aliasMin != aliasMin {
+			_, _, now := ew.w.Nodes[k].SegmentOf(ent)
+			if (now != nil) != (len(rows) >= join.LargeRows) {
+				t.Fatalf("%s node %d entry %d: %d rows, large segment %v", state, k, ent, len(rows), now != nil)
+			}
+			if p.Rebuilt || now == nil {
 				continue
 			}
-			// An untouched segment the predecessor drew through keeps
-			// that table; prev knows the entry, or it would be touched.
-			if _, hit := slices.BinarySearch(p.Touched[k], int32(ent)); hit || len(rows) < aliasMin || len(rows) == 0 {
+			// An untouched large segment is the predecessor's, with the
+			// alias table its draws built; prev knows the entry, or it
+			// would be touched.
+			if _, hit := slices.BinarySearch(p.Touched[k], int32(ent)); hit {
 				continue
 			}
-			was, now := prev.alias[k].find(ent), ew.alias[k].find(ent)
-			if was == nil || now == nil {
-				t.Fatalf("%s node %d entry %d: untouched segment of %d rows has no alias slot (before %v, after %v)",
-					state, k, ent, len(rows), was != nil, now != nil)
-			}
-			if was.Load() != now.Load() {
-				t.Fatalf("%s node %d entry %d: untouched segment lost its alias table", state, k, ent)
+			if _, _, was := prev.w.Nodes[k].SegmentOf(ent); was != now || was.Alias() != now.Alias() {
+				t.Fatalf("%s node %d entry %d: untouched large segment %p is not the predecessor's %p", state, k, ent, now, was)
 			}
 		}
 	}
@@ -433,7 +446,7 @@ func FuzzWeightPatch(f *testing.F) {
 		if len(script) > 256 {
 			script = script[:256]
 		}
-		j, rels := randomTree(t, rand.New(rand.NewSource(seed)))
+		j, rels := randomTree(t, rand.New(rand.NewSource(seed)), 12)
 		patchScript(t, seed, j, rels, script)
 	})
 }
@@ -475,7 +488,7 @@ func TestNewEWAllocsIndependentOfRows(t *testing.T) {
 // the writers stop must equal the reference over the settled data.
 func TestEWBuildRacesMutations(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	j, rels := randomTree(t, r)
+	j, rels := randomTree(t, r, 12)
 	var writers sync.WaitGroup
 	for i, rel := range rels {
 		writers.Add(1)
@@ -506,7 +519,7 @@ func TestEWBuildRacesMutations(t *testing.T) {
 			building = false
 		default:
 		}
-		patched = NewEWFrom(j, DefaultAliasThreshold, patched)
+		patched = NewEWFrom(j, patched)
 		for _, ew := range []*EW{NewEW(j), patched} {
 			if filled, _ := ew.SampleManyInto(out, rowOf, 8, g); ew.ExactCount() > 0 && filled != 8 {
 				t.Fatalf("mid-flight sampler filled %d of 8", filled)
@@ -517,5 +530,5 @@ func TestEWBuildRacesMutations(t *testing.T) {
 		t.Fatal("settled sampler's versions are behind the join's")
 	}
 	checkAgainstReference(t, "settled", j)
-	checkPatched(t, "settled", j, DefaultAliasThreshold, patched)
+	checkPatched(t, "settled", j, patched)
 }

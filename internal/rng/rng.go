@@ -7,6 +7,7 @@ package rng
 import (
 	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // RNG is a seeded source of randomness. It wraps math/rand so every
@@ -26,6 +27,23 @@ func New(seed int64) *RNG {
 // owns. A recycled sampling run restarts its generator this way instead
 // of allocating and discarding a 607-word source per call.
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
+
+// pool keeps generators between the calls that borrow them.
+var pool = sync.Pool{New: func() any { return New(0) }}
+
+// Borrow returns a generator restarted at seed — the stream New(seed)
+// yields — from a process-wide pool, so a call that draws builds no
+// 607-word source once the pool holds one. The caller hands it back with
+// Return when nothing holds it any more; a generator that outlives the
+// call is built with New.
+func Borrow(seed int64) *RNG {
+	g := pool.Get().(*RNG)
+	g.Reseed(seed)
+	return g
+}
+
+// Return hands a generator from Borrow back to the pool.
+func Return(g *RNG) { pool.Put(g) }
 
 // Split derives an independent generator from the current stream. Use it
 // to hand each subsystem its own stream so that interleaving does not

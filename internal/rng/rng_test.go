@@ -20,6 +20,7 @@ func TestDeterminism(t *testing.T) {
 // TestReseedMatchesNew pins the contract recycled runs rest on: after
 // Reseed(s) a generator that has already consumed part of another
 // stream yields exactly New(s)'s stream, across the draw kinds the
+
 // samplers use.
 func TestReseedMatchesNew(t *testing.T) {
 	g := New(99)
@@ -47,6 +48,22 @@ func TestReseedMatchesNew(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBorrowMatchesNew: a borrowed generator, whatever stream it was
+// returned in the middle of, yields New(seed)'s stream.
+func TestBorrowMatchesNew(t *testing.T) {
+	for _, seed := range []int64{3, 3, -1, 1 << 50} {
+		g := Borrow(seed)
+		fresh := New(seed)
+		for i := 0; i < 1000; i++ {
+			if a, b := g.Uint64(), fresh.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: %d borrowed, %d from New", seed, i, a, b)
+			}
+		}
+		g.Intn(7) // returned mid-stream
+		Return(g)
 	}
 }
 

@@ -177,7 +177,8 @@ func (s *Session) Refresh() error {
 	}
 	start := time.Now()
 	s.refreshes++
-	g := rng.New(core.DeriveSeed(s.opts.Seed, -s.refreshes))
+	g := rng.Borrow(core.DeriveSeed(s.opts.Seed, -s.refreshes))
+	defer rng.Return(g)
 	np, changed, err := st.prepared.Refresh(g)
 	if err != nil {
 		return err
