@@ -117,12 +117,10 @@ type LargeSegment struct {
 	alias atomic.Pointer[rng.Alias]
 }
 
-// Alias returns the segment's alias table, built from its running sums
-// on first use and published atomically: racing builders construct
-// identical tables and share the first. The table normalizes its
-// per-row probabilities in float64, so a row carries a relative error up
-// to ~2^-53; the prefix-sum draw of smaller segments is the one exact
-// for every representable total.
+// Alias returns the segment's alias table, built on first use and
+// published atomically: racing builders build identical tables and share
+// the first. Its float64 probabilities carry a relative error up to
+// ~2^-53; the prefix-sum draw of small segments is exact.
 func (s *LargeSegment) Alias() *rng.Alias {
 	if a := s.alias.Load(); a != nil {
 		return a

@@ -260,6 +260,9 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 		fresh.off[len(small)] = int32(n)
 	}
 	fresh.off, fresh.rows, fresh.cum = fresh.off[:len(small)+1], fresh.rows[:n], fresh.cum[:n]
+	if fresh != &sc.fresh { // the root's own storage, where a large segment may sit past n
+		fresh.rows, fresh.cum = slices.Clip(fresh.rows), slices.Clip(fresh.cum)
+	}
 	sc.small = small
 	if len(large)+dropped > 0 {
 		dir := make([]*LargeSegment, 0, len(prev.Large)-dropped+len(large))
