@@ -351,15 +351,6 @@ func (p *packer) fill(t *WeightTable, entries int) {
 	p.t = t
 }
 
-// rowIDs returns 0, 1, …, n-1: the root's one entry.
-func rowIDs(n int) []int {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
 // OlkenBound returns the extended Olken upper bound on the join size:
 // |R_root| · Π over non-root nodes of M_attr(R) (§3.2), times M(S_R)
 // for cyclic joins. It is 0 when any relation is empty.
