@@ -97,7 +97,7 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 				entries = ew.w.Idx[k].NumEntries()
 			}
 			for e := 0; e < entries; e++ {
-				if seg, _ := ew.w.Nodes[k].Segment(e); len(seg) >= 32 {
+				if seg, _ := ew.w.Nodes[k].Segment(e); len(seg) >= join.LargeRows {
 					large++
 				}
 			}
