@@ -493,9 +493,13 @@ func FuzzMembership(f *testing.F) {
 
 // TestOldMemberGenerationsUnderReconcile: readers keep probing every
 // membership generation published so far, each against the counts it was
-// published with, while a writer mutates and reconciles the next ones
-// (run under -race: a reconcile that writes where an older generation
-// reads is a race).
+// published with, while a writer mutates and reconciles the next ones.
+// Each reconcile gets a sibling too — reconciled from the same
+// predecessor after one more append to the relation it mutated — which
+// must equal a from-scratch tally and must leave the first successor as
+// it was (run under -race: a reconcile that writes where an older
+// generation reads, or two successors extending one delta in place, is a
+// race or a mismatch).
 func TestOldMemberGenerationsUnderReconcile(t *testing.T) {
 	j, rels, seen := membersFixture(t)
 	// The universe is fixed up front so readers can range over it while
@@ -549,16 +553,21 @@ func TestOldMemberGenerationsUnderReconcile(t *testing.T) {
 		}(w)
 	}
 	rnd := rand.New(rand.NewSource(5))
+	appendRows := func(k int) {
+		rows := make([]relation.Tuple, 1+rnd.Intn(8))
+		for i := range rows {
+			rows[i] = universe[k][rnd.Intn(len(universe[k]))]
+		}
+		rels[k].AppendRows(rows)
+	}
+	var prev *membershipTables
+	siblings := 0 // steps whose first successor and sibling both extended one delta
 	for step := 0; step < 150; step++ {
 		k := rnd.Intn(len(rels))
 		if rnd.Intn(4) == 0 {
 			rels[k].Delete(rnd.Intn(rels[k].Len()))
 		} else {
-			rows := make([]relation.Tuple, 1+rnd.Intn(8))
-			for i := range rows {
-				rows[i] = universe[k][rnd.Intn(len(universe[k]))]
-			}
-			rels[k].AppendRows(rows)
+			appendRows(k)
 		}
 		p := pinned{m: j.ensureMembership()}
 		for k, r := range rels {
@@ -572,6 +581,26 @@ func TestOldMemberGenerationsUnderReconcile(t *testing.T) {
 		mu.Lock()
 		gens = append(gens, p)
 		mu.Unlock()
+		if prev != nil {
+			appendRows(k)
+			sibling := memberGen{m: j.buildMembership(prev)}
+			for _, r := range rels {
+				sibling.want = append(sibling.want, liveCounts(r))
+			}
+			checkMemberGen(t, fmt.Sprintf("step %d, the second successor of one generation", step), sibling, seen)
+			for k := range universe {
+				for u, tup := range universe[k] {
+					if got := p.m.tabs[k].count(tup, nil); got != p.want[k][u] {
+						t.Fatalf("step %d: the second successor of one generation rewrote the first's relation %d: count(%v) = %d, published as %d",
+							step, k, tup, got, p.want[k][u])
+					}
+				}
+			}
+			if d := prev.tabs[k].delta; d != nil && p.m.tabs[k].delta != d && sibling.m.tabs[k].base == prev.tabs[k].base {
+				siblings++
+			}
+		}
+		prev = p.m
 		// Let the readers probe old generations while the next is built.
 		for want, spin := passes.Load()+1, 0; passes.Load() < want && spin < 1000; spin++ {
 			runtime.Gosched()
@@ -579,4 +608,7 @@ func TestOldMemberGenerationsUnderReconcile(t *testing.T) {
 	}
 	close(done)
 	readers.Wait()
+	if siblings < 30 {
+		t.Errorf("only %d of 150 steps extended one delta twice: the script no longer exercises siblings", siblings)
+	}
 }

@@ -273,9 +273,7 @@ func (j *Join) FreshenResidual() {
 // possible: unchanged tables are shared, a short tail pins the new
 // snapshot beside old's base and extends old's delta by the rows
 // appended since old's pin (deletes only count), and everything else
-// builds the base again from the pinned snapshot's live rows. old is the
-// published table and reconcile runs under memMu, so old's delta gets
-// one successor, as RowSet.Extend requires.
+// builds the base again from the pinned snapshot's live rows.
 func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
 	if old == nil || old.rel != rel {
 		return newMemberTable(rel, rel.Pin())

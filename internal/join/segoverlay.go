@@ -3,7 +3,8 @@ package join
 import (
 	"cmp"
 	"slices"
-	"sync/atomic"
+
+	"sampleunion/internal/relation"
 )
 
 // segOverlay holds the recomputed segments of a patched table: for each
@@ -12,50 +13,43 @@ import (
 // always here). Its storage is shared with the overlays it succeeds: a
 // patch appends each segment it rewrote past the predecessor's ends of
 // rows and cum, with a record of its entry and bounds past the end of
-// recs, and files the record in the slot array the two share, with an
-// atomic store; what it keeps, it does not touch. So an overlay reads
-// nothing past its own len(recs) — a slot naming a later record is
-// occupied but matches nothing — and an entry's segment is its newest
+// recs, and files the record in the slot table the two share
+// (relation.Slots); what it keeps, it does not touch. So an overlay reads
+// nothing past its own len(recs), and an entry's segment is its newest
 // record within that bound. An overlay may have one successor that
-// extends it in place, the one that sets extended; any other, and one
-// that needs more room than the storage has, copies the live segments
-// into storage of its own.
+// extends it in place, the one Slots.Successor grants; any other copies
+// the records and storage, and one that needs more room than the storage
+// has copies the live segments into storage of its own.
 type segOverlay struct {
-	slots    []atomic.Int32 // open addressing on entry ids: record + 1, 0 = empty
-	recs     []segRec       // one per segment written, oldest first
-	rows     []int32
-	cum      []int64
-	ents     int // overlaid entries
-	live     int // rows of their segments
-	extended atomic.Bool
+	slots *relation.Slots // record ids, filed by their entry's hash
+	recs  []segRec        // one per segment written, oldest first
+	rows  []int32
+	cum   []int64
+	ents  int // overlaid entries
+	live  int // rows of their segments
 }
 
 // segRec locates one segment: entry ent's rows are rows[lo:hi].
 type segRec struct{ ent, lo, hi int32 }
 
-// entSlot is entry e's home slot: a multiplicative hash with its high
-// half folded down, so that strided entry ids still spread.
-func entSlot(e, mask int) int {
+// entHash fingerprints entry e: a multiplicative hash with its high half
+// folded down, so that strided entry ids still spread.
+func entHash(e int32) uint64 {
 	h := uint64(e) * 0x9E3779B97F4A7C15
-	return int(h^h>>32) & mask
+	return h ^ h>>32
 }
 
 // find returns the record of entry e's segment, or -1 when e is not
-// overlaid. A later record of the same entry sits further along the
-// probe chain, so the probe walks the chain to its end.
+// overlaid: the newest of e's records.
 func (o *segOverlay) find(e int) int {
 	r := -1
-	if len(o.slots) == 0 {
-		return r
-	}
-	mask := len(o.slots) - 1
-	for j := entSlot(e, mask); ; j = (j + 1) & mask {
-		s := int(o.slots[j].Load())
-		if s == 0 {
+	for p := o.slots.Probe(entHash(int32(e)), len(o.recs)); ; {
+		id := p.Next()
+		if id < 0 {
 			return r
 		}
-		if s-1 < len(o.recs) && o.recs[s-1].ent == int32(e) {
-			r = s - 1
+		if o.recs[id].ent == int32(e) {
+			r = max(r, id)
 		}
 	}
 }
@@ -100,20 +94,21 @@ func (o *segOverlay) measure(touched []int32, fresh *segRun) (ents, rows int) {
 
 // extend returns o's successor, with fresh's segment t standing for
 // entry touched[t] (ascending) and ents entries of rows rows in all
-// (measure). When o grants its one in-place successor and its storage,
-// records and slots have room, fresh's segments are appended past o's
-// ends and every other segment stays where it is; otherwise o's live
-// segments that touched does not name, then fresh's, are copied into new
-// storage with room for as many again. It also returns the bytes of
-// segments and records it wrote.
+// (measure). While o's storage has room for fresh's segments, they are
+// appended past o's ends, in place when o's slots grant their one
+// in-place successor, and to copies of o's records and storage
+// otherwise. Without room, o's live segments that touched does not name,
+// then fresh's, are copied into new storage with room for as many again.
+// It also returns the bytes of segments and records it wrote.
 func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) (*segOverlay, int) {
 	n := &segOverlay{ents: ents, live: rows}
-	fits := cap(o.recs)-len(o.recs) >= len(touched) && cap(o.rows)-len(o.rows) >= len(fresh.rows) &&
-		(len(o.recs)+len(touched))*2 <= len(o.slots)
-	shared := 0
-	if fits && o.extended.CompareAndSwap(false, true) {
-		n.slots, n.recs, n.rows, n.cum = o.slots, o.recs, o.rows, o.cum
-		shared = len(o.rows) + len(o.recs)
+	inPlace, kept := false, 0
+	if cap(o.recs)-len(o.recs) >= len(touched) && cap(o.rows)-len(o.rows) >= len(fresh.rows) {
+		n.slots, inPlace = o.slots.Successor(len(touched))
+		n.recs, n.rows, n.cum = o.recs, o.rows, o.cum
+		if kept = len(o.rows) + len(o.recs); !inPlace { // past o's ends, they are its first successor's
+			n.recs, n.rows, n.cum, kept = slices.Clip(o.recs), slices.Clip(o.rows), slices.Clip(o.cum), 0
+		}
 	} else {
 		n.reserve(ents, rows)
 		for r, rc := range o.recs {
@@ -125,17 +120,14 @@ func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) (*se
 	for t, e := range touched {
 		n.put(e, fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]])
 	}
-	return n, 12 * (len(n.rows) + len(n.recs) - shared)
+	return n, 12 * (len(n.rows) + len(n.recs) - kept)
 }
 
 // reserve gives n empty storage for twice ents segments of rows rows in
-// all, and slots at most half full once the records reach that.
+// all, and slots at most half full once the records reach that: find
+// walks an entry's chain to its end.
 func (n *segOverlay) reserve(ents, rows int) {
-	slots := 16
-	for slots < 4*ents {
-		slots <<= 1
-	}
-	n.slots = make([]atomic.Int32, slots)
+	n.slots = relation.NewSlots(2*ents, 2)
 	n.recs = make([]segRec, 0, 2*ents)
 	n.rows, n.cum = make([]int32, 0, 2*rows), make([]int64, 0, 2*rows)
 }
@@ -144,18 +136,8 @@ func (n *segOverlay) reserve(ents, rows int) {
 func (n *segOverlay) put(e int32, rows []int32, cum []int64) {
 	lo := int32(len(n.rows))
 	n.rows, n.cum = append(n.rows, rows...), append(n.cum, cum...)
-	n.file(segRec{e, lo, int32(len(n.rows))})
-}
-
-// file appends record rc and stores it in its entry's probe chain.
-func (n *segOverlay) file(rc segRec) {
-	n.recs = append(n.recs, rc)
-	mask := len(n.slots) - 1
-	j := entSlot(int(rc.ent), mask)
-	for n.slots[j].Load() != 0 {
-		j = (j + 1) & mask
-	}
-	n.slots[j].Store(int32(len(n.recs)))
+	n.recs = append(n.recs, segRec{e, lo, int32(len(n.rows))})
+	n.slots.Put(entHash(e), len(n.recs)-1)
 }
 
 // overlayOf returns an overlay whose storage is fresh's own arrays,
@@ -165,7 +147,8 @@ func overlayOf(touched []int32, fresh *segRun) *segOverlay {
 	n.reserve(len(touched), 0)
 	n.rows, n.cum = fresh.rows, fresh.cum
 	for t, e := range touched {
-		n.file(segRec{e, fresh.off[t], fresh.off[t+1]})
+		n.recs = append(n.recs, segRec{e, fresh.off[t], fresh.off[t+1]})
+		n.slots.Put(entHash(e), t)
 	}
 	return n
 }

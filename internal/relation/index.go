@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"slices"
-	"sync/atomic"
-)
+import "slices"
 
 // Index is a per-attribute hash index: an immutable CSR base (the row
 // ids of every distinct value contiguous in one packed slice, addressed
@@ -39,12 +36,12 @@ type csr struct {
 // successor), so an overlay reads nothing past its own len(keys): a slot
 // naming a later entry is occupied but matches nothing.
 type overlay struct {
-	slots   []atomic.Int32 // open addressing: overlay entry index + 1; 0 = empty
-	keys    []Value        // touched values
-	rows    []*hdrs        // merged live rows per touched value (ascending), hdrChunk headers per chunk
-	baseEnt []int32        // base entry of the value, or -1 when new
-	extra   []int32        // overlay entries of values absent from base, in first-appearance order
-	rank    []int32        // per overlay entry: its index in extra (-1 for base values); keeps EntryOf O(1)
+	slots   *Slots  // overlay entry ids, filed by their value's hash
+	keys    []Value // touched values
+	rows    []*hdrs // merged live rows per touched value (ascending), hdrChunk headers per chunk
+	baseEnt []int32 // base entry of the value, or -1 when new
+	extra   []int32 // overlay entries of values absent from base, in first-appearance order
+	rank    []int32 // per overlay entry: its index in extra (-1 for base values); keeps EntryOf O(1)
 	degrade uint64
 }
 
@@ -175,37 +172,42 @@ func (b *csr) degreeAt(e int) int { return int(b.starts[e+1] - b.starts[e]) }
 
 // lookup returns the overlay entry of v, or -1.
 func (o *overlay) lookup(v Value) int {
-	if o == nil || len(o.slots) == 0 {
+	if o == nil {
 		return -1
 	}
-	mask := uint64(len(o.slots) - 1)
-	h := hashValue(v, o.degrade)
-	for j := h & mask; ; j = (j + 1) & mask {
-		s := o.slots[j].Load()
-		if s == 0 {
-			return -1
-		}
-		if e := int(s - 1); e < len(o.keys) && o.keys[e] == v {
+	for p := o.slots.Probe(hashValue(v, o.degrade), len(o.keys)); ; {
+		if e := p.Next(); e < 0 || o.keys[e] == v {
 			return e
 		}
 	}
 }
 
-// successor returns the overlay a catch-up writes into. It extends o in
-// place: it appends past o's ends of the arrays that only grow (keys,
-// baseEnt, extra, rank, and row lists but for deletes, which copy
-// theirs), and writes new entries into o's slot array with atomic stores
-// until it has to grow. What it rewrites o still reads — the row-list
+// successor returns the overlay a catch-up writes into. The first
+// successor of o extends it in place: it appends past o's ends of the
+// arrays that only grow (keys, baseEnt, extra, rank, and row lists but
+// for deletes, which copy theirs) and files new entries in o's slot array
+// (Slots.Successor). What it rewrites o still reads — the row-list
 // headers of o's entries — it copies per chunk (header), so it copies
-// the chunk directory and the chunks it writes, not every header. So o
-// may have one successor (Relation.Index): a second would write where
-// readers of the first read.
+// the chunk directory and the chunks it writes, not every header. Any
+// other successor copies o's arrays, chunks and row-list ends, which the
+// first one writes past.
 func (o *overlay) successor() *overlay {
 	if o == nil {
-		return &overlay{slots: make([]atomic.Int32, minSlots)}
+		return &overlay{slots: NewSlots(0, 3)}
 	}
 	s := *o
 	s.rows = slices.Clone(o.rows)
+	var inPlace bool
+	if s.slots, inPlace = o.slots.Successor(0); !inPlace {
+		s.keys, s.baseEnt, s.extra, s.rank = slices.Clip(o.keys), slices.Clip(o.baseEnt), slices.Clip(o.extra), slices.Clip(o.rank)
+		for c, chunk := range s.rows {
+			cp := *chunk
+			for i := range cp {
+				cp[i] = slices.Clip(cp[i])
+			}
+			s.rows[c] = &cp
+		}
+	}
 	return &s
 }
 
@@ -232,14 +234,8 @@ func (o *overlay) ensure(v Value, base *csr, pred *overlay) int {
 	if e := o.lookup(v); e >= 0 {
 		return e
 	}
-	if (len(o.keys)+1)*4 > len(o.slots)*3 {
-		o.slots = make([]atomic.Int32, len(o.slots)*2)
-		for e, v := range o.keys {
-			o.file(e, v)
-		}
-	}
 	e := len(o.keys)
-	o.file(e, v)
+	o.slots.Put(hashValue(v, o.degrade), e)
 	o.keys = append(o.keys, v)
 	be, ok := base.entryOf(v)
 	if ok {
@@ -253,16 +249,6 @@ func (o *overlay) ensure(v Value, base *csr, pred *overlay) int {
 		o.extra = append(o.extra, int32(e))
 	}
 	return e
-}
-
-// file stores entry e, holding v, in v's probe chain.
-func (o *overlay) file(e int, v Value) {
-	mask := uint64(len(o.slots) - 1)
-	j := hashValue(v, o.degrade) & mask
-	for o.slots[j].Load() != 0 {
-		j = (j + 1) & mask
-	}
-	o.slots[j].Store(int32(e + 1))
 }
 
 // applyTail returns a new Index reflecting the mutation-log tail on top
@@ -485,7 +471,7 @@ func (ix *Index) Bytes() int64 {
 	b := ix.base
 	n := 4*int64(len(b.slots)+len(b.starts)) + 8*int64(cap(b.keys)+len(b.rows))
 	if ov := ix.ov; ov != nil {
-		n += 4*int64(len(ov.slots)+cap(ov.baseEnt)+cap(ov.extra)+cap(ov.rank)) + 8*int64(cap(ov.keys)+cap(ov.rows)) + 24*hdrChunk*int64(len(ov.rows))
+		n += ov.slots.Bytes() + 4*int64(cap(ov.baseEnt)+cap(ov.extra)+cap(ov.rank)) + 8*int64(cap(ov.keys)+cap(ov.rows)) + 24*hdrChunk*int64(len(ov.rows))
 		for e := range ov.keys {
 			n += 8 * int64(cap(ov.rowsAt(e)))
 		}

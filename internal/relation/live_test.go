@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -424,9 +425,12 @@ func TestConcurrentMutateAndProbe(t *testing.T) {
 // TestOldGenerationsUnderCatchUp: readers keep probing every index a
 // writer got from Relation.Index, each against the rows it answered with
 // when it was new, while the writer mutates and catches the index up
-// again — overlays extended, compacted and extended anew (run under
-// -race: a catch-up that writes where an older generation reads is a
-// race).
+// again — overlays extended, compacted and extended anew. Each catch-up
+// gets a sibling too — caught up from the same predecessor after one more
+// mutation — which must equal a cold build and must leave the first
+// successor as it was (run under -race: a catch-up that writes where an
+// older generation reads, or two successors extending one overlay in
+// place, is a race or a mismatch).
 func TestOldGenerationsUnderCatchUp(t *testing.T) {
 	r := New("gens", NewSchema("A", "B"))
 	for i := 0; i < 400; i++ {
@@ -472,16 +476,37 @@ func TestOldGenerationsUnderCatchUp(t *testing.T) {
 		}(w)
 	}
 	rnd := rand.New(rand.NewSource(3))
-	compactions := 0
-	for step := 0; step < 300; step++ {
+	mutate := func() {
 		if rnd.Intn(4) == 0 {
 			r.Delete(rnd.Intn(r.Len()))
 		} else {
 			r.AppendValues(Value(rnd.Intn(domain)), Value(rnd.Intn(7)))
 		}
+	}
+	// coldDiff reports where ix answers otherwise than an index built
+	// over s.
+	coldDiff := func(ix *Index, s *snapshot) string {
+		cold := buildIndex(s, 0, ix.version, 0)
+		for v := Value(0); v < domain; v++ {
+			if got, want := ix.Rows(v), cold.Rows(v); !slices.Equal(got, want) || ix.Degree(v) != len(want) {
+				return fmt.Sprintf("value %d: rows %v, cold build %v", v, got, want)
+			}
+		}
+		if ix.MaxDegree() != cold.MaxDegree() {
+			return fmt.Sprintf("max degree %d, cold build %d", ix.MaxDegree(), cold.MaxDegree())
+		}
+		return ""
+	}
+	compactions, siblings := 0, 0
+	var prev *Index
+	for step := 0; step < 300; step++ {
+		mutate()
 		p := pinned{ix: r.Index(0), rows: make([][]int, domain)}
 		for v := range p.rows {
 			p.rows[v] = slices.Clone(p.ix.Rows(Value(v)))
+		}
+		if d := coldDiff(p.ix, r.snap.Load()); d != "" {
+			t.Fatalf("step %d: the catch-up differs from a cold build: %s", step, d)
 		}
 		mu.Lock()
 		if len(gens) > 0 && !p.ix.SameBase(gens[len(gens)-1].ix) {
@@ -489,6 +514,24 @@ func TestOldGenerationsUnderCatchUp(t *testing.T) {
 		}
 		gens = append(gens, p)
 		mu.Unlock()
+		if mutate(); prev != nil && p.ix.SameBase(prev) {
+			r.mu.Lock()
+			tail, upTo, _ := r.mutationsSinceLocked(prev.version)
+			s := r.snap.Load()
+			r.mu.Unlock()
+			if sibling := prev.applyTail(s, 0, tail, upTo); sibling != nil {
+				siblings++
+				if d := coldDiff(sibling, s); d != "" {
+					t.Fatalf("step %d: the second successor of one index differs from a cold build: %s", step, d)
+				}
+			}
+			for v := range p.rows {
+				if got := p.ix.Rows(Value(v)); !slices.Equal(got, p.rows[v]) {
+					t.Fatalf("step %d: the second successor of one index rewrote the first's value %d: rows %v, were %v", step, v, got, p.rows[v])
+				}
+			}
+		}
+		prev = p.ix
 		// Let the readers probe old generations while the next is built.
 		for want, spin := passes.Load()+1, 0; passes.Load() < want && spin < 1000; spin++ {
 			runtime.Gosched()
@@ -496,8 +539,8 @@ func TestOldGenerationsUnderCatchUp(t *testing.T) {
 	}
 	close(done)
 	readers.Wait()
-	if compactions < 2 {
-		t.Fatalf("script compacted %d times, want at least 2", compactions)
+	if compactions < 2 || siblings < 150 {
+		t.Fatalf("script compacted %d times and built %d siblings, want at least 2 and 150", compactions, siblings)
 	}
 }
 

@@ -519,10 +519,9 @@ func (r *Relation) Value(i, a int) Value {
 // position a, building or catching it up as needed. First use from
 // several goroutines — including the first build of a delta overlay
 // after a mutation — builds exactly once behind r.mu; a published index
-// is immutable, so concurrent probes are safe. A catch-up extends its
-// predecessor's arrays (overlay.successor), so each index may have one
-// successor: it is derived under r.mu from the published index, and
-// published before r.mu is released.
+// is immutable, so concurrent probes are safe. A catch-up is derived
+// under r.mu from the published index and extends its arrays in place
+// (overlay.successor).
 func (r *Relation) Index(a int) *Index {
 	if set := r.indexes.Load(); set != nil {
 		if ix := (*set)[a]; ix != nil && ix.version == r.version.Load() {

@@ -1,10 +1,5 @@
 package relation
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
 // View is one published snapshot of a relation's storage paired with the
 // version it reflects. Storage is monotone and tombstones are
 // copy-on-write, so the values and the liveness a View reports for a row
@@ -71,68 +66,44 @@ func (v View) matches(row int, t Tuple, proj []int) bool {
 }
 
 // RowSet is a multiset of full rows of one relation that stores row ids,
-// not values: each open-addressed slot packs a 32-bit tag of the row's
-// fingerprint above the row id + 1 (0 = empty), and a probe that meets a
-// matching tag compares the row's values in the columns of the View it is
-// given. A row is a member while it is live in that View, so a delete
-// writes nothing here. Rows with equal values share a probe chain.
+// not values: its Slots file each row id under the row's fingerprint, and
+// a probe that meets a matching tag compares the row's values in the
+// columns of the View it is given. A row is a member while it is live in
+// that View, so a delete writes nothing here. Rows with equal values
+// share a probe chain.
 //
-// A set is extended rather than rebuilt (Extend): the successor inserts
-// the rows appended since into the slot array it shares with its
-// predecessor, with atomic stores, and copies the array only when it has
-// to grow. A probe reads slots with atomic loads and skips a slot whose
-// row id its View does not have yet, so every generation answers for its
-// own rows while its successors are built. A set may have one successor:
-// a second would insert where the first's readers probe.
+// A set is extended rather than rebuilt (Extend): the successor files the
+// rows appended since into the slot array it shares with its predecessor
+// (Slots.Successor), so every generation answers for its own rows, which
+// its View bounds, while its successors are built.
 type RowSet struct {
-	slots   []uint64 // atomic where a predecessor's readers may probe
-	n       int
+	slots   *Slots
 	degrade uint64 // test-only: ANDed onto every fingerprint to force collisions
 }
 
-const rowIDBits = 32
-
-// setSlots returns the slot count for n rows: a power of two at most
-// three-quarters full.
-func setSlots(n int) int {
-	s := minSlots
-	for n*4 > s*3 {
-		s <<= 1
-	}
-	return s
-}
-
 // NewRowSet returns the set of v's live rows whose ids are from or more.
+// Its slots are at most three-quarters full.
 func NewRowSet(v View, from int) *RowSet {
 	n := v.s.live
 	if from > 0 {
 		n = v.s.rows - from
 	}
-	s := &RowSet{slots: make([]uint64, setSlots(n)), degrade: v.degrade}
-	s.insertFrom(v, from, false)
+	s := &RowSet{slots: NewSlots(n, 3), degrade: v.degrade}
+	s.insertFrom(v, from)
 	return s
 }
 
 // Extend returns s's successor: s's rows and v's live rows whose ids are
 // from or more, where from is the row count of the view s was last built
-// or extended over (nil s: NewRowSet). It inserts in place while the
-// slot array stays three-quarters full at most, and otherwise moves
-// every row still live in v into an array of twice the slots. s keeps
-// answering as before: its probes skip the rows v added.
+// or extended over (nil s: NewRowSet). s keeps answering as before: its
+// probes skip the rows v added.
 func (s *RowSet) Extend(v View, from int) *RowSet {
 	if s == nil {
 		return NewRowSet(v, from)
 	}
-	next, shared := *s, true
-	if (s.n+v.s.rows-from)*4 > len(s.slots)*3 {
-		next.slots, next.n, shared = make([]uint64, max(2*len(s.slots), setSlots(s.n+v.s.rows-from))), 0, false
-		for _, sl := range s.slots {
-			if i := int(uint32(sl)) - 1; sl != 0 && v.s.isLive(i) {
-				next.insert(v, i, false)
-			}
-		}
-	}
-	next.insertFrom(v, from, shared)
+	next := *s
+	next.slots, _ = s.slots.Successor(v.s.rows - from)
+	next.insertFrom(v, from)
 	return &next
 }
 
@@ -142,7 +113,7 @@ func (s *RowSet) Len() int {
 	if s == nil {
 		return 0
 	}
-	return s.n
+	return s.slots.Len()
 }
 
 // Bytes returns the bytes the set's slot array holds; 0 for a nil set.
@@ -150,7 +121,7 @@ func (s *RowSet) Bytes() int64 {
 	if s == nil {
 		return 0
 	}
-	return int64(len(s.slots)) * 8
+	return s.slots.Bytes()
 }
 
 func (s *RowSet) fingerprint(h uint64) uint64 {
@@ -161,33 +132,12 @@ func (s *RowSet) fingerprint(h uint64) uint64 {
 }
 
 // insertFrom inserts v's live rows whose ids are from or more.
-func (s *RowSet) insertFrom(v View, from int, shared bool) {
+func (s *RowSet) insertFrom(v View, from int) {
 	for i := from; i < v.s.rows; i++ {
 		if v.s.isLive(i) {
-			s.insert(v, i, shared)
+			s.slots.Put(s.fingerprint(keyHasher{}.hashRow(v.s.cols, i, nil)), i)
 		}
 	}
-}
-
-// insert places row i of v; the slot array has room for it. A slot of
-// an array shared with a predecessor is stored atomically; an array no
-// reader holds yet is published later, by whoever publishes the set.
-func (s *RowSet) insert(v View, i int, shared bool) {
-	if uint64(i)+1 >= 1<<rowIDBits {
-		panic(fmt.Sprintf("relation: row id %d does not fit a row set slot", i))
-	}
-	h := s.fingerprint(keyHasher{}.hashRow(v.s.cols, i, nil))
-	mask := uint64(len(s.slots) - 1)
-	j := h & mask
-	for atomic.LoadUint64(&s.slots[j]) != 0 {
-		j = (j + 1) & mask
-	}
-	if sl := h>>rowIDBits<<rowIDBits | uint64(i+1); shared {
-		atomic.StoreUint64(&s.slots[j], sl)
-	} else {
-		s.slots[j] = sl
-	}
-	s.n++
 }
 
 // scan counts the rows live in v whose values equal the projection of t
@@ -195,16 +145,13 @@ func (s *RowSet) insert(v View, i int, shared bool) {
 // stopping at the first when first is set. A slot holding a row v does
 // not have is occupied but matches nothing. It allocates nothing.
 func (s *RowSet) scan(v View, t Tuple, proj []int, first bool) int {
-	h := s.fingerprint(keyHasher{}.hashProj(t, proj))
-	tag := h >> rowIDBits
-	mask := uint64(len(s.slots) - 1)
 	c := 0
-	for j := h & mask; ; j = (j + 1) & mask {
-		sl := atomic.LoadUint64(&s.slots[j])
-		if sl == 0 {
+	for p := s.slots.Probe(s.fingerprint(keyHasher{}.hashProj(t, proj)), v.s.rows); ; {
+		row := p.Next()
+		if row < 0 {
 			return c
 		}
-		if row := int(uint32(sl)) - 1; sl>>rowIDBits == tag && row < v.s.rows && v.matches(row, t, proj) {
+		if v.matches(row, t, proj) {
 			if c++; first {
 				return c
 			}
