@@ -258,7 +258,8 @@ type RefreshStats struct {
 	// the joins whose tables were rebuilt whole (a compacted index, a
 	// lost mutation-log tail). WeightBytes is the weight-table storage
 	// all of that wrote — running sums, row lists, offsets, overlay
-	// records and large-segment directories (join.Patch.Bytes) — which
+	// records, the overlay slot tables it allocated and large-segment
+	// directories (join.Patch.Bytes) — which
 	// is what shows a large segment's cost: rewriting one writes its
 	// length.
 	SegmentsPatched int `json:"segments_patched"`

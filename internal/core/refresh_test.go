@@ -94,9 +94,10 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 			// The EW tables of J1 were patched: the root segment and the
 			// 10 new join values. The root's 50 rows are a large segment
 			// of their own (400 B of sums, 200 of rows, 8 of directory),
-			// and the new values' 14 rows an overlay (288 B).
+			// and the new values' 14 rows an overlay (288 B) with a slot
+			// table of 64 slots (512 B).
 			want.SegmentsPatched = 11
-			want.WeightBytes = 896
+			want.WeightBytes = 1408
 		}
 		if st != want {
 			t.Errorf("online=%v: refresh stats %+v, want %+v", online, st, want)

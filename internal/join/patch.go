@@ -26,8 +26,9 @@ type Patch struct {
 	// entry's segment and those passed an eighth of the node.
 	Folded []bool
 	// Bytes is the weight-table storage the patch wrote: running sums,
-	// row lists, offsets, overlay records and large-segment directories;
-	// the whole tables when Rebuilt.
+	// row lists, offsets, overlay records, the overlay slot tables it
+	// allocated (an overlay extended in place allocates none) and
+	// large-segment directories; the whole tables when Rebuilt.
 	Bytes int
 }
 
@@ -289,11 +290,12 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	old := cmp.Or(prev.ov, &segOverlay{})
 	ents, rows := old.measure(small, fresh)
 	if ents+rows <= relation.FoldBudget(len(prev.Off)+len(prev.Rows)) {
-		wrote := 12 * (len(fresh.rows) + len(small))
+		var wrote int
 		if fresh == &sc.fresh {
 			t.ov, wrote = old.extend(small, fresh, ents, rows)
 		} else {
 			t.ov = overlayOf(small, fresh)
+			wrote = 12*(len(fresh.rows)+len(small)) + int(t.ov.slots.Bytes())
 		}
 		return t, touched, whole, bytes + wrote
 	}

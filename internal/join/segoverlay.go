@@ -99,7 +99,8 @@ func (o *segOverlay) measure(touched []int32, fresh *segRun) (ents, rows int) {
 // in-place successor, and to copies of o's records and storage
 // otherwise. Without room, o's live segments that touched does not name,
 // then fresh's, are copied into new storage with room for as many again.
-// It also returns the bytes of segments and records it wrote.
+// It also returns the bytes of segments and records it wrote, and of
+// the slot table unless it extends o's in place.
 func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) (*segOverlay, int) {
 	n := &segOverlay{ents: ents, live: rows}
 	inPlace, kept := false, 0
@@ -120,7 +121,11 @@ func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) (*se
 	for t, e := range touched {
 		n.put(e, fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]])
 	}
-	return n, 12 * (len(n.rows) + len(n.recs) - kept)
+	wrote := 12 * (len(n.rows) + len(n.recs) - kept)
+	if !inPlace {
+		wrote += int(n.slots.Bytes())
+	}
+	return n, wrote
 }
 
 // reserve gives n empty storage for twice ents segments of rows rows in
