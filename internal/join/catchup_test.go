@@ -124,10 +124,11 @@ func patchBytes(t *testing.T, rows, age int) (bytes uint64, overlaid int) {
 	return bytes, w.Nodes[1].ov.ents
 }
 
-// TestPatchBytesByAge reports what a 32-row weight patch allocates right
-// after the tables were built and half way to the 1/8 overlay fold: the
-// overlay's segments are written once, so only the entry directory grows
-// with its age.
+// TestPatchBytesByAge: a weight patch writes in proportion to its burst,
+// not to the overlay it extends. The bytes a 32-row patch allocates half
+// way to the 1/8 overlay fold are at most twice those of the same patch
+// right after the tables were built: the overlay's segments are written
+// once, and its slot table is extended in place.
 func TestPatchBytesByAge(t *testing.T) {
 	const rows = 1 << 14
 	// B's overlay folds once its entries and rows pass an eighth of the
@@ -142,6 +143,10 @@ func TestPatchBytesByAge(t *testing.T) {
 		aged = least(aged, b)
 	}
 	t.Logf("32-row patch: %d B at age 0, %d B over an overlay of %d segments (%.2fx)", fresh, aged, ents, float64(aged)/float64(fresh))
+	if aged > 2*fresh {
+		t.Errorf("a 32-row patch over an overlay of %d segments allocates %d B, %.1fx the %d B at age 0: the overlay is copied whole again",
+			ents, aged, float64(aged)/float64(fresh), fresh)
+	}
 }
 
 // weightDump is every segment of every node of w, copied.

@@ -16,12 +16,11 @@ import (
 // probe until the mutations since the base reach relation.FoldBudget of
 // the relation's rows and the base is built again.
 type memberTable struct {
-	rel      *relation.Relation
-	view     relation.View    // what rows read and its version
-	base     *relation.RowSet // rows live at the base build
-	baseRows int              // rows the base build saw; the delta's first row
-	delta    *relation.RowSet // rows appended since; nil when none
-	since    int              // mutations since the base build
+	rel   *relation.Relation
+	view  relation.View    // what rows read and its version
+	base  *relation.RowSet // rows live at the base build
+	delta *relation.RowSet // rows appended since; nil when none
+	since int              // mutations since the base build
 }
 
 // count returns how many live rows hold the projection of t.
@@ -297,7 +296,7 @@ func reconcileTable(old *memberTable, rel *relation.Relation) *memberTable {
 
 // newMemberTable builds a table whose base holds the rows live in v.
 func newMemberTable(rel *relation.Relation, v relation.View) *memberTable {
-	return &memberTable{rel: rel, view: v, base: relation.NewRowSet(v, 0), baseRows: v.Rows()}
+	return &memberTable{rel: rel, view: v, base: relation.NewRowSet(v, 0)}
 }
 
 // buildMembership assembles the next immutable membership snapshot,

@@ -13,13 +13,9 @@ import (
 // always here). Its storage is shared with the overlays it succeeds: a
 // patch appends each segment it rewrote past the predecessor's ends of
 // rows and cum, with a record of its entry and bounds past the end of
-// recs, and files the record in the slot table the two share
-// (relation.Slots); what it keeps, it does not touch. So an overlay reads
-// nothing past its own len(recs), and an entry's segment is its newest
-// record within that bound. An overlay may have one successor that
-// extends it in place, the one Slots.Successor grants; any other copies
-// the records and storage, and one that needs more room than the storage
-// has copies the live segments into storage of its own.
+// recs filed in the slot table the two share (relation.Slots). So an
+// overlay reads nothing past its own len(recs), and an entry's segment is
+// its newest record within that bound.
 type segOverlay struct {
 	slots *relation.Slots // record ids, filed by their entry's hash
 	recs  []segRec        // one per segment written, oldest first
@@ -43,15 +39,12 @@ func entHash(e int32) uint64 {
 // overlaid: the newest of e's records.
 func (o *segOverlay) find(e int) int {
 	r := -1
-	for p := o.slots.Probe(entHash(int32(e)), len(o.recs)); ; {
-		id := p.Next()
-		if id < 0 {
-			return r
-		}
+	for id := range o.slots.Probe(entHash(int32(e)), len(o.recs)) {
 		if o.recs[id].ent == int32(e) {
 			r = max(r, id)
 		}
 	}
+	return r
 }
 
 // segment is Segment for a table carrying overlay o: the overlaid
@@ -94,18 +87,17 @@ func (o *segOverlay) measure(touched []int32, fresh *segRun) (ents, rows int) {
 
 // extend returns o's successor, with fresh's segment t standing for
 // entry touched[t] (ascending) and ents entries of rows rows in all
-// (measure). While o's storage has room for fresh's segments, they are
-// appended past o's ends, in place when o's slots grant their one
-// in-place successor, and to copies of o's records and storage
-// otherwise. Without room, o's live segments that touched does not name,
-// then fresh's, are copied into new storage with room for as many again.
-// It also returns the bytes of segments and records it wrote, and of
-// the slot table unless it extends o's in place.
+// (measure). While o's storage has room, fresh's segments are appended
+// past its ends: in place for o's first successor (Slots.Successor), to
+// copies for any other. Without room, o's live segments that touched does
+// not name, then fresh's, are copied into new storage with room for as
+// many again. It also returns the bytes of segments, records and slot
+// tables it wrote.
 func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) (*segOverlay, int) {
 	n := &segOverlay{ents: ents, live: rows}
 	inPlace, kept := false, 0
 	if cap(o.recs)-len(o.recs) >= len(touched) && cap(o.rows)-len(o.rows) >= len(fresh.rows) {
-		n.slots, inPlace = o.slots.Successor(len(touched))
+		n.slots, inPlace = o.slots.Successor()
 		n.recs, n.rows, n.cum = o.recs, o.rows, o.cum
 		if kept = len(o.rows) + len(o.recs); !inPlace { // past o's ends, they are its first successor's
 			n.recs, n.rows, n.cum, kept = slices.Clip(o.recs), slices.Clip(o.rows), slices.Clip(o.cum), 0

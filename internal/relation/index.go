@@ -172,25 +172,20 @@ func (b *csr) degreeAt(e int) int { return int(b.starts[e+1] - b.starts[e]) }
 
 // lookup returns the overlay entry of v, or -1.
 func (o *overlay) lookup(v Value) int {
-	if o == nil {
-		return -1
-	}
-	for p := o.slots.Probe(hashValue(v, o.degrade), len(o.keys)); ; {
-		if e := p.Next(); e < 0 || o.keys[e] == v {
+	for e := range o.slots.Probe(hashValue(v, o.degrade), len(o.keys)) {
+		if o.keys[e] == v {
 			return e
 		}
 	}
+	return -1
 }
 
-// successor returns the overlay a catch-up writes into. The first
-// successor of o extends it in place: it appends past o's ends of the
-// arrays that only grow (keys, baseEnt, extra, rank, and row lists but
-// for deletes, which copy theirs) and files new entries in o's slot array
-// (Slots.Successor). What it rewrites o still reads — the row-list
-// headers of o's entries — it copies per chunk (header), so it copies
-// the chunk directory and the chunks it writes, not every header. Any
-// other successor copies o's arrays, chunks and row-list ends, which the
-// first one writes past.
+// successor returns the overlay a catch-up writes into. The first one
+// (Slots.Successor) extends o in place: it appends past o's ends of the
+// arrays that only grow (keys, baseEnt, extra, rank, slots, and row lists
+// but for deletes, which copy theirs), and copies per chunk the row-list
+// headers of o's entries it rewrites (header). Any other copies all of
+// that, since the first writes past o's ends.
 func (o *overlay) successor() *overlay {
 	if o == nil {
 		return &overlay{slots: NewSlots(0, 3)}
@@ -198,7 +193,7 @@ func (o *overlay) successor() *overlay {
 	s := *o
 	s.rows = slices.Clone(o.rows)
 	var inPlace bool
-	if s.slots, inPlace = o.slots.Successor(0); !inPlace {
+	if s.slots, inPlace = o.slots.Successor(); !inPlace {
 		s.keys, s.baseEnt, s.extra, s.rank = slices.Clip(o.keys), slices.Clip(o.baseEnt), slices.Clip(o.extra), slices.Clip(o.rank)
 		for c, chunk := range s.rows {
 			cp := *chunk

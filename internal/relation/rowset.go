@@ -49,16 +49,11 @@ func (v View) matches(row int, t Tuple, proj []int) bool {
 	if !v.s.isLive(row) {
 		return false
 	}
-	if proj == nil {
-		for a, c := range v.s.cols {
-			if c[row] != t[a] {
-				return false
-			}
-		}
-		return true
-	}
 	for a, c := range v.s.cols {
-		if c[row] != t[proj[a]] {
+		if proj != nil {
+			a = proj[a]
+		}
+		if c[row] != t[a] {
 			return false
 		}
 	}
@@ -69,16 +64,13 @@ func (v View) matches(row int, t Tuple, proj []int) bool {
 // not values: its Slots file each row id under the row's fingerprint, and
 // a probe that meets a matching tag compares the row's values in the
 // columns of the View it is given. A row is a member while it is live in
-// that View, so a delete writes nothing here. Rows with equal values
-// share a probe chain.
-//
-// A set is extended rather than rebuilt (Extend): the successor files the
-// rows appended since into the slot array it shares with its predecessor
-// (Slots.Successor), so every generation answers for its own rows, which
-// its View bounds, while its successors are built.
+// that View, so a delete writes nothing here. A set is extended rather
+// than rebuilt (Extend): the successor files the rows appended since into
+// the slot array it shares with its predecessor (Slots.Successor), whose
+// probes its View bounds.
 type RowSet struct {
-	slots   *Slots
-	degrade uint64 // test-only: ANDed onto every fingerprint to force collisions
+	slots *Slots
+	mask  uint64 // ANDed onto every fingerprint: all ones unless a test forces collisions
 }
 
 // NewRowSet returns the set of v's live rows whose ids are from or more.
@@ -88,9 +80,11 @@ func NewRowSet(v View, from int) *RowSet {
 	if from > 0 {
 		n = v.s.rows - from
 	}
-	s := &RowSet{slots: NewSlots(n, 3), degrade: v.degrade}
-	s.insertFrom(v, from)
-	return s
+	s := &RowSet{slots: NewSlots(n, 3), mask: ^uint64(0)}
+	if v.degrade != 0 {
+		s.mask = v.degrade
+	}
+	return s.insertFrom(v, from)
 }
 
 // Extend returns s's successor: s's rows and v's live rows whose ids are
@@ -102,9 +96,8 @@ func (s *RowSet) Extend(v View, from int) *RowSet {
 		return NewRowSet(v, from)
 	}
 	next := *s
-	next.slots, _ = s.slots.Successor(v.s.rows - from)
-	next.insertFrom(v, from)
-	return &next
+	next.slots, _ = s.slots.Successor()
+	return next.insertFrom(v, from)
 }
 
 // Len returns the number of rows the set holds, including any that died
@@ -124,52 +117,40 @@ func (s *RowSet) Bytes() int64 {
 	return s.slots.Bytes()
 }
 
-func (s *RowSet) fingerprint(h uint64) uint64 {
-	if s.degrade != 0 {
-		h &= s.degrade
-	}
-	return h
-}
-
-// insertFrom inserts v's live rows whose ids are from or more.
-func (s *RowSet) insertFrom(v View, from int) {
+// insertFrom inserts v's live rows whose ids are from or more into s.
+func (s *RowSet) insertFrom(v View, from int) *RowSet {
 	for i := from; i < v.s.rows; i++ {
 		if v.s.isLive(i) {
-			s.slots.Put(s.fingerprint(keyHasher{}.hashRow(v.s.cols, i, nil)), i)
+			s.slots.Put(keyHasher{}.hashRow(v.s.cols, i, nil)&s.mask, i)
 		}
 	}
+	return s
 }
 
 // scan counts the rows live in v whose values equal the projection of t
 // (proj nil = identity; len(proj) must equal the relation's arity),
 // stopping at the first when first is set. A slot holding a row v does
-// not have is occupied but matches nothing. It allocates nothing.
+// not have is occupied but matches nothing, and a nil set holds nothing.
+// It allocates nothing.
 func (s *RowSet) scan(v View, t Tuple, proj []int, first bool) int {
 	c := 0
-	for p := s.slots.Probe(s.fingerprint(keyHasher{}.hashProj(t, proj)), v.s.rows); ; {
-		row := p.Next()
-		if row < 0 {
-			return c
-		}
+	if s == nil {
+		return c
+	}
+	for row := range s.slots.Probe(keyHasher{}.hashProj(t, proj)&s.mask, v.s.rows) {
 		if v.matches(row, t, proj) {
 			if c++; first {
-				return c
+				break
 			}
 		}
 	}
+	return c
 }
 
 // Has reports whether a row of the set live in v holds the projection of
 // t. A nil set holds nothing.
-func (s *RowSet) Has(v View, t Tuple, proj []int) bool {
-	return s != nil && s.scan(v, t, proj, true) > 0
-}
+func (s *RowSet) Has(v View, t Tuple, proj []int) bool { return s.scan(v, t, proj, true) > 0 }
 
 // Count returns how many rows of the set live in v hold the projection
 // of t. A nil set holds nothing.
-func (s *RowSet) Count(v View, t Tuple, proj []int) int {
-	if s == nil {
-		return 0
-	}
-	return s.scan(v, t, proj, false)
-}
+func (s *RowSet) Count(v View, t Tuple, proj []int) int { return s.scan(v, t, proj, false) }

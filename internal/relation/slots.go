@@ -2,51 +2,35 @@ package relation
 
 import (
 	"fmt"
+	"iter"
 	"sync/atomic"
 )
 
-// Slots is the open-addressed table of ids that the live structures
-// share with their older generations: an index overlay's entries, a
-// membership set's rows and a weight overlay's segment records. A slot
-// is one word, the low 32 bits of the id's hash (its tag) above id + 1,
-// 0 = empty; the tag's low bits are also the id's home slot, so the
-// table moves its ids to a doubled array without asking for their
-// hashes again.
-//
-// A table is extended rather than copied. Its successor (Successor) files
-// new ids into the array the two share, with atomic stores, and a probe
-// (Probe) reads slots with atomic loads and skips ids at or past the
-// reader's bound, so every generation answers for its own ids while its
-// successors are built. Ids grow along a chain of generations: a
-// successor files ids at or past every id its predecessor holds. Only one
-// successor may extend a table in place — a second would file where the
-// first's readers probe — so Successor claims that once and gives every
-// other caller a copy.
+// Slots is the open-addressed table of ids that live structures share
+// with their older generations: index overlay entries, membership rows
+// and weight overlay records. A slot holds the low 32 bits of the id's
+// hash (its tag, whose low bits are its home slot) above id + 1; 0 =
+// empty. A successor files its ids into the array it shares with its
+// predecessor, and a probe skips ids at or past its reader's bound, so
+// each generation answers for its own ids while successors are built;
+// ids grow along a chain. A second successor extending one array would
+// file where the first's readers probe, so Successor claims that once.
 type Slots struct {
 	words   []uint64
-	n       int         // ids filed
-	end     int         // 1 + the largest id filed: what a copy keeps
+	n, end  int         // ids filed; 1 + the largest
 	fill    int         // quarters of the slots ids may fill
 	shared  bool        // a predecessor's readers probe words: store atomically
 	claimed atomic.Bool // a successor extends words in place
 }
 
-const idBits = 32
-
 // NewSlots returns an empty table with room for n ids while at most fill
 // quarters of its slots are full.
 func NewSlots(n, fill int) *Slots {
-	s := &Slots{fill: fill}
-	s.words = make([]uint64, s.size(minSlots, n))
-	return s
-}
-
-// size returns the slot count, doubled from slots, at which n ids fit.
-func (s *Slots) size(slots, n int) int {
-	for n*4 > slots*s.fill {
-		slots <<= 1
+	size := minSlots
+	for n*4 > size*fill {
+		size <<= 1
 	}
-	return slots
+	return &Slots{words: make([]uint64, size), fill: fill}
 }
 
 // Len returns the number of ids filed.
@@ -55,32 +39,28 @@ func (s *Slots) Len() int { return s.n }
 // Bytes returns the bytes of the slot array.
 func (s *Slots) Bytes() int64 { return 8 * int64(len(s.words)) }
 
-// Put files id under hash h, first moving the ids to an array of twice
-// the slots when one more would pass the fill limit. A slot of an array
-// a predecessor's readers probe is stored atomically; an array no reader
-// holds yet is published later, by whoever publishes the table.
+// Put files id under hash h, doubling the array first when one more id
+// would pass the fill limit.
 func (s *Slots) Put(h uint64, id int) {
-	if uint(id) >= 1<<idBits-1 {
+	if uint(id) >= 1<<32-1 {
 		panic(fmt.Sprintf("relation: id %d does not fit a slot", id))
 	}
 	if (s.n+1)*4 > len(s.words)*s.fill {
 		s.words, s.shared = s.refile(2*len(s.words)), false
 	}
-	w := uint64(uint32(h))<<idBits | uint64(id+1)
-	j := place(s.words, w)
-	if s.shared {
+	w := uint64(uint32(h))<<32 | uint64(id+1)
+	if j := place(s.words, w); s.shared {
 		atomic.StoreUint64(&s.words[j], w)
 	} else {
-		s.words[j] = w
+		s.words[j] = w // no reader holds the array before it is published
 	}
-	s.n++
-	s.end = max(s.end, id+1)
+	s.n, s.end = s.n+1, max(s.end, id+1)
 }
 
 // place returns the first free slot of words from w's home on.
 func place(words []uint64, w uint64) int {
 	mask := uint64(len(words) - 1)
-	j := w >> idBits & mask
+	j := w >> 32 & mask
 	for words[j] != 0 {
 		j = (j + 1) & mask
 	}
@@ -100,52 +80,32 @@ func (s *Slots) refile(size int) []uint64 {
 }
 
 // Successor returns the table a successor of s files into, and whether
-// that is s's own array. The first call that finds room there for add
-// more ids claims it: s's readers then skip what the successor files.
-// Every other call copies s's ids into an array of its own, doubled from
-// s's until add more fit.
-func (s *Slots) Successor(add int) (*Slots, bool) {
-	next := &Slots{words: s.words, n: s.n, end: s.end, fill: s.fill}
-	if (s.n+add)*4 <= len(s.words)*s.fill && s.claimed.CompareAndSwap(false, true) {
-		next.shared = true
-		return next, true
+// that extends s's array in place, which the first call claims. Every
+// other call gets a copy.
+func (s *Slots) Successor() (*Slots, bool) {
+	next := &Slots{words: s.words, n: s.n, end: s.end, fill: s.fill, shared: true}
+	if !s.claimed.CompareAndSwap(false, true) {
+		next.words, next.shared = s.refile(len(s.words)), false
 	}
-	next.words = s.refile(s.size(len(s.words), s.n+add))
-	return next, false
+	return next, next.shared
 }
 
-// SlotProbe walks the ids a table filed under one hash (Slots.Probe).
-type SlotProbe struct {
-	words        []uint64
-	j, mask, tag uint64
-	bound        int
-}
-
-// noSlots is what a nil table probes: one empty slot.
-var noSlots = make([]uint64, 1)
-
-// Probe returns a walk over the ids below bound that s filed under h,
-// and any others of the same tag; the caller tells them apart. A nil
-// table holds nothing.
-func (s *Slots) Probe(h uint64, bound int) SlotProbe {
-	words := noSlots
-	if s != nil {
-		words = s.words
-	}
-	mask := uint64(len(words) - 1)
-	return SlotProbe{words: words, j: h & mask, mask: mask, tag: uint64(uint32(h)), bound: bound}
-}
-
-// Next returns the walk's next id, or -1 once it reaches an empty slot.
-func (p *SlotProbe) Next() int {
-	for {
-		w := atomic.LoadUint64(&p.words[p.j])
-		if w == 0 {
-			return -1
+// Probe yields the ids below bound that s filed under h, and any others
+// of the same tag, which the caller tells apart. A nil table holds none.
+func (s *Slots) Probe(h uint64, bound int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		if s == nil {
+			return
 		}
-		p.j = (p.j + 1) & p.mask
-		if id := int(uint32(w)) - 1; w>>idBits == p.tag && id < p.bound {
-			return id
+		mask := uint64(len(s.words) - 1)
+		for j := h & mask; ; j = (j + 1) & mask {
+			w := atomic.LoadUint64(&s.words[j])
+			if w == 0 {
+				return
+			}
+			if id := int(uint32(w)) - 1; w>>32 == uint64(uint32(h)) && id < bound && !yield(id) {
+				return
+			}
 		}
 	}
 }

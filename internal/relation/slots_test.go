@@ -39,11 +39,7 @@ func (g slotGen) check(domain []uint64) error {
 	}
 	for _, h := range domain {
 		var got, seen []int
-		for p := g.s.Probe(h, len(g.hashes)); ; {
-			id := p.Next()
-			if id < 0 {
-				break
-			}
+		for id := range g.s.Probe(h, len(g.hashes)) {
 			if id >= len(g.hashes) || uint32(g.hashes[id]) != uint32(h) || slices.Contains(seen, id) {
 				return fmt.Errorf("probe of %#x yields id %d of %d (seen %v)", h, id, len(g.hashes), seen)
 			}
@@ -127,8 +123,8 @@ func FuzzSlots(f *testing.F) {
 			gens = append(gens, g)
 			mu.Unlock()
 		}
-		successor := func(g slotGen, add int) slotGen {
-			s, _ := g.s.Successor(add)
+		successor := func(g slotGen) slotGen {
+			s, _ := g.s.Successor()
 			return slotGen{s: s, hashes: slices.Clip(g.hashes)}
 		}
 		cur := slotGen{s: NewSlots(0, fill)}
@@ -140,13 +136,13 @@ func FuzzSlots(f *testing.F) {
 				cur.hashes = append(cur.hashes, h)
 			case op == 5:
 				publish(cur)
-				cur = successor(cur, int(b>>3)%8)
+				cur = successor(cur)
 			default:
 				publish(cur)
 				mu.Lock()
 				older := gens[int(b>>3)%len(gens)]
 				mu.Unlock()
-				cur = successor(older, int(b>>3)%8)
+				cur = successor(older)
 			}
 		}
 		publish(cur)
