@@ -1,18 +1,18 @@
 package relation
 
-// 64-bit tuple keys. Two open-addressed tables identify tuple values by
-// a 64-bit mix of the values rather than by an encoded string key
+// 64-bit tuple keys. RowSet and KeyCounter identify tuple values by a
+// 64-bit mix of the values rather than by an encoded string key
 // (TupleKey), so a lookup allocates nothing. The fingerprint is not
 // trusted: a slot matches only after exact equality verification, so
 // collisions cost a probe, never correctness.
 //
-// RowSet (rowset.go) backs Join.Contains: it stores row ids and verifies
-// against the relation's own columns. KeyCounter copies each key's
-// values into an arena beside a count; its users are a cyclic join's
-// residual, which groups its rows by their link-attribute projection,
-// and DistinctProject. Its lookups take a proj slice that reads
-// t[proj[i]] instead of t[i], hashing and comparing the projection
-// without materializing it.
+// RowSet (rowset.go) backs Join.Contains: it files row ids in a Slots
+// table (slots.go) and verifies them against the relation's columns.
+// KeyCounter, with a probe loop of its own, copies each key's values into
+// an arena beside a count, for a cyclic join's residual (its rows grouped
+// by link-attribute projection) and DistinctProject. Its lookups take a
+// proj slice that reads t[proj[i]] instead of t[i], hashing and comparing
+// the projection without materializing it.
 //
 // A KeyCounter is not safe for concurrent mutation; a fully built one is
 // safe for concurrent reads.
