@@ -259,9 +259,8 @@ type RefreshStats struct {
 	// lost mutation-log tail). WeightBytes is the weight-table storage
 	// all of that wrote — running sums, row lists, offsets, overlay
 	// records, the overlay slot tables it allocated and large-segment
-	// directories (join.Patch.Bytes) — which
-	// is what shows a large segment's cost: rewriting one writes its
-	// length.
+	// directories (join.Patch.Bytes) — which is what shows a large
+	// segment's cost: rewriting one writes its length.
 	SegmentsPatched int `json:"segments_patched"`
 	NodesRebuilt    int `json:"nodes_rebuilt"`
 	JoinsRebuilt    int `json:"joins_rebuilt"`

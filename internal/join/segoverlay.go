@@ -87,23 +87,24 @@ func (o *segOverlay) measure(touched []int32, fresh *segRun) (ents, rows int) {
 
 // extend returns o's successor, with fresh's segment t standing for
 // entry touched[t] (ascending) and ents entries of rows rows in all
-// (measure). While o's storage has room, fresh's segments are appended
-// past its ends: in place for o's first successor (Slots.Successor), to
-// copies for any other. Without room, o's live segments that touched does
-// not name, then fresh's, are copied into new storage with room for as
-// many again. It also returns the bytes of segments, records and slot
-// tables it wrote.
+// (measure). When o's storage has room and this is o's first successor
+// (Slots.Successor), fresh's segments are appended past o's ends and
+// every other segment stays where it is; otherwise o's live segments that
+// touched does not name, then fresh's, are copied into new storage with
+// room for as many again. It also returns the bytes of segments, records
+// and slot tables it wrote.
 func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) (*segOverlay, int) {
 	n := &segOverlay{ents: ents, live: rows}
-	inPlace, kept := false, 0
+	inPlace, wrote := false, 0
 	if cap(o.recs)-len(o.recs) >= len(touched) && cap(o.rows)-len(o.rows) >= len(fresh.rows) {
 		n.slots, inPlace = o.slots.Successor()
+	}
+	if inPlace {
 		n.recs, n.rows, n.cum = o.recs, o.rows, o.cum
-		if kept = len(o.rows) + len(o.recs); !inPlace { // past o's ends, they are its first successor's
-			n.recs, n.rows, n.cum, kept = slices.Clip(o.recs), slices.Clip(o.rows), slices.Clip(o.cum), 0
-		}
+		wrote = -12 * (len(o.rows) + len(o.recs)) // o wrote those
 	} else {
 		n.reserve(ents, rows)
+		wrote = int(n.slots.Bytes())
 		for r, rc := range o.recs {
 			if _, hit := slices.BinarySearch(touched, rc.ent); !hit && o.find(int(rc.ent)) == r {
 				n.put(rc.ent, o.rows[rc.lo:rc.hi], o.cum[rc.lo:rc.hi])
@@ -113,11 +114,7 @@ func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int) (*se
 	for t, e := range touched {
 		n.put(e, fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]])
 	}
-	wrote := 12 * (len(n.rows) + len(n.recs) - kept)
-	if !inPlace {
-		wrote += int(n.slots.Bytes())
-	}
-	return n, wrote
+	return n, wrote + 12*(len(n.rows)+len(n.recs))
 }
 
 // reserve gives n empty storage for twice ents segments of rows rows in

@@ -33,8 +33,8 @@ type csr struct {
 
 // overlay holds the touched values: for each, the fully merged live row
 // list. Catch-up derives a successor that extends it in place (see
-// successor), so an overlay reads nothing past its own len(keys): a slot
-// naming a later entry is occupied but matches nothing.
+// successor), so an overlay reads nothing past its own len(keys), the
+// bound of its slot probes.
 type overlay struct {
 	slots   *Slots  // overlay entry ids, filed by their value's hash
 	keys    []Value // touched values
@@ -185,7 +185,8 @@ func (o *overlay) lookup(v Value) int {
 // arrays that only grow (keys, baseEnt, extra, rank, slots, and row lists
 // but for deletes, which copy theirs), and copies per chunk the row-list
 // headers of o's entries it rewrites (header). Any other copies all of
-// that, since the first writes past o's ends.
+// that up to o's ends, since the first writes past them: the headers of
+// later entries too, while a chunk still holds both.
 func (o *overlay) successor() *overlay {
 	if o == nil {
 		return &overlay{slots: NewSlots(0, 3)}
@@ -196,11 +197,11 @@ func (o *overlay) successor() *overlay {
 	if s.slots, inPlace = o.slots.Successor(); !inPlace {
 		s.keys, s.baseEnt, s.extra, s.rank = slices.Clip(o.keys), slices.Clip(o.baseEnt), slices.Clip(o.extra), slices.Clip(o.rank)
 		for c, chunk := range s.rows {
-			cp := *chunk
-			for i := range cp {
-				cp[i] = slices.Clip(cp[i])
+			cp := new(hdrs)
+			for i := range min(hdrChunk, len(o.keys)-c*hdrChunk) {
+				cp[i] = slices.Clip(chunk[i])
 			}
-			s.rows[c] = &cp
+			s.rows[c] = cp
 		}
 	}
 	return &s

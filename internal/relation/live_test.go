@@ -426,11 +426,11 @@ func TestConcurrentMutateAndProbe(t *testing.T) {
 // writer got from Relation.Index, each against the rows it answered with
 // when it was new, while the writer mutates and catches the index up
 // again — overlays extended, compacted and extended anew. Each catch-up
-// gets a sibling too — caught up from the same predecessor after one more
-// mutation — which must equal a cold build and must leave the first
-// successor as it was (run under -race: a catch-up that writes where an
-// older generation reads, or two successors extending one overlay in
-// place, is a race or a mismatch).
+// gets a sibling too — caught up from the same predecessor, one mutation
+// short, while the catch-up is built — and both must equal a cold build
+// (run under -race: a catch-up that writes where an older generation or
+// its sibling reads, or two successors extending one overlay in place,
+// is a race or a mismatch).
 func TestOldGenerationsUnderCatchUp(t *testing.T) {
 	r := New("gens", NewSchema("A", "B"))
 	for i := 0; i < 400; i++ {
@@ -501,12 +501,36 @@ func TestOldGenerationsUnderCatchUp(t *testing.T) {
 	var prev *Index
 	for step := 0; step < 300; step++ {
 		mutate()
+		// A sibling catches prev up to this mutation while Relation.Index
+		// catches it up to the next one; either may claim the overlay.
+		var sibling *Index
+		var sibSnap *snapshot
+		var built sync.WaitGroup
+		if prev != nil {
+			r.mu.Lock()
+			tail, upTo, _ := r.mutationsSinceLocked(prev.version)
+			sibSnap = r.snap.Load()
+			r.mu.Unlock()
+			mutate()
+			built.Add(1)
+			go func() {
+				defer built.Done()
+				sibling = prev.applyTail(sibSnap, 0, tail, upTo)
+			}()
+		}
 		p := pinned{ix: r.Index(0), rows: make([][]int, domain)}
+		built.Wait()
 		for v := range p.rows {
 			p.rows[v] = slices.Clone(p.ix.Rows(Value(v)))
 		}
 		if d := coldDiff(p.ix, r.snap.Load()); d != "" {
 			t.Fatalf("step %d: the catch-up differs from a cold build: %s", step, d)
+		}
+		if sibling != nil && p.ix.SameBase(prev) {
+			siblings++
+			if d := coldDiff(sibling, sibSnap); d != "" {
+				t.Fatalf("step %d: the second successor of one index differs from a cold build: %s", step, d)
+			}
 		}
 		mu.Lock()
 		if len(gens) > 0 && !p.ix.SameBase(gens[len(gens)-1].ix) {
@@ -514,23 +538,6 @@ func TestOldGenerationsUnderCatchUp(t *testing.T) {
 		}
 		gens = append(gens, p)
 		mu.Unlock()
-		if mutate(); prev != nil && p.ix.SameBase(prev) {
-			r.mu.Lock()
-			tail, upTo, _ := r.mutationsSinceLocked(prev.version)
-			s := r.snap.Load()
-			r.mu.Unlock()
-			if sibling := prev.applyTail(s, 0, tail, upTo); sibling != nil {
-				siblings++
-				if d := coldDiff(sibling, s); d != "" {
-					t.Fatalf("step %d: the second successor of one index differs from a cold build: %s", step, d)
-				}
-			}
-			for v := range p.rows {
-				if got := p.ix.Rows(Value(v)); !slices.Equal(got, p.rows[v]) {
-					t.Fatalf("step %d: the second successor of one index rewrote the first's value %d: rows %v, were %v", step, v, got, p.rows[v])
-				}
-			}
-		}
 		prev = p.ix
 		// Let the readers probe old generations while the next is built.
 		for want, spin := passes.Load()+1, 0; passes.Load() < want && spin < 1000; spin++ {

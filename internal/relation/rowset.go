@@ -1,5 +1,7 @@
 package relation
 
+import "cmp"
+
 // View is one published snapshot of a relation's storage paired with the
 // version it reflects. Storage is monotone and tombstones are
 // copy-on-write, so the values and the liveness a View reports for a row
@@ -49,11 +51,16 @@ func (v View) matches(row int, t Tuple, proj []int) bool {
 	if !v.s.isLive(row) {
 		return false
 	}
-	for a, c := range v.s.cols {
-		if proj != nil {
-			a = proj[a]
+	if proj == nil {
+		for a, c := range v.s.cols {
+			if c[row] != t[a] {
+				return false
+			}
 		}
-		if c[row] != t[a] {
+		return true
+	}
+	for a, c := range v.s.cols {
+		if c[row] != t[proj[a]] {
 			return false
 		}
 	}
@@ -80,10 +87,7 @@ func NewRowSet(v View, from int) *RowSet {
 	if from > 0 {
 		n = v.s.rows - from
 	}
-	s := &RowSet{slots: NewSlots(n, 3), mask: ^uint64(0)}
-	if v.degrade != 0 {
-		s.mask = v.degrade
-	}
+	s := &RowSet{slots: NewSlots(n, 3), mask: cmp.Or(v.degrade, ^uint64(0))}
 	return s.insertFrom(v, from)
 }
 
@@ -129,14 +133,13 @@ func (s *RowSet) insertFrom(v View, from int) *RowSet {
 
 // scan counts the rows live in v whose values equal the projection of t
 // (proj nil = identity; len(proj) must equal the relation's arity),
-// stopping at the first when first is set. A slot holding a row v does
-// not have is occupied but matches nothing, and a nil set holds nothing.
-// It allocates nothing.
+// stopping at the first when first is set; its probe skips the rows v
+// does not have. A nil set holds nothing. It allocates nothing.
 func (s *RowSet) scan(v View, t Tuple, proj []int, first bool) int {
-	c := 0
 	if s == nil {
-		return c
+		return 0
 	}
+	c := 0
 	for row := range s.slots.Probe(keyHasher{}.hashProj(t, proj)&s.mask, v.s.rows) {
 		if v.matches(row, t, proj) {
 			if c++; first {
