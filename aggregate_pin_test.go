@@ -17,19 +17,21 @@ import (
 
 // pinnedAggregates maps a mode to its two rows: the answers of a newly
 // prepared session, and the same calls after mutateDraw's script and a
-// Refresh.
+// Refresh. The cover and shard-cover rows, which draw with EW, were
+// re-pinned when large weight segments stopped drawing through alias
+// tables.
 var pinnedAggregates = map[string][2]string{
 	"cover": {
-		"count1=0±116.489363/1 count3=48.9375±78.3163108/3 count7=62.9196429±53.8223515/7 count300=67.53375±8.30214784/300 sum=3488.265±728.263345/200 avg=581.693333±58.6864616/150 g4=25.839±7.63537396/44 g0=23.49±7.4195891/40 g1=21.141±7.18108904/36 g2=21.141±7.18108904/36 g3=19.37925±6.98549542/33 g6=18.792±6.91680815/32 g5=17.03025±6.69930592/29 where=60ae9a79321a5b41",
-		"count1=0±111.517861/1 count3=93.6979167±74.973948/3 count7=60.234375±51.5253355/7 count300=59.0296875±7.9434134/300 sum=3819.36133±1299.26534/200 avg=672.7±113.305013/150 g0=28.6715625±7.62533267/51 g1=23.0496875±7.15652148/41 g5=21.363125±6.99166115/38 g2=19.114375±6.75141557/34 g3=18.5521875±6.68737029/33 g6=15.74125±6.34007953/28 g4=14.0546875±6.10713055/25 where=2c4c76394b848514",
+		"count1=0±116.489363/1 count3=48.9375±78.3163108/3 count7=62.9196429±53.8223515/7 count300=68.023125±8.30013801/300 sum=3701.14313±729.163653/200 avg=561.406667±54.13389/150 g3=28.77525±7.8767655/49 g0=26.42625±7.68606356/45 g2=21.141±7.18108904/36 g4=19.37925±6.98549542/33 g6=18.792±6.91680815/32 g1=16.443±6.62272232/28 g5=15.85575±6.54394534/27 where=0bcc5f9624061f10",
+		"count1=140.546875±111.517861/1 count3=46.8489583±74.973948/3 count7=40.15625±49.944263/7 count300=62.7776042±7.9520205/300 sum=4014.01875±1145.13613/200 avg=604.52±51.2994384/150 g0=26.4228125±7.45157364/47 g1=24.73625±7.30951349/44 g5=20.8009375±6.93388286/37 g2=19.114375±6.75141557/34 g3=17.99±6.62161445/32 g6=16.3034375±6.41339472/29 g4=15.1790625±6.26466457/27 where=f274f1012bcc353d",
 	},
 	"online": {
 		"count1=0±111.401322/1 count3=46.8±74.8955984/3 count7=100.285714±49.89207/7 count300=57.8333115±8.08660494/300 sum=3267.52817±679.050412/200 avg=569±52.0344807/150 g1=27.6942696±7.58086438/49 g2=22.607567±7.14086241/40 g0=20.3468103±6.91132192/36 g3=20.3468103±6.91132192/36 g6=18.6512428±6.72307603/33 g4=16.3904861±6.44763762/29 g5=15.2601078±6.29811337/27 where=a61bdf1795e5c286",
 		"count1=0±111.79805/1 count3=0±79.1162067/3 count7=80.5142857±51.6547932/7 count300=67.4065833±8.16382202/300 sum=4706.78921±1345.47972/200 avg=683.893333±126.636649/150 g3=25.6984935±7.59385456/44 g1=24.5303802±7.48921074/42 g2=23.3622668±7.37924309/40 g4=21.6100968±7.20361184/37 g5=17.5217001±6.73695669/30 g0=16.9376434±6.66287665/29 g6=16.3535868±6.58670949/28 where=6cdc000619ce6de6",
 	},
 	"shard-cover": {
-		"count1=0±119.018506/1 count3=50±80.0166649/3 count7=64.2857143±54.9909083/7 count300=68±8.4853843/300 sum=3905.25±777.600619/200 avg=569.64±55.3991255/150 g5=27.6±7.90346648/46 g6=26.4±7.80114837/44 g1=24.6±7.63786617/41 g0=20.4±7.205513/34 g2=19.8±7.13716007/33 g3=18.6±6.99490664/31 g4=12.6±6.14936144/21 where=ef8185ba8955006f",
-		"count1=0±119.018506/1 count3=50±80.0166649/3 count7=150±53.1508264/7 count300=62.5±8.47481721/300 sum=3692.25±987.469787/200 avg=634.54±97.0362283/150 g5=27.6±7.90346648/46 g0=25.8±7.74806314/43 g4=24.6±7.63786617/41 g6=19.2±7.06698151/32 g1=18±6.92085926/30 g2=17.4±6.84475701/29 g3=17.4±6.84475701/29 where=08f85b79bb93f287",
+		"count1=0±119.018506/1 count3=0±84.2259121/3 count7=64.2857143±54.9909083/7 count300=65±8.48531798/300 sum=3456.75±731.087208/200 avg=555.686667±56.7057763/150 g2=29.4±8.04778085/49 g1=22.8±7.4619174/38 g5=22.8±7.4619174/38 g0=19.8±7.13716007/33 g3=19.8±7.13716007/33 g6=18±6.92085926/30 g4=17.4±6.84475701/29 where=0ebdf1c3dc3660e9",
+		"count1=150±119.018506/1 count3=50±80.0166649/3 count7=107.142857±53.3034936/7 count300=62.5±8.47481721/300 sum=5889.75±2055.89838/200 avg=808.613333±158.375524/150 g2=24.6±7.63786617/41 g4=23.4±7.52204362/39 g6=23.4±7.52204362/39 g5=22.2±7.40025296/37 g0=21±7.27210602/35 g3=19.2±7.06698151/32 g1=16.2±6.68602333/27 where=cabf407e5f0873a7",
 	},
 	"shard-online": {
 		"count1=146.32±116.098586/1 count3=97.5466667±78.0535894/3 count7=83.6114286±53.6417981/7 count300=55.6016±8.21098202/300 sum=3974.0512±759.062889/200 avg=581.02±53.160676/150 g6=24.58176±7.50489719/42 g3=23.99648±7.45048385/41 g2=22.82592±7.33750282/39 g5=22.24064±7.2788517/38 g1=21.07008±7.15699922/36 g0=16.97312±6.67683231/29 g4=14.632±6.35798798/25 where=12255915a6b30ac2",

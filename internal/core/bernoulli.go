@@ -27,7 +27,9 @@ func PrepareDisjoint(joins []*join.Join, method JoinMethod) (*DisjointShared, er
 	if err != nil {
 		return nil, err
 	}
-	base.buildPending()
+	if err := base.buildPending(); err != nil {
+		return nil, err
+	}
 	return newDisjointShared(base)
 }
 

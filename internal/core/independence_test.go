@@ -61,7 +61,7 @@ func TestSampleIndependence(t *testing.T) {
 func TestEOAcceptanceRate(t *testing.T) {
 	joins := fixtureJoins(t)
 	j := joins[0]
-	s := newJoinSampler(j, MethodEO, nil)
+	s, _ := newJoinSampler(j, MethodEO, nil)
 	g := rng.New(62)
 	const tries = 200000
 	out := []relation.Tuple{make(relation.Tuple, j.OutputSchema().Len())}

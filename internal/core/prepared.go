@@ -161,7 +161,9 @@ func (p *prepared) warm(g *rng.RNG) error {
 	if p.alias == nil {
 		return ErrEmptyUnion
 	}
-	p.base.buildPending()
+	if err := p.base.buildPending(); err != nil {
+		return err
+	}
 	p.folds = countFolds(p.base.joins)
 	return nil
 }
@@ -259,8 +261,9 @@ type RefreshStats struct {
 	// lost mutation-log tail). WeightBytes is the weight-table storage
 	// all of that wrote — running sums, row lists, offsets, overlay
 	// records, the overlay slot tables it allocated and large-segment
-	// directories (join.Patch.Bytes) — which is what shows a large
-	// segment's cost: rewriting one writes its length.
+	// directories (join.Patch.Bytes) — and so all the weight storage the
+	// refresh causes: draws build nothing over the tables afterwards. It
+	// shows a large segment's cost: rewriting one writes its length.
 	SegmentsPatched int `json:"segments_patched"`
 	NodesRebuilt    int `json:"nodes_rebuilt"`
 	JoinsRebuilt    int `json:"joins_rebuilt"`

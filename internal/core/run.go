@@ -120,8 +120,8 @@ func (s *runState) release(run Run) {
 // sync.Pool keeps itself — and so whatever it is part of or holds —
 // reachable from a global list until the second collection after its
 // last Put: a pool embedded in the generation, or pooled runs pointing
-// back at it, would keep every retired generation's weight and alias
-// tables alive that long under a stream of appends.
+// back at it, would keep every retired generation's weight tables alive
+// that long under a stream of appends.
 func newRunPool() *sync.Pool { return new(sync.Pool) }
 
 // runRNG is the generator a run draws with between its first RNG call

@@ -39,16 +39,17 @@ func (m JoinMethod) String() string {
 // newJoinSampler builds the subroutine sampler for one join. prev is the
 // sampler the join drew from before its relations mutated, nil on a
 // first build: an EW sampler patches its weight tables from an EW
-// predecessor's instead of recomputing them.
-func newJoinSampler(j *join.Join, m JoinMethod, prev joinsample.Sampler) joinsample.Sampler {
+// predecessor's instead of recomputing them. Only EW fails, on a join
+// whose exact weights overflow (join.ErrWeightOverflow).
+func newJoinSampler(j *join.Join, m JoinMethod, prev joinsample.Sampler) (joinsample.Sampler, error) {
 	switch m {
 	case MethodEW:
 		was, _ := prev.(*joinsample.EW)
 		return joinsample.NewEWFrom(j, was)
 	case MethodWJ:
-		return joinsample.NewWJ(j)
+		return joinsample.NewWJ(j), nil
 	}
-	return joinsample.NewEO(j)
+	return joinsample.NewEO(j), nil
 }
 
 // unionBase holds what every union sampler shares: the joins, their
@@ -168,14 +169,24 @@ func (b *unionBase) reconciled() (*unionBase, []bool, bool) {
 // buildPending builds exactly the samplers that are pending, each from
 // the sampler it replaces and beside the other joins' (an EW weight
 // table reads its own join and writes its own slot). Only safe before
-// the base is published to runs.
-func (b *unionBase) buildPending() {
+// the base is published to runs. It returns the first join's error in
+// join order, leaving that join pending.
+func (b *unionBase) buildPending() error {
+	errs := make([]error, len(b.joins))
 	join.FanOut(0, len(b.joins), func(i int) {
 		if b.pending[i] {
-			b.samplers[i] = newJoinSampler(b.joins[i], b.method, b.samplers[i])
-			b.pending[i] = false
+			s, err := newJoinSampler(b.joins[i], b.method, b.samplers[i])
+			if errs[i] = err; err == nil {
+				b.samplers[i], b.pending[i] = s, false
+			}
 		}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // patchStats sums what the EW samplers of the dirty joins report about

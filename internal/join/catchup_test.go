@@ -105,11 +105,11 @@ func TestReconcileBytesIndependentOfAge(t *testing.T) {
 // segments the last patch's table overlays.
 func patchBytes(t *testing.T, rows, age int) (bytes uint64, overlaid int) {
 	c := newAgedChain(t, rows)
-	w := c.j.ExactWeights()
+	w := exactWeights(t, c.j)
 	for c.next < age {
 		c.burst()
 		var p Patch
-		if w, p = c.j.PatchWeights(w); p.Rebuilt || p.Folded[1] {
+		if w, p = patchWeights(t, c.j, w); p.Rebuilt || p.Folded[1] {
 			t.Fatalf("after %d rows: the aging patch rebuilt or folded (%+v)", c.next, p)
 		}
 	}
@@ -117,7 +117,7 @@ func patchBytes(t *testing.T, rows, age int) (bytes uint64, overlaid int) {
 	c.a.Index(1) // the indexes' own catch-ups are not the patch's
 	c.b.Index(0)
 	var p Patch
-	bytes = bytesAllocated(func() { w, p = c.j.PatchWeights(w) })
+	bytes = bytesAllocated(func() { w, p = patchWeights(t, c.j, w) })
 	if p.Rebuilt || p.Folded[1] {
 		t.Fatalf("the measured patch rebuilt or folded (%+v)", p)
 	}
@@ -188,7 +188,7 @@ func TestWeightGenerationsUnderPatch(t *testing.T) {
 			}
 		}
 	}
-	w := c.j.ExactWeights()
+	w := exactWeights(t, c.j)
 	overlaid := 0
 	for round := 0; round < 12; round++ {
 		pinned, want := w, weightDump(w)
@@ -213,11 +213,11 @@ func TestWeightGenerationsUnderPatch(t *testing.T) {
 		}
 		for g := 0; g < 8; g++ {
 			mutate()
-			first, _ := c.j.PatchWeights(w)
+			first, _ := patchWeights(t, c.j, w)
 			firstWant := weightDump(first)
 			mutate()
-			sibling, _ := c.j.PatchWeights(w)
-			if !reflect.DeepEqual(weightDump(sibling), weightDump(c.j.ExactWeights())) {
+			sibling, _ := patchWeights(t, c.j, w)
+			if !reflect.DeepEqual(weightDump(sibling), weightDump(exactWeights(t, c.j))) {
 				t.Fatalf("round %d generation %d: the second successor of one generation differs from a cold build", round, g)
 			}
 			if !reflect.DeepEqual(weightDump(first), firstWant) {

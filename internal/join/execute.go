@@ -2,11 +2,13 @@ package join
 
 import (
 	"cmp"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"sampleunion/internal/relation"
-	"sampleunion/internal/rng"
 )
 
 // Enumerate streams every join result tuple to yield; enumeration stops
@@ -85,10 +87,15 @@ func (j *Join) Execute() []relation.Tuple {
 // Count returns the exact join result size. For tree joins it uses the
 // bottom-up weight recurrence (each tuple's exact extension count, the
 // EW statistic of Zhao et al.), which runs in time linear in the input
-// rather than the output; cyclic joins fall back to enumeration.
+// rather than the output; cyclic joins fall back to enumeration. A tree
+// join of more than math.MaxInt64 results counts as math.MaxInt64.
 func (j *Join) Count() int64 {
 	if j.res == nil {
-		return j.ExactWeights().Count()
+		ws, err := j.ExactWeights()
+		if err != nil {
+			return math.MaxInt64
+		}
+		return ws.Count()
 	}
 	var total int64
 	j.Enumerate(func(relation.Tuple) bool {
@@ -99,34 +106,19 @@ func (j *Join) Count() int64 {
 }
 
 // LargeRows is the length from which a weight segment stands alone as a
-// LargeSegment, and from which EW draws select its rows through a Walker
-// alias table (O(1) per draw) instead of the prefix-sum binary search
-// (O(log fan-out)): below it the table's two RNG draws and cache
-// footprint cost more than the search saves.
+// LargeSegment, and from which an EW draw searches its running sums from
+// a proportional guess instead of bisecting them (joinsample.searchCum).
 const LargeRows = 32
 
 // LargeSegment is a weight segment of at least LargeRows rows, held
 // apart from its node's flat arrays: immutable once published, so
 // generations share it by pointer — a patch that does not reach it
-// copies nothing of it — and with it the alias table its first draw
-// builds.
+// copies nothing of it. EW draws from its running sums like from a small
+// segment's, so nothing is built over it after a patch.
 type LargeSegment struct {
-	Ent   int32   // the index entry whose rows these are
-	Rows  []int32 // as WeightTable.Segment returns them
-	Cum   []int64
-	alias atomic.Pointer[rng.Alias]
-}
-
-// Alias returns the segment's alias table, built on first use and
-// published atomically: racing builders build identical tables and share
-// the first. Its float64 probabilities carry a relative error up to
-// ~2^-53; the prefix-sum draw of small segments is exact.
-func (s *LargeSegment) Alias() *rng.Alias {
-	if a := s.alias.Load(); a != nil {
-		return a
-	}
-	s.alias.CompareAndSwap(nil, rng.NewAliasCum(s.Cum))
-	return s.alias.Load()
+	Ent  int32   // the index entry whose rows these are
+	Rows []int32 // as WeightTable.Segment returns them
+	Cum  []int64
 }
 
 // WeightTable is one join node's exact weights, packed the way the EW
@@ -193,16 +185,39 @@ func (t *WeightTable) Total(e int) int64 {
 }
 
 // appendPositive appends the rows of one entry that weigh more than zero
-// under w, in order, and their running weight sums.
-func appendPositive(rows []int32, cum []int64, entry []int, w []int64) ([]int32, []int64) {
+// under w, in order, and their running weight sums; ok is false once a
+// sum passes math.MaxInt64.
+func appendPositive(rows []int32, cum []int64, entry []int, w []int64) (_ []int32, _ []int64, ok bool) {
 	var sum int64
 	for _, r := range entry {
 		if w[r] > 0 {
-			sum += w[r]
+			if sum, ok = addWeight(sum, w[r]); !ok {
+				return rows, cum, false
+			}
 			rows, cum = append(rows, int32(r)), append(cum, sum)
 		}
 	}
-	return rows, cum
+	return rows, cum, true
+}
+
+// ErrWeightOverflow reports a join whose exact weights pass
+// math.MaxInt64: a row's result count, or a segment's running sum of
+// them. EW draws a row by an exact integer draw below its segment's
+// total, so such a join cannot be sampled with EW.
+var ErrWeightOverflow = errors.New("exact weights overflow int64")
+
+func (j *Join) overflow() error { return fmt.Errorf("join %s: %w", j.name, ErrWeightOverflow) }
+
+// addWeight and mulWeight combine weights, which are never negative; ok
+// is false when the result passes math.MaxInt64.
+func addWeight(a, b int64) (int64, bool) {
+	s := a + b
+	return s, s >= a
+}
+
+func mulWeight(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	return int64(lo), hi == 0 && lo <= math.MaxInt64
 }
 
 // rows counts the rows of t's flat arrays and large segments.
@@ -244,8 +259,8 @@ func (w *Weights) Count() int64 { return w.Nodes[0].Total(0) }
 // mutate meanwhile: each node's index is
 // fetched before its storage snapshot, storage is monotone, so every
 // indexed row id is inside the snapshot, and liveness is read from that
-// snapshot alone.
-func (j *Join) ExactWeights() *Weights {
+// snapshot alone. A weight past math.MaxInt64 is ErrWeightOverflow.
+func (j *Join) ExactWeights() (*Weights, error) {
 	ws := &Weights{
 		Vers:  j.StateVersions(),
 		Idx:   make([]*relation.Index, len(j.nodes)),
@@ -279,7 +294,9 @@ func (j *Join) ExactWeights() *Weights {
 				}
 				w[i] = 0
 				if e, ok := idx.EntryOf(col[i]); ok {
-					w[i] = wi * sums.Total(e)
+					if w[i], ok = mulWeight(wi, sums.Total(e)); !ok {
+						return nil, j.overflow()
+					}
 				}
 			}
 		}
@@ -294,19 +311,23 @@ func (j *Join) ExactWeights() *Weights {
 			pk.entry(root)
 			pk.fill(&ws.Nodes[k], 1)
 			pk.entry(root)
-			continue
+		} else {
+			ws.Idx[k].EachEntry(pk.entry)
+			pk.fill(&ws.Nodes[k], ws.Idx[k].NumEntries())
+			ws.Idx[k].EachEntry(pk.entry)
 		}
-		ws.Idx[k].EachEntry(pk.entry)
-		pk.fill(&ws.Nodes[k], ws.Idx[k].NumEntries())
-		ws.Idx[k].EachEntry(pk.entry)
+		if pk.overflow {
+			return nil, j.overflow()
+		}
 	}
-	return ws
+	return ws, nil
 }
 
 // packer lays one node's positive row weights out as its WeightTable,
 // one entry at a time: small segments into the flat arrays, large ones
 // carved from one slab of segments and one of rows and sums. Until fill
-// names the table it only counts what the arrays must hold.
+// names the table it only counts what the arrays must hold. overflow
+// records a running sum past math.MaxInt64.
 type packer struct {
 	w                    []int64
 	t                    *WeightTable
@@ -314,6 +335,7 @@ type packer struct {
 	slab                 []LargeSegment
 	rows                 []int32
 	cum                  []int64
+	overflow             bool
 }
 
 func (p *packer) entry(rows []int) {
@@ -329,11 +351,15 @@ func (p *packer) entry(rows []int) {
 	case t == nil:
 		p.small += n
 	case n < LargeRows:
-		t.Rows, t.Cum = appendPositive(t.Rows, t.Cum, rows, p.w)
+		var ok bool
+		t.Rows, t.Cum, ok = appendPositive(t.Rows, t.Cum, rows, p.w)
+		p.overflow = p.overflow || !ok
 		t.end()
 	default:
 		seg, lo := &p.slab[len(t.Large)], len(p.rows)
-		p.rows, p.cum = appendPositive(p.rows, p.cum, rows, p.w)
+		var ok bool
+		p.rows, p.cum, ok = appendPositive(p.rows, p.cum, rows, p.w)
+		p.overflow = p.overflow || !ok
 		seg.Ent, seg.Rows, seg.Cum = int32(len(t.Off)-1), p.rows[lo:len(p.rows):len(p.rows)], p.cum[lo:len(p.cum):len(p.cum)]
 		t.Large = append(t.Large, seg)
 		t.end()

@@ -92,6 +92,26 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	}
 }
 
+// exactWeights and patchWeights are ExactWeights and PatchWeights over
+// fixtures whose weights fit an int64.
+func exactWeights(t testing.TB, j *Join) *Weights {
+	t.Helper()
+	ws, err := j.ExactWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+func patchWeights(t testing.TB, j *Join, prev *Weights) (*Weights, Patch) {
+	t.Helper()
+	ws, p, err := j.PatchWeights(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws, p
+}
+
 // rowWeights unpacks node k's weight table into one weight per physical
 // row (0 for the rows the table drops).
 func rowWeights(j *Join, ws *Weights, k int) []int64 {
@@ -110,7 +130,7 @@ func rowWeights(j *Join, ws *Weights, k int) []int64 {
 
 func TestExactWeights(t *testing.T) {
 	j := chainFixture(t)
-	ws := j.ExactWeights()
+	ws := exactWeights(t, j)
 	// Root R1: row 0 (A=1) extends to 3 results, row 1 (A=2) to 2, row 2 dangles.
 	if w := rowWeights(j, ws, 0); w[0] != 3 || w[1] != 2 || w[2] != 0 {
 		t.Errorf("root weights = %v, want [3 2 0]", w)

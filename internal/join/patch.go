@@ -54,15 +54,20 @@ type reweigh struct{ ent, row int32 }
 // a tail then names every mutation the indexes and snapshots reflect,
 // and because a named row is weighed from current state rather than
 // adjusted, naming one twice — here, or again from the next generation,
-// whose Vers predate the mutation — is harmless.
-func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
-	rebuilt := func() (*Weights, Patch) {
-		ws, p := j.ExactWeights(), Patch{Rebuilt: true}
+// whose Vers predate the mutation — is harmless. A weight past
+// math.MaxInt64 is ErrWeightOverflow, as in ExactWeights.
+func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
+	rebuilt := func() (*Weights, Patch, error) {
+		ws, err := j.ExactWeights()
+		if err != nil {
+			return nil, Patch{}, err
+		}
+		p := Patch{Rebuilt: true}
 		for k := range ws.Nodes {
 			t := &ws.Nodes[k]
 			p.Bytes += 4*len(t.Off) + 12*t.rows() + 8*len(t.Large)
 		}
-		return ws, p
+		return ws, p, nil
 	}
 	if prev == nil {
 		return rebuilt()
@@ -147,7 +152,12 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
 			entries = ws.Idx[k].NumEntries()
 		}
 		var bytes int
-		ws.Nodes[k], p.Touched[k], p.Folded[k], bytes = j.patchNode(k, ws, s, &prev.Nodes[k], hits, entries, sc)
+		var ok bool
+		ws.Nodes[k], p.Touched[k], p.Folded[k], bytes, ok = j.patchNode(k, ws, s, &prev.Nodes[k], hits, entries, sc)
+		if !ok {
+			sc.hits = hits
+			return nil, Patch{}, j.overflow()
+		}
 		p.Bytes += bytes
 		for _, e := range p.Touched[k] {
 			if ws.Nodes[k].Total(int(e)) != prev.Nodes[k].Total(int(e)) {
@@ -156,7 +166,7 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch) {
 		}
 	}
 	sc.hits = hits
-	return ws, p
+	return ws, p, nil
 }
 
 // patchScratch is what PatchWeights writes only to read back — the node
@@ -187,10 +197,11 @@ var scratchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 // small ones extend prev's overlay (segOverlay.extend), or — once the
 // overlay's entries and rows pass relation.FoldBudget of the flat
 // arrays' — are folded with the untouched ones into fresh flat arrays;
-// an entry turned large leaves them an empty segment.
-func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *WeightTable, hits []reweigh, entries int, sc *patchScratch) (WeightTable, []int32, bool, int) {
+// an entry turned large leaves them an empty segment. ok is false when a
+// rewritten weight passes math.MaxInt64.
+func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *WeightTable, hits []reweigh, entries int, sc *patchScratch) (_ WeightTable, _ []int32, _ bool, _ int, ok bool) {
 	if len(hits) == 0 {
-		return *prev, nil, false, 0
+		return *prev, nil, false, 0, true
 	}
 	// Sized by what the segments held before plus a row per hit: a
 	// segment cannot gain a row that is not named.
@@ -214,7 +225,9 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 			hi++
 		}
 		rows, cum := prev.Segment(int(hits[lo].ent))
-		j.appendSegment(k, ws, s, rows, cum, hits[lo:hi], fresh)
+		if !j.appendSegment(k, ws, s, rows, cum, hits[lo:hi], fresh) {
+			return WeightTable{}, nil, false, 0, false
+		}
 		fresh.off = append(fresh.off, int32(len(fresh.rows)))
 	}
 	whole := len(touched) == entries && len(touched)+len(fresh.rows) > relation.FoldBudget(len(prev.Off)+prev.rows())
@@ -280,7 +293,7 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 		bytes += 8 * len(t.Large)
 	}
 	if len(small) == 0 {
-		return t, touched, whole, bytes
+		return t, touched, whole, bytes, true
 	}
 	if len(small) == entries && fresh == &sc.fresh {
 		// Every entry was rewritten: the fresh segments are the overlay
@@ -297,11 +310,11 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 			t.ov = overlayOf(small, fresh)
 			wrote = 12*(len(fresh.rows)+len(small)) + int(t.ov.slots.Bytes())
 		}
-		return t, touched, whole, bytes + wrote
+		return t, touched, whole, bytes + wrote, true
 	}
 	if fresh != &sc.fresh {
 		t.Off, t.Rows, t.Cum, t.ov = fresh.off, fresh.rows, fresh.cum, nil
-		return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows)
+		return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows), true
 	}
 	// merged visits, ascending, every entry of the old overlay and the
 	// fresh segments with the segment that stands for it: the fresh one
@@ -345,7 +358,7 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 		next++
 	})
 	flat(entries)
-	return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows)
+	return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows), true
 }
 
 // appendSegment rewrites the segment of the entry hits name (they share
@@ -354,10 +367,11 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 // any other row at the weight the old segment (wasRows, wasCum) records
 // for it — zero when absent: nothing changed for a row that is not hit.
 // The result is the flat build's segment: same rows, same order, same
-// running sums.
-func (j *Join) appendSegment(k int, ws *Weights, s *relation.SnapshotData, wasRows []int32, wasCum []int64, hits []reweigh, ov *segRun) {
+// running sums. It is false when a weight or sum passes math.MaxInt64.
+func (j *Join) appendSegment(k int, ws *Weights, s *relation.SnapshotData, wasRows []int32, wasCum []int64, hits []reweigh, ov *segRun) bool {
 	var cum int64
 	p, h := 0, 0 // cursors into the old segment and the hits
+	ok := true
 	add := func(r int) {
 		for h < len(hits) && int(hits[h].row) < r {
 			h++ // a deleted row: named, and gone from the index
@@ -368,14 +382,18 @@ func (j *Join) appendSegment(k int, ws *Weights, s *relation.SnapshotData, wasRo
 		var w int64
 		switch {
 		case h < len(hits) && int(hits[h].row) == r:
-			w = j.rowWeight(k, r, ws, s)
+			var fits bool
+			w, fits = j.rowWeight(k, r, ws, s)
+			ok = ok && fits
 		case p < len(wasRows) && int(wasRows[p]) == r:
 			if w = wasCum[p]; p > 0 {
 				w -= wasCum[p-1]
 			}
 		}
 		if w > 0 {
-			cum += w
+			var fits bool
+			cum, fits = addWeight(cum, w)
+			ok = ok && fits
 			ov.rows = append(ov.rows, int32(r))
 			ov.cum = append(ov.cum, cum)
 		}
@@ -384,30 +402,31 @@ func (j *Join) appendSegment(k int, ws *Weights, s *relation.SnapshotData, wasRo
 		for r := 0; r < s.Rows; r++ {
 			add(r)
 		}
-		return
+		return ok
 	}
 	ix := ws.Idx[k]
 	for _, r := range ix.Rows(ix.ValueAt(int(hits[0].ent))) {
 		add(r)
 	}
+	return ok
 }
 
 // rowWeight is the EW recurrence for one row of node k: 0 for a
 // tombstoned row, else the product of its children's totals for the
-// values it holds.
-func (j *Join) rowWeight(k, r int, ws *Weights, s *relation.SnapshotData) int64 {
+// values it holds. ok is false when the product passes math.MaxInt64.
+func (j *Join) rowWeight(k, r int, ws *Weights, s *relation.SnapshotData) (w int64, ok bool) {
 	if !s.IsLive(r) {
-		return 0
+		return 0, true
 	}
-	w := int64(1)
+	w = 1
 	for _, c := range j.nodes[k].Children {
-		e, ok := ws.Idx[c].EntryOf(s.Cols[j.nodes[c].ParentAttrPos][r])
-		if !ok {
-			return 0
+		e, found := ws.Idx[c].EntryOf(s.Cols[j.nodes[c].ParentAttrPos][r])
+		if !found {
+			return 0, true
 		}
-		if w *= ws.Nodes[c].Total(e); w == 0 {
-			return 0
+		if w, ok = mulWeight(w, ws.Nodes[c].Total(e)); !ok || w == 0 {
+			return w, ok
 		}
 	}
-	return w
+	return w, true
 }

@@ -28,7 +28,7 @@ func TestExactWeightsMatchEnumeration(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w := rowWeights(j, j.ExactWeights(), 0)
+		w := rowWeights(j, exactWeights(t, j), 0)
 		var total int64
 		for _, wi := range w {
 			total += wi

@@ -1,7 +1,10 @@
 package joinsample
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sampleunion/internal/join"
@@ -71,8 +74,9 @@ func TestBatchUniformEWCyclic(t *testing.T) { checkUniformBatch(t, NewEW(triangl
 func TestBatchUniformEOCyclic(t *testing.T) { checkUniformBatch(t, NewEO(triangleJoin(t)), 25, 30000) }
 
 // wideChainJoin is chainJoin with fan-outs on both sides of
-// join.LargeRows: R2's A = 1 and A = 3 segments (40 and 33 rows) draw
-// through alias tables, its A = 2 segment and R3's through prefix sums.
+// join.LargeRows: R2's A = 1 and A = 3 segments (40 and 33 rows) are
+// searched from a proportional guess, its A = 2 segment and R3's by
+// bisection.
 func wideChainJoin(t *testing.T) *join.Join {
 	t.Helper()
 	r1 := relation.MustFromTuples("R1", relation.NewSchema("A", "X"), []relation.Tuple{
@@ -124,10 +128,10 @@ func wideTriangleJoin(t *testing.T) *join.Join {
 	return j
 }
 
-// TestBatchAliasForced re-runs the EW batch uniformity check on joins
-// whose fan-outs straddle join.LargeRows, so that one batch selects rows
-// through alias tables and through prefix sums.
-func TestBatchAliasForced(t *testing.T) {
+// TestBatchAcrossLargeRows re-runs the EW batch uniformity check on
+// joins whose fan-outs straddle join.LargeRows, so that one batch finds
+// rows by both searches of searchCum.
+func TestBatchAcrossLargeRows(t *testing.T) {
 	checkUniformBatch(t, NewEW(wideChainJoin(t)), 26, 30000)
 	checkUniformBatch(t, NewEW(wideTriangleJoin(t)), 27, 30000)
 }
@@ -167,14 +171,17 @@ func drawFreqs(n int, draw func() int) map[int]int {
 	return counts
 }
 
-// TestAliasMatchesPrefixSums is the alias-vs-prefix-sum property test
-// under degraded weights: highly skewed weights, zero weights, and
-// totals past 2^53 (where the retired float derivation could not even
-// address every row). Every selection path over a weight segment — the
-// bounded draw, and EW.drawRow over the segment held flat and held as a
-// large segment with its alias table — must reproduce the weight
-// distribution.
-func TestAliasMatchesPrefixSums(t *testing.T) {
+// TestSegmentDrawsIndependentOfStorage: how a weight segment is stored
+// does not change what it draws. Under degraded weights — highly skewed,
+// zero, and totals past 2^53 (where the retired float derivation could
+// not even address every row) — each case is drawn at its own length and
+// tiled past join.LargeRows, so both searches run. EW.drawRow over the
+// segment held flat and held as a join.LargeSegment must reproduce the
+// weight distribution, and draw the same rows seed for seed as one
+// Uint64n below the total and slices.BinarySearch. Then, after a patch
+// reaches a large segment, the first draw through it allocates nothing:
+// no table is built over a segment after a Refresh.
+func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 	cases := []struct {
 		name string
 		w    []int64
@@ -186,59 +193,79 @@ func TestAliasMatchesPrefixSums(t *testing.T) {
 	}
 	const draws = 200000
 	for _, c := range cases {
-		rows := make([]int, len(c.w))
-		for i := range rows {
-			rows[i] = i
-		}
-		seg := refSegment(rows, c.w)
-		large := &join.LargeSegment{Rows: seg.rows, Cum: seg.cum}
-		ewOf := func(tbl join.WeightTable) *EW {
-			return &EW{w: &join.Weights{Nodes: []join.WeightTable{tbl}}}
-		}
-		flat := ewOf(join.WeightTable{Off: []int32{0, int32(len(seg.rows))}, Rows: seg.rows, Cum: seg.cum})
-		aliased := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{large}})
-		var total float64
-		for _, w := range c.w {
-			if w > 0 {
-				total += float64(w)
+		for _, n := range []int{len(c.w), 4 * join.LargeRows} {
+			w := make([]int64, n)
+			rows := make([]int, n)
+			for i := range w {
+				w[i], rows[i] = c.w[i%len(c.w)], i
 			}
-		}
-		check := func(name string, freqs map[int]int) {
-			for r, w := range c.w {
-				got := float64(freqs[r]) / draws
-				want := float64(w) / total
-				if w == 0 && freqs[r] != 0 {
-					t.Errorf("%s/%s: zero-weight row %d drawn %d times", c.name, name, r, freqs[r])
+			name := fmt.Sprintf("%s/n=%d", c.name, n)
+			seg := refSegment(rows, w)
+			if n > len(c.w) && len(seg.rows) < join.LargeRows {
+				t.Fatalf("%s: %d positive rows, want join.LargeRows or more", name, len(seg.rows))
+			}
+			ewOf := func(tbl join.WeightTable) *EW {
+				return &EW{w: &join.Weights{Nodes: []join.WeightTable{tbl}}}
+			}
+			flat := ewOf(join.WeightTable{Off: []int32{0, int32(len(seg.rows))}, Rows: seg.rows, Cum: seg.cum})
+			large := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{{Rows: seg.rows, Cum: seg.cum}}})
+			var total float64
+			for _, wi := range w {
+				total += float64(wi)
+			}
+			g := rng.New(31)
+			freqs := drawFreqs(draws, func() int { r, _ := flat.drawRow(0, 0, g); return r })
+			for r, wi := range w {
+				got, want := float64(freqs[r])/draws, float64(wi)/total
+				if wi == 0 && freqs[r] != 0 {
+					t.Errorf("%s: zero-weight row %d drawn %d times", name, r, freqs[r])
 				}
 				// Loose frequency bound; huge-weight cases have rows
 				// with want ~ 1e-16 that are simply never drawn.
 				if math.Abs(got-want) > 0.01 {
-					t.Errorf("%s/%s: row %d frequency %.4f, want %.4f", c.name, name, r, got, want)
+					t.Errorf("%s: row %d frequency %.4f, want %.4f", name, r, got, want)
+				}
+			}
+			gf, gl, gr := rng.New(34), rng.New(34), rng.New(34)
+			for i := 0; i < 10000; i++ {
+				x := int64(gr.Uint64n(uint64(seg.cum[len(seg.cum)-1])))
+				want, _ := slices.BinarySearch(seg.cum, x+1)
+				f, _ := flat.drawRow(0, 0, gf)
+				l, _ := large.drawRow(0, 0, gl)
+				if f != int(seg.rows[want]) || l != f {
+					t.Fatalf("%s draw %d: flat row %d, large row %d, reference row %d", name, i, f, l, seg.rows[want])
 				}
 			}
 		}
-		gp := rng.New(31)
-		check("prefix", drawFreqs(draws, func() int { return int(seg.rows[drawBounded(seg.cum, gp)]) }))
-		ga, ref := rng.New(32), rng.NewAliasCum(seg.cum)
-		check("alias", drawFreqs(draws, func() int { r, _ := aliased.drawRow(0, 0, ga); return r }))
-		// drawRow spent the stream the segment's own table does.
-		ga, gr := rng.New(34), rng.New(34)
-		for i := 0; i < 1000; i++ {
-			if r, _ := aliased.drawRow(0, 0, ga); r != int(seg.rows[ref.Draw(gr)]) {
-				t.Fatalf("%s: large-segment draw %d left the alias table's stream", c.name, i)
-			}
-		}
-		gt := rng.New(33)
-		check("flat", drawFreqs(draws, func() int { r, _ := flat.drawRow(0, 0, gt); return r }))
+	}
+
+	c := newFanoutChain(t, 1, 2*join.LargeRows)
+	prev := NewEW(c.j)
+	c.touch(0)
+	ew := newEWFrom(t, c.j, prev)
+	if rows, _, seg := ew.w.Nodes[1].SegmentOf(0); seg == nil || !slices.Equal(ew.Patch().Touched[1], []int32{0}) {
+		t.Fatalf("the patch did not rewrite mid's one large segment (%d rows, patch %+v)", len(rows), ew.Patch())
+	}
+	out, rowOf := mkBatch(c.j, 1)
+	g := rng.New(35)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	filled, _ := ew.SampleManyInto(out, rowOf, 1, g)
+	runtime.ReadMemStats(&after)
+	if filled != 1 {
+		t.Fatalf("the draw through the patched segment filled %d of 1", filled)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("the first draw through a patched large segment allocated %d objects, want 0", n)
 	}
 }
 
-// TestBatchInvalidationAfterMutation pins the alias-invalidation
-// wiring: a live mutation bumps the relation versions, the stale EW
-// (and the alias tables lazily built inside it) keeps sampling its own
-// immutable snapshot, and the rebuilt sampler — what Refresh creates
-// for a dirty join — draws the post-mutation distribution, new rows
-// included.
+// TestBatchInvalidationAfterMutation pins the invalidation wiring: a
+// live mutation bumps the relation versions, the stale EW keeps sampling
+// its own immutable snapshot, and the rebuilt sampler — what Refresh
+// creates for a dirty join — draws the post-mutation distribution, new
+// rows included.
 func TestBatchInvalidationAfterMutation(t *testing.T) {
 	r1 := relation.MustFromTuples("R1", relation.NewSchema("A", "X"), []relation.Tuple{
 		{1, 100}, {2, 200},
@@ -252,14 +279,14 @@ func TestBatchInvalidationAfterMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// R2's A = 1 segment is a large one: its alias table is built before
-	// the mutation, so staleness would surface.
+	// R2's A = 1 segment is a large one, drawn from before the mutation,
+	// so staleness would surface.
 	stale := NewEW(j)
 	node := j.Nodes()[1]
 	idxVerBefore := node.Rel.Index(node.AttrPos).Version()
 	out, rowOf := mkBatch(j, 16)
 	g := rng.New(41)
-	// Build the alias tables pre-mutation.
+	// Draw pre-mutation.
 	if filled, _ := stale.SampleManyInto(out, rowOf, 1000, g); filled != 16 {
 		t.Fatalf("pre-mutation batch filled %d", filled)
 	}
@@ -281,7 +308,7 @@ func TestBatchInvalidationAfterMutation(t *testing.T) {
 	}
 
 	// The stale sampler must keep drawing its snapshot (old result set,
-	// no new rows) — alias tables cannot see rows they were not built
+	// no new rows) — its segments cannot see rows they were not built
 	// over.
 	for i := 0; i < 2000; i++ {
 		filled, _ := stale.SampleManyInto(out[:1], rowOf, 1000, g)

@@ -4,9 +4,9 @@
 //
 //   - Exact Weight (EW): exact per-tuple result counts computed bottom-up
 //     over the join tree; zero rejection, uniform samples. A row is drawn
-//     by prefix sums, or through the alias table that a segment of
-//     join.LargeRows rows or more carries, and a Refresh patches only the
-//     segments its mutations reached (NewEWFrom).
+//     by an exact integer draw below its segment's total and a search of
+//     the segment's running sums, and a Refresh patches only the segments
+//     its mutations reached (NewEWFrom), building nothing else.
 //   - Extended Olken (EO): max-degree upper-bound weights with
 //     accept/reject; uniform samples with a rejection rate that grows
 //     with skew. Dangling tuples have acceptance probability zero, which
@@ -22,6 +22,7 @@
 package joinsample
 
 import (
+	"math/bits"
 	"slices"
 
 	"sampleunion/internal/join"
@@ -81,11 +82,52 @@ func liveRoot(r *relation.Relation, g *rng.RNG) (int, bool) {
 // drawBounded picks a position in a weight segment proportional to
 // weight using the exact integer bounded draw: correct for every
 // representable total, with no round-up past the segment and no 53-bit
-// precision loss. cum is the segment's running weight sums.
+// precision loss. cum is the segment's running weight sums, whose total
+// join.ExactWeights keeps in (0, math.MaxInt64].
 func drawBounded(cum []int64, g *rng.RNG) int {
-	x := int64(g.Uint64n(uint64(cum[len(cum)-1])))
-	i, _ := slices.BinarySearch(cum, x+1) // the first cum[i] > x
-	return i
+	return searchCum(cum, int64(g.Uint64n(uint64(cum[len(cum)-1]))))
+}
+
+// searchCum returns the first i with cum[i] > x — the index
+// slices.BinarySearch(cum, x+1) returns — for non-decreasing cum and
+// 0 <= x < cum[len(cum)-1]. A segment of join.LargeRows rows or more is
+// searched from the proportional guess ⌊x·n/total⌋, exact when the
+// weights are equal: a gallop outward from it brackets the answer, and
+// bisection finds it inside the bracket.
+func searchCum(cum []int64, x int64) int {
+	n := len(cum)
+	if n < join.LargeRows {
+		i, _ := slices.BinarySearch(cum, x+1)
+		return i
+	}
+	hi, lo := bits.Mul64(uint64(x), uint64(n))
+	q, _ := bits.Div64(hi, lo, uint64(cum[n-1])) // < n, as x < total
+	a, b := int(q), int(q)                       // the answer is in (a, b] once the gallop stops
+	if cum[b] > x {
+		for step := 1; ; step <<= 1 {
+			if a = b - step; a < 0 {
+				a = -1
+				break
+			}
+			if cum[a] <= x {
+				break
+			}
+			b = a
+		}
+	} else {
+		for step := 1; ; step <<= 1 {
+			if b = a + step; b >= n-1 {
+				b = n - 1
+				break
+			}
+			if cum[b] > x {
+				break
+			}
+			a = b
+		}
+	}
+	i, _ := slices.BinarySearch(cum[a+1:b], x+1)
+	return a + 1 + i
 }
 
 // EW is the Exact Weight sampler: uniform with zero rejection on tree
@@ -97,28 +139,39 @@ type EW struct {
 	// reads. It describes exactly the relation versions w.Vers: the union
 	// layer detects a mismatch (unionBase.dirtyJoins), and Refresh
 	// patches a successor from this sampler (NewEWFrom), which shares
-	// every segment — and its alias table — the mutations did not reach.
+	// every segment the mutations did not reach.
 	w     *join.Weights
 	patch join.Patch // how w came from the predecessor's tables
 }
 
-// NewEW precomputes exact weights for j.
-func NewEW(j *join.Join) *EW { return NewEWFrom(j, nil) }
+// NewEW precomputes exact weights for j, a join whose weights are known
+// to fit an int64: it panics with join.ErrWeightOverflow otherwise.
+// NewEWFrom reports that as an error.
+func NewEW(j *join.Join) *EW {
+	e, err := NewEWFrom(j, nil)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
 
-// NewEWFrom is NewEW given the sampler the join drew from before its
-// relations last mutated (nil builds cold): the weights are patched from
-// prev's (join.PatchWeights) instead of recomputed, and the large
-// segments the patch did not reach — with the alias tables prev's draws
-// built over them — are prev's own. The draws equal a cold build's, seed
-// for seed: every segment holds the rows and running sums a cold build
-// computes.
-func NewEWFrom(j *join.Join, prev *EW) *EW {
+// NewEWFrom builds j's sampler given the one the join drew from before
+// its relations last mutated (nil builds cold): the weights are patched
+// from prev's (join.PatchWeights) instead of recomputed, and the large
+// segments the patch did not reach are prev's own. The draws equal a
+// cold build's, seed for seed: every segment holds the rows and running
+// sums a cold build computes, and a draw reads nothing else. A join
+// whose weights pass math.MaxInt64 is join.ErrWeightOverflow.
+func NewEWFrom(j *join.Join, prev *EW) (*EW, error) {
 	var from *join.Weights
 	if prev != nil && prev.j == j {
 		from = prev.w
 	}
-	w, patch := j.PatchWeights(from)
-	return &EW{j: j, w: w, patch: patch}
+	w, patch, err := j.PatchWeights(from)
+	if err != nil {
+		return nil, err
+	}
+	return &EW{j: j, w: w, patch: patch}, nil
 }
 
 // Patch reports how the sampler's weight tables were derived from its
@@ -149,23 +202,18 @@ func (e *EW) SizeEstimate() float64 {
 }
 
 // StateVersions returns the per-relation version snapshot the sampler's
-// weight tables (and their lazily built alias tables) were built over;
+// weight tables were built over;
 // a mismatch with the join's current StateVersions means the tables
 // describe stale data and the sampler must be rebuilt (which Refresh
 // does for dirty joins).
 func (e *EW) StateVersions() []uint64 { return e.w.Vers }
 
 // drawRow is the row selection of every EW draw, over entry ent of node
-// k: through the segment's alias table when it is a large one
-// (join.LargeRows), by the exact prefix-sum draw otherwise. The choice
-// depends only on the segment's length, so streams stay deterministic
-// regardless of which run triggered an alias build. ok is false on an
-// empty segment.
+// k: the exact prefix-sum draw over the segment's running sums, however
+// the segment is stored, so a draw neither allocates nor depends on
+// which generation holds the segment. ok is false on an empty segment.
 func (e *EW) drawRow(k, ent int, g *rng.RNG) (row int, ok bool) {
-	rows, cum, large := e.w.Nodes[k].SegmentOf(ent)
-	if large != nil {
-		return int(rows[large.Alias().Draw(g)]), true
-	}
+	rows, cum := e.w.Nodes[k].Segment(ent)
 	if len(rows) == 0 {
 		return 0, false
 	}

@@ -78,7 +78,7 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 		c.touch(touched...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ew = NewEWFrom(c.j, prev)
+		ew = newEWFrom(t, c.j, prev)
 		runtime.ReadMemStats(&after)
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 
@@ -115,8 +115,8 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 // drop to zero and come back — plus a large segment that empties, a new
 // join value that opens a large one and a root that crosses, and pins
 // each generation to a cold build (checkPatched: every segment, total
-// and count, 64 seeded tuples, and untouched large segments with their
-// alias tables pointer-identical to the predecessor's). Each step checks
+// and count, 64 seeded tuples, and untouched large segments
+// pointer-identical to the predecessor's). Each step checks
 // that its crossing happened; once the script is over, every generation
 // is pinned again to the tables it had then.
 func TestWeightPatchAcrossLargeRows(t *testing.T) {

@@ -36,14 +36,12 @@ func refSegment(rows []int, w []int64) refSeg {
 
 // refEW is the straightforward EW: per-row weights by the textbook
 // recurrence over Relation.Matches, one refSeg per index entry, and a
-// draw that spends the RNG exactly like EW.SampleManyInto (one draw per
-// node: an alias draw on a segment of join.LargeRows rows or more, a
-// bounded one below).
+// draw that spends the RNG exactly like EW.SampleManyInto (one bounded
+// draw per node, and a binary search of the segment's running sums).
 type refEW struct {
-	j     *join.Join
-	idx   []*relation.Index
-	segs  [][]refSeg // per node, per entry; the root has one
-	alias map[[2]int]*rng.Alias
+	j    *join.Join
+	idx  []*relation.Index
+	segs [][]refSeg // per node, per entry; the root has one
 }
 
 func newRefEW(j *join.Join) *refEW {
@@ -66,8 +64,7 @@ func newRefEW(j *join.Join) *refEW {
 			}
 		}
 	}
-	e := &refEW{j: j, idx: make([]*relation.Index, len(nodes)), segs: make([][]refSeg, len(nodes)),
-		alias: map[[2]int]*rng.Alias{}}
+	e := &refEW{j: j, idx: make([]*relation.Index, len(nodes)), segs: make([][]refSeg, len(nodes))}
 	all := make([]int, nodes[0].Rel.Len())
 	for i := range all {
 		all[i] = i
@@ -96,16 +93,9 @@ func (e *refEW) sample(out relation.Tuple, rowOf []int, g *rng.RNG) {
 			ent, _ = e.idx[k].EntryOf(e.j.ParentValue(k, rowOf[n.Parent]))
 		}
 		s := e.segs[k][ent]
-		if len(s.rows) >= join.LargeRows {
-			a := e.alias[[2]int{k, ent}]
-			if a == nil {
-				a = rng.NewAliasCum(s.cum)
-				e.alias[[2]int{k, ent}] = a
-			}
-			rowOf[k] = int(s.rows[a.Draw(g)])
-		} else {
-			rowOf[k] = int(s.rows[drawBounded(s.cum, g)])
-		}
+		x := int64(g.Uint64n(uint64(s.cum[len(s.cum)-1])))
+		i, _ := slices.BinarySearch(s.cum, x+1)
+		rowOf[k] = int(s.rows[i])
 		e.j.FillOutput(k, rowOf[k], out)
 	}
 }
@@ -215,8 +205,9 @@ func checkAgainstReference(t *testing.T, state string, j *join.Join) (small, lar
 // goes through: a pure CSR, an overlaid one (appends and deletes, base
 // entries emptied, values first seen through the overlay, dangling and
 // tombstoned rows) and a compacted one. Half the trees draw their join
-// values from a domain of 2, so that both draw paths — prefix sums below
-// join.LargeRows, alias tables at and above — meet the reference.
+// values from a domain of 2, so that both searches — bisection below
+// join.LargeRows, a proportional guess at and above — meet the
+// reference.
 func TestFlatTableMatchesReference(t *testing.T) {
 	var small, large int
 	check := func(state string, j *join.Join) {
@@ -260,7 +251,7 @@ func TestFlatTableMatchesReference(t *testing.T) {
 		patchScript(t, seed, j, rels, script)
 	}
 	if small == 0 || large == 0 {
-		t.Errorf("the fixtures held %d small and %d large segments: a draw path went unchecked", small, large)
+		t.Errorf("the fixtures held %d small and %d large segments: a search went unchecked", small, large)
 	}
 }
 
@@ -283,9 +274,8 @@ const (
 // patch pins the patched sampler to a cold build over the same data: same
 // entries, Segment, Total and Count at every node, same 64 seeded tuples,
 // and — for the large segments the patch did not recompute — the very
-// segments and alias tables the predecessor's draws built. Once the
-// script is over, every generation is pinned again to the tables it had
-// then.
+// segments the predecessor held. Once the script is over, every
+// generation is pinned again to the tables it had then.
 func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relation, script []byte) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -369,11 +359,11 @@ func tableDump(ew *EW) []string {
 }
 
 // checkPatched patches prev into the sampler of j's current data and
-// compares it with a cold build; it returns the patched sampler, its
-// alias tables built by the draws, for the next step to patch from.
+// compares it with a cold build; it returns the patched sampler, for the
+// next step to patch from.
 func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 	t.Helper()
-	ew, cold := NewEWFrom(j, prev), NewEW(j)
+	ew, cold := newEWFrom(t, j, prev), NewEW(j)
 	if !equalVersions(ew.StateVersions(), cold.StateVersions()) {
 		t.Fatalf("%s: patched versions %v, cold %v", state, ew.StateVersions(), cold.StateVersions())
 	}
@@ -406,13 +396,12 @@ func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 			if p.Rebuilt || now == nil {
 				continue
 			}
-			// An untouched large segment is the predecessor's, with the
-			// alias table its draws built; prev knows the entry, or it
-			// would be touched.
+			// An untouched large segment is the predecessor's; prev knows
+			// the entry, or it would be touched.
 			if _, hit := slices.BinarySearch(p.Touched[k], int32(ent)); hit {
 				continue
 			}
-			if _, _, was := prev.w.Nodes[k].SegmentOf(ent); was != now || was.Alias() != now.Alias() {
+			if _, _, was := prev.w.Nodes[k].SegmentOf(ent); was != now {
 				t.Fatalf("%s node %d entry %d: untouched large segment %p is not the predecessor's %p", state, k, ent, now, was)
 			}
 		}
@@ -428,6 +417,16 @@ func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 		if !out[i].Equal(want[i]) {
 			t.Fatalf("%s draw %d: patched %v, cold %v", state, i, out[i], want[i])
 		}
+	}
+	return ew
+}
+
+// newEWFrom is NewEWFrom over fixtures whose weights fit an int64.
+func newEWFrom(t testing.TB, j *join.Join, prev *EW) *EW {
+	t.Helper()
+	ew, err := NewEWFrom(j, prev)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return ew
 }
@@ -519,7 +518,7 @@ func TestEWBuildRacesMutations(t *testing.T) {
 			building = false
 		default:
 		}
-		patched = NewEWFrom(j, patched)
+		patched = newEWFrom(t, j, patched)
 		for _, ew := range []*EW{NewEW(j), patched} {
 			if filled, _ := ew.SampleManyInto(out, rowOf, 8, g); ew.ExactCount() > 0 && filled != 8 {
 				t.Fatalf("mid-flight sampler filled %d of 8", filled)

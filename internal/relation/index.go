@@ -389,8 +389,8 @@ func (ix *Index) Degree(v Value) int {
 func (ix *Index) MaxDegree() int { return ix.maxDeg }
 
 // Version returns the relation version this index reflects. Structures
-// derived from the index's row lists (the EW samplers' weight tables
-// and their lazily built alias tables) record it so staleness is
+// derived from the index's row lists (the EW samplers' weight tables)
+// record it so staleness is
 // detectable: a relation mutation bumps the relation's version, and a
 // mismatch means the derived structure describes an older snapshot.
 func (ix *Index) Version() uint64 { return ix.version }

@@ -3,49 +3,28 @@ package rng
 // Alias is a Walker alias table: after O(n) construction it draws from a
 // fixed categorical distribution in O(1) per sample. The union sampler
 // uses one to select joins proportionally to cover sizes |J'_j|/|U|, the
-// EW join sampler one per large weight segment.
+// sharded one to select shards.
 type Alias struct {
 	prob  []float64
 	alias []int32
 }
 
 // NewAlias builds an alias table over weights. Negative weights are
-// treated as zero. It returns nil when all weights are zero.
+// treated as zero. It returns nil when all weights are zero. The weights
+// are copied and scaled to mean 1 into the table's acceptance column. The
+// small and large worklists are stacks linked through the alias column —
+// an index is on at most one of them, and its alias is written only once
+// it has left both — popped and pushed in Walker's stack order. So a
+// table allocates its two columns and nothing else.
 func NewAlias(weights []float64) *Alias {
-	prob := make([]float64, len(weights))
+	n := len(weights)
+	prob := make([]float64, n)
+	total := 0.0
 	for i, w := range weights {
 		if w > 0 {
 			prob[i] = w
+			total += w
 		}
-	}
-	return build(prob)
-}
-
-// NewAliasCum builds an alias table over the weights whose running sums
-// are cum (non-decreasing, so every weight cum[i]-cum[i-1] is >= 0),
-// without materializing them first. It returns nil when all weights are
-// zero.
-func NewAliasCum(cum []int64) *Alias {
-	prob := make([]float64, len(cum))
-	prev := int64(0)
-	for i, c := range cum {
-		prob[i] = float64(c - prev)
-		prev = c
-	}
-	return build(prob)
-}
-
-// build turns non-negative weights into the table, in place: prob is
-// scaled to mean 1 and becomes the table's acceptance column. The small
-// and large worklists are stacks linked through the alias column — an
-// index is on at most one of them, and its alias is written only once it
-// has left both — popped and pushed in Walker's stack order. So a table
-// allocates its two columns and nothing else.
-func build(prob []float64) *Alias {
-	n := len(prob)
-	total := 0.0
-	for _, w := range prob {
-		total += w
 	}
 	if n == 0 || total <= 0 {
 		return nil

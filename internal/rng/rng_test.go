@@ -156,21 +156,6 @@ func TestAliasDegenerate(t *testing.T) {
 	}
 }
 
-// TestAliasCumAllocatesItsColumns: an EW segment's alias table costs the
-// table and its two columns, whatever its length — Walker's worklists
-// are threaded through the alias column, not allocated beside it.
-func TestAliasCumAllocatesItsColumns(t *testing.T) {
-	for _, n := range []int{1, 40, 4096} {
-		cum := make([]int64, n)
-		for i := range cum {
-			cum[i] = int64(i*i%7 + i + 1)
-		}
-		if got := testing.AllocsPerRun(20, func() { NewAliasCum(cum) }); got != 3 {
-			t.Errorf("NewAliasCum over %d weights: %v allocations, want 3 (the table and its two columns)", n, got)
-		}
-	}
-}
-
 // TestUint64nBoundary is the regression test for the weighted-row index
 // derivation bug: the old float path int64(Float64()*float64(total))
 // rounds up to total when Float64 lands close enough to 1 — the product
@@ -231,7 +216,7 @@ func TestUint64nZeroPanics(t *testing.T) {
 	g.Uint64n(0)
 }
 
-// refAlias is the table construction NewAlias and NewAliasCum replaced:
+// refAlias is the table construction NewAlias replaced:
 // a float copy of the weights, a separate scaled column and two int
 // worklists. It is kept as the reference the lean build is pinned to.
 func refAlias(weights []float64) (prob []float64, alias []int) {
@@ -281,16 +266,14 @@ func refAlias(weights []float64) (prob []float64, alias []int) {
 	return prob, alias
 }
 
-// TestAliasTablesMatchReference: both constructors build, entry for
-// entry, the table the reference builds — same worklist pop order — so
-// no seeded stream that draws through an alias table moves.
+// TestAliasTablesMatchReference: NewAlias builds, entry for entry, the
+// table the reference builds — same worklist pop order — so no seeded
+// stream that draws through an alias table moves.
 func TestAliasTablesMatchReference(t *testing.T) {
 	g := New(99)
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + g.Intn(200)
 		w := make([]float64, n)
-		cum := make([]int64, n)
-		var sum int64
 		for i := range w {
 			switch g.Intn(4) {
 			case 0: // zero weights and ties at the mean
@@ -299,22 +282,19 @@ func TestAliasTablesMatchReference(t *testing.T) {
 			default:
 				w[i] = float64(1 + g.Intn(1<<uint(1+g.Intn(40))))
 			}
-			sum += int64(w[i])
-			cum[i] = sum
 		}
 		prob, alias := refAlias(w)
-		for name, a := range map[string]*Alias{"NewAlias": NewAlias(w), "NewAliasCum": NewAliasCum(cum)} {
-			if (a == nil) != (prob == nil) {
-				t.Fatalf("trial %d %s: nil table %v, reference nil %v", trial, name, a == nil, prob == nil)
-			}
-			if a == nil {
-				continue
-			}
-			for i := range prob {
-				if a.prob[i] != prob[i] || int(a.alias[i]) != alias[i] {
-					t.Fatalf("trial %d %s entry %d: (%v, %d), reference (%v, %d)",
-						trial, name, i, a.prob[i], a.alias[i], prob[i], alias[i])
-				}
+		a := NewAlias(w)
+		if (a == nil) != (prob == nil) {
+			t.Fatalf("trial %d: nil table %v, reference nil %v", trial, a == nil, prob == nil)
+		}
+		if a == nil {
+			continue
+		}
+		for i := range prob {
+			if a.prob[i] != prob[i] || int(a.alias[i]) != alias[i] {
+				t.Fatalf("trial %d entry %d: (%v, %d), reference (%v, %d)",
+					trial, i, a.prob[i], a.alias[i], prob[i], alias[i])
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package sampleunion
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -499,5 +502,54 @@ func TestShardedRefreshStats(t *testing.T) {
 	}
 	if again := ls.s.RefreshStats(); again != st {
 		t.Fatalf("no-op Refresh changed the stats: %+v, was %+v", again, st)
+	}
+}
+
+// TestWeightOverflowIsAnError: a join of 2^64 results — four 65 536-row
+// relations on one key — fails Prepare under the zero Options with
+// ErrWeightOverflow naming the join, where its EW weights used to wrap
+// and its draws to make no progress. A Refresh that takes a join past
+// math.MaxInt64 results fails the same way, and the session keeps
+// drawing the state it had.
+func TestWeightOverflowIsAnError(t *testing.T) {
+	chain := func(sizes ...int) (*Union, []*Relation) {
+		rels := make([]*Relation, len(sizes))
+		for i, n := range sizes {
+			rels[i] = NewRelation(fmt.Sprintf("R%d", i), NewSchema("K", fmt.Sprintf("P%d", i)))
+			keys, payload := make([]Value, n), make([]Value, n)
+			for r := range payload {
+				payload[r] = Value(r)
+			}
+			rels[i].AppendColumns([][]Value{keys, payload})
+		}
+		j, err := Chain("wide", rels, []string{"K", "K", "K"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := NewUnion(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u, rels
+	}
+	isOverflow := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrWeightOverflow) || !strings.Contains(err.Error(), "join wide") {
+			t.Fatalf("%s: error %v, want ErrWeightOverflow naming join wide", what, err)
+		}
+	}
+	u, _ := chain(1<<16, 1<<16, 1<<16, 1<<16)
+	_, err := u.Prepare(Options{})
+	isOverflow("Prepare", err)
+
+	u, rels := chain(1<<16, 1<<16, 1<<16, 1<<15-1)
+	s, err := u.Prepare(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels[3].AppendValues(0, -1)
+	isOverflow("Refresh", s.Refresh())
+	if out, _, err := s.Sample(4); err != nil || len(out) != 4 {
+		t.Fatalf("after the failed Refresh: %d tuples, error %v", len(out), err)
 	}
 }

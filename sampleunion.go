@@ -75,6 +75,11 @@ type (
 	Stats = core.Stats
 )
 
+// ErrWeightOverflow is what Prepare and Refresh return, wrapped with the
+// join's name, when an EW join's exact weights — its result count among
+// them — pass math.MaxInt64.
+var ErrWeightOverflow = join.ErrWeightOverflow
+
 // Predicate constructors, re-exported so selections (§8.3) are
 // expressible through the public API.
 type (
