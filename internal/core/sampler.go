@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -169,8 +170,8 @@ func (b *unionBase) reconciled() (*unionBase, []bool, bool) {
 // buildPending builds exactly the samplers that are pending, each from
 // the sampler it replaces and beside the other joins' (an EW weight
 // table reads its own join and writes its own slot). Only safe before
-// the base is published to runs. It returns the first join's error in
-// join order, leaving that join pending.
+// the base is published to runs. A join whose build fails stays pending,
+// and its error is returned, joined with any other's.
 func (b *unionBase) buildPending() error {
 	errs := make([]error, len(b.joins))
 	join.FanOut(0, len(b.joins), func(i int) {
@@ -181,12 +182,7 @@ func (b *unionBase) buildPending() error {
 			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // patchStats sums what the EW samplers of the dirty joins report about

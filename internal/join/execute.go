@@ -184,22 +184,6 @@ func (t *WeightTable) Total(e int) int64 {
 	return 0
 }
 
-// appendPositive appends the rows of one entry that weigh more than zero
-// under w, in order, and their running weight sums; ok is false once a
-// sum passes math.MaxInt64.
-func appendPositive(rows []int32, cum []int64, entry []int, w []int64) (_ []int32, _ []int64, ok bool) {
-	var sum int64
-	for _, r := range entry {
-		if w[r] > 0 {
-			if sum, ok = addWeight(sum, w[r]); !ok {
-				return rows, cum, false
-			}
-			rows, cum = append(rows, int32(r)), append(cum, sum)
-		}
-	}
-	return rows, cum, true
-}
-
 // ErrWeightOverflow reports a join whose exact weights pass
 // math.MaxInt64: a row's result count, or a segment's running sum of
 // them. EW draws a row by an exact integer draw below its segment's
@@ -208,14 +192,10 @@ var ErrWeightOverflow = errors.New("exact weights overflow int64")
 
 func (j *Join) overflow() error { return fmt.Errorf("join %s: %w", j.name, ErrWeightOverflow) }
 
-// addWeight and mulWeight combine weights, which are never negative; ok
-// is false when the result passes math.MaxInt64.
-func addWeight(a, b int64) (int64, bool) {
-	s := a + b
-	return s, s >= a
-}
-
-func mulWeight(a, b int64) (int64, bool) {
+// mulWeight multiplies two weights, which are never negative; ok is false
+// when the product passes math.MaxInt64. (A sum of two such weights
+// passes it exactly when it wraps negative.)
+func mulWeight(a, b int64) (_ int64, ok bool) {
 	hi, lo := bits.Mul64(uint64(a), uint64(b))
 	return int64(lo), hi == 0 && lo <= math.MaxInt64
 }
@@ -351,19 +331,29 @@ func (p *packer) entry(rows []int) {
 	case t == nil:
 		p.small += n
 	case n < LargeRows:
-		var ok bool
-		t.Rows, t.Cum, ok = appendPositive(t.Rows, t.Cum, rows, p.w)
-		p.overflow = p.overflow || !ok
+		t.Rows, t.Cum = p.appendPositive(t.Rows, t.Cum, rows)
 		t.end()
 	default:
 		seg, lo := &p.slab[len(t.Large)], len(p.rows)
-		var ok bool
-		p.rows, p.cum, ok = appendPositive(p.rows, p.cum, rows, p.w)
-		p.overflow = p.overflow || !ok
+		p.rows, p.cum = p.appendPositive(p.rows, p.cum, rows)
 		seg.Ent, seg.Rows, seg.Cum = int32(len(t.Off)-1), p.rows[lo:len(p.rows):len(p.rows)], p.cum[lo:len(p.cum):len(p.cum)]
 		t.Large = append(t.Large, seg)
 		t.end()
 	}
+}
+
+// appendPositive appends the rows of one entry that weigh more than zero,
+// in order, and their running weight sums.
+func (p *packer) appendPositive(rows []int32, cum []int64, entry []int) ([]int32, []int64) {
+	var sum int64
+	for _, r := range entry {
+		if w := p.w[r]; w > 0 {
+			sum += w
+			p.overflow = p.overflow || sum < 0
+			rows, cum = append(rows, int32(r)), append(cum, sum)
+		}
+	}
+	return rows, cum
 }
 
 // fill allocates t's arrays, for entries entries, at the sizes counted

@@ -41,10 +41,10 @@ func overflowChain(t *testing.T, sizes ...int) (*Join, []*relation.Relation) {
 }
 
 // TestWeightOverflow: exact weights past math.MaxInt64 are an error that
-// names the join, wherever they arise — a running sum in a cold build
-// (four 65 536-row relations on one key: |J| = 2^64) or in a patch
-// (2^48 · 32 767 results, one row more), and a product of two subtrees'
-// totals (2^32 · 2^32) — never a silently wrapped weight. Count
+// names the join, wherever they arise — a running sum (four 65 536-row
+// relations on one key: |J| = 2^64; 2^48 · 32 767 results, one row
+// more) or a product of two subtrees' totals (2^32 · 2^31), in a cold
+// build and in a patch — never a silently wrapped weight. Count
 // saturates.
 func TestWeightOverflow(t *testing.T) {
 	isOverflow := func(what string, err error) {
@@ -69,8 +69,10 @@ func TestWeightOverflow(t *testing.T) {
 	_, _, err = j.PatchWeights(w)
 	isOverflow("sum, patch", err)
 
-	// The root joins two chains of four 256-row relations on one key.
-	sizes := []int{1, 256, 256, 256, 256, 256, 256, 256, 256}
+	// The root joins two chains of four relations on one key: 2^32
+	// results under the first, 2^24 · 127 under the second, and 2^31 once
+	// its last relation gains a row.
+	sizes := []int{1, 256, 256, 256, 256, 256, 256, 256, 127}
 	rels = make([]*relation.Relation, len(sizes))
 	for i, n := range sizes {
 		rels[i] = keyedRelation(i, n)
@@ -80,6 +82,10 @@ func TestWeightOverflow(t *testing.T) {
 	if j, err = NewTree("wide", rels, parent, attrs); err != nil {
 		t.Fatal(err)
 	}
+	w = exactWeights(t, j)
+	rels[8].AppendValues(0, -1)
+	_, _, err = j.PatchWeights(w)
+	isOverflow("product, patch", err)
 	_, err = j.ExactWeights()
 	isOverflow("product, cold", err)
 }

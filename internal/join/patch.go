@@ -155,7 +155,6 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 		var ok bool
 		ws.Nodes[k], p.Touched[k], p.Folded[k], bytes, ok = j.patchNode(k, ws, s, &prev.Nodes[k], hits, entries, sc)
 		if !ok {
-			sc.hits = hits
 			return nil, Patch{}, j.overflow()
 		}
 		p.Bytes += bytes
@@ -391,9 +390,8 @@ func (j *Join) appendSegment(k int, ws *Weights, s *relation.SnapshotData, wasRo
 			}
 		}
 		if w > 0 {
-			var fits bool
-			cum, fits = addWeight(cum, w)
-			ok = ok && fits
+			cum += w
+			ok = ok && cum > 0
 			ov.rows = append(ov.rows, int32(r))
 			ov.cum = append(ov.cum, cum)
 		}

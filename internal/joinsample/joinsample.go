@@ -92,38 +92,20 @@ func drawBounded(cum []int64, g *rng.RNG) int {
 // slices.BinarySearch(cum, x+1) returns — for non-decreasing cum and
 // 0 <= x < cum[len(cum)-1]. A segment of join.LargeRows rows or more is
 // searched from the proportional guess ⌊x·n/total⌋, exact when the
-// weights are equal: a gallop outward from it brackets the answer, and
-// bisection finds it inside the bracket.
+// weights are equal: a gallop from it, in steps that double, brackets the
+// answer, and bisection finds it inside the bracket.
 func searchCum(cum []int64, x int64) int {
 	n := len(cum)
-	if n < join.LargeRows {
-		i, _ := slices.BinarySearch(cum, x+1)
-		return i
-	}
-	hi, lo := bits.Mul64(uint64(x), uint64(n))
-	q, _ := bits.Div64(hi, lo, uint64(cum[n-1])) // < n, as x < total
-	a, b := int(q), int(q)                       // the answer is in (a, b] once the gallop stops
-	if cum[b] > x {
-		for step := 1; ; step <<= 1 {
-			if a = b - step; a < 0 {
-				a = -1
-				break
+	a, b := -1, n // cum[a] <= x < cum[b], reading cum[-1] as 0 and cum[n] as past x
+	if n >= join.LargeRows {
+		hi, lo := bits.Mul64(uint64(x), uint64(n))
+		q, _ := bits.Div64(hi, lo, uint64(cum[n-1])) // < n, as x < total
+		for i, step := int(q), 1; a < i && i < b; step <<= 1 {
+			if cum[i] > x {
+				b, i = i, i-step
+			} else {
+				a, i = i, i+step
 			}
-			if cum[a] <= x {
-				break
-			}
-			b = a
-		}
-	} else {
-		for step := 1; ; step <<= 1 {
-			if b = a + step; b >= n-1 {
-				b = n - 1
-				break
-			}
-			if cum[b] > x {
-				break
-			}
-			a = b
 		}
 	}
 	i, _ := slices.BinarySearch(cum[a+1:b], x+1)
