@@ -46,7 +46,7 @@ func TestForwardersMatchEngine(t *testing.T) {
 // across subroutines and the disjoint/where variants.
 func TestSampleBatchMembership(t *testing.T) {
 	u := demoUnion(t)
-	for _, m := range []Method{MethodEW, MethodEO, MethodWJ} {
+	for _, m := range []Method{MethodEW, MethodEO} {
 		s, err := u.Prepare(Options{Warmup: WarmupExact, Method: m, Seed: 3})
 		if err != nil {
 			t.Fatal(err)

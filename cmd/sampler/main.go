@@ -37,7 +37,7 @@ func main() {
 	ov := flag.Float64("overlap", 0.2, "overlap scale (built-in workloads)")
 	seed := flag.Int64("seed", 1, "random seed")
 	warmup := flag.String("warmup", "", "warm-up: histogram, random-walk, or exact; empty means random-walk")
-	method := flag.String("method", "", "join subroutine: EW, EO, or WJ; empty means EW")
+	method := flag.String("method", "", "join subroutine: EW or EO; empty means EW")
 	online := flag.Bool("online", false, "use the online sampler (Algorithm 2)")
 	workers := flag.Int("workers", 1, "parallel sampling workers sharing one warm-up")
 	showStats := flag.Bool("stats", true, "print run statistics to stderr")

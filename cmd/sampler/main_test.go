@@ -15,11 +15,12 @@ func TestOptionsParsing(t *testing.T) {
 		wantErr        string
 	}{
 		{name: "defaults"},
-		{name: "pinned", warmup: "histogram", method: "WJ"},
+		{name: "pinned", warmup: "histogram", method: "EO"},
 		// The adaptive mode is gone: "auto" is one more unknown value, named
 		// with its flag and the values that remain.
 		{name: "warmup auto", warmup: "auto", wantErr: `unknown -warmup "auto" (valid: histogram, random-walk, exact)`},
-		{name: "method auto", method: "auto", wantErr: `unknown -method "auto" (valid: EW, EO, WJ)`},
+		{name: "method auto", method: "auto", wantErr: `unknown -method "auto" (valid: EW, EO)`},
+		{name: "method WJ", method: "WJ", wantErr: `unknown -method "WJ" (valid: EW, EO)`},
 		{name: "both auto", warmup: "auto", method: "auto", wantErr: `unknown -warmup "auto"`},
 		{name: "auto vs pinned method", warmup: "auto", method: "EO", wantErr: `unknown -warmup "auto"`},
 		{name: "auto vs pinned warmup", warmup: "exact", method: "auto", wantErr: `unknown -method "auto"`},

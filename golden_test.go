@@ -120,21 +120,24 @@ func digest(ts []Tuple) string {
 // stream. online, online-where, shard-online and mutate-online were
 // re-pinned when the walk warm-up began estimating each cover size
 // directly (a Horvitz–Thompson mean over the join's own walks) instead
-// of by inclusion–exclusion over an overlap table; cover-ew and cover-wj
-// read the same estimates, but their covers moved too little to change
-// any of their 64 join selections. Every EW row — cover-ew, exact-ew,
+// of by inclusion–exclusion over an overlap table; cover-ew and the
+// since-deleted cover-wj read the same estimates, but their covers moved
+// too little to change any of their 64 join selections. cover-eo-walk
+// took cover-wj's place as the one random-walk warm-up beside an
+// index-only subroutine when the WJ subroutine was deleted; its digest
+// was recorded on the tree before the deletion. Every EW row — cover-ew, exact-ew,
 // shard-cover-ew, disjoint, where, mutate-cover-ew and
 // shard-mutate-cover-ew — was re-pinned when segments of join.LargeRows
 // rows or more stopped drawing through alias tables and drew, like the
 // small ones, one exact bounded integer below the segment's total.
 var goldenDigests = map[string]string{
-	"cover-ew":  "d31076ae34640123",
-	"cover-eo":  "d482e6861776995f",
-	"cover-wj":  "d1e22255b710c131",
-	"exact-ew":  "31c75425703f1b30",
-	"online":    "f972938db680d37a",
-	"cyclic-ew": "ab392a7ebf43258d",
-	"cyclic-eo": "ba2a8487a19207c5",
+	"cover-ew":      "d31076ae34640123",
+	"cover-eo":      "d482e6861776995f",
+	"cover-eo-walk": "bccd34d6efd8b606",
+	"exact-ew":      "31c75425703f1b30",
+	"online":        "f972938db680d37a",
+	"cyclic-ew":     "ab392a7ebf43258d",
+	"cyclic-eo":     "ba2a8487a19207c5",
 	// The one session path on which a served batch leaves entries buffered
 	// and the arena is compacted behind them.
 	"online-where": "e8cada294a0d5c82",
@@ -181,7 +184,7 @@ func goldenModes(t testing.TB) []goldenMode {
 	return []goldenMode{
 		{"cover-ew", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEW}},
 		{"cover-eo", u, Options{Warmup: WarmupHistogram, Method: MethodEO}},
-		{"cover-wj", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodWJ}},
+		{"cover-eo-walk", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEO}},
 		{"exact-ew", u, Options{Warmup: WarmupExact, Method: MethodEW}},
 		{"online", u, Options{Online: true, WarmupWalks: 150}},
 		{"cyclic-ew", cu, Options{Warmup: WarmupHistogram, Method: MethodEW}},
@@ -314,7 +317,7 @@ func mutateCyclicDraw(t testing.TB) func() ([]Tuple, error) {
 }
 
 // TestSeededGolden pins seeded sampling output across every draw path:
-// cover (EW/EO/WJ, exact and estimated parameters), online, disjoint,
+// cover (EW/EO, exact and estimated parameters), online, disjoint,
 // predicate rejection, and cyclic joins with a residual.
 func TestSeededGolden(t *testing.T) {
 	print := os.Getenv("GOLDEN_PRINT") != ""

@@ -195,12 +195,6 @@ func TestRandomWalkEstimatorRetainsWalker(t *testing.T) {
 	}
 }
 
-func TestJoinMethodNames(t *testing.T) {
-	if MethodEW.String() != "EW" || MethodEO.String() != "EO" || MethodWJ.String() != "WJ" {
-		t.Error("method names wrong")
-	}
-}
-
 // TestNewRunRNGStreams: stream derivation must decorrelate both nearby
 // seeds and nearby stream indexes.
 func TestNewRunRNGStreams(t *testing.T) {

@@ -20,22 +20,7 @@ const (
 	// MethodEO uses Extended Olken sampling: cheap setup, rejection
 	// rate grows with skew.
 	MethodEO
-	// MethodWJ uses Wander Join walks thinned against the Olken bound:
-	// index-only setup like EO, same acceptance rate, but the walk
-	// finds heavy results proportionally to fan-in and corrects
-	// analytically (§3.2's third weight instantiation).
-	MethodWJ
 )
-
-func (m JoinMethod) String() string {
-	switch m {
-	case MethodEW:
-		return "EW"
-	case MethodWJ:
-		return "WJ"
-	}
-	return "EO"
-}
 
 // newJoinSampler builds the subroutine sampler for one join. prev is the
 // sampler the join drew from before its relations mutated, nil on a
@@ -43,14 +28,11 @@ func (m JoinMethod) String() string {
 // predecessor's instead of recomputing them. Only EW fails, on a join
 // whose exact weights overflow (join.ErrWeightOverflow).
 func newJoinSampler(j *join.Join, m JoinMethod, prev joinsample.Sampler) (joinsample.Sampler, error) {
-	switch m {
-	case MethodEW:
-		was, _ := prev.(*joinsample.EW)
-		return joinsample.NewEWFrom(j, was)
-	case MethodWJ:
-		return joinsample.NewWJ(j), nil
+	if m == MethodEO {
+		return joinsample.NewEO(j), nil
 	}
-	return joinsample.NewEO(j), nil
+	was, _ := prev.(*joinsample.EW)
+	return joinsample.NewEWFrom(j, was)
 }
 
 // unionBase holds what every union sampler shares: the joins, their

@@ -11,10 +11,12 @@
 //     accept/reject; uniform samples with a rejection rate that grows
 //     with skew. Dangling tuples have acceptance probability zero, which
 //     is the paper's relaxation of the key–foreign-key assumption.
-//   - Wander Join (WJ, Li et al. SIGMOD'16): random walks returning a
-//     result tuple together with its exact sampling probability p(t),
-//     the ingredient of Horvitz–Thompson size estimation (§6.1) and of
-//     the online sampler's reuse pool (§7).
+//
+// EO is the one index-only subroutine. Beside the two, Walker performs
+// Wander Join walks (Li et al. SIGMOD'16), each returning a result tuple
+// together with its exact sampling probability p(t): not a uniform
+// sampler but the ingredient of Horvitz–Thompson size estimation (§6.1)
+// and of the online sampler's reuse pool (§7).
 //
 // Cyclic joins sample their skeleton tree and then accept/reject against
 // the materialized residual with probability d/M(S_R), preserving
@@ -45,8 +47,6 @@ type Sampler interface {
 	// acceptance loop runs tight inside the concrete sampler — no
 	// interface dispatch per attempt.
 	SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int)
-	// Method names the weight instantiation ("EW", "EO", "WJ").
-	Method() string
 	// SizeEstimate returns the sampler's knowledge of |J|: exact for EW
 	// on tree joins, the Olken upper bound for EO.
 	SizeEstimate() float64
@@ -162,9 +162,6 @@ func (e *EW) Patch() join.Patch { return e.patch }
 
 // Weights returns the weight tables the sampler draws from.
 func (e *EW) Weights() *join.Weights { return e.w }
-
-// Method implements Sampler.
-func (e *EW) Method() string { return "EW" }
 
 // Join implements Sampler.
 func (e *EW) Join() *join.Join { return e.j }

@@ -66,7 +66,7 @@ func walkOne(w *Walker, g *rng.RNG) (relation.Tuple, float64, bool) {
 // checkUniform draws until `draws` accepted samples and verifies the
 // empirical distribution over the join's exact result set is uniform
 // within a chi-square-style tolerance.
-func checkUniform(t *testing.T, s Sampler, seed int64, draws int) {
+func checkUniform(t *testing.T, label string, s Sampler, seed int64, draws int) {
 	t.Helper()
 	results := s.Join().Execute()
 	if len(results) == 0 {
@@ -83,7 +83,7 @@ func checkUniform(t *testing.T, s Sampler, seed int64, draws int) {
 	for accepted < draws {
 		attempts++
 		if attempts > draws*1000 {
-			t.Fatalf("%s: rejection rate too high (%d accepted of %d)", s.Method(), accepted, attempts)
+			t.Fatalf("%s: rejection rate too high (%d accepted of %d)", label, accepted, attempts)
 		}
 		tu, ok := sampleOne(s, g)
 		if !ok {
@@ -91,7 +91,7 @@ func checkUniform(t *testing.T, s Sampler, seed int64, draws int) {
 		}
 		i, known := index[relation.TupleKey(tu)]
 		if !known {
-			t.Fatalf("%s produced non-result %v", s.Method(), tu)
+			t.Fatalf("%s produced non-result %v", label, tu)
 		}
 		counts[i]++
 		accepted++
@@ -106,24 +106,24 @@ func checkUniform(t *testing.T, s Sampler, seed int64, draws int) {
 	dof := float64(len(results) - 1)
 	limit := dof + 6*math.Sqrt(2*dof) + 6
 	if chi2 > limit {
-		t.Errorf("%s: chi2 = %.1f over %v dof (limit %.1f); counts %v", s.Method(), chi2, dof, limit, counts)
+		t.Errorf("%s: chi2 = %.1f over %v dof (limit %.1f); counts %v", label, chi2, dof, limit, counts)
 	}
 }
 
 func TestEWUniform(t *testing.T) {
-	checkUniform(t, NewEW(chainJoin(t)), 1, 30000)
+	checkUniform(t, "EW", NewEW(chainJoin(t)), 1, 30000)
 }
 
 func TestEOUniform(t *testing.T) {
-	checkUniform(t, NewEO(chainJoin(t)), 2, 30000)
+	checkUniform(t, "EO", NewEO(chainJoin(t)), 2, 30000)
 }
 
 func TestEWUniformCyclic(t *testing.T) {
-	checkUniform(t, NewEW(triangleJoin(t)), 3, 30000)
+	checkUniform(t, "EW", NewEW(triangleJoin(t)), 3, 30000)
 }
 
 func TestEOUniformCyclic(t *testing.T) {
-	checkUniform(t, NewEO(triangleJoin(t)), 4, 30000)
+	checkUniform(t, "EO", NewEO(triangleJoin(t)), 4, 30000)
 }
 
 func TestEWNeverRejectsOnTreeJoin(t *testing.T) {
@@ -169,7 +169,7 @@ func TestEmptyJoinSamplers(t *testing.T) {
 		t.Error("EO sampled from empty join")
 	}
 	if _, _, ok := walkOne(NewWalker(j), g); ok {
-		t.Error("WJ walked an empty join")
+		t.Error("Walker walked an empty join")
 	}
 }
 
@@ -236,49 +236,9 @@ func TestWalkerHTUnbiasedCyclic(t *testing.T) {
 	}
 }
 
-func TestMethodNames(t *testing.T) {
+func TestJoinAccessor(t *testing.T) {
 	j := chainJoin(t)
-	if NewEW(j).Method() != "EW" || NewEO(j).Method() != "EO" {
-		t.Error("method names wrong")
-	}
 	if NewEW(j).Join() != j || NewEO(j).Join() != j || NewWalker(j).Join() != j {
 		t.Error("Join() accessor wrong")
-	}
-}
-
-func TestWJUniform(t *testing.T) {
-	checkUniform(t, NewWJ(chainJoin(t)), 11, 30000)
-}
-
-func TestWJUniformCyclic(t *testing.T) {
-	checkUniform(t, NewWJ(triangleJoin(t)), 12, 30000)
-}
-
-func TestWJAcceptanceMatchesEO(t *testing.T) {
-	// WJ and EO normalize against the same bound, so their acceptance
-	// rates agree in expectation.
-	j := chainJoin(t)
-	g := rng.New(13)
-	const tries = 100000
-	countAccepted := func(s Sampler) int {
-		n := 0
-		for i := 0; i < tries; i++ {
-			if _, ok := sampleOne(s, g); ok {
-				n++
-			}
-		}
-		return n
-	}
-	wj := countAccepted(NewWJ(j))
-	eo := countAccepted(NewEO(j))
-	diff := math.Abs(float64(wj-eo)) / tries
-	if diff > 0.01 {
-		t.Errorf("acceptance rates differ: WJ %d vs EO %d of %d", wj, eo, tries)
-	}
-	if NewWJ(j).SizeEstimate() != j.OlkenBound() {
-		t.Error("WJ size estimate is not the Olken bound")
-	}
-	if NewWJ(j).Method() != "WJ" || NewWJ(j).Join() != j {
-		t.Error("WJ accessors wrong")
 	}
 }

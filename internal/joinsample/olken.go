@@ -29,9 +29,6 @@ func NewEO(j *join.Join) *EO {
 	return e
 }
 
-// Method implements Sampler.
-func (e *EO) Method() string { return "EO" }
-
 // Join implements Sampler.
 func (e *EO) Join() *join.Join { return e.j }
 
@@ -77,49 +74,6 @@ func (e *EO) SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *
 	for filled < len(out) && tries < maxTries {
 		tries++
 		if e.attempt(out[filled], rowOf, g) {
-			filled++
-		}
-	}
-	return filled, tries
-}
-
-// WJ is the Wander Join weight instantiation of §3.2 as a *uniform*
-// sampler: a random walk returns (t, p(t)), and the draw is accepted
-// with probability 1/(p(t)·B) where B is the extended Olken bound.
-// Since p(t) = 1/(|R_root|·Π d_i) ≥ 1/B, the ratio is a probability,
-// and every accepted result has unconditional probability
-// p(t)·1/(p(t)·B) = 1/B — uniform. Setup is index-only like EO; the
-// acceptance rate is |J|/B, also like EO, but heavy results are found
-// proportionally to their fan-in and thinned analytically instead of
-// hop-by-hop.
-type WJ struct {
-	j      *join.Join
-	walker *Walker
-	bound  float64
-}
-
-// NewWJ prepares a Wander Join uniform sampler for j.
-func NewWJ(j *join.Join) *WJ {
-	return &WJ{j: j, walker: NewWalker(j), bound: j.OlkenBound()}
-}
-
-// Method implements Sampler.
-func (w *WJ) Method() string { return "WJ" }
-
-// Join implements Sampler.
-func (w *WJ) Join() *join.Join { return w.j }
-
-// SizeEstimate implements Sampler: the Olken bound, the sampler's
-// normalization constant.
-func (w *WJ) SizeEstimate() float64 { return w.bound }
-
-// SampleManyInto implements Sampler: wander-join walks with the
-// analytic 1/(p(t)·B) thinning in one tight loop.
-func (w *WJ) SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int) {
-	for filled < len(out) && tries < maxTries {
-		tries++
-		p, ok := w.walker.WalkInto(out[filled], rowOf, g)
-		if ok && g.Bernoulli(1/(p*w.bound)) {
 			filled++
 		}
 	}

@@ -41,11 +41,11 @@ func countDraws(draws []relation.Tuple) map[string]int {
 }
 
 // TestDrawsMatchReferenceAcrossRefresh is the engine-vs-reference
-// distribution property test: over randomized scenarios and all three
+// distribution property test: over randomized scenarios and both
 // subroutines, the draws must be membership-exact and chi-square-uniform
 // against the brute-force reference — statically, and again after a
-// random mutation burst and a session refresh (which is what
-// invalidates and rebuilds EW's alias tables).
+// random mutation burst and a session refresh (which is what patches
+// EW's weight tables).
 func TestDrawsMatchReferenceAcrossRefresh(t *testing.T) {
 	executed := 0
 	for seed := int64(0); seed < 30; seed++ {
@@ -55,7 +55,7 @@ func TestDrawsMatchReferenceAcrossRefresh(t *testing.T) {
 		if len(union) == 0 || len(union) > 300 {
 			continue
 		}
-		method := []su.Method{su.MethodEW, su.MethodEO, su.MethodWJ}[seed%3]
+		method := []su.Method{su.MethodEW, su.MethodEO}[seed%2]
 		sess, err := sc.union.Prepare(su.Options{
 			Seed: seed + 1, Warmup: su.WarmupExact, Method: method,
 		})

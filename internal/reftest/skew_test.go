@@ -14,7 +14,7 @@ import (
 // sibling, zipfian join degrees that make the rejection subroutines pay
 // tens of tries per draw, and mutation bursts that invert the skew under
 // a warm session. They run under the provably uniform configuration
-// (exact warm-up, subroutine rotating EW/EO/WJ as in
+// (exact warm-up, subroutine EW or EO as in
 // TestDifferentialUniform) and are held to the strict chi-square,
 // statically and after the burst and a Refresh; the online configuration
 // is held to membership and coverage, as in TestDifferentialRecordAndOnline.
@@ -163,7 +163,7 @@ func TestSkewInversion(t *testing.T) {
 	if len(union) != 194 {
 		t.Fatalf("scenario builds %d reference tuples, want 194", len(union))
 	}
-	sess := checkExact(t, sc, "skew-inversion static", su.MethodWJ, 3, drawCount(len(union)))
+	sess := checkExact(t, sc, "skew-inversion static", su.MethodEO, 3, drawCount(len(union)))
 
 	// Invert: shrink a's S side 16 → 1 (192 → 12 results), grow b's
 	// S side 1 → 48 (2 → 96 results).

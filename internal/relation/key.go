@@ -6,11 +6,11 @@ package relation
 // trusted: a slot matches only after exact equality verification, so
 // collisions cost a probe, never correctness.
 //
-// RowSet (rowset.go) backs Join.Contains: it files row ids in a Slots
-// table (slots.go) and verifies them against the relation's columns.
-// KeyCounter, with a probe loop of its own, copies each key's values into
-// an arena beside a count, for a cyclic join's residual (its rows grouped
-// by link-attribute projection) and DistinctProject. Its lookups take a
+// Both file their ids in a Slots table (slots.go). RowSet (rowset.go)
+// backs Join.Contains and verifies row ids against the relation's
+// columns. KeyCounter copies each key's values into an arena beside a
+// count, for a cyclic join's residual (its rows grouped by
+// link-attribute projection) and DistinctProject. Its lookups take a
 // proj slice that reads t[proj[i]] instead of t[i], hashing and comparing
 // the projection without materializing it.
 //
@@ -78,17 +78,16 @@ func (h keyHasher) hashRow(cols [][]Value, i int, proj []int) uint64 {
 const minSlots = 16
 
 // KeyCounter maps fixed-arity keys to ints: the allocation-free
-// replacement for map[string]int over TupleKey strings. A slot array
-// indexes a dense entry list (fingerprint + key values in a flat arena);
-// entries are never removed, so every distinct key keeps a stable dense
-// handle, its insertion rank.
+// replacement for map[string]int over TupleKey strings. A Slots table
+// files a dense entry list (key values in a flat arena, a count beside
+// them); entries are never removed, so every distinct key keeps a
+// stable dense handle, its insertion rank.
 type KeyCounter struct {
 	hasher keyHasher
 	arity  int
-	slots  []int32  // entry index + 1; 0 = empty
-	hashes []uint64 // per entry
-	vals   []Value  // arena: entry e at vals[e*arity : (e+1)*arity]
-	counts []int    // per entry
+	slots  *Slots  // entry handles, filed by fingerprint
+	vals   []Value // arena: entry e at vals[e*arity : (e+1)*arity]
+	counts []int   // per entry
 
 	// degradeMask, when non-zero, is ANDed onto every fingerprint.
 	// Test-only: it collapses the hash space to force collisions so the
@@ -99,11 +98,7 @@ type KeyCounter struct {
 // NewKeyCounter returns an empty counter for keys of the given arity,
 // pre-sized for about sizeHint entries.
 func NewKeyCounter(arity, sizeHint int) *KeyCounter {
-	n := minSlots
-	for n < sizeHint*2 {
-		n <<= 1
-	}
-	return &KeyCounter{arity: arity, slots: make([]int32, n)}
+	return &KeyCounter{arity: arity, slots: NewSlots(sizeHint, 3)}
 }
 
 // Len reports the number of distinct keys.
@@ -124,18 +119,12 @@ func (c *KeyCounter) fingerprint(h uint64) uint64 {
 // (-1, false). The projection is hashed and compared through the access
 // path, never materialized: it allocates nothing.
 func (c *KeyCounter) Lookup(t Tuple, proj []int) (int, bool) {
-	h := c.fingerprint(c.hasher.hashProj(t, proj))
-	mask := uint64(len(c.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := c.slots[i]
-		if s == 0 {
-			return -1, false
-		}
-		e := int(s - 1)
-		if c.hashes[e] == h && c.equalProj(e, t, proj) {
+	for e := range c.slots.Probe(c.fingerprint(c.hasher.hashProj(t, proj)), len(c.counts)) {
+		if c.equalProj(e, t, proj) {
 			return e, true
 		}
 	}
+	return -1, false
 }
 
 // equalProj reports whether entry e's key equals the projection of t.
@@ -164,17 +153,12 @@ func (c *KeyCounter) LookupRow(cols [][]Value, i int, proj []int) (int, bool) {
 // the key's fingerprint.
 func (c *KeyCounter) lookupRow(cols [][]Value, i int, proj []int) (int, uint64) {
 	h := c.fingerprint(c.hasher.hashRow(cols, i, proj))
-	mask := uint64(len(c.slots) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		s := c.slots[j]
-		if s == 0 {
-			return -1, h
-		}
-		e := int(s - 1)
-		if c.hashes[e] == h && c.equalRow(e, cols, i, proj) {
+	for e := range c.slots.Probe(h, len(c.counts)) {
+		if c.equalRow(e, cols, i, proj) {
 			return e, h
 		}
 	}
+	return -1, h
 }
 
 // equalRow reports whether entry e's key equals row i of cols under
@@ -201,11 +185,7 @@ func (c *KeyCounter) AddRow(cols [][]Value, i int, proj []int, delta int) (int, 
 		c.counts[e] += delta
 		return e, c.counts[e]
 	}
-	if (len(c.hashes)+1)*4 > len(c.slots)*3 {
-		c.grow()
-	}
-	e = len(c.hashes)
-	c.hashes = append(c.hashes, h)
+	e = len(c.counts)
 	c.counts = append(c.counts, delta)
 	for a := 0; a < c.arity; a++ {
 		p := a
@@ -214,26 +194,6 @@ func (c *KeyCounter) AddRow(cols [][]Value, i int, proj []int, delta int) (int, 
 		}
 		c.vals = append(c.vals, cols[p][i])
 	}
-	c.place(c.slots, h, e)
+	c.slots.Put(h, e)
 	return e, delta
-}
-
-// place puts entry e, of fingerprint h, in the first free slot from h on.
-func (c *KeyCounter) place(slots []int32, h uint64, e int) {
-	mask := uint64(len(slots) - 1)
-	j := h & mask
-	for slots[j] != 0 {
-		j = (j + 1) & mask
-	}
-	slots[j] = int32(e + 1)
-}
-
-// grow doubles the slot array and places every entry again from its
-// stored fingerprint.
-func (c *KeyCounter) grow() {
-	slots := make([]int32, len(c.slots)*2)
-	for e, h := range c.hashes {
-		c.place(slots, h, e)
-	}
-	c.slots = slots
 }

@@ -146,14 +146,18 @@ func TestDurableWarmRestart(t *testing.T) {
 // which this one drops on reading — both keys are named), and one whose
 // declaration no longer keys at all (written by a binary that still had
 // the adaptive mode: the key and normalized declaration TestDeclKeysPinned
-// pinned for "auto"), and one whose options no longer canonicalize
-// (an online session declared with the histogram warm-up it ignored).
+// pinned for "auto"; or by one that still had the WJ subroutine), and one
+// whose options no longer canonicalize (an online session declared with
+// the histogram warm-up it ignored).
 func TestRestoreRefusesMovedKey(t *testing.T) {
 	const (
-		oracleKey = "18557bf0823326dd225840f65ae48ae34f1713f2175e9aeeb55d914cf8027e51"
-		oracleDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"exact","method":"WJ","warmup_walks":1000,"oracle":true,"seed":1,"shards":1}}`
+		oracleKey = "5810111f9085c9e6531da3ebbe3e1dfe7e6774258ea59f6434a8c877812b3efe"
+		oracleDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"exact","method":"EO","warmup_walks":1000,"oracle":true,"seed":1,"shards":1}}`
 		autoKey   = "0f386402b9ca9b8d3ca1511c7d9ee198611d64eb099d5641e54af9f0ee7d4d13"
 		autoDoc   = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"auto","method":"auto","warmup_walks":128,"seed":1,"shards":1}}`
+		// The key a binary with the WJ subroutine gave this declaration.
+		wjKey = "b33df6b4dca26e7ca721a370a92a107de7e725363b4f63a3155ad34e73de8ac4"
+		wjDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"exact","method":"WJ","warmup_walks":1000,"seed":1,"shards":1}}`
 		// A cover declaration with no warm-up walks once canonicalized to a
 		// key of its own while it drew like the default budget.
 		walklessKey = "02713526c81f42684acde6cfc410149364bd1c3ae322891b0e3b9cf0b5148dbe"
@@ -164,7 +168,7 @@ func TestRestoreRefusesMovedKey(t *testing.T) {
 		onlineHistDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"histogram","method":"EW","online":true,"warmup_walks":1000,"seed":1,"shards":1}}`
 	)
 	var d UnionDecl
-	if err := json.Unmarshal([]byte(`{"options":{"warmup":"exact","method":"WJ"}}`), &d); err != nil {
+	if err := json.Unmarshal([]byte(`{"options":{"warmup":"exact","method":"EO"}}`), &d); err != nil {
 		t.Fatal(err)
 	}
 	recomputed, err := d.Key()
@@ -177,6 +181,7 @@ func TestRestoreRefusesMovedKey(t *testing.T) {
 	}{
 		{"dropped option", oracleKey, oracleDoc, []string{"entry 0", oracleKey, recomputed}},
 		{"removed auto", autoKey, autoDoc, []string{autoKey, `unknown warmup "auto"`}},
+		{"removed WJ", wjKey, wjDoc, []string{wjKey, `unknown method "WJ"`}},
 		{"walkless cover", walklessKey, walklessDoc, []string{walklessKey, "negative warmup_walks -1 needs online"}},
 		{"online histogram", onlineHistKey, onlineHistDoc, []string{onlineHistKey, `not warmup "histogram"`}},
 	} {

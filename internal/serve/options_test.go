@@ -11,10 +11,11 @@ import (
 
 // TestAutoDeclaration: the adaptive mode is gone, and a declaration that
 // still names it fails loudly — "auto" in either enum field answers 400
-// with the values that remain, and nothing is prepared for it. So does a
-// negative walk budget without "online", the one sampler that can start
-// without warm-up walks, and "online" beside a warm-up other than
-// random-walk, which it would ignore while keying a session of its own.
+// with the values that remain, and nothing is prepared for it. So does
+// the removed "WJ" subroutine, a negative walk budget without "online",
+// the one sampler that can start without warm-up walks, and "online"
+// beside a warm-up other than random-walk, which it would ignore while
+// keying a session of its own.
 func TestAutoDeclaration(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
@@ -22,7 +23,8 @@ func TestAutoDeclaration(t *testing.T) {
 		want string
 	}{
 		{OptionsDecl{Warmup: "auto", Seed: 1}, `unknown warmup "auto" (valid: histogram, random-walk, exact)`},
-		{OptionsDecl{Method: "auto", WarmupWalks: 128, Seed: 1}, `unknown method "auto" (valid: EW, EO, WJ)`},
+		{OptionsDecl{Method: "auto", WarmupWalks: 128, Seed: 1}, `unknown method "auto" (valid: EW, EO)`},
+		{OptionsDecl{Method: "WJ", Seed: 1}, `unknown method "WJ" (valid: EW, EO)`},
 		{OptionsDecl{WarmupWalks: -1, Seed: 1}, `negative warmup_walks -1 needs online`},
 		{OptionsDecl{Online: true, Warmup: "histogram", Seed: 1}, `not warmup "histogram" (warmup_walks < 0 is how Algorithm 2 starts from histogram parameters)`},
 		{OptionsDecl{Online: true, Warmup: "exact", Seed: 1}, `not warmup "exact"`},
@@ -46,7 +48,7 @@ func TestAutoConflictRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, opts := range []OptionsDecl{
 		{Warmup: "exact", Method: "auto", Seed: 1},
-		{Warmup: "auto", Method: "WJ", Seed: 1},
+		{Warmup: "auto", Method: "EO", Seed: 1},
 	} {
 		decl := quickDecl()
 		decl.Options = opts

@@ -30,7 +30,7 @@ func TestDeclKeysPinned(t *testing.T) {
 		// The adaptive mode is gone; its two spellings used to share key
 		// 0f386402… (TestRestoreRefusesMovedKey holds the manifest entry).
 		{"warmup auto", `{"options":{"warmup":"auto"}}`, "", `unknown warmup "auto" (valid: histogram, random-walk, exact)`},
-		{"method auto spelled out", `{"options":{"method":"auto","warmup_walks":128}}`, "", `unknown method "auto" (valid: EW, EO, WJ)`},
+		{"method auto spelled out", `{"options":{"method":"auto","warmup_walks":128}}`, "", `unknown method "auto" (valid: EW, EO)`},
 		{"histogram EO", `{"workload":"UQ2","sf":0.05,"options":{"warmup":"histogram","method":"EO","seed":7}}`,
 			"96b3c76d7aa99b3c155cc2bb9343abcd98cfdf098da27a51f3d0761bfdd45112",
 			`{"workload":"UQ2","sf":0.05,"overlap":0.2,"data_seed":1,"options":{"warmup":"histogram","method":"EO","warmup_walks":1000,"seed":7,"shards":1}}`},

@@ -72,10 +72,14 @@ func TestWorkloadsSampleable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, w := range ws {
-		for _, m := range []core.JoinMethod{core.MethodEW, core.MethodEO} {
+		for _, m := range []string{"EW", "EO"} {
+			method := core.MethodEW
+			if m == "EO" {
+				method = core.MethodEO
+			}
 			g := rng.New(3)
 			p, err := core.PrepareCover(w.Joins, core.CoverConfig{
-				Method:    m,
+				Method:    method,
 				Estimator: &core.HistogramEstimator{Joins: w.Joins},
 			}, g)
 			if err != nil {

@@ -47,8 +47,9 @@ func TestCanonicalRejects(t *testing.T) {
 		{Options{Warmup: "histgram"}, `unknown warmup "histgram"`},
 		{Options{Method: "ew"}, `unknown method "ew"`},
 		{Options{Warmup: "auto"}, `unknown warmup "auto" (valid: histogram, random-walk, exact)`},
-		{Options{Method: "auto"}, `unknown method "auto" (valid: EW, EO, WJ)`},
-		{Options{Warmup: "auto", Method: MethodWJ}, `unknown warmup "auto"`},
+		{Options{Method: "auto"}, `unknown method "auto" (valid: EW, EO)`},
+		{Options{Method: "WJ"}, `unknown method "WJ" (valid: EW, EO)`},
+		{Options{Warmup: "auto", Method: MethodEO}, `unknown warmup "auto"`},
 		{Options{Warmup: WarmupExact, Method: "auto"}, `unknown method "auto"`},
 		{Options{WarmupWalks: -1}, `negative warmup_walks -1 needs online`},
 		{Options{Warmup: WarmupHistogram, Method: MethodEO, WarmupWalks: -7}, `negative warmup_walks -7 needs online`},

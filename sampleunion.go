@@ -177,9 +177,6 @@ const (
 	MethodEW Method = "EW"
 	// MethodEO: extended Olken bounds, cheap setup, rejection under skew.
 	MethodEO Method = "EO"
-	// MethodWJ: wander-join walks thinned to uniform against the Olken
-	// bound; index-only setup, EO-like acceptance rate.
-	MethodWJ Method = "WJ"
 )
 
 // Options configure a warm-up and the sampler prepared from it. The
@@ -259,9 +256,9 @@ func (o Options) Canonical() (Options, error) {
 		return o, fmt.Errorf("sampleunion: unknown warmup %q (valid: histogram, random-walk, exact)", o.Warmup)
 	}
 	switch o.Method {
-	case "", MethodEW, MethodEO, MethodWJ:
+	case "", MethodEW, MethodEO:
 	default:
-		return o, fmt.Errorf("sampleunion: unknown method %q (valid: EW, EO, WJ)", o.Method)
+		return o, fmt.Errorf("sampleunion: unknown method %q (valid: EW, EO)", o.Method)
 	}
 	if o.Warmup == "" {
 		o.Warmup = WarmupRandomWalk
@@ -296,11 +293,8 @@ func (o Options) Canonical() (Options, error) {
 // joinMethod is the subroutine every join samples with (canonical
 // options).
 func (o Options) joinMethod() core.JoinMethod {
-	switch o.Method {
-	case MethodEO:
+	if o.Method == MethodEO {
 		return core.MethodEO
-	case MethodWJ:
-		return core.MethodWJ
 	}
 	return core.MethodEW
 }

@@ -168,7 +168,7 @@ func TestWarmupStrings(t *testing.T) {
 		WarmupExact != "exact" {
 		t.Error("warmup names wrong")
 	}
-	if MethodEW != "EW" || MethodEO != "EO" || MethodWJ != "WJ" {
+	if MethodEW != "EW" || MethodEO != "EO" {
 		t.Error("method names wrong")
 	}
 }
@@ -202,16 +202,23 @@ func TestCyclicThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestMethodWJThroughAPI: the removed "WJ" subroutine is an unknown
+// method at Prepare, and the shape it served — a random-walk warm-up
+// beside an index-only subroutine — draws union members under EO.
 func TestMethodWJThroughAPI(t *testing.T) {
 	u := demoUnion(t)
-	s := prepared(t, u, Options{Warmup: WarmupRandomWalk, Method: MethodWJ, Seed: 20})
+	want := `unknown method "WJ" (valid: EW, EO)`
+	if _, err := u.Prepare(Options{Warmup: WarmupRandomWalk, Method: "WJ", Seed: 20}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Prepare with Method WJ: err = %v, want one containing %q", err, want)
+	}
+	s := prepared(t, u, Options{Warmup: WarmupRandomWalk, Method: MethodEO, Seed: 20})
 	out, _, err := s.Sample(300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tu := range out {
 		if !u.Contains(tu) {
-			t.Fatalf("WJ sample outside union")
+			t.Fatalf("EO sample %v outside union", tu)
 		}
 	}
 }
