@@ -447,11 +447,11 @@ func appendBurst(rels []*Relation, iter, batch, base int) {
 // pairing the zero Options selects (random-walk warm-up + EW):
 // the dirty joins' weight tables are patched from their predecessors',
 // so the work is the burst's neighbourhood — here 32 new one-row
-// segments per join — plus whatever large segment the burst reaches.
-// In this union that is the root's: all of cust, recomputed (one pass,
-// no allocation per row beyond the packed arrays) and given a new alias
-// table by the first draw, which is why the two rows= legs still
-// differ. The aged leg starts timing once the bursts have built the
+// segments per join — plus the blocks of the large segments the burst
+// lands in. In this union that is the root's, all of cust: the blocks
+// its new rows and reweighed rows fall in, and a new directory of 16 B
+// per block, which is what still grows between the two rows= legs. The
+// aged leg starts timing once the bursts have built the
 // member deltas and index overlays half way to their fold, where a
 // refresh that copied them whole would show. The fanout leg is UQ1 (two
 // variants, sf 8) under a 32-row lineitem append: the nationkey fan-out

@@ -254,16 +254,17 @@ type RefreshStats struct {
 	// DirtyJoins counts the joins with a mutated relation.
 	DirtyJoins int `json:"dirty_joins"`
 	// SegmentsPatched counts the weight-table segments EW samplers
-	// recomputed in place of a rebuild; NodesRebuilt the join nodes whose
-	// patch cost the whole node (join.Patch.Folded: small segments folded
-	// back into flat arrays, or every segment rewritten); JoinsRebuilt
-	// the joins whose tables were rebuilt whole (a compacted index, a
-	// lost mutation-log tail). WeightBytes is the weight-table storage
-	// all of that wrote — running sums, row lists, offsets, overlay
-	// records, the overlay slot tables it allocated and large-segment
-	// directories (join.Patch.Bytes) — and so all the weight storage the
-	// refresh causes: draws build nothing over the tables afterwards. It
-	// shows a large segment's cost: rewriting one writes its length.
+	// recomputed in place of a rebuild; NodesRebuilt the join nodes
+	// join.Patch.Folded names (small segments folded back into flat
+	// arrays, or every entry of the node reached); JoinsRebuilt the joins
+	// whose tables were rebuilt whole (a compacted index, a lost
+	// mutation-log tail). WeightBytes is the weight-table storage all of
+	// that wrote — running sums, row lists, offsets, overlay records, the
+	// overlay slot tables it allocated, the blocks of large segments it
+	// rewrote and block and large-segment directories (join.Patch.Bytes)
+	// — and so all the weight storage the refresh causes: draws build
+	// nothing over the tables afterwards. A large segment costs the
+	// blocks that hold its reached rows plus 16 B a block, not its length.
 	SegmentsPatched int `json:"segments_patched"`
 	NodesRebuilt    int `json:"nodes_rebuilt"`
 	JoinsRebuilt    int `json:"joins_rebuilt"`

@@ -158,7 +158,7 @@ func weightDump(w *Weights) [][]string {
 			entries = w.Idx[k].NumEntries()
 		}
 		for e := 0; e < entries; e++ {
-			rows, cum := w.Nodes[k].Segment(e)
+			rows, cum := flatSegment(&w.Nodes[k], e)
 			out[k] = append(out[k], fmt.Sprint(rows, cum, w.Nodes[k].Total(e)))
 		}
 	}

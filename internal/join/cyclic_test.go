@@ -83,7 +83,7 @@ func TestCyclicMatchesBruteForce(t *testing.T) {
 
 func TestCyclicContains(t *testing.T) {
 	j, _, _ := triangleFixture(t)
-	results := j.Execute()
+	results := execute(j)
 	if len(results) == 0 {
 		t.Fatal("no triangles found")
 	}
@@ -180,9 +180,9 @@ func TestFourCycle(t *testing.T) {
 	if j.Count() != 1 {
 		t.Fatalf("Count = %d, want 1", j.Count())
 	}
-	res := j.Execute()
+	res := execute(j)
 	if len(res) != 1 {
-		t.Fatalf("Execute len = %d, want 1", len(res))
+		t.Fatalf("enumerated %d results, want 1", len(res))
 	}
 	sch := j.OutputSchema()
 	got := res[0]

@@ -73,17 +73,6 @@ func (j *Join) enumerate(k int, out relation.Tuple, rv ResView, yield func(relat
 	return true
 }
 
-// Execute materializes the full join result. Use only when the result
-// fits in memory; prefer Enumerate otherwise.
-func (j *Join) Execute() []relation.Tuple {
-	var out []relation.Tuple
-	j.Enumerate(func(t relation.Tuple) bool {
-		out = append(out, t.Clone())
-		return true
-	})
-	return out
-}
-
 // Count returns the exact join result size. For tree joins it uses the
 // bottom-up weight recurrence (each tuple's exact extension count, the
 // EW statistic of Zhao et al.), which runs in time linear in the input
@@ -106,34 +95,107 @@ func (j *Join) Count() int64 {
 }
 
 // LargeRows is the length from which a weight segment stands alone as a
-// LargeSegment, and from which an EW draw searches its running sums from
-// a proportional guess instead of bisecting them (joinsample.searchCum).
+// LargeSegment, and from which an EW draw searches running sums from a
+// proportional guess instead of bisecting them (joinsample.searchCum).
 const LargeRows = 32
 
-// LargeSegment is a weight segment of at least LargeRows rows, held
-// apart from its node's flat arrays: immutable once published, so
-// generations share it by pointer — a patch that does not reach it
-// copies nothing of it. EW draws from its running sums like from a small
-// segment's, so nothing is built over it after a patch.
-type LargeSegment struct {
-	Ent  int32   // the index entry whose rows these are
-	Rows []int32 // as WeightTable.Segment returns them
+// BlockRows is the size a large segment's rows are carved to: a run of m
+// rows is one block while m <= 2·BlockRows, else m/BlockRows blocks of
+// equal size within a row (blocksOf). The cold build carves every large
+// segment so, and a patch carves the blocks it rewrote so: a block split
+// when it grew past 2·BlockRows, dropped when it emptied.
+const BlockRows = 128
+
+// blocksOf returns how many blocks a run of m rows is carved into.
+func blocksOf(m int) int {
+	if m <= 2*BlockRows {
+		return min(m, 1)
+	}
+	return m / BlockRows
+}
+
+// Block is a run of a large segment's rows, ascending, with their running
+// weight sums counted from the block's first row. Immutable once
+// published: segments and generations share it by pointer.
+type Block struct {
+	Rows []int32
 	Cum  []int64
+}
+
+// LargeSegment is a weight segment of at least LargeRows rows, held in
+// blocks apart from its node's flat arrays. Sums is its directory: Sums[b]
+// is the running weight total through Blocks[b], so the segment's total is
+// the last. Immutable once published, so generations share it by pointer:
+// a patch that does not reach it copies nothing of it, and one that does
+// writes the blocks holding its hit rows and a new directory, and shares
+// every other block. Where block boundaries fall changes no draw: EW
+// finds the first row whose running sum exceeds its draw, searching the
+// directory and then the block (joinsample.searchLarge).
+type LargeSegment struct {
+	Ent    int32 // the index entry whose rows these are
+	Sums   []int64
+	Blocks []*Block
+}
+
+// Total returns the summed weight of the segment's rows.
+func (s *LargeSegment) Total() int64 { return s.Sums[len(s.Sums)-1] }
+
+// Len returns the segment's rows.
+func (s *LargeSegment) Len() int {
+	n := 0
+	for _, b := range s.Blocks {
+		n += len(b.Rows)
+	}
+	return n
+}
+
+// sum sets the directory from the blocks; it is false when a running
+// total passes math.MaxInt64.
+func (s *LargeSegment) sum() bool {
+	var total int64
+	for b, blk := range s.Blocks {
+		if total += blk.Cum[len(blk.Cum)-1]; total < 0 {
+			return false
+		}
+		s.Sums[b] = total
+	}
+	return true
+}
+
+// carve splits one run of a segment's rows, ascending, with running sums
+// counted from the run's first row, into blocksOf(len(rows)) blocks,
+// rebasing each block's sums in place to count from its own first row.
+// The headers are taken from hdrs and appended to dir; it returns the
+// rest of hdrs and the extended dir.
+func carve(rows []int32, cum []int64, hdrs []Block, dir []*Block) ([]Block, []*Block) {
+	n, nb := len(rows), blocksOf(len(rows))
+	for b := nb - 1; b > 0; b-- { // last first: a block's base is a sum before it, not yet rebased
+		lo, hi := b*n/nb, (b+1)*n/nb
+		for i, base := lo, cum[lo-1]; i < hi; i++ {
+			cum[i] -= base
+		}
+	}
+	for b := 0; b < nb; b++ {
+		lo, hi := b*n/nb, (b+1)*n/nb
+		hdrs[b] = Block{Rows: rows[lo:hi:hi], Cum: cum[lo:hi:hi]}
+		dir = append(dir, &hdrs[b])
+	}
+	return hdrs[nb:], dir
 }
 
 // WeightTable is one join node's exact weights, packed the way the EW
 // sampler draws from them: per entry of the node's index, a segment of
 // the value's rows with positive weight, in index order, with their
-// running weight sums, so a segment's last sum is the total its parent
-// multiplies by. The root is one segment of its rows in row order.
+// running weight sums, so a segment's total is what its parent
+// multiplies by. The root is one entry holding its rows in row order.
 //
 // A segment of LargeRows rows or more is a LargeSegment, listed by entry
 // in Large. The small ones are three flat arrays — segment e is
 // Rows[Off[e]:Off[e+1]], Cum likewise, empty for a large entry — plus an
 // optional overlay, like the index they are aligned to: PatchWeights
 // files the small segments it recomputed in an overlay beside the
-// predecessor's flat arrays, which the two generations share, and gives
-// a large one an object of its own. Segment and Total read all three.
+// predecessor's flat arrays, which the two generations share. Segment
+// and Total read all three.
 type WeightTable struct {
 	Off   []int32
 	Rows  []int32
@@ -142,10 +204,12 @@ type WeightTable struct {
 	ov    *segOverlay // nil = flat
 }
 
-// SegmentOf returns entry e's rows, their running weight sums, and the
-// LargeSegment holding them if any. Only a patched table pays the
-// overlay's search, and only an entry with no small segment Large's.
-func (t *WeightTable) SegmentOf(e int) ([]int32, []int64, *LargeSegment) {
+// Segment returns entry e's segment without copying anything: a small
+// one's rows and running sums, or the LargeSegment holding a large one's
+// (rows and sums nil then); nothing for an entry without rows. Only a
+// patched table pays the overlay's search, and only an entry with no
+// small segment Large's.
+func (t *WeightTable) Segment(e int) ([]int32, []int64, *LargeSegment) {
 	rows, cum := t.flat(e)
 	if t.ov != nil {
 		rows, cum = t.ov.segment(t, e)
@@ -157,7 +221,7 @@ func (t *WeightTable) SegmentOf(e int) ([]int32, []int64, *LargeSegment) {
 	if !ok {
 		return nil, nil, nil
 	}
-	return t.Large[i].Rows, t.Large[i].Cum, t.Large[i]
+	return nil, nil, t.Large[i]
 }
 
 // flat returns entry e's segment in the flat arrays: empty for an entry
@@ -170,15 +234,14 @@ func (t *WeightTable) flat(e int) ([]int32, []int64) {
 	return t.Rows[lo:hi], t.Cum[lo:hi]
 }
 
-// Segment returns entry e's rows and their running weight sums.
-func (t *WeightTable) Segment(e int) ([]int32, []int64) {
-	rows, cum, _ := t.SegmentOf(e)
-	return rows, cum
-}
-
-// Total returns the summed weight of entry e's rows.
+// Total returns the summed weight of entry e's rows: a large segment's
+// last directory sum, a small one's last running sum.
 func (t *WeightTable) Total(e int) int64 {
-	if _, cum := t.Segment(e); len(cum) > 0 {
+	_, cum, seg := t.Segment(e)
+	switch {
+	case seg != nil:
+		return seg.Total()
+	case len(cum) > 0:
 		return cum[len(cum)-1]
 	}
 	return 0
@@ -200,13 +263,14 @@ func mulWeight(a, b int64) (_ int64, ok bool) {
 	return int64(lo), hi == 0 && lo <= math.MaxInt64
 }
 
-// rows counts the rows of t's flat arrays and large segments.
-func (t *WeightTable) rows() int {
-	n := len(t.Rows)
+// size returns the rows of t's flat arrays and large segments, and the
+// blocks of the latter.
+func (t *WeightTable) size() (rows, blocks int) {
+	rows = len(t.Rows)
 	for _, s := range t.Large {
-		n += len(s.Rows)
+		rows, blocks = rows+s.Len(), blocks+len(s.Blocks)
 	}
-	return n
+	return rows, blocks
 }
 
 func (t *WeightTable) end() { t.Off = append(t.Off, int32(len(t.Rows))) }
@@ -305,17 +369,21 @@ func (j *Join) ExactWeights() (*Weights, error) {
 
 // packer lays one node's positive row weights out as its WeightTable,
 // one entry at a time: small segments into the flat arrays, large ones
-// carved from one slab of segments and one of rows and sums. Until fill
+// carved into blocks (carve). One array of rows and one of sums hold
+// both, the latter the large segments' directories too, and one slab
+// each the segments, block headers and directories' pointers. Until fill
 // names the table it only counts what the arrays must hold. overflow
 // records a running sum past math.MaxInt64.
 type packer struct {
-	w                    []int64
-	t                    *WeightTable
-	small, large, nLarge int
-	slab                 []LargeSegment
-	rows                 []int32
-	cum                  []int64
-	overflow             bool
+	w                            []int64
+	t                            *WeightTable
+	small, large, nLarge, blocks int
+	segs                         []LargeSegment
+	hdrs                         []Block
+	dir                          []*Block
+	rows                         []int32
+	cum, sums                    []int64
+	overflow                     bool
 }
 
 func (p *packer) entry(rows []int) {
@@ -327,16 +395,19 @@ func (p *packer) entry(rows []int) {
 	}
 	switch t := p.t; {
 	case t == nil && n >= LargeRows:
-		p.large, p.nLarge = p.large+n, p.nLarge+1
+		p.large, p.nLarge, p.blocks = p.large+n, p.nLarge+1, p.blocks+blocksOf(n)
 	case t == nil:
 		p.small += n
 	case n < LargeRows:
 		t.Rows, t.Cum = p.appendPositive(t.Rows, t.Cum, rows)
 		t.end()
 	default:
-		seg, lo := &p.slab[len(t.Large)], len(p.rows)
+		seg, lo, nb := &p.segs[len(t.Large)], len(p.rows), blocksOf(n)
 		p.rows, p.cum = p.appendPositive(p.rows, p.cum, rows)
-		seg.Ent, seg.Rows, seg.Cum = int32(len(t.Off)-1), p.rows[lo:len(p.rows):len(p.rows)], p.cum[lo:len(p.cum):len(p.cum)]
+		seg.Ent, seg.Sums, seg.Blocks = int32(len(t.Off)-1), p.sums[:nb:nb], p.dir[:0:nb]
+		p.sums, p.dir = p.sums[nb:], p.dir[nb:]
+		p.hdrs, seg.Blocks = carve(p.rows[lo:], p.cum[lo:], p.hdrs, seg.Blocks)
+		seg.sum()
 		t.Large = append(t.Large, seg)
 		t.end()
 	}
@@ -359,10 +430,13 @@ func (p *packer) appendPositive(rows []int32, cum []int64, entry []int) ([]int32
 // fill allocates t's arrays, for entries entries, at the sizes counted
 // so far, and turns the packer to filling them.
 func (p *packer) fill(t *WeightTable, entries int) {
-	*t = WeightTable{Off: make([]int32, 1, entries+1), Rows: make([]int32, 0, p.small), Cum: make([]int64, 0, p.small)}
+	small, large := p.small, p.small+p.large
+	rows, cum := make([]int32, large), make([]int64, large+p.blocks)
+	*t = WeightTable{Off: make([]int32, 1, entries+1), Rows: rows[:0:small], Cum: cum[:0:small]}
+	p.rows, p.cum, p.sums = rows[small:small:large], cum[small:small:large], cum[large:]
 	if p.nLarge > 0 {
-		p.slab, t.Large = make([]LargeSegment, p.nLarge), make([]*LargeSegment, 0, p.nLarge)
-		p.rows, p.cum = make([]int32, 0, p.large), make([]int64, 0, p.large)
+		p.segs, t.Large = make([]LargeSegment, p.nLarge), make([]*LargeSegment, 0, p.nLarge)
+		p.hdrs, p.dir = make([]Block, p.blocks), make([]*Block, p.blocks)
 	}
 	p.t = t
 }

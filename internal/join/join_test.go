@@ -60,11 +60,11 @@ func TestChainOutputSchema(t *testing.T) {
 
 func TestChainExecute(t *testing.T) {
 	j := chainFixture(t)
-	got := j.Execute()
+	got := execute(j)
 	want := chainExpected()
 	gk, wk := sortedKeys(got), sortedKeys(want)
 	if len(gk) != len(wk) {
-		t.Fatalf("Execute returned %d tuples, want %d: %v", len(gk), len(wk), got)
+		t.Fatalf("Enumerate returned %d tuples, want %d: %v", len(gk), len(wk), got)
 	}
 	for i := range gk {
 		if gk[i] != wk[i] {
@@ -112,13 +112,42 @@ func patchWeights(t testing.TB, j *Join, prev *Weights) (*Weights, Patch) {
 	return ws, p
 }
 
+// execute is every result of j, cloned.
+func execute(j *Join) []relation.Tuple {
+	var out []relation.Tuple
+	j.Enumerate(func(t relation.Tuple) bool {
+		out = append(out, t.Clone())
+		return true
+	})
+	return out
+}
+
+// flatSegment returns entry e's rows and running sums flat: a large
+// segment's blocks one after another, their sums rebased on the
+// directory.
+func flatSegment(t *WeightTable, e int) ([]int32, []int64) {
+	rows, cum, seg := t.Segment(e)
+	if seg == nil {
+		return rows, cum
+	}
+	var base int64
+	for b, blk := range seg.Blocks {
+		rows = append(rows, blk.Rows...)
+		for _, c := range blk.Cum {
+			cum = append(cum, base+c)
+		}
+		base = seg.Sums[b]
+	}
+	return rows, cum
+}
+
 // rowWeights unpacks node k's weight table into one weight per physical
 // row (0 for the rows the table drops).
 func rowWeights(j *Join, ws *Weights, k int) []int64 {
 	w := make([]int64, j.Nodes()[k].Rel.Len())
 	t := &ws.Nodes[k]
 	for e := 0; e+1 < len(t.Off); e++ {
-		rows, cum := t.Segment(e)
+		rows, cum := flatSegment(t, e)
 		prev := int64(0)
 		for i, r := range rows {
 			w[r] = cum[i] - prev
@@ -359,9 +388,9 @@ func TestTreeJoin(t *testing.T) {
 	if got := j.Count(); got != 4 {
 		t.Fatalf("Count = %d, want 4", got)
 	}
-	res := j.Execute()
+	res := execute(j)
 	if len(res) != 4 {
-		t.Fatalf("Execute len = %d, want 4", len(res))
+		t.Fatalf("enumerated %d results, want 4", len(res))
 	}
 	for _, tu := range res {
 		if !j.Contains(tu) {

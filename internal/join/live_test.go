@@ -15,7 +15,7 @@ import (
 // execKeys returns the sorted multiset of a join's results.
 func execKeys(j *Join) []string {
 	var keys []string
-	for _, t := range j.Execute() {
+	for _, t := range execute(j) {
 		keys = append(keys, relation.TupleKey(t))
 	}
 	sort.Strings(keys)
@@ -65,7 +65,7 @@ func TestMembershipIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Probe every tuple of the fresh result plus perturbed non-members.
-		for _, tup := range fresh.Execute() {
+		for _, tup := range execute(fresh) {
 			if !j.Contains(tup) {
 				t.Fatalf("Contains(%v) = false for a result tuple", tup)
 			}
@@ -77,7 +77,7 @@ func TestMembershipIncremental(t *testing.T) {
 		}
 		// And the reverse: members of the stale generation that died.
 		if !sameKeys(execKeys(j), execKeys(fresh)) {
-			t.Fatal("Execute diverged from rebuilt join")
+			t.Fatal("Enumerate diverged from the rebuilt join")
 		}
 	}
 

@@ -20,21 +20,29 @@ type Patch struct {
 	// were rewritten; every other segment is the predecessor's. Nil
 	// when Rebuilt.
 	Touched [][]int32
-	// Folded[k]: the patch cost node k whole — its small segments'
-	// overlay outgrew an eighth of their flat arrays and was folded, with
-	// the untouched ones, into fresh flat arrays, or it rewrote every
-	// entry's segment and those passed an eighth of the node.
+	// Folded[k]: node k's small segments' overlay outgrew an eighth of
+	// their flat arrays and was folded, with the untouched ones, into
+	// fresh flat arrays, or the patch reached every entry of the node and
+	// their segments pass an eighth of it. The second no longer means the
+	// node was written whole when its segments are large: a large root
+	// reads folded whenever a patch reaches it, though the patch wrote
+	// only the blocks holding its hit rows.
 	Folded []bool
 	// Bytes is the weight-table storage the patch wrote: running sums,
 	// row lists, offsets, overlay records, the overlay slot tables it
-	// allocated (an overlay extended in place allocates none) and
-	// large-segment directories; the whole tables when Rebuilt.
+	// allocated (an overlay extended in place allocates none), the blocks
+	// of a large segment it rewrote (not the blocks it shares), block
+	// directories (16 B a block: a running total and a pointer) and
+	// directories of large segments; the whole tables when Rebuilt.
 	Bytes int
 }
 
 // reweigh names one row whose weight may have moved, and the entry of
-// its node whose segment it sits in.
-type reweigh struct{ ent, row int32 }
+// its node whose segment it sits in; w is its weight afresh (weigh).
+type reweigh struct {
+	ent, row int32
+	w        int64
+}
 
 // PatchWeights derives the join's current Weights from prev, a
 // generation built over older versions of the same relations, in time
@@ -65,7 +73,8 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 		p := Patch{Rebuilt: true}
 		for k := range ws.Nodes {
 			t := &ws.Nodes[k]
-			p.Bytes += 4*len(t.Off) + 12*t.rows() + 8*len(t.Large)
+			rows, blocks := t.size()
+			p.Bytes += 4*len(t.Off) + 12*rows + 16*blocks + 8*len(t.Large)
 		}
 		return ws, p, nil
 	}
@@ -124,7 +133,7 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 					return
 				}
 			}
-			hits = append(hits, reweigh{int32(e), int32(row)})
+			hits = append(hits, reweigh{ent: int32(e), row: int32(row)})
 		}
 		for _, m := range tails[k] {
 			// A row past the snapshot was appended after it was taken:
@@ -144,6 +153,9 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 			return cmp.Or(cmp.Compare(a.ent, b.ent), cmp.Compare(a.row, b.row))
 		})
 		hits = slices.Compact(hits)
+		if !j.weigh(k, ws, s, hits) {
+			return nil, Patch{}, j.overflow()
+		}
 
 		// The root is one entry; elsewhere the index in hand may have
 		// gained entries prev's tables lack, and read as empty.
@@ -153,7 +165,7 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 		}
 		var bytes int
 		var ok bool
-		ws.Nodes[k], p.Touched[k], p.Folded[k], bytes, ok = j.patchNode(k, ws, s, &prev.Nodes[k], hits, entries, sc)
+		ws.Nodes[k], p.Touched[k], p.Folded[k], bytes, ok = patchNode(&prev.Nodes[k], hits, entries, sc)
 		if !ok {
 			return nil, Patch{}, j.overflow()
 		}
@@ -169,12 +181,15 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 }
 
 // patchScratch is what PatchWeights writes only to read back — the node
-// in hand's hits, its rewritten segments and the entries of the small
-// ones — pooled across calls.
+// in hand's hits, the rewritten small segments and their entries, and
+// the pieces of the segment in hand — pooled across calls.
 type patchScratch struct {
-	hits  []reweigh
-	fresh segRun
-	small []int32
+	hits   []reweigh
+	fresh  segRun
+	small  []int32
+	pieces []piece
+	rows   []int32 // the merged pieces' rows
+	cum    []int64 // and running sums, each counted from its piece's first row
 }
 
 // segRun is a run of segments packed back to back: segment i is
@@ -185,96 +200,112 @@ type segRun struct {
 	cum  []int64
 }
 
+// piece is the rows a merge wrote to the scratch's rows[lo:hi], in
+// place of block b of the predecessor's large segment, or of a small
+// predecessor (b = -1). same is the block replaced when the piece's rows
+// are its rows.
+type piece struct {
+	b, lo, hi int
+	same      *Block
+}
+
 var scratchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 
-// patchNode returns node k's table with the segments holding the hit
-// rows (sorted by entry, then row) rewritten over prev's, the entries it
-// rewrote, whether that cost the whole node (Patch.Folded) and the bytes
-// it wrote. Each segment is rewritten into scratch, reused across calls.
-// A large one is copied into a LargeSegment — keeping its predecessor's
-// row list if the rows did not move — beside a copy of prev.Large. The
+// walk calls f with every stretch of the segment in hand, in row order:
+// the blocks of its large predecessor was that no hit reached (merged
+// false, blk the block), and the merged pieces (blk their same).
+func (sc *patchScratch) walk(was *LargeSegment, f func(rows []int32, cum []int64, blk *Block, merged bool)) {
+	i := 0
+	if was != nil {
+		for b, blk := range was.Blocks {
+			if i < len(sc.pieces) && sc.pieces[i].b == b {
+				pc := sc.pieces[i]
+				f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true)
+				i++
+				continue
+			}
+			f(blk.Rows, blk.Cum, blk, false)
+		}
+	}
+	for _, pc := range sc.pieces[i:] {
+		f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true)
+	}
+}
+
+// patchNode returns a node's table with the segments holding the hit
+// rows (weighed; sorted by entry, then row) rewritten over prev's, the
+// entries it rewrote, whether the patch counts as costing the whole node
+// (Patch.Folded) and the bytes it wrote. Each segment is merged into
+// scratch, reused across calls: a small one whole, a large one only in
+// the blocks its hits fall in, a hit going to the last block whose first
+// row does not follow it. A segment of LargeRows rows or more becomes a
+// LargeSegment (patchScratch.large) beside a copy of prev.Large. The
 // small ones extend prev's overlay (segOverlay.extend), or — once the
 // overlay's entries and rows pass relation.FoldBudget of the flat
 // arrays' — are folded with the untouched ones into fresh flat arrays;
-// an entry turned large leaves them an empty segment. ok is false when a
-// rewritten weight passes math.MaxInt64.
-func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *WeightTable, hits []reweigh, entries int, sc *patchScratch) (_ WeightTable, _ []int32, _ bool, _ int, ok bool) {
+// an entry turned large leaves them an empty segment. Folded counts, as
+// it did when a patch rewrote a large segment whole, a patch that reaches
+// every entry of a node whose segments pass an eighth of it — so every
+// patch of a large root. ok is false when a running sum passes
+// math.MaxInt64.
+func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch) (_ WeightTable, touched []int32, whole bool, bytes int, ok bool) {
 	if len(hits) == 0 {
 		return *prev, nil, false, 0, true
 	}
-	// Sized by what the segments held before plus a row per hit: a
-	// segment cannot gain a row that is not named.
-	size := len(hits)
-	var touched []int32
-	for i, h := range hits {
-		if i == 0 || h.ent != hits[i-1].ent {
-			touched = append(touched, h.ent)
-			rows, _ := prev.Segment(int(h.ent))
-			size += len(rows)
-		}
-	}
 	fresh := &sc.fresh
-	if entries == 1 { // the root: its one segment is written straight into the result
-		fresh = &segRun{}
-	}
-	fresh.off = append(slices.Grow(fresh.off[:0], len(touched)+1), 0)
-	fresh.rows, fresh.cum = slices.Grow(fresh.rows[:0], size), slices.Grow(fresh.cum[:0], size)
+	fresh.off, fresh.rows, fresh.cum = append(fresh.off[:0], 0), fresh.rows[:0], fresh.cum[:0]
+	t, small, large := *prev, sc.small[:0], []*LargeSegment(nil)
+	dropped, rewritten := 0, 0 // prev's large segments rewritten; the rows of every rewritten segment
+	ok = true
 	for lo, hi := 0, 0; lo < len(hits); lo = hi {
 		for hi < len(hits) && hits[hi].ent == hits[lo].ent {
 			hi++
 		}
-		rows, cum := prev.Segment(int(hits[lo].ent))
-		if !j.appendSegment(k, ws, s, rows, cum, hits[lo:hi], fresh) {
-			return WeightTable{}, nil, false, 0, false
-		}
-		fresh.off = append(fresh.off, int32(len(fresh.rows)))
-	}
-	whole := len(touched) == entries && len(touched)+len(fresh.rows) > relation.FoldBudget(len(prev.Off)+prev.rows())
-
-	// Large segments go out; the small ones move to the front of fresh.
-	t, small, large := *prev, sc.small[:0], []*LargeSegment(nil)
-	n, dropped, bytes := 0, 0, 0
-	for i, lo := 0, int32(0); i < len(touched); i++ {
-		e, hi := touched[i], fresh.off[i+1]
-		rows, cum := fresh.rows[lo:hi], fresh.cum[lo:hi]
-		lo = hi
-		wasRows, _, was := prev.SegmentOf(int(e))
-		if was != nil {
+		e := hits[lo].ent
+		touched = append(touched, e)
+		wasRows, wasCum, was := prev.Segment(int(e))
+		sc.rows, sc.cum, sc.pieces = sc.rows[:0], sc.cum[:0], sc.pieces[:0]
+		if was == nil {
+			ok = sc.merge(nil, -1, wasRows, wasCum, hits[lo:hi]) && ok
+		} else {
 			dropped++
-		}
-		if len(rows) >= LargeRows {
-			seg := &LargeSegment{Ent: e, Rows: slices.Clip(rows), Cum: slices.Clip(cum)}
-			if fresh == &sc.fresh {
-				seg.Cum = slices.Clone(cum)
-			}
-			if was != nil && slices.Equal(was.Rows, rows) {
-				seg.Rows = was.Rows
-			} else {
-				if fresh == &sc.fresh {
-					seg.Rows = slices.Clone(rows)
+			for b, h := 0, lo; h < hi; b++ {
+				end := h
+				for end < hi && (b+1 == len(was.Blocks) || hits[end].row < was.Blocks[b+1].Rows[0]) {
+					end++
 				}
-				bytes += 4 * len(rows)
+				if end > h {
+					blk := was.Blocks[b]
+					ok = sc.merge(blk, b, blk.Rows, blk.Cum, hits[h:end]) && ok
+				}
+				h = end
 			}
-			bytes += 8 * len(cum)
-			large = append(large, seg)
+		}
+		n := 0
+		sc.walk(was, func(rows []int32, _ []int64, _ *Block, _ bool) { n += len(rows) })
+		rewritten += n
+		if n >= LargeRows {
+			seg, wrote, fits := sc.large(e, was)
+			large, bytes, ok = append(large, seg), bytes+wrote, ok && fits
 		}
 		// Once e's segment is large, or a large one emptied, the small
 		// layers need only stop answering for e.
-		if len(rows) >= LargeRows || (len(rows) == 0 && was != nil) {
+		if n >= LargeRows || (n == 0 && was != nil) {
 			if was != nil || len(wasRows) == 0 {
 				continue
 			}
-			rows, cum = nil, nil
+		} else {
+			ok = sc.flatten(was, fresh) && ok
 		}
-		copy(fresh.rows[n:], rows)
-		copy(fresh.cum[n:], cum)
-		n += len(rows)
 		small = append(small, e)
-		fresh.off[len(small)] = int32(n)
+		fresh.off = append(fresh.off, int32(len(fresh.rows)))
 	}
-	fresh.off, fresh.rows, fresh.cum = fresh.off[:len(small)+1], fresh.rows[:n], fresh.cum[:n]
-	if fresh != &sc.fresh { // the root's own storage, where a large segment may sit past n
-		fresh.rows, fresh.cum = slices.Clip(fresh.rows), slices.Clip(fresh.cum)
+	if !ok {
+		return WeightTable{}, nil, false, 0, false
+	}
+	if len(touched) == entries {
+		rows, _ := prev.size()
+		whole = len(touched)+rewritten > relation.FoldBudget(len(prev.Off)+rows)
 	}
 	sc.small = small
 	if len(large)+dropped > 0 {
@@ -294,26 +325,12 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	if len(small) == 0 {
 		return t, touched, whole, bytes, true
 	}
-	if len(small) == entries && fresh == &sc.fresh {
-		// Every entry was rewritten: the fresh segments are the overlay
-		// or the table, in storage of their own.
-		fresh = &segRun{off: slices.Clone(fresh.off), rows: slices.Clone(fresh.rows), cum: slices.Clone(fresh.cum)}
-	}
 	old := cmp.Or(prev.ov, &segOverlay{})
 	ents, rows := old.measure(small, fresh)
 	if ents+rows <= relation.FoldBudget(len(prev.Off)+len(prev.Rows)) {
 		var wrote int
-		if fresh == &sc.fresh {
-			t.ov, wrote = old.extend(small, fresh, ents, rows)
-		} else {
-			t.ov = overlayOf(small, fresh)
-			wrote = 12*(len(fresh.rows)+len(small)) + int(t.ov.slots.Bytes())
-		}
+		t.ov, wrote = old.extend(small, fresh, ents, rows)
 		return t, touched, whole, bytes + wrote, true
-	}
-	if fresh != &sc.fresh {
-		t.Off, t.Rows, t.Cum, t.ov = fresh.off, fresh.rows, fresh.cum, nil
-		return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows), true
 	}
 	// merged visits, ascending, every entry of the old overlay and the
 	// fresh segments with the segment that stands for it: the fresh one
@@ -360,53 +377,125 @@ func (j *Join) patchNode(k int, ws *Weights, s *relation.SnapshotData, prev *Wei
 	return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows), true
 }
 
-// appendSegment rewrites the segment of the entry hits name (they share
-// it; rows ascending) and appends it to ov: the entry's live rows in
-// index order, a hit row weighed from the children's finished tables,
-// any other row at the weight the old segment (wasRows, wasCum) records
-// for it — zero when absent: nothing changed for a row that is not hit.
-// The result is the flat build's segment: same rows, same order, same
-// running sums. It is false when a weight or sum passes math.MaxInt64.
-func (j *Join) appendSegment(k int, ws *Weights, s *relation.SnapshotData, wasRows []int32, wasCum []int64, hits []reweigh, ov *segRun) bool {
-	var cum int64
-	p, h := 0, 0 // cursors into the old segment and the hits
-	ok := true
-	add := func(r int) {
-		for h < len(hits) && int(hits[h].row) < r {
-			h++ // a deleted row: named, and gone from the index
-		}
-		for p < len(wasRows) && int(wasRows[p]) < r {
-			p++
-		}
+// merge appends one piece to sc, in place of block b: an old run of a
+// segment — block was, or a small segment whole — merged with the hits
+// that fall in it, a hit row at its weight afresh, any other row at the
+// weight the run records; a row that weighs 0 is left out. The result is
+// the flat build's run: same rows, same order, same weights. It is false
+// when the piece's running sum passes math.MaxInt64.
+func (sc *patchScratch) merge(was *Block, b int, rows []int32, cum []int64, hits []reweigh) bool {
+	lo, sum, ok := len(sc.rows), int64(0), true
+	for i, h := 0, 0; i < len(rows) || h < len(hits); {
+		var r int32
 		var w int64
-		switch {
-		case h < len(hits) && int(hits[h].row) == r:
-			var fits bool
-			w, fits = j.rowWeight(k, r, ws, s)
-			ok = ok && fits
-		case p < len(wasRows) && int(wasRows[p]) == r:
-			if w = wasCum[p]; p > 0 {
-				w -= wasCum[p-1]
+		if h < len(hits) && (i == len(rows) || hits[h].row <= rows[i]) {
+			if r, w = hits[h].row, hits[h].w; i < len(rows) && rows[i] == r {
+				i++
 			}
+			h++
+		} else {
+			if r, w = rows[i], cum[i]; i > 0 {
+				w -= cum[i-1]
+			}
+			i++
 		}
 		if w > 0 {
-			cum += w
-			ok = ok && cum > 0
-			ov.rows = append(ov.rows, int32(r))
-			ov.cum = append(ov.cum, cum)
+			sum += w
+			ok = ok && sum > 0
+			sc.rows, sc.cum = append(sc.rows, r), append(sc.cum, sum)
 		}
 	}
-	if k == 0 {
-		for r := 0; r < s.Rows; r++ {
-			add(r)
-		}
-		return ok
+	pc := piece{b: b, lo: lo, hi: len(sc.rows)}
+	if was != nil && slices.Equal(was.Rows, sc.rows[lo:]) {
+		pc.same = was
 	}
-	ix := ws.Idx[k]
-	for _, r := range ix.Rows(ix.ValueAt(int(hits[0].ent))) {
-		add(r)
-	}
+	sc.pieces = append(sc.pieces, pc)
 	return ok
+}
+
+// flatten appends the segment in hand to fresh as one small segment. It
+// is false when its running sum passes math.MaxInt64.
+func (sc *patchScratch) flatten(was *LargeSegment, fresh *segRun) bool {
+	var base int64
+	ok := true
+	sc.walk(was, func(rows []int32, cum []int64, _ *Block, _ bool) {
+		for _, c := range cum {
+			fresh.cum = append(fresh.cum, base+c)
+		}
+		fresh.rows = append(fresh.rows, rows...)
+		if len(cum) > 0 {
+			base += cum[len(cum)-1]
+			ok = ok && base > 0
+		}
+	})
+	return ok
+}
+
+// large returns entry e's segment in hand as a LargeSegment, and the
+// bytes it wrote: every block of was no hit reached by pointer, every
+// merged piece carved into blocks of its own (carve) — split when it grew
+// past 2·BlockRows, none when it emptied — and a new directory. The
+// pieces' sums go into one array with the directory's, their rows into
+// another, except that a piece that stays one block with its
+// predecessor's rows keeps that block's, and their headers into one
+// slab. ok is false when a running total passes math.MaxInt64.
+func (sc *patchScratch) large(e int32, was *LargeSegment) (_ *LargeSegment, bytes int, ok bool) {
+	blocks, carved, sums, ids := 0, 0, 0, 0
+	sc.walk(was, func(rows []int32, _ []int64, same *Block, merged bool) {
+		if !merged {
+			blocks++
+			return
+		}
+		nb := blocksOf(len(rows))
+		blocks, carved, sums = blocks+nb, carved+nb, sums+len(rows)
+		if nb != 1 || same == nil {
+			ids += len(rows)
+		}
+	})
+	seg := &LargeSegment{Ent: e, Blocks: make([]*Block, 0, blocks)}
+	cum, rows, hdrs := make([]int64, blocks+sums), make([]int32, ids), make([]Block, carved)
+	seg.Sums, cum = cum[:blocks:blocks], cum[blocks:]
+	sc.walk(was, func(r []int32, c []int64, blk *Block, merged bool) {
+		if !merged {
+			seg.Blocks = append(seg.Blocks, blk)
+			return
+		}
+		n := copy(cum, c)
+		c, cum = cum[:n:n], cum[n:]
+		if blocksOf(n) == 1 && blk != nil {
+			r = blk.Rows
+		} else {
+			copy(rows, r)
+			r, rows = rows[:n:n], rows[n:]
+		}
+		hdrs, seg.Blocks = carve(r, c, hdrs, seg.Blocks)
+	})
+	return seg, 16*blocks + 8*sums + 4*ids, seg.sum()
+}
+
+// weigh weighs every hit row afresh: 0 when it is not among its entry's
+// rows in the index in hand (the root's one entry holds every row of the
+// snapshot), else by the EW recurrence. It is false when a weight passes
+// math.MaxInt64.
+func (j *Join) weigh(k int, ws *Weights, s *relation.SnapshotData, hits []reweigh) bool {
+	var rows []int
+	for i := range hits {
+		h := &hits[i]
+		if k > 0 {
+			if i == 0 || h.ent != hits[i-1].ent {
+				rows = ws.Idx[k].Rows(ws.Idx[k].ValueAt(int(h.ent)))
+			}
+			if _, in := slices.BinarySearch(rows, int(h.row)); !in {
+				h.w = 0
+				continue
+			}
+		}
+		var fits bool
+		if h.w, fits = j.rowWeight(k, int(h.row), ws, s); !fits {
+			return false
+		}
+	}
+	return true
 }
 
 // rowWeight is the EW recurrence for one row of node k: 0 for a

@@ -125,7 +125,7 @@ func TestPushDownCyclic(t *testing.T) {
 	if fj.Count() != 1 {
 		t.Fatalf("filtered cyclic count = %d, want 1", fj.Count())
 	}
-	res := fj.Execute()
+	res := execute(fj)
 	sch := fj.OutputSchema()
 	if len(res) != 1 || res[0][sch.Index("A")] != 1 {
 		t.Errorf("wrong filtered result %v", res)

@@ -28,7 +28,7 @@ func mkBatch(j *join.Join, k int) ([]relation.Tuple, []int) {
 // draws must be uniform over the exact result set too.
 func checkUniformBatch(t *testing.T, label string, s Sampler, seed int64, draws int) {
 	t.Helper()
-	results := s.Join().Execute()
+	results := execute(s.Join())
 	if len(results) == 0 {
 		t.Fatal("fixture join is empty")
 	}
@@ -179,7 +179,8 @@ func drawFreqs(n int, draw func() int) map[int]int {
 // zero, and totals past 2^53 (where the retired float derivation could
 // not even address every row) — each case is drawn at its own length and
 // tiled past join.LargeRows, so both searches run. EW.drawRow over the
-// segment held flat and held as a join.LargeSegment must reproduce the
+// segment held flat and held as a join.LargeSegment of uneven blocks (one
+// row, join.BlockRows, the rest) must reproduce the
 // weight distribution, and draw the same rows seed for seed as one
 // Uint64n below the total and slices.BinarySearch. Then, after a patch
 // reaches a large segment, the first draw through it allocates nothing:
@@ -211,7 +212,7 @@ func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 				return &EW{w: &join.Weights{Nodes: []join.WeightTable{tbl}}}
 			}
 			flat := ewOf(join.WeightTable{Off: []int32{0, int32(len(seg.rows))}, Rows: seg.rows, Cum: seg.cum})
-			large := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{{Rows: seg.rows, Cum: seg.cum}}})
+			large := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{blockedOf(seg.rows, seg.cum, 1, join.BlockRows)}})
 			var total float64
 			for _, wi := range w {
 				total += float64(wi)
@@ -246,7 +247,7 @@ func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 	prev := NewEW(c.j)
 	c.touch(0)
 	ew := newEWFrom(t, c.j, prev)
-	if rows, _, seg := ew.w.Nodes[1].SegmentOf(0); seg == nil || !slices.Equal(ew.Patch().Touched[1], []int32{0}) {
+	if rows, _, seg := flatSegment(&ew.w.Nodes[1], 0); seg == nil || !slices.Equal(ew.Patch().Touched[1], []int32{0}) {
 		t.Fatalf("the patch did not rewrite mid's one large segment (%d rows, patch %+v)", len(rows), ew.Patch())
 	}
 	out, rowOf := mkBatch(c.j, 1)
@@ -293,7 +294,7 @@ func TestBatchInvalidationAfterMutation(t *testing.T) {
 	if filled, _ := stale.SampleManyInto(out, rowOf, 1000, g); filled != 16 {
 		t.Fatalf("pre-mutation batch filled %d", filled)
 	}
-	preResults := len(j.Execute())
+	preResults := len(execute(j))
 
 	// Mutate: a new A value with a fan-out past join.LargeRows, plus a
 	// delete.
@@ -329,7 +330,7 @@ func TestBatchInvalidationAfterMutation(t *testing.T) {
 	if !equalVersions(fresh.StateVersions(), j.StateVersions()) {
 		t.Fatal("fresh sampler version snapshot mismatch")
 	}
-	postResults := len(j.Execute())
+	postResults := len(execute(j))
 	if postResults == preResults {
 		t.Fatal("mutation did not change the result set size")
 	}

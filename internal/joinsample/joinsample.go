@@ -5,8 +5,10 @@
 //   - Exact Weight (EW): exact per-tuple result counts computed bottom-up
 //     over the join tree; zero rejection, uniform samples. A row is drawn
 //     by an exact integer draw below its segment's total and a search of
-//     the segment's running sums, and a Refresh patches only the segments
-//     its mutations reached (NewEWFrom), building nothing else.
+//     the segment's running sums (a large segment's directory of block
+//     totals, then one block), and a Refresh patches only the segments
+//     its mutations reached — of a large one, only the blocks holding a
+//     mutated row and its directory (NewEWFrom) — building nothing else.
 //   - Extended Olken (EO): max-degree upper-bound weights with
 //     accept/reject; uniform samples with a rejection rate that grows
 //     with skew. Dangling tuples have acceptance probability zero, which
@@ -90,7 +92,7 @@ func drawBounded(cum []int64, g *rng.RNG) int {
 
 // searchCum returns the first i with cum[i] > x — the index
 // slices.BinarySearch(cum, x+1) returns — for non-decreasing cum and
-// 0 <= x < cum[len(cum)-1]. A segment of join.LargeRows rows or more is
+// 0 <= x < cum[len(cum)-1]. Running sums of join.LargeRows or more are
 // searched from the proportional guess ⌊x·n/total⌋, exact when the
 // weights are equal: a gallop from it, in steps that double, brackets the
 // answer, and bisection finds it inside the bracket.
@@ -110,6 +112,21 @@ func searchCum(cum []int64, x int64) int {
 	}
 	i, _ := slices.BinarySearch(cum[a+1:b], x+1)
 	return a + 1 + i
+}
+
+// searchLarge returns the row of seg whose running sum, over the whole
+// segment, first exceeds x, for 0 <= x < seg.Total(): searchCum over the
+// directory names the block, and searchCum over the block's own sums,
+// less the directory's total before it, the row. That is the row a flat
+// search of the segment's running sums finds, wherever block boundaries
+// fall.
+func searchLarge(seg *join.LargeSegment, x int64) int32 {
+	b := searchCum(seg.Sums, x)
+	if b > 0 {
+		x -= seg.Sums[b-1]
+	}
+	blk := seg.Blocks[b]
+	return blk.Rows[searchCum(blk.Cum, x)]
 }
 
 // EW is the Exact Weight sampler: uniform with zero rejection on tree
@@ -188,15 +205,20 @@ func (e *EW) SizeEstimate() float64 {
 func (e *EW) StateVersions() []uint64 { return e.w.Vers }
 
 // drawRow is the row selection of every EW draw, over entry ent of node
-// k: the exact prefix-sum draw over the segment's running sums, however
-// the segment is stored, so a draw neither allocates nor depends on
-// which generation holds the segment. ok is false on an empty segment.
+// k: one exact integer draw below the segment's total and a search of
+// its running sums — a small segment's flat ones, a large segment's
+// directory and then one block — so a draw neither allocates nor depends
+// on which generation holds the segment or where its blocks split. ok is
+// false on an empty segment.
 func (e *EW) drawRow(k, ent int, g *rng.RNG) (row int, ok bool) {
-	rows, cum := e.w.Nodes[k].Segment(ent)
-	if len(rows) == 0 {
-		return 0, false
+	rows, cum, seg := e.w.Nodes[k].Segment(ent)
+	switch {
+	case seg != nil:
+		return int(searchLarge(seg, int64(g.Uint64n(uint64(seg.Total()))))), true
+	case len(rows) > 0:
+		return int(rows[drawBounded(cum, g)]), true
 	}
-	return int(rows[drawBounded(cum, g)]), true
+	return 0, false
 }
 
 // SampleManyInto implements Sampler: a tight walk loop over the

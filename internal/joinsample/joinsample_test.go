@@ -68,7 +68,7 @@ func walkOne(w *Walker, g *rng.RNG) (relation.Tuple, float64, bool) {
 // within a chi-square-style tolerance.
 func checkUniform(t *testing.T, label string, s Sampler, seed int64, draws int) {
 	t.Helper()
-	results := s.Join().Execute()
+	results := execute(s.Join())
 	if len(results) == 0 {
 		t.Fatal("fixture join is empty")
 	}

@@ -57,7 +57,11 @@ func (c *fanoutChain) touch(segs ...int) {
 // a copy of the node's directory of large segments — not the node's
 // 6 400 rows. What NewEWFrom keeps is bounded by 8 B per row of every
 // rewritten segment, 8 B per large segment of the patched table, and a
-// constant per node.
+// constant per node. A patch that reweighs one row of a segment of 4 096
+// rows writes the block holding it and the segment's directory, not the
+// segment: it keeps at most 12 B per row of one block (2·join.BlockRows
+// rows), 16 B per block of the directory, and the same constant per
+// node.
 //
 // The bytes are the heap the new generation adds, read after two
 // collections with every generation still reachable. Two collections
@@ -98,7 +102,7 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 		rows, large := 0, 0
 		for k := range p.Touched {
 			for _, e := range p.Touched[k] {
-				seg, _ := ew.w.Nodes[k].Segment(int(e))
+				seg, _, _ := flatSegment(&ew.w.Nodes[k], int(e))
 				rows += len(seg)
 			}
 			entries := 1
@@ -106,7 +110,7 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 				entries = ew.w.Idx[k].NumEntries()
 			}
 			for e := 0; e < entries; e++ {
-				if seg, _ := ew.w.Nodes[k].Segment(e); len(seg) >= join.LargeRows {
+				if _, _, seg := ew.w.Nodes[k].Segment(e); seg != nil {
 					large++
 				}
 			}
@@ -117,7 +121,72 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 			t.Errorf("NewEWFrom kept %d B for a patch bounded by %d B: untouched large segments were copied", got, limit)
 		}
 	}
+
+	c = newFanoutChain(t, 1, 4096)
+	gens = append(gens, NewEW(c.j))
+	for i := 0; i < 3; i++ {
+		prev := gens[len(gens)-1]
+		c.touch(0)
+		before := heap()
+		ew := newEWFrom(t, c.j, prev)
+		gens = append(gens, ew)
+		got := heap() - before
+
+		_, _, seg := ew.w.Nodes[1].Segment(0)
+		if p := ew.Patch(); p.Rebuilt || seg == nil || seg.Len() != 4096 {
+			t.Fatalf("patch %+v: want mid's one segment of 4096 rows patched in place", p)
+		}
+		limit := int64(12*2*join.BlockRows + 16*len(seg.Blocks) + perNode*len(ew.w.Nodes))
+		t.Logf("patch %d of one row of a %d-block segment: %d B (bound %d)", i, len(seg.Blocks), got, limit)
+		if got > limit {
+			t.Errorf("NewEWFrom kept %d B for a one-row patch bounded by %d B: blocks the patch did not reach were copied", got, limit)
+		}
+	}
 	runtime.KeepAlive(gens)
+}
+
+// TestLargeSegmentSplitsAndDrops drives one large segment of three blocks
+// through a block that grows past 2·join.BlockRows and splits in two, and
+// then a block whose rows all go and is dropped. Each patch equals a
+// cold build (checkPatched), and the blocks it did not reach are the
+// predecessor's own. (Four segments keep the burst inside the indexes'
+// overlay budget, so neither step rebuilds the join.)
+func TestLargeSegmentSplitsAndDrops(t *testing.T) {
+	c := newFanoutChain(t, 4, 3*join.BlockRows)
+	blocks := func(ew *EW) []*join.Block {
+		_, _, seg := ew.w.Nodes[1].Segment(0)
+		if seg == nil {
+			t.Fatal("mid's segment is not a large one")
+		}
+		return seg.Blocks
+	}
+	prev := NewEW(c.j)
+	if n := len(blocks(prev)); n != 3 {
+		t.Fatalf("a cold build carved %d rows into %d blocks, want 3", 3*join.BlockRows, n)
+	}
+	for i := 0; i <= join.BlockRows; i++ {
+		c.mid.AppendValues(0, relation.Value(10_000+i))
+		c.leaf.AppendValues(relation.Value(10_000+i), 0)
+	}
+	split := checkPatched(t, "split", c.j, prev)
+	if split.Patch().Rebuilt {
+		t.Fatal("the split step rebuilt the join instead of patching it")
+	}
+	was, got := blocks(prev), blocks(split)
+	if len(got) != 4 || got[0] != was[0] || got[1] != was[1] || len(got[2].Rows)+len(got[3].Rows) != 2*join.BlockRows+1 {
+		t.Fatalf("the last block grew to %d rows: blocks %d → %d, first two shared %v %v",
+			2*join.BlockRows+1, len(was), len(got), got[0] == was[0], got[1] == was[1])
+	}
+	for _, r := range got[0].Rows {
+		c.mid.Delete(int(r))
+	}
+	dropped := checkPatched(t, "drop", c.j, split)
+	if dropped.Patch().Rebuilt {
+		t.Fatal("the drop step rebuilt the join instead of patching it")
+	}
+	if now := blocks(dropped); len(now) != 3 || now[0] != got[1] || now[1] != got[2] || now[2] != got[3] {
+		t.Fatalf("the first block emptied: %d blocks, want the other 3 shared", len(now))
+	}
 }
 
 // TestWeightPatchAcrossLargeRows runs patches across join.LargeRows in
@@ -162,7 +231,7 @@ func TestWeightPatchAcrossLargeRows(t *testing.T) {
 				return 0, false
 			}
 		}
-		rows, _, large := ew.w.Nodes[k].SegmentOf(ent)
+		rows, _, large := flatSegment(&ew.w.Nodes[k], ent)
 		return len(rows), large != nil
 	}
 	midRows := func(a relation.Value) []int { return mid.Matches(0, a) }

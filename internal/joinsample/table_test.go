@@ -20,6 +20,35 @@ type refSeg struct {
 	cum  []int64
 }
 
+// flatSegment returns entry e's segment as flat rows and running sums —
+// a large segment's blocks one after another, their sums rebased on the
+// directory — and the join.LargeSegment holding it, if any.
+func flatSegment(t *join.WeightTable, e int) ([]int32, []int64, *join.LargeSegment) {
+	rows, cum, seg := t.Segment(e)
+	if seg == nil {
+		return rows, cum, nil
+	}
+	var base int64
+	for b, blk := range seg.Blocks {
+		rows = append(rows, blk.Rows...)
+		for _, c := range blk.Cum {
+			cum = append(cum, base+c)
+		}
+		base = seg.Sums[b]
+	}
+	return rows, cum, seg
+}
+
+// execute is every result of j, cloned.
+func execute(j *join.Join) []relation.Tuple {
+	var out []relation.Tuple
+	j.Enumerate(func(t relation.Tuple) bool {
+		out = append(out, t.Clone())
+		return true
+	})
+	return out
+}
+
 // refSegment keeps the positive-weight rows of one entry, in order.
 func refSegment(rows []int, w []int64) refSeg {
 	var s refSeg
@@ -164,7 +193,7 @@ func checkAgainstReference(t *testing.T, state string, j *join.Join) (small, lar
 			t.Fatalf("%s node %d: %d segments, reference %d", state, k, len(tb.Off)-1, len(ref.segs[k]))
 		}
 		for ent, want := range ref.segs[k] {
-			rows, cum, seg := tb.SegmentOf(ent)
+			rows, cum, seg := flatSegment(tb, ent)
 			if fmt.Sprint(rows, cum) != fmt.Sprint(want.rows, want.cum) {
 				t.Fatalf("%s node %d entry %d: rows %v cum %v, reference rows %v cum %v",
 					state, k, ent, rows, cum, want.rows, want.cum)
@@ -351,7 +380,7 @@ func tableDump(ew *EW) []string {
 			entries = ew.w.Idx[k].NumEntries()
 		}
 		for ent := 0; ent < entries; ent++ {
-			rows, cum := ew.w.Nodes[k].Segment(ent)
+			rows, cum, _ := flatSegment(&ew.w.Nodes[k], ent)
 			out = append(out, fmt.Sprint(k, ent, rows, cum, ew.w.Nodes[k].Total(ent)))
 		}
 	}
@@ -380,8 +409,8 @@ func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 			entries = cold.w.Idx[k].NumEntries()
 		}
 		for ent := 0; ent < entries; ent++ {
-			rows, cum := ew.w.Nodes[k].Segment(ent)
-			wantRows, wantCum := cold.w.Nodes[k].Segment(ent)
+			rows, cum, now := flatSegment(&ew.w.Nodes[k], ent)
+			wantRows, wantCum, _ := flatSegment(&cold.w.Nodes[k], ent)
 			if fmt.Sprint(rows, cum) != fmt.Sprint(wantRows, wantCum) {
 				t.Fatalf("%s node %d entry %d: patched rows %v cum %v, cold rows %v cum %v (patch %+v)",
 					state, k, ent, rows, cum, wantRows, wantCum, p)
@@ -389,7 +418,6 @@ func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 			if got, want := ew.w.Nodes[k].Total(ent), cold.w.Nodes[k].Total(ent); got != want {
 				t.Fatalf("%s node %d entry %d: patched total %d, cold %d", state, k, ent, got, want)
 			}
-			_, _, now := ew.w.Nodes[k].SegmentOf(ent)
 			if (now != nil) != (len(rows) >= join.LargeRows) {
 				t.Fatalf("%s node %d entry %d: %d rows, large segment %v", state, k, ent, len(rows), now != nil)
 			}
@@ -401,7 +429,7 @@ func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 			if _, hit := slices.BinarySearch(p.Touched[k], int32(ent)); hit {
 				continue
 			}
-			if _, _, was := prev.w.Nodes[k].SegmentOf(ent); was != now {
+			if _, _, was := prev.w.Nodes[k].Segment(ent); was != now {
 				t.Fatalf("%s node %d entry %d: untouched large segment %p is not the predecessor's %p", state, k, ent, now, was)
 			}
 		}
