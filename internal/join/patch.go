@@ -23,7 +23,7 @@ type Patch struct {
 	// Folded[k]: node k's small segments' overlay outgrew an eighth of
 	// their flat arrays and was folded, with the untouched ones, into
 	// fresh flat arrays, or the patch reached every entry of the node and
-	// their segments pass an eighth of it. The second no longer means the
+	// their segments pass an eighth of it. The latter does not mean the
 	// node was written whole when its segments are large: a large root
 	// reads folded whenever a patch reaches it, though the patch wrote
 	// only the blocks holding its hit rows.
@@ -243,11 +243,8 @@ func (sc *patchScratch) walk(was *LargeSegment, f func(rows []int32, cum []int64
 // small ones extend prev's overlay (segOverlay.extend), or — once the
 // overlay's entries and rows pass relation.FoldBudget of the flat
 // arrays' — are folded with the untouched ones into fresh flat arrays;
-// an entry turned large leaves them an empty segment. Folded counts, as
-// it did when a patch rewrote a large segment whole, a patch that reaches
-// every entry of a node whose segments pass an eighth of it — so every
-// patch of a large root. ok is false when a running sum passes
-// math.MaxInt64.
+// an entry turned large leaves them an empty segment. ok is false when a
+// running sum passes math.MaxInt64.
 func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch) (_ WeightTable, touched []int32, whole bool, bytes int, ok bool) {
 	if len(hits) == 0 {
 		return *prev, nil, false, 0, true
