@@ -133,16 +133,3 @@ func (n *segOverlay) put(e int32, rows []int32, cum []int64) {
 	n.recs = append(n.recs, segRec{e, lo, int32(len(n.rows))})
 	n.slots.Put(entHash(e), len(n.recs)-1)
 }
-
-// overlayOf returns an overlay whose storage is fresh's own arrays,
-// segment t standing for entry touched[t].
-func overlayOf(touched []int32, fresh *segRun) *segOverlay {
-	n := &segOverlay{ents: len(touched), live: len(fresh.rows)}
-	n.reserve(len(touched), 0)
-	n.rows, n.cum = fresh.rows, fresh.cum
-	for t, e := range touched {
-		n.recs = append(n.recs, segRec{e, fresh.off[t], fresh.off[t+1]})
-		n.slots.Put(entHash(e), t)
-	}
-	return n
-}
