@@ -433,9 +433,8 @@ func (sc *patchScratch) flatten(was *LargeSegment, fresh *segRun) bool {
 // merged piece carved into blocks of its own (carve) — split when it grew
 // past 2·BlockRows, none when it emptied — and a new directory. The
 // pieces' sums go into one array with the directory's, their rows into
-// another, except that a piece that stays one block with its
-// predecessor's rows keeps that block's, and their headers into one
-// slab. ok is false when a running total passes math.MaxInt64.
+// another (a piece with its old block's rows, one block, keeps those),
+// their headers into one slab. ok is false when a total passes MaxInt64.
 func (sc *patchScratch) large(e int32, was *LargeSegment) (_ *LargeSegment, bytes int, ok bool) {
 	blocks, carved, sums, ids := 0, 0, 0, 0
 	sc.walk(was, func(rows []int32, _ []int64, same *Block, merged bool) {
@@ -445,7 +444,7 @@ func (sc *patchScratch) large(e int32, was *LargeSegment) (_ *LargeSegment, byte
 		}
 		nb := blocksOf(len(rows))
 		blocks, carved, sums = blocks+nb, carved+nb, sums+len(rows)
-		if nb != 1 || same == nil {
+		if same == nil {
 			ids += len(rows)
 		}
 	})
@@ -459,7 +458,7 @@ func (sc *patchScratch) large(e int32, was *LargeSegment) (_ *LargeSegment, byte
 		}
 		n := copy(cum, c)
 		c, cum = cum[:n:n], cum[n:]
-		if blocksOf(n) == 1 && blk != nil {
+		if blk != nil {
 			r = blk.Rows
 		} else {
 			copy(rows, r)
