@@ -81,9 +81,9 @@ func TestAggregatesPinned(t *testing.T) {
 		name string
 		o    Options
 	}{
-		{"cover", Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEW}},
+		{"cover", Options{Warmup: WarmupRandomWalk, WarmupWalks: 200}},
 		{"online", Options{Online: true, WarmupWalks: 150}},
-		{"shard-cover", Options{Warmup: WarmupExact, Method: MethodEW, Shards: 2}},
+		{"shard-cover", Options{Warmup: WarmupExact, Shards: 2}},
 		{"shard-online", Options{Online: true, WarmupWalks: 150, Shards: 2}},
 	} {
 		u := goldenUnion(t)

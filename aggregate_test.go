@@ -8,7 +8,7 @@ import (
 func TestApproxCount(t *testing.T) {
 	u := demoUnion(t)
 	// Truth: customers 0..44, 2 orders each; custkey < 15 → 30 tuples.
-	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 40})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Seed: 40})
 	res, err := s.ApproxCount(Cmp{Attr: "custkey", Op: LT, Val: 15}, 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestApproxSum(t *testing.T) {
 	for k := 0; k < 45; k++ {
 		truth += float64(2 * k)
 	}
-	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 41})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Seed: 41})
 	res, err := s.ApproxSum("custkey", True{}, 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestApproxSum(t *testing.T) {
 
 func TestApproxAvg(t *testing.T) {
 	u := demoUnion(t)
-	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 42})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Seed: 42})
 	res, err := s.ApproxAvg("custkey", True{}, 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestApproxWithRandomWalkWarmup(t *testing.T) {
 
 func TestApproxGroupCount(t *testing.T) {
 	u := demoUnion(t)
-	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 45})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Seed: 45})
 	groups, err := s.ApproxGroupCount("nationkey", 20000)
 	if err != nil {
 		t.Fatal(err)

@@ -43,30 +43,24 @@ func TestForwardersMatchEngine(t *testing.T) {
 }
 
 // TestSampleBatchMembership: every batch-drawn tuple is a union result,
-// across subroutines and the disjoint/where variants.
+// and so are the disjoint/where variants'.
 func TestSampleBatchMembership(t *testing.T) {
 	u := demoUnion(t)
-	for _, m := range []Method{MethodEW, MethodEO} {
-		s, err := u.Prepare(Options{Warmup: WarmupExact, Method: m, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, st, err := s.SampleBatch(500)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if len(out) != 500 || st.Accepted < 500 {
-			t.Fatalf("%v: %d tuples, stats %+v", m, len(out), st)
-		}
-		for _, tu := range out {
-			if !u.Contains(tu) {
-				t.Fatalf("%v: batch sample %v outside union", m, tu)
-			}
-		}
-	}
-	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 3})
+	s, err := u.Prepare(Options{Warmup: WarmupExact, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	out, st, err := s.SampleBatch(500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 500 || st.Accepted < 500 {
+		t.Fatalf("%d tuples, stats %+v", len(out), st)
+	}
+	for _, tu := range out {
+		if !u.Contains(tu) {
+			t.Fatalf("batch sample %v outside union", tu)
+		}
 	}
 	if s.Union() != u || s.OutputSchema() != u.OutputSchema() {
 		t.Fatal("session accessors wrong")
@@ -92,7 +86,7 @@ func TestSampleBatchMembership(t *testing.T) {
 // alias tables, which concurrent first batches race to publish).
 func TestSampleBatchSeededReproducibleConcurrent(t *testing.T) {
 	u := demoUnion(t)
-	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 5})
+	s, err := u.Prepare(Options{Warmup: WarmupExact, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 
+	"sampleunion/internal/core"
+	"sampleunion/internal/rng"
 	"sampleunion/internal/tpch"
 )
 
@@ -15,7 +17,7 @@ import (
 // Algorithm 1 (exact parameters, EW subroutine) on a small union — the
 // per-sample cost a library user sees.
 func BenchmarkUnionSample(b *testing.B) {
-	s := prepared(b, benchUnion(b), Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
+	s := prepared(b, benchUnion(b), Options{Warmup: WarmupExact, Seed: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	out, _, err := s.Sample(b.N + 1)
@@ -29,7 +31,7 @@ func BenchmarkUnionSample(b *testing.B) {
 
 // BenchmarkDisjointSample measures disjoint-union sampling throughput.
 func BenchmarkDisjointSample(b *testing.B) {
-	s := prepared(b, benchUnion(b), Options{Method: MethodEW, Seed: 1})
+	s := prepared(b, benchUnion(b), Options{Seed: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	out, _, err := s.SampleDisjoint(b.N + 1)
@@ -46,7 +48,7 @@ func BenchmarkDisjointSample(b *testing.B) {
 // samples. Compare with BenchmarkPreparedReuse.
 func BenchmarkColdSample(b *testing.B) {
 	u := benchUnion(b)
-	o := Options{Warmup: WarmupRandomWalk, WarmupWalks: 500, Method: MethodEW, Seed: 1}
+	o := Options{Warmup: WarmupRandomWalk, WarmupWalks: 500, Seed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,7 +72,7 @@ func BenchmarkColdSample(b *testing.B) {
 // BenchmarkColdSample is the amortized warm-up.
 func BenchmarkPreparedReuse(b *testing.B) {
 	u := benchUnion(b)
-	s, err := u.Prepare(Options{Warmup: WarmupRandomWalk, WarmupWalks: 500, Method: MethodEW, Seed: 1})
+	s, err := u.Prepare(Options{Warmup: WarmupRandomWalk, WarmupWalks: 500, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,8 +98,10 @@ func BenchmarkPreparedReuse(b *testing.B) {
 // (≈ 0.5 MB both; 1.3 and 13.8 MB while every online Prepare also built
 // a histogram estimate it then discarded).
 //
-// The histogram legs time the same warm Prepare over UQ1 under the §5
-// warm-up with EO sizes. Its degrees are read from the relations'
+// The histogram legs time the same warm preparation over UQ1 under the
+// §5 warm-up with EO sizes beside the EO subroutine — the index-only
+// pairing, which no Options select, so the legs prepare it through
+// core.PrepareCover. Its degrees are read from the relations'
 // indexes, so it does not grow with the data either: CI gates B/op at
 // sf=20 within 10 % of sf=1 (≈ 25 KB both; 1.9 and 30.6 MB while every
 // histogram warm-up counted each attribute's values again).
@@ -147,10 +151,20 @@ func BenchmarkPrepare(b *testing.B) {
 	for _, leg := range []struct {
 		name     string
 		workload string
-		o        Options
+		prepare  func(u *Union) error
 	}{
-		{"online", "UQ3", Options{Online: true, Seed: 1}},
-		{"histogram", "UQ1", Options{Warmup: WarmupHistogram, Method: MethodEO}},
+		{"online", "UQ3", func(u *Union) error {
+			_, err := u.Prepare(Options{Online: true, Seed: 1})
+			return err
+		}},
+		{"histogram", "UQ1", func(u *Union) error {
+			core.BuildShared(u.joins)
+			_, err := core.PrepareCover(u.joins, core.CoverConfig{
+				Method:    core.MethodEO,
+				Estimator: &core.HistogramEstimator{Joins: u.joins},
+			}, rng.New(1))
+			return err
+		}},
 	} {
 		for _, sf := range []float64{1, 20} {
 			b.Run(fmt.Sprintf("%s/sf=%g", leg.name, sf), func(b *testing.B) {
@@ -162,13 +176,13 @@ func BenchmarkPrepare(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := u.Prepare(leg.o); err != nil {
+				if err := leg.prepare(u); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := u.Prepare(leg.o); err != nil {
+					if err := leg.prepare(u); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -208,7 +222,7 @@ func BenchmarkExactUnionSize(b *testing.B) {
 // shared warm-up at 1/2/4/8 workers.
 func BenchmarkSessionParallel(b *testing.B) {
 	u := benchUnion(b)
-	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
+	s, err := u.Prepare(Options{Warmup: WarmupExact, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +260,7 @@ func BenchmarkSessionParallel(b *testing.B) {
 // per call and width × 8 + 40 B per tuple at n=1024.
 func BenchmarkSampleBatch(b *testing.B) {
 	u := benchUnion(b)
-	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
+	s, err := u.Prepare(Options{Warmup: WarmupExact, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -348,7 +362,7 @@ func BenchmarkSampleWhere(b *testing.B) {
 // refactor.
 func BenchmarkDrawPath(b *testing.B) {
 	u := benchUnion(b)
-	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1})
+	s, err := u.Prepare(Options{Warmup: WarmupExact, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -369,7 +383,7 @@ func BenchmarkDrawPath(b *testing.B) {
 func BenchmarkMembershipProbe(b *testing.B) {
 	u := benchUnion(b)
 	j := u.Joins()[0]
-	hit, _, err := prepared(b, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 1}).Sample(1)
+	hit, _, err := prepared(b, u, Options{Warmup: WarmupExact, Seed: 1}).Sample(1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -433,19 +447,16 @@ func appendBurst(rels []*Relation, iter, batch, base int) {
 // burst followed by a handful of draws, repeated — under the two
 // maintenance strategies:
 //
-//   - refresh, refresh-ew: the warm session absorbs the burst through
+//   - refresh-ew: the warm session absorbs the burst through
 //     Session.Refresh (delta-overlaid indexes, membership deltas,
-//     dirty-join sampler rebuilds, re-estimation).
+//     dirty-join weight-table patches, re-estimation).
 //   - rebuild: the pre-live-relations strategy — every burst invalidates
 //     the derived structures (ResetCaches) and pays a cold Prepare.
 //
-// refresh and rebuild run the streaming-friendly configuration
-// (random-walk warm-up + EO subroutine: index-only setup, walk cost
-// independent of data size), so refresh cost is O(delta + walks) while
-// rebuild is O(data); the per-op gap is the amortized-maintenance claim
-// (12.4x when it landed; PR 3 in CHANGES.md). refresh-ew is the
-// pairing the zero Options selects (random-walk warm-up + EW):
-// the dirty joins' weight tables are patched from their predecessors',
+// Both run the zero Options' pairing (random-walk warm-up + EW) with
+// 300 walks per join, so refresh cost is O(delta + walks) while rebuild
+// is O(data). In a refresh the dirty joins' weight tables are patched
+// from their predecessors',
 // so the work is the burst's neighbourhood — here 32 new one-row
 // segments per join — plus the blocks of the large segments the burst
 // lands in. In this union that is the root's, all of cust: the blocks
@@ -465,26 +476,22 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 		batch = 32
 		draws = 16
 	)
-	opts := Options{Warmup: WarmupRandomWalk, WarmupWalks: 300, Method: MethodEO, Seed: 1}
-	optsEW := opts
-	optsEW.Method = MethodEW
+	opts := Options{Warmup: WarmupRandomWalk, WarmupWalks: 300, Seed: 1}
 	for _, leg := range []struct {
 		name string
-		opts Options
 		rows int
 		aged int // bursts run before the timer starts
 	}{
-		{"refresh", opts, rows, 0},
-		{"refresh-ew/rows=30000", optsEW, rows, 0},
-		{"refresh-ew/rows=300000", optsEW, 10 * rows, 0},
+		{"refresh-ew/rows=30000", rows, 0},
+		{"refresh-ew/rows=300000", 10 * rows, 0},
 		// Half of the member-delta and index-overlay budgets (an eighth of
 		// the rows each) already spent: what a refresh copies of the
 		// deltas built up since their last fold shows here.
-		{"refresh-ew/rows=30000/aged", optsEW, rows, rows / 16 / batch},
+		{"refresh-ew/rows=30000/aged", rows, rows / 16 / batch},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			u, rels := benchLiveUnion(b, leg.rows)
-			s, err := u.Prepare(leg.opts)
+			s, err := u.Prepare(opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -520,7 +527,7 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := u.Prepare(optsEW)
+		s, err := u.Prepare(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

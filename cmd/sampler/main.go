@@ -8,11 +8,11 @@
 //
 // Usage:
 //
-//	sampler -workload UQ1 -n 1000 -warmup random-walk -method EW
+//	sampler -workload UQ1 -n 1000 -warmup random-walk
 //	sampler -spec union.spec -data ./data -n 1000 -workers 4
 //
-// -warmup and -method are sampleunion.Options' Warmup and Method, spelled
-// as the library spells them; left out, they mean random-walk and EW.
+// -warmup is sampleunion.Options' Warmup, spelled as the library spells
+// it; left out, it means random-walk.
 package main
 
 import (
@@ -37,13 +37,12 @@ func main() {
 	ov := flag.Float64("overlap", 0.2, "overlap scale (built-in workloads)")
 	seed := flag.Int64("seed", 1, "random seed")
 	warmup := flag.String("warmup", "", "warm-up: histogram, random-walk, or exact; empty means random-walk")
-	method := flag.String("method", "", "join subroutine: EW or EO; empty means EW")
 	online := flag.Bool("online", false, "use the online sampler (Algorithm 2)")
 	workers := flag.Int("workers", 1, "parallel sampling workers sharing one warm-up")
 	showStats := flag.Bool("stats", true, "print run statistics to stderr")
 	flag.Parse()
 
-	o, err := options(*warmup, *method, *online, *seed)
+	o, err := options(*warmup, *online, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
@@ -74,20 +73,19 @@ func loadUnion(specPath, dataDir, workload string, sf, ov float64, seed int64) (
 	return sampleunion.NewUnion(w.Joins...)
 }
 
-// options hands the -warmup and -method strings to the library as they
-// are and has Options.Canonical judge them, so a typo (-warmup=histgram)
-// is an error here, before any data is generated, rather than a sample
-// under a configuration the user did not ask for. The library names the two fields as the wire does; the flags
-// are those names behind a dash.
-func options(warmup, method string, online bool, seed int64) (sampleunion.Options, error) {
+// options hands the -warmup string to the library as it is and has
+// Options.Canonical judge it, so a typo (-warmup=histgram) is an error
+// here, before any data is generated, rather than a sample under a
+// configuration the user did not ask for. The library names the field as
+// the wire does; the flag is that name behind a dash.
+func options(warmup string, online bool, seed int64) (sampleunion.Options, error) {
 	o, err := sampleunion.Options{
 		Warmup: sampleunion.Warmup(warmup),
-		Method: sampleunion.Method(method),
 		Online: online,
 		Seed:   seed,
 	}.Canonical()
 	if err != nil {
-		return o, errors.New(strings.NewReplacer("warmup ", "-warmup ", "method ", "-method ").Replace(err.Error()))
+		return o, errors.New(strings.ReplaceAll(err.Error(), "warmup ", "-warmup "))
 	}
 	return o, nil
 }

@@ -1,9 +1,8 @@
-// Datamarket demonstrates the decentralized setting (§5): the sampler
-// only has column statistics — histograms and degree bounds — because
-// full scans of the sellers' data are priced per tuple. The
-// histogram-based warm-up estimates join sizes, overlaps, and the
-// union size from metadata alone, then sampling pays for exactly the
-// tuples it draws.
+// Datamarket demonstrates the decentralized setting (§5): sellers'
+// catalogs overlap, and the histogram warm-up bounds those overlaps —
+// and so the union size — from column statistics (histograms and
+// degree bounds) instead of walks. A session then buys a uniform
+// sample of the union.
 //
 //	go run ./examples/datamarket
 package main
@@ -29,11 +28,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Metadata-only union size estimate (histograms; no data access).
-	est, err := u.EstimateUnionSize(sampleunion.Options{
-		Warmup: sampleunion.WarmupHistogram,
-		Method: sampleunion.MethodEO,
-	})
+	// Union size bounded from column statistics (no warm-up walks).
+	est, err := u.EstimateUnionSize(sampleunion.Options{Warmup: sampleunion.WarmupHistogram})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,13 +40,8 @@ func main() {
 	fmt.Printf("union size: histogram bound %.0f, exact %d (bound/exact = %.2fx)\n",
 		est, exact, est/float64(exact))
 
-	// Buy a 25-tuple uniform sample. Histogram warm-up + Extended
-	// Olken keeps the per-seller access tuple-at-a-time.
-	s, err := u.Prepare(sampleunion.Options{
-		Warmup: sampleunion.WarmupHistogram,
-		Method: sampleunion.MethodEO,
-		Seed:   99,
-	})
+	// Buy a 25-tuple uniform sample under the default warm-up.
+	s, err := u.Prepare(sampleunion.Options{Seed: 99})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +59,7 @@ func main() {
 
 // buildSeller builds one seller's feed: products ⋈ reviews with a
 // seller-specific fanout (reviews per product), producing skew that
-// the EO bound must absorb.
+// the histogram bound must absorb.
 func buildSeller(name string, lo, hi, fanout int) *sampleunion.Join {
 	products := sampleunion.NewRelation("products_"+name,
 		sampleunion.NewSchema("productkey", "category"))

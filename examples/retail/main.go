@@ -39,7 +39,6 @@ func main() {
 	// The training set: 20 i.i.d. tuples, uniform over the union.
 	s, err := u.Prepare(sampleunion.Options{
 		Warmup: sampleunion.WarmupRandomWalk,
-		Method: sampleunion.MethodEW,
 		Seed:   7,
 	})
 	if err != nil {

@@ -38,9 +38,7 @@ func main() {
 
 	// One warm-up, then the session serves draws at per-draw cost.
 	s, err := u.Prepare(sampleunion.Options{
-		Warmup:      sampleunion.WarmupRandomWalk,
 		WarmupWalks: 300,
-		Method:      sampleunion.MethodEO,
 		Seed:        42,
 	})
 	if err != nil {
@@ -87,9 +85,7 @@ func main() {
 
 	// AutoRefresh folds the Refresh call into the draw path.
 	auto, err := u.Prepare(sampleunion.Options{
-		Warmup:      sampleunion.WarmupRandomWalk,
 		WarmupWalks: 300,
-		Method:      sampleunion.MethodEO,
 		Seed:        43,
 		AutoRefresh: true,
 	})

@@ -114,30 +114,26 @@ func digest(ts []Tuple) string {
 // already drew that way under an option since removed, disjoint,
 // and the one-join cyclic rows, where there is nothing to assign, kept
 // their digests; online took the digest of the online-oracle row, which
-// was then deleted as its duplicate. shard-cyclic-eo dates from when the
-// sharded sampler's per-tuple loop was deleted: a sharded draw assigns
-// shards first and runs one sub-batch per shard on its own derived
-// stream. online, online-where, shard-online and mutate-online were
+// was then deleted as its duplicate. online, online-where, shard-online and mutate-online were
 // re-pinned when the walk warm-up began estimating each cover size
 // directly (a Horvitz–Thompson mean over the join's own walks) instead
 // of by inclusion–exclusion over an overlap table; cover-ew and the
 // since-deleted cover-wj read the same estimates, but their covers moved
-// too little to change any of their 64 join selections. cover-eo-walk
-// took cover-wj's place as the one random-walk warm-up beside an
-// index-only subroutine when the WJ subroutine was deleted; its digest
-// was recorded on the tree before the deletion. Every EW row — cover-ew, exact-ew,
-// shard-cover-ew, disjoint, where, mutate-cover-ew and
-// shard-mutate-cover-ew — was re-pinned when segments of join.LargeRows
-// rows or more stopped drawing through alias tables and drew, like the
-// small ones, one exact bounded integer below the segment's total.
+// too little to change any of their 64 join selections. Every EW row —
+// cover-ew, exact-ew, shard-cover-ew, disjoint, where, mutate-cover-ew
+// and shard-mutate-cover-ew — was re-pinned when segments of
+// join.LargeRows rows or more stopped drawing through alias tables and
+// drew, like the small ones, one exact bounded integer below the
+// segment's total. When the join subroutine stopped being an option,
+// the rows that chose EO by name went, and shard-cyclic-ew and
+// mutate-cyclic-ew were pinned in place of shard-cyclic-eo and
+// mutate-cyclic-eo, so the sharded cyclic path and the cyclic
+// residual's extend-and-rebuild refresh stay pinned.
 var goldenDigests = map[string]string{
-	"cover-ew":      "d31076ae34640123",
-	"cover-eo":      "d482e6861776995f",
-	"cover-eo-walk": "bccd34d6efd8b606",
-	"exact-ew":      "31c75425703f1b30",
-	"online":        "f972938db680d37a",
-	"cyclic-ew":     "ab392a7ebf43258d",
-	"cyclic-eo":     "ba2a8487a19207c5",
+	"cover-ew":  "d31076ae34640123",
+	"exact-ew":  "31c75425703f1b30",
+	"online":    "f972938db680d37a",
+	"cyclic-ew": "ab392a7ebf43258d",
 	// The one session path on which a served batch leaves entries buffered
 	// and the arena is compacted behind them.
 	"online-where": "e8cada294a0d5c82",
@@ -147,7 +143,7 @@ var goldenDigests = map[string]string{
 	// count), never on worker scheduling.
 	"shard-cover-ew":  "a750462020b3260d",
 	"shard-online":    "3ebf90456aeffb92",
-	"shard-cyclic-eo": "7b377edfb466f4dd",
+	"shard-cyclic-ew": "93b8a45c4f8ea683",
 
 	"disjoint": "e4d829f9c05f549d",
 	"where":    "1c99c10fa191601f",
@@ -155,9 +151,8 @@ var goldenDigests = map[string]string{
 	// Session.Refresh, then the same seeded stream — this repo's form of
 	// "maintained answer ≡ recomputed answer after every update".
 	"mutate-cover-ew":       "d1e0fbfb35d23a22",
-	"mutate-cover-eo":       "cf7e09c00bc98114",
 	"mutate-online":         "a2c636a45af237f4",
-	"mutate-cyclic-eo":      "3787d5c08d55a697",
+	"mutate-cyclic-ew":      "8a5078041d6b4e85",
 	"shard-mutate-cover-ew": "e6eaa107028cd15a",
 }
 
@@ -182,17 +177,14 @@ func goldenModes(t testing.TB) []goldenMode {
 	u := goldenUnion(t)
 	cu := goldenCyclicUnion(t)
 	return []goldenMode{
-		{"cover-ew", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEW}},
-		{"cover-eo", u, Options{Warmup: WarmupHistogram, Method: MethodEO}},
-		{"cover-eo-walk", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEO}},
-		{"exact-ew", u, Options{Warmup: WarmupExact, Method: MethodEW}},
+		{"cover-ew", u, Options{Warmup: WarmupRandomWalk, WarmupWalks: 200}},
+		{"exact-ew", u, Options{Warmup: WarmupExact}},
 		{"online", u, Options{Online: true, WarmupWalks: 150}},
-		{"cyclic-ew", cu, Options{Warmup: WarmupHistogram, Method: MethodEW}},
-		{"cyclic-eo", cu, Options{Warmup: WarmupHistogram, Method: MethodEO}},
+		{"cyclic-ew", cu, Options{Warmup: WarmupHistogram}},
 		// Sharded: cover, online, and cyclic (residual rebound per shard).
-		{"shard-cover-ew", u, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3}},
+		{"shard-cover-ew", u, Options{Warmup: WarmupExact, Shards: 3}},
 		{"shard-online", u, Options{Online: true, WarmupWalks: 150, Shards: 2}},
-		{"shard-cyclic-eo", cu, Options{Warmup: WarmupHistogram, Method: MethodEO, Shards: 2}},
+		{"shard-cyclic-ew", cu, Options{Warmup: WarmupHistogram, Shards: 2}},
 	}
 }
 
@@ -225,12 +217,12 @@ func goldenScenarios(t testing.TB) []scenario {
 	u := goldenUnion(t)
 	return append(scs,
 		scenario{"disjoint", func() ([]Tuple, error) {
-			s := prepareGolden(t, u, Options{Method: MethodEW, Warmup: WarmupExact})
+			s := prepareGolden(t, u, Options{Warmup: WarmupExact})
 			out, _, err := s.SampleDisjointSeeded(64, goldenStream)
 			return out, err
 		}},
 		scenario{"where", func() ([]Tuple, error) {
-			s := prepareGolden(t, u, Options{Warmup: WarmupExact, Method: MethodEW})
+			s := prepareGolden(t, u, Options{Warmup: WarmupExact})
 			out, _, err := s.SampleWhereSeeded(32, Cmp{Attr: "nationkey", Op: LT, Val: 4}, goldenStream)
 			return out, err
 		}},
@@ -242,12 +234,11 @@ func goldenScenarios(t testing.TB) []scenario {
 			out, _, err := s.SampleWhereSeeded(200, Cmp{Attr: "nationkey", Op: LT, Val: 1}, goldenStream)
 			return out, err
 		}},
-		scenario{"mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact, Method: MethodEW})},
-		scenario{"mutate-cover-eo", mutateDraw(t, Options{Warmup: WarmupHistogram, Method: MethodEO})},
+		scenario{"mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact})},
 		scenario{"mutate-online", mutateDraw(t, Options{Online: true, WarmupWalks: 150})},
-		scenario{"mutate-cyclic-eo", mutateCyclicDraw(t)},
+		scenario{"mutate-cyclic-ew", mutateCyclicDraw(t)},
 		// Dirty shards rebuilt via the delta path.
-		scenario{"shard-mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3})},
+		scenario{"shard-mutate-cover-ew", mutateDraw(t, Options{Warmup: WarmupExact, Shards: 3})},
 	)
 }
 
@@ -296,7 +287,7 @@ func mutateCyclicDraw(t testing.TB) func() ([]Tuple, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := prepareGolden(t, cu, Options{Warmup: WarmupHistogram, Method: MethodEO})
+	sess := prepareGolden(t, cu, Options{Warmup: WarmupHistogram})
 	return func() ([]Tuple, error) {
 		// Append-only burst across all three relations, then refresh.
 		r.AppendRows([]Tuple{{1, 2}, {3, 7}})
@@ -317,7 +308,7 @@ func mutateCyclicDraw(t testing.TB) func() ([]Tuple, error) {
 }
 
 // TestSeededGolden pins seeded sampling output across every draw path:
-// cover (EW/EO, exact and estimated parameters), online, disjoint,
+// cover (exact and estimated parameters), online, disjoint,
 // predicate rejection, and cyclic joins with a residual.
 func TestSeededGolden(t *testing.T) {
 	print := os.Getenv("GOLDEN_PRINT") != ""

@@ -38,7 +38,7 @@ func TestIntegrationUQWorkloads(t *testing.T) {
 				t.Errorf("union estimate %.0f vs exact %d (rel err %.2f)", est, exact, rel)
 			}
 			// Histogram estimate exists and respects the union bounds.
-			hist := prepared(t, u, Options{Warmup: WarmupHistogram, Method: MethodEO}).Estimate()
+			hist := prepared(t, u, Options{Warmup: WarmupHistogram}).Estimate()
 			if hist.UnionSize <= 0 {
 				t.Errorf("histogram union estimate %f", hist.UnionSize)
 			}
@@ -51,8 +51,8 @@ func TestIntegrationUQWorkloads(t *testing.T) {
 			}
 			// Every sampling mode produces in-union tuples.
 			for _, o := range []Options{
-				{Warmup: WarmupRandomWalk, Method: MethodEW, Seed: 6},
-				{Warmup: WarmupHistogram, Method: MethodEO, Seed: 7},
+				{Warmup: WarmupRandomWalk, Seed: 6},
+				{Warmup: WarmupHistogram, Seed: 7},
 				{Online: true, WarmupWalks: 300, Seed: 8},
 			} {
 				out, stats, err := prepared(t, u, o).Sample(400)

@@ -123,29 +123,34 @@ func zipfDegreesUnion(t *testing.T, k, heavy int) *su.Union {
 	return u
 }
 
-// TestEWAbsorbsZipfDegrees: the shape behind "EW unless its set-up is
-// the cost" (README, Choosing Method and WarmupWalks), on counters. On
-// zipfian degrees the rejection subroutine EO accepts about one try in k
-// against the Olken bound; EW's weights absorb the skew.
+// TestEWAbsorbsZipfDegrees: the shape behind EW being the one
+// subroutine a session draws with (README, Choosing WarmupWalks), on
+// counters. On zipfian degrees the rejection subroutine EO accepts about
+// one try in k against the Olken bound; EW's weights absorb the skew.
 func TestEWAbsorbsZipfDegrees(t *testing.T) {
 	const n = 300
+	joins := zipfDegreesUnion(t, 64, 1000).Joins()
 	for _, tc := range []struct {
-		m        su.Method
+		m        core.JoinMethod
+		name     string
 		min, max float64 // subroutine draws per returned tuple
 	}{
-		{su.MethodEW, 1, 1.05},
-		{su.MethodEO, 8, math.Inf(1)},
+		{core.MethodEW, "EW", 1, 1.05},
+		{core.MethodEO, "EO", 8, math.Inf(1)},
 	} {
-		s, err := zipfDegreesUnion(t, 64, 1000).Prepare(su.Options{Method: tc.m, Seed: 1})
+		p, err := core.PrepareCover(joins, core.CoverConfig{
+			Method:    tc.m,
+			Estimator: &core.RandomWalkEstimator{Joins: joins, Opts: walkest.Options{MaxWalks: 1000}},
+		}, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := s.Sample(n)
-		if err != nil {
+		run := p.NewRun()
+		if _, err := run.Sample(n, rng.New(2)); err != nil {
 			t.Fatal(err)
 		}
-		if per := float64(st.TotalDraws) / n; per < tc.min || per > tc.max {
-			t.Errorf("%s: %.2f subroutine draws per tuple, want within [%g, %g]", tc.m, per, tc.min, tc.max)
+		if per := float64(run.Stats().TotalDraws) / n; per < tc.min || per > tc.max {
+			t.Errorf("%s: %.2f subroutine draws per tuple, want within [%g, %g]", tc.name, per, tc.min, tc.max)
 		}
 	}
 }

@@ -42,10 +42,10 @@ func countDraws(draws []relation.Tuple) map[string]int {
 
 // TestDrawsMatchReferenceAcrossRefresh is the engine-vs-reference
 // distribution property test: over randomized scenarios and both
-// subroutines, the draws must be membership-exact and chi-square-uniform
-// against the brute-force reference — statically, and again after a
-// random mutation burst and a session refresh (which is what patches
-// EW's weight tables).
+// subroutines (exactCover), the draws must be membership-exact and
+// chi-square-uniform against the brute-force reference — statically, and
+// again after a random mutation burst and a refresh (which is what
+// patches EW's weight tables).
 func TestDrawsMatchReferenceAcrossRefresh(t *testing.T) {
 	executed := 0
 	for seed := int64(0); seed < 30; seed++ {
@@ -55,13 +55,7 @@ func TestDrawsMatchReferenceAcrossRefresh(t *testing.T) {
 		if len(union) == 0 || len(union) > 300 {
 			continue
 		}
-		method := []su.Method{su.MethodEW, su.MethodEO}[seed%2]
-		sess, err := sc.union.Prepare(su.Options{
-			Seed: seed + 1, Warmup: su.WarmupExact, Method: method,
-		})
-		if err != nil {
-			t.Fatalf("seed %d (%s): prepare: %v", seed, sc.name, err)
-		}
+		sess, method := exactCover(t, sc.union, seed+1, seed%2 == 1)
 		rnd := rand.New(rand.NewSource(seed + 5000))
 		for phase := 0; phase < 2; phase++ {
 			if phase == 1 {
@@ -75,7 +69,7 @@ func TestDrawsMatchReferenceAcrossRefresh(t *testing.T) {
 					break
 				}
 			}
-			label := fmt.Sprintf("seed %d (%s, %v) phase %d", seed, sc.name, method, phase)
+			label := fmt.Sprintf("seed %d (%s, %s) phase %d", seed, sc.name, method, phase)
 			n := drawCount(len(union))
 			draws, _, err := sess.SampleSeeded(n, seed*11+1)
 			if err != nil {
@@ -103,7 +97,7 @@ func TestBatchDisjointAndWhere(t *testing.T) {
 		if len(union) == 0 || len(union) > 300 {
 			continue
 		}
-		sess, err := sc.union.Prepare(su.Options{Seed: seed + 1, Warmup: su.WarmupExact, Method: su.MethodEW})
+		sess, err := sc.union.Prepare(su.Options{Seed: seed + 1, Warmup: su.WarmupExact})
 		if err != nil {
 			t.Fatalf("seed %d (%s): prepare: %v", seed, sc.name, err)
 		}

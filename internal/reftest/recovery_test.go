@@ -226,7 +226,7 @@ func TestCrashRecoveryMatchesGolden(t *testing.T) {
 			continue
 		}
 		prep := func(u *su.Union) *su.Session {
-			sess, err := u.Prepare(su.Options{Seed: seed + 5, Warmup: su.WarmupExact, Method: su.MethodEW})
+			sess, err := u.Prepare(su.Options{Seed: seed + 5, Warmup: su.WarmupExact})
 			if err != nil {
 				t.Fatalf("seed %d: prepare: %v", seed, err)
 			}

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	su "sampleunion"
+	"sampleunion/internal/core"
 	"sampleunion/internal/relation"
+	"sampleunion/internal/rng"
 )
 
 // scenario is one randomized differential-testing instance: a union of
@@ -280,11 +282,11 @@ func mutationBurst(rnd *rand.Rand, rels []*relation.Relation) {
 
 // TestDifferentialUniform drives >= 50 randomized scenarios through the
 // provably uniform configuration (exact warm-up, subroutine alternating
-// EW/EO): sampler output must be exactly the
-// reference union by membership, fully covered, and uniform by
-// chi-square — statically, and again after two random mutation bursts
-// and a session refresh. Each time the exact union size reads the
-// reference's.
+// EW/EO by seed parity — EW through a Session, EO through exactCover):
+// sampler output must be exactly the reference union by membership,
+// fully covered, and uniform by chi-square — statically, and again after
+// two random mutation bursts and a refresh. Each time the exact union
+// size reads the reference's.
 func TestDifferentialUniform(t *testing.T) {
 	executed := 0
 	for seed := int64(0); seed < 60; seed++ {
@@ -294,14 +296,8 @@ func TestDifferentialUniform(t *testing.T) {
 		if len(union) == 0 || len(union) > 400 {
 			continue
 		}
-		method := []su.Method{su.MethodEW, su.MethodEO}[seed%2]
-		sess, err := sc.union.Prepare(su.Options{
-			Seed: seed + 1, Warmup: su.WarmupExact, Method: method,
-		})
-		if err != nil {
-			t.Fatalf("seed %d (%s): prepare: %v", seed, sc.name, err)
-		}
-		label := fmt.Sprintf("seed %d (%s, %v) static", seed, sc.name, method)
+		sess, method := exactCover(t, sc.union, seed+1, seed%2 == 1)
+		label := fmt.Sprintf("seed %d (%s, %s) static", seed, sc.name, method)
 		draws, _, err := sess.SampleSeeded(drawCount(len(union)), seed*7+3)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -309,7 +305,7 @@ func TestDifferentialUniform(t *testing.T) {
 		checkDraws(t, label, draws, UniformWeights(union), true)
 		checkExactCount(t, label, sc, sess, len(union))
 
-		// Mutation bursts: mutate, refresh the warm session, re-derive the
+		// Mutation bursts: mutate, refresh the warm sampler, re-derive the
 		// reference, re-check.
 		rnd := rand.New(rand.NewSource(seed + 1000))
 		for burst := 0; burst < 2; burst++ {
@@ -322,7 +318,7 @@ func TestDifferentialUniform(t *testing.T) {
 			if len(union) == 0 || len(union) > 400 {
 				break
 			}
-			label := fmt.Sprintf("seed %d (%s, %v) burst %d", seed, sc.name, method, burst)
+			label := fmt.Sprintf("seed %d (%s, %s) burst %d", seed, sc.name, method, burst)
 			draws, _, err := sess.SampleSeeded(drawCount(len(union)), seed*11+int64(burst)+5)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -337,10 +333,68 @@ func TestDifferentialUniform(t *testing.T) {
 	}
 }
 
+// exactSampler is what the exact-parameter uniformity suites draw from
+// and refresh: a Session, or an eoCover.
+type exactSampler interface {
+	SampleSeeded(n int, seed int64) ([]su.Tuple, *su.Stats, error)
+	Refresh() error
+	UnionSize() float64
+}
+
+// exactCover prepares Algorithm 1 under exact parameters over u on the
+// EW subroutine — a Session under the exact warm-up — or, when eo is
+// set, on the EO subroutine, and names the subroutine.
+func exactCover(t *testing.T, u *su.Union, seed int64, eo bool) (exactSampler, string) {
+	t.Helper()
+	if !eo {
+		sess, err := u.Prepare(su.Options{Warmup: su.WarmupExact, Seed: seed})
+		if err != nil {
+			t.Fatalf("prepare EW: %v", err)
+		}
+		return sess, "EW"
+	}
+	joins := u.Joins()
+	p, err := core.PrepareCover(joins, core.CoverConfig{
+		Method:    core.MethodEO,
+		Estimator: &core.ExactEstimator{Joins: joins},
+	}, rng.New(seed))
+	if err != nil {
+		t.Fatalf("prepare EO: %v", err)
+	}
+	return &eoCover{p: p}, "EO"
+}
+
+// eoCover draws and refreshes an EO cover sampler the way a Session
+// does its own. No Options select EO, so these suites reach the
+// subroutine, which Online and the paper's hist+EO baseline still draw
+// through, in the engine.
+type eoCover struct {
+	p         core.PreparedSampler
+	refreshes int64
+}
+
+func (e *eoCover) SampleSeeded(n int, seed int64) ([]su.Tuple, *su.Stats, error) {
+	run := e.p.NewRun()
+	defer run.Release()
+	out, err := run.Sample(n, rng.New(seed))
+	return out, nil, err
+}
+
+func (e *eoCover) Refresh() error {
+	e.refreshes++
+	np, changed, err := e.p.Refresh(rng.New(-e.refreshes))
+	if changed {
+		e.p = np
+	}
+	return err
+}
+
+func (e *eoCover) UnionSize() float64 { return e.p.Params().UnionSize }
+
 // checkExactCount holds the exact warm-up's owner count to the
-// brute-force union: Union.ExactUnionSize and the (refreshed) session's
+// brute-force union: Union.ExactUnionSize and the (refreshed) sampler's
 // |U| must both read its size.
-func checkExactCount(t *testing.T, label string, sc *scenario, sess *su.Session, want int) {
+func checkExactCount(t *testing.T, label string, sc *scenario, sess exactSampler, want int) {
 	t.Helper()
 	if n, err := sc.union.ExactUnionSize(); err != nil || n != want {
 		t.Errorf("%s: ExactUnionSize = %d, %v; reference union has %d", label, n, err, want)
@@ -369,7 +423,7 @@ func TestDifferentialRecordAndOnline(t *testing.T) {
 		if len(union) == 0 || len(union) > 400 {
 			continue
 		}
-		opts := su.Options{Seed: seed + 2, Warmup: su.WarmupExact, Method: su.MethodEW}
+		opts := su.Options{Seed: seed + 2, Warmup: su.WarmupExact}
 		if seed%2 == 1 {
 			opts = su.Options{Seed: seed + 2, Online: true, WarmupWalks: 80}
 		}
@@ -418,7 +472,7 @@ func TestDifferentialDisjoint(t *testing.T) {
 		if len(union) == 0 || len(union) > 300 {
 			continue
 		}
-		sess, err := sc.union.Prepare(su.Options{Seed: seed + 3, Warmup: su.WarmupExact, Method: su.MethodEW})
+		sess, err := sc.union.Prepare(su.Options{Seed: seed + 3, Warmup: su.WarmupExact})
 		if err != nil {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}
@@ -474,7 +528,7 @@ func TestDifferentialPredicates(t *testing.T) {
 		if len(filtered) == 0 || len(union) > 300 || len(filtered) < 2 {
 			continue
 		}
-		sess, err := sc.union.Prepare(su.Options{Seed: seed + 4, Warmup: su.WarmupExact, Method: su.MethodEW})
+		sess, err := sc.union.Prepare(su.Options{Seed: seed + 4, Warmup: su.WarmupExact})
 		if err != nil {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}

@@ -30,14 +30,14 @@ func TestShardedMatchesReference(t *testing.T) {
 		}
 		shards := 2 + int(seed%3)
 		sharded, err := sc.union.Prepare(su.Options{
-			Seed: seed + 1, Warmup: su.WarmupExact, Method: su.MethodEW,
+			Seed: seed + 1, Warmup: su.WarmupExact,
 			Shards: shards,
 		})
 		if err != nil {
 			t.Fatalf("seed %d (%s): prepare sharded: %v", seed, sc.name, err)
 		}
 		flat, err := sc.union.Prepare(su.Options{
-			Seed: seed + 1, Warmup: su.WarmupExact, Method: su.MethodEW,
+			Seed: seed + 1, Warmup: su.WarmupExact,
 		})
 		if err != nil {
 			t.Fatalf("seed %d (%s): prepare flat: %v", seed, sc.name, err)
@@ -92,7 +92,7 @@ func TestShardedRefreshAfterLostLogTail(t *testing.T) {
 	sc := buildScenario(t, 0) // chain2x2: acyclic, so only a lost tail forces the full rebuild
 	sc.ensureNonEmpty()
 	sess, err := sc.union.Prepare(su.Options{
-		Seed: 5, Warmup: su.WarmupExact, Method: su.MethodEW, Shards: 3,
+		Seed: 5, Warmup: su.WarmupExact, Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	sc.ensureNonEmpty()
 	mk := func() []relation.Tuple {
 		sess, err := sc.union.Prepare(su.Options{
-			Seed: 7, Warmup: su.WarmupExact, Method: su.MethodEW, Shards: 4,
+			Seed: 7, Warmup: su.WarmupExact, Shards: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestShardedConcurrentDrawsMutationsRefresh(t *testing.T) {
 	sc := buildScenario(t, 0) // chain2x2: acyclic, exercises the incremental path
 	sc.ensureNonEmpty()
 	sess, err := sc.union.Prepare(su.Options{
-		Seed: 21, Warmup: su.WarmupExact, Method: su.MethodEW, Shards: 3,
+		Seed: 21, Warmup: su.WarmupExact, Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

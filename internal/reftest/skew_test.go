@@ -14,7 +14,7 @@ import (
 // sibling, zipfian join degrees that make the rejection subroutines pay
 // tens of tries per draw, and mutation bursts that invert the skew under
 // a warm session. They run under the provably uniform configuration
-// (exact warm-up, subroutine EW or EO as in
+// (exact warm-up, subroutine EW or EO through exactCover, as in
 // TestDifferentialUniform) and are held to the strict chi-square,
 // statically and after the burst and a Refresh; the online configuration
 // is held to membership and coverage, as in TestDifferentialRecordAndOnline.
@@ -71,15 +71,12 @@ func unionOf(t *testing.T, joins []*su.Join, relSets [][]*relation.Relation) *sc
 	return &scenario{union: u, relSets: relSets, rels: dedup(relSets)}
 }
 
-// checkExact prepares a session under the exact warm-up and the given
-// subroutine over the scenario and chi-square-checks its draws against
-// the reference, returning the session for follow-up mutation checks.
-func checkExact(t *testing.T, sc *scenario, label string, method su.Method, seed int64, draws int) *su.Session {
+// checkExact prepares exactCover's sampler on EW, or on EO when eo is
+// set, over the scenario and chi-square-checks its draws against the
+// reference, returning the sampler for follow-up mutation checks.
+func checkExact(t *testing.T, sc *scenario, label string, eo bool, seed int64, draws int) exactSampler {
 	t.Helper()
-	sess, err := sc.union.Prepare(su.Options{Warmup: su.WarmupExact, Method: method, Seed: seed})
-	if err != nil {
-		t.Fatalf("%s: prepare: %v", label, err)
-	}
+	sess, _ := exactCover(t, sc.union, seed, eo)
 	union, _ := sc.reference()
 	got, _, err := sess.SampleSeeded(draws, seed*7+3)
 	if err != nil {
@@ -100,7 +97,7 @@ func TestSkewHeavyLight(t *testing.T) {
 	if len(union) != 1001 {
 		t.Fatalf("scenario builds %d reference tuples, want 1001", len(union))
 	}
-	checkExact(t, sc, "heavy-skew static", su.MethodEW, 1, 30*len(union))
+	checkExact(t, sc, "heavy-skew static", false, 1, 30*len(union))
 }
 
 // TestSkewZipfDegrees drives zipfian join degrees — one B value
@@ -127,11 +124,11 @@ func TestSkewZipfDegrees(t *testing.T) {
 	if len(union) != 79+32 {
 		t.Fatalf("scenario builds %d reference tuples, want 111", len(union))
 	}
-	sess := checkExact(t, sc, "zipf static", su.MethodEO, 2, drawCount(len(union)))
+	sess := checkExact(t, sc, "zipf static", true, 2, drawCount(len(union)))
 
 	// Post-mutation: double the heavy fan-out (64 → 128) and delete the
 	// flat join's second R row, shifting the share balance further. The
-	// warm session must stay uniform across the Refresh.
+	// warm sampler must stay uniform across the Refresh.
 	for c := 64; c < 128; c++ {
 		rZipf[1].Append(relation.Tuple{0, relation.Value(100 + c)})
 	}
@@ -163,7 +160,7 @@ func TestSkewInversion(t *testing.T) {
 	if len(union) != 194 {
 		t.Fatalf("scenario builds %d reference tuples, want 194", len(union))
 	}
-	sess := checkExact(t, sc, "skew-inversion static", su.MethodEO, 3, drawCount(len(union)))
+	sess := checkExact(t, sc, "skew-inversion static", true, 3, drawCount(len(union)))
 
 	// Invert: shrink a's S side 16 → 1 (192 → 12 results), grow b's
 	// S side 1 → 48 (2 → 96 results).

@@ -146,9 +146,11 @@ func TestDurableWarmRestart(t *testing.T) {
 // which this one drops on reading — both keys are named), and one whose
 // declaration no longer keys at all (written by a binary that still had
 // the adaptive mode: the key and normalized declaration TestDeclKeysPinned
-// pinned for "auto"; or by one that still had the WJ subroutine), and one
-// whose options no longer canonicalize (an online session declared with
-// the histogram warm-up it ignored).
+// pinned for "auto"), and one whose options no longer canonicalize (an
+// online session declared with the histogram warm-up it ignored). An
+// entry written by a binary that still had the "method" option under EO
+// or the WJ subroutine is the first kind: the field is dropped on
+// reading, so its declaration hashes to the EW key.
 func TestRestoreRefusesMovedKey(t *testing.T) {
 	const (
 		oracleKey = "5810111f9085c9e6531da3ebbe3e1dfe7e6774258ea59f6434a8c877812b3efe"
@@ -158,6 +160,10 @@ func TestRestoreRefusesMovedKey(t *testing.T) {
 		// The key a binary with the WJ subroutine gave this declaration.
 		wjKey = "b33df6b4dca26e7ca721a370a92a107de7e725363b4f63a3155ad34e73de8ac4"
 		wjDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"exact","method":"WJ","warmup_walks":1000,"seed":1,"shards":1}}`
+		// The key and normalized declaration TestDeclKeysPinned pinned for
+		// a histogram warm-up beside the EO subroutine.
+		eoKey = "96b3c76d7aa99b3c155cc2bb9343abcd98cfdf098da27a51f3d0761bfdd45112"
+		eoDoc = `{"workload":"UQ2","sf":0.05,"overlap":0.2,"data_seed":1,"options":{"warmup":"histogram","method":"EO","warmup_walks":1000,"seed":7,"shards":1}}`
 		// A cover declaration with no warm-up walks once canonicalized to a
 		// key of its own while it drew like the default budget.
 		walklessKey = "02713526c81f42684acde6cfc410149364bd1c3ae322891b0e3b9cf0b5148dbe"
@@ -167,21 +173,26 @@ func TestRestoreRefusesMovedKey(t *testing.T) {
 		onlineHistKey = "53fb1883ab94b46c08dd26f4b53923d57b9096f38468cb44eb3a19820b89426d"
 		onlineHistDoc = `{"workload":"UQ1","sf":0.1,"overlap":0.2,"data_seed":1,"options":{"warmup":"histogram","method":"EW","online":true,"warmup_walks":1000,"seed":1,"shards":1}}`
 	)
-	var d UnionDecl
-	if err := json.Unmarshal([]byte(`{"options":{"warmup":"exact","method":"EO"}}`), &d); err != nil {
-		t.Fatal(err)
+	keyOf := func(decl string) string {
+		var d UnionDecl
+		if err := json.Unmarshal([]byte(decl), &d); err != nil {
+			t.Fatal(err)
+		}
+		key, err := d.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
 	}
-	recomputed, err := d.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recomputed := keyOf(`{"options":{"warmup":"exact"}}`)
 	for _, tc := range []struct {
 		name, key, doc string
 		wants          []string
 	}{
 		{"dropped option", oracleKey, oracleDoc, []string{"entry 0", oracleKey, recomputed}},
 		{"removed auto", autoKey, autoDoc, []string{autoKey, `unknown warmup "auto"`}},
-		{"removed WJ", wjKey, wjDoc, []string{wjKey, `unknown method "WJ"`}},
+		{"removed WJ", wjKey, wjDoc, []string{"entry 0", wjKey, recomputed}},
+		{"removed EO", eoKey, eoDoc, []string{"entry 0", eoKey, keyOf(`{"workload":"UQ2","sf":0.05,"options":{"warmup":"histogram","seed":7}}`)}},
 		{"walkless cover", walklessKey, walklessDoc, []string{walklessKey, "negative warmup_walks -1 needs online"}},
 		{"online histogram", onlineHistKey, onlineHistDoc, []string{onlineHistKey, `not warmup "histogram"`}},
 	} {
@@ -206,6 +217,36 @@ func TestRestoreRefusesMovedKey(t *testing.T) {
 				t.Fatalf("%d sessions were prepared for a refused manifest", st.Prepares)
 			}
 		})
+	}
+}
+
+// TestRestoreKeepsEWEntry: a manifest entry written while "method" was
+// an option, under the EW subroutine every session now draws with,
+// restores under its stored key: reading drops the field, and the key
+// text still spells "method=EW".
+func TestRestoreKeepsEWEntry(t *testing.T) {
+	decl := quickDecl()
+	key, err := decl.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(decl.normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := strings.Replace(string(doc), `"options":{`, `"options":{"method":"EW",`, 1)
+	dir := t.TempDir()
+	manifest := `{"entries":[{"key":"` + key + `","decl":` + written + `}]}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, durableCfg(dir))
+	defer s.Close()
+	if n, err := s.RestoreSessions(); err != nil || n != 1 {
+		t.Fatalf("restored %d sessions, err %v; want the EW entry restored", n, err)
+	}
+	if _, ok := s.Registry().Lookup(key); !ok {
+		t.Fatal("restored entry missing from the registry under its stored key")
 	}
 }
 

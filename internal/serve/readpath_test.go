@@ -184,10 +184,10 @@ func TestRegistryKeyCache(t *testing.T) {
 	}
 
 	bad := quickDecl()
-	bad.Options = OptionsDecl{Warmup: "exact", Method: "auto", Seed: 1}
+	bad.Options = OptionsDecl{Warmup: "auto", Seed: 1}
 	for i := 0; i < 3; i++ {
 		if _, err := r.Get(bad); err == nil {
-			t.Fatalf("request %d with the removed method \"auto\" was served", i)
+			t.Fatalf("request %d with the removed warmup \"auto\" was served", i)
 		}
 	}
 	if _, ok := r.keys[bad]; ok {

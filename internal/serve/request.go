@@ -96,10 +96,10 @@ func (d UnionDecl) Key() (string, error) {
 	if d.Spec != "" && d.Workload != "" {
 		return "", fmt.Errorf("serve: declare either workload or spec, not both")
 	}
-	// "oracle=false" names an option that no longer exists: data
-	// directories on disk are named by this hash, so the text stays.
-	optPart := fmt.Sprintf("opts warmup=%s method=%s online=%t walks=%d oracle=false seed=%d shards=%d",
-		o.Warmup, o.Method, o.Online, o.WarmupWalks, o.Seed, o.Shards)
+	// "method=EW" and "oracle=false" name options that no longer exist:
+	// data directories on disk are named by this hash, so the text stays.
+	optPart := fmt.Sprintf("opts warmup=%s method=EW online=%t walks=%d oracle=false seed=%d shards=%d",
+		o.Warmup, o.Online, o.WarmupWalks, o.Seed, o.Shards)
 	srcPart := fmt.Sprintf("workload name=%s sf=%g overlap=%g seed=%d",
 		d.Workload, d.SF, d.Overlap, d.DataSeed)
 	if d.Spec != "" {

@@ -154,7 +154,6 @@ func TestDeclKeyCanonicalization(t *testing.T) {
 	// Same declaration with defaults spelled out.
 	explicit := base
 	explicit.DataSeed = 1
-	explicit.Options.Method = "EW"
 	explicit.Options.WarmupWalks = 1000
 	k2, err := explicit.Key()
 	if err != nil {

@@ -65,8 +65,8 @@ func rebuiltUnion(t testing.TB, rels []*Relation) *Union {
 // appear.
 func TestSessionRefreshServesNewData(t *testing.T) {
 	for _, opts := range []Options{
-		{Seed: 7, Warmup: WarmupExact, Method: MethodEW},
-		{Seed: 7, Warmup: WarmupHistogram, Method: MethodEO},
+		{Seed: 7, Warmup: WarmupExact},
+		{Seed: 7, Warmup: WarmupHistogram},
 		{Seed: 7, Online: true, WarmupWalks: 100},
 		// No warm-up walks: each generation's runs refine from an empty
 		// walk estimator, which a Refresh must hand on too.
@@ -141,7 +141,7 @@ func liveUnionSession(t testing.TB, o Options) (*liveSession, error) {
 // TestAutoRefresh checks the AutoRefresh option reconciles before a
 // draw without an explicit Refresh call.
 func TestAutoRefresh(t *testing.T) {
-	ls, err := liveUnionSession(t, Options{Seed: 3, Warmup: WarmupExact, Method: MethodEW, AutoRefresh: true})
+	ls, err := liveUnionSession(t, Options{Seed: 3, Warmup: WarmupExact, AutoRefresh: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestAutoRefresh(t *testing.T) {
 // draws.
 func TestRefreshDeterminism(t *testing.T) {
 	run := func() []Tuple {
-		ls, err := liveUnionSession(t, Options{Seed: 11, Warmup: WarmupHistogram, Method: MethodEO})
+		ls, err := liveUnionSession(t, Options{Seed: 11, Warmup: WarmupHistogram})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestRefreshDeterminism(t *testing.T) {
 
 // TestRefreshNoop: refreshing an unmutated session is a cheap no-op.
 func TestRefreshNoop(t *testing.T) {
-	ls, err := liveUnionSession(t, Options{Seed: 5, Warmup: WarmupExact, Method: MethodEW})
+	ls, err := liveUnionSession(t, Options{Seed: 5, Warmup: WarmupExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRefreshNoop(t *testing.T) {
 // refreshed session: disjoint draws and predicate rejection draws must
 // serve the mutated data.
 func TestRefreshDisjointAndWhere(t *testing.T) {
-	ls, err := liveUnionSession(t, Options{Seed: 13, Warmup: WarmupExact, Method: MethodEW})
+	ls, err := liveUnionSession(t, Options{Seed: 13, Warmup: WarmupExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +268,11 @@ func TestRefreshDisjointAndWhere(t *testing.T) {
 // its relations move: no lock above the relations' own is involved.
 func TestConcurrentDrawsMutationsRefresh(t *testing.T) {
 	for _, opts := range []Options{
-		{Seed: 21, Warmup: WarmupHistogram, Method: MethodEO},
-		{Seed: 21, Warmup: WarmupRandomWalk, Method: MethodEW},
-		{Seed: 21, Warmup: WarmupExact, Method: MethodEW},
+		{Seed: 21, Warmup: WarmupHistogram},
+		{Seed: 21, Warmup: WarmupRandomWalk},
+		{Seed: 21, Warmup: WarmupExact},
 		{Seed: 21, Online: true, WarmupWalks: 50},
-		{Seed: 21, Warmup: WarmupHistogram, Method: MethodEO, AutoRefresh: true},
+		{Seed: 21, Warmup: WarmupHistogram, AutoRefresh: true},
 	} {
 		ls, err := liveUnionSession(t, opts)
 		if err != nil {
@@ -370,7 +370,7 @@ func TestRefreshCyclicUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := u.Prepare(Options{Seed: 17, Warmup: WarmupHistogram, Method: MethodEW})
+	sess, err := u.Prepare(Options{Seed: 17, Warmup: WarmupHistogram})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestRefreshCyclicUnion(t *testing.T) {
 // The exact warm-up keeps the parameters equal on both sides, so the
 // tables are the only thing compared.
 func TestRefreshedTablesDrawLikeRebuilt(t *testing.T) {
-	opts := Options{Seed: 9, Warmup: WarmupExact, Method: MethodEW}
+	opts := Options{Seed: 9, Warmup: WarmupExact}
 	ls, err := liveUnionSession(t, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +476,7 @@ func TestRefreshedTablesDrawLikeRebuilt(t *testing.T) {
 // The per-shard sum itself is checked in internal/core
 // (TestShardedRefresh), which can see the shards.
 func TestShardedRefreshStats(t *testing.T) {
-	ls, err := liveUnionSession(t, Options{Seed: 3, Shards: 2, Warmup: WarmupRandomWalk, Method: MethodEW})
+	ls, err := liveUnionSession(t, Options{Seed: 3, Shards: 2, Warmup: WarmupRandomWalk})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,10 +132,13 @@ func TestApproxZeroIsError(t *testing.T) {
 }
 
 // TestSampleDisjointWithoutResultsFails: R(k,x) = {(1,1)} ⋈ S(k,y) =
-// {(2,1)} has Olken bound 1 and no results, so an EO disjoint draw can
-// never succeed; the call must give up with a no-progress error. The
-// histogram warm-up prepares the session from that bound (a walk-based
-// warm-up would find the union empty and refuse to prepare).
+// {(2,1)} has Olken bound 1 and no results. An online session with no
+// warm-up walks prepares from that bound (every other warm-up finds the
+// union empty and refuses to prepare). Its set-union draws run through
+// EO and can never succeed, so Sample must give up with a no-progress
+// error; its disjoint draws run through EW, whose weights hold no
+// result, so SampleDisjoint must refuse the union as empty. Neither may
+// spin.
 func TestSampleDisjointWithoutResultsFails(t *testing.T) {
 	r := NewRelation("r", NewSchema("k", "x"))
 	s := NewRelation("s", NewSchema("k", "y"))
@@ -149,19 +152,27 @@ func TestSampleDisjointWithoutResultsFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := u.Prepare(Options{Warmup: WarmupHistogram, Method: MethodEO})
+	sess, err := u.Prepare(Options{Online: true, WarmupWalks: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { _, _, err := sess.SampleDisjoint(1); done <- err }()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "no progress") {
-			t.Fatalf("SampleDisjoint over a union without results: err = %v, want a no-progress error", err)
+	for _, c := range []struct {
+		name, want string
+		draw       func() error
+	}{
+		{"Sample", "no progress", func() error { _, _, err := sess.Sample(1); return err }},
+		{"SampleDisjoint", "union appears empty", func() error { _, _, err := sess.SampleDisjoint(1); return err }},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- c.draw() }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s over a union without results: err = %v, want one containing %q", c.name, err, c.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s over a union without results did not return", c.name)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("SampleDisjoint over a union without results did not return")
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 func TestCanonicalIsIdempotent(t *testing.T) {
 	cores := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct{ in, want Options }{
-		{Options{}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 1, Shards: 1}},
-		{Options{Seed: 9}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 9, Shards: 1}},
-		{Options{Warmup: WarmupHistogram, Method: MethodEO}, Options{Warmup: WarmupHistogram, Method: MethodEO, WarmupWalks: 1000, Seed: 1, Shards: 1}},
-		{Options{Online: true, WarmupWalks: -7}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, Online: true, WarmupWalks: -1, Seed: 1, Shards: 1}},
-		{Options{Shards: ShardsAuto}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 1, Shards: cores}},
-		{Options{Shards: -4, AutoRefresh: true}, Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: 1, Shards: cores, AutoRefresh: true}},
+		{Options{}, Options{Warmup: WarmupRandomWalk, WarmupWalks: 1000, Seed: 1, Shards: 1}},
+		{Options{Seed: 9}, Options{Warmup: WarmupRandomWalk, WarmupWalks: 1000, Seed: 9, Shards: 1}},
+		{Options{Warmup: WarmupHistogram}, Options{Warmup: WarmupHistogram, WarmupWalks: 1000, Seed: 1, Shards: 1}},
+		{Options{Online: true, WarmupWalks: -7}, Options{Warmup: WarmupRandomWalk, Online: true, WarmupWalks: -1, Seed: 1, Shards: 1}},
+		{Options{Shards: ShardsAuto}, Options{Warmup: WarmupRandomWalk, WarmupWalks: 1000, Seed: 1, Shards: cores}},
+		{Options{Shards: -4, AutoRefresh: true}, Options{Warmup: WarmupRandomWalk, WarmupWalks: 1000, Seed: 1, Shards: cores, AutoRefresh: true}},
 	} {
 		once, err := tc.in.Canonical()
 		if err != nil {
@@ -34,7 +34,7 @@ func TestCanonicalIsIdempotent(t *testing.T) {
 }
 
 // TestCanonicalRejects: an unknown enum value — the removed "auto"
-// included, alone or beside a pin — is an error listing the valid ones at
+// included — is an error listing the valid ones at
 // every entry point, never a silent default; so is a negative walk budget
 // without Online, which used to run the 1000-walk default under a key of
 // its own.
@@ -45,14 +45,9 @@ func TestCanonicalRejects(t *testing.T) {
 		want string
 	}{
 		{Options{Warmup: "histgram"}, `unknown warmup "histgram"`},
-		{Options{Method: "ew"}, `unknown method "ew"`},
 		{Options{Warmup: "auto"}, `unknown warmup "auto" (valid: histogram, random-walk, exact)`},
-		{Options{Method: "auto"}, `unknown method "auto" (valid: EW, EO)`},
-		{Options{Method: "WJ"}, `unknown method "WJ" (valid: EW, EO)`},
-		{Options{Warmup: "auto", Method: MethodEO}, `unknown warmup "auto"`},
-		{Options{Warmup: WarmupExact, Method: "auto"}, `unknown method "auto"`},
 		{Options{WarmupWalks: -1}, `negative warmup_walks -1 needs online`},
-		{Options{Warmup: WarmupHistogram, Method: MethodEO, WarmupWalks: -7}, `negative warmup_walks -7 needs online`},
+		{Options{Warmup: WarmupHistogram, WarmupWalks: -7}, `negative warmup_walks -7 needs online`},
 		{Options{Online: true, Warmup: WarmupHistogram}, `online warms with random walks, not warmup "histogram" (warmup_walks < 0 is how`},
 		{Options{Online: true, Warmup: WarmupExact}, `not warmup "exact"`},
 		{Options{Online: true, Warmup: WarmupHistogram, WarmupWalks: -1}, `not warmup "histogram"`},
@@ -97,7 +92,7 @@ func sameSession(t *testing.T, a, b *Session) {
 // with it is preparing with the explicit spelling.
 func TestZeroOptionsMeanRandomWalkEW(t *testing.T) {
 	const seed = 7
-	explicit := Options{Warmup: WarmupRandomWalk, Method: MethodEW, WarmupWalks: 1000, Seed: seed, Shards: 1}
+	explicit := Options{Warmup: WarmupRandomWalk, WarmupWalks: 1000, Seed: seed, Shards: 1}
 	if got, err := (Options{Seed: seed}).Canonical(); err != nil || got != explicit {
 		t.Fatalf("Options{Seed: %d}.Canonical() = %+v, %v; want %+v", seed, got, err, explicit)
 	}
@@ -153,7 +148,7 @@ func TestSessionOptionsRoundTrip(t *testing.T) {
 	u := demoUnion(t)
 	for _, o := range []Options{
 		{Online: true, WarmupWalks: -1},
-		{Warmup: WarmupHistogram, Method: MethodEO, Shards: 2},
+		{Warmup: WarmupHistogram, Shards: 2},
 	} {
 		s, err := u.Prepare(o)
 		if err != nil {

@@ -21,7 +21,7 @@ func TestEstimateReport(t *testing.T) {
 
 func TestSampleParallel(t *testing.T) {
 	u := demoUnion(t)
-	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 10})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Seed: 10})
 	out, err := s.SampleParallel(1000, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +38,9 @@ func TestSampleParallel(t *testing.T) {
 
 func TestSampleParallelRace(t *testing.T) {
 	// Exercised under -race in CI: many workers over shared joins, every
-	// one probing the membership maps and EO's max-degree indexes.
+	// one probing the membership maps and the weight tables.
 	u := demoUnion(t)
-	s := prepared(t, u, Options{Warmup: WarmupHistogram, Method: MethodEO, Seed: 11})
+	s := prepared(t, u, Options{Warmup: WarmupHistogram, Seed: 11})
 	out, err := s.SampleParallel(400, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -43,13 +43,13 @@ func TestRecycledDrawEqualsColdSession(t *testing.T) {
 		o        Options
 		disjoint bool
 	}{
-		{"cover-ew", Options{Warmup: WarmupRandomWalk, WarmupWalks: 200, Method: MethodEW}, false},
-		{"cover-eo", Options{Warmup: WarmupHistogram, Method: MethodEO}, false},
-		{"exact-ew", Options{Warmup: WarmupExact, Method: MethodEW}, false},
+		{"cover-ew", Options{Warmup: WarmupRandomWalk, WarmupWalks: 200}, false},
+		{"cover-histogram", Options{Warmup: WarmupHistogram}, false},
+		{"exact-ew", Options{Warmup: WarmupExact}, false},
 		{"online", Options{Online: true, WarmupWalks: 20}, false},
-		{"shard-cover-ew", Options{Warmup: WarmupExact, Method: MethodEW, Shards: 3}, false},
+		{"shard-cover-ew", Options{Warmup: WarmupExact, Shards: 3}, false},
 		{"shard-online", Options{Online: true, WarmupWalks: 20, Shards: 2}, false},
-		{"disjoint", Options{Warmup: WarmupExact, Method: MethodEW}, true},
+		{"disjoint", Options{Warmup: WarmupExact}, true},
 	} {
 		warm := prepareGolden(t, goldenUnion(t), m.o)
 		backtracks := 0
@@ -93,9 +93,9 @@ func TestRecycledDrawEqualsColdSession(t *testing.T) {
 // move.
 func TestReturnedStatsSurviveRunReuse(t *testing.T) {
 	for _, o := range []Options{
-		{Warmup: WarmupHistogram, Method: MethodEO},
+		{Warmup: WarmupHistogram},
 		{Online: true, WarmupWalks: 20},
-		{Warmup: WarmupExact, Method: MethodEW, Shards: 2},
+		{Warmup: WarmupExact, Shards: 2},
 	} {
 		s := prepareGolden(t, goldenUnion(t), o)
 		outA, statsA, err := s.SampleSeeded(50, 1)
@@ -153,7 +153,7 @@ func (yielding) String() string { return "yielding" }
 // the same loop: a fold that read its view after the run was released, or
 // two online runs walking into one scratch tuple, is a data race.
 func TestRecycledRunsUnderConcurrentRefresh(t *testing.T) {
-	ls, err := liveUnionSession(t, Options{Seed: 21, Warmup: WarmupExact, Method: MethodEW})
+	ls, err := liveUnionSession(t, Options{Seed: 21, Warmup: WarmupExact})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,14 @@
 // Session.SampleParallel performs exactly one warm-up total no matter
 // how many workers it fans out to.
 //
-// The warm-up estimation method, the single-join sampling subroutine,
-// and the online (sample reuse + backtracking) mode are selected
-// through Options. The zero Options is the random-walk warm-up with the
-// exact-weight subroutine (Warmup: WarmupRandomWalk, Method: MethodEW).
-// Warmup and Method values are their own textual spelling, so
-// the same Options serve as the JSON "options" object of the serving
-// layer and behind cmd/sampler's flags, and Options.Canonical is the one
-// place they are validated and defaulted. See the examples/ directory
-// for end-to-end programs.
+// The warm-up estimation method and the online (sample reuse +
+// backtracking) mode are selected through Options; every join draws
+// through the exact-weight subroutine. The zero Options is the
+// random-walk warm-up (Warmup: WarmupRandomWalk). Warmup values are
+// their own textual spelling, so the same Options serve as the JSON
+// "options" object of the serving layer and behind cmd/sampler's flags,
+// and Options.Canonical is the one place they are validated and
+// defaulted. See the examples/ directory for end-to-end programs.
 package sampleunion
 
 import (
@@ -148,13 +147,12 @@ func Cyclic(name string, rels []*Relation, edges []Edge, residualSet []int) (*Jo
 type Warmup string
 
 const (
-	// WarmupHistogram uses column statistics only (§5): each value's
-	// degree, the distinct count and the maximum degree, read from the
-	// relations' attribute indexes, which keep them under appends and
-	// deletes, so the warm-up counts nothing again and its setup does not
-	// grow with the data (with EO sizes; EW sizes count each join's
-	// results). Upper-bound overlaps, suitable when data access is
-	// infeasible (data markets). Sampling efficiency suffers under skew.
+	// WarmupHistogram bounds overlaps from column statistics (§5): each
+	// value's degree, the distinct count and the maximum degree, read
+	// from the relations' attribute indexes, which keep them under
+	// appends and deletes, so the bounds count nothing again. Join sizes
+	// are the exact counts the EW weight tables hold. Upper-bound
+	// overlaps need no walks; sampling efficiency suffers under skew.
 	WarmupHistogram Warmup = "histogram"
 	// WarmupRandomWalk runs wander-join walks (§6): accurate unbiased
 	// estimates at the cost of warm-up walks; needs data access. The
@@ -167,18 +165,6 @@ const (
 	WarmupExact Warmup = "exact"
 )
 
-// Method selects the single-join sampling subroutine (§3.2); like
-// Warmup, the value is its textual spelling on every surface.
-type Method string
-
-const (
-	// MethodEW: exact weights, zero rejection, linear setup. The empty
-	// Method means this.
-	MethodEW Method = "EW"
-	// MethodEO: extended Olken bounds, cheap setup, rejection under skew.
-	MethodEO Method = "EO"
-)
-
 // Options configure a warm-up and the sampler prepared from it. The
 // JSON tags are the serving layer's wire names: a served declaration's
 // "options" object is this struct.
@@ -186,8 +172,6 @@ type Options struct {
 	// Warmup selects the parameter estimation method. Empty means
 	// WarmupRandomWalk.
 	Warmup Warmup `json:"warmup,omitempty"`
-	// Method selects the join subroutine. Empty means MethodEW.
-	Method Method `json:"method,omitempty"`
 	// Online enables Algorithm 2: wander-join draws with sample reuse
 	// and backtracking parameter refinement. It warms with its own
 	// walks, so Warmup must be empty or WarmupRandomWalk beside it; a
@@ -241,8 +225,7 @@ const ShardsAuto = -1
 
 // Canonical validates the options and fills every default, returning
 // the one spelling all equal-by-effect options share: an empty Warmup
-// is WarmupRandomWalk and an empty Method MethodEW; Online with any other
-// Warmup is an error (Algorithm 2 always warms with walks); WarmupWalks 0
+// is WarmupRandomWalk; Online with any other Warmup is an error (Algorithm 2 always warms with walks); WarmupWalks 0
 // is 1000 and any negative count -1 (an error without Online, the one
 // sampler that can start without walks); Seed 0 is 1; Shards below 0 is
 // runtime.GOMAXPROCS(0) and below 1 is 1. Canonical options are a fixed
@@ -255,19 +238,11 @@ func (o Options) Canonical() (Options, error) {
 	default:
 		return o, fmt.Errorf("sampleunion: unknown warmup %q (valid: histogram, random-walk, exact)", o.Warmup)
 	}
-	switch o.Method {
-	case "", MethodEW, MethodEO:
-	default:
-		return o, fmt.Errorf("sampleunion: unknown method %q (valid: EW, EO)", o.Method)
-	}
 	if o.Warmup == "" {
 		o.Warmup = WarmupRandomWalk
 	}
 	if o.Online && o.Warmup != WarmupRandomWalk {
 		return o, fmt.Errorf("sampleunion: online warms with random walks, not warmup %q (warmup_walks < 0 is how Algorithm 2 starts from histogram parameters)", o.Warmup)
-	}
-	if o.Method == "" {
-		o.Method = MethodEW
 	}
 	if o.WarmupWalks == 0 {
 		o.WarmupWalks = 1000
@@ -288,15 +263,6 @@ func (o Options) Canonical() (Options, error) {
 		o.Shards = 1
 	}
 	return o, nil
-}
-
-// joinMethod is the subroutine every join samples with (canonical
-// options).
-func (o Options) joinMethod() core.JoinMethod {
-	if o.Method == MethodEO {
-		return core.MethodEO
-	}
-	return core.MethodEW
 }
 
 // Union is a set of joins with a common output schema whose union is
@@ -346,11 +312,7 @@ func estimatorFor(joins []*join.Join, o Options, walks int) core.Estimator {
 	}
 	switch o.Warmup {
 	case WarmupHistogram:
-		sizes := histest.SizeEO
-		if o.Method == MethodEW {
-			sizes = histest.SizeEW
-		}
-		return &core.HistogramEstimator{Joins: joins, Opts: histest.Options{Sizes: sizes}}
+		return &core.HistogramEstimator{Joins: joins, Opts: histest.Options{Sizes: histest.SizeEW}}
 	case WarmupExact:
 		return &core.ExactEstimator{Joins: joins}
 	}
@@ -391,7 +353,7 @@ func prepareEngine(joins []*join.Join, o Options, walks int, g *rng.RNG) (core.P
 		return core.PrepareOnline(joins, core.OnlineConfig{WarmupWalks: walks}, g)
 	}
 	return core.PrepareCover(joins, core.CoverConfig{
-		Method:    o.joinMethod(),
+		Method:    core.MethodEW,
 		Estimator: estimatorFor(joins, o, walks),
 	}, g)
 }

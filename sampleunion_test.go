@@ -1,7 +1,9 @@
 package sampleunion
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -51,9 +53,9 @@ func TestUnionSampleModes(t *testing.T) {
 		t.Fatalf("exact union = %d, want 90", exact)
 	}
 	cases := []Options{
-		{Warmup: WarmupExact, Method: MethodEW, Seed: 1},
-		{Warmup: WarmupRandomWalk, Method: MethodEW, Seed: 2},
-		{Warmup: WarmupHistogram, Method: MethodEO, Seed: 3},
+		{Warmup: WarmupExact, Seed: 1},
+		{Warmup: WarmupRandomWalk, Seed: 2},
+		{Warmup: WarmupHistogram, Seed: 3},
 		{Online: true, WarmupWalks: 300, Seed: 4},
 	}
 	for _, o := range cases {
@@ -168,9 +170,6 @@ func TestWarmupStrings(t *testing.T) {
 		WarmupExact != "exact" {
 		t.Error("warmup names wrong")
 	}
-	if MethodEW != "EW" || MethodEO != "EO" {
-		t.Error("method names wrong")
-	}
 }
 
 func TestCyclicThroughPublicAPI(t *testing.T) {
@@ -202,23 +201,20 @@ func TestCyclicThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestMethodWJThroughAPI: the removed "WJ" subroutine is an unknown
-// method at Prepare, and the shape it served — a random-walk warm-up
-// beside an index-only subroutine — draws union members under EO.
+// TestMethodWJThroughAPI: the join subroutine is not an option. Options
+// has no Method field, so the removed "WJ" — and "EO" and "EW" with it —
+// is an unknown field of a strictly decoded "options" object, the form a
+// served declaration and a manifest entry take.
 func TestMethodWJThroughAPI(t *testing.T) {
-	u := demoUnion(t)
-	want := `unknown method "WJ" (valid: EW, EO)`
-	if _, err := u.Prepare(Options{Warmup: WarmupRandomWalk, Method: "WJ", Seed: 20}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Prepare with Method WJ: err = %v, want one containing %q", err, want)
+	if _, ok := reflect.TypeOf(Options{}).FieldByName("Method"); ok {
+		t.Fatal("Options has a Method field")
 	}
-	s := prepared(t, u, Options{Warmup: WarmupRandomWalk, Method: MethodEO, Seed: 20})
-	out, _, err := s.Sample(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tu := range out {
-		if !u.Contains(tu) {
-			t.Fatalf("EO sample %v outside union", tu)
+	for _, m := range []string{"WJ", "EO", "EW"} {
+		dec := json.NewDecoder(strings.NewReader(`{"warmup": "random-walk", "method": "` + m + `"}`))
+		dec.DisallowUnknownFields()
+		var o Options
+		if err := dec.Decode(&o); err == nil || !strings.Contains(err.Error(), `unknown field "method"`) {
+			t.Errorf("method %s: decode err = %v, want unknown field \"method\"", m, err)
 		}
 	}
 }

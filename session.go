@@ -51,9 +51,10 @@ type Session struct {
 // Estimate is the warm-up parameter report: what the framework knows
 // about the union before sampling.
 type Estimate struct {
-	// JoinSizes are the per-join size estimates |J_j| (exact under
-	// WarmupExact, Horvitz–Thompson under WarmupRandomWalk, upper
-	// bounds under WarmupHistogram+MethodEO).
+	// JoinSizes are the per-join size estimates |J_j|: exact under
+	// WarmupExact and WarmupHistogram (which reads them off the exact
+	// weights), Horvitz–Thompson under WarmupRandomWalk and Online, and
+	// Olken upper bounds under Online with a negative WarmupWalks.
 	JoinSizes []float64
 	// CoverSizes are the |J'_j| of §3.1: the share of each join not
 	// covered by earlier joins, which the sampler picks joins in
@@ -207,17 +208,15 @@ func (s *Session) RefreshStats() RefreshStats { return s.state.Load().refresh }
 
 // disjointShared builds the disjoint-union sampler on first use (per
 // state generation — a Refresh rebuilds it lazily too). Cover sessions
-// reuse the prepared subroutine samplers (their method is the session's
-// Method); online sessions are prepared on EO internally, so when the
-// caller asked for a different Method the disjoint sampler is built
-// separately to honor it. Sharded sessions have no single shared join
-// base to reuse, so their disjoint sampler is prepared over the
-// original (unsharded) joins — disjoint draws are the rare path and do
-// not need shard fan-out.
+// reuse the prepared EW subroutine samplers. Online sessions draw
+// through EO internally and sharded sessions have no single shared join
+// base, so theirs is prepared on EW over the original (unsharded)
+// joins — disjoint draws are the rare path and do not need shard
+// fan-out.
 func (s *Session) disjointShared(st *sessionState) (*core.DisjointShared, error) {
 	st.disjointOnce.Do(func() {
-		if method := s.opts.joinMethod(); s.opts.Shards > 1 || (s.opts.Online && method != core.MethodEO) {
-			st.disjoint, st.disjointErr = core.PrepareDisjoint(s.u.joins, method)
+		if s.opts.Shards > 1 || s.opts.Online {
+			st.disjoint, st.disjointErr = core.PrepareDisjoint(s.u.joins, core.MethodEW)
 			return
 		}
 		st.disjoint, st.disjointErr = st.prepared.Disjoint()

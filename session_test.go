@@ -22,7 +22,7 @@ func (c *countingEstimator) Params(g *rng.RNG) (*core.Params, error) {
 
 func countingOptions(u *Union) (*countingEstimator, Options) {
 	ce := &countingEstimator{inner: &core.ExactEstimator{Joins: u.Joins()}}
-	return ce, Options{Method: MethodEW, Seed: 1, testEstimator: ce}
+	return ce, Options{Seed: 1, testEstimator: ce}
 }
 
 // TestPrepareRunsEstimatorOnce is the warm-up amortization contract:
@@ -87,9 +87,11 @@ func TestSessionConcurrentReproducibleStreams(t *testing.T) {
 	// Subtests carry fixed names: a name printed from the Options value
 	// changes whenever the struct does.
 	for name, o := range map[string]Options{
-		"exact-ew-oracle": {Warmup: WarmupExact, Method: MethodEW, Seed: 1},
-		"histogram-eo":    {Warmup: WarmupHistogram, Method: MethodEO, Seed: 2},
-		"online":          {Online: true, WarmupWalks: 200, Seed: 3},
+		"exact-ew-oracle": {Warmup: WarmupExact, Seed: 1},
+		// Histogram parameters beside EO draws: Online with no warm-up
+		// walks, the one session that starts from the §5 bounds.
+		"histogram-eo": {Online: true, WarmupWalks: -1, Seed: 2},
+		"online":       {Online: true, WarmupWalks: 200, Seed: 3},
 	} {
 		t.Run(name, func(t *testing.T) {
 			u := demoUnion(t)
@@ -175,7 +177,7 @@ func tuplesEqual(a, b []Tuple) bool {
 // sessions replay the same sequence of results.
 func TestSessionAutoStreamsDeterministic(t *testing.T) {
 	u := demoUnion(t)
-	o := Options{Warmup: WarmupExact, Method: MethodEW, Seed: 9}
+	o := Options{Warmup: WarmupExact, Seed: 9}
 	s1, err := u.Prepare(o)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +239,7 @@ func TestDeriveSeedNoCollapse(t *testing.T) {
 // the cached estimate matches the union.
 func TestSessionDisjointAndEstimate(t *testing.T) {
 	u := demoUnion(t)
-	s, err := u.Prepare(Options{Warmup: WarmupExact, Method: MethodEW, Seed: 4})
+	s, err := u.Prepare(Options{Warmup: WarmupExact, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +269,10 @@ func TestSessionDisjointAndEstimate(t *testing.T) {
 		t.Fatal("Estimate exposed the session's internal slice")
 	}
 
-	// An online session honors Options.Method for disjoint draws even
-	// though its set-union sampler is EO-based internally: with EW the
-	// disjoint run has zero subroutine rejections.
-	so, err := u.Prepare(Options{Online: true, WarmupWalks: 100, Method: MethodEW, Seed: 5})
+	// An online session draws its disjoint samples through EW even
+	// though its set-union sampler is EO-based internally: the disjoint
+	// run has zero subroutine rejections.
+	so, err := u.Prepare(Options{Online: true, WarmupWalks: 100, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +284,7 @@ func TestSessionDisjointAndEstimate(t *testing.T) {
 		t.Fatalf("online-session disjoint: %d samples", len(out))
 	}
 	if stats.JoinRejects != 0 {
-		t.Fatalf("MethodEW disjoint run saw %d subroutine rejections; Options.Method was ignored", stats.JoinRejects)
+		t.Fatalf("online session's disjoint run saw %d subroutine rejections; it did not draw through EW", stats.JoinRejects)
 	}
 }
 
@@ -291,8 +293,8 @@ func TestSessionDisjointAndEstimate(t *testing.T) {
 func TestSessionParallelScaling(t *testing.T) {
 	u := demoUnion(t)
 	for _, o := range []Options{
-		{Warmup: WarmupExact, Method: MethodEW, Seed: 10},
-		{Warmup: WarmupHistogram, Method: MethodEO, Seed: 11},
+		{Warmup: WarmupExact, Seed: 10},
+		{Warmup: WarmupHistogram, Seed: 11},
 		{Online: true, WarmupWalks: 100, Seed: 12},
 	} {
 		s, err := u.Prepare(o)

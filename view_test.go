@@ -22,9 +22,9 @@ func viewed(call func(use func([]Tuple, float64) error) error) (out []Tuple, uni
 // viewOptions are the engines a view is pinned under: cover, online and
 // sharded sessions.
 var viewOptions = []Options{
-	{Warmup: WarmupHistogram, Method: MethodEO},
+	{Warmup: WarmupHistogram},
 	{Online: true, WarmupWalks: 20},
-	{Warmup: WarmupExact, Method: MethodEW, Shards: 2},
+	{Warmup: WarmupExact, Shards: 2},
 }
 
 // TestSampleViewSeededEqualsSampleSeeded: a view hands use the tuples

@@ -7,7 +7,7 @@ import (
 func TestSampleWhere(t *testing.T) {
 	u := demoUnion(t)
 	pred := Cmp{Attr: "custkey", Op: LT, Val: 20}
-	s := prepared(t, u, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 6})
+	s := prepared(t, u, Options{Warmup: WarmupExact, Seed: 6})
 	out, stats, err := s.SampleWhere(200, pred)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestPushDownAPI(t *testing.T) {
 	if exact != 40 {
 		t.Fatalf("filtered union = %d, want 40", exact)
 	}
-	s := prepared(t, fu, Options{Warmup: WarmupExact, Method: MethodEW, Seed: 8})
+	s := prepared(t, fu, Options{Warmup: WarmupExact, Seed: 8})
 	out, _, err := s.Sample(100)
 	if err != nil {
 		t.Fatal(err)
