@@ -256,7 +256,8 @@ type RefreshStats struct {
 	// SegmentsPatched counts the weight-table segments EW samplers
 	// recomputed in place of a rebuild; NodesRebuilt the join nodes
 	// join.Patch.Folded names (small segments folded back into flat
-	// arrays, or every entry of the node reached); JoinsRebuilt the joins
+	// arrays, or every entry of the node reached with the rows written
+	// there past an eighth of it); JoinsRebuilt the joins
 	// whose tables were rebuilt whole (a compacted index, a lost
 	// mutation-log tail). WeightBytes is the weight-table storage all of
 	// that wrote — running sums, row lists, offsets, overlay records, the

@@ -23,10 +23,10 @@ type Patch struct {
 	// Folded[k]: node k's small segments' overlay outgrew an eighth of
 	// their flat arrays and was folded, with the untouched ones, into
 	// fresh flat arrays, or the patch reached every entry of the node and
-	// their segments pass an eighth of it. The latter does not mean the
-	// node was written whole when its segments are large: a large root
-	// reads folded whenever a patch reaches it, though the patch wrote
-	// only the blocks holding its hit rows.
+	// the rows it wrote there — a small segment's all, a large segment's
+	// merged blocks only — pass an eighth of it: in both cases O(rows)
+	// work. A patch that reaches a large root writes only the blocks
+	// holding its hit rows, so it reads folded only when those do.
 	Folded []bool
 	// Bytes is the weight-table storage the patch wrote: running sums,
 	// row lists, offsets, overlay records, the overlay slot tables it
@@ -252,7 +252,7 @@ func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch)
 	fresh := &sc.fresh
 	fresh.off, fresh.rows, fresh.cum = append(fresh.off[:0], 0), fresh.rows[:0], fresh.cum[:0]
 	t, small, large := *prev, sc.small[:0], []*LargeSegment(nil)
-	dropped, rewritten := 0, 0 // prev's large segments rewritten; the rows of every rewritten segment
+	dropped, rewritten := 0, 0 // prev's large segments rewritten; the rows written
 	ok = true
 	for lo, hi := 0, 0; lo < len(hits); lo = hi {
 		for hi < len(hits) && hits[hi].ent == hits[lo].ent {
@@ -278,12 +278,18 @@ func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch)
 				h = end
 			}
 		}
-		n := 0
-		sc.walk(was, func(rows []int32, _ []int64, _ *Block, _ bool) { n += len(rows) })
-		rewritten += n
+		n, merged := 0, 0
+		sc.walk(was, func(rows []int32, _ []int64, _ *Block, m bool) {
+			if n += len(rows); m {
+				merged += len(rows)
+			}
+		})
 		if n >= LargeRows {
 			seg, wrote, fits := sc.large(e, was)
 			large, bytes, ok = append(large, seg), bytes+wrote, ok && fits
+			rewritten += merged
+		} else {
+			rewritten += n
 		}
 		// Once e's segment is large, or a large one emptied, the small
 		// layers need only stop answering for e.
