@@ -11,13 +11,12 @@ import (
 // three evaluation workloads end to end: estimation, sampling in every
 // mode, membership of every sample, and aggregate consistency.
 func TestIntegrationUQWorkloads(t *testing.T) {
-	ws, err := tpch.Workloads(tpch.Config{SF: 0.4, Overlap: 0.3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"UQ1", "UQ2", "UQ3"} {
-		w := ws[name]
 		t.Run(name, func(t *testing.T) {
+			w, err := tpch.ByName(name, tpch.Config{SF: 0.4, Overlap: 0.3, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
 			u, err := NewUnion(w.Joins...)
 			if err != nil {
 				t.Fatal(err)
@@ -84,11 +83,10 @@ func TestIntegrationUQWorkloads(t *testing.T) {
 // TestIntegrationDisjointVsSet checks the two union semantics agree on
 // sizes: disjoint total = Σ|J_j| >= set union size.
 func TestIntegrationDisjointVsSet(t *testing.T) {
-	ws, err := tpch.Workloads(tpch.Config{SF: 0.3, Overlap: 0.5, Seed: 6})
+	w, err := tpch.UQ2(tpch.Config{SF: 0.3, Overlap: 0.5, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := ws["UQ2"]
 	u, err := NewUnion(w.Joins...)
 	if err != nil {
 		t.Fatal(err)

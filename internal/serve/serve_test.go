@@ -799,11 +799,11 @@ func TestPredicateDeclCompilation(t *testing.T) {
 func TestDrainingFlag(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	if s.Draining() {
+	if s.draining.Load() {
 		t.Fatal("fresh server reports draining")
 	}
 	s.SetDraining()
-	if !s.Draining() {
+	if !s.draining.Load() {
 		t.Fatal("SetDraining did not stick")
 	}
 }

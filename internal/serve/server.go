@@ -198,9 +198,6 @@ func (s *Server) SetDraining() {
 	s.stop()
 }
 
-// Draining reports whether SetDraining was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // RestoreSessions re-prepares every declaration in the durable boot
 // manifest, so a restarted daemon answers its working set warm: each
 // session's relations come back from checkpoint + WAL replay and its

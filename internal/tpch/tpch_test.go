@@ -217,15 +217,16 @@ func TestUQ3Shape(t *testing.T) {
 	}
 }
 
+// TestWorkloadsBuildsAll: ByName builds each of the three workloads
+// and refuses any other name.
 func TestWorkloadsBuildsAll(t *testing.T) {
-	ws, err := Workloads(Config{SF: 0.3, Overlap: 0.2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"UQ1", "UQ2", "UQ3"} {
-		if ws[name] == nil {
-			t.Errorf("missing workload %s", name)
+		if w, err := ByName(name, Config{SF: 0.3, Overlap: 0.2, Seed: 1}); err != nil || w == nil {
+			t.Errorf("workload %s: %v", name, err)
 		}
+	}
+	if _, err := ByName("UQ4", Config{SF: 0.3}); err == nil {
+		t.Error("ByName built an unknown workload")
 	}
 }
 

@@ -206,16 +206,3 @@ func ByName(name string, cfg Config) (*Workload, error) {
 	}
 	return nil, fmt.Errorf("tpch: unknown workload %q (valid: UQ1, UQ2, UQ3)", name)
 }
-
-// Workloads builds all three workloads with one configuration.
-func Workloads(cfg Config) (map[string]*Workload, error) {
-	out := make(map[string]*Workload, 3)
-	for _, name := range []string{"UQ1", "UQ2", "UQ3"} {
-		w, err := ByName(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = w
-	}
-	return out, nil
-}
