@@ -61,7 +61,7 @@ func main() {
 	flag.Parse()
 
 	// Nonsense flags exit 2 with usage instead of reaching channel and
-	// worker sizing (matching cmd/sampler's treatment of -warmup/-method).
+	// worker sizing (matching cmd/sampler's treatment of -warmup).
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 		flag.Usage()
