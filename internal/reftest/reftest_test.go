@@ -368,10 +368,7 @@ func exactCover(t *testing.T, u *su.Union, seed int64, eo bool) (exactSampler, s
 // does its own. No Options select EO, so these suites reach the
 // subroutine, which Online and the paper's hist+EO baseline still draw
 // through, in the engine.
-type eoCover struct {
-	p         core.PreparedSampler
-	refreshes int64
-}
+type eoCover struct{ p core.PreparedSampler }
 
 func (e *eoCover) SampleSeeded(n int, seed int64) ([]su.Tuple, *su.Stats, error) {
 	run := e.p.NewRun()
@@ -380,9 +377,9 @@ func (e *eoCover) SampleSeeded(n int, seed int64) ([]su.Tuple, *su.Stats, error)
 	return out, nil, err
 }
 
+// Refresh draws no randomness: exact parameters take none.
 func (e *eoCover) Refresh() error {
-	e.refreshes++
-	np, changed, err := e.p.Refresh(rng.New(-e.refreshes))
+	np, changed, err := e.p.Refresh(rng.New(1))
 	if changed {
 		e.p = np
 	}

@@ -225,9 +225,10 @@ const ShardsAuto = -1
 
 // Canonical validates the options and fills every default, returning
 // the one spelling all equal-by-effect options share: an empty Warmup
-// is WarmupRandomWalk; Online with any other Warmup is an error (Algorithm 2 always warms with walks); WarmupWalks 0
-// is 1000 and any negative count -1 (an error without Online, the one
-// sampler that can start without walks); Seed 0 is 1; Shards below 0 is
+// is WarmupRandomWalk; Online with any other Warmup is an error
+// (Algorithm 2 always warms with walks); WarmupWalks 0 is 1000 and any
+// negative count -1 (an error without Online, the one sampler that can
+// start without walks); Seed 0 is 1; Shards below 0 is
 // runtime.GOMAXPROCS(0) and below 1 is 1. Canonical options are a fixed
 // point of Canonical. Every entry point of the package applies it, and
 // the serving layer keys and persists declarations by it, so it is the
