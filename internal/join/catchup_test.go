@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -233,5 +234,65 @@ func TestWeightGenerationsUnderPatch(t *testing.T) {
 	}
 	if overlaid < 48 {
 		t.Errorf("only %d of 96 generations carried an overlay: the script no longer exercises in-place extension", overlaid)
+	}
+}
+
+// TestPatchAllocatesPerNode: a patch carves the large segments it
+// rewrites the way a cold build carves a node, from one set of slabs, so
+// what it allocates does not grow with the segments it reaches. The
+// child B of a two-relation chain holds 24 large segments of 40 to 340
+// rows (one or two blocks each) under a root of 48 rows, itself one
+// large segment; a burst of appends to 2 of them and one to 18 allocate
+// alike, and every patched generation equals a cold build over the same
+// indexes.
+func TestPatchAllocatesPerNode(t *testing.T) {
+	const values = 24
+	a := relation.New("A", relation.NewSchema("x", "y"))
+	b := relation.New("B", relation.NewSchema("y", "z"))
+	next := 0 // B's z values are distinct
+	for v := 0; v < values; v++ {
+		a.AppendValues(relation.Value(2*v), relation.Value(v))
+		a.AppendValues(relation.Value(2*v+1), relation.Value(v))
+		for i := 0; i < 40+20*(v%16); i++ {
+			b.AppendValues(relation.Value(v), relation.Value(next))
+			next++
+		}
+	}
+	j, err := NewChain("perNode", []*relation.Relation{a, b}, []string{"y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := exactWeights(t, j)
+	// least is the fewest allocations of ten patches from w: sync.Pool
+	// may drop the scratch between two (a quarter of the time under the
+	// race detector), and a patch that regrows it is not the one
+	// measured.
+	least := func() float64 {
+		fewest := math.Inf(1)
+		for i := 0; i < 10; i++ {
+			fewest = math.Min(fewest, testing.AllocsPerRun(1, func() { patchWeights(t, j, w) }))
+		}
+		return fewest
+	}
+	var allocs []float64
+	for _, reached := range []int{2, 18} {
+		for v := 0; v < reached; v++ {
+			b.AppendValues(relation.Value(v*values/reached), relation.Value(next))
+			next++
+		}
+		allocs = append(allocs, least())
+		patched, p := patchWeights(t, j, w)
+		if p.Rebuilt || len(p.Touched[1]) != reached {
+			t.Fatalf("burst on %d values: patch %+v, want B's %d segments rewritten in place", reached, p, reached)
+		}
+		cold := exactWeights(t, j)
+		if !reflect.DeepEqual(weightDump(patched), weightDump(cold)) || patched.Count() != cold.Count() {
+			t.Fatalf("burst on %d values: the patched tables differ from a cold build", reached)
+		}
+		w = patched
+	}
+	t.Logf("a patch reaching 2 large segments allocates %.0f objects, one reaching 18 %.0f", allocs[0], allocs[1])
+	if allocs[0] != allocs[1] {
+		t.Errorf("a patch reaching 2 large segments allocates %.0f objects, one reaching 18 %.0f: it allocates per segment again", allocs[0], allocs[1])
 	}
 }

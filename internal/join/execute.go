@@ -128,9 +128,13 @@ type Block struct {
 // the last. Immutable once published, so generations share it by pointer:
 // a patch that does not reach it copies nothing of it, and one that does
 // writes the blocks holding its hit rows and a new directory, and shares
-// every other block. Where block boundaries fall changes no draw: EW
-// finds the first row whose running sum exceeds its draw, searching the
-// directory and then the block (joinsample.searchLarge).
+// every other block. A segment, its directory and its blocks are carved
+// from slabs shared with the node's other segments that one cold build
+// (packer) or one patch (patchScratch.large) wrote, so a block shared
+// forward keeps that build's or patch's slabs alive. Where block
+// boundaries fall changes no draw: EW finds the first row whose running
+// sum exceeds its draw, searching the directory and then the block
+// (joinsample.searchLarge).
 type LargeSegment struct {
 	Ent    int32 // the index entry whose rows these are
 	Sums   []int64
@@ -372,8 +376,10 @@ func (j *Join) ExactWeights() (*Weights, error) {
 // carved into blocks (carve). One array of rows and one of sums hold
 // both, the latter the large segments' directories too, and one slab
 // each the segments, block headers and directories' pointers. Until fill
-// names the table it only counts what the arrays must hold. overflow
-// records a running sum past math.MaxInt64.
+// names the table it only counts what the arrays must hold. A patch
+// carves the large segments it rewrites the same way
+// (patchScratch.large). overflow records a running sum past
+// math.MaxInt64.
 type packer struct {
 	w                            []int64
 	t                            *WeightTable

@@ -113,11 +113,12 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 
 	p := Patch{Touched: make([][]int32, n), Folded: make([]bool, n)}
 	// moved[k]: the touched entries of node k whose total changed, which
-	// is all a parent's weights can see of them.
+	// is all a parent's weights can see of them; a stretch of sc.moved.
 	moved := make([][]int32, n)
 	sc := scratchPool.Get().(*patchScratch)
 	defer scratchPool.Put(sc)
 	hits := sc.hits
+	sc.moved = sc.moved[:0]
 	for k := n - 1; k >= 0; k-- {
 		nd, s := &j.nodes[k], &snaps[k]
 		hits = hits[:0]
@@ -170,26 +171,34 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 			return nil, Patch{}, j.overflow()
 		}
 		p.Bytes += bytes
+		lo := len(sc.moved)
 		for _, e := range p.Touched[k] {
 			if ws.Nodes[k].Total(int(e)) != prev.Nodes[k].Total(int(e)) {
-				moved[k] = append(moved[k], e)
+				sc.moved = append(sc.moved, e)
 			}
 		}
+		moved[k] = sc.moved[lo:]
 	}
 	sc.hits = hits
 	return ws, p, nil
 }
 
-// patchScratch is what PatchWeights writes only to read back — the node
-// in hand's hits, the rewritten small segments and their entries, and
-// the pieces of the segment in hand — pooled across calls.
+// patchScratch is what PatchWeights writes only to read back, pooled
+// across calls: the node in hand's hits, the entries it touched, its
+// rewritten small segments and their entries, the large segments it
+// reached and the pieces of each, and every node's moved entries. A
+// patch takes its growth from here, so the storage it publishes is a
+// fixed number of allocations per node (patchScratch.large).
 type patchScratch struct {
-	hits   []reweigh
-	fresh  segRun
-	small  []int32
-	pieces []piece
-	rows   []int32 // the merged pieces' rows
-	cum    []int64 // and running sums, each counted from its piece's first row
+	hits    []reweigh
+	touched []int32
+	fresh   segRun
+	small   []int32
+	reached []reached
+	pieces  []piece
+	rows    []int32 // the merged pieces' rows
+	cum     []int64 // and running sums, each counted from its piece's first row
+	moved   []int32
 }
 
 // segRun is a run of segments packed back to back: segment i is
@@ -209,17 +218,26 @@ type piece struct {
 	same      *Block
 }
 
+// reached is a segment the node in hand's patch leaves large: entry
+// ent's, merged over was (nil when it was small) into the pieces
+// sc.pieces[lo:hi].
+type reached struct {
+	ent    int32
+	was    *LargeSegment
+	lo, hi int
+}
+
 var scratchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 
-// walk calls f with every stretch of the segment in hand, in row order:
-// the blocks of its large predecessor was that no hit reached (merged
-// false, blk the block), and the merged pieces (blk their same).
-func (sc *patchScratch) walk(was *LargeSegment, f func(rows []int32, cum []int64, blk *Block, merged bool)) {
+// walk calls f with every stretch of a segment, in row order: the blocks
+// of its large predecessor was that no hit reached (merged false, blk the
+// block), and its merged pieces (blk their same).
+func (sc *patchScratch) walk(was *LargeSegment, pieces []piece, f func(rows []int32, cum []int64, blk *Block, merged bool)) {
 	i := 0
 	if was != nil {
 		for b, blk := range was.Blocks {
-			if i < len(sc.pieces) && sc.pieces[i].b == b {
-				pc := sc.pieces[i]
+			if i < len(pieces) && pieces[i].b == b {
+				pc := pieces[i]
 				f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true)
 				i++
 				continue
@@ -227,7 +245,7 @@ func (sc *patchScratch) walk(was *LargeSegment, f func(rows []int32, cum []int64
 			f(blk.Rows, blk.Cum, blk, false)
 		}
 	}
-	for _, pc := range sc.pieces[i:] {
+	for _, pc := range pieces[i:] {
 		f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true)
 	}
 }
@@ -238,8 +256,9 @@ func (sc *patchScratch) walk(was *LargeSegment, f func(rows []int32, cum []int64
 // (Patch.Folded) and the bytes it wrote. Each segment is merged into
 // scratch, reused across calls: a small one whole, a large one only in
 // the blocks its hits fall in, a hit going to the last block whose first
-// row does not follow it. A segment of LargeRows rows or more becomes a
-// LargeSegment (patchScratch.large) beside a copy of prev.Large. The
+// row does not follow it. The segments of LargeRows rows or more stay
+// there until the last is merged, and then become LargeSegments carved
+// from one set of slabs (patchScratch.large) in a copy of prev.Large. The
 // small ones extend prev's overlay (segOverlay.extend), or — once the
 // overlay's entries and rows pass relation.FoldBudget of the flat
 // arrays' — are folded with the untouched ones into fresh flat arrays;
@@ -251,7 +270,8 @@ func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch)
 	}
 	fresh := &sc.fresh
 	fresh.off, fresh.rows, fresh.cum = append(fresh.off[:0], 0), fresh.rows[:0], fresh.cum[:0]
-	t, small, large := *prev, sc.small[:0], []*LargeSegment(nil)
+	sc.rows, sc.cum, sc.pieces, sc.reached = sc.rows[:0], sc.cum[:0], sc.pieces[:0], sc.reached[:0]
+	t, small, touched := *prev, sc.small[:0], sc.touched[:0]
 	dropped, rewritten := 0, 0 // prev's large segments rewritten; the rows written
 	ok = true
 	for lo, hi := 0, 0; lo < len(hits); lo = hi {
@@ -261,7 +281,7 @@ func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch)
 		e := hits[lo].ent
 		touched = append(touched, e)
 		wasRows, wasCum, was := prev.Segment(int(e))
-		sc.rows, sc.cum, sc.pieces = sc.rows[:0], sc.cum[:0], sc.pieces[:0]
+		rlo, plo := len(sc.rows), len(sc.pieces)
 		if was == nil {
 			ok = sc.merge(nil, -1, wasRows, wasCum, hits[lo:hi]) && ok
 		} else {
@@ -279,51 +299,56 @@ func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch)
 			}
 		}
 		n, merged := 0, 0
-		sc.walk(was, func(rows []int32, _ []int64, _ *Block, m bool) {
+		sc.walk(was, sc.pieces[plo:], func(rows []int32, _ []int64, _ *Block, m bool) {
 			if n += len(rows); m {
 				merged += len(rows)
 			}
 		})
 		if n >= LargeRows {
-			seg, wrote, fits := sc.large(e, was)
-			large, bytes, ok = append(large, seg), bytes+wrote, ok && fits
+			sc.reached = append(sc.reached, reached{ent: e, was: was, lo: plo, hi: len(sc.pieces)})
 			rewritten += merged
 		} else {
 			rewritten += n
+			ok = sc.flatten(was, sc.pieces[plo:], fresh) && ok
+			sc.rows, sc.cum, sc.pieces = sc.rows[:rlo], sc.cum[:rlo], sc.pieces[:plo]
 		}
 		// Once e's segment is large, or a large one emptied, the small
 		// layers need only stop answering for e.
-		if n >= LargeRows || (n == 0 && was != nil) {
-			if was != nil || len(wasRows) == 0 {
-				continue
-			}
-		} else {
-			ok = sc.flatten(was, fresh) && ok
+		if (n >= LargeRows || (n == 0 && was != nil)) && (was != nil || len(wasRows) == 0) {
+			continue
 		}
 		small = append(small, e)
 		fresh.off = append(fresh.off, int32(len(fresh.rows)))
 	}
+	sc.small, sc.touched = small, touched
 	if !ok {
 		return WeightTable{}, nil, false, 0, false
 	}
+	touched = slices.Clone(touched)
 	if len(touched) == entries {
 		rows, _ := prev.size()
 		whole = len(touched)+rewritten > relation.FoldBudget(len(prev.Off)+rows)
 	}
-	sc.small = small
-	if len(large)+dropped > 0 {
+	if len(sc.reached)+dropped > 0 {
+		large, wrote, fits := sc.large()
+		if !fits {
+			return WeightTable{}, nil, false, 0, false
+		}
 		dir := make([]*LargeSegment, 0, len(prev.Large)-dropped+len(large))
 		i := 0
 		for _, seg := range prev.Large {
 			for ; i < len(large) && large[i].Ent < seg.Ent; i++ {
-				dir = append(dir, large[i])
+				dir = append(dir, &large[i])
 			}
 			if _, hit := slices.BinarySearch(touched, seg.Ent); !hit {
 				dir = append(dir, seg)
 			}
 		}
-		t.Large = append(dir, large[i:]...)
-		bytes += 8 * len(t.Large)
+		for ; i < len(large); i++ {
+			dir = append(dir, &large[i])
+		}
+		t.Large = dir
+		bytes += wrote + 8*len(t.Large)
 	}
 	if len(small) == 0 {
 		return t, touched, whole, bytes, true
@@ -416,12 +441,13 @@ func (sc *patchScratch) merge(was *Block, b int, rows []int32, cum []int64, hits
 	return ok
 }
 
-// flatten appends the segment in hand to fresh as one small segment. It
-// is false when its running sum passes math.MaxInt64.
-func (sc *patchScratch) flatten(was *LargeSegment, fresh *segRun) bool {
+// flatten appends a segment — its large predecessor was's blocks and its
+// merged pieces — to fresh as one small segment. It is false when its
+// running sum passes math.MaxInt64.
+func (sc *patchScratch) flatten(was *LargeSegment, pieces []piece, fresh *segRun) bool {
 	var base int64
 	ok := true
-	sc.walk(was, func(rows []int32, cum []int64, _ *Block, _ bool) {
+	sc.walk(was, pieces, func(rows []int32, cum []int64, _ *Block, _ bool) {
 		for _, c := range cum {
 			fresh.cum = append(fresh.cum, base+c)
 		}
@@ -434,45 +460,59 @@ func (sc *patchScratch) flatten(was *LargeSegment, fresh *segRun) bool {
 	return ok
 }
 
-// large returns entry e's segment in hand as a LargeSegment, and the
-// bytes it wrote: every block of was no hit reached by pointer, every
-// merged piece carved into blocks of its own (carve) — split when it grew
-// past 2·BlockRows, none when it emptied — and a new directory. The
-// pieces' sums go into one array with the directory's, their rows into
-// another (a piece with its old block's rows, one block, keeps those),
-// their headers into one slab. ok is false when a total passes MaxInt64.
-func (sc *patchScratch) large(e int32, was *LargeSegment) (_ *LargeSegment, bytes int, ok bool) {
+// large returns the reached segments as LargeSegments, in entry order,
+// and the bytes they wrote, carved the way the cold build's packer
+// carves a node: a first walk counts every segment's blocks and merged
+// rows, then one slab each holds the segment headers, block headers,
+// directory pointers, moved rows and running sums (the directories'
+// too). Each keeps every block of its predecessor no hit reached by
+// pointer, and carves every merged piece into blocks of its own (carve)
+// — split when it grew past 2·BlockRows, none when it emptied; a piece
+// with its old block's rows, one block, keeps those rows. ok is false
+// when a total passes MaxInt64.
+func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
 	blocks, carved, sums, ids := 0, 0, 0, 0
-	sc.walk(was, func(rows []int32, _ []int64, same *Block, merged bool) {
-		if !merged {
-			blocks++
-			return
-		}
-		nb := blocksOf(len(rows))
-		blocks, carved, sums = blocks+nb, carved+nb, sums+len(rows)
-		if same == nil {
-			ids += len(rows)
-		}
-	})
-	seg := &LargeSegment{Ent: e, Blocks: make([]*Block, 0, blocks)}
-	cum, rows, hdrs := make([]int64, blocks+sums), make([]int32, ids), make([]Block, carved)
-	seg.Sums, cum = cum[:blocks:blocks], cum[blocks:]
-	sc.walk(was, func(r []int32, c []int64, blk *Block, merged bool) {
-		if !merged {
-			seg.Blocks = append(seg.Blocks, blk)
-			return
-		}
-		n := copy(cum, c)
-		c, cum = cum[:n:n], cum[n:]
-		if blk != nil {
-			r = blk.Rows
-		} else {
-			copy(rows, r)
-			r, rows = rows[:n:n], rows[n:]
-		}
-		hdrs, seg.Blocks = carve(r, c, hdrs, seg.Blocks)
-	})
-	return seg, 16*blocks + 8*sums + 4*ids, seg.sum()
+	for _, r := range sc.reached {
+		sc.walk(r.was, sc.pieces[r.lo:r.hi], func(rows []int32, _ []int64, same *Block, merged bool) {
+			if !merged {
+				blocks++
+				return
+			}
+			nb := blocksOf(len(rows))
+			blocks, carved, sums = blocks+nb, carved+nb, sums+len(rows)
+			if same == nil {
+				ids += len(rows)
+			}
+		})
+	}
+	segs, hdrs, dir := make([]LargeSegment, len(sc.reached)), make([]Block, carved), make([]*Block, blocks)
+	cum, rows := make([]int64, blocks+sums), make([]int32, ids)
+	dirSums, cum := cum[:blocks], cum[blocks:]
+	ok = true
+	for i, r := range sc.reached {
+		seg := &segs[i]
+		seg.Ent, seg.Blocks = r.ent, dir[:0]
+		sc.walk(r.was, sc.pieces[r.lo:r.hi], func(rs []int32, c []int64, blk *Block, merged bool) {
+			if !merged {
+				seg.Blocks = append(seg.Blocks, blk)
+				return
+			}
+			n := copy(cum, c)
+			c, cum = cum[:n:n], cum[n:]
+			if blk != nil {
+				rs = blk.Rows
+			} else {
+				copy(rows, rs)
+				rs, rows = rows[:n:n], rows[n:]
+			}
+			hdrs, seg.Blocks = carve(rs, c, hdrs, seg.Blocks)
+		})
+		nb := len(seg.Blocks)
+		seg.Blocks, dir = seg.Blocks[:nb:nb], dir[nb:]
+		seg.Sums, dirSums = dirSums[:nb:nb], dirSums[nb:]
+		ok = seg.sum() && ok
+	}
+	return segs, 16*blocks + 8*sums + 4*ids, ok
 }
 
 // weigh weighs every hit row afresh: 0 when it is not among its entry's

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -60,5 +61,46 @@ func TestCatchUpBytesIndependentOfAge(t *testing.T) {
 	if aged > 2*fresh {
 		t.Errorf("a 32-row catch-up half way to the fold allocates %d B, %.1fx the %d B at age 0: the overlay is copied whole again",
 			aged, float64(aged)/float64(fresh), fresh)
+	}
+}
+
+// TestCatchUpAllocatesOneRowListPerValue: a catch-up allocates the row
+// list of a value it adds to the overlay once, with room for the row the
+// tail appends to it. k appends to k values of the base that the overlay
+// does not hold yet allocate what k deletes from them do: the overlay,
+// its entries and slots, and k row lists.
+func TestCatchUpAllocatesOneRowListPerValue(t *testing.T) {
+	const rows, distinct = 1 << 12, 1 << 9
+	catchUp := func(k int, del bool) float64 {
+		r := New("R", NewSchema("A", "B"))
+		for i := 0; i < rows; i++ {
+			r.AppendValues(Value(i%distinct), Value(i))
+		}
+		ix := r.Index(0)
+		for v := 0; v < k; v++ {
+			if del {
+				r.Delete(v) // row v holds value v
+			} else {
+				r.AppendValues(Value(v), Value(rows+v))
+			}
+		}
+		tail, upTo, _ := r.MutationsSince(ix.version)
+		s := r.snap.Load()
+		// ix is a pure CSR, so each catch-up starts a new overlay. The
+		// fewest of three counts: the runtime allocates now and then on
+		// its own account.
+		fewest := math.Inf(1)
+		for range 3 {
+			fewest = math.Min(fewest, testing.AllocsPerRun(10, func() { ix.applyTail(s, 0, tail, upTo) }))
+		}
+		return fewest
+	}
+	for _, k := range []int{1, 8, 32, 100} {
+		appends, deletes := catchUp(k, false), catchUp(k, true)
+		t.Logf("%d values: %.0f objects", k, appends)
+		if appends != deletes {
+			t.Errorf("%d appends to %d values new to the overlay allocate %.0f objects, %d deletes from them %.0f: a row list is grown after it was copied",
+				k, k, appends, k, deletes)
+		}
 	}
 }

@@ -225,7 +225,8 @@ func (o *overlay) header(e int, pred *overlay) *[]int {
 // ensure returns the overlay entry for v, creating it (initialized with
 // the base's row list for v — necessarily all live, since any earlier
 // deletion of a v-row would already have created the entry) when
-// absent. pred is the overlay o succeeds.
+// absent, in one allocation with room for the row a tail appends to it.
+// pred is the overlay o succeeds.
 func (o *overlay) ensure(v Value, base *csr, pred *overlay) int {
 	if e := o.lookup(v); e >= 0 {
 		return e
@@ -235,7 +236,8 @@ func (o *overlay) ensure(v Value, base *csr, pred *overlay) int {
 	o.keys = append(o.keys, v)
 	be, ok := base.entryOf(v)
 	if ok {
-		*o.header(e, pred) = append([]int(nil), base.rows[base.starts[be]:base.starts[be+1]]...)
+		rows := base.rows[base.starts[be]:base.starts[be+1]]
+		*o.header(e, pred) = append(make([]int, 0, len(rows)+1), rows...)
 		o.baseEnt = append(o.baseEnt, int32(be))
 		o.rank = append(o.rank, -1)
 	} else {

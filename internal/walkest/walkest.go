@@ -54,9 +54,10 @@ type JoinEstimate struct {
 	samples     []Sample
 
 	// Scratch, private to this estimate (clone drops it): slab is the
-	// unused rest of the chunk retain carves tuples from — one
-	// allocation per slabTuples retained walks, each tuple immutable and
-	// separately addressable — and rowOf is WalkInto's per-node rows.
+	// unused rest of the chunk retain carves tuples from — the one
+	// reserve sized, then one allocation per slabTuples retained walks,
+	// each tuple immutable and separately addressable — and rowOf is
+	// WalkInto's per-node rows.
 	slab  relation.Tuple
 	rowOf []int
 }
@@ -91,6 +92,17 @@ func (e *JoinEstimate) retain() relation.Tuple {
 func (e *JoinEstimate) keep(s Sample) {
 	e.slab = e.slab[len(s.Tuple):]
 	e.samples = append(e.samples, s)
+}
+
+// reserve sizes the empty estimate's pool and tuple chunk for a warm-up
+// that keeps about kept walks, as its predecessor did: that many and a
+// quarter more, at most the walk budget, so the warm-up allocates each
+// once unless it keeps more.
+func (e *JoinEstimate) reserve(kept, budget int) {
+	if n := min(kept+kept/4, budget); n > 0 {
+		e.samples = make([]Sample, 0, n)
+		e.slab = make(relation.Tuple, n*e.J.OutputSchema().Len())
+	}
 }
 
 // observe folds one walk in: invP is its 1/p(t) and y its cover
@@ -309,13 +321,15 @@ func (e *Estimator) CopyEstimates(src *Estimator) {
 // a dirty join may have gained or lost those walks' tuples, so each
 // retained walk's owner is derived again (join.Owners.Reowned) and the
 // join's cover estimate afresh from the pool. The pool is shared with e's
-// until an owner moves, and copied then. It also reports how many walks
-// it probed again.
+// until an owner moves, and copied then. A dirty join's new pool is sized
+// from its old one (JoinEstimate.reserve). It also reports how many
+// walks it probed again.
 func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 	c := e.shell()
 	for j, d := range dirty {
 		if d {
 			c.ests[j] = NewJoinEstimate(e.joins[j])
+			c.ests[j].reserve(len(e.ests[j].samples), e.opts.MaxWalks)
 		} else {
 			c.ests[j] = e.ests[j].share()
 		}
