@@ -144,7 +144,7 @@ type OnlineSampler struct {
 	alias    *rng.Alias
 	recorded int
 	conf     float64        // the walk estimator's confidence level as of the last backtrack
-	scratch  relation.Tuple // where a fresh walk lands; only an accepted one is copied, into the arena
+	scratch  relation.Tuple // where a fresh walk or a pool sample lands; only an accepted one is copied, into the arena
 }
 
 // reset adopts the shared warm-up into the run and starts it over:
@@ -207,10 +207,10 @@ func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 			if mult == 0 {
 				continue
 			}
-			if s.accept(j, sm.Tuple, sm.Owner) {
+			if s.accept(j, s.scratch, sm.Owner) {
 				// Commit under the inclusion probability of the parameters
 				// in force, for backtracking to thin by.
-				s.commit(j, sm.Tuple, mult, s.inclusionProb(j))
+				s.commit(j, s.scratch, mult, s.inclusionProb(j))
 				if reuse {
 					s.stats.ReuseAccepted++
 				}
@@ -223,10 +223,10 @@ func (s *OnlineSampler) drawOne(g *rng.RNG) error {
 	}
 }
 
-// candidate produces one tuple of join j with a multiplicity (zero: none
-// this attempt): from the reuse pool while the run holds one (line 8;
-// NewReuseRun), otherwise by a fresh wander-join walk into the run's
-// scratch. Both paths apply the p(t)-correction so that each value of J_j
+// candidate produces one tuple of join j, in the run's scratch, with a
+// multiplicity (zero: none this attempt): from the reuse pool while the
+// run holds one (line 8; NewReuseRun), otherwise by a fresh wander-join
+// walk. Both paths apply the p(t)-correction so that each value of J_j
 // is produced with equal expected multiplicity — uniform within the join.
 // While the run refines its parameters a fresh walk is probed once for its
 // owner f(t), for the running estimates, and that owner decides acceptance
@@ -238,7 +238,7 @@ func (s *OnlineSampler) candidate(j int, g *rng.RNG) (sm walkest.Sample, mult in
 	size := s.params.JoinSizes[j]
 	s.stats.Joins[j].Draws++
 	if pool := je.Samples(); len(pool) > 0 {
-		sm = je.TakeSample(g.Intn(len(pool))) // without replacement (line 8)
+		sm = je.TakeSample(g.Intn(len(pool)), s.scratch) // without replacement (line 8)
 		sm.Owner = -1
 		// Acceptance ratio: the pool's composition is proportional to
 		// p(t) and the acceptance proportional to 1/p(t), so any

@@ -231,8 +231,7 @@ func (p *prepared) Prewarm() { BuildShared(p.base.joins) }
 
 // Stale implements PreparedSampler.
 func (p *prepared) Stale() bool {
-	_, any := dirtyJoins(p.base.joins, p.base.vers)
-	return any
+	return stale(p.base.joins, p.base.vers)
 }
 
 // LastRefresh implements PreparedSampler.

@@ -102,23 +102,28 @@ func newUnionBase(joins []*join.Join, method JoinMethod) (*unionBase, error) {
 	return b, nil
 }
 
-// dirtyJoins reports, per join, whether any underlying relation mutated
-// since the version snapshot vers was taken (vers[i] is joins[i]'s
-// StateVersions at build or last refresh), and whether any did.
-func dirtyJoins(joins []*join.Join, vers [][]uint64) ([]bool, bool) {
-	dirty := make([]bool, len(joins))
-	any := false
+// stale reports whether any underlying relation mutated since the
+// version snapshot vers was taken (vers[i] is joins[i]'s StateVersions at
+// build or last refresh). It allocates nothing.
+func stale(joins []*join.Join, vers [][]uint64) bool {
 	for i, j := range joins {
-		cur := j.StateVersions()
-		for k, v := range cur {
-			if k >= len(vers[i]) || vers[i][k] != v {
-				dirty[i] = true
-				any = true
-				break
-			}
+		if j.Moved(vers[i]) {
+			return true
 		}
 	}
-	return dirty, any
+	return false
+}
+
+// dirtyJoins reports, per join, whether it is stale: nil when none is.
+func dirtyJoins(joins []*join.Join, vers [][]uint64) []bool {
+	if !stale(joins, vers) {
+		return nil
+	}
+	dirty := make([]bool, len(joins))
+	for i, j := range joins {
+		dirty[i] = j.Moved(vers[i])
+	}
+	return dirty
 }
 
 // reconciled returns a copy of the base whose dirty joins have
@@ -129,9 +134,9 @@ func dirtyJoins(joins []*join.Join, vers [][]uint64) ([]bool, bool) {
 // alignment and owner probes are version-independent and shared
 // as-is. Nothing dirty: the base itself.
 func (b *unionBase) reconciled() (*unionBase, []bool, bool) {
-	dirty, any := dirtyJoins(b.joins, b.vers)
-	if !any {
-		return b, dirty, false
+	dirty := dirtyJoins(b.joins, b.vers)
+	if dirty == nil {
+		return b, nil, false
 	}
 	cp := *b
 	nb := &cp

@@ -279,8 +279,7 @@ func (p *ShardedShared) aggregate() error {
 // snapshot — the authoritative staleness signal for the sharded
 // sampler (per-shard samplers see fragments, which only move on Sync).
 func (p *ShardedShared) Stale() bool {
-	_, any := dirtyJoins(p.origJoins, p.vers)
-	return any
+	return stale(p.origJoins, p.vers)
 }
 
 // Refresh reconciles the sharded sampler with mutated data: partitions
@@ -293,8 +292,8 @@ func (p *ShardedShared) Stale() bool {
 // in-flight runs keep drawing under the live-relation visibility
 // contract.
 func (p *ShardedShared) Refresh(g *rng.RNG) (PreparedSampler, bool, error) {
-	dirty, any := dirtyJoins(p.origJoins, p.vers)
-	if !any {
+	dirty := dirtyJoins(p.origJoins, p.vers)
+	if dirty == nil {
 		return p, false, nil
 	}
 	for i, d := range dirty {

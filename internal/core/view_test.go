@@ -33,7 +33,7 @@ func TestFreshWalkIsProbedOnce(t *testing.T) {
 				if reuse {
 					t.Fatal("a served run drew from the warm-up pool")
 				}
-				return sm.Tuple, sm.Owner
+				return run.scratch, sm.Owner
 			}
 		}
 	}

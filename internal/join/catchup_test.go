@@ -237,19 +237,12 @@ func TestWeightGenerationsUnderPatch(t *testing.T) {
 	}
 }
 
-// TestPatchAllocatesPerNode: a patch carves the large segments it
-// rewrites the way a cold build carves a node, from one set of slabs, so
-// what it allocates does not grow with the segments it reaches. The
-// child B of a two-relation chain holds 24 large segments of 40 to 340
-// rows (one or two blocks each) under a root of 48 rows, itself one
-// large segment; a burst of appends to 2 of them and one to 18 allocate
-// alike, and every patched generation equals a cold build over the same
-// indexes.
-func TestPatchAllocatesPerNode(t *testing.T) {
-	const values = 24
+// perNodeChain is a two-relation chain A ⋈ B on y: A holds two rows for
+// each of values values of y, B 40 to 340 rows each with distinct z
+// values, next being the first unused one.
+func perNodeChain(t *testing.T, values int) (j *Join, b *relation.Relation, next int) {
 	a := relation.New("A", relation.NewSchema("x", "y"))
-	b := relation.New("B", relation.NewSchema("y", "z"))
-	next := 0 // B's z values are distinct
+	b = relation.New("B", relation.NewSchema("y", "z"))
 	for v := 0; v < values; v++ {
 		a.AppendValues(relation.Value(2*v), relation.Value(v))
 		a.AppendValues(relation.Value(2*v+1), relation.Value(v))
@@ -262,11 +255,90 @@ func TestPatchAllocatesPerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return j, b, next
+}
+
+// TestPatchScratchSurvivesCollections: a join keeps its patch scratch
+// where the collector leaves it, so a patch after two collections — a
+// sync.Pool's lifetime — allocates no more than one right after another
+// patch, where a dropped scratch regrew a node's worth by doubling.
+func TestPatchScratchSurvivesCollections(t *testing.T) {
+	j, b, next := perNodeChain(t, 24)
 	w := exactWeights(t, j)
-	// least is the fewest allocations of ten patches from w: sync.Pool
-	// may drop the scratch between two (a quarter of the time under the
-	// race detector), and a patch that regrows it is not the one
-	// measured.
+	for v := 0; v < 18; v++ {
+		b.AppendValues(relation.Value(v), relation.Value(next+v))
+	}
+	measure := func(collect bool) (allocs, bytes uint64) {
+		allocs, bytes = math.MaxUint64, math.MaxUint64
+		for range 5 {
+			patchWeights(t, j, w)
+			if collect {
+				runtime.GC()
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			patchWeights(t, j, w)
+			runtime.ReadMemStats(&after)
+			allocs = least(allocs, after.Mallocs-before.Mallocs)
+			bytes = least(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return allocs, bytes
+	}
+	steadyAllocs, steadyBytes := measure(false)
+	allocs, bytes := measure(true)
+	t.Logf("a patch allocates %d objects, %d B; after two collections %d objects, %d B", steadyAllocs, steadyBytes, allocs, bytes)
+	if allocs > steadyAllocs || bytes > steadyBytes {
+		t.Errorf("a patch after two collections allocates %d objects, %d B; right after another %d, %d B: the scratch was dropped", allocs, bytes, steadyAllocs, steadyBytes)
+	}
+}
+
+// TestConcurrentPatchesOfOneJoin: patches of one join from several
+// goroutines at once each take the join's scratch or make their own, so
+// none writes another's, and every one equals a cold build.
+func TestConcurrentPatchesOfOneJoin(t *testing.T) {
+	j, b, next := perNodeChain(t, 24)
+	w := exactWeights(t, j)
+	for v := 0; v < 18; v++ {
+		b.AppendValues(relation.Value(v), relation.Value(next+v))
+	}
+	want := weightDump(exactWeights(t, j))
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				ws, _, err := j.PatchWeights(w)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(weightDump(ws), want) {
+					t.Error("a concurrent patch differs from a cold build")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPatchAllocatesPerNode: a patch carves the large segments it
+// rewrites the way a cold build carves a node, from one set of slabs, so
+// what it allocates does not grow with the segments it reaches. The
+// child B of a two-relation chain holds 24 large segments of 40 to 340
+// rows (one or two blocks each) under a root of 48 rows, itself one
+// large segment; a burst of appends to 2 of them and one to 18 allocate
+// alike, and every patched generation equals a cold build over the same
+// indexes.
+func TestPatchAllocatesPerNode(t *testing.T) {
+	const values = 24
+	j, b, next := perNodeChain(t, values)
+	w := exactWeights(t, j)
+	// least is the fewest allocations of ten patches from w: the runtime
+	// allocates now and then on its own account, and a patch it did so
+	// under is not the one measured.
 	least := func() float64 {
 		fewest := math.Inf(1)
 		for i := 0; i < 10; i++ {

@@ -66,8 +66,14 @@ type ResView struct {
 	st *resState
 }
 
-// View pins the current state.
-func (r *Residual) View() ResView { return ResView{r: r, st: r.state.Load()} }
+// View pins the current state: the zero ResView for a nil Residual, an
+// acyclic join's.
+func (r *Residual) View() ResView {
+	if r == nil {
+		return ResView{}
+	}
+	return ResView{r: r, st: r.state.Load()}
+}
 
 // Rel returns the pinned materialized relation.
 func (v ResView) Rel() *relation.Relation { return v.st.rel }
@@ -103,9 +109,6 @@ func (r *Residual) Rel() *relation.Relation { return r.state.Load().rel }
 // one combination of link-attribute values (§8.2), for the current
 // state.
 func (r *Residual) MaxDegree() int { return r.state.Load().maxDeg }
-
-// Match is View().Match for setup-time callers.
-func (r *Residual) Match(out relation.Tuple) []int { return r.View().Match(out) }
 
 // stale reports whether a tracked member base relation changed since
 // the residual was last reconciled. srcVers is rewritten by reconcile,

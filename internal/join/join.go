@@ -15,6 +15,7 @@ package join
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,6 +56,10 @@ type Join struct {
 	// memberFolds counts member tables a reconcile built again from the
 	// snapshot instead of extending their delta.
 	memberFolds atomic.Uint64
+	// scratch is the one patchScratch a PatchWeights of this join takes
+	// and puts back (a concurrent second patch makes its own), held where
+	// the collector does not drop it between refreshes.
+	scratch atomic.Pointer[patchScratch]
 }
 
 // Name returns the join's name.
@@ -99,6 +104,22 @@ func (j *Join) StateVersions() []uint64 {
 		}
 	}
 	return out
+}
+
+// Moved reports whether anything StateVersions snapshots mutated since
+// vers was taken. It reads the versions in place and allocates nothing.
+func (j *Join) Moved(vers []uint64) bool {
+	k := 0
+	moved := func(r *relation.Relation) bool {
+		k++
+		return k > len(vers) || vers[k-1] != r.Version()
+	}
+	for i := range j.nodes {
+		if moved(j.nodes[i].Rel) {
+			return true
+		}
+	}
+	return j.res != nil && slices.ContainsFunc(j.res.src, moved)
 }
 
 // NewChain builds the chain join rels[0] ⋈ rels[1] ⋈ ... where rels[i]
@@ -280,6 +301,18 @@ func (j *Join) FillOutput(k, r int, out relation.Tuple) {
 	cols := n.Rel.Cols()
 	for _, e := range n.emit {
 		out[e[1]] = cols[e[0]][r]
+	}
+}
+
+// FillRows writes into out the output tuple of the rows a walk picked:
+// rows[k] of each node k and, for a cyclic join, the residual row after
+// them, read from rv, the residual state the walk read (WalkInto).
+func (j *Join) FillRows(rv ResView, rows []int32, out relation.Tuple) {
+	for k := range j.nodes {
+		j.FillOutput(k, int(rows[k]), out)
+	}
+	if j.res != nil {
+		rv.FillInto(int(rows[len(j.nodes)]), out)
 	}
 }
 

@@ -205,6 +205,13 @@ func (o *Owners) Reowned(j int, t relation.Tuple, owner int, dirty []bool) int {
 	return j
 }
 
+// Unmoved reports whether Reowned(j, t, owner, dirty) returns owner
+// without probing, whatever t: no join before owner is dirty, nor owner
+// itself when it is not j.
+func (o *Owners) Unmoved(j, owner int, dirty []bool) bool {
+	return owner >= 0 && !slices.Contains(dirty[:min(owner+1, j)], true)
+}
+
 // ensureMembership returns the current membership tables, building them
 // on first use and reconciling them when a base relation was mutated
 // since the last build. The fast path is one atomic load plus one

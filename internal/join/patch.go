@@ -3,7 +3,6 @@ package join
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"sampleunion/internal/relation"
 )
@@ -115,8 +114,11 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 	// moved[k]: the touched entries of node k whose total changed, which
 	// is all a parent's weights can see of them; a stretch of sc.moved.
 	moved := make([][]int32, n)
-	sc := scratchPool.Get().(*patchScratch)
-	defer scratchPool.Put(sc)
+	sc := j.scratch.Swap(nil)
+	if sc == nil {
+		sc = new(patchScratch)
+	}
+	defer j.scratch.Store(sc)
 	hits := sc.hits
 	sc.moved = sc.moved[:0]
 	for k := n - 1; k >= 0; k-- {
@@ -183,10 +185,11 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 	return ws, p, nil
 }
 
-// patchScratch is what PatchWeights writes only to read back, pooled
-// across calls: the node in hand's hits, the entries it touched, its
-// rewritten small segments and their entries, the large segments it
-// reached and the pieces of each, and every node's moved entries. A
+// patchScratch is what PatchWeights writes only to read back, kept
+// across calls in its join (Join.scratch): the node in hand's hits, the
+// entries it touched, its rewritten small segments and their entries,
+// the large segments it reached and the pieces of each, and every
+// node's moved entries. A
 // patch takes its growth from here, so the storage it publishes is a
 // fixed number of allocations per node (patchScratch.large).
 type patchScratch struct {
@@ -226,8 +229,6 @@ type reached struct {
 	was    *LargeSegment
 	lo, hi int
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 
 // walk calls f with every stretch of a segment, in row order: the blocks
 // of its large predecessor was that no hit reached (merged false, blk the

@@ -58,8 +58,8 @@ func sampleOne(s Sampler, g *rng.RNG) (relation.Tuple, bool) {
 
 // walkOne is one Walker walk into fresh scratch.
 func walkOne(w *Walker, g *rng.RNG) (relation.Tuple, float64, bool) {
-	out, rowOf := mkBatch(w.Join(), 1)
-	p, ok := w.WalkInto(out[0], rowOf, g)
+	out, _ := mkBatch(w.Join(), 1)
+	p, ok := w.WalkInto(w.Join().ResidualPart().View(), out[0], make([]int32, len(w.Join().Nodes())+1), g)
 	return out[0], p, ok
 }
 

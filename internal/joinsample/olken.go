@@ -96,40 +96,44 @@ func NewWalker(j *join.Join) *Walker { return &Walker{j: j} }
 func (w *Walker) Join() *join.Join { return w.j }
 
 // WalkInto performs one random walk into caller-owned scratch: out of
-// the join's output schema length, rowOf of at least one entry per
-// node. ok is false when the walk dies on a dangling tuple (p(t) = 0 in
-// the paper's backtracking bookkeeping); a dead walk may leave the
-// buffers partially written.
-func (w *Walker) WalkInto(out relation.Tuple, rowOf []int, g *rng.RNG) (float64, bool) {
+// the join's output schema length, rowOf of one entry per node and, for
+// a cyclic join, one more for the residual row, which it picks from rv,
+// the residual state the walk reads (join.Residual.View; ignored for an
+// acyclic join). rowOf is then all a later reader needs to rebuild out
+// (join.FillRows): storage is monotone, so the rows keep their values.
+// ok is false when the walk dies on a dangling tuple (p(t) = 0 in the
+// paper's backtracking bookkeeping); a dead walk may leave the buffers
+// partially written.
+func (w *Walker) WalkInto(rv join.ResView, out relation.Tuple, rowOf []int32, g *rng.RNG) (float64, bool) {
 	nodes := w.j.Nodes()
 	root := nodes[0].Rel
 	r0, ok := liveRoot(root, g)
 	if !ok {
 		return 0, false
 	}
-	rowOf[0] = r0
-	w.j.FillOutput(0, rowOf[0], out)
+	rowOf[0] = int32(r0)
+	w.j.FillOutput(0, r0, out)
 	p := 1.0 / float64(root.LiveLen())
 	for k := 1; k < len(nodes); k++ {
 		n := &nodes[k]
-		v := w.j.ParentValue(k, rowOf[n.Parent])
+		v := w.j.ParentValue(k, int(rowOf[n.Parent]))
 		matches := n.Rel.Matches(n.AttrPos, v)
 		d := len(matches)
 		if d == 0 {
 			return 0, false
 		}
-		rowOf[k] = matches[g.Intn(d)]
-		w.j.FillOutput(k, rowOf[k], out)
+		rowOf[k] = int32(matches[g.Intn(d)])
+		w.j.FillOutput(k, int(rowOf[k]), out)
 		p /= float64(d)
 	}
-	if res := w.j.ResidualPart(); res != nil {
-		rv := res.View()
+	if w.j.IsCyclic() {
 		matches := rv.Match(out)
 		d := len(matches)
 		if d == 0 {
 			return 0, false
 		}
-		rv.FillInto(matches[g.Intn(d)], out)
+		rowOf[len(nodes)] = int32(matches[g.Intn(d)])
+		rv.FillInto(int(rowOf[len(nodes)]), out)
 		p /= float64(d)
 	}
 	return p, true

@@ -49,7 +49,7 @@ func TestWalkOwnerIsTheAcceptRule(t *testing.T) {
 					continue
 				}
 				for a, p := range perm {
-					aligned[a] = sm.Tuple[p]
+					aligned[a] = scratch[p]
 				}
 				key := relation.TupleKey(aligned)
 				if _, own := perJoin[j][key]; !own {

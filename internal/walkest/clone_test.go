@@ -33,11 +33,12 @@ func TestCloneIndependence(t *testing.T) {
 	wantWalks := e.ests[0].Walks()
 	wantPool := len(e.ests[0].Samples())
 	g := rng.New(2)
+	tu := scratchFor(joins)
 	for len(c.ests[0].Samples()) > 0 {
-		c.ests[0].TakeSample(0)
+		c.ests[0].TakeSample(0, tu)
 	}
 	for i := 0; i < 100; i++ {
-		c.StepJoin(0, g)
+		c.StepJoin(0, tu, g)
 	}
 	if e.ests[0].Walks() != wantWalks {
 		t.Fatalf("original walk count moved: %d -> %d", wantWalks, e.ests[0].Walks())
@@ -53,7 +54,7 @@ func TestCloneIndependence(t *testing.T) {
 	// join must not perturb the original's.
 	cover := e.ests[1].cover
 	for i := 0; i < 100; i++ {
-		c.StepJoin(1, g)
+		c.StepJoin(1, tu, g)
 	}
 	if e.ests[1].cover != cover || c.ests[1].cover == cover {
 		t.Fatal("clone shares cover state with the original")
@@ -92,8 +93,9 @@ func TestCopyEstimatesRestartsInPlace(t *testing.T) {
 	atWarmup(c, "first copy")
 	storage := c.ests[0]
 	g := rng.New(2)
+	tu := scratchFor(joins)
 	for i := 0; i < 300; i++ {
-		c.StepJoin(i%len(joins), g)
+		c.StepJoin(i%len(joins), tu, g)
 	}
 	if c.ests[0].Walks() == e.ests[0].Walks() {
 		t.Fatal("the copy did not accumulate its own walks")

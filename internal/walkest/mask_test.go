@@ -2,6 +2,7 @@ package walkest
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sampleunion/internal/join"
@@ -55,16 +56,17 @@ func TestStepJoinOwners(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := rng.New(51)
+	tu := scratchFor(joins)
 	for j := range joins {
 		for i := 0; i < 4000; i++ {
-			e.StepJoin(j, g)
+			e.StepJoin(j, tu, g)
 		}
 	}
 	for j, want := range []float64{60, 30, 10} {
 		je := e.ests[j]
-		for _, s := range je.samples {
-			if f := intervalOwner(int(s.Tuple[0]), 60); s.Owner != f {
-				t.Fatalf("join %d walk of value %d: owner %d, want %d", j, s.Tuple[0], s.Owner, f)
+		for i, s := range je.samples {
+			if v := tupleOf(je, i)[0]; s.Owner != intervalOwner(int(v), 60) {
+				t.Fatalf("join %d walk of value %d: owner %d, want %d", j, v, s.Owner, intervalOwner(int(v), 60))
 			}
 		}
 		if got := je.Cover(); math.Abs(got-want)/want > 0.2 {
@@ -75,28 +77,25 @@ func TestStepJoinOwners(t *testing.T) {
 
 // TestWalkJoinRetainsNothing: the served walk is StepJoin without the
 // pool. Seed for seed it lands on the same tuple with the same p(t) and —
-// while its caller refines — the same owner and estimates, in the caller's
-// tuple, allocating nothing; told that refinement is over it probes no
-// join and folds nothing in.
+// while its caller refines — the same owner and estimates, allocating
+// nothing; told that refinement is over it probes no join and folds
+// nothing in.
 func TestWalkJoinRetainsNothing(t *testing.T) {
 	joins := threeWayJoins(t)
 	stepped, _ := New(joins, Options{})
 	walked, _ := New(joins, Options{})
 	gs, gw := rng.New(54), rng.New(54)
-	scratch := make(relation.Tuple, joins[1].OutputSchema().Len())
+	scratch, stepTuple := scratchFor(joins), scratchFor(joins)
 	for i := 0; i < 500; i++ {
-		want, ok1 := stepped.StepJoin(1, gs)
+		want, ok1 := stepped.StepJoin(1, stepTuple, gs)
 		got, ok2 := walked.WalkJoin(1, scratch, true, gw)
-		if ok1 != ok2 || got.P != want.P || got.Owner != want.Owner || !got.Tuple.Equal(want.Tuple) {
-			t.Fatalf("walk %d: WalkJoin %+v, StepJoin %+v", i, got, want)
-		}
-		if ok2 && &got.Tuple[0] != &scratch[0] {
-			t.Fatal("the walk did not land in the caller's tuple")
+		if ok1 != ok2 || got != want || ok2 && !scratch.Equal(stepTuple) {
+			t.Fatalf("walk %d: WalkJoin %+v %v, StepJoin %+v %v", i, got, scratch, want, stepTuple)
 		}
 	}
 	je := walked.ests[1]
-	if len(je.samples) != 0 || je.slab != nil {
-		t.Errorf("a served walk retained %d samples, slab %v", len(je.samples), je.slab != nil)
+	if len(je.samples) != 0 || len(je.rows) != 0 {
+		t.Errorf("a served walk retained %d samples, %d row ids", len(je.samples), len(je.rows))
 	}
 	if st := stepped.ests[1]; je.n != st.n || je.size != st.size || je.cover != st.cover {
 		t.Error("refining walks and retained walks disagree on the estimates")
@@ -126,8 +125,9 @@ func TestCoverEstimateUsesOwnWalks(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := rng.New(52)
+	tu := scratchFor(joins)
 	for i := 0; i < 2000; i++ {
-		e.StepJoin(1, g)
+		e.StepJoin(1, tu, g)
 	}
 	if got := e.ests[1].Cover(); math.Abs(got-30)/30 > 0.2 {
 		t.Errorf("cover[1] = %.1f, want ~30", got)
@@ -214,9 +214,9 @@ func TestRefreshedReprobesRetainedWalks(t *testing.T) {
 				j, je.Walks(), je.Size(), e.ests[j].Walks(), e.ests[j].Size())
 		}
 		sum := 0.0
-		for _, s := range je.samples {
-			if want := intervalOwner(int(s.Tuple[0]), 80); s.Owner != want {
-				t.Fatalf("join %d walk of value %d: owner %d, want %d", j, s.Tuple[0], s.Owner, want)
+		for i, s := range je.samples {
+			if v := tupleOf(je, i)[0]; s.Owner != intervalOwner(int(v), 80) {
+				t.Fatalf("join %d walk of value %d: owner %d, want %d", j, v, s.Owner, intervalOwner(int(v), 80))
 			}
 			sum += coverObservation(s, j)
 		}
@@ -262,7 +262,7 @@ func TestRefreshedReprobesAfterDeletes(t *testing.T) {
 		je, moved := r.ests[j], 0
 		sum := 0.0
 		for i, s := range je.samples {
-			v := int(s.Tuple[0])
+			v := int(tupleOf(je, i)[0])
 			if was := e.ests[j].samples[i]; was.Owner == 0 && v >= 40 {
 				moved++
 			}
@@ -298,7 +298,7 @@ func TestRefreshedSharesUnmovedPools(t *testing.T) {
 	r, _ := e.Refreshed([]bool{true, false, false})
 	for j := 1; j < 3; j++ {
 		was, now := e.ests[j], r.ests[j]
-		if len(now.samples) == 0 || &now.samples[0] != &was.samples[0] {
+		if len(now.samples) == 0 || &now.samples[0] != &was.samples[0] || &now.rows[0] != &was.rows[0] {
 			t.Errorf("join %d: the refreshed pool of %d walks is a copy, want the predecessor's", j, len(now.samples))
 		}
 		copied := was.clone()
@@ -310,12 +310,15 @@ func TestRefreshedSharesUnmovedPools(t *testing.T) {
 				now.Cover(), now.coverHalfWidth(1.645), now.Size(), copied.Cover(), copied.coverHalfWidth(1.645), copied.Size())
 		}
 	}
-	// A walk retained after the refresh must not land in the shared pool.
-	before := len(e.ests[1].samples)
+	// A walk retained after the refresh must not land in the shared pool,
+	// nor write its rows past the predecessor's.
+	before, rows := len(e.ests[1].samples), slices.Clone(e.ests[1].rows[:cap(e.ests[1].rows)])
+	tu := scratchFor(joins)
 	for i := 0; i < 50; i++ {
-		r.StepJoin(1, rng.New(int64(i)))
+		r.StepJoin(1, tu, rng.New(int64(i)))
 	}
-	if len(e.ests[1].samples) != before || &r.ests[1].samples[0] == &e.ests[1].samples[0] {
+	if len(e.ests[1].samples) != before || &r.ests[1].samples[0] == &e.ests[1].samples[0] ||
+		&r.ests[1].rows[0] == &e.ests[1].rows[0] || !slices.Equal(rows, e.ests[1].rows[:cap(e.ests[1].rows)]) {
 		t.Error("walks retained by the refreshed estimate reached the predecessor's pool")
 	}
 }

@@ -3,7 +3,9 @@ package walkest
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
@@ -19,10 +21,11 @@ func mallocs(f func()) uint64 {
 }
 
 // TestRewarmAllocatesPoolOnce: Refreshed sizes a dirty join's new pool
-// and tuple chunk from the pool it replaces — that many walks and a
-// quarter more, at most the walk budget — so a re-warm-up that keeps no
-// more allocates neither again, only its walk scratch, where a pool grown
-// by doubling and tuples carved 64 at a time took an allocation a step.
+// from the pool it replaces — that many walks and a quarter more, at most
+// the walk budget, 16 B of p(t) and owner and 4 B of row id per node
+// each — so a re-warm-up that keeps no more allocates it not again, only
+// its tuple scratch, where a pool grown by doubling took an allocation a
+// step.
 func TestRewarmAllocatesPoolOnce(t *testing.T) {
 	joins := threeWayJoins(t)
 	e, err := New(joins, Options{})
@@ -41,8 +44,12 @@ func TestRewarmAllocatesPoolOnce(t *testing.T) {
 		for range 3 {
 			r, _ = e.Refreshed([]bool{false, true, false})
 			je, kept := r.ests[1], len(e.ests[1].samples)
-			if want := min(kept+kept/4, e.opts.MaxWalks); cap(je.samples) != want || len(je.slab) != want*joins[1].OutputSchema().Len() {
-				t.Fatalf("refresh %d: a pool of %d walks reserved %d samples and %d values, want %d walks", i, kept, cap(je.samples), len(je.slab), want)
+			want := min(kept+kept/4, e.opts.MaxWalks)
+			if cap(je.samples) != want || cap(je.rows) != want*len(joins[1].Nodes()) {
+				t.Fatalf("refresh %d: a pool of %d walks reserved %d samples and %d row ids, want %d walks", i, kept, cap(je.samples), cap(je.rows), want)
+			}
+			if bytes := cap(je.samples)*int(unsafe.Sizeof(Sample{})) + cap(je.rows)*int(unsafe.Sizeof(je.rows[0])); bytes > want*(16+4*len(joins[1].Nodes())) {
+				t.Fatalf("refresh %d: %d walks reserve %d B, over 16 B a walk and 4 B a node", i, want, bytes)
 			}
 			g := rng.New(int64(57 + i))
 			allocs = min(allocs, mallocs(func() { r.Warmup(g) }))
@@ -52,7 +59,7 @@ func TestRewarmAllocatesPoolOnce(t *testing.T) {
 		if len(je.samples) <= reserved {
 			within++
 			if allocs != 1 {
-				t.Errorf("refresh %d: a re-warm-up keeping %d of %d reserved walks allocated %d objects, want 1 (its walk scratch)", i, len(je.samples), reserved, allocs)
+				t.Errorf("refresh %d: a re-warm-up keeping %d of %d reserved walks allocated %d objects, want 1 (its tuple scratch)", i, len(je.samples), reserved, allocs)
 			}
 		}
 		e = r
@@ -64,8 +71,8 @@ func TestRewarmAllocatesPoolOnce(t *testing.T) {
 
 // TestRewarmDrawsAsCold: the reserved pool changes nothing drawn. With
 // every join dirty, a refreshed estimator warms up walk for walk as a new
-// one does from the same generator: the same tuples, p(t), owners and
-// estimates.
+// one does from the same generator: the same row ids, tuples, p(t),
+// owners and estimates.
 func TestRewarmDrawsAsCold(t *testing.T) {
 	joins := threeWayJoins(t)
 	e, err := New(joins, Options{})
@@ -85,9 +92,12 @@ func TestRewarmDrawsAsCold(t *testing.T) {
 			t.Fatalf("join %d: %d walks, |Ĵ| %v, ĉ %v, %d kept; a new estimator %d, %v, %v, %d", j,
 				got.Walks(), got.Size(), got.Cover(), len(got.Samples()), want.Walks(), want.Size(), want.Cover(), len(want.Samples()))
 		}
+		if !slices.Equal(got.rows, want.rows) {
+			t.Fatalf("join %d: the re-warm-up picked rows %v, a new estimator %v", j, got.rows, want.rows)
+		}
 		for i, s := range got.Samples() {
-			if w := want.Samples()[i]; !s.Tuple.Equal(w.Tuple) || s.P != w.P || s.Owner != w.Owner {
-				t.Fatalf("join %d walk %d: %v p %v owner %d; a new estimator's %v p %v owner %d", j, i, s.Tuple, s.P, s.Owner, w.Tuple, w.P, w.Owner)
+			if w := want.Samples()[i]; !tupleOf(got, i).Equal(tupleOf(want, i)) || s != w {
+				t.Fatalf("join %d walk %d: %v p %v owner %d; a new estimator's %v p %v owner %d", j, i, tupleOf(got, i), s.P, s.Owner, tupleOf(want, i), w.P, w.Owner)
 			}
 		}
 	}

@@ -6,6 +6,8 @@
 // tuple (§6.2's containment check, join.Owners). The package also keeps
 // confidence intervals for the cover sizes and the warm-up's retained
 // walks: the pool §7's sample reuse draws from and a refresh probes again.
+// A retained walk is its p(t), its owner and the row ids it picked, 4 B a
+// node; its tuple is rebuilt from them only where one is read.
 package walkest
 
 import (
@@ -19,12 +21,12 @@ import (
 	"sampleunion/internal/rng"
 )
 
-// Sample is one successful walk: the result tuple, its walk probability
-// p(t), and Owner, f(t) — the first join containing the tuple, its own
-// when no earlier join does — as the Estimator that walked it last probed
-// it; -1 when it did not (WalkJoin).
+// Sample is one successful walk: its walk probability p(t), and Owner,
+// f(t) — the first join containing the tuple, its own when no earlier
+// join does — as the Estimator that walked it last probed it; -1 when it
+// did not (WalkJoin). The tuple is the walk's caller's, or, for a
+// retained walk, its row ids in the pool.
 type Sample struct {
-	Tuple relation.Tuple
 	P     float64
 	Owner int
 }
@@ -51,58 +53,62 @@ type JoinEstimate struct {
 	walker      *joinsample.Walker
 	n           int
 	size, cover moments
-	samples     []Sample
 
-	// Scratch, private to this estimate (clone drops it): slab is the
-	// unused rest of the chunk retain carves tuples from — the one
-	// reserve sized, then one allocation per slabTuples retained walks,
-	// each tuple immutable and separately addressable — and rowOf is
-	// WalkInto's per-node rows.
-	slab  relation.Tuple
-	rowOf []int
+	// samples are the retained walks. Walk i picked the rows
+	// rows[i·w:(i+1)·w], w = width(): one per node and, for a cyclic join,
+	// a row of res, the residual state all of them read. A walk writes
+	// its rows into the spare capacity past them, so keeping it costs no
+	// copy.
+	samples []Sample
+	rows    []int32
+	res     join.ResView
 }
-
-// slabTuples is the number of retained walk tuples carved from one chunk.
-const slabTuples = 64
 
 // NewJoinEstimate prepares an empty estimate for j.
 func NewJoinEstimate(j *join.Join) *JoinEstimate {
 	return &JoinEstimate{J: j, walker: joinsample.NewWalker(j)}
 }
 
+// width is the row ids a walk picks: one per node, and a residual row.
+func (e *JoinEstimate) width() int {
+	if e.J.IsCyclic() {
+		return len(e.J.Nodes()) + 1
+	}
+	return len(e.J.Nodes())
+}
+
 // walk performs one wander-join walk into t — the caller's, one output
-// tuple wide — and returns p(t) when it succeeded. It folds nothing in.
-func (e *JoinEstimate) walk(t relation.Tuple, g *rng.RNG) (float64, bool) {
-	if e.rowOf == nil {
-		e.rowOf = make([]int, len(e.J.Nodes()))
-	}
-	return e.walker.WalkInto(t, e.rowOf, g)
+// tuple wide — reading the residual state rv, and returns p(t) when it
+// succeeded. Its row ids land past the pool's (keep retains them). It
+// folds nothing in.
+func (e *JoinEstimate) walk(rv join.ResView, t relation.Tuple, g *rng.RNG) (float64, bool) {
+	w := e.width()
+	e.rows = slices.Grow(e.rows, w)
+	return e.walker.WalkInto(rv, t, e.rows[len(e.rows):len(e.rows)+w], g)
 }
 
-// retain carves the tuple of the next retained walk from the estimate's
-// own chunk; keep adds the walk, once it has succeeded there, to the pool.
-func (e *JoinEstimate) retain() relation.Tuple {
-	width := e.J.OutputSchema().Len()
-	if len(e.slab) < width {
-		e.slab = make(relation.Tuple, slabTuples*width)
-	}
-	return e.slab[:width:width]
-}
-
+// keep adds the walk that just succeeded to the pool.
 func (e *JoinEstimate) keep(s Sample) {
-	e.slab = e.slab[len(s.Tuple):]
 	e.samples = append(e.samples, s)
+	e.rows = e.rows[:len(e.rows)+e.width()]
 }
 
-// reserve sizes the empty estimate's pool and tuple chunk for a warm-up
-// that keeps about kept walks, as its predecessor did: that many and a
-// quarter more, at most the walk budget, so the warm-up allocates each
-// once unless it keeps more.
+// reserve sizes the empty estimate's pool for a warm-up that keeps about
+// kept walks, as its predecessor did: that many and a quarter more, at
+// most the walk budget, so the warm-up allocates it once unless it keeps
+// more.
 func (e *JoinEstimate) reserve(kept, budget int) {
 	if n := min(kept+kept/4, budget); n > 0 {
 		e.samples = make([]Sample, 0, n)
-		e.slab = make(relation.Tuple, n*e.J.OutputSchema().Len())
+		e.rows = make([]int32, 0, n*e.width())
 	}
+}
+
+// fill writes the tuple of retained walk i into out, one output tuple
+// wide.
+func (e *JoinEstimate) fill(i int, out relation.Tuple) {
+	w := e.width()
+	e.J.FillRows(e.res, e.rows[i*w:(i+1)*w], out)
 }
 
 // observe folds one walk in: invP is its 1/p(t) and y its cover
@@ -170,16 +176,18 @@ func (e *JoinEstimate) CoverRelHalfWidth(z float64) float64 {
 }
 
 // Samples returns the retained successful walks. The slice is shared: a
-// reuse run consumes it as its pool.
+// reuse run consumes it as its pool (TakeSample).
 func (e *JoinEstimate) Samples() []Sample { return e.samples }
 
 // TakeSample removes and returns the sample at index i (order is not
-// preserved): sample reuse is without replacement (§7).
-func (e *JoinEstimate) TakeSample(i int) Sample {
-	s := e.samples[i]
-	last := len(e.samples) - 1
+// preserved), its tuple written into out: sample reuse is without
+// replacement (§7).
+func (e *JoinEstimate) TakeSample(i int, out relation.Tuple) Sample {
+	e.fill(i, out)
+	s, last, w := e.samples[i], len(e.samples)-1, e.width()
 	e.samples[i] = e.samples[last]
-	e.samples = e.samples[:last]
+	copy(e.rows[i*w:], e.rows[last*w:])
+	e.samples, e.rows = e.samples[:last], e.rows[:last*w]
 	return s
 }
 
@@ -250,28 +258,25 @@ func New(joins []*join.Join, opts Options) (*Estimator, error) {
 func (e *Estimator) JoinEstimates() []*JoinEstimate { return e.ests }
 
 // clone returns an independent copy of the estimate: the running
-// moments by value, the sample pool by slice copy (tuples themselves are
-// immutable and shared), and the stateless walker by reference; the walk
-// scratch stays behind, so two estimates never write one chunk.
+// moments by value, the sample pool by slice copy, and the stateless
+// walker by reference.
 func (e *JoinEstimate) clone() *JoinEstimate {
 	c := e.share()
-	c.samples = append([]Sample(nil), e.samples...)
+	c.samples, c.rows = slices.Clone(e.samples), slices.Clone(e.rows)
 	return c
 }
 
 // share is clone with the sample pool shared read-only: clipped, so the
-// copy's first retained walk moves it to storage of its own.
+// copy's first walk moves it to storage of its own.
 func (e *JoinEstimate) share() *JoinEstimate {
 	c := *e
-	c.slab, c.rowOf = nil, nil
-	c.samples = slices.Clip(e.samples)
+	c.samples, c.rows = slices.Clip(e.samples), slices.Clip(e.rows)
 	return &c
 }
 
 // Clone returns an independent deep copy of the estimator's mutable
 // state: per-join estimates and reuse pools. The one run that owns the
-// warm-up pool (§7's sample reuse) consumes its own copy. Retained sample
-// tuples are shared read-only.
+// warm-up pool (§7's sample reuse) consumes its own copy.
 func (e *Estimator) Clone() *Estimator {
 	c := e.shell()
 	for j, je := range e.ests {
@@ -308,7 +313,7 @@ func (e *Estimator) CopyEstimates(src *Estimator) {
 		to := e.ests[j]
 		to.J, to.walker = from.J, from.walker
 		to.n, to.size, to.cover = from.n, from.size, from.cover
-		to.samples = to.samples[:0]
+		to.samples, to.rows = to.samples[:0], to.rows[:0]
 	}
 }
 
@@ -320,10 +325,11 @@ func (e *Estimator) CopyEstimates(src *Estimator) {
 // walks — p(t) of a walk depends on the join's own relations only — but
 // a dirty join may have gained or lost those walks' tuples, so each
 // retained walk's owner is derived again (join.Owners.Reowned) and the
-// join's cover estimate afresh from the pool. The pool is shared with e's
-// until an owner moves, and copied then. A dirty join's new pool is sized
-// from its old one (JoinEstimate.reserve). It also reports how many
-// walks it probed again.
+// join's cover estimate afresh from the pool. A walk's tuple is rebuilt
+// from its rows only when Reowned probes it. The pool is shared with e's
+// until an owner moves, and its owners copied then. A dirty join's new
+// pool is sized from its old one (JoinEstimate.reserve). It also reports
+// how many walks it probed again.
 func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 	c := e.shell()
 	for j, d := range dirty {
@@ -338,13 +344,21 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 		return c, 0
 	}
 	reprobed := 0
+	var t relation.Tuple
 	for j, je := range c.ests {
 		if dirty[j] || len(je.samples) == 0 {
 			continue
 		}
 		shared := true
 		for i, s := range je.samples {
-			owner := c.owners.Reowned(j, s.Tuple, s.Owner, dirty)
+			if c.owners.Unmoved(j, s.Owner, dirty) {
+				continue
+			}
+			if t == nil {
+				t = make(relation.Tuple, je.J.OutputSchema().Len())
+			}
+			je.fill(i, t)
+			owner := c.owners.Reowned(j, t, s.Owner, dirty)
 			if owner == s.Owner {
 				continue
 			}
@@ -359,13 +373,18 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 	return c, reprobed
 }
 
-// StepJoin is WalkJoin retained, as the warm-up walks: the tuple lands in
-// the join estimate's own chunk and a successful walk joins its pool —
-// what §7's sample reuse draws and a refresh probes again.
-func (e *Estimator) StepJoin(j int, g *rng.RNG) (Sample, bool) {
-	s, ok := e.WalkJoin(j, e.ests[j].retain(), true, g)
+// StepJoin is WalkJoin retained, as the warm-up walks: a successful walk
+// joins the join estimate's pool as its row ids — what §7's sample reuse
+// draws and a refresh probes again. Every walk of one pool reads the
+// residual state its first one did.
+func (e *Estimator) StepJoin(j int, t relation.Tuple, g *rng.RNG) (Sample, bool) {
+	je := e.ests[j]
+	if len(je.samples) == 0 {
+		je.res = je.J.ResidualPart().View()
+	}
+	s, ok := e.step(j, je.res, t, true, g)
 	if ok {
-		e.ests[j].keep(s)
+		je.keep(s)
 	}
 	return s, ok
 }
@@ -376,15 +395,20 @@ func (e *Estimator) StepJoin(j int, g *rng.RNG) (Sample, bool) {
 // again (Algorithm 2, line 18: updates stop at confidence γ) no other
 // join is probed, nothing is folded in and Owner is -1.
 func (e *Estimator) WalkJoin(j int, t relation.Tuple, refining bool, g *rng.RNG) (Sample, bool) {
+	return e.step(j, e.joins[j].ResidualPart().View(), t, refining, g)
+}
+
+// step is one walk of join j into t, reading the residual state rv.
+func (e *Estimator) step(j int, rv join.ResView, t relation.Tuple, refining bool, g *rng.RNG) (Sample, bool) {
 	je := e.ests[j]
-	p, ok := je.walk(t, g)
+	p, ok := je.walk(rv, t, g)
 	if !ok {
 		if refining {
 			je.observe(0, 0)
 		}
 		return Sample{}, false
 	}
-	s := Sample{Tuple: t, P: p, Owner: -1}
+	s := Sample{P: p, Owner: -1}
 	if refining {
 		s.Owner = e.owners.Owner(j, t)
 		je.observe(1/p, coverObservation(s, j))
@@ -397,12 +421,13 @@ func (e *Estimator) WalkJoin(j int, t relation.Tuple, refining bool, g *rng.RNG)
 // target on its cover size is met or the walk budget runs out (§6.1's
 // termination rule).
 func (e *Estimator) Warmup(g *rng.RNG) {
+	t := make(relation.Tuple, e.joins[0].OutputSchema().Len())
 	for j, je := range e.ests {
 		if je.Walks() > 0 {
 			continue
 		}
 		for je.Walks() < e.opts.MaxWalks {
-			e.StepJoin(j, g)
+			e.StepJoin(j, t, g)
 			if je.Walks() >= e.opts.MinWalks && je.CoverRelHalfWidth(e.opts.Z) < e.opts.TargetRel {
 				break
 			}

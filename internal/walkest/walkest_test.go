@@ -41,6 +41,18 @@ func overlappingJoins(t *testing.T) []*join.Join {
 	return []*join.Join{j1, j2}
 }
 
+// scratchFor is one output tuple of the joins' shared attribute set.
+func scratchFor(joins []*join.Join) relation.Tuple {
+	return make(relation.Tuple, joins[0].OutputSchema().Len())
+}
+
+// tupleOf is retained walk i's tuple, rebuilt from its rows.
+func tupleOf(je *JoinEstimate, i int) relation.Tuple {
+	t := make(relation.Tuple, je.J.OutputSchema().Len())
+	je.fill(i, t)
+	return t
+}
+
 func TestJoinEstimateConvergesToSize(t *testing.T) {
 	joins := overlappingJoins(t)
 	e, _ := New(joins, Options{})
@@ -122,21 +134,35 @@ func TestVarianceDegenerate(t *testing.T) {
 	}
 }
 
+// TestTakeSample: sample reuse takes the pool without replacement, each
+// walk with the tuple and p(t) it had when it was walked, whatever was
+// taken before it.
 func TestTakeSample(t *testing.T) {
 	joins := overlappingJoins(t)
 	e, _ := New(joins, Options{})
 	je := e.JoinEstimates()[0]
 	g := rng.New(2)
+	var tuples []relation.Tuple
+	var ps []float64
 	for len(je.Samples()) < 10 {
-		e.StepJoin(0, g)
+		tu := scratchFor(joins)
+		if s, ok := e.StepJoin(0, tu, g); ok {
+			tuples, ps = append(tuples, tu), append(ps, s.P)
+		}
 	}
-	before := len(je.Samples())
-	s := je.TakeSample(0)
-	if s.Tuple == nil || s.P <= 0 {
-		t.Errorf("TakeSample returned %+v", s)
-	}
-	if len(je.Samples()) != before-1 {
-		t.Errorf("pool size %d, want %d", len(je.Samples()), before-1)
+	out := scratchFor(joins)
+	for len(tuples) > 0 {
+		i := g.Intn(len(tuples))
+		s := je.TakeSample(i, out)
+		if !out.Equal(tuples[i]) || s.P != ps[i] || s.P <= 0 {
+			t.Fatalf("TakeSample(%d) returned %v p %v, the walk was %v p %v", i, out, s.P, tuples[i], ps[i])
+		}
+		last := len(tuples) - 1
+		tuples[i], ps[i] = tuples[last], ps[last]
+		tuples, ps = tuples[:last], ps[:last]
+		if len(je.Samples()) != len(tuples) {
+			t.Fatalf("pool size %d, want %d", len(je.Samples()), len(tuples))
+		}
 	}
 }
 

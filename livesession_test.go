@@ -222,6 +222,55 @@ func TestRefreshNoop(t *testing.T) {
 	}
 }
 
+// TestStaleAllocatesNothing: Stale compares each join's versions in
+// place, on a clean session and a dirty one, sharded or not, over chains
+// and over a cyclic join, whose residual's members it reads too.
+func TestStaleAllocatesNothing(t *testing.T) {
+	tri := func() (*Union, *Relation) {
+		r := NewRelation("R", NewSchema("A", "B"))
+		s := NewRelation("S", NewSchema("B", "C"))
+		x := NewRelation("T", NewSchema("C", "A"))
+		for i := 0; i < 20; i++ {
+			r.AppendValues(Value(i%5), Value(i%6))
+			s.AppendValues(Value(i%6), Value(i%4))
+			x.AppendValues(Value(i%4), Value(i%5))
+		}
+		j, err := Cyclic("tri", []*Relation{r, s, x}, []Edge{{A: 0, B: 1, Attr: "B"}, {A: 1, B: 2, Attr: "C"}, {A: 2, B: 0, Attr: "A"}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := NewUnion(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u, x
+	}
+	for _, shards := range []int{1, 2} {
+		for _, cyclic := range []bool{false, true} {
+			u, rels := liveUnion(t)
+			mutated := rels[3]
+			if cyclic {
+				u, mutated = tri()
+			}
+			s, err := u.Prepare(Options{Seed: 1, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dirty := range []bool{false, true} {
+				if dirty {
+					mutated.AppendValues(3, 4)
+				}
+				if got := s.Stale(); got != dirty {
+					t.Fatalf("shards %d, cyclic %v: Stale() = %v, want %v", shards, cyclic, got, dirty)
+				}
+				if allocs := testing.AllocsPerRun(100, func() { s.Stale() }); allocs != 0 {
+					t.Errorf("shards %d, cyclic %v, dirty %v: Stale allocates %v objects, want 0", shards, cyclic, dirty, allocs)
+				}
+			}
+		}
+	}
+}
+
 // TestRefreshDisjointAndWhere covers the satellite paths over a
 // refreshed session: disjoint draws and predicate rejection draws must
 // serve the mutated data.
