@@ -253,7 +253,7 @@ type RefreshStats struct {
 	// DirtyJoins counts the joins with a mutated relation.
 	DirtyJoins int `json:"dirty_joins"`
 	// SegmentsPatched counts the weight-table segments EW samplers
-	// recomputed in place of a rebuild; NodesRebuilt the join nodes
+	// recomputed or rescaled in place of a rebuild; NodesRebuilt the join nodes
 	// join.Patch.Folded names (small segments folded back into flat
 	// arrays, or every entry of the node reached with the rows written
 	// there past an eighth of it); JoinsRebuilt the joins
@@ -264,7 +264,8 @@ type RefreshStats struct {
 	// rewrote and block and large-segment directories (join.Patch.Bytes)
 	// — and so all the weight storage the refresh causes: draws build
 	// nothing over the tables afterwards. A large segment costs the
-	// blocks that hold its reached rows plus 16 B a block, not its length.
+	// blocks that hold its reached rows plus 16 B a block, not its
+	// length; a rescaled one, its 8 B scale.
 	SegmentsPatched int `json:"segments_patched"`
 	NodesRebuilt    int `json:"nodes_rebuilt"`
 	JoinsRebuilt    int `json:"joins_rebuilt"`
@@ -277,8 +278,8 @@ type RefreshStats struct {
 	IndexesCompacted int `json:"indexes_compacted"`
 	MembersRebuilt   int `json:"members_rebuilt"`
 	// Walks counts the wander-join walks run; Reprobed the retained
-	// walks of clean joins whose owners were re-derived
-	// (walkest.Estimator.Refreshed).
+	// walks of clean joins whose owners were probed again
+	// (walkest.Estimator.Refreshed), not those no dirty join can move.
 	Walks    int `json:"walks"`
 	Reprobed int `json:"reprobed"`
 	// Duration is the whole refresh, set by the session layer.

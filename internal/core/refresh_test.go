@@ -84,6 +84,9 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 					online, j, je.Walks(), je.Size(), walked[j], before.JoinEstimates()[j].Size())
 			}
 		}
+		// Reprobed counts the retained walks whose owners were probed
+		// again: with J1 dirty, every one of J2's and J3's, as no join
+		// precedes J1 to leave an owner unmoved (join.Owners.Unmoved).
 		st := np.LastRefresh()
 		want := RefreshStats{
 			DirtyJoins: 1,

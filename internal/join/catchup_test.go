@@ -159,8 +159,11 @@ func weightDump(w *Weights) [][]string {
 			entries = w.Idx[k].NumEntries()
 		}
 		for e := 0; e < entries; e++ {
-			rows, cum := flatSegment(&w.Nodes[k], e)
-			out[k] = append(out[k], fmt.Sprint(rows, cum, w.Nodes[k].Total(e)))
+			rows, cum, scale := flatSegment(&w.Nodes[k], e)
+			if len(rows) == 0 {
+				scale = 0 // an empty segment's scale is never read
+			}
+			out[k] = append(out[k], fmt.Sprint(rows, cum, scale, w.Nodes[k].Total(e)))
 		}
 	}
 	return out

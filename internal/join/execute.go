@@ -124,11 +124,12 @@ type Block struct {
 
 // LargeSegment is a weight segment of at least LargeRows rows, held in
 // blocks apart from its node's flat arrays. Sums is its directory: Sums[b]
-// is the running weight total through Blocks[b], so the segment's total is
-// the last. Immutable once published, so generations share it by pointer:
-// a patch that does not reach it copies nothing of it, and one that does
-// writes the blocks holding its hit rows and a new directory, and shares
-// every other block. A segment, its directory and its blocks are carved
+// is the running own-weight total through Blocks[b], so the segment's
+// total is Scale times the last. Immutable once published, so generations
+// share it by pointer: a patch that does not reach it copies nothing of
+// it, one that rescales it writes a new header over the same directory
+// and blocks, and one whose hits reach it writes the blocks holding its
+// hit rows and a new directory, and shares every other block. A segment, its directory and its blocks are carved
 // from slabs shared with the node's other segments that one cold build
 // (packer) or one patch (patchScratch.large) wrote, so a block shared
 // forward keeps that build's or patch's slabs alive. Where block
@@ -137,12 +138,13 @@ type Block struct {
 // (joinsample.searchLarge).
 type LargeSegment struct {
 	Ent    int32 // the index entry whose rows these are
+	Scale  int64 // the factor every row shares (WeightTable); 1 at a node without keyed children
 	Sums   []int64
 	Blocks []*Block
 }
 
 // Total returns the summed weight of the segment's rows.
-func (s *LargeSegment) Total() int64 { return s.Sums[len(s.Sums)-1] }
+func (s *LargeSegment) Total() int64 { return s.Scale * s.Sums[len(s.Sums)-1] }
 
 // Len returns the segment's rows.
 func (s *LargeSegment) Len() int {
@@ -154,7 +156,7 @@ func (s *LargeSegment) Len() int {
 }
 
 // sum sets the directory from the blocks; it is false when a running
-// total passes math.MaxInt64.
+// total, or the scaled total, passes math.MaxInt64.
 func (s *LargeSegment) sum() bool {
 	var total int64
 	for b, blk := range s.Blocks {
@@ -163,7 +165,8 @@ func (s *LargeSegment) sum() bool {
 		}
 		s.Sums[b] = total
 	}
-	return true
+	_, fits := mulWeight(s.Scale, total)
+	return fits
 }
 
 // carve splits one run of a segment's rows, ascending, with running sums
@@ -189,64 +192,80 @@ func carve(rows []int32, cum []int64, hdrs []Block, dir []*Block) ([]Block, []*B
 
 // WeightTable is one join node's exact weights, packed the way the EW
 // sampler draws from them: per entry of the node's index, a segment of
-// the value's rows with positive weight, in index order, with their
-// running weight sums, so a segment's total is what its parent
-// multiplies by. The root is one entry holding its rows in row order.
+// the value's rows with positive own weight, in index order, with their
+// running own-weight sums and a scale, so a segment's total — scale times
+// its last sum — is what its parent multiplies by. The root is one entry
+// holding its rows in row order.
+//
+// A row's weight is the product of its children's segment totals. The
+// node's keyed children (Join.keyed: those joining on the node's own
+// index attribute) give every row of a segment the same factor, its
+// scale; a row's own weight is the product over the other children
+// (1 when there are none). A segment keeps the rows of positive own
+// weight even at scale 0 (a keyed child lacks the value), so a keyed
+// child's moved total only rescales it: PatchWeights writes a new scale
+// and no rows or sums (but for a small segment an earlier patch wrote
+// into the overlay, whose fewer than LargeRows rows it copies).
 //
 // A segment of LargeRows rows or more is a LargeSegment, listed by entry
-// in Large. The small ones are three flat arrays — segment e is
-// Rows[Off[e]:Off[e+1]], Cum likewise, empty for a large entry — plus an
-// optional overlay, like the index they are aligned to: PatchWeights
-// files the small segments it recomputed in an overlay beside the
-// predecessor's flat arrays, which the two generations share. Segment
-// and Total read all three.
+// in Large. The small ones are flat arrays — segment e is
+// Rows[Off[e]:Off[e+1]], Cum likewise, empty for a large entry, and its
+// scale Scale[e] (nil, every scale 1, at a node without keyed children)
+// — plus an optional overlay, like the index they are aligned to:
+// PatchWeights files the small segments it recomputed or rescaled in an
+// overlay beside the predecessor's flat arrays, which the two
+// generations share. Segment and Total read all of them.
 type WeightTable struct {
 	Off   []int32
 	Rows  []int32
 	Cum   []int64
+	Scale []int64
 	Large []*LargeSegment
 	ov    *segOverlay // nil = flat
 }
 
 // Segment returns entry e's segment without copying anything: a small
-// one's rows and running sums, or the LargeSegment holding a large one's
-// (rows and sums nil then); nothing for an entry without rows. Only a
-// patched table pays the overlay's search, and only an entry with no
-// small segment Large's.
-func (t *WeightTable) Segment(e int) ([]int32, []int64, *LargeSegment) {
-	rows, cum := t.flat(e)
+// one's rows, running sums and scale, or the LargeSegment holding a large
+// one's (rows and sums nil then, the scale its own); nothing for an entry
+// without rows. Only a patched table pays the overlay's search, and only
+// an entry with no small segment Large's.
+func (t *WeightTable) Segment(e int) ([]int32, []int64, int64, *LargeSegment) {
+	rows, cum, scale := t.flat(e)
 	if t.ov != nil {
-		rows, cum = t.ov.segment(t, e)
+		rows, cum, scale = t.ov.segment(t, e)
 	}
 	if len(rows) > 0 || len(t.Large) == 0 {
-		return rows, cum, nil
+		return rows, cum, scale, nil
 	}
 	i, ok := slices.BinarySearchFunc(t.Large, int32(e), func(s *LargeSegment, e int32) int { return cmp.Compare(s.Ent, e) })
 	if !ok {
-		return nil, nil, nil
+		return nil, nil, 0, nil
 	}
-	return nil, nil, t.Large[i]
+	return nil, nil, t.Large[i].Scale, t.Large[i]
 }
 
 // flat returns entry e's segment in the flat arrays: empty for an entry
 // past them, which the index gained after they were packed.
-func (t *WeightTable) flat(e int) ([]int32, []int64) {
+func (t *WeightTable) flat(e int) ([]int32, []int64, int64) {
 	if e+1 >= len(t.Off) {
-		return nil, nil
+		return nil, nil, 0
 	}
-	lo, hi := t.Off[e], t.Off[e+1]
-	return t.Rows[lo:hi], t.Cum[lo:hi]
+	lo, hi, scale := t.Off[e], t.Off[e+1], int64(1)
+	if t.Scale != nil {
+		scale = t.Scale[e]
+	}
+	return t.Rows[lo:hi], t.Cum[lo:hi], scale
 }
 
 // Total returns the summed weight of entry e's rows: a large segment's
-// last directory sum, a small one's last running sum.
+// Total, a small one's scale times its last running sum.
 func (t *WeightTable) Total(e int) int64 {
-	_, cum, seg := t.Segment(e)
+	_, cum, scale, seg := t.Segment(e)
 	switch {
 	case seg != nil:
 		return seg.Total()
 	case len(cum) > 0:
-		return cum[len(cum)-1]
+		return scale * cum[len(cum)-1]
 	}
 	return 0
 }
@@ -265,6 +284,44 @@ func (j *Join) overflow() error { return fmt.Errorf("join %s: %w", j.name, ErrWe
 func mulWeight(a, b int64) (_ int64, ok bool) {
 	hi, lo := bits.Mul64(uint64(a), uint64(b))
 	return int64(lo), hi == 0 && lo <= math.MaxInt64
+}
+
+// keyed reports whether node c joins its parent, a node other than the
+// root, on the parent's own index attribute. Every row of one of the
+// parent's segments then holds the value c matches, so c's total for it
+// is a factor of the segment's scale rather than of its rows' own
+// weights (WeightTable).
+func (j *Join) keyed(c int) bool {
+	p := j.nodes[c].Parent
+	return p > 0 && j.nodes[c].ParentAttrPos == j.nodes[p].AttrPos
+}
+
+// scale returns the scale of entry e of node k's table over ws: the
+// product of k's keyed children's totals for the entry's value, 0 when
+// one lacks it, 1 when k has none. ok is false when the product passes
+// math.MaxInt64.
+func (j *Join) scale(k, e int, ws *Weights) (s int64, ok bool) {
+	s = 1
+	for _, c := range j.nodes[k].Children {
+		if !j.keyed(c) {
+			continue
+		}
+		ce, found := ws.Idx[c].EntryOf(ws.Idx[k].ValueAt(e))
+		if !found {
+			return 0, true
+		}
+		if s, ok = mulWeight(s, ws.Nodes[c].Total(ce)); !ok || s == 0 {
+			return s, ok
+		}
+	}
+	return s, true
+}
+
+// scaled reports whether a segment of own total own at scale s (sok: the
+// scale itself fits) totals at most math.MaxInt64.
+func scaled(s int64, sok bool, own int64) bool {
+	_, fits := mulWeight(s, own)
+	return own == 0 || sok && fits
 }
 
 // size returns the rows of t's flat arrays and large segments, and the
@@ -301,9 +358,10 @@ type Weights struct {
 func (w *Weights) Count() int64 { return w.Nodes[0].Total(0) }
 
 // ExactWeights computes the join's Weights in one bottom-up pass with a
-// fixed number of allocations per node: a node's row weights are the
-// product of its children's segment totals, and packing them along the
-// node's own index yields the totals its parent needs. Relations may
+// fixed number of allocations per node: a node's own row weights are the
+// product of its children's segment totals, the keyed children's apart
+// as each segment's scale, and packing them along the node's own index
+// yields the totals its parent needs. Relations may
 // mutate meanwhile: each node's index is
 // fetched before its storage snapshot, storage is monotone, so every
 // indexed row id is inside the snapshot, and liveness is read from that
@@ -334,7 +392,12 @@ func (j *Join) ExactWeights() (*Weights, error) {
 				w[i] = 1
 			}
 		}
+		pk := packer{w: w}
 		for _, c := range j.nodes[k].Children {
+			if j.keyed(c) {
+				pk.scale = func(e int) (int64, bool) { return j.scale(k, e, ws) }
+				continue
+			}
 			col, idx, sums := s.Cols[j.nodes[c].ParentAttrPos], ws.Idx[c], &ws.Nodes[c]
 			for i, wi := range w {
 				if wi == 0 {
@@ -350,7 +413,6 @@ func (j *Join) ExactWeights() (*Weights, error) {
 		}
 		// A first pass over the entries sizes every array, a second fills
 		// them.
-		pk := packer{w: w}
 		if k == 0 {
 			root := make([]int, s.Rows)
 			for i := range root {
@@ -378,10 +440,12 @@ func (j *Join) ExactWeights() (*Weights, error) {
 // each the segments, block headers and directories' pointers. Until fill
 // names the table it only counts what the arrays must hold. A patch
 // carves the large segments it rewrites the same way
-// (patchScratch.large). overflow records a running sum past
-// math.MaxInt64.
+// (patchScratch.large). scale, nil at a node without keyed children, is
+// Join.scale for the node's entries. overflow records a running sum or a
+// scaled total past math.MaxInt64.
 type packer struct {
 	w                            []int64
+	scale                        func(e int) (int64, bool)
 	t                            *WeightTable
 	small, large, nLarge, blocks int
 	segs                         []LargeSegment
@@ -399,29 +463,48 @@ func (p *packer) entry(rows []int) {
 			n++
 		}
 	}
+	var own int64
 	switch t := p.t; {
 	case t == nil && n >= LargeRows:
 		p.large, p.nLarge, p.blocks = p.large+n, p.nLarge+1, p.blocks+blocksOf(n)
 	case t == nil:
 		p.small += n
 	case n < LargeRows:
-		t.Rows, t.Cum = p.appendPositive(t.Rows, t.Cum, rows)
+		t.Rows, t.Cum, own = p.appendPositive(t.Rows, t.Cum, rows)
+		if t.Scale != nil {
+			t.Scale = append(t.Scale, p.scaleOf(len(t.Off)-1, own))
+		}
 		t.end()
 	default:
 		seg, lo, nb := &p.segs[len(t.Large)], len(p.rows), blocksOf(n)
-		p.rows, p.cum = p.appendPositive(p.rows, p.cum, rows)
+		p.rows, p.cum, own = p.appendPositive(p.rows, p.cum, rows)
 		seg.Ent, seg.Sums, seg.Blocks = int32(len(t.Off)-1), p.sums[:nb:nb], p.dir[:0:nb]
+		seg.Scale = p.scaleOf(int(seg.Ent), own)
 		p.sums, p.dir = p.sums[nb:], p.dir[nb:]
 		p.hdrs, seg.Blocks = carve(p.rows[lo:], p.cum[lo:], p.hdrs, seg.Blocks)
 		seg.sum()
 		t.Large = append(t.Large, seg)
+		if t.Scale != nil {
+			t.Scale = append(t.Scale, 0)
+		}
 		t.end()
 	}
 }
 
+// scaleOf returns the scale of entry e, whose rows' own weights total
+// own, recording an overflow of the scale or the scaled total.
+func (p *packer) scaleOf(e int, own int64) int64 {
+	if p.scale == nil {
+		return 1
+	}
+	s, ok := p.scale(e)
+	p.overflow = p.overflow || !scaled(s, ok, own)
+	return s
+}
+
 // appendPositive appends the rows of one entry that weigh more than zero,
-// in order, and their running weight sums.
-func (p *packer) appendPositive(rows []int32, cum []int64, entry []int) ([]int32, []int64) {
+// in order, and their running weight sums; it also returns their total.
+func (p *packer) appendPositive(rows []int32, cum []int64, entry []int) ([]int32, []int64, int64) {
 	var sum int64
 	for _, r := range entry {
 		if w := p.w[r]; w > 0 {
@@ -430,7 +513,7 @@ func (p *packer) appendPositive(rows []int32, cum []int64, entry []int) ([]int32
 			rows, cum = append(rows, int32(r)), append(cum, sum)
 		}
 	}
-	return rows, cum
+	return rows, cum, sum
 }
 
 // fill allocates t's arrays, for entries entries, at the sizes counted
@@ -439,6 +522,9 @@ func (p *packer) fill(t *WeightTable, entries int) {
 	small, large := p.small, p.small+p.large
 	rows, cum := make([]int32, large), make([]int64, large+p.blocks)
 	*t = WeightTable{Off: make([]int32, 1, entries+1), Rows: rows[:0:small], Cum: cum[:0:small]}
+	if p.scale != nil {
+		t.Scale = make([]int64, 0, entries)
+	}
 	p.rows, p.cum, p.sums = rows[small:small:large], cum[small:small:large], cum[large:]
 	if p.nLarge > 0 {
 		p.segs, t.Large = make([]LargeSegment, p.nLarge), make([]*LargeSegment, 0, p.nLarge)

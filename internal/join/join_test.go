@@ -122,13 +122,13 @@ func execute(j *Join) []relation.Tuple {
 	return out
 }
 
-// flatSegment returns entry e's rows and running sums flat: a large
-// segment's blocks one after another, their sums rebased on the
-// directory.
-func flatSegment(t *WeightTable, e int) ([]int32, []int64) {
-	rows, cum, seg := t.Segment(e)
+// flatSegment returns entry e's rows and running own sums flat — a
+// large segment's blocks one after another, their sums rebased on the
+// directory — and its scale.
+func flatSegment(t *WeightTable, e int) ([]int32, []int64, int64) {
+	rows, cum, scale, seg := t.Segment(e)
 	if seg == nil {
-		return rows, cum
+		return rows, cum, scale
 	}
 	var base int64
 	for b, blk := range seg.Blocks {
@@ -138,7 +138,7 @@ func flatSegment(t *WeightTable, e int) ([]int32, []int64) {
 		}
 		base = seg.Sums[b]
 	}
-	return rows, cum
+	return rows, cum, scale
 }
 
 // rowWeights unpacks node k's weight table into one weight per physical
@@ -147,10 +147,10 @@ func rowWeights(j *Join, ws *Weights, k int) []int64 {
 	w := make([]int64, j.Nodes()[k].Rel.Len())
 	t := &ws.Nodes[k]
 	for e := 0; e+1 < len(t.Off); e++ {
-		rows, cum := flatSegment(t, e)
+		rows, cum, scale := flatSegment(t, e)
 		prev := int64(0)
 		for i, r := range rows {
-			w[r] = cum[i] - prev
+			w[r] = (cum[i] - prev) * scale
 			prev = cum[i]
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,4 +89,46 @@ func TestWeightOverflow(t *testing.T) {
 	isOverflow("product, patch", err)
 	_, err = j.ExactWeights()
 	isOverflow("product, cold", err)
+}
+
+// TestScaledWeightOverflow: a segment's total is its scale times its rows'
+// own total, and the product is checked as the factors are. A node S
+// holds two rows of own weight 2^32 each, from a chain of two 65 536-row
+// relations on J, and its keyed child A lacks S's value, so S's segment
+// keeps its own total 2^33 at scale 0. One row for that value in A gives
+// it the total of A's keyed chain, 2^16 · 2^15: a scale of 2^31, which
+// fits, as 2^33 does, while their product, 2^64, wraps to 0. The patch —
+// which only rescales S — and a cold build both fail with
+// ErrWeightOverflow instead.
+func TestScaledWeightOverflow(t *testing.T) {
+	rel := func(name, attr string, rows int) *relation.Relation {
+		r := relation.New(name, relation.NewSchema(attr, "P"+name))
+		keys, payload := make([]relation.Value, rows), make([]relation.Value, rows)
+		for n := range payload {
+			payload[n] = relation.Value(n)
+		}
+		r.AppendColumns([][]relation.Value{keys, payload})
+		return r
+	}
+	s := relation.New("S", relation.NewSchema("K", "J"))
+	s.AppendValues(0, 0)
+	s.AppendValues(0, 0)
+	a := relation.New("A", relation.NewSchema("K", "PA"))
+	a.AppendValues(1, 0)
+	rels := []*relation.Relation{rel("R", "K", 1), s, a, rel("B", "K", 1<<16), rel("Bc", "K", 1<<15), rel("C", "J", 1<<16), rel("D", "J", 1<<16)}
+	j, err := NewTree("wide", rels, []int{-1, 0, 1, 2, 3, 1, 5}, []string{"", "K", "K", "K", "K", "J", "J"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := exactWeights(t, j)
+	if _, own, scale, _ := w.Nodes[1].Segment(0); !slices.Equal(own, []int64{1 << 32, 1 << 33}) || scale != 0 || w.Count() != 0 {
+		t.Fatalf("S's segment: own sums %v at scale %d, count %d; want [2^32 2^33] at scale 0, count 0", own, scale, w.Count())
+	}
+	a.AppendValues(0, -1)
+	if _, _, err = j.PatchWeights(w); !errors.Is(err, ErrWeightOverflow) {
+		t.Errorf("patch to a scaled total of 2^64: error %v, want ErrWeightOverflow", err)
+	}
+	if _, err = j.ExactWeights(); !errors.Is(err, ErrWeightOverflow) {
+		t.Errorf("cold build of a scaled total of 2^64: error %v, want ErrWeightOverflow", err)
+	}
 }

@@ -16,8 +16,9 @@ type Patch struct {
 	// longer retained the mutation-log tail since the predecessor.
 	Rebuilt bool
 	// Touched[k] lists, ascending, the entries of node k whose segments
-	// were rewritten; every other segment is the predecessor's. Nil
-	// when Rebuilt.
+	// were rewritten or rescaled (a keyed child's total moved, so their
+	// scale did and their rows and own sums did not: WeightTable); every
+	// other segment is the predecessor's. Nil when Rebuilt.
 	Touched [][]int32
 	// Folded[k]: node k's small segments' overlay outgrew an eighth of
 	// their flat arrays and was folded, with the untouched ones, into
@@ -28,11 +29,15 @@ type Patch struct {
 	// holding its hit rows, so it reads folded only when those do.
 	Folded []bool
 	// Bytes is the weight-table storage the patch wrote: running sums,
-	// row lists, offsets, overlay records, the overlay slot tables it
-	// allocated (an overlay extended in place allocates none), the blocks
-	// of a large segment it rewrote (not the blocks it shares), block
-	// directories (16 B a block: a running total and a pointer) and
-	// directories of large segments; the whole tables when Rebuilt.
+	// row lists, offsets, scales, overlay records, the overlay slot tables
+	// it allocated (an overlay extended in place allocates none), the
+	// blocks of a large segment it rewrote (not the blocks it shares),
+	// block directories (16 B a block: a running total and a pointer) and
+	// directories of large segments; the whole tables when Rebuilt. A
+	// rescaled large segment counts its scale, 8 B, and shares its
+	// directory and blocks; a rescaled small one, an overlay record and
+	// its scale standing for the flat arrays' rows, 20 B — or, when an
+	// earlier patch wrote it into the overlay, a copy there.
 	Bytes int
 }
 
@@ -73,7 +78,7 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 		for k := range ws.Nodes {
 			t := &ws.Nodes[k]
 			rows, blocks := t.size()
-			p.Bytes += 4*len(t.Off) + 12*rows + 16*blocks + 8*len(t.Large)
+			p.Bytes += 4*len(t.Off) + 12*rows + 16*blocks + 8*(len(t.Large)+len(t.Scale))
 		}
 		return ws, p, nil
 	}
@@ -145,10 +150,18 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 				hit(m.Row)
 			}
 		}
+		rescaled := sc.rescaled[:0]
 		for _, c := range nd.Children {
 			for _, e := range moved[c] {
-				for _, row := range up[c].Rows(ws.Idx[c].ValueAt(int(e))) {
-					hit(row)
+				v := ws.Idx[c].ValueAt(int(e))
+				if !j.keyed(c) {
+					for _, row := range up[c].Rows(v) {
+						hit(row)
+					}
+				} else if ke, ok := ws.Idx[k].EntryOf(v); ok {
+					// Every row of k's entry ke holds v: c moved its scale,
+					// not its rows' own weights.
+					rescaled = append(rescaled, int32(ke))
 				}
 			}
 		}
@@ -156,6 +169,9 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 			return cmp.Or(cmp.Compare(a.ent, b.ent), cmp.Compare(a.row, b.row))
 		})
 		hits = slices.Compact(hits)
+		slices.Sort(rescaled)
+		rescaled = slices.Compact(rescaled)
+		sc.rescaled = rescaled
 		if !j.weigh(k, ws, s, hits) {
 			return nil, Patch{}, j.overflow()
 		}
@@ -168,7 +184,7 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 		}
 		var bytes int
 		var ok bool
-		ws.Nodes[k], p.Touched[k], p.Folded[k], bytes, ok = patchNode(&prev.Nodes[k], hits, entries, sc)
+		ws.Nodes[k], p.Touched[k], p.Folded[k], bytes, ok = j.patchNode(k, ws, &prev.Nodes[k], hits, rescaled, entries, sc)
 		if !ok {
 			return nil, Patch{}, j.overflow()
 		}
@@ -186,30 +202,40 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 }
 
 // patchScratch is what PatchWeights writes only to read back, kept
-// across calls in its join (Join.scratch): the node in hand's hits, the
-// entries it touched, its rewritten small segments and their entries,
-// the large segments it reached and the pieces of each, and every
-// node's moved entries. A
+// across calls in its join (Join.scratch): the node in hand's hits and
+// rescaled entries, the entries it touched, its rewritten small segments
+// and their entries, the large segments it reached and the pieces of
+// each, and every node's moved entries. A
 // patch takes its growth from here, so the storage it publishes is a
 // fixed number of allocations per node (patchScratch.large).
 type patchScratch struct {
-	hits    []reweigh
-	touched []int32
-	fresh   segRun
-	small   []int32
-	reached []reached
-	pieces  []piece
-	rows    []int32 // the merged pieces' rows
-	cum     []int64 // and running sums, each counted from its piece's first row
-	moved   []int32
+	hits     []reweigh
+	rescaled []int32
+	touched  []int32
+	fresh    segRun
+	small    []int32
+	reached  []reached
+	pieces   []piece
+	rows     []int32 // the merged pieces' rows
+	cum      []int64 // and running sums, each counted from its piece's first row
+	moved    []int32
 }
 
 // segRun is a run of segments packed back to back: segment i is
-// rows[off[i]:off[i+1]], cum[off[i]:off[i+1]].
+// rows[off[i]:off[i+1]], cum[off[i]:off[i+1]] at scale scale[i] — or,
+// when flat[i], the table's flat arrays' segment, none of it in the run.
 type segRun struct {
-	off  []int32
-	rows []int32
-	cum  []int64
+	off   []int32
+	rows  []int32
+	cum   []int64
+	scale []int64
+	flat  []bool
+}
+
+// add ends the run's last segment, at scale s; flat when it is the flat
+// arrays' (segRun).
+func (r *segRun) add(s int64, flat bool) {
+	r.off, r.scale, r.flat = append(r.off, int32(len(r.rows))), append(r.scale, s), append(r.flat, flat)
 }
 
 // piece is the rows a merge wrote to the scratch's rows[lo:hi], in
@@ -222,12 +248,13 @@ type piece struct {
 }
 
 // reached is a segment the node in hand's patch leaves large: entry
-// ent's, merged over was (nil when it was small) into the pieces
-// sc.pieces[lo:hi].
+// ent's at scale scale, merged over was (nil when it was small) into the
+// pieces sc.pieces[lo:hi] — none when it is only rescaled.
 type reached struct {
 	ent    int32
 	was    *LargeSegment
 	lo, hi int
+	scale  int64
 }
 
 // walk calls f with every stretch of a segment, in row order: the blocks
@@ -251,37 +278,77 @@ func (sc *patchScratch) walk(was *LargeSegment, pieces []piece, f func(rows []in
 	}
 }
 
-// patchNode returns a node's table with the segments holding the hit
-// rows (weighed; sorted by entry, then row) rewritten over prev's, the
-// entries it rewrote, whether the patch counts as costing the whole node
-// (Patch.Folded) and the bytes it wrote. Each segment is merged into
-// scratch, reused across calls: a small one whole, a large one only in
-// the blocks its hits fall in, a hit going to the last block whose first
-// row does not follow it. The segments of LargeRows rows or more stay
-// there until the last is merged, and then become LargeSegments carved
-// from one set of slabs (patchScratch.large) in a copy of prev.Large. The
-// small ones extend prev's overlay (segOverlay.extend), or — once the
-// overlay's entries and rows pass relation.FoldBudget of the flat
-// arrays' — are folded with the untouched ones into fresh flat arrays;
-// an entry turned large leaves them an empty segment. ok is false when a
-// running sum passes math.MaxInt64.
-func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch) (_ WeightTable, touched []int32, whole bool, bytes int, ok bool) {
-	if len(hits) == 0 {
+// patchNode returns node k's table with the segments holding the hit
+// rows (weighed; sorted by entry, then row) rewritten over prev's and
+// the rescaled entries (ascending) given their scale afresh, the
+// entries it rewrote or rescaled, whether the patch counts as costing
+// the whole node (Patch.Folded) and the bytes it wrote. Each hit segment
+// is merged into scratch, reused across calls: a small one whole, a
+// large one only in the blocks its hits fall in, a hit going to the last
+// block whose first row does not follow it. The segments of LargeRows
+// rows or more stay there until the last is merged, and then become
+// LargeSegments carved from one set of slabs (patchScratch.large) in a
+// copy of prev.Large; a rescaled large segment becomes a header over its
+// predecessor's directory and blocks. The small ones extend prev's
+// overlay (segOverlay.extend), or — once the overlay's entries and rows
+// pass relation.FoldBudget of the flat arrays' — are folded with the
+// untouched ones into fresh flat arrays; a rescaled one is a record
+// standing for its rows in the flat arrays, or a copy of the overlay's,
+// and an entry turned large leaves them an empty segment. ok is false
+// when a running sum or a scaled total passes math.MaxInt64.
+func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, rescaled []int32, entries int, sc *patchScratch) (_ WeightTable, touched []int32, whole bool, bytes int, ok bool) {
+	if len(hits)+len(rescaled) == 0 {
 		return *prev, nil, false, 0, true
 	}
 	fresh := &sc.fresh
 	fresh.off, fresh.rows, fresh.cum = append(fresh.off[:0], 0), fresh.rows[:0], fresh.cum[:0]
+	fresh.scale, fresh.flat = fresh.scale[:0], fresh.flat[:0]
 	sc.rows, sc.cum, sc.pieces, sc.reached = sc.rows[:0], sc.cum[:0], sc.pieces[:0], sc.reached[:0]
 	t, small, touched := *prev, sc.small[:0], sc.touched[:0]
 	dropped, rewritten := 0, 0 // prev's large segments rewritten; the rows written
 	ok = true
-	for lo, hi := 0, 0; lo < len(hits); lo = hi {
-		for hi < len(hits) && hits[hi].ent == hits[lo].ent {
+	for lo, hi, r := 0, 0, 0; hi < len(hits) || r < len(rescaled); lo = hi {
+		var e int32 // the lower of the next hit's entry and the next rescaled one
+		if r == len(rescaled) || hi < len(hits) && hits[hi].ent < rescaled[r] {
+			e = hits[hi].ent
+		} else {
+			e, r = rescaled[r], r+1
+		}
+		for hi < len(hits) && hits[hi].ent == e {
 			hi++
 		}
-		e := hits[lo].ent
+		s, sok := j.scale(k, int(e), ws)
+		wasRows, wasCum, wasScale, was := prev.Segment(int(e))
+		if lo == hi { // rescaled only: the rows and their own sums stay
+			var own int64
+			switch {
+			case was != nil:
+				own = was.Sums[len(was.Sums)-1]
+			case len(wasCum) > 0:
+				own = wasCum[len(wasCum)-1]
+			}
+			if own == 0 || sok && s == wasScale {
+				continue
+			}
+			ok = scaled(s, sok, own) && ok
+			touched = append(touched, e)
+			if was != nil {
+				dropped++
+				sc.reached = append(sc.reached, reached{ent: e, was: was, lo: len(sc.pieces), hi: len(sc.pieces), scale: s})
+				continue
+			}
+			// A small segment an earlier patch wrote into the overlay is
+			// copied; one still in the flat arrays is left there.
+			small = append(small, e)
+			copied := prev.ov.holds(int(e))
+			if copied {
+				rewritten += len(wasRows)
+				fresh.rows, fresh.cum = append(fresh.rows, wasRows...), append(fresh.cum, wasCum...)
+			}
+			fresh.add(s, !copied)
+			continue
+		}
 		touched = append(touched, e)
-		wasRows, wasCum, was := prev.Segment(int(e))
 		rlo, plo := len(sc.rows), len(sc.pieces)
 		if was == nil {
 			ok = sc.merge(nil, -1, wasRows, wasCum, hits[lo:hi]) && ok
@@ -306,11 +373,15 @@ func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch)
 			}
 		})
 		if n >= LargeRows {
-			sc.reached = append(sc.reached, reached{ent: e, was: was, lo: plo, hi: len(sc.pieces)})
+			// Its rows weigh more than 0, so its own total does; sum
+			// checks the scaled total.
+			ok = sok && ok
+			sc.reached = append(sc.reached, reached{ent: e, was: was, lo: plo, hi: len(sc.pieces), scale: s})
 			rewritten += merged
 		} else {
 			rewritten += n
-			ok = sc.flatten(was, sc.pieces[plo:], fresh) && ok
+			own, fits := sc.flatten(was, sc.pieces[plo:], fresh)
+			ok = fits && scaled(s, sok, own) && ok
 			sc.rows, sc.cum, sc.pieces = sc.rows[:rlo], sc.cum[:rlo], sc.pieces[:plo]
 		}
 		// Once e's segment is large, or a large one emptied, the small
@@ -319,11 +390,14 @@ func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch)
 			continue
 		}
 		small = append(small, e)
-		fresh.off = append(fresh.off, int32(len(fresh.rows)))
+		fresh.add(s, false)
 	}
 	sc.small, sc.touched = small, touched
 	if !ok {
 		return WeightTable{}, nil, false, 0, false
+	}
+	if len(touched) == 0 { // every rescale left its segment's total as it was
+		return *prev, nil, false, 0, true
 	}
 	touched = slices.Clone(touched)
 	if len(touched) == entries {
@@ -354,56 +428,67 @@ func patchNode(prev *WeightTable, hits []reweigh, entries int, sc *patchScratch)
 	if len(small) == 0 {
 		return t, touched, whole, bytes, true
 	}
-	old := cmp.Or(prev.ov, &segOverlay{})
+	old, keyed := cmp.Or(prev.ov, &segOverlay{}), prev.Scale != nil
 	ents, rows := old.measure(small, fresh)
 	if ents+rows <= relation.FoldBudget(len(prev.Off)+len(prev.Rows)) {
 		var wrote int
-		t.ov, wrote = old.extend(small, fresh, ents, rows)
+		t.ov, wrote = old.extend(small, fresh, ents, rows, keyed)
 		return t, touched, whole, bytes + wrote, true
 	}
 	// merged visits, ascending, every entry of the old overlay and the
 	// fresh segments with the segment that stands for it: the fresh one
-	// where both have it.
+	// where both have it; flat when it stands for the flat arrays' own.
 	live := old.liveRecs()
-	merged := func(visit func(e int32, rows []int32, cum []int64)) {
+	merged := func(visit func(e int32, rows []int32, cum []int64, scale int64, flat bool)) {
 		for i, f := 0, 0; i < len(live) || f < len(small); {
-			if f == len(small) || (i < len(live) && live[i].ent < small[f]) {
-				rc := live[i]
-				visit(rc.ent, old.rows[rc.lo:rc.hi], old.cum[rc.lo:rc.hi])
+			if f == len(small) || (i < len(live) && old.recs[live[i]].ent < small[f]) {
+				rows, cum, scale, flat := old.record(live[i])
+				visit(old.recs[live[i]].ent, rows, cum, scale, flat)
 				i++
 				continue
 			}
-			if i < len(live) && live[i].ent == small[f] {
+			if i < len(live) && old.recs[live[i]].ent == small[f] {
 				i++
 			}
-			visit(small[f], fresh.rows[fresh.off[f]:fresh.off[f+1]], fresh.cum[fresh.off[f]:fresh.off[f+1]])
+			visit(small[f], fresh.rows[fresh.off[f]:fresh.off[f+1]], fresh.cum[fresh.off[f]:fresh.off[f+1]], fresh.scale[f], fresh.flat[f])
 			f++
 		}
 	}
 	replaced := 0
-	merged(func(e int32, _ []int32, _ []int64) {
-		seg, _ := prev.flat(int(e))
-		replaced += len(seg)
+	merged(func(e int32, _ []int32, _ []int64, _ int64, flat bool) {
+		if seg, _, _ := prev.flat(int(e)); !flat {
+			replaced += len(seg)
+		}
 	})
 	t.Off, t.ov = make([]int32, 1, entries+1), nil
 	t.Rows = make([]int32, 0, len(prev.Rows)-replaced+rows)
 	t.Cum = make([]int64, 0, len(prev.Rows)-replaced+rows)
+	if keyed {
+		t.Scale = make([]int64, 0, entries)
+	}
+	put := func(rows []int32, cum []int64, scale int64) {
+		t.Rows, t.Cum = append(t.Rows, rows...), append(t.Cum, cum...)
+		if keyed {
+			t.Scale = append(t.Scale, scale)
+		}
+		t.end()
+	}
 	next := 0 // the flat entry to write
-	flat := func(upTo int) {
+	copyUpTo := func(upTo int) {
 		for ; next < upTo; next++ {
-			rows, cum := prev.flat(next)
-			t.Rows, t.Cum = append(t.Rows, rows...), append(t.Cum, cum...)
-			t.end()
+			put(prev.flat(next))
 		}
 	}
-	merged(func(e int32, seg []int32, cum []int64) {
-		flat(int(e))
-		t.Rows, t.Cum = append(t.Rows, seg...), append(t.Cum, cum...)
-		t.end()
+	merged(func(e int32, seg []int32, cum []int64, scale int64, flat bool) {
+		copyUpTo(int(e))
+		if flat {
+			seg, cum, _ = prev.flat(int(e))
+		}
+		put(seg, cum, scale)
 		next++
 	})
-	flat(entries)
-	return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows), true
+	copyUpTo(entries)
+	return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows) + 8*len(t.Scale), true
 }
 
 // merge appends one piece to sc, in place of block b: an old run of a
@@ -443,11 +528,10 @@ func (sc *patchScratch) merge(was *Block, b int, rows []int32, cum []int64, hits
 }
 
 // flatten appends a segment — its large predecessor was's blocks and its
-// merged pieces — to fresh as one small segment. It is false when its
-// running sum passes math.MaxInt64.
-func (sc *patchScratch) flatten(was *LargeSegment, pieces []piece, fresh *segRun) bool {
-	var base int64
-	ok := true
+// merged pieces — to fresh as one small segment, and returns its total.
+// ok is false when its running sum passes math.MaxInt64.
+func (sc *patchScratch) flatten(was *LargeSegment, pieces []piece, fresh *segRun) (base int64, ok bool) {
+	ok = true
 	sc.walk(was, pieces, func(rows []int32, cum []int64, _ *Block, _ bool) {
 		for _, c := range cum {
 			fresh.cum = append(fresh.cum, base+c)
@@ -458,7 +542,7 @@ func (sc *patchScratch) flatten(was *LargeSegment, pieces []piece, fresh *segRun
 			ok = ok && base > 0
 		}
 	})
-	return ok
+	return base, ok
 }
 
 // large returns the reached segments as LargeSegments, in entry order,
@@ -469,11 +553,16 @@ func (sc *patchScratch) flatten(was *LargeSegment, pieces []piece, fresh *segRun
 // too). Each keeps every block of its predecessor no hit reached by
 // pointer, and carves every merged piece into blocks of its own (carve)
 // — split when it grew past 2·BlockRows, none when it emptied; a piece
-// with its old block's rows, one block, keeps those rows. ok is false
-// when a total passes MaxInt64.
+// with its old block's rows, one block, keeps those rows. A rescaled
+// segment shares its predecessor's directory and blocks whole. ok is
+// false when a total passes MaxInt64.
 func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
-	blocks, carved, sums, ids := 0, 0, 0, 0
+	blocks, carved, sums, ids, rescaled := 0, 0, 0, 0, 0
 	for _, r := range sc.reached {
+		if r.lo == r.hi {
+			rescaled++
+			continue
+		}
 		sc.walk(r.was, sc.pieces[r.lo:r.hi], func(rows []int32, _ []int64, same *Block, merged bool) {
 			if !merged {
 				blocks++
@@ -492,7 +581,11 @@ func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
 	ok = true
 	for i, r := range sc.reached {
 		seg := &segs[i]
-		seg.Ent, seg.Blocks = r.ent, dir[:0]
+		if seg.Ent, seg.Scale = r.ent, r.scale; r.lo == r.hi {
+			seg.Sums, seg.Blocks = r.was.Sums, r.was.Blocks
+			continue
+		}
+		seg.Blocks = dir[:0]
 		sc.walk(r.was, sc.pieces[r.lo:r.hi], func(rs []int32, c []int64, blk *Block, merged bool) {
 			if !merged {
 				seg.Blocks = append(seg.Blocks, blk)
@@ -513,7 +606,7 @@ func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
 		seg.Sums, dirSums = dirSums[:nb:nb], dirSums[nb:]
 		ok = seg.sum() && ok
 	}
-	return segs, 16*blocks + 8*sums + 4*ids, ok
+	return segs, 16*blocks + 8*sums + 4*ids + 8*rescaled, ok
 }
 
 // weigh weighs every hit row afresh: 0 when it is not among its entry's
@@ -541,15 +634,19 @@ func (j *Join) weigh(k int, ws *Weights, s *relation.SnapshotData, hits []reweig
 	return true
 }
 
-// rowWeight is the EW recurrence for one row of node k: 0 for a
-// tombstoned row, else the product of its children's totals for the
-// values it holds. ok is false when the product passes math.MaxInt64.
+// rowWeight is the EW recurrence for one row of node k, its own weight:
+// 0 for a tombstoned row, else the product of its children's totals for
+// the values it holds, but for the keyed children's (its segment's
+// scale). ok is false when the product passes math.MaxInt64.
 func (j *Join) rowWeight(k, r int, ws *Weights, s *relation.SnapshotData) (w int64, ok bool) {
 	if !s.IsLive(r) {
 		return 0, true
 	}
 	w = 1
 	for _, c := range j.nodes[k].Children {
+		if j.keyed(c) {
+			continue
+		}
 		e, found := ws.Idx[c].EntryOf(s.Cols[j.nodes[c].ParentAttrPos][r])
 		if !found {
 			return 0, true

@@ -182,7 +182,9 @@ func drawFreqs(n int, draw func() int) map[int]int {
 // segment held flat and held as a join.LargeSegment of uneven blocks (one
 // row, join.BlockRows, the rest) must reproduce the
 // weight distribution, and draw the same rows seed for seed as one
-// Uint64n below the total and slices.BinarySearch. Then, after a patch
+// Uint64n below the total and slices.BinarySearch; the weights times 3,
+// held as own sums at scale 3, draw the rows the tripled sums do. Then,
+// after a patch
 // reaches a large segment, the first draw through it allocates nothing:
 // no table is built over a segment after a Refresh.
 func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
@@ -240,6 +242,30 @@ func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 					t.Fatalf("%s draw %d: flat row %d, large row %d, reference row %d", name, i, f, l, seg.rows[want])
 				}
 			}
+
+			// The weights times 3, held as sums at scale 1 and as the
+			// rows' own sums at scale 3, flat and large: the draws are the
+			// same rows, seed for seed.
+			const scale = 3
+			scaledCum := make([]int64, len(seg.cum))
+			for i, c := range seg.cum {
+				scaledCum[i] = scale * c
+			}
+			off := []int32{0, int32(len(seg.rows))}
+			times := ewOf(join.WeightTable{Off: off, Rows: seg.rows, Cum: scaledCum})
+			flatScaled := ewOf(join.WeightTable{Off: off, Rows: seg.rows, Cum: seg.cum, Scale: []int64{scale}})
+			blocked := blockedOf(seg.rows, seg.cum, join.BlockRows, 1)
+			blocked.Scale = scale
+			largeScaled := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{blocked}})
+			gt, gf, gl := rng.New(36), rng.New(36), rng.New(36)
+			for i := 0; i < 10000; i++ {
+				want, _ := times.drawRow(0, 0, gt)
+				f, _ := flatScaled.drawRow(0, 0, gf)
+				l, _ := largeScaled.drawRow(0, 0, gl)
+				if f != want || l != want {
+					t.Fatalf("%s draw %d at scale %d: flat row %d, large row %d, scaled sums' row %d", name, i, scale, f, l, want)
+				}
+			}
 		}
 	}
 
@@ -247,7 +273,7 @@ func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 	prev := NewEW(c.j)
 	c.touch(0)
 	ew := newEWFrom(t, c.j, prev)
-	if rows, _, seg := flatSegment(&ew.w.Nodes[1], 0); seg == nil || !slices.Equal(ew.Patch().Touched[1], []int32{0}) {
+	if rows, _, _, seg := flatSegment(&ew.w.Nodes[1], 0); seg == nil || !slices.Equal(ew.Patch().Touched[1], []int32{0}) {
 		t.Fatalf("the patch did not rewrite mid's one large segment (%d rows, patch %+v)", len(rows), ew.Patch())
 	}
 	out, rowOf := mkBatch(c.j, 1)

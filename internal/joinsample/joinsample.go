@@ -81,13 +81,19 @@ func liveRoot(r *relation.Relation, g *rng.RNG) (int, bool) {
 	return 0, false
 }
 
-// drawBounded picks a position in a weight segment proportional to
-// weight using the exact integer bounded draw: correct for every
+// drawScaled draws x below a segment's total, scale times its rows' own
+// total own, with the exact integer bounded draw — correct for every
 // representable total, with no round-up past the segment and no 53-bit
-// precision loss. cum is the segment's running weight sums, whose total
-// join.ExactWeights keeps in (0, math.MaxInt64].
-func drawBounded(cum []int64, g *rng.RNG) int {
-	return searchCum(cum, int64(g.Uint64n(uint64(cum[len(cum)-1]))))
+// precision loss — and returns ⌊x/scale⌋: the first row whose running
+// own sum c_i exceeds it is the first whose scaled sum c_i·scale exceeds
+// x, as c_i·scale > x ⟺ c_i > ⌊x/scale⌋. join.ExactWeights keeps the
+// total in (0, math.MaxInt64] for a segment a draw reaches.
+func drawScaled(own, scale int64, g *rng.RNG) int64 {
+	x := int64(g.Uint64n(uint64(scale * own)))
+	if scale != 1 {
+		x /= scale
+	}
+	return x
 }
 
 // searchCum returns the first i with cum[i] > x — the index
@@ -114,12 +120,12 @@ func searchCum(cum []int64, x int64) int {
 	return a + 1 + i
 }
 
-// searchLarge returns the row of seg whose running sum, over the whole
-// segment, first exceeds x, for 0 <= x < seg.Total(): searchCum over the
-// directory names the block, and searchCum over the block's own sums,
-// less the directory's total before it, the row. That is the row a flat
-// search of the segment's running sums finds, wherever block boundaries
-// fall.
+// searchLarge returns the row of seg whose running own sum, over the
+// whole segment, first exceeds x, for 0 <= x < the last of seg.Sums:
+// searchCum over the directory names the block, and searchCum over the
+// block's own sums, less the directory's total before it, the row. That
+// is the row a flat search of the segment's running sums finds, wherever
+// block boundaries fall.
 func searchLarge(seg *join.LargeSegment, x int64) int32 {
 	b := searchCum(seg.Sums, x)
 	if b > 0 {
@@ -206,17 +212,19 @@ func (e *EW) StateVersions() []uint64 { return e.w.Vers }
 
 // drawRow is the row selection of every EW draw, over entry ent of node
 // k: one exact integer draw below the segment's total and a search of
-// its running sums — a small segment's flat ones, a large segment's
-// directory and then one block — so a draw neither allocates nor depends
-// on which generation holds the segment or where its blocks split. ok is
-// false on an empty segment.
+// its running own sums (drawScaled) — a small segment's flat ones, a
+// large segment's directory and then one block — so a draw neither
+// allocates nor depends on which generation holds the segment, where its
+// blocks split or whether its scale was factored out. ok is false on a
+// segment of total 0.
 func (e *EW) drawRow(k, ent int, g *rng.RNG) (row int, ok bool) {
-	rows, cum, seg := e.w.Nodes[k].Segment(ent)
+	rows, cum, scale, seg := e.w.Nodes[k].Segment(ent)
 	switch {
+	case scale == 0: // a keyed child lacks the value: total 0
 	case seg != nil:
-		return int(searchLarge(seg, int64(g.Uint64n(uint64(seg.Total()))))), true
+		return int(searchLarge(seg, drawScaled(seg.Sums[len(seg.Sums)-1], scale, g))), true
 	case len(rows) > 0:
-		return int(rows[drawBounded(cum, g)]), true
+		return int(rows[searchCum(cum, drawScaled(cum[len(cum)-1], scale, g))]), true
 	}
 	return 0, false
 }

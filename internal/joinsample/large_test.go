@@ -104,7 +104,7 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 		rows, large := 0, 0
 		for k := range p.Touched {
 			for _, e := range p.Touched[k] {
-				seg, _, _ := flatSegment(&ew.w.Nodes[k], int(e))
+				seg, _, _, _ := flatSegment(&ew.w.Nodes[k], int(e))
 				rows += len(seg)
 			}
 			entries := 1
@@ -112,7 +112,7 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 				entries = ew.w.Idx[k].NumEntries()
 			}
 			for e := 0; e < entries; e++ {
-				if _, _, seg := ew.w.Nodes[k].Segment(e); seg != nil {
+				if _, _, _, seg := ew.w.Nodes[k].Segment(e); seg != nil {
 					large++
 				}
 			}
@@ -137,7 +137,7 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 			continue
 		}
 
-		_, _, seg := ew.w.Nodes[1].Segment(0)
+		_, _, _, seg := ew.w.Nodes[1].Segment(0)
 		if p := ew.Patch(); p.Rebuilt || seg == nil || seg.Len() != 4096 {
 			t.Fatalf("patch %+v: want mid's one segment of 4096 rows patched in place", p)
 		}
@@ -159,7 +159,7 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 func TestLargeSegmentSplitsAndDrops(t *testing.T) {
 	c := newFanoutChain(t, 4, 3*join.BlockRows)
 	blocks := func(ew *EW) []*join.Block {
-		_, _, seg := ew.w.Nodes[1].Segment(0)
+		_, _, _, seg := ew.w.Nodes[1].Segment(0)
 		if seg == nil {
 			t.Fatal("mid's segment is not a large one")
 		}
@@ -236,7 +236,7 @@ func TestWeightPatchAcrossLargeRows(t *testing.T) {
 				return 0, false
 			}
 		}
-		rows, _, large := flatSegment(&ew.w.Nodes[k], ent)
+		rows, _, _, large := flatSegment(&ew.w.Nodes[k], ent)
 		return len(rows), large != nil
 	}
 	midRows := func(a relation.Value) []int { return mid.Matches(0, a) }

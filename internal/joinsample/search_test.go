@@ -22,7 +22,7 @@ const (
 // counted from its first row, the directory's running totals at each
 // block's end.
 func blockedOf(rows []int32, cum []int64, sizes ...int) *join.LargeSegment {
-	seg := &join.LargeSegment{}
+	seg := &join.LargeSegment{Scale: 1}
 	var base int64
 	for lo := 0; lo < len(rows); {
 		hi := len(rows)

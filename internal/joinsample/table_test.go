@@ -20,13 +20,14 @@ type refSeg struct {
 	cum  []int64
 }
 
-// flatSegment returns entry e's segment as flat rows and running sums —
-// a large segment's blocks one after another, their sums rebased on the
-// directory — and the join.LargeSegment holding it, if any.
-func flatSegment(t *join.WeightTable, e int) ([]int32, []int64, *join.LargeSegment) {
-	rows, cum, seg := t.Segment(e)
+// flatSegment returns entry e's segment as flat rows and running own
+// sums — a large segment's blocks one after another, their sums rebased
+// on the directory — its scale, and the join.LargeSegment holding it, if
+// any.
+func flatSegment(t *join.WeightTable, e int) ([]int32, []int64, int64, *join.LargeSegment) {
+	rows, cum, scale, seg := t.Segment(e)
 	if seg == nil {
-		return rows, cum, nil
+		return rows, cum, scale, nil
 	}
 	var base int64
 	for b, blk := range seg.Blocks {
@@ -36,7 +37,21 @@ func flatSegment(t *join.WeightTable, e int) ([]int32, []int64, *join.LargeSegme
 		}
 		base = seg.Sums[b]
 	}
-	return rows, cum, seg
+	return rows, cum, scale, seg
+}
+
+// scaledSegment is entry e's segment as the reference holds it: its rows
+// with their running sums times its scale, and no rows at scale 0.
+func scaledSegment(t *join.WeightTable, e int) ([]int32, []int64) {
+	rows, cum, scale, _ := flatSegment(t, e)
+	if scale == 0 {
+		return nil, nil
+	}
+	full := make([]int64, len(cum))
+	for i, c := range cum {
+		full[i] = c * scale
+	}
+	return rows, full
 }
 
 // execute is every result of j, cloned.
@@ -132,9 +147,12 @@ func (e *refEW) sample(out relation.Tuple, rowOf []int, g *rng.RNG) {
 // randomTree builds a random join tree of 2–5 relations of 20–80 rows
 // over join values below domain (so fan-outs, dangling rows and missing
 // values all occur; a domain of 2 or 3 makes segments of join.LargeRows
-// rows and more beside smaller ones). Every edge has its own attribute
-// name; node k's schema is its own join attribute, its children's, and a
-// payload column.
+// rows and more beside smaller ones). An edge below a non-root node
+// joins, one time in two, on that node's own join attribute — a keyed
+// child, whose total scales the node's segments (join.WeightTable), as
+// customer does supplier's in UQ1 — and otherwise on an attribute of
+// its own. Node k's schema is its own join attribute, its non-keyed
+// children's, and a payload column.
 func randomTree(t *testing.T, r *rand.Rand, domain int) (*join.Join, []*relation.Relation) {
 	t.Helper()
 	n := 2 + r.Intn(4)
@@ -144,9 +162,13 @@ func randomTree(t *testing.T, r *rand.Rand, domain int) (*join.Join, []*relation
 	parent[0] = -1
 	for k := 1; k < n; k++ {
 		parent[k] = r.Intn(k)
-		attrs[k] = fmt.Sprintf("J%d", k)
+		if p := parent[k]; p > 0 && r.Intn(2) == 0 {
+			attrs[k] = attrs[p]
+		} else {
+			attrs[k] = fmt.Sprintf("J%d", k)
+			schemas[p] = append(schemas[p], attrs[k])
+		}
 		schemas[k] = append(schemas[k], attrs[k])
-		schemas[parent[k]] = append(schemas[parent[k]], attrs[k])
 	}
 	rels := make([]*relation.Relation, n)
 	for k := range rels {
@@ -176,12 +198,16 @@ func appendRandom(rel *relation.Relation, r *rand.Rand, n, domain int) {
 	rel.AppendRows(rows)
 }
 
+// segCounts counts the segments with rows a check met: small, large,
+// scaled (a scale other than 0 and 1) and of scale 0.
+type segCounts struct{ small, large, scaled, zero int }
+
 // checkAgainstReference pins a freshly built EW to the reference:
-// same segments (rows, order, running sums) per entry of every node,
-// each in the directory of large segments exactly when it has
-// join.LargeRows rows or more, same count, same tuples for a seed. It
-// returns how many non-empty segments were small and how many large.
-func checkAgainstReference(t *testing.T, state string, j *join.Join) (small, large int) {
+// same segments (rows, order, running sums: a segment's own sums times
+// its scale) per entry of every node, each in the directory of large
+// segments exactly when it has join.LargeRows rows or more, same count,
+// same tuples for a seed. It returns what segments with rows it met.
+func checkAgainstReference(t *testing.T, state string, j *join.Join) (n segCounts) {
 	t.Helper()
 	ew, ref := NewEW(j), newRefEW(j)
 	if ew.ExactCount() != ref.count() || ew.ExactCount() != j.Count() {
@@ -193,19 +219,27 @@ func checkAgainstReference(t *testing.T, state string, j *join.Join) (small, lar
 			t.Fatalf("%s node %d: %d segments, reference %d", state, k, len(tb.Off)-1, len(ref.segs[k]))
 		}
 		for ent, want := range ref.segs[k] {
-			rows, cum, seg := flatSegment(tb, ent)
+			rows, cum := scaledSegment(tb, ent)
 			if fmt.Sprint(rows, cum) != fmt.Sprint(want.rows, want.cum) {
-				t.Fatalf("%s node %d entry %d: rows %v cum %v, reference rows %v cum %v",
+				t.Fatalf("%s node %d entry %d: rows %v scaled cum %v, reference rows %v cum %v",
 					state, k, ent, rows, cum, want.rows, want.cum)
 			}
-			if (seg != nil) != (len(rows) >= join.LargeRows) {
-				t.Fatalf("%s node %d entry %d: %d rows, large segment %v", state, k, ent, len(rows), seg != nil)
+			own, _, scale, seg := flatSegment(tb, ent)
+			if (seg != nil) != (len(own) >= join.LargeRows) {
+				t.Fatalf("%s node %d entry %d: %d rows, large segment %v", state, k, ent, len(own), seg != nil)
 			}
 			switch {
 			case seg != nil:
-				large++
-			case len(rows) > 0:
-				small++
+				n.large++
+			case len(own) > 0:
+				n.small++
+			}
+			switch {
+			case len(own) == 0, scale == 1:
+			case scale == 0:
+				n.zero++
+			default:
+				n.scaled++
 			}
 		}
 		if len(tb.Rows) != cap(tb.Rows) || len(tb.Cum) != cap(tb.Cum) {
@@ -213,7 +247,7 @@ func checkAgainstReference(t *testing.T, state string, j *join.Join) (small, lar
 		}
 	}
 	if ref.count() == 0 {
-		return small, large
+		return n
 	}
 	out, rowOf := mkBatch(j, 64)
 	if filled, tries := ew.SampleManyInto(out, rowOf, 64, rng.New(77)); filled != 64 || tries != 64 {
@@ -226,7 +260,7 @@ func checkAgainstReference(t *testing.T, state string, j *join.Join) (small, lar
 			t.Fatalf("%s draw %d: %v, reference %v", state, i, out[i], want)
 		}
 	}
-	return small, large
+	return n
 }
 
 // TestFlatTableMatchesReference is the property test of the weight
@@ -236,12 +270,13 @@ func checkAgainstReference(t *testing.T, state string, j *join.Join) (small, lar
 // tombstoned rows) and a compacted one. Half the trees draw their join
 // values from a domain of 2, so that both searches — bisection below
 // join.LargeRows, a proportional guess at and above — meet the
-// reference.
+// reference, and keyed children give segments scales other than 1,
+// 0 among them.
 func TestFlatTableMatchesReference(t *testing.T) {
-	var small, large int
+	var all segCounts
 	check := func(state string, j *join.Join) {
-		s, l := checkAgainstReference(t, state, j)
-		small, large = small+s, large+l
+		n := checkAgainstReference(t, state, j)
+		all.small, all.large, all.scaled, all.zero = all.small+n.small, all.large+n.large, all.scaled+n.scaled, all.zero+n.zero
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -279,9 +314,13 @@ func TestFlatTableMatchesReference(t *testing.T) {
 		}
 		patchScript(t, seed, j, rels, script)
 	}
-	if small == 0 || large == 0 {
-		t.Errorf("the fixtures held %d small and %d large segments: a search went unchecked", small, large)
+	if all.small == 0 || all.large == 0 {
+		t.Errorf("the fixtures held %d small and %d large segments: a search went unchecked", all.small, all.large)
 	}
+	if all.scaled == 0 || all.zero == 0 {
+		t.Errorf("the fixtures held %d scaled segments and %d of scale 0: keyed children went unchecked", all.scaled, all.zero)
+	}
+	t.Logf("segments with rows: %+v", all)
 }
 
 // Script op kinds of patchScript, in the high bits of a script byte (the
@@ -380,8 +419,8 @@ func tableDump(ew *EW) []string {
 			entries = ew.w.Idx[k].NumEntries()
 		}
 		for ent := 0; ent < entries; ent++ {
-			rows, cum, _ := flatSegment(&ew.w.Nodes[k], ent)
-			out = append(out, fmt.Sprint(k, ent, rows, cum, ew.w.Nodes[k].Total(ent)))
+			rows, cum, scale, _ := flatSegment(&ew.w.Nodes[k], ent)
+			out = append(out, fmt.Sprint(k, ent, rows, cum, scale, ew.w.Nodes[k].Total(ent)))
 		}
 	}
 	return out
@@ -409,11 +448,14 @@ func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 			entries = cold.w.Idx[k].NumEntries()
 		}
 		for ent := 0; ent < entries; ent++ {
-			rows, cum, now := flatSegment(&ew.w.Nodes[k], ent)
-			wantRows, wantCum, _ := flatSegment(&cold.w.Nodes[k], ent)
-			if fmt.Sprint(rows, cum) != fmt.Sprint(wantRows, wantCum) {
-				t.Fatalf("%s node %d entry %d: patched rows %v cum %v, cold rows %v cum %v (patch %+v)",
-					state, k, ent, rows, cum, wantRows, wantCum, p)
+			rows, cum, scale, now := flatSegment(&ew.w.Nodes[k], ent)
+			wantRows, wantCum, wantScale, _ := flatSegment(&cold.w.Nodes[k], ent)
+			if len(rows) == 0 {
+				scale, wantScale = 0, 0 // an empty segment's scale is never read
+			}
+			if fmt.Sprint(rows, cum, scale) != fmt.Sprint(wantRows, wantCum, wantScale) {
+				t.Fatalf("%s node %d entry %d: patched rows %v cum %v scale %d, cold rows %v cum %v scale %d (patch %+v)",
+					state, k, ent, rows, cum, scale, wantRows, wantCum, wantScale, p)
 			}
 			if got, want := ew.w.Nodes[k].Total(ent), cold.w.Nodes[k].Total(ent); got != want {
 				t.Fatalf("%s node %d entry %d: patched total %d, cold %d", state, k, ent, got, want)
@@ -429,7 +471,7 @@ func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 			if _, hit := slices.BinarySearch(p.Touched[k], int32(ent)); hit {
 				continue
 			}
-			if _, _, was := prev.w.Nodes[k].Segment(ent); was != now {
+			if _, _, _, was := prev.w.Nodes[k].Segment(ent); was != now {
 				t.Fatalf("%s node %d entry %d: untouched large segment %p is not the predecessor's %p", state, k, ent, now, was)
 			}
 		}
@@ -461,7 +503,8 @@ func newEWFrom(t testing.TB, j *join.Join, prev *EW) *EW {
 
 // FuzzWeightPatch is patchScript over fuzzer-chosen trees and mutation
 // scripts: whatever the order of appends, deletes, emptied and new
-// values, compactions and patches, a patched sampler equals a cold one.
+// values, compactions and patches, a patched sampler equals a cold one —
+// keyed children's rescales, to scale 0 and back, included.
 func FuzzWeightPatch(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		script := make([]byte, 48)
@@ -469,6 +512,13 @@ func FuzzWeightPatch(f *testing.F) {
 		f.Add(seed, script)
 	}
 	f.Add(int64(9), []byte{opBurst << 3, opPatch << 3, opEmpty<<3 | 1, opNewValue<<3 | 1, opPatch << 3, opDelete << 3})
+	// Seed 7 builds a tree with a keyed child: empty, bring back and
+	// delete values of every relation, patching after each.
+	var keyed []byte
+	for rel := byte(0); rel < 4; rel++ {
+		keyed = append(keyed, opEmpty<<3|rel, opPatch<<3, opNewValue<<3|rel, opPatch<<3, opDelete<<3|rel, opAppend<<3|rel, opPatch<<3)
+	}
+	f.Add(int64(7), keyed)
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) > 256 {
 			script = script[:256]

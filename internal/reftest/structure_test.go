@@ -202,14 +202,18 @@ func checkWeights(t *testing.T, label string, got, want *join.Weights) {
 				return nil, nil, 0
 			}
 		}
-		rows, cum, seg := w.Nodes[k].Segment(e)
+		rows, own, scale, seg := w.Nodes[k].Segment(e)
 		if seg != nil { // a large segment, flat: its blocks rebased on the directory
 			for b, blk := range seg.Blocks {
 				rows = append(rows, blk.Rows...)
 				for _, c := range blk.Cum {
-					cum = append(cum, seg.Sums[b]-blk.Cum[len(blk.Cum)-1]+c)
+					own = append(own, seg.Sums[b]-blk.Cum[len(blk.Cum)-1]+c)
 				}
 			}
+		}
+		cum := make([]int64, len(own)) // scale × own sums: the rows' weights
+		for i, c := range own {
+			cum[i] = scale * c
 		}
 		return rows, cum, w.Nodes[k].Total(e)
 	}

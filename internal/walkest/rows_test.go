@@ -94,8 +94,9 @@ func cyclicUnion(t *testing.T) ([]*join.Join, *relation.Relation) {
 // its walk wrote: over UQ1's chains, UQ3's tree J3 and a triangle. After
 // the dirty join gains tuples the clean joins' walks hold, Refreshed
 // derives their owners, ĉ and reprobed count as the full tuples do —
-// Reowned over each written tuple from the owner it had — and the pools
-// it shares still rebuild their tuples.
+// Reowned over each written tuple Owners.Unmoved does not spare, from
+// the owner it had — and the pools it shares still rebuild their tuples.
+// With only UQ1's last join dirty no walk is probed, and none counts.
 func TestRetainedRowsRebuildTuples(t *testing.T) {
 	uq1, err := tpch.UQ1(tpch.Config{SF: 0.2, Seed: 1})
 	if err != nil {
@@ -112,6 +113,7 @@ func TestRetainedRowsRebuildTuples(t *testing.T) {
 		dirty int
 	}{
 		{"UQ1", uq1.Joins, 2},
+		{"UQ1_last_dirty", uq1.Joins, len(uq1.Joins) - 1},
 		{"UQ3", uq3.Joins, 0},
 		{"cyclic", cyclic, 0},
 	} {
@@ -145,10 +147,13 @@ func TestRetainedRowsRebuildTuples(t *testing.T) {
 				if dirty[j] {
 					continue
 				}
-				want += len(je.samples)
 				full := e.ests[j].clone()
 				for i, tu := range tuples[j] {
 					s := &full.samples[i]
+					if e.owners.Unmoved(j, s.Owner, dirty) {
+						continue
+					}
+					want++
 					if owner := e.owners.Reowned(j, tu, s.Owner, dirty); owner != s.Owner {
 						s.Owner = owner
 						moved++
@@ -164,7 +169,12 @@ func TestRetainedRowsRebuildTuples(t *testing.T) {
 			if reprobed != want {
 				t.Errorf("reprobed %d walks, full tuples %d", reprobed, want)
 			}
-			if moved == 0 {
+			if c.dirty == len(c.joins)-1 {
+				// No owner lies past the last join: nothing is probed.
+				if reprobed != 0 {
+					t.Errorf("reprobed %d walks with only the last join dirty, want 0", reprobed)
+				}
+			} else if moved == 0 {
 				t.Fatalf("%d tuples adopted and no owner moved: the refresh reads nothing", adopted)
 			}
 			t.Logf("%d walks reprobed, %d owners moved", reprobed, moved)

@@ -329,7 +329,8 @@ func (e *Estimator) CopyEstimates(src *Estimator) {
 // from its rows only when Reowned probes it. The pool is shared with e's
 // until an owner moves, and its owners copied then. A dirty join's new
 // pool is sized from its old one (JoinEstimate.reserve). It also reports
-// how many walks it probed again.
+// how many walks it probed again: those passed to Reowned, not the ones
+// Owners.Unmoved spares.
 func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 	c := e.shell()
 	for j, d := range dirty {
@@ -354,6 +355,7 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 			if c.owners.Unmoved(j, s.Owner, dirty) {
 				continue
 			}
+			reprobed++
 			if t == nil {
 				t = make(relation.Tuple, je.J.OutputSchema().Len())
 			}
@@ -368,7 +370,6 @@ func (e *Estimator) Refreshed(dirty []bool) (*Estimator, int) {
 			je.samples[i].Owner = owner
 		}
 		je.rederiveCover(j)
-		reprobed += len(je.samples)
 	}
 	return c, reprobed
 }
