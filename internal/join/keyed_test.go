@@ -89,13 +89,12 @@ func overlayBytes(t *testing.T, w *Weights, k int) int {
 
 // TestKeyedChildRescalesSmallSegments: with one supplier a nation every
 // supplier segment is small. A customer for one nation rescales its
-// supplier segment with an overlay record standing for the flat arrays'
-// rows at the new scale, and writes no rows or sums. Customers for a third of the nations then overlay more than an
-// eighth of supplier's flat arrays, and the node folds, the records'
-// rows read from the flat arrays they stand for (a second successor of
-// one generation copies such a record first); a supplier appended
-// under a rescaled nation meets the record as a hit. Every generation
-// equals a cold build, and stays as it was after the later patches.
+// supplier segment, copied into the overlay at the new scale; a second
+// successor of one generation copies it again. Customers for a third of
+// the nations then overlay more than an eighth of supplier's flat arrays,
+// and the node folds; a supplier appended under a rescaled nation meets
+// the rescaled segment as a hit. Every generation equals a cold build,
+// and stays as it was after the later patches.
 func TestKeyedChildRescalesSmallSegments(t *testing.T) {
 	const nations = 512
 	j, customer := supplierLevel(t, nations, 1, 8)
@@ -123,14 +122,12 @@ func TestKeyedChildRescalesSmallSegments(t *testing.T) {
 
 	customer.AppendValues(1_000_000, 7)
 	e, _ := w.Idx[1].EntryOf(7)
-	p := step("one nation")
-	ov := w.Nodes[1].ov
-	if p.Folded[1] || !slices.Equal(p.Touched[1], []int32{int32(e)}) || len(ov.rows) != 0 || len(ov.recs) != 1 || len(ov.scale) != 1 {
-		t.Fatalf("patch %+v, overlay of %d rows, %d records and %d scales: want entry %d rescaled by a record and a scale", p, len(ov.rows), len(ov.recs), len(ov.scale), e)
+	if p := step("one nation"); p.Folded[1] || !slices.Equal(p.Touched[1], []int32{int32(e)}) {
+		t.Fatalf("patch %+v: want entry %d rescaled in supplier's overlay", p, e)
 	}
 
 	// A first successor extends supplier's overlay in place; the step's
-	// patch, a second successor of the same generation, copies its record.
+	// patch, a second successor of the same generation, copies it.
 	customer.AppendValues(1_000_001, 11)
 	sibling, _ := patchWeights(t, j, w)
 	step("a second successor")

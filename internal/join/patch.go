@@ -35,9 +35,8 @@ type Patch struct {
 	// block directories (16 B a block: a running total and a pointer) and
 	// directories of large segments; the whole tables when Rebuilt. A
 	// rescaled large segment counts its scale, 8 B, and shares its
-	// directory and blocks; a rescaled small one, an overlay record and
-	// its scale standing for the flat arrays' rows, 20 B — or, when an
-	// earlier patch wrote it into the overlay, a copy there.
+	// directory and blocks; a rescaled small one is copied into the
+	// overlay at its new scale, its rows and sums as they were.
 	Bytes int
 }
 
@@ -222,20 +221,17 @@ type patchScratch struct {
 }
 
 // segRun is a run of segments packed back to back: segment i is
-// rows[off[i]:off[i+1]], cum[off[i]:off[i+1]] at scale scale[i] — or,
-// when flat[i], the table's flat arrays' segment, none of it in the run.
+// rows[off[i]:off[i+1]], cum[off[i]:off[i+1]] at scale scale[i].
 type segRun struct {
 	off   []int32
 	rows  []int32
 	cum   []int64
 	scale []int64
-	flat  []bool
 }
 
-// add ends the run's last segment, at scale s; flat when it is the flat
-// arrays' (segRun).
-func (r *segRun) add(s int64, flat bool) {
-	r.off, r.scale, r.flat = append(r.off, int32(len(r.rows))), append(r.scale, s), append(r.flat, flat)
+// add ends the run's last segment, at scale s.
+func (r *segRun) add(s int64) {
+	r.off, r.scale = append(r.off, int32(len(r.rows))), append(r.scale, s)
 }
 
 // piece is the rows a merge wrote to the scratch's rows[lo:hi], in
@@ -292,9 +288,8 @@ func (sc *patchScratch) walk(was *LargeSegment, pieces []piece, f func(rows []in
 // predecessor's directory and blocks. The small ones extend prev's
 // overlay (segOverlay.extend), or — once the overlay's entries and rows
 // pass relation.FoldBudget of the flat arrays' — are folded with the
-// untouched ones into fresh flat arrays; a rescaled one is a record
-// standing for its rows in the flat arrays, or a copy of the overlay's,
-// and an entry turned large leaves them an empty segment. ok is false
+// untouched ones into fresh flat arrays; a rescaled one is copied at its
+// new scale, and an entry turned large leaves them an empty segment. ok is false
 // when a running sum or a scaled total passes math.MaxInt64.
 func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, rescaled []int32, entries int, sc *patchScratch) (_ WeightTable, touched []int32, whole bool, bytes int, ok bool) {
 	if len(hits)+len(rescaled) == 0 {
@@ -302,7 +297,7 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 	}
 	fresh := &sc.fresh
 	fresh.off, fresh.rows, fresh.cum = append(fresh.off[:0], 0), fresh.rows[:0], fresh.cum[:0]
-	fresh.scale, fresh.flat = fresh.scale[:0], fresh.flat[:0]
+	fresh.scale = fresh.scale[:0]
 	sc.rows, sc.cum, sc.pieces, sc.reached = sc.rows[:0], sc.cum[:0], sc.pieces[:0], sc.reached[:0]
 	t, small, touched := *prev, sc.small[:0], sc.touched[:0]
 	dropped, rewritten := 0, 0 // prev's large segments rewritten; the rows written
@@ -337,15 +332,9 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 				sc.reached = append(sc.reached, reached{ent: e, was: was, lo: len(sc.pieces), hi: len(sc.pieces), scale: s})
 				continue
 			}
-			// A small segment an earlier patch wrote into the overlay is
-			// copied; one still in the flat arrays is left there.
-			small = append(small, e)
-			copied := prev.ov.holds(int(e))
-			if copied {
-				rewritten += len(wasRows)
-				fresh.rows, fresh.cum = append(fresh.rows, wasRows...), append(fresh.cum, wasCum...)
-			}
-			fresh.add(s, !copied)
+			small, rewritten = append(small, e), rewritten+len(wasRows)
+			fresh.rows, fresh.cum = append(fresh.rows, wasRows...), append(fresh.cum, wasCum...)
+			fresh.add(s)
 			continue
 		}
 		touched = append(touched, e)
@@ -390,7 +379,7 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 			continue
 		}
 		small = append(small, e)
-		fresh.add(s, false)
+		fresh.add(s)
 	}
 	sc.small, sc.touched = small, touched
 	if !ok {
@@ -437,28 +426,27 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 	}
 	// merged visits, ascending, every entry of the old overlay and the
 	// fresh segments with the segment that stands for it: the fresh one
-	// where both have it; flat when it stands for the flat arrays' own.
+	// where both have it.
 	live := old.liveRecs()
-	merged := func(visit func(e int32, rows []int32, cum []int64, scale int64, flat bool)) {
+	merged := func(visit func(e int32, rows []int32, cum []int64, scale int64)) {
 		for i, f := 0, 0; i < len(live) || f < len(small); {
 			if f == len(small) || (i < len(live) && old.recs[live[i]].ent < small[f]) {
-				rows, cum, scale, flat := old.record(live[i])
-				visit(old.recs[live[i]].ent, rows, cum, scale, flat)
+				rows, cum, scale := old.record(live[i])
+				visit(old.recs[live[i]].ent, rows, cum, scale)
 				i++
 				continue
 			}
 			if i < len(live) && old.recs[live[i]].ent == small[f] {
 				i++
 			}
-			visit(small[f], fresh.rows[fresh.off[f]:fresh.off[f+1]], fresh.cum[fresh.off[f]:fresh.off[f+1]], fresh.scale[f], fresh.flat[f])
+			visit(small[f], fresh.rows[fresh.off[f]:fresh.off[f+1]], fresh.cum[fresh.off[f]:fresh.off[f+1]], fresh.scale[f])
 			f++
 		}
 	}
 	replaced := 0
-	merged(func(e int32, _ []int32, _ []int64, _ int64, flat bool) {
-		if seg, _, _ := prev.flat(int(e)); !flat {
-			replaced += len(seg)
-		}
+	merged(func(e int32, _ []int32, _ []int64, _ int64) {
+		seg, _, _ := prev.flat(int(e))
+		replaced += len(seg)
 	})
 	t.Off, t.ov = make([]int32, 1, entries+1), nil
 	t.Rows = make([]int32, 0, len(prev.Rows)-replaced+rows)
@@ -474,20 +462,17 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 		t.end()
 	}
 	next := 0 // the flat entry to write
-	copyUpTo := func(upTo int) {
+	flat := func(upTo int) {
 		for ; next < upTo; next++ {
 			put(prev.flat(next))
 		}
 	}
-	merged(func(e int32, seg []int32, cum []int64, scale int64, flat bool) {
-		copyUpTo(int(e))
-		if flat {
-			seg, cum, _ = prev.flat(int(e))
-		}
+	merged(func(e int32, seg []int32, cum []int64, scale int64) {
+		flat(int(e))
 		put(seg, cum, scale)
 		next++
 	})
-	copyUpTo(entries)
+	flat(entries)
 	return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows) + 8*len(t.Scale), true
 }
 

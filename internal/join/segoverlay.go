@@ -17,9 +17,7 @@ import (
 // overlay reads nothing past its own len(recs), and an entry's segment is
 // its newest record within that bound. At a node with keyed children
 // scale[r] is record r's segment's scale; elsewhere scale is nil and
-// every scale 1. A record may stand for the flat arrays' segment of its
-// entry at a new scale (lo < 0): a rescale of a segment no patch wrote
-// into the overlay.
+// every scale 1.
 type segOverlay struct {
 	slots *relation.Slots // record ids, filed by their entry's hash
 	recs  []segRec        // one per segment written, oldest first
@@ -30,8 +28,7 @@ type segOverlay struct {
 	live  int // rows of their segments
 }
 
-// segRec locates one segment: entry ent's rows are rows[lo:hi], or the
-// table's flat arrays' when lo < 0.
+// segRec locates one segment: entry ent's rows are rows[lo:hi].
 type segRec struct{ ent, lo, hi int32 }
 
 // entHash fingerprints entry e: a multiplicative hash with its high half
@@ -57,36 +54,18 @@ func (o *segOverlay) find(e int) int {
 // segment when e has one, else the flat one.
 func (o *segOverlay) segment(t *WeightTable, e int) ([]int32, []int64, int64) {
 	if r := o.find(e); r >= 0 {
-		rows, cum, scale, flat := o.record(r)
-		if flat {
-			rows, cum, _ = t.flat(e)
-		}
-		return rows, cum, scale
+		return o.record(r)
 	}
 	return t.flat(e)
 }
 
-// record returns record r's rows, running sums and scale; flat, and no
-// rows, when it stands for the flat arrays' segment.
-func (o *segOverlay) record(r int) (rows []int32, cum []int64, scale int64, flat bool) {
+// record returns record r's rows, running sums and scale.
+func (o *segOverlay) record(r int) (rows []int32, cum []int64, scale int64) {
 	rc, scale := o.recs[r], int64(1)
 	if o.scale != nil {
 		scale = o.scale[r]
 	}
-	if rc.lo < 0 {
-		return nil, nil, scale, true
-	}
-	return o.rows[rc.lo:rc.hi], o.cum[rc.lo:rc.hi], scale, false
-}
-
-// holds reports whether o (nil: no overlay) holds rows of its own for
-// entry e.
-func (o *segOverlay) holds(e int) bool {
-	if o == nil {
-		return false
-	}
-	r := o.find(e)
-	return r >= 0 && o.recs[r].lo >= 0
+	return o.rows[rc.lo:rc.hi], o.cum[rc.lo:rc.hi], scale
 }
 
 // liveRecs returns the ids of the records of o's overlaid entries, by
@@ -141,13 +120,13 @@ func (o *segOverlay) extend(touched []int32, fresh *segRun, ents, rows int, keye
 		wrote = int(n.slots.Bytes())
 		for r, rc := range o.recs {
 			if _, hit := slices.BinarySearch(touched, rc.ent); !hit && o.find(int(rc.ent)) == r {
-				rows, cum, scale, flat := o.record(r)
-				n.put(rc.ent, rows, cum, scale, flat)
+				rows, cum, scale := o.record(r)
+				n.put(rc.ent, rows, cum, scale)
 			}
 		}
 	}
 	for t, e := range touched {
-		n.put(e, fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]], fresh.scale[t], fresh.flat[t])
+		n.put(e, fresh.rows[fresh.off[t]:fresh.off[t+1]], fresh.cum[fresh.off[t]:fresh.off[t+1]], fresh.scale[t])
 	}
 	return n, wrote + 12*(len(n.rows)+len(n.recs)) + 8*len(n.scale)
 }
@@ -165,15 +144,11 @@ func (n *segOverlay) reserve(ents, rows int, keyed bool) {
 }
 
 // put appends a segment for entry e at scale s to n's storage and files
-// its record; flat files a record of the flat arrays' segment instead.
-func (n *segOverlay) put(e int32, rows []int32, cum []int64, s int64, flat bool) {
-	rc := segRec{e, -1, -1}
-	if !flat {
-		rc.lo = int32(len(n.rows))
-		n.rows, n.cum = append(n.rows, rows...), append(n.cum, cum...)
-		rc.hi = int32(len(n.rows))
-	}
-	n.recs = append(n.recs, rc)
+// its record.
+func (n *segOverlay) put(e int32, rows []int32, cum []int64, s int64) {
+	lo := int32(len(n.rows))
+	n.rows, n.cum = append(n.rows, rows...), append(n.cum, cum...)
+	n.recs = append(n.recs, segRec{e, lo, int32(len(n.rows))})
 	if n.scale != nil {
 		n.scale = append(n.scale, s)
 	}
