@@ -203,9 +203,9 @@ func carve(rows []int32, cum []int64, hdrs []Block, dir []*Block) ([]Block, []*B
 // scale; a row's own weight is the product over the other children
 // (1 when there are none). A segment keeps the rows of positive own
 // weight even at scale 0 (a keyed child lacks the value), so a keyed
-// child's moved total only rescales it: PatchWeights writes a new scale
-// and no rows or sums (but for a small segment an earlier patch wrote
-// into the overlay, whose fewer than LargeRows rows it copies).
+// child's moved total only rescales it: PatchWeights gives a large
+// segment a new scale and writes no rows or sums, and copies a small one,
+// of fewer than LargeRows rows, into the overlay at its new scale.
 //
 // A segment of LargeRows rows or more is a LargeSegment, listed by entry
 // in Large. The small ones are flat arrays — segment e is
