@@ -99,48 +99,63 @@ func (j *Join) Count() int64 {
 // proportional guess instead of bisecting them (joinsample.searchCum).
 const LargeRows = 32
 
-// BlockRows is the size a large segment's rows are carved to: a run of m
-// rows is one block while m <= 2·BlockRows, else m/BlockRows blocks of
-// equal size within a row (blocksOf). The cold build carves every large
-// segment so, and a patch carves the blocks it rewrote so: a block split
-// when it grew past 2·BlockRows, dropped when it emptied.
-const BlockRows = 128
+// BlockRows is the size a large segment's rows are carved to, and
+// GroupBlocks the size its blocks are grouped to: a run of m rows (or
+// blocks) is one piece while m <= 2·size, else m/size pieces of equal
+// size within one (parts). The cold build carves every large segment so,
+// and a patch carves the blocks and groups it rewrote so: a block or a
+// group split when it grew past twice its size, dropped when it emptied.
+const (
+	BlockRows   = 32
+	GroupBlocks = 32
+)
 
-// blocksOf returns how many blocks a run of m rows is carved into.
-func blocksOf(m int) int {
-	if m <= 2*BlockRows {
+// parts returns how many pieces of about size a run of m is carved into.
+func parts(m, size int) int {
+	if m <= 2*size {
 		return min(m, 1)
 	}
-	return m / BlockRows
+	return m / size
 }
 
 // Block is a run of a large segment's rows, ascending, with their running
 // weight sums counted from the block's first row. Immutable once
-// published: segments and generations share it by pointer.
+// published: groups and generations share it by pointer.
 type Block struct {
 	Rows []int32
 	Cum  []int64
 }
 
-// LargeSegment is a weight segment of at least LargeRows rows, held in
-// blocks apart from its node's flat arrays. Sums is its directory: Sums[b]
-// is the running own-weight total through Blocks[b], so the segment's
-// total is Scale times the last. Immutable once published, so generations
-// share it by pointer: a patch that does not reach it copies nothing of
-// it, one that rescales it writes a new header over the same directory
-// and blocks, and one whose hits reach it writes the blocks holding its
-// hit rows and a new directory, and shares every other block. A segment, its directory and its blocks are carved
-// from slabs shared with the node's other segments that one cold build
-// (packer) or one patch (patchScratch.large) wrote, so a block shared
-// forward keeps that build's or patch's slabs alive. Where block
+// Group is a run of a large segment's blocks, in row order, under their
+// directory: Sums[b] is the running own-weight total through Blocks[b],
+// counted from the group's first block. Immutable once published:
+// segments and generations share it by pointer.
+type Group struct {
+	Sums   []int64
+	Blocks []*Block
+}
+
+// LargeSegment is a weight segment of at least LargeRows rows, held apart
+// from its node's flat arrays in a two-level tree: blocks of rows under
+// groups of blocks. Sums is its top directory: Sums[g] is the running
+// own-weight total through Groups[g], so the segment's total is Scale
+// times the last. Immutable once published, so generations share it by
+// pointer: a patch that does not reach it copies nothing of it, one that
+// rescales it writes a new header over the same directory and groups, and
+// one whose hits reach it writes the blocks holding its hit rows, their
+// groups and a new top directory, and shares every other block and group.
+// A segment, its directories and its blocks are carved from slabs shared
+// with the node's other segments that one cold build (packer) or one
+// patch (patchScratch.large) wrote, so a block or group shared forward
+// keeps that build's or patch's slabs alive. Where block and group
 // boundaries fall changes no draw: EW finds the first row whose running
-// sum exceeds its draw, searching the directory and then the block
-// (joinsample.searchLarge).
+// sum exceeds its draw, searching the top directory, a group's and then
+// a block (joinsample.searchLarge).
 type LargeSegment struct {
 	Ent    int32 // the index entry whose rows these are
 	Scale  int64 // the factor every row shares (WeightTable); 1 at a node without keyed children
 	Sums   []int64
-	Blocks []*Block
+	Groups []*Group
 }
 
 // Total returns the summed weight of the segment's rows.
@@ -149,33 +164,61 @@ func (s *LargeSegment) Total() int64 { return s.Scale * s.Sums[len(s.Sums)-1] }
 // Len returns the segment's rows.
 func (s *LargeSegment) Len() int {
 	n := 0
-	for _, b := range s.Blocks {
-		n += len(b.Rows)
+	for _, g := range s.Groups {
+		for _, b := range g.Blocks {
+			n += len(b.Rows)
+		}
 	}
 	return n
 }
 
-// sum sets the directory from the blocks; it is false when a running
-// total, or the scaled total, passes math.MaxInt64.
+// sum sets the top directory from the groups' totals; it is false when a
+// running total, or the scaled total, passes math.MaxInt64.
 func (s *LargeSegment) sum() bool {
 	var total int64
-	for b, blk := range s.Blocks {
-		if total += blk.Cum[len(blk.Cum)-1]; total < 0 {
+	for g, grp := range s.Groups {
+		if total += grp.Sums[len(grp.Sums)-1]; total < 0 {
 			return false
 		}
-		s.Sums[b] = total
+		s.Sums[g] = total
 	}
 	_, fits := mulWeight(s.Scale, total)
 	return fits
 }
 
-// carve splits one run of a segment's rows, ascending, with running sums
-// counted from the run's first row, into blocksOf(len(rows)) blocks,
-// rebasing each block's sums in place to count from its own first row.
-// The headers are taken from hdrs and appended to dir; it returns the
-// rest of hdrs and the extended dir.
-func carve(rows []int32, cum []int64, hdrs []Block, dir []*Block) ([]Block, []*Block) {
-	n, nb := len(rows), blocksOf(len(rows))
+// sum sets the group's directory from its blocks' totals; it is false
+// when a running total passes math.MaxInt64.
+func (g *Group) sum() bool {
+	var total int64
+	for b, blk := range g.Blocks {
+		if total += blk.Cum[len(blk.Cum)-1]; total < 0 {
+			return false
+		}
+		g.Sums[b] = total
+	}
+	return true
+}
+
+// slabs is what one cold build (packer) or one patch
+// (patchScratch.large) carves a node's large segments from, each taken
+// from its front: block and group headers, the groups' block pointers,
+// the segments' group pointers, and the running sums of both levels of
+// directory.
+type slabs struct {
+	blocks []Block
+	groups []Group
+	bdir   []*Block
+	gdir   []*Group
+	sums   []int64
+}
+
+// carve appends to blocks, a run at s.bdir's front, the
+// parts(len(rows), BlockRows) blocks one run of a segment's rows —
+// ascending, with running sums counted from the run's first row — is
+// split into, rebasing each block's sums in place to count from its own
+// first row.
+func (s *slabs) carve(blocks []*Block, rows []int32, cum []int64) []*Block {
+	n, nb := len(rows), parts(len(rows), BlockRows)
 	for b := nb - 1; b > 0; b-- { // last first: a block's base is a sum before it, not yet rebased
 		lo, hi := b*n/nb, (b+1)*n/nb
 		for i, base := lo, cum[lo-1]; i < hi; i++ {
@@ -184,10 +227,37 @@ func carve(rows []int32, cum []int64, hdrs []Block, dir []*Block) ([]Block, []*B
 	}
 	for b := 0; b < nb; b++ {
 		lo, hi := b*n/nb, (b+1)*n/nb
-		hdrs[b] = Block{Rows: rows[lo:hi:hi], Cum: cum[lo:hi:hi]}
-		dir = append(dir, &hdrs[b])
+		s.blocks[b] = Block{Rows: rows[lo:hi:hi], Cum: cum[lo:hi:hi]}
+		blocks = append(blocks, &s.blocks[b])
 	}
-	return hdrs[nb:], dir
+	s.blocks = s.blocks[nb:]
+	return blocks
+}
+
+// group files blocks, a run at s.bdir's front in row order, under the
+// parts(len(blocks), GroupBlocks) groups it is split into, each with its
+// directory, and appends them to seg.Groups, a run at s.gdir's front. It
+// is false when a running total passes math.MaxInt64.
+func (s *slabs) group(seg *LargeSegment, blocks []*Block) bool {
+	nb, ng, ok := len(blocks), parts(len(blocks), GroupBlocks), true
+	for g := 0; g < ng; g++ {
+		lo, hi := g*nb/ng, (g+1)*nb/ng
+		s.groups[g] = Group{Sums: s.sums[lo:hi:hi], Blocks: blocks[lo:hi:hi]}
+		ok = s.groups[g].sum() && ok
+		seg.Groups = append(seg.Groups, &s.groups[g])
+	}
+	s.groups, s.bdir, s.sums = s.groups[ng:], s.bdir[nb:], s.sums[nb:]
+	return ok
+}
+
+// seal ends seg, whose groups were appended at s.gdir's front, with its
+// top directory; it is false when a running total, or the scaled total,
+// passes math.MaxInt64.
+func (s *slabs) seal(seg *LargeSegment) bool {
+	ng := len(seg.Groups)
+	seg.Groups, s.gdir = seg.Groups[:ng:ng], s.gdir[ng:]
+	seg.Sums, s.sums = s.sums[:ng:ng], s.sums[ng:]
+	return seg.sum()
 }
 
 // WeightTable is one join node's exact weights, packed the way the EW
@@ -324,14 +394,26 @@ func scaled(s int64, sok bool, own int64) bool {
 	return own == 0 || sok && fits
 }
 
-// size returns the rows of t's flat arrays and large segments, and the
-// blocks of the latter.
-func (t *WeightTable) size() (rows, blocks int) {
+// size returns the rows of t's flat arrays and large segments.
+func (t *WeightTable) size() (rows int) {
 	rows = len(t.Rows)
 	for _, s := range t.Large {
-		rows, blocks = rows+s.Len(), blocks+len(s.Blocks)
+		rows += s.Len()
 	}
-	return rows, blocks
+	return rows
+}
+
+// bytes returns the storage t holds (Patch.Bytes): its flat arrays, and
+// its large segments' rows, sums and directories.
+func (t *WeightTable) bytes() int {
+	n := 4*len(t.Off) + 12*t.size() + 8*(len(t.Large)+len(t.Scale))
+	for _, s := range t.Large {
+		n += 16 * len(s.Groups)
+		for _, g := range s.Groups {
+			n += 16 * len(g.Blocks)
+		}
+	}
+	return n
 }
 
 func (t *WeightTable) end() { t.Off = append(t.Off, int32(len(t.Rows))) }
@@ -435,25 +517,24 @@ func (j *Join) ExactWeights() (*Weights, error) {
 
 // packer lays one node's positive row weights out as its WeightTable,
 // one entry at a time: small segments into the flat arrays, large ones
-// carved into blocks (carve). One array of rows and one of sums hold
-// both, the latter the large segments' directories too, and one slab
-// each the segments, block headers and directories' pointers. Until fill
-// names the table it only counts what the arrays must hold. A patch
-// carves the large segments it rewrites the same way
+// carved into blocks and groups (slabs). One array of rows and one of
+// sums hold both, the latter the large segments' directories too, and
+// one slab each the segments, block and group headers and directories'
+// pointers. Until fill names the table it only counts what the arrays
+// must hold. A patch carves the large segments it rewrites the same way
 // (patchScratch.large). scale, nil at a node without keyed children, is
 // Join.scale for the node's entries. overflow records a running sum or a
 // scaled total past math.MaxInt64.
 type packer struct {
-	w                            []int64
-	scale                        func(e int) (int64, bool)
-	t                            *WeightTable
-	small, large, nLarge, blocks int
-	segs                         []LargeSegment
-	hdrs                         []Block
-	dir                          []*Block
-	rows                         []int32
-	cum, sums                    []int64
-	overflow                     bool
+	slabs
+	w                                    []int64
+	scale                                func(e int) (int64, bool)
+	t                                    *WeightTable
+	small, large, nLarge, blocks, groups int
+	segs                                 []LargeSegment
+	rows                                 []int32
+	cum                                  []int64
+	overflow                             bool
 }
 
 func (p *packer) entry(rows []int) {
@@ -466,7 +547,8 @@ func (p *packer) entry(rows []int) {
 	var own int64
 	switch t := p.t; {
 	case t == nil && n >= LargeRows:
-		p.large, p.nLarge, p.blocks = p.large+n, p.nLarge+1, p.blocks+blocksOf(n)
+		nb := parts(n, BlockRows)
+		p.large, p.nLarge, p.blocks, p.groups = p.large+n, p.nLarge+1, p.blocks+nb, p.groups+parts(nb, GroupBlocks)
 	case t == nil:
 		p.small += n
 	case n < LargeRows:
@@ -476,13 +558,12 @@ func (p *packer) entry(rows []int) {
 		}
 		t.end()
 	default:
-		seg, lo, nb := &p.segs[len(t.Large)], len(p.rows), blocksOf(n)
+		seg, lo := &p.segs[len(t.Large)], len(p.rows)
 		p.rows, p.cum, own = p.appendPositive(p.rows, p.cum, rows)
-		seg.Ent, seg.Sums, seg.Blocks = int32(len(t.Off)-1), p.sums[:nb:nb], p.dir[:0:nb]
+		seg.Ent, seg.Groups = int32(len(t.Off)-1), p.gdir[:0]
 		seg.Scale = p.scaleOf(int(seg.Ent), own)
-		p.sums, p.dir = p.sums[nb:], p.dir[nb:]
-		p.hdrs, seg.Blocks = carve(p.rows[lo:], p.cum[lo:], p.hdrs, seg.Blocks)
-		seg.sum()
+		p.group(seg, p.carve(p.bdir[:0], p.rows[lo:], p.cum[lo:]))
+		p.seal(seg)
 		t.Large = append(t.Large, seg)
 		if t.Scale != nil {
 			t.Scale = append(t.Scale, 0)
@@ -520,15 +601,18 @@ func (p *packer) appendPositive(rows []int32, cum []int64, entry []int) ([]int32
 // so far, and turns the packer to filling them.
 func (p *packer) fill(t *WeightTable, entries int) {
 	small, large := p.small, p.small+p.large
-	rows, cum := make([]int32, large), make([]int64, large+p.blocks)
+	rows, cum := make([]int32, large), make([]int64, large+p.blocks+p.groups)
 	*t = WeightTable{Off: make([]int32, 1, entries+1), Rows: rows[:0:small], Cum: cum[:0:small]}
 	if p.scale != nil {
 		t.Scale = make([]int64, 0, entries)
 	}
-	p.rows, p.cum, p.sums = rows[small:small:large], cum[small:small:large], cum[large:]
+	p.rows, p.cum = rows[small:small:large], cum[small:small:large]
 	if p.nLarge > 0 {
 		p.segs, t.Large = make([]LargeSegment, p.nLarge), make([]*LargeSegment, 0, p.nLarge)
-		p.hdrs, p.dir = make([]Block, p.blocks), make([]*Block, p.blocks)
+		p.slabs = slabs{
+			blocks: make([]Block, p.blocks), groups: make([]Group, p.groups),
+			bdir: make([]*Block, p.blocks), gdir: make([]*Group, p.groups), sums: cum[large:],
+		}
 	}
 	p.t = t
 }

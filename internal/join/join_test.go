@@ -124,19 +124,21 @@ func execute(j *Join) []relation.Tuple {
 
 // flatSegment returns entry e's rows and running own sums flat — a
 // large segment's blocks one after another, their sums rebased on the
-// directory — and its scale.
+// directories — and its scale.
 func flatSegment(t *WeightTable, e int) ([]int32, []int64, int64) {
 	rows, cum, scale, seg := t.Segment(e)
 	if seg == nil {
 		return rows, cum, scale
 	}
 	var base int64
-	for b, blk := range seg.Blocks {
-		rows = append(rows, blk.Rows...)
-		for _, c := range blk.Cum {
-			cum = append(cum, base+c)
+	for _, grp := range seg.Groups {
+		for _, blk := range grp.Blocks {
+			rows = append(rows, blk.Rows...)
+			for _, c := range blk.Cum {
+				cum = append(cum, base+c)
+			}
+			base += blk.Cum[len(blk.Cum)-1]
 		}
-		base = seg.Sums[b]
 	}
 	return rows, cum, scale
 }

@@ -40,8 +40,8 @@ func TestKeyedChildRescales(t *testing.T) {
 		t.Fatalf("supplier's segment for nation 2 was not rescaled")
 	case scale != customers+1 || seg.Total() != suppliers*(customers+1):
 		t.Errorf("rescaled to %d, total %d; want scale %d", scale, seg.Total(), customers+1)
-	case &seg.Sums[0] != &was.Sums[0] || !slices.Equal(seg.Blocks, was.Blocks):
-		t.Errorf("the rescale wrote a directory or blocks of its own")
+	case &seg.Sums[0] != &was.Sums[0] || !slices.Equal(seg.Groups, was.Groups):
+		t.Errorf("the rescale wrote a directory or groups of its own")
 	}
 	others := overlayBytes(t, next, 0) + overlayBytes(t, next, 2)
 	if got, want := p.Bytes-others, 8+8*len(next.Nodes[1].Large); got != want {

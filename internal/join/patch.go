@@ -30,12 +30,13 @@ type Patch struct {
 	Folded []bool
 	// Bytes is the weight-table storage the patch wrote: running sums,
 	// row lists, offsets, scales, overlay records, the overlay slot tables
-	// it allocated (an overlay extended in place allocates none), the
-	// blocks of a large segment it rewrote (not the blocks it shares),
-	// block directories (16 B a block: a running total and a pointer) and
-	// directories of large segments; the whole tables when Rebuilt. A
+	// it allocated (an overlay extended in place allocates none), and of
+	// a large segment it rewrote the blocks it carved (not the ones it
+	// shares) and the directories of the groups it wrote and of the
+	// segment (16 B an entry: a running total and a pointer), and the
+	// node's list of large segments; the whole tables when Rebuilt. A
 	// rescaled large segment counts its scale, 8 B, and shares its
-	// directory and blocks; a rescaled small one is copied into the
+	// directory and groups; a rescaled small one is copied into the
 	// overlay at its new scale, its rows and sums as they were.
 	Bytes int
 }
@@ -75,9 +76,7 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 		}
 		p := Patch{Rebuilt: true}
 		for k := range ws.Nodes {
-			t := &ws.Nodes[k]
-			rows, blocks := t.size()
-			p.Bytes += 4*len(t.Off) + 12*rows + 16*blocks + 8*(len(t.Large)+len(t.Scale))
+			p.Bytes += ws.Nodes[k].bytes()
 		}
 		return ws, p, nil
 	}
@@ -235,12 +234,12 @@ func (r *segRun) add(s int64) {
 }
 
 // piece is the rows a merge wrote to the scratch's rows[lo:hi], in
-// place of block b of the predecessor's large segment, or of a small
-// predecessor (b = -1). same is the block replaced when the piece's rows
-// are its rows.
+// place of block b of group g of the predecessor's large segment, or of
+// a small predecessor (g = b = -1). same is the block replaced when the
+// piece's rows are its rows.
 type piece struct {
-	b, lo, hi int
-	same      *Block
+	g, b, lo, hi int
+	same         *Block
 }
 
 // reached is a segment the node in hand's patch leaves large: entry
@@ -253,25 +252,61 @@ type reached struct {
 	scale  int64
 }
 
-// walk calls f with every stretch of a segment, in row order: the blocks
-// of its large predecessor was that no hit reached (merged false, blk the
-// block), and its merged pieces (blk their same).
-func (sc *patchScratch) walk(was *LargeSegment, pieces []piece, f func(rows []int32, cum []int64, blk *Block, merged bool)) {
+// walk calls f with every stretch of a segment, in row order, while f
+// returns true: the blocks of its large predecessor was that no hit
+// reached (merged false, blk the block), and its merged pieces (blk their
+// same).
+func (sc *patchScratch) walk(was *LargeSegment, pieces []piece, f func(rows []int32, cum []int64, blk *Block, merged bool) bool) {
+	sc.groups(was, pieces, func(grp *Group, pieces []piece) bool { return sc.blocks(grp, pieces, f) })
+}
+
+// groups calls f with every group of a segment, in row order, while f
+// returns true, and the pieces merged in place of its blocks: none for
+// a group of its large predecessor was that no hit reached; for a small
+// predecessor, a nil group and its one piece.
+func (sc *patchScratch) groups(was *LargeSegment, pieces []piece, f func(grp *Group, pieces []piece) bool) {
+	if was == nil {
+		f(nil, pieces)
+		return
+	}
+	for g, grp := range was.Groups {
+		n := 0
+		for n < len(pieces) && pieces[n].g == g {
+			n++
+		}
+		if !f(grp, pieces[:n:n]) {
+			return
+		}
+		pieces = pieces[n:]
+	}
+}
+
+// blocks calls f with every stretch of one group of groups', in row
+// order, while f returns true, and reports whether it always did: the
+// blocks of grp no hit reached (merged false, blk the block), and the
+// merged pieces (blk their same).
+func (sc *patchScratch) blocks(grp *Group, pieces []piece, f func(rows []int32, cum []int64, blk *Block, merged bool) bool) bool {
 	i := 0
-	if was != nil {
-		for b, blk := range was.Blocks {
+	if grp != nil {
+		for b, blk := range grp.Blocks {
+			more := true
 			if i < len(pieces) && pieces[i].b == b {
 				pc := pieces[i]
-				f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true)
-				i++
-				continue
+				more, i = f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true), i+1
+			} else {
+				more = f(blk.Rows, blk.Cum, blk, false)
 			}
-			f(blk.Rows, blk.Cum, blk, false)
+			if !more {
+				return false
+			}
 		}
 	}
 	for _, pc := range pieces[i:] {
-		f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true)
+		if !f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true) {
+			return false
+		}
 	}
+	return true
 }
 
 // patchNode returns node k's table with the segments holding the hit
@@ -281,11 +316,11 @@ func (sc *patchScratch) walk(was *LargeSegment, pieces []piece, f func(rows []in
 // the whole node (Patch.Folded) and the bytes it wrote. Each hit segment
 // is merged into scratch, reused across calls: a small one whole, a
 // large one only in the blocks its hits fall in, a hit going to the last
-// block whose first row does not follow it. The segments of LargeRows
-// rows or more stay there until the last is merged, and then become
-// LargeSegments carved from one set of slabs (patchScratch.large) in a
-// copy of prev.Large; a rescaled large segment becomes a header over its
-// predecessor's directory and blocks. The small ones extend prev's
+// group, and in it to the last block, whose first row does not follow
+// it. The segments of LargeRows rows or more stay there until the last
+// is merged, and then become LargeSegments carved from one set of slabs
+// (patchScratch.large) in a copy of prev.Large; a rescaled large segment
+// becomes a header over its predecessor's directory and groups. The small ones extend prev's
 // overlay (segOverlay.extend), or — once the overlay's entries and rows
 // pass relation.FoldBudget of the flat arrays' — are folded with the
 // untouched ones into fresh flat arrays; a rescaled one is copied at its
@@ -340,26 +375,39 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 		touched = append(touched, e)
 		rlo, plo := len(sc.rows), len(sc.pieces)
 		if was == nil {
-			ok = sc.merge(nil, -1, wasRows, wasCum, hits[lo:hi]) && ok
+			ok = sc.merge(nil, -1, -1, wasRows, wasCum, hits[lo:hi]) && ok
 		} else {
 			dropped++
-			for b, h := 0, lo; h < hi; b++ {
+			for g, h := 0, lo; h < hi; g++ {
 				end := h
-				for end < hi && (b+1 == len(was.Blocks) || hits[end].row < was.Blocks[b+1].Rows[0]) {
+				for end < hi && (g+1 == len(was.Groups) || hits[end].row < was.Groups[g+1].Blocks[0].Rows[0]) {
 					end++
 				}
-				if end > h {
-					blk := was.Blocks[b]
-					ok = sc.merge(blk, b, blk.Rows, blk.Cum, hits[h:end]) && ok
+				for b, grp := 0, was.Groups[g]; h < end; b++ {
+					bend := h
+					for bend < end && (b+1 == len(grp.Blocks) || hits[bend].row < grp.Blocks[b+1].Rows[0]) {
+						bend++
+					}
+					if bend > h {
+						blk := grp.Blocks[b]
+						ok = sc.merge(blk, g, b, blk.Rows, blk.Cum, hits[h:bend]) && ok
+					}
+					h = bend
 				}
-				h = end
 			}
 		}
-		n, merged := 0, 0
-		sc.walk(was, sc.pieces[plo:], func(rows []int32, _ []int64, _ *Block, m bool) {
-			if n += len(rows); m {
-				merged += len(rows)
+		// n counts the rows up to LargeRows: whether the segment stays
+		// large, and if not, its rows.
+		merged := 0
+		for _, pc := range sc.pieces[plo:] {
+			merged += pc.hi - pc.lo
+		}
+		n := merged
+		sc.walk(was, sc.pieces[plo:], func(rows []int32, _ []int64, _ *Block, m bool) bool {
+			if !m {
+				n += len(rows)
 			}
+			return n < LargeRows
 		})
 		if n >= LargeRows {
 			// Its rows weigh more than 0, so its own total does; sum
@@ -390,8 +438,7 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 	}
 	touched = slices.Clone(touched)
 	if len(touched) == entries {
-		rows, _ := prev.size()
-		whole = len(touched)+rewritten > relation.FoldBudget(len(prev.Off)+rows)
+		whole = len(touched)+rewritten > relation.FoldBudget(len(prev.Off)+prev.size())
 	}
 	if len(sc.reached)+dropped > 0 {
 		large, wrote, fits := sc.large()
@@ -476,13 +523,13 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 	return t, touched, true, bytes + 4*len(t.Off) + 12*len(t.Rows) + 8*len(t.Scale), true
 }
 
-// merge appends one piece to sc, in place of block b: an old run of a
-// segment — block was, or a small segment whole — merged with the hits
+// merge appends one piece to sc, in place of block b of group g: an old
+// run of a segment — block was, or a small segment whole — merged with the hits
 // that fall in it, a hit row at its weight afresh, any other row at the
 // weight the run records; a row that weighs 0 is left out. The result is
 // the flat build's run: same rows, same order, same weights. It is false
 // when the piece's running sum passes math.MaxInt64.
-func (sc *patchScratch) merge(was *Block, b int, rows []int32, cum []int64, hits []reweigh) bool {
+func (sc *patchScratch) merge(was *Block, g, b int, rows []int32, cum []int64, hits []reweigh) bool {
 	lo, sum, ok := len(sc.rows), int64(0), true
 	for i, h := 0, 0; i < len(rows) || h < len(hits); {
 		var r int32
@@ -504,7 +551,7 @@ func (sc *patchScratch) merge(was *Block, b int, rows []int32, cum []int64, hits
 			sc.rows, sc.cum = append(sc.rows, r), append(sc.cum, sum)
 		}
 	}
-	pc := piece{b: b, lo: lo, hi: len(sc.rows)}
+	pc := piece{g: g, b: b, lo: lo, hi: len(sc.rows)}
 	if was != nil && slices.Equal(was.Rows, sc.rows[lo:]) {
 		pc.same = was
 	}
@@ -517,7 +564,7 @@ func (sc *patchScratch) merge(was *Block, b int, rows []int32, cum []int64, hits
 // ok is false when its running sum passes math.MaxInt64.
 func (sc *patchScratch) flatten(was *LargeSegment, pieces []piece, fresh *segRun) (base int64, ok bool) {
 	ok = true
-	sc.walk(was, pieces, func(rows []int32, cum []int64, _ *Block, _ bool) {
+	sc.walk(was, pieces, func(rows []int32, cum []int64, _ *Block, _ bool) bool {
 		for _, c := range cum {
 			fresh.cum = append(fresh.cum, base+c)
 		}
@@ -526,72 +573,97 @@ func (sc *patchScratch) flatten(was *LargeSegment, pieces []piece, fresh *segRun
 			base += cum[len(cum)-1]
 			ok = ok && base > 0
 		}
+		return true
 	})
 	return base, ok
 }
 
 // large returns the reached segments as LargeSegments, in entry order,
 // and the bytes they wrote, carved the way the cold build's packer
-// carves a node: a first walk counts every segment's blocks and merged
-// rows, then one slab each holds the segment headers, block headers,
-// directory pointers, moved rows and running sums (the directories'
-// too). Each keeps every block of its predecessor no hit reached by
-// pointer, and carves every merged piece into blocks of its own (carve)
-// — split when it grew past 2·BlockRows, none when it emptied; a piece
-// with its old block's rows, one block, keeps those rows. A rescaled
-// segment shares its predecessor's directory and blocks whole. ok is
-// false when a total passes MaxInt64.
+// carves a node: a first walk counts what every segment writes, then one
+// slab each holds the segment, group and block headers, the directories'
+// pointers, moved rows and running sums (the directories' too). Each
+// keeps every group of its predecessor no hit reached by pointer, and
+// writes the reached ones afresh: every block of theirs no hit reached
+// kept by pointer, every merged piece carved into blocks of its own —
+// split when it grew past 2·BlockRows, none when it emptied; a piece with
+// its old block's rows, one block, keeps those rows — and the run of
+// blocks grouped again — split when it grew past 2·GroupBlocks, none when
+// it emptied. A rescaled segment shares its predecessor's directory and
+// groups whole. ok is false when a total passes MaxInt64.
 func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
-	blocks, carved, sums, ids, rescaled := 0, 0, 0, 0, 0
+	carved, groups, bdir, gdir, sums, ids, rescaled := 0, 0, 0, 0, 0, 0, 0
 	for _, r := range sc.reached {
 		if r.lo == r.hi {
 			rescaled++
 			continue
 		}
-		sc.walk(r.was, sc.pieces[r.lo:r.hi], func(rows []int32, _ []int64, same *Block, merged bool) {
-			if !merged {
-				blocks++
-				return
+		sc.groups(r.was, sc.pieces[r.lo:r.hi], func(grp *Group, pieces []piece) bool {
+			if len(pieces) == 0 {
+				gdir++
+				return true
 			}
-			nb := blocksOf(len(rows))
-			blocks, carved, sums = blocks+nb, carved+nb, sums+len(rows)
-			if same == nil {
-				ids += len(rows)
-			}
+			nb := 0
+			sc.blocks(grp, pieces, func(rows []int32, _ []int64, same *Block, merged bool) bool {
+				if !merged {
+					nb++
+					return true
+				}
+				n := parts(len(rows), BlockRows)
+				nb, carved, sums = nb+n, carved+n, sums+len(rows)
+				if same == nil {
+					ids += len(rows)
+				}
+				return true
+			})
+			ng := parts(nb, GroupBlocks)
+			groups, gdir, bdir = groups+ng, gdir+ng, bdir+nb
+			return true
 		})
 	}
-	segs, hdrs, dir := make([]LargeSegment, len(sc.reached)), make([]Block, carved), make([]*Block, blocks)
-	cum, rows := make([]int64, blocks+sums), make([]int32, ids)
-	dirSums, cum := cum[:blocks], cum[blocks:]
+	segs, cum, rows := make([]LargeSegment, len(sc.reached)), make([]int64, bdir+gdir+sums), make([]int32, ids)
+	s := slabs{
+		blocks: make([]Block, carved), groups: make([]Group, groups),
+		bdir: make([]*Block, bdir), gdir: make([]*Group, gdir), sums: cum[:bdir+gdir],
+	}
+	cum = cum[bdir+gdir:]
 	ok = true
 	for i, r := range sc.reached {
 		seg := &segs[i]
 		if seg.Ent, seg.Scale = r.ent, r.scale; r.lo == r.hi {
-			seg.Sums, seg.Blocks = r.was.Sums, r.was.Blocks
+			seg.Sums, seg.Groups = r.was.Sums, r.was.Groups
 			continue
 		}
-		seg.Blocks = dir[:0]
-		sc.walk(r.was, sc.pieces[r.lo:r.hi], func(rs []int32, c []int64, blk *Block, merged bool) {
-			if !merged {
-				seg.Blocks = append(seg.Blocks, blk)
-				return
+		seg.Groups = s.gdir[:0]
+		sc.groups(r.was, sc.pieces[r.lo:r.hi], func(grp *Group, pieces []piece) bool {
+			if len(pieces) == 0 {
+				seg.Groups = append(seg.Groups, grp)
+				return true
 			}
-			n := copy(cum, c)
-			c, cum = cum[:n:n], cum[n:]
-			if blk != nil {
-				rs = blk.Rows
-			} else {
-				copy(rows, rs)
-				rs, rows = rows[:n:n], rows[n:]
-			}
-			hdrs, seg.Blocks = carve(rs, c, hdrs, seg.Blocks)
+			blocks := s.bdir[:0]
+			sc.blocks(grp, pieces, func(rs []int32, c []int64, blk *Block, merged bool) bool {
+				if !merged {
+					blocks = append(blocks, blk)
+					return true
+				}
+				n := copy(cum, c)
+				c, cum = cum[:n:n], cum[n:]
+				if blk != nil {
+					rs = blk.Rows
+				} else {
+					copy(rows, rs)
+					rs, rows = rows[:n:n], rows[n:]
+				}
+				blocks = s.carve(blocks, rs, c)
+				return true
+			})
+			ok = s.group(seg, blocks) && ok
+			return true
 		})
-		nb := len(seg.Blocks)
-		seg.Blocks, dir = seg.Blocks[:nb:nb], dir[nb:]
-		seg.Sums, dirSums = dirSums[:nb:nb], dirSums[nb:]
-		ok = seg.sum() && ok
+		ok = s.seal(seg) && ok
 	}
-	return segs, 16*blocks + 8*sums + 4*ids + 8*rescaled, ok
+	bytes = 16*(bdir+gdir) + 8*sums + 4*ids + 8*rescaled
+	return segs, bytes, ok
 }
 
 // weigh weighs every hit row afresh: 0 when it is not among its entry's

@@ -179,8 +179,9 @@ func drawFreqs(n int, draw func() int) map[int]int {
 // zero, and totals past 2^53 (where the retired float derivation could
 // not even address every row) — each case is drawn at its own length and
 // tiled past join.LargeRows, so both searches run. EW.drawRow over the
-// segment held flat and held as a join.LargeSegment of uneven blocks (one
-// row, join.BlockRows, the rest) must reproduce the
+// segment held flat, held as a join.LargeSegment of uneven blocks (one
+// row, join.BlockRows, the rest) in one group, and held in uneven blocks
+// under uneven groups (one block, two, the rest) must reproduce the
 // weight distribution, and draw the same rows seed for seed as one
 // Uint64n below the total and slices.BinarySearch; the weights times 3,
 // held as own sums at scale 3, draw the rows the tripled sums do. Then,
@@ -214,7 +215,8 @@ func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 				return &EW{w: &join.Weights{Nodes: []join.WeightTable{tbl}}}
 			}
 			flat := ewOf(join.WeightTable{Off: []int32{0, int32(len(seg.rows))}, Rows: seg.rows, Cum: seg.cum})
-			large := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{blockedOf(seg.rows, seg.cum, 1, join.BlockRows)}})
+			large := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{blockedOf(seg.rows, seg.cum, []int{1, join.BlockRows}, nil)}})
+			grouped := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{blockedOf(seg.rows, seg.cum, []int{1, join.BlockRows, 5, 7}, []int{1, 2})}})
 			var total float64
 			for _, wi := range w {
 				total += float64(wi)
@@ -232,14 +234,15 @@ func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 					t.Errorf("%s: row %d frequency %.4f, want %.4f", name, r, got, want)
 				}
 			}
-			gf, gl, gr := rng.New(34), rng.New(34), rng.New(34)
+			gf, gl, gg, gr := rng.New(34), rng.New(34), rng.New(34), rng.New(34)
 			for i := 0; i < 10000; i++ {
 				x := int64(gr.Uint64n(uint64(seg.cum[len(seg.cum)-1])))
 				want, _ := slices.BinarySearch(seg.cum, x+1)
 				f, _ := flat.drawRow(0, 0, gf)
 				l, _ := large.drawRow(0, 0, gl)
-				if f != int(seg.rows[want]) || l != f {
-					t.Fatalf("%s draw %d: flat row %d, large row %d, reference row %d", name, i, f, l, seg.rows[want])
+				m, _ := grouped.drawRow(0, 0, gg)
+				if f != int(seg.rows[want]) || l != f || m != f {
+					t.Fatalf("%s draw %d: flat row %d, large row %d, grouped row %d, reference row %d", name, i, f, l, m, seg.rows[want])
 				}
 			}
 
@@ -254,7 +257,7 @@ func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 			off := []int32{0, int32(len(seg.rows))}
 			times := ewOf(join.WeightTable{Off: off, Rows: seg.rows, Cum: scaledCum})
 			flatScaled := ewOf(join.WeightTable{Off: off, Rows: seg.rows, Cum: seg.cum, Scale: []int64{scale}})
-			blocked := blockedOf(seg.rows, seg.cum, join.BlockRows, 1)
+			blocked := blockedOf(seg.rows, seg.cum, []int{join.BlockRows, 1}, []int{1})
 			blocked.Scale = scale
 			largeScaled := ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{blocked}})
 			gt, gf, gl := rng.New(36), rng.New(36), rng.New(36)

@@ -122,16 +122,22 @@ func searchCum(cum []int64, x int64) int {
 
 // searchLarge returns the row of seg whose running own sum, over the
 // whole segment, first exceeds x, for 0 <= x < the last of seg.Sums:
-// searchCum over the directory names the block, and searchCum over the
-// block's own sums, less the directory's total before it, the row. That
-// is the row a flat search of the segment's running sums finds, wherever
-// block boundaries fall.
+// searchCum over the top directory names the group, searchCum over the
+// group's directory, less the total before the group, the block, and
+// searchCum over the block's own sums, less the total before the block,
+// the row. That is the row a flat search of the segment's running sums
+// finds, wherever group and block boundaries fall.
 func searchLarge(seg *join.LargeSegment, x int64) int32 {
-	b := searchCum(seg.Sums, x)
-	if b > 0 {
-		x -= seg.Sums[b-1]
+	g := searchCum(seg.Sums, x)
+	if g > 0 {
+		x -= seg.Sums[g-1]
 	}
-	blk := seg.Blocks[b]
+	grp := seg.Groups[g]
+	b := searchCum(grp.Sums, x)
+	if b > 0 {
+		x -= grp.Sums[b-1]
+	}
+	blk := grp.Blocks[b]
 	return blk.Rows[searchCum(blk.Cum, x)]
 }
 
@@ -213,7 +219,7 @@ func (e *EW) StateVersions() []uint64 { return e.w.Vers }
 // drawRow is the row selection of every EW draw, over entry ent of node
 // k: one exact integer draw below the segment's total and a search of
 // its running own sums (drawScaled) — a small segment's flat ones, a
-// large segment's directory and then one block — so a draw neither
+// large segment's two directories and then one block — so a draw neither
 // allocates nor depends on which generation holds the segment, where its
 // blocks split or whether its scale was factored out. ok is false on a
 // segment of total 0.

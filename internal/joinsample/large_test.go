@@ -58,10 +58,10 @@ func (c *fanoutChain) touch(segs ...int) {
 // 6 400 rows. What NewEWFrom keeps is bounded by 8 B per row of every
 // rewritten segment, 8 B per large segment of the patched table, and a
 // constant per node. A patch that reweighs one row of a segment of 4 096
-// rows writes the block holding it and the segment's directory, not the
-// segment: it keeps at most 12 B per row of one block (2·join.BlockRows
-// rows), 16 B per block of the directory, and the same constant per
-// node.
+// rows writes the block holding it, its group's directory and the
+// segment's, not the segment: it keeps at most 12 B per row of one block
+// (2·join.BlockRows rows), 16 B per block of one group (2·join.GroupBlocks
+// blocks) and per group of the segment, and the same constant per node.
 //
 // The bytes are the heap the new generation adds, read after two
 // collections with every generation still reachable, so the patch's
@@ -141,8 +141,8 @@ func TestPatchBytesOfLargeSegments(t *testing.T) {
 		if p := ew.Patch(); p.Rebuilt || seg == nil || seg.Len() != 4096 {
 			t.Fatalf("patch %+v: want mid's one segment of 4096 rows patched in place", p)
 		}
-		limit := int64(12*2*join.BlockRows + 16*len(seg.Blocks) + perNode*len(ew.w.Nodes))
-		t.Logf("patch %d of one row of a %d-block segment: %d B (bound %d)", i, len(seg.Blocks), got, limit)
+		limit := int64(12*2*join.BlockRows + 16*2*join.GroupBlocks + 16*len(seg.Groups) + perNode*len(ew.w.Nodes))
+		t.Logf("patch %d of one row of a %d-group segment: %d B (bound %d)", i, len(seg.Groups), got, limit)
 		if got > limit {
 			t.Errorf("NewEWFrom kept %d B for a one-row patch bounded by %d B: blocks the patch did not reach were copied", got, limit)
 		}
@@ -160,10 +160,10 @@ func TestLargeSegmentSplitsAndDrops(t *testing.T) {
 	c := newFanoutChain(t, 4, 3*join.BlockRows)
 	blocks := func(ew *EW) []*join.Block {
 		_, _, _, seg := ew.w.Nodes[1].Segment(0)
-		if seg == nil {
-			t.Fatal("mid's segment is not a large one")
+		if seg == nil || len(seg.Groups) != 1 {
+			t.Fatal("mid's segment is not a large one of one group")
 		}
-		return seg.Blocks
+		return seg.Groups[0].Blocks
 	}
 	prev := NewEW(c.j)
 	if n := len(blocks(prev)); n != 3 {

@@ -18,23 +18,32 @@ const (
 )
 
 // blockedOf returns the large segment holding rows with running sums cum
-// in blocks of the given sizes, then of what is left: each block's sums
-// counted from its first row, the directory's running totals at each
-// block's end.
-func blockedOf(rows []int32, cum []int64, sizes ...int) *join.LargeSegment {
+// in blocks of the given sizes, then of what is left, filed under groups
+// of the given numbers of blocks, then of what is left: each block's sums
+// counted from its first row, each group's directory from its first
+// block, the top directory's running totals at each group's end.
+func blockedOf(rows []int32, cum []int64, blocks, groups []int) *join.LargeSegment {
 	seg := &join.LargeSegment{Scale: 1}
-	var base int64
+	var base, gbase int64
+	grp := &join.Group{}
 	for lo := 0; lo < len(rows); {
 		hi := len(rows)
-		if len(sizes) > 0 {
-			hi, sizes = min(hi, lo+sizes[0]), sizes[1:]
+		if len(blocks) > 0 {
+			hi, blocks = min(hi, lo+blocks[0]), blocks[1:]
 		}
 		blk := &join.Block{Rows: rows[lo:hi]}
 		for _, c := range cum[lo:hi] {
 			blk.Cum = append(blk.Cum, c-base)
 		}
 		base, lo = cum[hi-1], hi
-		seg.Blocks, seg.Sums = append(seg.Blocks, blk), append(seg.Sums, base)
+		grp.Blocks, grp.Sums = append(grp.Blocks, blk), append(grp.Sums, base-gbase)
+		if lo == len(rows) || len(groups) > 0 && len(grp.Blocks) == groups[0] {
+			if len(groups) > 0 {
+				groups = groups[1:]
+			}
+			seg.Groups, seg.Sums, gbase = append(seg.Groups, grp), append(seg.Sums, base), base
+			grp = &join.Group{}
+		}
 	}
 	return seg
 }
@@ -44,9 +53,10 @@ func blockedOf(rows []int32, cum []int64, sizes ...int) *join.LargeSegment {
 // rows — on both sides of join.LargeRows — whatever the weights' shape;
 // and searchLarge, over the same sums held in blocks of uneven sizes
 // (from one row to past 2·join.BlockRows, as splits and drops leave
-// them), returns the row at that index. Both are checked for x = 0,
-// total-1, either side of every block boundary and of sampled row
-// boundaries, and random x below the total.
+// them) under groups of uneven sizes (from one block to past
+// 2·join.GroupBlocks), returns the row at that index. Both are checked
+// for x = 0, total-1, either side of every block boundary and of sampled
+// row boundaries, and random x below the total.
 func FuzzSegmentSearch(f *testing.F) {
 	for shape := uint8(0); shape < shapes; shape++ {
 		for _, n := range []uint16{1, join.LargeRows - 1, join.LargeRows, join.LargeRows + 1, 2*join.BlockRows + 1, 4095} {
@@ -74,11 +84,14 @@ func FuzzSegmentSearch(f *testing.F) {
 			sum += w
 			cum[i], rows[i] = sum, int32(i)
 		}
-		var sizes []int
+		var sizes, groups []int
 		for left := len(cum); left > 0; left -= sizes[len(sizes)-1] {
 			sizes = append(sizes, min(left, 1+r.Intn(2*join.BlockRows+8)))
 		}
-		seg := blockedOf(rows, cum, sizes...)
+		for left := len(sizes); left > 0; left -= groups[len(groups)-1] {
+			groups = append(groups, min(left, 1+r.Intn(2*join.GroupBlocks+2)))
+		}
+		seg := blockedOf(rows, cum, sizes, groups)
 		if seg.Total() != sum || seg.Len() != len(rows) {
 			t.Fatalf("blocked total %d of %d rows, flat %d of %d", seg.Total(), seg.Len(), sum, len(rows))
 		}
@@ -91,14 +104,20 @@ func FuzzSegmentSearch(f *testing.F) {
 				t.Fatalf("n=%d shape=%d x=%d: searchCum %d, slices.BinarySearch %d", len(cum), shape%shapes, x, got, want)
 			}
 			if got := searchLarge(seg, x); got != rows[want] {
-				t.Fatalf("n=%d shape=%d blocks=%v x=%d: searchLarge row %d, flat row %d", len(cum), shape%shapes, sizes, x, got, rows[want])
+				t.Fatalf("n=%d shape=%d blocks=%v groups=%v x=%d: searchLarge row %d, flat row %d", len(cum), shape%shapes, sizes, groups, x, got, rows[want])
 			}
 		}
 		check(0)
 		check(sum - 1)
-		for _, s := range seg.Sums {
-			check(s - 1)
-			check(s)
+		for g, grp := range seg.Groups {
+			var base int64
+			if g > 0 {
+				base = seg.Sums[g-1]
+			}
+			for _, s := range grp.Sums {
+				check(base + s - 1)
+				check(base + s)
+			}
 		}
 		for i := 0; i < 64; i++ {
 			b := cum[r.Intn(len(cum))]

@@ -22,20 +22,28 @@ type refSeg struct {
 
 // flatSegment returns entry e's segment as flat rows and running own
 // sums — a large segment's blocks one after another, their sums rebased
-// on the directory — its scale, and the join.LargeSegment holding it, if
-// any.
+// on the directories — its scale, and the join.LargeSegment holding it,
+// if any.
 func flatSegment(t *join.WeightTable, e int) ([]int32, []int64, int64, *join.LargeSegment) {
 	rows, cum, scale, seg := t.Segment(e)
 	if seg == nil {
 		return rows, cum, scale, nil
 	}
-	var base int64
-	for b, blk := range seg.Blocks {
-		rows = append(rows, blk.Rows...)
-		for _, c := range blk.Cum {
-			cum = append(cum, base+c)
+	for g, grp := range seg.Groups {
+		var base int64
+		if g > 0 {
+			base = seg.Sums[g-1]
 		}
-		base = seg.Sums[b]
+		for b, blk := range grp.Blocks {
+			rows = append(rows, blk.Rows...)
+			for _, c := range blk.Cum {
+				cum = append(cum, base+c)
+			}
+			base = grp.Sums[b]
+			if g > 0 {
+				base += seg.Sums[g-1]
+			}
+		}
 	}
 	return rows, cum, scale, seg
 }

@@ -203,11 +203,13 @@ func checkWeights(t *testing.T, label string, got, want *join.Weights) {
 			}
 		}
 		rows, own, scale, seg := w.Nodes[k].Segment(e)
-		if seg != nil { // a large segment, flat: its blocks rebased on the directory
-			for b, blk := range seg.Blocks {
-				rows = append(rows, blk.Rows...)
-				for _, c := range blk.Cum {
-					own = append(own, seg.Sums[b]-blk.Cum[len(blk.Cum)-1]+c)
+		if seg != nil { // a large segment, flat: its blocks rebased on the directories
+			for g, grp := range seg.Groups {
+				for b, blk := range grp.Blocks {
+					rows = append(rows, blk.Rows...)
+					for _, c := range blk.Cum {
+						own = append(own, seg.Sums[g]-grp.Sums[len(grp.Sums)-1]+grp.Sums[b]-blk.Cum[len(blk.Cum)-1]+c)
+					}
 				}
 			}
 		}
