@@ -260,12 +260,13 @@ type RefreshStats struct {
 	// whose tables were rebuilt whole (a compacted index, a lost
 	// mutation-log tail). WeightBytes is the weight-table storage all of
 	// that wrote — running sums, row lists, offsets, overlay records, the
-	// overlay slot tables it allocated, the blocks of large segments it
-	// rewrote and block and large-segment directories (join.Patch.Bytes)
-	// — and so all the weight storage the refresh causes: draws build
-	// nothing over the tables afterwards. A large segment costs the
-	// blocks that hold its reached rows plus 16 B a block, not its
-	// length; a rescaled one, its 8 B scale.
+	// overlay slot tables it allocated, and the blocks, group and segment
+	// directories and headers of large segments it rewrote
+	// (join.Patch.Bytes) — and so all the weight storage the refresh
+	// causes: draws build nothing over the tables afterwards. A large
+	// segment costs the blocks that hold its reached rows, their groups'
+	// directories and its top directory (16 B a block of such a group, a
+	// group of the segment), not its length; a rescaled one, its header.
 	SegmentsPatched int `json:"segments_patched"`
 	NodesRebuilt    int `json:"nodes_rebuilt"`
 	JoinsRebuilt    int `json:"joins_rebuilt"`

@@ -96,12 +96,14 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 		if !online {
 			// The EW tables of J1 were patched: the root segment and the
 			// 10 new join values. The root's 50 rows are a large segment
-			// of one block (400 B of sums, 200 of rows), its directory
-			// (16 B) and the node's directory of large segments (8 B),
+			// of one block in one group (400 B of sums, 200 of rows), the
+			// group's directory and the top one (16 B each), the block's
+			// and the group's headers (48 B each) and the segment's
+			// (64 B), and the node's directory of large segments (8 B),
 			// and the new values' 14 rows an overlay (288 B) with a slot
 			// table of 64 slots (512 B).
 			want.SegmentsPatched = 11
-			want.WeightBytes = 1424
+			want.WeightBytes = 1600
 		}
 		if st != want {
 			t.Errorf("online=%v: refresh stats %+v, want %+v", online, st, want)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"sampleunion/internal/relation"
 )
@@ -198,6 +199,13 @@ func (g *Group) sum() bool {
 	}
 	return true
 }
+
+// The bytes of a header a build or a patch carves (Patch.Bytes).
+const (
+	blockHeader = int(unsafe.Sizeof(Block{}))
+	groupHeader = int(unsafe.Sizeof(Group{}))
+	segHeader   = int(unsafe.Sizeof(LargeSegment{}))
+)
 
 // slabs is what one cold build (packer) or one patch
 // (patchScratch.large) carves a node's large segments from, each taken
@@ -404,13 +412,13 @@ func (t *WeightTable) size() (rows int) {
 }
 
 // bytes returns the storage t holds (Patch.Bytes): its flat arrays, and
-// its large segments' rows, sums and directories.
+// its large segments' rows, sums, directories and headers.
 func (t *WeightTable) bytes() int {
-	n := 4*len(t.Off) + 12*t.size() + 8*(len(t.Large)+len(t.Scale))
+	n := 4*len(t.Off) + 12*t.size() + (8+segHeader)*len(t.Large) + 8*len(t.Scale)
 	for _, s := range t.Large {
-		n += 16 * len(s.Groups)
+		n += (16 + groupHeader) * len(s.Groups)
 		for _, g := range s.Groups {
-			n += 16 * len(g.Blocks)
+			n += (16 + blockHeader) * len(g.Blocks)
 		}
 	}
 	return n

@@ -14,8 +14,9 @@ import (
 // segment for the nation: a new header with the new customer total as
 // its scale, over its predecessor's directory and blocks, and no rows or
 // running sums. Of Patch.Bytes, what customer's and nation's overlays
-// wrote accounts for all but supplier's 8 B scale and its directory of
-// large segments (8 B a segment). The result equals a cold build.
+// wrote accounts for all but supplier's new segment header (which holds
+// the scale) and its directory of large segments (8 B a segment). The
+// result equals a cold build.
 func TestKeyedChildRescales(t *testing.T) {
 	const nations, suppliers, customers = 4, 1024, 8 // per nation
 	j, customer := supplierLevel(t, nations, suppliers, customers)
@@ -44,8 +45,8 @@ func TestKeyedChildRescales(t *testing.T) {
 		t.Errorf("the rescale wrote a directory or groups of its own")
 	}
 	others := overlayBytes(t, next, 0) + overlayBytes(t, next, 2)
-	if got, want := p.Bytes-others, 8+8*len(next.Nodes[1].Large); got != want {
-		t.Errorf("supplier's share of the patch's %d B: %d, want %d (a scale and the directory of large segments)", p.Bytes, got, want)
+	if got, want := p.Bytes-others, segHeader+8*len(next.Nodes[1].Large); got != want {
+		t.Errorf("supplier's share of the patch's %d B: %d, want %d (a segment header and the directory of large segments)", p.Bytes, got, want)
 	}
 	if got, want := weightDump(next), weightDump(exactWeights(t, j)); !slices.EqualFunc(got, want, slices.Equal) {
 		t.Errorf("patched tables differ from a cold build:\n%v\n%v", got, want)

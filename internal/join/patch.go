@@ -32,12 +32,13 @@ type Patch struct {
 	// row lists, offsets, scales, overlay records, the overlay slot tables
 	// it allocated (an overlay extended in place allocates none), and of
 	// a large segment it rewrote the blocks it carved (not the ones it
-	// shares) and the directories of the groups it wrote and of the
-	// segment (16 B an entry: a running total and a pointer), and the
-	// node's list of large segments; the whole tables when Rebuilt. A
-	// rescaled large segment counts its scale, 8 B, and shares its
-	// directory and groups; a rescaled small one is copied into the
-	// overlay at its new scale, its rows and sums as they were.
+	// shares), the directories of the groups it wrote and of the segment
+	// (16 B an entry: a running total and a pointer) and the headers of
+	// the segment (64 B), those groups and those blocks (48 B each), and
+	// the node's list of large segments; the whole tables when Rebuilt. A
+	// rescaled large segment counts its header and shares its directory
+	// and groups; a rescaled small one is copied into the overlay at its
+	// new scale, its rows and sums as they were.
 	Bytes int
 }
 
@@ -592,10 +593,9 @@ func (sc *patchScratch) flatten(was *LargeSegment, pieces []piece, fresh *segRun
 // it emptied. A rescaled segment shares its predecessor's directory and
 // groups whole. ok is false when a total passes MaxInt64.
 func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
-	carved, groups, bdir, gdir, sums, ids, rescaled := 0, 0, 0, 0, 0, 0, 0
+	carved, groups, bdir, gdir, sums, ids := 0, 0, 0, 0, 0, 0
 	for _, r := range sc.reached {
 		if r.lo == r.hi {
-			rescaled++
 			continue
 		}
 		sc.groups(r.was, sc.pieces[r.lo:r.hi], func(grp *Group, pieces []piece) bool {
@@ -662,7 +662,7 @@ func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
 		})
 		ok = s.seal(seg) && ok
 	}
-	bytes = 16*(bdir+gdir) + 8*sums + 4*ids + 8*rescaled
+	bytes = blockHeader*carved + groupHeader*groups + segHeader*len(segs) + 16*(bdir+gdir) + 8*sums + 4*ids
 	return segs, bytes, ok
 }
 
