@@ -331,6 +331,81 @@ func TestMutationLogTail(t *testing.T) {
 	checkIndexEquivalence(t, r, -3, 9)
 }
 
+// TestMutationLogHalving: the log keeps what the halving rule names —
+// append, then drop the older half while it is longer than maxLogLen —
+// under single appends, deletes and batches of any size, one longer than
+// the log included; a tail PinSince handed out keeps its entries across
+// halvings; and between two halvings appends extend the log in place,
+// so it is reallocated once per halving and not regrown in between.
+func TestMutationLogHalving(t *testing.T) {
+	r := New("log", NewSchema("A"))
+	r.Index(0) // enables the log
+	var model []Mutation
+	start := r.Version()
+	halve := func() {
+		for len(model) > maxLogLen {
+			drop := len(model) / 2
+			model, start = model[drop:], start+uint64(drop)
+		}
+	}
+	pinned := r.Version()
+	_, tail, _ := r.PinSince(pinned)
+	same := func(a, b []Mutation) bool {
+		return slices.EqualFunc(a, b, func(x, y Mutation) bool { return x.Kind == y.Kind && x.Row == y.Row && x.Vals == nil && y.Vals == nil })
+	}
+	var held []Mutation
+	var base *Mutation // the log's array
+	halvings := 0
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 1500; step++ {
+		was := r.logStart
+		switch n := []int{1, 1, 32, 7, 3*maxLogLen + 5}[rng.Intn(5)]; {
+		case step%5 == 4 && r.Len() > 0:
+			row := rng.Intn(r.Len())
+			if r.Delete(row) {
+				model = append(model, Mutation{Kind: MutDelete, Row: row})
+			}
+		case n == 1:
+			model = append(model, Mutation{Kind: MutAppend, Row: r.Len()})
+			r.AppendValues(Value(step))
+		default:
+			if n > maxLogLen && step%50 != 0 {
+				n = 32
+			}
+			rows := make([]Tuple, n)
+			for i := range rows {
+				model = append(model, Mutation{Kind: MutAppend, Row: r.Len() + i})
+				rows[i] = Tuple{Value(step)}
+			}
+			r.AppendRows(rows)
+		}
+		halve()
+		if r.logStart != start || !same(r.log, model) {
+			t.Fatalf("step %d: log starts at %d with %d entries, the rule keeps %d from %d", step, r.logStart, len(r.log), len(model), start)
+		}
+		// The log grows by appending until its first halving; after that
+		// each halving allocates the one array the log fills until the
+		// next.
+		if moved := &r.log[0] != base; moved && halvings > 0 && r.logStart == was {
+			t.Fatalf("step %d: appends moved the log to a new array between halvings", step)
+		}
+		if base = &r.log[0]; r.logStart != was {
+			halvings++
+		}
+		if step == 10 {
+			// A tail handed out before the halvings to come.
+			_, tail, _ = r.PinSince(pinned)
+			held = slices.Clone(tail)
+		}
+	}
+	if !same(tail, held) {
+		t.Fatal("a halving rewrote entries of a tail PinSince handed out")
+	}
+	if halvings < 10 {
+		t.Errorf("the script halved the log %d times, want 10 or more", halvings)
+	}
+}
+
 // TestConcurrentOverlayFirstBuild mutates a relation with built
 // indexes, then lets many goroutines race to the first probe: the delta
 // overlay must build exactly once behind the lock and every reader must

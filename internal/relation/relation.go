@@ -382,14 +382,7 @@ func (r *Relation) logMutation(m Mutation) {
 		r.logStart = v
 		return
 	}
-	r.log = append(r.log, m)
-	if len(r.log) > maxLogLen {
-		drop := len(r.log) / 2
-		kept := make([]Mutation, len(r.log)-drop)
-		copy(kept, r.log[drop:])
-		r.log = kept
-		r.logStart += uint64(drop)
-	}
+	r.appendLog(m, 1)
 }
 
 // logAppendBatch is logMutation for a contiguous batch of appends over
@@ -409,15 +402,29 @@ func (r *Relation) logAppendBatch(first, n int, tag string) {
 		r.logStart = v
 		return
 	}
-	for i := 0; i < n; i++ {
-		r.log = append(r.log, Mutation{Kind: MutAppend, Row: first + i})
+	r.appendLog(Mutation{Kind: MutAppend, Row: first}, n)
+}
+
+// appendLog appends n entries to the log — m, then m with its Row one
+// higher each time — dropping the older half of the log while it is
+// longer than maxLogLen. The entries kept then go to a new array with
+// room up to the next halving, so appends do not regrow it in between;
+// never compacted in place, as PinSince hands out tails that alias the
+// log and its entries are never rewritten. Callers hold r.mu.
+func (r *Relation) appendLog(m Mutation, n int) {
+	keep := len(r.log) + n
+	for keep > maxLogLen {
+		keep -= keep / 2
 	}
-	for len(r.log) > maxLogLen {
-		drop := len(r.log) / 2
-		kept := make([]Mutation, len(r.log)-drop)
-		copy(kept, r.log[drop:])
-		r.log = kept
+	if drop := len(r.log) + n - keep; drop > 0 {
+		skip := max(0, drop-len(r.log)) // of the new entries
+		r.log = append(make([]Mutation, 0, maxLogLen+1), r.log[drop-skip:]...)
 		r.logStart += uint64(drop)
+		m.Row, n = m.Row+skip, n-skip
+	}
+	for i := 0; i < n; i++ {
+		r.log = append(r.log, m)
+		m.Row++
 	}
 }
 
