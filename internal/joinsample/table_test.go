@@ -279,9 +279,12 @@ func checkAgainstReference(t *testing.T, state string, j *join.Join) (n segCount
 // values from a domain of 2, so that both searches — bisection below
 // join.LargeRows, a proportional guess at and above — meet the
 // reference, and keyed children give segments scales other than 1,
-// 0 among them.
+// 0 among them. Each tree is then patched through a random script, and
+// every eighth through groupScript too, whose root grows to a segment of
+// several groups, splits a group and empties one.
 func TestFlatTableMatchesReference(t *testing.T) {
 	var all segCounts
+	var groups groupCounts
 	check := func(state string, j *join.Join) {
 		n := checkAgainstReference(t, state, j)
 		all.small, all.large, all.scaled, all.zero = all.small+n.small, all.large+n.large, all.scaled+n.scaled, all.zero+n.zero
@@ -320,7 +323,13 @@ func TestFlatTableMatchesReference(t *testing.T) {
 		for i := 3; i < len(script); i += 4 {
 			script[i] = opPatch << 3
 		}
-		patchScript(t, seed, j, rels, script)
+		groups.add(patchScript(t, seed, j, rels, script))
+		if seed%8 == 0 {
+			groups.add(patchScript(t, seed, j, rels, groupScript))
+		}
+	}
+	if groups.multi == 0 || groups.split == 0 || groups.emptied == 0 {
+		t.Errorf("patches left %d segments of two groups or more, split %d groups and emptied %d: a group path went unchecked", groups.multi, groups.split, groups.emptied)
 	}
 	if all.small == 0 || all.large == 0 {
 		t.Errorf("the fixtures held %d small and %d large segments: a search went unchecked", all.small, all.large)
@@ -328,7 +337,7 @@ func TestFlatTableMatchesReference(t *testing.T) {
 	if all.scaled == 0 || all.zero == 0 {
 		t.Errorf("the fixtures held %d scaled segments and %d of scale 0: keyed children went unchecked", all.scaled, all.zero)
 	}
-	t.Logf("segments with rows: %+v", all)
+	t.Logf("segments with rows: %+v; patched segments' groups: %+v", all, groups)
 }
 
 // Script op kinds of patchScript, in the high bits of a script byte (the
@@ -342,8 +351,57 @@ const (
 	opPatch           // patch the samplers and check them
 	opPatch2          // patch a sibling of the next patch from the same samplers, check and keep it
 	opNewValue        // rows under a value no index has seen
+	opGrow            // the root: groupRows copies of its rows, so its segment passes 2·join.GroupBlocks blocks
+	opCut             // the root: the older two thirds of its live rows deleted
 	opKinds
 )
+
+// groupRows is how many rows opGrow appends: more than 2·join.GroupBlocks
+// blocks' worth, so the root's segment spans two groups or more and the
+// group the rows land in splits.
+const groupRows = 2*join.GroupBlocks*join.BlockRows + 100
+
+// groupScript grows the root to two groups or more, then splits its last
+// group, then empties its first ones, patching after each step.
+var groupScript = []byte{opGrow << 3, opPatch << 3, opGrow << 3, opPatch << 3, opCut << 3, opPatch << 3}
+
+// groupCounts counts what patches did to the groups of the large
+// segments they touched: segments left of two groups or more, segments
+// that gained groups (a group split) and segments that lost some (a
+// group emptied).
+type groupCounts struct{ multi, split, emptied int }
+
+func (c *groupCounts) add(o groupCounts) {
+	c.multi, c.split, c.emptied = c.multi+o.multi, c.split+o.split, c.emptied+o.emptied
+}
+
+// patched counts what the patch from prev to ew did to the groups of
+// the large segments it touched.
+func (c *groupCounts) patched(prev, ew *EW) {
+	p := ew.Patch()
+	if p.Rebuilt {
+		return
+	}
+	for k, touched := range p.Touched {
+		for _, e := range touched {
+			_, _, _, now := ew.w.Nodes[k].Segment(int(e))
+			_, _, _, was := prev.w.Nodes[k].Segment(int(e))
+			if now == nil {
+				continue
+			}
+			if len(now.Groups) > 1 {
+				c.multi++
+			}
+			switch {
+			case was == nil:
+			case len(now.Groups) > len(was.Groups):
+				c.split++
+			case len(now.Groups) < len(was.Groups):
+				c.emptied++
+			}
+		}
+	}
+}
 
 // patchScript drives a chain of EW samplers, each patched from its
 // predecessor, through the mutations the script spells, and after every
@@ -351,8 +409,9 @@ const (
 // entries, Segment, Total and Count at every node, same 64 seeded tuples,
 // and — for the large segments the patch did not recompute — the very
 // segments the predecessor held. Once the script is over, every
-// generation is pinned again to the tables it had then.
-func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relation, script []byte) {
+// generation is pinned again to the tables it had then. It returns what
+// the patches did to the groups of large segments.
+func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relation, script []byte) (groups groupCounts) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed ^ 0x5eed))
 	chain := NewEW(j)
@@ -368,7 +427,9 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 	var kept []generation
 	patch := func(step int) {
 		state := fmt.Sprintf("seed %d step %d", seed, step)
+		prev := chain
 		chain = checkPatched(t, state, j, chain)
+		groups.patched(prev, chain)
 		kept = append(kept, generation{state, chain, tableDump(chain)})
 	}
 	// A sibling is a successor the chain does not continue from: the next
@@ -377,6 +438,7 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 	sibling := func(step int) {
 		state := fmt.Sprintf("seed %d step %d sibling", seed, step)
 		sib := checkPatched(t, state, j, chain)
+		groups.patched(chain, sib)
 		kept = append(kept, generation{state, sib, tableDump(sib)})
 	}
 	for step, b := range script {
@@ -396,6 +458,26 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 			}
 		case opBurst:
 			appendRandom(rel, r, 200, 16)
+		case opGrow:
+			if root := rels[0]; root.Len() > 0 {
+				rows := make([]relation.Tuple, groupRows)
+				for i := range rows {
+					rows[i] = root.Row(r.Intn(root.Len()))
+					rows[i][len(rows[i])-1] = relation.Value(root.Len() + i)
+				}
+				root.AppendRows(rows)
+			}
+		case opCut:
+			root := rels[0]
+			var live []int
+			for i := 0; i < root.Len(); i++ {
+				if root.Live(i) {
+					live = append(live, i)
+				}
+			}
+			for _, row := range live[:2*len(live)/3] {
+				root.Delete(row)
+			}
 		case opNewValue:
 			row := make(relation.Tuple, rel.Arity())
 			for a := range row {
@@ -415,6 +497,7 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 			t.Fatalf("%s: tables changed after later patches:\n%v\nwere\n%v", g.state, got, g.want)
 		}
 	}
+	return groups
 }
 
 // tableDump renders every segment of every node of ew's tables — rows,
@@ -512,7 +595,8 @@ func newEWFrom(t testing.TB, j *join.Join, prev *EW) *EW {
 // FuzzWeightPatch is patchScript over fuzzer-chosen trees and mutation
 // scripts: whatever the order of appends, deletes, emptied and new
 // values, compactions and patches, a patched sampler equals a cold one —
-// keyed children's rescales, to scale 0 and back, included.
+// keyed children's rescales, to scale 0 and back, and roots of several
+// groups that split and empty groups (groupScript), included.
 func FuzzWeightPatch(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		script := make([]byte, 48)
@@ -527,6 +611,7 @@ func FuzzWeightPatch(f *testing.F) {
 		keyed = append(keyed, opEmpty<<3|rel, opPatch<<3, opNewValue<<3|rel, opPatch<<3, opDelete<<3|rel, opAppend<<3|rel, opPatch<<3)
 	}
 	f.Add(int64(7), keyed)
+	f.Add(int64(8), groupScript)
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) > 256 {
 			script = script[:256]
