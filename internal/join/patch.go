@@ -253,14 +253,6 @@ type reached struct {
 	scale  int64
 }
 
-// walk calls f with every stretch of a segment, in row order, while f
-// returns true: the blocks of its large predecessor was that no hit
-// reached (merged false, blk the block), and its merged pieces (blk their
-// same).
-func (sc *patchScratch) walk(was *LargeSegment, pieces []piece, f func(rows []int32, cum []int64, blk *Block, merged bool) bool) {
-	sc.groups(was, pieces, func(grp *Group, pieces []piece) bool { return sc.blocks(grp, pieces, f) })
-}
-
 // groups calls f with every group of a segment, in row order, while f
 // returns true, and the pieces merged in place of its blocks: none for
 // a group of its large predecessor was that no hit reached; for a small
@@ -282,32 +274,25 @@ func (sc *patchScratch) groups(was *LargeSegment, pieces []piece, f func(grp *Gr
 	}
 }
 
-// blocks calls f with every stretch of one group of groups', in row
-// order, while f returns true, and reports whether it always did: the
-// blocks of grp no hit reached (merged false, blk the block), and the
-// merged pieces (blk their same).
-func (sc *patchScratch) blocks(grp *Group, pieces []piece, f func(rows []int32, cum []int64, blk *Block, merged bool) bool) bool {
+// blocks calls f with every stretch of one group groups names, in row
+// order: the blocks of grp no hit reached (merged false, blk the block),
+// and the merged pieces (blk their same).
+func (sc *patchScratch) blocks(grp *Group, pieces []piece, f func(rows []int32, cum []int64, blk *Block, merged bool)) {
 	i := 0
 	if grp != nil {
 		for b, blk := range grp.Blocks {
-			more := true
 			if i < len(pieces) && pieces[i].b == b {
 				pc := pieces[i]
-				more, i = f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true), i+1
-			} else {
-				more = f(blk.Rows, blk.Cum, blk, false)
+				f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true)
+				i++
+				continue
 			}
-			if !more {
-				return false
-			}
+			f(blk.Rows, blk.Cum, blk, false)
 		}
 	}
 	for _, pc := range pieces[i:] {
-		if !f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true) {
-			return false
-		}
+		f(sc.rows[pc.lo:pc.hi], sc.cum[pc.lo:pc.hi], pc.same, true)
 	}
-	return true
 }
 
 // patchNode returns node k's table with the segments holding the hit
@@ -321,12 +306,13 @@ func (sc *patchScratch) blocks(grp *Group, pieces []piece, f func(rows []int32, 
 // it. The segments of LargeRows rows or more stay there until the last
 // is merged, and then become LargeSegments carved from one set of slabs
 // (patchScratch.large) in a copy of prev.Large; a rescaled large segment
-// becomes a header over its predecessor's directory and groups. The small ones extend prev's
-// overlay (segOverlay.extend), or — once the overlay's entries and rows
-// pass relation.FoldBudget of the flat arrays' — are folded with the
-// untouched ones into fresh flat arrays; a rescaled one is copied at its
-// new scale, and an entry turned large leaves them an empty segment. ok is false
-// when a running sum or a scaled total passes math.MaxInt64.
+// becomes a header over its predecessor's directory and groups. The
+// small ones extend prev's overlay (segOverlay.extend), or — once the
+// overlay's entries and rows pass relation.FoldBudget of the flat
+// arrays' — are folded with the untouched ones into fresh flat arrays; a
+// rescaled one is copied at its new scale, and an entry turned large
+// leaves them an empty segment. ok is false when a running sum or a
+// scaled total passes math.MaxInt64.
 func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, rescaled []int32, entries int, sc *patchScratch) (_ WeightTable, touched []int32, whole bool, bytes int, ok bool) {
 	if len(hits)+len(rescaled) == 0 {
 		return *prev, nil, false, 0, true
@@ -397,17 +383,19 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 				}
 			}
 		}
-		// n counts the rows up to LargeRows: whether the segment stays
-		// large, and if not, its rows.
 		merged := 0
 		for _, pc := range sc.pieces[plo:] {
 			merged += pc.hi - pc.lo
 		}
+		// n counts the rows, group by group, until it reaches LargeRows:
+		// whether the segment stays large, and if not, its rows.
 		n := merged
-		sc.walk(was, sc.pieces[plo:], func(rows []int32, _ []int64, _ *Block, m bool) bool {
-			if !m {
-				n += len(rows)
-			}
+		sc.groups(was, sc.pieces[plo:], func(grp *Group, pieces []piece) bool {
+			sc.blocks(grp, pieces, func(rows []int32, _ []int64, _ *Block, m bool) {
+				if !m {
+					n += len(rows)
+				}
+			})
 			return n < LargeRows
 		})
 		if n >= LargeRows {
@@ -525,9 +513,9 @@ func (j *Join) patchNode(k int, ws *Weights, prev *WeightTable, hits []reweigh, 
 }
 
 // merge appends one piece to sc, in place of block b of group g: an old
-// run of a segment — block was, or a small segment whole — merged with the hits
-// that fall in it, a hit row at its weight afresh, any other row at the
-// weight the run records; a row that weighs 0 is left out. The result is
+// run of a segment — block was, or a small segment whole — merged with
+// the hits that fall in it, a hit row at its weight afresh, any other row
+// at the weight the run records; a row that weighs 0 is left out. The result is
 // the flat build's run: same rows, same order, same weights. It is false
 // when the piece's running sum passes math.MaxInt64.
 func (sc *patchScratch) merge(was *Block, g, b int, rows []int32, cum []int64, hits []reweigh) bool {
@@ -565,15 +553,17 @@ func (sc *patchScratch) merge(was *Block, g, b int, rows []int32, cum []int64, h
 // ok is false when its running sum passes math.MaxInt64.
 func (sc *patchScratch) flatten(was *LargeSegment, pieces []piece, fresh *segRun) (base int64, ok bool) {
 	ok = true
-	sc.walk(was, pieces, func(rows []int32, cum []int64, _ *Block, _ bool) bool {
-		for _, c := range cum {
-			fresh.cum = append(fresh.cum, base+c)
-		}
-		fresh.rows = append(fresh.rows, rows...)
-		if len(cum) > 0 {
-			base += cum[len(cum)-1]
-			ok = ok && base > 0
-		}
+	sc.groups(was, pieces, func(grp *Group, pieces []piece) bool {
+		sc.blocks(grp, pieces, func(rows []int32, cum []int64, _ *Block, _ bool) {
+			for _, c := range cum {
+				fresh.cum = append(fresh.cum, base+c)
+			}
+			fresh.rows = append(fresh.rows, rows...)
+			if len(cum) > 0 {
+				base += cum[len(cum)-1]
+				ok = ok && base > 0
+			}
+		})
 		return true
 	})
 	return base, ok
@@ -604,17 +594,16 @@ func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
 				return true
 			}
 			nb := 0
-			sc.blocks(grp, pieces, func(rows []int32, _ []int64, same *Block, merged bool) bool {
+			sc.blocks(grp, pieces, func(rows []int32, _ []int64, same *Block, merged bool) {
 				if !merged {
 					nb++
-					return true
+					return
 				}
 				n := parts(len(rows), BlockRows)
 				nb, carved, sums = nb+n, carved+n, sums+len(rows)
 				if same == nil {
 					ids += len(rows)
 				}
-				return true
 			})
 			ng := parts(nb, GroupBlocks)
 			groups, gdir, bdir = groups+ng, gdir+ng, bdir+nb
@@ -641,10 +630,10 @@ func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
 				return true
 			}
 			blocks := s.bdir[:0]
-			sc.blocks(grp, pieces, func(rs []int32, c []int64, blk *Block, merged bool) bool {
+			sc.blocks(grp, pieces, func(rs []int32, c []int64, blk *Block, merged bool) {
 				if !merged {
 					blocks = append(blocks, blk)
-					return true
+					return
 				}
 				n := copy(cum, c)
 				c, cum = cum[:n:n], cum[n:]
@@ -655,7 +644,6 @@ func (sc *patchScratch) large() (_ []LargeSegment, bytes int, ok bool) {
 					rs, rows = rows[:n:n], rows[n:]
 				}
 				blocks = s.carve(blocks, rs, c)
-				return true
 			})
 			ok = s.group(seg, blocks) && ok
 			return true
