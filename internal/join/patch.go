@@ -274,9 +274,9 @@ func (sc *patchScratch) groups(was *LargeSegment, pieces []piece, f func(grp *Gr
 	}
 }
 
-// blocks calls f with every stretch of one group groups names, in row
-// order: the blocks of grp no hit reached (merged false, blk the block),
-// and the merged pieces (blk their same).
+// blocks calls f with every stretch of a group and its pieces as groups
+// hands them out, in row order: the blocks of grp no hit reached (merged
+// false, blk the block), and the merged pieces (blk their same).
 func (sc *patchScratch) blocks(grp *Group, pieces []piece, f func(rows []int32, cum []int64, blk *Block, merged bool)) {
 	i := 0
 	if grp != nil {

@@ -99,21 +99,30 @@ func drawScaled(own, scale int64, g *rng.RNG) int64 {
 // searchCum returns the first i with cum[i] > x — the index
 // slices.BinarySearch(cum, x+1) returns — for non-decreasing cum and
 // 0 <= x < cum[len(cum)-1]. Running sums of join.LargeRows or more are
-// searched from the proportional guess ⌊x·n/total⌋, exact when the
-// weights are equal: a gallop from it, in steps that double, brackets the
-// answer, and bisection finds it inside the bracket.
+// searched from the proportional guess ⌊x·n/total⌋ (searchFrom); fewer
+// are bisected.
 func searchCum(cum []int64, x int64) int {
+	if len(cum) < join.LargeRows {
+		i, _ := slices.BinarySearch(cum, x+1)
+		return i
+	}
+	return searchFrom(cum, x)
+}
+
+// searchFrom is searchCum from the proportional guess ⌊x·n/total⌋,
+// exact when the weights are equal: a gallop from it, in steps that
+// double, brackets the answer, and bisection finds it inside the
+// bracket.
+func searchFrom(cum []int64, x int64) int {
 	n := len(cum)
 	a, b := -1, n // cum[a] <= x < cum[b], reading cum[-1] as 0 and cum[n] as past x
-	if n >= join.LargeRows {
-		hi, lo := bits.Mul64(uint64(x), uint64(n))
-		q, _ := bits.Div64(hi, lo, uint64(cum[n-1])) // < n, as x < total
-		for i, step := int(q), 1; a < i && i < b; step <<= 1 {
-			if cum[i] > x {
-				b, i = i, i-step
-			} else {
-				a, i = i, i+step
-			}
+	hi, lo := bits.Mul64(uint64(x), uint64(n))
+	q, _ := bits.Div64(hi, lo, uint64(cum[n-1])) // < n, as x < total
+	for i, step := int(q), 1; a < i && i < b; step <<= 1 {
+		if cum[i] > x {
+			b, i = i, i-step
+		} else {
+			a, i = i, i+step
 		}
 	}
 	i, _ := slices.BinarySearch(cum[a+1:b], x+1)
@@ -122,18 +131,23 @@ func searchCum(cum []int64, x int64) int {
 
 // searchLarge returns the row of seg whose running own sum, over the
 // whole segment, first exceeds x, for 0 <= x < the last of seg.Sums:
-// searchCum over the top directory names the group, searchCum over the
-// group's directory, less the total before the group, the block, and
-// searchCum over the block's own sums, less the total before the block,
-// the row. That is the row a flat search of the segment's running sums
-// finds, wherever group and block boundaries fall.
+// a search of the top directory names the group (skipped for a segment
+// of one group), a search of the group's directory, less the total
+// before the group, the block, and searchCum over the block's own sums,
+// less the total before the block, the row. The directories are
+// searched from the proportional guess whatever their length: blocks of
+// about equal rows make it about right. That is the row a flat search
+// of the segment's running sums finds, wherever group and block
+// boundaries fall.
 func searchLarge(seg *join.LargeSegment, x int64) int32 {
-	g := searchCum(seg.Sums, x)
-	if g > 0 {
-		x -= seg.Sums[g-1]
+	g := 0
+	if len(seg.Sums) > 1 {
+		if g = searchFrom(seg.Sums, x); g > 0 {
+			x -= seg.Sums[g-1]
+		}
 	}
 	grp := seg.Groups[g]
-	b := searchCum(grp.Sums, x)
+	b := searchFrom(grp.Sums, x)
 	if b > 0 {
 		x -= grp.Sums[b-1]
 	}
