@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -351,7 +352,7 @@ const (
 	opPatch           // patch the samplers and check them
 	opPatch2          // patch a sibling of the next patch from the same samplers, check and keep it
 	opNewValue        // rows under a value no index has seen
-	opGrow            // the root: groupRows copies of its rows, so its segment passes 2·join.GroupBlocks blocks
+	opGrow            // the root, while under 2·groupRows rows: groupRows copies of its rows, so its segment passes 2·join.GroupBlocks blocks
 	opCut             // the root: the older two thirds of its live rows deleted
 	opKinds
 )
@@ -458,8 +459,8 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 			}
 		case opBurst:
 			appendRandom(rel, r, 200, 16)
-		case opGrow:
-			if root := rels[0]; root.Len() > 0 {
+		case opGrow: // up to a few groups: larger roots only slow the checks
+			if root := rels[0]; root.Len() > 0 && root.Len() < 2*groupRows {
 				rows := make([]relation.Tuple, groupRows)
 				for i := range rows {
 					rows[i] = root.Row(r.Intn(root.Len()))
@@ -501,7 +502,9 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 }
 
 // tableDump renders every segment of every node of ew's tables — rows,
-// running sums and total, entry by entry — as plain data.
+// running sums, scale and total, entry by entry — as plain data, in the
+// form fmt.Sprint gives them but without its reflection: scripts dump
+// every generation they keep, roots of thousands of rows included.
 func tableDump(ew *EW) []string {
 	var out []string
 	for k := range ew.w.Nodes {
@@ -511,7 +514,23 @@ func tableDump(ew *EW) []string {
 		}
 		for ent := 0; ent < entries; ent++ {
 			rows, cum, scale, _ := flatSegment(&ew.w.Nodes[k], ent)
-			out = append(out, fmt.Sprint(k, ent, rows, cum, scale, ew.w.Nodes[k].Total(ent)))
+			b := strconv.AppendInt(nil, int64(k), 10)
+			b = append(strconv.AppendInt(append(b, ' '), int64(ent), 10), " ["...)
+			for i, r := range rows {
+				if i > 0 {
+					b = append(b, ' ')
+				}
+				b = strconv.AppendInt(b, int64(r), 10)
+			}
+			b = append(b, "] ["...)
+			for i, c := range cum {
+				if i > 0 {
+					b = append(b, ' ')
+				}
+				b = strconv.AppendInt(b, c, 10)
+			}
+			b = strconv.AppendInt(append(b, "] "...), scale, 10)
+			out = append(out, string(strconv.AppendInt(append(b, ' '), ew.w.Nodes[k].Total(ent), 10)))
 		}
 	}
 	return out
@@ -544,7 +563,7 @@ func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 			if len(rows) == 0 {
 				scale, wantScale = 0, 0 // an empty segment's scale is never read
 			}
-			if fmt.Sprint(rows, cum, scale) != fmt.Sprint(wantRows, wantCum, wantScale) {
+			if !slices.Equal(rows, wantRows) || !slices.Equal(cum, wantCum) || scale != wantScale {
 				t.Fatalf("%s node %d entry %d: patched rows %v cum %v scale %d, cold rows %v cum %v scale %d (patch %+v)",
 					state, k, ent, rows, cum, scale, wantRows, wantCum, wantScale, p)
 			}
