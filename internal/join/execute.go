@@ -535,14 +535,14 @@ func (j *Join) ExactWeights() (*Weights, error) {
 // scaled total past math.MaxInt64.
 type packer struct {
 	slabs
-	w                                    []int64
-	scale                                func(e int) (int64, bool)
-	t                                    *WeightTable
-	small, large, nLarge, blocks, groups int
-	segs                                 []LargeSegment
-	rows                                 []int32
-	cum                                  []int64
-	overflow                             bool
+	w                                      []int64
+	scale                                  func(e int) (int64, bool)
+	t                                      *WeightTable
+	small, large, nLarge, nBlocks, nGroups int
+	segs                                   []LargeSegment
+	rows                                   []int32
+	cum                                    []int64
+	overflow                               bool
 }
 
 func (p *packer) entry(rows []int) {
@@ -556,7 +556,7 @@ func (p *packer) entry(rows []int) {
 	switch t := p.t; {
 	case t == nil && n >= LargeRows:
 		nb := parts(n, BlockRows)
-		p.large, p.nLarge, p.blocks, p.groups = p.large+n, p.nLarge+1, p.blocks+nb, p.groups+parts(nb, GroupBlocks)
+		p.large, p.nLarge, p.nBlocks, p.nGroups = p.large+n, p.nLarge+1, p.nBlocks+nb, p.nGroups+parts(nb, GroupBlocks)
 	case t == nil:
 		p.small += n
 	case n < LargeRows:
@@ -609,7 +609,7 @@ func (p *packer) appendPositive(rows []int32, cum []int64, entry []int) ([]int32
 // so far, and turns the packer to filling them.
 func (p *packer) fill(t *WeightTable, entries int) {
 	small, large := p.small, p.small+p.large
-	rows, cum := make([]int32, large), make([]int64, large+p.blocks+p.groups)
+	rows, cum := make([]int32, large), make([]int64, large+p.nBlocks+p.nGroups)
 	*t = WeightTable{Off: make([]int32, 1, entries+1), Rows: rows[:0:small], Cum: cum[:0:small]}
 	if p.scale != nil {
 		t.Scale = make([]int64, 0, entries)
@@ -618,8 +618,8 @@ func (p *packer) fill(t *WeightTable, entries int) {
 	if p.nLarge > 0 {
 		p.segs, t.Large = make([]LargeSegment, p.nLarge), make([]*LargeSegment, 0, p.nLarge)
 		p.slabs = slabs{
-			blocks: make([]Block, p.blocks), groups: make([]Group, p.groups),
-			bdir: make([]*Block, p.blocks), gdir: make([]*Group, p.groups), sums: cum[large:],
+			blocks: make([]Block, p.nBlocks), groups: make([]Group, p.nGroups),
+			bdir: make([]*Block, p.nBlocks), gdir: make([]*Group, p.nGroups), sums: cum[large:],
 		}
 	}
 	p.t = t
