@@ -450,23 +450,17 @@ func (r *Relation) enableLogLocked() {
 	r.log = nil
 }
 
-// MutationsSince returns a copy of the log tail covering versions
-// (since, upTo], where upTo is the relation's version at the time of
-// the call. ok is false when the tail is no longer retained (the caller
-// rebuilds from scratch).
+// MutationsSince returns the log tail covering versions (since, upTo],
+// where upTo is the relation's version at the time of the call. ok is
+// false when the tail is no longer retained (the caller rebuilds from
+// scratch). Like PinSince's, the tail aliases the log, whose entries are
+// never rewritten, clipped so an append reallocates: treat it as
+// read-only.
 func (r *Relation) MutationsSince(since uint64) (tail []Mutation, upTo uint64, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	upTo = r.version.Load()
-	if since == upTo {
-		return nil, upTo, true
-	}
-	if !r.logOn || since < r.logStart || since > upTo {
-		return nil, upTo, false
-	}
-	tail = make([]Mutation, upTo-since)
-	copy(tail, r.log[since-r.logStart:])
-	return tail, upTo, true
+	tail, upTo, ok = r.mutationsSinceLocked(since)
+	return tail[:len(tail):len(tail)], upTo, ok
 }
 
 // LiveRows returns the live row ids, the physical row count, and the
