@@ -253,17 +253,20 @@ type RefreshStats struct {
 	// DirtyJoins counts the joins with a mutated relation.
 	DirtyJoins int `json:"dirty_joins"`
 	// SegmentsPatched counts the weight-table segments EW samplers
-	// recomputed or rescaled in place of a rebuild; NodesRebuilt the join nodes
-	// join.Patch.Folded names (small segments folded back into flat
-	// arrays, or every entry of the node reached with the rows written
-	// there past an eighth of it); JoinsRebuilt the joins
-	// whose tables were rebuilt whole (a compacted index, a lost
-	// mutation-log tail). WeightBytes is the weight-table storage all of
-	// that wrote — running sums, row lists, offsets, overlay records, the
-	// overlay slot tables it allocated, and the blocks, group and segment
-	// directories and headers of large segments it rewrote
-	// (join.Patch.Bytes) — and so all the weight storage the refresh
-	// causes: draws build nothing over the tables afterwards. A large
+	// recomputed or rescaled in place of a rebuild; NodesRebuilt the
+	// join nodes join.Patch.Folded names (small segments folded back
+	// into flat arrays, or every entry of the node reached with the rows
+	// written there past an eighth of it); JoinsRebuilt the joins whose
+	// tables were rebuilt whole (a compacted index of a node with
+	// children, a lost mutation-log tail). A leaf keeps no table — it
+	// draws from its index — so it adds to none of these, and its
+	// index's compaction rebuilds nothing. WeightBytes is the
+	// weight-table storage all of that wrote — running sums, row lists,
+	// offsets, overlay records, the overlay slot tables it allocated,
+	// and the blocks, group and segment directories and headers of large
+	// segments it rewrote (join.Patch.Bytes) — and so all the weight
+	// storage the refresh causes: draws build nothing over the tables
+	// afterwards. A large
 	// segment costs the blocks that hold its reached rows, their groups'
 	// directories and its top directory (16 B a block of such a group, a
 	// group of the segment), not its length; a rescaled one, its header.

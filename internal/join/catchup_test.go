@@ -29,9 +29,9 @@ func bytesAllocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// agedChain is a two-relation chain: a small root A(x, y) over a child
-// B(y, z) of rows rows, rows/8 distinct y values of degree 8. burst
-// appends 32 rows to B, each on a y value no burst touched before.
+// agedChain is a chain: a small root A(x, y) over a child B(y, z, u) of
+// rows rows, rows/8 distinct y values of degree 8, over oneRowLeaf.
+// burst appends 32 rows to B, each on a y value no burst touched before.
 type agedChain struct {
 	j    *Join
 	a, b *relation.Relation
@@ -39,20 +39,30 @@ type agedChain struct {
 	next int
 }
 
+// oneRowLeaf is a leaf C(u) of one row, u = 0, for a chain to end in
+// below a relation whose rows all hold u = 0: each of those weighs 1, as
+// a leaf's row does, but the relation, no longer a leaf, keeps a weight
+// table.
+func oneRowLeaf() *relation.Relation {
+	c := relation.New("C", relation.NewSchema("u"))
+	c.AppendValues(0)
+	return c
+}
+
 func newAgedChain(t *testing.T, rows int) *agedChain {
 	t.Helper()
 	c := &agedChain{rows: rows}
 	c.a = relation.New("A", relation.NewSchema("x", "y"))
-	c.b = relation.New("B", relation.NewSchema("y", "z"))
+	c.b = relation.New("B", relation.NewSchema("y", "z", "u"))
 	distinct := rows / 8
 	for i := 0; i < 64; i++ {
 		c.a.AppendValues(relation.Value(i), relation.Value(i*distinct/64))
 	}
 	for i := 0; i < rows; i++ {
-		c.b.AppendValues(relation.Value(i%distinct), relation.Value(i))
+		c.b.AppendValues(relation.Value(i%distinct), relation.Value(i), 0)
 	}
 	var err error
-	if c.j, err = NewChain("aged", []*relation.Relation{c.a, c.b}, []string{"y"}); err != nil {
+	if c.j, err = NewChain("aged", []*relation.Relation{c.a, c.b, oneRowLeaf()}, []string{"y", "u"}); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -61,7 +71,7 @@ func newAgedChain(t *testing.T, rows int) *agedChain {
 func (c *agedChain) burst() {
 	batch := make([]relation.Tuple, 32)
 	for i := range batch {
-		batch[i] = relation.Tuple{relation.Value(c.next), relation.Value(c.rows + c.next)}
+		batch[i] = relation.Tuple{relation.Value(c.next), relation.Value(c.rows + c.next), 0}
 		c.next++
 	}
 	c.b.AppendRows(batch)
@@ -150,7 +160,8 @@ func TestPatchBytesByAge(t *testing.T) {
 	}
 }
 
-// weightDump is every segment of every node of w, copied.
+// weightDump is every segment of every node of w, copied: a leaf's, its
+// index's rows and degree.
 func weightDump(w *Weights) [][]string {
 	out := make([][]string, len(w.Nodes))
 	for k := range w.Nodes {
@@ -159,6 +170,11 @@ func weightDump(w *Weights) [][]string {
 			entries = w.Idx[k].NumEntries()
 		}
 		for e := 0; e < entries; e++ {
+			if k > 0 && w.Nodes[k].Off == nil {
+				v := w.Idx[k].ValueAt(e)
+				out[k] = append(out[k], fmt.Sprint(w.Idx[k].Rows(v), w.Total(k, v)))
+				continue
+			}
 			rows, cum, scale := flatSegment(&w.Nodes[k], e)
 			if len(rows) == 0 {
 				scale = 0 // an empty segment's scale is never read
@@ -188,7 +204,7 @@ func TestWeightGenerationsUnderPatch(t *testing.T) {
 			c.b.Delete(rnd.Intn(c.b.Len()))
 		default: // rows on existing values: their segments grow
 			for i := 0; i < 8; i++ {
-				c.b.AppendValues(relation.Value(rnd.Intn(c.rows/8)), relation.Value(c.rows+rnd.Intn(1<<20)))
+				c.b.AppendValues(relation.Value(rnd.Intn(c.rows/8)), relation.Value(c.rows+rnd.Intn(1<<20)), 0)
 			}
 		}
 	}
@@ -240,21 +256,21 @@ func TestWeightGenerationsUnderPatch(t *testing.T) {
 	}
 }
 
-// perNodeChain is a two-relation chain A ⋈ B on y: A holds two rows for
-// each of values values of y, B 40 to 340 rows each with distinct z
+// perNodeChain is a chain A ⋈ B on y over oneRowLeaf: A holds two rows
+// for each of values values of y, B 40 to 340 rows each with distinct z
 // values, next being the first unused one.
 func perNodeChain(t *testing.T, values int) (j *Join, b *relation.Relation, next int) {
 	a := relation.New("A", relation.NewSchema("x", "y"))
-	b = relation.New("B", relation.NewSchema("y", "z"))
+	b = relation.New("B", relation.NewSchema("y", "z", "u"))
 	for v := 0; v < values; v++ {
 		a.AppendValues(relation.Value(2*v), relation.Value(v))
 		a.AppendValues(relation.Value(2*v+1), relation.Value(v))
 		for i := 0; i < 40+20*(v%16); i++ {
-			b.AppendValues(relation.Value(v), relation.Value(next))
+			b.AppendValues(relation.Value(v), relation.Value(next), 0)
 			next++
 		}
 	}
-	j, err := NewChain("perNode", []*relation.Relation{a, b}, []string{"y"})
+	j, err := NewChain("perNode", []*relation.Relation{a, b, oneRowLeaf()}, []string{"y", "u"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +285,7 @@ func TestPatchScratchSurvivesCollections(t *testing.T) {
 	j, b, next := perNodeChain(t, 24)
 	w := exactWeights(t, j)
 	for v := 0; v < 18; v++ {
-		b.AppendValues(relation.Value(v), relation.Value(next+v))
+		b.AppendValues(relation.Value(v), relation.Value(next+v), 0)
 	}
 	measure := func(collect bool) (allocs, bytes uint64) {
 		allocs, bytes = math.MaxUint64, math.MaxUint64
@@ -303,7 +319,7 @@ func TestConcurrentPatchesOfOneJoin(t *testing.T) {
 	j, b, next := perNodeChain(t, 24)
 	w := exactWeights(t, j)
 	for v := 0; v < 18; v++ {
-		b.AppendValues(relation.Value(v), relation.Value(next+v))
+		b.AppendValues(relation.Value(v), relation.Value(next+v), 0)
 	}
 	want := weightDump(exactWeights(t, j))
 	var wg sync.WaitGroup
@@ -352,7 +368,7 @@ func TestPatchAllocatesPerNode(t *testing.T) {
 	var allocs []float64
 	for _, reached := range []int{2, 18} {
 		for v := 0; v < reached; v++ {
-			b.AppendValues(relation.Value(v*values/reached), relation.Value(next))
+			b.AppendValues(relation.Value(v*values/reached), relation.Value(next), 0)
 			next++
 		}
 		allocs = append(allocs, least())

@@ -273,7 +273,9 @@ func (s *slabs) seal(seg *LargeSegment) bool {
 // the value's rows with positive own weight, in index order, with their
 // running own-weight sums and a scale, so a segment's total — scale times
 // its last sum — is what its parent multiplies by. The root is one entry
-// holding its rows in row order.
+// holding its rows in row order. A leaf's rows weigh 1 each, so its
+// segments would copy its index, running sums 1, 2, …, deg: it keeps the
+// zero WeightTable instead, and Weights.Total reads its index.
 //
 // A row's weight is the product of its children's segment totals. The
 // node's keyed children (Join.keyed: those joining on the node's own
@@ -374,6 +376,11 @@ func (j *Join) keyed(c int) bool {
 	return p > 0 && j.nodes[c].ParentAttrPos == j.nodes[p].AttrPos
 }
 
+// leaf reports whether node k is a leaf: a node other than the root
+// without children. Its rows weigh 1 each, so its segment for a value is
+// the value's row list in its index, and it keeps no WeightTable.
+func (j *Join) leaf(k int) bool { return k > 0 && len(j.nodes[k].Children) == 0 }
+
 // scale returns the scale of entry e of node k's table over ws: the
 // product of k's keyed children's totals for the entry's value, 0 when
 // one lacks it, 1 when k has none. ok is false when the product passes
@@ -384,11 +391,7 @@ func (j *Join) scale(k, e int, ws *Weights) (s int64, ok bool) {
 		if !j.keyed(c) {
 			continue
 		}
-		ce, found := ws.Idx[c].EntryOf(ws.Idx[k].ValueAt(e))
-		if !found {
-			return 0, true
-		}
-		if s, ok = mulWeight(s, ws.Nodes[c].Total(ce)); !ok || s == 0 {
+		if s, ok = mulWeight(s, ws.Total(c, ws.Idx[k].ValueAt(e))); !ok || s == 0 {
 			return s, ok
 		}
 	}
@@ -431,15 +434,17 @@ func (t *WeightTable) end() { t.Off = append(t.Off, int32(len(t.Rows))) }
 // number of results of the node's subtree the row participates in.
 // Dangling and tombstoned rows weigh 0 (the paper's relaxation of
 // key–foreign-key joins, extended to live relations) and are not
-// stored. The residual (cyclic case) is not included; samplers handle
-// it by rejection.
+// stored. A leaf's rows weigh 1 each: its segment for a value is the
+// value's live rows in Idx, its total their number, and its table is
+// the zero WeightTable. The residual (cyclic case) is not included;
+// samplers handle it by rejection.
 type Weights struct {
 	// Vers is StateVersions read before anything else, so a mutation
 	// racing the build leaves Vers behind the join's and the weights
 	// read as stale.
 	Vers []uint64
 	// Idx[k] is node k's join-attribute index, the one Nodes[k]'s
-	// segments are aligned to (nil for the root).
+	// segments are aligned to (nil for the root), and a leaf's segments.
 	Idx   []*relation.Index
 	Nodes []WeightTable
 }
@@ -447,12 +452,27 @@ type Weights struct {
 // Count returns the exact skeleton result count, |J| for tree joins.
 func (w *Weights) Count() int64 { return w.Nodes[0].Total(0) }
 
+// Total returns node k's total for value v, the factor a parent row
+// holding v takes from it: the summed weight of v's segment, at a leaf
+// (a zero table) the value's degree in its index; 0 for a value the
+// index lacks. k is not the root.
+func (w *Weights) Total(k int, v relation.Value) int64 {
+	if w.Nodes[k].Off == nil {
+		return int64(w.Idx[k].Degree(v))
+	}
+	e, ok := w.Idx[k].EntryOf(v)
+	if !ok {
+		return 0
+	}
+	return w.Nodes[k].Total(e)
+}
+
 // ExactWeights computes the join's Weights in one bottom-up pass with a
 // fixed number of allocations per node: a node's own row weights are the
 // product of its children's segment totals, the keyed children's apart
 // as each segment's scale, and packing them along the node's own index
-// yields the totals its parent needs. Relations may
-// mutate meanwhile: each node's index is
+// yields the totals its parent needs. A leaf packs nothing: its index is
+// its segments. Relations may mutate meanwhile: each node's index is
 // fetched before its storage snapshot, storage is monotone, so every
 // indexed row id is inside the snapshot, and liveness is read from that
 // snapshot alone. A weight past math.MaxInt64 is ErrWeightOverflow.
@@ -468,12 +488,17 @@ func (j *Join) ExactWeights() (*Weights, error) {
 	snaps := make([]relation.SnapshotData, len(j.nodes))
 	most := 0
 	for k := range j.nodes {
-		snaps[k] = j.nodes[k].Rel.CaptureSnapshot()
-		most = max(most, snaps[k].Rows)
+		if !j.leaf(k) {
+			snaps[k] = j.nodes[k].Rel.CaptureSnapshot()
+			most = max(most, snaps[k].Rows)
+		}
 	}
 	scratch := make([]int64, most) // the row weights of the node in hand
 	// Reverse topological order: children first.
 	for k := len(j.nodes) - 1; k >= 0; k-- {
+		if j.leaf(k) {
+			continue
+		}
 		s := &snaps[k]
 		w := scratch[:s.Rows]
 		for i := range w {
@@ -488,16 +513,14 @@ func (j *Join) ExactWeights() (*Weights, error) {
 				pk.scale = func(e int) (int64, bool) { return j.scale(k, e, ws) }
 				continue
 			}
-			col, idx, sums := s.Cols[j.nodes[c].ParentAttrPos], ws.Idx[c], &ws.Nodes[c]
+			col := s.Cols[j.nodes[c].ParentAttrPos]
 			for i, wi := range w {
 				if wi == 0 {
 					continue
 				}
-				w[i] = 0
-				if e, ok := idx.EntryOf(col[i]); ok {
-					if w[i], ok = mulWeight(wi, sums.Total(e)); !ok {
-						return nil, j.overflow()
-					}
+				var ok bool
+				if w[i], ok = mulWeight(wi, ws.Total(c, col[i])); !ok {
+					return nil, j.overflow()
 				}
 			}
 		}

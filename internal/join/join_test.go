@@ -170,10 +170,14 @@ func TestExactWeights(t *testing.T) {
 	if w := rowWeights(j, ws, 1); w[0] != 2 || w[1] != 1 || w[2] != 2 || w[3] != 0 {
 		t.Errorf("R2 weights = %v", w)
 	}
-	// Leaves weigh 1.
-	for i, wi := range rowWeights(j, ws, 2) {
-		if wi != 1 {
-			t.Errorf("leaf weight[%d] = %d", i, wi)
+	// The leaf's rows weigh 1: it keeps no table, and its total for a
+	// value is the value's degree.
+	if ws.Nodes[2].Off != nil {
+		t.Errorf("leaf R3 holds a weight table")
+	}
+	for v, want := range map[relation.Value]int64{10: 2, 11: 1, 99: 0} {
+		if got := ws.Total(2, v); got != want {
+			t.Errorf("leaf total for B=%d is %d, want %d", v, got, want)
 		}
 	}
 	if ws.Count() != 5 {

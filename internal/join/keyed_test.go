@@ -13,10 +13,10 @@ import (
 // supplier only through that child. The patch rescales supplier's
 // segment for the nation: a new header with the new customer total as
 // its scale, over its predecessor's directory and blocks, and no rows or
-// running sums. Of Patch.Bytes, what customer's and nation's overlays
-// wrote accounts for all but supplier's new segment header (which holds
-// the scale) and its directory of large segments (8 B a segment). The
-// result equals a cold build.
+// running sums. Of Patch.Bytes, what nation's overlay wrote (customer,
+// a leaf, writes nothing) accounts for all but supplier's new segment
+// header (which holds the scale) and its directory of large segments
+// (8 B a segment). The result equals a cold build.
 func TestKeyedChildRescales(t *testing.T) {
 	const nations, suppliers, customers = 4, 1024, 8 // per nation
 	j, customer := supplierLevel(t, nations, suppliers, customers)
@@ -78,9 +78,13 @@ func supplierLevel(t *testing.T, nations, suppliers, customers int) (*Join, *rel
 }
 
 // overlayBytes is what node k's overlay in w holds: its slot table,
-// rows, running sums, records and scales.
+// rows, running sums, records and scales; nothing at a leaf, which keeps
+// no table.
 func overlayBytes(t *testing.T, w *Weights, k int) int {
 	t.Helper()
+	if k > 0 && w.Nodes[k].Off == nil {
+		return 0
+	}
 	ov := w.Nodes[k].ov
 	if ov == nil {
 		t.Fatalf("node %d's patch left no overlay", k)

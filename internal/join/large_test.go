@@ -11,11 +11,11 @@ import (
 // segment of 20 000 rows, a leaf row appended under one mid row's value
 // reweighs that row alone. The patch writes the block holding it, that
 // block's group and the segment's top directory, and shares every other
-// block and group with the predecessor. Of Patch.Bytes, what root's and
-// leaf's overlays wrote accounts for all but at most one block of
-// 2·BlockRows rows, one group directory of 2·GroupBlocks blocks, the top
-// directory, their headers and the node's list of large segments. The
-// result equals a cold build.
+// block and group with the predecessor. Of Patch.Bytes, what root's
+// overlay wrote (the leaf writes nothing) accounts for all but at most
+// one block of 2·BlockRows rows, one group directory of 2·GroupBlocks
+// blocks, the top directory, their headers and the node's list of large
+// segments. The result equals a cold build.
 func TestOneHitPatchWritesOneBlock(t *testing.T) {
 	const rows = 20000
 	root := relation.New("root", relation.NewSchema("A"))

@@ -8,12 +8,15 @@ import (
 )
 
 // Patch reports how PatchWeights derived a Weights generation from its
-// predecessor.
+// predecessor. A leaf keeps no table, so it is in none of it: it is
+// never touched or folded, writes no bytes, and its index's compaction
+// rebuilds nothing.
 type Patch struct {
 	// Rebuilt: the join was rebuilt flat by ExactWeights — there was no
-	// predecessor, an index had been compacted onto a new base (which
-	// renumbers the entries the tables are aligned to), or a relation no
-	// longer retained the mutation-log tail since the predecessor.
+	// predecessor, the index of a node with children had been compacted
+	// onto a new base (which renumbers the entries its table is aligned
+	// to), or a relation no longer retained the mutation-log tail since
+	// the predecessor.
 	Rebuilt bool
 	// Touched[k] lists, ascending, the entries of node k whose segments
 	// were rewritten or rescaled (a keyed child's total moved, so their
@@ -54,13 +57,15 @@ type reweigh struct {
 // bounded by the mutations' neighbourhood instead of the join. Each
 // node's log tail since prev names the rows that came or went; bottom-up,
 // the segments holding them are rewritten — a named row weighed afresh,
-// every other row keeping the weight prev recorded — and an entry whose
+// every other row keeping the weight prev recorded — and a value whose
 // total moved names, through the index on the parent's copy of the join
-// attribute, the parent rows to weigh afresh in turn. Everything else is
-// shared with prev. The result's Segment, Total and Count equal those of
-// a flat ExactWeights over the same indexes, which is also what the
-// patch falls back to when it cannot follow the delta (see
-// Patch.Rebuilt).
+// attribute, the parent rows to weigh afresh in turn, or the entry of a
+// keyed parent to rescale. A leaf has no segments to rewrite: the values
+// of its tail's rows whose degree moved (leafMoved) go up the same way.
+// Everything else is shared with prev. The result's Segment, Total and
+// Count equal those of a flat ExactWeights over the same indexes, which
+// is also what the patch falls back to when it cannot follow the delta
+// (see Patch.Rebuilt).
 //
 // Relations may mutate meanwhile, under the discipline of ExactWeights
 // (versions, then indexes, then snapshots) with the log tails read last:
@@ -91,12 +96,12 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 		Nodes: make([]WeightTable, n),
 	}
 	// up[k] indexes the parent's rows by node k's join attribute: the
-	// way from a moved entry of k to the parent rows it reweighs.
+	// way from a moved value of k to the parent rows it reweighs.
 	up := make([]*relation.Index, n)
 	for k := 1; k < n; k++ {
 		nd := &j.nodes[k]
 		ws.Idx[k] = nd.Rel.Index(nd.AttrPos)
-		if !ws.Idx[k].SameBase(prev.Idx[k]) {
+		if !j.leaf(k) && !ws.Idx[k].SameBase(prev.Idx[k]) {
 			return rebuilt()
 		}
 		up[k] = j.nodes[nd.Parent].Rel.Index(nd.ParentAttrPos)
@@ -115,9 +120,9 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 	}
 
 	p := Patch{Touched: make([][]int32, n), Folded: make([]bool, n)}
-	// moved[k]: the touched entries of node k whose total changed, which
-	// is all a parent's weights can see of them; a stretch of sc.moved.
-	moved := make([][]int32, n)
+	// moved[k]: the values of node k whose total changed, which is all a
+	// parent's weights can see of them; a stretch of sc.moved.
+	moved := make([][]relation.Value, n)
 	sc := j.scratch.Swap(nil)
 	if sc == nil {
 		sc = new(patchScratch)
@@ -127,6 +132,12 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 	sc.moved = sc.moved[:0]
 	for k := n - 1; k >= 0; k-- {
 		nd, s := &j.nodes[k], &snaps[k]
+		if j.leaf(k) {
+			lo := len(sc.moved)
+			sc.moved = j.leafMoved(k, ws.Idx[k], prev.Idx[k], s, tails[k], sc.moved)
+			moved[k] = sc.moved[lo:]
+			continue
+		}
 		hits = hits[:0]
 		// hit names a row of node k, dead or alive: storage keeps a
 		// deleted row's values.
@@ -151,8 +162,7 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 		}
 		rescaled := sc.rescaled[:0]
 		for _, c := range nd.Children {
-			for _, e := range moved[c] {
-				v := ws.Idx[c].ValueAt(int(e))
+			for _, v := range moved[c] {
 				if !j.keyed(c) {
 					for _, row := range up[c].Rows(v) {
 						hit(row)
@@ -188,10 +198,13 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 			return nil, Patch{}, j.overflow()
 		}
 		p.Bytes += bytes
+		if k == 0 { // the root has no parent to tell
+			break
+		}
 		lo := len(sc.moved)
 		for _, e := range p.Touched[k] {
 			if ws.Nodes[k].Total(int(e)) != prev.Nodes[k].Total(int(e)) {
-				sc.moved = append(sc.moved, e)
+				sc.moved = append(sc.moved, ws.Idx[k].ValueAt(int(e)))
 			}
 		}
 		moved[k] = sc.moved[lo:]
@@ -200,11 +213,31 @@ func (j *Join) PatchWeights(prev *Weights) (*Weights, Patch, error) {
 	return ws, p, nil
 }
 
+// leafMoved appends to moved the values of leaf k whose degree in its
+// index idx — the leaf's total — differs from that in its predecessor
+// was: of the values the tail's rows hold, those the two indexes
+// disagree on. Degrees compare by value, so idx may stand on a new base
+// (a compaction renumbers entries and drops emptied ones). A row past
+// the snapshot was appended after it was taken: the next patch's.
+func (j *Join) leafMoved(k int, idx, was *relation.Index, s *relation.SnapshotData, tail []relation.Mutation, moved []relation.Value) []relation.Value {
+	col, lo := s.Cols[j.nodes[k].AttrPos], len(moved)
+	for _, m := range tail {
+		if m.Row < s.Rows {
+			moved = append(moved, col[m.Row])
+		}
+	}
+	slices.Sort(moved[lo:])
+	kept := slices.DeleteFunc(slices.Compact(moved[lo:]), func(v relation.Value) bool {
+		return idx.Degree(v) == was.Degree(v)
+	})
+	return moved[:lo+len(kept)]
+}
+
 // patchScratch is what PatchWeights writes only to read back, kept
 // across calls in its join (Join.scratch): the node in hand's hits and
 // rescaled entries, the entries it touched, its rewritten small segments
 // and their entries, the large segments it reached and the pieces of
-// each, and every node's moved entries. A
+// each, and every node's moved values. A
 // patch takes its growth from here, so the storage it publishes is a
 // fixed number of allocations per node (patchScratch.large).
 type patchScratch struct {
@@ -217,7 +250,7 @@ type patchScratch struct {
 	pieces   []piece
 	rows     []int32 // the merged pieces' rows
 	cum      []int64 // and running sums, each counted from its piece's first row
-	moved    []int32
+	moved    []relation.Value
 }
 
 // segRun is a run of segments packed back to back: segment i is
@@ -692,11 +725,7 @@ func (j *Join) rowWeight(k, r int, ws *Weights, s *relation.SnapshotData) (w int
 		if j.keyed(c) {
 			continue
 		}
-		e, found := ws.Idx[c].EntryOf(s.Cols[j.nodes[c].ParentAttrPos][r])
-		if !found {
-			return 0, true
-		}
-		if w, ok = mulWeight(w, ws.Nodes[c].Total(e)); !ok || w == 0 {
+		if w, ok = mulWeight(w, ws.Total(c, s.Cols[j.nodes[c].ParentAttrPos][r])); !ok || w == 0 {
 			return w, ok
 		}
 	}

@@ -5,10 +5,12 @@
 //   - Exact Weight (EW): exact per-tuple result counts computed bottom-up
 //     over the join tree; zero rejection, uniform samples. A row is drawn
 //     by an exact integer draw below its segment's total and a search of
-//     the segment's running sums (a large segment's directory of block
-//     totals, then one block), and a Refresh patches only the segments
-//     its mutations reached — of a large one, only the blocks holding a
-//     mutated row and its directory (NewEWFrom) — building nothing else.
+//     the segment's running sums (a large segment's directories of group
+//     and block totals, then one block), and a Refresh patches only the
+//     segments its mutations reached — of a large one, only the blocks
+//     holding a mutated row and their directories (NewEWFrom) — building
+//     nothing else. A leaf, whose rows weigh 1, keeps no weights at all:
+//     its draw is a uniform pick among the value's rows in its index.
 //   - Extended Olken (EO): max-degree upper-bound weights with
 //     accept/reject; uniform samples with a rejection rate that grows
 //     with skew. Dangling tuples have acceptance probability zero, which
@@ -160,8 +162,9 @@ func searchLarge(seg *join.LargeSegment, x int64) int32 {
 type EW struct {
 	j *join.Join
 	// w holds, per node, the weight table aligned to the node's
-	// join-attribute index: probing is one index lookup plus two offset
-	// reads. It describes exactly the relation versions w.Vers: the union
+	// join-attribute index (none at a leaf, which draws from the index):
+	// probing is one index lookup plus two offset reads. It describes
+	// exactly the relation versions w.Vers: the union
 	// layer detects a mismatch (unionBase.dirtyJoins), and Refresh
 	// patches a successor from this sampler (NewEWFrom), which shares
 	// every segment the mutations did not reach.
@@ -230,13 +233,15 @@ func (e *EW) SizeEstimate() float64 {
 // does for dirty joins).
 func (e *EW) StateVersions() []uint64 { return e.w.Vers }
 
-// drawRow is the row selection of every EW draw, over entry ent of node
-// k: one exact integer draw below the segment's total and a search of
-// its running own sums (drawScaled) — a small segment's flat ones, a
-// large segment's two directories and then one block — so a draw neither
-// allocates nor depends on which generation holds the segment, where its
-// blocks split or whether its scale was factored out. ok is false on a
-// segment of total 0.
+// drawRow is the row selection of an EW draw at a node other than a
+// leaf, over entry ent of node k: one exact integer draw below the
+// segment's total and a search of its running own sums (drawScaled) — a
+// small segment's flat ones, a large segment's two directories and then
+// one block — so a draw neither allocates nor depends on which
+// generation holds the segment, where its blocks split or whether its
+// scale was factored out. A leaf's draw (SampleManyInto) is the same
+// Uint64n below its degree, and the row a search of sums 1, 2, …, deg
+// finds. ok is false on a segment of total 0.
 func (e *EW) drawRow(k, ent int, g *rng.RNG) (row int, ok bool) {
 	rows, cum, scale, seg := e.w.Nodes[k].Segment(ent)
 	switch {
@@ -250,9 +255,10 @@ func (e *EW) drawRow(k, ent int, g *rng.RNG) (row int, ok bool) {
 }
 
 // SampleManyInto implements Sampler: a tight walk loop over the
-// caller's scratch — the root is entry 0 of its own table, every other
-// node the entry of its parent's join value. On tree joins it never
-// rejects, so filled == min(len(out), maxTries).
+// caller's scratch — the root is entry 0 of its own table, a leaf the
+// rows of its parent's join value in its index, every other node the
+// entry of that value. On tree joins it never rejects, so
+// filled == min(len(out), maxTries).
 func (e *EW) SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *rng.RNG) (filled, tries int) {
 	if e.w.Count() == 0 || len(out) == 0 {
 		return 0, 0
@@ -266,6 +272,19 @@ func (e *EW) SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *
 			ent := 0
 			if k > 0 {
 				v := e.j.ParentValue(k, rowOf[nodes[k].Parent])
+				if len(nodes[k].Children) == 0 {
+					// A leaf: its rows weigh 1, so the draw is a uniform
+					// pick among v's rows — the Uint64n(deg) drawScaled
+					// makes at scale 1, and rows[x] the row searchCum
+					// finds over the running sums 1..deg.
+					rows := e.w.Idx[k].Rows(v)
+					if ok = len(rows) > 0; !ok {
+						break
+					}
+					rowOf[k] = rows[g.Uint64n(uint64(len(rows)))]
+					e.j.FillOutput(k, rowOf[k], t)
+					continue
+				}
 				if ent, ok = e.w.Idx[k].EntryOf(v); !ok {
 					break
 				}

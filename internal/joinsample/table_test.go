@@ -63,6 +63,41 @@ func scaledSegment(t *join.WeightTable, e int) ([]int32, []int64) {
 	return rows, full
 }
 
+// isLeaf reports whether node k of j is a leaf: not the root, without
+// children. It keeps no weight table; its index is its segments.
+func isLeaf(j *join.Join, k int) bool { return k > 0 && len(j.Nodes()[k].Children) == 0 }
+
+// isKeyed reports whether node k of j joins its parent, a node other than
+// the root, on the parent's own join attribute.
+func isKeyed(j *join.Join, k int) bool {
+	nodes := j.Nodes()
+	p := nodes[k].Parent
+	return p > 0 && nodes[k].ParentAttrPos == nodes[p].AttrPos
+}
+
+// checkLeaf pins leaf k of w to its reference segments, one per entry of
+// its index: no weight table, the index's rows for the entry's value
+// are the reference's, and the node's total for the value is their
+// number, the value's degree.
+func checkLeaf(t testing.TB, state string, w *join.Weights, k int, want []refSeg) {
+	t.Helper()
+	if w.Nodes[k].Off != nil {
+		t.Fatalf("%s node %d: a leaf holds a weight table", state, k)
+	}
+	for ent, ref := range want {
+		v := w.Idx[k].ValueAt(ent)
+		rows := w.Idx[k].Rows(v)
+		if len(rows) != len(ref.rows) || w.Total(k, v) != int64(len(rows)) || w.Idx[k].Degree(v) != len(rows) {
+			t.Fatalf("%s leaf %d value %d: rows %v total %d, reference rows %v", state, k, v, rows, w.Total(k, v), ref.rows)
+		}
+		for i, r := range rows {
+			if int32(r) != ref.rows[i] || ref.cum[i] != int64(i+1) {
+				t.Fatalf("%s leaf %d value %d: rows %v, reference rows %v cum %v", state, k, v, rows, ref.rows, ref.cum)
+			}
+		}
+	}
+}
+
 // execute is every result of j, cloned.
 func execute(j *join.Join) []relation.Tuple {
 	var out []relation.Tuple
@@ -160,8 +195,9 @@ func (e *refEW) sample(out relation.Tuple, rowOf []int, g *rng.RNG) {
 // joins, one time in two, on that node's own join attribute — a keyed
 // child, whose total scales the node's segments (join.WeightTable), as
 // customer does supplier's in UQ1 — and otherwise on an attribute of
-// its own. Node k's schema is its own join attribute, its non-keyed
-// children's, and a payload column.
+// its own; the last node, a leaf, is such a keyed child whenever its
+// parent is not the root. Node k's schema is its own join attribute,
+// its non-keyed children's, and a payload column.
 func randomTree(t *testing.T, r *rand.Rand, domain int) (*join.Join, []*relation.Relation) {
 	t.Helper()
 	n := 2 + r.Intn(4)
@@ -171,7 +207,7 @@ func randomTree(t *testing.T, r *rand.Rand, domain int) (*join.Join, []*relation
 	parent[0] = -1
 	for k := 1; k < n; k++ {
 		parent[k] = r.Intn(k)
-		if p := parent[k]; p > 0 && r.Intn(2) == 0 {
+		if p := parent[k]; p > 0 && (k == n-1 || r.Intn(2) == 0) {
 			attrs[k] = attrs[p]
 		} else {
 			attrs[k] = fmt.Sprintf("J%d", k)
@@ -208,14 +244,16 @@ func appendRandom(rel *relation.Relation, r *rand.Rand, n, domain int) {
 }
 
 // segCounts counts the segments with rows a check met: small, large,
-// scaled (a scale other than 0 and 1) and of scale 0.
-type segCounts struct{ small, large, scaled, zero int }
+// scaled (a scale other than 0 and 1) and of scale 0; and the leaves it
+// met that are keyed children.
+type segCounts struct{ small, large, scaled, zero, keyedLeaves int }
 
 // checkAgainstReference pins a freshly built EW to the reference:
 // same segments (rows, order, running sums: a segment's own sums times
 // its scale) per entry of every node, each in the directory of large
-// segments exactly when it has join.LargeRows rows or more, same count,
-// same tuples for a seed. It returns what segments with rows it met.
+// segments exactly when it has join.LargeRows rows or more — a leaf's
+// in its index (checkLeaf) — same count, same tuples for a seed. It
+// returns what segments with rows it met.
 func checkAgainstReference(t *testing.T, state string, j *join.Join) (n segCounts) {
 	t.Helper()
 	ew, ref := NewEW(j), newRefEW(j)
@@ -223,6 +261,13 @@ func checkAgainstReference(t *testing.T, state string, j *join.Join) (n segCount
 		t.Fatalf("%s: ExactCount %d, reference %d, Count %d", state, ew.ExactCount(), ref.count(), j.Count())
 	}
 	for k := range ref.segs {
+		if isLeaf(j, k) {
+			checkLeaf(t, state, ew.w, k, ref.segs[k])
+			if isKeyed(j, k) {
+				n.keyedLeaves++
+			}
+			continue
+		}
 		tb := &ew.w.Nodes[k]
 		if len(tb.Off) != len(ref.segs[k])+1 {
 			t.Fatalf("%s node %d: %d segments, reference %d", state, k, len(tb.Off)-1, len(ref.segs[k]))
@@ -289,6 +334,7 @@ func TestFlatTableMatchesReference(t *testing.T) {
 	check := func(state string, j *join.Join) {
 		n := checkAgainstReference(t, state, j)
 		all.small, all.large, all.scaled, all.zero = all.small+n.small, all.large+n.large, all.scaled+n.scaled, all.zero+n.zero
+		all.keyedLeaves += n.keyedLeaves
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -335,8 +381,8 @@ func TestFlatTableMatchesReference(t *testing.T) {
 	if all.small == 0 || all.large == 0 {
 		t.Errorf("the fixtures held %d small and %d large segments: a search went unchecked", all.small, all.large)
 	}
-	if all.scaled == 0 || all.zero == 0 {
-		t.Errorf("the fixtures held %d scaled segments and %d of scale 0: keyed children went unchecked", all.scaled, all.zero)
+	if all.scaled == 0 || all.zero == 0 || all.keyedLeaves == 0 {
+		t.Errorf("the fixtures held %d scaled segments, %d of scale 0 and %d keyed leaves: keyed children went unchecked", all.scaled, all.zero, all.keyedLeaves)
 	}
 	t.Logf("segments with rows: %+v; patched segments' groups: %+v", all, groups)
 }
@@ -502,9 +548,10 @@ func patchScript(t testing.TB, seed int64, j *join.Join, rels []*relation.Relati
 }
 
 // tableDump renders every segment of every node of ew's tables — rows,
-// running sums, scale and total, entry by entry — as plain data, in the
-// form fmt.Sprint gives them but without its reflection: scripts dump
-// every generation they keep, roots of thousands of rows included.
+// running sums, scale and total, entry by entry, a leaf's rows those of
+// its index — as plain data, in the form fmt.Sprint gives them but
+// without its reflection: scripts dump every generation they keep, roots
+// of thousands of rows included.
 func tableDump(ew *EW) []string {
 	var out []string
 	for k := range ew.w.Nodes {
@@ -514,6 +561,14 @@ func tableDump(ew *EW) []string {
 		}
 		for ent := 0; ent < entries; ent++ {
 			rows, cum, scale, _ := flatSegment(&ew.w.Nodes[k], ent)
+			total := ew.w.Nodes[k].Total(ent)
+			if isLeaf(ew.j, k) {
+				v := ew.w.Idx[k].ValueAt(ent)
+				for _, r := range ew.w.Idx[k].Rows(v) {
+					rows = append(rows, int32(r))
+				}
+				total = ew.w.Total(k, v)
+			}
 			b := strconv.AppendInt(nil, int64(k), 10)
 			b = append(strconv.AppendInt(append(b, ' '), int64(ent), 10), " ["...)
 			for i, r := range rows {
@@ -530,15 +585,16 @@ func tableDump(ew *EW) []string {
 				b = strconv.AppendInt(b, c, 10)
 			}
 			b = strconv.AppendInt(append(b, "] "...), scale, 10)
-			out = append(out, string(strconv.AppendInt(append(b, ' '), ew.w.Nodes[k].Total(ent), 10)))
+			out = append(out, string(strconv.AppendInt(append(b, ' '), total, 10)))
 		}
 	}
 	return out
 }
 
 // checkPatched patches prev into the sampler of j's current data and
-// compares it with a cold build; it returns the patched sampler, for the
-// next step to patch from.
+// compares it with a cold build — at a leaf, that neither holds a table
+// and the totals are the index's degrees; it returns the patched
+// sampler, for the next step to patch from.
 func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 	t.Helper()
 	ew, cold := newEWFrom(t, j, prev), NewEW(j)
@@ -556,6 +612,18 @@ func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 				t.Fatalf("%s node %d: patched and cold tables read different indexes", state, k)
 			}
 			entries = cold.w.Idx[k].NumEntries()
+		}
+		if isLeaf(j, k) {
+			if ew.w.Nodes[k].Off != nil || cold.w.Nodes[k].Off != nil || !p.Rebuilt && len(p.Touched[k]) > 0 {
+				t.Fatalf("%s leaf %d: a weight table, or touched entries (patch %+v)", state, k, p)
+			}
+			for ent := 0; ent < entries; ent++ {
+				v := cold.w.Idx[k].ValueAt(ent)
+				if got, want := ew.w.Total(k, v), int64(cold.w.Idx[k].Degree(v)); got != want || cold.w.Total(k, v) != want {
+					t.Fatalf("%s leaf %d value %d: patched total %d, cold %d, degree %d", state, k, v, got, cold.w.Total(k, v), want)
+				}
+			}
+			continue
 		}
 		for ent := 0; ent < entries; ent++ {
 			rows, cum, scale, now := flatSegment(&ew.w.Nodes[k], ent)
