@@ -184,10 +184,12 @@ func drawFreqs(n int, draw func() int) map[int]int {
 // under uneven groups (one block, two, the rest) must reproduce the
 // weight distribution, and draw the same rows seed for seed as one
 // Uint64n below the total and slices.BinarySearch; the weights times 3,
-// held as own sums at scale 3, draw the rows the tripled sums do. Then,
-// after a patch
-// reaches a large segment, the first draw through it allocates nothing:
-// no table is built over a segment after a Refresh.
+// held as own sums at scale 3, draw the rows the tripled sums do. A
+// leaf of join.LargeRows rows and more under one value, which keeps no
+// table and draws from its index, draws the rows its weights of 1 held
+// flat and blocked draw, seed for seed. Then, after a patch reaches a
+// large segment, the first draw through it allocates nothing: no table
+// is built over a segment after a Refresh.
 func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 	cases := []struct {
 		name string
@@ -272,6 +274,8 @@ func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 		}
 	}
 
+	checkLeafDraws(t)
+
 	c := newFanoutChain(t, 1, 2*join.LargeRows)
 	prev := NewEW(c.j)
 	c.touch(0)
@@ -291,6 +295,63 @@ func TestSegmentDrawsIndependentOfStorage(t *testing.T) {
 	}
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Errorf("the first draw through a patched large segment allocated %d objects, want 0", n)
+	}
+}
+
+// checkLeafDraws draws root(A) ⋈ leaf(A, P) — one root row over
+// 4·join.LargeRows + 3 leaf rows of its value, every fifth deleted —
+// and, from the same seed, the root's row through its own table and then
+// a row of the leaf's live rows through their running sums 1, 2, …, deg
+// held flat, in blocks, and in blocks under groups: the leaf row is the
+// same every time.
+func checkLeafDraws(t *testing.T) {
+	t.Helper()
+	root := relation.New("root", relation.NewSchema("A"))
+	leaf := relation.New("leaf", relation.NewSchema("A", "P"))
+	root.AppendValues(0)
+	for i := 0; i < 4*join.LargeRows+3; i++ {
+		leaf.AppendValues(0, relation.Value(i))
+	}
+	for i := 0; i < leaf.Len(); i += 5 {
+		leaf.Delete(i)
+	}
+	j, err := join.NewChain("leafy", []*relation.Relation{root, leaf}, []string{"A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ew := NewEW(j)
+	if ew.w.Nodes[1].Off != nil {
+		t.Fatal("the leaf holds a weight table")
+	}
+	var rows []int32
+	var cum []int64
+	for i, r := range ew.w.Idx[1].Rows(0) {
+		rows, cum = append(rows, int32(r)), append(cum, int64(i+1))
+	}
+	if len(rows) < join.LargeRows {
+		t.Fatalf("the leaf has %d live rows, want join.LargeRows or more", len(rows))
+	}
+	ewOf := func(tbl join.WeightTable) *EW { return &EW{w: &join.Weights{Nodes: []join.WeightTable{tbl}}} }
+	stored := []*EW{
+		ewOf(join.WeightTable{Off: []int32{0, int32(len(rows))}, Rows: rows, Cum: cum}),
+		ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{blockedOf(rows, cum, []int{1, join.BlockRows}, nil)}}),
+		ewOf(join.WeightTable{Off: []int32{0, 0}, Large: []*join.LargeSegment{blockedOf(rows, cum, []int{1, join.BlockRows, 5, 7}, []int{1, 2})}}),
+	}
+	out, rowOf := mkBatch(j, 1)
+	g := rng.New(38)
+	gs := []*rng.RNG{rng.New(38), rng.New(38), rng.New(38)}
+	for i := 0; i < 10000; i++ {
+		if filled, _ := ew.SampleManyInto(out, rowOf, 1, g); filled != 1 {
+			t.Fatalf("draw %d: filled %d of 1", i, filled)
+		}
+		for s, st := range stored {
+			if r, _ := ew.drawRow(0, 0, gs[s]); r != rowOf[0] {
+				t.Fatalf("draw %d: the root's row %d, drawn again %d", i, rowOf[0], r)
+			}
+			if r, _ := st.drawRow(0, 0, gs[s]); r != rowOf[1] {
+				t.Fatalf("draw %d: the leaf drew row %d from its index, storage %d row %d", i, rowOf[1], s, r)
+			}
+		}
 	}
 }
 

@@ -93,6 +93,58 @@ func TestRefreshedStructuresEqualRebuilt(t *testing.T) {
 	}
 }
 
+// TestLeafCompactionRebuildsNoJoin: lineitem, the leaf of UQ1's chains,
+// keeps no weight table — it draws from its orderkey index — so a
+// compaction of that index, which renumbers the entries a table would be
+// aligned to, rebuilds no join. 32-row bursts of lineitem rows (copies of
+// existing ones under a new key, so their orders' weights move, and now
+// and then a delete) are refreshed one by one until the index has
+// compacted twice: no refresh rebuilds a join, and after each the
+// session's structures equal a fresh Prepare's.
+func TestLeafCompactionRebuildsNoJoin(t *testing.T) {
+	w, err := tpch.UQ1N(tpch.Config{SF: 1, Seed: 5}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := su.NewUnion(w.Joins...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := u.Prepare(su.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineitem := w.Joins[0].Relations()[4]
+	rnd := rand.New(rand.NewSource(8))
+	compacted := 0
+	for burst := 0; compacted < 2; burst++ {
+		if burst == 200 {
+			t.Fatalf("lineitem's index compacted %d times in %d bursts, want 2", compacted, burst)
+		}
+		rows := make([]relation.Tuple, 32)
+		for i := range rows {
+			rows[i] = lineitem.Row(rnd.Intn(lineitem.Len()))
+			rows[i][len(rows[i])-1] = relation.Value(2_000_000 + 32*burst + i)
+		}
+		lineitem.AppendRows(rows)
+		if burst%3 == 0 {
+			lineitem.Delete(rnd.Intn(lineitem.Len()))
+		}
+		if err := sess.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		st := sess.RefreshStats()
+		if st.JoinsRebuilt != 0 {
+			t.Fatalf("burst %d: refresh stats %+v, want no join rebuilt", burst, st)
+		}
+		compacted += st.IndexesCompacted
+		checkRefreshed(t, fmt.Sprintf("burst %d", burst), w.Joins, sess)
+		if compacted >= 2 {
+			t.Logf("%d compactions in %d bursts", compacted, burst+1)
+		}
+	}
+}
+
 // checkRefreshed compares the structures a refreshed session reads with
 // a fresh Prepare's over copies of the relations.
 func checkRefreshed(t *testing.T, label string, live []*join.Join, sess *su.Session) {
