@@ -170,7 +170,7 @@ func weightDump(w *Weights) [][]string {
 			entries = w.Idx[k].NumEntries()
 		}
 		for e := 0; e < entries; e++ {
-			if k > 0 && w.Nodes[k].Off == nil {
+			if w.Leaf(k) {
 				v := w.Idx[k].ValueAt(e)
 				out[k] = append(out[k], fmt.Sprint(w.Idx[k].Rows(v), w.Total(k, v)))
 				continue

@@ -452,12 +452,17 @@ type Weights struct {
 // Count returns the exact skeleton result count, |J| for tree joins.
 func (w *Weights) Count() int64 { return w.Nodes[0].Total(0) }
 
+// Leaf reports whether node k is a leaf (Join.leaf): its table is the
+// zero WeightTable, and its segment for a value the value's rows in
+// Idx[k].
+func (w *Weights) Leaf(k int) bool { return k > 0 && w.Nodes[k].Off == nil }
+
 // Total returns node k's total for value v, the factor a parent row
 // holding v takes from it: the summed weight of v's segment, at a leaf
-// (a zero table) the value's degree in its index; 0 for a value the
-// index lacks. k is not the root.
+// the value's degree in its index; 0 for a value the index lacks. k is
+// not the root.
 func (w *Weights) Total(k int, v relation.Value) int64 {
-	if w.Nodes[k].Off == nil {
+	if w.Leaf(k) {
 		return int64(w.Idx[k].Degree(v))
 	}
 	e, ok := w.Idx[k].EntryOf(v)

@@ -82,7 +82,7 @@ func supplierLevel(t *testing.T, nations, suppliers, customers int) (*Join, *rel
 // no table.
 func overlayBytes(t *testing.T, w *Weights, k int) int {
 	t.Helper()
-	if k > 0 && w.Nodes[k].Off == nil {
+	if w.Leaf(k) {
 		return 0
 	}
 	ov := w.Nodes[k].ov

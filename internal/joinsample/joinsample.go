@@ -272,11 +272,7 @@ func (e *EW) SampleManyInto(out []relation.Tuple, rowOf []int, maxTries int, g *
 			ent := 0
 			if k > 0 {
 				v := e.j.ParentValue(k, rowOf[nodes[k].Parent])
-				if len(nodes[k].Children) == 0 {
-					// A leaf: its rows weigh 1, so the draw is a uniform
-					// pick among v's rows — the Uint64n(deg) drawScaled
-					// makes at scale 1, and rows[x] the row searchCum
-					// finds over the running sums 1..deg.
+				if e.w.Leaf(k) { // a uniform pick among v's rows (drawRow)
 					rows := e.w.Idx[k].Rows(v)
 					if ok = len(rows) > 0; !ok {
 						break

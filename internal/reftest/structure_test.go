@@ -250,7 +250,7 @@ func checkWeights(t *testing.T, label string, got, want *join.Weights) {
 		t.Fatalf("%s: count %d, fresh %d", label, got.Count(), want.Count())
 	}
 	segment := func(w *join.Weights, k int, v relation.Value) ([]int32, []int64, int64) {
-		if k > 0 && w.Nodes[k].Off == nil {
+		if w.Leaf(k) {
 			var rows []int32
 			var cum []int64
 			for i, r := range w.Idx[k].Rows(v) {
@@ -283,7 +283,7 @@ func checkWeights(t *testing.T, label string, got, want *join.Weights) {
 		return rows, cum, w.Nodes[k].Total(e)
 	}
 	for k := range got.Nodes {
-		if (got.Nodes[k].Off == nil) != (want.Nodes[k].Off == nil) {
+		if got.Leaf(k) != want.Leaf(k) {
 			t.Fatalf("%s node %d: a weight table on one side only", label, k)
 		}
 		var vals []relation.Value
