@@ -450,8 +450,8 @@ func appendBurst(rels []*Relation, iter, batch, base int) {
 //   - refresh-ew: the warm session absorbs the burst through
 //     Session.Refresh (delta-overlaid indexes, membership deltas,
 //     dirty-join weight-table patches, re-estimation).
-//   - rebuild: the pre-live-relations strategy — every burst invalidates
-//     the derived structures (ResetCaches) and pays a cold Prepare.
+//   - rebuild: the pre-live-relations strategy — every burst loads the
+//     rows into new relations and pays a cold Prepare.
 //
 // Both run the zero Options' pairing (random-walk warm-up + EW) with
 // 300 walks per join, so refresh cost is O(delta + walks) while rebuild
@@ -551,16 +551,28 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {
-		u, rels := benchLiveUnion(b, rows)
-		if _, err := u.Prepare(opts); err != nil { // match the warm start
-			b.Fatal(err)
-		}
+		live, rels := benchLiveUnion(b, rows)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			appendBurst(rels, i, batch, 10*rows)
-			for _, r := range rels {
-				r.ResetCaches()
+			var joins []*Join
+			for _, lj := range live.Joins() {
+				var fresh []*Relation
+				for _, r := range lj.Relations() {
+					c := NewRelation(r.Name(), r.Schema())
+					c.AppendColumns(r.Cols())
+					fresh = append(fresh, c)
+				}
+				j, err := Chain(lj.Name(), fresh, []string{"custkey"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				joins = append(joins, j)
+			}
+			u, err := NewUnion(joins...)
+			if err != nil {
+				b.Fatal(err)
 			}
 			s, err := u.Prepare(opts)
 			if err != nil {

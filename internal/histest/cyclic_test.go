@@ -62,7 +62,7 @@ func TestEstimatorOverCyclicUnion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New over cyclic union: %v", err)
 	}
-	if est.TemplateUsed() == nil {
+	if est.template == nil {
 		t.Error("cyclic union should take the template path")
 	}
 	tab, err := est.Estimate()

@@ -90,10 +90,6 @@ func New(joins []*join.Join, opts Options) (*Estimator, error) {
 	return e, nil
 }
 
-// TemplateUsed returns the template chosen by New, or nil when the
-// aligned-chain fast path applied.
-func (e *Estimator) TemplateUsed() []string { return e.template }
-
 // Estimate fills the overlap table: singleton entries with the selected
 // join-size instantiation, every larger subset with the Theorem 4
 // bound, normalized to monotone.

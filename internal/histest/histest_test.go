@@ -8,6 +8,7 @@ import (
 	"sampleunion/internal/join"
 	"sampleunion/internal/overlap"
 	"sampleunion/internal/relation"
+	"sampleunion/internal/tpch"
 )
 
 // alignedChains builds two 3-relation chain joins with identical
@@ -321,7 +322,7 @@ func TestEstimatorAlignedChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.TemplateUsed() != nil {
+	if est.template != nil {
 		t.Error("aligned chains took the template path")
 	}
 	tab, err := est.Estimate()
@@ -381,7 +382,7 @@ func TestEstimatorTemplatePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.TemplateUsed() == nil {
+	if est.template == nil {
 		t.Error("template path not taken for mismatched schemas")
 	}
 	tab, err := est.Estimate()
@@ -420,7 +421,7 @@ func TestEstimatorForceSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.TemplateUsed() == nil {
+	if est.template == nil {
 		t.Error("ForceSplit did not take the template path")
 	}
 	if _, err := est.Estimate(); err != nil {
@@ -464,5 +465,47 @@ func TestHeldKarpOptimal(t *testing.T) {
 	}
 	if math.Abs(cost-3) > 1e-9 {
 		t.Fatalf("Held-Karp cost = %f via %v, want 3", cost, p)
+	}
+}
+
+// TestUQ1AlignedChainsFastPath: UQ1's joins are equi-length chains with
+// identical schemas, so the histogram estimator must skip the template
+// machinery (§5.1 base case).
+func TestUQ1AlignedChainsFastPath(t *testing.T) {
+	w, err := tpch.UQ1N(tpch.Config{SF: 0.2, Seed: 1}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !AlignedChains(w.Joins) {
+		t.Fatal("UQ1 variants not detected as aligned chains")
+	}
+	est, err := New(w.Joins, Options{Sizes: SizeEO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.template != nil {
+		t.Error("UQ1 took the splitting path")
+	}
+}
+
+// TestUQ3RequiresTemplate: UQ3 joins have different schemas, so the
+// estimator must go through the splitting method.
+func TestUQ3RequiresTemplate(t *testing.T) {
+	w, err := tpch.UQ3(tpch.Config{SF: 0.3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if AlignedChains(w.Joins) {
+		t.Fatal("UQ3 misdetected as aligned chains")
+	}
+	est, err := New(w.Joins, Options{Sizes: SizeEO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.template == nil {
+		t.Error("UQ3 skipped the template path")
+	}
+	if _, err := est.Estimate(); err != nil {
+		t.Fatalf("UQ3 estimation: %v", err)
 	}
 }

@@ -394,7 +394,7 @@ func TestBatchInvalidationAfterMutation(t *testing.T) {
 	r1.AppendRows([]relation.Tuple{{3, 300}})
 	r2.Delete(40) // drop {2,12}: customer 2 loses its only order
 
-	if same := equalVersions(stale.StateVersions(), j.StateVersions()); same {
+	if same := equalVersions(stale.w.Vers, j.StateVersions()); same {
 		t.Fatal("mutation did not bump the join state versions")
 	}
 	if v := node.Rel.Index(node.AttrPos).Version(); v <= idxVerBefore {
@@ -417,7 +417,7 @@ func TestBatchInvalidationAfterMutation(t *testing.T) {
 	// The rebuilt sampler (what Refresh does for a dirty join) must be
 	// uniform over the new result set.
 	fresh := NewEW(j)
-	if !equalVersions(fresh.StateVersions(), j.StateVersions()) {
+	if !equalVersions(fresh.w.Vers, j.StateVersions()) {
 		t.Fatal("fresh sampler version snapshot mismatch")
 	}
 	postResults := len(execute(j))

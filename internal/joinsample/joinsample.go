@@ -226,13 +226,6 @@ func (e *EW) SizeEstimate() float64 {
 	return float64(e.w.Count())
 }
 
-// StateVersions returns the per-relation version snapshot the sampler's
-// weight tables were built over;
-// a mismatch with the join's current StateVersions means the tables
-// describe stale data and the sampler must be rebuilt (which Refresh
-// does for dirty joins).
-func (e *EW) StateVersions() []uint64 { return e.w.Vers }
-
 // drawRow is the row selection of an EW draw at a node other than a
 // leaf, over entry ent of node k: one exact integer draw below the
 // segment's total and a search of its running own sums (drawScaled) — a

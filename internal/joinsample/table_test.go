@@ -598,8 +598,8 @@ func tableDump(ew *EW) []string {
 func checkPatched(t testing.TB, state string, j *join.Join, prev *EW) *EW {
 	t.Helper()
 	ew, cold := newEWFrom(t, j, prev), NewEW(j)
-	if !equalVersions(ew.StateVersions(), cold.StateVersions()) {
-		t.Fatalf("%s: patched versions %v, cold %v", state, ew.StateVersions(), cold.StateVersions())
+	if !equalVersions(ew.w.Vers, cold.w.Vers) {
+		t.Fatalf("%s: patched versions %v, cold %v", state, ew.w.Vers, cold.w.Vers)
 	}
 	if ew.ExactCount() != cold.ExactCount() {
 		t.Fatalf("%s: patched count %d, cold %d", state, ew.ExactCount(), cold.ExactCount())
@@ -783,7 +783,7 @@ func TestEWBuildRacesMutations(t *testing.T) {
 			}
 		}
 	}
-	if ew := NewEW(j); !equalVersions(ew.StateVersions(), j.StateVersions()) {
+	if ew := NewEW(j); !equalVersions(ew.w.Vers, j.StateVersions()) {
 		t.Fatal("settled sampler's versions are behind the join's")
 	}
 	checkAgainstReference(t, "settled", j)

@@ -118,23 +118,3 @@ func ChiSquareCritical(df int, z float64) float64 {
 	x := 1 - h + z*math.Sqrt(h)
 	return d * x * x * x
 }
-
-// UniformWeights builds the expected-weight map for the set union: each
-// result tuple equally likely.
-func UniformWeights(union map[string]relation.Tuple) map[string]float64 {
-	w := make(map[string]float64, len(union))
-	for k := range union {
-		w[k] = 1
-	}
-	return w
-}
-
-// DisjointWeights builds the expected-weight map for the disjoint
-// union: each tuple proportional to its multiplicity.
-func DisjointWeights(mult map[string]int) map[string]float64 {
-	w := make(map[string]float64, len(mult))
-	for k, m := range mult {
-		w[k] = float64(m)
-	}
-	return w
-}

@@ -32,17 +32,12 @@ func WriteCSV(w io.Writer, r *Relation) error {
 	return cw.Error()
 }
 
-// ReadCSV reads a relation written by WriteCSV: the first record is the
-// schema, subsequent records are tuples of integers.
-func ReadCSV(rd io.Reader, name string) (*Relation, error) {
-	return ReadCSVDict(rd, name, nil)
-}
-
-// ReadCSVDict is ReadCSV with string-column support: a column holding
-// any non-integer field is dictionary-encoded — every one of its cells
-// is interned through d in a single EncodeAll round, so bulk import
-// pays one lock round per string column rather than per cell. A nil
-// dictionary restores ReadCSV's strict integer-only behavior.
+// ReadCSVDict reads a relation written by WriteCSV: the first record is
+// the schema, subsequent records are tuples. A column holding any
+// non-integer field is dictionary-encoded — every one of its cells is
+// interned through d in a single EncodeAll round, so bulk import pays
+// one lock round per string column rather than per cell. A nil
+// dictionary accepts integer columns only.
 func ReadCSVDict(rd io.Reader, name string, d *Dictionary) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1

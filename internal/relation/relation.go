@@ -484,18 +484,6 @@ func (r *Relation) LiveRows() (ids []int, phys int, version uint64) {
 	return ids, s.rows, r.version.Load()
 }
 
-// ResetCaches drops the cached indexes and the mutation log, so every
-// derived structure rebuilds from scratch on next use. It exists for
-// benchmarks and tests that compare incremental maintenance against the
-// rebuild-everything baseline; production code never needs it.
-func (r *Relation) ResetCaches() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.indexes.Store(nil)
-	r.log = nil
-	r.logOn = false
-}
-
 // SetHashDegradeForTest collapses the hash space of the indexes and the
 // row sets built over views pinned afterwards (mask ANDed onto every
 // fingerprint), forcing collisions so equality-verification paths are

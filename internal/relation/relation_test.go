@@ -282,9 +282,9 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, r); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
-	back, err := ReadCSV(&buf, "R")
+	back, err := ReadCSVDict(&buf, "R", nil)
 	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
+		t.Fatalf("ReadCSVDict: %v", err)
 	}
 	if back.Len() != r.Len() || !back.Schema().Equal(r.Schema()) {
 		t.Fatalf("round trip mismatch: %v vs %v", back, r)
@@ -297,15 +297,15 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewReader(nil), "R"); err == nil {
+	if _, err := ReadCSVDict(bytes.NewReader(nil), "R", nil); err == nil {
 		t.Error("empty CSV succeeded")
 	}
 	bad := "a,b\n1\n"
-	if _, err := ReadCSV(bytes.NewReader([]byte(bad)), "R"); err == nil {
+	if _, err := ReadCSVDict(bytes.NewReader([]byte(bad)), "R", nil); err == nil {
 		t.Error("short record succeeded")
 	}
 	bad2 := "a,b\n1,xyz\n"
-	if _, err := ReadCSV(bytes.NewReader([]byte(bad2)), "R"); err == nil {
+	if _, err := ReadCSVDict(bytes.NewReader([]byte(bad2)), "R", nil); err == nil {
 		t.Error("non-integer field succeeded")
 	}
 }

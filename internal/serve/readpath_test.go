@@ -176,8 +176,8 @@ func TestRegistryKeyCache(t *testing.T) {
 			t.Fatalf("repeat %d: entry %p key %q (%v), want %p %q", i, e, e.Key, err, first, want)
 		}
 	}
-	if st := r.Stats(); st.Prepares != 1 || st.Hits != 3 || first.Hits() != 4 {
-		t.Fatalf("after 4 lookups: prepares %d hits %d entry hits %d, want 1, 3, 4", st.Prepares, st.Hits, first.Hits())
+	if st := r.Stats(); st.Prepares != 1 || st.Hits != 3 || first.hits.Load() != 4 {
+		t.Fatalf("after 4 lookups: prepares %d hits %d entry hits %d, want 1, 3, 4", st.Prepares, st.Hits, first.hits.Load())
 	}
 	if got, ok := r.keys[d]; !ok || got != want {
 		t.Fatalf("memo holds %q (%v) for the declaration, want %q", got, ok, want)

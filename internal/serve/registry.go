@@ -45,9 +45,6 @@ type Entry struct {
 	pinned atomic.Bool
 }
 
-// Hits reports how many registry lookups this entry has served.
-func (e *Entry) Hits() int64 { return e.hits.Load() }
-
 // flight is one in-progress warm-up; concurrent requests for the same
 // key block on done and share the outcome.
 type flight struct {

@@ -114,8 +114,8 @@ func TestRegistrySingleWarmup(t *testing.T) {
 	if !ok {
 		t.Fatal("entry missing after warm-up")
 	}
-	if e.Hits() != clients {
-		t.Fatalf("entry hits %d, want %d", e.Hits(), clients)
+	if e.hits.Load() != clients {
+		t.Fatalf("entry hits %d, want %d", e.hits.Load(), clients)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sampleunion/internal/core"
-	"sampleunion/internal/histest"
 	"sampleunion/internal/relation"
 	"sampleunion/internal/rng"
 )
@@ -19,48 +18,6 @@ func TestUQ1NValidation(t *testing.T) {
 	}
 	if len(w.Joins) != 2 {
 		t.Fatalf("joins = %d", len(w.Joins))
-	}
-}
-
-// TestUQ1AlignedChainsFastPath: UQ1's joins are equi-length chains with
-// identical schemas, so the histogram estimator must skip the template
-// machinery (§5.1 base case).
-func TestUQ1AlignedChainsFastPath(t *testing.T) {
-	w, err := UQ1N(Config{SF: 0.2, Seed: 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !histest.AlignedChains(w.Joins) {
-		t.Fatal("UQ1 variants not detected as aligned chains")
-	}
-	est, err := histest.New(w.Joins, histest.Options{Sizes: histest.SizeEO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.TemplateUsed() != nil {
-		t.Error("UQ1 took the splitting path")
-	}
-}
-
-// TestUQ3RequiresTemplate: UQ3 joins have different schemas, so the
-// estimator must go through the splitting method.
-func TestUQ3RequiresTemplate(t *testing.T) {
-	w, err := UQ3(Config{SF: 0.3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if histest.AlignedChains(w.Joins) {
-		t.Fatal("UQ3 misdetected as aligned chains")
-	}
-	est, err := histest.New(w.Joins, histest.Options{Sizes: histest.SizeEO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.TemplateUsed() == nil {
-		t.Error("UQ3 skipped the template path")
-	}
-	if _, err := est.Estimate(); err != nil {
-		t.Fatalf("UQ3 estimation: %v", err)
 	}
 }
 

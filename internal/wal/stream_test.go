@@ -103,7 +103,7 @@ func TestStreamCursorAcrossRotation(t *testing.T) {
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if n := l.Segments(); n < 3 {
+	if n := len(l.segs); n < 3 {
 		t.Fatalf("want >= 3 segments for the test to bite, got %d", n)
 	}
 	// Drain in small bites so reads straddle segment boundaries, from a

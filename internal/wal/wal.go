@@ -647,13 +647,6 @@ func (l *Log) TruncateThrough(through uint64) error {
 	return nil
 }
 
-// Segments reports the number of live segment files.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
-}
-
 // Close flushes, fsyncs (best-effort durability for a clean shutdown),
 // and closes the log. Further calls return ErrClosed.
 func (l *Log) Close() error {

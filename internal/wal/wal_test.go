@@ -88,15 +88,15 @@ func TestLogRotationAndTruncate(t *testing.T) {
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Segments() < 3 {
-		t.Fatalf("expected rotation, got %d segments", l.Segments())
+	if len(l.segs) < 3 {
+		t.Fatalf("expected rotation, got %d segments", len(l.segs))
 	}
-	before := l.Segments()
+	before := len(l.segs)
 	if err := l.TruncateThrough(25); err != nil {
 		t.Fatal(err)
 	}
-	if l.Segments() >= before {
-		t.Fatalf("truncate removed nothing (%d -> %d)", before, l.Segments())
+	if len(l.segs) >= before {
+		t.Fatalf("truncate removed nothing (%d -> %d)", before, len(l.segs))
 	}
 	// Records past 25 all survive truncation.
 	got := collect(t, l, 25)
