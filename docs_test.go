@@ -18,10 +18,13 @@ import (
 // outside benchmark/ may only name a unionbench experiment that
 // bench.Lookup resolves, and an all-caps .md or .json file (CHANGES.md,
 // BENCHMARK.json, a per-PR bench record) that is in the repository.
+// README.md names no PR number: it describes the current tree, and the
+// history it points to lives in CHANGES.md.
 func TestDocsNameThingsThatExist(t *testing.T) {
 	var (
 		expRef  = regexp.MustCompile(`-exp ([a-z0-9][a-z0-9-]*)`)
 		fileRef = regexp.MustCompile(`\b[A-Z][A-Z0-9_]+\.(?:md|json)\b`)
+		prRef   = regexp.MustCompile(`\bPR \d+`)
 	)
 	inRepo := map[string]bool{} // base names of every file in the tree
 	texts := map[string]string{}
@@ -58,6 +61,9 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, m := range prRef.FindAllString(texts["README.md"], -1) {
+		t.Errorf("README.md: names %s; point to CHANGES.md without the number", m)
 	}
 	for path, text := range texts {
 		for _, m := range expRef.FindAllStringSubmatch(text, -1) {

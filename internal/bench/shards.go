@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"sampleunion/internal/core"
@@ -36,12 +38,14 @@ func shardSweep(o Options) []int {
 }
 
 // Shards measures the shard-parallel engine's batch throughput against
-// core count on TPC-H UQ1: for each swept count c, GOMAXPROCS is set
-// to c, the union is partitioned into c shards (c = 1 keeps the
-// single-shard engine — the baseline and the regression guard), and
-// one warm prepared sampler serves repeated Sample(n) calls whose
-// best per-tuple cost is reported. The speedup column is against the
-// single-shard row on the same machine.
+// core count on TPC-H UQ1. At each swept count c, GOMAXPROCS is set to
+// c and two engines draw n tuples per round. The unsharded row is c
+// concurrent runs of one warm unsharded sampler, each Sample(n/c) on
+// its own stream, which is what SampleParallel(n, c) and the wire's
+// workers: c do. The sharded row (c > 1) partitions the union into c
+// shards and serves one Sample(n) over c workers. Each row reports its
+// best per-tuple cost, and the sharded row's speed-up is against the
+// unsharded row at the same c, so both have the same cores to use.
 func Shards(o Options) (*Result, error) {
 	o = o.withDefaults()
 	sf := o.SF
@@ -70,63 +74,83 @@ func Shards(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "shard-parallel batch throughput vs core count (UQ1)",
 		Figure: "shards",
-		Note: fmt.Sprintf("sf=%g batch_n=%d; GOMAXPROCS set per row; machine has %d core(s)",
+		Note: fmt.Sprintf("sf=%g batch_n=%d; at c cores GOMAXPROCS = c, unsharded = c concurrent runs, sharded = c shards; machine has %d core(s)",
 			sf, n, runtime.NumCPU()),
-		Header: []string{"cores", "shards", "us_tuple", "tuples_per_s", "speedup_vs_1"},
+		Header: []string{"cores", "engine", "us_tuple", "tuples_per_s", "speedup_vs_unsharded"},
 	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	base := 0.0
-	for _, c := range shardSweep(o) {
-		runtime.GOMAXPROCS(c)
-		var prepared core.PreparedSampler
-		if c == 1 {
-			prepared, err = factory(w.Joins, rng.New(core.DeriveSeed(o.Seed, 0)))
-		} else {
-			prepared, err = core.PrepareSharded(w.Joins, core.ShardedConfig{
-				Shards:  c,
-				Workers: c,
-				Factory: factory,
-			}, rng.New(core.DeriveSeed(o.Seed, 0)))
-		}
-		if err != nil {
-			return nil, err
-		}
-		core.Prewarm(prepared)
-		us, err := perTuple(rounds, n, func(g *rng.RNG) error {
-			_, err := prepared.NewRun().Sample(n, g)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if c == 1 {
-			base = us
-		}
-		res.Add(fmt.Sprintf("%d", c), fmt.Sprintf("%d", c),
+	add := func(c int, engine string, us, base float64) {
+		res.Add(fmt.Sprintf("%d", c), engine,
 			fmt.Sprintf("%.3f", us),
 			fmt.Sprintf("%.0f", 1e6/us),
 			fmt.Sprintf("%.2fx", base/us))
 	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	unsharded, err := factory(w.Joins, rng.New(core.DeriveSeed(o.Seed, 0)))
+	if err != nil {
+		return nil, err
+	}
+	core.Prewarm(unsharded)
+	for _, c := range shardSweep(o) {
+		runtime.GOMAXPROCS(c)
+		base, err := drawCost(unsharded, c, n, rounds, o.Seed)
+		if err != nil {
+			return nil, err
+		}
+		add(c, "unsharded", base, base)
+		if c == 1 {
+			continue // one shard is the unsharded engine
+		}
+		sharded, err := core.PrepareSharded(w.Joins, core.ShardedConfig{
+			Shards:  c,
+			Workers: c,
+			Factory: factory,
+		}, rng.New(core.DeriveSeed(o.Seed, 0)))
+		if err != nil {
+			return nil, err
+		}
+		core.Prewarm(sharded)
+		us, err := drawCost(sharded, 1, n, rounds, o.Seed)
+		if err != nil {
+			return nil, err
+		}
+		add(c, "sharded", us, base)
+	}
 	return res, nil
 }
 
-// perTuple runs f rounds times (one warm round discarded) and returns
-// the best per-tuple microseconds — best-of insulates the sweep from
-// scheduler noise the way testing.B's -count min does.
-func perTuple(rounds, n int, f func(g *rng.RNG) error) (float64, error) {
-	g := rng.New(7)
+// drawCost returns the best per-tuple microseconds over rounds rounds
+// (the first, warm round discarded) of drawing n tuples from p as runs
+// concurrent runs, each Sample(n/runs) on its own stream. Best-of
+// insulates the sweep from scheduler noise the way testing.B's -count
+// min does.
+func drawCost(p core.PreparedSampler, runs, n, rounds int, seed int64) (float64, error) {
+	streams := make([]*rng.RNG, runs)
+	for k := range streams {
+		streams[k] = rng.New(core.DeriveSeed(seed, int64(k+1)))
+	}
+	errs := make([]error, runs)
 	best := 0.0
 	for r := 0; r < rounds; r++ {
 		start := time.Now()
-		if err := f(g); err != nil {
+		var wg sync.WaitGroup
+		for k := range streams {
+			count := n / runs
+			if k == runs-1 {
+				count = n - count*(runs-1)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[k] = p.NewRun().Sample(count, streams[k])
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
 			return 0, err
 		}
 		us := float64(time.Since(start).Nanoseconds()) / 1e3 / float64(n)
-		if r == 0 {
-			continue // warm round: lazy structures, cache warmth
-		}
-		if best == 0 || us < best {
+		if r > 0 && (best == 0 || us < best) {
 			best = us
 		}
 	}

@@ -1,12 +1,13 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// foreignPred hides a predicate's concrete type, forcing the scan down
-// the per-row gather fallback instead of the columnar fast path.
+// foreignPred hides a predicate's concrete type, so Filter is checked
+// against a Predicate implemented outside this package's built-ins.
 type foreignPred struct{ p Predicate }
 
 func (f foreignPred) Eval(t Tuple, s *Schema) bool { return f.p.Eval(t, s) }
@@ -23,8 +24,7 @@ func randValue(rng *rand.Rand) Value {
 
 // randPredicate builds a random predicate tree over the given
 // attributes (plus, occasionally, an attribute the schema lacks).
-// Foreign wrappers appear at any level, so columnar and fallback
-// evaluation mix within one tree.
+// Foreign wrappers appear at any level of the tree.
 func randPredicate(rng *rand.Rand, attrs []string, depth int) Predicate {
 	attr := func() string {
 		if rng.Intn(10) == 0 {
@@ -67,12 +67,11 @@ func randPredicate(rng *rand.Rand, attrs []string, depth int) Predicate {
 	return p
 }
 
-// TestScanColumnarProperty pins the vectorized predicate scan against a
-// brute-force row-major reference over random schemas, rows (Null
-// payloads included), deletions, and predicate trees. Any divergence
-// between ScanWhere and evaluate-every-live-row is a bug in the
-// selection-vector composition.
-func TestScanColumnarProperty(t *testing.T) {
+// TestFilterProperty pins Filter against a brute-force reference over
+// random schemas, rows (Null payloads included), deletions, and
+// predicate trees: Filter(p).Tuples() must be, in row order, exactly
+// the live rows p.Eval accepts.
+func TestFilterProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		arity := rng.Intn(4) + 1
@@ -96,21 +95,28 @@ func TestScanColumnarProperty(t *testing.T) {
 		}
 		for pi := 0; pi < 5; pi++ {
 			pred := randPredicate(rng, attrs, rng.Intn(3))
-			var want []int
+			var want []Tuple
 			for i := 0; i < n; i++ {
 				if r.Live(i) && pred.Eval(r.Row(i), r.Schema()) {
-					want = append(want, i)
+					want = append(want, r.Row(i))
 				}
 			}
-			got := r.ScanWhere(pred, nil)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d pred %s: %d rows, want %d", trial, pred, len(got), len(want))
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("trial %d pred %s: row %d = %d, want %d", trial, pred, k, got[k], want[k])
-				}
-			}
+			checkFiltered(t, fmt.Sprintf("trial %d pred %s", trial, pred), r.Filter("kept", pred), want)
+		}
+	}
+}
+
+// checkFiltered fails unless got holds exactly the rows of want, in
+// order.
+func checkFiltered(t *testing.T, what string, got *Relation, want []Tuple) {
+	t.Helper()
+	rows := got.Tuples()
+	if len(rows) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(rows), len(want))
+	}
+	for k := range rows {
+		if !rows[k].Equal(want[k]) {
+			t.Fatalf("%s: row %d = %v, want %v", what, k, rows[k], want[k])
 		}
 	}
 }
@@ -153,7 +159,8 @@ func (c tailCapture) check(t *testing.T) {
 // relation with a live index, pinning published snapshots along the way.
 // It then verifies (1) every pinned snapshot is still byte-identical —
 // tail appends must never reach a published prefix — and (2) the final
-// contents, scans, and degrees match a relation rebuilt from scratch.
+// contents, Filter output, and degrees match a relation rebuilt from
+// scratch.
 func driveColumnTail(t *testing.T, ops []byte, arity int) {
 	t.Helper()
 	attrs := make([]string, arity)
@@ -224,15 +231,14 @@ func driveColumnTail(t *testing.T, ops []byte, arity int) {
 		}
 	}
 	pred := Cmp{Attr: attrs[0], Op: GE, Val: 0}
-	a, b := r.ScanWhere(pred, nil), fresh.ScanWhere(pred, nil)
-	if len(a) != len(b) {
-		t.Fatalf("scan: %d rows, rebuilt %d", len(a), len(b))
-	}
-	for k := range a {
-		if !r.Row(a[k]).Equal(fresh.Row(b[k])) {
-			t.Fatalf("scan row %d: %v, rebuilt %v", k, r.Row(a[k]), fresh.Row(b[k]))
+	var kept []Tuple
+	for _, row := range liveRows {
+		if pred.Eval(row, r.Schema()) {
+			kept = append(kept, row)
 		}
 	}
+	checkFiltered(t, "filter", r.Filter("kept", pred), kept)
+	checkFiltered(t, "rebuilt filter", fresh.Filter("kept", pred), kept)
 	for at := 0; at < arity; at++ {
 		for v := Value(-4); v <= 6; v++ {
 			if gd, wd := r.Degree(at, v), fresh.Degree(at, v); gd != wd {
@@ -256,4 +262,34 @@ func FuzzColumnTail(f *testing.F) {
 		}
 		driveColumnTail(t, ops, a)
 	})
+}
+
+// BenchmarkFilter times Filter over an orders-shaped relation (four
+// attributes, o_status in 0..2) under UQ3's o_status <= 1 restriction,
+// which keeps two rows in three. 12 000 rows is the orders relation of
+// UQ3 at sf 20; 600 000 is fifty times that.
+func BenchmarkFilter(b *testing.B) {
+	for _, rows := range []int{12000, 600000} {
+		cols := make([][]Value, 4)
+		for a := range cols {
+			cols[a] = make([]Value, rows)
+		}
+		for i := 0; i < rows; i++ {
+			cols[0][i] = Value(i)
+			cols[1][i] = Value(i * 7 % 1500)
+			cols[2][i] = Value(i * 13 % 3)
+			cols[3][i] = Value(i * 31 % 100000)
+		}
+		r := New("orders", NewSchema("orderkey", "custkey", "o_status", "o_totalprice"))
+		r.AppendColumns(cols)
+		pred := Cmp{Attr: "o_status", Op: LE, Val: 1}
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if r.Filter("orders_lo", pred).Len() == 0 {
+					b.Fatal("empty filter")
+				}
+			}
+		})
+	}
 }

@@ -50,24 +50,6 @@ func (p ShardPredicate) Eval(t Tuple, s *Schema) bool {
 	return ShardOf(t[a], p.Shards) == p.Shard
 }
 
-// EvalColumn implements ColumnPredicate: one hash per candidate over
-// the single column.
-func (p ShardPredicate) EvalColumn(s *Schema, cols [][]Value, sel []int, out []int) []int {
-	a := s.Index(p.Attr)
-	if a < 0 {
-		return out
-	}
-	col := cols[a]
-	for _, i := range sel {
-		if ShardOf(col[i], p.Shards) == p.Shard {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-var _ ColumnPredicate = ShardPredicate{}
-
 func (p ShardPredicate) String() string {
 	return fmt.Sprintf("hash(%s) mod %d = %d", p.Attr, p.Shards, p.Shard)
 }

@@ -644,34 +644,27 @@ func (r *Relation) StorageStats() StorageStats {
 	return st
 }
 
-// liveIDs appends the snapshot's live row ids to sel, ascending.
-func (s *snapshot) liveIDs(sel []int) []int {
+// Filter returns a new relation keeping, in row order, the live rows of
+// one snapshot that pred.Eval accepts, each gathered into one scratch
+// tuple; the kept rows are copied in one batch. The result shares no
+// storage with r.
+func (r *Relation) Filter(name string, pred Predicate) *Relation {
+	s := r.snap.Load()
+	row := make(Tuple, len(s.cols))
+	var kept []int
 	for i := 0; i < s.rows; i++ {
-		if s.isLive(i) {
-			sel = append(sel, i)
+		if !s.isLive(i) {
+			continue
+		}
+		for a, c := range s.cols {
+			row[a] = c[i]
+		}
+		if pred.Eval(row, r.schema) {
+			kept = append(kept, i)
 		}
 	}
-	return sel
-}
-
-// ScanWhere returns the live row ids satisfying pred, ascending,
-// appended to sel. The scan runs column-at-a-time for the built-in
-// predicates (tight per-column loops over a selection vector) and
-// falls back to per-row evaluation for foreign Predicate
-// implementations.
-func (r *Relation) ScanWhere(pred Predicate, sel []int) []int {
-	s := r.snap.Load()
-	all := s.liveIDs(make([]int, 0, s.live))
-	return evalColumns(pred, r.schema, s.cols, all, sel)
-}
-
-// Filter returns a new relation keeping only live rows for which pred
-// is true. The result shares no storage with r. The scan is
-// vectorized and kept rows are copied column-at-a-time in one batch —
-// one lock, one snapshot.
-func (r *Relation) Filter(name string, pred Predicate) *Relation {
 	out := New(name, r.schema)
-	out.AppendRowIDs(r, r.ScanWhere(pred, nil))
+	out.AppendRowIDs(r, kept)
 	return out
 }
 
@@ -684,15 +677,17 @@ func (r *Relation) Project(name string, attrs []string) (*Relation, error) {
 	}
 	out := New(name, NewSchema(attrs...))
 	s := r.snap.Load()
-	live := s.liveIDs(make([]int, 0, s.live))
 	cols := make([][]Value, len(idx))
-	for k, j := range idx {
-		src := s.cols[j]
-		col := make([]Value, len(live))
-		for n, i := range live {
-			col[n] = src[i]
+	for k := range cols {
+		cols[k] = make([]Value, 0, s.live)
+	}
+	for i := 0; i < s.rows; i++ {
+		if !s.isLive(i) {
+			continue
 		}
-		cols[k] = col
+		for k, j := range idx {
+			cols[k] = append(cols[k], s.cols[j][i])
+		}
 	}
 	out.AppendColumns(cols)
 	return out, nil

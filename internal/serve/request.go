@@ -153,12 +153,13 @@ func (d UnionDecl) build(dataDir string) (*sampleunion.Union, map[string]*relati
 }
 
 // PredDecl is the JSON form of a selection predicate: exactly one
-// field set per node. The zero value (or an absent "where") means
-// true.
+// field set per node. A key counts as set when it is present, so
+// {"and": []} is true and {"or": []} is false, as relation.And{} and
+// relation.Or{} are. The zero value (or an absent "where") means true.
 type PredDecl struct {
 	Cmp  *CmpDecl   `json:"cmp,omitempty"`
-	And  []PredDecl `json:"and,omitempty"`
-	Or   []PredDecl `json:"or,omitempty"`
+	And  []PredDecl `json:"and,omitzero"`
+	Or   []PredDecl `json:"or,omitzero"`
 	Not  *PredDecl  `json:"not,omitempty"`
 	In   *InDecl    `json:"in,omitempty"`
 	True bool       `json:"true,omitempty"`
@@ -184,10 +185,10 @@ func (p PredDecl) toPredicate() (relation.Predicate, error) {
 	if p.Cmp != nil {
 		set++
 	}
-	if len(p.And) > 0 {
+	if p.And != nil {
 		set++
 	}
-	if len(p.Or) > 0 {
+	if p.Or != nil {
 		set++
 	}
 	if p.Not != nil {
@@ -212,13 +213,13 @@ func (p PredDecl) toPredicate() (relation.Predicate, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		return relation.Cmp{Attr: p.Cmp.Attr, Op: op, Val: relation.Value(p.Cmp.Value)}, nil
-	case len(p.And) > 0:
+	case p.And != nil:
 		sub, err := toPredicates(p.And)
 		if err != nil {
 			return nil, err
 		}
 		return relation.And(sub), nil
-	case len(p.Or) > 0:
+	case p.Or != nil:
 		sub, err := toPredicates(p.Or)
 		if err != nil {
 			return nil, err

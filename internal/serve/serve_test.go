@@ -8,10 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"sampleunion"
+	"sampleunion/internal/relation"
 )
 
 // sampleResponse is the body of /sample and /sample/where as a client
@@ -793,6 +795,85 @@ func TestPredicateDeclCompilation(t *testing.T) {
 		if _, err := d.toPredicate(); err == nil {
 			t.Fatalf("bad decl %d compiled", i)
 		}
+	}
+
+	// A key counts as set when it is present, empty or not: the wire's
+	// empty and/or mean what the library's empty And/Or mean, and a node
+	// that sets cmp beside an empty list sets two keys.
+	schema := relation.NewSchema("a")
+	for _, c := range []struct {
+		json string
+		want bool // Eval on a = 1; ignored when bad
+		bad  bool
+	}{
+		{json: `{}`, want: true},
+		{json: `{"and": []}`, want: true},
+		{json: `{"or": []}`, want: false},
+		{json: `{"or": null}`, want: true},
+		{json: `{"not": {"or": []}}`, want: true},
+		{json: `{"and": [{"or": []}]}`, want: false},
+		{json: `{"cmp": {"attr": "a", "op": "=", "value": 1}, "or": []}`, bad: true},
+		{json: `{"cmp": {"attr": "a", "op": "=", "value": 1}, "and": []}`, bad: true},
+		{json: `{"and": [], "or": []}`, bad: true},
+	} {
+		var d PredDecl
+		if err := json.Unmarshal([]byte(c.json), &d); err != nil {
+			t.Fatalf("%s: %v", c.json, err)
+		}
+		p, err := d.toPredicate()
+		if c.bad {
+			if err == nil {
+				t.Fatalf("%s compiled to %v; a node that sets two keys must be refused", c.json, p)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.json, err)
+		}
+		if got := p.Eval(relation.Tuple{1}, schema); got != c.want {
+			t.Fatalf("%s compiled to %v, which reads %v; want %v", c.json, p, got, c.want)
+		}
+	}
+	// An empty list survives encoding, so a Go client's Or{} is false on
+	// the server too.
+	if b, _ := json.Marshal(PredDecl{Or: []PredDecl{}}); string(b) != `{"or":[]}` {
+		t.Fatalf("PredDecl{Or: []PredDecl{}} encodes as %s, want {\"or\":[]}", b)
+	}
+}
+
+// TestApproxCountEmptyOr pins that /approx/count under {"or": []}
+// answers what the library's ApproxCount(Or{}, n) answers: 0, since no
+// tuple satisfies an empty disjunction.
+func TestApproxCountEmptyOr(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	decl := quickDecl()
+	u, err := json.Marshal(decl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"union": %s, "n": 200, "where": {"or": []}}`, u)
+	resp, err := http.Post(ts.URL+"/approx/count", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/approx/count: status %d", resp.StatusCode)
+	}
+	var got approxResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.Registry().Get(decl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Sess.ApproxCount(sampleunion.Or{}, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Value != 0 || got.Value != want.Value || got.N != want.N {
+		t.Fatalf("/approx/count where {\"or\": []} = %+v; library ApproxCount(Or{}, 200) = %+v, want value 0 from both", got, want)
 	}
 }
 
