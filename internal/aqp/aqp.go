@@ -19,11 +19,19 @@ type Result struct {
 	Value     float64
 	HalfWidth float64
 	N         int // samples used
+
+	size float64 // a count's |U| estimate, which bounds its interval; 0 otherwise
 }
 
-// Interval renders the estimate as [lo, hi].
+// Interval renders the estimate as [lo, hi]: Value ± HalfWidth, clamped
+// for a count (Count, GroupCount) to [0, |U|], outside which no count
+// lies.
 func (r Result) Interval() (lo, hi float64) {
-	return r.Value - r.HalfWidth, r.Value + r.HalfWidth
+	lo, hi = r.Value-r.HalfWidth, r.Value+r.HalfWidth
+	if r.size > 0 {
+		lo, hi = max(lo, 0), min(hi, r.size)
+	}
+	return lo, hi
 }
 
 func (r Result) String() string {
@@ -56,6 +64,7 @@ func Count(samples []relation.Tuple, schema *relation.Schema, pred relation.Pred
 		Value:     unionSize * p,
 		HalfWidth: unionSize * binomialHalfWidth(hits, n, z),
 		N:         n,
+		size:      unionSize,
 	}, nil
 }
 

@@ -222,3 +222,49 @@ func TestResultString(t *testing.T) {
 		t.Errorf("interval = [%f, %f]", lo, hi)
 	}
 }
+
+// TestCountIntervalWithinUnion: a count's interval is Value ± HalfWidth
+// clamped to [0, |U|], at both edges and for a group holding every
+// sample, while Value and HalfWidth keep their unclamped widths; a sum,
+// which may be negative, is not clamped.
+func TestCountIntervalWithinUnion(t *testing.T) {
+	pop, s := population()
+	const unionSize = 1000.0
+	samples := draw(pop, 200, 3)
+	never := relation.Cmp{Attr: "v", Op: relation.LT, Val: 0}
+	zero, err := Count(samples, s, never, unionSize, 1.96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := zero.Interval(); lo != 0 || hi != zero.HalfWidth || zero.Value != 0 || zero.HalfWidth <= 0 {
+		t.Fatalf("no hits: %v, interval [%v, %v]; want [0, %v]", zero, lo, hi, zero.HalfWidth)
+	}
+	full, err := Count(samples, s, relation.True{}, unionSize, 1.96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := full.Interval(); hi != unionSize || lo != unionSize-full.HalfWidth {
+		t.Fatalf("every sample a hit: %v, interval [%v, %v]; want [%v, %v]", full, lo, hi, unionSize-full.HalfWidth, unionSize)
+	}
+	for i := range samples {
+		samples[i] = relation.Tuple{samples[i][0], 7}
+	}
+	groups, err := GroupCount(samples, s, "flag", unionSize, 1.96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hi := groups[0].Count.Interval(); len(groups) != 1 || hi != unionSize {
+		t.Fatalf("one group: %+v, upper bound %v; want %v", groups, hi, unionSize)
+	}
+	shifted := make([]relation.Tuple, len(samples))
+	for i, tu := range samples {
+		shifted[i] = relation.Tuple{tu[0] - 500, tu[1]}
+	}
+	sum, err := Sum(shifted, s, "v", relation.True{}, unionSize, 1.96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := sum.Interval(); lo != sum.Value-sum.HalfWidth || hi != sum.Value+sum.HalfWidth || lo >= 0 {
+		t.Fatalf("sum %v: interval [%v, %v]; want Value ± HalfWidth reaching below 0", sum, lo, hi)
+	}
+}

@@ -45,6 +45,7 @@ func GroupCount(samples []relation.Tuple, schema *relation.Schema, attr string, 
 				Value:     unionSize * p,
 				HalfWidth: unionSize * binomialHalfWidth(c, n, z),
 				N:         c,
+				size:      unionSize,
 			},
 		})
 	}

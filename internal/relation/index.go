@@ -72,18 +72,23 @@ func hashValue(v Value, degrade uint64) uint64 {
 func FoldBudget(n int) int { return max(64, n/8) }
 
 // buildIndex constructs a pure-CSR index over attribute position a of
-// the snapshot, skipping tombstoned rows. Both passes run down the
-// attribute's column vector. The value directory grows with the distinct
+// the snapshot, skipping tombstoned rows. Pass 1 runs down the
+// attribute's column vector, probing the value directory once a row and
+// recording the row's entry; pass 2 scatters row ids from that record
+// and probes nothing. The value directory grows with the distinct
 // values, not the rows, and the key list is copied to its exact length.
 func buildIndex(s *snapshot, a int, version uint64, degrade uint64) *Index {
 	n := s.rows
 	col := s.cols[a]
 	b := &csr{degrade: degrade, slots: make([]int32, minSlots)}
 	// Pass 1: discover distinct values and their degrees. counts is
-	// indexed by entry id (first-appearance rank).
+	// indexed by entry id (first-appearance rank); ent holds each row's
+	// entry, -1 for a dead row.
 	counts := make([]int32, 0, 16)
+	ent := make([]int32, n)
 	for i := 0; i < n; i++ {
 		if !s.isLive(i) {
+			ent[i] = -1
 			continue
 		}
 		v := col[i]
@@ -91,6 +96,7 @@ func buildIndex(s *snapshot, a int, version uint64, degrade uint64) *Index {
 		for j := hashValue(v, degrade) & mask; ; j = (j + 1) & mask {
 			sl := b.slots[j]
 			if sl == 0 {
+				ent[i] = int32(len(b.keys))
 				b.slots[j] = int32(len(b.keys) + 1)
 				b.keys = append(b.keys, v)
 				counts = append(counts, 1)
@@ -100,6 +106,7 @@ func buildIndex(s *snapshot, a int, version uint64, degrade uint64) *Index {
 				break
 			}
 			if b.keys[sl-1] == v {
+				ent[i] = sl - 1
 				counts[sl-1]++
 				break
 			}
@@ -119,14 +126,11 @@ func buildIndex(s *snapshot, a int, version uint64, degrade uint64) *Index {
 	}
 	b.rows = make([]int, live)
 	cursor := append([]int32(nil), b.starts[:len(b.keys)]...)
-	for i := 0; i < n; i++ {
-		if !s.isLive(i) {
-			continue
+	for i, e := range ent {
+		if e >= 0 {
+			b.rows[cursor[e]] = i
+			cursor[e]++
 		}
-		v := col[i]
-		e, _ := b.entryOf(v)
-		b.rows[cursor[e]] = i
-		cursor[e]++
 	}
 	return &Index{base: b, maxDeg: b.maxDeg, version: version}
 }

@@ -88,8 +88,25 @@ func NewRowSet(v View, from int) *RowSet {
 		n = v.s.rows - from
 	}
 	s := &RowSet{slots: NewSlots(n, 3), mask: cmp.Or(v.degrade, ^uint64(0))}
-	return s.insertFrom(v, from)
+	if s.slots.Bytes() <= cacheBytes {
+		return s.insertFrom(v, from)
+	}
+	s.slots.putOrdered(n, func(yield func(uint64, int) bool) {
+		for i := from; i < v.s.rows; i++ {
+			if v.s.isLive(i) && !yield(keyHasher{}.hashRow(v.s.cols, i, nil)&s.mask, i) {
+				return
+			}
+		}
+	}, fillChunk)
+	return s
 }
+
+// cacheBytes is the slot-array size up to which NewRowSet files rows in
+// row-id order: an array that fits a core's cache takes random writes at
+// cache speed, and a larger one is filed in home-slot order
+// (Slots.putOrdered), whose writes sweep it instead of missing the cache
+// once a row.
+const cacheBytes = 2 << 20
 
 // Extend returns s's successor: s's rows and v's live rows whose ids are
 // from or more, where from is the row count of the view s was last built

@@ -80,3 +80,51 @@ func TestStorageStatsIndexBytes(t *testing.T) {
 		t.Fatalf("indexed %v, index bytes %v; want attribute 0 alone, at least %d bytes", st.Indexed, st.IndexBytes, 500*8)
 	}
 }
+
+// TestRowSetPastCacheCut builds sets just large enough to be filed by
+// Slots.putOrdered, over all rows and from a row on, with rows deleted, and
+// compares them with sets filed by Put over the same view: both count
+// every row's values alike, dead rows and rows before from included,
+// and count nothing for 1 000 absent tuples.
+func TestRowSetPastCacheCut(t *testing.T) {
+	const rows = 230_000
+	a, b := make([]Value, rows), make([]Value, rows)
+	for i := range a {
+		a[i], b[i] = Value(i%40_000), Value(i/40_000%2) // each pair about three times
+	}
+	r := New("R", NewSchema("a", "b"))
+	r.AppendColumns([][]Value{a, b})
+	rnd := rand.New(rand.NewSource(1))
+	for range rows / 20 {
+		r.Delete(rnd.Intn(rows))
+	}
+	v := r.Pin()
+	for _, from := range []int{0, 20_000} {
+		n := v.s.live
+		if from > 0 {
+			n = rows - from
+		}
+		got := NewRowSet(v, from)
+		want := &RowSet{slots: NewSlots(n, 3), mask: ^uint64(0)}
+		want.insertFrom(v, from)
+		if got.Bytes() <= cacheBytes || got.Len() != want.Len() || got.Bytes() != want.Bytes() {
+			t.Fatalf("from %d: filled set holds %d rows in %d bytes, put set %d in %d; want the same, past %d bytes",
+				from, got.Len(), got.Bytes(), want.Len(), want.Bytes(), cacheBytes)
+		}
+		for i := range rows {
+			tu := Tuple{a[i], b[i]}
+			if g, w := got.Count(v, tu, nil), want.Count(v, tu, nil); g != w {
+				t.Fatalf("from %d: row %d %v counts %d, put set %d", from, i, tu, g, w)
+			}
+		}
+		for i := range 1000 {
+			tu := Tuple{Value(40_000 + rnd.Intn(1000)), Value(i % 3)}
+			if i%2 == 0 {
+				tu = Tuple{Value(rnd.Intn(40_000)), Value(2 + i%5)}
+			}
+			if got.Has(v, tu, nil) || want.Has(v, tu, nil) {
+				t.Fatalf("from %d: absent %v found", from, tu)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -42,19 +43,83 @@ func (s *Slots) Bytes() int64 { return 8 * int64(len(s.words)) }
 // Put files id under hash h, doubling the array first when one more id
 // would pass the fill limit.
 func (s *Slots) Put(h uint64, id int) {
+	s.grow(1)
+	s.store(slotWord(h, id))
+	s.n++
+}
+
+// fillChunk is how many ids putOrdered hashes before it files them, for
+// a fill past the cache: its two scratch arrays of that many words take
+// 512 KiB.
+const fillChunk = 1 << 15
+
+// putOrdered files each id that ids yields under its hash, as Put does,
+// but chunk ids at a time in home-slot order: it partitions each chunk
+// by the top 8 bits of its ids' home slots and files it in that order,
+// so the writes into an array larger than the cache sweep it front to
+// back instead of landing anywhere. Probes answer as they would after
+// Puts; only which slot an id takes may differ. n is how many ids ids
+// yields: it sizes the scratch, which is allocated once.
+func (s *Slots) putOrdered(n int, ids iter.Seq2[uint64, int], chunk int) {
+	chunk = max(1, min(n, chunk))
+	scratch := make([]uint64, 2*chunk)
+	words, sorted := scratch[:0:chunk], scratch[chunk:]
+	for h, id := range ids {
+		if words = append(words, slotWord(h, id)); len(words) == chunk {
+			s.fileOrdered(words, sorted)
+			words = words[:0]
+		}
+	}
+	s.fileOrdered(words, sorted)
+}
+
+// fileOrdered files words, sorted into out by the top 8 bits of their
+// home slot first.
+func (s *Slots) fileOrdered(words, out []uint64) {
+	s.grow(len(words))
+	mask := uint64(len(s.words) - 1)
+	shift := max(0, bits.Len64(mask)-8)
+	var starts [257]int
+	for _, w := range words {
+		starts[(w>>32&mask)>>shift+1]++
+	}
+	for b := 1; b < len(starts); b++ {
+		starts[b] += starts[b-1]
+	}
+	for _, w := range words {
+		b := (w >> 32 & mask) >> shift
+		out[starts[b]] = w
+		starts[b]++
+	}
+	for _, w := range out[:len(words)] {
+		s.store(w)
+	}
+	s.n += len(words)
+}
+
+// slotWord is the slot of id filed under hash h.
+func slotWord(h uint64, id int) uint64 {
 	if uint(id) >= 1<<32-1 {
 		panic(fmt.Sprintf("relation: id %d does not fit a slot", id))
 	}
-	if (s.n+1)*4 > len(s.words)*s.fill {
+	return uint64(uint32(h))<<32 | uint64(id+1)
+}
+
+// grow doubles the array until k more ids fit the fill limit.
+func (s *Slots) grow(k int) {
+	for (s.n+k)*4 > len(s.words)*s.fill {
 		s.words, s.shared = s.refile(2*len(s.words)), false
 	}
-	w := uint64(uint32(h))<<32 | uint64(id+1)
+}
+
+// store writes slot word w into its first free slot from its home on.
+func (s *Slots) store(w uint64) {
 	if j := place(s.words, w); s.shared {
 		atomic.StoreUint64(&s.words[j], w)
 	} else {
 		s.words[j] = w // no reader holds the array before it is published
 	}
-	s.n, s.end = s.n+1, max(s.end, id+1)
+	s.end = max(s.end, int(uint32(w)))
 }
 
 // place returns the first free slot of words from w's home on.

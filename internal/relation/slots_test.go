@@ -56,16 +56,19 @@ func (g slotGen) check(domain []uint64) error {
 	return nil
 }
 
-// FuzzSlots runs a script of puts, successors and siblings over one
-// chain of Slots generations, with every hash ANDed with mask (0 leaves
-// it whole; a small mask makes tags collide and chains long). Readers
-// keep probing every generation published so far while the next is
-// built (run under -race: a put where an older generation reads is a
-// race), and after the last step each generation is probed again
-// against its oracle. A script byte b puts key b>>3 into the generation
-// being built (b%8 < 5), publishes it and starts its successor (5), or
-// publishes it and starts a sibling: a successor of an older generation,
-// which may have one already (6, 7).
+// FuzzSlots runs a script of puts, bulk fills, successors and siblings
+// over one chain of Slots generations, with every hash ANDed with mask
+// (0 leaves it whole; a small mask makes tags collide and chains long);
+// the last four keys' hashes end in sixteen one bits, so they home at
+// the array's last slot and wrap around to its first. Readers keep
+// probing every generation published so far while the next is built
+// (run under -race: a put where an older generation reads is a race),
+// and after the last step each generation is probed again against its
+// oracle, the ids it filed by hash. A script byte b puts key b>>3 into
+// the generation being built (b%8 < 4), files keys b>>3, b>>3 + 1, ...
+// (mod 32), 1 + b>>3 of them, by one fill in chunks of 3 (4), publishes
+// it and starts its successor (5), or publishes it and starts a sibling:
+// a successor of an older generation, which may have one already (6, 7).
 func FuzzSlots(f *testing.F) {
 	rnd := rand.New(rand.NewSource(1))
 	for i, mask := range []uint8{0, 0x3, 0x1f, 0} {
@@ -73,6 +76,9 @@ func FuzzSlots(f *testing.F) {
 		rnd.Read(script)
 		f.Add(script, mask, i%2 == 0)
 	}
+	// A generation filed whole by one fill, the wrapping keys included,
+	// then extended in place by puts and a second fill, with a sibling.
+	f.Add([]byte{4 | 31<<3, 5, 0, 8, 31 << 3, 4 | 9<<3, 5, 6, 3 << 3}, uint8(0), false)
 	f.Fuzz(func(t *testing.T, script []byte, mask uint8, half bool) {
 		if len(script) > 400 {
 			script = script[:400]
@@ -85,6 +91,9 @@ func FuzzSlots(f *testing.F) {
 		for k := range domain {
 			if domain[k] = mix(uint64(k) + keySeed0); mask != 0 {
 				domain[k] &= uint64(mask)
+			}
+			if k >= len(domain)-4 {
+				domain[k] |= 0xffff
 			}
 		}
 		var mu sync.Mutex
@@ -130,10 +139,21 @@ func FuzzSlots(f *testing.F) {
 		cur := slotGen{s: NewSlots(0, fill)}
 		for _, b := range script {
 			switch op := b % 8; {
-			case op < 5:
+			case op < 4:
 				h := domain[b>>3]
 				cur.s.Put(h, len(cur.hashes))
 				cur.hashes = append(cur.hashes, h)
+			case op == 4:
+				k := 1 + int(b>>3)
+				cur.s.putOrdered(k, func(yield func(uint64, int) bool) {
+					for j := range k {
+						h := domain[(int(b>>3)+j)%len(domain)]
+						cur.hashes = append(cur.hashes, h)
+						if !yield(h, len(cur.hashes)-1) {
+							return
+						}
+					}
+				}, 3)
 			case op == 5:
 				publish(cur)
 				cur = successor(cur)

@@ -875,6 +875,10 @@ func TestApproxCountEmptyOr(t *testing.T) {
 	if want.Value != 0 || got.Value != want.Value || got.N != want.N {
 		t.Fatalf("/approx/count where {\"or\": []} = %+v; library ApproxCount(Or{}, 200) = %+v, want value 0 from both", got, want)
 	}
+	// A count never falls below 0, so neither does its interval.
+	if lo, hi := want.Interval(); lo != 0 || got.Lo != 0 || got.Hi != hi || hi != want.HalfWidth {
+		t.Fatalf("/approx/count interval [%v, %v], library [%v, %v]; want [0, %v] from both", got.Lo, got.Hi, lo, hi, want.HalfWidth)
+	}
 }
 
 func TestDrainingFlag(t *testing.T) {
