@@ -90,18 +90,30 @@ func (g *Generator) sharedCount(n int) int {
 	return s
 }
 
-// cell produces the deterministic value for (relation, row, column,
-// salt); salt is -1 for shared rows and the variant index otherwise.
-func (g *Generator) cell(rel string, row, col, salt int) relation.Value {
-	h := uint64(g.cfg.Seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	for _, p := range []uint64{hashString(rel), uint64(row), uint64(col), uint64(int64(salt))} {
-		h ^= p
-		h *= 0x100000001B3
-		h ^= h >> 29
-	}
+// stream is one relation's cell hash: the seed and the relation's name
+// already folded in, so a cell mixes in only its row, column and salt.
+type stream uint64
+
+// stream returns rel's cell hash.
+func (g *Generator) stream(rel string) stream {
+	return stream(mix(uint64(g.cfg.Seed)*0x9E3779B97F4A7C15+0x2545F4914F6CDD1D, hashString(rel)))
+}
+
+// cell produces the deterministic value for (row, column, salt) of the
+// stream's relation; salt is -1 for shared rows and the variant index
+// otherwise.
+func (s stream) cell(row, col, salt int) relation.Value {
+	h := mix(mix(mix(uint64(s), uint64(row)), uint64(col)), uint64(int64(salt)))
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 32
 	return relation.Value(h & 0x7FFFFFFF)
+}
+
+// mix folds p into the hash state h.
+func mix(h, p uint64) uint64 {
+	h ^= p
+	h *= 0x100000001B3
+	return h ^ h>>29
 }
 
 func hashString(s string) uint64 {
@@ -169,13 +181,14 @@ func columns(k, n int) [][]relation.Value {
 func (g *Generator) Supplier(v int) *relation.Relation {
 	n := g.scaled(Rows.Supplier)
 	s := g.sharedCount(n)
+	st := g.stream("supplier")
 	return load(fmt.Sprintf("supplier_v%d", v), n, []string{"suppkey", "s_name", "nationkey", "s_acctbal"},
 		func(c [][]relation.Value, i int) {
 			sa := salt(i, s, v)
 			c[0][i] = relation.Value(i)
-			c[1][i] = g.cell("supplier", i, 1, sa) % 100000
-			c[2][i] = relation.Value(int64(g.cell("supplier", i, 2, -1)) % NationCount)
-			c[3][i] = g.cell("supplier", i, 3, sa) % 10000
+			c[1][i] = st.cell(i, 1, sa) % 100000
+			c[2][i] = relation.Value(int64(st.cell(i, 2, -1)) % NationCount)
+			c[3][i] = st.cell(i, 3, sa) % 10000
 		})
 }
 
@@ -183,14 +196,15 @@ func (g *Generator) Supplier(v int) *relation.Relation {
 func (g *Generator) Customer(v int) *relation.Relation {
 	n := g.scaled(Rows.Customer)
 	s := g.sharedCount(n)
+	st := g.stream("customer")
 	return load(fmt.Sprintf("customer_v%d", v), n, []string{"custkey", "c_name", "nationkey", "c_acctbal", "c_mktsegment"},
 		func(c [][]relation.Value, i int) {
 			sa := salt(i, s, v)
 			c[0][i] = relation.Value(i)
-			c[1][i] = g.cell("customer", i, 1, sa) % 100000
-			c[2][i] = relation.Value(int64(g.cell("customer", i, 2, -1)) % NationCount)
-			c[3][i] = g.cell("customer", i, 3, sa) % 10000
-			c[4][i] = relation.Value(int64(g.cell("customer", i, 4, sa)) % 5)
+			c[1][i] = st.cell(i, 1, sa) % 100000
+			c[2][i] = relation.Value(int64(st.cell(i, 2, -1)) % NationCount)
+			c[3][i] = st.cell(i, 3, sa) % 10000
+			c[4][i] = relation.Value(int64(st.cell(i, 4, sa)) % 5)
 		})
 }
 
@@ -201,19 +215,20 @@ func (g *Generator) Orders(v int) *relation.Relation {
 	s := g.sharedCount(n)
 	nCust := g.scaled(Rows.Customer)
 	sCust := g.sharedCount(nCust)
+	st := g.stream("orders")
 	return load(fmt.Sprintf("orders_v%d", v), n, []string{"orderkey", "custkey", "o_status", "o_totalprice"},
 		func(c [][]relation.Value, i int) {
 			sa := salt(i, s, v)
 			var ck int64
 			if sa == -1 && sCust > 0 {
-				ck = int64(g.cell("orders", i, 1, -1)) % int64(sCust)
+				ck = int64(st.cell(i, 1, -1)) % int64(sCust)
 			} else {
-				ck = int64(g.cell("orders", i, 1, sa)) % int64(nCust)
+				ck = int64(st.cell(i, 1, sa)) % int64(nCust)
 			}
 			c[0][i] = relation.Value(i)
 			c[1][i] = relation.Value(ck)
-			c[2][i] = relation.Value(int64(g.cell("orders", i, 2, sa)) % 3)
-			c[3][i] = g.cell("orders", i, 3, sa) % 100000
+			c[2][i] = relation.Value(int64(st.cell(i, 2, sa)) % 3)
+			c[3][i] = st.cell(i, 3, sa) % 100000
 		})
 }
 
@@ -226,19 +241,20 @@ func (g *Generator) Lineitem(v int) *relation.Relation {
 	s := g.sharedCount(n)
 	nOrd := g.scaled(Rows.Orders)
 	sOrd := g.sharedCount(nOrd)
+	st := g.stream("lineitem")
 	return load(fmt.Sprintf("lineitem_v%d", v), n, []string{"orderkey", "l_linenumber", "l_quantity", "l_price"},
 		func(c [][]relation.Value, i int) {
 			sa := salt(i, s, v)
 			var ok int64
 			if sa == -1 && sOrd > 0 {
-				ok = int64(g.cell("lineitem", i, 0, -1)) % int64(sOrd)
+				ok = int64(st.cell(i, 0, -1)) % int64(sOrd)
 			} else {
-				ok = int64(g.cell("lineitem", i, 0, sa)) % int64(nOrd)
+				ok = int64(st.cell(i, 0, sa)) % int64(nOrd)
 			}
 			c[0][i] = relation.Value(ok)
 			c[1][i] = relation.Value(i)
-			c[2][i] = g.cell("lineitem", i, 2, sa)%50 + 1
-			c[3][i] = g.cell("lineitem", i, 3, sa) % 100000
+			c[2][i] = st.cell(i, 2, sa)%50 + 1
+			c[3][i] = st.cell(i, 3, sa) % 100000
 		})
 }
 
@@ -246,13 +262,14 @@ func (g *Generator) Lineitem(v int) *relation.Relation {
 func (g *Generator) Part(v int) *relation.Relation {
 	n := g.scaled(Rows.Part)
 	s := g.sharedCount(n)
+	st := g.stream("part")
 	return load(fmt.Sprintf("part_v%d", v), n, []string{"partkey", "p_name", "p_size", "p_retail"},
 		func(c [][]relation.Value, i int) {
 			sa := salt(i, s, v)
 			c[0][i] = relation.Value(i)
-			c[1][i] = g.cell("part", i, 1, sa) % 100000
-			c[2][i] = g.cell("part", i, 2, sa)%50 + 1
-			c[3][i] = g.cell("part", i, 3, sa) % 10000
+			c[1][i] = st.cell(i, 1, sa) % 100000
+			c[2][i] = st.cell(i, 2, sa)%50 + 1
+			c[3][i] = st.cell(i, 3, sa) % 10000
 		})
 }
 
@@ -263,20 +280,21 @@ func (g *Generator) PartSupp(v int) *relation.Relation {
 	s := g.sharedCount(n)
 	nPart, sPart := g.scaled(Rows.Part), g.sharedCount(g.scaled(Rows.Part))
 	nSupp, sSupp := g.scaled(Rows.Supplier), g.sharedCount(g.scaled(Rows.Supplier))
+	st := g.stream("partsupp")
 	return load(fmt.Sprintf("partsupp_v%d", v), n, []string{"partkey", "suppkey", "ps_availqty", "ps_supplycost"},
 		func(c [][]relation.Value, i int) {
 			sa := salt(i, s, v)
 			var pk, sk int64
 			if sa == -1 && sPart > 0 && sSupp > 0 {
-				pk = int64(g.cell("partsupp", i, 0, -1)) % int64(sPart)
-				sk = int64(g.cell("partsupp", i, 1, -1)) % int64(sSupp)
+				pk = int64(st.cell(i, 0, -1)) % int64(sPart)
+				sk = int64(st.cell(i, 1, -1)) % int64(sSupp)
 			} else {
-				pk = int64(g.cell("partsupp", i, 0, sa)) % int64(nPart)
-				sk = int64(g.cell("partsupp", i, 1, sa)) % int64(nSupp)
+				pk = int64(st.cell(i, 0, sa)) % int64(nPart)
+				sk = int64(st.cell(i, 1, sa)) % int64(nSupp)
 			}
 			c[0][i] = relation.Value(pk)
 			c[1][i] = relation.Value(sk)
-			c[2][i] = g.cell("partsupp", i, 2, sa) % 1000
-			c[3][i] = g.cell("partsupp", i, 3, sa) % 10000
+			c[2][i] = st.cell(i, 2, sa) % 1000
+			c[3][i] = st.cell(i, 3, sa) % 10000
 		})
 }
