@@ -14,11 +14,11 @@ import (
 // overlays alike, floor 64 — decides when a refresh pays O(rows) instead
 // of O(burst); a change that moves it moves this string.
 var foldScheduleWant = strings.Join([]string{
-	"1:0/0/2/0 2:0/0/2/0 3:0/0/2/0 5:0/0/2/0 6:0/0/2/0 7:2/0/2/0 8:0/2/0/0 9:0/0/2/0",
-	"10:0/0/2/0 11:0/0/2/0 13:0/0/2/0 14:0/0/2/0 15:0/0/2/0 16:2/0/0/0 17:0/0/2/0 18:0/0/2/0 19:0/2/2/0",
-	"21:0/0/2/0 22:0/0/2/0 23:0/0/2/0 25:0/0/2/0 26:2/0/2/0 27:0/0/2/0 28:2/0/0/0 29:0/0/2/0",
-	"30:0/0/2/0 31:0/2/2/0 32:0/2/0/0 33:0/0/2/0 34:0/0/2/0 35:0/0/2/0 37:0/0/2/0 38:2/0/2/0 39:0/0/2/0",
-	"41:0/0/2/0 42:0/0/2/0 43:0/0/2/0 45:0/2/2/0 46:0/0/2/0 47:0/0/2/0 49:0/0/2/0",
+	"1:0/0/2/0 2:0/0/2/0 3:0/0/2/0 5:0/0/2/0 6:0/0/2/0 7:2/0/2/0 8:0/1/0/0 9:0/0/2/0",
+	"10:0/0/2/0 11:0/0/2/0 13:0/0/2/0 14:0/0/2/0 15:0/0/2/0 16:2/0/0/0 17:0/0/2/0 18:0/0/2/0 19:0/1/2/0",
+	"21:0/0/2/0 22:0/0/2/0 23:0/0/2/0 25:0/0/2/0 26:2/0/2/0 27:0/0/2/0 29:0/0/2/0",
+	"30:0/0/2/0 31:0/1/2/0 32:2/1/0/0 33:0/0/2/0 34:0/0/2/0 35:0/0/2/0 37:0/0/2/0 38:2/0/2/0 39:0/0/2/0",
+	"41:0/0/2/0 42:0/0/2/0 43:0/0/2/0 45:0/1/2/0 46:0/0/2/0 47:0/0/2/0 49:0/0/2/0",
 	"50:0/0/2/0 51:2/0/2/0 53:0/0/2/0 54:0/0/2/0 55:0/0/2/0 57:0/0/2/0 58:0/0/2/0 59:0/0/2/0",
 }, " ")
 
@@ -27,7 +27,9 @@ var foldScheduleWant = strings.Join([]string{
 // otherwise, a delete every third step — through a live two-join session
 // under the zero Options, refreshing after every step, and pins the steps
 // at which indexes compacted, membership tables were rebuilt and weight
-// tables folded (RefreshStats). Each join's root is one large segment of
+// tables folded (RefreshStats). Only east's membership tables are built
+// and kept up: an owner probe asks only the joins before the one it drew
+// from, so nothing probes west, the last join. Each join's root is one large segment of
 // blocks and counts as folded when the blocks a burst reaches hold more
 // than an eighth of it: orders of existing customers reach most of its
 // blocks, while the new customers of every fourth step land in its last

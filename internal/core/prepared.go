@@ -72,25 +72,28 @@ var (
 func Prewarm(p PreparedSampler) { p.Prewarm() }
 
 // BuildShared is the build phase of a preparation: it forces, join beside
-// join, the shared structures that are a pure function of the data —
-// each join's membership tables and, per join edge, the two indexes over
-// its join attribute: the child's, which every walk and draw probes, and
-// the parent's, which a refresh follows from a changed child value to the
-// parent rows holding it. Run before the warm-up it moves every
-// first-touch build off the serial walks and onto all cores; it consumes
-// no randomness, so what the warm-up then estimates and draws is the
-// same. (First use is safe without it — both structures build exactly
-// once behind their own lock.) An index over any other attribute still
-// builds on its first Relation.Index, and costs a refresh nothing until
-// then.
+// join, the shared structures that are a pure function of the data and
+// that the warm-up and the draws read — per join edge the child's index
+// over its join attribute, which every walk and draw probes, and the
+// membership tables of every join but the last, which owner probes
+// (join.Owners) read: an owner probe asks only the joins before the one
+// it drew from. Run before the warm-up it moves every first-touch build
+// off the serial walks and onto all cores; it consumes no randomness, so
+// what the warm-up then estimates and draws is the same. The rest builds
+// on first use, once, behind its own lock: the parent's index over an
+// edge's join attribute on the first Refresh whose weight patch follows
+// a changed child value up to the parent rows holding it
+// (RefreshStats.IndexesBuilt counts it), the last join's membership
+// tables on its first Contains, and an index over any other attribute on
+// its first Relation.Index.
 func BuildShared(joins []*join.Join) {
 	join.FanOut(0, len(joins), func(i int) {
-		joins[i].PrewarmMembership()
+		if i < len(joins)-1 {
+			joins[i].PrewarmMembership()
+		}
 		nodes := joins[i].Nodes()
 		for k := 1; k < len(nodes); k++ {
-			n := &nodes[k]
-			n.Rel.Index(n.AttrPos)
-			nodes[n.Parent].Rel.Index(n.ParentAttrPos)
+			nodes[k].Rel.Index(nodes[k].AttrPos)
 		}
 	})
 }
@@ -168,10 +171,10 @@ func (p *prepared) warm(g *rng.RNG) error {
 	return nil
 }
 
-// folds are the O(rows) catch-ups the structures under a set of joins
-// have been through: index compactions over their distinct relations,
-// and membership tables built again.
-type folds struct{ indexes, members uint64 }
+// folds are the O(rows) builds the structures under a set of joins have
+// been through: indexes over their distinct relations built from nothing
+// and compacted, and membership tables built again.
+type folds struct{ built, indexes, members uint64 }
 
 func countFolds(joins []*join.Join) folds {
 	var f folds
@@ -181,6 +184,7 @@ func countFolds(joins []*join.Join) folds {
 		for _, r := range j.Relations() {
 			if !slices.Contains(seen, r) {
 				seen = append(seen, r)
+				f.built += r.IndexBuilds()
 				f.indexes += r.IndexCompactions()
 			}
 		}
@@ -215,6 +219,7 @@ func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
 	}
 	nb.patchStats(dirty, &np.refresh)
 	np.refresh.Walks = walksRun(p.walker, np.walker, dirty)
+	np.refresh.IndexesBuilt = int(np.folds.built - p.folds.built)
 	np.refresh.IndexesCompacted = int(np.folds.indexes - p.folds.indexes)
 	np.refresh.MembersRebuilt = int(np.folds.members - p.folds.members)
 	return np, true, nil
@@ -274,11 +279,15 @@ type RefreshStats struct {
 	NodesRebuilt    int `json:"nodes_rebuilt"`
 	JoinsRebuilt    int `json:"joins_rebuilt"`
 	WeightBytes     int `json:"weight_bytes"`
-	// IndexesCompacted counts the indexes over the joins' relations that
-	// were built again instead of extending their overlay, and
-	// MembersRebuilt the membership tables whose delta was folded into a
-	// rebuilt base, since the previous generation was built: with
-	// NodesRebuilt, the folds that cost O(rows) rather than O(burst).
+	// IndexesBuilt counts the indexes over the joins' relations that were
+	// built from nothing — a parent's index over a join attribute, which
+	// set-up leaves to the first Refresh that follows a changed child
+	// value up — IndexesCompacted those built again instead of extending
+	// their overlay, and MembersRebuilt the membership tables whose delta
+	// was folded into a rebuilt base, since the previous generation was
+	// built: with NodesRebuilt, the builds that cost O(rows) rather than
+	// O(burst).
+	IndexesBuilt     int `json:"indexes_built"`
 	IndexesCompacted int `json:"indexes_compacted"`
 	MembersRebuilt   int `json:"members_rebuilt"`
 	// Walks counts the wander-join walks run; Reprobed the retained
@@ -296,6 +305,7 @@ func (a *RefreshStats) add(b RefreshStats) {
 	a.NodesRebuilt += b.NodesRebuilt
 	a.JoinsRebuilt += b.JoinsRebuilt
 	a.WeightBytes += b.WeightBytes
+	a.IndexesBuilt += b.IndexesBuilt
 	a.IndexesCompacted += b.IndexesCompacted
 	a.MembersRebuilt += b.MembersRebuilt
 	a.Walks += b.Walks

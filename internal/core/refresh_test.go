@@ -104,6 +104,9 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 			// its index's.
 			want.SegmentsPatched = 1
 			want.WeightBytes = 800
+			// The patch followed J1's new K values up to the root's rows
+			// through J1_a's index on K, which set-up leaves to it.
+			want.IndexesBuilt = 1
 		}
 		if st != want {
 			t.Errorf("online=%v: refresh stats %+v, want %+v", online, st, want)
@@ -118,12 +121,16 @@ func TestRefreshReprobesCleanAnchors(t *testing.T) {
 }
 
 // TestPrewarmBuildsOnlyEdgeIndexes: a prepared, prewarmed sampler has
-// built, per join edge, the child's index on the join attribute (the
-// draws') and the parent's (a refresh's way up) — and none on a payload
-// attribute, which a later Refresh would otherwise have to catch up for
-// nothing. Such an index still builds on first use.
+// built, per join edge, the child's index on the join attribute — the
+// one walks and draws probe — and no index on a root. The parent's index
+// on the join attribute, a refresh's way up from a changed child value to
+// the parent rows holding it, builds on the first Refresh that follows
+// one, which counts it in IndexesBuilt; an index on a payload attribute,
+// which a later Refresh would otherwise have to catch up for nothing,
+// builds on its first use.
 func TestPrewarmBuildsOnlyEdgeIndexes(t *testing.T) {
 	joins := fixtureJoins(t)
+	var p PreparedSampler
 	p, err := PrepareCover(joins, CoverConfig{
 		Method:    MethodEW,
 		Estimator: &RandomWalkEstimator{Joins: joins},
@@ -133,15 +140,33 @@ func TestPrewarmBuildsOnlyEdgeIndexes(t *testing.T) {
 	}
 	Prewarm(p)
 	for _, j := range joins {
-		for _, n := range j.Nodes() {
-			// Both relations of a fixture join are (K, payload), joined on K.
-			if got := n.Rel.StorageStats().Indexed; !got[0] || got[1] {
-				t.Errorf("%s: indexed attributes %v, want only the join attribute", n.Rel.Name(), got)
+		for k, n := range j.Nodes() {
+			// Both relations of a fixture join are (K, payload), joined on
+			// K; node 0 is the root.
+			if got := n.Rel.StorageStats().Indexed; got[0] != (k > 0) || got[1] {
+				t.Errorf("%s: indexed attributes %v, want the join attribute on a child only", n.Rel.Name(), got)
 			}
 		}
 	}
-	rel := joins[0].Nodes()[1].Rel
-	if rel.Degree(1, rel.Value(0, 1)) != 1 || !rel.StorageStats().Indexed[1] {
+	// A second row of J1_b for K = 5 moves K's total: the patch reweighs
+	// the root rows holding 5, found through J1_a's index on K.
+	root, child := joins[0].Nodes()[0].Rel, joins[0].Nodes()[1].Rel
+	for round, wantBuilt := range []int{1, 0} {
+		child.AppendValues(5, relation.Value(501+round))
+		np, changed, err := p.Refresh(rng.New(4))
+		if err != nil || !changed {
+			t.Fatalf("round %d: Refresh changed=%v err=%v", round, changed, err)
+		}
+		st := np.LastRefresh()
+		if st.IndexesBuilt != wantBuilt || st.JoinsRebuilt != 0 || st.SegmentsPatched == 0 {
+			t.Errorf("round %d: refresh stats %+v, want %d index built and a patch", round, st, wantBuilt)
+		}
+		if !root.StorageStats().Indexed[0] {
+			t.Errorf("round %d: the Refresh left %s without its index on K", round, root.Name())
+		}
+		p = np
+	}
+	if child.Degree(1, child.Value(0, 1)) != 1 || !child.StorageStats().Indexed[1] {
 		t.Error("payload index did not build on first use")
 	}
 }

@@ -482,6 +482,11 @@ func (w *Weights) Total(k int, v relation.Value) int64 {
 // indexed row id is inside the snapshot, and liveness is read from that
 // snapshot alone. A weight past math.MaxInt64 is ErrWeightOverflow.
 func (j *Join) ExactWeights() (*Weights, error) {
+	// A patch follows every node's log from Vers on: turned on first, no
+	// log starts past them — the root's is turned on by nothing else.
+	for k := range j.nodes {
+		j.nodes[k].Rel.LogMutations()
+	}
 	ws := &Weights{
 		Vers:  j.StateVersions(),
 		Idx:   make([]*relation.Index, len(j.nodes)),

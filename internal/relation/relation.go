@@ -45,9 +45,10 @@ type Relation struct {
 	// relation compare it to detect staleness.
 	version atomic.Uint64
 
-	// compactions counts the indexes a catch-up built again from the
-	// snapshot instead of extending their overlay.
-	compactions atomic.Uint64
+	// builds counts the indexes built from nothing, compactions the ones
+	// a catch-up built again from the snapshot instead of extending their
+	// overlay.
+	builds, compactions atomic.Uint64
 
 	// Mutation log, guarded by mu. logOn flips true when the first
 	// derived structure is built (bulk loading before that costs no log
@@ -437,6 +438,15 @@ func (r *Relation) SetMutationSink(s MutationSink) {
 	r.sink = s
 }
 
+// LogMutations turns the mutation log on (Index, Pin and LiveRows do it
+// themselves), so that a structure derived from the relation from now on
+// can follow its mutations through MutationsSince.
+func (r *Relation) LogMutations() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.enableLogLocked()
+}
+
 // enableLogLocked starts recording mutations, so that a structure
 // derived from the current contents (an index, a LiveRows reader's
 // table, a pinned View's row set) can catch up incrementally. Callers
@@ -540,6 +550,8 @@ func (r *Relation) Index(a int) *Index {
 		next = buildIndex(s, a, v, r.testDegrade)
 		if prev != nil {
 			r.compactions.Add(1)
+		} else {
+			r.builds.Add(1)
 		}
 	}
 	set := make([]*Index, r.schema.Len())
@@ -550,6 +562,11 @@ func (r *Relation) Index(a int) *Index {
 	r.indexes.Store(&set)
 	return next
 }
+
+// IndexBuilds returns how many indexes of the relation were built from
+// nothing: first uses, and first uses again after RestoreSnapshot dropped
+// them.
+func (r *Relation) IndexBuilds() uint64 { return r.builds.Load() }
 
 // IndexCompactions returns how many times an index of the relation was
 // brought up to date by building it again — its overlay outgrew its

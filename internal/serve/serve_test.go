@@ -658,22 +658,27 @@ func TestMetricsEndpoint(t *testing.T) {
 // each built index holds, under exactly the attributes "indexes" lists,
 // and the bytes each join's membership sets hold: 8-byte row-id slots at
 // most three-quarters full and at least 16 per set, so under 22 bytes per
-// live row of the entry's relations and 128 more per set.
+// live row of the entry's relations and 128 more per set. An owner probe
+// asks only the joins before the one it drew from, so set-up leaves the
+// last join's sets to its first membership probe: it reads 0 until then.
 func TestMetricsStorageBytes(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	if code := post(t, ts.URL+"/sample", sampleRequest{Union: quickDecl(), N: 5}, nil); code != 200 {
 		t.Fatalf("/sample: %d", code)
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	storage := func() map[string]EntryStorage {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m metricsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Storage
 	}
-	defer resp.Body.Close()
-	var m metricsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	for key, es := range m.Storage {
+	for key, es := range storage() {
 		indexed, live := 0, 0
 		for name, rs := range es.Relations {
 			live += rs.LiveRows
@@ -690,14 +695,28 @@ func TestMetricsStorageBytes(t *testing.T) {
 		if indexed == 0 {
 			t.Errorf("entry %s: no index bytes reported", key)
 		}
-		if len(es.MemberBytes) == 0 {
-			t.Fatalf("entry %s: no membership bytes", key)
+		e, ok := srv.reg.Lookup(key)
+		if !ok {
+			t.Fatalf("entry %s: not in the registry", key)
 		}
-		for j, b := range es.MemberBytes {
+		joins := e.Union.Joins()
+		if len(es.MemberBytes) != len(joins) {
+			t.Fatalf("entry %s: membership bytes %v for %d joins", key, es.MemberBytes, len(joins))
+		}
+		inBounds := func(j string, b int64) {
 			if b <= 0 || b > int64(live)*22+1024 {
 				t.Errorf("entry %s: join %s membership holds %d bytes over %d live rows", key, j, b, live)
 			}
 		}
+		last := joins[len(joins)-1]
+		for _, j := range joins[:len(joins)-1] {
+			inBounds(j.Name(), es.MemberBytes[j.Name()])
+		}
+		if b := es.MemberBytes[last.Name()]; b != 0 {
+			t.Errorf("entry %s: last join %s membership holds %d bytes before any probe of it", key, last.Name(), b)
+		}
+		last.Contains(make(relation.Tuple, last.OutputSchema().Len()))
+		inBounds(last.Name(), storage()[key].MemberBytes[last.Name()])
 	}
 }
 

@@ -543,6 +543,50 @@ func TestRefreshedTablesDrawLikeRebuilt(t *testing.T) {
 	}
 }
 
+// TestFirstRefreshPatchesLastJoinRoot: a join's weights record its
+// relations' versions, and a Refresh patches them by following every
+// node's mutation log from there — the root's too, which no set-up
+// structure turns on for the last join of a union: nothing builds its
+// membership tables, and its root is no edge's child. Appending only to
+// that root, the first Refresh must patch the join rather than rebuild
+// it, and draw as a session prepared cold over the same relations.
+func TestFirstRefreshPatchesLastJoinRoot(t *testing.T) {
+	u, rels := liveUnion(t)
+	opts := Options{Seed: 9, Warmup: WarmupExact}
+	s, err := u.Prepare(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second customer row, under another nation, for keys only west
+	// holds: results of west alone.
+	for k := 40; k < 44; k++ {
+		rels[2].AppendValues(Value(k), Value(k%5+1))
+	}
+	if err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.RefreshStats(); st.DirtyJoins != 1 || st.JoinsRebuilt != 0 || st.SegmentsPatched == 0 {
+		t.Errorf("refresh stats %+v, want the west join patched, not rebuilt", st)
+	}
+	cold, err := u.Prepare(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := s.SampleSeeded(128, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := cold.SampleSeeded(128, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("draw %d: refreshed session %v, cold session %v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestShardedRefreshStats pins that a sharded session reports its
 // refresh's work list — the sum of its shards' — and that a Refresh
 // with nothing to do leaves the last effective refresh's report alone.

@@ -320,3 +320,40 @@ func TestSessionParallelScaling(t *testing.T) {
 		}
 	}
 }
+
+// TestLastJoinMembershipBuildsOnFirstProbe: an owner probe asks only the
+// joins before the one it drew from, so neither Prepare nor draws build
+// the last join's membership tables, under any warm-up or algorithm;
+// Union.Contains of a tuple only the last join holds builds them on that
+// first probe and answers true.
+func TestLastJoinMembershipBuildsOnFirstProbe(t *testing.T) {
+	for _, o := range []Options{
+		{Seed: 1},
+		{Seed: 1, Warmup: WarmupExact},
+		{Seed: 1, Warmup: WarmupHistogram},
+		{Seed: 1, Online: true},
+	} {
+		u, _ := liveUnion(t)
+		s, err := u.Prepare(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.SampleSeeded(10000, 2); err != nil {
+			t.Fatal(err)
+		}
+		last := u.Joins()[len(u.Joins())-1]
+		if b := last.MembershipBytes(); b != 0 {
+			t.Errorf("%+v: last join's membership holds %d bytes after Prepare and 10 000 draws", o, b)
+		}
+		// Customer 40 is west's alone: east holds customers 0 to 29.
+		schema := u.OutputSchema()
+		tu := make(Tuple, schema.Len())
+		tu[schema.Index("custkey")], tu[schema.Index("nationkey")], tu[schema.Index("orderkey")] = 40, 40%5, 400
+		if !u.Contains(tu) || u.Joins()[0].Contains(tu) {
+			t.Errorf("%+v: %v not held by the last join alone", o, tu)
+		}
+		if last.MembershipBytes() == 0 {
+			t.Errorf("%+v: a probe of the last join left its membership unbuilt", o)
+		}
+	}
+}
