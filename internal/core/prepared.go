@@ -71,21 +71,19 @@ var (
 // Prewarm forwards to p.Prewarm.
 func Prewarm(p PreparedSampler) { p.Prewarm() }
 
-// BuildShared is the build phase of a preparation: it forces, join beside
-// join, the shared structures that are a pure function of the data and
-// that the warm-up and the draws read — per join edge the child's index
-// over its join attribute, which every walk and draw probes, and the
-// membership tables of every join but the last, which owner probes
-// (join.Owners) read: an owner probe asks only the joins before the one
-// it drew from. Run before the warm-up it moves every first-touch build
-// off the serial walks and onto all cores; it consumes no randomness, so
-// what the warm-up then estimates and draws is the same. The rest builds
-// on first use, once, behind its own lock: the parent's index over an
-// edge's join attribute on the first Refresh whose weight patch follows
-// a changed child value up to the parent rows holding it
-// (RefreshStats.IndexesBuilt counts it), the last join's membership
-// tables on its first Contains, and an index over any other attribute on
-// its first Relation.Index.
+// BuildShared is the build phase of a preparation: join beside join, it
+// forces what the warm-up and the draws read — each join edge's index on
+// the child's join attribute, which every walk and draw probes, and the
+// membership tables of every join but the last, as an owner probe
+// (join.Owners) asks only the joins before the one it drew from. Run
+// before the warm-up it moves every first-touch build off the serial
+// walks and onto all cores; it consumes no randomness, so what the
+// warm-up then estimates and draws is the same. Everything else builds
+// on first use, once, behind its own lock: an edge's parent-side index
+// on the first Refresh that follows a changed child value up to the
+// parent rows holding it (RefreshStats.IndexesBuilt), the last join's
+// membership tables on their first Contains, any other index on its
+// first Relation.Index.
 func BuildShared(joins []*join.Join) {
 	join.FanOut(0, len(joins), func(i int) {
 		if i < len(joins)-1 {

@@ -334,7 +334,9 @@ func (j *Join) buildMembership(old *membershipTables) *membershipTables {
 // extending its delta: the reconciles that cost O(rows).
 func (j *Join) MemberRebuilds() uint64 { return j.memberFolds.Load() }
 
-// PrewarmMembership forces the membership tables (and the underlying
-// per-attribute indexes are forced by core.Prewarm); after it returns,
-// concurrent Contains probes only read shared state.
+// PrewarmMembership forces the membership tables; after it returns,
+// concurrent Contains probes only read shared state until a relation
+// mutates. core.BuildShared forces them for every join of a union but
+// the last, which no owner probe asks: its tables build on the first
+// Contains, under the same lock.
 func (j *Join) PrewarmMembership() { j.ensureMembership() }

@@ -100,11 +100,16 @@ func errNoSamples() error {
 
 // Prepare runs the warm-up for the given options exactly once and
 // returns a Session that serves any number of sampling and AQP calls
-// at per-draw cost. It first builds the joins' join-attribute indexes
-// and membership tables on every core (core.BuildShared), then estimates
-// the framework parameters (join sizes, covers, |U|) and builds the
-// per-join subroutine samplers, so that concurrent calls only read
-// shared state.
+// at per-draw cost. It first builds, on every core, what the warm-up and
+// the draws read (core.BuildShared): each join edge's index on the
+// child's join attribute, and the membership tables of every join but
+// the last, the only ones an owner probe asks. It then estimates the
+// framework parameters (join sizes, covers, |U|) and builds the per-join
+// subroutine samplers, so that concurrent draws only read shared state.
+// What no draw reads builds on first use, once, behind its own lock: the
+// parent-side index of a join edge on the first Refresh that needs it
+// (RefreshStats.IndexesBuilt), the last join's membership tables on
+// the first Contains that asks it.
 func (u *Union) Prepare(o Options) (*Session, error) {
 	o, err := o.Canonical()
 	if err != nil {
