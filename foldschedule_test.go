@@ -29,14 +29,16 @@ var foldScheduleWant = strings.Join([]string{
 // at which indexes compacted, membership tables were rebuilt and weight
 // tables folded (RefreshStats). Only east's membership tables are built
 // and kept up: an owner probe asks only the joins before the one it drew
-// from, so nothing probes west, the last join. Each join's root is one large segment of
-// blocks and counts as folded when the blocks a burst reaches hold more
-// than an eighth of it: orders of existing customers reach most of its
-// blocks, while the new customers of every fourth step land in its last
-// ones, and the block a delete reaches (join.BlockRows rows or so) is
-// too small to tip those steps over, so they fold no root. Each join's
-// leaf, ord, keeps no table: it folds nothing, and its index's
-// compactions rebuild no join.
+// from, so nothing probes west, the last join. Each join's root is one
+// large segment of blocks and counts as folded when the blocks a burst
+// reaches hold more than an eighth of it: orders of existing customers
+// reach most of its blocks, while the new customers of every fourth step
+// land in its last ones, and the block a delete reaches (join.BlockRows
+// rows or so) is too small to tip those steps over, so they fold no
+// root. Each join's leaf, ord, keeps no table: it folds nothing, and its
+// index's compactions rebuild no join. Each root's index on custkey, the
+// parent side of the join's one edge, builds on the first Refresh, after
+// step 0's burst.
 func TestFoldSchedule(t *testing.T) {
 	const rows, batch = 2000, 32
 	var rels []*Relation
