@@ -120,45 +120,3 @@ func TestSampleBatchSeededReproducibleConcurrent(t *testing.T) {
 		}
 	}
 }
-
-// TestSampleBatchAutoRefresh: a batch call on a stale AutoRefresh
-// session reconciles first and draws from the new data.
-func TestSampleBatchAutoRefresh(t *testing.T) {
-	r := NewRelation("r", NewSchema("a", "b"))
-	s := NewRelation("s", NewSchema("b", "c"))
-	for i := 0; i < 12; i++ {
-		r.AppendValues(Value(i), Value(i%3))
-		s.AppendValues(Value(i%3), Value(i*10))
-	}
-	j, err := Chain("j", []*Relation{r, s}, []string{"b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := NewUnion(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := u.Prepare(Options{Warmup: WarmupExact, Seed: 9, AutoRefresh: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.AppendRows([]Tuple{{100, 5}})
-	s.AppendRows([]Tuple{{5, 5000}})
-	out, _, err := sess.SampleBatch(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, tu := range out {
-		if tu[0] == 100 {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("batch draws never observed the appended rows under AutoRefresh")
-	}
-	if sess.Stale() {
-		t.Fatal("session still stale after auto-refreshing batch call")
-	}
-}

@@ -1,7 +1,7 @@
 // Command streaming demonstrates live relations: a prepared session
 // keeps serving uniform samples while the underlying data mutates —
-// append bursts and deletes are absorbed by Session.Refresh (or
-// transparently with Options.AutoRefresh) instead of a cold re-prepare.
+// append bursts and deletes are absorbed by Session.Refresh instead of
+// a cold re-prepare.
 //
 //	go run ./examples/streaming
 package main
@@ -83,19 +83,16 @@ func main() {
 			batch, s.UnionSize(), fresh, stats.Accepted)
 	}
 
-	// AutoRefresh folds the Refresh call into the draw path.
-	auto, err := u.Prepare(sampleunion.Options{
-		WarmupWalks: 300,
-		Seed:        43,
-		AutoRefresh: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Until Refresh, a stale session keeps drawing from the generation
+	// it has; single-row appends wait for the next Refresh as batches do.
 	p1.AppendValues(999999, 3)
 	l1.AppendValues(99999900, 999999)
-	if _, _, err := auto.Sample(50); err != nil { // reconciles transparently
+	if _, _, err := s.Sample(50); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("auto-refresh session served mutated data; stale=%v\n", auto.Stale())
+	fmt.Printf("after two appends the session still draws; stale=%v\n", s.Stale())
+	if err := s.Refresh(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("refreshed; stale=%v\n", s.Stale())
 }

@@ -132,7 +132,6 @@ type prepared struct {
 	coverRelHW []float64 // per-join cover-size relative half-widths after warm-up
 	warmupTime time.Duration
 	refresh    RefreshStats // what the Refresh that built this state did
-	folds      folds        // the joins' structures' fold counters once warm
 
 	// runs recycles this generation's released runs (see newRunPool): a
 	// Refresh publishes a new state with an empty pool, so a run never
@@ -162,11 +161,7 @@ func (p *prepared) warm(g *rng.RNG) error {
 	if p.alias == nil {
 		return ErrEmptyUnion
 	}
-	if err := p.base.buildPending(); err != nil {
-		return err
-	}
-	p.folds = countFolds(p.base.joins)
-	return nil
+	return p.base.buildPending()
 }
 
 // folds are the O(rows) builds the structures under a set of joins have
@@ -203,8 +198,11 @@ func retainedWalker(est Estimator) *walkest.Estimator {
 // the estimator's walk state over under walkest's refresh rule (dirty
 // joins' estimates reset — the old walks observed a join that no longer
 // exists — and only they walk again), catch the shared structures up
-// (BuildShared), warm, and report the work list.
+// (BuildShared), warm, and report the work list. The folds it reports
+// are those counted from its start to the end of the warm-up, so an
+// index built between two refreshes is charged to neither.
 func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
+	before := countFolds(p.base.joins)
 	nb, dirty, changed := p.base.reconciled()
 	if !changed {
 		return np, false, nil
@@ -217,9 +215,10 @@ func (p *prepared) nextGen(g *rng.RNG) (np prepared, changed bool, err error) {
 	}
 	nb.patchStats(dirty, &np.refresh)
 	np.refresh.Walks = walksRun(p.walker, np.walker, dirty)
-	np.refresh.IndexesBuilt = int(np.folds.built - p.folds.built)
-	np.refresh.IndexesCompacted = int(np.folds.indexes - p.folds.indexes)
-	np.refresh.MembersRebuilt = int(np.folds.members - p.folds.members)
+	after := countFolds(nb.joins)
+	np.refresh.IndexesBuilt = int(after.built - before.built)
+	np.refresh.IndexesCompacted = int(after.indexes - before.indexes)
+	np.refresh.MembersRebuilt = int(after.members - before.members)
 	return np, true, nil
 }
 
@@ -282,9 +281,12 @@ type RefreshStats struct {
 	// set-up leaves to the first Refresh that follows a changed child
 	// value up — IndexesCompacted those built again instead of extending
 	// their overlay, and MembersRebuilt the membership tables whose delta
-	// was folded into a rebuilt base, since the previous generation was
-	// built: with NodesRebuilt, the builds that cost O(rows) rather than
-	// O(burst).
+	// was folded into a rebuilt base, while the Refresh ran: with
+	// NodesRebuilt, the builds that cost O(rows) rather than O(burst).
+	// They are counters of the relations and joins, read as the Refresh
+	// starts and after its warm-up, so another session refreshing over
+	// the same relations at the same time can still charge its builds
+	// to this one.
 	IndexesBuilt     int `json:"indexes_built"`
 	IndexesCompacted int `json:"indexes_compacted"`
 	MembersRebuilt   int `json:"members_rebuilt"`

@@ -170,3 +170,40 @@ func TestPrewarmBuildsOnlyEdgeIndexes(t *testing.T) {
 		t.Error("payload index did not build on first use")
 	}
 }
+
+// TestRefreshStatsCountOnlyTheRefresh: a Refresh reports the indexes
+// built while it ran. A payload index a caller builds between two
+// refreshes (Relation.Degree) is charged to neither; the parent's index
+// on the join attribute, which the first Refresh's patch builds, is
+// charged to that Refresh alone.
+func TestRefreshStatsCountOnlyTheRefresh(t *testing.T) {
+	joins := fixtureJoins(t)
+	var p PreparedSampler
+	p, err := PrepareCover(joins, CoverConfig{
+		Method:    MethodEW,
+		Estimator: &RandomWalkEstimator{Joins: joins},
+	}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, child := joins[0].Nodes()[0].Rel, joins[0].Nodes()[1].Rel
+	between := []*relation.Relation{child, root} // a payload index built after round i
+	for round, wantBuilt := range []int{1, 0, 0} {
+		child.AppendValues(5, relation.Value(501+round))
+		np, changed, err := p.Refresh(rng.New(4))
+		if err != nil || !changed {
+			t.Fatalf("round %d: Refresh changed=%v err=%v", round, changed, err)
+		}
+		if st := np.LastRefresh(); st.IndexesBuilt != wantBuilt {
+			t.Errorf("round %d: the Refresh reports %d indexes built, want %d", round, st.IndexesBuilt, wantBuilt)
+		}
+		if round < len(between) {
+			r := between[round]
+			r.Degree(1, r.Value(0, 1))
+		}
+		p = np
+	}
+	if !root.StorageStats().Indexed[1] || !child.StorageStats().Indexed[1] {
+		t.Fatal("Degree built no payload index")
+	}
+}

@@ -9,10 +9,12 @@ import (
 type batchSink struct {
 	batches [][3]uint64 // version, start, n
 	rows    []Tuple
-	single  int
+	deletes [][2]uint64 // version, row
 }
 
-func (s *batchSink) LogMutation(uint64, Mutation) { s.single++ }
+func (s *batchSink) LogDelete(version uint64, row int) {
+	s.deletes = append(s.deletes, [2]uint64{version, uint64(row)})
+}
 
 func (s *batchSink) LogAppendBatch(version uint64, start, n int, cols [][]Value, _ string) {
 	s.batches = append(s.batches, [3]uint64{version, uint64(start), uint64(n)})
@@ -39,7 +41,8 @@ var liveIndexSeeds = []struct {
 // TestBulkLoadEqualsAppend: a relation loaded by AppendColumns is the
 // relation Append builds row by row — storage, versions, indexes and the
 // mutation log a derived structure catches up from — its sink sees the
-// batch record AppendRows would have teed, its vectors are the caller's
+// batch record AppendRows would have teed (and Append's sink a batch of
+// one row per call, Delete's the row id), its vectors are the caller's
 // (cap == len: a bulk load never regrows), and it takes appends, deletes
 // and index catch-up afterwards like any other (FuzzLiveIndex's seeds,
 // run over the loaded relation).
@@ -60,8 +63,9 @@ func TestBulkLoadEqualsAppend(t *testing.T) {
 			byRow.SetHashDegradeForTest(0x7)
 			bulk.SetHashDegradeForTest(0x7)
 		}
-		var rowSink, bulkSink batchSink
+		var rowSink, bulkSink, appendSink batchSink
 		bulk.SetMutationSink(&bulkSink)
+		byRow.SetMutationSink(&appendSink)
 		rows := make([]Tuple, n)
 		for i := range rows {
 			rows[i] = make(Tuple, seed.arity)
@@ -93,6 +97,14 @@ func TestBulkLoadEqualsAppend(t *testing.T) {
 		if !reflect.DeepEqual(bulkSink.rows, rows) {
 			t.Errorf("arity %d: sink read rows %v", seed.arity, bulkSink.rows)
 		}
+		for i, b := range appendSink.batches {
+			if b != [3]uint64{uint64(i + 1), uint64(i), 1} {
+				t.Errorf("arity %d: Append %d teed the batch %v, want a batch of its one row", seed.arity, i, b)
+			}
+		}
+		if len(appendSink.batches) != n || !reflect.DeepEqual(appendSink.rows, rows) {
+			t.Errorf("arity %d: %d Appends teed %d batches of rows %v", seed.arity, n, len(appendSink.batches), appendSink.rows)
+		}
 		for a := 0; a < seed.arity; a++ {
 			for v := Value(-3); v <= 9; v++ {
 				if got, want := bulk.Index(a).Rows(v), byRow.Index(a).Rows(v); !reflect.DeepEqual(got, want) {
@@ -113,6 +125,9 @@ func TestBulkLoadEqualsAppend(t *testing.T) {
 		}
 		if _, _, ok := bulk.MutationsSince(n - 1); ok {
 			t.Errorf("arity %d: the load itself is in the log", seed.arity)
+		}
+		if want := [][2]uint64{{n + 2, 3}}; !reflect.DeepEqual(bulkSink.deletes, want) || !reflect.DeepEqual(appendSink.deletes, want) {
+			t.Errorf("arity %d: Delete teed %v and %v, want %v", seed.arity, bulkSink.deletes, appendSink.deletes, want)
 		}
 		bulk.SetMutationSink(nil)
 		driveLive(t, bulk, seed.ops)

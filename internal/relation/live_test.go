@@ -310,8 +310,8 @@ func TestMutationLogTail(t *testing.T) {
 	if tail[0].Kind != MutAppend || tail[0].Row != 1 {
 		t.Fatalf("tail[0] = %+v, want append row 1", tail[0])
 	}
-	if tail[2].Kind != MutDelete || tail[2].Row != 0 || tail[2].Vals != nil || r.Value(tail[2].Row, 0) != 1 {
-		t.Fatalf("tail[2] = %+v (storage holds %d), want delete row 0 with no values, storage holding 1", tail[2], r.Value(tail[2].Row, 0))
+	if tail[2].Kind != MutDelete || tail[2].Row != 0 || r.Value(tail[2].Row, 0) != 1 {
+		t.Fatalf("tail[2] = %+v (storage holds %d), want delete row 0, storage holding 1", tail[2], r.Value(tail[2].Row, 0))
 	}
 	if _, _, ok := r.MutationsSince(v0 - 1); ok {
 		t.Fatal("MutationsSince before the enable point must fail")
@@ -350,9 +350,6 @@ func TestMutationLogHalving(t *testing.T) {
 	}
 	pinned := r.Version()
 	_, tail, _ := r.PinSince(pinned)
-	same := func(a, b []Mutation) bool {
-		return slices.EqualFunc(a, b, func(x, y Mutation) bool { return x.Kind == y.Kind && x.Row == y.Row && x.Vals == nil && y.Vals == nil })
-	}
 	var held []Mutation
 	var base *Mutation // the log's array
 	halvings := 0
@@ -380,7 +377,7 @@ func TestMutationLogHalving(t *testing.T) {
 			r.AppendRows(rows)
 		}
 		halve()
-		if r.logStart != start || !same(r.log, model) {
+		if r.logStart != start || !slices.Equal(r.log, model) {
 			t.Fatalf("step %d: log starts at %d with %d entries, the rule keeps %d from %d", step, r.logStart, len(r.log), len(model), start)
 		}
 		// The log grows by appending until its first halving; after that
@@ -398,7 +395,7 @@ func TestMutationLogHalving(t *testing.T) {
 			held = slices.Clone(tail)
 		}
 	}
-	if !same(tail, held) {
+	if !slices.Equal(tail, held) {
 		t.Fatal("a halving rewrote entries of a tail PinSince handed out")
 	}
 	if halvings < 10 {

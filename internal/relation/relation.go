@@ -70,20 +70,19 @@ type Relation struct {
 // MutationSink observes every mutation of a relation, synchronously,
 // in version order, with version the value Version() reports after the
 // mutation. The relation's mutation lock is held during the call: the
-// sink must not call back into the relation. Unlike the bounded
-// in-memory log, a sink receives an append's Vals, gathered from the
-// just-published snapshot, so it can serialize the mutation without
-// touching storage; a delete carries its row id alone. Treat m.Vals as
-// read-only.
+// sink must not call back into the relation.
 type MutationSink interface {
-	LogMutation(version uint64, m Mutation)
-	// LogAppendBatch is the bulk-append tee: rows [start, start+n) were
-	// just appended as one batch, producing versions (version-n,
-	// version]. cols are the just-published column vectors, so the sink
-	// reads the appended values in place — no per-row gather. tag is the
-	// batch's idempotency tag ("" for untagged appends); a durable sink
-	// records it with the batch so retry deduplication survives a
-	// restart. Treat cols as read-only.
+	// LogDelete is the delete tee: row was just tombstoned. Its values
+	// stay in storage, so the row id is all a sink needs.
+	LogDelete(version uint64, row int)
+	// LogAppendBatch is the append tee — every append is a batch, Append
+	// one of a single row: rows [start, start+n) were just appended,
+	// producing versions (version-n, version]. cols are the
+	// just-published column vectors, so the sink reads the appended
+	// values in place — no per-row gather. tag is the batch's
+	// idempotency tag ("" for untagged appends); a durable sink records
+	// it with the batch so retry deduplication survives a restart. Treat
+	// cols as read-only.
 	LogAppendBatch(version uint64, start, n int, cols [][]Value, tag string)
 }
 
@@ -120,11 +119,10 @@ const (
 
 // Mutation is one entry of the relation's mutation log, replayed by
 // derived structures (indexes, membership tables, residuals) to catch
-// up incrementally. Treat Vals as read-only.
+// up incrementally. It names a row, not its values: storage has them.
 type Mutation struct {
 	Kind MutKind
 	Row  int
-	Vals Tuple // a MutAppend's values, for a MutationSink only
 }
 
 // maxLogLen bounds the mutation log; structures further behind than the
@@ -206,19 +204,13 @@ func (r *Relation) Cols() [][]Value {
 	return r.snap.Load().cols
 }
 
-// Append adds a row. Built indexes are not invalidated: they absorb the
+// Append adds a row: a batch of one, so a sink sees it as AppendRows of
+// that row. Built indexes are not invalidated: they absorb the
 // change through their delta overlay on next use. The relation's
 // version moves so caches built over the old contents reconcile on next
 // use. Safe to call concurrently with readers; see the package
 // visibility contract in the README for what concurrent draws observe.
-func (r *Relation) Append(t Tuple) {
-	if len(t) != r.schema.Len() {
-		panic(fmt.Sprintf("relation %s: append arity %d, want %d", r.name, len(t), r.schema.Len()))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.appendLocked(t)
-}
+func (r *Relation) Append(t Tuple) { r.AppendRows([]Tuple{t}) }
 
 // AppendRows adds a batch of rows under one lock acquisition and one
 // snapshot publish — the fast path for streaming ingest.
@@ -289,9 +281,12 @@ func (r *Relation) AppendColumns(cols [][]Value) {
 	})
 }
 
-// appendBatch publishes n more rows under one lock acquisition, one
-// snapshot and one batch log record; fill returns attribute a's column
-// with the n new values appended (room gives it the capacity).
+// appendBatch publishes n more rows under one lock acquisition and one
+// snapshot; the version advances by n in one step, the sink sees one
+// batch (the WAL tee's amortization — per-row framing would dominate
+// bulk ingest), and the in-memory log gets its usual per-row entries.
+// fill returns attribute a's column with the n new values appended
+// (room gives it the capacity).
 func (r *Relation) appendBatch(n int, tag string, fill func(a int, col []Value) []Value) {
 	if n == 0 {
 		return
@@ -304,7 +299,11 @@ func (r *Relation) appendBatch(n int, tag string, fill func(a int, col []Value) 
 		cols[a] = fill(a, col)
 	}
 	r.snap.Store(&snapshot{cols: cols, rows: s.rows + n, dead: s.dead, live: s.live + n})
-	r.logAppendBatch(s.rows, n, tag)
+	v := r.version.Add(uint64(n))
+	if r.sink != nil {
+		r.sink.LogAppendBatch(v, s.rows, n, cols, tag)
+	}
+	r.appendLog(v, Mutation{Kind: MutAppend, Row: s.rows}, n)
 }
 
 // room returns col with capacity for n more values. A column with no
@@ -327,17 +326,6 @@ func room(col []Value, n int) []Value {
 	return grown
 }
 
-// appendLocked appends one row; callers hold r.mu.
-func (r *Relation) appendLocked(t Tuple) {
-	s := r.snap.Load()
-	cols := make([][]Value, len(s.cols))
-	for a := range cols {
-		cols[a] = append(s.cols[a], t[a])
-	}
-	r.snap.Store(&snapshot{cols: cols, rows: s.rows + 1, dead: s.dead, live: s.live + 1})
-	r.logMutation(Mutation{Kind: MutAppend, Row: s.rows})
-}
-
 // AppendValues adds a row given as individual values.
 func (r *Relation) AppendValues(vs ...Value) { r.Append(Tuple(vs)) }
 
@@ -356,63 +344,27 @@ func (r *Relation) Delete(i int) bool {
 	copy(dead, s.dead)
 	dead[i>>6] |= 1 << (uint(i) & 63)
 	r.snap.Store(&snapshot{cols: s.cols, rows: s.rows, dead: dead, live: s.live - 1})
-	r.logMutation(Mutation{Kind: MutDelete, Row: i})
+	v := r.version.Add(1)
+	if r.sink != nil {
+		r.sink.LogDelete(v, i)
+	}
+	r.appendLog(v, Mutation{Kind: MutDelete, Row: i}, 1)
 	return true
 }
 
-// logMutation bumps the version, tees into the registered sink, and,
-// when logging is on, appends to the bounded log; callers hold r.mu.
-func (r *Relation) logMutation(m Mutation) {
-	v := r.version.Add(1)
-	if r.sink != nil {
-		sm := m
-		if sm.Kind == MutAppend {
-			// The log holds no values (storage has them); a sink needs
-			// an append's to serialize it, so gather them from the
-			// just-published snapshot.
-			s := r.snap.Load()
-			vals := make(Tuple, len(s.cols))
-			for a, c := range s.cols {
-				vals[a] = c[sm.Row]
-			}
-			sm.Vals = vals
-		}
-		r.sink.LogMutation(v, sm)
-	}
+// appendLog records the mutations that just moved the version to v: n
+// entries — m, then m with its Row one higher each time — dropping the
+// older half of the log while it is longer than maxLogLen. With the log
+// off it only moves the log's start to v. The entries kept then go to a
+// new array with room up to the next halving, so appends do not regrow
+// it in between; never compacted in place, as PinSince hands out tails
+// that alias the log and its entries are never rewritten. Callers hold
+// r.mu.
+func (r *Relation) appendLog(v uint64, m Mutation, n int) {
 	if !r.logOn {
 		r.logStart = v
 		return
 	}
-	r.appendLog(m, 1)
-}
-
-// logAppendBatch is logMutation for a contiguous batch of appends over
-// the just-published snapshot: the version advances by n in one step,
-// the sink sees one batched record (the WAL tee's amortization — per-row
-// framing would dominate bulk ingest), and the in-memory log gets its
-// usual per-row entries; callers hold r.mu.
-func (r *Relation) logAppendBatch(first, n int, tag string) {
-	if n == 0 {
-		return
-	}
-	v := r.version.Add(uint64(n))
-	if r.sink != nil {
-		r.sink.LogAppendBatch(v, first, n, r.snap.Load().cols, tag)
-	}
-	if !r.logOn {
-		r.logStart = v
-		return
-	}
-	r.appendLog(Mutation{Kind: MutAppend, Row: first}, n)
-}
-
-// appendLog appends n entries to the log — m, then m with its Row one
-// higher each time — dropping the older half of the log while it is
-// longer than maxLogLen. The entries kept then go to a new array with
-// room up to the next halving, so appends do not regrow it in between;
-// never compacted in place, as PinSince hands out tails that alias the
-// log and its entries are never rewritten. Callers hold r.mu.
-func (r *Relation) appendLog(m Mutation, n int) {
 	keep := len(r.log) + n
 	for keep > maxLogLen {
 		keep -= keep / 2

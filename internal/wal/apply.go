@@ -31,60 +31,46 @@ type ApplyOutcome struct {
 // (Applied=false), one that extends the chain by exactly its own rows
 // is applied, and anything else is an ErrSeqGap. It is the single
 // decode-and-apply used by recovery replay and by replication
-// followers, so both enforce identical contiguity.
+// followers, so both enforce identical contiguity. A record it cannot
+// decode — a single-row append (kind 0), which no longer exists,
+// included — is an error, and leaves rel as it was.
 func ApplyRecord(rel *relation.Relation, seq uint64, payload []byte) (ApplyOutcome, error) {
-	if len(payload) == 0 {
-		return ApplyOutcome{}, fmt.Errorf("wal: %s: empty record payload at seq %d", rel.Name(), seq)
-	}
-	switch payload[0] {
-	case batchKind, taggedBatchKind:
-		tag, start, rows, err := decodeBatchRecord(payload)
-		if err != nil {
-			return ApplyOutcome{}, err
-		}
-		out := ApplyOutcome{Rows: len(rows), Tag: tag}
-		v := rel.Version()
-		if seq <= v {
-			return out, nil // duplicate: all of the batch's versions are in
-		}
-		if want := v + uint64(len(rows)); seq != want {
-			return out, fmt.Errorf("wal: %s: %w: batch record ends at %d, want %d", rel.Name(), ErrSeqGap, seq, want)
-		}
-		if len(rows[0]) != rel.Arity() {
-			return out, fmt.Errorf("wal: %s: batch record arity %d, want %d", rel.Name(), len(rows[0]), rel.Arity())
-		}
-		if start != rel.Len() {
-			return out, fmt.Errorf("wal: %s: batch record starts at row %d, storage at %d", rel.Name(), start, rel.Len())
-		}
-		rel.AppendRowsTagged(rows, tag)
-		out.Applied = true
-		return out, nil
-	}
 	out := ApplyOutcome{Rows: 1}
-	v := rel.Version()
-	if seq <= v {
-		return out, nil
+	var start, row int
+	var rows []relation.Tuple
+	var err error
+	switch {
+	case len(payload) == 0:
+		return out, fmt.Errorf("wal: %s: empty record payload at seq %d", rel.Name(), seq)
+	case payload[0] == batchKind || payload[0] == taggedBatchKind:
+		out.Tag, start, rows, err = decodeBatchRecord(payload, rel.Arity())
+		out.Rows = len(rows)
+	case payload[0] == deleteKind:
+		row, err = decodeDeleteRecord(payload)
+	case payload[0] == 0:
+		return out, fmt.Errorf("wal: %s: record %d is a single-row append (kind 0); appends are batch records", rel.Name(), seq)
+	default:
+		return out, fmt.Errorf("wal: %s: record %d has unknown kind %d", rel.Name(), seq, payload[0])
 	}
-	if want := v + 1; seq != want {
-		return out, fmt.Errorf("wal: %s: %w: record %d, want %d", rel.Name(), ErrSeqGap, seq, want)
-	}
-	m, err := DecodeMutation(payload)
 	if err != nil {
 		return out, err
 	}
-	switch m.Kind {
-	case relation.MutAppend:
-		if len(m.Vals) != rel.Arity() {
-			return out, fmt.Errorf("wal: %s: append record arity %d, want %d", rel.Name(), len(m.Vals), rel.Arity())
+	v := rel.Version()
+	if seq <= v {
+		return out, nil // duplicate: all of the record's versions are in
+	}
+	if want := v + uint64(out.Rows); seq != want {
+		return out, fmt.Errorf("wal: %s: %w: record ends at %d, want %d", rel.Name(), ErrSeqGap, seq, want)
+	}
+	switch {
+	case rows == nil:
+		if !rel.Delete(row) {
+			return out, fmt.Errorf("wal: %s: delete record for dead or missing row %d", rel.Name(), row)
 		}
-		if m.Row != rel.Len() {
-			return out, fmt.Errorf("wal: %s: append record row %d, storage at %d", rel.Name(), m.Row, rel.Len())
-		}
-		rel.Append(m.Vals)
-	case relation.MutDelete:
-		if !rel.Delete(m.Row) {
-			return out, fmt.Errorf("wal: %s: delete record for dead or missing row %d", rel.Name(), m.Row)
-		}
+	case start != rel.Len():
+		return out, fmt.Errorf("wal: %s: batch record starts at row %d, storage at %d", rel.Name(), start, rel.Len())
+	default:
+		rel.AppendRowsTagged(rows, out.Tag)
 	}
 	out.Applied = true
 	return out, nil

@@ -11,24 +11,31 @@ import (
 	"sampleunion/internal/relation"
 )
 
-// Mutation record payload (inside a WAL frame, little-endian):
+// Record payloads (inside a WAL frame, little-endian) come in two
+// kinds. A delete carries the tombstoned row's id alone — its values are
+// already in every checkpointed or rebuilt storage:
 //
-//	[kind u8][row u64][nvals u32][vals nvals × i64]
+//	[kind=1 u8][row u64][nvals u32 = 0]
 //
-// Appends carry the full tuple (nvals = arity); deletes carry none —
-// the tombstoned row's values are already in every checkpointed or
-// rebuilt storage, so replay needs only the row id.
-//
-// A batched append (one record per AppendRows batch, so bulk ingest
-// pays one frame, one CRC, and one log append per ack) uses its own
-// kind byte, disjoint from relation.MutKind values:
+// Every append is a batched append (one record per batch, Append's
+// single row included, so bulk ingest pays one frame, one CRC, and one
+// log append per ack):
 //
 //	[kind=2 u8][start u64][n u32][arity u32][cols arity × n × i64]
 //
 // covering rows [start, start+n), column-major; the frame's seq is the
-// relation version after the batch's LAST row.
+// relation version after the batch's LAST row. Kind 0, a single-row
+// append with its values, is no longer written and ApplyRecord refuses
+// it.
 
-// batchKind tags a batched-append payload (relation.MutKind uses 0/1).
+// deleteKind tags a delete payload (relation.MutDelete's value), and
+// deleteRecordLen is its size.
+const (
+	deleteKind      = 1
+	deleteRecordLen = 13
+)
+
+// batchKind tags a batched-append payload.
 const batchKind = 2
 
 // taggedBatchKind tags a batched append carrying an idempotency key,
@@ -44,45 +51,20 @@ const taggedBatchKind = 3
 // maxIdemKeyLen bounds a persisted idempotency key (the u16 klen field).
 const maxIdemKeyLen = 1 << 16
 
-// AppendMutation appends m's wire encoding to buf and returns the
-// extended slice.
-func AppendMutation(buf []byte, m relation.Mutation) []byte {
-	buf = append(buf, byte(m.Kind))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Row))
-	if m.Kind == relation.MutDelete {
-		return binary.LittleEndian.AppendUint32(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Vals)))
-	for _, v := range m.Vals {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	return buf
+// encodeDeleteRecord fills dst — exactly deleteRecordLen bytes — with
+// the delete of row.
+func encodeDeleteRecord(dst []byte, row int) {
+	dst[0] = deleteKind
+	binary.LittleEndian.PutUint64(dst[1:9], uint64(row))
+	binary.LittleEndian.PutUint32(dst[9:13], 0)
 }
 
-// DecodeMutation parses a payload produced by AppendMutation.
-func DecodeMutation(p []byte) (relation.Mutation, error) {
-	var m relation.Mutation
-	if len(p) < 13 {
-		return m, fmt.Errorf("wal: mutation record of %d bytes is too short", len(p))
+// decodeDeleteRecord parses a payload encodeDeleteRecord wrote.
+func decodeDeleteRecord(p []byte) (row int, err error) {
+	if len(p) != deleteRecordLen || p[0] != deleteKind || binary.LittleEndian.Uint32(p[9:13]) != 0 {
+		return 0, fmt.Errorf("wal: delete record of %d bytes is malformed", len(p))
 	}
-	m.Kind = relation.MutKind(p[0])
-	if m.Kind != relation.MutAppend && m.Kind != relation.MutDelete {
-		return m, fmt.Errorf("wal: unknown mutation kind %d", p[0])
-	}
-	m.Row = int(binary.LittleEndian.Uint64(p[1:9]))
-	nvals := binary.LittleEndian.Uint32(p[9:13])
-	rest := p[13:]
-	if uint64(len(rest)) != uint64(nvals)*8 {
-		return m, fmt.Errorf("wal: mutation record claims %d values, carries %d bytes", nvals, len(rest))
-	}
-	if nvals > 0 {
-		vals := make(relation.Tuple, nvals)
-		for i := range vals {
-			vals[i] = relation.Value(binary.LittleEndian.Uint64(rest[i*8 : i*8+8]))
-		}
-		m.Vals = vals
-	}
-	return m, nil
+	return int(binary.LittleEndian.Uint64(p[1:9])), nil
 }
 
 // batchRecordLen is the payload size of a batched append of n rows at
@@ -121,10 +103,13 @@ func encodeBatchRecord(dst []byte, tag string, start, n int, cols [][]relation.V
 	}
 }
 
-// decodeBatchRecord parses a batched-append payload of either kind into
-// its idempotency tag ("" when untagged), the starting physical row and
-// the appended tuples, in append order.
-func decodeBatchRecord(p []byte) (tag string, start int, rows []relation.Tuple, err error) {
+// decodeBatchRecord parses a batched-append payload of either kind for a
+// relation of the given arity into its idempotency tag ("" when
+// untagged), the starting physical row and the appended tuples, in
+// append order. It refuses another arity, or a row count the payload
+// does not carry, before it allocates, so a hostile record cannot make
+// it allocate what it claims.
+func decodeBatchRecord(p []byte, arity int) (tag string, start int, rows []relation.Tuple, err error) {
 	if len(p) < 1 || p[0] != batchKind && p[0] != taggedBatchKind {
 		return "", 0, nil, fmt.Errorf("wal: batch record of %d bytes is malformed", len(p))
 	}
@@ -142,17 +127,19 @@ func decodeBatchRecord(p []byte) (tag string, start int, rows []relation.Tuple, 
 	}
 	start = int(binary.LittleEndian.Uint64(p[0:8]))
 	n := binary.LittleEndian.Uint32(p[8:12])
-	arity := binary.LittleEndian.Uint32(p[12:16])
+	if ar := binary.LittleEndian.Uint32(p[12:16]); uint64(ar) != uint64(arity) {
+		return "", 0, nil, fmt.Errorf("wal: batch record arity %d, want %d", ar, arity)
+	}
 	rest := p[16:]
 	if n == 0 || uint64(len(rest)) != uint64(n)*uint64(arity)*8 {
 		return "", 0, nil, fmt.Errorf("wal: batch record claims %d x %d values, carries %d bytes", n, arity, len(rest))
 	}
 	rows = make([]relation.Tuple, n)
-	flat := make(relation.Tuple, int(n)*int(arity))
+	flat := make(relation.Tuple, int(n)*arity)
 	for i := range rows {
-		rows[i] = flat[i*int(arity) : (i+1)*int(arity)]
+		rows[i] = flat[i*arity : (i+1)*arity]
 	}
-	for a := 0; a < int(arity); a++ {
+	for a := 0; a < arity; a++ {
 		for i := 0; i < int(n); i++ {
 			rows[i][a] = relation.Value(binary.LittleEndian.Uint64(rest[:8]))
 			rest = rest[8:]

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -181,26 +182,100 @@ func TestApplyRecordTaggedBatch(t *testing.T) {
 	}
 }
 
+// TestApplyRecordMutations: a one-row batch appends, a delete record
+// tombstones, a delete that contradicts state or skips versions is
+// refused, and so is the single-row append record (kind 0) no writer
+// emits any more — by name, leaving the relation as it was.
 func TestApplyRecordMutations(t *testing.T) {
 	rel := relation.New("t", relation.NewSchema("a", "b"))
 	rel.AppendRows([]relation.Tuple{{1, 2}}) // version 1
 
-	app := AppendMutation(nil, relation.Mutation{Kind: relation.MutAppend, Row: 1, Vals: relation.Tuple{5, 6}})
+	app := make([]byte, batchRecordLen("", 1, 2))
+	encodeBatchRecord(app, "", 1, 1, [][]relation.Value{{1, 5}, {2, 6}})
 	out, err := ApplyRecord(rel, 2, app)
-	if err != nil || !out.Applied {
+	if err != nil || !out.Applied || out.Rows != 1 || !rel.Row(1).Equal(relation.Tuple{5, 6}) {
 		t.Fatalf("apply append: %+v, %v", out, err)
 	}
-	del := AppendMutation(nil, relation.Mutation{Kind: relation.MutDelete, Row: 0})
-	if out, err = ApplyRecord(rel, 3, del); err != nil || !out.Applied {
+	del := make([]byte, deleteRecordLen)
+	encodeDeleteRecord(del, 0)
+	if out, err = ApplyRecord(rel, 3, del); err != nil || !out.Applied || out.Rows != 1 || rel.Live(0) {
 		t.Fatalf("apply delete: %+v, %v", out, err)
 	}
 	// Deleting the same row again (as a fresh record) contradicts state.
-	del2 := AppendMutation(nil, relation.Mutation{Kind: relation.MutDelete, Row: 0})
-	if _, err := ApplyRecord(rel, 4, del2); err == nil {
+	if _, err := ApplyRecord(rel, 4, del); err == nil {
 		t.Fatal("delete of a dead row applied")
 	}
-	// Gap on single mutations too.
-	if _, err := ApplyRecord(rel, 9, app); !errors.Is(err, ErrSeqGap) {
-		t.Fatalf("gap mutation: %v, want ErrSeqGap", err)
+	// Gap on deletes too.
+	if _, err := ApplyRecord(rel, 9, del); !errors.Is(err, ErrSeqGap) {
+		t.Fatalf("gap delete: %v, want ErrSeqGap", err)
 	}
+	// [kind=0][row u64][nvals u32][vals]: what Append once wrote.
+	kind0 := []byte{0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0}
+	if _, err := ApplyRecord(rel, 4, kind0); err == nil || !strings.Contains(err.Error(), "single-row append (kind 0)") {
+		t.Fatalf("kind-0 record: %v, want a refusal naming it", err)
+	}
+	if rel.Version() != 3 || rel.Len() != 2 {
+		t.Fatalf("refused records moved the relation to version %d, %d rows", rel.Version(), rel.Len())
+	}
+}
+
+// TestApplyRecordHostileBatchAllocates: a 17-byte batch record that
+// claims 2^20 rows of arity 0 is refused for its arity before the
+// decoder allocates anything the size of its claim (it asked for 25 MB).
+func TestApplyRecordHostileBatchAllocates(t *testing.T) {
+	rel := relation.New("t", relation.NewSchema("a", "b"))
+	hostile := []byte{batchKind, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10, 0, 0, 0, 0, 0}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ApplyRecord(rel, 1<<20, hostile); err == nil || !strings.Contains(err.Error(), "arity 0, want 2") {
+			t.Fatalf("hostile batch: %v, want an arity refusal", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perApply := (after.TotalAlloc - before.TotalAlloc) / runs; perApply >= 1024 {
+		t.Fatalf("refusing a 17-byte record allocated %d B", perApply)
+	}
+}
+
+// FuzzApplyRecord feeds arbitrary payloads and seqs to ApplyRecord over a
+// 2-column relation at version 3: it must never panic, and must either
+// refuse the record leaving the relation as it was or apply exactly
+// out.Rows versions (none for a duplicate).
+func FuzzApplyRecord(f *testing.F) {
+	cols := [][]relation.Value{{0, 1, 2, 3, 4}, {0, 10, 20, 30, 40}}
+	for _, tag := range []string{"", "k"} {
+		for n := 1; n <= 2; n++ {
+			p := make([]byte, batchRecordLen(tag, n, 2))
+			encodeBatchRecord(p, tag, 3, n, cols)
+			f.Add(uint64(3+n), p)
+			f.Add(uint64(2), p)
+		}
+	}
+	del := make([]byte, deleteRecordLen)
+	encodeDeleteRecord(del, 1)
+	f.Add(uint64(4), del)
+	f.Add(uint64(4), []byte{0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint64(1<<20+3), []byte{batchKind, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10, 0, 0, 0, 0, 0})
+	f.Add(uint64(0), []byte{})
+	f.Fuzz(func(t *testing.T, seq uint64, payload []byte) {
+		rel := relation.New("t", relation.NewSchema("a", "b"))
+		rel.AppendRows([]relation.Tuple{{0, 0}, {1, 10}, {2, 20}})
+		v, rows, live := rel.Version(), rel.Len(), rel.LiveLen()
+		out, err := ApplyRecord(rel, seq, payload)
+		moved := rel.Version() - v
+		switch {
+		case err != nil:
+			if moved != 0 || rel.Len() != rows || rel.LiveLen() != live {
+				t.Fatalf("refused record (%v) moved the relation %d versions", err, moved)
+			}
+		case !out.Applied:
+			if moved != 0 || seq > v {
+				t.Fatalf("duplicate at seq %d over version %d moved the relation %d versions", seq, v, moved)
+			}
+		case moved != uint64(out.Rows) || seq != rel.Version():
+			t.Fatalf("applied %d rows at seq %d, relation moved %d versions to %d", out.Rows, seq, moved, rel.Version())
+		}
+	})
 }

@@ -23,7 +23,7 @@ type RelationLogOptions struct {
 //
 // Open recovers: it restores the newest valid checkpoint (falling back
 // to the next-newest on corruption) and replays the WAL tail past it
-// through the relation's ordinary Append/Delete path, then serving
+// through the relation's ordinary AppendRows/Delete path, then serving
 // code calls Attach to start teeing new mutations. The WAL seq of a
 // record is the relation version it produced, so replay is gap-checked
 // against Version() exactly.
@@ -37,7 +37,6 @@ type RelationLog struct {
 	sinkErr   error          // first Append failure, surfaced by Commit
 	ckptVers  []uint64       // retained checkpoint versions, ascending
 	lastCkpt  uint64         // version the newest checkpoint covers (or base)
-	buf       []byte         // encode scratch; LogMutation is serialized by rel.mu
 	recovered int            // mutations replayed or restored at Open
 	floor     uint64         // versions <= floor are not streamable from this WAL
 	tags      map[string]int // idempotency tags recovered from the WAL → rows
@@ -152,12 +151,12 @@ func (rl *RelationLog) Attach() { rl.rel.SetMutationSink(rl) }
 // checkpoint and WAL together, measured in relation versions).
 func (rl *RelationLog) Recovered() int { return rl.recovered }
 
-// LogMutation implements relation.MutationSink: encode and append. It
-// runs under the relation's mutation lock, so failures are parked and
-// surfaced by the Commit that must precede any ack.
-func (rl *RelationLog) LogMutation(version uint64, m relation.Mutation) {
-	rl.buf = AppendMutation(rl.buf[:0], m)
-	rl.park(rl.log.Append(version, rl.buf))
+// LogDelete implements the delete side of relation.MutationSink: one
+// delete record, encoded in place inside the WAL's write buffer. Like
+// LogAppendBatch it runs under the relation's mutation lock, so failures
+// are parked and surfaced by the Commit that must precede any ack.
+func (rl *RelationLog) LogDelete(version uint64, row int) {
+	rl.park(rl.log.AppendReserve(version, deleteRecordLen, func(dst []byte) { encodeDeleteRecord(dst, row) }))
 }
 
 // park keeps the first tee failure for Commit to surface.
@@ -176,7 +175,7 @@ func (rl *RelationLog) park(err error) {
 // approach maxRecordLen at any sane arity (2^16 rows × arity × 8 bytes).
 const batchChunkRows = 1 << 16
 
-// LogAppendBatch implements the bulk side of relation.MutationSink: one
+// LogAppendBatch implements the append side of relation.MutationSink: one
 // WAL record per batch (chunked only far beyond any wire-level batch
 // size), encoded in place inside the WAL's write buffer straight from
 // the published column vectors. The frame's seq is the version after

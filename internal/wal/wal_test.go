@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -151,33 +153,33 @@ func TestLogClosedSticky(t *testing.T) {
 	}
 }
 
+// TestMutationCodecRoundTrip: a delete record is [kind=1][row u64]
+// [nvals u32 = 0], the bytes the single-mutation codec wrote for a
+// delete, and decodes only from exactly those.
 func TestMutationCodecRoundTrip(t *testing.T) {
-	muts := []relation.Mutation{
-		{Kind: relation.MutAppend, Row: 0, Vals: relation.Tuple{1, 2, 3}},
-		{Kind: relation.MutAppend, Row: 41, Vals: relation.Tuple{-5, relation.Null}},
-		{Kind: relation.MutDelete, Row: 7, Vals: relation.Tuple{9, 9}},
-	}
-	for i, m := range muts {
-		enc := AppendMutation(nil, m)
-		got, err := DecodeMutation(enc)
-		if err != nil {
-			t.Fatalf("mut %d: %v", i, err)
+	for _, row := range []int{0, 7, 1<<40 + 3} {
+		enc := make([]byte, deleteRecordLen)
+		encodeDeleteRecord(enc, row)
+		want := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64([]byte{1}, uint64(row)), 0)
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("row %d encodes to % x, want % x", row, enc, want)
 		}
-		if got.Kind != m.Kind || got.Row != m.Row {
-			t.Fatalf("mut %d: %+v != %+v", i, got, m)
-		}
-		if m.Kind == relation.MutAppend && !got.Vals.Equal(m.Vals) {
-			t.Fatalf("mut %d: vals %v != %v", i, got.Vals, m.Vals)
-		}
-		if m.Kind == relation.MutDelete && got.Vals != nil {
-			t.Fatalf("mut %d: delete decoded with vals %v", i, got.Vals)
+		if got, err := decodeDeleteRecord(enc); err != nil || got != row {
+			t.Fatalf("row %d decodes to %d, %v", row, got, err)
 		}
 	}
-	if _, err := DecodeMutation([]byte{0, 1, 2}); err == nil {
-		t.Fatal("short record accepted")
-	}
-	if _, err := DecodeMutation(AppendMutation(nil, relation.Mutation{Kind: 9})); err == nil {
-		t.Fatal("unknown kind accepted")
+	enc := make([]byte, deleteRecordLen)
+	encodeDeleteRecord(enc, 5)
+	for name, p := range map[string][]byte{
+		"short":      enc[:12],
+		"long":       append(enc[:deleteRecordLen:deleteRecordLen], 0),
+		"kind 0":     append([]byte{0}, enc[1:]...),
+		"with vals":  append(append([]byte(nil), enc[:9]...), 1, 0, 0, 0),
+		"batch kind": append([]byte{batchKind}, enc[1:]...),
+	} {
+		if _, err := decodeDeleteRecord(p); err == nil {
+			t.Errorf("%s delete record accepted", name)
+		}
 	}
 }
 
@@ -232,17 +234,32 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// op is one step of a mutation script: the delete of row del when rows
+// is empty, else the append of rows — by Append when there is one,
+// AppendRows otherwise.
+type op struct {
+	rows []relation.Tuple
+	del  int
+}
+
+func (o op) apply(rel *relation.Relation) {
+	switch len(o.rows) {
+	case 0:
+		rel.Delete(o.del)
+	case 1:
+		rel.Append(o.rows[0])
+	default:
+		rel.AppendRows(o.rows)
+	}
+}
+
 // buildRel replays a deterministic mutation script so every test run
 // and every "what should the state be" rebuild agree exactly.
-func buildRel(script []relation.Mutation) *relation.Relation {
+func buildRel(script []op) *relation.Relation {
 	rel := relation.New("t", relation.NewSchema("a", "b"))
 	rel.AppendRows([]relation.Tuple{{0, 0}, {1, 10}, {2, 20}}) // base
-	for _, m := range script {
-		if m.Kind == relation.MutAppend {
-			rel.Append(m.Vals)
-		} else {
-			rel.Delete(m.Row)
-		}
+	for _, o := range script {
+		o.apply(rel)
 	}
 	return rel
 }
@@ -261,16 +278,18 @@ func relEqual(a, b *relation.Relation) bool {
 }
 
 // TestRelationLogRecovery drives a RelationLog through attached
-// mutations with interleaved checkpoints, then recovers into a fresh
-// base relation and expects byte-identical contents — including after
-// tearing the WAL tail, where recovery must land on a consistent
-// mutation-script prefix.
+// Appends, AppendRows batches and Deletes with interleaved checkpoints,
+// then recovers into a fresh base relation and expects byte-identical
+// contents — including after tearing the WAL tail, where recovery must
+// land on a consistent mutation-script prefix.
 func TestRelationLogRecovery(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	for round := 0; round < 20; round++ {
 		dir := t.TempDir()
-		var script []relation.Mutation
+		var script []op
 		rel := buildRel(nil)
+		// versions[k] is the relation version after k ops.
+		versions := []uint64{rel.Version()}
 		rl, err := OpenRelationLog(dir, rel, RelationLogOptions{
 			Options:         Options{Policy: SyncNever, SegmentBytes: 512},
 			CheckpointEvery: 0,
@@ -282,22 +301,22 @@ func TestRelationLogRecovery(t *testing.T) {
 		nops := 5 + rnd.Intn(60)
 		next := relation.Value(100)
 		for i := 0; i < nops; i++ {
+			var o op
 			if rnd.Intn(4) == 0 && rel.LiveLen() > 0 {
 				// Delete a live row.
-				for {
-					row := rnd.Intn(rel.Len())
-					if rel.Live(row) {
-						rel.Delete(row)
-						script = append(script, relation.Mutation{Kind: relation.MutDelete, Row: row})
-						break
-					}
+				for o.del = rnd.Intn(rel.Len()); !rel.Live(o.del); o.del = rnd.Intn(rel.Len()) {
 				}
 			} else {
-				vals := relation.Tuple{next, next * 2}
-				next++
-				rel.Append(vals)
-				script = append(script, relation.Mutation{Kind: relation.MutAppend, Vals: vals})
+				// Append one row, or a batch of 2 to 4.
+				o.rows = make([]relation.Tuple, 1+max(0, rnd.Intn(6)-2))
+				for j := range o.rows {
+					o.rows[j] = relation.Tuple{next, next * 2}
+					next++
+				}
 			}
+			o.apply(rel)
+			script = append(script, o)
+			versions = append(versions, rel.Version())
 			if err := rl.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -334,12 +353,12 @@ func TestRelationLogRecovery(t *testing.T) {
 			t.Fatalf("round %d: recover: %v", round, err)
 		}
 		// Recovery must land exactly k ops into the script for some k
-		// (k = all of them when the log was not torn), and the
-		// recovered state must equal a clean replay of that prefix.
-		base := buildRel(nil).Version()
-		k := int(rec.Version() - base)
-		if k < 0 || k > len(script) {
-			t.Fatalf("round %d: recovered %d ops, script has %d", round, k, len(script))
+		// (k = all of them when the log was not torn; never inside a
+		// batch), and the recovered state must equal a clean replay of
+		// that prefix.
+		k := slices.Index(versions, rec.Version())
+		if k < 0 {
+			t.Fatalf("round %d: recovered version %d is not an op boundary %v", round, rec.Version(), versions)
 		}
 		if !torn && k != len(script) {
 			t.Fatalf("round %d: untorn recovery lost ops: %d < %d", round, k, len(script))
@@ -361,11 +380,11 @@ func TestRelationLogCheckpointFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	rl.Attach()
-	var script []relation.Mutation
+	var script []op
 	for i := 0; i < 10; i++ {
-		vals := relation.Tuple{relation.Value(100 + i), relation.Value(200 + i)}
-		rel.Append(vals)
-		script = append(script, relation.Mutation{Kind: relation.MutAppend, Vals: vals})
+		o := op{rows: []relation.Tuple{{relation.Value(100 + i), relation.Value(200 + i)}}}
+		o.apply(rel)
+		script = append(script, o)
 		if err := rl.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +464,7 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 	}
 	enc := make([]byte, batchRecordLen("", 3, 2))
 	encodeBatchRecord(enc, "", 2, 3, cols)
-	tag, start, rows, err := decodeBatchRecord(enc)
+	tag, start, rows, err := decodeBatchRecord(enc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,19 +476,22 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", i, rows[i], want)
 		}
 	}
-	if _, _, _, err := decodeBatchRecord(enc[:10]); err == nil {
+	if _, _, _, err := decodeBatchRecord(enc[:10], 2); err == nil {
 		t.Fatal("short batch record accepted")
 	}
-	if _, _, _, err := decodeBatchRecord(append(enc[:len(enc):len(enc)], 0)); err == nil {
+	if _, _, _, err := decodeBatchRecord(append(enc[:len(enc):len(enc)], 0), 2); err == nil {
 		t.Fatal("oversized batch record accepted")
 	}
 	// The tagged kind round-trips its key, and a key cut short is refused.
 	tagged := make([]byte, batchRecordLen("k1", 3, 2))
 	encodeBatchRecord(tagged, "k1", 2, 3, cols)
-	if tag, start, rows, err := decodeBatchRecord(tagged); err != nil || tag != "k1" || start != 2 || len(rows) != 3 {
+	if _, _, _, err := decodeBatchRecord(enc, 3); err == nil {
+		t.Fatal("batch record of another arity accepted")
+	}
+	if tag, start, rows, err := decodeBatchRecord(tagged, 2); err != nil || tag != "k1" || start != 2 || len(rows) != 3 {
 		t.Fatalf("tagged round trip: tag %q start %d rows %d err %v", tag, start, len(rows), err)
 	}
-	if _, _, _, err := decodeBatchRecord(tagged[:3]); err == nil {
+	if _, _, _, err := decodeBatchRecord(tagged[:3], 2); err == nil {
 		t.Fatal("tagged record with a truncated key accepted")
 	}
 }
@@ -708,6 +730,30 @@ func TestIntervalFlusherWritesWithoutCommit(t *testing.T) {
 	}
 }
 
+// TestDurableAppendAllocatesAsMemoryOnly: a durable single-row Append
+// is a batch of one, encoded from the published columns straight into
+// the WAL's write buffer, so it allocates no more than an Append with no
+// log attached.
+func TestDurableAppendAllocatesAsMemoryOnly(t *testing.T) {
+	schema := relation.NewSchema("a", "b", "c", "d")
+	mem, durable := relation.New("t", schema), relation.New("t", schema)
+	rl, err := OpenRelationLog(t.TempDir(), durable, RelationLogOptions{Options: Options{Policy: SyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+	rl.Attach()
+	row := relation.Tuple{1, 2, 3, 4}
+	memAllocs := testing.AllocsPerRun(1000, func() { mem.Append(row) })
+	durableAllocs := testing.AllocsPerRun(1000, func() { durable.Append(row) })
+	if durableAllocs > memAllocs {
+		t.Fatalf("a durable Append allocates %v times, a memory-only one %v", durableAllocs, memAllocs)
+	}
+	if err := rl.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRelationLogSinkErrorSurfacedByCommit(t *testing.T) {
 	dir := t.TempDir()
 	rel := relation.New("t", relation.NewSchema("a", "b"))
@@ -722,10 +768,10 @@ func TestRelationLogSinkErrorSurfacedByCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tees racing the close park the failure for the next Commit: both
-	// the single-mutation and the batch sink paths.
-	rl.LogMutation(1, relation.Mutation{Kind: relation.MutAppend, Row: 0, Vals: relation.Tuple{1, 2}})
+	// the delete and the batch sink paths.
+	rl.LogDelete(1, 0)
 	if err := rl.Commit(); err == nil {
-		t.Fatal("Commit after a failed LogMutation tee succeeded")
+		t.Fatal("Commit after a failed LogDelete tee succeeded")
 	}
 	rl2, err := OpenRelationLog(t.TempDir(), rel, RelationLogOptions{Options: Options{Policy: SyncNever}})
 	if err != nil {

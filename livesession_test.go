@@ -138,35 +138,6 @@ func liveUnionSession(t testing.TB, o Options) (*liveSession, error) {
 	return &liveSession{u: u, rels: rels, s: s}, nil
 }
 
-// TestAutoRefresh checks the AutoRefresh option reconciles before a
-// draw without an explicit Refresh call.
-func TestAutoRefresh(t *testing.T) {
-	ls, err := liveUnionSession(t, Options{Seed: 3, Warmup: WarmupExact, AutoRefresh: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls.rels[0].AppendRows([]Tuple{{777, 2}})
-	ls.rels[1].AppendRows([]Tuple{{7000, 777}, {7001, 777}, {7002, 777}})
-	out, _, err := ls.s.Sample(1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.s.Stale() {
-		t.Fatal("AutoRefresh session stale after a draw")
-	}
-	ck := ls.u.OutputSchema().Index("custkey")
-	saw := false
-	for _, tup := range out {
-		if tup[ck] == 777 {
-			saw = true
-			break
-		}
-	}
-	if !saw {
-		t.Fatal("AutoRefresh draw never produced the appended rows")
-	}
-}
-
 // TestRefreshDeterminism pins that two sessions with identical options,
 // mutation history, and refresh points produce bit-identical seeded
 // draws.
@@ -321,7 +292,6 @@ func TestConcurrentDrawsMutationsRefresh(t *testing.T) {
 		{Seed: 21, Warmup: WarmupRandomWalk},
 		{Seed: 21, Warmup: WarmupExact},
 		{Seed: 21, Online: true, WarmupWalks: 50},
-		{Seed: 21, Warmup: WarmupHistogram, AutoRefresh: true},
 	} {
 		ls, err := liveUnionSession(t, opts)
 		if err != nil {

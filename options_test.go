@@ -18,7 +18,7 @@ func TestCanonicalIsIdempotent(t *testing.T) {
 		{Options{Warmup: WarmupHistogram}, Options{Warmup: WarmupHistogram, WarmupWalks: 1000, Seed: 1, Shards: 1}},
 		{Options{Online: true, WarmupWalks: -7}, Options{Warmup: WarmupRandomWalk, Online: true, WarmupWalks: -1, Seed: 1, Shards: 1}},
 		{Options{Shards: ShardsAuto}, Options{Warmup: WarmupRandomWalk, WarmupWalks: 1000, Seed: 1, Shards: cores}},
-		{Options{Shards: -4, AutoRefresh: true}, Options{Warmup: WarmupRandomWalk, WarmupWalks: 1000, Seed: 1, Shards: cores, AutoRefresh: true}},
+		{Options{Shards: -4}, Options{Warmup: WarmupRandomWalk, WarmupWalks: 1000, Seed: 1, Shards: cores}},
 	} {
 		once, err := tc.in.Canonical()
 		if err != nil {

@@ -205,14 +205,6 @@ type Options struct {
 	// count, but differ from single-shard streams under the same seed.
 	Shards int `json:"shards,omitempty"`
 
-	// AutoRefresh makes a prepared Session reconcile itself before a
-	// sampling call whenever the underlying relations mutated since the
-	// last (re)preparation — the convenience mode for streaming data.
-	// The reconcile is the incremental Session.Refresh, not a cold
-	// Prepare; callers wanting explicit control leave this false and
-	// call Refresh themselves.
-	AutoRefresh bool `json:"-"`
-
 	// testEstimator, when non-nil, overrides the Warmup selection with
 	// a caller-supplied estimator. Package tests use it to count
 	// estimator invocations; it is not part of the public API.

@@ -140,20 +140,6 @@ func newSessionState(prepared core.PreparedSampler) *sessionState {
 	}
 }
 
-// cur returns the state generation this call samples under, refreshing
-// first when the session was prepared with AutoRefresh and the
-// underlying relations mutated since the last (re)preparation.
-func (s *Session) cur() (*sessionState, error) {
-	st := s.state.Load()
-	if s.opts.AutoRefresh && st.prepared.Stale() {
-		if err := s.Refresh(); err != nil {
-			return nil, err
-		}
-		st = s.state.Load()
-	}
-	return st, nil
-}
-
 // Stale reports whether the underlying relations mutated since the
 // session's last (re)preparation: draws still work, but serve
 // parameters estimated over the old contents until Refresh runs. It
@@ -276,8 +262,8 @@ type drawSpec struct {
 	pred Predicate
 }
 
-// draw is the draw path of every sampling method: validate n, load (or
-// auto-refresh) the state generation, take a run on the spec's stream
+// draw is the draw path of every sampling method: validate n, load the
+// state generation, take a run on the spec's stream
 // from it (or from its disjoint-union sampler), draw, and hand the run
 // back for the next call to reuse. It returns the tuples and the run's
 // statistics (warm-up time excluded: it was paid once at Prepare) — both
@@ -288,10 +274,7 @@ func (s *Session) draw(d drawSpec) (out []Tuple, stats *Stats, err error) {
 	} else if empty {
 		return []Tuple{}, &Stats{}, nil
 	}
-	st, err := s.cur()
-	if err != nil {
-		return nil, nil, err
-	}
+	st := s.state.Load()
 	var p interface{ NewRun() core.Run } = st.prepared
 	if d.disjoint {
 		if p, err = s.disjointShared(st); err != nil {
@@ -360,11 +343,7 @@ func (s *Session) SampleViewSeeded(n int, seed int64, use func(tuples []Tuple, u
 	} else if empty {
 		return use([]Tuple{}, s.UnionSize())
 	}
-	st, err := s.cur()
-	if err != nil {
-		return err
-	}
-	run := st.prepared.NewRun()
+	run := s.state.Load().prepared.NewRun()
 	defer run.Release()
 	tuples, err := run.SampleView(n, run.RNG(seed))
 	if err != nil {
